@@ -271,7 +271,10 @@ mod tests {
     #[test]
     fn tampered_tx_breaks_root() {
         let mut block = Block::mine(Digest::ZERO, 0, sample_txs(2), 0, 4);
-        block.transactions[0].payload = b"tampered".to_vec();
+        // The ids are cached by now: the edit must not keep the stale one.
+        let mut body = block.transactions[0].clone().into_body();
+        body.payload = b"tampered".to_vec();
+        block.transactions[0] = Transaction::from_body(body);
         assert_eq!(block.validate_standalone(), Err(ChainError::BadTxRoot));
     }
 
@@ -314,7 +317,9 @@ mod tests {
         // Wide enough to cross PAR_MIN_TXS so the parallel paths engage.
         let txs = sample_txs(PAR_MIN_TXS * 2 + 5);
         let mut bad = txs.clone();
-        bad[40].payload = b"forged".to_vec(); // signature no longer covers payload
+        let mut body = bad[40].clone().into_body();
+        body.payload = b"forged".to_vec(); // signature no longer covers payload
+        bad[40] = Transaction::from_body(body);
         let saved = par::workers();
         let mut roots = Vec::new();
         let mut verdicts = Vec::new();

@@ -405,8 +405,9 @@ mod tests {
     fn rejects_bad_signature() {
         let mut chain = Blockchain::new(config(0));
         let kp = Keypair::from_seed(b"chain-tests");
-        let mut tx = Transaction::new_signed(&kp, 0, "c", "m", vec![]);
-        tx.payload = b"tampered".to_vec();
+        let mut body = Transaction::new_signed(&kp, 0, "c", "m", vec![]).into_body();
+        body.payload = b"tampered".to_vec();
+        let tx = Transaction::from_body(body);
         let block = Block::mine(chain.genesis_hash(), 1, vec![tx], 0, 0);
         assert_eq!(chain.import(block), Err(ChainError::BadSignature));
     }

@@ -317,8 +317,9 @@ mod tests {
     fn rejects_bad_signature_at_submit() {
         let mut n = node(0);
         let kp = Keypair::from_seed(b"node-tests");
-        let mut tx = Transaction::new_signed(&kp, 0, "kvstore", "put", vec![]);
-        tx.payload = b"evil".to_vec();
+        let mut body = Transaction::new_signed(&kp, 0, "kvstore", "put", vec![]).into_body();
+        body.payload = b"evil".to_vec();
+        let tx = Transaction::from_body(body);
         assert_eq!(n.submit_transaction(tx), Err(ChainError::BadSignature));
     }
 

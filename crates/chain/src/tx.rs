@@ -3,19 +3,32 @@
 //! Every DRAMS log entry reaches the blockchain as a transaction invoking
 //! the monitor contract. Transactions are Schnorr-signed by the submitting
 //! Logging Interface, making log submissions non-repudiable (paper §I).
+//!
+//! A [`Transaction`] is immutable once built. Its id is the SHA-256 of its
+//! canonical encoding (~1.7 KB for a log batch) and is asked for at every
+//! stage of a transaction's life — mempool admission and removal, the
+//! block's Merkle root when mining and again when validating an import,
+//! contract execution, receipts — so the transaction computes it on first
+//! use and keeps it. Immutability is what makes the kept id safe: the
+//! fields are read through `Deref` to a [`TxBody`], there is no `DerefMut`,
+//! and changing one means taking the body out with
+//! [`Transaction::into_body`] and building a new transaction, with an
+//! empty id cache, through [`Transaction::from_body`].
 
 use crate::error::ChainError;
 use drams_crypto::codec::{Decode, Encode, Reader, Writer};
 use drams_crypto::schnorr::{Keypair, PublicKey, Signature};
 use drams_crypto::sha256::Digest;
 use serde::{Deserialize, Serialize};
+use std::ops::Deref;
+use std::sync::OnceLock;
 
 /// A transaction identifier (SHA-256 of the canonical encoding).
 pub type TxId = Digest;
 
-/// A signed contract invocation.
+/// The content of a [`Transaction`]: what is encoded, hashed and signed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Transaction {
+pub struct TxBody {
     /// The submitting account's public key.
     pub sender: PublicKey,
     /// Per-sender sequence number, starting at 0.
@@ -28,6 +41,47 @@ pub struct Transaction {
     pub payload: Vec<u8>,
     /// Schnorr signature over the signing bytes.
     pub signature: Signature,
+}
+
+/// A signed contract invocation: an immutable [`TxBody`] and its id,
+/// computed once.
+///
+/// Fields read as `tx.sender`, `tx.payload`, … through `Deref`:
+///
+/// ```
+/// use drams_chain::tx::Transaction;
+/// use drams_crypto::schnorr::Keypair;
+///
+/// let kp = Keypair::from_seed(b"doc");
+/// let tx = Transaction::new_signed(&kp, 0, "monitor", "store_log", b"entry".to_vec());
+/// assert_eq!(tx.payload, b"entry");
+///
+/// // Editing goes through the body and yields a transaction with a new id
+/// // (and, here, a signature that no longer covers the payload).
+/// let mut body = tx.clone().into_body();
+/// body.payload = b"forged".to_vec();
+/// let forged = Transaction::from_body(body);
+/// assert_ne!(forged.id(), tx.id());
+/// assert!(forged.verify_signature().is_err());
+/// ```
+///
+/// They cannot be assigned in place — a built transaction never changes
+/// under its cached id:
+///
+/// ```compile_fail
+/// use drams_chain::tx::Transaction;
+/// use drams_crypto::schnorr::Keypair;
+///
+/// let kp = Keypair::from_seed(b"doc");
+/// let mut tx = Transaction::new_signed(&kp, 0, "monitor", "store_log", b"entry".to_vec());
+/// tx.payload = b"forged".to_vec();
+/// ```
+#[derive(Clone, Serialize, Deserialize)]
+pub struct Transaction {
+    body: TxBody,
+    /// Filled by the first [`Transaction::id`]; carried by `Clone`.
+    #[serde(skip)]
+    id: OnceLock<TxId>,
 }
 
 impl Transaction {
@@ -44,20 +98,37 @@ impl Transaction {
         let method = method.into();
         let signing = signing_bytes(&keypair.public(), nonce, &contract, &method, &payload);
         let signature = keypair.sign(&signing);
-        Transaction {
+        Transaction::from_body(TxBody {
             sender: keypair.public(),
             nonce,
             contract,
             method,
             payload,
             signature,
+        })
+    }
+
+    /// Wraps a body as it stands: nothing is signed or checked, and the id
+    /// is not yet computed.
+    #[must_use]
+    pub fn from_body(body: TxBody) -> Transaction {
+        Transaction {
+            body,
+            id: OnceLock::new(),
         }
     }
 
-    /// The transaction id: SHA-256 of the canonical encoding.
+    /// Gives the body back for editing, dropping the cached id.
+    #[must_use]
+    pub fn into_body(self) -> TxBody {
+        self.body
+    }
+
+    /// The transaction id: SHA-256 of the canonical encoding, computed on
+    /// the first call.
     #[must_use]
     pub fn id(&self) -> TxId {
-        self.canonical_digest()
+        *self.id.get_or_init(|| self.canonical_digest())
     }
 
     /// Verifies the sender's signature.
@@ -99,6 +170,28 @@ impl Transaction {
     }
 }
 
+impl Deref for Transaction {
+    type Target = TxBody;
+
+    fn deref(&self) -> &TxBody {
+        &self.body
+    }
+}
+
+/// Equality is equality of bodies; whether the id has been computed yet
+/// is not part of a transaction's value.
+impl PartialEq for Transaction {
+    fn eq(&self, other: &Self) -> bool {
+        self.body == other.body
+    }
+}
+
+impl std::fmt::Debug for Transaction {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.body.fmt(f)
+    }
+}
+
 fn signing_bytes(
     sender: &PublicKey,
     nonce: u64,
@@ -129,14 +222,14 @@ impl Encode for Transaction {
 
 impl Decode for Transaction {
     fn decode(r: &mut Reader<'_>) -> Result<Self, drams_crypto::CryptoError> {
-        Ok(Transaction {
+        Ok(Transaction::from_body(TxBody {
             sender: PublicKey::decode(r)?,
             nonce: r.get_u64()?,
             contract: r.get_str()?,
             method: r.get_str()?,
             payload: r.get_bytes()?,
             signature: Signature::decode(r)?,
-        })
+        }))
     }
 }
 
@@ -157,32 +250,74 @@ mod tests {
         tx().verify_signature().unwrap();
     }
 
+    /// Rebuilds `tx` with its body edited — the only way to change one.
+    fn tampered(tx: Transaction, edit: impl FnOnce(&mut TxBody)) -> Transaction {
+        let mut body = tx.into_body();
+        edit(&mut body);
+        Transaction::from_body(body)
+    }
+
     #[test]
     fn tampered_payload_rejected() {
-        let mut t = tx();
-        t.payload = b"tampered".to_vec();
+        let t = tampered(tx(), |b| b.payload = b"tampered".to_vec());
         assert_eq!(t.verify_signature(), Err(ChainError::BadSignature));
     }
 
     #[test]
     fn tampered_nonce_rejected() {
-        let mut t = tx();
-        t.nonce = 99;
+        let t = tampered(tx(), |b| b.nonce = 99);
         assert!(t.verify_signature().is_err());
     }
 
     #[test]
     fn tampered_method_rejected() {
-        let mut t = tx();
-        t.method = "delete_log".into();
+        let t = tampered(tx(), |b| b.method = "delete_log".into());
         assert!(t.verify_signature().is_err());
     }
 
     #[test]
     fn substituted_sender_rejected() {
-        let mut t = tx();
-        t.sender = Keypair::from_seed(b"attacker").public();
+        let t = tampered(tx(), |b| {
+            b.sender = Keypair::from_seed(b"attacker").public();
+        });
         assert!(t.verify_signature().is_err());
+    }
+
+    #[test]
+    fn id_is_the_digest_of_the_canonical_bytes_however_the_tx_was_made() {
+        let built = tx();
+        let bytes = built.to_canonical_bytes();
+        let expected = Digest::of(&bytes);
+        // Decoded, never asked before.
+        let decoded = Transaction::from_canonical_bytes(&bytes).unwrap();
+        assert_eq!(decoded.id(), expected);
+        // Cloned before and after the original's id was computed.
+        let early_clone = built.clone();
+        assert_eq!(built.id(), expected);
+        assert_eq!(built.id(), expected, "second call reads the cache");
+        assert_eq!(built.clone().id(), expected);
+        assert_eq!(early_clone.id(), expected);
+        // Round-tripped through the body unchanged.
+        assert_eq!(Transaction::from_body(built.into_body()).id(), expected);
+    }
+
+    #[test]
+    fn edited_body_gets_a_new_id_and_a_broken_signature() {
+        let original = tx();
+        let stale = original.id();
+        let edited = tampered(original, |b| b.payload = b"edited".to_vec());
+        assert_ne!(edited.id(), stale);
+        assert_eq!(edited.id(), Digest::of(&edited.to_canonical_bytes()));
+        assert_eq!(edited.verify_signature(), Err(ChainError::BadSignature));
+    }
+
+    #[test]
+    fn equality_and_debug_ignore_the_id_cache() {
+        let (cold, warm) = (tx(), tx());
+        let _ = warm.id();
+        assert_eq!(cold, warm);
+        assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
+        assert_ne!(cold, tampered(tx(), |b| b.nonce = 1));
     }
 
     #[test]

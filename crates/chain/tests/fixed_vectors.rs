@@ -52,7 +52,9 @@ fn batched_block_verification_matches_per_tx() {
     block.verify_signatures().unwrap();
 
     // Tamper one payload: both paths must reject.
-    txs[3].payload = b"tampered".to_vec();
+    let mut body = txs[3].clone().into_body();
+    body.payload = b"tampered".to_vec();
+    txs[3] = Transaction::from_body(body);
     let bad = Block::mine(Digest::ZERO, 1, txs, 0, 0);
     assert!(bad.verify_signatures().is_err());
     assert!(bad.transactions[3].verify_signature().is_err());

@@ -22,6 +22,7 @@ use drams_analysis::verify::{DecisionVerifier, Verdict, Violation};
 use drams_chain::node::Node;
 use drams_crypto::aead::SymmetricKey;
 use drams_crypto::codec::{Decode, Reader, Writer};
+use drams_crypto::hmac::HmacKey;
 use drams_crypto::schnorr::Keypair;
 use drams_faas::des::SimTime;
 use drams_faas::msg::{CorrelationId, RequestEnvelope, ResponseEnvelope};
@@ -65,12 +66,29 @@ enum PolicyLogEntry {
 /// retired-version counter.
 const CHECKPOINT_VERSION: u8 = 4;
 
+/// One probe's MAC key as the Analyser holds it: the raw bytes, which the
+/// checkpoint persists, and the context keyed from them once, which
+/// every entry of that probe is verified with.
+struct ProbeMacKey {
+    raw: [u8; 32],
+    keyed: HmacKey,
+}
+
+impl From<[u8; 32]> for ProbeMacKey {
+    fn from(raw: [u8; 32]) -> Self {
+        ProbeMacKey {
+            keyed: HmacKey::new(&raw),
+            raw,
+        }
+    }
+}
+
 /// The DRAMS Analyser.
 pub struct Analyser {
     verifier: DecisionVerifier,
     key: SymmetricKey,
     keypair: Keypair,
-    probe_mac_keys: BTreeMap<ProbeId, [u8; 32]>,
+    probe_mac_keys: BTreeMap<ProbeId, ProbeMacKey>,
     event_cursor: usize,
     checked_groups: u64,
     /// Hash of the last main-chain block whose signatures were audited.
@@ -138,7 +156,10 @@ impl Analyser {
             verifier: DecisionVerifier::new(authorised_policy),
             key,
             keypair,
-            probe_mac_keys,
+            probe_mac_keys: probe_mac_keys
+                .into_iter()
+                .map(|(probe, key)| (probe, key.into()))
+                .collect(),
             event_cursor: 0,
             checked_groups: 0,
             audited_tip: drams_chain::block::BlockHash::ZERO,
@@ -259,7 +280,7 @@ impl Analyser {
     /// Registers the MAC key of a newly provisioned probe (tenant-join
     /// churn: the key is obtained from the joining tenant's TPM).
     pub fn register_probe_key(&mut self, probe: ProbeId, key: [u8; 32]) {
-        self.probe_mac_keys.insert(probe, key);
+        self.probe_mac_keys.insert(probe, key.into());
     }
 
     /// Attaches a durable checkpoint store and immediately writes a
@@ -305,7 +326,7 @@ impl Analyser {
         w.put_varint(self.probe_mac_keys.len() as u64);
         for (probe, key) in &self.probe_mac_keys {
             w.put_u32(probe.0);
-            w.put_raw(key);
+            w.put_raw(&key.raw);
         }
         w.put_str(&self.initial_policy);
         w.put_varint(self.policy_log.len() as u64);
@@ -672,7 +693,7 @@ impl Analyser {
     fn judge_group(
         verifier: &DecisionVerifier,
         key: &SymmetricKey,
-        probe_mac_keys: &BTreeMap<ProbeId, [u8; 32]>,
+        probe_mac_keys: &BTreeMap<ProbeId, ProbeMacKey>,
         corr: CorrelationId,
         entries: &BTreeMap<ObservationPoint, LogEntry>,
         now: SimTime,
@@ -684,8 +705,7 @@ impl Analyser {
         for entry in entries.values() {
             let valid = probe_mac_keys
                 .get(&entry.probe)
-                .map(|k| entry.verify_mac(k))
-                .unwrap_or(false);
+                .is_some_and(|k| entry.verify_mac_with(&k.keyed));
             if !valid {
                 alerts.push(Alert::new(
                     AlertKind::MonitorCompromise,

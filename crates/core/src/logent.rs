@@ -10,7 +10,7 @@
 
 use drams_crypto::aead::SealedBox;
 use drams_crypto::codec::{Decode, Encode, Reader, Writer};
-use drams_crypto::hmac::hmac_sha256_parts;
+use drams_crypto::hmac::HmacKey;
 use drams_crypto::sha256::Digest;
 use drams_crypto::CryptoError;
 use drams_faas::des::SimTime;
@@ -132,6 +132,29 @@ impl LogEntry {
         observed_at: SimTime,
         sealed_payload: &SealedBox,
     ) -> Vec<u8> {
+        let mut bytes = Self::mac_head(
+            correlation,
+            point,
+            probe,
+            digest,
+            observed_at,
+            sealed_payload,
+        );
+        bytes.extend_from_slice(&sealed_payload.ciphertext);
+        bytes.extend_from_slice(sealed_payload.tag.as_bytes());
+        bytes
+    }
+
+    /// [`LogEntry::mac_input`] up to and including the ciphertext's length
+    /// prefix: the part that is not already lying in the entry as bytes.
+    fn mac_head(
+        correlation: CorrelationId,
+        point: ObservationPoint,
+        probe: ProbeId,
+        digest: &Digest,
+        observed_at: SimTime,
+        sealed_payload: &SealedBox,
+    ) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_u64(correlation.0);
         w.put_u8(point.code());
@@ -139,34 +162,51 @@ impl LogEntry {
         digest.encode(&mut w);
         w.put_u64(observed_at);
         w.put_raw(&sealed_payload.nonce);
-        w.put_bytes(&sealed_payload.ciphertext);
-        sealed_payload.tag.encode(&mut w);
+        w.put_varint(sealed_payload.ciphertext.len() as u64);
         w.into_bytes()
     }
 
-    /// Computes the probe MAC with `mac_key`.
+    /// Computes the probe MAC under an already keyed context — what a
+    /// probe and the Analyser, which hold their keys for a whole run, use.
+    /// The ciphertext and tag are hashed where they lie, not copied first.
     #[must_use]
-    pub fn compute_mac(&self, mac_key: &[u8; 32]) -> Digest {
-        hmac_sha256_parts(
-            mac_key,
-            &[&Self::mac_input(
-                self.correlation,
-                self.point,
-                self.probe,
-                &self.digest,
-                self.observed_at,
-                &self.sealed_payload,
-            )],
+    pub(crate) fn compute_mac_with(&self, mac_key: &HmacKey) -> Digest {
+        let head = Self::mac_head(
+            self.correlation,
+            self.point,
+            self.probe,
+            &self.digest,
+            self.observed_at,
+            &self.sealed_payload,
+        );
+        mac_key.mac_parts(&[
+            &head,
+            &self.sealed_payload.ciphertext,
+            self.sealed_payload.tag.as_bytes(),
+        ])
+    }
+
+    /// Verifies the probe MAC under an already keyed context.
+    #[must_use]
+    pub(crate) fn verify_mac_with(&self, mac_key: &HmacKey) -> bool {
+        drams_crypto::ct_eq(
+            self.compute_mac_with(mac_key).as_bytes(),
+            self.probe_mac.as_bytes(),
         )
     }
 
-    /// Verifies the probe MAC with `mac_key`.
+    /// Computes the probe MAC with `mac_key`, keying a context for this
+    /// one tag.
+    #[must_use]
+    pub fn compute_mac(&self, mac_key: &[u8; 32]) -> Digest {
+        self.compute_mac_with(&HmacKey::new(mac_key))
+    }
+
+    /// Verifies the probe MAC with `mac_key`, keying a context for this
+    /// one check.
     #[must_use]
     pub fn verify_mac(&self, mac_key: &[u8; 32]) -> bool {
-        drams_crypto::ct_eq(
-            self.compute_mac(mac_key).as_bytes(),
-            self.probe_mac.as_bytes(),
-        )
+        self.verify_mac_with(&HmacKey::new(mac_key))
     }
 
     /// Wire size in bytes (drives the log-size experiment E1).
@@ -257,6 +297,42 @@ mod tests {
         let e = entry();
         let bytes = e.to_canonical_bytes();
         assert_eq!(LogEntry::from_canonical_bytes(&bytes).unwrap(), e);
+    }
+
+    /// The probe MAC is an on-chain byte string: however its input is fed
+    /// to the HMAC, these bytes must not change.
+    #[test]
+    fn probe_mac_is_pinned() {
+        let e = entry();
+        assert_eq!(
+            e.sealed_payload.tag.to_hex(),
+            "cf52aacc3f57be9219d1fbfb392523a0bb728e0a112ced2e015798e29cd53638"
+        );
+        assert_eq!(
+            e.probe_mac.to_hex(),
+            "0467488415a5201cc803b0938e3a3cb8ba07ad52e354e68dcbbf134fabebd17e"
+        );
+    }
+
+    #[test]
+    fn streamed_mac_is_the_hmac_of_mac_input() {
+        let e = entry();
+        let input = LogEntry::mac_input(
+            e.correlation,
+            e.point,
+            e.probe,
+            &e.digest,
+            e.observed_at,
+            &e.sealed_payload,
+        );
+        assert_eq!(
+            e.probe_mac,
+            drams_crypto::hmac::hmac_sha256(&[9; 32], &input)
+        );
+        let keyed = HmacKey::new(&[9; 32]);
+        assert_eq!(e.compute_mac_with(&keyed), e.probe_mac);
+        assert!(e.verify_mac_with(&keyed));
+        assert!(!e.verify_mac_with(&HmacKey::new(&[8; 32])));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use crate::logent::{LogEntry, ObservationPoint, ProbeId};
 use drams_crypto::aead::{seal, SymmetricKey};
 use drams_crypto::codec::Encode;
+use drams_crypto::hmac::HmacKey;
 use drams_crypto::sha256::Digest;
 use drams_faas::des::SimTime;
 use drams_faas::msg::{RequestEnvelope, ResponseEnvelope};
@@ -20,8 +21,9 @@ pub struct Probe {
     id: ProbeId,
     /// Federation-wide encryption key *K* (shared with the LIs).
     payload_key: SymmetricKey,
-    /// Per-probe MAC key, provisioned from the tenant TPM.
-    mac_key: [u8; 32],
+    /// Per-probe MAC key, provisioned from the tenant TPM, keyed once for
+    /// every observation the probe will make.
+    mac_key: HmacKey,
     sequence: u64,
 }
 
@@ -32,7 +34,7 @@ impl Probe {
         Probe {
             id,
             payload_key,
-            mac_key,
+            mac_key: HmacKey::new(&mac_key),
             sequence: 0,
         }
     }
@@ -84,7 +86,7 @@ impl Probe {
             sealed_payload,
             probe_mac: Digest::ZERO,
         };
-        entry.probe_mac = entry.compute_mac(&self.mac_key);
+        entry.probe_mac = entry.compute_mac_with(&self.mac_key);
         entry
     }
 

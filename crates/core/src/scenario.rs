@@ -2272,8 +2272,10 @@ impl<'a> SimService<Msg, Ctx<'a>> for Controller {
                     // skips import-time signature checks (the Byzantine
                     // premise); the Analyser's independent audit must not.
                     let forger = Keypair::from_seed(b"drams-byzantine-miner");
-                    let mut tx = Transaction::new_signed(&forger, 0, "bogus", "noop", Vec::new());
-                    tx.payload = b"forged".to_vec();
+                    let mut body = Transaction::new_signed(&forger, 0, "bogus", "noop", Vec::new())
+                        .into_body();
+                    body.payload = b"forged".to_vec();
+                    let tx = Transaction::from_body(body);
                     let parent = ctx.node.chain().tip_hash();
                     let height = ctx.node.chain().tip_header().height + 1;
                     let bits = ctx

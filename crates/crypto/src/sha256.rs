@@ -148,7 +148,25 @@ fn digest_of_state(state: &[u32; 8]) -> Digest {
     Digest(out)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Compressions run by the current test thread.
+    static COMPRESSIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Number of compressions `f` runs, for tests asserting that a keyed
+/// context hashes every byte once. Per thread, so parallel tests do not
+/// disturb each other's count.
+#[cfg(test)]
+pub(crate) fn count_compressions<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = COMPRESSIONS.get();
+    let out = f();
+    (COMPRESSIONS.get() - before, out)
+}
+
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    #[cfg(test)]
+    COMPRESSIONS.set(COMPRESSIONS.get() + 1);
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);

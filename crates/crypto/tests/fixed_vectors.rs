@@ -97,3 +97,37 @@ fn digests_are_pinned() {
         "86c114b302158bb25d711fd1d2482c1adf42caf6f972a0492e78436e2733b590"
     );
 }
+
+/// Sealed boxes go on chain and derived keys open them: however the HMAC
+/// and AEAD are implemented, they must reproduce these bytes exactly.
+#[test]
+fn seal_output_is_pinned() {
+    use drams_crypto::aead::{open, seal, SymmetricKey};
+    let key = SymmetricKey::from_bytes([0x42; 32]);
+    let sealed = seal(&key, *b"fixed-nonce!", b"fixed aad", MESSAGE);
+    assert_eq!(hex(&sealed.nonce), "66697865642d6e6f6e636521");
+    assert_eq!(
+        hex(&sealed.ciphertext),
+        "e9081e470879f27fb19ebf1af63c87edfc9ee416d8a218d85b78"
+    );
+    assert_eq!(
+        sealed.tag.to_hex(),
+        "9f01cea2eb272ff6beb26af4ee33eafe49cb45f24a8d7a6bdf698689cf9e276f"
+    );
+    assert_eq!(open(&key, b"fixed aad", &sealed).unwrap(), MESSAGE);
+}
+
+#[test]
+fn derived_keys_are_pinned() {
+    use drams_crypto::aead::SymmetricKey;
+    use drams_crypto::hmac::derive_key;
+    let short = "64f24e22366a4deef42641c99dc1fc63928098fac21e97b8e62b6ae24692cbbf";
+    assert_eq!(hex(&derive_key(&[0x42; 32], "drams.fixed.label")), short);
+    // A master longer than the block size is hashed first.
+    assert_eq!(
+        hex(&derive_key(&[0x42; 100], "drams.fixed.label")),
+        "e371d7185f991d1e01737daed9455ab2318f09f1bbd6903e4da05fdc3cc365d9"
+    );
+    let sub = SymmetricKey::from_bytes([0x42; 32]).derive("drams.fixed.label");
+    assert_eq!(hex(sub.as_bytes()), short);
+}
