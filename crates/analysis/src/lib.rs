@@ -38,6 +38,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod constraint;
 pub mod properties;
 pub mod solver;

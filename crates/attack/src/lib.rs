@@ -26,6 +26,8 @@
 //! assert_eq!(s.detected, s.attacks); // every tamper is caught
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod composite;
 pub mod score;
 pub mod threat;

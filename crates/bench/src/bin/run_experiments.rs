@@ -48,6 +48,8 @@
 //! `--quick` shrinks the sweeps to CI-smoke size — the JSON records
 //! which mode produced it.
 
+#![forbid(unsafe_code)]
+
 use drams_attack::{score, FaultWindow, ScriptedAdversary, ThreatKind, WindowedAdversary};
 use drams_bench::crypto_trajectory::{self, CryptoSummary, OldNew};
 use drams_bench::e2e_trajectory::{self, ScenarioRow};

@@ -4,6 +4,8 @@
 //! the `run_experiments` binary; the Criterion benches under `benches/`
 //! cover the timing-shaped fragments of each experiment.
 
+#![forbid(unsafe_code)]
+
 use drams_core::logent::{LogEntry, ObservationPoint, ProbeId};
 use drams_core::probe::Probe;
 use drams_crypto::aead::SymmetricKey;

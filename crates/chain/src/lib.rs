@@ -41,6 +41,7 @@
 //! segmented WAL and rebuilds a crashed node — chain, contract state
 //! *and* mempool — by replay.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod block;

@@ -38,6 +38,8 @@
 //! assert!(report.alerts.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adversary;
 pub mod alert;
 pub mod analyser;

@@ -45,6 +45,9 @@
 //! # }
 //! ```
 
+// The one exception is `sha256::x86`, the SHA-extensions kernel.
+#![deny(unsafe_code)]
+
 pub mod aead;
 pub mod bignum;
 pub mod chacha20;

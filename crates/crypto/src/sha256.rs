@@ -3,6 +3,23 @@
 //! This is the single hash function used throughout the workspace: block
 //! hashes, transaction ids, Merkle nodes, log-entry digests and the
 //! proof-of-work puzzle all reduce to SHA-256 over canonical encodings.
+//!
+//! # Kernels
+//!
+//! The compression function exists twice, and only twice. `compress` is
+//! the portable FIPS 180-4 loop: it runs on every CPU without the x86-64
+//! SHA extensions and it is the oracle the other kernel is tested
+//! against. `x86::compress_blocks` does the same rounds with the
+//! `sha256rnds2` / `sha256msg1` / `sha256msg2` instructions and keeps
+//! the state in registers across consecutive blocks. `compress_blocks`
+//! picks between them from what the CPU reports
+//! (`is_x86_feature_detected!`, cached by std) — nothing a user can set
+//! selects a kernel. `Sha256::update`, `finalize` and `digest` hand it
+//! each contiguous run of whole blocks once.
+//!
+//! The `x86` module is the only `unsafe` code in the workspace: the
+//! crate is `#![deny(unsafe_code)]` with one `#[allow]` on that module,
+//! and every other crate is `#![forbid(unsafe_code)]`.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -66,7 +83,7 @@ impl Sha256 {
     /// Absorbs `data` into the hash state.
     ///
     /// Aligned 64-byte blocks are compressed directly from the input
-    /// slice; the internal buffer only stages partial blocks.
+    /// slice, as one run; the internal buffer only stages partial blocks.
     pub fn update(&mut self, data: &[u8]) {
         self.length_bytes = self.length_bytes.wrapping_add(data.len() as u64);
         let mut input = data;
@@ -76,15 +93,12 @@ impl Sha256 {
             self.buffered += take;
             input = &input[take..];
             if self.buffered == 64 {
-                compress(&mut self.state, &self.buffer);
+                compress_blocks(&mut self.state, &self.buffer);
                 self.buffered = 0;
             }
         }
-        let mut chunks = input.chunks_exact(64);
-        for block in &mut chunks {
-            compress(&mut self.state, block.try_into().expect("64-byte chunk"));
-        }
-        let rest = chunks.remainder();
+        let (whole, rest) = input.split_at(input.len() - input.len() % 64);
+        compress_blocks(&mut self.state, whole);
         if !rest.is_empty() {
             self.buffer[..rest.len()].copy_from_slice(rest);
             self.buffered = rest.len();
@@ -95,18 +109,8 @@ impl Sha256 {
     #[must_use]
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.length_bytes.wrapping_mul(8);
-        // Padding: 0x80, zeros to 56 mod 64, then the bit length. Built
-        // in place rather than routed through `update`.
-        self.buffer[self.buffered] = 0x80;
-        for b in &mut self.buffer[self.buffered + 1..] {
-            *b = 0;
-        }
-        if self.buffered >= 56 {
-            compress(&mut self.state, &self.buffer);
-            self.buffer = [0u8; 64];
-        }
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        compress(&mut self.state, &self.buffer);
+        let (tail, len) = padded_tail(&self.buffer[..self.buffered], bit_len);
+        compress_blocks(&mut self.state, &tail[..len]);
         digest_of_state(&self.state)
     }
 
@@ -117,27 +121,31 @@ impl Sha256 {
     /// (transaction/block ids, Merkle nodes, log digests).
     #[must_use]
     pub fn digest(data: &[u8]) -> Digest {
-        let mut state = H0;
-        let mut chunks = data.chunks_exact(64);
-        for block in &mut chunks {
-            compress(&mut state, block.try_into().expect("64-byte chunk"));
-        }
-        let rest = chunks.remainder();
-        let mut tail = [0u8; 128];
-        tail[..rest.len()].copy_from_slice(rest);
-        tail[rest.len()] = 0x80;
-        let blocks = if rest.len() >= 56 { 2 } else { 1 };
-        let bit_len = (data.len() as u64).wrapping_mul(8);
-        tail[blocks * 64 - 8..blocks * 64].copy_from_slice(&bit_len.to_be_bytes());
-        compress(&mut state, tail[..64].try_into().expect("first tail block"));
-        if blocks == 2 {
-            compress(
-                &mut state,
-                tail[64..].try_into().expect("second tail block"),
-            );
-        }
-        digest_of_state(&state)
+        digest_on(compress_blocks, data)
     }
+}
+
+/// [`Sha256::digest`] on a given compression kernel — the dispatcher in
+/// production, each kernel directly in the tests.
+fn digest_on(kernel: impl Fn(&mut [u32; 8], &[u8]), data: &[u8]) -> Digest {
+    let mut state = H0;
+    let (whole, rest) = data.split_at(data.len() - data.len() % 64);
+    kernel(&mut state, whole);
+    let (tail, len) = padded_tail(rest, (data.len() as u64).wrapping_mul(8));
+    kernel(&mut state, &tail[..len]);
+    digest_of_state(&state)
+}
+
+/// The last one or two blocks of a message: `rest` (the < 64 bytes past
+/// the last whole block), 0x80, zeros to 56 mod 64, then the bit length.
+/// Returns the buffer and how many of its bytes are in use (64 or 128).
+fn padded_tail(rest: &[u8], bit_len: u64) -> ([u8; 128], usize) {
+    let mut tail = [0u8; 128];
+    tail[..rest.len()].copy_from_slice(rest);
+    tail[rest.len()] = 0x80;
+    let len = if rest.len() >= 56 { 128 } else { 64 };
+    tail[len - 8..len].copy_from_slice(&bit_len.to_be_bytes());
+    (tail, len)
 }
 
 fn digest_of_state(state: &[u32; 8]) -> Digest {
@@ -164,9 +172,31 @@ pub(crate) fn count_compressions<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (COMPRESSIONS.get() - before, out)
 }
 
-fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+/// Compresses `blocks` — a whole number of 64-byte blocks, possibly
+/// none — into `state`, on the fastest kernel this CPU has.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0, "whole blocks only");
+    if blocks.is_empty() {
+        return;
+    }
     #[cfg(test)]
-    COMPRESSIONS.set(COMPRESSIONS.get() + 1);
+    COMPRESSIONS.set(COMPRESSIONS.get() + (blocks.len() / 64) as u64);
+    #[cfg(target_arch = "x86_64")]
+    if x86::compress_blocks(state, blocks) {
+        return;
+    }
+    compress_blocks_portable(state, blocks);
+}
+
+/// The fallback kernel on CPUs without the SHA extensions, and the test
+/// oracle for the one above.
+fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
+        compress(state, block.try_into().expect("64-byte chunk"));
+    }
+}
+
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -208,6 +238,106 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     state[5] = state[5].wrapping_add(f);
     state[6] = state[6].wrapping_add(g);
     state[7] = state[7].wrapping_add(h);
+}
+
+/// The SHA-extensions kernel. This module holds the workspace's only
+/// `unsafe` code and nothing else.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod x86 {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Whether this CPU has every feature [`kernel`] is compiled with.
+    /// std caches the CPUID answer; each call is a load and a test.
+    pub(super) fn detected() -> bool {
+        std::is_x86_feature_detected!("sha")
+            && std::is_x86_feature_detected!("sse2")
+            && std::is_x86_feature_detected!("ssse3")
+            && std::is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Compresses `blocks` into `state` if this CPU has the extensions;
+    /// `false` means it does not and nothing was done.
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) -> bool {
+        if !detected() {
+            return false;
+        }
+        // SAFETY: `detected` has just confirmed, from CPUID, every target
+        // feature `kernel` is compiled with.
+        unsafe { kernel(state, blocks) };
+        true
+    }
+
+    /// FIPS 180-4 compression of every whole 64-byte block of `blocks`
+    /// into `state` (trailing bytes short of a block are ignored), with
+    /// the state held in two registers across blocks.
+    ///
+    /// `sha256rnds2` works on the state as the pairs `ABEF`/`CDGH` and
+    /// does two rounds from the low two lanes of `W + K`; `sha256msg1`
+    /// and `sha256msg2` are the two halves of the message schedule, four
+    /// words at a time.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `sha`, `sse2`, `ssse3` and `sse4.1`
+    /// ([`detected`]). Nothing else: all memory access is through the two
+    /// references and stays inside them.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn kernel(state: &mut [u32; 8], blocks: &[u8]) {
+        // Big-endian message words from little-endian lanes.
+        let byte_swap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+
+        // SAFETY: `state` is 32 readable bytes; `loadu` needs no alignment.
+        let (dcba, hgfe) = unsafe {
+            let p = state.as_ptr().cast::<__m128i>();
+            (_mm_loadu_si128(p), _mm_loadu_si128(p.add(1)))
+        };
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            // `w[i % 4]` holds W[4i..4i + 4]; the loop bounds are
+            // constants, so it unrolls and `w` lives in registers.
+            let mut w = [_mm_setzero_si128(); 4];
+            for i in 0..16 {
+                w[i % 4] = if i < 4 {
+                    // SAFETY: `block` is 64 bytes, so the 16 bytes at
+                    // 16 * i (i < 4) are inside it; no alignment needed.
+                    let raw = unsafe { _mm_loadu_si128(block.as_ptr().cast::<__m128i>().add(i)) };
+                    _mm_shuffle_epi8(raw, byte_swap)
+                } else {
+                    let (w16, w12, w8, w4) =
+                        (w[i % 4], w[(i + 1) % 4], w[(i + 2) % 4], w[(i + 3) % 4]);
+                    let partial =
+                        _mm_add_epi32(_mm_sha256msg1_epu32(w16, w12), _mm_alignr_epi8(w4, w8, 4));
+                    _mm_sha256msg2_epu32(partial, w4)
+                };
+                // SAFETY: `K` is 64 words, so the four at 4 * i (i < 16)
+                // are inside it; no alignment needed.
+                let k = unsafe { _mm_loadu_si128(K.as_ptr().add(4 * i).cast::<__m128i>()) };
+                let wk = _mm_add_epi32(w[i % 4], k);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+        // SAFETY: `state` is 32 writable bytes; `storeu` needs no alignment.
+        unsafe {
+            let p = state.as_mut_ptr().cast::<__m128i>();
+            _mm_storeu_si128(p, dcba);
+            _mm_storeu_si128(p.add(1), hgfe);
+        }
+    }
 }
 
 /// A 32-byte SHA-256 digest.
@@ -334,6 +464,127 @@ impl From<[u8; 32]> for Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A compression kernel: `(state, whole blocks)`.
+    type Kernel = fn(&mut [u32; 8], &[u8]);
+
+    /// The SHA-extensions kernel, called directly, if this CPU has it.
+    fn sha_ni() -> Option<Kernel> {
+        #[cfg(target_arch = "x86_64")]
+        if x86::detected() {
+            return Some(|state, blocks| assert!(x86::compress_blocks(state, blocks)));
+        }
+        None
+    }
+
+    /// The SHA-extensions kernel, or a line on stdout saying why the
+    /// calling test checked nothing.
+    fn sha_ni_or_say_skipped() -> Option<Kernel> {
+        let kernel = sha_ni();
+        if kernel.is_none() {
+            println!("skipped: no sha extension");
+        }
+        kernel
+    }
+
+    #[test]
+    fn nist_vectors_through_each_kernel() {
+        println!(
+            "sha256 kernel dispatched on this CPU: {}",
+            if sha_ni().is_some() {
+                "sha-ni"
+            } else {
+                "portable"
+            }
+        );
+        let mut kernels = vec![("portable", compress_blocks_portable as Kernel)];
+        kernels.extend(sha_ni_or_say_skipped().map(|k| ("sha-ni", k)));
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 4] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        for (name, kernel) in kernels {
+            for (message, expected) in vectors {
+                assert_eq!(
+                    digest_on(kernel, message).to_hex(),
+                    expected,
+                    "{name} kernel, {} bytes",
+                    message.len()
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        // Not a `#[test]` itself: the test below runs it once it knows
+        // the kernel exists, so a skip is said once and not per case.
+        fn sha_ni_matches_portable_on_one_case(
+            state in prop::array::uniform8(any::<u32>()),
+            block in prop::collection::vec(any::<u8>(), 64..65),
+        ) {
+            let (mut expected, mut got) = (state, state);
+            compress(&mut expected, block[..].try_into().expect("64 bytes"));
+            sha_ni().expect("checked by the caller")(&mut got, &block);
+            prop_assert_eq!(got, expected);
+        }
+    }
+
+    #[test]
+    fn sha_ni_matches_portable_on_random_state_and_block() {
+        if sha_ni_or_say_skipped().is_some() {
+            sha_ni_matches_portable_on_one_case();
+        }
+    }
+
+    #[test]
+    fn sha_ni_matches_portable_on_multi_block_runs_at_unaligned_offsets() {
+        let Some(sha_ni) = sha_ni_or_say_skipped() else {
+            return;
+        };
+        let mut rng = proptest::TestRng::deterministic("multi-block runs");
+        let buffer: Vec<u8> = (0..9 * 64 + 16).map(|_| rng.next_u64() as u8).collect();
+        for blocks in 0..=9 {
+            for offset in 0..=16 {
+                let run = &buffer[offset..offset + 64 * blocks];
+                let state: [u32; 8] = std::array::from_fn(|_| rng.next_u64() as u32);
+                let (mut expected, mut got) = (state, state);
+                compress_blocks_portable(&mut expected, run);
+                sha_ni(&mut got, run);
+                assert_eq!(got, expected, "{blocks} blocks at offset {offset}");
+            }
+        }
+    }
+
+    #[test]
+    fn update_split_at_every_offset_equals_digest() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 7 + 3) as u8).collect();
+        let expected = Sha256::digest(&data);
+        assert_eq!(digest_on(compress_blocks_portable, &data), expected);
+        for split in 0..=130 {
+            let mut h = Sha256::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            assert_eq!(h.finalize(), expected, "split at {split}");
+        }
+    }
 
     #[test]
     fn nist_empty_vector() {

@@ -26,6 +26,7 @@
 //! * [`workload`] — Poisson arrivals, Zipf popularity, request and policy
 //!   generators shared by experiments and property tests.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod des;

@@ -22,6 +22,8 @@
 //!
 //! [`ScenarioSpec`]: drams_core::scenario::ScenarioSpec
 
+#![forbid(unsafe_code)]
+
 pub mod gen;
 pub mod oracle;
 pub mod shrink;

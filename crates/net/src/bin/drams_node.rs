@@ -13,6 +13,8 @@
 //! killed. Frames for any other role, corrupt frames and sequence
 //! regressions drop the connection without an acknowledgement.
 
+#![forbid(unsafe_code)]
+
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;

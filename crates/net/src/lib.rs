@@ -25,6 +25,7 @@
 //! over `DesTransport` and [`TcpTransport`]
 //! (`tests/transport_conformance.rs`, DESIGN.md invariant 9).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod endpoint;

@@ -49,6 +49,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod attr;
 pub mod combining;
 pub mod compiled;

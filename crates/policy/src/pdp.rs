@@ -415,6 +415,9 @@ mod tests {
         assert!(pdp.evaluate(&Request::new()).is_permit());
     }
 
+    // The check is a `debug_assert_eq!` on purpose (see `from_prepared`),
+    // so there is no panic to expect under `cargo test --release`.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "prepared policy does not match")]
     fn from_prepared_rejects_mismatch() {

@@ -42,6 +42,8 @@
 //! assert!(report.alerts.is_empty(), "an honest run raises no alerts");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use drams_analysis as analysis;
 pub use drams_attack as attack;
 pub use drams_chain as chain;
