@@ -1066,8 +1066,8 @@ fn e9_crypto_substrate(quick: bool) -> CryptoSummary {
         summary.batch_speedup_vs_fast()
     );
     println!("\nshape: REDC replaces a Knuth division per multiply; the fixed-base");
-    println!("g-table removes all squarings from g-exponentiations; batches share");
-    println!("per-key window tables across the block's signatures.");
+    println!("g-table removes all squarings from g-exponentiations; a batch builds");
+    println!("the same table for every signer with four or more of its signatures.");
     summary
 }
 

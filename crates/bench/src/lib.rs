@@ -389,7 +389,7 @@ pub mod crypto_trajectory {
         }
 
         /// Batch speedup against individually verifying on the fast
-        /// path (shows what the per-key table amortisation buys).
+        /// path (shows what the per-signer fixed-base tables buy).
         #[must_use]
         pub fn batch_speedup_vs_fast(&self) -> f64 {
             if self.batch_us > 0.0 {

@@ -174,12 +174,13 @@ impl Block {
 
     /// Verifies every transaction signature in one batched pass.
     ///
-    /// Uses [`drams_crypto::schnorr::batch_verify`], which amortises
-    /// per-key window tables across the block — blocks are dominated by
-    /// a handful of Logging Interface identities, so this is the hot
-    /// import path. Wide blocks split the batch into one contiguous
-    /// chunk per [`drams_faas::par`] worker, verify chunks concurrently,
-    /// and merge verdicts with
+    /// Uses [`drams_crypto::schnorr::batch_verify`], which builds a
+    /// fixed-base table for each signer with four or more transactions
+    /// in the batch — blocks are dominated by a handful of Logging
+    /// Interface identities, so on this, the hot import path, almost
+    /// every verification is two table walks. Wide blocks split the
+    /// batch into one contiguous chunk per [`drams_faas::par`] worker,
+    /// verify chunks concurrently, and merge verdicts with
     /// [`drams_crypto::schnorr::merge_chunk_verdicts`] — exactly
     /// equivalent to verifying each transaction individually, at any
     /// worker count.

@@ -5,7 +5,7 @@ use crate::error::ChainError;
 use crate::tx::TxId;
 use drams_crypto::sha256::Digest;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Tunable parameters of the private chain — the paper's §III observes
 /// that on a private deployment "all PoW parameters can be dynamically
@@ -58,6 +58,8 @@ pub enum ImportOutcome {
 struct StoredBlock {
     block: Block,
     total_work: u128,
+    /// Stored blocks naming this one as parent.
+    children: usize,
 }
 
 /// An in-memory blockchain with longest-(heaviest-)chain fork choice.
@@ -67,6 +69,8 @@ pub struct Blockchain {
     blocks: HashMap<BlockHash, StoredBlock>,
     genesis: BlockHash,
     tip: BlockHash,
+    /// Blocks with two or more children, kept by [`Blockchain::import`].
+    fork_parents: BTreeSet<BlockHash>,
 }
 
 impl Blockchain {
@@ -83,6 +87,7 @@ impl Blockchain {
             StoredBlock {
                 block: genesis_block,
                 total_work: 0,
+                children: 0,
             },
         );
         Blockchain {
@@ -90,6 +95,7 @@ impl Blockchain {
             blocks,
             genesis,
             tip: genesis,
+            fork_parents: BTreeSet::new(),
         }
     }
 
@@ -129,19 +135,39 @@ impl Blockchain {
         self.blocks.len()
     }
 
-    /// Headers of **every** stored block — main chain and side chains —
-    /// in deterministic (height, hash) order. This is the auditor's view:
-    /// a fork sweep needs the stale siblings that
-    /// [`Blockchain::main_chain_hashes`] deliberately omits.
-    #[must_use]
-    pub fn all_headers(&self) -> Vec<crate::block::BlockHeader> {
-        let mut headers: Vec<crate::block::BlockHeader> = self
-            .blocks
-            .values()
-            .map(|s| s.block.header.clone())
-            .collect();
-        headers.sort_by_key(|h| (h.height, *h.hash().as_bytes()));
-        headers
+    /// Every fork in the block tree — main chain and side chains — as
+    /// `(parent, child height, sibling count)` in parent-hash order. This
+    /// is the auditor's view of the stale siblings that
+    /// [`Blockchain::main_chain_hashes`] deliberately omits, read from an
+    /// index [`Blockchain::import`] maintains: O(forks), and free on a
+    /// chain that is a pure line.
+    pub fn fork_points(&self) -> impl Iterator<Item = (BlockHash, u64, usize)> + '_ {
+        self.fork_parents.iter().map(|parent| {
+            let stored = &self.blocks[parent];
+            (*parent, stored.block.header.height + 1, stored.children)
+        })
+    }
+
+    /// The fork sweep [`Blockchain::fork_points`] replaced — every stored
+    /// header sorted by (height, hash) and grouped by parent — kept as the
+    /// oracle its index is tested against.
+    #[cfg(test)]
+    fn fork_points_by_full_scan(&self) -> Vec<(BlockHash, u64, usize)> {
+        let mut headers: Vec<&crate::block::BlockHeader> =
+            self.blocks.values().map(|s| &s.block.header).collect();
+        headers.sort_by_key(|h| (h.height, h.hash()));
+        let mut children: std::collections::BTreeMap<BlockHash, Vec<u64>> = Default::default();
+        for header in headers {
+            children
+                .entry(header.parent)
+                .or_default()
+                .push(header.height);
+        }
+        children
+            .into_iter()
+            .filter(|(_, heights)| heights.len() >= 2)
+            .map(|(parent, heights)| (parent, heights[0], heights.len()))
+            .collect()
     }
 
     /// Always false — a chain has at least its genesis.
@@ -238,7 +264,20 @@ impl Blockchain {
         let total_work = parent_work + (1u128 << block.header.difficulty_bits.min(127));
         let extends_tip = block.header.parent == self.tip;
         let old_tip = self.tip;
-        self.blocks.insert(hash, StoredBlock { block, total_work });
+        let parent = self
+            .blocks
+            .get_mut(&block.header.parent)
+            .expect("parent looked up above");
+        parent.children += 1;
+        if parent.children == 2 {
+            self.fork_parents.insert(block.header.parent);
+        }
+        let stored = StoredBlock {
+            block,
+            total_work,
+            children: 0,
+        };
+        self.blocks.insert(hash, stored);
         if total_work > self.blocks[&self.tip].total_work {
             self.tip = hash;
             if extends_tip {
@@ -454,6 +493,94 @@ mod tests {
         }
         assert_eq!(chain.tip_hash(), b2.hash());
         assert_eq!(chain.main_chain_hashes().len(), 3);
+    }
+
+    #[test]
+    fn fork_points_count_siblings_across_a_reorg() {
+        let mut chain = Blockchain::new(config(2));
+        assert_eq!(chain.fork_points().count(), 0);
+        let a1 = extend(&mut chain, vec![], 1_000);
+        assert_eq!(chain.fork_points().count(), 0, "a line has no forks");
+        let genesis = chain.genesis_hash();
+        let b1 = Block::mine(genesis, 1, vec![], 1_500, 2);
+        chain.import(b1.clone()).unwrap();
+        assert_eq!(chain.fork_points().collect::<Vec<_>>(), [(genesis, 1, 2)]);
+        // A rejected block and a re-import leave the index alone.
+        assert!(chain
+            .import(Block::mine(genesis, 1, vec![], 1_600, 1))
+            .is_err());
+        assert_eq!(
+            chain.import(b1.clone()).unwrap(),
+            ImportOutcome::AlreadyKnown
+        );
+        assert_eq!(chain.fork_points().collect::<Vec<_>>(), [(genesis, 1, 2)]);
+        // A third sibling, then a reorg onto the b-branch and a fork on it.
+        chain
+            .import(Block::mine(genesis, 1, vec![], 1_700, 2))
+            .unwrap();
+        let b2 = Block::mine(b1.hash(), 2, vec![], 2_000, 2);
+        assert!(matches!(
+            chain.import(b2).unwrap(),
+            ImportOutcome::Reorg { .. }
+        ));
+        chain
+            .import(Block::mine(b1.hash(), 2, vec![], 2_100, 2))
+            .unwrap();
+        let mut expected = vec![(genesis, 1, 3), (b1.hash(), 2, 2)];
+        expected.sort();
+        assert_eq!(chain.fork_points().collect::<Vec<_>>(), expected);
+        assert_eq!(expected, chain.fork_points_by_full_scan());
+        assert_ne!(chain.tip_hash(), a1.hash());
+    }
+
+    #[test]
+    fn fork_points_match_the_full_scan_on_random_trees() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (mut triple_forks, mut reorgs) = (0, 0);
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // A random tree: every block picks its parent among the blocks
+            // before it, from a window narrow enough to branch often.
+            let reference = Blockchain::new(config(0));
+            let mut tree = vec![(reference.genesis_hash(), 0u64)];
+            let mut blocks = Vec::new();
+            for i in 0..rng.gen_range(1..24usize) {
+                let back = rng.gen_range(0..tree.len().min(4));
+                let (parent, height) = tree[tree.len() - 1 - back];
+                let block = Block::mine(parent, height + 1, vec![], i as u64, 0);
+                tree.push((block.hash(), height + 1));
+                blocks.push(block);
+            }
+            // Import in random order, duplicates included; a block whose
+            // parent has not arrived yet is refused and retried later.
+            let mut chain = Blockchain::new(ChainConfig {
+                retarget_interval: 0,
+                ..config(0)
+            });
+            let mut pending = blocks.clone();
+            while !pending.is_empty() {
+                let block = pending.swap_remove(rng.gen_range(0..pending.len()));
+                match chain.import(block.clone()) {
+                    Ok(outcome) => {
+                        reorgs += usize::from(matches!(outcome, ImportOutcome::Reorg { .. }));
+                        if rng.gen_bool(0.2) {
+                            pending.push(block); // arrives again: AlreadyKnown
+                        }
+                    }
+                    Err(ChainError::UnknownParent) => pending.push(block),
+                    Err(e) => panic!("seed {seed}: {e}"),
+                }
+                assert_eq!(
+                    chain.fork_points().collect::<Vec<_>>(),
+                    chain.fork_points_by_full_scan(),
+                    "seed {seed}"
+                );
+            }
+            assert_eq!(chain.len(), blocks.len() + 1);
+            triple_forks += chain.fork_points().filter(|f| f.2 >= 3).count();
+        }
+        assert!(triple_forks > 0 && reorgs > 0, "the trees must branch");
     }
 
     #[test]

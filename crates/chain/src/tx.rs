@@ -144,8 +144,9 @@ impl Transaction {
 
     /// The exact bytes this transaction's Schnorr signature covers.
     ///
-    /// Exposed so block validation can batch-verify many transactions in
-    /// one [`drams_crypto::schnorr::batch_verify`] call.
+    /// Exposed so block validation can hand many transactions to one
+    /// [`drams_crypto::schnorr::batch_verify`] call, which shares a
+    /// fixed-base table among the transactions of each frequent sender.
     #[must_use]
     pub fn signing_bytes(&self) -> Vec<u8> {
         signing_bytes(

@@ -227,10 +227,10 @@ impl Analyser {
         self.groups_retired
     }
 
-    /// Turns on the sibling-block sweep: every poll scans the block store
-    /// for parents with more than one child — the signature of a hostile
-    /// history rewrite or an equivocating (Byzantine) miner — and raises
-    /// one [`AlertKind::MonitorCompromise`] per fork point. Off by
+    /// Turns on the sibling-block sweep: every poll reads the chain's
+    /// fork index for parents with more than one child — the signature of
+    /// a hostile history rewrite or an equivocating (Byzantine) miner —
+    /// and raises one [`AlertKind::MonitorCompromise`] per fork point. Off by
     /// default so importing historical side chains stays alert-free; the
     /// scenario runtime enables it.
     pub fn enable_fork_detection(&mut self) {
@@ -446,12 +446,13 @@ impl Analyser {
     /// completed group and submits findings on-chain. Returns the alerts
     /// raised in this poll (they commit with the next block).
     ///
-    /// Also audits every newly committed block: the Analyser batch
-    /// re-verifies all transaction signatures itself
-    /// ([`drams_crypto::schnorr::batch_verify`]) rather than trusting
-    /// the node's import path — the monitoring plane is part of the
-    /// paper's threat model, so log non-repudiation is checked by an
-    /// independent component.
+    /// Also audits every newly committed block: the Analyser re-verifies
+    /// all transaction signatures itself, one
+    /// [`drams_crypto::schnorr::batch_verify`] pass per block, rather
+    /// than trusting the node's import path — the monitoring plane is
+    /// part of the paper's threat model, so log non-repudiation is
+    /// checked by an independent component. The chain part of a poll
+    /// costs what the blocks added since the last poll cost.
     pub fn poll(&mut self, node: &mut Node, now: SimTime) -> Vec<Alert> {
         let mut audit_alerts = self.audit_new_blocks(node, now);
         audit_alerts.extend(self.sweep_forks(node, now));
@@ -629,33 +630,24 @@ impl Analyser {
     /// children means the history was rewritten under the monitor (a
     /// hostile reorg) or a Byzantine miner equivocated. Each fork point is
     /// reported once; the alerted set persists across polls and restarts.
+    /// Reads [`drams_chain::chain::Blockchain::fork_points`], the index
+    /// block import maintains, so a poll costs O(forks) — nothing on an
+    /// honest chain — however many blocks are stored.
     fn sweep_forks(&mut self, node: &Node, now: SimTime) -> Vec<Alert> {
         if !self.fork_detection {
             return Vec::new();
         }
-        let mut children: BTreeMap<[u8; 32], Vec<&drams_chain::block::BlockHeader>> =
-            BTreeMap::new();
-        let headers = node.chain().all_headers();
-        for header in &headers {
-            children
-                .entry(*header.parent.as_bytes())
-                .or_default()
-                .push(header);
-        }
         let mut alerts = Vec::new();
-        for (parent, siblings) in &children {
-            if siblings.len() < 2 || !self.alerted_fork_parents.insert(*parent) {
+        for (parent, height, siblings) in node.chain().fork_points() {
+            if !self.alerted_fork_parents.insert(*parent.as_bytes()) {
                 continue;
             }
-            let height = siblings[0].height;
             alerts.push(Alert::new(
                 AlertKind::MonitorCompromise,
                 CorrelationId(0),
                 now,
                 format!(
-                    "chain fork: {} sibling blocks at height {height} share parent {}",
-                    siblings.len(),
-                    drams_chain::block::BlockHash::from(*parent),
+                    "chain fork: {siblings} sibling blocks at height {height} share parent {parent}"
                 ),
             ));
         }
@@ -1110,6 +1102,59 @@ mod tests {
         let tip = r.node.chain().tip_hash();
         r.analyser.poll(&mut r.node, 3_100);
         assert_eq!(r.node.chain().tip_hash(), tip);
+    }
+
+    #[test]
+    fn fork_sweep_reports_each_parent_once_in_parent_hash_order() {
+        use drams_chain::block::Block;
+
+        let mut r = rig();
+        r.analyser.enable_fork_detection();
+        assert!(r.analyser.poll(&mut r.node, 1_000).is_empty());
+        // Two siblings of the height-1 block, and one of the next block.
+        let genesis = r.node.chain().genesis_hash();
+        let tip = r.node.chain().tip_hash();
+        r.node
+            .receive_block(Block::mine(genesis, 1, vec![], 5_000, 0))
+            .unwrap();
+        r.node
+            .receive_block(Block::mine(genesis, 1, vec![], 5_001, 0))
+            .unwrap();
+        r.node
+            .receive_block(Block::mine(tip, 2, vec![], 5_002, 0))
+            .unwrap();
+        r.node
+            .receive_block(Block::mine(tip, 2, vec![], 5_003, 0))
+            .unwrap();
+        let fork = |parent, detail: String| {
+            let alert = Alert::new(
+                AlertKind::MonitorCompromise,
+                CorrelationId(0),
+                6_000,
+                detail,
+            );
+            (parent, alert)
+        };
+        let mut expected = [
+            fork(
+                genesis,
+                format!("chain fork: 3 sibling blocks at height 1 share parent {genesis}"),
+            ),
+            fork(
+                tip,
+                format!("chain fork: 2 sibling blocks at height 2 share parent {tip}"),
+            ),
+        ];
+        expected.sort_by_key(|(parent, _)| *parent);
+        assert_eq!(
+            r.analyser.poll(&mut r.node, 6_000),
+            expected.map(|(_, alert)| alert)
+        );
+        // A later sibling under an already reported parent is not news.
+        r.node
+            .receive_block(Block::mine(tip, 2, vec![], 5_004, 0))
+            .unwrap();
+        assert!(r.analyser.poll(&mut r.node, 7_000).is_empty());
     }
 
     #[test]

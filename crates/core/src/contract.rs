@@ -210,45 +210,49 @@ impl MonitorContract {
         };
         group.mask |= entry.point.bit();
 
-        // Check 1: request digests must match across PEP and PDP.
-        if group.flags & FLAG_REQ_ALERTED == 0
-            && group.mask
-                & (ObservationPoint::PepRequest.bit() | ObservationPoint::PdpRequest.bit())
-                == ObservationPoint::PepRequest.bit() | ObservationPoint::PdpRequest.bit()
-        {
-            let pep = Self::load_entry(ctx, entry.correlation, ObservationPoint::PepRequest)?;
-            let pdp = Self::load_entry(ctx, entry.correlation, ObservationPoint::PdpRequest)?;
-            if pep.digest != pdp.digest {
-                group.flags |= FLAG_REQ_ALERTED;
+        // Checks 1 and 2: the request digests (PEP sent, PDP received) and
+        // the response digests (PDP sent, PEP received) must match. An
+        // observation is stored once, so each pair is compared once: when
+        // its second half arrives.
+        let (sender, receiver, flag, kind, from, to) = match entry.point {
+            ObservationPoint::PepRequest | ObservationPoint::PdpRequest => (
+                ObservationPoint::PepRequest,
+                ObservationPoint::PdpRequest,
+                FLAG_REQ_ALERTED,
+                AlertKind::RequestTampering,
+                "pep",
+                "pdp",
+            ),
+            ObservationPoint::PdpResponse | ObservationPoint::PepResponse => (
+                ObservationPoint::PdpResponse,
+                ObservationPoint::PepResponse,
+                FLAG_RESP_ALERTED,
+                AlertKind::ResponseTampering,
+                "pdp",
+                "pep",
+            ),
+        };
+        let sibling = if entry.point == sender {
+            receiver
+        } else {
+            sender
+        };
+        if group.mask & sibling.bit() != 0 {
+            let stored = Self::load_entry(ctx, entry.correlation, sibling)?.digest;
+            let (sent, received) = if entry.point == sender {
+                (entry.digest, stored)
+            } else {
+                (stored, entry.digest)
+            };
+            if sent != received {
+                group.flags |= flag;
                 Self::emit_alert(
                     ctx,
                     &Alert::new(
-                        AlertKind::RequestTampering,
+                        kind,
                         entry.correlation,
                         now,
-                        format!("pep sent {} but pdp received {}", pep.digest, pdp.digest),
-                    ),
-                );
-            }
-        }
-
-        // Check 2: response digests must match across PDP and PEP.
-        if group.flags & FLAG_RESP_ALERTED == 0
-            && group.mask
-                & (ObservationPoint::PdpResponse.bit() | ObservationPoint::PepResponse.bit())
-                == ObservationPoint::PdpResponse.bit() | ObservationPoint::PepResponse.bit()
-        {
-            let pdp = Self::load_entry(ctx, entry.correlation, ObservationPoint::PdpResponse)?;
-            let pep = Self::load_entry(ctx, entry.correlation, ObservationPoint::PepResponse)?;
-            if pdp.digest != pep.digest {
-                group.flags |= FLAG_RESP_ALERTED;
-                Self::emit_alert(
-                    ctx,
-                    &Alert::new(
-                        AlertKind::ResponseTampering,
-                        entry.correlation,
-                        now,
-                        format!("pdp sent {} but pep received {}", pdp.digest, pep.digest),
+                        format!("{from} sent {sent} but {to} received {received}"),
                     ),
                 );
             }
@@ -676,6 +680,76 @@ mod tests {
         node.mine_block(1_000).unwrap();
         assert!(node.events().iter().any(|e| e.name == GROUP_COMPLETE_EVENT));
         assert!(alert_events(&node).is_empty());
+    }
+
+    /// Every arrival order of a group's four observations, honest and with
+    /// either or both digest pairs tampered: each pair is judged exactly
+    /// once — by the arrival that completes it — and the group closes on
+    /// the fourth arrival. The transcript digest (every event's name and
+    /// bytes, then the stored group and entry records) was pinned on the
+    /// implementation that re-ran both checks on every arrival.
+    #[test]
+    fn digest_checks_fire_once_in_every_arrival_order() {
+        use ObservationPoint::{PdpRequest, PdpResponse, PepRequest, PepResponse};
+        let (mut node, li, _) = test_node();
+        let mut orders = Vec::new();
+        for a in 0..4 {
+            for b in (0..4).filter(|b| *b != a) {
+                for c in (0..4).filter(|c| *c != a && *c != b) {
+                    orders.push([a, b, c, 6 - a - b - c].map(|i| ObservationPoint::ALL[i]));
+                }
+            }
+        }
+        assert_eq!(orders.len(), 24);
+        let mut transcript = drams_crypto::sha256::Sha256::new();
+        let mut corr = 100;
+        for order in &orders {
+            for (bad_request, bad_response) in
+                [(false, false), (true, false), (false, true), (true, true)]
+            {
+                corr += 1;
+                let first_event = node.events().len();
+                let mut expected = Vec::new();
+                for (i, point) in order.iter().enumerate() {
+                    let digest: &[u8] = match point {
+                        PepRequest => b"req",
+                        PdpRequest if bad_request => b"req, rewritten",
+                        PdpRequest => b"req",
+                        PdpResponse => b"resp",
+                        PepResponse if bad_response => b"resp, rewritten",
+                        PepResponse => b"resp",
+                    };
+                    submit_entry(&mut node, &li, &entry(corr, *point, digest, 100 + i as u64));
+                    let (sibling, bad, alert) = match point {
+                        PepRequest => (PdpRequest, bad_request, "alert.request_tampering"),
+                        PdpRequest => (PepRequest, bad_request, "alert.request_tampering"),
+                        PdpResponse => (PepResponse, bad_response, "alert.response_tampering"),
+                        PepResponse => (PdpResponse, bad_response, "alert.response_tampering"),
+                    };
+                    if bad && order[..i].contains(&sibling) {
+                        expected.push(alert);
+                    }
+                }
+                expected.push(GROUP_COMPLETE_EVENT);
+                node.mine_block(corr).unwrap();
+                let events = &node.events()[first_event..];
+                let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+                assert_eq!(names, expected, "order {order:?}");
+                for event in events {
+                    transcript.update(event.name.as_bytes());
+                    transcript.update(&event.data);
+                }
+                let storage = node.host().storage_of(MONITOR_CONTRACT).unwrap();
+                transcript.update(storage.get(&group_key(CorrelationId(corr))).unwrap());
+                for point in ObservationPoint::ALL {
+                    transcript.update(storage.get(&entry_key(CorrelationId(corr), point)).unwrap());
+                }
+            }
+        }
+        assert_eq!(
+            transcript.finalize().to_hex(),
+            "40cb1f73ebf598581e9817ffd553e14c3412937bcd27d3822ea9d4cbb5d98266"
+        );
     }
 
     #[test]

@@ -296,9 +296,10 @@ pub trait Encode {
     /// Appends this value's canonical encoding to `w`.
     fn encode(&self, w: &mut Writer);
 
-    /// Convenience: encodes into a fresh buffer.
+    /// Convenience: encodes into a fresh buffer, sized so the common
+    /// record (a log entry, a transaction, an event) never regrows it.
     fn to_canonical_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(256);
         self.encode(&mut w);
         w.into_bytes()
     }

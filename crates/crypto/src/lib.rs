@@ -23,7 +23,8 @@
 //!   fixed-base tables, property-tested equivalent to [`bignum`].
 //! * [`schnorr`] — Schnorr signatures over the quadratic-residue subgroup
 //!   of a fixed 256-bit safe prime, used to sign blockchain transactions;
-//!   includes [`schnorr::batch_verify`] for amortised block validation.
+//!   includes [`schnorr::batch_verify`], which validates a block with one
+//!   fixed-base table per frequent signer.
 //! * [`codec`] — a canonical, deterministic binary encoding. Hashing and
 //!   signing require byte-for-byte reproducible encodings, which generic
 //!   serialisation frameworks do not guarantee; every on-chain datum in

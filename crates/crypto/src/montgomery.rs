@@ -23,6 +23,22 @@ const WINDOW_BITS: usize = 4;
 /// Number of 4-bit windows in a 256-bit exponent.
 const WINDOWS: usize = 256 / WINDOW_BITS;
 
+#[cfg(test)]
+thread_local! {
+    /// Montgomery products run by the current test thread.
+    static PRODUCTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Number of [`MontCtx::mont_mul`] calls `f` makes, for tests that hold
+/// an exponentiation path to its multiplication budget. Per thread, so
+/// parallel tests do not disturb each other's count.
+#[cfg(test)]
+pub(crate) fn count_products<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = PRODUCTS.get();
+    let out = f();
+    (PRODUCTS.get() - before, out)
+}
+
 /// Precomputed Montgomery context for one odd modulus `m`.
 ///
 /// Holds `R² mod m` (for conversion into Montgomery form, `R = 2^256`),
@@ -85,6 +101,8 @@ impl MontCtx {
     /// the result is fully reduced (`< m`).
     #[must_use]
     pub fn mont_mul(&self, a: &U256, b: &U256) -> U256 {
+        #[cfg(test)]
+        PRODUCTS.set(PRODUCTS.get() + 1);
         let m = &self.m.0;
         // t holds the running (s+2)-limb accumulator.
         let mut t = [0u64; 6];
@@ -156,15 +174,8 @@ impl MontCtx {
         self.mont_mul(a, &bm)
     }
 
-    /// Builds the 16-entry window table `[1, b, b², …, b¹⁵]` for a base
-    /// already in Montgomery form. Public so batch verifiers can share
-    /// one table across many exponentiations of the same base (see
-    /// [`MontCtx::pow_mont_with_table`]).
-    #[must_use]
-    pub fn window_table_of(&self, base_mont: &U256) -> [U256; 16] {
-        self.window_table(base_mont)
-    }
-
+    /// The 16-entry window table `[1, b, b², …, b¹⁵]` for a base already
+    /// in Montgomery form.
     fn window_table(&self, base_mont: &U256) -> [U256; 16] {
         let mut table = [self.one; 16];
         table[1] = *base_mont;
@@ -180,18 +191,11 @@ impl MontCtx {
     /// `base_mont = mont(x)`.
     #[must_use]
     pub fn pow_mont(&self, base_mont: &U256, exp: &U256) -> U256 {
-        let table = self.window_table(base_mont);
-        self.pow_mont_with_table(&table, exp)
-    }
-
-    /// As [`MontCtx::pow_mont`] but with a caller-provided window table,
-    /// so a batch sharing one base amortises the table build.
-    #[must_use]
-    pub fn pow_mont_with_table(&self, table: &[U256; 16], exp: &U256) -> U256 {
         let nbits = exp.bits();
         if nbits == 0 {
             return self.one;
         }
+        let table = self.window_table(base_mont);
         let top_window = (nbits - 1) / WINDOW_BITS;
         let mut acc = table[window_of(exp, top_window)];
         for w in (0..top_window).rev() {

@@ -52,7 +52,12 @@ pub fn group_g() -> U256 {
 }
 
 const DOMAIN: &[u8] = b"drams.schnorr.v1";
-const BATCH_DOMAIN: &[u8] = b"drams.schnorr.batch.v1";
+
+/// Signatures one key needs in a batch before [`batch_verify`] builds it
+/// a [`FixedBaseTable`]: the table costs 960 Montgomery products and
+/// saves ≈ 270 per signature (a ≈ 60-product walk against the ≈ 330 of
+/// the window ladder), so it pays from the fourth signature on.
+const TABLE_MIN_SIGS: usize = 4;
 
 /// Precomputed Montgomery contexts for the fixed group: built once per
 /// process, then every sign/verify runs division-free arithmetic and
@@ -256,17 +261,31 @@ impl PublicKey {
     ///
     /// Returns [`CryptoError::InvalidSignature`] when verification fails.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), CryptoError> {
+        self.verify_with(None, message, signature)
+    }
+
+    /// [`PublicKey::verify`], raising this key through `y_table` (a
+    /// fixed-base table of this key's element) when the caller has one.
+    fn verify_with(
+        &self,
+        y_table: Option<&FixedBaseTable>,
+        message: &[u8],
+        signature: &Signature,
+    ) -> Result<(), CryptoError> {
         let g = group();
         let q = group_q();
         if signature.e.is_zero() || signature.e >= q || signature.s.is_zero() || signature.s >= q {
             return Err(CryptoError::InvalidSignature);
         }
         // r' = g^s * y^(q - e) mod p   (y^(q-e) = y^(-e) since ord(y) = q).
-        // g^s is a fixed-base table walk; y^(q-e) a fixed-window ladder.
+        // g^s is a fixed-base table walk; y^(q-e) a second walk when the
+        // key has a table, else a fixed-window ladder.
         let gs = g.g_table.pow_mont(&g.p, &signature.s);
         let neg_e = q.wrapping_sub(signature.e);
-        let y_mont = g.p.to_mont(&self.0);
-        let y_neg_e = g.p.pow_mont(&y_mont, &neg_e);
+        let y_neg_e = match y_table {
+            Some(table) => table.pow_mont(&g.p, &neg_e),
+            None => g.p.pow_mont(&g.p.to_mont(&self.0), &neg_e),
+        };
         let r = g.p.from_mont(&g.p.mont_mul(&gs, &y_neg_e));
         let e = challenge(&r, self, message);
         if e == signature.e {
@@ -397,127 +416,39 @@ impl std::fmt::Display for BatchVerifyError {
 
 impl std::error::Error for BatchVerifyError {}
 
-/// Verifies a batch of signatures over the shared group, amortising work
-/// across the batch.
+/// Verifies a batch of signatures, naming the first that fails.
 ///
 /// Succeeds exactly when every individual [`PublicKey::verify`] would
-/// succeed. Three layers:
-///
-/// 1. **Amortised recomputation** — each commitment
-///    `Rᵢ = g^{sᵢ}·yᵢ^{-eᵢ}` is rebuilt with the fixed-base `g` table
-///    and a per-*key* window table shared by all signatures under that
-///    key (LIs sign many transactions with one key, so block batches
-///    amortise heavily), then checked against the hash challenge.
-///    The hash binding of `(e, s)`-form Schnorr pins each `Rᵢ`
-///    individually, so this linear pass cannot be skipped.
-/// 2. **Random-linear-combination aggregation** — coefficients `zᵢ` from
-///    a deterministic seeded combiner (SHA-256 over the whole batch)
-///    aggregate the recomputed commitments into one equation
-///    `Π Rᵢ^{zᵢ} = g^{Σ zᵢ sᵢ} · Π_y y^{-Σ zᵢ eᵢ}`, whose right side is
-///    evaluated through *aggregated* exponents (one per distinct key) —
-///    an independently-structured recomputation that cross-checks the
-///    table-amortised fast path.
-/// 3. **Fallback** — any discrepancy falls back to per-signature
-///    verification to name the culprit index (and to keep exact
-///    equivalence with individual verification even for adversarial
-///    inputs such as out-of-subgroup keys).
+/// succeed, and is the same check: each commitment
+/// `Rᵢ = g^{sᵢ}·yᵢ^{-eᵢ}` is rebuilt and its hash challenge compared,
+/// one linear pass in batch order. The hash binding of `(e, s)`-form
+/// Schnorr pins each `Rᵢ` individually, so nothing can be aggregated
+/// across signatures; what a batch amortises is the *key*. Logging
+/// Interfaces sign many transactions with one key, so every key with at
+/// least four signatures in the batch gets its own [`FixedBaseTable`]
+/// and its `y^{-e}` becomes a table walk like `g^s`; rarer keys keep the
+/// window ladder.
 ///
 /// # Errors
 ///
 /// [`BatchVerifyError`] naming the first failing index.
 pub fn batch_verify(items: &[(PublicKey, &[u8], Signature)]) -> Result<(), BatchVerifyError> {
-    if items.is_empty() {
-        return Ok(());
+    let mut keys: HashMap<PublicKey, (usize, Option<FixedBaseTable>)> = HashMap::new();
+    for (pk, _, _) in items {
+        keys.entry(*pk).or_default().0 += 1;
     }
-    let g = group();
-    let q = group_q();
-
-    // Per-distinct-key window tables, shared across the batch.
-    let mut key_index: HashMap<[u8; 32], usize> = HashMap::new();
-    let mut key_tables: Vec<(U256, [U256; 16])> = Vec::new(); // (y_mont, table)
-    let mut key_of_item: Vec<usize> = Vec::with_capacity(items.len());
-    let mut r_monts: Vec<U256> = Vec::with_capacity(items.len());
-
-    for (pk, message, sig) in items {
-        if sig.e.is_zero() || sig.e >= q || sig.s.is_zero() || sig.s >= q {
-            return fallback(items);
-        }
-        let k = *key_index.entry(pk.to_bytes()).or_insert_with(|| {
-            let y_mont = g.p.to_mont(&pk.0);
-            key_tables.push((y_mont, g.p.window_table_of(&y_mont)));
-            key_tables.len() - 1
-        });
-        key_of_item.push(k);
-        let gs = g.g_table.pow_mont(&g.p, &sig.s);
-        let neg_e = q.wrapping_sub(sig.e);
-        let y_neg_e = g.p.pow_mont_with_table(&key_tables[k].1, &neg_e);
-        let r_mont = g.p.mont_mul(&gs, &y_neg_e);
-        let r = g.p.from_mont(&r_mont);
-        if challenge(&r, pk, message) != sig.e {
-            return fallback(items);
-        }
-        r_monts.push(r_mont);
-    }
-
-    // Deterministic seeded combiner: SHA-256 over the whole batch
-    // (length-prefixed messages, so the transcript is unambiguous)
-    // seeds a ChaCha20 keystream that expands into one 32-bit
-    // coefficient per signature. 32-bit coefficients suffice: the
-    // aggregate equation cross-checks the amortised arithmetic (a
-    // faulty table entry escapes with probability ~2⁻³²); adversarial
-    // soundness is carried by the per-signature hash binding above, so
-    // wider coefficients would buy nothing but squarings.
-    let mut h = Sha256::new();
-    h.update(BATCH_DOMAIN);
-    h.update(&(items.len() as u64).to_be_bytes());
-    for (pk, message, sig) in items {
-        h.update(&pk.to_bytes());
-        h.update(&sig.to_bytes());
-        h.update(&(message.len() as u64).to_be_bytes());
-        h.update(message);
-    }
-    let seed = h.finalize();
-    let mut z_bytes = vec![0u8; items.len() * 4];
-    crate::chacha20::ChaCha20::new(seed.as_bytes(), &[0u8; 12], 0).apply_keystream(&mut z_bytes);
-    let zs: Vec<u64> = z_bytes
-        .chunks_exact(4)
-        // Force odd so no coefficient degenerates to zero.
-        .map(|c| u64::from(u32::from_be_bytes(c.try_into().expect("4 bytes"))) | 1)
-        .collect();
-
-    // Left side: Π R_i^{z_i} via Straus interleaving (32 shared
-    // squarings for the whole batch).
-    let mut lhs = g.p.one_mont();
-    for bit in (0..32).rev() {
-        lhs = g.p.mont_mul(&lhs, &lhs);
-        for (r_mont, z) in r_monts.iter().zip(&zs) {
-            if (z >> bit) & 1 == 1 {
-                lhs = g.p.mont_mul(&lhs, r_mont);
+    for (culprit, (pk, message, sig)) in items.iter().enumerate() {
+        let table = match keys.get_mut(pk) {
+            Some((count, table)) if *count >= TABLE_MIN_SIGS => {
+                Some(&*table.get_or_insert_with(|| FixedBaseTable::new(&group().p, &pk.0)))
             }
+            _ => None,
+        };
+        if pk.verify_with(table, message, sig).is_err() {
+            return Err(BatchVerifyError { culprit });
         }
     }
-
-    // Right side through aggregated exponents: g^{Σ z_i s_i} and, per
-    // distinct key, y^{q - (Σ z_i e_i mod q)}.
-    let mut s_sum = U256::ZERO;
-    let mut e_sums: Vec<U256> = vec![U256::ZERO; key_tables.len()];
-    for (i, (_, _, sig)) in items.iter().enumerate() {
-        let z = U256::from_u64(zs[i]);
-        s_sum = s_sum.add_mod(g.q.mul_mod(&z, &sig.s), &q);
-        let k = key_of_item[i];
-        e_sums[k] = e_sums[k].add_mod(g.q.mul_mod(&z, &sig.e), &q);
-    }
-    let mut rhs = g.g_table.pow_mont(&g.p, &s_sum);
-    for (k, (_, table)) in key_tables.iter().enumerate() {
-        let neg = q.wrapping_sub(e_sums[k]);
-        rhs = g.p.mont_mul(&rhs, &g.p.pow_mont_with_table(table, &neg));
-    }
-
-    if lhs == rhs {
-        Ok(())
-    } else {
-        fallback(items)
-    }
+    Ok(())
 }
 
 /// Merges per-chunk [`batch_verify`] verdicts into the whole-batch
@@ -545,16 +476,6 @@ pub fn merge_chunk_verdicts(
         }
     }
     first.map_or(Ok(()), |culprit| Err(BatchVerifyError { culprit }))
-}
-
-/// Per-signature fallback: authoritative, names the first culprit.
-fn fallback(items: &[(PublicKey, &[u8], Signature)]) -> Result<(), BatchVerifyError> {
-    for (i, (pk, message, sig)) in items.iter().enumerate() {
-        if pk.verify(message, sig).is_err() {
-            return Err(BatchVerifyError { culprit: i });
-        }
-    }
-    Ok(())
 }
 
 impl Signature {
@@ -625,8 +546,10 @@ impl Decode for Signature {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::montgomery::count_products;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn keypair() -> Keypair {
         Keypair::from_seed(b"test-probe-1")
@@ -700,12 +623,143 @@ mod tests {
         }
     }
 
+    /// The order-2 element `p − 1`: in range, outside the order-`q`
+    /// subgroup, owned by no secret key.
+    fn rogue_key() -> PublicKey {
+        PublicKey(group_p().wrapping_sub(U256::ONE))
+    }
+
+    /// A signature [`PublicKey::verify`] accepts under [`rogue_key`]:
+    /// `y^(q−e)` is `+1` for odd `e` and `−1` for even `e` (`q` is odd), so
+    /// try `s` values until the challenge's parity agrees with the sign.
+    fn rogue_sign(message: &[u8]) -> Signature {
+        let g = group();
+        let pk = rogue_key();
+        for s in (1u64..).map(U256::from_u64) {
+            let gs = g.g_table.pow(&g.p, &s);
+            for (r, odd) in [(gs, true), (group_p().wrapping_sub(gs), false)] {
+                let e = challenge(&r, &pk, message);
+                if !e.is_zero() && e.is_even() != odd {
+                    return Signature { e, s };
+                }
+            }
+        }
+        unreachable!("half of all challenges have the right parity")
+    }
+
+    #[test]
+    fn out_of_subgroup_key_verifies_the_same_through_its_table() {
+        let msgs: Vec<Vec<u8>> = (0..6).map(|i| format!("rogue {i}").into_bytes()).collect();
+        let mut items: Vec<(PublicKey, &[u8], Signature)> = msgs
+            .iter()
+            .map(|m| (rogue_key(), m.as_slice(), rogue_sign(m)))
+            .collect();
+        for (pk, m, sig) in &items {
+            pk.verify(m, sig).unwrap();
+            pk.verify_reference(m, sig).unwrap();
+        }
+        assert_eq!(batch_verify(&items), Ok(()));
+        items[4].1 = b"rogue 4, rewritten";
+        assert_eq!(batch_verify(&items), Err(BatchVerifyError { culprit: 4 }));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `batch_verify` is individual verification: same accept set, and
+        /// the culprit is the first item [`PublicKey::verify`] refuses —
+        /// for keys on both sides of [`TABLE_MIN_SIGS`], with and without
+        /// an out-of-subgroup signer, under up to three edits.
+        #[test]
+        fn batch_verify_names_the_first_individual_failure(
+            n in 1usize..=96,
+            keys in 1usize..=8,
+            rogue in any::<bool>(),
+            layout in any::<u64>(),
+            edits in prop::collection::vec((any::<u64>(), 0u8..6, any::<u64>()), 0..4),
+        ) {
+            let kps: Vec<Keypair> = (0..keys)
+                .map(|k| Keypair::from_seed(format!("prop-key-{k}").as_bytes()))
+                .collect();
+            let pool: Vec<PublicKey> = (0..keys)
+                .map(|k| if rogue && k == 0 { rogue_key() } else { kps[k].public() })
+                .collect();
+            // Low key indices sign most items, high ones only a few.
+            let mut rng = StdRng::seed_from_u64(layout);
+            let mut items: Vec<(PublicKey, Vec<u8>, Signature)> = (0..n)
+                .map(|i| {
+                    let k = rng.gen_range(0..keys).min(rng.gen_range(0..keys));
+                    let msg = format!("item {i} of {layout}").into_bytes();
+                    let sig = if rogue && k == 0 { rogue_sign(&msg) } else { kps[k].sign(&msg) };
+                    (pool[k], msg, sig)
+                })
+                .collect();
+            for (at, kind, detail) in edits {
+                let i = (at % n as u64) as usize;
+                let (limb, bit) = ((detail / 64 % 4) as usize, detail % 64);
+                match kind {
+                    0 => items[i] = items[(detail % n as u64) as usize].clone(),
+                    1 => items[i].0 = pool[(detail % keys as u64) as usize],
+                    2 => items[i].2.e.0[limb] ^= 1 << bit,
+                    3 => items[i].2.s.0[limb] ^= 1 << bit,
+                    4 => {
+                        let len = items[i].1.len() as u64;
+                        items[i].1[(detail / 8 % len) as usize] ^= 1 << (detail % 8);
+                    }
+                    _ => {
+                        let out_of_range = [U256::ZERO, group_q(), U256([u64::MAX; 4])];
+                        let scalar = out_of_range[(detail % 3) as usize];
+                        if detail & 4 == 0 { items[i].2.e = scalar } else { items[i].2.s = scalar }
+                    }
+                }
+            }
+            let batch: Vec<(PublicKey, &[u8], Signature)> =
+                items.iter().map(|(pk, m, sig)| (*pk, m.as_slice(), *sig)).collect();
+            let first_failure = batch.iter().position(|(pk, m, sig)| pk.verify(m, sig).is_err());
+            prop_assert_eq!(batch_verify(&batch).err().map(|e| e.culprit), first_failure);
+        }
+    }
+
+    /// A host-independent gate on the mechanism, in Montgomery products:
+    /// a tabled key costs its 960-product table once, then two table
+    /// walks per signature; three signatures never pay for a table, four
+    /// already win; signing is untouched (this key and message took 65
+    /// products before the table path existed).
+    #[test]
+    fn batch_verify_walks_tables_within_its_product_budget() {
+        let kps = [
+            Keypair::from_seed(b"budget-a"),
+            Keypair::from_seed(b"budget-b"),
+        ];
+        let msgs: Vec<Vec<u8>> = (0..64).map(|i| format!("tx {i}").into_bytes()).collect();
+        let items: Vec<(PublicKey, &[u8], Signature)> = msgs
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (kps[i % 2].public(), m.as_slice(), kps[i % 2].sign(m)))
+            .collect();
+        let individually = |items: &[(PublicKey, &[u8], Signature)]| {
+            count_products(|| items.iter().all(|(pk, m, sig)| pk.verify(m, sig).is_ok())).0
+        };
+        let (batch, verdict) = count_products(|| batch_verify(&items));
+        assert_eq!(verdict, Ok(()));
+        assert!(batch <= 130 * 64 + 960 * 2, "{batch} products");
+        assert!(batch * 2 < individually(&items));
+
+        let one_key: Vec<_> = items.iter().step_by(2).copied().collect();
+        let (three, _) = count_products(|| batch_verify(&one_key[..3]));
+        assert_eq!(three, individually(&one_key[..3]));
+        let (four, _) = count_products(|| batch_verify(&one_key[..4]));
+        assert!(four < individually(&one_key[..4]));
+
+        let signer = keypair();
+        let (sign, _) = count_products(|| signer.sign(b"access log entry"));
+        assert_eq!(sign, 65);
+    }
+
     #[test]
     fn public_keys_are_valid_group_elements() {
         assert!(keypair().public().is_valid_group_element());
-        // p - 1 is not in the QR subgroup (it's the element of order 2).
-        let non_member = PublicKey(group_p().wrapping_sub(U256::ONE));
-        assert!(!non_member.is_valid_group_element());
+        assert!(!rogue_key().is_valid_group_element());
     }
 
     #[test]

@@ -85,16 +85,24 @@ impl Default for WalConfig {
 }
 
 /// In-memory index entry for one live segment file.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct SegInfo {
     index: u64,
     first_seq: u64,
     records: u64,
+    /// `segment_file_name(index)`, formatted once when the segment is
+    /// opened rather than on every append.
+    name: String,
 }
 
 impl SegInfo {
-    fn file_name(&self) -> String {
-        segment_file_name(self.index)
+    fn new(index: u64, first_seq: u64, records: u64) -> Self {
+        SegInfo {
+            index,
+            first_seq,
+            records,
+            name: segment_file_name(index),
+        }
     }
     fn end_seq(&self) -> u64 {
         self.first_seq + self.records
@@ -176,11 +184,11 @@ impl Wal {
                 self.backend.remove(name)?;
                 continue;
             }
-            let info = SegInfo {
-                index: outcome.header.index,
-                first_seq: outcome.header.first_seq,
-                records: outcome.records.len() as u64,
-            };
+            let info = SegInfo::new(
+                outcome.header.index,
+                outcome.header.first_seq,
+                outcome.records.len() as u64,
+            );
             if let Some(prev) = segments.last() {
                 if info.index <= prev.index || info.first_seq != prev.end_seq() {
                     return Err(StoreError::Corrupt {
@@ -242,28 +250,23 @@ impl Wal {
         };
         if rotate {
             let index = self.segments.last().map_or(0, |s| s.index + 1);
-            let info = SegInfo {
-                index,
-                first_seq: self.next_seq,
-                records: 0,
-            };
+            let info = SegInfo::new(index, self.next_seq, 0);
             let header = SegmentHeader {
                 index,
                 first_seq: self.next_seq,
             };
-            self.backend.append(&info.file_name(), &header.to_bytes())?;
+            self.backend.append(&info.name, &header.to_bytes())?;
             self.segments.push(info);
         }
         let tail = self.segments.last_mut().expect("tail ensured above");
         let mut frame = Vec::with_capacity(payload.len() + 8);
         frame_record(payload, &mut frame);
-        let name = tail.file_name();
-        self.backend.append(&name, &frame)?;
+        self.backend.append(&tail.name, &frame)?;
         tail.records += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.config.durability == Durability::Flushed {
-            self.backend.sync(&name)?;
+            self.backend.sync(&tail.name)?;
         }
         Ok(seq)
     }
@@ -276,7 +279,7 @@ impl Wal {
     /// [`StoreError::Io`] on backend failure.
     pub fn sync(&mut self) -> Result<(), StoreError> {
         if let Some(tail) = self.segments.last() {
-            self.backend.sync(&tail.file_name())?;
+            self.backend.sync(&tail.name)?;
         }
         Ok(())
     }
@@ -301,9 +304,8 @@ impl Wal {
             if info.end_seq() <= from_seq {
                 continue;
             }
-            let name = info.file_name();
-            let bytes = self.backend.read(&name)?;
-            let outcome = scan(&name, &bytes)?;
+            let bytes = self.backend.read(&info.name)?;
+            let outcome = scan(&info.name, &bytes)?;
             for (i, payload) in outcome.records.into_iter().enumerate() {
                 let seq = info.first_seq + i as u64;
                 if seq >= from_seq {
@@ -324,11 +326,11 @@ impl Wal {
     pub fn prune_through(&mut self, upto_seq: u64) -> Result<usize, StoreError> {
         let mut removed = 0;
         while self.segments.len() > 1 {
-            let first = self.segments[0];
+            let first = &self.segments[0];
             if first.end_seq() > upto_seq {
                 break;
             }
-            self.backend.remove(&first.file_name())?;
+            self.backend.remove(&first.name)?;
             self.segments.remove(0);
             removed += 1;
         }
