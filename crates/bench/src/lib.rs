@@ -2,7 +2,9 @@
 //!
 //! The experiment catalogue (DESIGN.md §3, EXPERIMENTS.md) is generated by
 //! the `run_experiments` binary; the Criterion benches under `benches/`
-//! cover the timing-shaped fragments of each experiment.
+//! cover the timing-shaped fragments of each experiment. [`report`] is
+//! the one model behind every tracked `BENCH_*.json` file: values,
+//! writer, reader, carry-forward, file registry and acceptance gates.
 
 #![forbid(unsafe_code)]
 
@@ -34,12 +36,6 @@ pub fn log_entry_of_size(correlation: u64, payload_size: usize) -> LogEntry {
         issued_at: 0,
     };
     probe.observe_request(ObservationPoint::PepRequest, &env, 0)
-}
-
-/// Formats a microsecond quantity as milliseconds with 2 decimals.
-#[must_use]
-pub fn ms(us: f64) -> String {
-    format!("{:.2}", us / 1_000.0)
 }
 
 /// A batch of `size` Schnorr signatures spread over `keys` signer
@@ -79,384 +75,7 @@ pub fn batch_items(
         .collect()
 }
 
-/// The machine-readable PDP perf trajectory (`BENCH_PDP.json`).
-///
-/// `run_experiments e5`/`e6` emit this file at the repo root so the
-/// PDP's latency trajectory is tracked across PRs: every future change
-/// to the policy engine regenerates the file and the diff shows exactly
-/// what moved. The format is deliberately hand-rendered — the vendored
-/// serde is a no-op stand-in (see `vendor/README.md`), and the schema is
-/// small enough that a renderer plus a shape test is cheaper than a
-/// serializer.
-pub mod trajectory {
-    use std::path::{Path, PathBuf};
-
-    /// One E5 row: µs/decision at a policy-base size, per engine.
-    #[derive(Debug, Clone)]
-    pub struct PdpScalingRow {
-        /// Leaf policies under the root.
-        pub policies: usize,
-        /// Total rules in the set.
-        pub rules: usize,
-        /// Tree-walking reference interpreter.
-        pub interpreter_us: f64,
-        /// Compiled engine, decision cache off.
-        pub compiled_us: f64,
-        /// Compiled engine with the decision cache warm.
-        pub compiled_cached_us: f64,
-    }
-
-    impl PdpScalingRow {
-        /// Interpreter-over-compiled speedup (cache off).
-        #[must_use]
-        pub fn speedup(&self) -> f64 {
-            if self.compiled_us > 0.0 {
-                self.interpreter_us / self.compiled_us
-            } else {
-                f64::INFINITY
-            }
-        }
-    }
-
-    /// End-to-end latency summary for one E6 configuration.
-    #[derive(Debug, Clone)]
-    pub struct LatencySummary {
-        /// Mean end-to-end request latency.
-        pub mean_ms: f64,
-        /// 95th percentile.
-        pub p95_ms: f64,
-        /// 99th percentile.
-        pub p99_ms: f64,
-        /// Transactions committed on the monitoring chain.
-        pub chain_txs: u64,
-    }
-
-    /// The E6 monitoring-overhead comparison (monitoring off vs on).
-    #[derive(Debug, Clone)]
-    pub struct MonitoringOverhead {
-        /// Requests driven through the federation.
-        pub requests: u64,
-        /// Baseline: probes and analyser disabled.
-        pub off: LatencySummary,
-        /// Monitoring plane fully enabled.
-        pub on: LatencySummary,
-        /// Monitoring pipeline latency (observation → chain commit).
-        pub pipeline_mean_ms: f64,
-        /// Wall-clock runtime of the monitoring-off run. The latency
-        /// summaries above are *virtual-time* and thus invariant under
-        /// crypto changes; wall time is where the signing/hashing cost
-        /// of the pipeline actually shows, so the crypto-substrate
-        /// trajectory is tracked here.
-        pub off_wall_ms: f64,
-        /// Wall-clock runtime of the monitoring-on run.
-        pub on_wall_ms: f64,
-    }
-
-    impl MonitoringOverhead {
-        /// Critical-path overhead of monitoring, in percent.
-        #[must_use]
-        pub fn overhead_pct(&self) -> f64 {
-            if self.off.mean_ms > 0.0 {
-                (self.on.mean_ms / self.off.mean_ms - 1.0) * 100.0
-            } else {
-                0.0
-            }
-        }
-    }
-
-    /// JSON-safe float: finite values only (NaN/inf become `null`).
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.3}")
-        } else {
-            "null".to_string()
-        }
-    }
-
-    fn latency_json(l: &LatencySummary) -> String {
-        format!(
-            "{{\"mean_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}, \"chain_txs\": {}}}",
-            num(l.mean_ms),
-            num(l.p95_ms),
-            num(l.p99_ms),
-            l.chain_txs
-        )
-    }
-
-    fn e5_section(rows: &[PdpScalingRow], quick: bool) -> String {
-        let mut out = format!("{{\n    \"quick\": {quick},\n    \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"policies\": {}, \"rules\": {}, \
-                 \"interpreter_us_per_decision\": {}, \
-                 \"compiled_us_per_decision\": {}, \
-                 \"compiled_cached_us_per_decision\": {}, \
-                 \"speedup_compiled_vs_interpreter\": {}}}{}\n",
-                r.policies,
-                r.rules,
-                num(r.interpreter_us),
-                num(r.compiled_us),
-                num(r.compiled_cached_us),
-                num(r.speedup()),
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("    ]\n  }");
-        out
-    }
-
-    fn e6_section(e6: &MonitoringOverhead, quick: bool) -> String {
-        format!(
-            "{{\n    \"quick\": {quick},\n    \"requests\": {},\n    \"off\": {},\n    \
-             \"on\": {},\n    \
-             \"critical_path_overhead_pct\": {},\n    \"pipeline_mean_ms\": {},\n    \
-             \"sim_wall_ms_off\": {},\n    \"sim_wall_ms_on\": {}\n  }}",
-            e6.requests,
-            latency_json(&e6.off),
-            latency_json(&e6.on),
-            num(e6.overhead_pct()),
-            num(e6.pipeline_mean_ms),
-            num(e6.off_wall_ms),
-            num(e6.on_wall_ms)
-        )
-    }
-
-    /// Extracts one top-level section's value text (`[...]` / `{...}`)
-    /// from a previously-written trajectory file, by bracket matching.
-    /// Used to carry a section forward when its experiment did not run
-    /// in this invocation, so `run_experiments e5` alone cannot silently
-    /// drop the committed E6 numbers (and vice versa).
-    #[must_use]
-    pub fn extract_section(existing: &str, key: &str) -> Option<String> {
-        let needle = format!("\"{key}\":");
-        let at = existing.find(&needle)? + needle.len();
-        let rest = existing[at..].trim_start();
-        let open = rest.chars().next()?;
-        let close = match open {
-            '[' => ']',
-            '{' => '}',
-            _ => return None,
-        };
-        let mut depth = 0usize;
-        let mut in_string = false;
-        for (i, c) in rest.char_indices() {
-            // the schema never escapes quotes inside strings
-            if c == '"' {
-                in_string = !in_string;
-            }
-            if in_string {
-                continue;
-            }
-            if c == open {
-                depth += 1;
-            } else if c == close {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(rest[..=i].to_string());
-                }
-            }
-        }
-        None
-    }
-
-    /// Renders the trajectory file. A section whose experiment did not
-    /// run in this invocation is carried over verbatim from `previous`
-    /// (the existing file's contents) when present, and omitted
-    /// otherwise. Each section records its own `"quick"` flag, so a
-    /// quick rerun of one experiment cannot mislabel the other
-    /// section's full-run numbers.
-    #[must_use]
-    pub fn render_json(
-        quick: bool,
-        e5: Option<&[PdpScalingRow]>,
-        e6: Option<&MonitoringOverhead>,
-        previous: Option<&str>,
-    ) -> String {
-        let carried = |key: &str| previous.and_then(|p| extract_section(p, key));
-        let e5_text = e5
-            .map(|rows| e5_section(rows, quick))
-            .or_else(|| carried("e5_pdp_scaling"));
-        let e6_text = e6
-            .map(|e6| e6_section(e6, quick))
-            .or_else(|| carried("e6_monitoring_overhead"));
-        let mut out = String::from("{\n  \"schema\": \"drams-bench-pdp/v2\"");
-        if let Some(text) = e5_text {
-            out.push_str(&format!(",\n  \"e5_pdp_scaling\": {text}"));
-        }
-        if let Some(text) = e6_text {
-            out.push_str(&format!(",\n  \"e6_monitoring_overhead\": {text}"));
-        }
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// Resolves a tracked-trajectory file at the repo root, found at
-    /// runtime by walking up from the current directory to the workspace
-    /// `Cargo.toml` (so a relocated checkout still writes into itself),
-    /// with the build-time manifest path as fallback.
-    #[must_use]
-    pub fn repo_file_path(name: &str) -> PathBuf {
-        if let Ok(mut dir) = std::env::current_dir() {
-            loop {
-                let manifest = dir.join("Cargo.toml");
-                if manifest.exists()
-                    && std::fs::read_to_string(&manifest)
-                        .map(|s| s.contains("[workspace]"))
-                        .unwrap_or(false)
-                {
-                    return dir.join(name);
-                }
-                if !dir.pop() {
-                    break;
-                }
-            }
-        }
-        Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(name)
-    }
-
-    /// The PDP trajectory file's canonical location (repo root).
-    #[must_use]
-    pub fn repo_root_path() -> PathBuf {
-        repo_file_path("BENCH_PDP.json")
-    }
-}
-
-/// The machine-readable crypto-substrate trajectory
-/// (`BENCH_CRYPTO.json`).
-///
-/// `run_experiments e9` emits this file at the repo root: µs/op for the
-/// primitive layer's hot operations, each measured on the retained
-/// Algorithm D reference path *and* the Montgomery fast path, plus
-/// batch-vs-individual Schnorr verification. Like `BENCH_PDP.json`, the
-/// file is committed so every PR touching `drams-crypto` shows its perf
-/// delta in the diff; carry-forward semantics match
-/// [`trajectory::render_json`].
-pub mod crypto_trajectory {
-    use super::trajectory::extract_section;
-
-    /// One old-vs-new comparison row (µs per operation).
-    #[derive(Debug, Clone, Copy)]
-    pub struct OldNew {
-        /// Algorithm D reference path.
-        pub reference_us: f64,
-        /// Montgomery fast path.
-        pub fast_us: f64,
-    }
-
-    impl OldNew {
-        /// reference/fast speedup.
-        #[must_use]
-        pub fn speedup(&self) -> f64 {
-            if self.fast_us > 0.0 {
-                self.reference_us / self.fast_us
-            } else {
-                f64::INFINITY
-            }
-        }
-    }
-
-    /// The E9 crypto-substrate summary.
-    #[derive(Debug, Clone, Copy)]
-    pub struct CryptoSummary {
-        /// 256-bit modular exponentiation (the Schnorr workhorse).
-        pub mod_pow: OldNew,
-        /// Schnorr signing.
-        pub sign: OldNew,
-        /// Schnorr verification.
-        pub verify: OldNew,
-        /// Signatures per batch in the batch-verify measurement.
-        pub batch_size: usize,
-        /// Total µs for `batch_size` individual reference verifies.
-        pub individual_reference_us: f64,
-        /// Total µs for `batch_size` individual fast verifies.
-        pub individual_fast_us: f64,
-        /// Total µs for one `batch_verify` call over the batch.
-        pub batch_us: f64,
-    }
-
-    impl CryptoSummary {
-        /// Batch speedup against individually verifying on the
-        /// committed (reference) path — the acceptance ratio.
-        #[must_use]
-        pub fn batch_speedup_vs_reference(&self) -> f64 {
-            if self.batch_us > 0.0 {
-                self.individual_reference_us / self.batch_us
-            } else {
-                f64::INFINITY
-            }
-        }
-
-        /// Batch speedup against individually verifying on the fast
-        /// path (shows what the per-signer fixed-base tables buy).
-        #[must_use]
-        pub fn batch_speedup_vs_fast(&self) -> f64 {
-            if self.batch_us > 0.0 {
-                self.individual_fast_us / self.batch_us
-            } else {
-                f64::INFINITY
-            }
-        }
-    }
-
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.3}")
-        } else {
-            "null".to_string()
-        }
-    }
-
-    fn old_new_json(r: &OldNew) -> String {
-        format!(
-            "{{\"reference_us\": {}, \"fast_us\": {}, \"speedup\": {}}}",
-            num(r.reference_us),
-            num(r.fast_us),
-            num(r.speedup())
-        )
-    }
-
-    fn e9_section(s: &CryptoSummary, quick: bool) -> String {
-        format!(
-            "{{\n    \"quick\": {quick},\n    \"mod_pow\": {},\n    \"sign\": {},\n    \
-             \"verify\": {},\n    \"batch_verify\": {{\"batch_size\": {}, \
-             \"individual_reference_us\": {}, \"individual_fast_us\": {}, \"batch_us\": {}, \
-             \"speedup_vs_individual_reference\": {}, \"speedup_vs_individual_fast\": {}}}\n  }}",
-            old_new_json(&s.mod_pow),
-            old_new_json(&s.sign),
-            old_new_json(&s.verify),
-            s.batch_size,
-            num(s.individual_reference_us),
-            num(s.individual_fast_us),
-            num(s.batch_us),
-            num(s.batch_speedup_vs_reference()),
-            num(s.batch_speedup_vs_fast())
-        )
-    }
-
-    /// Renders `BENCH_CRYPTO.json`. As with the PDP trajectory, a
-    /// section not produced by this invocation is carried over verbatim
-    /// from `previous` when present.
-    #[must_use]
-    pub fn render_json(quick: bool, e9: Option<&CryptoSummary>, previous: Option<&str>) -> String {
-        let e9_text = e9
-            .map(|s| e9_section(s, quick))
-            .or_else(|| previous.and_then(|p| extract_section(p, "e9_crypto")));
-        let mut out = String::from("{\n  \"schema\": \"drams-bench-crypto/v1\"");
-        if let Some(text) = e9_text {
-            out.push_str(&format!(",\n  \"e9_crypto\": {text}"));
-        }
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// The crypto trajectory file's canonical location (repo root).
-    #[must_use]
-    pub fn repo_path() -> std::path::PathBuf {
-        super::trajectory::repo_file_path("BENCH_CRYPTO.json")
-    }
-}
+pub mod report;
 
 /// The named end-to-end scenario matrix of experiment E10.
 ///
@@ -465,10 +84,14 @@ pub mod crypto_trajectory {
 /// runtime (`drams_core::scenario`): steady state, burst with tenant
 /// churn, mid-flight policy flip, a degraded Logging Interface, and a
 /// per-cloud PDP federation. `run_experiments e10` runs the matrix and
-/// commits the [`e2e_trajectory`] file; the same specs back the
-/// `bench_e2e` criterion targets and the integration tests, so every
-/// consumer measures identical workloads.
+/// commits `BENCH_E2E.json`; the same specs back the `bench_e2e`
+/// criterion targets and the integration tests, so every consumer
+/// measures identical workloads.
 pub mod scenarios {
+    /// The uninterrupted twin of a scenario (every scripted crash
+    /// removed); E11, E13 and E14 compare a crashed run against it.
+    pub use drams_fuzz::strip_crashes;
+
     use drams_core::monitor::MonitorConfig;
     use drams_core::scenario::{
         CrashTarget, DiurnalBand, FlashCrowd, LoadProfile, PdpPlacement, Phase, ScenarioSpec,
@@ -745,18 +368,6 @@ pub mod scenarios {
         vec![lossy, dup_reorder, partition, outage]
     }
 
-    /// The uninterrupted twin of a scenario: the same spec with every
-    /// [`ScriptedAction::CrashRestart`] removed. E11 compares a crashed
-    /// run against its twin.
-    #[must_use]
-    pub fn strip_crashes(spec: &ScenarioSpec) -> ScenarioSpec {
-        let mut twin = spec.clone();
-        twin.name = format!("{}_uninterrupted", spec.name);
-        twin.script
-            .retain(|a| !matches!(a, ScriptedAction::CrashRestart { .. }));
-        twin
-    }
-
     /// The E14 overload profile: a 2000-tenant Zipf-skewed population,
     /// a diurnal trough-then-peak schedule, one ×4 flash crowd, and
     /// every bounded-state mechanism armed (PEP admission cap, LI
@@ -862,1039 +473,8 @@ pub mod scenarios {
     }
 }
 
-/// The machine-readable end-to-end scenario trajectory
-/// (`BENCH_E2E.json`).
-///
-/// `run_experiments e10` emits this file at the repo root: one row per
-/// named scenario of [`scenarios::matrix`] with the run's completion,
-/// alert and latency figures plus wall clock. Committed like
-/// `BENCH_PDP.json`/`BENCH_CRYPTO.json`, so every PR touching the
-/// simulation shows its end-to-end delta in the diff; carry-forward
-/// semantics match [`trajectory::render_json`].
-pub mod e2e_trajectory {
-    use super::trajectory::extract_section;
-
-    /// One scenario's measured row.
-    #[derive(Debug, Clone)]
-    pub struct ScenarioRow {
-        /// Scenario name (see [`super::scenarios`]).
-        pub name: String,
-        /// Requests issued.
-        pub requests: u64,
-        /// Requests that reached enforcement.
-        pub completed: u64,
-        /// Requests swallowed by fault windows.
-        pub dropped: u64,
-        /// Observation groups completed on-chain.
-        pub groups_completed: u64,
-        /// Log entries committed.
-        pub entries_logged: u64,
-        /// Alerts committed on-chain.
-        pub alerts: u64,
-        /// Policy versions activated (1 = no churn).
-        pub policy_activations: u64,
-        /// PEP→PDP retransmissions (0 on a perfect network); shows the
-        /// fault overhead a scenario's fault plan imposed.
-        pub retries: u64,
-        /// Delivery-attempt histogram: requests completing after 1, 2,
-        /// … attempts (last bucket aggregates the tail).
-        pub attempts: Vec<u64>,
-        /// Mean end-to-end request latency (virtual ms).
-        pub e2e_mean_ms: f64,
-        /// 95th-percentile observation→commit latency (virtual ms).
-        pub commit_p95_ms: f64,
-        /// Wall-clock runtime of the simulation (ms).
-        pub wall_ms: f64,
-        /// Requests simulated per wall-clock second.
-        pub requests_per_sec: f64,
-        /// Virtual seconds simulated per wall-clock second (the DES
-        /// real-time factor); the perf regression gate compares this
-        /// column against the committed file.
-        pub sim_speedup: f64,
-    }
-
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.3}")
-        } else {
-            "null".to_string()
-        }
-    }
-
-    fn row_json(r: &ScenarioRow) -> String {
-        let attempts = r
-            .attempts
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"scenario\": \"{}\", \"requests\": {}, \"completed\": {}, \
-             \"dropped\": {}, \"groups_completed\": {}, \"entries_logged\": {}, \
-             \"alerts\": {}, \"policy_activations\": {}, \"retries\": {}, \
-             \"delivery_attempts\": [{attempts}], \"e2e_mean_ms\": {}, \
-             \"commit_p95_ms\": {}, \"wall_ms\": {}, \
-             \"requests_per_sec\": {}, \"sim_speedup\": {}}}",
-            r.name,
-            r.requests,
-            r.completed,
-            r.dropped,
-            r.groups_completed,
-            r.entries_logged,
-            r.alerts,
-            r.policy_activations,
-            r.retries,
-            num(r.e2e_mean_ms),
-            num(r.commit_p95_ms),
-            num(r.wall_ms),
-            num(r.requests_per_sec),
-            num(r.sim_speedup)
-        )
-    }
-
-    fn e10_section(rows: &[ScenarioRow], quick: bool) -> String {
-        let mut out = format!("{{\n    \"quick\": {quick},\n    \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "      {}{}\n",
-                row_json(r),
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("    ]\n  }");
-        out
-    }
-
-    /// Renders `BENCH_E2E.json`; a section not produced by this
-    /// invocation is carried over verbatim from `previous` when present.
-    #[must_use]
-    pub fn render_json(quick: bool, e10: Option<&[ScenarioRow]>, previous: Option<&str>) -> String {
-        let e10_text = e10
-            .map(|rows| e10_section(rows, quick))
-            .or_else(|| previous.and_then(|p| extract_section(p, "e10_scenarios")));
-        let mut out = String::from("{\n  \"schema\": \"drams-bench-e2e/v1\"");
-        if let Some(text) = e10_text {
-            out.push_str(&format!(",\n  \"e10_scenarios\": {text}"));
-        }
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// The e2e trajectory file's canonical location (repo root).
-    #[must_use]
-    pub fn repo_path() -> std::path::PathBuf {
-        super::trajectory::repo_file_path("BENCH_E2E.json")
-    }
-
-    /// Extracts `(quick, [(scenario, sim_speedup)])` from a committed
-    /// `BENCH_E2E.json`, for the wall-clock regression gate. Rows
-    /// predating the column are omitted (the gate skips them).
-    #[must_use]
-    pub fn parse_sim_speedups(previous: &str) -> Option<(bool, Vec<(String, f64)>)> {
-        let section = extract_section(previous, "e10_scenarios")?;
-        let quick = section
-            .split_once("\"quick\":")
-            .map(|(_, rest)| rest.trim_start().starts_with("true"))?;
-        let mut rows = Vec::new();
-        for line in section.lines() {
-            let Some((_, after)) = line.split_once("\"scenario\": \"") else {
-                continue;
-            };
-            let Some((name, _)) = after.split_once('"') else {
-                continue;
-            };
-            let Some((_, v)) = line.split_once("\"sim_speedup\":") else {
-                continue;
-            };
-            let digits: String = v
-                .trim_start()
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-                .collect();
-            if let Ok(speedup) = digits.parse::<f64>() {
-                rows.push((name.to_string(), speedup));
-            }
-        }
-        Some((quick, rows))
-    }
-}
-
-/// The machine-readable storage-engine trajectory (`BENCH_STORE.json`).
-///
-/// `run_experiments e11` emits this file at the repo root with two
-/// sections: `e11_store_engine` (append/replay/snapshot cost of the
-/// durable log per backend × durability) and `e11_recovery` (one row per
-/// crash-restart scenario, with the `matched` flag recording whether the
-/// crashed run was byte-identical to its uninterrupted twin). Committed
-/// like the other trajectories; carry-forward semantics match
-/// [`trajectory::render_json`].
-pub mod store_trajectory {
-    use super::trajectory::extract_section;
-
-    /// Measured cost of the log engine on one backend configuration.
-    #[derive(Debug, Clone)]
-    pub struct EngineRow {
-        /// Backend × durability (`mem-flushed`, `fs-buffered`, …).
-        pub backend: String,
-        /// Records appended in the measurement.
-        pub records: u64,
-        /// Payload bytes per record.
-        pub payload_bytes: usize,
-        /// Mean µs per appended record (including per-record sync when
-        /// the durability is `Flushed`).
-        pub append_us: f64,
-        /// Mean µs per record replayed on recovery.
-        pub replay_us: f64,
-        /// One snapshot write + segment prune, in µs.
-        pub snapshot_us: f64,
-    }
-
-    /// One crash-restart scenario's outcome.
-    #[derive(Debug, Clone)]
-    pub struct RecoveryRow {
-        /// Scenario name (see `scenarios::recovery_matrix`).
-        pub scenario: String,
-        /// Requests completed in the crashed run.
-        pub completed: u64,
-        /// Observation groups completed on-chain.
-        pub groups_completed: u64,
-        /// Alerts committed.
-        pub alerts: u64,
-        /// Crash-restarts executed (1 per scenario).
-        pub crash_restarts: u64,
-        /// Whether alerts + ground truth + counters were byte-identical
-        /// to the uninterrupted twin run.
-        pub matched: bool,
-        /// Wall-clock runtime of the crashed run (ms).
-        pub wall_ms: f64,
-    }
-
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.3}")
-        } else {
-            "null".to_string()
-        }
-    }
-
-    fn engine_section(rows: &[EngineRow], quick: bool) -> String {
-        let mut out = format!("{{\n    \"quick\": {quick},\n    \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"backend\": \"{}\", \"records\": {}, \"payload_bytes\": {}, \
-                 \"append_us_per_record\": {}, \"replay_us_per_record\": {}, \
-                 \"snapshot_prune_us\": {}}}{}\n",
-                r.backend,
-                r.records,
-                r.payload_bytes,
-                num(r.append_us),
-                num(r.replay_us),
-                num(r.snapshot_us),
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("    ]\n  }");
-        out
-    }
-
-    fn recovery_section(rows: &[RecoveryRow], quick: bool) -> String {
-        let mut out = format!("{{\n    \"quick\": {quick},\n    \"rows\": [\n");
-        for (i, r) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"scenario\": \"{}\", \"completed\": {}, \"groups_completed\": {}, \
-                 \"alerts\": {}, \"crash_restarts\": {}, \"matched\": {}, \"wall_ms\": {}}}{}\n",
-                r.scenario,
-                r.completed,
-                r.groups_completed,
-                r.alerts,
-                r.crash_restarts,
-                r.matched,
-                num(r.wall_ms),
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("    ]\n  }");
-        out
-    }
-
-    /// Renders `BENCH_STORE.json`; a section not produced by this
-    /// invocation is carried over verbatim from `previous` when present.
-    #[must_use]
-    pub fn render_json(
-        quick: bool,
-        engine: Option<&[EngineRow]>,
-        recovery: Option<&[RecoveryRow]>,
-        previous: Option<&str>,
-    ) -> String {
-        let carried = |key: &str| previous.and_then(|p| extract_section(p, key));
-        let engine_text = engine
-            .map(|rows| engine_section(rows, quick))
-            .or_else(|| carried("e11_store_engine"));
-        let recovery_text = recovery
-            .map(|rows| recovery_section(rows, quick))
-            .or_else(|| carried("e11_recovery"));
-        let mut out = String::from("{\n  \"schema\": \"drams-bench-store/v1\"");
-        if let Some(text) = engine_text {
-            out.push_str(&format!(",\n  \"e11_store_engine\": {text}"));
-        }
-        if let Some(text) = recovery_text {
-            out.push_str(&format!(",\n  \"e11_recovery\": {text}"));
-        }
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// The storage trajectory file's canonical location (repo root).
-    #[must_use]
-    pub fn repo_path() -> std::path::PathBuf {
-        super::trajectory::repo_file_path("BENCH_STORE.json")
-    }
-}
-
-/// The machine-readable fuzzing trajectory (`BENCH_FUZZ.json`).
-///
-/// `run_experiments e12` emits this file at the repo root with one
-/// section, `e12_fuzz`: how many generated scenarios ran, how many
-/// simulation events they executed, the injected/detected attack totals,
-/// false positives, oracle violations (with the count of shrunk minimal
-/// reproductions) and a per-attack-family coverage histogram. Committed
-/// like the other trajectories; carry-forward semantics match
-/// [`trajectory::render_json`].
-pub mod fuzz_trajectory {
-    use super::trajectory::extract_section;
-
-    /// Aggregated outcome of one E12 fuzzing sweep.
-    #[derive(Debug, Clone, Default)]
-    pub struct FuzzSummary {
-        /// Generated scenarios executed.
-        pub scenarios: u64,
-        /// Simulation events across all runs (requests issued + entries
-        /// logged + blocks mined + alerts committed).
-        pub events: u64,
-        /// Attack actions injected across all runs.
-        pub attacks_injected: u64,
-        /// Injected attacks matched by an alert of the promised kind.
-        pub attacks_detected: u64,
-        /// Alerts not explained by any injected attack.
-        pub false_positives: u64,
-        /// Runs whose crash-twin equivalence clause was exercised.
-        pub crash_twins_checked: u64,
-        /// Oracle violations across all runs (0 = the sweep passed).
-        pub violations: u64,
-        /// Violating cases shrunk to a minimal reproduction.
-        pub shrunk_failures: u64,
-        /// Scenarios exercising each attack family, by family name.
-        pub families: Vec<(String, u64)>,
-    }
-
-    fn fuzz_section(s: &FuzzSummary, quick: bool) -> String {
-        let mut out = format!(
-            "{{\n    \"quick\": {quick},\n    \"scenarios\": {},\n    \"events\": {},\n    \
-             \"attacks_injected\": {},\n    \"attacks_detected\": {},\n    \
-             \"false_positives\": {},\n    \"crash_twins_checked\": {},\n    \
-             \"violations\": {},\n    \"shrunk_failures\": {},\n    \"families\": {{\n",
-            s.scenarios,
-            s.events,
-            s.attacks_injected,
-            s.attacks_detected,
-            s.false_positives,
-            s.crash_twins_checked,
-            s.violations,
-            s.shrunk_failures,
-        );
-        for (i, (family, count)) in s.families.iter().enumerate() {
-            out.push_str(&format!(
-                "      \"{family}\": {count}{}\n",
-                if i + 1 < s.families.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("    }\n  }");
-        out
-    }
-
-    /// Renders `BENCH_FUZZ.json`; the section is carried over verbatim
-    /// from `previous` when this invocation did not produce it.
-    #[must_use]
-    pub fn render_json(quick: bool, e12: Option<&FuzzSummary>, previous: Option<&str>) -> String {
-        let fuzz_text = e12
-            .map(|s| fuzz_section(s, quick))
-            .or_else(|| previous.and_then(|p| extract_section(p, "e12_fuzz")));
-        let mut out = String::from("{\n  \"schema\": \"drams-bench-fuzz/v1\"");
-        if let Some(text) = fuzz_text {
-            out.push_str(&format!(",\n  \"e12_fuzz\": {text}"));
-        }
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// The fuzz trajectory file's canonical location (repo root).
-    #[must_use]
-    pub fn repo_path() -> std::path::PathBuf {
-        super::trajectory::repo_file_path("BENCH_FUZZ.json")
-    }
-}
-
-/// The machine-readable fault-plane trajectory (`BENCH_FAULT.json`).
-///
-/// `run_experiments e13` emits this file at the repo root with one
-/// section, `e13_faults`, in three parts: `rows` (one per honest
-/// fault-matrix scenario — availability, retry/failover/spill counters,
-/// recovery time, alert count), `detection_under_faults` (attack
-/// campaigns run *on top of* the lossy fault plan, which must still be
-/// fully detected with zero false positives), and `crash_fault_twin`
-/// (a PDP crash under duplicating faults compared byte-for-byte against
-/// its uninterrupted twin). Committed like the other trajectories;
-/// carry-forward semantics match [`trajectory::render_json`].
-pub mod fault_trajectory {
-    use super::trajectory::extract_section;
-
-    /// One honest fault-matrix scenario's measured row.
-    #[derive(Debug, Clone)]
-    pub struct FaultRow {
-        /// Scenario name (see `scenarios::fault_matrix`).
-        pub scenario: String,
-        /// Requests issued.
-        pub requests: u64,
-        /// Requests that reached enforcement.
-        pub completed: u64,
-        /// Requests abandoned after the retry budget (must be 0).
-        pub dropped: u64,
-        /// completed / issued, in percent — the availability figure.
-        pub availability_pct: f64,
-        /// PEP→PDP retransmissions.
-        pub retries: u64,
-        /// Messages the fault plane dropped.
-        pub msgs_dropped: u64,
-        /// Messages the fault plane duplicated.
-        pub msgs_duplicated: u64,
-        /// Messages the fault plane reordered.
-        pub msgs_reordered: u64,
-        /// Messages swallowed by an active partition.
-        pub partition_blocked: u64,
-        /// Circuit-breaker Closed→Open transitions.
-        pub breaker_trips: u64,
-        /// Requests completed through a failover PDP slot.
-        pub failovers: u64,
-        /// 95th-percentile end-to-end latency of failover requests
-        /// (virtual ms; null when no failovers happened).
-        pub failover_p95_ms: f64,
-        /// Log entries spilled to the LI WAL during a partition.
-        pub li_spilled: u64,
-        /// Spilled entries replayed after the partition healed.
-        pub li_replayed: u64,
-        /// Mean partition recovery time: heal → spill fully replayed
-        /// (virtual ms; null when no spill happened).
-        pub recovery_mean_ms: f64,
-        /// Degraded-mode epoch-timeout retunes committed on-chain.
-        pub timeout_retunes: u64,
-        /// Alerts committed — every one is a false positive here.
-        pub alerts: u64,
-        /// Wall-clock runtime (ms).
-        pub wall_ms: f64,
-    }
-
-    /// One attack campaign scored under an active fault plan.
-    #[derive(Debug, Clone)]
-    pub struct DetectionRow {
-        /// Threat family name.
-        pub threat: String,
-        /// Attack actions the adversary performed.
-        pub attacks: u64,
-        /// Attacks matched by an alert of the promised kind.
-        pub detected: u64,
-        /// Alerts not explained by any injected attack.
-        pub false_positives: u64,
-        /// Mean request-issue → alert-commit latency (virtual ms).
-        pub mean_detection_ms: f64,
-    }
-
-    /// The crash-under-faults byte-identity check.
-    #[derive(Debug, Clone)]
-    pub struct TwinCheck {
-        /// Scenario name.
-        pub scenario: String,
-        /// Crash-restarts executed.
-        pub crash_restarts: u64,
-        /// Whether alerts + ground truth + counters were byte-identical
-        /// to the uninterrupted twin run.
-        pub matched: bool,
-    }
-
-    /// The whole E13 summary.
-    #[derive(Debug, Clone)]
-    pub struct FaultSummary {
-        /// Honest fault-matrix rows.
-        pub rows: Vec<FaultRow>,
-        /// Attack campaigns under faults.
-        pub detection: Vec<DetectionRow>,
-        /// PDP crash under duplicating faults vs its twin.
-        pub twin: TwinCheck,
-    }
-
-    impl FaultSummary {
-        /// Whether every acceptance clause held: no honest alert, no
-        /// abandoned request, every attack detected, no false positive,
-        /// and the crashed run byte-identical to its twin.
-        #[must_use]
-        pub fn clean(&self) -> bool {
-            self.rows.iter().all(|r| r.alerts == 0 && r.dropped == 0)
-                && self
-                    .detection
-                    .iter()
-                    .all(|d| d.detected == d.attacks && d.false_positives == 0)
-                && self.twin.matched
-        }
-    }
-
-    fn num(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x:.3}")
-        } else {
-            "null".to_string()
-        }
-    }
-
-    fn row_json(r: &FaultRow) -> String {
-        format!(
-            "{{\"scenario\": \"{}\", \"requests\": {}, \"completed\": {}, \
-             \"dropped\": {}, \"availability_pct\": {}, \"retries\": {}, \
-             \"msgs_dropped\": {}, \"msgs_duplicated\": {}, \"msgs_reordered\": {}, \
-             \"partition_blocked\": {}, \"breaker_trips\": {}, \"failovers\": {}, \
-             \"failover_p95_ms\": {}, \"li_spilled\": {}, \"li_replayed\": {}, \
-             \"recovery_mean_ms\": {}, \"timeout_retunes\": {}, \"alerts\": {}, \
-             \"wall_ms\": {}}}",
-            r.scenario,
-            r.requests,
-            r.completed,
-            r.dropped,
-            num(r.availability_pct),
-            r.retries,
-            r.msgs_dropped,
-            r.msgs_duplicated,
-            r.msgs_reordered,
-            r.partition_blocked,
-            r.breaker_trips,
-            r.failovers,
-            num(r.failover_p95_ms),
-            r.li_spilled,
-            r.li_replayed,
-            num(r.recovery_mean_ms),
-            r.timeout_retunes,
-            r.alerts,
-            num(r.wall_ms)
-        )
-    }
-
-    fn detection_json(d: &DetectionRow) -> String {
-        format!(
-            "{{\"threat\": \"{}\", \"attacks\": {}, \"detected\": {}, \
-             \"false_positives\": {}, \"mean_detection_ms\": {}}}",
-            d.threat,
-            d.attacks,
-            d.detected,
-            d.false_positives,
-            num(d.mean_detection_ms)
-        )
-    }
-
-    fn e13_section(s: &FaultSummary, quick: bool) -> String {
-        let mut out = format!("{{\n    \"quick\": {quick},\n    \"rows\": [\n");
-        for (i, r) in s.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "      {}{}\n",
-                row_json(r),
-                if i + 1 < s.rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("    ],\n    \"detection_under_faults\": [\n");
-        for (i, d) in s.detection.iter().enumerate() {
-            out.push_str(&format!(
-                "      {}{}\n",
-                detection_json(d),
-                if i + 1 < s.detection.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "    ],\n    \"crash_fault_twin\": {{\"scenario\": \"{}\", \
-             \"crash_restarts\": {}, \"matched\": {}}}\n  }}",
-            s.twin.scenario, s.twin.crash_restarts, s.twin.matched
-        ));
-        out
-    }
-
-    /// Renders `BENCH_FAULT.json`; the section is carried over verbatim
-    /// from `previous` when this invocation did not produce it.
-    #[must_use]
-    pub fn render_json(quick: bool, e13: Option<&FaultSummary>, previous: Option<&str>) -> String {
-        let text = e13
-            .map(|s| e13_section(s, quick))
-            .or_else(|| previous.and_then(|p| extract_section(p, "e13_faults")));
-        let mut out = String::from("{\n  \"schema\": \"drams-bench-fault/v1\"");
-        if let Some(text) = text {
-            out.push_str(&format!(",\n  \"e13_faults\": {text}"));
-        }
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// The fault trajectory file's canonical location (repo root).
-    #[must_use]
-    pub fn repo_path() -> std::path::PathBuf {
-        super::trajectory::repo_file_path("BENCH_FAULT.json")
-    }
-}
-
-/// The machine-readable overload trajectory (`BENCH_LOAD.json`).
-///
-/// `run_experiments e14` emits this file at the repo root: the honest
-/// flash-crowd row with every memory/state accounting column (shed and
-/// degraded admissions, eviction/retirement/compaction counters, and
-/// the peak tracked-state gauges per component), the attack campaigns
-/// scored under overload, and the crash-under-overload twin verdict.
-/// Committed like `BENCH_FAULT.json`, so every PR touching the bounded
-/// -state machinery shows its peak-state delta in the diff; CI fails
-/// the run when a peak column more than doubles against the committed
-/// file. Carry-forward semantics match [`trajectory::render_json`].
-pub mod load_trajectory {
-    use super::trajectory::extract_section;
-
-    /// The peak tracked-state columns, in emission order. CI's
-    /// regression gate compares exactly these keys against the
-    /// committed file.
-    pub const PEAK_COLUMNS: [&str; 8] = [
-        "peak_pep_inflight",
-        "peak_pdp_idempotency",
-        "peak_pdp_decision_cache",
-        "peak_li_resident",
-        "peak_analyser_pending_retire",
-        "peak_contract_storage",
-        "peak_chain_journal_records",
-        "peak_policy_history",
-    ];
-
-    /// One overload scenario's measured row.
-    #[derive(Debug, Clone)]
-    pub struct LoadRow {
-        /// Scenario name (see `scenarios::flash_crowd` and friends).
-        pub scenario: String,
-        /// Requests issued by the workload.
-        pub requests: u64,
-        /// Requests that reached enforcement.
-        pub completed: u64,
-        /// Requests shed at the PEP admission boundary.
-        pub shed: u64,
-        /// Requests admitted above the soft watermark.
-        pub degraded: u64,
-        /// completed / (issued - shed), in percent: admitted requests
-        /// must all complete.
-        pub admitted_completion_pct: f64,
-        /// Alerts committed — every one is a false positive here.
-        pub alerts: u64,
-        /// Journaled idempotency-cache entries aged out.
-        pub idempotency_evictions: u64,
-        /// PDP decision-cache LRU evictions.
-        pub decision_cache_evictions: u64,
-        /// Closed decision groups retired from contract storage.
-        pub groups_retired: u64,
-        /// Chain-node journal snapshot+prune compactions.
-        pub journal_compactions: u64,
-        /// Peak tracked-state gauges, keyed like [`PEAK_COLUMNS`].
-        pub peaks: [u64; 8],
-        /// Wall-clock runtime (ms).
-        pub wall_ms: f64,
-    }
-
-    /// One attack campaign scored while shedding is active.
-    #[derive(Debug, Clone)]
-    pub struct DetectionRow {
-        /// Threat family name.
-        pub threat: String,
-        /// Attack actions the adversary performed (on admitted
-        /// requests — shed requests carry no evidence and no attack).
-        pub attacks: u64,
-        /// Attacks matched by an alert of the promised kind.
-        pub detected: u64,
-        /// Alerts not explained by any injected attack.
-        pub false_positives: u64,
-        /// Requests shed during the campaign run — proof the overload
-        /// was real while detection stayed total.
-        pub shed: u64,
-    }
-
-    /// The crash-under-overload byte-identity check.
-    #[derive(Debug, Clone)]
-    pub struct TwinCheck {
-        /// Scenario name.
-        pub scenario: String,
-        /// Crash-restarts executed.
-        pub crash_restarts: u64,
-        /// Requests shed in the crashed run.
-        pub shed: u64,
-        /// Whether alerts + ground truth + counters were byte-identical
-        /// to the uninterrupted twin run.
-        pub matched: bool,
-    }
-
-    /// The whole E14 summary.
-    #[derive(Debug, Clone)]
-    pub struct LoadSummary {
-        /// The honest flash-crowd row.
-        pub honest: LoadRow,
-        /// Attack campaigns under overload.
-        pub detection: Vec<DetectionRow>,
-        /// PDP crash mid-spike vs its twin.
-        pub twin: TwinCheck,
-    }
-
-    impl LoadSummary {
-        /// Whether every acceptance clause held: the honest overload
-        /// shed real traffic without a single alert, every admitted
-        /// request completed, every attack under overload was detected
-        /// with zero false positives while shedding, and the crashed
-        /// run was byte-identical to its twin.
-        #[must_use]
-        pub fn clean(&self) -> bool {
-            self.honest.alerts == 0
-                && self.honest.shed > 0
-                && self.honest.completed == self.honest.requests - self.honest.shed
-                && self
-                    .detection
-                    .iter()
-                    .all(|d| d.detected == d.attacks && d.attacks > 0 && d.false_positives == 0)
-                && self.twin.matched
-        }
-    }
-
-    fn row_json(r: &LoadRow) -> String {
-        let mut out = format!(
-            "{{\"scenario\": \"{}\", \"requests\": {}, \"completed\": {}, \
-             \"shed\": {}, \"degraded\": {}, \"admitted_completion_pct\": {:.3}, \
-             \"alerts\": {}, \"idempotency_evictions\": {}, \
-             \"decision_cache_evictions\": {}, \"groups_retired\": {}, \
-             \"journal_compactions\": {}",
-            r.scenario,
-            r.requests,
-            r.completed,
-            r.shed,
-            r.degraded,
-            r.admitted_completion_pct,
-            r.alerts,
-            r.idempotency_evictions,
-            r.decision_cache_evictions,
-            r.groups_retired,
-            r.journal_compactions,
-        );
-        for (key, value) in PEAK_COLUMNS.iter().zip(r.peaks) {
-            out.push_str(&format!(", \"{key}\": {value}"));
-        }
-        out.push_str(&format!(", \"wall_ms\": {:.3}}}", r.wall_ms));
-        out
-    }
-
-    fn detection_json(d: &DetectionRow) -> String {
-        format!(
-            "{{\"threat\": \"{}\", \"attacks\": {}, \"detected\": {}, \
-             \"false_positives\": {}, \"shed\": {}}}",
-            d.threat, d.attacks, d.detected, d.false_positives, d.shed
-        )
-    }
-
-    fn e14_section(s: &LoadSummary, quick: bool) -> String {
-        let mut out = format!(
-            "{{\n    \"quick\": {quick},\n    \"honest\": {},\n    \
-             \"detection_under_overload\": [\n",
-            row_json(&s.honest)
-        );
-        for (i, d) in s.detection.iter().enumerate() {
-            out.push_str(&format!(
-                "      {}{}\n",
-                detection_json(d),
-                if i + 1 < s.detection.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "    ],\n    \"crash_overload_twin\": {{\"scenario\": \"{}\", \
-             \"crash_restarts\": {}, \"shed\": {}, \"matched\": {}}}\n  }}",
-            s.twin.scenario, s.twin.crash_restarts, s.twin.shed, s.twin.matched
-        ));
-        out
-    }
-
-    /// Renders `BENCH_LOAD.json`; the section is carried over verbatim
-    /// from `previous` when this invocation did not produce it.
-    #[must_use]
-    pub fn render_json(quick: bool, e14: Option<&LoadSummary>, previous: Option<&str>) -> String {
-        let text = e14
-            .map(|s| e14_section(s, quick))
-            .or_else(|| previous.and_then(|p| extract_section(p, "e14_load")));
-        let mut out = String::from("{\n  \"schema\": \"drams-bench-load/v1\"");
-        if let Some(text) = text {
-            out.push_str(&format!(",\n  \"e14_load\": {text}"));
-        }
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// Extracts the honest row's peak columns (and the quick flag) from
-    /// a previously committed `BENCH_LOAD.json`, for the peak-state
-    /// regression gate. Returns `None` when the file has no comparable
-    /// section.
-    #[must_use]
-    pub fn parse_honest_peaks(previous: &str) -> Option<(bool, [u64; 8])> {
-        let section = extract_section(previous, "e14_load")?;
-        let quick = u64_or_bool_field(&section, "quick")? != 0;
-        let honest = extract_section(&section, "honest")?;
-        let mut peaks = [0u64; 8];
-        for (slot, key) in peaks.iter_mut().zip(PEAK_COLUMNS) {
-            // A column the committed file predates reads as 0, which the
-            // regression gate skips (it only compares prev > 0).
-            *slot = u64_or_bool_field(&honest, key).unwrap_or(0);
-        }
-        Some((quick, peaks))
-    }
-
-    /// Reads `"key": value` where value is an unsigned integer or a
-    /// boolean (`true` = 1, `false` = 0).
-    fn u64_or_bool_field(obj: &str, key: &str) -> Option<u64> {
-        let needle = format!("\"{key}\":");
-        let at = obj.find(&needle)? + needle.len();
-        let rest = obj[at..].trim_start();
-        if rest.starts_with("true") {
-            return Some(1);
-        }
-        if rest.starts_with("false") {
-            return Some(0);
-        }
-        let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-        digits.parse().ok()
-    }
-
-    /// The overload trajectory file's canonical location (repo root).
-    #[must_use]
-    pub fn repo_path() -> std::path::PathBuf {
-        super::trajectory::repo_file_path("BENCH_LOAD.json")
-    }
-}
-
-/// The machine-readable parallel-execution trajectory (`BENCH_PAR.json`).
-///
-/// `run_experiments e15` emits this file at the repo root: one row per
-/// workload × worker count (the signature-audit path, compiled-PDP
-/// evaluation, and the million-request flash crowd), each with wall
-/// clock, throughput and the speedup against the same workload's
-/// workers=1 row. `host_cores` records the machine the file was
-/// produced on: on a single-core host no wall-clock speedup is
-/// physically possible, so the `speedup_ok` gate degrades to an
-/// overhead bound there (see `run_experiments`'s E15 docs). The
-/// `determinism_ok` flag asserts every workload produced byte-identical
-/// results at every worker count — the tentpole invariant. Committed
-/// like the other trajectories; carry-forward semantics match
-/// [`trajectory::render_json`].
-pub mod par_trajectory {
-    use super::trajectory::extract_section;
-
-    /// One workload × worker-count measurement.
-    #[derive(Debug, Clone)]
-    pub struct ParRow {
-        /// Workload name (`sig_audit`, `pdp_eval`, `flash_crowd_1m`).
-        pub workload: String,
-        /// Worker-pool size the run was pinned to.
-        pub workers: usize,
-        /// Work items processed (transactions verified, decisions
-        /// evaluated, or requests simulated).
-        pub items: u64,
-        /// Wall-clock runtime (ms).
-        pub wall_ms: f64,
-        /// Items per wall-clock second.
-        pub per_sec: f64,
-        /// Throughput relative to the same workload at workers=1.
-        pub speedup: f64,
-    }
-
-    /// The whole E15 summary.
-    #[derive(Debug, Clone)]
-    pub struct ParSummary {
-        /// `std::thread::available_parallelism()` on the producing host.
-        pub host_cores: u64,
-        /// All workload × worker-count rows.
-        pub rows: Vec<ParRow>,
-        /// Whether every workload was byte-identical at every worker
-        /// count (roots, verdicts, decisions, alerts, ground truth,
-        /// counters and peak state).
-        pub determinism_ok: bool,
-        /// The adaptive speedup gate: on a multi-core host the
-        /// verify-heavy row must beat 1.0x at workers=4; on a
-        /// single-core host (where parallel wall-clock gains are
-        /// physically impossible) the same row must stay above the
-        /// overhead floor.
-        pub speedup_ok: bool,
-    }
-
-    fn row_json(r: &ParRow) -> String {
-        format!(
-            "{{\"workload\": \"{}\", \"workers\": {}, \"items\": {}, \
-             \"wall_ms\": {:.3}, \"per_sec\": {:.3}, \"speedup\": {:.3}}}",
-            r.workload, r.workers, r.items, r.wall_ms, r.per_sec, r.speedup
-        )
-    }
-
-    fn e15_section(s: &ParSummary, quick: bool) -> String {
-        let mut out = format!(
-            "{{\n    \"quick\": {quick},\n    \"host_cores\": {},\n    \
-             \"determinism_ok\": {},\n    \"speedup_ok\": {},\n    \"rows\": [\n",
-            s.host_cores, s.determinism_ok, s.speedup_ok
-        );
-        for (i, r) in s.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "      {}{}\n",
-                row_json(r),
-                if i + 1 < s.rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("    ]\n  }");
-        out
-    }
-
-    /// Renders `BENCH_PAR.json`; the section is carried over verbatim
-    /// from `previous` when this invocation did not produce it.
-    #[must_use]
-    pub fn render_json(quick: bool, e15: Option<&ParSummary>, previous: Option<&str>) -> String {
-        let text = e15
-            .map(|s| e15_section(s, quick))
-            .or_else(|| previous.and_then(|p| extract_section(p, "e15_parallel")));
-        let mut out = String::from("{\n  \"schema\": \"drams-bench-par/v1\"");
-        if let Some(text) = text {
-            out.push_str(&format!(",\n  \"e15_parallel\": {text}"));
-        }
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// The parallel-execution trajectory file's canonical location
-    /// (repo root).
-    #[must_use]
-    pub fn repo_path() -> std::path::PathBuf {
-        super::trajectory::repo_file_path("BENCH_PAR.json")
-    }
-}
-
-/// The E16 real-transport trajectory (`BENCH_NET.json`): loopback
-/// round-trip latency and frame throughput per payload size, the cost
-/// of killing and re-provisioning an endpoint, and a DES-vs-TCP
-/// conformance verdict, carried forward across sessions like the other
-/// trajectory files.
-pub mod net_trajectory {
-    use super::trajectory::extract_section;
-
-    /// One payload-size × frame-count round-trip measurement over the
-    /// loopback TCP transport.
-    #[derive(Debug, Clone)]
-    pub struct NetRow {
-        /// Frame payload size in bytes.
-        pub payload_bytes: usize,
-        /// Frames round-tripped.
-        pub frames: u64,
-        /// Total wall-clock for the batch (ms).
-        pub wall_ms: f64,
-        /// Mean single round-trip latency (µs).
-        pub rt_mean_us: f64,
-        /// 95th-percentile round-trip latency (µs).
-        pub rt_p95_us: f64,
-        /// Round-trips per wall-clock second.
-        pub frames_per_sec: f64,
-    }
-
-    /// Endpoint kill + re-provision + first-round-trip cost.
-    #[derive(Debug, Clone)]
-    pub struct ReconnectCost {
-        /// Restart cycles measured.
-        pub cycles: u64,
-        /// Mean restart-to-first-echo time (µs).
-        pub mean_us: f64,
-        /// Worst restart-to-first-echo time (µs).
-        pub max_us: f64,
-    }
-
-    /// DES-vs-TCP conformance verdict for one scenario.
-    #[derive(Debug, Clone)]
-    pub struct Conformance {
-        /// Scenario name replayed over both backends.
-        pub scenario: String,
-        /// Frames the TCP run put on the wire.
-        pub frames: u64,
-        /// Whether alerts, ground truth and counters were identical.
-        pub matched: bool,
-    }
-
-    /// The whole E16 summary.
-    #[derive(Debug, Clone)]
-    pub struct NetSummary {
-        /// Transport label (`tcp-loopback`).
-        pub transport: String,
-        /// Round-trip rows per payload size.
-        pub rows: Vec<NetRow>,
-        /// Endpoint restart/reconnect cost.
-        pub reconnect: ReconnectCost,
-        /// The conformance verdict.
-        pub conformance: Conformance,
-    }
-
-    fn row_json(r: &NetRow) -> String {
-        format!(
-            "{{\"payload_bytes\": {}, \"frames\": {}, \"wall_ms\": {:.3}, \
-             \"rt_mean_us\": {:.3}, \"rt_p95_us\": {:.3}, \"frames_per_sec\": {:.0}}}",
-            r.payload_bytes, r.frames, r.wall_ms, r.rt_mean_us, r.rt_p95_us, r.frames_per_sec
-        )
-    }
-
-    fn e16_section(s: &NetSummary, quick: bool) -> String {
-        let mut out = format!(
-            "{{\n    \"quick\": {quick},\n    \"transport\": \"{}\",\n    \"rows\": [\n",
-            s.transport
-        );
-        for (i, r) in s.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "      {}{}\n",
-                row_json(r),
-                if i + 1 < s.rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "    ],\n    \"reconnect\": {{\"cycles\": {}, \"mean_us\": {:.3}, \"max_us\": {:.3}}},\n",
-            s.reconnect.cycles, s.reconnect.mean_us, s.reconnect.max_us
-        ));
-        out.push_str(&format!(
-            "    \"conformance\": {{\"scenario\": \"{}\", \"frames\": {}, \"matched\": {}}}\n  }}",
-            s.conformance.scenario, s.conformance.frames, s.conformance.matched
-        ));
-        out
-    }
-
-    /// Renders `BENCH_NET.json`; the section is carried over verbatim
-    /// from `previous` when this invocation did not produce it.
-    #[must_use]
-    pub fn render_json(quick: bool, e16: Option<&NetSummary>, previous: Option<&str>) -> String {
-        let text = e16
-            .map(|s| e16_section(s, quick))
-            .or_else(|| previous.and_then(|p| extract_section(p, "e16_net")));
-        let mut out = String::from("{\n  \"schema\": \"drams-bench-net/v1\"");
-        if let Some(text) = text {
-            out.push_str(&format!(",\n  \"e16_net\": {text}"));
-        }
-        out.push_str("\n}\n");
-        out
-    }
-
-    /// The transport trajectory file's canonical location (repo root).
-    #[must_use]
-    pub fn repo_path() -> std::path::PathBuf {
-        super::trajectory::repo_file_path("BENCH_NET.json")
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::trajectory::*;
     use super::*;
 
     #[test]
@@ -1904,306 +484,461 @@ mod tests {
         assert!(large.wire_len() > small.wire_len() + 8000);
     }
 
-    #[test]
-    fn trajectory_json_is_balanced_and_complete() {
-        let rows = vec![PdpScalingRow {
-            policies: 10,
-            rules: 51,
-            interpreter_us: 12.5,
-            compiled_us: 2.5,
-            compiled_cached_us: 0.4,
-        }];
-        let e6 = MonitoringOverhead {
-            requests: 1000,
-            off: LatencySummary {
-                mean_ms: 40.0,
-                p95_ms: 55.0,
-                p99_ms: 60.0,
-                chain_txs: 0,
-            },
-            on: LatencySummary {
-                mean_ms: 40.1,
-                p95_ms: 55.2,
-                p99_ms: 60.3,
-                chain_txs: 321,
-            },
-            pipeline_mean_ms: 800.0,
-            off_wall_ms: 120.0,
-            on_wall_ms: 480.0,
-        };
-        let json = render_json(false, Some(&rows), Some(&e6), None);
-        for key in [
-            "\"schema\": \"drams-bench-pdp/v2\"",
-            "\"e5_pdp_scaling\"",
-            "\"speedup_compiled_vs_interpreter\": 5.000",
-            "\"e6_monitoring_overhead\"",
-            "\"critical_path_overhead_pct\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+    use report::{
+        commit, evaluate, get, merge, parse, render_json, repo_file_path, table, FileSpec, Gate,
+        Members, Report, Rule, Section, Value, Verdict, GATES, REGISTRY,
+    };
+
+    fn spec_of(file: &str) -> &'static FileSpec {
+        let spec = REGISTRY.iter().find(|spec| spec.file == file);
+        spec.expect("a registered file")
+    }
+
+    /// A tracked file as committed: its bytes and what the reader makes
+    /// of them. The committed files are the fixtures — they hold every
+    /// section, and CI keeps them clean under every gate.
+    fn committed(file: &str) -> (String, Report) {
+        let text = std::fs::read_to_string(repo_file_path(file)).expect("committed at the root");
+        let report = parse(&text).expect("the committed file is a report");
+        (text, report)
+    }
+
+    fn report_of(sections: Vec<Section>) -> Report {
+        let schema = "t".to_string();
+        Report { schema, sections }
+    }
+
+    fn section_of(quick: bool, members: Members) -> Section {
+        let key = "s".to_string();
+        Section {
+            key,
+            quick,
+            members,
         }
-        let open = json.matches(['{', '[']).count();
-        let close = json.matches(['}', ']']).count();
-        assert_eq!(open, close, "unbalanced json: {json}");
+    }
+
+    /// A section exactly as it appears inside any rendered file.
+    fn block(section: &Section) -> String {
+        let text = render_json(&report_of(vec![section.clone()]));
+        let body = text.strip_prefix("{\n  \"schema\": \"t\"").expect("prefix");
+        body.strip_suffix("\n}\n").expect("suffix").to_string()
+    }
+
+    fn resolves_at_repo_root(file: &str) {
+        let path = repo_file_path(file);
+        assert!(path.ends_with(file));
+        assert!(path.parent().expect("a root").join("Cargo.toml").exists());
+        assert!(path.exists(), "{file} is registered but not committed");
+    }
+
+    /// What the one reader reads, the one writer writes back byte for
+    /// byte, under the schema and section keys the registry declares.
+    fn round_trips(file: &str) {
+        let (text, report) = committed(file);
+        assert_eq!(render_json(&report), text);
+        assert_eq!(report.schema, spec_of(file).schema);
+        let keys: Vec<&str> = report.sections.iter().map(|s| s.key.as_str()).collect();
+        assert_eq!(keys, spec_of(file).sections, "every section is committed");
+    }
+
+    /// A run that produced none, or only one, of a file's sections
+    /// leaves every other section byte-identical — mode flag included —
+    /// and a produced section replaces the committed one.
+    fn carries_forward(file: &str) {
+        let spec = spec_of(file);
+        let (text, report) = committed(file);
+        assert_eq!(render_json(&merge(spec, &[], Some(&report))), text);
+        for old in &report.sections {
+            let fresh = [Section::produced(
+                &old.key,
+                !old.quick,
+                members! { rows: vec![] },
+            )];
+            let merged = merge(spec, &fresh, Some(&report));
+            let merged_text = render_json(&merged);
+            assert!(merged_text.contains(&block(&fresh[0])) && !merged_text.contains(&block(old)));
+            for kept in report.sections.iter().filter(|s| s.key != old.key) {
+                assert!(merged_text.contains(&block(kept)), "{} in {file}", kept.key);
+            }
+            assert_eq!(merged.sections.len(), report.sections.len());
+            // A second partial run over its own output is stable.
+            assert_eq!(merge(spec, &fresh, Some(&merged)), merged);
+        }
+    }
+
+    /// The first row a gate's `member` selects, for breaking it.
+    fn first_row_mut<'a>(section: &'a mut Section, member: &str) -> &'a mut Members {
+        if member.is_empty() {
+            return &mut section.members;
+        }
+        let rows = section.members.iter_mut().find(|(key, _)| key == member);
+        match rows.expect("the member") {
+            (_, Value::List(rows)) => match rows.first_mut() {
+                Some(Value::Obj(row)) => row,
+                _ => panic!("{member} has no rows"),
+            },
+            (_, Value::Obj(row)) => row,
+            _ => panic!("{member} is not rows"),
+        }
+    }
+
+    fn set(row: &mut Members, column: &str, value: Value) {
+        let slot = row.iter_mut().find(|(key, _)| key == column);
+        slot.expect("the column").1 = value;
+    }
+
+    /// One flip per gate row: breaking exactly that value in the clean
+    /// committed section yields exactly that failure.
+    fn gates_flip(key: &str) {
+        let spec = REGISTRY.iter().find(|spec| spec.sections.contains(&key));
+        let (_, report) = committed(spec.expect("a registered section").file);
+        let clean = report.sections.iter().find(|s| s.key == key);
+        let clean = [clean.expect("committed").clone()];
+        assert_eq!(evaluate(&GATES, &clean, Some(&report)), Verdict::default());
+        let gates: Vec<&Gate> = GATES.iter().filter(|g| g.section == key).collect();
+        assert!(!gates.is_empty(), "{key} has no gates to flip");
+        for gate in &gates {
+            let mut broken = clean.clone();
+            let row = first_row_mut(&mut broken[0], gate.member);
+            let number = |column: &str| match get(row, column) {
+                Some(Value::U64(n)) => *n as f64,
+                Some(Value::F64(x)) => *x,
+                other => panic!("{column} is not a number: {other:?}"),
+            };
+            let flipped = match gate.rule {
+                Rule::Zero => Value::U64(1),
+                Rule::Positive => Value::U64(0),
+                Rule::True => Value::Bool(false),
+                Rule::Equals(other) => Value::U64(number(other) as u64 + 1),
+                Rule::AtMostCommitted(factor) => Value::F64(number(gate.column) * factor * 1.01),
+                Rule::AtLeastCommitted(factor) => Value::F64(number(gate.column) * factor * 0.98),
+            };
+            set(row, gate.column, flipped);
+            // A count that fell to zero takes along the counts that must
+            // equal it: no attacks mounted means none detected either.
+            for tied in gates.iter().filter(|g| g.member == gate.member) {
+                if gate.rule == Rule::Positive && tied.rule == Rule::Equals(gate.column) {
+                    set(row, tied.column, Value::U64(0));
+                }
+            }
+            let failures = evaluate(&GATES, &broken, Some(&report)).failures;
+            let place = format!("{}.{}[", gate.section, gate.member);
+            let what = format!(": {} = ", gate.column);
+            assert_eq!(failures.len(), 1, "{gate:?} flipped into {failures:?}");
+            assert!(failures[0].starts_with(&place) && failures[0].contains(&what));
+        }
+    }
+
+    /// One named test per (file, property) and per gated section, so a
+    /// failure names both; the bodies are the four helpers above.
+    macro_rules! instances {
+        ($($name:ident: $property:ident($subject:literal);)*) => {$(
+            #[test]
+            fn $name() {
+                $property($subject);
+            }
+        )*};
+    }
+    instances! {
+        trajectory_json_is_balanced_and_complete: round_trips("BENCH_PDP.json");
+        crypto_trajectory_json_is_balanced_and_complete: round_trips("BENCH_CRYPTO.json");
+        e2e_trajectory_json_is_balanced_and_complete: round_trips("BENCH_E2E.json");
+        store_report_round_trips: round_trips("BENCH_STORE.json");
+        fuzz_report_round_trips: round_trips("BENCH_FUZZ.json");
+        fault_trajectory_json_is_balanced_and_complete: round_trips("BENCH_FAULT.json");
+        load_trajectory_json_is_balanced_and_parses_back: round_trips("BENCH_LOAD.json");
+        par_report_round_trips: round_trips("BENCH_PAR.json");
+        net_report_round_trips: round_trips("BENCH_NET.json");
+        partial_runs_carry_the_other_section_forward: carries_forward("BENCH_PDP.json");
+        crypto_trajectory_carries_forward_when_not_rerun: carries_forward("BENCH_CRYPTO.json");
+        e2e_trajectory_carries_forward_when_not_rerun: carries_forward("BENCH_E2E.json");
+        store_trajectory_json_is_balanced_and_carries_forward: carries_forward("BENCH_STORE.json");
+        fuzz_report_carries_forward: carries_forward("BENCH_FUZZ.json");
+        fault_trajectory_carries_forward_when_not_rerun: carries_forward("BENCH_FAULT.json");
+        load_report_carries_forward: carries_forward("BENCH_LOAD.json");
+        par_report_carries_forward: carries_forward("BENCH_PAR.json");
+        net_report_carries_forward: carries_forward("BENCH_NET.json");
+        trajectory_path_points_at_repo_root: resolves_at_repo_root("BENCH_PDP.json");
+        crypto_trajectory_path_points_at_repo_root: resolves_at_repo_root("BENCH_CRYPTO.json");
+        e2e_trajectory_path_points_at_repo_root: resolves_at_repo_root("BENCH_E2E.json");
+        store_trajectory_path_points_at_repo_root: resolves_at_repo_root("BENCH_STORE.json");
+        fuzz_report_path_points_at_repo_root: resolves_at_repo_root("BENCH_FUZZ.json");
+        fault_trajectory_path_points_at_repo_root: resolves_at_repo_root("BENCH_FAULT.json");
+        load_report_path_points_at_repo_root: resolves_at_repo_root("BENCH_LOAD.json");
+        par_report_path_points_at_repo_root: resolves_at_repo_root("BENCH_PAR.json");
+        net_report_path_points_at_repo_root: resolves_at_repo_root("BENCH_NET.json");
+        e2e_gates_flag_every_violation_kind: gates_flip("e10_scenarios");
+        recovery_gates_flag_every_violation_kind: gates_flip("e11_recovery");
+        fuzz_gates_flag_every_violation_kind: gates_flip("e12_fuzz");
+        fault_summary_clean_flags_every_violation_kind: gates_flip("e13_faults");
+        load_summary_clean_flags_every_violation_kind: gates_flip("e14_load");
+        par_gates_flag_every_violation_kind: gates_flip("e15_parallel");
+        net_gates_flag_every_violation_kind: gates_flip("e16_net");
+    }
+
+    #[test]
+    fn every_gate_names_a_registered_section() {
+        // A mistyped section key would switch its gate off without a word.
+        for gate in &GATES {
+            let registered = REGISTRY.iter().any(|s| s.sections.contains(&gate.section));
+            assert!(registered, "{gate:?}");
+        }
     }
 
     #[test]
     fn trajectory_json_omits_absent_sections() {
-        let json = render_json(true, None, None, None);
-        assert!(json.contains("drams-bench-pdp/v2"));
-        assert!(!json.contains("e5_pdp_scaling"));
-        assert!(!json.contains("e6_monitoring_overhead"));
+        for spec in &REGISTRY {
+            let empty = merge(spec, &[], None);
+            let expected = format!("{{\n  \"schema\": \"{}\"\n}}\n", spec.schema);
+            assert_eq!(render_json(&empty), expected);
+            assert_eq!(parse(&expected), Ok(empty));
+        }
     }
 
-    #[test]
-    fn partial_runs_carry_the_other_section_forward() {
-        let rows = vec![PdpScalingRow {
-            policies: 10,
-            rules: 51,
-            interpreter_us: 12.5,
-            compiled_us: 2.5,
-            compiled_cached_us: 0.4,
-        }];
-        let e6 = MonitoringOverhead {
-            requests: 1000,
-            off: LatencySummary {
-                mean_ms: 40.0,
-                p95_ms: 55.0,
-                p99_ms: 60.0,
-                chain_txs: 0,
-            },
-            on: LatencySummary {
-                mean_ms: 40.1,
-                p95_ms: 55.2,
-                p99_ms: 60.3,
-                chain_txs: 321,
-            },
-            pipeline_mean_ms: 800.0,
-            off_wall_ms: 120.0,
-            on_wall_ms: 480.0,
+    /// Checks one gate on column `x` of a one-row section whose row
+    /// holds `fresh` (JSON members), against a committed twin if any.
+    fn check(rule: Rule, fresh: &str, committed: Option<(bool, &str)>) -> Verdict {
+        let section = |quick: bool, columns: &str| {
+            let row = format!("{{\"name\": \"r\", {columns}}}");
+            let text =
+                format!("{{\"schema\": \"t\", \"s\": {{\"quick\": {quick}, \"rows\": [{row}]}}}}");
+            parse(&text).expect("a fixture").sections.remove(0)
         };
-        let full = render_json(false, Some(&rows), Some(&e6), None);
-        // An e5-only *quick* rerun must not drop the committed e6
-        // section, and must not relabel it as quick.
-        let e5_only = render_json(true, Some(&rows), None, Some(&full));
-        assert!(e5_only.contains("\"e6_monitoring_overhead\""));
-        assert!(e5_only.contains("\"pipeline_mean_ms\": 800.000"));
-        let e6_sec = extract_section(&e5_only, "e6_monitoring_overhead").unwrap();
-        assert!(
-            e6_sec.contains("\"quick\": false"),
-            "carried section relabelled: {e6_sec}"
-        );
-        let e5_sec = extract_section(&e5_only, "e5_pdp_scaling").unwrap();
-        assert!(e5_sec.contains("\"quick\": true"));
-        // …and vice versa.
-        let e6_only = render_json(false, None, Some(&e6), Some(&full));
-        assert!(e6_only.contains("\"e5_pdp_scaling\""));
-        assert!(e6_only.contains("\"policies\": 10"));
-        // Carried sections round-trip: a second partial render is stable.
-        let again = render_json(true, Some(&rows), None, Some(&e5_only));
-        assert_eq!(again, e5_only);
+        let (section_key, member, column) = ("s", "rows", "x");
+        let gate = Gate {
+            section: section_key,
+            member,
+            column,
+            rule,
+        };
+        let committed = committed.map(|(quick, columns)| report_of(vec![section(quick, columns)]));
+        evaluate(&[gate], &[section(true, fresh)], committed.as_ref())
     }
 
     #[test]
-    fn extract_section_bracket_matches() {
-        let doc = "{\n  \"a\": [ {\"x\": \"br]ace\"} ],\n  \"b\": {\"y\": 1}\n}";
+    fn comparison_gates_hold_at_the_boundary_and_skip_without_a_baseline() {
+        let clean = Verdict::default();
+        let (peak, speed) = (Rule::AtMostCommitted(2.0), Rule::AtLeastCommitted(0.5));
+        assert_eq!(check(peak, "\"x\": 200", Some((true, "\"x\": 100"))), clean);
         assert_eq!(
-            extract_section(doc, "a").unwrap(),
-            "[ {\"x\": \"br]ace\"} ]"
+            check(peak, "\"x\": 201", Some((true, "\"x\": 100"))).failures,
+            ["s.rows[r]: x = 201, fails AtMostCommitted(2.0) (committed: 100)"]
         );
-        assert_eq!(extract_section(doc, "b").unwrap(), "{\"y\": 1}");
-        assert!(extract_section(doc, "c").is_none());
+        assert_eq!(
+            check(speed, "\"x\": 50.000", Some((true, "\"x\": 100.000"))),
+            clean
+        );
+        let slow = check(speed, "\"x\": 49.000", Some((true, "\"x\": 100.000")));
+        assert_eq!(slow.failures.len(), 1, "{slow:?}");
+        // Nothing to compare against: no file, no such column, a zero, a null.
+        for committed in [None, Some((true, "\"y\": 1")), Some((true, "\"x\": 0"))] {
+            assert_eq!(check(peak, "\"x\": 999", committed), clean, "{committed:?}");
+        }
+        assert_eq!(
+            check(speed, "\"x\": 0.100", Some((true, "\"x\": null"))),
+            clean
+        );
+        // The other mode is no baseline either — and says so, once.
+        let skipped = check(peak, "\"x\": 999", Some((false, "\"x\": 100")));
+        assert!(skipped.failures.is_empty(), "{skipped:?}");
+        assert_eq!(
+            skipped.notes,
+            ["s: not compared (committed: full, run: quick)"]
+        );
+        // A gate with nothing to check fails; it is never vacuously green.
+        assert_eq!(check(peak, "\"x\": \"fast\"", None).failures.len(), 1);
+        assert_eq!(
+            check(Rule::Zero, "\"y\": 0", None).failures,
+            ["s.rows[r]: no column x"]
+        );
+        let (section_key, member, column, rule) = ("s", "summary", "x", Rule::Zero);
+        let gate = Gate {
+            section: section_key,
+            member,
+            column,
+            rule,
+        };
+        let fresh = [section_of(true, Members::new())];
+        assert_eq!(
+            evaluate(&[gate], &fresh, None).failures,
+            ["s.summary: no such rows"]
+        );
     }
 
     #[test]
     fn non_finite_floats_render_as_null() {
-        let rows = vec![PdpScalingRow {
-            policies: 1,
-            rules: 1,
-            interpreter_us: 1.0,
-            compiled_us: 0.0,
-            compiled_cached_us: f64::NAN,
-        }];
-        let json = render_json(false, Some(&rows), None, None);
-        assert!(json.contains("\"compiled_cached_us_per_decision\": null"));
-        assert!(json.contains("\"speedup_compiled_vs_interpreter\": null"));
-    }
-
-    #[test]
-    fn trajectory_path_points_at_repo_root() {
-        let path = repo_root_path();
-        assert!(path.ends_with("BENCH_PDP.json"));
-        assert!(path.parent().unwrap().join("Cargo.toml").exists());
-    }
-
-    fn crypto_summary() -> crypto_trajectory::CryptoSummary {
-        use crypto_trajectory::{CryptoSummary, OldNew};
-        CryptoSummary {
-            mod_pow: OldNew {
-                reference_us: 120.0,
-                fast_us: 20.0,
-            },
-            sign: OldNew {
-                reference_us: 260.0,
-                fast_us: 30.0,
-            },
-            verify: OldNew {
-                reference_us: 250.0,
-                fast_us: 40.0,
-            },
-            batch_size: 64,
-            individual_reference_us: 16_000.0,
-            individual_fast_us: 2_600.0,
-            batch_us: 2_000.0,
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let row = row! { us: x, nested: row! { ratio: x } };
+            let section = section_of(false, members! { mean: x, rows: vec![row, x.into()] });
+            let text = render_json(&report_of(vec![section]));
+            assert_eq!(text.matches("null").count(), 4, "{text}");
+            assert!(!text.contains("inf") && !text.contains("NaN"), "{text}");
+            // …which the reader takes back, and the writer repeats.
+            assert_eq!(render_json(&parse(&text).expect("parseable")), text);
         }
     }
 
     #[test]
-    fn crypto_trajectory_json_is_balanced_and_complete() {
-        let json = crypto_trajectory::render_json(false, Some(&crypto_summary()), None);
-        for key in [
-            "\"schema\": \"drams-bench-crypto/v1\"",
-            "\"e9_crypto\"",
-            "\"mod_pow\": {\"reference_us\": 120.000, \"fast_us\": 20.000, \"speedup\": 6.000",
-            "\"batch_size\": 64",
-            "\"speedup_vs_individual_reference\": 8.000",
-            "\"speedup_vs_individual_fast\": 1.300",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+    fn each_value_kind_renders_and_reads_back() {
+        let members = members! {
+            count: u64::MAX,
+            size: 7usize,
+            mean: 2.5,
+            rounded: 0.0004,
+            negative: -0.159,
+            verdict: true,
+            name: "steady_state",
+            histogram: vec![1u64.into(), 0u64.into()],
+            empty: vec![],
+            nested: row! { inner: row! {} },
+        };
+        assert_eq!(
+            Value::Obj(members.clone()).to_string(),
+            "{\"count\": 18446744073709551615, \"size\": 7, \"mean\": 2.500, \"rounded\": 0.000, \
+             \"negative\": -0.159, \"verdict\": true, \"name\": \"steady_state\", \
+             \"histogram\": [1, 0], \"empty\": [], \"nested\": {\"inner\": {}}}"
+        );
+        let text = render_json(&report_of(vec![section_of(true, members)]));
+        assert_eq!(render_json(&parse(&text).expect("parseable")), text);
+    }
+
+    #[test]
+    fn quotes_backslashes_and_brackets_in_strings_survive() {
+        let nasty = [
+            "br]ace",
+            "cur{ly",
+            "qu\"ote",
+            "back\\slash",
+            "\\\"",
+            "tab\tline\nbreak",
+            "µs ✓",
+        ];
+        let rows: Vec<Value> = nasty
+            .iter()
+            .map(|s| Value::Obj(vec![(s.to_string(), (*s).into())]))
+            .collect();
+        let mut report = report_of(vec![section_of(false, members! { rows: rows })]);
+        report.schema = "sch\"ema".to_string();
+        report.sections[0].key = "s]".to_string();
+        let text = render_json(&report);
+        assert_eq!(parse(&text), Ok(report));
+        assert!(text.contains(r#"{"qu\"ote": "qu\"ote"}"#), "{text}");
+        assert!(text.contains(r#""tab\u0009line\u000abreak""#), "{text}");
+    }
+
+    #[test]
+    fn malformed_reports_are_typed_errors() {
+        let deep = format!("{{\"schema\": {}1{}}}", "[".repeat(8), "]".repeat(8));
+        let end = "parse error: input ends inside a value";
+        #[rustfmt::skip]
+        let cases = [
+            ("", end),
+            ("  \n", end),
+            (r#"{"schema": "s", "a": {"quick": tr"#, end),
+            (r#"{"schema": "s", "a": {"matched": true"#, end),
+            (r#"{"schema": "s","#, end),
+            (r#"{"schema": "s"#, end),
+            (r#"{"schema": "s\"#, end),
+            (r#"{"schema": "s\u00"#, end),
+            (r#"{"schema": "s"} x"#, "parse error at byte 16: characters after the report"),
+            (r#"{"schema": "s"}{}"#, "parse error at byte 15: characters after the report"),
+            ("{\"schema\": \"s\nt\"}", "parse error at byte 14: control character in a string"),
+            (r#"{"schema": @}"#, "parse error at byte 11: unexpected character"),
+            (r#"{"schema" "s"}"#, "parse error at byte 10: unexpected character"),
+            (r#"{"schema": [1 2]}"#, "parse error at byte 14: unexpected character"),
+            (r#"{"schema": [1,]}"#, "parse error at byte 14: unexpected character"),
+            (r#"{schema: 1}"#, "parse error at byte 1: unexpected character"),
+            (r#"{"schema": 1e5}"#, "parse error at byte 12: unexpected character"),
+            (r#"{"schema": "s", "a": {"quick": true, "x": 1, "x": 2}}"#, "parse error at byte 48: duplicate key"),
+            (deep.as_str(), "parse error at byte 18: nested too deep"),
+            (r#"{"schema": 01}"#, "parse error at byte 11: malformed number"),
+            (r#"{"schema": 1.}"#, "parse error at byte 11: malformed number"),
+            (r#"{"schema": -1}"#, "parse error at byte 11: malformed number"),
+            (r#"{"schema": 18446744073709551616}"#, "parse error at byte 11: malformed number"),
+            (r#"{"schema": "a\nb"}"#, "parse error at byte 15: unknown escape"),
+            (r#"{"schema": "a\u12"}""#, "parse error at byte 15: unknown escape"),
+            (r#"{"schema": "a\ud800"}"#, "parse error at byte 15: unknown escape"),
+            ("[]", "not a report: the top level is not an object"),
+            ("{}", "not a report: the first member is not a schema string"),
+            (r#"{"quick": true}"#, "not a report: the first member is not a schema string"),
+            (r#"{"schema": 7}"#, "not a report: the first member is not a schema string"),
+            (r#"{"schema": "s", "a": 1}"#, "not a report: a section is not an object"),
+            (r#"{"schema": "s", "a": {}}"#, "not a report: a section does not open with a quick flag"),
+            (r#"{"schema": "s", "a": {"x": 1, "quick": true}}"#, "not a report: a section does not open with a quick flag"),
+        ];
+        for (text, message) in cases {
+            let error = parse(text).expect_err(text);
+            assert_eq!(error.to_string(), message, "{text:?}");
         }
-        let open = json.matches(['{', '[']).count();
-        let close = json.matches(['}', ']']).count();
-        assert_eq!(open, close, "unbalanced json: {json}");
-    }
-
-    #[test]
-    fn crypto_trajectory_carries_forward_when_not_rerun() {
-        let full = crypto_trajectory::render_json(false, Some(&crypto_summary()), None);
-        let carried = crypto_trajectory::render_json(true, None, Some(&full));
-        assert!(carried.contains("\"e9_crypto\""));
-        let sec = extract_section(&carried, "e9_crypto").unwrap();
-        assert!(sec.contains("\"quick\": false"), "relabelled: {sec}");
-        // A rerun replaces the section and records its own mode.
-        let rerun = crypto_trajectory::render_json(true, Some(&crypto_summary()), Some(&full));
-        let sec = extract_section(&rerun, "e9_crypto").unwrap();
-        assert!(sec.contains("\"quick\": true"));
-        // Nothing to carry and nothing run: section omitted.
-        let empty = crypto_trajectory::render_json(true, None, None);
-        assert!(!empty.contains("e9_crypto"));
-    }
-
-    #[test]
-    fn crypto_trajectory_path_points_at_repo_root() {
-        let path = crypto_trajectory::repo_path();
-        assert!(path.ends_with("BENCH_CRYPTO.json"));
-        assert!(path.parent().unwrap().join("Cargo.toml").exists());
-    }
-
-    fn e2e_row(name: &str) -> e2e_trajectory::ScenarioRow {
-        e2e_trajectory::ScenarioRow {
-            name: name.to_string(),
-            requests: 400,
-            completed: 400,
-            dropped: 0,
-            groups_completed: 400,
-            entries_logged: 1600,
-            alerts: 0,
-            policy_activations: 1,
-            retries: 7,
-            attempts: vec![393, 6, 1, 0, 0, 0, 0, 0],
-            e2e_mean_ms: 12.5,
-            commit_p95_ms: 700.0,
-            wall_ms: 150.0,
-            requests_per_sec: 2_666.7,
-            sim_speedup: 40.0,
+        // Every prefix of a real file is refused, and none panics.
+        let (text, _) = committed("BENCH_E2E.json");
+        let whole = text.trim_end();
+        for end in (0..whole.len()).filter(|&end| whole.is_char_boundary(end)) {
+            assert!(parse(&whole[..end]).is_err(), "prefix of {end} bytes");
         }
     }
 
-    #[test]
-    fn e2e_trajectory_json_is_balanced_and_complete() {
-        let rows = vec![e2e_row("steady_state"), e2e_row("burst_churn")];
-        let json = e2e_trajectory::render_json(false, Some(&rows), None);
-        for key in [
-            "\"schema\": \"drams-bench-e2e/v1\"",
-            "\"e10_scenarios\"",
-            "\"scenario\": \"steady_state\"",
-            "\"scenario\": \"burst_churn\"",
-            "\"commit_p95_ms\": 700.000",
-            "\"policy_activations\": 1",
-            "\"retries\": 7",
-            "\"delivery_attempts\": [393, 6, 1, 0, 0, 0, 0, 0]",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        let open = json.matches(['{', '[']).count();
-        let close = json.matches(['}', ']']).count();
-        assert_eq!(open, close, "unbalanced json: {json}");
+    fn scratch_file(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("drams-bench-{}-{name}.json", std::process::id()))
     }
 
     #[test]
-    fn e2e_trajectory_carries_forward_when_not_rerun() {
-        let full = e2e_trajectory::render_json(false, Some(&[e2e_row("steady_state")]), None);
-        let carried = e2e_trajectory::render_json(true, None, Some(&full));
-        let sec = extract_section(&carried, "e10_scenarios").unwrap();
-        assert!(sec.contains("\"quick\": false"), "relabelled: {sec}");
-        assert!(sec.contains("steady_state"));
-        let empty = e2e_trajectory::render_json(true, None, None);
-        assert!(!empty.contains("e10_scenarios"));
+    fn a_corrupt_committed_file_fails_the_run_and_is_not_carried_forward() {
+        let spec = spec_of("BENCH_STORE.json");
+        let (text, report) = committed(spec.file);
+        let path = scratch_file("corrupt");
+        let cut = text.find("\"matched\": true").expect("a verdict") + "\"matched\": tr".len();
+        std::fs::write(&path, &text[..cut]).expect("temp dir");
+        let fresh = [report.sections[0].clone()];
+        let verdict = commit(&path, spec, &fresh);
+        assert_eq!(
+            verdict.failures,
+            ["BENCH_STORE.json: parse error: input ends inside a value"]
+        );
+        // Written all the same — with only what this run measured.
+        let written = std::fs::read_to_string(&path).expect("written");
+        assert_eq!(parse(&written).expect("a report").sections, fresh);
+        // Over a readable file the same run carries the sibling forward…
+        std::fs::write(&path, &text).expect("temp dir");
+        assert_eq!(commit(&path, spec, &fresh), Verdict::default());
+        assert_eq!(std::fs::read_to_string(&path).expect("written"), text);
+        // …and over no file at all it just writes.
+        std::fs::remove_file(&path).expect("temp file");
+        assert_eq!(commit(&path, spec, &fresh), Verdict::default());
+        std::fs::remove_file(&path).expect("temp file");
     }
 
     #[test]
-    fn e2e_trajectory_path_points_at_repo_root() {
-        let path = e2e_trajectory::repo_path();
-        assert!(path.ends_with("BENCH_E2E.json"));
-        assert!(path.parent().unwrap().join("Cargo.toml").exists());
+    fn produced_sections_are_stamped_and_carried_ones_keep_what_they_had() {
+        let fresh = Section::produced("e5_pdp_scaling", true, members! { x: 1u64 });
+        let Some((stamp, Value::Obj(host))) = fresh.members.first() else {
+            panic!("no stamp on {fresh:?}");
+        };
+        assert_eq!(stamp, "host");
+        assert!(matches!(get(host, "cores"), Some(Value::U64(n)) if *n >= 1));
+        assert!(matches!(get(host, "rustc"), Some(Value::Str(v)) if v.starts_with("rustc ")));
+        // The committed PDP sections predate the stamp: a run of E5
+        // alone must not put this host's name on the E6 numbers.
+        let (_, report) = committed("BENCH_PDP.json");
+        let merged = merge(
+            spec_of("BENCH_PDP.json"),
+            std::slice::from_ref(&fresh),
+            Some(&report),
+        );
+        assert_eq!(merged.sections, [fresh, report.sections[1].clone()]);
     }
 
     #[test]
-    fn store_trajectory_json_is_balanced_and_carries_forward() {
-        use store_trajectory::{EngineRow, RecoveryRow};
-        let engine = vec![EngineRow {
-            backend: "mem-flushed".into(),
-            records: 2048,
-            payload_bytes: 256,
-            append_us: 1.5,
-            replay_us: 0.4,
-            snapshot_us: 12.0,
-        }];
-        let recovery = vec![RecoveryRow {
-            scenario: "crash_chain".into(),
-            completed: 400,
-            groups_completed: 400,
-            alerts: 0,
-            crash_restarts: 1,
-            matched: true,
-            wall_ms: 180.0,
-        }];
-        let full = store_trajectory::render_json(false, Some(&engine), Some(&recovery), None);
-        for key in [
-            "\"schema\": \"drams-bench-store/v1\"",
-            "\"e11_store_engine\"",
-            "\"append_us_per_record\": 1.500",
-            "\"e11_recovery\"",
-            "\"matched\": true",
-        ] {
-            assert!(full.contains(key), "missing {key} in {full}");
-        }
-        let open = full.matches(['{', '[']).count();
-        let close = full.matches(['}', ']']).count();
-        assert_eq!(open, close, "unbalanced json: {full}");
-        // An engine-only rerun carries the recovery rows forward.
-        let partial = store_trajectory::render_json(true, Some(&engine), None, Some(&full));
-        assert!(partial.contains("\"e11_recovery\""));
-        let sec = extract_section(&partial, "e11_recovery").unwrap();
-        assert!(sec.contains("\"quick\": false"), "relabelled: {sec}");
-        let empty = store_trajectory::render_json(true, None, None, None);
-        assert!(!empty.contains("e11_store_engine"));
-    }
-
-    #[test]
-    fn store_trajectory_path_points_at_repo_root() {
-        let path = store_trajectory::repo_path();
-        assert!(path.ends_with("BENCH_STORE.json"));
-        assert!(path.parent().unwrap().join("Cargo.toml").exists());
+    fn table_aligns_cells_under_their_column_names() {
+        let rows = [
+            row! { scenario: "steady", alerts: 0u64, p95_ms: 1.5 },
+            row! { scenario: "lossy_links", alerts: 24u64, p95_ms: f64::NAN },
+        ];
+        let expected = "scenario     alerts  p95_ms\n\
+                        steady            0   1.500\n\
+                        lossy_links      24       -\n";
+        assert_eq!(table(&rows), expected);
+        assert_eq!(table(&[]), "");
     }
 
     #[test]
@@ -2260,102 +995,6 @@ mod tests {
         assert!(!scenarios::lossy_plan().is_empty());
     }
 
-    fn fault_summary() -> fault_trajectory::FaultSummary {
-        use fault_trajectory::{DetectionRow, FaultRow, FaultSummary, TwinCheck};
-        FaultSummary {
-            rows: vec![FaultRow {
-                scenario: "lossy_links".into(),
-                requests: 400,
-                completed: 400,
-                dropped: 0,
-                availability_pct: 100.0,
-                retries: 95,
-                msgs_dropped: 88,
-                msgs_duplicated: 0,
-                msgs_reordered: 0,
-                partition_blocked: 0,
-                breaker_trips: 0,
-                failovers: 0,
-                failover_p95_ms: f64::NAN,
-                li_spilled: 0,
-                li_replayed: 0,
-                recovery_mean_ms: f64::NAN,
-                timeout_retunes: 2,
-                alerts: 0,
-                wall_ms: 120.0,
-            }],
-            detection: vec![DetectionRow {
-                threat: "drop-log".into(),
-                attacks: 11,
-                detected: 11,
-                false_positives: 0,
-                mean_detection_ms: 4200.0,
-            }],
-            twin: TwinCheck {
-                scenario: "crash_pdp_faults".into(),
-                crash_restarts: 1,
-                matched: true,
-            },
-        }
-    }
-
-    #[test]
-    fn fault_trajectory_json_is_balanced_and_complete() {
-        let summary = fault_summary();
-        assert!(summary.clean());
-        let json = fault_trajectory::render_json(false, Some(&summary), None);
-        for key in [
-            "\"schema\": \"drams-bench-fault/v1\"",
-            "\"e13_faults\"",
-            "\"availability_pct\": 100.000",
-            "\"failover_p95_ms\": null",
-            "\"timeout_retunes\": 2",
-            "\"detection_under_faults\"",
-            "\"threat\": \"drop-log\"",
-            "\"crash_fault_twin\"",
-            "\"matched\": true",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        let open = json.matches(['{', '[']).count();
-        let close = json.matches(['}', ']']).count();
-        assert_eq!(open, close, "unbalanced json: {json}");
-    }
-
-    #[test]
-    fn fault_summary_clean_flags_every_violation_kind() {
-        let mut fp = fault_summary();
-        fp.rows[0].alerts = 1;
-        assert!(!fp.clean());
-        let mut abandoned = fault_summary();
-        abandoned.rows[0].dropped = 3;
-        assert!(!abandoned.clean());
-        let mut missed = fault_summary();
-        missed.detection[0].detected = 10;
-        assert!(!missed.clean());
-        let mut diverged = fault_summary();
-        diverged.twin.matched = false;
-        assert!(!diverged.clean());
-    }
-
-    #[test]
-    fn fault_trajectory_carries_forward_when_not_rerun() {
-        let full = fault_trajectory::render_json(false, Some(&fault_summary()), None);
-        let carried = fault_trajectory::render_json(true, None, Some(&full));
-        let sec = extract_section(&carried, "e13_faults").unwrap();
-        assert!(sec.contains("\"quick\": false"), "relabelled: {sec}");
-        assert!(sec.contains("lossy_links"));
-        let empty = fault_trajectory::render_json(true, None, None);
-        assert!(!empty.contains("e13_faults"));
-    }
-
-    #[test]
-    fn fault_trajectory_path_points_at_repo_root() {
-        let path = fault_trajectory::repo_path();
-        assert!(path.ends_with("BENCH_FAULT.json"));
-        assert!(path.parent().unwrap().join("Cargo.toml").exists());
-    }
-
     #[test]
     fn scenario_matrix_names_are_unique_and_lookup_works() {
         let matrix = scenarios::matrix(true);
@@ -2374,106 +1013,6 @@ mod tests {
             .any(|s| s.placement == drams_core::scenario::PdpPlacement::PerCloud));
         assert!(scenarios::by_name("degraded_li", true).is_some());
         assert!(scenarios::by_name("nope", true).is_none());
-    }
-
-    fn load_summary() -> load_trajectory::LoadSummary {
-        use load_trajectory::{DetectionRow, LoadRow, LoadSummary, TwinCheck};
-        LoadSummary {
-            honest: LoadRow {
-                scenario: "flash_crowd".to_string(),
-                requests: 100_000,
-                completed: 75_000,
-                shed: 25_000,
-                degraded: 31_000,
-                admitted_completion_pct: 100.0,
-                alerts: 0,
-                idempotency_evictions: 8_000,
-                decision_cache_evictions: 12,
-                groups_retired: 46_000,
-                journal_compactions: 9,
-                peaks: [96, 65_000, 1_920, 7, 66_000, 342_000, 12_700, 3],
-                wall_ms: 20_000.0,
-            },
-            detection: vec![DetectionRow {
-                threat: "drop-log".to_string(),
-                attacks: 750,
-                detected: 750,
-                false_positives: 0,
-                shed: 13_000,
-            }],
-            twin: TwinCheck {
-                scenario: "overload_crash_pdp".to_string(),
-                crash_restarts: 1,
-                shed: 13_000,
-                matched: true,
-            },
-        }
-    }
-
-    #[test]
-    fn load_trajectory_json_is_balanced_and_parses_back() {
-        let summary = load_summary();
-        let json = load_trajectory::render_json(true, Some(&summary), None);
-        for key in [
-            "\"schema\": \"drams-bench-load/v1\"",
-            "\"e14_load\"",
-            "\"honest\"",
-            "\"detection_under_overload\"",
-            "\"crash_overload_twin\"",
-            "\"peak_contract_storage\": 342000",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        let open = json.matches(['{', '[']).count();
-        let close = json.matches(['}', ']']).count();
-        assert_eq!(open, close, "unbalanced json: {json}");
-        // The peak-state regression gate reads back exactly what the
-        // renderer wrote — the honest row's gauges, in column order.
-        let (quick, peaks) = load_trajectory::parse_honest_peaks(&json).unwrap();
-        assert!(quick);
-        assert_eq!(peaks, summary.honest.peaks);
-        // Carry-forward: an invocation that skipped E14 keeps the
-        // committed section verbatim.
-        let carried = load_trajectory::render_json(false, None, Some(&json));
-        assert!(carried.contains("\"peak_pep_inflight\": 96"));
-        assert_eq!(
-            load_trajectory::parse_honest_peaks(&carried).unwrap().1,
-            summary.honest.peaks
-        );
-    }
-
-    #[test]
-    fn load_summary_clean_flags_every_violation_kind() {
-        assert!(load_summary().clean());
-        let mut alerting = load_summary();
-        alerting.honest.alerts = 1;
-        assert!(!alerting.clean());
-        let mut unshed = load_summary();
-        unshed.honest.shed = 0;
-        unshed.honest.completed = unshed.honest.requests;
-        assert!(
-            !unshed.clean(),
-            "a flash crowd that never overran the cap proves nothing"
-        );
-        let mut lost = load_summary();
-        lost.honest.completed -= 1;
-        assert!(!lost.clean(), "a lost admitted request is a violation");
-        let mut missed = load_summary();
-        missed.detection[0].detected -= 1;
-        assert!(!missed.clean());
-        let mut fp = load_summary();
-        fp.detection[0].false_positives = 1;
-        assert!(!fp.clean());
-        let mut diverged = load_summary();
-        diverged.twin.matched = false;
-        assert!(!diverged.clean());
-        let mut toothless = load_summary();
-        toothless.detection[0].attacks = 0;
-        toothless.detection[0].detected = 0;
-        assert!(
-            !toothless.clean(),
-            "a campaign that never fired proves nothing"
-        );
     }
 
     #[test]

@@ -52,9 +52,8 @@ pub struct CaseOutcome {
 }
 
 /// The uninterrupted twin of a scenario: same deployment, phases and
-/// script minus every [`ScriptedAction::CrashRestart`]. Local
-/// reimplementation of the E11 helper (`drams-bench` depends on this
-/// crate, so it cannot be borrowed from there).
+/// script minus every [`ScriptedAction::CrashRestart`]. The one copy:
+/// `drams_bench::scenarios` re-exports it for E11, E13 and E14.
 #[must_use]
 pub fn strip_crashes(spec: &ScenarioSpec) -> ScenarioSpec {
     ScenarioSpec {
