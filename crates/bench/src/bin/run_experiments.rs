@@ -1264,13 +1264,13 @@ fn e14_overload(run: &mut Run) -> Vec<Section> {
 
 /// E15 — deterministic parallel execution: worker-pool scaling.
 ///
-/// Pins the `drams_faas::par` pool to 1/2/4/8 workers and runs three
+/// Pins the `drams_faas::par` pool to 1/2/4/8 workers and runs two
 /// workloads at each count: the chain signature-audit path (Merkle root
-/// + chunked batch verification over a wide block), compiled-PDP
-/// evaluation over a generated request stream, and the E14 flash crowd
-/// scaled to one million requests (full mode). Every workload must be
-/// byte-identical at every worker count — results merge in submission
-/// order, so the worker count is invisible (`determinism_ok`).
+/// and chunked batch verification over a wide block) and the E14 flash
+/// crowd scaled to one million requests (full mode). Every workload
+/// must be byte-identical at every worker count — results merge in
+/// submission order, so the worker count is invisible
+/// (`determinism_ok`).
 ///
 /// The `speedup_ok` gate is adaptive to the producing host: with ≥2
 /// cores the verify-heavy row must beat 1.0x at workers=4; on a
@@ -1339,37 +1339,13 @@ fn e15_parallel(run: &mut Run) -> Vec<Section> {
         }
     }
 
-    // -- workload 2: compiled-PDP evaluation --------------------------------
-    let request_count: usize = if quick { 20_000 } else { 60_000 };
-    let shape = PolicyShape {
-        policies: 100,
-        rules_per_policy: 5,
-        ..PolicyShape::default()
-    };
-    let mut pgen = PolicyGenerator::new(Vocabulary::default(), 15);
-    let set = pgen.next_policy_set(&shape);
-    // Cache off: every evaluation does real engine work, and the
-    // workload is a pure function of the request at any worker count.
-    let pdp = Pdp::with_cache_capacity(set, 0);
-    let mut rgen = RequestGenerator::new(Vocabulary::default(), 1.0, 16);
-    let requests: Vec<_> = (0..request_count).map(|_| rgen.next_request()).collect();
-    let mut reference_decisions = None;
-    for w in counts {
-        par::set_workers(w);
-        let (decisions, wall_ms) = timed_ms(|| par::map(&requests, 2, |r| pdp.evaluate(r)));
-        if !same_as_first(&mut reference_decisions, decisions) {
-            determinism_ok = false;
-            eprintln!("pdp_eval decisions diverged at workers={w}");
-        }
-        push_row("pdp_eval", w, request_count as u64, wall_ms);
-    }
-
-    // -- workload 3: the million-request flash crowd ------------------------
+    // -- workload 2: the million-request flash crowd ------------------------
     // The full event-driven simulation: arrivals, enforcement, logging,
     // mining, analysis. Parallel lanes cover only its pure-compute
-    // fraction (per-cloud PDP evaluation, signature audit, Merkle and
-    // batch encodings), so this row measures the end-to-end dividend,
-    // not a microbenchmark. Quick mode trims the crowd and the counts.
+    // fraction (block Merkle roots and signature audit, Analyser group
+    // judging and block audit), so this row measures the end-to-end
+    // dividend, not a microbenchmark. Quick mode trims the crowd and
+    // the counts.
     let crowd_counts: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
     let spec = scenarios::mega_crowd(quick);
     println!(
@@ -1424,10 +1400,11 @@ fn e15_parallel(run: &mut Run) -> Vec<Section> {
         "\nspeedup gate: sig_audit at workers=4 ran at {audit_speedup_at_4:.2}x; it must beat"
     );
     println!("1.0x on a multi-core host, and hold the 0.75x overhead floor on one core.");
-    println!("\nshape: compute lanes (signature audit, PDP evaluation, Merkle,");
-    println!("batch encoding) scale with workers while the DES event loop stays");
-    println!("single-threaded; submission-order merging makes the worker count");
-    println!("observationally invisible, so the same bytes come out at any size.");
+    println!("\nshape: the four compute lanes (block Merkle roots, signature audit,");
+    println!("Analyser group judging and block audit) scale with workers while the");
+    println!("DES event loop and every service handler stay single-threaded;");
+    println!("submission-order merging makes the worker count observationally");
+    println!("invisible, so the same bytes come out at any size.");
     vec![parallel]
 }
 

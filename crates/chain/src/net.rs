@@ -11,10 +11,10 @@
 use crate::block::Block;
 use crate::chain::{Blockchain, ChainConfig, ImportOutcome};
 use crate::error::ChainError;
+use drams_faas::des::EventQueue;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 /// Configuration of the gossip simulation.
 #[derive(Debug, Clone)]
@@ -109,19 +109,7 @@ pub fn simulate(config: &NetConfig) -> NetStats {
     let mut orphans: Vec<HashMap<crate::block::BlockHash, Vec<Block>>> =
         (0..n).map(|_| HashMap::new()).collect();
 
-    let mut queue: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-    let mut events: HashMap<usize, SimEvent> = HashMap::new();
-    let mut seq = 0usize;
-    let push = |queue: &mut BinaryHeap<Reverse<(u64, u64, usize)>>,
-                events: &mut HashMap<usize, SimEvent>,
-                seq: &mut usize,
-                time: u64,
-                event: SimEvent| {
-        let id = *seq;
-        *seq += 1;
-        events.insert(id, event);
-        queue.push(Reverse((time, *seq as u64, id)));
-    };
+    let mut queue: EventQueue<SimEvent> = EventQueue::new();
 
     let sample_exp = |rng: &mut StdRng, rate_per_ms: f64| -> u64 {
         let u: f64 = rng.gen_range(1e-12..1.0);
@@ -132,13 +120,7 @@ pub fn simulate(config: &NetConfig) -> NetStats {
     for (i, h) in config.hashrates.iter().enumerate() {
         let rate = (h / total_rate) / config.mean_block_interval_ms;
         let dt = sample_exp(&mut rng, rate);
-        push(
-            &mut queue,
-            &mut events,
-            &mut seq,
-            dt,
-            SimEvent::Mine { node: i },
-        );
+        queue.schedule_at(dt, SimEvent::Mine { node: i });
     }
 
     let mut stats = NetStats {
@@ -150,24 +132,16 @@ pub fn simulate(config: &NetConfig) -> NetStats {
         converged: false,
     };
 
-    while let Some(Reverse((now, _, id))) = queue.pop() {
-        if now > config.horizon_ms {
-            break;
-        }
-        let event = events.remove(&id).expect("event registered");
+    while let Some((now, event)) = queue.pop_before(config.horizon_ms) {
         match event {
             SimEvent::Mine { node } => {
                 let tip = chains[node].tip_hash();
                 let height = chains[node].tip_header().height + 1;
                 let block = Block::mine(tip, height, Vec::new(), now, 0);
                 stats.blocks_mined += 1;
-                import_tracking(&mut chains[node], block.clone(), &mut stats);
                 for peer in 0..n {
                     if peer != node {
-                        push(
-                            &mut queue,
-                            &mut events,
-                            &mut seq,
+                        queue.schedule_at(
                             now + config.link_latency_ms as u64,
                             SimEvent::Deliver {
                                 node: peer,
@@ -176,15 +150,12 @@ pub fn simulate(config: &NetConfig) -> NetStats {
                         );
                     }
                 }
+                // A miner imports its own block like any other delivery;
+                // it extends the local tip, so it is never orphaned.
+                deliver(&mut chains[node], &mut orphans[node], block, &mut stats);
                 let rate = (config.hashrates[node] / total_rate) / config.mean_block_interval_ms;
                 let dt = sample_exp(&mut rng, rate);
-                push(
-                    &mut queue,
-                    &mut events,
-                    &mut seq,
-                    now + dt,
-                    SimEvent::Mine { node },
-                );
+                queue.schedule_at(now + dt, SimEvent::Mine { node });
             }
             SimEvent::Deliver { node, block } => {
                 deliver(&mut chains[node], &mut orphans[node], block, &mut stats);
@@ -199,18 +170,6 @@ pub fn simulate(config: &NetConfig) -> NetStats {
     let main_len = chains[0].main_chain_hashes().len() as u64 - 1;
     stats.stale_blocks = stats.blocks_mined.saturating_sub(main_len);
     stats
-}
-
-fn import_tracking(chain: &mut Blockchain, block: Block, stats: &mut NetStats) {
-    match chain.import(block) {
-        Ok(ImportOutcome::Reorg { depth }) => {
-            stats.reorgs += 1;
-            stats.max_reorg_depth = stats.max_reorg_depth.max(depth);
-        }
-        Ok(_) => {}
-        Err(ChainError::UnknownParent) => unreachable!("local mining extends own tip"),
-        Err(e) => panic!("unexpected import failure in simulation: {e}"),
-    }
 }
 
 fn deliver(

@@ -455,42 +455,6 @@ pub fn encode_batch(entries: &[LogEntry]) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Minimum batch size before [`encode_batch_par`] fans the per-entry
-/// encoding out across [`drams_faas::par`] workers; smaller flushes are
-/// cheaper to encode inline than to spawn threads for.
-const PAR_MIN_BATCH_ENTRIES: usize = 64;
-
-/// Encodes a batch for `store_log_batch`, fanning per-entry encoding
-/// out across [`drams_faas::par`] workers for large flushes.
-///
-/// Each entry's encoding depends only on that entry, so writing the
-/// varint count prefix followed by per-chunk encodings concatenated in
-/// submission order yields bytes identical to [`encode_batch_into`] at
-/// any worker count. `capacity` pre-sizes the output (callers keep a
-/// high-water hint from the previous flush).
-#[must_use]
-pub fn encode_batch_par(entries: &[LogEntry], capacity: usize) -> Vec<u8> {
-    let mut w = Writer::with_capacity(capacity);
-    if entries.len() < PAR_MIN_BATCH_ENTRIES {
-        encode_batch_into(entries, &mut w);
-        return w.into_bytes();
-    }
-    let ranges = drams_faas::par::chunk_ranges(entries.len(), drams_faas::par::workers());
-    let chunks: Vec<&[LogEntry]> = ranges.iter().map(|r| &entries[r.start..r.end]).collect();
-    let encoded = drams_faas::par::map(&chunks, 2, |c| {
-        let mut cw = Writer::new();
-        for e in *c {
-            e.encode(&mut cw);
-        }
-        cw.into_bytes()
-    });
-    w.put_varint(entries.len() as u64);
-    for part in &encoded {
-        w.put_raw(part);
-    }
-    w.into_bytes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -969,26 +933,5 @@ mod tests {
             node.receipt(&id).unwrap().1,
             drams_chain::contract::TxStatus::Failed(_)
         ));
-    }
-
-    #[test]
-    fn parallel_batch_encoding_is_byte_identical() {
-        // Both above and below the fan-out floor, at several worker
-        // counts, the parallel encoder must reproduce the serial bytes.
-        for n in [3usize, PAR_MIN_BATCH_ENTRIES, PAR_MIN_BATCH_ENTRIES * 3 + 1] {
-            let entries: Vec<LogEntry> = (0..n)
-                .map(|i| {
-                    let point = ObservationPoint::ALL[i % 4];
-                    entry(i as u64, point, &[i as u8, 1, 2], 100 + i as u64)
-                })
-                .collect();
-            let expect = encode_batch(&entries);
-            let saved = drams_faas::par::workers();
-            for w in [1usize, 2, 4, 8] {
-                drams_faas::par::set_workers(w);
-                assert_eq!(encode_batch_par(&entries, 0), expect, "n={n} workers={w}");
-            }
-            drams_faas::par::set_workers(saved);
-        }
     }
 }

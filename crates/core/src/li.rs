@@ -7,13 +7,13 @@
 //! blockchain transactions, and decrypts stored payloads for authorised
 //! consumers (the Analyser).
 
-use crate::contract::{encode_batch_par, MONITOR_CONTRACT};
+use crate::contract::{encode_batch_into, MONITOR_CONTRACT};
 use crate::logent::LogEntry;
 use drams_chain::error::ChainError;
 use drams_chain::node::Node;
 use drams_chain::tx::TxId;
 use drams_crypto::aead::{open, SymmetricKey};
-use drams_crypto::codec::{Decode, Encode};
+use drams_crypto::codec::{Decode, Encode, Writer};
 use drams_crypto::schnorr::Keypair;
 use drams_crypto::CryptoError;
 use drams_store::{StoreError, Wal};
@@ -291,10 +291,10 @@ impl LoggingInterface {
         } else {
             // Encode the batch exactly once, into a payload pre-sized
             // from the previous flush, and sign it with the keypair's
-            // cached public key (no per-batch key re-derivation). Wide
-            // flushes fan the per-entry encoding out across workers;
-            // the bytes are identical at any worker count.
-            let payload = encode_batch_par(&self.buffer, self.batch_bytes_hint);
+            // cached public key (no per-batch key re-derivation).
+            let mut w = Writer::with_capacity(self.batch_bytes_hint);
+            encode_batch_into(&self.buffer, &mut w);
+            let payload = w.into_bytes();
             self.batch_bytes_hint = self.batch_bytes_hint.max(payload.len());
             let id =
                 node.submit_call(&self.keypair, MONITOR_CONTRACT, "store_log_batch", payload)?;

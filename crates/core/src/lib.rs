@@ -20,7 +20,28 @@
 //! * [`scenario`] — the event-driven scenario runtime: the simulation
 //!   decomposed into services, plus the declarative [`ScenarioSpec`]
 //!   layer (phased load, multi-PDP placement, policy churn, tenant
-//!   join/leave, fault windows).
+//!   join/leave, fault windows). One Figure-1 role per file:
+//!   * `scenario/spec` — `ScenarioSpec`, `LoadProfile`, `ScriptedAction`,
+//!     probe ids/keys, named RNG streams (the whole public surface
+//!     besides the two `run_*` functions);
+//!   * `scenario/msg` — the private `Msg` event enum and its router;
+//!   * `scenario/wire` — which messages are federation links: frame
+//!     kinds, wire codec, the fault-plane/transport shim;
+//!   * `scenario/ctx` — the shared context (chain substrate, sinks,
+//!     routing tables);
+//!   * `scenario/workload` — Poisson arrivals and the drain deadline;
+//!   * `scenario/pep` — PEPs and probes: admission, retry/backoff,
+//!     circuit breaker;
+//!   * `scenario/pdp` — the PRP and the PDP slots with their journaled
+//!     idempotency cache;
+//!   * `scenario/li` — the Logging Interfaces: stall, spill/replay,
+//!     crash recovery;
+//!   * `scenario/chain` — mining cadence, epoch sweep, alert harvest;
+//!   * `scenario/analyser` — polls, checkpoints, provisioning;
+//!   * `scenario/controller` — the script: churn, fault windows, chain
+//!     attacks;
+//!   * `scenario/run` — assembly (`run_scenario`,
+//!     `run_scenario_with_transport`).
 //!
 //! # Example: a full monitored federation run
 //!

@@ -11,9 +11,9 @@
 //! the exact ground truth, so experiments can score detection precisely.
 //!
 //! The simulation itself lives in [`crate::scenario`]: an event-driven
-//! runtime of [`drams_faas::des::SimService`]s. [`run_monitor`] is the
-//! compatibility entry point — it runs the *canonical scenario*, which
-//! reproduces the classic fixed-topology single-PDP deployment exactly.
+//! runtime of [`drams_faas::des::SimService`]s. [`run_monitor`] is
+//! exactly `run_scenario(&ScenarioSpec::canonical(config), adversary)` —
+//! the *canonical scenario*: fixed topology, one central PDP, no script.
 //! Richer deployments (multi-PDP federations, phased load, policy churn,
 //! tenant join/leave, fault windows) are declared as
 //! [`crate::scenario::ScenarioSpec`]s and run through

@@ -109,16 +109,6 @@ impl<E> EventQueue<E> {
         Some((at, event))
     }
 
-    /// Peeks at the next event without popping it or advancing time.
-    #[must_use]
-    pub fn peek(&self) -> Option<(SimTime, &E)> {
-        let Reverse((at, _, slot)) = self.heap.peek()?;
-        let event = self.slots[*slot]
-            .as_ref()
-            .expect("slot filled when scheduled");
-        Some((*at, event))
-    }
-
     /// Pops the next event only if it fires at or before `horizon`.
     pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
         match self.heap.peek() {
@@ -196,30 +186,6 @@ impl<M> Outbox<M> {
 pub trait SimService<M, C> {
     /// Handles one event addressed to this service.
     fn handle(&mut self, now: SimTime, msg: M, ctx: &mut C, out: &mut Outbox<M>);
-
-    /// Classifies a message into an independent compute lane (e.g. the
-    /// per-cloud PDP slot it addresses), or `None` for messages that must
-    /// be handled strictly one at a time.
-    ///
-    /// When consecutive queue events share a timestamp, route to the same
-    /// service, and sit on **pairwise distinct** lanes, the runtime groups
-    /// them into a batch: [`prepare_batch`](Self::prepare_batch) runs once
-    /// over the whole batch, then each event is handled serially in
-    /// canonical queue order. Lanes must be genuinely independent —
-    /// handling one event may not change how another lane's event is
-    /// handled.
-    fn lane_of(&self, _msg: &M) -> Option<u64> {
-        None
-    }
-
-    /// Hook called once before a lane batch is handled (see
-    /// [`lane_of`](Self::lane_of)); `msgs` is the batch in canonical queue
-    /// order. Implementations typically fan pure per-lane computation out
-    /// across [`crate::par`] workers and cache the results for
-    /// [`handle`](Self::handle) to consume. Must not change observable
-    /// behaviour: handling must produce identical bytes whether or not
-    /// this ran (the default is a no-op).
-    fn prepare_batch(&mut self, _now: SimTime, _msgs: &[&M], _ctx: &mut C) {}
 }
 
 /// A network shim interposed between every service emission and the
@@ -306,16 +272,9 @@ impl<M, C> ServiceRuntime<M, C> {
     /// — a routing-table bug, not a recoverable condition.
     pub fn run(&mut self, ctx: &mut C, horizon: SimTime) -> SimTime {
         let mut finished_at = 0;
-        let mut batch: Vec<M> = Vec::new();
-        let mut lanes: Vec<u64> = Vec::new();
         while let Some((now, msg)) = self.queue.pop() {
-            if now > horizon {
+            if now > horizon || self.deadline.is_some_and(|d| now > d) {
                 break;
-            }
-            if let Some(deadline) = self.deadline {
-                if now > deadline {
-                    break;
-                }
             }
             let target = (self.router)(&msg);
             assert!(
@@ -323,57 +282,8 @@ impl<M, C> ServiceRuntime<M, C> {
                 "router addressed service {target} but only {} are registered",
                 self.services.len()
             );
-            let Some(first_lane) = self.services[target].lane_of(&msg) else {
-                self.dispatch(target, now, msg, ctx);
-                finished_at = now;
-                continue;
-            };
-
-            // Lane batching: absorb the run of consecutive events that
-            // share this timestamp, route to the same service, and sit on
-            // pairwise-distinct lanes. Restricting the batch to a single
-            // timestamp is what keeps it safe: any emission from handling
-            // a batch member gets a larger insertion sequence than every
-            // already-queued event, so it sorts *after* the whole batch
-            // even at zero delay — no event that batching pulls forward
-            // could have been influenced by a batch member's handler.
-            batch.clear();
-            lanes.clear();
-            batch.push(msg);
-            lanes.push(first_lane);
-            loop {
-                let lane = match self.queue.peek() {
-                    Some((at, next)) if at == now && (self.router)(next) == target => {
-                        match self.services[target].lane_of(next) {
-                            Some(l) if !lanes.contains(&l) => l,
-                            _ => break,
-                        }
-                    }
-                    _ => break,
-                };
-                let (_, next) = self.queue.pop().expect("peeked event present");
-                batch.push(next);
-                lanes.push(lane);
-            }
-            if batch.len() > 1 {
-                let refs: Vec<&M> = batch.iter().collect();
-                self.services[target].prepare_batch(now, &refs, ctx);
-            }
-            let mut past_deadline = false;
-            for msg in batch.drain(..) {
-                // Mirror the pop-time deadline check between batch members:
-                // a handler that pulls the deadline before `now` ends the
-                // run exactly as it would have in unbatched order.
-                if self.deadline.is_some_and(|d| now > d) {
-                    past_deadline = true;
-                    break;
-                }
-                self.dispatch(target, now, msg, ctx);
-                finished_at = now;
-            }
-            if past_deadline {
-                break;
-            }
+            self.dispatch(target, now, msg, ctx);
+            finished_at = now;
         }
         finished_at
     }
@@ -886,153 +796,5 @@ mod tests {
         rt.register(Box::new(Ponger));
         rt.schedule(0, Msg::Ping(1));
         rt.run(&mut Vec::new(), 100);
-    }
-
-    // --- lane batching ---------------------------------------------------
-
-    /// Laned sink: `Ping(n)` sits on lane `n % 4`. `prepare_batch` caches
-    /// a doubled value per message; `handle` consumes the cache when
-    /// present (and logs whether it did), falling back to computing
-    /// inline — so the test can observe exactly which events batched.
-    struct Laned {
-        prepared: Vec<(u32, u32)>,
-    }
-
-    impl SimService<Msg, Vec<String>> for Laned {
-        fn handle(&mut self, now: SimTime, m: Msg, ctx: &mut Vec<String>, _o: &mut Outbox<Msg>) {
-            if let Msg::Ping(n) = m {
-                let cached = self
-                    .prepared
-                    .iter()
-                    .position(|&(k, _)| k == n)
-                    .map(|i| self.prepared.remove(i).1);
-                let (v, how) = match cached {
-                    Some(v) => (v, "batched"),
-                    None => (n * 2, "solo"),
-                };
-                ctx.push(format!("{n}->{v} {how}@{now}"));
-            }
-        }
-
-        fn lane_of(&self, msg: &Msg) -> Option<u64> {
-            match msg {
-                Msg::Ping(n) => Some(u64::from(n % 4)),
-                Msg::Pong(_) => None,
-            }
-        }
-
-        fn prepare_batch(&mut self, _now: SimTime, msgs: &[&Msg], _ctx: &mut Vec<String>) {
-            for m in msgs {
-                if let Msg::Ping(n) = m {
-                    self.prepared.push((*n, n * 2));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn same_timestamp_distinct_lanes_batch_and_keep_canonical_order() {
-        let mut rt: ServiceRuntime<Msg, Vec<String>> = ServiceRuntime::new(|_| 0);
-        rt.register(Box::new(Laned {
-            prepared: Vec::new(),
-        }));
-        // 1, 2, 3 share t=10 on distinct lanes -> one batch, handled in
-        // FIFO order. 5 repeats lane 1 -> ends that batch and opens a
-        // second one with 6 (lane 2 is distinct again).
-        for n in [1u32, 2, 3, 5, 6] {
-            rt.schedule(10, Msg::Ping(n));
-        }
-        // Different timestamp never joins a batch even on a fresh lane
-        // (and a batch of one is never "prepared").
-        rt.schedule(20, Msg::Ping(7));
-        let mut ctx = Vec::new();
-        rt.run(&mut ctx, 1_000);
-        assert_eq!(
-            ctx,
-            [
-                "1->2 batched@10",
-                "2->4 batched@10",
-                "3->6 batched@10",
-                "5->10 batched@10",
-                "6->12 batched@10",
-                "7->14 solo@20"
-            ]
-        );
-    }
-
-    #[test]
-    fn unlaned_message_interrupts_batching() {
-        struct LanedOrNot(Laned);
-        impl SimService<Msg, Vec<String>> for LanedOrNot {
-            fn handle(&mut self, now: SimTime, m: Msg, ctx: &mut Vec<String>, o: &mut Outbox<Msg>) {
-                if let Msg::Pong(n) = m {
-                    ctx.push(format!("pong {n}@{now}"));
-                } else {
-                    self.0.handle(now, m, ctx, o);
-                }
-            }
-            fn lane_of(&self, msg: &Msg) -> Option<u64> {
-                self.0.lane_of(msg)
-            }
-            fn prepare_batch(&mut self, now: SimTime, msgs: &[&Msg], ctx: &mut Vec<String>) {
-                self.0.prepare_batch(now, msgs, ctx);
-            }
-        }
-        let mut rt: ServiceRuntime<Msg, Vec<String>> = ServiceRuntime::new(|_| 0);
-        rt.register(Box::new(LanedOrNot(Laned {
-            prepared: Vec::new(),
-        })));
-        rt.schedule(10, Msg::Ping(1));
-        rt.schedule(10, Msg::Pong(9)); // lane None: splits the run
-        rt.schedule(10, Msg::Ping(2));
-        let mut ctx = Vec::new();
-        rt.run(&mut ctx, 1_000);
-        // Neither Ping batches (each run of laned events has length 1),
-        // and order stays canonical.
-        assert_eq!(ctx, ["1->2 solo@10", "pong 9@10", "2->4 solo@10"]);
-    }
-
-    #[test]
-    fn batch_member_emissions_sort_after_the_whole_batch() {
-        // A laned service whose handler emits a zero-delay follow-up: the
-        // follow-up must be handled after every member of the current
-        // batch, exactly as in unbatched FIFO order.
-        struct EmitOnce {
-            emitted: bool,
-        }
-        impl SimService<Msg, Vec<String>> for EmitOnce {
-            fn handle(
-                &mut self,
-                now: SimTime,
-                m: Msg,
-                ctx: &mut Vec<String>,
-                out: &mut Outbox<Msg>,
-            ) {
-                match m {
-                    Msg::Ping(n) => {
-                        ctx.push(format!("ping {n}@{now}"));
-                        if !self.emitted {
-                            self.emitted = true;
-                            out.emit(0, Msg::Pong(n));
-                        }
-                    }
-                    Msg::Pong(n) => ctx.push(format!("pong {n}@{now}")),
-                }
-            }
-            fn lane_of(&self, msg: &Msg) -> Option<u64> {
-                match msg {
-                    Msg::Ping(n) => Some(u64::from(*n)),
-                    Msg::Pong(_) => None,
-                }
-            }
-        }
-        let mut rt: ServiceRuntime<Msg, Vec<String>> = ServiceRuntime::new(|_| 0);
-        rt.register(Box::new(EmitOnce { emitted: false }));
-        rt.schedule(10, Msg::Ping(1));
-        rt.schedule(10, Msg::Ping(2));
-        rt.schedule(10, Msg::Ping(3));
-        let mut ctx = Vec::new();
-        rt.run(&mut ctx, 1_000);
-        assert_eq!(ctx, ["ping 1@10", "ping 2@10", "ping 3@10", "pong 1@10"]);
     }
 }

@@ -1,11 +1,12 @@
 //! Deterministic worker-pool parallelism for pure-compute job batches.
 //!
-//! DRAMS is a federation of independent components, and most of its hot
-//! work is embarrassingly parallel: Schnorr `batch_verify` chunks, SHA-256
-//! digests, Merkle level hashing, DecisionVerifier re-evaluation and
-//! compiled-PDP evaluation are all pure functions of their inputs. The DES
-//! event loop, however, is single-threaded by design — byte-identical
-//! replay is the invariant every oracle in this repo is built on.
+//! Some of DRAMS's hot work is embarrassingly parallel: Schnorr
+//! `batch_verify` chunks, transaction-id and Merkle level hashing in
+//! block verification, and the Analyser's per-group DecisionVerifier
+//! re-evaluation and per-block audit are all pure functions of their
+//! inputs. The DES event loop and every service handler, however, are
+//! single-threaded by design — byte-identical replay is the invariant
+//! every oracle in this repo is built on.
 //!
 //! This module squares the two: [`map`] fans a slice of jobs out across
 //! OS threads (`std::thread::scope`, zero dependencies) as contiguous
@@ -13,14 +14,15 @@
 //! **in chunk order** — which is submission order. The caller observes a
 //! `Vec<R>` that is bit-for-bit identical to `items.iter().map(f)`, no
 //! matter how many workers ran. `DRAMS_WORKERS=1` therefore produces the
-//! same bytes as `DRAMS_WORKERS=8`, and every parallel call site stays
-//! inside the deterministic-replay contract (DESIGN.md invariant 8).
+//! same bytes as `DRAMS_WORKERS=8`, and every parallel call site (the
+//! four lanes of DESIGN.md §4) stays inside the deterministic-replay
+//! contract (DESIGN.md invariant 8).
 //!
 //! Worker count resolution, in priority order:
 //! 1. [`set_workers`] — in-process override used by experiment sweeps and
 //!    the worker-count determinism oracles;
 //! 2. the `DRAMS_WORKERS` environment variable;
-//! 3. `std::thread::available_parallelism()`, capped at [`MAX_WORKERS`].
+//! 3. `std::thread::available_parallelism()`, capped at 8.
 //!
 //! Jobs must be pure: they run off the event loop thread, so touching
 //! shared mutable state (beyond internally synchronised counters such as
