@@ -215,12 +215,13 @@ impl DecisionVerifier {
                 expected: expected.decision,
             });
         }
-        let claimed_obs: Vec<String> = claimed.obligations.iter().map(|o| o.id.clone()).collect();
-        let expected_obs: Vec<String> = expected.obligations.iter().map(|o| o.id.clone()).collect();
-        if claimed_obs != expected_obs {
+        fn ids(r: &Response) -> impl Iterator<Item = &String> {
+            r.obligations.iter().map(|o| &o.id)
+        }
+        if !ids(claimed).eq(ids(expected)) {
             return Verdict::Violation(Violation::WrongObligations {
-                claimed: claimed_obs,
-                expected: expected_obs,
+                claimed: ids(claimed).cloned().collect(),
+                expected: ids(expected).cloned().collect(),
             });
         }
         Verdict::Consistent

@@ -58,13 +58,16 @@ enum PolicyLogEntry {
     Publish(String, SimTime),
 }
 
-/// Version byte of the checkpoint encoding. Version 2 added the fork
-/// sweep: its enable flag and the set of already-alerted fork points.
-/// Version 3 added windowed group retirement: the lag, the retired
-/// counter and the pending-retirement queue. Version 4 added
-/// authorised-policy history retention: the retention horizon and the
-/// retired-version counter.
-const CHECKPOINT_VERSION: u8 = 4;
+/// Version byte of the checkpoint encoding, leading both of its records.
+/// Version 2 added the fork sweep: its enable flag and the set of
+/// already-alerted fork points. Version 3 added windowed group
+/// retirement: the lag, the retired counter and the pending-retirement
+/// queue. Version 4 added authorised-policy history retention: the
+/// retention horizon and the retired-version counter. Version 5 split the
+/// single record in two — a cursor record written by every checkpoint and
+/// a policy-history record written only when the history changed (see
+/// [`Analyser::checkpoint`]).
+const CHECKPOINT_VERSION: u8 = 5;
 
 /// One probe's MAC key as the Analyser holds it: the raw bytes, which the
 /// checkpoint persists, and the context keyed from them once, which
@@ -101,6 +104,16 @@ pub struct Analyser {
     /// verifier's authorised-version history.
     initial_policy: String,
     policy_log: Vec<PolicyLogEntry>,
+    /// Generation of the policy-history record that holds
+    /// `initial_policy` + `policy_log` as of the last checkpoint that
+    /// wrote one (0 = none written yet).
+    history_generation: u64,
+    /// Whether `initial_policy` / `policy_log` changed since that record
+    /// was written, i.e. whether the next checkpoint must write a new
+    /// one. Set by construction, [`Analyser::set_authorised_policy`],
+    /// [`Analyser::publish_authorised_policy`] and a history prune that
+    /// cut the log.
+    history_dirty: bool,
     /// Opt-in sibling-block sweep (see [`Analyser::enable_fork_detection`]).
     /// Off by default: a library caller importing historical forks for
     /// analysis must not be flooded with alerts.
@@ -110,9 +123,9 @@ pub struct Analyser {
     /// Analyser restarts — the set is checkpointed).
     alerted_fork_parents: BTreeSet<[u8; 32]>,
     /// Optional durable checkpoint. When attached, [`Analyser::checkpoint`]
-    /// persists cursors, probe keys and policy history, and
-    /// [`Analyser::recover`] resumes a restarted Analyser without
-    /// re-scanning the chain or re-raising alerts.
+    /// persists cursors and probe keys every time and the policy history
+    /// when it changed, and [`Analyser::recover`] resumes a restarted
+    /// Analyser without re-scanning the chain or re-raising alerts.
     checkpoint_store: Option<SnapshotStore>,
     /// Windowed decision-group retirement (see
     /// [`Analyser::enable_group_retirement`]). `0` = off.
@@ -166,6 +179,8 @@ impl Analyser {
             audited_txs: 0,
             initial_policy,
             policy_log: Vec::new(),
+            history_generation: 0,
+            history_dirty: true,
             fork_detection: false,
             alerted_fork_parents: BTreeSet::new(),
             checkpoint_store: None,
@@ -263,6 +278,7 @@ impl Analyser {
         // this policy too — the checkpoint stays O(live versions).
         self.initial_policy = to_source(&policy);
         self.policy_log.clear();
+        self.history_dirty = true;
         self.verifier.set_policy(policy);
     }
 
@@ -274,6 +290,7 @@ impl Analyser {
     pub fn publish_authorised_policy(&mut self, policy: PolicySet, now: SimTime) {
         self.policy_log
             .push(PolicyLogEntry::Publish(to_source(&policy), now));
+        self.history_dirty = true;
         self.verifier.publish_policy(policy, now);
     }
 
@@ -284,14 +301,16 @@ impl Analyser {
     }
 
     /// Attaches a durable checkpoint store and immediately writes a
-    /// first checkpoint, so a crash at any later point finds a valid
-    /// baseline to resume from.
+    /// first checkpoint — both records — so a crash at any later point
+    /// finds a valid baseline to resume from.
     ///
     /// # Errors
     ///
     /// Propagates snapshot write failures.
     pub fn attach_checkpoint(&mut self, store: SnapshotStore) -> Result<(), StoreError> {
         self.checkpoint_store = Some(store);
+        // Whatever this store holds, it does not hold this history.
+        self.history_dirty = true;
         self.checkpoint()
     }
 
@@ -300,9 +319,7 @@ impl Analyser {
         self.checkpoint_store.take()
     }
 
-    /// Persists the verification checkpoint — event cursor, checked-group
-    /// and audit counters, the audited tip hash, probe MAC keys and the
-    /// authorised-policy history — if a store is attached (no-op
+    /// Persists the verification checkpoint if a store is attached (no-op
     /// otherwise). Deployments decide the cadence and the failure
     /// policy: the scenario runtime checkpoints after every poll,
     /// provisioning event and policy publication, and treats a write
@@ -310,14 +327,63 @@ impl Analyser {
     /// degrade (the only cost of a stale checkpoint is re-checking —
     /// and thus re-reporting — groups completed since it was written).
     ///
+    /// # Layout (version 5)
+    ///
+    /// The checkpoint is two records in the one [`SnapshotStore`]:
+    ///
+    /// * the **cursor record** — the store's snapshot — holds everything
+    ///   a poll moves: event cursor, checked-group and audit counters,
+    ///   the audited tip hash, probe MAC keys, the fork-sweep, retirement
+    ///   and retention state, and the *generation number* of the history
+    ///   record it belongs with. It is a few hundred bytes and is written
+    ///   by every call.
+    /// * the **policy-history record** — a generation record — holds the
+    ///   authorised-policy history as parser source text: the baseline
+    ///   policy and the publish log. Its size is that of the policy base
+    ///   (hundreds of kilobytes for a thousand policies), and it changes
+    ///   only through [`Analyser::set_authorised_policy`],
+    ///   [`Analyser::publish_authorised_policy`] and a retention prune
+    ///   that cut the log — so it is written only by the first call after
+    ///   one of those, under the next generation number.
+    ///
+    /// Commit order when the history changed: history record (new
+    /// generation) → cursor record naming it → removal of the superseded
+    /// history record. The cursor write is the commit point: before it,
+    /// the old cursor still names the old, still present history; after
+    /// it, the new pair is complete. [`Analyser::recover`] reads the
+    /// cursor, then exactly the history generation it names.
+    ///
     /// # Errors
     ///
-    /// Propagates snapshot write failures.
+    /// Propagates snapshot write failures. After a failure the next call
+    /// starts over (a half-done history change is written again), so a
+    /// failed checkpoint never needs repair, only a retry.
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
         let Some(store) = &mut self.checkpoint_store else {
             return Ok(());
         };
-        let mut w = Writer::new();
+        let generation = self.history_generation + u64::from(self.history_dirty);
+        if self.history_dirty {
+            // Fits the common case, an empty publish log, in one piece.
+            let mut w = Writer::with_capacity(self.initial_policy.len() + 16);
+            w.put_u8(CHECKPOINT_VERSION);
+            w.put_str(&self.initial_policy);
+            w.put_varint(self.policy_log.len() as u64);
+            for entry in &self.policy_log {
+                let PolicyLogEntry::Publish(text, at) = entry;
+                w.put_u8(1);
+                w.put_str(text);
+                w.put_u64(*at);
+            }
+            store.save_generation(generation, &w.into_bytes())?;
+        }
+        // Fixed fields and three length prefixes, then 36 bytes per probe
+        // key, 32 per alerted fork parent, 16 per pending retirement.
+        let mut w = Writer::with_capacity(
+            128 + 36 * self.probe_mac_keys.len()
+                + 32 * self.alerted_fork_parents.len()
+                + 16 * self.pending_retire.len(),
+        );
         w.put_u8(CHECKPOINT_VERSION);
         w.put_u64(self.event_cursor as u64);
         w.put_u64(self.checked_groups);
@@ -328,14 +394,7 @@ impl Analyser {
             w.put_u32(probe.0);
             w.put_raw(&key.raw);
         }
-        w.put_str(&self.initial_policy);
-        w.put_varint(self.policy_log.len() as u64);
-        for entry in &self.policy_log {
-            let PolicyLogEntry::Publish(text, at) = entry;
-            w.put_u8(1);
-            w.put_str(text);
-            w.put_u64(*at);
-        }
+        w.put_u64(generation);
         w.put_u8(u8::from(self.fork_detection));
         w.put_varint(self.alerted_fork_parents.len() as u64);
         for parent in &self.alerted_fork_parents {
@@ -350,35 +409,54 @@ impl Analyser {
         }
         w.put_u64(self.history_retention);
         w.put_u64(self.policy_history_retired);
-        store.save(self.checked_groups, &w.into_bytes())
+        store.save(self.checked_groups, &w.into_bytes())?;
+        if self.history_dirty {
+            self.history_generation = generation;
+            self.history_dirty = false;
+            store.prune_generations(generation)?;
+        }
+        Ok(())
     }
 
-    /// Rebuilds an Analyser from its checkpoint: the policy history is
+    /// Rebuilds an Analyser from its checkpoint: the cursor record, then
+    /// the policy-history generation it names (see
+    /// [`Analyser::checkpoint`] for the layout). The policy history is
     /// replayed through the verifier (reconstructing every authorised
     /// version with its supersession time) and the chain cursors resume
     /// where the last checkpoint left them — no re-scan, no re-alerting.
+    /// History records other than the named one — what a crash between
+    /// the steps of a history-changing checkpoint leaves behind — are
+    /// removed, so the recovered Analyser is in one of the two states
+    /// that checkpoint was moving between, with a store to match.
     ///
     /// # Errors
     ///
-    /// [`StoreError::NotFound`] when no checkpoint was ever written;
-    /// [`StoreError::Corrupt`]/[`StoreError::Codec`] when it does not
-    /// decode.
+    /// [`StoreError::NotFound`] when no checkpoint was ever written, or
+    /// the history record the cursor names is missing;
+    /// [`StoreError::Corrupt`] when either record fails its length or
+    /// checksum check or the history record belongs to another
+    /// generation; [`StoreError::Codec`] when a record does not decode —
+    /// including any checkpoint version other than 5.
     pub fn recover(
         key: SymmetricKey,
         keypair: Keypair,
-        store: SnapshotStore,
+        mut store: SnapshotStore,
     ) -> Result<Self, StoreError> {
         let Some((_, bytes)) = store.load()? else {
             return Err(StoreError::NotFound("analyser checkpoint".into()));
         };
         let codec = |e: drams_crypto::CryptoError| StoreError::Codec(e.to_string());
+        let expect_version = |version: u8| {
+            if version == CHECKPOINT_VERSION {
+                Ok(())
+            } else {
+                Err(StoreError::Codec(format!(
+                    "unsupported checkpoint version {version}"
+                )))
+            }
+        };
         let mut r = Reader::new(&bytes);
-        let version = r.get_u8().map_err(codec)?;
-        if version != CHECKPOINT_VERSION {
-            return Err(StoreError::Codec(format!(
-                "unsupported checkpoint version {version}"
-            )));
-        }
+        expect_version(r.get_u8().map_err(codec)?)?;
         let event_cursor = r.get_u64().map_err(codec)? as usize;
         let checked_groups = r.get_u64().map_err(codec)?;
         let audited_tip = drams_chain::block::BlockHash::from(r.get_array::<32>().map_err(codec)?);
@@ -389,26 +467,7 @@ impl Analyser {
             let id = ProbeId(r.get_u32().map_err(codec)?);
             probe_mac_keys.insert(id, r.get_array::<32>().map_err(codec)?);
         }
-        let initial_policy = r.get_str().map_err(codec)?;
-        let parse = |text: &str| {
-            parse_policy_set(text)
-                .map_err(|e| StoreError::Codec(format!("checkpointed policy: {e}")))
-        };
-        let mut analyser = Analyser::new(parse(&initial_policy)?, key, keypair, probe_mac_keys);
-        let entries = r.get_varint().map_err(codec)?;
-        for _ in 0..entries {
-            let kind = r.get_u8().map_err(codec)?;
-            let text = r.get_str().map_err(codec)?;
-            let at = r.get_u64().map_err(codec)?;
-            match kind {
-                1 => analyser.publish_authorised_policy(parse(&text)?, at),
-                other => {
-                    return Err(StoreError::Codec(format!(
-                        "unknown policy-log entry kind {other}"
-                    )))
-                }
-            }
-        }
+        let history_generation = r.get_u64().map_err(codec)?;
         let fork_detection = r.get_u8().map_err(codec)? != 0;
         let fork_parents = r.get_varint().map_err(codec)?;
         let mut alerted_fork_parents = BTreeSet::new();
@@ -427,10 +486,40 @@ impl Analyser {
         let history_retention = r.get_u64().map_err(codec)?;
         let policy_history_retired = r.get_u64().map_err(codec)?;
         r.finish().map_err(codec)?;
+
+        let history = store.load_generation(history_generation)?;
+        let mut r = Reader::new(&history);
+        expect_version(r.get_u8().map_err(codec)?)?;
+        let parse = |text: &str| {
+            parse_policy_set(text)
+                .map_err(|e| StoreError::Codec(format!("checkpointed policy: {e}")))
+        };
+        let initial_policy = r.get_str().map_err(codec)?;
+        let mut analyser = Analyser::new(parse(&initial_policy)?, key, keypair, probe_mac_keys);
+        let entries = r.get_varint().map_err(codec)?;
+        for _ in 0..entries {
+            let kind = r.get_u8().map_err(codec)?;
+            let text = r.get_str().map_err(codec)?;
+            let at = r.get_u64().map_err(codec)?;
+            match kind {
+                1 => analyser.publish_authorised_policy(parse(&text)?, at),
+                other => {
+                    return Err(StoreError::Codec(format!(
+                        "unknown policy-log entry kind {other}"
+                    )))
+                }
+            }
+        }
+        r.finish().map_err(codec)?;
+        store.prune_generations(history_generation)?;
+
         analyser.event_cursor = event_cursor;
         analyser.checked_groups = checked_groups;
         analyser.audited_tip = audited_tip;
         analyser.audited_txs = audited_txs;
+        analyser.history_generation = history_generation;
+        // The replay above rebuilt exactly what the record holds.
+        analyser.history_dirty = false;
         analyser.fork_detection = fork_detection;
         analyser.alerted_fork_parents = alerted_fork_parents;
         analyser.retire_lag = retire_lag;
@@ -536,6 +625,7 @@ impl Analyser {
             let PolicyLogEntry::Publish(text, _) = &self.policy_log[cut - 1];
             self.initial_policy = text.clone();
             self.policy_log.drain(..cut);
+            self.history_dirty = true;
         }
     }
 
@@ -835,6 +925,10 @@ mod tests {
     }
 
     fn rig() -> Rig {
+        rig_with(policy())
+    }
+
+    fn rig_with(authorised: PolicySet) -> Rig {
         let key = SymmetricKey::from_bytes([3; 32]);
         let analyser_kp = Keypair::from_seed(b"analyser");
         let mut node = Node::new(ChainConfig {
@@ -858,7 +952,7 @@ mod tests {
         mac_keys.insert(ProbeId(2), [22u8; 32]);
         Rig {
             node,
-            analyser: Analyser::new(policy(), key.clone(), analyser_kp, mac_keys),
+            analyser: Analyser::new(authorised, key.clone(), analyser_kp, mac_keys),
             pep_probe: Probe::new(ProbeId(1), key.clone(), [11; 32]),
             pdp_probe: Probe::new(ProbeId(2), key.clone(), [22; 32]),
             key,
@@ -869,6 +963,21 @@ mod tests {
     /// `claimed` is the response the PDP reports; `granted` what the PEP
     /// does.
     fn run_group(rig: &mut Rig, corr: u64, role: &str, claimed: Response, granted: bool) {
+        let version = policy().version_digest();
+        run_group_under(rig, corr, role, claimed, granted, version, 200);
+    }
+
+    /// [`run_group`] with the policy version the PDP cites and the time
+    /// it says it decided at.
+    fn run_group_under(
+        rig: &mut Rig,
+        corr: u64,
+        role: &str,
+        claimed: Response,
+        granted: bool,
+        policy_version: drams_crypto::sha256::Digest,
+        decided_at: SimTime,
+    ) {
         let req_env = RequestEnvelope {
             correlation: CorrelationId(corr),
             tenant: TenantId(1),
@@ -881,8 +990,8 @@ mod tests {
             correlation: CorrelationId(corr),
             pep: PepId(1),
             response: claimed,
-            policy_version: policy().version_digest(),
-            decided_at: 200,
+            policy_version,
+            decided_at,
         };
         let li = Keypair::from_seed(b"li");
         let entries = vec![
@@ -1373,6 +1482,349 @@ mod tests {
             .collect();
         assert!(!runs[0].is_empty());
         assert_eq!(runs[0], runs[1]);
+    }
+
+    // ---- the two-record checkpoint (v5) --------------------------------------
+
+    use drams_store::wal::{generation_file_name, SNAPSHOT_FILE};
+    use drams_store::{Backend, MemBackend};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// What a [`FaultyBackend`] has stored, seen and been told to break.
+    #[derive(Debug, Default)]
+    struct Medium {
+        files: MemBackend,
+        /// `(file, bytes)` of every successful `write_atomic`.
+        writes: Writes,
+        /// Files changed so far (`write_atomic` and `remove` calls).
+        changes: usize,
+        /// The change with this index fails and leaves the files alone —
+        /// the process died just before it.
+        fail_at: Option<usize>,
+    }
+
+    impl Medium {
+        fn next_change(&mut self) -> Result<(), StoreError> {
+            let index = self.changes;
+            self.changes += 1;
+            if self.fail_at == Some(index) {
+                return Err(StoreError::Io(format!(
+                    "injected failure at change {index}"
+                )));
+            }
+            Ok(())
+        }
+    }
+
+    /// A [`MemBackend`] the test keeps a handle on: it counts the bytes of
+    /// every write, can fail the *n*-th change, and outlives the
+    /// [`SnapshotStore`] (and the Analyser) it was boxed into.
+    #[derive(Debug, Clone, Default)]
+    struct FaultyBackend(Rc<RefCell<Medium>>);
+
+    impl FaultyBackend {
+        fn store(&self) -> SnapshotStore {
+            SnapshotStore::new(Box::new(self.clone()))
+        }
+
+        /// A fresh medium holding a copy of this one's files.
+        fn copy(&self) -> FaultyBackend {
+            let copy = FaultyBackend::default();
+            copy.0.borrow_mut().files = self.0.borrow().files.clone();
+            copy
+        }
+    }
+
+    impl Backend for FaultyBackend {
+        fn list(&self) -> Vec<String> {
+            self.0.borrow().files.list()
+        }
+        fn read(&self, name: &str) -> Result<Vec<u8>, StoreError> {
+            self.0.borrow().files.read(name)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            self.0.borrow_mut().files.append(name, bytes)
+        }
+        fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            let mut medium = self.0.borrow_mut();
+            medium.next_change()?;
+            medium.writes.push((name.to_string(), bytes.len()));
+            medium.files.write_atomic(name, bytes)
+        }
+        fn truncate(&mut self, name: &str, len: u64) -> Result<(), StoreError> {
+            self.0.borrow_mut().files.truncate(name, len)
+        }
+        fn remove(&mut self, name: &str) -> Result<(), StoreError> {
+            let mut medium = self.0.borrow_mut();
+            medium.next_change()?;
+            medium.files.remove(name)
+        }
+        fn sync(&mut self, name: &str) -> Result<(), StoreError> {
+            self.0.borrow_mut().files.sync(name)
+        }
+    }
+
+    fn recover_from(backend: &FaultyBackend) -> Result<Analyser, StoreError> {
+        Analyser::recover(
+            SymmetricKey::from_bytes([3; 32]),
+            Keypair::from_seed(b"analyser"),
+            backend.store(),
+        )
+    }
+
+    /// `(file, bytes)` per write, in order.
+    type Writes = Vec<(String, usize)>;
+
+    /// Attaches a checkpoint, then polls and checkpoints three times with
+    /// a new block each time. Returns what the attach wrote and what the
+    /// three steady-state checkpoints wrote, plus the files left behind.
+    fn checkpoint_writes(authorised: PolicySet) -> (Writes, Writes, Vec<String>) {
+        let mut r = rig_with(authorised);
+        let backend = FaultyBackend::default();
+        r.analyser.attach_checkpoint(backend.store()).unwrap();
+        let attach = std::mem::take(&mut backend.0.borrow_mut().writes);
+        for t in 1..=3 {
+            r.node.mine_block(1_000 * t).unwrap();
+            assert!(r.analyser.poll(&mut r.node, 1_000 * t + 500).is_empty());
+            r.analyser.checkpoint().unwrap();
+        }
+        let steady = std::mem::take(&mut backend.0.borrow_mut().writes);
+        (attach, steady, backend.list())
+    }
+
+    #[test]
+    fn steady_state_checkpoint_bytes_do_not_depend_on_policy_size() {
+        use drams_faas::workload::{PolicyGenerator, PolicyShape, Vocabulary};
+        let heavy = PolicyGenerator::new(Vocabulary::default(), 5).next_policy_set(&PolicyShape {
+            policies: 1_000,
+            rules_per_policy: 5,
+            ..PolicyShape::default()
+        });
+        let (attach, steady, files) = checkpoint_writes(heavy);
+        // Attaching writes the pair: the history record carries the whole
+        // policy text, the cursor record does not.
+        assert_eq!(attach.len(), 2);
+        assert_eq!(attach[0].0, generation_file_name(1));
+        assert!(attach[0].1 > 500_000, "history record: {} B", attach[0].1);
+        assert_eq!(attach[1].0, SNAPSHOT_FILE);
+        // Every later checkpoint writes the cursor record and nothing
+        // else, and the history stays at the generation it was written as.
+        assert_eq!(steady.len(), 3);
+        for (file, bytes) in &steady {
+            assert_eq!(file, SNAPSHOT_FILE);
+            assert!(*bytes <= 4096, "cursor record: {bytes} B");
+        }
+        assert_eq!(files, [generation_file_name(1), SNAPSHOT_FILE.to_string()]);
+        // Byte for byte what a three-rule policy costs.
+        let (small_attach, small_steady, _) = checkpoint_writes(policy());
+        assert_eq!(steady, small_steady);
+        assert_eq!(attach[1], small_attach[1]);
+        assert!(small_attach[0].1 < 4096);
+    }
+
+    #[test]
+    fn publish_rollback_prune_recover_polls_like_its_unrecovered_twin() {
+        let v0 = policy().version_digest();
+        let v1 = crate::monitor::default_policy().version_digest();
+        // Two identical deployments; `recovered` swaps its Analyser for
+        // one rebuilt from the checkpoint half way through.
+        let build = || {
+            let mut r = rig();
+            let backend = FaultyBackend::default();
+            r.analyser.enable_history_retention(10_000);
+            r.analyser.attach_checkpoint(backend.store()).unwrap();
+            r.analyser
+                .publish_authorised_policy(crate::monitor::default_policy(), 1_000);
+            r.analyser.publish_authorised_policy(policy(), 2_000); // rollback
+            r.analyser.checkpoint().unwrap();
+            // Horizon 1 500: the log's first entry folds into the baseline.
+            assert!(r.analyser.poll(&mut r.node, 11_500).is_empty());
+            assert!(r.analyser.history_dirty, "the prune cut the log");
+            r.analyser.checkpoint().unwrap();
+            (r, backend)
+        };
+        let (mut twin, twin_backend) = build();
+        let (mut recovered, backend) = build();
+        recovered.analyser = recover_from(&backend).unwrap();
+        assert_eq!(backend.list(), twin_backend.list());
+
+        let v1_response = DecisionVerifier::new(crate::monitor::default_policy())
+            .expected_response(&Request::builder().subject("role", "doctor").build());
+        let lie = Response::new(drams_policy::decision::ExtDecision::Permit, vec![]);
+        let mut polled = Vec::new();
+        for r in [&mut twin, &mut recovered] {
+            // In flight under v1 while v1 was active; still citing v1
+            // after the rollback; lying under the active version.
+            run_group_under(r, 1, "doctor", v1_response.clone(), true, v1, 1_800);
+            run_group_under(r, 2, "doctor", v1_response.clone(), true, v1, 2_500);
+            run_group_under(r, 3, "nurse", lie.clone(), true, v0, 2_600);
+            let alerts = r.analyser.poll(&mut r.node, 12_000);
+            r.analyser.checkpoint().unwrap();
+            polled.push((
+                alerts
+                    .iter()
+                    .map(drams_crypto::codec::Encode::to_canonical_bytes)
+                    .collect::<Vec<_>>(),
+                r.analyser.checked_groups(),
+                r.analyser.policy_history_len(),
+                r.analyser.policy_history_retired(),
+                r.analyser.verifier.authorised_version(),
+            ));
+            let kinds: Vec<&AlertKind> = alerts.iter().map(|a| &a.kind).collect();
+            assert_eq!(
+                kinds,
+                [&AlertKind::WrongPolicyVersion, &AlertKind::PolicyViolation]
+            );
+        }
+        assert_eq!(polled[0], polled[1]);
+        // Down to the bytes of both records.
+        for file in twin_backend.list() {
+            assert_eq!(backend.read(&file), twin_backend.read(&file), "{file}");
+        }
+    }
+
+    #[test]
+    fn a_crash_at_any_step_of_a_history_changing_checkpoint_recovers_a_consistent_pair() {
+        let old = policy().version_digest();
+        let new = crate::monitor::default_policy().version_digest();
+        // The three file changes of such a checkpoint, then no crash.
+        let steps = [
+            (Some(0), "history record not written", old, 1),
+            (Some(1), "cursor record not written", old, 1),
+            (Some(2), "superseded history record not removed", new, 2),
+            (None, "no crash", new, 2),
+        ];
+        for (crash_at, what, authorised, generation) in steps {
+            let mut r = rig();
+            let backend = FaultyBackend::default();
+            r.analyser.attach_checkpoint(backend.store()).unwrap();
+            run_group(&mut r, 1, "doctor", honest_response("doctor"), true);
+            assert!(r.analyser.poll(&mut r.node, 2_000).is_empty());
+            r.analyser.checkpoint().unwrap();
+            r.analyser
+                .publish_authorised_policy(crate::monitor::default_policy(), 3_500);
+            {
+                let mut medium = backend.0.borrow_mut();
+                medium.fail_at = crash_at.map(|step| medium.changes + step);
+            }
+            assert_eq!(
+                r.analyser.checkpoint().is_err(),
+                crash_at.is_some(),
+                "{what}"
+            );
+            drop(r);
+            backend.0.borrow_mut().fail_at = None;
+
+            let mut recovered = recover_from(&backend).expect(what);
+            assert_eq!(
+                recovered.verifier.authorised_version(),
+                authorised,
+                "{what}"
+            );
+            assert_eq!(
+                recovered.policy_history_len(),
+                generation as usize,
+                "{what}"
+            );
+            assert_eq!(recovered.checked_groups(), 1, "{what}");
+            // Recovery leaves exactly the pair it read.
+            assert_eq!(
+                backend.list(),
+                [generation_file_name(generation), SNAPSHOT_FILE.to_string()],
+                "{what}"
+            );
+            // And the recovered Analyser carries on from there.
+            recovered.publish_authorised_policy(crate::monitor::default_policy(), 4_000);
+            recovered.checkpoint().unwrap();
+            assert_eq!(
+                backend.list(),
+                [
+                    generation_file_name(generation + 1),
+                    SNAPSHOT_FILE.to_string()
+                ],
+                "{what}"
+            );
+            let again = recover_from(&backend).expect(what);
+            assert_eq!(again.verifier.authorised_version(), new, "{what}");
+        }
+    }
+
+    #[test]
+    fn damaged_checkpoints_are_typed_errors_not_panics() {
+        let mut r = rig();
+        let pristine = FaultyBackend::default();
+        r.analyser.enable_group_retirement(5_000);
+        r.analyser.attach_checkpoint(pristine.store()).unwrap();
+        run_group(&mut r, 1, "doctor", honest_response("doctor"), true);
+        assert!(r.analyser.poll(&mut r.node, 2_000).is_empty());
+        r.analyser
+            .publish_authorised_policy(crate::monitor::default_policy(), 2_500);
+        r.analyser.checkpoint().unwrap();
+        let history_file = generation_file_name(2);
+        assert_eq!(
+            pristine.list(),
+            [history_file.clone(), SNAPSHOT_FILE.to_string()]
+        );
+        assert!(recover_from(&pristine).is_ok());
+
+        // The history record the cursor names is gone.
+        let mut damaged = pristine.copy();
+        damaged.remove(&history_file).unwrap();
+        let err = recover_from(&damaged).unwrap_err();
+        assert!(matches!(err, StoreError::NotFound(_)), "{err:?}");
+
+        // A record of another generation sits under its name.
+        let mut damaged = pristine.copy();
+        let mut other = damaged.store();
+        other.save_generation(7, b"someone else's history").unwrap();
+        let misfiled = damaged.read(&generation_file_name(7)).unwrap();
+        damaged.write_atomic(&history_file, &misfiled).unwrap();
+        let err = recover_from(&damaged).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt { .. }), "{err:?}");
+
+        // Either file cut short on the medium.
+        for file in [&history_file, SNAPSHOT_FILE] {
+            let mut damaged = pristine.copy();
+            let len = damaged.read(file).unwrap().len() as u64;
+            damaged.truncate(file, len - 5).unwrap();
+            let err = recover_from(&damaged).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt { .. }), "{file}: {err:?}");
+        }
+
+        // Either record cut short *before* it was framed and checksummed:
+        // every proper prefix fails to decode.
+        let (seq, cursor) = pristine.store().load().unwrap().unwrap();
+        for cut in 0..cursor.len() {
+            let damaged = pristine.copy();
+            damaged.store().save(seq, &cursor[..cut]).unwrap();
+            let err = recover_from(&damaged).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Codec(_)),
+                "cursor[..{cut}]: {err:?}"
+            );
+        }
+        let history = pristine.store().load_generation(2).unwrap();
+        for cut in 0..history.len() {
+            let damaged = pristine.copy();
+            damaged.store().save_generation(2, &history[..cut]).unwrap();
+            let err = recover_from(&damaged).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Codec(_)),
+                "history[..{cut}]: {err:?}"
+            );
+        }
+
+        // A checkpoint of the single-record format this one replaced.
+        let damaged = pristine.copy();
+        let mut v4 = cursor.clone();
+        v4[0] = 4;
+        damaged.store().save(seq, &v4).unwrap();
+        let err = recover_from(&damaged).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Codec(m) if m.contains("version 4")),
+            "{err:?}"
+        );
     }
 
     #[test]

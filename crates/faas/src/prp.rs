@@ -18,20 +18,27 @@ use drams_policy::policy::PolicySet;
 use std::sync::Arc;
 
 /// One stored policy version.
+///
+/// A version is immutable once published, so both of its forms sit
+/// behind an [`Arc`]: the PRP owns one source tree and one compiled tree
+/// per version, and every PDP built from it — one per slot, plus one per
+/// crash-restart and per activation — shares them. [`PolicyVersion::pdp`]
+/// and `clone` cost two reference counts, not a copy of the policy base.
 #[derive(Debug, Clone)]
 pub struct PolicyVersion {
     /// Monotonic version number (0-based).
     pub number: u64,
     /// Digest of the canonical encoding.
     pub digest: Digest,
-    /// The policy itself.
-    pub policy: PolicySet,
+    /// The policy itself (source tree).
+    pub policy: Arc<PolicySet>,
     /// The compiled form, built once at publication.
     pub prepared: Arc<PreparedPolicySet>,
 }
 
 impl PolicyVersion {
-    /// Builds a PDP serving this version, reusing the compiled form.
+    /// Builds a PDP serving this version, sharing both the source tree
+    /// and the compiled form.
     #[must_use]
     pub fn pdp(&self) -> Pdp {
         Pdp::from_prepared(self.policy.clone(), self.prepared.clone())
@@ -65,7 +72,7 @@ impl Prp {
         PolicyVersion {
             number,
             digest: prepared.version_digest(),
-            policy,
+            policy: Arc::new(policy),
             prepared,
         }
     }

@@ -6,7 +6,7 @@
 //! "altered evaluation process" detection of the paper meaningful.
 
 use crate::attr::Request;
-use crate::decision::{ExtDecision, Obligation};
+use crate::decision::{Effect, ExtDecision, Obligation};
 use crate::target::MatchResult;
 use drams_crypto::codec::{Decode, Encode, Reader, Writer};
 use drams_crypto::CryptoError;
@@ -111,6 +111,8 @@ pub fn combine<C: Combinable>(
         children.len(),
         &mut |i| children[i].applicability(request),
         &mut |i| children[i].evaluate(request),
+        // The reference interpreter visits every child.
+        &mut |_, _| true,
     )
 }
 
@@ -122,19 +124,41 @@ pub fn combine<C: Combinable>(
 /// it with borrowed `&Obligation`s over its target-indexed candidate
 /// lists. `applicability(i)`/`evaluate(i)` address the `i`-th child in
 /// document order.
-pub(crate) fn combine_with<Ob, A, E>(
+///
+/// `may_oblige(i, effect)` answers "can child `i` return obligations
+/// together with the decision `effect`?" and is what makes the early exit
+/// of deny-/permit-overrides exact: once a child has returned the
+/// overriding decision the result is `(winner, winner_obligations)`
+/// whatever the remaining children return, so a remaining child can only
+/// matter by *adding obligations for the winning effect* — and one that
+/// cannot is not evaluated. Answering `true` is always correct (the child
+/// is evaluated as before), which is what the interpreter does to stay
+/// the every-child reference; the compiled engine answers from a
+/// per-child flag worked out at compile time. While no child has returned
+/// the winner — in particular whenever the combined decision is the
+/// loser, Indeterminate or NotApplicable — every child is evaluated, so
+/// that worst case is unchanged. `first-applicable`, `only-one-applicable`
+/// and the two `unless` algorithms never consult it: they already stop at
+/// the first child that settles the decision.
+pub(crate) fn combine_with<Ob, A, E, M>(
     alg: CombiningAlg,
     n: usize,
     applicability: &mut A,
     evaluate: &mut E,
+    may_oblige: &mut M,
 ) -> (ExtDecision, Vec<Ob>)
 where
     A: FnMut(usize) -> MatchResult,
     E: FnMut(usize) -> (ExtDecision, Vec<Ob>),
+    M: FnMut(usize, Effect) -> bool,
 {
     match alg {
-        CombiningAlg::DenyOverrides => overrides(n, evaluate, ExtDecision::Deny),
-        CombiningAlg::PermitOverrides => overrides(n, evaluate, ExtDecision::Permit),
+        CombiningAlg::DenyOverrides => overrides(n, evaluate, ExtDecision::Deny, &mut |i| {
+            may_oblige(i, Effect::Deny)
+        }),
+        CombiningAlg::PermitOverrides => overrides(n, evaluate, ExtDecision::Permit, &mut |i| {
+            may_oblige(i, Effect::Permit)
+        }),
         CombiningAlg::FirstApplicable => first_applicable(n, evaluate),
         CombiningAlg::OnlyOneApplicable => only_one_applicable(n, applicability, evaluate),
         CombiningAlg::DenyUnlessPermit => {
@@ -150,12 +174,18 @@ where
 ///
 /// `winner` is the overriding decision (Deny for deny-overrides). The
 /// extended-indeterminate table is XACML 3.0 C.2/C.4 with the roles of
-/// D and P swapped for permit-overrides.
-fn overrides<Ob, E: FnMut(usize) -> (ExtDecision, Vec<Ob>)>(
+/// D and P swapped for permit-overrides. `may_oblige(i)` is
+/// [`combine_with`]'s predicate fixed to the winning effect.
+fn overrides<Ob, E, M>(
     n: usize,
     evaluate: &mut E,
     winner: ExtDecision,
-) -> (ExtDecision, Vec<Ob>) {
+    may_oblige: &mut M,
+) -> (ExtDecision, Vec<Ob>)
+where
+    E: FnMut(usize) -> (ExtDecision, Vec<Ob>),
+    M: FnMut(usize) -> bool,
+{
     let loser = match winner {
         ExtDecision::Deny => ExtDecision::Permit,
         _ => ExtDecision::Deny,
@@ -174,6 +204,11 @@ fn overrides<Ob, E: FnMut(usize) -> (ExtDecision, Vec<Ob>)>(
     let mut loser_obligations = Vec::new();
 
     for i in 0..n {
+        // With the winner seen, the flags below can no longer change the
+        // result; only more winner obligations can.
+        if saw_winner && !may_oblige(i) {
+            continue;
+        }
         let (d, obs) = evaluate(i);
         if d == winner {
             saw_winner = true;
@@ -441,6 +476,46 @@ mod tests {
         assert_eq!(d, D::Permit);
         let ids: Vec<&str> = obs.iter().map(|o| o.id.as_str()).collect();
         assert_eq!(ids, vec!["log-permit", "notify"]);
+    }
+
+    /// Runs `alg` over fixed `decisions` through [`combine_with`] and
+    /// returns the combined decision with the indices it evaluated.
+    fn evaluated(
+        alg: CombiningAlg,
+        decisions: &[D],
+        mut may_oblige: impl FnMut(usize, Effect) -> bool,
+    ) -> (D, Vec<usize>) {
+        let mut seen = Vec::new();
+        let (d, _) = combine_with::<Obligation, _, _, _>(
+            alg,
+            decisions.len(),
+            &mut |_| MatchResult::Match,
+            &mut |i| {
+                seen.push(i);
+                (decisions[i], Vec::new())
+            },
+            &mut may_oblige,
+        );
+        (d, seen)
+    }
+
+    #[test]
+    fn overrides_skip_only_after_the_winner_and_only_what_cannot_oblige() {
+        let decisions = [D::Permit, D::Deny, D::IndeterminateDP, D::Deny, D::Permit];
+        // Child 3 can still add Deny obligations; 2 and 4 cannot.
+        let (d, seen) = evaluated(CombiningAlg::DenyOverrides, &decisions, |i, effect| {
+            assert_eq!(effect, Effect::Deny, "asked about the winning effect");
+            i == 3
+        });
+        assert_eq!((d, seen), (D::Deny, vec![0, 1, 3]));
+        // Answering `true` (the interpreter) evaluates every child.
+        let (d, seen) = evaluated(CombiningAlg::DenyOverrides, &decisions, |_, _| true);
+        assert_eq!((d, seen), (D::Deny, vec![0, 1, 2, 3, 4]));
+        // No winner among the children: the predicate is never the
+        // reason a child is skipped.
+        let no_winner = [D::Deny, D::IndeterminateP, D::Deny];
+        let (d, seen) = evaluated(CombiningAlg::PermitOverrides, &no_winner, |_, _| false);
+        assert_eq!((d, seen), (D::IndeterminateDP, vec![0, 1, 2]));
     }
 
     #[test]

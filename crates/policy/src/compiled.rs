@@ -30,12 +30,20 @@
 //!   and combining-algorithm document order are preserved bit-for-bit.
 //!   The equivalence property suite (`tests/prop_compiled.rs`) checks
 //!   this against the interpreter on randomized policies.
+//! * An **early exit** in deny-/permit-overrides nodes: every child
+//!   carries two compile-time flags — can its subtree return obligations
+//!   together with Permit, with Deny — and once a child has returned the
+//!   overriding decision, only later children whose flag for that
+//!   decision is set are still evaluated (they can add obligations;
+//!   nothing else can change the result any more). Also exact, and the
+//!   worst case — no child returns the winner — still evaluates every
+//!   candidate. See [`combining::combine_with`](crate::combining).
 //!
 //! Function application and the six combining algorithms are *shared*
 //! with the interpreter ([`expr::apply_func`](crate::expr) and
 //! [`combining::combine_with`](crate::combining)), so the two engines
-//! cannot drift on the truth tables — only on traversal, which is what
-//! the property tests pin down.
+//! cannot drift on the truth tables — only on traversal (which children
+//! are visited), which is what the property tests pin down.
 
 use crate::attr::{AttributeId, AttributeValue, Request};
 use crate::combining::{combine_with, CombiningAlg};
@@ -748,6 +756,53 @@ impl SplitObligations {
     }
 }
 
+/// Which decisions a subtree can return obligations with: `permit` is
+/// true when something in it can fire an obligation on Permit, likewise
+/// `deny`. Worked out once at compile time from the same pre-split lists
+/// evaluation reads — a flag wrongly true would only cost an evaluation,
+/// one wrongly false would lose an obligation. It is what lets
+/// deny-/permit-overrides stop evaluating children after the overriding
+/// decision (see [`combine_with`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct Obliges {
+    permit: bool,
+    deny: bool,
+}
+
+impl Obliges {
+    /// A node's own obligations plus everything its children can add.
+    fn of_node(own: &SplitObligations, children: &[Obliges]) -> Obliges {
+        Obliges {
+            permit: !own.permit.is_empty() || children.iter().any(|c| c.permit),
+            deny: !own.deny.is_empty() || children.iter().any(|c| c.deny),
+        }
+    }
+
+    fn on(self, effect: Effect) -> bool {
+        match effect {
+            Effect::Permit => self.permit,
+            Effect::Deny => self.deny,
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Children (rules, policies, nested sets) the compiled engine
+    /// evaluated on the current test thread.
+    static VISITED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Number of children the compiled engine evaluates while `f` runs, for
+/// tests that pin the early exit to the exact set of children it may
+/// skip. Per thread, so parallel tests do not disturb each other's count.
+#[cfg(test)]
+fn count_visited<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = VISITED.get();
+    let out = f();
+    (VISITED.get() - before, out)
+}
+
 #[derive(Debug, Clone)]
 struct CompiledRule {
     effect: Effect,
@@ -779,12 +834,23 @@ impl CompiledRule {
         self.target.matches(request, interner)
     }
 
+    /// A rule only ever returns its own effect, with `obligations`.
+    fn obliges(&self) -> Obliges {
+        let any = !self.obligations.is_empty();
+        Obliges {
+            permit: any && self.effect == Effect::Permit,
+            deny: any && self.effect == Effect::Deny,
+        }
+    }
+
     /// Mirrors [`Rule::evaluate`] with borrowed obligations.
     fn evaluate<'a>(
         &'a self,
         request: &PreparedRequest<'a>,
         interner: &'a AttrInterner,
     ) -> (ExtDecision, Vec<&'a Obligation>) {
+        #[cfg(test)]
+        VISITED.set(VISITED.get() + 1);
         match self.target.matches(request, interner) {
             MatchResult::NoMatch => (ExtDecision::NotApplicable, Vec::new()),
             MatchResult::Indeterminate => (ExtDecision::indeterminate_for(self.effect), Vec::new()),
@@ -813,6 +879,9 @@ struct CompiledPolicy {
     target: CompiledTarget,
     algorithm: CombiningAlg,
     rules: Vec<CompiledRule>,
+    /// `rules[i].obliges()`, dense so the early-exit probe of a skipped
+    /// rule reads two bytes instead of touching the rule.
+    rule_obliges: Vec<Obliges>,
     index: ChildIndex,
     obligations: SplitObligations,
 }
@@ -829,17 +898,24 @@ impl CompiledPolicy {
                 )
             })
             .collect();
+        let target = CompiledTarget::compile(&policy.target, interner);
+        let rules: Vec<CompiledRule> = policy
+            .rules
+            .iter()
+            .map(|r| CompiledRule::compile(r, interner))
+            .collect();
         CompiledPolicy {
-            target: CompiledTarget::compile(&policy.target, interner),
+            target,
             algorithm: policy.algorithm,
-            rules: policy
-                .rules
-                .iter()
-                .map(|r| CompiledRule::compile(r, interner))
-                .collect(),
+            rule_obliges: rules.iter().map(CompiledRule::obliges).collect(),
+            rules,
             index: ChildIndex::build(entries),
             obligations: SplitObligations::of(&policy.obligations),
         }
+    }
+
+    fn obliges(&self) -> Obliges {
+        Obliges::of_node(&self.obligations, &self.rule_obliges)
     }
 
     fn applicability(&self, request: &PreparedRequest<'_>, interner: &AttrInterner) -> MatchResult {
@@ -863,6 +939,7 @@ impl CompiledPolicy {
                     cands.len(),
                     &mut |i| self.rules[cands.child(i)].applicability(request, interner),
                     &mut |i| self.rules[cands.child(i)].evaluate(request, interner),
+                    &mut |i, effect| self.rule_obliges[cands.child(i)].on(effect),
                 )
             },
         )
@@ -883,11 +960,20 @@ impl CompiledChild {
         }
     }
 
+    fn obliges(&self) -> Obliges {
+        match self {
+            CompiledChild::Policy(p) => p.obliges(),
+            CompiledChild::Set(s) => s.obliges(),
+        }
+    }
+
     fn evaluate<'a>(
         &'a self,
         request: &PreparedRequest<'a>,
         interner: &'a AttrInterner,
     ) -> (ExtDecision, Vec<&'a Obligation>) {
+        #[cfg(test)]
+        VISITED.set(VISITED.get() + 1);
         match self {
             CompiledChild::Policy(p) => p.evaluate(request, interner),
             CompiledChild::Set(s) => s.evaluate(request, interner),
@@ -900,6 +986,10 @@ struct CompiledSet {
     target: CompiledTarget,
     algorithm: CombiningAlg,
     children: Vec<CompiledChild>,
+    /// `children[i].obliges()`, dense for the same reason as
+    /// [`CompiledPolicy::rule_obliges`] — a wide set skips hundreds of
+    /// candidates per request.
+    child_obliges: Vec<Obliges>,
     index: ChildIndex,
     obligations: SplitObligations,
 }
@@ -917,22 +1007,29 @@ impl CompiledSet {
                 (extract_guard(target, interner), target_is_dead(target))
             })
             .collect();
+        let target = CompiledTarget::compile(&set.target, interner);
+        let children: Vec<CompiledChild> = set
+            .children
+            .iter()
+            .map(|c| match c {
+                PolicyChild::Policy(p) => {
+                    CompiledChild::Policy(CompiledPolicy::compile(p, interner))
+                }
+                PolicyChild::Set(s) => CompiledChild::Set(CompiledSet::compile(s, interner)),
+            })
+            .collect();
         CompiledSet {
-            target: CompiledTarget::compile(&set.target, interner),
+            target,
             algorithm: set.algorithm,
-            children: set
-                .children
-                .iter()
-                .map(|c| match c {
-                    PolicyChild::Policy(p) => {
-                        CompiledChild::Policy(CompiledPolicy::compile(p, interner))
-                    }
-                    PolicyChild::Set(s) => CompiledChild::Set(CompiledSet::compile(s, interner)),
-                })
-                .collect(),
+            child_obliges: children.iter().map(CompiledChild::obliges).collect(),
+            children,
             index: ChildIndex::build(entries),
             obligations: SplitObligations::of(&set.obligations),
         }
+    }
+
+    fn obliges(&self) -> Obliges {
+        Obliges::of_node(&self.obligations, &self.child_obliges)
     }
 
     fn applicability(&self, request: &PreparedRequest<'_>, interner: &AttrInterner) -> MatchResult {
@@ -956,6 +1053,7 @@ impl CompiledSet {
                     cands.len(),
                     &mut |i| self.children[cands.child(i)].applicability(request, interner),
                     &mut |i| self.children[cands.child(i)].evaluate(request, interner),
+                    &mut |i, effect| self.child_obliges[cands.child(i)].on(effect),
                 )
             },
         )
@@ -1264,6 +1362,123 @@ mod tests {
         let ids: Vec<&str> = obs.iter().map(|o| o.id.as_str()).collect();
         assert_eq!(ids, vec!["ob0", "ob1", "ob3", "ob6"]);
         assert_equivalent(&set, &request);
+    }
+
+    /// `n` single-rule policies under a deny-overrides root, every one
+    /// guarded on `resource.type == "record"` so the target index hands
+    /// all of them over as candidates. `shape(i)` gives policy `i`'s
+    /// rule effect, an obligation for that rule and one for the policy.
+    fn wide_base(
+        n: usize,
+        shape: impl Fn(usize) -> (Effect, Option<Obligation>, Option<Obligation>),
+    ) -> PolicySet {
+        let mut root = PolicySet::builder("root", CombiningAlg::DenyOverrides);
+        for i in 0..n {
+            let (effect, on_rule, on_policy) = shape(i);
+            let mut rule = Rule::builder(format!("r{i}"), effect);
+            if let Some(o) = on_rule {
+                rule = rule.obligation(o);
+            }
+            let mut policy = Policy::builder(format!("p{i}"), CombiningAlg::PermitOverrides)
+                .target(Target::expr(eq(Category::Resource, "type", "record")))
+                .rule(rule.build());
+            if let Some(o) = on_policy {
+                policy = policy.obligation(o);
+            }
+            root = root.policy(policy.build());
+        }
+        root.build()
+    }
+
+    /// Evaluates `set` on a `record` request, checks the result against
+    /// the interpreter and returns it with the number of children (each
+    /// policy and its one rule count separately) the engine visited.
+    fn visit(set: &PolicySet) -> (u64, ExtDecision, Vec<String>) {
+        let request = Request::builder().resource("type", "record").build();
+        let prepared = PreparedPolicySet::compile(set);
+        let (visited, (d, obs)) = count_visited(|| prepared.evaluate(&request));
+        assert_equivalent(set, &request);
+        (visited, d, obs.into_iter().map(|o| o.id).collect())
+    }
+
+    #[test]
+    fn after_the_winner_only_obligation_bearing_children_are_visited() {
+        let set = wide_base(40, |i| match i {
+            3 | 30 => (Effect::Deny, None, None),
+            10 => (
+                Effect::Deny,
+                Some(Obligation::new("late-rule", Effect::Deny)),
+                None,
+            ),
+            // Obligations that can only fire on the losing effect.
+            17 => (
+                Effect::Permit,
+                Some(Obligation::new("losing-rule", Effect::Permit)),
+                Some(Obligation::new("losing-policy", Effect::Permit)),
+            ),
+            25 => (
+                Effect::Deny,
+                None,
+                Some(Obligation::new("late-policy", Effect::Deny)),
+            ),
+            _ => (Effect::Permit, None, None),
+        });
+        let (visited, d, obligations) = visit(&set);
+        assert_eq!(d, ExtDecision::Deny);
+        assert_eq!(obligations, ["late-rule", "late-policy"]);
+        // Policies 0..=3 up to the first Deny, then exactly 10 and 25 —
+        // not 17 (wrong effect), not 30 (a Deny with nothing to add).
+        assert_eq!(visited, 2 * (4 + 2));
+    }
+
+    #[test]
+    fn without_a_winner_every_candidate_is_still_visited() {
+        // The combined decision is the loser: nothing may be skipped.
+        let (visited, d, _) = visit(&wide_base(40, |_| (Effect::Permit, None, None)));
+        assert_eq!(d, ExtDecision::Permit);
+        assert_eq!(visited, 2 * 40);
+        // The winner turns up last: everything before it was needed.
+        let last_denies = wide_base(40, |i| {
+            let effect = if i == 39 {
+                Effect::Deny
+            } else {
+                Effect::Permit
+            };
+            (effect, None, None)
+        });
+        let (visited, d, _) = visit(&last_denies);
+        assert_eq!(d, ExtDecision::Deny);
+        assert_eq!(visited, 2 * 40);
+    }
+
+    #[test]
+    fn rules_inside_a_policy_exit_early_too() {
+        // permit-overrides over five rules: the second permits, the
+        // fourth can add a Permit obligation, the others cannot matter.
+        let mut policy = Policy::builder("p", CombiningAlg::PermitOverrides);
+        for (i, effect) in [
+            Effect::Deny,
+            Effect::Permit,
+            Effect::Deny,
+            Effect::Permit,
+            Effect::Permit,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut rule = Rule::builder(format!("r{i}"), effect);
+            if i == 3 {
+                rule = rule.obligation(Obligation::new("late", Effect::Permit));
+            }
+            policy = policy.rule(rule.build());
+        }
+        let set = PolicySet::builder("root", CombiningAlg::FirstApplicable)
+            .policy(policy.build())
+            .build();
+        let (visited, d, obligations) = visit(&set);
+        assert_eq!(d, ExtDecision::Permit);
+        assert_eq!(obligations, ["late"]);
+        assert_eq!(visited, 1 + 3, "the policy, then rules 0, 1 and 3");
     }
 
     #[test]

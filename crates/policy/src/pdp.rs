@@ -97,7 +97,11 @@ struct DecisionCache {
 /// ```
 #[derive(Debug)]
 pub struct Pdp {
-    root: PolicySet,
+    /// The source tree, shared with whoever published it (the PRP keeps
+    /// every version and serves one PDP per slot, restart and activation
+    /// from it): read-only here, used by [`Pdp::root`] and the
+    /// interpreted oracle.
+    root: Arc<PolicySet>,
     prepared: Arc<PreparedPolicySet>,
     version: Digest,
     evaluations: AtomicU64,
@@ -118,12 +122,14 @@ impl Pdp {
     #[must_use]
     pub fn with_cache_capacity(root: PolicySet, capacity: usize) -> Self {
         let prepared = Arc::new(PreparedPolicySet::compile(&root));
-        Pdp::assemble(root, prepared, capacity)
+        Pdp::assemble(Arc::new(root), prepared, capacity)
     }
 
     /// Creates a PDP from an already-compiled policy (e.g. the PRP
     /// pre-compiles every published version, so activating one does not
-    /// stall the decision path on recompilation).
+    /// stall the decision path on recompilation). Both halves are shared,
+    /// not copied: building a PDP this way costs two reference counts
+    /// however large the policy base is.
     ///
     /// # Panics
     ///
@@ -134,7 +140,7 @@ impl Pdp {
     /// skip it and trust the caller (the PRP compiles at publication,
     /// so the pair is constructed in one place).
     #[must_use]
-    pub fn from_prepared(root: PolicySet, prepared: Arc<PreparedPolicySet>) -> Self {
+    pub fn from_prepared(root: Arc<PolicySet>, prepared: Arc<PreparedPolicySet>) -> Self {
         debug_assert_eq!(
             root.version_digest(),
             prepared.version_digest(),
@@ -143,7 +149,7 @@ impl Pdp {
         Pdp::assemble(root, prepared, DEFAULT_CACHE_CAPACITY)
     }
 
-    fn assemble(root: PolicySet, prepared: Arc<PreparedPolicySet>, capacity: usize) -> Self {
+    fn assemble(root: Arc<PolicySet>, prepared: Arc<PreparedPolicySet>, capacity: usize) -> Self {
         let version = prepared.version_digest();
         Pdp {
             root,
@@ -179,7 +185,7 @@ impl Pdp {
     pub fn set_root(&mut self, root: PolicySet) {
         self.prepared = Arc::new(PreparedPolicySet::compile(&root));
         self.version = self.prepared.version_digest();
-        self.root = root;
+        self.root = Arc::new(root);
         self.cache = DecisionCache::default();
     }
 
@@ -408,7 +414,7 @@ mod tests {
 
     #[test]
     fn from_prepared_reuses_compilation() {
-        let root = pdp().root().clone();
+        let root = Arc::new(pdp().root().clone());
         let prepared = Arc::new(PreparedPolicySet::compile(&root));
         let pdp = Pdp::from_prepared(root, prepared.clone());
         assert_eq!(pdp.policy_version(), prepared.version_digest());
@@ -421,7 +427,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "prepared policy does not match")]
     fn from_prepared_rejects_mismatch() {
-        let root = pdp().root().clone();
+        let root = Arc::new(pdp().root().clone());
         let other = PolicySet::builder("other", CombiningAlg::DenyOverrides).build();
         let _ = Pdp::from_prepared(root, Arc::new(PreparedPolicySet::compile(&other)));
     }

@@ -422,3 +422,155 @@ fn only_one_applicable_counts_skipped_children_correctly() {
     assert_eq!(set.evaluate(&empty).0, ExtDecision::IndeterminateDP);
     check(&set, &empty);
 }
+
+// ---- the overrides early exit (named, deterministic) ------------------------
+//
+// Once a deny-/permit-overrides node has seen its overriding decision the
+// compiled engine evaluates only the later children that can still add
+// obligations for that decision. These cases pin what that must not
+// change; how many children it visits is pinned inside the crate
+// (`compiled::tests`), where the counter lives.
+
+fn decision_of(effect: Effect) -> ExtDecision {
+    match effect {
+        Effect::Permit => ExtDecision::Permit,
+        Effect::Deny => ExtDecision::Deny,
+    }
+}
+
+fn overrides_with(winner: Effect) -> CombiningAlg {
+    match winner {
+        Effect::Permit => CombiningAlg::PermitOverrides,
+        Effect::Deny => CombiningAlg::DenyOverrides,
+    }
+}
+
+/// A policy whose single unconditional rule returns `effect`.
+fn always(id: &str, effect: Effect) -> drams_policy::policy::PolicyBuilder {
+    Policy::builder(id, CombiningAlg::FirstApplicable).rule(Rule::always(format!("{id}-r"), effect))
+}
+
+fn ids(obligations: &[Obligation]) -> Vec<&str> {
+    obligations.iter().map(|o| o.id.as_str()).collect()
+}
+
+#[test]
+fn late_obligations_are_collected_in_document_order_after_an_early_winner() {
+    for winner in [Effect::Permit, Effect::Deny] {
+        let loser = winner.opposite();
+        let set = PolicySet::builder("root", overrides_with(winner))
+            .policy(always("early-winner", winner).build())
+            .policy(always("loser-between", loser).build())
+            // ...an obligation on a late *rule*,
+            .policy(
+                Policy::builder("late-rule", CombiningAlg::FirstApplicable)
+                    .rule(
+                        Rule::builder("late-rule-r", winner)
+                            .obligation(Obligation::new("on-rule", winner))
+                            .build(),
+                    )
+                    .build(),
+            )
+            .policy(always("winner-with-nothing-to-add", winner).build())
+            // ...on a late *policy*,
+            .policy(
+                always("late-policy", winner)
+                    .obligation(Obligation::new("on-policy", winner))
+                    .build(),
+            )
+            // ...and on a late *nested set*, two levels down and on the set.
+            .set(
+                PolicySet::builder("late-set", overrides_with(winner))
+                    .policy(always("inner-early", winner).build())
+                    .policy(
+                        always("inner-late", winner)
+                            .obligation(Obligation::new("on-inner-policy", winner))
+                            .build(),
+                    )
+                    .obligation(Obligation::new("on-set", winner))
+                    .build(),
+            )
+            .obligation(Obligation::new("on-root", winner))
+            .build();
+        let request = Request::new();
+        let (d, obligations) = PreparedPolicySet::compile(&set).evaluate(&request);
+        assert_eq!(d, decision_of(winner), "{winner}");
+        assert_eq!(
+            ids(&obligations),
+            [
+                "on-rule",
+                "on-policy",
+                "on-inner-policy",
+                "on-set",
+                "on-root"
+            ],
+            "{winner}"
+        );
+        check(&set, &request);
+    }
+}
+
+#[test]
+fn an_obligation_for_the_losing_effect_does_not_keep_a_child_alive() {
+    for winner in [Effect::Permit, Effect::Deny] {
+        let loser = winner.opposite();
+        let set = PolicySet::builder("root", overrides_with(winner))
+            .policy(always("early-winner", winner).build())
+            // A losing child whose obligation fires on its own (losing)
+            // decision, and a winning child carrying one that fires only
+            // on the losing decision: neither can reach the result.
+            .policy(
+                always("late-loser", loser)
+                    .obligation(Obligation::new("for-the-loser", loser))
+                    .build(),
+            )
+            .policy(
+                always("late-winner", winner)
+                    .obligation(Obligation::new("fires-on-the-other-effect", loser))
+                    .build(),
+            )
+            .build();
+        let request = Request::new();
+        let (d, obligations) = PreparedPolicySet::compile(&set).evaluate(&request);
+        assert_eq!(d, decision_of(winner));
+        assert!(obligations.is_empty(), "{obligations:?}");
+        check(&set, &request);
+    }
+}
+
+#[test]
+fn indeterminate_target_parent_reports_the_right_flavour_after_an_early_winner() {
+    // The set's target names an attribute the request lacks, so its
+    // children only decide the flavour: an early winner fixes it, and
+    // the later children — a loser, an error, an obligation-bearing
+    // winner — must not move it.
+    for winner in [Effect::Permit, Effect::Deny] {
+        let inner = PolicySet::builder("guarded", overrides_with(winner))
+            .target(Target::expr(eq(Category::Resource, "ghost", "x")))
+            .policy(always("early-winner", winner).build())
+            .policy(always("late-loser", winner.opposite()).build())
+            .policy(
+                Policy::builder("late-error", CombiningAlg::DenyOverrides)
+                    .rule(
+                        Rule::builder("late-error-r", winner.opposite())
+                            .target(Target::expr(eq(Category::Subject, "ghost", "y")))
+                            .build(),
+                    )
+                    .build(),
+            )
+            .policy(
+                always("late-winner", winner)
+                    .obligation(Obligation::new("dropped-with-the-flavour", winner))
+                    .build(),
+            )
+            .build();
+        let set = PolicySet::builder("root", CombiningAlg::DenyOverrides)
+            .set(inner)
+            .build();
+        let request = Request::builder().subject("role", "doctor").build();
+        let (d, obligations) = PreparedPolicySet::compile(&set).evaluate(&request);
+        assert_eq!(d, ExtDecision::indeterminate_for(winner));
+        assert!(obligations.is_empty());
+        check(&set, &request);
+    }
+}

@@ -7,7 +7,9 @@
 //! error; [`Wal::prune_through`] deletes sealed segments made redundant
 //! by a snapshot. [`SnapshotStore`] holds one atomically-replaced,
 //! checksummed snapshot — a consumer's compacted state plus the log
-//! sequence number it covers.
+//! sequence number it covers — and, beside it, side records named by
+//! generation for the slow-changing bulk a consumer does not want to
+//! rewrite with every snapshot.
 //!
 //! # Recovery state machine (on [`Wal::open`])
 //!
@@ -58,6 +60,11 @@ pub const SEGMENT_PREFIX: &str = "seg-";
 pub const SEGMENT_SUFFIX: &str = ".wal";
 /// Name of the snapshot file a [`Wal`] (or [`SnapshotStore`]) manages.
 pub const SNAPSHOT_FILE: &str = "snapshot.snap";
+/// Prefix of the file names of a [`SnapshotStore`]'s generation records
+/// (`snapshot-gen-00000001.snap`, …).
+pub const GENERATION_PREFIX: &str = "snapshot-gen-";
+/// Suffix of generation record file names.
+pub const GENERATION_SUFFIX: &str = ".snap";
 
 /// Magic bytes opening a snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"DRSN";
@@ -113,6 +120,12 @@ impl SegInfo {
 #[must_use]
 pub fn segment_file_name(index: u64) -> String {
     format!("{SEGMENT_PREFIX}{index:08}{SEGMENT_SUFFIX}")
+}
+
+/// The file name of a [`SnapshotStore`]'s generation record.
+#[must_use]
+pub fn generation_file_name(generation: u64) -> String {
+    format!("{GENERATION_PREFIX}{generation:08}{GENERATION_SUFFIX}")
 }
 
 /// A segmented, checksummed write-ahead log over a [`Backend`].
@@ -346,7 +359,7 @@ impl Wal {
     ///
     /// [`StoreError::Io`] on backend failure.
     pub fn write_snapshot(&mut self, upto_seq: u64, payload: &[u8]) -> Result<(), StoreError> {
-        write_snapshot_file(self.backend.as_mut(), upto_seq, payload)
+        write_snapshot_file(self.backend.as_mut(), SNAPSHOT_FILE, upto_seq, payload)
     }
 
     /// Reads this log's snapshot, if one was written.
@@ -355,7 +368,7 @@ impl Wal {
     ///
     /// [`StoreError::Corrupt`] when the snapshot fails its checksum.
     pub fn read_snapshot(&self) -> Result<Option<(u64, Vec<u8>)>, StoreError> {
-        read_snapshot_file(self.backend.as_ref())
+        read_snapshot_file(self.backend.as_ref(), SNAPSHOT_FILE)
     }
 
     /// Models a crash of the owning process: the backend drops whatever
@@ -371,8 +384,11 @@ impl Wal {
     }
 }
 
+/// Writes `name` atomically in the snapshot format: magic, version, the
+/// caller's sequence number, payload length, payload CRC, payload.
 fn write_snapshot_file(
     backend: &mut dyn Backend,
+    name: &str,
     upto_seq: u64,
     payload: &[u8],
 ) -> Result<(), StoreError> {
@@ -383,17 +399,22 @@ fn write_snapshot_file(
     bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     bytes.extend_from_slice(&crate::segment::crc32(payload).to_be_bytes());
     bytes.extend_from_slice(payload);
-    backend.write_atomic(SNAPSHOT_FILE, &bytes)
+    backend.write_atomic(name, &bytes)
 }
 
-fn read_snapshot_file(backend: &dyn Backend) -> Result<Option<(u64, Vec<u8>)>, StoreError> {
-    let bytes = match backend.read(SNAPSHOT_FILE) {
+/// Reads and verifies a file written by [`write_snapshot_file`]; `None`
+/// when it does not exist.
+fn read_snapshot_file(
+    backend: &dyn Backend,
+    name: &str,
+) -> Result<Option<(u64, Vec<u8>)>, StoreError> {
+    let bytes = match backend.read(name) {
         Ok(b) => b,
         Err(StoreError::NotFound(_)) => return Ok(None),
         Err(e) => return Err(e),
     };
     let corrupt = |offset: u64, reason: &str| StoreError::Corrupt {
-        file: SNAPSHOT_FILE.to_string(),
+        file: name.to_string(),
         offset,
         reason: reason.to_string(),
     };
@@ -420,9 +441,27 @@ fn read_snapshot_file(backend: &dyn Backend) -> Result<Option<(u64, Vec<u8>)>, S
     Ok(Some((seq, payload.to_vec())))
 }
 
-/// A standalone checkpoint store: one atomically-replaced, checksummed
-/// snapshot on its own [`Backend`] — for consumers (like the Analyser)
-/// whose durable state is a compact checkpoint rather than a log.
+/// A standalone checkpoint store on its own [`Backend`] — for consumers
+/// (like the Analyser) whose durable state is a compact checkpoint rather
+/// than a log.
+///
+/// It holds **one snapshot** ([`SnapshotStore::save`] /
+/// [`SnapshotStore::load`], the file [`SNAPSHOT_FILE`]), atomically
+/// replaced and checksummed, and beside it any number of **generation
+/// records** ([`SnapshotStore::save_generation`] /
+/// [`SnapshotStore::load_generation`], the files
+/// [`generation_file_name`]) in the same checksummed format. The split is
+/// for state with a small part that changes all the time and a large
+/// part that rarely does: the large part goes into a generation record,
+/// written only when it changed under the next unused generation number,
+/// and the snapshot — written every time — names the generation it
+/// belongs with. The snapshot write is then the commit point of the
+/// pair: a crash before it leaves the old snapshot naming the old, still
+/// present record; a crash after it leaves the new pair complete; and
+/// [`SnapshotStore::prune_generations`], run after the commit and again
+/// on recovery, removes whichever record the crash orphaned. Every write
+/// replaces a whole file atomically, so no reader ever sees half a
+/// record.
 #[derive(Debug)]
 pub struct SnapshotStore {
     backend: Box<dyn Backend>,
@@ -442,7 +481,7 @@ impl SnapshotStore {
     ///
     /// [`StoreError::Io`] on backend failure.
     pub fn save(&mut self, seq: u64, payload: &[u8]) -> Result<(), StoreError> {
-        write_snapshot_file(self.backend.as_mut(), seq, payload)
+        write_snapshot_file(self.backend.as_mut(), SNAPSHOT_FILE, seq, payload)
     }
 
     /// Loads the snapshot, if any.
@@ -451,7 +490,61 @@ impl SnapshotStore {
     ///
     /// [`StoreError::Corrupt`] when the snapshot fails its checksum.
     pub fn load(&self) -> Result<Option<(u64, Vec<u8>)>, StoreError> {
-        read_snapshot_file(self.backend.as_ref())
+        read_snapshot_file(self.backend.as_ref(), SNAPSHOT_FILE)
+    }
+
+    /// Atomically writes the generation record `generation` (replacing
+    /// one of the same number, e.g. left by a write whose commit never
+    /// happened).
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] on backend failure.
+    pub fn save_generation(&mut self, generation: u64, payload: &[u8]) -> Result<(), StoreError> {
+        let name = generation_file_name(generation);
+        write_snapshot_file(self.backend.as_mut(), &name, generation, payload)
+    }
+
+    /// Loads the generation record `generation`.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::NotFound`] when there is no such record;
+    /// [`StoreError::Corrupt`] when it fails its length or checksum
+    /// check, or was written as a different generation than its name
+    /// says.
+    pub fn load_generation(&self, generation: u64) -> Result<Vec<u8>, StoreError> {
+        let name = generation_file_name(generation);
+        match read_snapshot_file(self.backend.as_ref(), &name)? {
+            None => Err(StoreError::NotFound(name)),
+            Some((written_as, payload)) if written_as == generation => Ok(payload),
+            Some((written_as, _)) => Err(StoreError::Corrupt {
+                file: name,
+                offset: 8,
+                reason: format!("record was written as generation {written_as}"),
+            }),
+        }
+    }
+
+    /// Removes every generation record except `keep`; returns how many
+    /// went. Called once the snapshot naming `keep` has landed, and on
+    /// recovery, where it sweeps what a crash around that point orphaned.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] on backend failure.
+    pub fn prune_generations(&mut self, keep: u64) -> Result<usize, StoreError> {
+        let keep = generation_file_name(keep);
+        let mut removed = 0;
+        for name in self.backend.list() {
+            let is_generation =
+                name.starts_with(GENERATION_PREFIX) && name.ends_with(GENERATION_SUFFIX);
+            if is_generation && name != keep {
+                self.backend.remove(&name)?;
+                removed += 1;
+            }
+        }
+        Ok(removed)
     }
 }
 
@@ -625,13 +718,44 @@ mod tests {
 
         // Corrupting the payload surfaces as a typed error.
         let mut raw = MemBackend::new();
-        write_snapshot_file(&mut raw, 3, b"payload").unwrap();
+        write_snapshot_file(&mut raw, SNAPSHOT_FILE, 3, b"payload").unwrap();
         let mut bytes = raw.read(SNAPSHOT_FILE).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         raw.write_atomic(SNAPSHOT_FILE, &bytes).unwrap();
         let store = SnapshotStore::new(Box::new(raw));
         assert!(matches!(store.load(), Err(StoreError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn generation_records_round_trip_and_prune_beside_the_snapshot() {
+        let mut raw = MemBackend::new();
+        // A record copied under another generation's name is not that
+        // generation.
+        write_snapshot_file(&mut raw, &generation_file_name(9), 8, b"misfiled").unwrap();
+        let mut store = SnapshotStore::new(Box::new(raw));
+        assert!(matches!(
+            store.load_generation(1),
+            Err(StoreError::NotFound(_))
+        ));
+        assert!(matches!(
+            store.load_generation(9),
+            Err(StoreError::Corrupt { .. })
+        ));
+        store.save_generation(1, b"history@1").unwrap();
+        store.save_generation(2, b"history@2").unwrap();
+        store.save(40, b"cursor naming 2").unwrap();
+        assert_eq!(store.load_generation(1).unwrap(), b"history@1");
+        assert_eq!(store.load_generation(2).unwrap(), b"history@2");
+        // Pruning keeps the named generation and the snapshot itself.
+        assert_eq!(store.prune_generations(2).unwrap(), 2);
+        assert!(matches!(
+            store.load_generation(1),
+            Err(StoreError::NotFound(_))
+        ));
+        assert_eq!(store.load_generation(2).unwrap(), b"history@2");
+        assert_eq!(store.load().unwrap().unwrap().0, 40);
+        assert_eq!(store.prune_generations(2).unwrap(), 0);
     }
 
     #[test]
