@@ -39,6 +39,8 @@ use drams_faas::des::{MILLIS, SECONDS};
 use drams_faas::model::FederationSpec;
 use drams_faas::workload::{PolicyGenerator, PolicyShape, RequestGenerator, Vocabulary};
 use drams_policy::pdp::Pdp;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::Instant;
 
 const USAGE: &str = "\
@@ -828,7 +830,9 @@ fn e10_scenario_matrix(run: &mut Run) -> Vec<Section> {
 /// E11 — the durable storage engine and the crash-restart scenarios.
 ///
 /// Part 1 measures the log engine itself (append/replay/snapshot cost
-/// per backend × durability). Part 2 runs the crash-restart matrix: each
+/// per backend × durability) and what a chain-journal compaction costs
+/// after 1 k, 4 k and 16 k folded records (it must not depend on them).
+/// Part 2 runs the crash-restart matrix: each
 /// monitoring-plane service is killed mid-run, restarted from its
 /// durable store, and the run's alerts + ground truth are required to be
 /// byte-identical to the uninterrupted twin. Emits `BENCH_STORE.json`.
@@ -888,8 +892,65 @@ fn e11_storage_and_recovery(run: &mut Run) -> Vec<Section> {
             snapshot_prune_us: snapshot_us,
         });
     }
-    let _ = std::fs::remove_dir_all(&tmp_root);
     let engine = section(run, "e11_store_engine", members! { rows: engine_rows });
+
+    // -- part 1b: journal compaction vs. history ---------------------------
+    // A compaction folds what was journaled since the last one, so a
+    // fixed 64-record tail must cost the same behind 1 k folded records
+    // and behind 16 k. Min of fifteen tails per history, the three
+    // histories taking turns: an fs compaction is two fsyncs and a
+    // rename, and a busy disk must slow all three rows or none.
+    const TAIL_ROUNDS: u64 = 16;
+    const HISTORIES: [u64; 3] = [1_024, 4_096, 16_384];
+    let mut compaction_rows = Vec::new();
+    let mut flat_ok = true;
+    for backend in ["mem", "fs"] {
+        let mut journals: Vec<JournalFiller> = HISTORIES
+            .iter()
+            .map(|&history| {
+                let wal_config = WalConfig {
+                    segment_records: 256,
+                    durability: Durability::Buffered,
+                };
+                let wal = if backend == "fs" {
+                    let dir = tmp_root.join(format!("compaction-{history}"));
+                    let _ = std::fs::remove_dir_all(&dir);
+                    Wal::open(
+                        Box::new(FsBackend::open(&dir).expect("temp dir")),
+                        wal_config,
+                    )
+                } else {
+                    Wal::open(Box::new(MemBackend::new()), wal_config)
+                };
+                let mut journal = JournalFiller::new(wal.expect("journal wal"));
+                journal.rounds(history / 4);
+                assert_eq!(journal.compact().0, (history, history / 4 + 1));
+                journal
+            })
+            .collect();
+        let mut best = [f64::INFINITY; 3];
+        for _ in 0..15 {
+            for (journal, best) in journals.iter_mut().zip(&mut best) {
+                journal.rounds(TAIL_ROUNDS);
+                *best = best.min(journal.compact().1);
+            }
+        }
+        for (history, best) in HISTORIES.iter().zip(best) {
+            compaction_rows.push(row! {
+                backend: backend,
+                folded_records: *history,
+                tail_records: TAIL_ROUNDS * 4,
+                compact_us: best,
+            });
+        }
+        flat_ok &= best[2] <= 2.0 * best[0];
+    }
+    let _ = std::fs::remove_dir_all(&tmp_root);
+    let compaction = section(
+        run,
+        "e11_compaction",
+        members! { rows: compaction_rows, flat_ok: flat_ok },
+    );
 
     // -- part 2: the recovery matrix ---------------------------------------
     let mut recovery_rows = Vec::new();
@@ -908,10 +969,70 @@ fn e11_storage_and_recovery(run: &mut Run) -> Vec<Section> {
     }
     let recovery = section(run, "e11_recovery", members! { rows: recovery_rows });
     println!("\nshape: appends are µs-scale on every backend (fsync dominates the");
-    println!("fs-flushed row); replay is sequential-scan fast; every crashed");
+    println!("fs-flushed row); replay is sequential-scan fast; a journal compaction");
+    println!("costs its 64-record tail, not the history behind it; every crashed");
     println!("service restarts from disk and the run is byte-identical to the");
     println!("uninterrupted twin — recovery loses nothing and repeats nothing.");
-    vec![engine, recovery]
+    vec![engine, compaction, recovery]
+}
+
+/// Writes chain-journal records the way a node does — rounds of three
+/// transaction records and a block record that includes two of them and
+/// the one the previous round left over, so one record is always pending
+/// — without running the node.
+struct JournalFiller {
+    wal: Rc<RefCell<drams_store::Wal>>,
+    journal: drams_store::WalJournal,
+    height: u64,
+    left_over: Vec<drams_chain::tx::Transaction>,
+}
+
+impl JournalFiller {
+    fn new(wal: drams_store::Wal) -> Self {
+        let wal = Rc::new(RefCell::new(wal));
+        JournalFiller {
+            journal: drams_store::WalJournal::new(wal.clone()),
+            wal,
+            height: 0,
+            left_over: Vec::new(),
+        }
+    }
+
+    fn rounds(&mut self, rounds: u64) {
+        use drams_chain::node::NodeJournal;
+        use drams_chain::tx::Transaction;
+        let kp = Keypair::from_seed(b"e11-compaction");
+        for _ in 0..rounds {
+            let mut txs = std::mem::take(&mut self.left_over);
+            for i in 0..3 {
+                let nonce = self.height * 3 + i;
+                let payload = vec![0xA5; 256];
+                let tx =
+                    Transaction::new_signed(&kp, nonce, MONITOR_CONTRACT, "store_log", payload);
+                self.journal.record_transaction(&tx).expect("journal");
+                txs.push(tx);
+            }
+            self.left_over = txs.split_off(txs.len() - 1);
+            let block = Block::mine(
+                drams_crypto::sha256::Digest::ZERO,
+                self.height,
+                txs,
+                self.height,
+                0,
+            );
+            self.journal.record_block(&block).expect("journal");
+            self.height += 1;
+        }
+    }
+
+    /// Compacts the journal; returns the effective record counts and the
+    /// time the call took in µs.
+    fn compact(&mut self) -> ((u64, u64), f64) {
+        let mut wal = self.wal.borrow_mut();
+        let start = Instant::now();
+        let counts = drams_store::compact_node_journal(&mut wal).expect("compaction");
+        (counts, start.elapsed().as_secs_f64() * 1e6)
+    }
 }
 
 /// E8 — ablations of DRAMS design choices.

@@ -668,6 +668,7 @@ mod tests {
         par_report_path_points_at_repo_root: resolves_at_repo_root("BENCH_PAR.json");
         net_report_path_points_at_repo_root: resolves_at_repo_root("BENCH_NET.json");
         e2e_gates_flag_every_violation_kind: gates_flip("e10_scenarios");
+        compaction_gate_flags_a_cost_that_grows_with_history: gates_flip("e11_compaction");
         recovery_gates_flag_every_violation_kind: gates_flip("e11_recovery");
         fuzz_gates_flag_every_violation_kind: gates_flip("e12_fuzz");
         fault_summary_clean_flags_every_violation_kind: gates_flip("e13_faults");

@@ -509,7 +509,7 @@ pub const REGISTRY: [FileSpec; 9] = files! {
     "BENCH_PDP.json"    "drams-bench-pdp/v2"    ["e5_pdp_scaling", "e6_monitoring_overhead"];
     "BENCH_CRYPTO.json" "drams-bench-crypto/v1" ["e9_crypto"];
     "BENCH_E2E.json"    "drams-bench-e2e/v1"    ["e10_scenarios"];
-    "BENCH_STORE.json"  "drams-bench-store/v1"  ["e11_store_engine", "e11_recovery"];
+    "BENCH_STORE.json"  "drams-bench-store/v1"  ["e11_store_engine", "e11_compaction", "e11_recovery"];
     "BENCH_FUZZ.json"   "drams-bench-fuzz/v1"   ["e12_fuzz"];
     "BENCH_FAULT.json"  "drams-bench-fault/v1"  ["e13_faults"];
     "BENCH_LOAD.json"   "drams-bench-load/v1"   ["e14_load"];
@@ -607,10 +607,12 @@ macro_rules! gates {
 /// Every gate `run_experiments` enforces on a run, one row each:
 /// section, row selector, column, rule.
 #[rustfmt::skip]
-pub const GATES: [Gate; 25] = gates! {
+pub const GATES: [Gate; 26] = gates! {
     // Wall clock is noisy across hosts, so the bar is loose: it catches
     // order-of-magnitude slowdowns of the simulation, not jitter.
     "e10_scenarios" "rows"                     "sim_speedup"                  Rule::AtLeastCommitted(0.5);
+    // 16 k folded records behind the compaction cost at most twice 1 k.
+    "e11_compaction" ""                        "flat_ok"                      Rule::True;
     "e11_recovery"  "rows"                     "matched"                      Rule::True;
     "e12_fuzz"      ""                         "violations"                   Rule::Zero;
     "e13_faults"    "rows"                     "alerts"                       Rule::Zero;

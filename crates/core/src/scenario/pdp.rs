@@ -16,8 +16,12 @@ use drams_policy::pdp::Pdp;
 use drams_store::Wal;
 use std::collections::{HashMap, VecDeque};
 
-/// Evictions of the PDP idempotency cache accumulated before its journal
-/// is compacted (snapshot of the live window + prune of sealed segments).
+/// Fewest evictions of the PDP idempotency cache between two compactions
+/// of its journal (snapshot of the live window + prune of sealed
+/// segments). A compaction re-encodes the whole live window, so the
+/// trigger is this or the window's size, whichever is larger: at most one
+/// envelope re-encoded per eviction, amortised, and a journal at most
+/// about twice the window.
 const PDP_COMPACT_EVICTIONS: u64 = 256;
 
 /// One PDP instance (central, or one per member cloud) with its probe.
@@ -88,7 +92,8 @@ impl PdpSlot {
     /// were evicted.
     fn evict_expired(&mut self, now: SimTime) -> u64 {
         let evicted = self.age_out(now);
-        if self.evictions_since_compact >= PDP_COMPACT_EVICTIONS {
+        let live = self.decided_order.len() as u64;
+        if self.evictions_since_compact >= PDP_COMPACT_EVICTIONS.max(live) {
             self.compact_journal();
         }
         evicted
@@ -418,5 +423,25 @@ mod tests {
             twin.evictions_since_compact
         );
         assert!(!crashed.decided.contains_key(&CorrelationId(0)), "evicted");
+    }
+
+    #[test]
+    fn journal_compaction_waits_for_a_window_of_evictions() {
+        let key = SymmetricKey::from_bytes([42; 32]);
+        let mut s = slot(&key);
+        // 400 steps span the retention window: from decision 400 on, each
+        // decision evicts one and the window holds 400 entries — more
+        // than the floor, so the window's size is the trigger.
+        let window = 400;
+        let step = MIN_RETENTION / window;
+        let mut evicted = 0;
+        let mut i = 0;
+        while s.journal.read_snapshot().unwrap().is_none() {
+            evicted += decide(&mut s, i, i * step);
+            i += 1;
+        }
+        assert_eq!(evicted, window, "not one re-encode of 400 per 256 gone");
+        assert_eq!(s.evictions_since_compact, 0);
+        assert_eq!(s.decided.len() as u64, window);
     }
 }

@@ -55,6 +55,14 @@ pub trait Backend: std::fmt::Debug {
     /// failure.
     fn read(&self, name: &str) -> Result<Vec<u8>, StoreError>;
 
+    /// A file's length in bytes (written, synced or not) without reading
+    /// it; `None` when absent.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] on failure.
+    fn len(&self, name: &str) -> Result<Option<u64>, StoreError>;
+
     /// Appends bytes to a file, creating it when absent.
     ///
     /// # Errors
@@ -118,13 +126,6 @@ impl MemBackend {
     pub fn new() -> Self {
         MemBackend::default()
     }
-
-    /// Bytes currently written to `name` (synced or not); `None` when the
-    /// file does not exist. Test hook.
-    #[must_use]
-    pub fn len_of(&self, name: &str) -> Option<usize> {
-        self.files.get(name).map(|f| f.bytes.len())
-    }
 }
 
 impl Backend for MemBackend {
@@ -137,6 +138,10 @@ impl Backend for MemBackend {
             .get(name)
             .map(|f| f.bytes.clone())
             .ok_or_else(|| StoreError::NotFound(name.to_string()))
+    }
+
+    fn len(&self, name: &str) -> Result<Option<u64>, StoreError> {
+        Ok(self.files.get(name).map(|f| f.bytes.len() as u64))
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
@@ -256,6 +261,14 @@ impl Backend for FsBackend {
         }
     }
 
+    fn len(&self, name: &str) -> Result<Option<u64>, StoreError> {
+        match fs::metadata(self.path(name)) {
+            Ok(meta) => Ok(Some(meta.len())),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e.into()),
+        }
+    }
+
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
         self.handle(name)?.write_all(bytes)?;
         Ok(())
@@ -305,6 +318,96 @@ impl Backend for FsBackend {
     }
 }
 
+/// A failing medium for this crate's tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::{Backend, MemBackend};
+    use crate::error::StoreError;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// What a [`FaultyBackend`] handle shares with the test.
+    #[derive(Debug, Default)]
+    pub(crate) struct Medium {
+        pub(crate) files: MemBackend,
+        /// Every change made so far, as `"<operation> <file>"`.
+        pub(crate) changes: Vec<String>,
+        /// The change with this index fails and leaves the files alone —
+        /// the process died just before it.
+        pub(crate) fail_at: Option<usize>,
+    }
+
+    /// A [`MemBackend`] the test keeps a handle on: it logs every change
+    /// (`append`, `write_atomic`, `truncate`, `remove`, `sync`), can fail
+    /// the *n*-th one, and outlives the log it was boxed into.
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct FaultyBackend(pub(crate) Rc<RefCell<Medium>>);
+
+    impl FaultyBackend {
+        fn change<T>(
+            &self,
+            what: &str,
+            name: &str,
+            apply: impl FnOnce(&mut MemBackend) -> Result<T, StoreError>,
+        ) -> Result<T, StoreError> {
+            let mut medium = self.0.borrow_mut();
+            if medium.fail_at == Some(medium.changes.len()) {
+                return Err(StoreError::Io(format!("injected failure at {what} {name}")));
+            }
+            medium.changes.push(format!("{what} {name}"));
+            apply(&mut medium.files)
+        }
+
+        /// Fails the change after the next `n` (and no other).
+        pub(crate) fn fail_after(&self, n: usize) {
+            let mut medium = self.0.borrow_mut();
+            medium.fail_at = Some(medium.changes.len() + n);
+        }
+
+        /// A fresh medium holding a copy of this one's files.
+        pub(crate) fn copy(&self) -> FaultyBackend {
+            let copy = FaultyBackend::default();
+            copy.0.borrow_mut().files = self.0.borrow().files.clone();
+            copy
+        }
+
+        /// Bytes in `name`, 0 when absent.
+        pub(crate) fn len_of(&self, name: &str) -> u64 {
+            self.len(name).expect("in-memory").unwrap_or(0)
+        }
+    }
+
+    impl Backend for FaultyBackend {
+        fn list(&self) -> Vec<String> {
+            self.0.borrow().files.list()
+        }
+        fn read(&self, name: &str) -> Result<Vec<u8>, StoreError> {
+            self.0.borrow().files.read(name)
+        }
+        fn len(&self, name: &str) -> Result<Option<u64>, StoreError> {
+            self.0.borrow().files.len(name)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            self.change("append", name, |f| f.append(name, bytes))
+        }
+        fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            self.change("write_atomic", name, |f| f.write_atomic(name, bytes))
+        }
+        fn truncate(&mut self, name: &str, len: u64) -> Result<(), StoreError> {
+            self.change("truncate", name, |f| f.truncate(name, len))
+        }
+        fn remove(&mut self, name: &str) -> Result<(), StoreError> {
+            self.change("remove", name, |f| f.remove(name))
+        }
+        fn sync(&mut self, name: &str) -> Result<(), StoreError> {
+            self.change("sync", name, |f| f.sync(name))
+        }
+        fn simulate_crash(&mut self) {
+            self.0.borrow_mut().files.simulate_crash();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,6 +418,8 @@ mod tests {
         b.append("a.wal", b"hello ").unwrap();
         b.append("a.wal", b"world").unwrap();
         assert_eq!(b.read("a.wal").unwrap(), b"hello world");
+        assert_eq!(b.len("a.wal").unwrap(), Some(11));
+        assert_eq!(b.len("absent").unwrap(), None);
         assert_eq!(b.list(), vec!["a.wal".to_string()]);
         b.truncate("a.wal", 5).unwrap();
         assert_eq!(b.read("a.wal").unwrap(), b"hello");
@@ -354,6 +459,8 @@ mod tests {
             let mut b = FsBackend::open(&dir).unwrap();
             b.append("a.wal", b"hello ").unwrap();
             b.append("a.wal", b"world").unwrap();
+            assert_eq!(b.len("a.wal").unwrap(), Some(11), "before any sync");
+            assert_eq!(b.len("absent").unwrap(), None);
             b.sync("a.wal").unwrap();
             assert_eq!(b.read("a.wal").unwrap(), b"hello world");
             b.truncate("a.wal", 5).unwrap();

@@ -133,22 +133,82 @@ pub fn frame_record(payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(payload);
 }
 
-/// What a recovery scan found in one segment file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanOutcome {
-    /// The decoded header.
-    pub header: SegmentHeader,
-    /// Record payloads, in append order.
-    pub records: Vec<Vec<u8>>,
-    /// Length in bytes of the valid prefix (header + intact records).
-    pub valid_len: u64,
-    /// True when bytes after `valid_len` were a torn tail that must be
-    /// truncated away.
-    pub torn_tail: bool,
+/// How a [`walk_frames`] pass ended short of the end of its bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameDamage {
+    /// The bytes end inside a frame or inside its payload.
+    Truncated,
+    /// The record at the walk's `valid_len` fails its checksum; its
+    /// payload ends at byte `end`.
+    Checksum {
+        /// Offset one past the failing record's payload.
+        end: usize,
+    },
 }
 
-/// Scans a segment file's bytes, separating torn tails (recoverable)
-/// from mid-segment corruption (a typed error).
+/// Where a [`walk_frames`] pass stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameWalk {
+    /// Offset one past the last intact record (the walk's start when
+    /// there is none).
+    pub valid_len: usize,
+    /// Intact records visited.
+    pub records: u64,
+    /// Why the walk stopped before the end of the bytes, if it did.
+    pub damage: Option<FrameDamage>,
+}
+
+/// Walks the framed records of `bytes` from byte `start`, verifying each
+/// checksum and lending each payload — a slice of `bytes`, not a copy —
+/// to `visit` together with the offset of its frame. The walk stops at
+/// the first damaged frame and reports it; what the damage means (a torn
+/// tail to truncate, or corruption to refuse) is the caller's call.
+///
+/// # Errors
+///
+/// Only what `visit` returns.
+pub fn walk_frames<'a>(
+    bytes: &'a [u8],
+    start: usize,
+    mut visit: impl FnMut(usize, &'a [u8]) -> Result<(), StoreError>,
+) -> Result<FrameWalk, StoreError> {
+    let mut walk = FrameWalk {
+        valid_len: start,
+        records: 0,
+        damage: None,
+    };
+    let mut rest = bytes.get(start..).unwrap_or_default();
+    while !rest.is_empty() {
+        let framed = rest.split_first_chunk::<4>().and_then(|(len, rest)| {
+            let (crc, rest) = rest.split_first_chunk::<4>()?;
+            let len = u32::from_be_bytes(*len) as usize;
+            let (payload, rest) = rest.split_at_checked(len)?;
+            Some((u32::from_be_bytes(*crc), payload, rest))
+        });
+        let Some((crc, payload, after)) = framed else {
+            walk.damage = Some(FrameDamage::Truncated);
+            break;
+        };
+        let end = walk.valid_len + FRAME_LEN + payload.len();
+        if crc32(payload) != crc {
+            walk.damage = Some(FrameDamage::Checksum { end });
+            break;
+        }
+        visit(walk.valid_len, payload)?;
+        walk.valid_len = end;
+        walk.records += 1;
+        rest = after;
+    }
+    Ok(walk)
+}
+
+/// Scans a segment file's bytes: checks the header, then lends every
+/// intact record to `visit` with the offset of its frame, separating
+/// torn tails (recoverable) from mid-segment corruption (a typed error).
+/// Damage at the physical end of the file — the torn-tail shapes — is
+/// reported in the returned walk, whose `valid_len` is what the caller
+/// truncates to. A file shorter than a header yields placeholder header
+/// fields and a walk with `valid_len` 0.
 ///
 /// `file` is used only for error reporting.
 ///
@@ -156,90 +216,88 @@ pub struct ScanOutcome {
 ///
 /// [`StoreError::Corrupt`] when the header is malformed on a non-empty,
 /// non-torn file, or when a record fails its checksum with more bytes
-/// following it.
-pub fn scan(file: &str, bytes: &[u8]) -> Result<ScanOutcome, StoreError> {
-    let corrupt = |offset: u64, reason: String| StoreError::Corrupt {
+/// following it; otherwise only what `visit` returns.
+pub fn scan<'a>(
+    file: &str,
+    bytes: &'a [u8],
+    visit: impl FnMut(usize, &'a [u8]) -> Result<(), StoreError>,
+) -> Result<(SegmentHeader, FrameWalk), StoreError> {
+    let corrupt = |offset: usize, reason: String| StoreError::Corrupt {
         file: file.to_string(),
-        offset,
+        offset: offset as u64,
         reason,
     };
-    if bytes.len() < HEADER_LEN {
+    let Some((head, _)) = bytes.split_first_chunk::<HEADER_LEN>() else {
         // An incomplete header can only be a torn creation; the caller
-        // discards the file. Header fields are placeholders.
-        return Ok(ScanOutcome {
-            header: SegmentHeader {
-                index: 0,
-                first_seq: 0,
-            },
-            records: Vec::new(),
+        // discards the file.
+        let header = SegmentHeader {
+            index: 0,
+            first_seq: 0,
+        };
+        let walk = FrameWalk {
             valid_len: 0,
-            torn_tail: !bytes.is_empty(),
-        });
-    }
-    if bytes[..4] != SEGMENT_MAGIC {
+            records: 0,
+            damage: (!bytes.is_empty()).then_some(FrameDamage::Truncated),
+        };
+        return Ok((header, walk));
+    };
+    if head[..4] != SEGMENT_MAGIC {
         return Err(corrupt(0, "bad segment magic".into()));
     }
-    let version = u32::from_be_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    let version = u32::from_be_bytes(head[4..8].try_into().expect("4 bytes"));
     if version != SEGMENT_VERSION {
         return Err(corrupt(4, format!("unsupported segment version {version}")));
     }
     let header = SegmentHeader {
-        index: u64::from_be_bytes(bytes[8..16].try_into().expect("8 bytes")),
-        first_seq: u64::from_be_bytes(bytes[16..24].try_into().expect("8 bytes")),
+        index: u64::from_be_bytes(head[8..16].try_into().expect("8 bytes")),
+        first_seq: u64::from_be_bytes(head[16..24].try_into().expect("8 bytes")),
     };
-
-    let mut records = Vec::new();
-    let mut offset = HEADER_LEN;
-    let mut valid_len = HEADER_LEN as u64;
-    let mut torn_tail = false;
-    while offset < bytes.len() {
-        // Incomplete frame or payload: can only be the torn tail.
-        if bytes.len() - offset < FRAME_LEN {
-            torn_tail = true;
-            break;
-        }
-        let len =
-            u32::from_be_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_be_bytes(bytes[offset + 4..offset + 8].try_into().expect("4 bytes"));
-        let payload_at = offset + FRAME_LEN;
-        if bytes.len() - payload_at < len {
-            torn_tail = true;
-            break;
-        }
-        let payload = &bytes[payload_at..payload_at + len];
-        let end = payload_at + len;
-        if crc32(payload) != crc {
-            if end == bytes.len() {
-                // Checksum failure on the final record: a torn write of
-                // the payload after the frame reached the medium.
-                torn_tail = true;
-                break;
-            }
+    let walk = walk_frames(bytes, HEADER_LEN, visit)?;
+    if let Some(FrameDamage::Checksum { end }) = walk.damage {
+        // A checksum failure on the final record is a torn write of the
+        // payload after the frame reached the medium; with bytes after
+        // it, it is not something a crash can produce.
+        if end != bytes.len() {
             return Err(corrupt(
-                offset as u64,
+                walk.valid_len,
                 format!(
                     "record {} fails its checksum with {} bytes following it",
-                    records.len(),
+                    walk.records,
                     bytes.len() - end
                 ),
             ));
         }
-        records.push(payload.to_vec());
-        offset = end;
-        valid_len = end as u64;
     }
-    Ok(ScanOutcome {
-        header,
-        records,
-        valid_len,
-        torn_tail,
-    })
+    Ok((header, walk))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// What a scan found, with the records copied out.
+    #[derive(Debug)]
+    struct ScanOutcome {
+        header: SegmentHeader,
+        records: Vec<Vec<u8>>,
+        valid_len: u64,
+        torn_tail: bool,
+    }
+
+    fn scan(file: &str, bytes: &[u8]) -> Result<ScanOutcome, StoreError> {
+        let mut records = Vec::new();
+        let (header, walk) = super::scan(file, bytes, |_, payload| {
+            records.push(payload.to_vec());
+            Ok(())
+        })?;
+        Ok(ScanOutcome {
+            header,
+            records,
+            valid_len: walk.valid_len as u64,
+            torn_tail: walk.damage.is_some(),
+        })
+    }
 
     fn segment_with(records: &[&[u8]]) -> Vec<u8> {
         let mut bytes = SegmentHeader {

@@ -5,7 +5,13 @@
 //! every [`WalConfig::segment_records`] records; recovery on open repairs
 //! torn tails by truncation and rejects mid-log corruption with a typed
 //! error; [`Wal::prune_through`] deletes sealed segments made redundant
-//! by a snapshot. [`SnapshotStore`] holds one atomically-replaced,
+//! by a snapshot. A consumer whose compacted state only ever grows (the
+//! chain node's journal, [`crate::persist`]) keeps it out of the
+//! snapshot: [`Wal::append_fold`] extends an append-only **fold file** of
+//! the same checksummed frames, and the snapshot shrinks to a manifest
+//! naming how much of that file is committed.
+//!
+//! [`SnapshotStore`] holds one atomically-replaced,
 //! checksummed snapshot — a consumer's compacted state plus the log
 //! sequence number it covers — and, beside it, side records named by
 //! generation for the slow-changing bulk a consumer does not want to
@@ -52,7 +58,7 @@
 
 use crate::backend::{Backend, Durability};
 use crate::error::StoreError;
-use crate::segment::{frame_record, scan, SegmentHeader, HEADER_LEN};
+use crate::segment::{frame_record, scan, walk_frames, SegmentHeader, HEADER_LEN};
 
 /// Prefix of segment file names (`seg-00000000.wal`, …).
 pub const SEGMENT_PREFIX: &str = "seg-";
@@ -60,6 +66,8 @@ pub const SEGMENT_PREFIX: &str = "seg-";
 pub const SEGMENT_SUFFIX: &str = ".wal";
 /// Name of the snapshot file a [`Wal`] (or [`SnapshotStore`]) manages.
 pub const SNAPSHOT_FILE: &str = "snapshot.snap";
+/// Name of the fold file a [`Wal`] manages (see [`Wal::append_fold`]).
+pub const FOLD_FILE: &str = "journal.fold";
 /// Prefix of the file names of a [`SnapshotStore`]'s generation records
 /// (`snapshot-gen-00000001.snap`, …).
 pub const GENERATION_PREFIX: &str = "snapshot-gen-";
@@ -172,18 +180,18 @@ impl Wal {
         for (i, name) in names.iter().enumerate() {
             let bytes = self.backend.read(name)?;
             let last = i + 1 == names.len();
-            let outcome = scan(name, &bytes)?;
-            if outcome.torn_tail || (outcome.valid_len as usize) < bytes.len() {
+            let (header, walk) = scan(name, &bytes, |_, _| Ok(()))?;
+            if walk.damage.is_some() {
                 if !last {
                     return Err(StoreError::Corrupt {
                         file: name.clone(),
-                        offset: outcome.valid_len,
+                        offset: walk.valid_len as u64,
                         reason: "torn tail in a non-final segment".into(),
                     });
                 }
-                self.backend.truncate(name, outcome.valid_len)?;
+                self.backend.truncate(name, walk.valid_len as u64)?;
             }
-            if (outcome.valid_len as usize) < HEADER_LEN {
+            if walk.valid_len < HEADER_LEN {
                 // Header never made it to the medium: the segment was
                 // created by a torn rotation. Only acceptable at the
                 // very end of the log; drop the file entirely.
@@ -197,11 +205,7 @@ impl Wal {
                 self.backend.remove(name)?;
                 continue;
             }
-            let info = SegInfo::new(
-                outcome.header.index,
-                outcome.header.first_seq,
-                outcome.records.len() as u64,
-            );
+            let info = SegInfo::new(header.index, header.first_seq, walk.records);
             if let Some(prev) = segments.last() {
                 if info.index <= prev.index || info.first_seq != prev.end_seq() {
                     return Err(StoreError::Corrupt {
@@ -262,14 +266,7 @@ impl Wal {
             Some(tail) => tail.records >= self.config.segment_records as u64,
         };
         if rotate {
-            let index = self.segments.last().map_or(0, |s| s.index + 1);
-            let info = SegInfo::new(index, self.next_seq, 0);
-            let header = SegmentHeader {
-                index,
-                first_seq: self.next_seq,
-            };
-            self.backend.append(&info.name, &header.to_bytes())?;
-            self.segments.push(info);
+            self.open_segment()?;
         }
         let tail = self.segments.last_mut().expect("tail ensured above");
         let mut frame = Vec::with_capacity(payload.len() + 8);
@@ -282,6 +279,44 @@ impl Wal {
             self.backend.sync(&tail.name)?;
         }
         Ok(seq)
+    }
+
+    /// Starts a new, empty tail segment after the current one.
+    fn open_segment(&mut self) -> Result<(), StoreError> {
+        let index = self.segments.last().map_or(0, |s| s.index + 1);
+        let info = SegInfo::new(index, self.next_seq, 0);
+        let header = SegmentHeader {
+            index,
+            first_seq: self.next_seq,
+        };
+        self.backend.append(&info.name, &header.to_bytes())?;
+        self.segments.push(info);
+        Ok(())
+    }
+
+    /// Seals the tail segment: the records appended so far stay in sealed
+    /// segments, which [`Wal::prune_through`] may delete, and later
+    /// appends go to a fresh tail. Without this a snapshot covering the
+    /// whole log still leaves the tail's bytes in place, to be read and
+    /// checksummed again by every later replay. A tail with no records is
+    /// left as it is.
+    ///
+    /// Both the old tail and the new header are synced whatever the
+    /// [`Durability`]: once the sealed segments are pruned, the header of
+    /// the new tail is the only durable trace of [`Wal::next_seq`], and a
+    /// new tail that survived a crash its predecessor's last records did
+    /// not would break the sequence continuity checked on open.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] on backend failure.
+    pub fn seal_tail(&mut self) -> Result<(), StoreError> {
+        if self.segments.last().is_some_and(|tail| tail.records > 0) {
+            self.sync()?;
+            self.open_segment()?;
+            self.sync()?;
+        }
+        Ok(())
     }
 
     /// Forces buffered appends to durable storage (a no-op under
@@ -313,20 +348,54 @@ impl Wal {
     /// As [`Wal::replay`].
     pub fn replay_from(&self, from_seq: u64) -> Result<Vec<(u64, Vec<u8>)>, StoreError> {
         let mut out = Vec::new();
+        self.visit_from(from_seq, |seq, payload| {
+            out.push((seq, payload.to_vec()));
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// [`Wal::replay_from`] without the copies: lends each retained
+    /// record with `seq >= from_seq` to `visit`, in order, as a slice of
+    /// the segment it was read from. An error from `visit` ends the walk
+    /// and is returned.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] if a segment was damaged since open — a
+    /// record fails its checksum, or a segment no longer holds the
+    /// records it held when it was indexed.
+    pub fn visit_from(
+        &self,
+        from_seq: u64,
+        mut visit: impl FnMut(u64, &[u8]) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
         for info in &self.segments {
             if info.end_seq() <= from_seq {
                 continue;
             }
             let bytes = self.backend.read(&info.name)?;
-            let outcome = scan(&info.name, &bytes)?;
-            for (i, payload) in outcome.records.into_iter().enumerate() {
-                let seq = info.first_seq + i as u64;
-                if seq >= from_seq {
-                    out.push((seq, payload));
+            let mut seq = info.first_seq;
+            let (_, walk) = scan(&info.name, &bytes, |_, payload| {
+                let this = seq;
+                seq += 1;
+                if this >= from_seq {
+                    visit(this, payload)?;
                 }
+                Ok(())
+            })?;
+            if walk.damage.is_some() || walk.records != info.records {
+                return Err(StoreError::Corrupt {
+                    file: info.name.clone(),
+                    offset: walk.valid_len as u64,
+                    reason: format!(
+                        "segment holds {} intact records, {} were indexed",
+                        walk.records, info.records
+                    ),
+                });
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Deletes sealed (non-tail) segments whose every record has
@@ -337,17 +406,23 @@ impl Wal {
     ///
     /// [`StoreError::Io`] on backend failure.
     pub fn prune_through(&mut self, upto_seq: u64) -> Result<usize, StoreError> {
+        let sealed = self.segments.len().saturating_sub(1);
         let mut removed = 0;
-        while self.segments.len() > 1 {
-            let first = &self.segments[0];
-            if first.end_seq() > upto_seq {
+        let mut outcome = Ok(());
+        for info in &self.segments[..sealed] {
+            if info.end_seq() > upto_seq {
                 break;
             }
-            self.backend.remove(&first.name)?;
-            self.segments.remove(0);
+            // A failed removal leaves the index naming exactly the files
+            // that remain.
+            if let Err(e) = self.backend.remove(&info.name) {
+                outcome = Err(e);
+                break;
+            }
             removed += 1;
         }
-        Ok(removed)
+        self.segments.drain(..removed);
+        outcome.map(|()| removed)
     }
 
     /// Writes this log's snapshot file atomically: `payload` plus the
@@ -371,6 +446,74 @@ impl Wal {
         read_snapshot_file(self.backend.as_ref(), SNAPSHOT_FILE)
     }
 
+    /// Extends this log's fold file — the append-only home of compacted
+    /// state that only ever grows — with `frames`, a run of records
+    /// already framed by [`frame_record`], and syncs it. Returns the
+    /// file's new length, which the caller commits by naming it in its
+    /// next [`Wal::write_snapshot`].
+    ///
+    /// `committed_len` is the length the current snapshot names (0 when
+    /// there is none). Bytes past it were appended by a compaction whose
+    /// snapshot write never happened; they are cut off first.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] when the fold file is shorter than
+    /// `committed_len`; [`StoreError::Io`] on backend failure.
+    pub fn append_fold(&mut self, committed_len: u64, frames: &[u8]) -> Result<u64, StoreError> {
+        let len = self.backend.len(FOLD_FILE)?.unwrap_or(0);
+        if len < committed_len {
+            return Err(short_fold(len, committed_len));
+        }
+        if len > committed_len {
+            self.backend.truncate(FOLD_FILE, committed_len)?;
+        }
+        if !frames.is_empty() {
+            self.backend.append(FOLD_FILE, frames)?;
+            self.backend.sync(FOLD_FILE)?;
+        }
+        Ok(committed_len + frames.len() as u64)
+    }
+
+    /// Lends each record in the first `committed_len` bytes of the fold
+    /// file to `visit`, in order, with the offset of its frame; bytes past
+    /// `committed_len` are ignored (see [`Wal::append_fold`]). Returns the
+    /// number of records visited. An error from `visit` ends the walk and
+    /// is returned.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] when the file is shorter than
+    /// `committed_len`, a record fails its checksum, or `committed_len`
+    /// falls inside a record.
+    pub fn visit_fold(
+        &self,
+        committed_len: u64,
+        visit: impl FnMut(usize, &[u8]) -> Result<(), StoreError>,
+    ) -> Result<u64, StoreError> {
+        if committed_len == 0 {
+            return Ok(0);
+        }
+        let bytes = match self.backend.read(FOLD_FILE) {
+            Ok(bytes) => bytes,
+            Err(StoreError::NotFound(_)) => Vec::new(),
+            Err(e) => return Err(e),
+        };
+        let committed = usize::try_from(committed_len)
+            .ok()
+            .and_then(|len| bytes.get(..len))
+            .ok_or_else(|| short_fold(bytes.len() as u64, committed_len))?;
+        let walk = walk_frames(committed, 0, visit)?;
+        match walk.damage {
+            None => Ok(walk.records),
+            Some(damage) => Err(StoreError::Corrupt {
+                file: FOLD_FILE.to_string(),
+                offset: walk.valid_len as u64,
+                reason: format!("fold record {} is damaged: {damage:?}", walk.records),
+            }),
+        }
+    }
+
     /// Models a crash of the owning process: the backend drops whatever
     /// a power cut would lose, then the log re-runs open-time recovery
     /// (truncating any torn tail this produced).
@@ -381,6 +524,14 @@ impl Wal {
     pub fn simulate_crash(&mut self) -> Result<(), StoreError> {
         self.backend.simulate_crash();
         self.recover()
+    }
+}
+
+fn short_fold(len: u64, committed_len: u64) -> StoreError {
+    StoreError::Corrupt {
+        file: FOLD_FILE.to_string(),
+        offset: len,
+        reason: format!("fold file ends before its committed length {committed_len}"),
     }
 }
 
@@ -552,6 +703,7 @@ impl SnapshotStore {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
+    use crate::segment::FRAME_LEN;
 
     fn mem_wal(segment_records: usize, durability: Durability) -> Wal {
         Wal::open(
@@ -705,6 +857,170 @@ mod tests {
         assert_eq!(wal.segment_count(), 1);
         assert_eq!(wal.next_seq(), 6);
         assert_eq!(wal.append(&payload(6)).unwrap(), 6);
+    }
+
+    #[test]
+    fn sealed_tail_can_be_pruned_and_next_seq_survives_a_crash() {
+        // Buffered: nothing is synced unless sealing does it.
+        let mut wal = mem_wal(4, Durability::Buffered);
+        wal.seal_tail().unwrap();
+        assert_eq!(wal.segment_count(), 0, "nothing to seal in an empty log");
+        for i in 0..6 {
+            wal.append(&payload(i)).unwrap();
+        }
+        wal.seal_tail().unwrap();
+        assert_eq!(wal.segment_count(), 3);
+        wal.seal_tail().unwrap();
+        assert_eq!(wal.segment_count(), 3, "an empty tail is left as it is");
+        // Every record is now in a sealed segment and can go; the empty
+        // tail carries the sequence across the crash.
+        assert_eq!(wal.prune_through(6).unwrap(), 2);
+        assert_eq!(wal.segment_count(), 1);
+        assert!(wal.is_empty());
+        wal.simulate_crash().unwrap();
+        assert_eq!(wal.next_seq(), 6);
+        assert_eq!(wal.append(&payload(6)).unwrap(), 6);
+        assert_eq!(wal.segment_count(), 1, "appends reuse the fresh tail");
+        // Sealed but not pruned: the sealed records were synced with it.
+        wal.seal_tail().unwrap();
+        wal.simulate_crash().unwrap();
+        assert_eq!(wal.replay().unwrap(), vec![(6, payload(6))]);
+    }
+
+    #[test]
+    fn visit_from_lends_what_replay_from_copies() {
+        let mut wal = mem_wal(3, Durability::Flushed);
+        for i in 0..8 {
+            wal.append(&payload(i)).unwrap();
+        }
+        for from in [0, 2, 3, 7, 8, 9] {
+            let mut visited = Vec::new();
+            wal.visit_from(from, |seq, bytes| {
+                visited.push((seq, bytes.to_vec()));
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(visited, wal.replay_from(from).unwrap(), "from {from}");
+            assert_eq!(visited.len() as u64, 8u64.saturating_sub(from));
+        }
+        // The visitor's error ends the walk and comes back unchanged.
+        let mut seen = 0;
+        let stop = wal.visit_from(0, |seq, _| {
+            seen += 1;
+            if seq == 4 {
+                return Err(StoreError::Codec("stop".into()));
+            }
+            Ok(())
+        });
+        assert_eq!(stop, Err(StoreError::Codec("stop".into())));
+        assert_eq!(seen, 5);
+    }
+
+    #[test]
+    fn a_segment_that_lost_records_since_open_is_corrupt_not_shorter() {
+        use crate::backend::FsBackend;
+        let dir = std::env::temp_dir().join(format!("drams-wal-visit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut wal = Wal::open(
+            Box::new(FsBackend::open(&dir).unwrap()),
+            WalConfig::default(),
+        )
+        .unwrap();
+        for i in 0..3 {
+            wal.append(&payload(i)).unwrap();
+        }
+        // Behind the open log's back, the last record goes: the shape a
+        // torn tail has at open, where it is truncated away — but this log
+        // indexed three records and must not now replay two.
+        let path = dir.join(segment_file_name(0));
+        let len = std::fs::metadata(&path).unwrap().len();
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(len - 2).unwrap();
+        match wal.replay() {
+            Err(StoreError::Corrupt { file, offset, .. }) => {
+                assert_eq!(file, segment_file_name(0));
+                assert_eq!(offset, len - (FRAME_LEN + payload(2).len()) as u64);
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_prune_leaves_the_index_naming_the_files_that_remain() {
+        use crate::backend::testing::FaultyBackend;
+        let medium = FaultyBackend::default();
+        let config = WalConfig {
+            segment_records: 2,
+            durability: Durability::Flushed,
+        };
+        let mut wal = Wal::open(Box::new(medium.clone()), config).unwrap();
+        for i in 0..7 {
+            wal.append(&payload(i)).unwrap();
+        }
+        medium.fail_after(1);
+        assert!(matches!(wal.prune_through(7), Err(StoreError::Io(_))));
+        // Segment 0 went, segment 1 did not: the log still replays from 2.
+        assert_eq!(wal.segment_count(), 3);
+        assert_eq!(wal.first_retained_seq(), 2);
+        assert_eq!(wal.replay().unwrap().len(), 5);
+    }
+
+    #[test]
+    fn fold_file_counts_as_far_as_the_committed_length() {
+        let frames = |range: std::ops::Range<u64>| {
+            let mut out = Vec::new();
+            for i in range {
+                frame_record(&payload(i), &mut out);
+            }
+            out
+        };
+        let visit = |wal: &Wal, committed: u64| {
+            let mut seen = Vec::new();
+            let count = wal.visit_fold(committed, |offset, bytes| {
+                seen.push((offset, bytes.to_vec()));
+                Ok(())
+            })?;
+            assert_eq!(count, seen.len() as u64);
+            Ok::<_, StoreError>(seen)
+        };
+        let mut wal = mem_wal(4, Durability::Flushed);
+        assert_eq!(
+            visit(&wal, 0).unwrap(),
+            vec![],
+            "no file, nothing committed"
+        );
+        let first = wal.append_fold(0, &frames(0..2)).unwrap();
+        assert_eq!(first, frames(0..2).len() as u64);
+        // An append whose length was never committed...
+        let abandoned = wal.append_fold(first, &frames(2..5)).unwrap();
+        assert!(abandoned > first);
+        assert_eq!(visit(&wal, first).unwrap().len(), 2, "...is not read...");
+        // ...and is cut off by the next one.
+        let second = wal.append_fold(first, &frames(7..8)).unwrap();
+        let seen = visit(&wal, second).unwrap();
+        let offsets: Vec<usize> = seen.iter().map(|(offset, _)| *offset).collect();
+        assert_eq!(offsets, [0, frames(0..1).len(), first as usize]);
+        assert_eq!(seen[2].1, payload(7));
+        // It survives a crash (it was synced) and an empty append.
+        wal.simulate_crash().unwrap();
+        assert_eq!(wal.append_fold(second, &[]).unwrap(), second);
+        assert_eq!(visit(&wal, second).unwrap(), seen);
+
+        // A committed length the file does not reach, or that ends inside
+        // a record, is corruption at the byte where the file gives out.
+        for (committed, blamed) in [(second + 1, second), (second - 1, first)] {
+            match visit(&wal, committed) {
+                Err(StoreError::Corrupt { file, offset, .. }) => {
+                    assert_eq!((file.as_str(), offset), (FOLD_FILE, blamed));
+                }
+                other => panic!("committed {committed}: {other:?}"),
+            }
+        }
+        assert!(matches!(
+            wal.append_fold(second + 1, &[]),
+            Err(StoreError::Corrupt { offset, .. }) if offset == second
+        ));
     }
 
     #[test]
