@@ -1,11 +1,11 @@
 //! Regenerates every experiment table of the DRAMS reproduction
 //! (EXPERIMENTS.md / DESIGN.md §3).
 //!
-//! Usage: `cargo run --release -p drams-bench --bin run_experiments [e1..e16|all] [--quick] [--scenario <name>]`
+//! Usage: `cargo run --release -p drams-bench --bin run_experiments [e1..e14|e16|all] [--quick] [--scenario <name>]`
 //!
 //! Run with `--release`: E1/E2 perform real proof-of-work hashing.
 //!
-//! E5, E6 and E9–E16 build their results as [`drams_bench::report`]
+//! E5, E6, E9–E14 and E16 build their results as [`drams_bench::report`]
 //! sections — ordered `(column, value)` pairs that are printed, checked
 //! against the gate table and written into the tracked `BENCH_*.json`
 //! files at the repo root (EXPERIMENTS.md lists file, sections and gates
@@ -44,7 +44,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 const USAGE: &str = "\
-usage: run_experiments [e1 .. e16 | all] [--quick] [--scenario <name>]
+usage: run_experiments [e1 .. e14 | e16 | all] [--quick] [--scenario <name>]
   --quick            CI-smoke sizes; every written section records its mode
   --scenario <name>  run one E10 scenario only (BENCH_E2E.json is left untouched)";
 
@@ -63,8 +63,10 @@ type Experiment = fn(&mut Run) -> Vec<Section>;
 
 /// Every experiment, in run order: id, banner, body. E1–E4, E7 and E8
 /// only print; the rest also return the sections of their tracked file.
+/// There is no `e15`: it measured the worker pool and went with it, and
+/// the ids after it keep their numbers.
 #[rustfmt::skip]
-const EXPERIMENTS: [(&str, &str, Experiment); 16] = [
+const EXPERIMENTS: [(&str, &str, Experiment); 15] = [
     ("e1", "log size vs on-chain storage latency (real PoW, wall clock)", |_| print_only(e1_log_size_vs_latency)),
     ("e2", "PoW difficulty vs block time; attacker rewrite probability", |_| print_only(e2_pow_tuning_and_integrity)),
     ("e3", "hybrid DB+chain: write cost vs tamper-exposure window", |_| print_only(e3_hybrid_store)),
@@ -79,7 +81,6 @@ const EXPERIMENTS: [(&str, &str, Experiment); 16] = [
     ("e12", "adversarial scenario fuzzing, oracle-checked end to end", e12_adversarial_fuzz),
     ("e13", "network fault plane: retry/failover/spill-replay, degraded mode", e13_fault_plane),
     ("e14", "overload robustness: flash crowds, shedding, bounded peak state", e14_overload),
-    ("e15", "deterministic parallel execution: worker-pool scaling", e15_parallel),
     ("e16", "real transport: loopback TCP round-trips and conformance", e16_net),
 ];
 
@@ -215,18 +216,6 @@ fn best_us<T>(rounds: u32, iters: u32, mut f: impl FnMut() -> T) -> f64 {
         best = best.min(start.elapsed().as_secs_f64() * 1e6 / f64::from(iters));
     }
     best
-}
-
-/// Whether `value` equals the first value `first` was ever handed (the
-/// reference run every later worker count must reproduce).
-fn same_as_first<T: PartialEq>(first: &mut Option<T>, value: T) -> bool {
-    match first {
-        Some(first) => *first == value,
-        None => {
-            *first = Some(value);
-            true
-        }
-    }
 }
 
 /// A run's alerts in their canonical encoding, for byte-identity checks.
@@ -1392,152 +1381,6 @@ fn e14_overload(run: &mut Run) -> Vec<Section> {
     vec![load]
 }
 
-/// E15 — deterministic parallel execution: worker-pool scaling.
-///
-/// Pins the `drams_faas::par` pool to 1/2/4/8 workers and runs two
-/// workloads at each count: the chain signature-audit path (Merkle root
-/// and chunked batch verification over a wide block) and the E14 flash
-/// crowd scaled to one million requests (full mode). Every workload
-/// must be byte-identical at every worker count — results merge in
-/// submission order, so the worker count is invisible
-/// (`determinism_ok`).
-///
-/// The `speedup_ok` gate is adaptive to the producing host: with ≥2
-/// cores the verify-heavy row must beat 1.0x at workers=4; on a
-/// single-core host a wall-clock speedup is physically impossible, so
-/// the same row must instead stay above a 0.75x overhead floor (the
-/// pool's thread spawns may not eat more than a quarter of throughput).
-/// Emits `BENCH_PAR.json`.
-fn e15_parallel(run: &mut Run) -> Vec<Section> {
-    use drams_chain::tx::Transaction;
-    use drams_faas::par;
-
-    let quick = run.quick;
-    let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let saved_workers = par::workers();
-    let counts: [usize; 4] = [1, 2, 4, 8];
-    let mut rows = Vec::new();
-    let mut determinism_ok = true;
-    // Appends one workload × worker-count row and returns its speedup:
-    // throughput relative to the same workload's workers=1 row, which
-    // every workload runs first.
-    let mut base_per_sec = 0.0;
-    let mut push_row = |workload: &str, workers: usize, items: u64, wall_ms: f64| {
-        let per_sec = items as f64 / (wall_ms / 1_000.0).max(1e-9);
-        if workers == 1 {
-            base_per_sec = per_sec;
-        }
-        let speedup = per_sec / base_per_sec.max(1e-9);
-        rows.push(row! {
-            workload: workload,
-            workers: workers,
-            items: items,
-            wall_ms: wall_ms,
-            per_sec: per_sec,
-            speedup: speedup,
-        });
-        speedup
-    };
-
-    // -- workload 1: the signature-audit path (verify-heavy) ---------------
-    let tx_count: usize = if quick { 1_024 } else { 4_096 };
-    let kp = Keypair::from_seed(b"e15-sig-audit");
-    let txs: Vec<Transaction> = (0..tx_count)
-        .map(|i| {
-            Transaction::new_signed(&kp, i as u64, "monitor", "store", vec![(i % 251) as u8; 48])
-        })
-        .collect();
-    let block = Block::mine(drams_crypto::sha256::Digest::ZERO, 0, txs, 0, 0);
-    let mut reference_root = None;
-    let mut audit_speedup_at_4 = 0.0;
-    for w in counts {
-        par::set_workers(w);
-        let wall = Instant::now();
-        let root = Block::compute_tx_root(&block.transactions);
-        let verdict = block.verify_signatures();
-        let wall_ms = wall.elapsed().as_secs_f64() * 1_000.0;
-        if verdict.is_err() {
-            determinism_ok = false;
-        }
-        if !same_as_first(&mut reference_root, root) {
-            determinism_ok = false;
-            eprintln!("sig_audit root diverged at workers={w}");
-        }
-        let speedup = push_row("sig_audit", w, tx_count as u64, wall_ms);
-        if w == 4 {
-            audit_speedup_at_4 = speedup;
-        }
-    }
-
-    // -- workload 2: the million-request flash crowd ------------------------
-    // The full event-driven simulation: arrivals, enforcement, logging,
-    // mining, analysis. Parallel lanes cover only its pure-compute
-    // fraction (block Merkle roots and signature audit, Analyser group
-    // judging and block audit), so this row measures the end-to-end
-    // dividend, not a microbenchmark. Quick mode trims the crowd and
-    // the counts.
-    let crowd_counts: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
-    let spec = scenarios::mega_crowd(quick);
-    println!(
-        "replaying {} requests at workers {crowd_counts:?} (the slow part) ...",
-        spec.config.total_requests
-    );
-    let mut reference_crowd = None;
-    for &w in crowd_counts {
-        par::set_workers(w);
-        let ((report, truth), wall_ms) = timed_ms(|| run_scenario(&spec, &mut NoAdversary));
-        let fingerprint = (
-            alert_bytes(&report),
-            truth,
-            (
-                report.requests_issued,
-                report.requests_completed,
-                report.requests_shed,
-                report.entries_logged,
-                report.groups_completed,
-                report.txs_committed,
-                report.groups_retired,
-                report.policy_history_retired,
-            ),
-            report.peak,
-            report.faults,
-            report.finished_at,
-        );
-        if !same_as_first(&mut reference_crowd, fingerprint) {
-            determinism_ok = false;
-            eprintln!("{} diverged at workers={w}", spec.name);
-        }
-        push_row(&spec.name, w, report.requests_issued, wall_ms);
-    }
-    par::set_workers(saved_workers);
-
-    let speedup_ok = if host_cores >= 2 {
-        audit_speedup_at_4 > 1.0
-    } else {
-        audit_speedup_at_4 >= 0.75
-    };
-    let parallel = section(
-        run,
-        "e15_parallel",
-        members! {
-            host_cores: host_cores,
-            determinism_ok: determinism_ok,
-            speedup_ok: speedup_ok,
-            rows: rows,
-        },
-    );
-    println!(
-        "\nspeedup gate: sig_audit at workers=4 ran at {audit_speedup_at_4:.2}x; it must beat"
-    );
-    println!("1.0x on a multi-core host, and hold the 0.75x overhead floor on one core.");
-    println!("\nshape: the four compute lanes (block Merkle roots, signature audit,");
-    println!("Analyser group judging and block audit) scale with workers while the");
-    println!("DES event loop and every service handler stay single-threaded;");
-    println!("submission-order merging makes the worker count observationally");
-    println!("invisible, so the same bytes come out at any size.");
-    vec![parallel]
-}
-
 /// E16 — the real transport (DESIGN.md invariant 9): loopback TCP
 /// round-trip latency and frame throughput per payload size, the cost
 /// of killing and lazily re-provisioning a service endpoint, and a
@@ -1664,6 +1507,7 @@ mod tests {
         use ArgError::*;
         for (line, error) in [
             ("e17", UnknownExperiment("e17".to_string())),
+            ("e15", UnknownExperiment("e15".to_string())),
             ("e5 E6", UnknownExperiment("E6".to_string())),
             ("e5 --quik", UnknownFlag("--quik".to_string())),
             ("-q", UnknownFlag("-q".to_string())),

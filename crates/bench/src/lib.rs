@@ -442,22 +442,6 @@ pub mod scenarios {
         }
     }
 
-    /// E15: the E14 flash crowd scaled up — one million requests in
-    /// full mode — as the end-to-end parallel-lane workload. The
-    /// arrival rate stays moderate so group retirement and history
-    /// pruning keep tracked state bounded over the much longer run.
-    #[must_use]
-    pub fn mega_crowd(quick: bool) -> ScenarioSpec {
-        let mut config = base_config(quick);
-        config.total_requests = if quick { 200_000 } else { 1_000_000 };
-        config.request_rate_per_sec = if quick { 6_000.0 } else { 10_000.0 };
-        ScenarioSpec {
-            name: "flash_crowd_1m".to_string(),
-            load: overload_profile(),
-            ..ScenarioSpec::canonical(&config)
-        }
-    }
-
     /// E14 part 3: the crash-under-overload scenario — a PDP dies in
     /// the middle of the flash crowd and must recover byte-identical to
     /// its uninterrupted twin while shedding is active.
@@ -647,7 +631,6 @@ mod tests {
         fuzz_report_round_trips: round_trips("BENCH_FUZZ.json");
         fault_trajectory_json_is_balanced_and_complete: round_trips("BENCH_FAULT.json");
         load_trajectory_json_is_balanced_and_parses_back: round_trips("BENCH_LOAD.json");
-        par_report_round_trips: round_trips("BENCH_PAR.json");
         net_report_round_trips: round_trips("BENCH_NET.json");
         partial_runs_carry_the_other_section_forward: carries_forward("BENCH_PDP.json");
         crypto_trajectory_carries_forward_when_not_rerun: carries_forward("BENCH_CRYPTO.json");
@@ -656,7 +639,6 @@ mod tests {
         fuzz_report_carries_forward: carries_forward("BENCH_FUZZ.json");
         fault_trajectory_carries_forward_when_not_rerun: carries_forward("BENCH_FAULT.json");
         load_report_carries_forward: carries_forward("BENCH_LOAD.json");
-        par_report_carries_forward: carries_forward("BENCH_PAR.json");
         net_report_carries_forward: carries_forward("BENCH_NET.json");
         trajectory_path_points_at_repo_root: resolves_at_repo_root("BENCH_PDP.json");
         crypto_trajectory_path_points_at_repo_root: resolves_at_repo_root("BENCH_CRYPTO.json");
@@ -665,7 +647,6 @@ mod tests {
         fuzz_report_path_points_at_repo_root: resolves_at_repo_root("BENCH_FUZZ.json");
         fault_trajectory_path_points_at_repo_root: resolves_at_repo_root("BENCH_FAULT.json");
         load_report_path_points_at_repo_root: resolves_at_repo_root("BENCH_LOAD.json");
-        par_report_path_points_at_repo_root: resolves_at_repo_root("BENCH_PAR.json");
         net_report_path_points_at_repo_root: resolves_at_repo_root("BENCH_NET.json");
         e2e_gates_flag_every_violation_kind: gates_flip("e10_scenarios");
         compaction_gate_flags_a_cost_that_grows_with_history: gates_flip("e11_compaction");
@@ -673,7 +654,6 @@ mod tests {
         fuzz_gates_flag_every_violation_kind: gates_flip("e12_fuzz");
         fault_summary_clean_flags_every_violation_kind: gates_flip("e13_faults");
         load_summary_clean_flags_every_violation_kind: gates_flip("e14_load");
-        par_gates_flag_every_violation_kind: gates_flip("e15_parallel");
         net_gates_flag_every_violation_kind: gates_flip("e16_net");
     }
 

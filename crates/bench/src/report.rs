@@ -505,7 +505,7 @@ macro_rules! files {
 
 /// Every tracked file, one row each: name, schema, sections.
 #[rustfmt::skip]
-pub const REGISTRY: [FileSpec; 9] = files! {
+pub const REGISTRY: [FileSpec; 8] = files! {
     "BENCH_PDP.json"    "drams-bench-pdp/v2"    ["e5_pdp_scaling", "e6_monitoring_overhead"];
     "BENCH_CRYPTO.json" "drams-bench-crypto/v1" ["e9_crypto"];
     "BENCH_E2E.json"    "drams-bench-e2e/v1"    ["e10_scenarios"];
@@ -513,7 +513,6 @@ pub const REGISTRY: [FileSpec; 9] = files! {
     "BENCH_FUZZ.json"   "drams-bench-fuzz/v1"   ["e12_fuzz"];
     "BENCH_FAULT.json"  "drams-bench-fault/v1"  ["e13_faults"];
     "BENCH_LOAD.json"   "drams-bench-load/v1"   ["e14_load"];
-    "BENCH_PAR.json"    "drams-bench-par/v1"    ["e15_parallel"];
     "BENCH_NET.json"    "drams-bench-net/v1"    ["e16_net"];
 };
 
@@ -607,7 +606,7 @@ macro_rules! gates {
 /// Every gate `run_experiments` enforces on a run, one row each:
 /// section, row selector, column, rule.
 #[rustfmt::skip]
-pub const GATES: [Gate; 26] = gates! {
+pub const GATES: [Gate; 24] = gates! {
     // Wall clock is noisy across hosts, so the bar is loose: it catches
     // order-of-magnitude slowdowns of the simulation, not jitter.
     "e10_scenarios" "rows"                     "sim_speedup"                  Rule::AtLeastCommitted(0.5);
@@ -636,8 +635,6 @@ pub const GATES: [Gate; 26] = gates! {
     "e14_load"      "honest"                   "peak_contract_storage"        Rule::AtMostCommitted(2.0);
     "e14_load"      "honest"                   "peak_chain_journal_records"   Rule::AtMostCommitted(2.0);
     "e14_load"      "honest"                   "peak_policy_history"          Rule::AtMostCommitted(2.0);
-    "e15_parallel"  ""                         "determinism_ok"               Rule::True;
-    "e15_parallel"  ""                         "speedup_ok"                   Rule::True;
     "e16_net"       "conformance"              "matched"                      Rule::True;
 };
 

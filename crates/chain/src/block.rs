@@ -3,9 +3,8 @@
 use crate::error::ChainError;
 use crate::tx::Transaction;
 use drams_crypto::codec::{decode_seq, Decode, Encode, Reader, Writer};
-use drams_crypto::merkle::{self, MerkleTree};
+use drams_crypto::merkle::MerkleTree;
 use drams_crypto::sha256::Digest;
-use drams_faas::par;
 use serde::{Deserialize, Serialize};
 
 /// A block hash.
@@ -76,48 +75,13 @@ pub struct Block {
     pub transactions: Vec<Transaction>,
 }
 
-/// Minimum transaction count before block hashing/verification fans out
-/// across [`drams_faas::par`] workers: below this, thread-spawn overhead
-/// exceeds the hash/exponentiation work being split.
-const PAR_MIN_TXS: usize = 32;
-
 impl Block {
-    /// Computes the Merkle root over a transaction list.
-    ///
-    /// Leaf hashing (one SHA-256 of each transaction's canonical bytes)
-    /// dominates and is pure per-transaction work, so wide blocks fan it
-    /// out across [`drams_faas::par`] workers; the tree is then assembled
-    /// level by level with [`drams_crypto::merkle::hash_level_chunk`]
-    /// over pair-aligned chunks. Results merge in submission order, so
-    /// the root is identical at any worker count.
+    /// Computes the Merkle root over a transaction list: the cached
+    /// transaction ids are the leaf hashes of one
+    /// [`MerkleTree::from_leaf_hashes`] build.
     #[must_use]
     pub fn compute_tx_root(transactions: &[Transaction]) -> Digest {
-        let mut level: Vec<Digest> = par::map(transactions, PAR_MIN_TXS, Transaction::id);
-        if level.len() <= 1 {
-            return MerkleTree::from_leaf_hashes(level).root();
-        }
-        while level.len() > 1 {
-            let pair_count = level.len() / 2;
-            let (paired, rest) = level.split_at(pair_count * 2);
-            let mut next: Vec<Digest> = if pair_count >= PAR_MIN_TXS {
-                // One pair-aligned chunk per worker; the trailing odd
-                // node is promoted unchanged as in the serial builder.
-                let ranges = par::chunk_ranges(pair_count, par::workers());
-                let chunks: Vec<&[Digest]> = ranges
-                    .iter()
-                    .map(|r| &paired[r.start * 2..r.end * 2])
-                    .collect();
-                par::map(&chunks, 2, |c| merkle::hash_level_chunk(c))
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            } else {
-                merkle::hash_level_chunk(paired)
-            };
-            next.extend_from_slice(rest);
-            level = next;
-        }
-        level[0]
+        MerkleTree::from_leaf_hashes(transactions.iter().map(Transaction::id).collect()).root()
     }
 
     /// Assembles and mines a block: iterates the nonce until the header
@@ -174,45 +138,29 @@ impl Block {
 
     /// Verifies every transaction signature in one batched pass.
     ///
-    /// Uses [`drams_crypto::schnorr::batch_verify`], which builds a
-    /// fixed-base table for each signer with four or more transactions
-    /// in the batch — blocks are dominated by a handful of Logging
-    /// Interface identities, so on this, the hot import path, almost
-    /// every verification is two table walks. Wide blocks split the
-    /// batch into one contiguous chunk per [`drams_faas::par`] worker,
-    /// verify chunks concurrently, and merge verdicts with
-    /// [`drams_crypto::schnorr::merge_chunk_verdicts`] — exactly
-    /// equivalent to verifying each transaction individually, at any
-    /// worker count.
+    /// One [`drams_crypto::schnorr::batch_verify`] over the whole block,
+    /// which builds a fixed-base table once for each signer with four or
+    /// more transactions in it — blocks are dominated by a handful of
+    /// Logging Interface identities, so on this, the hot import path,
+    /// almost every verification is two table walks. Exactly equivalent
+    /// to verifying each transaction individually.
     ///
     /// # Errors
     ///
     /// [`ChainError::BadSignature`] if any transaction fails.
     pub fn verify_signatures(&self) -> Result<(), ChainError> {
-        if self.transactions.is_empty() {
-            return Ok(());
-        }
-        let messages: Vec<Vec<u8>> =
-            par::map(&self.transactions, PAR_MIN_TXS, Transaction::signing_bytes);
+        let messages: Vec<Vec<u8>> = self
+            .transactions
+            .iter()
+            .map(Transaction::signing_bytes)
+            .collect();
         let batch: Vec<_> = self
             .transactions
             .iter()
             .zip(&messages)
             .map(|(tx, msg)| (tx.sender, msg.as_slice(), tx.signature))
             .collect();
-        if batch.len() < PAR_MIN_TXS {
-            return drams_crypto::schnorr::batch_verify(&batch)
-                .map_err(|_| ChainError::BadSignature);
-        }
-        let ranges = par::chunk_ranges(batch.len(), par::workers());
-        let chunks: Vec<(usize, &[_])> = ranges
-            .iter()
-            .map(|r| (r.start, &batch[r.start..r.end]))
-            .collect();
-        let verdicts = par::map(&chunks, 2, |&(start, chunk)| {
-            (start, drams_crypto::schnorr::batch_verify(chunk))
-        });
-        drams_crypto::schnorr::merge_chunk_verdicts(verdicts).map_err(|_| ChainError::BadSignature)
+        drams_crypto::schnorr::batch_verify(&batch).map_err(|_| ChainError::BadSignature)
     }
 
     /// Total serialized size in bytes.
@@ -314,43 +262,23 @@ mod tests {
     }
 
     #[test]
-    fn tx_root_and_verification_are_worker_count_invisible() {
-        // Wide enough to cross PAR_MIN_TXS so the parallel paths engage.
-        let txs = sample_txs(PAR_MIN_TXS * 2 + 5);
-        let mut bad = txs.clone();
-        let mut body = bad[40].clone().into_body();
-        body.payload = b"forged".to_vec(); // signature no longer covers payload
-        bad[40] = Transaction::from_body(body);
-        let saved = par::workers();
-        let mut roots = Vec::new();
-        let mut verdicts = Vec::new();
-        for w in [1usize, 2, 4, 8] {
-            par::set_workers(w);
-            roots.push(Block::compute_tx_root(&txs));
-            let block = Block {
-                header: BlockHeader {
-                    parent: Digest::ZERO,
-                    height: 0,
-                    tx_root: Block::compute_tx_root(&txs),
-                    timestamp_ms: 0,
-                    difficulty_bits: 0,
-                    nonce: 0,
-                },
-                transactions: txs.clone(),
-            };
-            verdicts.push(block.verify_signatures().is_ok());
-            let bad_block = Block {
-                transactions: bad.clone(),
-                ..block
-            };
+    fn wide_block_root_matches_the_merkle_tree_and_a_forgery_is_caught() {
+        // Widths around 32, 64 and 128 leaves, with and without odd promotions.
+        for n in [0usize, 1, 2, 31, 32, 33, 64, 69, 129] {
+            let txs = sample_txs(n);
+            let ids: Vec<Digest> = txs.iter().map(Transaction::id).collect();
             assert_eq!(
-                bad_block.verify_signatures(),
-                Err(ChainError::BadSignature),
-                "workers={w}"
+                Block::compute_tx_root(&txs),
+                MerkleTree::from_leaf_hashes(ids).root(),
+                "n={n}"
             );
         }
-        par::set_workers(saved);
-        assert!(roots.windows(2).all(|p| p[0] == p[1]));
-        assert!(verdicts.iter().all(|&v| v));
+        let block = Block::mine(Digest::ZERO, 0, sample_txs(69), 0, 0);
+        assert_eq!(block.verify_signatures(), Ok(()));
+        let mut bad = block;
+        let mut body = bad.transactions[40].clone().into_body();
+        body.payload = b"forged".to_vec(); // signature no longer covers payload
+        bad.transactions[40] = Transaction::from_body(body);
+        assert_eq!(bad.verify_signatures(), Err(ChainError::BadSignature));
     }
 }

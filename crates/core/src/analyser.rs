@@ -37,17 +37,6 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// gets during a flash crowd.
 const RETIRE_BATCH_MAX: usize = 512;
 
-/// Minimum completed groups in one poll before group judging fans out
-/// across [`drams_faas::par`] workers (each judge job is MAC checks +
-/// two AEAD decrypts + a policy re-evaluation, ~tens of microseconds).
-const PAR_MIN_GROUPS: usize = 8;
-
-/// Minimum freshly committed blocks before the audit fans out one block
-/// per worker job; below this the inner chunked
-/// [`drams_chain::block::Block::verify_signatures`] parallelism is the
-/// better split.
-const PAR_MIN_BLOCKS: usize = 2;
-
 /// One recorded policy-administration action, kept so a verification
 /// checkpoint can replay the authorised-version history exactly.
 #[derive(Debug, Clone)]
@@ -558,28 +547,15 @@ impl Analyser {
                 .collect()
         };
         let mut alerts = audit_alerts;
-        // Load every completed group's entries serially (contract storage
-        // reads), then judge them — MAC verification, payload decryption
-        // and policy re-evaluation, all pure per-group work — across the
-        // worker pool. Alert vectors merge in submission (= completion
-        // event) order, so the poll's output is worker-count invisible.
-        let loaded: Vec<(CorrelationId, Option<BTreeMap<ObservationPoint, LogEntry>>)> = completed
-            .iter()
-            .map(|&corr| (corr, Self::load_group_entries(node, corr)))
-            .collect();
-        let verifier = &self.verifier;
-        let key = &self.key;
-        let probe_mac_keys = &self.probe_mac_keys;
-        let judged = drams_faas::par::map(&loaded, PAR_MIN_GROUPS, |(corr, entries)| {
-            entries.as_ref().map_or_else(Vec::new, |entries| {
-                Self::judge_group(verifier, key, probe_mac_keys, *corr, entries, now)
-            })
-        });
-        for ((corr, _), group_alerts) in loaded.iter().zip(judged) {
-            alerts.extend(group_alerts);
+        // Judge in completion-event order: that is the order alerts are
+        // reported and groups queue for retirement.
+        for corr in completed {
+            if let Some(entries) = Self::load_group_entries(node, corr) {
+                alerts.extend(self.judge_group(corr, &entries, now));
+            }
             self.checked_groups += 1;
             if self.retire_lag > 0 {
-                self.pending_retire.push_back((now, *corr));
+                self.pending_retire.push_back((now, corr));
             }
         }
         for alert in &alerts {
@@ -678,27 +654,17 @@ impl Analyser {
             let Some(block) = chain.block(&cursor) else {
                 break;
             };
-            pending.push(cursor);
+            pending.push(block);
             if block.header.height == 0 {
                 break; // reached genesis: the old audited tip was reorged away
             }
             cursor = block.header.parent;
         }
-        // Verify blocks across the worker pool, one job per block, oldest
-        // first (submission-order merge keeps alert order canonical).
-        // Single-block audits instead parallelise *inside*
-        // `verify_signatures` (chunked batch verification), so both the
-        // many-small-blocks and one-wide-block shapes use all workers.
-        let blocks: Vec<&drams_chain::block::Block> = pending
-            .iter()
-            .rev()
-            .map(|hash| chain.block(hash).expect("collected from the chain above"))
-            .collect();
-        let verdicts = drams_faas::par::map(&blocks, PAR_MIN_BLOCKS, |b| b.verify_signatures());
+        // Oldest first, so alerts come out in chain order.
         let mut alerts = Vec::new();
-        for (block, verdict) in blocks.iter().zip(verdicts) {
+        for block in pending.into_iter().rev() {
             self.audited_txs += block.transactions.len() as u64;
-            if let Err(e) = verdict {
+            if let Err(e) = block.verify_signatures() {
                 alerts.push(Alert::new(
                     AlertKind::MonitorCompromise,
                     CorrelationId(0),
@@ -770,12 +736,8 @@ impl Analyser {
 
     /// Judges one loaded group: MAC verification, payload decryption, the
     /// formally-grounded re-evaluation and the enforcement cross-check.
-    /// Pure with respect to its borrowed state, so [`Analyser::poll`]
-    /// fans completed groups out across the worker pool.
     fn judge_group(
-        verifier: &DecisionVerifier,
-        key: &SymmetricKey,
-        probe_mac_keys: &BTreeMap<ProbeId, ProbeMacKey>,
+        &self,
         corr: CorrelationId,
         entries: &BTreeMap<ObservationPoint, LogEntry>,
         now: SimTime,
@@ -785,7 +747,8 @@ impl Analyser {
         // MAC verification: a compromised LI cannot alter entries without
         // breaking the probe MAC.
         for entry in entries.values() {
-            let valid = probe_mac_keys
+            let valid = self
+                .probe_mac_keys
                 .get(&entry.probe)
                 .is_some_and(|k| entry.verify_mac_with(&k.keyed));
             if !valid {
@@ -803,7 +766,7 @@ impl Analyser {
         let response_entry = &entries[&ObservationPoint::PdpResponse];
         let pep_response_entry = &entries[&ObservationPoint::PepResponse];
 
-        let Ok(request_plain) = decrypt_entry_payload(key, request_entry) else {
+        let Ok(request_plain) = decrypt_entry_payload(&self.key, request_entry) else {
             alerts.push(Alert::new(
                 AlertKind::MonitorCompromise,
                 corr,
@@ -812,7 +775,7 @@ impl Analyser {
             ));
             return alerts;
         };
-        let Ok(response_plain) = decrypt_entry_payload(key, response_entry) else {
+        let Ok(response_plain) = decrypt_entry_payload(&self.key, response_entry) else {
             alerts.push(Alert::new(
                 AlertKind::MonitorCompromise,
                 corr,
@@ -830,7 +793,7 @@ impl Analyser {
 
         // The formally-grounded check: re-evaluate and compare, against
         // the version that was authorised *when the decision was taken*.
-        match verifier.verify_versioned_at(
+        match self.verifier.verify_versioned_at(
             &request_env.request,
             &response_env.response,
             response_env.policy_version,
@@ -857,7 +820,7 @@ impl Analyser {
 
         // Enforcement cross-check: the PEP-side payload carries what the
         // PEP actually did.
-        if let Ok(pep_plain) = decrypt_entry_payload(key, pep_response_entry) {
+        if let Ok(pep_plain) = decrypt_entry_payload(&self.key, pep_response_entry) {
             if let Some((&granted_byte, env_bytes)) = pep_plain.split_last() {
                 if let Ok(enforced_env) = ResponseEnvelope::from_canonical_bytes(env_bytes) {
                     let granted = granted_byte == 1;
@@ -1453,35 +1416,36 @@ mod tests {
     }
 
     #[test]
-    fn parallel_group_judging_is_worker_count_invisible() {
-        use drams_faas::par;
-        // More groups than PAR_MIN_GROUPS, mixed verdicts, compared
-        // across worker counts by rebuilding the same chain each time.
-        let runs: Vec<Vec<Alert>> = [1usize, 4]
-            .iter()
-            .map(|&w| {
-                let saved = par::workers();
-                par::set_workers(w);
-                let mut r = rig();
-                for corr in 0..(PAR_MIN_GROUPS as u64 + 4) {
-                    let (role, resp, granted) = match corr % 3 {
-                        0 => ("doctor", honest_response("doctor"), true),
-                        1 => (
-                            "nurse",
-                            Response::new(drams_policy::decision::ExtDecision::Permit, vec![]),
-                            true,
-                        ),
-                        _ => ("doctor", honest_response("doctor"), false),
-                    };
-                    run_group(&mut r, corr + 1, role, resp, granted);
+    fn one_poll_judges_many_groups_in_completion_order() {
+        // Twelve groups with mixed verdicts in one poll: honest, a lying
+        // PDP, a PEP that refuses a Permit — repeated four times.
+        let mut r = rig();
+        let mut expected = Vec::new();
+        for corr in 1..=12u64 {
+            let (role, resp, granted) = match corr % 3 {
+                1 => ("doctor", honest_response("doctor"), true),
+                2 => {
+                    expected.push((AlertKind::PolicyViolation, CorrelationId(corr)));
+                    (
+                        "nurse",
+                        Response::new(drams_policy::decision::ExtDecision::Permit, vec![]),
+                        true,
+                    )
                 }
-                let alerts = r.analyser.poll(&mut r.node, 50_000);
-                par::set_workers(saved);
-                alerts
-            })
+                _ => {
+                    expected.push((AlertKind::EnforcementMismatch, CorrelationId(corr)));
+                    ("doctor", honest_response("doctor"), false)
+                }
+            };
+            run_group(&mut r, corr, role, resp, granted);
+        }
+        let alerts = r.analyser.poll(&mut r.node, 50_000);
+        let got: Vec<_> = alerts
+            .iter()
+            .map(|a| (a.kind.clone(), a.correlation))
             .collect();
-        assert!(!runs[0].is_empty());
-        assert_eq!(runs[0], runs[1]);
+        assert_eq!(got, expected);
+        assert_eq!(r.analyser.checked_groups(), 12);
     }
 
     // ---- the two-record checkpoint (v5) --------------------------------------

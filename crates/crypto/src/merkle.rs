@@ -177,32 +177,6 @@ pub fn empty_root() -> Digest {
     Digest::of(&[0x02])
 }
 
-/// Hashes one tree level's adjacent pairs for an even-length run of
-/// nodes, producing the parent nodes in order.
-///
-/// This is the chunk-friendly entry point for parallel tree builders: a
-/// wide level split into even-length chunks, hashed concurrently, and
-/// concatenated in chunk order yields exactly the level the serial
-/// bottom-up pass in [`MerkleTree::from_leaf_hashes`] computes. A level's
-/// final *odd* node (if any) is promoted unchanged and must be appended
-/// by the caller.
-///
-/// # Panics
-///
-/// Panics when `pairs` has odd length — the caller split a level off a
-/// pair boundary, which would silently shift every node to its right.
-#[must_use]
-pub fn hash_level_chunk(pairs: &[Digest]) -> Vec<Digest> {
-    assert!(
-        pairs.len() % 2 == 0,
-        "level chunks must split at pair boundaries"
-    );
-    pairs
-        .chunks_exact(2)
-        .map(|p| hash_internal(&p[0], &p[1]))
-        .collect()
-}
-
 fn hash_leaf(data: &[u8]) -> Digest {
     // Small leaves (tx ids, anchor records) take the one-shot digest
     // over a stack buffer; large leaves stream through the incremental
@@ -342,37 +316,5 @@ mod tests {
         let hashes: Vec<Digest> = data.iter().map(|l| hash_leaf(l)).collect();
         let t2 = MerkleTree::from_leaf_hashes(hashes);
         assert_eq!(t1.root(), t2.root());
-    }
-
-    #[test]
-    fn chunked_level_hashing_reproduces_the_serial_root() {
-        // Rebuild the tree bottom-up with hash_level_chunk over varying
-        // chunk splits (odd final node promoted by hand) and compare the
-        // root to from_leaf_hashes — pins the parallel builder's merge.
-        for n in [1usize, 2, 5, 8, 33, 64, 100] {
-            let data = leaves(n);
-            let hashes: Vec<Digest> = data.iter().map(|l| hash_leaf(l)).collect();
-            let want = MerkleTree::from_leaf_hashes(hashes.clone()).root();
-            for chunk_pairs in [1usize, 2, 7] {
-                let mut level = hashes.clone();
-                while level.len() > 1 {
-                    let pair_count = level.len() / 2;
-                    let (paired, rest) = level.split_at(pair_count * 2);
-                    let mut next: Vec<Digest> = paired
-                        .chunks(chunk_pairs * 2)
-                        .flat_map(|c| hash_level_chunk(c))
-                        .collect();
-                    next.extend_from_slice(rest); // odd promotion
-                    level = next;
-                }
-                assert_eq!(level[0], want, "n={n} chunk_pairs={chunk_pairs}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "pair boundaries")]
-    fn hash_level_chunk_rejects_odd_runs() {
-        hash_level_chunk(&[Digest::of(b"x")]);
     }
 }

@@ -451,33 +451,6 @@ pub fn batch_verify(items: &[(PublicKey, &[u8], Signature)]) -> Result<(), Batch
     Ok(())
 }
 
-/// Merges per-chunk [`batch_verify`] verdicts into the whole-batch
-/// verdict, for callers that split a large batch into contiguous chunks
-/// and verify them concurrently.
-///
-/// Each verdict is tagged with its chunk's starting offset in the full
-/// batch; a chunk's local culprit translates to `offset + culprit`, and
-/// the smallest global index wins — exactly the "first failing
-/// signature" a single [`batch_verify`] over the full batch reports.
-/// Equivalence holds because `batch_verify` succeeds iff every item
-/// verifies individually, a property that is chunk-local.
-///
-/// # Errors
-///
-/// [`BatchVerifyError`] naming the first failing index across all chunks.
-pub fn merge_chunk_verdicts(
-    verdicts: impl IntoIterator<Item = (usize, Result<(), BatchVerifyError>)>,
-) -> Result<(), BatchVerifyError> {
-    let mut first: Option<usize> = None;
-    for (offset, verdict) in verdicts {
-        if let Err(e) = verdict {
-            let global = offset + e.culprit;
-            first = Some(first.map_or(global, |f| f.min(global)));
-        }
-    }
-    first.map_or(Ok(()), |culprit| Err(BatchVerifyError { culprit }))
-}
-
 impl Signature {
     /// The `(e, s)` scalars as big-endian bytes.
     #[must_use]

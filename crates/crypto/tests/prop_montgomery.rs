@@ -216,29 +216,3 @@ fn batch_verify_handles_duplicate_entries() {
     batch.push(dup);
     assert!(batch_verify(&batch).is_ok());
 }
-
-#[test]
-fn chunked_batch_verify_matches_whole_batch() {
-    use drams_crypto::schnorr::merge_chunk_verdicts;
-    let (kps, msgs, sigs, owners) = batch_of(23, 3);
-    // Healthy batch, then batches with one and with several forgeries
-    // (including one in each chunk).
-    let forgery_sets: [&[usize]; 4] = [&[], &[7], &[3, 9, 20], &[0, 22]];
-    for forged in forgery_sets {
-        let mut sigs = sigs.clone();
-        for &i in forged {
-            sigs[i] = kps[owners[i]].sign(b"forged");
-        }
-        let batch = items(&kps, &msgs, &sigs, &owners);
-        let whole = batch_verify(&batch);
-        for chunk_size in [1usize, 4, 8, 23, 64] {
-            let chunked = merge_chunk_verdicts(
-                batch
-                    .chunks(chunk_size)
-                    .enumerate()
-                    .map(|(i, c)| (i * chunk_size, batch_verify(c))),
-            );
-            assert_eq!(chunked, whole, "forged={forged:?} chunk={chunk_size}");
-        }
-    }
-}

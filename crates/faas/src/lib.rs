@@ -17,9 +17,9 @@
 //! * [`fault`] — a deterministic per-link network fault plane (drop,
 //!   duplicate, reorder, delay, timed partitions) the runtime's net shim
 //!   applies between services.
-//! * [`par`] — a deterministic worker pool for pure-compute job batches
-//!   (signature verification, hashing, policy re-evaluation); results are
-//!   merged in submission order so output is worker-count invisible.
+//! * [`par`] — an order-preserving scoped-thread `map` with no caller in
+//!   the workspace; it stays only until the frozen `benchmark/` package
+//!   stops linking it.
 //! * [`transport`] — the pluggable carrier for wire messages: the DES
 //!   identity backend (the conformance oracle) and the frame format the
 //!   TCP backend in `drams-net` puts on real sockets.

@@ -1,43 +1,28 @@
-//! Deterministic worker-pool parallelism for pure-compute job batches.
+//! Order-preserving scoped-thread `map`, kept only for the frozen
+//! repository benchmark.
 //!
-//! Some of DRAMS's hot work is embarrassingly parallel: Schnorr
-//! `batch_verify` chunks, transaction-id and Merkle level hashing in
-//! block verification, and the Analyser's per-group DecisionVerifier
-//! re-evaluation and per-block audit are all pure functions of their
-//! inputs. The DES event loop and every service handler, however, are
-//! single-threaded by design — byte-identical replay is the invariant
-//! every oracle in this repo is built on.
+//! Nothing in the workspace calls this module: the simulation runs on
+//! one thread (DESIGN.md §4). The standalone `benchmark/` package, which
+//! a code PR may not edit, still pins [`set_workers`]`(1)` before its
+//! runs and probes [`map`] for two `trace`-only metrics
+//! (`faas.par.map.overhead_us`, `faas.par.steady_speedup_w2`). The
+//! benchmark-only follow-up that drops those two metrics and the pins
+//! deletes this file.
 //!
-//! This module squares the two: [`map`] fans a slice of jobs out across
-//! OS threads (`std::thread::scope`, zero dependencies) as contiguous
-//! chunks, one chunk per worker, and concatenates the per-chunk results
-//! **in chunk order** — which is submission order. The caller observes a
-//! `Vec<R>` that is bit-for-bit identical to `items.iter().map(f)`, no
-//! matter how many workers ran. `DRAMS_WORKERS=1` therefore produces the
-//! same bytes as `DRAMS_WORKERS=8`, and every parallel call site (the
-//! four lanes of DESIGN.md §4) stays inside the deterministic-replay
-//! contract (DESIGN.md invariant 8).
-//!
-//! Worker count resolution, in priority order:
-//! 1. [`set_workers`] — in-process override used by experiment sweeps and
-//!    the worker-count determinism oracles;
-//! 2. the `DRAMS_WORKERS` environment variable;
-//! 3. `std::thread::available_parallelism()`, capped at 8.
-//!
-//! Jobs must be pure: they run off the event loop thread, so touching
-//! shared mutable state (beyond internally synchronised counters such as
-//! the PDP cache atomics) would reintroduce scheduling nondeterminism.
+//! [`map`] fans a slice of jobs out across OS threads
+//! (`std::thread::scope`) as contiguous chunks, one chunk per worker,
+//! and concatenates the per-chunk results **in chunk order** — which is
+//! submission order — so the caller observes a `Vec<R>` identical to
+//! `items.iter().map(f)` at any worker count. The count is 1 until
+//! [`set_workers`] says otherwise; no environment variable or host
+//! property is read.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Upper bound on the worker count, however configured.
+/// Upper bound on the worker count.
 pub const MAX_WORKERS: usize = 64;
 
-/// Sentinel meaning "not resolved yet" in [`WORKERS`].
-const UNSET: usize = 0;
-
-/// Resolved worker count; 0 until first use.
-static WORKERS: AtomicUsize = AtomicUsize::new(UNSET);
+static WORKERS: AtomicUsize = AtomicUsize::new(1);
 
 // Marks threads that are themselves pool workers so nested `map` calls
 // degrade to serial instead of multiplying threads.
@@ -45,45 +30,17 @@ thread_local! {
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-fn clamp(n: usize) -> usize {
-    n.clamp(1, MAX_WORKERS)
-}
-
-fn resolve_default() -> usize {
-    if let Ok(v) = std::env::var("DRAMS_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return clamp(n);
-        }
-    }
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Leave headroom past 8 on big hosts only via DRAMS_WORKERS; the hot
-    // paths here stop scaling long before that.
-    clamp(hw.min(8))
-}
-
-/// Current worker count (resolving `DRAMS_WORKERS` / host parallelism on
-/// first use). Always >= 1; 1 means every [`map`] call runs serially on
-/// the caller's thread.
+/// Current worker count. Always >= 1; 1 means every [`map`] call runs
+/// serially on the caller's thread.
 pub fn workers() -> usize {
-    let w = WORKERS.load(Ordering::Relaxed);
-    if w != UNSET {
-        return w;
-    }
-    let resolved = resolve_default();
-    // Racing first calls resolve to the same value, so the winner of the
-    // store does not matter.
-    WORKERS.store(resolved, Ordering::Relaxed);
-    resolved
+    WORKERS.load(Ordering::Relaxed)
 }
 
-/// Overrides the worker count process-wide (clamped to `1..=MAX_WORKERS`).
-///
-/// Used by experiment sweeps (E15 runs the same workload at 1/2/4/8) and
-/// the determinism oracles. Because every parallel call site is
-/// byte-identical at any worker count, racing this against concurrent
-/// work changes wall clock only, never output.
+/// Sets the worker count process-wide (clamped to `1..=MAX_WORKERS`).
+/// [`map`] returns the same `Vec` at any count, so racing this against
+/// concurrent calls changes wall clock only, never output.
 pub fn set_workers(n: usize) {
-    WORKERS.store(clamp(n), Ordering::Relaxed);
+    WORKERS.store(n.clamp(1, MAX_WORKERS), Ordering::Relaxed);
 }
 
 /// Maps `f` over `items`, fanning contiguous chunks out across up to
@@ -98,8 +55,7 @@ pub fn set_workers(n: usize) {
 ///
 /// `min_parallel` is the caller's amortisation threshold: thread spawn
 /// costs ~tens of microseconds, so batches whose total work is smaller
-/// than `workers * spawn_cost` should stay serial. Each call site picks
-/// its own floor (documented in DESIGN.md's job-lane taxonomy).
+/// than `workers * spawn_cost` should stay serial.
 pub fn map<T, R, F>(items: &[T], min_parallel: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -135,22 +91,6 @@ where
     let mut out = Vec::with_capacity(items.len());
     for v in per_chunk {
         out.extend(v);
-    }
-    out
-}
-
-/// Splits `0..len` into the same contiguous chunk ranges [`map`] uses,
-/// for callers that need to know chunk boundaries (e.g. mapping a
-/// per-chunk error index back to a global submission index).
-pub fn chunk_ranges(len: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
-    let w = workers.clamp(1, MAX_WORKERS).min(len.max(1));
-    let chunk = len.div_ceil(w).max(1);
-    let mut out = Vec::new();
-    let mut start = 0;
-    while start < len {
-        let end = (start + chunk).min(len);
-        out.push(start..end);
-        start = end;
     }
     out
 }
@@ -234,23 +174,6 @@ mod tests {
             })
         });
         assert!(res.is_err());
-    }
-
-    #[test]
-    fn chunk_ranges_cover_exactly_and_match_map_chunks() {
-        for len in [0usize, 1, 7, 64, 1000] {
-            for w in [1usize, 2, 4, 8] {
-                let ranges = chunk_ranges(len, w);
-                let mut next = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, next);
-                    assert!(r.end > r.start);
-                    next = r.end;
-                }
-                assert_eq!(next, len);
-                assert!(ranges.len() <= w.max(1));
-            }
-        }
     }
 
     #[test]

@@ -85,7 +85,8 @@ pub struct WalConfig {
     /// Records per segment before the tail rotates.
     pub segment_records: usize,
     /// Whether appends are synced record-by-record
-    /// ([`Durability::Flushed`]) or only on explicit [`Wal::sync`]
+    /// ([`Durability::Flushed`]) or only on explicit [`Wal::sync`] and
+    /// when a full segment rotates out of the tail
     /// ([`Durability::Buffered`]).
     pub durability: Durability,
 }
@@ -266,6 +267,14 @@ impl Wal {
             Some(tail) => tail.records >= self.config.segment_records as u64,
         };
         if rotate {
+            // `sync` reaches the tail only, so a segment leaves the tail
+            // durable: under `Flushed` its last append synced it, under
+            // `Buffered` nothing has — and a later `sync` would then
+            // acknowledge records that a crash still loses, along with
+            // the continuity the next open checks.
+            if self.config.durability == Durability::Buffered {
+                self.sync()?;
+            }
             self.open_segment()?;
         }
         let tail = self.segments.last_mut().expect("tail ensured above");
@@ -773,6 +782,36 @@ mod tests {
         assert_eq!(wal.replay().unwrap().len(), 4);
         // The log keeps working after the truncation.
         assert_eq!(wal.append(&payload(100)).unwrap(), 4);
+    }
+
+    #[test]
+    fn buffered_sync_covers_the_segments_rotated_out_since_the_last_one() {
+        use crate::backend::FsBackend;
+        let dir = std::env::temp_dir().join(format!("drams-wal-buffered-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // One rotation, two rotations, and one rotation over real files
+        // (whose crash loses nothing: that case shows the rotation sync
+        // and the reopen working on a directory).
+        let cases: [(Box<dyn Backend>, u64); 3] = [
+            (Box::new(MemBackend::new()), 6),
+            (Box::new(MemBackend::new()), 10),
+            (Box::new(FsBackend::open(&dir).unwrap()), 6),
+        ];
+        for (backend, appended) in cases {
+            let config = WalConfig {
+                segment_records: 4,
+                durability: Durability::Buffered,
+            };
+            let mut wal = Wal::open(backend, config).unwrap();
+            for i in 0..appended {
+                wal.append(&payload(i)).unwrap();
+            }
+            wal.sync().unwrap();
+            wal.simulate_crash().unwrap();
+            assert_eq!(wal.next_seq(), appended);
+            assert_eq!(wal.replay().unwrap().len() as u64, appended);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
