@@ -31,7 +31,9 @@ use drams_chain::net::{simulate, NetConfig};
 use drams_chain::node::Node;
 use drams_core::adversary::NoAdversary;
 use drams_core::contract::{MonitorContract, MONITOR_CONTRACT};
-use drams_core::monitor::{run_monitor, GroundTruth, MonitorConfig, MonitorReport};
+use drams_core::monitor::{
+    first_divergence, run_monitor, GroundTruth, MonitorConfig, MonitorReport,
+};
 use drams_core::scenario::run_scenario;
 use drams_crypto::codec::Encode;
 use drams_crypto::schnorr::Keypair;
@@ -81,7 +83,7 @@ const EXPERIMENTS: [(&str, &str, Experiment); 15] = [
     ("e12", "adversarial scenario fuzzing, oracle-checked end to end", e12_adversarial_fuzz),
     ("e13", "network fault plane: retry/failover/spill-replay, degraded mode", e13_fault_plane),
     ("e14", "overload robustness: flash crowds, shedding, bounded peak state", e14_overload),
-    ("e16", "real transport: loopback TCP round-trips and conformance", e16_net),
+    ("e16", "wire format: loopback TCP round-trips and conformance", e16_net),
 ];
 
 fn print_only(experiment: fn()) -> Vec<Section> {
@@ -218,30 +220,19 @@ fn best_us<T>(rounds: u32, iters: u32, mut f: impl FnMut() -> T) -> f64 {
     best
 }
 
-/// A run's alerts in their canonical encoding, for byte-identity checks.
-fn alert_bytes(report: &MonitorReport) -> Vec<Vec<u8>> {
-    let alerts = report.alerts.iter();
-    alerts.map(Encode::to_canonical_bytes).collect()
-}
-
-/// Whether a crashed run is byte-identical to its uninterrupted twin:
-/// ground truth, alert bytes, counters and the virtual end time.
+/// Whether two runs are byte-identical twins
+/// ([`drams_core::monitor::first_divergence`]). The report column is a
+/// bool, so a divergence is named on stderr.
 fn twin_matched(
-    clean: &(MonitorReport, GroundTruth),
-    crashed: &(MonitorReport, GroundTruth),
+    scenario: &str,
+    a: &(MonitorReport, GroundTruth),
+    b: &(MonitorReport, GroundTruth),
 ) -> bool {
-    let counters = |r: &MonitorReport| {
-        (
-            r.requests_completed,
-            r.entries_logged,
-            r.groups_completed,
-            r.txs_committed,
-            r.finished_at,
-        )
-    };
-    clean.1 == crashed.1
-        && alert_bytes(&clean.0) == alert_bytes(&crashed.0)
-        && counters(&clean.0) == counters(&crashed.0)
+    let divergence = first_divergence(&a.0, &a.1, &b.0, &b.1);
+    if let Some(d) = &divergence {
+        eprintln!("{scenario}: twin diverged on {d}");
+    }
+    divergence.is_none()
 }
 
 /// E1 — paper §III: "the bigger the \[log\] size is, the higher is the
@@ -719,8 +710,7 @@ fn e9_crypto_substrate(run: &mut Run) -> Vec<Section> {
         }),
     );
 
-    // Batch verification over the shared fixture (the same workload
-    // bench_crypto's batch targets measure), total µs per batch.
+    // Batch verification over the shared fixture, total µs per batch.
     let batch_size = 64usize;
     let owned = drams_bench::schnorr_batch(4, batch_size);
     let batch = drams_bench::batch_items(&owned);
@@ -952,7 +942,7 @@ fn e11_storage_and_recovery(run: &mut Run) -> Vec<Section> {
             groups_completed: crashed.0.groups_completed,
             alerts: crashed.0.alerts.len(),
             crash_restarts: crashed.0.crash_restarts,
-            matched: twin_matched(&clean, &crashed),
+            matched: twin_matched(&spec.name, &clean, &crashed),
             wall_ms: wall_ms,
         });
     }
@@ -1251,7 +1241,7 @@ fn e13_fault_plane(run: &mut Run) -> Vec<Section> {
     let twin = row! {
         scenario: spec.name.as_str(),
         crash_restarts: crashed.0.crash_restarts,
-        matched: twin_matched(&clean, &crashed),
+        matched: twin_matched(&spec.name, &clean, &crashed),
     };
 
     let faults = section(
@@ -1361,7 +1351,7 @@ fn e14_overload(run: &mut Run) -> Vec<Section> {
         scenario: crash_spec.name.as_str(),
         crash_restarts: crashed.0.crash_restarts,
         shed: crashed.0.requests_shed,
-        matched: twin_matched(&clean, &crashed),
+        matched: twin_matched(&crash_spec.name, &clean, &crashed),
     };
 
     let load = section(
@@ -1381,9 +1371,9 @@ fn e14_overload(run: &mut Run) -> Vec<Section> {
     vec![load]
 }
 
-/// E16 — the real transport (DESIGN.md invariant 9): loopback TCP
-/// round-trip latency and frame throughput per payload size, the cost
-/// of killing and lazily re-provisioning a service endpoint, and a
+/// E16 — the wire (DESIGN.md invariant 9): loopback TCP round-trip
+/// latency and frame throughput per payload size, the cost of tearing
+/// an echo endpoint down and reconnecting to a fresh one, and a
 /// DES-vs-TCP conformance replay of the steady-state scenario.
 /// Emits `BENCH_NET.json`.
 fn e16_net(run: &mut Run) -> Vec<Section> {
@@ -1435,7 +1425,7 @@ fn e16_net(run: &mut Run) -> Vec<Section> {
         });
     }
 
-    // -- reconnect cost: kill the endpoint, re-provision, first echo --------
+    // -- reconnect cost: tear the endpoint down, respawn, first echo --------
     let cycles: u64 = if run.quick { 20 } else { 100 };
     let mut costs_us = Vec::with_capacity(cycles as usize);
     for _ in 0..cycles {
@@ -1454,20 +1444,14 @@ fn e16_net(run: &mut Run) -> Vec<Section> {
 
     // -- conformance: the steady-state scenario over both backends ----------
     let spec = scenarios::steady_state(true);
-    let (des, des_truth) = run_scenario(&spec, &mut NoAdversary);
+    let des = run_scenario(&spec, &mut NoAdversary);
     let mut tcp_transport = TcpTransport::loopback();
-    let (tcp, tcp_truth) = run_scenario_with_transport(&spec, &mut NoAdversary, &mut tcp_transport);
+    let tcp = run_scenario_with_transport(&spec, &mut NoAdversary, &mut tcp_transport);
     let stats = tcp_transport.stats();
-    let matched = stats.frames > 0
-        && des_truth == tcp_truth
-        && alert_bytes(&des) == alert_bytes(&tcp)
-        && des.requests_completed == tcp.requests_completed
-        && des.entries_logged == tcp.entries_logged
-        && des.finished_at == tcp.finished_at;
     let conformance = row! {
         scenario: spec.name.as_str(),
         frames: stats.frames,
-        matched: matched,
+        matched: stats.frames > 0 && twin_matched(&spec.name, &des, &tcp),
     };
 
     let members = members! {

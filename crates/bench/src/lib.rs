@@ -1,10 +1,10 @@
-//! Shared helpers for the DRAMS benchmark & experiment harness.
+//! Shared helpers for the DRAMS experiment harness.
 //!
 //! The experiment catalogue (DESIGN.md §3, EXPERIMENTS.md) is generated by
-//! the `run_experiments` binary; the Criterion benches under `benches/`
-//! cover the timing-shaped fragments of each experiment. [`report`] is
-//! the one model behind every tracked `BENCH_*.json` file: values,
-//! writer, reader, carry-forward, file registry and acceptance gates.
+//! the `run_experiments` binary from the fixtures and scenario matrices
+//! here. [`report`] is the one model behind every tracked `BENCH_*.json`
+//! file: values, writer, reader, carry-forward, file registry and
+//! acceptance gates.
 
 #![forbid(unsafe_code)]
 
@@ -16,7 +16,7 @@ use drams_faas::msg::{CorrelationId, RequestEnvelope};
 use drams_policy::attr::Request;
 
 /// Builds a log entry whose sealed payload is approximately `payload_size`
-/// bytes (the knob of experiment E1).
+/// bytes (the knob of experiment E1; E3 stores 128-byte ones).
 #[must_use]
 pub fn log_entry_of_size(correlation: u64, payload_size: usize) -> LogEntry {
     let key = SymmetricKey::from_bytes([9; 32]);
@@ -41,10 +41,9 @@ pub fn log_entry_of_size(correlation: u64, payload_size: usize) -> LogEntry {
 /// A batch of `size` Schnorr signatures spread over `keys` signer
 /// identities — a block's worth of Logging Interface submissions.
 ///
-/// This is the single fixture behind the `bench_crypto` batch targets
-/// *and* experiment E9, so the criterion numbers and the committed
-/// `BENCH_CRYPTO.json` trajectory always measure the same workload.
-/// Borrow with [`batch_items`] to call `schnorr::batch_verify`.
+/// This is the fixture behind experiment E9's batch rows in the
+/// committed `BENCH_CRYPTO.json` trajectory. Borrow with
+/// [`batch_items`] to call `schnorr::batch_verify`.
 #[must_use]
 pub fn schnorr_batch(
     keys: usize,
@@ -84,9 +83,8 @@ pub mod report;
 /// runtime (`drams_core::scenario`): steady state, burst with tenant
 /// churn, mid-flight policy flip, a degraded Logging Interface, and a
 /// per-cloud PDP federation. `run_experiments e10` runs the matrix and
-/// commits `BENCH_E2E.json`; the same specs back the `bench_e2e`
-/// criterion targets and the integration tests, so every consumer
-/// measures identical workloads.
+/// commits `BENCH_E2E.json`; the same specs back the integration
+/// tests, so every consumer measures identical workloads.
 pub mod scenarios {
     /// The uninterrupted twin of a scenario (every scripted crash
     /// removed); E11, E13 and E14 compare a crashed run against it.

@@ -29,6 +29,7 @@ use crate::adversary::Adversary;
 use crate::alert::Alert;
 use crate::logent::ObservationPoint;
 use crate::scenario::{run_scenario, ScenarioSpec};
+use drams_crypto::codec::Encode;
 use drams_faas::des::{LatencyStats, SimTime, MILLIS, SECONDS};
 use drams_faas::model::FederationSpec;
 use drams_faas::msg::CorrelationId;
@@ -312,6 +313,83 @@ impl MonitorReport {
     pub fn alerts_of(&self, pred: impl Fn(&Alert) -> bool) -> Vec<&Alert> {
         self.alerts.iter().filter(|a| pred(a)).collect()
     }
+
+    /// The alerts in their canonical encoding, in commit order: what
+    /// "the same alerts, byte for byte" compares.
+    #[must_use]
+    pub fn alert_bytes(&self) -> Vec<Vec<u8>> {
+        self.alerts.iter().map(Encode::to_canonical_bytes).collect()
+    }
+}
+
+/// One member of the byte-identical-twin bar on which two runs differ.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Divergence {
+    /// The differing member: `ground_truth`, `alerts` or a
+    /// [`MonitorReport`] field name.
+    pub member: &'static str,
+    /// The member as the first run has it.
+    pub left: String,
+    /// The member as the second run has it.
+    pub right: String,
+}
+
+impl std::fmt::Display for Divergence {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {} vs {}", self.member, self.left, self.right)
+    }
+}
+
+/// The byte-identical-twin bar behind DESIGN.md invariants 5, 7 and 9:
+/// two runs are twins when they have the same ground truth, the same
+/// canonical alert bytes in the same order, and the same
+/// `requests_completed`, `entries_logged`, `groups_completed`,
+/// `txs_committed` and `finished_at`. Returns the first member, in that
+/// order, on which they differ; `None` means identical.
+#[must_use]
+pub fn first_divergence(
+    a: &MonitorReport,
+    a_truth: &GroundTruth,
+    b: &MonitorReport,
+    b_truth: &GroundTruth,
+) -> Option<Divergence> {
+    fn differ<T: PartialEq + std::fmt::Debug>(
+        member: &'static str,
+        left: &T,
+        right: &T,
+    ) -> Option<Divergence> {
+        (left != right).then(|| Divergence {
+            member,
+            left: format!("{left:?}"),
+            right: format!("{right:?}"),
+        })
+    }
+    let alerts = || {
+        let (left, right) = (a.alert_bytes(), b.alert_bytes());
+        let at = left.iter().zip(&right).take_while(|(l, r)| l == r).count();
+        let show = |r: &MonitorReport| {
+            format!("{} alerts, #{at} = {:?}", r.alerts.len(), r.alerts.get(at))
+        };
+        (left != right).then(|| Divergence {
+            member: "alerts",
+            left: show(a),
+            right: show(b),
+        })
+    };
+    let counters = [
+        (
+            "requests_completed",
+            a.requests_completed,
+            b.requests_completed,
+        ),
+        ("entries_logged", a.entries_logged, b.entries_logged),
+        ("groups_completed", a.groups_completed, b.groups_completed),
+        ("txs_committed", a.txs_committed, b.txs_committed),
+        ("finished_at", a.finished_at, b.finished_at),
+    ];
+    differ("ground_truth", a_truth, b_truth)
+        .or_else(alerts)
+        .or_else(|| counters.iter().find_map(|(m, l, r)| differ(m, l, r)))
 }
 
 /// Runs one full simulation of the classic fixed-topology deployment —
@@ -356,6 +434,39 @@ mod tests {
         assert!(report.blocks_mined > 0);
         assert!(report.e2e_latency.len() == 40);
         assert!(report.log_commit_latency.mean() > 0.0);
+    }
+
+    #[test]
+    fn first_divergence_names_exactly_the_perturbed_member() {
+        use crate::alert::AlertKind;
+        type Perturb = fn(&mut MonitorReport, &mut GroundTruth);
+        let table: [(&str, Perturb); 7] = [
+            ("ground_truth", |_, t| t.chain_forks += 1),
+            ("alerts", |r, _| {
+                let kind = AlertKind::RequestTampering;
+                r.alerts
+                    .push(Alert::new(kind, CorrelationId(3), 7, "planted"));
+            }),
+            ("requests_completed", |r, _| r.requests_completed += 1),
+            ("entries_logged", |r, _| r.entries_logged += 1),
+            ("groups_completed", |r, _| r.groups_completed += 1),
+            ("txs_committed", |r, _| r.txs_committed += 1),
+            ("finished_at", |r, _| r.finished_at += 1),
+        ];
+        let (a, a_truth) = run_monitor(&small_config(), &mut NoAdversary);
+        for (member, perturb) in table {
+            let (mut b, mut b_truth) = run_monitor(&small_config(), &mut NoAdversary);
+            assert_eq!(first_divergence(&a, &a_truth, &b, &b_truth), None);
+            perturb(&mut b, &mut b_truth);
+            let found = first_divergence(&a, &a_truth, &b, &b_truth).expect(member);
+            assert_eq!(found.member, member, "{found}");
+            assert_ne!(found.left, found.right, "{found}");
+        }
+        // Members outside the bar are not its business.
+        let (mut b, b_truth) = run_monitor(&small_config(), &mut NoAdversary);
+        b.crash_restarts += 1;
+        b.retries_total += 1;
+        assert_eq!(first_divergence(&a, &a_truth, &b, &b_truth), None);
     }
 
     #[test]

@@ -75,12 +75,12 @@ pub fn run_scenario<A: Adversary>(
 ///
 /// Under [`DesTransport`] this is exactly [`run_scenario`]. Under a
 /// wire backend (`drams_net::TcpTransport`) every federation-crossing
-/// message is framed, carried through the destination service's socket
+/// message is framed, sent to the destination role's validating echo
 /// endpoint with a synchronous round-trip, and scheduled from the bytes
 /// that came back — while the DES remains the single logical clock, so
 /// the two backends are comparable event for event. Invariant 9: the
-/// transport choice is observationally invisible — same spec, same
-/// alerts, same ground truth, byte for byte.
+/// wire format is observationally invisible — same spec, same alerts,
+/// same ground truth, byte for byte.
 ///
 /// # Panics
 ///

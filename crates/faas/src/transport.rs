@@ -10,10 +10,10 @@
 //!   the event queue, exactly the pre-transport code path. This is the
 //!   conformance oracle.
 //! * `drams_net::TcpTransport` (in the `drams-net` crate) — every wire
-//!   message is serialised into a CRC-checked [`WireFrame`], carried
-//!   through the destination service's socket endpoint (a thread or a
-//!   separate `drams-node` process) and scheduled from the bytes that
-//!   came back off the wire.
+//!   message is serialised into a CRC-checked [`WireFrame`], sent over a
+//!   loopback socket to the destination role's endpoint (a thread that
+//!   validates and echoes; it runs no role logic) and scheduled from
+//!   the bytes that came back off the wire.
 //!
 //! The scenario runtime stays the single logical clock for both
 //! backends; that is what makes the differential conformance suite
@@ -42,9 +42,8 @@ pub const MAX_FRAME_BODY: usize = 1 << 20;
 /// The Figure-1 service a frame is addressed to.
 ///
 /// PDP slots and Logging Interfaces are per-instance endpoints (one per
-/// federated cloud, one per tenant): under the TCP backend each runs in
-/// its own thread or `drams-node` process, exactly the deployment story
-/// of the paper's Figure 1.
+/// federated cloud, one per tenant, as in the paper's Figure 1): under
+/// the TCP backend each role gets its own echo endpoint and connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WireRole {
     /// The Policy Enforcement Point service at the tenant edge.

@@ -23,8 +23,8 @@
 use crate::gen::FuzzCase;
 use drams_attack::{chain_attack_score, score};
 use drams_core::alert::AlertKind;
+use drams_core::monitor::first_divergence;
 use drams_core::scenario::{run_scenario, ScenarioSpec, ScriptedAction};
-use drams_crypto::codec::Encode;
 
 /// What one fuzz case did and whether the oracle accepted it.
 #[derive(Debug, Clone)]
@@ -170,60 +170,11 @@ pub fn run_case(case: &FuzzCase) -> CaseOutcome {
         let twin_spec = strip_crashes(&case.spec);
         let mut twin_adversary = case.plan.build();
         let (twin_report, twin_truth) = run_scenario(&twin_spec, &mut twin_adversary);
-        let crashed_alerts: Vec<Vec<u8>> = report
-            .alerts
-            .iter()
-            .map(Encode::to_canonical_bytes)
-            .collect();
-        let twin_alerts: Vec<Vec<u8>> = twin_report
-            .alerts
-            .iter()
-            .map(Encode::to_canonical_bytes)
-            .collect();
-        if truth != twin_truth {
+        if let Some(d) = first_divergence(&report, &truth, &twin_report, &twin_truth) {
             violations.push(format!(
-                "{}: crashed run's ground truth diverges from its twin",
+                "{}: crashed run diverges from its twin on {d}",
                 case.spec.name
             ));
-        }
-        if crashed_alerts != twin_alerts {
-            violations.push(format!(
-                "{}: crashed run's alerts diverge from its twin ({} vs {})",
-                case.spec.name,
-                crashed_alerts.len(),
-                twin_alerts.len()
-            ));
-        }
-        let counters = [
-            (
-                "requests_completed",
-                report.requests_completed,
-                twin_report.requests_completed,
-            ),
-            (
-                "entries_logged",
-                report.entries_logged,
-                twin_report.entries_logged,
-            ),
-            (
-                "groups_completed",
-                report.groups_completed,
-                twin_report.groups_completed,
-            ),
-            (
-                "txs_committed",
-                report.txs_committed,
-                twin_report.txs_committed,
-            ),
-            ("finished_at", report.finished_at, twin_report.finished_at),
-        ];
-        for (what, crashed, clean) in counters {
-            if crashed != clean {
-                violations.push(format!(
-                    "{}: {what} diverges from twin: {crashed} vs {clean}",
-                    case.spec.name
-                ));
-            }
         }
     }
 

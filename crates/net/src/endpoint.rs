@@ -1,5 +1,5 @@
-//! The service-side socket endpoint: where a Figure-1 service's inbox
-//! lives under the TCP transport.
+//! The socket endpoint a [`TcpTransport`](crate::TcpTransport) sends a
+//! role's frames to.
 //!
 //! An endpoint accepts one client connection at a time (the scenario
 //! driver), validates every arriving frame — outer CRC, canonical
@@ -10,9 +10,10 @@
 //! gets an acknowledgement: the endpoint drops the connection, which
 //! the driver observes as a typed error.
 //!
-//! The same loop serves both deployment shapes: an in-process thread
-//! ([`NodeEndpoint::spawn`]) and a standalone process (the `drams-node`
-//! binary).
+//! That is all an endpoint does: it validates and echoes, holds no
+//! state beyond its counters and runs no Figure-1 role logic. It is
+//! hosted one way — a thread in the driver's process behind a real
+//! loopback socket ([`NodeEndpoint::spawn`]).
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -41,7 +42,7 @@ pub struct EndpointStats {
 /// Serves one accepted connection until EOF, error, or `stop`.
 fn serve_connection(
     mut stream: TcpStream,
-    pinned: Option<WireRole>,
+    pinned: WireRole,
     stop: &AtomicBool,
     stats: &mut EndpointStats,
 ) {
@@ -66,11 +67,9 @@ fn serve_connection(
                 return;
             }
         };
-        if let Some(expected) = pinned {
-            if frame.role != expected {
-                stats.rejected += 1;
-                return;
-            }
+        if frame.role != pinned {
+            stats.rejected += 1;
+            return;
         }
         if last_seq.is_some_and(|last| frame.seq <= last) {
             // A replayed or reordered frame: refuse the whole stream.
@@ -88,9 +87,8 @@ fn serve_connection(
     }
 }
 
-/// Runs the accept loop on `listener` until `stop` is set. Used by both
-/// the thread-hosted endpoint and the `drams-node` binary.
-pub fn serve(listener: &TcpListener, pinned: Option<WireRole>, stop: &AtomicBool) -> EndpointStats {
+/// Runs the accept loop on `listener` until `stop` is set.
+fn serve(listener: &TcpListener, pinned: WireRole, stop: &AtomicBool) -> EndpointStats {
     let mut stats = EndpointStats::default();
     listener
         .set_nonblocking(true)
@@ -112,7 +110,7 @@ pub fn serve(listener: &TcpListener, pinned: Option<WireRole>, stop: &AtomicBool
     stats
 }
 
-/// A thread-hosted service endpoint (the loopback deployment shape).
+/// A validating echo endpoint for one role, served by its own thread.
 #[derive(Debug)]
 pub struct NodeEndpoint {
     addr: SocketAddr,
@@ -133,9 +131,9 @@ impl NodeEndpoint {
         let thread_stop = stop.clone();
         let thread_stats = stats.clone();
         let handle = std::thread::Builder::new()
-            .name(format!("drams-node-{role}"))
+            .name(format!("drams-endpoint-{role}"))
             .spawn(move || {
-                let out = serve(&listener, Some(role), &thread_stop);
+                let out = serve(&listener, role, &thread_stop);
                 *thread_stats.lock().expect("stats lock") = out;
             })?;
         Ok(NodeEndpoint {

@@ -1,27 +1,27 @@
 //! The TCP backend of the scenario runtime's [`Transport`] seam.
 //!
-//! [`TcpTransport`] keeps one connection per destination role and
+//! [`TcpTransport`] keeps one table, role → (connection, endpoint), and
 //! performs one synchronous round-trip per wire message: write the
 //! frame, read the endpoint's validated echo, hand the echoed frame
-//! back to the scheduler. Endpoints are provisioned lazily through a
-//! [`Provisioner`] — either an in-process thread per role
-//! ([`ThreadProvisioner`], the loopback deployment) or a spawned
-//! `drams-node` child process per role ([`ProcessProvisioner`]).
+//! back to the scheduler. A role's [`NodeEndpoint`] — an in-process
+//! thread behind a real loopback socket — is spawned on first contact.
+//! The endpoint validates and echoes; no Figure-1 role logic runs
+//! behind the socket.
 //!
 //! A scripted service crash reaches the transport as
-//! [`Transport::restart`]: the endpoint is retired (thread stopped /
-//! process killed), the connection dropped, and the next frame for that
-//! role re-provisions and reconnects — a real reconnect across a real
-//! socket, at a possibly different address.
+//! [`Transport::restart`]: the connection is closed, the endpoint thread
+//! joined, and the next frame for that role spawns a fresh endpoint at a
+//! fresh port and connects to it — a real reconnect across a real
+//! socket.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader};
-use std::net::{SocketAddr, TcpStream};
-use std::process::{Child, Command, Stdio};
+use std::net::TcpStream;
 use std::time::Duration;
 
 use drams_faas::transport::{Transport, TransportError, WireFrame, WireRole};
 
+use crate::endpoint::NodeEndpoint;
 use crate::frame::{io_error, read_frame, write_frame, FrameReader};
 
 /// How long a single blocked read may wait for the endpoint's echo
@@ -29,164 +29,10 @@ use crate::frame::{io_error, read_frame, write_frame, FrameReader};
 /// connection.
 const READ_DEADLINE: Duration = Duration::from_secs(5);
 
-/// Connection attempts per endpoint address (the listener of a freshly
-/// spawned process may not be up yet).
-const CONNECT_ATTEMPTS: u32 = 100;
-
-/// Pause between connection attempts.
-const CONNECT_PAUSE: Duration = Duration::from_millis(10);
-
-/// Round-trip attempts per frame; each failure drops the connection and
-/// reconnects, so this bounds the reconnect storm a flapping endpoint
-/// can cause.
+/// Round-trip attempts per frame; each failure (a refused connect
+/// included) drops the connection and reconnects, so this bounds the
+/// reconnect storm a flapping endpoint can cause.
 const ROUNDTRIP_ATTEMPTS: u32 = 5;
-
-/// Provides (and tears down) the socket endpoint behind a role.
-pub trait Provisioner {
-    /// Returns the listen address of a live endpoint for `role`,
-    /// creating one if none exists.
-    fn provision(&mut self, role: WireRole) -> Result<SocketAddr, TransportError>;
-
-    /// Tears down the current endpoint for `role` (stop the thread /
-    /// kill the process). A later [`Provisioner::provision`] must
-    /// produce a fresh endpoint.
-    fn retire(&mut self, role: WireRole);
-
-    /// Deployment-shape label for reports.
-    fn label(&self) -> &'static str;
-}
-
-/// One endpoint thread per role, all inside the current process.
-#[derive(Debug, Default)]
-pub struct ThreadProvisioner {
-    endpoints: HashMap<WireRole, crate::endpoint::NodeEndpoint>,
-}
-
-impl ThreadProvisioner {
-    /// An empty provisioner; endpoints spawn on first contact.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Provisioner for ThreadProvisioner {
-    fn provision(&mut self, role: WireRole) -> Result<SocketAddr, TransportError> {
-        if let Some(ep) = self.endpoints.get(&role) {
-            return Ok(ep.addr());
-        }
-        let ep = crate::endpoint::NodeEndpoint::spawn(role).map_err(io_error)?;
-        let addr = ep.addr();
-        self.endpoints.insert(role, ep);
-        Ok(addr)
-    }
-
-    fn retire(&mut self, role: WireRole) {
-        if let Some(ep) = self.endpoints.remove(&role) {
-            ep.shutdown();
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        "tcp-loopback"
-    }
-}
-
-/// One `drams-node` child process per role.
-///
-/// Children are spawned with `--listen 127.0.0.1:0`; the provisioner
-/// learns the actual port from the child's `listening on` banner, so a
-/// restarted service may come back at a different address — exactly the
-/// re-resolution a real deployment performs.
-#[derive(Debug)]
-pub struct ProcessProvisioner {
-    binary: std::path::PathBuf,
-    children: HashMap<WireRole, (Child, SocketAddr)>,
-}
-
-impl ProcessProvisioner {
-    /// A provisioner spawning `binary` (the `drams-node` executable).
-    #[must_use]
-    pub fn new(binary: impl Into<std::path::PathBuf>) -> Self {
-        ProcessProvisioner {
-            binary: binary.into(),
-            children: HashMap::new(),
-        }
-    }
-
-    fn role_args(role: WireRole) -> Vec<String> {
-        let mut args = vec!["--role".to_string()];
-        match role {
-            WireRole::Pep => args.push("pep".to_string()),
-            WireRole::Pdp { slot } => {
-                args.push("pdp".to_string());
-                args.extend(["--cloud".to_string(), slot.to_string()]);
-            }
-            WireRole::Li { index } => {
-                args.push("li".to_string());
-                args.extend(["--tenant".to_string(), index.to_string()]);
-            }
-            WireRole::Chain => args.push("chain".to_string()),
-            WireRole::Analyser => args.push("analyser".to_string()),
-        }
-        args
-    }
-}
-
-impl Provisioner for ProcessProvisioner {
-    fn provision(&mut self, role: WireRole) -> Result<SocketAddr, TransportError> {
-        if let Some((child, addr)) = self.children.get_mut(&role) {
-            // Still alive? (A killed child is re-provisioned fresh.)
-            if child.try_wait().map_err(io_error)?.is_none() {
-                return Ok(*addr);
-            }
-            let (mut dead, _) = self.children.remove(&role).expect("present");
-            let _ = dead.wait();
-        }
-        let mut child = Command::new(&self.binary)
-            .args(Self::role_args(role))
-            .args(["--listen", "127.0.0.1:0"])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .map_err(io_error)?;
-        // The banner is printed after the bind succeeds, so parsing it
-        // both learns the port and synchronises with listener liveness.
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut banner = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut banner)
-            .map_err(io_error)?;
-        let addr: SocketAddr = banner
-            .rsplit(' ')
-            .next()
-            .map(str::trim)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| TransportError::Io(format!("bad drams-node banner: {banner:?}")))?;
-        self.children.insert(role, (child, addr));
-        Ok(addr)
-    }
-
-    fn retire(&mut self, role: WireRole) {
-        if let Some((mut child, _)) = self.children.remove(&role) {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        "tcp-process"
-    }
-}
-
-impl Drop for ProcessProvisioner {
-    fn drop(&mut self) {
-        for (_, (mut child, _)) in self.children.drain() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
 
 /// Wire-level counters the bench runner reports (E16).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -208,27 +54,28 @@ struct Conn {
     parser: FrameReader,
 }
 
+/// One role's row of the table. `conn` is declared before `endpoint` so
+/// that dropping a `Link` closes the socket first: the endpoint thread
+/// is blocked in a read on it, sees EOF at once, and its join returns
+/// immediately instead of waiting out the read timeout.
+struct Link {
+    conn: Option<Conn>,
+    endpoint: NodeEndpoint,
+}
+
 /// The TCP implementation of the scenario runtime's [`Transport`].
 pub struct TcpTransport {
-    provisioner: Box<dyn Provisioner>,
-    conns: HashMap<WireRole, Conn>,
+    links: HashMap<WireRole, Link>,
     stats: NetStats,
 }
 
 impl TcpTransport {
-    /// The loopback deployment: every role served by an in-process
-    /// endpoint thread, provisioned on first contact.
+    /// A transport with no endpoints yet: each role's endpoint thread is
+    /// spawned, and connected to over loopback, on first contact.
     #[must_use]
     pub fn loopback() -> Self {
-        Self::with_provisioner(Box::new(ThreadProvisioner::new()))
-    }
-
-    /// A transport over a custom deployment shape.
-    #[must_use]
-    pub fn with_provisioner(provisioner: Box<dyn Provisioner>) -> Self {
         TcpTransport {
-            provisioner,
-            conns: HashMap::new(),
+            links: HashMap::new(),
             stats: NetStats::default(),
         }
     }
@@ -239,42 +86,33 @@ impl TcpTransport {
         self.stats
     }
 
-    fn connect(&mut self, role: WireRole) -> Result<(), TransportError> {
-        let addr = self.provisioner.provision(role)?;
-        let mut last = TransportError::Closed;
-        for _ in 0..CONNECT_ATTEMPTS {
-            match TcpStream::connect(addr) {
-                Ok(stream) => {
-                    let _ = stream.set_nodelay(true);
-                    stream
-                        .set_read_timeout(Some(READ_DEADLINE))
-                        .map_err(io_error)?;
-                    self.conns.insert(
-                        role,
-                        Conn {
-                            stream,
-                            parser: FrameReader::new(),
-                        },
-                    );
-                    self.stats.connects += 1;
-                    return Ok(());
-                }
-                Err(e) => last = io_error(e),
-            }
-            std::thread::sleep(CONNECT_PAUSE);
-        }
-        Err(last)
-    }
-
     fn try_roundtrip(
         &mut self,
         role: WireRole,
         frame: &WireFrame,
     ) -> Result<WireFrame, TransportError> {
-        if !self.conns.contains_key(&role) {
-            self.connect(role)?;
-        }
-        let conn = self.conns.get_mut(&role).expect("connected");
+        let link = match self.links.entry(role) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(Link {
+                conn: None,
+                endpoint: NodeEndpoint::spawn(role).map_err(io_error)?,
+            }),
+        };
+        let conn = match &mut link.conn {
+            Some(conn) => conn,
+            None => {
+                let stream = TcpStream::connect(link.endpoint.addr()).map_err(io_error)?;
+                let _ = stream.set_nodelay(true);
+                stream
+                    .set_read_timeout(Some(READ_DEADLINE))
+                    .map_err(io_error)?;
+                self.stats.connects += 1;
+                link.conn.insert(Conn {
+                    stream,
+                    parser: FrameReader::new(),
+                })
+            }
+        };
         let n = write_frame(&mut conn.stream, frame)?;
         let echo = read_frame(&mut conn.stream, &mut conn.parser)?;
         self.stats.frames += 1;
@@ -316,7 +154,9 @@ impl Transport for TcpTransport {
                     // resend. The endpoint is a validating relay, so a
                     // duplicate send is harmless — only the echo the
                     // driver reads is ever scheduled.
-                    self.conns.remove(&role);
+                    if let Some(link) = self.links.get_mut(&role) {
+                        link.conn = None;
+                    }
                     if attempt + 1 < ROUNDTRIP_ATTEMPTS {
                         self.stats.reconnects += 1;
                     }
@@ -328,14 +168,15 @@ impl Transport for TcpTransport {
     }
 
     fn restart(&mut self, role: WireRole) -> Result<(), TransportError> {
-        self.provisioner.retire(role);
-        self.conns.remove(&role);
+        // Dropping the `Link` closes the connection, then joins the
+        // endpoint thread (field order, see `Link`).
+        self.links.remove(&role);
         self.stats.restarts += 1;
         Ok(())
     }
 
     fn name(&self) -> &'static str {
-        self.provisioner.label()
+        "tcp-loopback"
     }
 }
 
@@ -381,5 +222,33 @@ mod tests {
             assert_eq!(t.roundtrip(frame.clone()).expect("ping"), frame);
         }
         assert_eq!(t.stats().connects, 5);
+    }
+
+    /// An endpoint thread sits in a 50 ms read between frames. Restart
+    /// and drop close the connection before joining it, so neither
+    /// waits that read out: joining first costs 20 × 50 ms here before
+    /// the drop is even counted.
+    #[test]
+    fn restart_and_teardown_do_not_wait_out_the_read_timeout() {
+        let started = std::time::Instant::now();
+        let mut t = TcpTransport::loopback();
+        let role = WireRole::Li { index: 0 };
+        for seq in 1..=20 {
+            t.restart(role).expect("restart");
+            let frame = WireFrame::ping(role, seq);
+            assert_eq!(t.roundtrip(frame.clone()).expect("ping"), frame);
+        }
+        for role in [
+            WireRole::Pep,
+            WireRole::Pdp { slot: 0 },
+            WireRole::Chain,
+            WireRole::Analyser,
+        ] {
+            t.roundtrip(WireFrame::ping(role, 1)).expect("ping");
+        }
+        assert_eq!(t.stats().connects, 24);
+        drop(t);
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(500), "took {took:?}");
     }
 }

@@ -16,8 +16,8 @@
 //!   Analyser service, alerts, TPM simulation.
 //! * [`store`] — the hybrid database+blockchain log store of ref \[9\].
 //! * [`attack`] — the attack-injection framework used in the evaluation.
-//! * [`net`] — the real transport: CRC-framed Figure-1 services over
-//!   TCP (`drams-node`), with the DES as conformance oracle.
+//! * [`net`] — the wire-format conformance harness: CRC-framed messages
+//!   echoed by validating loopback endpoints, with the DES as oracle.
 //!
 //! See `README.md` for a guided tour, `DESIGN.md` for the system inventory
 //! and `EXPERIMENTS.md` for the experiment catalogue.
