@@ -3,9 +3,13 @@
 //! Paper §II: *"On the base of a logical representation of the access
 //! control policies evaluated by the PDP, the Analyser checks if for a
 //! given request the calculated response is the expected one."* This module
-//! implements that oracle: it holds an independent copy of the authorised
-//! policy (pinned by version digest) and re-evaluates every logged
-//! (request, response) pair, reporting any divergence.
+//! implements that oracle: it holds the authorised policy (pinned by
+//! version digest) and re-evaluates every logged (request, response)
+//! pair, reporting any divergence. A policy version is immutable once
+//! compiled, so the verifier may share the PRP's compiled form of an
+//! authorised version rather than compile a copy; what it must not share
+//! is a version nobody authorised (see `drams_core`'s scenario assembly,
+//! which compiles a separate copy when the PRP serves a swapped policy).
 
 use drams_crypto::sha256::Digest;
 use drams_policy::attr::Request;
@@ -92,9 +96,15 @@ impl Verdict {
 /// Analyser replays *every* completed observation group through
 /// [`DecisionVerifier::expected_response`], so this is the second
 /// heaviest policy-evaluation path after the PDP itself.
+///
+/// Both forms sit behind an [`Arc`], like the PDP's: a verifier built
+/// with [`DecisionVerifier::from_prepared`] or fed with
+/// [`DecisionVerifier::publish_prepared`] shares the version the PRP
+/// already compiled instead of compiling its own. The owned-`PolicySet`
+/// entry points compile once and delegate to those two.
 #[derive(Debug, Clone)]
 pub struct DecisionVerifier {
-    policy: PolicySet,
+    policy: Arc<PolicySet>,
     prepared: Arc<PreparedPolicySet>,
     version: Digest,
     /// Every version legitimately authorised over the run, including the
@@ -115,6 +125,25 @@ impl DecisionVerifier {
     #[must_use]
     pub fn new(policy: PolicySet) -> Self {
         let prepared = Arc::new(PreparedPolicySet::compile(&policy));
+        DecisionVerifier::from_prepared(Arc::new(policy), prepared)
+    }
+
+    /// Creates a verifier pinned to an already-compiled authorised policy
+    /// (e.g. the PRP's active version), sharing both halves: the cost is
+    /// two reference counts however large the policy base is.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, panics when `prepared` was not compiled from
+    /// `policy` (version digest mismatch), as
+    /// [`Pdp::from_prepared`](drams_policy::pdp::Pdp::from_prepared) does.
+    #[must_use]
+    pub fn from_prepared(policy: Arc<PolicySet>, prepared: Arc<PreparedPolicySet>) -> Self {
+        debug_assert_eq!(
+            policy.version_digest(),
+            prepared.version_digest(),
+            "prepared policy does not match the source policy set"
+        );
         let version = prepared.version_digest();
         let mut history = std::collections::HashMap::new();
         history.insert(version, (prepared.clone(), None));
@@ -150,16 +179,17 @@ impl DecisionVerifier {
         &self.policy
     }
 
+    /// The compiled form of the active authorised version.
+    #[must_use]
+    pub fn prepared(&self) -> &Arc<PreparedPolicySet> {
+        &self.prepared
+    }
+
     /// Replaces the authorised policy and **forgets** all previous
     /// versions (e.g. provisioning a fresh verifier, or revoking a
     /// version retroactively).
     pub fn set_policy(&mut self, policy: PolicySet) {
-        self.prepared = Arc::new(PreparedPolicySet::compile(&policy));
-        self.version = self.prepared.version_digest();
-        self.policy = policy;
-        self.history.clear();
-        self.history
-            .insert(self.version, (self.prepared.clone(), None));
+        *self = DecisionVerifier::new(policy);
     }
 
     /// Makes `policy` the active authorised version as of time `now`
@@ -170,9 +200,28 @@ impl DecisionVerifier {
     /// deployment logs decision times in (the DES uses virtual
     /// microseconds).
     pub fn publish_policy(&mut self, policy: PolicySet, now: u64) {
+        let prepared = Arc::new(PreparedPolicySet::compile(&policy));
+        self.publish_prepared(Arc::new(policy), prepared, now);
+    }
+
+    /// [`DecisionVerifier::publish_policy`] for an already-compiled
+    /// version, shared rather than recompiled (see
+    /// [`DecisionVerifier::from_prepared`], whose debug check it runs
+    /// too).
+    pub fn publish_prepared(
+        &mut self,
+        policy: Arc<PolicySet>,
+        prepared: Arc<PreparedPolicySet>,
+        now: u64,
+    ) {
+        debug_assert_eq!(
+            policy.version_digest(),
+            prepared.version_digest(),
+            "prepared policy does not match the source policy set"
+        );
         let old = self.version;
-        self.prepared = Arc::new(PreparedPolicySet::compile(&policy));
-        self.version = self.prepared.version_digest();
+        self.version = prepared.version_digest();
+        self.prepared = prepared;
         self.policy = policy;
         if old != self.version {
             if let Some((_, retired_at)) = self.history.get_mut(&old) {

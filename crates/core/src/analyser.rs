@@ -21,21 +21,65 @@ use crate::logent::{LogEntry, ObservationPoint, ProbeId};
 use drams_analysis::verify::{DecisionVerifier, Verdict, Violation};
 use drams_chain::node::Node;
 use drams_crypto::aead::SymmetricKey;
-use drams_crypto::codec::{Decode, Reader, Writer};
+use drams_crypto::codec::{Decode, Encode, Reader, Writer};
 use drams_crypto::hmac::HmacKey;
 use drams_crypto::schnorr::Keypair;
+use drams_crypto::sha256::Digest;
 use drams_faas::des::SimTime;
 use drams_faas::msg::{CorrelationId, RequestEnvelope, ResponseEnvelope};
+use drams_policy::compiled::PreparedPolicySet;
 use drams_policy::decision::Decision;
-use drams_policy::parser::{parse_policy_set, to_source};
 use drams_policy::policy::PolicySet;
 use drams_store::{SnapshotStore, StoreError};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// Most correlations retired per poll — bounds the `retire_groups`
 /// transaction payload regardless of how deep the retirement backlog
 /// gets during a flash crowd.
 const RETIRE_BATCH_MAX: usize = 512;
+
+/// An authorised policy version in the checkpoint's durable form: its
+/// canonical encoding — the bytes its version digest is defined over —
+/// and that digest.
+#[derive(Debug, Clone)]
+struct DurablePolicy {
+    version: Digest,
+    canonical: Vec<u8>,
+}
+
+impl DurablePolicy {
+    fn of(policy: &PolicySet, prepared: &PreparedPolicySet) -> Self {
+        DurablePolicy {
+            version: prepared.version_digest(),
+            canonical: policy.to_canonical_bytes(),
+        }
+    }
+
+    fn write(&self, w: &mut Writer) {
+        self.version.encode(w);
+        w.put_bytes(&self.canonical);
+    }
+
+    /// Reads one back and compiles it. The policy is refused unless it
+    /// compiles to exactly the version that was checkpointed, so a
+    /// recovered Analyser pins the digests its predecessor pinned or
+    /// does not start.
+    fn read(r: &mut Reader<'_>) -> Result<(Arc<PolicySet>, Arc<PreparedPolicySet>), StoreError> {
+        let codec =
+            |e: drams_crypto::CryptoError| StoreError::Codec(format!("checkpointed policy: {e}"));
+        let version = Digest::decode(r).map_err(codec)?;
+        let policy =
+            PolicySet::from_canonical_bytes(&r.get_bytes().map_err(codec)?).map_err(codec)?;
+        let prepared = PreparedPolicySet::compile(&policy);
+        if prepared.version_digest() != version {
+            return Err(StoreError::Codec(format!(
+                "checkpointed policy is not version {version}"
+            )));
+        }
+        Ok((Arc::new(policy), Arc::new(prepared)))
+    }
+}
 
 /// One recorded policy-administration action, kept so a verification
 /// checkpoint can replay the authorised-version history exactly.
@@ -44,7 +88,7 @@ enum PolicyLogEntry {
     /// [`Analyser::publish_authorised_policy`] at a virtual time.
     /// ([`Analyser::set_authorised_policy`] needs no variant: it resets
     /// `initial_policy` and clears the log instead.)
-    Publish(String, SimTime),
+    Publish(DurablePolicy, SimTime),
 }
 
 /// Version byte of the checkpoint encoding, leading both of its records.
@@ -55,8 +99,10 @@ enum PolicyLogEntry {
 /// retention horizon and the retired-version counter. Version 5 split the
 /// single record in two — a cursor record written by every checkpoint and
 /// a policy-history record written only when the history changed (see
-/// [`Analyser::checkpoint`]).
-const CHECKPOINT_VERSION: u8 = 5;
+/// [`Analyser::checkpoint`]). Version 6 holds each policy of the history
+/// as its version digest and canonical encoding instead of parser source
+/// text, which did not round-trip every target to the same digest.
+const CHECKPOINT_VERSION: u8 = 6;
 
 /// One probe's MAC key as the Analyser holds it: the raw bytes, which the
 /// checkpoint persists, and the context keyed from them once, which
@@ -89,9 +135,9 @@ pub struct Analyser {
     audited_tip: drams_chain::block::BlockHash,
     audited_txs: u64,
     /// The initial authorised policy and every later administration
-    /// action, as parser source text — the durable form of the
-    /// verifier's authorised-version history.
-    initial_policy: String,
+    /// action, each policy as its version digest and canonical encoding
+    /// — the durable form of the verifier's authorised-version history.
+    initial_policy: DurablePolicy,
     policy_log: Vec<PolicyLogEntry>,
     /// Generation of the policy-history record that holds
     /// `initial_policy` + `policy_log` as of the last checkpoint that
@@ -153,9 +199,31 @@ impl Analyser {
         keypair: Keypair,
         probe_mac_keys: BTreeMap<ProbeId, [u8; 32]>,
     ) -> Self {
-        let initial_policy = to_source(&authorised_policy);
+        let prepared = Arc::new(PreparedPolicySet::compile(&authorised_policy));
+        Analyser::from_prepared(
+            Arc::new(authorised_policy),
+            prepared,
+            key,
+            keypair,
+            probe_mac_keys,
+        )
+    }
+
+    /// [`Analyser::new`] for an already-compiled authorised policy —
+    /// e.g. the PRP's active version when it is the authorised one —
+    /// shared with the verifier instead of compiled again (see
+    /// [`DecisionVerifier::from_prepared`]).
+    #[must_use]
+    pub fn from_prepared(
+        policy: Arc<PolicySet>,
+        prepared: Arc<PreparedPolicySet>,
+        key: SymmetricKey,
+        keypair: Keypair,
+        probe_mac_keys: BTreeMap<ProbeId, [u8; 32]>,
+    ) -> Self {
+        let initial_policy = DurablePolicy::of(&policy, &prepared);
         Analyser {
-            verifier: DecisionVerifier::new(authorised_policy),
+            verifier: DecisionVerifier::from_prepared(policy, prepared),
             key,
             keypair,
             probe_mac_keys: probe_mac_keys
@@ -260,15 +328,20 @@ impl Analyser {
         self.audited_txs
     }
 
+    #[cfg(test)]
+    pub(crate) fn verifier(&self) -> &DecisionVerifier {
+        &self.verifier
+    }
+
     /// Updates the authorised policy (legitimate policy administration),
     /// forgetting all previously authorised versions.
     pub fn set_authorised_policy(&mut self, policy: PolicySet) {
         // `set` forgets all history, so the durable form restarts from
         // this policy too — the checkpoint stays O(live versions).
-        self.initial_policy = to_source(&policy);
+        self.verifier.set_policy(policy);
+        self.initial_policy = DurablePolicy::of(self.verifier.policy(), self.verifier.prepared());
         self.policy_log.clear();
         self.history_dirty = true;
-        self.verifier.set_policy(policy);
     }
 
     /// Authorises a newly published (or rolled-back) policy version
@@ -277,10 +350,24 @@ impl Analyser {
     /// during legitimate policy churn do not raise false alerts, but a
     /// PDP stuck on a retired version after `now` does.
     pub fn publish_authorised_policy(&mut self, policy: PolicySet, now: SimTime) {
-        self.policy_log
-            .push(PolicyLogEntry::Publish(to_source(&policy), now));
+        let prepared = Arc::new(PreparedPolicySet::compile(&policy));
+        self.publish_prepared(Arc::new(policy), prepared, now);
+    }
+
+    /// [`Analyser::publish_authorised_policy`] for a version the PRP
+    /// already compiled, shared rather than recompiled.
+    pub(crate) fn publish_prepared(
+        &mut self,
+        policy: Arc<PolicySet>,
+        prepared: Arc<PreparedPolicySet>,
+        now: SimTime,
+    ) {
+        self.policy_log.push(PolicyLogEntry::Publish(
+            DurablePolicy::of(&policy, &prepared),
+            now,
+        ));
         self.history_dirty = true;
-        self.verifier.publish_policy(policy, now);
+        self.verifier.publish_prepared(policy, prepared, now);
     }
 
     /// Registers the MAC key of a newly provisioned probe (tenant-join
@@ -316,7 +403,7 @@ impl Analyser {
     /// degrade (the only cost of a stale checkpoint is re-checking —
     /// and thus re-reporting — groups completed since it was written).
     ///
-    /// # Layout (version 5)
+    /// # Layout (version 6)
     ///
     /// The checkpoint is two records in the one [`SnapshotStore`]:
     ///
@@ -327,9 +414,11 @@ impl Analyser {
     ///   record it belongs with. It is a few hundred bytes and is written
     ///   by every call.
     /// * the **policy-history record** — a generation record — holds the
-    ///   authorised-policy history as parser source text: the baseline
-    ///   policy and the publish log. Its size is that of the policy base
-    ///   (hundreds of kilobytes for a thousand policies), and it changes
+    ///   authorised-policy history: the baseline policy and the publish
+    ///   log, each policy as its version digest and its canonical
+    ///   encoding, the exact bytes that digest is defined over. Its size
+    ///   is that of the policy base (≈ 300 KB for a thousand policies of
+    ///   five rules), and it changes
     ///   only through [`Analyser::set_authorised_policy`],
     ///   [`Analyser::publish_authorised_policy`] and a retention prune
     ///   that cut the log — so it is written only by the first call after
@@ -354,14 +443,14 @@ impl Analyser {
         let generation = self.history_generation + u64::from(self.history_dirty);
         if self.history_dirty {
             // Fits the common case, an empty publish log, in one piece.
-            let mut w = Writer::with_capacity(self.initial_policy.len() + 16);
+            let mut w = Writer::with_capacity(self.initial_policy.canonical.len() + 64);
             w.put_u8(CHECKPOINT_VERSION);
-            w.put_str(&self.initial_policy);
+            self.initial_policy.write(&mut w);
             w.put_varint(self.policy_log.len() as u64);
             for entry in &self.policy_log {
-                let PolicyLogEntry::Publish(text, at) = entry;
+                let PolicyLogEntry::Publish(policy, at) = entry;
                 w.put_u8(1);
-                w.put_str(text);
+                policy.write(&mut w);
                 w.put_u64(*at);
             }
             store.save_generation(generation, &w.into_bytes())?;
@@ -425,7 +514,9 @@ impl Analyser {
     /// [`StoreError::Corrupt`] when either record fails its length or
     /// checksum check or the history record belongs to another
     /// generation; [`StoreError::Codec`] when a record does not decode —
-    /// including any checkpoint version other than 5.
+    /// including any checkpoint version other than 6 — or a
+    /// checkpointed policy does not compile to the version digest
+    /// recorded beside it.
     pub fn recover(
         key: SymmetricKey,
         keypair: Keypair,
@@ -479,25 +570,19 @@ impl Analyser {
         let history = store.load_generation(history_generation)?;
         let mut r = Reader::new(&history);
         expect_version(r.get_u8().map_err(codec)?)?;
-        let parse = |text: &str| {
-            parse_policy_set(text)
-                .map_err(|e| StoreError::Codec(format!("checkpointed policy: {e}")))
-        };
-        let initial_policy = r.get_str().map_err(codec)?;
-        let mut analyser = Analyser::new(parse(&initial_policy)?, key, keypair, probe_mac_keys);
+        let (policy, prepared) = DurablePolicy::read(&mut r)?;
+        let mut analyser = Analyser::from_prepared(policy, prepared, key, keypair, probe_mac_keys);
         let entries = r.get_varint().map_err(codec)?;
         for _ in 0..entries {
             let kind = r.get_u8().map_err(codec)?;
-            let text = r.get_str().map_err(codec)?;
-            let at = r.get_u64().map_err(codec)?;
-            match kind {
-                1 => analyser.publish_authorised_policy(parse(&text)?, at),
-                other => {
-                    return Err(StoreError::Codec(format!(
-                        "unknown policy-log entry kind {other}"
-                    )))
-                }
+            if kind != 1 {
+                return Err(StoreError::Codec(format!(
+                    "unknown policy-log entry kind {kind}"
+                )));
             }
+            let (policy, prepared) = DurablePolicy::read(&mut r)?;
+            let at = r.get_u64().map_err(codec)?;
+            analyser.publish_prepared(policy, prepared, at);
         }
         r.finish().map_err(codec)?;
         store.prune_generations(history_generation)?;
@@ -565,7 +650,7 @@ impl Analyser {
                 &self.keypair,
                 MONITOR_CONTRACT,
                 "report_violation",
-                drams_crypto::codec::Encode::to_canonical_bytes(alert),
+                alert.to_canonical_bytes(),
             );
         }
         self.retire_due_groups(node, now);
@@ -597,10 +682,9 @@ impl Analyser {
             .iter()
             .position(|PolicyLogEntry::Publish(_, at)| *at >= horizon)
             .unwrap_or(self.policy_log.len());
-        if cut > 0 {
-            let PolicyLogEntry::Publish(text, _) = &self.policy_log[cut - 1];
-            self.initial_policy = text.clone();
-            self.policy_log.drain(..cut);
+        if let Some(PolicyLogEntry::Publish(baseline, _)) = self.policy_log.drain(..cut).next_back()
+        {
+            self.initial_policy = baseline;
             self.history_dirty = true;
         }
     }
@@ -1568,12 +1652,19 @@ mod tests {
             rules_per_policy: 5,
             ..PolicyShape::default()
         });
+        let canonical = heavy.to_canonical_bytes().len();
         let (attach, steady, files) = checkpoint_writes(heavy);
         // Attaching writes the pair: the history record carries the whole
-        // policy text, the cursor record does not.
+        // policy, the cursor record does not. The history record is the
+        // canonical encoding plus fixed framing: the 24-byte snapshot
+        // header, the version byte, the version digest, the encoding's
+        // length prefix and the empty publish log's count.
         assert_eq!(attach.len(), 2);
         assert_eq!(attach[0].0, generation_file_name(1));
-        assert!(attach[0].1 > 500_000, "history record: {} B", attach[0].1);
+        let mut prefix = Writer::new();
+        prefix.put_varint(canonical as u64);
+        assert_eq!(attach[0].1, 24 + 1 + 32 + prefix.len() + canonical + 1);
+        assert!(attach[0].1 < 300_000, "history record: {} B", attach[0].1);
         assert_eq!(attach[1].0, SNAPSHOT_FILE);
         // Every later checkpoint writes the cursor record and nothing
         // else, and the history stays at the generation it was written as.
@@ -1792,6 +1883,157 @@ mod tests {
             matches!(&err, StoreError::Codec(m) if m.contains("version 4")),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn recovered_analyser_pins_the_same_version_for_clause_targets() {
+        // Targets a one-expression-per-clause rendering cannot reproduce:
+        // a conjunction inside one AllOf, two AnyOfs, an empty AllOf.
+        let role = |value: &str| {
+            Expr::equal(
+                Expr::attr(AttributeId::new(Category::Subject, "role")),
+                Expr::lit(value),
+            )
+        };
+        let targets = [
+            Target::all(vec![role("doctor"), Expr::not(role("nurse"))]),
+            Target::Clauses(vec![
+                vec![vec![role("doctor")]],
+                vec![vec![Expr::not(role("nurse"))]],
+            ]),
+            Target::Clauses(vec![vec![vec![]]]),
+        ];
+        for target in targets {
+            let published = PolicySet::builder("clauses", CombiningAlg::DenyUnlessPermit)
+                .policy(
+                    Policy::builder("p", CombiningAlg::PermitOverrides)
+                        .target(target.clone())
+                        .rule(Rule::always("allow", Effect::Permit))
+                        .build(),
+                )
+                .build();
+            let version = published.version_digest();
+            let response = DecisionVerifier::new(published.clone())
+                .expected_response(&Request::builder().subject("role", "doctor").build());
+            let build = || {
+                let mut r = rig();
+                let backend = FaultyBackend::default();
+                r.analyser.attach_checkpoint(backend.store()).unwrap();
+                r.analyser
+                    .publish_authorised_policy(published.clone(), 1_000);
+                r.analyser.checkpoint().unwrap();
+                (r, backend)
+            };
+            let (mut twin, _) = build();
+            let (mut recovered, backend) = build();
+            recovered.analyser = recover_from(&backend).unwrap();
+            let mut polled = Vec::new();
+            for r in [&mut twin, &mut recovered] {
+                run_group_under(r, 1, "doctor", response.clone(), true, version, 2_000);
+                let alerts = r.analyser.poll(&mut r.node, 3_000);
+                polled.push((
+                    r.analyser.verifier.authorised_version(),
+                    alerts
+                        .iter()
+                        .map(drams_crypto::codec::Encode::to_canonical_bytes)
+                        .collect::<Vec<_>>(),
+                ));
+            }
+            assert_eq!(polled[0], (version, Vec::new()), "{target:?}");
+            assert_eq!(polled[1], polled[0], "{target:?}");
+        }
+    }
+
+    #[test]
+    fn a_version_5_history_record_is_refused() {
+        let mut r = rig();
+        let pristine = FaultyBackend::default();
+        r.analyser.attach_checkpoint(pristine.store()).unwrap();
+        // The v5 layout under the generation the cursor names: version
+        // byte, the baseline as parser source text, an empty publish log.
+        let mut v5 = Writer::new();
+        v5.put_u8(5);
+        v5.put_str("policyset root { deny-unless-permit\n}\n");
+        v5.put_varint(0);
+        let damaged = pristine.copy();
+        damaged
+            .store()
+            .save_generation(1, &v5.into_bytes())
+            .unwrap();
+        let err = recover_from(&damaged).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Codec(m) if m.contains("version 5")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn flipped_or_truncated_policy_payloads_are_typed_errors() {
+        let mut r = rig();
+        let pristine = FaultyBackend::default();
+        r.analyser.attach_checkpoint(pristine.store()).unwrap();
+        r.analyser
+            .publish_authorised_policy(crate::monitor::default_policy(), 1_000);
+        r.analyser.checkpoint().unwrap();
+        // The history record rebuilt around a damaged policy payload and
+        // framed validly, so decoding and the digest check are all that
+        // stand between it and a recovered Analyser.
+        let baseline = (policy().version_digest(), policy().to_canonical_bytes());
+        let default = crate::monitor::default_policy();
+        let published = (default.version_digest(), default.to_canonical_bytes());
+        let record = |policies: [&(Digest, Vec<u8>); 2]| {
+            let mut w = Writer::new();
+            w.put_u8(CHECKPOINT_VERSION);
+            for (i, (version, canonical)) in policies.into_iter().enumerate() {
+                if i == 1 {
+                    w.put_varint(1);
+                    w.put_u8(1);
+                }
+                version.encode(&mut w);
+                w.put_bytes(canonical);
+            }
+            w.put_u64(1_000);
+            w.into_bytes()
+        };
+        let history = pristine.store().load_generation(2).unwrap();
+        assert_eq!(
+            record([&baseline, &published]),
+            history,
+            "the layout damaged"
+        );
+        let recover_with = |bytes: Vec<u8>| {
+            let damaged = pristine.copy();
+            damaged.store().save_generation(2, &bytes).unwrap();
+            recover_from(&damaged)
+        };
+        for which in 0..2 {
+            let (version, canonical) = [&baseline, &published][which];
+            let mut damaged = Vec::new();
+            for i in 0..canonical.len() {
+                for mask in [0x01, 0x80] {
+                    let mut flipped = canonical.clone();
+                    flipped[i] ^= mask;
+                    damaged.push((format!("byte {i} ^ {mask:#x}"), *version, flipped));
+                }
+                damaged.push((format!("cut at {i}"), *version, canonical[..i].to_vec()));
+            }
+            let mut wrong = *version;
+            wrong.0[0] ^= 0x01;
+            damaged.push(("digest flipped".into(), wrong, canonical.clone()));
+            for (what, version, bytes) in damaged {
+                let policy = (version, bytes);
+                let pair = if which == 0 {
+                    [&policy, &published]
+                } else {
+                    [&baseline, &policy]
+                };
+                let err = recover_with(record(pair)).unwrap_err();
+                assert!(
+                    matches!(err, StoreError::Codec(_)),
+                    "policy {which}, {what}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -45,8 +45,9 @@ impl<'a> SimService<Msg, Ctx<'a>> for AnalyserService {
                     out.emit(self.poll_interval, Msg::AnalyserTick);
                 }
             }
-            Msg::AnalyserPolicy(policy) => {
-                self.analyser.publish_authorised_policy(policy, now);
+            Msg::AnalyserPolicy(version) => {
+                self.analyser
+                    .publish_prepared(version.policy, version.prepared, now);
                 // Authorisation state must be durable before the crash
                 // window, not just at the next poll.
                 self.analyser.checkpoint().expect("analyser checkpoint");

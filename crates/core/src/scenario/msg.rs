@@ -3,6 +3,7 @@
 use crate::logent::{LogEntry, ProbeId};
 use drams_faas::des::SimTime;
 use drams_faas::msg::{CorrelationId, RequestEnvelope, ResponseEnvelope};
+use drams_faas::prp::PolicyVersion;
 use drams_policy::attr::Request;
 use drams_policy::policy::PolicySet;
 
@@ -82,7 +83,9 @@ pub(super) enum Msg {
     },
     // → analyser service
     AnalyserTick,
-    AnalyserPolicy(PolicySet),
+    /// The PRP's newly active version, shared (two reference counts), so
+    /// the Analyser authorises it without copying or recompiling it.
+    AnalyserPolicy(PolicyVersion),
     ProvisionProbeKey {
         probe: ProbeId,
     },

@@ -10,7 +10,7 @@ use drams_crypto::aead::SymmetricKey;
 use drams_crypto::codec::{Decode, Encode};
 use drams_faas::des::{Outbox, SimService, SimTime};
 use drams_faas::msg::{CorrelationId, ResponseEnvelope};
-use drams_faas::prp::Prp;
+use drams_faas::prp::{PolicyVersion, Prp};
 use drams_faas::transport::WireRole;
 use drams_policy::pdp::Pdp;
 use drams_store::Wal;
@@ -235,6 +235,31 @@ pub(super) struct PdpService {
     pub(super) key: SymmetricKey,
 }
 
+impl PdpService {
+    /// Applies a policy-administration action and points every slot at
+    /// the version it activates, which it returns. A rollback republishes
+    /// the stored version itself under a new number: the digest (and thus
+    /// the version the probes log) is the old one again, and nothing is
+    /// copied or recompiled.
+    fn administer(&mut self, action: PolicyAdmin) -> PolicyVersion {
+        match action {
+            PolicyAdmin::Publish(policy) => {
+                self.prp.publish(policy);
+            }
+            PolicyAdmin::Rollback(version) => {
+                self.prp
+                    .rollback(version)
+                    .expect("script rolls back to a published version");
+            }
+        }
+        let active = self.prp.active();
+        for slot in &mut self.slots {
+            slot.pdp = active.pdp();
+        }
+        active.clone()
+    }
+}
+
 impl<'a> SimService<Msg, Ctx<'a>> for PdpService {
     fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'a>, out: &mut Outbox<Msg>) {
         match msg {
@@ -306,30 +331,9 @@ impl<'a> SimService<Msg, Ctx<'a>> for PdpService {
                     self.slots.iter().map(|sl| sl.pdp.cache_evictions()).sum();
             }
             Msg::PolicyAdmin(action) => {
-                match action {
-                    PolicyAdmin::Publish(policy) => {
-                        self.prp.publish(policy);
-                    }
-                    PolicyAdmin::Rollback(version) => {
-                        // Rollback is modelled as re-publishing the old
-                        // content: the digest (and thus the version the
-                        // probes log) is the old one again.
-                        let old = self
-                            .prp
-                            .version(version)
-                            .expect("script rolls back to a published version")
-                            .policy
-                            .as_ref()
-                            .clone();
-                        self.prp.publish(old);
-                    }
-                }
-                let active = self.prp.active();
-                for slot in &mut self.slots {
-                    slot.pdp = active.pdp();
-                }
+                let active = self.administer(action);
                 ctx.report.policy_activations += 1;
-                out.emit(0, Msg::AnalyserPolicy(active.policy.as_ref().clone()));
+                out.emit(0, Msg::AnalyserPolicy(active));
             }
             Msg::SilencePdp { slot, until } => {
                 self.slots[slot].silenced_until = until;
@@ -423,6 +427,55 @@ mod tests {
             twin.evictions_since_compact
         );
         assert!(!crashed.decided.contains_key(&CorrelationId(0)), "evicted");
+    }
+
+    #[test]
+    fn policy_churn_shares_one_compiled_version_with_every_slot_and_the_analyser() {
+        use crate::analyser::Analyser;
+        use drams_crypto::schnorr::Keypair;
+        use drams_policy::combining::CombiningAlg;
+        use drams_policy::policy::PolicySet;
+        use std::sync::Arc;
+
+        let key = SymmetricKey::from_bytes([42; 32]);
+        let prp = Prp::new(crate::monitor::default_policy());
+        let v0 = prp.active().clone();
+        let mut service = PdpService {
+            slots: (0..2)
+                .map(|i| PdpSlot::new(ProbeId(i), &key, prp.active().pdp(), MIN_RETENTION))
+                .collect(),
+            prp,
+            infra_li: 0,
+            key: key.clone(),
+        };
+        let mut analyser = Analyser::from_prepared(
+            v0.policy.clone(),
+            v0.prepared.clone(),
+            key,
+            Keypair::from_seed(b"drams-analyser"),
+            Default::default(),
+        );
+        assert!(Arc::ptr_eq(analyser.verifier().prepared(), &v0.prepared));
+        let stricter = PolicySet::builder("strict-root", CombiningAlg::DenyUnlessPermit).build();
+        for (action, now) in [
+            (PolicyAdmin::Publish(stricter), 1_000),
+            (PolicyAdmin::Rollback(0), 2_000),
+        ] {
+            // What `Msg::AnalyserPolicy` carries and the Analyser service
+            // does with it.
+            let active = service.administer(action);
+            analyser.publish_prepared(active.policy, active.prepared, now);
+            let prepared = &service.prp.active().prepared;
+            for slot in &service.slots {
+                assert!(Arc::ptr_eq(slot.pdp.prepared(), prepared));
+            }
+            assert!(Arc::ptr_eq(analyser.verifier().prepared(), prepared));
+        }
+        // The rollback republished version 0 itself, under a new number.
+        let active = service.prp.active();
+        assert_eq!((active.number, active.digest), (2, v0.digest));
+        assert!(Arc::ptr_eq(&active.prepared, &v0.prepared));
+        assert_eq!(analyser.verifier().authorised_version(), v0.digest);
     }
 
     #[test]

@@ -109,20 +109,14 @@ pub fn run_scenario_with_transport<A: Adversary>(
         .iter()
         .map(|t| Pep::new(t.pep, t.id, config.bias))
         .collect();
-    let authorised = config.policy.clone();
-    let active_policy = match adversary.swap_policy(&authorised) {
-        Some(swapped) => {
-            truth.policy_swapped = true;
-            swapped
-        }
-        None => authorised.clone(),
-    };
+    let swapped = adversary.swap_policy(&config.policy);
+    truth.policy_swapped = swapped.is_some();
     // The PRP stores (and pre-compiles) the policy the PDPs actually
     // serve — deliberately the *active* policy, not the authorised one:
     // the paper's swap-policy threat is an unauthorised substitution at
     // the PRP, and the Analyser detects it from its own independent
     // authorised copy.
-    let prp = Prp::new(active_policy);
+    let prp = Prp::new(swapped.unwrap_or_else(|| config.policy.clone()));
 
     // PDP slots: one central instance, or one per member cloud.
     let key = SymmetricKey::from_bytes([42; 32]);
@@ -215,7 +209,25 @@ pub fn run_scenario_with_transport<A: Adversary>(
         node.mine_block(0).expect("genesis follow-up");
     }
     let event_cursor = node.events().len();
-    let mut analyser = Analyser::new(authorised, key.clone(), analyser_kp, probe_mac_keys);
+    // Unswapped, the PRP's version 0 *is* the authorised policy, compiled
+    // once and shared; swapped, the Analyser compiles its own copy.
+    let mut analyser = if truth.policy_swapped {
+        Analyser::new(
+            config.policy.clone(),
+            key.clone(),
+            analyser_kp,
+            probe_mac_keys,
+        )
+    } else {
+        let authorised = prp.active();
+        Analyser::from_prepared(
+            authorised.policy.clone(),
+            authorised.prepared.clone(),
+            key.clone(),
+            analyser_kp,
+            probe_mac_keys,
+        )
+    };
     // The scenario runtime's chain is mined by a single honest node, so
     // any sibling block means a rewritten history or an equivocating
     // miner — turn the sweep on (the flag and the alerted-fork set ride

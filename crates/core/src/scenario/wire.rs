@@ -295,7 +295,11 @@ mod tests {
             Msg::CrashChain,
             Msg::SetTimeout { timeout: 1 },
             Msg::AnalyserTick,
-            Msg::AnalyserPolicy(crate::monitor::default_policy()),
+            Msg::AnalyserPolicy(
+                drams_faas::prp::Prp::new(crate::monitor::default_policy())
+                    .active()
+                    .clone(),
+            ),
             Msg::CrashAnalyser,
             Msg::Script(0),
             Msg::ActivateTenant { tenant: 0 },

@@ -67,6 +67,18 @@ impl Prp {
         number
     }
 
+    /// Rolls back to version `number` by republishing its content as a
+    /// new version, which shares the stored version's source tree and
+    /// compiled form (nothing is copied or recompiled) and keeps its
+    /// digest. Returns the new version number, or `None` when `number`
+    /// was never published.
+    pub fn rollback(&mut self, number: u64) -> Option<u64> {
+        let old = self.version(number)?.clone();
+        let new = self.versions.len() as u64;
+        self.versions.push(PolicyVersion { number: new, ..old });
+        Some(new)
+    }
+
     fn version_entry(number: u64, policy: PolicySet) -> PolicyVersion {
         let prepared = Arc::new(PreparedPolicySet::compile(&policy));
         PolicyVersion {
@@ -161,6 +173,20 @@ mod tests {
             prp.version(0).unwrap().digest,
             prp.version(2).unwrap().digest
         );
+    }
+
+    #[test]
+    fn rollback_republishes_the_stored_version_without_copying_it() {
+        let mut prp = Prp::new(policy("v0"));
+        prp.publish(policy("v1"));
+        assert_eq!(prp.rollback(0), Some(2));
+        let (old, active) = (prp.version(0).unwrap(), prp.active());
+        assert_eq!(active.number, 2);
+        assert_eq!(active.digest, old.digest);
+        assert!(Arc::ptr_eq(&active.policy, &old.policy));
+        assert!(Arc::ptr_eq(&active.prepared, &old.prepared));
+        assert_eq!(prp.rollback(7), None);
+        assert_eq!(prp.version_count(), 3);
     }
 
     #[test]

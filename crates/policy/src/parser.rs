@@ -589,6 +589,11 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 // ---- pretty printer ---------------------------------------------------------
 
 /// Renders a policy set back to parseable source text.
+///
+/// The rendering is for people, not storage: a target with more than one
+/// clause or match prints as one `and`/`or` expression, which parses back
+/// to a different tree and so a different version digest. The exact,
+/// digest-preserving form is `PolicySet::to_canonical_bytes`.
 #[must_use]
 pub fn to_source(set: &PolicySet) -> String {
     let mut out = String::new();
