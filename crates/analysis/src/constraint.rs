@@ -204,6 +204,8 @@ impl Formula {
     }
 
     /// Smart negation with constant folding and double-negation removal.
+    // An associated constructor beside `and`/`or`, not `std::ops::Not`.
+    #[allow(clippy::should_implement_trait)]
     #[must_use]
     pub fn not(f: Formula) -> Formula {
         match f {

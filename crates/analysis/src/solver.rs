@@ -221,7 +221,7 @@ impl SolverCtx<'_> {
             if eqs.iter().any(|v| *v != *first) {
                 return None;
             }
-            if nes.iter().any(|v| *v == *first) {
+            if nes.contains(first) {
                 return None;
             }
             if let Some(x) = first.as_f64() {
@@ -334,17 +334,10 @@ fn numeric_witness(
             return None;
         }
         // At most |excluded| + 1 candidates needed.
-        let mut candidate = lo;
-        for _ in 0..=excluded.len() {
-            if candidate > hi {
-                return None;
-            }
-            if !excluded.iter().any(|e| *e == candidate as f64) {
-                return Some(AttributeValue::Int(candidate));
-            }
-            candidate += 1;
-        }
-        None
+        (lo..=hi)
+            .take(excluded.len() + 1)
+            .find(|&candidate| !excluded.contains(&(candidate as f64)))
+            .map(AttributeValue::Int)
     } else {
         let lo = lowers
             .iter()

@@ -17,6 +17,7 @@ use drams_policy::compiled::PreparedPolicySet;
 use drams_policy::decision::{Decision, Response};
 use drams_policy::policy::PolicySet;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -108,15 +109,21 @@ pub struct DecisionVerifier {
     prepared: Arc<PreparedPolicySet>,
     version: Digest,
     /// Every version legitimately authorised over the run, including the
-    /// current one. During policy churn a decision can be logged under
-    /// version *n* and checked after version *n+1* became active; such
-    /// in-flight decisions are verified against the version they claim —
-    /// provided that version was authorised and *still active when the
-    /// decision was taken* — instead of being flagged as swaps. The
-    /// second element records when the version was superseded (`None` =
-    /// still active): a PDP stuck on a retired version is caught, not
-    /// grandfathered forever.
-    history: std::collections::HashMap<Digest, (Arc<PreparedPolicySet>, Option<u64>)>,
+    /// current one (see [`DecisionVerifier::authorised_versions`]).
+    history: HashMap<Digest, AuthorisedVersion>,
+}
+
+/// One authorised version. During policy churn a decision can be logged
+/// under version *n* and checked after *n+1* became active; it is
+/// verified against the version it claims if that version was *still
+/// active when the decision was taken*. `retired_at` is when it was
+/// superseded (`None` = active), so a PDP stuck on a retired version is
+/// caught, not grandfathered forever.
+#[derive(Debug, Clone)]
+struct AuthorisedVersion {
+    policy: Arc<PolicySet>,
+    prepared: Arc<PreparedPolicySet>,
+    retired_at: Option<u64>,
 }
 
 impl DecisionVerifier {
@@ -139,20 +146,15 @@ impl DecisionVerifier {
     /// [`Pdp::from_prepared`](drams_policy::pdp::Pdp::from_prepared) does.
     #[must_use]
     pub fn from_prepared(policy: Arc<PolicySet>, prepared: Arc<PreparedPolicySet>) -> Self {
-        debug_assert_eq!(
-            policy.version_digest(),
-            prepared.version_digest(),
-            "prepared policy does not match the source policy set"
-        );
-        let version = prepared.version_digest();
-        let mut history = std::collections::HashMap::new();
-        history.insert(version, (prepared.clone(), None));
-        DecisionVerifier {
-            policy,
-            prepared,
-            version,
-            history,
-        }
+        let mut verifier = DecisionVerifier {
+            version: prepared.version_digest(),
+            policy: policy.clone(),
+            prepared: prepared.clone(),
+            history: HashMap::new(),
+        };
+        // Publishing the version already active retires nothing.
+        verifier.publish_prepared(policy, prepared, 0);
+        verifier
     }
 
     /// The authorised policy version digest (the currently active one).
@@ -161,16 +163,26 @@ impl DecisionVerifier {
         self.version
     }
 
-    /// Whether `version` was ever legitimately authorised.
-    #[must_use]
-    pub fn is_authorised_version(&self, version: &Digest) -> bool {
-        self.history.contains_key(version)
-    }
-
     /// Number of distinct authorised versions seen so far.
     #[must_use]
     pub fn authorised_version_count(&self) -> usize {
         self.history.len()
+    }
+
+    /// The authorised-policy history: each version still authorised, once,
+    /// as its digest, its (shared, not copied) source tree and when it was
+    /// superseded (`None` for the active one), ordered by `(retired_at,
+    /// digest)` — the active version last. The first entry plus a publish
+    /// of each later one at its predecessor's `retired_at` rebuilds it.
+    #[must_use]
+    pub fn authorised_versions(&self) -> Vec<(Digest, &Arc<PolicySet>, Option<u64>)> {
+        let mut versions: Vec<_> = self
+            .history
+            .iter()
+            .map(|(digest, v)| (*digest, &v.policy, v.retired_at))
+            .collect();
+        versions.sort_by_key(|&(digest, _, retired_at)| (retired_at.is_none(), retired_at, digest));
+        versions
     }
 
     /// The authorised policy (source form).
@@ -183,13 +195,6 @@ impl DecisionVerifier {
     #[must_use]
     pub fn prepared(&self) -> &Arc<PreparedPolicySet> {
         &self.prepared
-    }
-
-    /// Replaces the authorised policy and **forgets** all previous
-    /// versions (e.g. provisioning a fresh verifier, or revoking a
-    /// version retroactively).
-    pub fn set_policy(&mut self, policy: PolicySet) {
-        *self = DecisionVerifier::new(policy);
     }
 
     /// Makes `policy` the active authorised version as of time `now`
@@ -221,17 +226,23 @@ impl DecisionVerifier {
         );
         let old = self.version;
         self.version = prepared.version_digest();
-        self.prepared = prepared;
-        self.policy = policy;
+        self.prepared = prepared.clone();
+        self.policy = policy.clone();
         if old != self.version {
-            if let Some((_, retired_at)) = self.history.get_mut(&old) {
-                retired_at.get_or_insert(now);
+            if let Some(retired) = self.history.get_mut(&old) {
+                retired.retired_at.get_or_insert(now);
             }
         }
         // The new current version is active again even if it was retired
         // before (rollback re-activates an old digest).
-        self.history
-            .insert(self.version, (self.prepared.clone(), None));
+        self.history.insert(
+            self.version,
+            AuthorisedVersion {
+                policy,
+                prepared,
+                retired_at: None,
+            },
+        );
     }
 
     /// The response the authorised policy yields for `request`
@@ -277,31 +288,14 @@ impl DecisionVerifier {
     }
 
     /// Verifies a logged pair that also carries the policy version it was
-    /// evaluated under. A version outside the authorised history is
-    /// reported even when the decision happens to coincide — the paper's
-    /// threat model includes policy substitution, and a swap that agrees
-    /// on this request may diverge on the next. A superseded-but-
-    /// authorised version (in-flight decision during legitimate churn) is
-    /// re-evaluated against that version.
-    ///
-    /// This time-blind variant accepts a superseded version regardless of
-    /// when the decision was taken; prefer
-    /// [`DecisionVerifier::verify_versioned_at`] when the decision time
-    /// is known.
-    #[must_use]
-    pub fn verify_versioned(
-        &self,
-        request: &Request,
-        claimed: &Response,
-        claimed_version: Digest,
-    ) -> Verdict {
-        self.verify_versioned_inner(request, claimed, claimed_version, None)
-    }
-
-    /// Like [`DecisionVerifier::verify_versioned`], but also checks the
-    /// decision *time*: a decision logged under a superseded version is
-    /// legitimate only if it was taken while that version was still
-    /// active — a PDP that keeps serving a retired (perhaps more
+    /// evaluated under and the time it was decided at. A version outside
+    /// the authorised history is reported even when the decision happens
+    /// to coincide — the paper's threat model includes policy
+    /// substitution, and a swap that agrees on this request may diverge
+    /// on the next. A superseded-but-authorised version (in-flight
+    /// decision during legitimate churn) is re-evaluated against that
+    /// version — but only if the decision was taken while that version
+    /// was still active: a PDP that keeps serving a retired (perhaps more
     /// permissive) version after a new one activated raises
     /// `WrongPolicyVersion` instead of being grandfathered forever.
     #[must_use]
@@ -312,7 +306,25 @@ impl DecisionVerifier {
         claimed_version: Digest,
         decided_at: u64,
     ) -> Verdict {
-        self.verify_versioned_inner(request, claimed, claimed_version, Some(decided_at))
+        if claimed_version == self.version {
+            return self.verify(request, claimed);
+        }
+        match self.history.get(&claimed_version) {
+            // A decision taken at the activation instant of the successor
+            // may legitimately still be the old version's, hence `<=`.
+            Some(AuthorisedVersion {
+                prepared,
+                retired_at: Some(retired_at),
+                ..
+            }) if decided_at <= *retired_at => {
+                let (extended, obligations) = prepared.evaluate(request);
+                Self::compare(claimed, &Response::new(extended, obligations))
+            }
+            _ => Verdict::Violation(Violation::WrongPolicyVersion {
+                claimed: claimed_version,
+                expected: self.version,
+            }),
+        }
     }
 
     /// Drops authorised-history versions retired strictly before
@@ -330,38 +342,8 @@ impl DecisionVerifier {
     pub fn prune_history(&mut self, horizon: u64) -> usize {
         let before = self.history.len();
         self.history
-            .retain(|_, (_, retired_at)| retired_at.is_none_or(|t| t >= horizon));
+            .retain(|_, v| v.retired_at.is_none_or(|t| t >= horizon));
         before - self.history.len()
-    }
-
-    fn verify_versioned_inner(
-        &self,
-        request: &Request,
-        claimed: &Response,
-        claimed_version: Digest,
-        decided_at: Option<u64>,
-    ) -> Verdict {
-        if claimed_version == self.version {
-            return self.verify(request, claimed);
-        }
-        let Some((prepared, retired_at)) = self.history.get(&claimed_version) else {
-            return Verdict::Violation(Violation::WrongPolicyVersion {
-                claimed: claimed_version,
-                expected: self.version,
-            });
-        };
-        // A decision taken at the activation instant of the successor may
-        // legitimately still be the old version's, hence strict `>`.
-        if let (Some(decided), Some(retired)) = (decided_at, retired_at) {
-            if decided > *retired {
-                return Verdict::Violation(Violation::WrongPolicyVersion {
-                    claimed: claimed_version,
-                    expected: self.version,
-                });
-            }
-        }
-        let (extended, obligations) = prepared.evaluate(request);
-        Self::compare(claimed, &Response::new(extended, obligations))
     }
 }
 
@@ -396,6 +378,22 @@ mod tests {
 
     fn doctor() -> Request {
         Request::builder().subject("role", "doctor").build()
+    }
+
+    /// `(digest, retired_at)` of every authorised version, in history
+    /// order.
+    fn history(verifier: &DecisionVerifier) -> Vec<(Digest, Option<u64>)> {
+        verifier
+            .authorised_versions()
+            .into_iter()
+            .map(|(digest, _, retired_at)| (digest, retired_at))
+            .collect()
+    }
+
+    fn is_authorised(verifier: &DecisionVerifier, version: Digest) -> bool {
+        history(verifier)
+            .iter()
+            .any(|&(digest, _)| digest == version)
     }
 
     #[test]
@@ -436,13 +434,13 @@ mod tests {
         let verifier = DecisionVerifier::new(policy());
         let honest = verifier.expected_response(&doctor());
         let bogus_version = Digest::of(b"attacker policy");
-        match verifier.verify_versioned(&doctor(), &honest, bogus_version) {
+        match verifier.verify_versioned_at(&doctor(), &honest, bogus_version, 0) {
             Verdict::Violation(Violation::WrongPolicyVersion { .. }) => {}
             other => panic!("expected version violation, got {other:?}"),
         }
         // Correct version passes through to the decision check.
         assert!(verifier
-            .verify_versioned(&doctor(), &honest, verifier.authorised_version())
+            .verify_versioned_at(&doctor(), &honest, verifier.authorised_version(), 0)
             .is_consistent());
     }
 
@@ -451,7 +449,7 @@ mod tests {
         let mut verifier = DecisionVerifier::new(policy());
         let v1 = verifier.authorised_version();
         let new = PolicySet::builder("root2", CombiningAlg::PermitUnlessDeny).build();
-        verifier.set_policy(new);
+        verifier.publish_policy(new, 1_000);
         assert_ne!(verifier.authorised_version(), v1);
         // Everything now permits (permit-unless-deny with no children).
         assert_eq!(
@@ -471,27 +469,23 @@ mod tests {
         let v1 = verifier.authorised_version();
         assert_ne!(v0, v1);
         assert_eq!(verifier.authorised_version_count(), 2);
-        assert!(verifier.is_authorised_version(&v0));
+        assert_eq!(history(&verifier), [(v0, Some(1_000)), (v1, None)]);
         // An in-flight decision logged under v0 verifies against v0…
         assert!(verifier
-            .verify_versioned(&doctor(), &v0_response, v0)
+            .verify_versioned_at(&doctor(), &v0_response, v0, 900)
             .is_consistent());
         // …but a *wrong* decision under v0 is still caught against v0.
         let nurse = Request::builder().subject("role", "nurse").build();
         let lie = Response::new(ExtDecision::Permit, vec![]);
         assert!(matches!(
-            verifier.verify_versioned(&nurse, &lie, v0),
+            verifier.verify_versioned_at(&nurse, &lie, v0, 900),
             Verdict::Violation(Violation::WrongDecision { .. })
         ));
         // A never-authorised version remains a swap.
         assert!(matches!(
-            verifier.verify_versioned(&doctor(), &v0_response, Digest::of(b"rogue")),
+            verifier.verify_versioned_at(&doctor(), &v0_response, Digest::of(b"rogue"), 900),
             Verdict::Violation(Violation::WrongPolicyVersion { .. })
         ));
-        // set_policy forgets history: v0 becomes unauthorised again.
-        verifier.set_policy(policy());
-        assert_eq!(verifier.authorised_version_count(), 1);
-        assert!(!verifier.is_authorised_version(&v1));
     }
 
     #[test]
@@ -544,8 +538,8 @@ mod tests {
         assert_eq!(verifier.prune_history(500), 0);
         // Horizon past v0's retirement (1_000) but not v1's (2_000).
         assert_eq!(verifier.prune_history(1_500), 1);
-        assert!(!verifier.is_authorised_version(&v0));
-        assert!(verifier.is_authorised_version(&v1));
+        assert!(!is_authorised(&verifier, v0));
+        assert!(is_authorised(&verifier, v1));
         // A decision citing the pruned version is now a reported swap,
         // even in-flight.
         assert!(matches!(
@@ -555,7 +549,7 @@ mod tests {
         // The active version survives any horizon.
         assert_eq!(verifier.prune_history(u64::MAX), 1);
         assert_eq!(verifier.authorised_version_count(), 1);
-        assert!(verifier.is_authorised_version(&verifier.authorised_version()));
+        assert!(is_authorised(&verifier, verifier.authorised_version()));
     }
 
     #[test]
@@ -569,7 +563,37 @@ mod tests {
         verifier.publish_policy(policy(), 2_000);
         assert_eq!(verifier.authorised_version(), v0);
         assert_eq!(verifier.prune_history(u64::MAX), 1); // drops only the mid version
-        assert!(verifier.is_authorised_version(&v0));
+        assert!(is_authorised(&verifier, v0));
+    }
+
+    #[test]
+    fn authorised_versions_hold_each_digest_once_shared_not_copied() {
+        let v0 = Arc::new(policy());
+        let mut verifier = DecisionVerifier::new(policy());
+        let v1 = Arc::new(PolicySet::builder("root2", CombiningAlg::PermitUnlessDeny).build());
+        let v1_prepared = Arc::new(PreparedPolicySet::compile(&v1));
+        let v2 = PolicySet::builder("root3", CombiningAlg::DenyUnlessPermit).build();
+        // Churn between three versions, with v0 and v1 republished.
+        verifier.publish_prepared(v1.clone(), v1_prepared.clone(), 1_000);
+        verifier.publish_policy(policy(), 2_000);
+        verifier.publish_prepared(v1.clone(), v1_prepared, 3_000);
+        verifier.publish_policy(v2.clone(), 3_000);
+        verifier.publish_policy(policy(), 4_000);
+        let versions = verifier.authorised_versions();
+        let digests = |v: &[(Digest, &Arc<PolicySet>, Option<u64>)]| {
+            v.iter().map(|&(d, _, t)| (d, t)).collect::<Vec<_>>()
+        };
+        // Ordered by retirement, the active version last.
+        assert_eq!(
+            digests(&versions),
+            [
+                (v1.version_digest(), Some(3_000)),
+                (v2.version_digest(), Some(4_000)),
+                (v0.version_digest(), None),
+            ]
+        );
+        assert!(Arc::ptr_eq(versions[0].1, &v1), "the published tree itself");
+        assert_eq!(**versions[2].1, *v0);
     }
 
     #[test]

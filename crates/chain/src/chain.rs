@@ -305,14 +305,12 @@ impl Blockchain {
         while height(&b) > height(&a) {
             b = self.blocks[&b].block.header.parent;
         }
-        let mut depth = 0;
         while a != b {
             a = self.blocks[&a].block.header.parent;
             b = self.blocks[&b].block.header.parent;
-            depth += 1;
         }
         // Abandoned blocks: from the ancestor to the old tip.
-        height(old_tip) - height(&a) + if depth > 0 { 0 } else { 0 }
+        height(old_tip) - height(&a)
     }
 
     /// Hashes of the main chain, genesis first.

@@ -39,69 +39,36 @@ use std::sync::Arc;
 /// gets during a flash crowd.
 const RETIRE_BATCH_MAX: usize = 512;
 
-/// An authorised policy version in the checkpoint's durable form: its
-/// canonical encoding — the bytes its version digest is defined over —
-/// and that digest.
-#[derive(Debug, Clone)]
-struct DurablePolicy {
-    version: Digest,
-    canonical: Vec<u8>,
+/// Writes an authorised policy version in the checkpoint's durable form:
+/// its version digest, then its canonical encoding — the bytes that
+/// digest is defined over.
+fn write_policy(w: &mut Writer, version: Digest, policy: &PolicySet) {
+    version.encode(w);
+    w.put_bytes(&policy.to_canonical_bytes());
 }
 
-impl DurablePolicy {
-    fn of(policy: &PolicySet, prepared: &PreparedPolicySet) -> Self {
-        DurablePolicy {
-            version: prepared.version_digest(),
-            canonical: policy.to_canonical_bytes(),
-        }
+/// Reads one back and compiles it. The policy is refused unless it
+/// compiles to exactly the version that was checkpointed, so a recovered
+/// Analyser pins the digests its predecessor pinned or does not start.
+fn read_policy(r: &mut Reader<'_>) -> Result<(Arc<PolicySet>, Arc<PreparedPolicySet>), StoreError> {
+    let codec =
+        |e: drams_crypto::CryptoError| StoreError::Codec(format!("checkpointed policy: {e}"));
+    let version = Digest::decode(r).map_err(codec)?;
+    let policy = PolicySet::from_canonical_bytes(&r.get_bytes().map_err(codec)?).map_err(codec)?;
+    let prepared = PreparedPolicySet::compile(&policy);
+    if prepared.version_digest() != version {
+        return Err(StoreError::Codec(format!(
+            "checkpointed policy is not version {version}"
+        )));
     }
-
-    fn write(&self, w: &mut Writer) {
-        self.version.encode(w);
-        w.put_bytes(&self.canonical);
-    }
-
-    /// Reads one back and compiles it. The policy is refused unless it
-    /// compiles to exactly the version that was checkpointed, so a
-    /// recovered Analyser pins the digests its predecessor pinned or
-    /// does not start.
-    fn read(r: &mut Reader<'_>) -> Result<(Arc<PolicySet>, Arc<PreparedPolicySet>), StoreError> {
-        let codec =
-            |e: drams_crypto::CryptoError| StoreError::Codec(format!("checkpointed policy: {e}"));
-        let version = Digest::decode(r).map_err(codec)?;
-        let policy =
-            PolicySet::from_canonical_bytes(&r.get_bytes().map_err(codec)?).map_err(codec)?;
-        let prepared = PreparedPolicySet::compile(&policy);
-        if prepared.version_digest() != version {
-            return Err(StoreError::Codec(format!(
-                "checkpointed policy is not version {version}"
-            )));
-        }
-        Ok((Arc::new(policy), Arc::new(prepared)))
-    }
+    Ok((Arc::new(policy), Arc::new(prepared)))
 }
 
-/// One recorded policy-administration action, kept so a verification
-/// checkpoint can replay the authorised-version history exactly.
-#[derive(Debug, Clone)]
-enum PolicyLogEntry {
-    /// [`Analyser::publish_authorised_policy`] at a virtual time.
-    /// ([`Analyser::set_authorised_policy`] needs no variant: it resets
-    /// `initial_policy` and clears the log instead.)
-    Publish(DurablePolicy, SimTime),
-}
-
-/// Version byte of the checkpoint encoding, leading both of its records.
-/// Version 2 added the fork sweep: its enable flag and the set of
-/// already-alerted fork points. Version 3 added windowed group
-/// retirement: the lag, the retired counter and the pending-retirement
-/// queue. Version 4 added authorised-policy history retention: the
-/// retention horizon and the retired-version counter. Version 5 split the
-/// single record in two — a cursor record written by every checkpoint and
-/// a policy-history record written only when the history changed (see
-/// [`Analyser::checkpoint`]). Version 6 holds each policy of the history
-/// as its version digest and canonical encoding instead of parser source
-/// text, which did not round-trip every target to the same digest.
+/// Version byte of the checkpoint encoding, leading both of its records
+/// (layout: [`Analyser::checkpoint`]). [`Analyser::recover`] refuses any
+/// other: version 5 held policies as parser source text, which did not
+/// round-trip every target to the same digest, and earlier versions were
+/// one record.
 const CHECKPOINT_VERSION: u8 = 6;
 
 /// One probe's MAC key as the Analyser holds it: the raw bytes, which the
@@ -134,20 +101,14 @@ pub struct Analyser {
     /// old tip forces a re-audit from the fork point.
     audited_tip: drams_chain::block::BlockHash,
     audited_txs: u64,
-    /// The initial authorised policy and every later administration
-    /// action, each policy as its version digest and canonical encoding
-    /// — the durable form of the verifier's authorised-version history.
-    initial_policy: DurablePolicy,
-    policy_log: Vec<PolicyLogEntry>,
-    /// Generation of the policy-history record that holds
-    /// `initial_policy` + `policy_log` as of the last checkpoint that
-    /// wrote one (0 = none written yet).
+    /// Generation of the policy-history record — the verifier's
+    /// authorised-policy history as of the last checkpoint that wrote
+    /// one (0 = none written yet).
     history_generation: u64,
-    /// Whether `initial_policy` / `policy_log` changed since that record
-    /// was written, i.e. whether the next checkpoint must write a new
-    /// one. Set by construction, [`Analyser::set_authorised_policy`],
-    /// [`Analyser::publish_authorised_policy`] and a history prune that
-    /// cut the log.
+    /// Whether that history changed since the record was written, i.e.
+    /// whether the next checkpoint must write a new one. Set by
+    /// construction, [`Analyser::publish_authorised_policy`] and a
+    /// retention prune that dropped a version.
     history_dirty: bool,
     /// Opt-in sibling-block sweep (see [`Analyser::enable_fork_detection`]).
     /// Off by default: a library caller importing historical forks for
@@ -221,7 +182,6 @@ impl Analyser {
         keypair: Keypair,
         probe_mac_keys: BTreeMap<ProbeId, [u8; 32]>,
     ) -> Self {
-        let initial_policy = DurablePolicy::of(&policy, &prepared);
         Analyser {
             verifier: DecisionVerifier::from_prepared(policy, prepared),
             key,
@@ -234,8 +194,6 @@ impl Analyser {
             checked_groups: 0,
             audited_tip: drams_chain::block::BlockHash::ZERO,
             audited_txs: 0,
-            initial_policy,
-            policy_log: Vec::new(),
             history_generation: 0,
             history_dirty: true,
             fork_detection: false,
@@ -252,8 +210,8 @@ impl Analyser {
     /// Turns on authorised-policy history retention: after each poll,
     /// versions retired more than `retention` before the oldest unretired
     /// observation epoch (or `now` when nothing is pending) are dropped
-    /// from the verifier's history and from the durable policy log —
-    /// the last unbounded structure under sustained policy churn.
+    /// from the verifier's history — the last unbounded structure under
+    /// sustained policy churn.
     /// `retention` must cover the longest a legitimately in-flight
     /// decision can take to reach a completed group (the PEP retry
     /// budget plus fault-settle slack); late decisions citing a pruned
@@ -333,17 +291,6 @@ impl Analyser {
         &self.verifier
     }
 
-    /// Updates the authorised policy (legitimate policy administration),
-    /// forgetting all previously authorised versions.
-    pub fn set_authorised_policy(&mut self, policy: PolicySet) {
-        // `set` forgets all history, so the durable form restarts from
-        // this policy too — the checkpoint stays O(live versions).
-        self.verifier.set_policy(policy);
-        self.initial_policy = DurablePolicy::of(self.verifier.policy(), self.verifier.prepared());
-        self.policy_log.clear();
-        self.history_dirty = true;
-    }
-
     /// Authorises a newly published (or rolled-back) policy version
     /// activated at `now`, while keeping earlier versions authorised for
     /// decisions taken before they were superseded — in-flight decisions
@@ -362,12 +309,8 @@ impl Analyser {
         prepared: Arc<PreparedPolicySet>,
         now: SimTime,
     ) {
-        self.policy_log.push(PolicyLogEntry::Publish(
-            DurablePolicy::of(&policy, &prepared),
-            now,
-        ));
-        self.history_dirty = true;
         self.verifier.publish_prepared(policy, prepared, now);
+        self.history_dirty = true;
     }
 
     /// Registers the MAC key of a newly provisioned probe (tenant-join
@@ -414,15 +357,18 @@ impl Analyser {
     ///   record it belongs with. It is a few hundred bytes and is written
     ///   by every call.
     /// * the **policy-history record** — a generation record — holds the
-    ///   authorised-policy history: the baseline policy and the publish
-    ///   log, each policy as its version digest and its canonical
-    ///   encoding, the exact bytes that digest is defined over. Its size
-    ///   is that of the policy base (≈ 300 KB for a thousand policies of
-    ///   five rules), and it changes
-    ///   only through [`Analyser::set_authorised_policy`],
-    ///   [`Analyser::publish_authorised_policy`] and a retention prune
-    ///   that cut the log — so it is written only by the first call after
-    ///   one of those, under the next generation number.
+    ///   verifier's authorised-policy history
+    ///   ([`DecisionVerifier::authorised_versions`]), one entry per
+    ///   distinct version, each as its version digest and its canonical
+    ///   encoding, the exact bytes that digest is defined over. The
+    ///   first entry is a baseline and every later one a publish at the
+    ///   instant its predecessor retired, so replaying it rebuilds the
+    ///   history exactly. Its size is that of the distinct versions
+    ///   (≈ 300 KB for a thousand policies of five rules), however often
+    ///   they were published or rolled back to, and it changes only
+    ///   through [`Analyser::publish_authorised_policy`] and a retention
+    ///   prune that dropped a version — so it is written only by the
+    ///   first call after one of those, under the next generation number.
     ///
     /// Commit order when the history changed: history record (new
     /// generation) → cursor record naming it → removal of the superseded
@@ -442,16 +388,25 @@ impl Analyser {
         };
         let generation = self.history_generation + u64::from(self.history_dirty);
         if self.history_dirty {
-            // Fits the common case, an empty publish log, in one piece.
-            let mut w = Writer::with_capacity(self.initial_policy.canonical.len() + 64);
+            let versions = self.verifier.authorised_versions();
+            let mut w = Writer::new();
             w.put_u8(CHECKPOINT_VERSION);
-            self.initial_policy.write(&mut w);
-            w.put_varint(self.policy_log.len() as u64);
-            for entry in &self.policy_log {
-                let PolicyLogEntry::Publish(policy, at) = entry;
-                w.put_u8(1);
-                policy.write(&mut w);
-                w.put_u64(*at);
+            // The oldest version is the baseline; each later one is a
+            // publish at the instant its predecessor retired.
+            let mut activated_at = None;
+            for &(version, policy, retired_at) in &versions {
+                match activated_at {
+                    None => {
+                        write_policy(&mut w, version, policy);
+                        w.put_varint(versions.len() as u64 - 1);
+                    }
+                    Some(at) => {
+                        w.put_u8(1);
+                        write_policy(&mut w, version, policy);
+                        w.put_u64(at);
+                    }
+                }
+                activated_at = retired_at;
             }
             store.save_generation(generation, &w.into_bytes())?;
         }
@@ -500,8 +455,10 @@ impl Analyser {
     /// the policy-history generation it names (see
     /// [`Analyser::checkpoint`] for the layout). The policy history is
     /// replayed through the verifier (reconstructing every authorised
-    /// version with its supersession time) and the chain cursors resume
-    /// where the last checkpoint left them — no re-scan, no re-alerting.
+    /// version with its supersession time; a record that names a version
+    /// more than once, one entry per publish, replays to the same history)
+    /// and the chain cursors resume where the last checkpoint left them —
+    /// no re-scan, no re-alerting.
     /// History records other than the named one — what a crash between
     /// the steps of a history-changing checkpoint leaves behind — are
     /// removed, so the recovered Analyser is in one of the two states
@@ -570,17 +527,17 @@ impl Analyser {
         let history = store.load_generation(history_generation)?;
         let mut r = Reader::new(&history);
         expect_version(r.get_u8().map_err(codec)?)?;
-        let (policy, prepared) = DurablePolicy::read(&mut r)?;
+        let (policy, prepared) = read_policy(&mut r)?;
         let mut analyser = Analyser::from_prepared(policy, prepared, key, keypair, probe_mac_keys);
         let entries = r.get_varint().map_err(codec)?;
         for _ in 0..entries {
             let kind = r.get_u8().map_err(codec)?;
             if kind != 1 {
                 return Err(StoreError::Codec(format!(
-                    "unknown policy-log entry kind {kind}"
+                    "unknown policy-history entry kind {kind}"
                 )));
             }
-            let (policy, prepared) = DurablePolicy::read(&mut r)?;
+            let (policy, prepared) = read_policy(&mut r)?;
             let at = r.get_u64().map_err(codec)?;
             analyser.publish_prepared(policy, prepared, at);
         }
@@ -658,8 +615,7 @@ impl Analyser {
         alerts
     }
 
-    /// Drops policy versions (and their durable log prefix) retired
-    /// before the retention horizon; see
+    /// Drops policy versions retired before the retention horizon; see
     /// [`Analyser::enable_history_retention`].
     fn prune_policy_history(&mut self, now: SimTime) {
         if self.history_retention == 0 {
@@ -673,20 +629,7 @@ impl Analyser {
         let horizon = reference.saturating_sub(self.history_retention);
         let removed = self.verifier.prune_history(horizon);
         self.policy_history_retired += removed as u64;
-        // Keep the durable form in step: a log entry activated before the
-        // horizon retired its predecessor version before the horizon, so
-        // the prefix of such entries collapses into a new baseline policy
-        // (activation times are monotone — the prefix is well-defined).
-        let cut = self
-            .policy_log
-            .iter()
-            .position(|PolicyLogEntry::Publish(_, at)| *at >= horizon)
-            .unwrap_or(self.policy_log.len());
-        if let Some(PolicyLogEntry::Publish(baseline, _)) = self.policy_log.drain(..cut).next_back()
-        {
-            self.initial_policy = baseline;
-            self.history_dirty = true;
-        }
+        self.history_dirty |= removed > 0;
     }
 
     /// Submits one `retire_groups` transaction for every checked group
@@ -1696,9 +1639,12 @@ mod tests {
                 .publish_authorised_policy(crate::monitor::default_policy(), 1_000);
             r.analyser.publish_authorised_policy(policy(), 2_000); // rollback
             r.analyser.checkpoint().unwrap();
-            // Horizon 1 500: the log's first entry folds into the baseline.
+            // Horizon 1 500: v1 retired at 2 000 and the active v0 stay.
             assert!(r.analyser.poll(&mut r.node, 11_500).is_empty());
-            assert!(r.analyser.history_dirty, "the prune cut the log");
+            assert!(
+                !r.analyser.history_dirty,
+                "the verifier pruned nothing, so nothing is rewritten"
+            );
             r.analyser.checkpoint().unwrap();
             (r, backend)
         };
@@ -2034,6 +1980,244 @@ mod tests {
                 );
             }
         }
+    }
+
+    // ---- the history record is the verifier's history --------------------
+
+    /// The verifier's authorised-policy history, owned.
+    fn versions_of(analyser: &Analyser) -> Vec<(Digest, PolicySet, Option<u64>)> {
+        analyser
+            .verifier
+            .authorised_versions()
+            .into_iter()
+            .map(|(version, policy, retired_at)| (version, (**policy).clone(), retired_at))
+            .collect()
+    }
+
+    /// The history record the Analyser's last history-changing checkpoint
+    /// wrote.
+    fn history_record(backend: &FaultyBackend, analyser: &Analyser) -> Vec<u8> {
+        backend
+            .store()
+            .load_generation(analyser.history_generation)
+            .unwrap()
+    }
+
+    /// The version digests a history record lists, in order.
+    fn record_versions(record: &[u8]) -> Vec<Digest> {
+        let mut r = Reader::new(record);
+        assert_eq!(r.get_u8().unwrap(), CHECKPOINT_VERSION);
+        let mut versions = vec![Digest::decode(&mut r).unwrap()];
+        r.get_bytes().unwrap();
+        for _ in 0..r.get_varint().unwrap() {
+            assert_eq!(r.get_u8().unwrap(), 1);
+            versions.push(Digest::decode(&mut r).unwrap());
+            r.get_bytes().unwrap();
+            r.get_u64().unwrap();
+        }
+        r.finish().unwrap();
+        versions
+    }
+
+    /// A policy whose target is two clauses in one AllOf.
+    fn clause_policy() -> PolicySet {
+        let role = |value: &str| {
+            Expr::equal(
+                Expr::attr(AttributeId::new(Category::Subject, "role")),
+                Expr::lit(value),
+            )
+        };
+        PolicySet::builder("clauses", CombiningAlg::DenyUnlessPermit)
+            .policy(
+                Policy::builder("p", CombiningAlg::PermitOverrides)
+                    .target(Target::all(vec![role("doctor"), Expr::not(role("nurse"))]))
+                    .rule(Rule::always("allow", Effect::Permit))
+                    .build(),
+            )
+            .build()
+    }
+
+    #[test]
+    fn random_churn_checkpoints_and_recovers_exactly_the_verifiers_history() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let policies = [policy(), crate::monitor::default_policy(), clause_policy()];
+        let mut rng = StdRng::seed_from_u64(26);
+        // Recoveries, and checkpoints that followed a prune.
+        let (mut recoveries, mut pruned_checkpoints) = (0, 0);
+        for case in 0..200 {
+            let mut r = rig();
+            let backend = FaultyBackend::default();
+            if rng.gen_bool(0.75) {
+                r.analyser
+                    .enable_history_retention(rng.gen_range(1..=1_000));
+            }
+            r.analyser.attach_checkpoint(backend.store()).unwrap();
+            let mut checkpointed = versions_of(&r.analyser);
+            let (mut now, mut active, mut previous) = (0, 0, 0);
+            let mut pruned = false;
+            for step in 0..rng.gen_range(1..=24) {
+                let what = format!("case {case} step {step}");
+                now += rng.gen_range(0..=2_000u64);
+                match rng.gen_range(0..10) {
+                    // Publish any of the three, or roll back to the
+                    // version active before this one.
+                    op @ 0..=3 => {
+                        let next = if op < 3 {
+                            rng.gen_range(0..3)
+                        } else {
+                            previous
+                        };
+                        r.analyser
+                            .publish_authorised_policy(policies[next].clone(), now);
+                        (previous, active) = (active, next);
+                    }
+                    // A poll prunes when retention is on.
+                    4 | 5 => {
+                        let retired = r.analyser.policy_history_retired();
+                        assert!(r.analyser.poll(&mut r.node, now).is_empty());
+                        pruned |= r.analyser.policy_history_retired() > retired;
+                    }
+                    6 | 7 => {
+                        r.analyser.checkpoint().unwrap();
+                        pruned_checkpoints += u32::from(std::mem::take(&mut pruned));
+                        checkpointed = versions_of(&r.analyser);
+                        // The record lists each held version once.
+                        let listed = record_versions(&history_record(&backend, &r.analyser));
+                        let held: Vec<Digest> = checkpointed.iter().map(|v| v.0).collect();
+                        assert_eq!(listed, held, "{what}");
+                    }
+                    // Crash: recover from the last checkpoint.
+                    _ => {
+                        (recoveries, pruned) = (recoveries + 1, false);
+                        drop(r.analyser.detach_checkpoint());
+                        let files: Vec<_> = backend
+                            .list()
+                            .into_iter()
+                            .map(|f| (backend.read(&f).unwrap(), f))
+                            .collect();
+                        let record = history_record(&backend, &r.analyser);
+                        r.analyser = recover_from(&backend).unwrap();
+                        assert_eq!(versions_of(&r.analyser), checkpointed, "{what}");
+                        active = policies
+                            .iter()
+                            .position(|p| {
+                                p.version_digest() == r.analyser.verifier.authorised_version()
+                            })
+                            .unwrap();
+                        // A checkpoint right after recovery rewrites
+                        // both records byte for byte...
+                        r.analyser.checkpoint().unwrap();
+                        let again: Vec<_> = backend
+                            .list()
+                            .into_iter()
+                            .map(|f| (backend.read(&f).unwrap(), f))
+                            .collect();
+                        assert_eq!(again, files, "{what}");
+                        // ...and one forced to write the history writes
+                        // the record the crashed Analyser wrote.
+                        r.analyser.history_dirty = true;
+                        r.analyser.checkpoint().unwrap();
+                        assert_eq!(history_record(&backend, &r.analyser), record, "{what}");
+                    }
+                }
+            }
+        }
+        assert!(
+            recoveries > 300 && pruned_checkpoints > 30,
+            "{recoveries} / {pruned_checkpoints}"
+        );
+    }
+
+    #[test]
+    fn rolling_back_and_forth_checkpoints_each_version_once() {
+        use drams_faas::workload::{PolicyGenerator, PolicyShape, Vocabulary};
+        let heavy = PolicyGenerator::new(Vocabulary::default(), 5).next_policy_set(&PolicyShape {
+            policies: 1_000,
+            rules_per_policy: 5,
+            ..PolicyShape::default()
+        });
+        let compiled = |p: PolicySet| {
+            let prepared = Arc::new(PreparedPolicySet::compile(&p));
+            (Arc::new(p), prepared)
+        };
+        let heavy = compiled(heavy);
+        let small = compiled(crate::monitor::default_policy());
+        // Attaches to a fresh medium, publishes `(small, heavy)` at each
+        // time pair and checkpoints; returns the history record's file.
+        let history_file = |pairs: &[SimTime]| {
+            let mut analyser = Analyser::from_prepared(
+                heavy.0.clone(),
+                heavy.1.clone(),
+                SymmetricKey::from_bytes([3; 32]),
+                Keypair::from_seed(b"analyser"),
+                BTreeMap::new(),
+            );
+            let backend = FaultyBackend::default();
+            analyser.attach_checkpoint(backend.store()).unwrap();
+            for &at in pairs {
+                analyser.publish_prepared(small.0.clone(), small.1.clone(), at);
+                analyser.publish_prepared(heavy.0.clone(), heavy.1.clone(), at + 500);
+            }
+            analyser.checkpoint().unwrap();
+            assert_eq!(analyser.policy_history_len(), 2);
+            backend
+                .read(&generation_file_name(analyser.history_generation))
+                .unwrap()
+        };
+        let pairs: Vec<SimTime> = (1..=10).map(|i| 1_000 * i).collect();
+        let churned = history_file(&pairs);
+        // Ten pairs cost what one pair does: each version once.
+        assert!(
+            churned.len() < 310_000,
+            "history record: {} B",
+            churned.len()
+        );
+        assert_eq!(churned, history_file(&pairs[9..]));
+    }
+
+    #[test]
+    fn a_history_record_with_repeated_digests_recovers_to_the_same_verifier() {
+        let default = crate::monitor::default_policy();
+        let publishes = [
+            (default.clone(), 1_000),
+            (policy(), 2_000),
+            (default.clone(), 3_000),
+            (clause_policy(), 3_000),
+            (default.clone(), 4_000),
+        ];
+        let mut live = rig();
+        for (published, at) in &publishes {
+            live.analyser
+                .publish_authorised_policy(published.clone(), *at);
+        }
+        // The record as a log of every publish writes it: the baseline,
+        // then each publish in turn, digests repeating.
+        let mut log = Writer::new();
+        log.put_u8(CHECKPOINT_VERSION);
+        write_policy(&mut log, policy().version_digest(), &policy());
+        log.put_varint(publishes.len() as u64);
+        for (published, at) in &publishes {
+            log.put_u8(1);
+            write_policy(&mut log, published.version_digest(), published);
+            log.put_u64(*at);
+        }
+        let mut r = rig();
+        let backend = FaultyBackend::default();
+        r.analyser.attach_checkpoint(backend.store()).unwrap();
+        backend
+            .store()
+            .save_generation(1, &log.into_bytes())
+            .unwrap();
+
+        let mut recovered = recover_from(&backend).unwrap();
+        assert_eq!(versions_of(&recovered), versions_of(&live.analyser));
+        assert_eq!(recovered.policy_history_len(), 3);
+        // Its next history record lists each version once.
+        recovered.history_dirty = true;
+        recovered.checkpoint().unwrap();
+        let held: Vec<Digest> = versions_of(&recovered).iter().map(|v| v.0).collect();
+        assert_eq!(record_versions(&history_record(&backend, &recovered)), held);
     }
 
     #[test]

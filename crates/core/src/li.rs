@@ -93,6 +93,8 @@ impl LoggingInterface {
     /// and the next flush reloads them — so the cap is only honoured
     /// (and only meaningful) once a backlog is attached; without one the
     /// buffer keeps everything, as losing entries is worse than growing.
+    /// Entries already resident past the cap — the backlog
+    /// [`recover`](Self::recover) reloaded — leave memory the same way.
     ///
     /// # Panics
     ///
@@ -100,6 +102,10 @@ impl LoggingInterface {
     pub fn set_resident_cap(&mut self, cap: usize) {
         assert!(cap > 0, "resident cap must be at least 1");
         self.resident_cap = cap;
+        if self.backlog.is_some() && self.buffer.len() > cap {
+            self.spilled += self.buffer.len() - cap;
+            self.buffer.truncate(cap);
+        }
     }
 
     /// Entries journaled to the backlog WAL but not currently resident.
@@ -161,13 +167,8 @@ impl LoggingInterface {
         batch_size: usize,
         wal: Wal,
     ) -> Result<Self, StoreError> {
-        let consumed = wal.read_snapshot()?.map_or(0, |(seq, _)| seq);
         let mut li = LoggingInterface::new(name, key, keypair, batch_size);
-        for (seq, bytes) in wal.replay_from(consumed)? {
-            let entry = LogEntry::from_canonical_bytes(&bytes)
-                .map_err(|e| StoreError::Codec(format!("backlog record {seq}: {e}")))?;
-            li.buffer.push(entry);
-        }
+        li.buffer = unconsumed(&wal)?;
         li.backlog = Some(wal);
         Ok(li)
     }
@@ -260,20 +261,7 @@ impl LoggingInterface {
                 .backlog
                 .as_ref()
                 .expect("spill requires an attached backlog");
-            let consumed = wal
-                .read_snapshot()
-                .map_err(|e| ChainError::Journal(e.to_string()))?
-                .map_or(0, |(seq, _)| seq);
-            let mut reloaded = Vec::with_capacity(self.buffer.len() + self.spilled);
-            for (seq, bytes) in wal
-                .replay_from(consumed)
-                .map_err(|e| ChainError::Journal(e.to_string()))?
-            {
-                let entry = LogEntry::from_canonical_bytes(&bytes)
-                    .map_err(|e| ChainError::Journal(format!("backlog record {seq}: {e}")))?;
-                reloaded.push(entry);
-            }
-            self.buffer = reloaded;
+            self.buffer = unconsumed(wal).map_err(|e| ChainError::Journal(e.to_string()))?;
             self.spilled = 0;
         }
         let mut ids = Vec::new();
@@ -328,6 +316,19 @@ impl LoggingInterface {
     pub fn decrypt_payload(&self, entry: &LogEntry) -> Result<Vec<u8>, CryptoError> {
         decrypt_entry_payload(&self.key, entry)
     }
+}
+
+/// Every entry journaled to a backlog WAL since its last flush snapshot,
+/// in journal order.
+fn unconsumed(wal: &Wal) -> Result<Vec<LogEntry>, StoreError> {
+    let consumed = wal.read_snapshot()?.map_or(0, |(seq, _)| seq);
+    wal.replay_from(consumed)?
+        .into_iter()
+        .map(|(seq, bytes)| {
+            LogEntry::from_canonical_bytes(&bytes)
+                .map_err(|e| StoreError::Codec(format!("backlog record {seq}: {e}")))
+        })
+        .collect()
 }
 
 /// Decrypts a log entry's sealed payload with the federation key,
@@ -662,6 +663,46 @@ mod tests {
         );
         let ids = recovered.flush(&mut n).unwrap();
         assert_eq!(ids.len(), 1);
+        n.mine_block(100).unwrap();
+        let storage = n.host().storage_of(MONITOR_CONTRACT).unwrap();
+        assert_eq!(storage.scan_prefix(b"ent/").count(), 6);
+    }
+
+    #[test]
+    fn capping_a_recovered_li_spills_its_reloaded_backlog() {
+        let mut n = node();
+        let (mut li, mut probe) = li(100);
+        li.attach_backlog(mem_wal());
+        li.set_resident_cap(2);
+        li.set_offline(true);
+        for corr in 1..=6 {
+            li.store(sample_entry(&mut probe, corr), &mut n).unwrap();
+        }
+        let mut wal = li.detach_backlog().unwrap();
+        wal.simulate_crash().unwrap();
+        let mut recovered = LoggingInterface::recover(
+            "li-tenant-1",
+            SymmetricKey::from_bytes([5; 32]),
+            Keypair::from_seed(b"li-1"),
+            100,
+            wal,
+        )
+        .unwrap();
+        recovered.set_resident_cap(2);
+        assert_eq!(recovered.buffered(), 6);
+        assert_eq!(recovered.spilled(), 4);
+        assert_eq!(
+            recovered
+                .buffered_entries()
+                .iter()
+                .map(|e| e.correlation.0)
+                .collect::<Vec<_>>(),
+            vec![1, 2],
+            "the oldest stay resident"
+        );
+        let ids = recovered.flush(&mut n).unwrap();
+        assert_eq!(ids.len(), 1);
+        assert_eq!(recovered.submission_counters(), (6, 1));
         n.mine_block(100).unwrap();
         let storage = n.host().storage_of(MONITOR_CONTRACT).unwrap();
         assert_eq!(storage.scan_prefix(b"ent/").count(), 6);

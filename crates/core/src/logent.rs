@@ -379,9 +379,9 @@ mod tests {
     fn wire_len_tracks_payload() {
         let k = SymmetricKey::from_bytes([1; 32]);
         let mut small = entry();
-        small.sealed_payload = seal(&k, [0; 12], b"", &vec![0u8; 64]);
+        small.sealed_payload = seal(&k, [0; 12], b"", &[0u8; 64]);
         let mut large = entry();
-        large.sealed_payload = seal(&k, [0; 12], b"", &vec![0u8; 4096]);
+        large.sealed_payload = seal(&k, [0; 12], b"", &[0u8; 4096]);
         assert!(large.wire_len() > small.wire_len() + 4000);
     }
 }

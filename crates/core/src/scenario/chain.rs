@@ -72,7 +72,7 @@ impl<'a> SimService<Msg, Ctx<'a>> for ChainService {
         }
         debug_assert!(matches!(msg, Msg::MineTick));
         let next_height = ctx.node.chain().tip_header().height + 1;
-        if self.epoch_blocks > 0 && next_height % self.epoch_blocks == 0 {
+        if self.epoch_blocks > 0 && next_height.is_multiple_of(self.epoch_blocks) {
             ctx.node
                 .submit_call(&self.admin, MONITOR_CONTRACT, "advance_epoch", vec![])
                 .expect("epoch submission");
@@ -125,7 +125,7 @@ impl<'a> SimService<Msg, Ctx<'a>> for ChainService {
             ctx.report.peak.contract_storage =
                 ctx.report.peak.contract_storage.max(storage.len() as u64);
         }
-        if self.compact_interval > 0 && next_height % self.compact_interval == 0 {
+        if self.compact_interval > 0 && next_height.is_multiple_of(self.compact_interval) {
             // Bounded-journal mode: fold everything mined so far into a
             // snapshot and drop the sealed segments. Recovery replays
             // snapshot-then-tail and reconstructs the same node.

@@ -87,9 +87,7 @@ impl LiService {
             self.batch_size,
         );
         li.attach_backlog(mem_wal(64));
-        if self.resident_cap > 0 {
-            li.set_resident_cap(self.resident_cap);
-        }
+        self.cap(&mut li);
         self.slots.push(LiSlot {
             li,
             pending: Vec::new(),
@@ -97,6 +95,13 @@ impl LiService {
             stalled_until: 0,
             offline_since: 0,
         });
+    }
+
+    /// Applies the configured resident cap, if any.
+    fn cap(&self, li: &mut LoggingInterface) {
+        if self.resident_cap > 0 {
+            li.set_resident_cap(self.resident_cap);
+        }
     }
 
     /// Reconciles the LI's offline flag with the fault plane's current
@@ -186,12 +191,13 @@ impl<'a> SimService<Msg, Ctx<'a>> for LiService {
                 // were never acknowledged into the WAL, so a crash
                 // during a stall window honestly loses them — the
                 // monitor then surfaces the loss as MissingLog alerts.
-                let slot = &mut self.slots[li];
-                slot.backlog.clear();
-                let mut wal = slot.li.detach_backlog().expect("li backlog attached");
+                let mut wal = self.slots[li]
+                    .li
+                    .detach_backlog()
+                    .expect("li backlog attached");
                 wal.simulate_crash().expect("li wal recovery");
                 let name = format!("li-{li}");
-                slot.li = LoggingInterface::recover(
+                let mut recovered = LoggingInterface::recover(
                     name.clone(),
                     self.key.clone(),
                     Keypair::from_seed(name.as_bytes()),
@@ -199,14 +205,15 @@ impl<'a> SimService<Msg, Ctx<'a>> for LiService {
                     wal,
                 )
                 .expect("li recovery");
-                // Measurement bookkeeping: the pending observation times
-                // are a pure function of the recovered buffer.
-                slot.pending = slot
-                    .li
-                    .buffered_entries()
-                    .iter()
-                    .map(|e| e.observed_at)
-                    .collect();
+                self.cap(&mut recovered);
+                let slot = &mut self.slots[li];
+                slot.backlog.clear();
+                slot.li = recovered;
+                // Measurement bookkeeping: one observation time per entry
+                // still owed, in journal order. The recovered LI owes the
+                // journal's unconsumed tail — the oldest entries of the
+                // crashed one's (all of them under a flushed WAL).
+                slot.pending.truncate(slot.li.buffered());
                 ctx.report.crash_restarts += 1;
             }
             _ => unreachable!("misrouted event"),

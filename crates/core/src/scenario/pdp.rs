@@ -7,13 +7,14 @@ use super::spec::probe_mac_key;
 use crate::logent::{ObservationPoint, ProbeId};
 use crate::probe::Probe;
 use drams_crypto::aead::SymmetricKey;
-use drams_crypto::codec::{Decode, Encode};
+use drams_crypto::codec::{Decode, Encode, Reader, Writer};
+use drams_crypto::CryptoError;
 use drams_faas::des::{Outbox, SimService, SimTime};
 use drams_faas::msg::{CorrelationId, ResponseEnvelope};
 use drams_faas::prp::{PolicyVersion, Prp};
 use drams_faas::transport::WireRole;
 use drams_policy::pdp::Pdp;
-use drams_store::Wal;
+use drams_store::{StoreError, Wal};
 use std::collections::{HashMap, VecDeque};
 
 /// Fewest evictions of the PDP idempotency cache between two compactions
@@ -52,10 +53,39 @@ pub(super) struct PdpSlot {
     journal: Wal,
 }
 
-/// PDP journal record: a cached as-sent decision.
+/// PDP journal record tag: a cached as-sent decision.
 const PDP_JOURNAL_DECIDED: u8 = 1;
-/// PDP journal record: a standing silence window.
+/// PDP journal record tag: a standing silence window.
 const PDP_JOURNAL_SILENCE: u8 = 2;
+
+fn put_decided(w: &mut Writer, env: &ResponseEnvelope) {
+    w.put_u8(PDP_JOURNAL_DECIDED);
+    env.encode(w);
+}
+
+fn put_silence(w: &mut Writer, until: SimTime) {
+    w.put_u8(PDP_JOURNAL_SILENCE);
+    w.put_u64(until);
+}
+
+/// A PDP journal record read back: one per journal entry, and a counted
+/// run of them in a compaction snapshot.
+enum JournalRecord {
+    Decided(ResponseEnvelope),
+    Silence(SimTime),
+}
+
+impl Decode for JournalRecord {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CryptoError> {
+        match r.get_u8()? {
+            PDP_JOURNAL_DECIDED => Ok(JournalRecord::Decided(ResponseEnvelope::decode(r)?)),
+            PDP_JOURNAL_SILENCE => Ok(JournalRecord::Silence(r.get_u64()?)),
+            tag => Err(CryptoError::Malformed(format!(
+                "unknown pdp journal record tag {tag}"
+            ))),
+        }
+    }
+}
 
 impl PdpSlot {
     pub(super) fn new(probe_id: ProbeId, key: &SymmetricKey, pdp: Pdp, retention: SimTime) -> Self {
@@ -120,62 +150,65 @@ impl PdpSlot {
 
     /// Rewrites the journal as one snapshot of the live window plus an
     /// empty tail: recovery replays exactly the un-evicted entries, so a
-    /// crashed PDP is byte-equivalent to an uncrashed one.
+    /// crashed PDP is byte-equivalent to an uncrashed one. The snapshot
+    /// is the journal records that rebuild the window and the standing
+    /// silence, behind their count.
     fn compact_journal(&mut self) {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&self.silenced_until.to_be_bytes());
-        payload.extend_from_slice(&(self.decided_order.len() as u64).to_be_bytes());
+        let mut w = Writer::new();
+        w.put_varint(1 + self.decided_order.len() as u64);
+        put_silence(&mut w, self.silenced_until);
         for &(_, corr) in &self.decided_order {
-            let env = &self.decided[&corr];
-            let bytes = env.to_canonical_bytes();
-            payload.extend_from_slice(
-                &u32::try_from(bytes.len())
-                    .expect("envelope fits u32")
-                    .to_be_bytes(),
-            );
-            payload.extend_from_slice(&bytes);
+            put_decided(&mut w, &self.decided[&corr]);
         }
         let upto = self.journal.next_seq();
         self.journal
-            .write_snapshot(upto, &payload)
+            .write_snapshot(upto, &w.into_bytes())
             .expect("pdp journal snapshot");
         self.journal.prune_through(upto).expect("pdp journal prune");
         self.evictions_since_compact = 0;
     }
 
-    /// Restores the decision cache from a compaction snapshot payload.
-    fn restore_snapshot(&mut self, payload: &[u8]) {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(&payload[..8]);
-        self.silenced_until = SimTime::from_be_bytes(buf);
-        buf.copy_from_slice(&payload[8..16]);
-        let n = u64::from_be_bytes(buf);
-        let mut at = 16;
-        for _ in 0..n {
-            let mut len4 = [0u8; 4];
-            len4.copy_from_slice(&payload[at..at + 4]);
-            let len = u32::from_be_bytes(len4) as usize;
-            at += 4;
-            let env = ResponseEnvelope::from_canonical_bytes(&payload[at..at + len])
-                .expect("snapshotted response decodes");
-            at += len;
-            self.decided_order
-                .push_back((env.decided_at, env.correlation));
-            self.decided.insert(env.correlation, env);
+    /// Applies one journal record to the decision cache or the silence
+    /// window; returns a decision's `decided_at`.
+    fn apply(&mut self, record: JournalRecord) -> Option<SimTime> {
+        match record {
+            JournalRecord::Decided(env) => {
+                let decided_at = env.decided_at;
+                self.decided_order.push_back((decided_at, env.correlation));
+                self.decided.insert(env.correlation, env);
+                Some(decided_at)
+            }
+            JournalRecord::Silence(until) => {
+                self.silenced_until = until;
+                None
+            }
         }
     }
 
+    /// Restores the decision cache and silence window from a compaction
+    /// snapshot payload.
+    fn restore_snapshot(&mut self, payload: &[u8]) -> Result<(), CryptoError> {
+        let mut r = Reader::new(payload);
+        for _ in 0..r.get_varint()? {
+            self.apply(JournalRecord::decode(&mut r)?);
+        }
+        r.finish()
+    }
+
     fn journal_decision(&mut self, env: &ResponseEnvelope) {
-        let mut rec = vec![PDP_JOURNAL_DECIDED];
-        rec.extend_from_slice(&env.correlation.0.to_be_bytes());
-        rec.extend_from_slice(&env.to_canonical_bytes());
-        self.journal.append(&rec).expect("pdp journal append");
+        let mut w = Writer::with_capacity(128);
+        put_decided(&mut w, env);
+        self.journal
+            .append(&w.into_bytes())
+            .expect("pdp journal append");
     }
 
     fn journal_silence(&mut self, until: SimTime) {
-        let mut rec = vec![PDP_JOURNAL_SILENCE];
-        rec.extend_from_slice(&until.to_be_bytes());
-        self.journal.append(&rec).expect("pdp journal append");
+        let mut w = Writer::with_capacity(9);
+        put_silence(&mut w, until);
+        self.journal
+            .append(&w.into_bytes())
+            .expect("pdp journal append");
     }
 
     /// Kills the slot's process state and rebuilds it: the engine from
@@ -188,42 +221,32 @@ impl PdpSlot {
     /// next compaction) its uncrashed twin holds. Those evictions were
     /// reported when they first happened and are not reported again; the
     /// journal is not compacted while it is being read.
-    fn crash_restart(&mut self, key: &SymmetricKey, active: Pdp) {
-        self.journal.simulate_crash().expect("pdp journal recovery");
+    ///
+    /// A snapshot or record that does not decode — cut short, or with an
+    /// unknown tag — is a [`StoreError::Codec`].
+    fn crash_restart(&mut self, key: &SymmetricKey, active: Pdp) -> Result<(), StoreError> {
+        let codec = |e: CryptoError| StoreError::Codec(format!("pdp journal: {e}"));
+        self.journal.simulate_crash()?;
         self.pdp = active;
         self.probe = Probe::new(self.probe_id, key.clone(), probe_mac_key(self.probe_id));
         self.silenced_until = 0;
         self.decided.clear();
         self.decided_order.clear();
         self.evictions_since_compact = 0;
-        let base = match self.journal.read_snapshot().expect("pdp snapshot read") {
+        let base = match self.journal.read_snapshot()? {
             Some((seq, payload)) => {
-                self.restore_snapshot(&payload);
+                self.restore_snapshot(&payload).map_err(codec)?;
                 seq
             }
             None => 0,
         };
-        for (_, rec) in self.journal.replay_from(base).expect("pdp journal replay") {
-            match rec.split_first() {
-                Some((&PDP_JOURNAL_DECIDED, rest)) if rest.len() > 8 => {
-                    let mut corr = [0u8; 8];
-                    corr.copy_from_slice(&rest[..8]);
-                    let env = ResponseEnvelope::from_canonical_bytes(&rest[8..])
-                        .expect("journaled response decodes");
-                    let decided_at = env.decided_at;
-                    self.decided_order.push_back((decided_at, env.correlation));
-                    self.decided
-                        .insert(CorrelationId(u64::from_be_bytes(corr)), env);
-                    self.age_out(decided_at);
-                }
-                Some((&PDP_JOURNAL_SILENCE, rest)) if rest.len() == 8 => {
-                    let mut until = [0u8; 8];
-                    until.copy_from_slice(rest);
-                    self.silenced_until = SimTime::from_be_bytes(until);
-                }
-                _ => unreachable!("unknown pdp journal record"),
+        for (_, rec) in self.journal.replay_from(base)? {
+            let record = JournalRecord::from_canonical_bytes(&rec).map_err(codec)?;
+            if let Some(decided_at) = self.apply(record) {
+                self.age_out(decided_at);
             }
         }
+        Ok(())
     }
 }
 
@@ -341,7 +364,9 @@ impl<'a> SimService<Msg, Ctx<'a>> for PdpService {
             }
             Msg::CrashPdp { slot } => {
                 let active = self.prp.active().pdp();
-                self.slots[slot].crash_restart(&self.key, active);
+                self.slots[slot]
+                    .crash_restart(&self.key, active)
+                    .expect("pdp journal recovery");
                 // A wire backend tears down this slot's endpoint; the
                 // next framed request reconnects to the restarted one.
                 ctx.transport
@@ -354,7 +379,11 @@ impl<'a> SimService<Msg, Ctx<'a>> for PdpService {
     }
 }
 
+// The twin tests restart slots whose journals are sound and judge the
+// restart by comparing the slot with its uncrashed twin; the damaged-
+// journal test checks the error.
 #[cfg(test)]
+#[allow(unused_must_use)]
 mod tests {
     use super::*;
     use crate::scenario::MIN_RETENTION;
@@ -476,6 +505,51 @@ mod tests {
         assert_eq!((active.number, active.digest), (2, v0.digest));
         assert!(Arc::ptr_eq(&active.prepared, &v0.prepared));
         assert_eq!(analyser.verifier().authorised_version(), v0.digest);
+    }
+
+    #[test]
+    fn damaged_journals_are_typed_errors_not_panics() {
+        let key = SymmetricKey::from_bytes([42; 32]);
+        let active = || Prp::new(crate::monitor::default_policy()).active().pdp();
+        // A slot whose journal compacted, with a silence window and a
+        // few live decisions in the snapshot and one in the tail.
+        let compacted = || {
+            let mut s = slot(&key);
+            s.silenced_until = 5;
+            s.journal_silence(5);
+            let step = MIN_RETENTION / 4;
+            let mut i = 0;
+            while s.journal.read_snapshot().unwrap().is_none() {
+                decide(&mut s, i, i * step);
+                i += 1;
+            }
+            decide(&mut s, i, i * step);
+            s
+        };
+        let mut s = compacted();
+        let (seq, snapshot) = s.journal.read_snapshot().unwrap().unwrap();
+        let (decided, silenced_until) = (s.decided.clone(), s.silenced_until);
+
+        // The snapshot cut short at every length.
+        for cut in 0..snapshot.len() {
+            s.journal.write_snapshot(seq, &snapshot[..cut]).unwrap();
+            let err = s.crash_restart(&key, active()).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Codec(_)),
+                "snapshot[..{cut}]: {err:?}"
+            );
+        }
+        s.journal.write_snapshot(seq, &snapshot).unwrap();
+        assert!(s.crash_restart(&key, active()).is_ok());
+        assert_eq!((&s.decided, s.silenced_until), (&decided, silenced_until));
+
+        // A record cut short, and one with an unknown tag, in the tail.
+        for record in [&[PDP_JOURNAL_DECIDED, 0, 0][..], &[PDP_JOURNAL_SILENCE + 1]] {
+            let mut damaged = compacted();
+            damaged.journal.append(record).unwrap();
+            let err = damaged.crash_restart(&key, active()).unwrap_err();
+            assert!(matches!(err, StoreError::Codec(_)), "{record:?}: {err:?}");
+        }
     }
 
     #[test]

@@ -528,6 +528,51 @@ fn partition_spills_li_backlog_and_replays_on_heal() {
 }
 
 #[test]
+fn li_crashed_mid_partition_keeps_its_resident_cap() {
+    // Tenant 1's LI spills past its cap of 4 while cloud 0 is cut off
+    // from the chain, then crashes with the spill in its WAL: the
+    // recovered LI must hold no more resident than its uncrashed twin.
+    use drams_faas::fault::PartitionWindow;
+    let mut config = base_config();
+    config.total_requests = 400;
+    config.request_rate_per_sec = 150.0;
+    let twin = ScenarioSpec {
+        load: LoadProfile {
+            li_resident_cap: 4,
+            ..LoadProfile::default()
+        },
+        faults: FaultPlan {
+            links: Vec::new(),
+            partitions: vec![PartitionWindow {
+                a: Site::Cloud(CloudId(0)),
+                b: Site::Infra,
+                from: 200 * MILLIS,
+                until: 1200 * MILLIS,
+            }],
+        },
+        ..ScenarioSpec::canonical(&config)
+    };
+    let crashed = ScenarioSpec {
+        script: vec![ScriptedAction::CrashRestart {
+            at: 700 * MILLIS,
+            target: CrashTarget::Li(TenantId(1)),
+        }],
+        ..twin.clone()
+    };
+    let (clean, clean_truth) = run_scenario(&twin, &mut NoAdversary);
+    let (report, truth) = run_scenario(&crashed, &mut NoAdversary);
+    assert_eq!(report.crash_restarts, 1);
+    assert!(report.li_spilled > 0, "the partition must spill");
+    assert_eq!(
+        first_divergence(&clean, &clean_truth, &report, &truth),
+        None,
+        "recovery must lose and repeat nothing"
+    );
+    assert_eq!(clean.peak.li_resident, 4);
+    assert_eq!(report.peak.li_resident, clean.peak.li_resident);
+}
+
+#[test]
 fn pdp_outage_fails_over_to_a_healthy_cloud() {
     // Per-cloud placement: cloud 0's PDP goes dark, the breaker
     // trips after three timeouts and *new* interceptions complete on
@@ -632,7 +677,7 @@ fn attacks_are_still_detected_under_faults() {
                 return false; // attack only inside the fault window
             }
             self.seen += 1;
-            self.seen % 9 == 0
+            self.seen.is_multiple_of(9)
         }
     }
     let mut adversary = EveryNthLogDropper { seen: 0 };

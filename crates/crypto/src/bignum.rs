@@ -124,6 +124,8 @@ impl U256 {
     }
 
     /// `(self + other, carry)`.
+    // Measured kernel: indexed limb loops, kept as written.
+    #[allow(clippy::needless_range_loop)]
     #[must_use]
     pub fn overflowing_add(self, other: U256) -> (U256, bool) {
         let mut out = [0u64; 4];
@@ -138,6 +140,8 @@ impl U256 {
     }
 
     /// `(self - other, borrow)`.
+    // Measured kernel: indexed limb loops, kept as written.
+    #[allow(clippy::needless_range_loop)]
     #[must_use]
     pub fn overflowing_sub(self, other: U256) -> (U256, bool) {
         let mut out = [0u64; 4];
@@ -179,6 +183,8 @@ impl U256 {
     /// # Panics
     ///
     /// Panics if `m` is zero.
+    // Named after the operation it is, not `std::ops::Rem` (public API).
+    #[allow(clippy::should_implement_trait)]
     #[must_use]
     pub fn rem(self, m: &U256) -> U256 {
         U512::from_u256(self).rem(m)
@@ -481,6 +487,8 @@ mod tests {
     }
 
     /// Bit-level shift-subtract division: slow, obviously-correct reference.
+    // Indexed limb loops, like the kernel it checks.
+    #[allow(clippy::needless_range_loop)]
     fn rem_reference(a: &U512, m: &U256) -> U256 {
         assert!(!m.is_zero());
         let mut r = [0u64; 5]; // remainder < m < 2^256, plus a shift bit

@@ -99,6 +99,8 @@ impl MontCtx {
     /// Montgomery product `a·b·R⁻¹ mod m` (CIOS: coarsely integrated
     /// operand scanning, Koç et al.). Correct for `a < 2^256`, `b < m`;
     /// the result is fully reduced (`< m`).
+    // Measured kernel: indexed limb loops, kept as written.
+    #[allow(clippy::needless_range_loop)]
     #[must_use]
     pub fn mont_mul(&self, a: &U256, b: &U256) -> U256 {
         #[cfg(test)]

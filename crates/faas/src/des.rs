@@ -736,7 +736,7 @@ mod tests {
         s.record_attempts(1);
         s.record_attempts(3); // two retries
         s.record_attempts(20); // clamps into the last bucket
-        assert_eq!(s.retries(), 0 + 0 + 2 + 19);
+        assert_eq!(s.retries(), 2 + 19);
         let hist = s.attempts_histogram();
         assert_eq!(hist[0], 2);
         assert_eq!(hist[2], 1);

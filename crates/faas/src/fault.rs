@@ -36,7 +36,7 @@ pub enum Site {
 /// Fault specification for one (directed) link, active inside a time
 /// window. `None` endpoints are wildcards. Probabilities are in permille
 /// so specs stay integer-only and canonically comparable.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LinkFault {
     /// Sending site (`None` matches any sender).
     pub from: Option<Site>,
@@ -60,23 +60,6 @@ pub struct LinkFault {
     pub active_from: SimTime,
     /// Window end (exclusive).
     pub active_until: SimTime,
-}
-
-impl Default for LinkFault {
-    fn default() -> Self {
-        LinkFault {
-            from: None,
-            to: None,
-            drop_permille: 0,
-            duplicate_permille: 0,
-            reorder_permille: 0,
-            reorder_spread: 0,
-            delay: 0,
-            jitter: 0,
-            active_from: 0,
-            active_until: 0,
-        }
-    }
 }
 
 impl LinkFault {
@@ -263,13 +246,15 @@ impl FaultPlane {
         else {
             return vec![0];
         };
-        if link.drop_permille > 0 && self.rng.gen_range(0u32..1000) < link.drop_permille {
-            if allow_drop {
-                self.stats.dropped += 1;
-                return Vec::new();
-            }
-            // Drawn for determinism, but the link may not lose this
-            // message: fall through to plain (possibly delayed) delivery.
+        // Drawn for determinism even when the link may not lose this
+        // message, which then falls through to plain (possibly delayed)
+        // delivery.
+        if link.drop_permille > 0
+            && self.rng.gen_range(0u32..1000) < link.drop_permille
+            && allow_drop
+        {
+            self.stats.dropped += 1;
+            return Vec::new();
         }
         let copies = if link.duplicate_permille > 0
             && self.rng.gen_range(0u32..1000) < link.duplicate_permille

@@ -11,7 +11,7 @@ use crate::model::{PepId, TenantId};
 use crate::msg::{CorrelationId, RequestEnvelope, ResponseEnvelope};
 use drams_policy::decision::Decision;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// What a PEP does with non-definitive decisions (XACML §7.2.1 PEP
 /// biases).
@@ -39,7 +39,8 @@ pub struct Pep {
     tenant: TenantId,
     bias: EnforcementBias,
     next_correlation: u64,
-    pending: HashMap<CorrelationId, RequestEnvelope>,
+    /// Correlations forwarded and not yet answered or abandoned.
+    pending: HashSet<CorrelationId>,
     granted: u64,
     refused: u64,
 }
@@ -56,7 +57,7 @@ impl Pep {
             tenant,
             bias,
             next_correlation,
-            pending: HashMap::new(),
+            pending: HashSet::new(),
             granted: 0,
             refused: 0,
         }
@@ -90,23 +91,24 @@ impl Pep {
     ) -> RequestEnvelope {
         let correlation = CorrelationId(self.next_correlation);
         self.next_correlation += 1;
-        let envelope = RequestEnvelope {
+        self.pending.insert(correlation);
+        RequestEnvelope {
             correlation,
             tenant: self.tenant,
             pep: self.id,
             service: service.into(),
             request,
             issued_at,
-        };
-        self.pending.insert(correlation, envelope.clone());
-        envelope
+        }
     }
 
     /// Enforces a decision received from the PDP. Returns `None` for
     /// responses that do not correlate with a pending request (stale or
     /// forged).
     pub fn enforce(&mut self, response: &ResponseEnvelope) -> Option<Enforcement> {
-        self.pending.remove(&response.correlation)?;
+        if !self.pending.remove(&response.correlation) {
+            return None;
+        }
         let decision = response.response.decision;
         let granted = match self.bias {
             EnforcementBias::DenyBiased => decision == Decision::Permit,
@@ -125,7 +127,7 @@ impl Pep {
     /// when the correlation was actually pending; a response arriving
     /// after abandonment is treated as stale by [`enforce`](Self::enforce).
     pub fn abandon(&mut self, correlation: CorrelationId) -> bool {
-        self.pending.remove(&correlation).is_some()
+        self.pending.remove(&correlation)
     }
 
     /// Requests forwarded but not yet answered.

@@ -268,6 +268,8 @@ impl Expr {
     }
 
     /// `not(x)` convenience constructor.
+    // An associated constructor beside `and`/`or`, not `std::ops::Not`.
+    #[allow(clippy::should_implement_trait)]
     #[must_use]
     pub fn not(x: Expr) -> Expr {
         Expr::Apply(Func::Not, vec![x])
@@ -681,9 +683,9 @@ mod tests {
     #[test]
     fn equal_on_attribute() {
         let e = Expr::equal(attr(Category::Subject, "role"), Expr::lit("doctor"));
-        assert_eq!(e.eval_bool(&req()).unwrap(), true);
+        assert!(e.eval_bool(&req()).unwrap());
         let e2 = Expr::equal(attr(Category::Subject, "role"), Expr::lit("nurse"));
-        assert_eq!(e2.eval_bool(&req()).unwrap(), false);
+        assert!(!e2.eval_bool(&req()).unwrap());
     }
 
     #[test]
@@ -746,10 +748,10 @@ mod tests {
         let missing = Expr::equal(attr(Category::Subject, "ghost"), Expr::lit(1i64));
         // and(false, error) = false
         let e = Expr::and(vec![Expr::lit(false), missing.clone()]);
-        assert_eq!(e.eval_bool(&req()).unwrap(), false);
+        assert!(!e.eval_bool(&req()).unwrap());
         // or(true, error) = true
         let e = Expr::or(vec![Expr::lit(true), missing.clone()]);
-        assert_eq!(e.eval_bool(&req()).unwrap(), true);
+        assert!(e.eval_bool(&req()).unwrap());
         // and(true, error) = error
         let e = Expr::and(vec![Expr::lit(true), missing.clone()]);
         assert!(e.eval_bool(&req()).is_err());
@@ -760,7 +762,7 @@ mod tests {
 
     #[test]
     fn not_negates() {
-        assert_eq!(Expr::not(Expr::lit(true)).eval_bool(&req()).unwrap(), false);
+        assert!(!Expr::not(Expr::lit(true)).eval_bool(&req()).unwrap());
         assert!(Expr::not(Expr::lit(1i64)).eval_bool(&req()).is_err());
     }
 

@@ -27,9 +27,10 @@ pub enum MatchResult {
 ///
 /// `Target::Any` (the empty target) matches every request, mirroring
 /// XACML's absent-target semantics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub enum Target {
     /// Matches everything.
+    #[default]
     Any,
     /// Conjunction of disjunctions of boolean match expressions.
     ///
@@ -127,12 +128,6 @@ impl Target {
                 .map(Expr::size)
                 .sum(),
         }
-    }
-}
-
-impl Default for Target {
-    fn default() -> Self {
-        Target::Any
     }
 }
 

@@ -81,7 +81,7 @@ mod tests {
 
     #[test]
     fn io_error_converts() {
-        let io = std::io::Error::new(std::io::ErrorKind::Other, "boom");
+        let io = std::io::Error::other("boom");
         assert!(matches!(StoreError::from(io), StoreError::Io(_)));
     }
 }

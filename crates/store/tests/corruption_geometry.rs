@@ -65,7 +65,8 @@ fn geometry() -> Vec<RecordSite> {
             file: segment_file_name(segment as u64),
             frame_offset: offset,
             payload_len: payload(seq).len() as u64,
-            final_in_segment: seq + 1 == TOTAL_RECORDS || (seq + 1) as usize % SEGMENT_RECORDS == 0,
+            final_in_segment: seq + 1 == TOTAL_RECORDS
+                || ((seq + 1) as usize).is_multiple_of(SEGMENT_RECORDS),
             final_segment: segment + 1 == segment_count,
         });
     }
@@ -92,8 +93,7 @@ fn pristine_files(scratch: &Path) -> Vec<(String, Vec<u8>)> {
         // The last record site of this file predicts the file length.
         let last = geometry()
             .into_iter()
-            .filter(|s| s.file == name)
-            .next_back()
+            .rfind(|s| s.file == name)
             .expect("segment has records");
         assert_eq!(
             bytes.len() as u64,

@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Attack: response channel flips decisions with p = 0.1\n");
 
     let mut adversary = ScriptedAdversary::new(ThreatKind::TamperResponse, 0.1, 44);
-    let (mut report, truth) = run_monitor(&config, &mut adversary);
+    let (report, truth) = run_monitor(&config, &mut adversary);
 
     println!("requests completed : {}", report.requests_completed);
     println!(

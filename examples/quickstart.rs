@@ -24,7 +24,7 @@ fn main() {
         config.policy.id
     );
 
-    let (mut report, truth) = run_monitor(&config, &mut NoAdversary);
+    let (report, truth) = run_monitor(&config, &mut NoAdversary);
 
     println!("\n--- access control plane ---");
     println!("requests issued     : {}", report.requests_issued);
