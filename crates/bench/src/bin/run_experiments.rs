@@ -1372,7 +1372,8 @@ fn e14_overload(run: &mut Run) -> Vec<Section> {
 }
 
 /// E16 — the wire (DESIGN.md invariant 9): loopback TCP round-trip
-/// latency and frame throughput per payload size, the cost of tearing
+/// latency and frame throughput per payload size, one PDP dispatch's
+/// frames as a batch against single round trips, the cost of tearing
 /// an echo endpoint down and reconnecting to a fresh one, and a
 /// DES-vs-TCP conformance replay of the steady-state scenario.
 /// Emits `BENCH_NET.json`.
@@ -1383,17 +1384,17 @@ fn e16_net(run: &mut Run) -> Vec<Section> {
 
     let mut transport = TcpTransport::loopback();
     let mut seq = 0u64;
-    let mut roundtrip = |transport: &mut TcpTransport, payload: Vec<u8>| {
+    let mut frame = |role: WireRole, payload_bytes: usize| {
         seq += 1;
-        let frame = WireFrame {
-            role: WireRole::Pdp { slot: 0 },
+        WireFrame {
+            role,
             kind: 0,
             seq,
             delay: 0,
-            payload,
-        };
-        transport.roundtrip(frame).expect("loopback round-trip");
+            payload: vec![0xA5; payload_bytes],
+        }
     };
+    let pdp = WireRole::Pdp { slot: 0 };
 
     // -- round-trip latency and throughput per payload size -----------------
     // 192 bytes ≈ a canonical RequestEnvelope; 4 KiB ≈ a batched log
@@ -1401,12 +1402,16 @@ fn e16_net(run: &mut Run) -> Vec<Section> {
     let frames_per_size: u64 = if run.quick { 2_000 } else { 20_000 };
     let mut rows = Vec::new();
     for &payload_bytes in &[192usize, 4_096] {
-        roundtrip(&mut transport, vec![0xA5; payload_bytes]);
+        transport
+            .roundtrip(frame(pdp, payload_bytes))
+            .expect("loopback round-trip");
         let mut lat_us = Vec::with_capacity(frames_per_size as usize);
         let wall = Instant::now();
         for _ in 0..frames_per_size {
             let t = Instant::now();
-            roundtrip(&mut transport, vec![0xA5; payload_bytes]);
+            transport
+                .roundtrip(frame(pdp, payload_bytes))
+                .expect("loopback round-trip");
             lat_us.push(t.elapsed().as_secs_f64() * 1_000_000.0);
         }
         let wall_ms = wall.elapsed().as_secs_f64() * 1_000.0;
@@ -1425,15 +1430,48 @@ fn e16_net(run: &mut Run) -> Vec<Section> {
         });
     }
 
+    // -- one PDP dispatch: its three frames as one batch vs one at a time ---
+    // A PDP receive emits two log deliveries to the infrastructure LI and
+    // the response to the PEP; the runtime sends them as one batch. Each
+    // repetition times the batch, then the same three frames as single
+    // round trips. Warm-up connects both roles.
+    let shape = [
+        WireRole::Li { index: 0 },
+        WireRole::Li { index: 0 },
+        WireRole::Pep,
+    ];
+    let mut dispatch_frames = || shape.map(|role| frame(role, 192)).to_vec();
+    transport
+        .roundtrip_batch(dispatch_frames())
+        .expect("loopback batch");
+    let (mut batch_us, mut singles_us) = (0.0, 0.0);
+    for _ in 0..frames_per_size {
+        let (batch, singles) = (dispatch_frames(), dispatch_frames());
+        let t = Instant::now();
+        transport.roundtrip_batch(batch).expect("loopback batch");
+        batch_us += t.elapsed().as_secs_f64() * 1_000_000.0;
+        let t = Instant::now();
+        for single in singles {
+            transport.roundtrip(single).expect("loopback round-trip");
+        }
+        singles_us += t.elapsed().as_secs_f64() * 1_000_000.0;
+    }
+    let dispatch = row! {
+        frames_per_batch: shape.len() as u64,
+        batches: frames_per_size,
+        us_per_batch: batch_us / frames_per_size as f64,
+        us_three_singles: singles_us / frames_per_size as f64,
+    };
+
     // -- reconnect cost: tear the endpoint down, respawn, first echo --------
     let cycles: u64 = if run.quick { 20 } else { 100 };
     let mut costs_us = Vec::with_capacity(cycles as usize);
     for _ in 0..cycles {
         let t = Instant::now();
+        transport.restart(pdp).expect("restart");
         transport
-            .restart(WireRole::Pdp { slot: 0 })
-            .expect("restart");
-        roundtrip(&mut transport, vec![0xA5; 192]);
+            .roundtrip(frame(pdp, 192))
+            .expect("loopback round-trip");
         costs_us.push(t.elapsed().as_secs_f64() * 1_000_000.0);
     }
     let reconnect = row! {
@@ -1451,12 +1489,14 @@ fn e16_net(run: &mut Run) -> Vec<Section> {
     let conformance = row! {
         scenario: spec.name.as_str(),
         frames: stats.frames,
+        batches: stats.batches,
         matched: stats.frames > 0 && twin_matched(&spec.name, &des, &tcp),
     };
 
     let members = members! {
         transport: transport.name(),
         rows: rows,
+        dispatch: dispatch,
         reconnect: reconnect,
         conformance: conformance,
     };

@@ -76,11 +76,11 @@ pub fn run_scenario<A: Adversary>(
 /// Under [`DesTransport`] this is exactly [`run_scenario`]. Under a
 /// wire backend (`drams_net::TcpTransport`) every federation-crossing
 /// message is framed, sent to the destination role's validating echo
-/// endpoint with a synchronous round-trip, and scheduled from the bytes
-/// that came back — while the DES remains the single logical clock, so
-/// the two backends are comparable event for event. Invariant 9: the
-/// wire format is observationally invisible — same spec, same alerts,
-/// same ground truth, byte for byte.
+/// endpoint (one synchronous batch per dispatch), and scheduled from
+/// the bytes that came back — while the DES remains the single logical
+/// clock, so the two backends are comparable event for event.
+/// Invariant 9: the wire format is observationally invisible — same
+/// spec, same alerts, same ground truth, byte for byte.
 ///
 /// # Panics
 ///
@@ -385,8 +385,8 @@ pub fn run_scenario_with_transport<A: Adversary>(
     // --- fault plane and wire transport ------------------------------------
     // With a declared plan, every wire message (request, response, log
     // delivery) crosses the fault plane on its way into the event queue;
-    // with a wire transport attached, every surviving delivery then
-    // crosses the real socket to its destination endpoint. Initial
+    // with a wire transport attached, a dispatch's surviving deliveries
+    // then cross the real sockets to their endpoints as one batch. Initial
     // schedules below bypass both by design — they are bootstrap
     // bookkeeping, not link traffic. An empty plan under the DES backend
     // installs no shim, so canonical runs take the exact

@@ -121,74 +121,93 @@ fn fault_link(ctx: &Ctx<'_>, msg: &Msg) -> Option<(Site, Site, bool)> {
     }
 }
 
-/// Pushes one delivery into the scheduler's buffer, carrying it through
-/// the wire transport first when one is attached: the message is framed
-/// (with the scheduler's delay riding in the frame), round-tripped
-/// through the destination service's socket endpoint, and re-decoded
-/// from the bytes that came back. Under
-/// [`DesTransport`](drams_faas::transport::DesTransport) this is a plain
-/// push — the conformance oracle's path.
-fn deliver(ctx: &mut Ctx<'_>, delay: SimTime, msg: Msg, buf: &mut Vec<(SimTime, Msg)>) {
-    if !ctx.transport.is_wire() {
-        buf.push((delay, msg));
+/// Carries the wire-encodable deliveries among `deliveries` across the
+/// wire transport as one batch and puts each one's echo in its place:
+/// every such message is framed (with the scheduler's delay riding in
+/// the frame) and numbered in order, the batch is round-tripped through
+/// the destination services' socket endpoints, and each message is
+/// re-decoded from the bytes that came back. Local messages keep their
+/// places, so the scheduler sees the original order.
+fn carry_batch(ctx: &mut Ctx<'_>, deliveries: &mut [(SimTime, Msg)]) {
+    let mut frames = Vec::new();
+    let mut places = Vec::new();
+    for (place, (delay, msg)) in deliveries.iter().enumerate() {
+        if let Some((role, kind, payload)) = wire_encode(msg) {
+            ctx.wire_seq += 1;
+            frames.push(WireFrame {
+                role,
+                kind,
+                seq: ctx.wire_seq,
+                delay: *delay,
+                payload,
+            });
+            places.push(place);
+        }
+    }
+    if frames.is_empty() {
         return;
     }
-    let Some((role, kind, payload)) = wire_encode(&msg) else {
-        buf.push((delay, msg));
-        return;
-    };
-    ctx.wire_seq += 1;
-    let frame = WireFrame {
-        role,
-        kind,
-        seq: ctx.wire_seq,
-        delay,
-        payload,
-    };
-    let echo = ctx
+    let echoes = ctx
         .transport
-        .roundtrip(frame)
+        .roundtrip_batch(frames)
         .expect("wire transport round-trip");
-    let decoded = wire_decode(&echo).expect("echoed frame decodes");
-    buf.push((echo.delay, decoded));
+    assert_eq!(echoes.len(), places.len(), "one echo per frame");
+    for (place, echo) in places.into_iter().zip(echoes) {
+        let decoded = wire_decode(&echo).expect("echoed frame decodes");
+        deliveries[place] = (echo.delay, decoded);
+    }
 }
 
 /// The [`NetShim`](drams_faas::des::NetShim) of a run with a fault plan
-/// or a wire transport: every link message crosses the fault plane, and
-/// every surviving delivery then crosses the transport. Non-link
-/// messages pass straight through; wire-encodable ones (probe-key
-/// provisioning) still cross the transport.
+/// or a wire transport. It takes one dispatch's outbox: every link
+/// message first crosses the fault plane, in emission order (so the
+/// plane's RNG draws do not depend on the transport), and non-link
+/// messages pass straight through. Then, with a wire transport
+/// attached, every wire-encodable delivery — probe-key provisioning
+/// included — crosses the transport in one batch. Under
+/// [`DesTransport`](drams_faas::transport::DesTransport) that step is
+/// skipped: the conformance oracle's path.
 pub(super) fn net_shim(
     ctx: &mut Ctx<'_>,
     now: SimTime,
-    delay: SimTime,
-    msg: Msg,
+    outbox: Vec<(SimTime, Msg)>,
     buf: &mut Vec<(SimTime, Msg)>,
 ) {
-    let Some((from, to, allow_drop)) = fault_link(ctx, &msg) else {
-        deliver(ctx, delay, msg, buf);
-        return;
-    };
-    let fates = ctx.fault_plane.deliveries(now, from, to, allow_drop);
-    let Some((last, rest)) = fates.split_last() else {
-        return; // dropped (or partitioned away)
-    };
-    for extra in rest {
-        deliver(ctx, delay + extra, msg.clone(), buf);
+    let start = buf.len();
+    for (delay, msg) in outbox {
+        let Some((from, to, allow_drop)) = fault_link(ctx, &msg) else {
+            buf.push((delay, msg));
+            continue;
+        };
+        let fates = ctx.fault_plane.deliveries(now, from, to, allow_drop);
+        let Some((last, rest)) = fates.split_last() else {
+            continue; // dropped (or partitioned away)
+        };
+        for extra in rest {
+            buf.push((delay + extra, msg.clone()));
+        }
+        buf.push((delay + last, msg));
     }
-    deliver(ctx, delay + last, msg, buf);
+    if ctx.transport.is_wire() {
+        carry_batch(ctx, &mut buf[start..]);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::NoAdversary;
     use crate::logent::ObservationPoint;
+    use crate::monitor::{first_divergence, MonitorConfig, MonitorReport};
     use crate::probe::Probe;
     use crate::scenario::msg::PolicyAdmin;
-    use crate::scenario::probe_mac_key;
+    use crate::scenario::{probe_mac_key, run_scenario, run_scenario_with_transport, ScenarioSpec};
     use drams_crypto::aead::SymmetricKey;
+    use drams_faas::des::MILLIS;
+    use drams_faas::fault::{FaultPlan, LinkFault};
     use drams_faas::model::{PepId, TenantId};
     use drams_faas::msg::CorrelationId;
+    use drams_net::{NetStats, TcpTransport};
     use drams_policy::attr::Request;
     use drams_policy::decision::{ExtDecision, Response};
 
@@ -324,5 +343,66 @@ mod tests {
                 "{what}"
             );
         }
+    }
+
+    /// Runs `spec` over the DES and over loopback TCP, asserts the twins
+    /// are byte-identical, and returns the TCP run's report and wire
+    /// counters.
+    fn tcp_twin(spec: &ScenarioSpec) -> (MonitorReport, NetStats) {
+        let (des, des_truth) = run_scenario(spec, &mut NoAdversary);
+        let mut transport = TcpTransport::loopback();
+        let (tcp, tcp_truth) = run_scenario_with_transport(spec, &mut NoAdversary, &mut transport);
+        assert_eq!(
+            first_divergence(&des, &des_truth, &tcp, &tcp_truth),
+            None,
+            "{}",
+            spec.name
+        );
+        (tcp, transport.stats())
+    }
+
+    fn spec(name: &str, faults: FaultPlan) -> ScenarioSpec {
+        let config = MonitorConfig {
+            total_requests: 40,
+            request_rate_per_sec: 100.0,
+            ..MonitorConfig::default()
+        };
+        ScenarioSpec {
+            name: name.to_string(),
+            faults,
+            ..ScenarioSpec::canonical(&config)
+        }
+    }
+
+    /// Each request's six frames travel in three batches, one per
+    /// dispatch that emits them: PEP intercept (a log delivery and the
+    /// request), PDP receive (two log deliveries and the response) and
+    /// PEP receive (a log delivery).
+    #[test]
+    fn steady_state_over_tcp_sends_one_batch_per_dispatch() {
+        let (report, stats) = tcp_twin(&spec("steady_state", FaultPlan::default()));
+        assert_eq!(report.requests_completed, 40);
+        assert_eq!((stats.frames, stats.batches), (240, 120));
+    }
+
+    /// Fault-plane duplicates of one emission ride in the same batch,
+    /// each under its own seq, and the run still matches its DES twin.
+    #[test]
+    fn a_lossy_plan_batches_duplicates_and_matches_the_des_twin() {
+        let faults = FaultPlan {
+            links: vec![LinkFault {
+                drop_permille: 100,
+                duplicate_permille: 300,
+                reorder_permille: 200,
+                reorder_spread: 5 * MILLIS,
+                active_from: 0,
+                active_until: 1500 * MILLIS,
+                ..LinkFault::default()
+            }],
+            partitions: Vec::new(),
+        };
+        let (report, stats) = tcp_twin(&spec("lossy_batches", faults));
+        assert!(report.faults.duplicated > 0, "the plan must duplicate");
+        assert!(stats.frames > 2 * stats.batches, "{stats:?}");
     }
 }

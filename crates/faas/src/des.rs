@@ -188,13 +188,17 @@ pub trait SimService<M, C> {
     fn handle(&mut self, now: SimTime, msg: M, ctx: &mut C, out: &mut Outbox<M>);
 }
 
-/// A network shim interposed between every service emission and the
-/// event queue. It receives the shared context, the current virtual
-/// time, the emission's `(delay, msg)` pair, and a sink; it pushes zero
-/// or more `(delay, msg)` deliveries into the sink (zero = dropped, two
-/// = duplicated, altered delays = network delay/reorder). The fault
-/// plane plugs in here — see [`crate::fault`].
-pub type NetShim<M, C> = Box<dyn FnMut(&mut C, SimTime, SimTime, M, &mut Vec<(SimTime, M)>)>;
+/// A network shim interposed between a dispatch's emissions and the
+/// event queue. It is called once per handled event with the shared
+/// context, the current virtual time, the dispatch's whole outbox —
+/// `(delay, msg)` pairs in emission order — and a sink. For each
+/// emission it pushes zero or more `(delay, msg)` deliveries into the
+/// sink (zero = dropped, two = duplicated, altered delays = network
+/// delay/reorder), and the runtime schedules the sink in order. Seeing
+/// the whole outbox at once is what lets a wire transport carry a
+/// dispatch's frames as one batch. The fault plane plugs in here — see
+/// [`crate::fault`].
+pub type NetShim<M, C> = Box<dyn FnMut(&mut C, SimTime, Vec<(SimTime, M)>, &mut Vec<(SimTime, M)>)>;
 
 /// Owns a set of [`SimService`]s and a routing function, and drives them
 /// from one deterministic [`EventQueue`].
@@ -295,9 +299,7 @@ impl<M, C> ServiceRuntime<M, C> {
         self.deadline = out.deadline;
         match self.net_shim.as_mut() {
             Some(shim) => {
-                for (delay, msg) in out.emitted {
-                    shim(ctx, now, delay, msg, &mut self.shim_buf);
-                }
+                shim(ctx, now, out.emitted, &mut self.shim_buf);
                 for (delay, msg) in self.shim_buf.drain(..) {
                     self.queue.schedule(delay, msg);
                 }
@@ -770,14 +772,18 @@ mod tests {
         }
         let mut rt: ServiceRuntime<Msg, Vec<String>> = ServiceRuntime::new(|_| 0);
         rt.register(Box::new(Echo));
-        rt.set_net_shim(Box::new(|_ctx, _now, delay, msg, sink| match msg {
-            Msg::Ping(1) => {
-                sink.push((delay, Msg::Ping(1)));
-                sink.push((delay, Msg::Ping(1)));
+        rt.set_net_shim(Box::new(|_ctx, _now, outbox, sink| {
+            for (delay, msg) in outbox {
+                match msg {
+                    Msg::Ping(1) => {
+                        sink.push((delay, Msg::Ping(1)));
+                        sink.push((delay, Msg::Ping(1)));
+                    }
+                    Msg::Ping(2) => {}
+                    Msg::Ping(3) => sink.push((delay + 100, Msg::Ping(3))),
+                    other => sink.push((delay, other)),
+                }
             }
-            Msg::Ping(2) => {}
-            Msg::Ping(3) => sink.push((delay + 100, Msg::Ping(3))),
-            other => sink.push((delay, other)),
         }));
         // A Ping injected directly must NOT pass through the shim.
         rt.schedule(0, Msg::Ping(2));
@@ -787,6 +793,63 @@ mod tests {
         let mut ctx = Vec::new();
         rt.run(&mut ctx, 1_000);
         assert_eq!(ctx, ["2@0", "1@10", "1@10", "3@110"]);
+    }
+
+    #[test]
+    fn net_shim_sees_each_dispatch_outbox_once_in_emission_order() {
+        // Fan answers Pong(n) with three Pings at falling delays. The
+        // shim is called once per handled event — with an empty outbox
+        // when the handler emitted nothing — and sees the emissions in
+        // emission order, not delivery order.
+        struct Fan;
+        impl SimService<Msg, Vec<String>> for Fan {
+            fn handle(
+                &mut self,
+                now: SimTime,
+                m: Msg,
+                ctx: &mut Vec<String>,
+                out: &mut Outbox<Msg>,
+            ) {
+                match m {
+                    Msg::Pong(n) => {
+                        for k in 1..=3 {
+                            out.emit(40 - 10 * SimTime::from(k), Msg::Ping(10 * n + k));
+                        }
+                    }
+                    Msg::Ping(n) => ctx.push(format!("{n}@{now}")),
+                }
+            }
+        }
+        let mut rt: ServiceRuntime<Msg, Vec<String>> = ServiceRuntime::new(|_| 0);
+        rt.register(Box::new(Fan));
+        rt.set_net_shim(Box::new(|ctx, now, outbox, sink| {
+            let seen: Vec<String> = outbox.iter().map(|(d, m)| format!("{m:?}+{d}")).collect();
+            ctx.push(format!("shim@{now}: [{}]", seen.join(", ")));
+            sink.extend(outbox);
+        }));
+        rt.schedule(0, Msg::Pong(1));
+        rt.schedule(5, Msg::Pong(2));
+        let mut ctx = Vec::new();
+        rt.run(&mut ctx, 1_000);
+        assert_eq!(
+            ctx,
+            [
+                "shim@0: [Ping(11)+30, Ping(12)+20, Ping(13)+10]",
+                "shim@5: [Ping(21)+30, Ping(22)+20, Ping(23)+10]",
+                "13@10",
+                "shim@10: []",
+                "23@15",
+                "shim@15: []",
+                "12@20",
+                "shim@20: []",
+                "22@25",
+                "shim@25: []",
+                "11@30",
+                "shim@30: []",
+                "21@35",
+                "shim@35: []",
+            ]
+        );
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //!   message is serialised into a CRC-checked [`WireFrame`], sent over a
 //!   loopback socket to the destination role's endpoint (a thread that
 //!   validates and echoes; it runs no role logic) and scheduled from
-//!   the bytes that came back off the wire.
+//!   the bytes that came back off the wire. One dispatch's frames travel
+//!   as one batch ([`Transport::roundtrip_batch`]): all of them are
+//!   written before any echo is read, so the endpoints work side by
+//!   side instead of taking turns.
 //!
 //! The scenario runtime stays the single logical clock for both
 //! backends; that is what makes the differential conformance suite
@@ -256,20 +259,32 @@ impl std::error::Error for TransportError {}
 /// A carrier for wire frames between the scenario runtime and the
 /// Figure-1 service endpoints.
 ///
-/// The runtime performs one synchronous round-trip per wire message:
-/// the frame travels to the destination service's endpoint, is
-/// validated there, and comes back; the message the scheduler enqueues
-/// is decoded from the returned bytes. Synchronous round-trips mean no
-/// frame is ever in flight when a scripted crash fires — which is what
-/// keeps crash/reconnect deterministic.
+/// The runtime performs one synchronous batch per dispatch: every wire
+/// frame one handled event emitted travels to its destination service's
+/// endpoint, is validated there, and comes back; the messages the
+/// scheduler enqueues are decoded from the returned bytes. A batch
+/// completes before the dispatch that produced it returns, so no frame
+/// is ever in flight when a scripted crash fires — which is what keeps
+/// crash/reconnect deterministic.
 pub trait Transport {
     /// Whether frames actually leave the process boundary. The runtime
     /// skips serialisation entirely when this is `false`.
     fn is_wire(&self) -> bool;
 
-    /// Carries `frame` to its destination endpoint and returns the
-    /// frame as delivered (decoded from the returned bytes).
-    fn roundtrip(&mut self, frame: WireFrame) -> Result<WireFrame, TransportError>;
+    /// Carries every frame of `frames` to its destination endpoint and
+    /// returns the frames as delivered (decoded from the returned
+    /// bytes), one per input frame, in input order.
+    fn roundtrip_batch(&mut self, frames: Vec<WireFrame>)
+        -> Result<Vec<WireFrame>, TransportError>;
+
+    /// Carries one frame: a batch of one.
+    fn roundtrip(&mut self, frame: WireFrame) -> Result<WireFrame, TransportError> {
+        let echoes = self.roundtrip_batch(vec![frame])?;
+        let [echo] = <[WireFrame; 1]>::try_from(echoes).map_err(|echoes| {
+            TransportError::Corrupt(format!("{} echoes for one frame", echoes.len()))
+        })?;
+        Ok(echo)
+    }
 
     /// Notifies the transport that the service behind `role` crashed
     /// and restarted: wire backends drop the connection and tear down
@@ -291,8 +306,11 @@ impl Transport for DesTransport {
         false
     }
 
-    fn roundtrip(&mut self, frame: WireFrame) -> Result<WireFrame, TransportError> {
-        Ok(frame)
+    fn roundtrip_batch(
+        &mut self,
+        frames: Vec<WireFrame>,
+    ) -> Result<Vec<WireFrame>, TransportError> {
+        Ok(frames)
     }
 
     fn restart(&mut self, _role: WireRole) -> Result<(), TransportError> {
@@ -355,6 +373,8 @@ mod tests {
         assert!(!t.is_wire());
         let frame = WireFrame::ping(WireRole::Analyser, 42);
         assert_eq!(t.roundtrip(frame.clone()).expect("identity"), frame);
+        let batch = vec![WireFrame::ping(WireRole::Pep, 43), frame];
+        assert_eq!(t.roundtrip_batch(batch.clone()).expect("identity"), batch);
         assert!(t.restart(WireRole::Analyser).is_ok());
     }
 }

@@ -4,27 +4,30 @@
 //! An endpoint accepts one client connection at a time (the scenario
 //! driver), validates every arriving frame — outer CRC, canonical
 //! decode, role pinning, strictly increasing sequence numbers — and
-//! acknowledges it by echoing the frame back. The driver schedules the
-//! message it decodes from that echo, so everything the simulation
+//! acknowledges it by echoing the frame back. Every complete frame
+//! already in its buffer is echoed with one write, so a driver that sent
+//! a batch gets the batch's echoes back together. The driver schedules
+//! the message it decodes from that echo, so everything the simulation
 //! consumes has actually crossed the wire twice. Invalid traffic never
-//! gets an acknowledgement: the endpoint drops the connection, which
-//! the driver observes as a typed error.
+//! gets an acknowledgement: the endpoint acks the frames before it, then
+//! drops the connection, which the driver observes as a typed error.
 //!
 //! That is all an endpoint does: it validates and echoes, holds no
 //! state beyond its counters and runs no Figure-1 role logic. It is
 //! hosted one way — a thread in the driver's process behind a real
-//! loopback socket ([`NodeEndpoint::spawn`]).
+//! loopback socket ([`NodeEndpoint::spawn`]), blocked in `accept`
+//! between connections.
 
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use drams_faas::transport::{TransportError, WireRole};
+use drams_faas::transport::{TransportError, WireFrame, WireRole};
 
-use crate::frame::{read_frame, write_frame, FrameReader};
+use crate::frame::{frame_bytes, read_frame, FrameReader};
 
 /// Counters an endpoint accumulates over its lifetime.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -37,6 +40,17 @@ pub struct EndpointStats {
     pub connections: u64,
     /// Frames refused (bad role, sequence regression, corrupt bytes).
     pub rejected: u64,
+}
+
+/// Whether `frame` may be acked on a connection pinned to `pinned` whose
+/// last acked sequence number is `last_seq`; records its seq if so. A
+/// replayed or reordered frame refuses the whole stream.
+fn admit(frame: &WireFrame, pinned: WireRole, last_seq: &mut Option<u64>) -> bool {
+    if frame.role != pinned || last_seq.is_some_and(|last| frame.seq <= last) {
+        return false;
+    }
+    *last_seq = Some(frame.seq);
+    true
 }
 
 /// Serves one accepted connection until EOF, error, or `stop`.
@@ -52,60 +66,63 @@ fn serve_connection(
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let mut parser = FrameReader::new();
     let mut last_seq: Option<u64> = None;
+    let mut acks = Vec::new();
     loop {
         if stop.load(Ordering::Relaxed) {
             return;
         }
-        let frame = match read_frame(&mut stream, &mut parser) {
-            Ok(frame) => frame,
+        let mut next = match read_frame(&mut stream, &mut parser) {
+            Ok(frame) => Ok(Some(frame)),
             Err(TransportError::TimedOut) => continue,
             Err(TransportError::Closed) => return,
-            Err(_) => {
-                // Corrupt, oversized or malformed bytes: the stream is
-                // unrecoverable — drop the connection, never ack.
-                stats.rejected += 1;
-                return;
+            Err(e) => Err(e),
+        };
+        // Ack this frame and every complete one behind it in the buffer
+        // with one write. Corrupt, oversized or malformed bytes, a
+        // foreign role or a seq regression end the stream: the frames
+        // before it are acked, it never is.
+        acks.clear();
+        let mut acked = 0;
+        let refused = loop {
+            match next {
+                Ok(None) => break false,
+                Ok(Some(frame)) if admit(&frame, pinned, &mut last_seq) => {
+                    match frame_bytes(&frame) {
+                        Ok(bytes) => acks.extend_from_slice(&bytes),
+                        Err(_) => break true,
+                    }
+                    acked += 1;
+                    next = parser.next_frame();
+                }
+                Ok(Some(_)) | Err(_) => break true,
             }
         };
-        if frame.role != pinned {
-            stats.rejected += 1;
-            return;
-        }
-        if last_seq.is_some_and(|last| frame.seq <= last) {
-            // A replayed or reordered frame: refuse the whole stream.
-            stats.rejected += 1;
-            return;
-        }
-        last_seq = Some(frame.seq);
-        match write_frame(&mut stream, &frame) {
-            Ok(n) => {
-                stats.frames += 1;
-                stats.bytes += n as u64;
+        if !acks.is_empty() {
+            if stream.write_all(&acks).is_err() {
+                return;
             }
-            Err(_) => return,
+            stats.frames += acked;
+            stats.bytes += acks.len() as u64;
+        }
+        if refused {
+            stats.rejected += 1;
+            return;
         }
     }
 }
 
-/// Runs the accept loop on `listener` until `stop` is set.
+/// Runs the accept loop on `listener` until `stop` is set. `accept`
+/// blocks; whoever sets `stop` then connects once to wake it, and that
+/// connection is never served.
 fn serve(listener: &TcpListener, pinned: WireRole, stop: &AtomicBool) -> EndpointStats {
     let mut stats = EndpointStats::default();
-    listener
-        .set_nonblocking(true)
-        .expect("listener nonblocking");
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                stats.connections += 1;
-                // Back to blocking mode for the connection itself.
-                let _ = stream.set_nonblocking(false);
-                serve_connection(stream, pinned, stop, &mut stats);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => break,
+    for stream in listener.incoming() {
+        if stop.load(Ordering::Relaxed) {
+            break;
         }
+        let Ok(stream) = stream else { break };
+        stats.connections += 1;
+        serve_connection(stream, pinned, stop, &mut stats);
     }
     stats
 }
@@ -152,20 +169,26 @@ impl NodeEndpoint {
 
     /// Stops the serve loop and returns the endpoint's final counters.
     pub fn shutdown(mut self) -> EndpointStats {
+        self.stop_and_join();
+        *self.stats.lock().expect("stats lock")
+    }
+
+    /// Sets `stop`, wakes the thread's blocking `accept` with one
+    /// connect, and joins it.
+    fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(handle) = self.handle.take() {
+            // Refused when the accept loop has already ended: nothing to
+            // wake then.
+            let _ = TcpStream::connect(self.addr);
             let _ = handle.join();
         }
-        *self.stats.lock().expect("stats lock")
     }
 }
 
 impl Drop for NodeEndpoint {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        self.stop_and_join();
     }
 }
 
@@ -173,14 +196,18 @@ impl Drop for NodeEndpoint {
 mod tests {
     use super::*;
     use crate::frame::io_error;
-    use drams_faas::transport::WireFrame;
+    use std::time::Instant;
+
+    fn send(stream: &mut TcpStream, frame: &WireFrame) -> io::Result<()> {
+        stream.write_all(&frame_bytes(frame).expect("frame"))
+    }
 
     fn roundtrip_one(
         stream: &mut TcpStream,
         parser: &mut FrameReader,
         frame: &WireFrame,
     ) -> Result<WireFrame, TransportError> {
-        write_frame(stream, frame)?;
+        send(stream, frame).map_err(io_error)?;
         read_frame(stream, parser)
     }
 
@@ -209,7 +236,7 @@ mod tests {
         let ep = NodeEndpoint::spawn(WireRole::Analyser).expect("spawn");
         let mut stream = TcpStream::connect(ep.addr()).expect("connect");
         let mut parser = FrameReader::new();
-        write_frame(&mut stream, &WireFrame::ping(WireRole::Chain, 1)).expect("write");
+        send(&mut stream, &WireFrame::ping(WireRole::Chain, 1)).expect("write");
         assert!(roundtrip_one(
             &mut stream,
             &mut parser,
@@ -228,10 +255,55 @@ mod tests {
         )
         .expect("first frame");
         assert_eq!(ok.seq, 5);
-        write_frame(&mut stream, &WireFrame::ping(WireRole::Analyser, 5)).expect("write");
+        send(&mut stream, &WireFrame::ping(WireRole::Analyser, 5)).expect("write");
         assert!(read_frame(&mut stream, &mut parser).is_err());
         drop(stream);
         let stats = ep.shutdown();
         assert_eq!(stats.rejected, 2);
+    }
+
+    #[test]
+    fn frames_in_one_write_are_all_echoed_and_a_refusal_acks_only_those_before_it() {
+        let ep = NodeEndpoint::spawn(WireRole::Pep).expect("spawn");
+        let mut stream = TcpStream::connect(ep.addr()).expect("connect");
+        let mut parser = FrameReader::new();
+        let good = [
+            WireFrame::ping(WireRole::Pep, 1),
+            WireFrame::ping(WireRole::Pep, 2),
+        ];
+        let foreign = WireFrame::ping(WireRole::Chain, 3);
+        let mut bytes = Vec::new();
+        for frame in good.iter().chain([&foreign]) {
+            bytes.extend(frame_bytes(frame).expect("frame"));
+        }
+        stream.write_all(&bytes).expect("one write");
+        for frame in &good {
+            assert_eq!(&read_frame(&mut stream, &mut parser).expect("ack"), frame);
+        }
+        assert!(
+            read_frame(&mut stream, &mut parser).is_err(),
+            "no third ack"
+        );
+        drop(stream);
+        let stats = ep.shutdown();
+        assert_eq!((stats.frames, stats.rejected), (2, 1));
+    }
+
+    /// `accept` blocks, so stopping an endpoint must wake it: an idle
+    /// endpoint's drop and shutdown both return at once.
+    #[test]
+    fn an_endpoint_that_never_accepted_stops_at_once() {
+        let started = Instant::now();
+        drop(NodeEndpoint::spawn(WireRole::Chain).expect("spawn"));
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(100), "drop took {took:?}");
+
+        let started = Instant::now();
+        let stats = NodeEndpoint::spawn(WireRole::Chain)
+            .expect("spawn")
+            .shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(100), "shutdown took {took:?}");
+        assert_eq!(stats, EndpointStats::default(), "the wake-up is not served");
     }
 }

@@ -15,7 +15,7 @@
 //! rejection is a typed [`TransportError`] — oversized length prefixes
 //! are refused before any allocation, CRC mismatches before any decode.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
 use drams_crypto::codec::Decode;
 use drams_faas::transport::{TransportError, WireFrame, MAX_FRAME_BODY};
@@ -109,15 +109,6 @@ impl FrameReader {
         self.pos += FRAME_PREFIX + len;
         Ok(Some(frame))
     }
-}
-
-/// Writes one frame to `w` and flushes. Returns the wire length.
-pub fn write_frame(w: &mut impl Write, frame: &WireFrame) -> Result<usize, TransportError> {
-    let bytes = frame_bytes(frame)?;
-    w.write_all(&bytes)
-        .and_then(|()| w.flush())
-        .map_err(io_error)?;
-    Ok(bytes.len())
 }
 
 /// Reads one complete frame from `r`, resuming across however many

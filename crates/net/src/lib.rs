@@ -15,12 +15,12 @@
 //! * [`endpoint`] — [`NodeEndpoint`], one thread per role behind a
 //!   loopback listener: validates every frame (CRC, role pinning,
 //!   strictly increasing sequence numbers) and acknowledges it by
-//!   echoing it back.
+//!   echoing it back, every frame already buffered in one write.
 //! * [`transport`] — [`TcpTransport`], the `Transport` backend that
 //!   routes every federation-crossing message through the destination
-//!   role's endpoint with one synchronous round-trip per message, and
-//!   on `Transport::restart` tears the endpoint down and reconnects to a
-//!   fresh one.
+//!   role's endpoint, one synchronous batch per dispatch (every frame
+//!   written before any echo is read), and on `Transport::restart`
+//!   tears the endpoint down and reconnects to a fresh one.
 //!
 //! What the suites establish (DESIGN.md invariant 9): every
 //! federation-crossing message survives canonical encode → CRC frame →
@@ -41,5 +41,5 @@ pub mod frame;
 pub mod transport;
 
 pub use endpoint::{EndpointStats, NodeEndpoint};
-pub use frame::{frame_bytes, read_frame, write_frame, FrameReader, FRAME_PREFIX};
+pub use frame::{frame_bytes, read_frame, FrameReader, FRAME_PREFIX};
 pub use transport::{NetStats, TcpTransport};

@@ -1,12 +1,15 @@
 //! The TCP backend of the scenario runtime's [`Transport`] seam.
 //!
 //! [`TcpTransport`] keeps one table, role → (connection, endpoint), and
-//! performs one synchronous round-trip per wire message: write the
-//! frame, read the endpoint's validated echo, hand the echoed frame
-//! back to the scheduler. A role's [`NodeEndpoint`] — an in-process
-//! thread behind a real loopback socket — is spawned on first contact.
-//! The endpoint validates and echoes; no Figure-1 role logic runs
-//! behind the socket.
+//! carries one dispatch's wire messages as one synchronous batch: frame
+//! every message, write each role's frames to its connection, then read
+//! every echo back in input order and hand the echoed frames to the
+//! scheduler. Writing everything before reading anything lets the
+//! endpoint threads validate side by side, and the driver sleeps once
+//! per batch instead of once per frame. A role's [`NodeEndpoint`] — an
+//! in-process thread behind a real loopback socket — is spawned on
+//! first contact. The endpoint validates and echoes; no Figure-1 role
+//! logic runs behind the socket.
 //!
 //! A scripted service crash reaches the transport as
 //! [`Transport::restart`]: the connection is closed, the endpoint thread
@@ -16,34 +19,47 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
 use drams_faas::transport::{Transport, TransportError, WireFrame, WireRole};
 
 use crate::endpoint::NodeEndpoint;
-use crate::frame::{io_error, read_frame, write_frame, FrameReader};
+use crate::frame::{frame_bytes, io_error, read_frame, FrameReader};
 
 /// How long a single blocked read may wait for the endpoint's echo
-/// before the round-trip is abandoned and retried on a fresh
-/// connection.
+/// before the batch is abandoned and resent on fresh connections.
 const READ_DEADLINE: Duration = Duration::from_secs(5);
 
-/// Round-trip attempts per frame; each failure (a refused connect
-/// included) drops the connection and reconnects, so this bounds the
-/// reconnect storm a flapping endpoint can cause.
+/// Attempts per batch; each failure (a refused connect included) drops
+/// the batch's connections and reconnects, so this bounds the reconnect
+/// storm a flapping endpoint can cause.
 const ROUNDTRIP_ATTEMPTS: u32 = 5;
+
+/// Bytes a batch writes before it reads their echoes. An endpoint echoes
+/// as it reads, and the driver reads nothing while it writes, so the
+/// echoes of one write round wait in loopback socket buffers; a round
+/// this small always fits, and neither side can block the other.
+/// Without rounds, a batch larger than both directions' buffers (24 MiB
+/// to one role on a stock Linux loopback) leaves both sides blocked in
+/// `write` for good. A frame larger than this is a round of its own,
+/// which the endpoint reads whole before it echoes.
+const WRITE_ROUND: usize = 32 * 1024;
 
 /// Wire-level counters the bench runner reports (E16).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NetStats {
-    /// Completed round-trips.
+    /// Completed round-trips (frames echoed and checked).
     pub frames: u64,
+    /// Completed [`Transport::roundtrip_batch`] calls; a
+    /// [`Transport::roundtrip`] is a batch of one.
+    pub batches: u64,
     /// Wire bytes written (outer framing included).
     pub bytes_sent: u64,
     /// Connections established (first contacts and re-establishments).
     pub connects: u64,
-    /// Round-trips that had to re-establish a connection mid-flight.
+    /// Batch attempts that failed and were resent on fresh connections.
     pub reconnects: u64,
     /// Service restarts signalled via [`Transport::restart`].
     pub restarts: u64,
@@ -86,11 +102,9 @@ impl TcpTransport {
         self.stats
     }
 
-    fn try_roundtrip(
-        &mut self,
-        role: WireRole,
-        frame: &WireFrame,
-    ) -> Result<WireFrame, TransportError> {
+    /// `role`'s connection, spawning its endpoint and connecting to it
+    /// on first contact.
+    fn conn(&mut self, role: WireRole) -> Result<&mut Conn, TransportError> {
         let link = match self.links.entry(role) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => e.insert(Link {
@@ -98,7 +112,7 @@ impl TcpTransport {
                 endpoint: NodeEndpoint::spawn(role).map_err(io_error)?,
             }),
         };
-        let conn = match &mut link.conn {
+        let conn = match link.conn.take() {
             Some(conn) => conn,
             None => {
                 let stream = TcpStream::connect(link.endpoint.addr()).map_err(io_error)?;
@@ -107,17 +121,52 @@ impl TcpTransport {
                     .set_read_timeout(Some(READ_DEADLINE))
                     .map_err(io_error)?;
                 self.stats.connects += 1;
-                link.conn.insert(Conn {
+                Conn {
                     stream,
                     parser: FrameReader::new(),
-                })
+                }
             }
         };
-        let n = write_frame(&mut conn.stream, frame)?;
-        let echo = read_frame(&mut conn.stream, &mut conn.parser)?;
-        self.stats.frames += 1;
-        self.stats.bytes_sent += n as u64;
-        Ok(echo)
+        Ok(link.conn.insert(conn))
+    }
+
+    /// One attempt at a batch whose frames are already encoded in
+    /// `wires`: per write round, one `write_all` per distinct role, then
+    /// every echo of the round read from its role's connection in input
+    /// order.
+    fn try_batch(
+        &mut self,
+        frames: &[WireFrame],
+        wires: &[Vec<u8>],
+    ) -> Result<Vec<WireFrame>, TransportError> {
+        let mut echoes = Vec::with_capacity(frames.len());
+        let mut start = 0;
+        while start < frames.len() {
+            let mut end = start + 1;
+            let mut round_bytes = wires[start].len();
+            while end < frames.len() && round_bytes + wires[end].len() <= WRITE_ROUND {
+                round_bytes += wires[end].len();
+                end += 1;
+            }
+            let round = start..end;
+            let mut writes: Vec<(WireRole, Vec<u8>)> = Vec::new();
+            for (frame, wire) in frames[round.clone()].iter().zip(&wires[round.clone()]) {
+                match writes.iter_mut().find(|(role, _)| *role == frame.role) {
+                    Some((_, bytes)) => bytes.extend_from_slice(wire),
+                    None => writes.push((frame.role, wire.clone())),
+                }
+            }
+            for (role, bytes) in writes {
+                let conn = self.conn(role)?;
+                conn.stream.write_all(&bytes).map_err(io_error)?;
+            }
+            for frame in &frames[round] {
+                let conn = self.conn(frame.role)?;
+                echoes.push(read_frame(&mut conn.stream, &mut conn.parser)?);
+            }
+            start = end;
+        }
+        Ok(echoes)
     }
 }
 
@@ -126,37 +175,55 @@ impl Transport for TcpTransport {
         true
     }
 
-    fn roundtrip(&mut self, frame: WireFrame) -> Result<WireFrame, TransportError> {
-        let role = frame.role;
+    fn roundtrip_batch(
+        &mut self,
+        frames: Vec<WireFrame>,
+    ) -> Result<Vec<WireFrame>, TransportError> {
+        // Frame everything before writing anything: an oversized frame
+        // fails the batch with no byte on the wire.
+        let wires = frames
+            .iter()
+            .map(frame_bytes)
+            .collect::<Result<Vec<_>, _>>()?;
         let mut last = TransportError::Closed;
         for attempt in 0..ROUNDTRIP_ATTEMPTS {
-            match self.try_roundtrip(role, &frame) {
-                Ok(echo) => {
-                    if echo != frame {
-                        // The endpoint acked something else: the wire
-                        // (or the endpoint) corrupted the frame.
-                        return Err(TransportError::Corrupt(format!(
-                            "echo mismatch for seq {}",
-                            frame.seq
-                        )));
-                    }
-                    return Ok(echo);
+            let failure = match self.try_batch(&frames, &wires) {
+                Ok(echoes) if echoes == frames => {
+                    self.stats.frames += frames.len() as u64;
+                    self.stats.batches += 1;
+                    self.stats.bytes_sent += wires.iter().map(|w| w.len() as u64).sum::<u64>();
+                    return Ok(echoes);
                 }
+                // The endpoint acked something else: the wire (or the
+                // endpoint) corrupted a frame.
+                Ok(echoes) => {
+                    let bad = echoes
+                        .iter()
+                        .zip(&frames)
+                        .find(|(echo, frame)| echo != frame);
+                    let seq = bad.map_or(0, |(_, frame)| frame.seq);
+                    TransportError::Corrupt(format!("echo mismatch for seq {seq}"))
+                }
+                Err(e) => e,
+            };
+            // A failed batch may leave echoes unread on any of its
+            // connections: drop them all, so the next batch starts clean.
+            for frame in &frames {
+                if let Some(link) = self.links.get_mut(&frame.role) {
+                    link.conn = None;
+                }
+            }
+            match failure {
                 // Structural rejections are not cured by reconnecting.
-                Err(
-                    e @ (TransportError::Corrupt(_)
-                    | TransportError::Oversized { .. }
-                    | TransportError::Malformed(_)
-                    | TransportError::RoleMismatch { .. }),
-                ) => return Err(e),
-                Err(e) => {
-                    // I/O failure or endpoint death: reconnect and
-                    // resend. The endpoint is a validating relay, so a
-                    // duplicate send is harmless — only the echo the
-                    // driver reads is ever scheduled.
-                    if let Some(link) = self.links.get_mut(&role) {
-                        link.conn = None;
-                    }
+                e @ (TransportError::Corrupt(_)
+                | TransportError::Oversized { .. }
+                | TransportError::Malformed(_)
+                | TransportError::RoleMismatch { .. }) => return Err(e),
+                // I/O failure or endpoint death: reconnect and resend the
+                // whole batch. The endpoint checks seq per connection and
+                // only the echoes the driver reads are ever scheduled, so
+                // a duplicate send is harmless.
+                e => {
                     if attempt + 1 < ROUNDTRIP_ATTEMPTS {
                         self.stats.reconnects += 1;
                     }
@@ -250,5 +317,94 @@ mod tests {
         drop(t);
         let took = started.elapsed();
         assert!(took < Duration::from_millis(500), "took {took:?}");
+    }
+
+    fn frame(role: WireRole, seq: u64) -> WireFrame {
+        WireFrame {
+            role,
+            kind: 3,
+            seq,
+            delay: 100 * seq,
+            payload: vec![seq as u8; 40 + seq as usize],
+        }
+    }
+
+    #[test]
+    fn a_batch_across_roles_echoes_in_input_order() {
+        let mut t = TcpTransport::loopback();
+        let batch = vec![
+            frame(WireRole::Li { index: 0 }, 1),
+            frame(WireRole::Pep, 2),
+            frame(WireRole::Li { index: 0 }, 3),
+            frame(WireRole::Pdp { slot: 0 }, 4),
+        ];
+        let wire_bytes: u64 = batch
+            .iter()
+            .map(|f| frame_bytes(f).expect("frame").len() as u64)
+            .sum();
+        assert_eq!(t.roundtrip_batch(batch.clone()).expect("batch"), batch);
+        let stats = t.stats();
+        assert_eq!((stats.frames, stats.batches), (4, 1));
+        assert_eq!(stats.bytes_sent, wire_bytes);
+        assert_eq!(stats.connects, 3, "one connection per distinct role");
+    }
+
+    #[test]
+    fn a_restart_between_batches_reconnects() {
+        let mut t = TcpTransport::loopback();
+        let pdp = WireRole::Pdp { slot: 0 };
+        let first = vec![frame(pdp, 1), frame(WireRole::Pep, 2)];
+        assert_eq!(t.roundtrip_batch(first.clone()).expect("first"), first);
+        t.restart(pdp).expect("restart");
+        let second = vec![frame(WireRole::Pep, 3), frame(pdp, 4)];
+        assert_eq!(t.roundtrip_batch(second.clone()).expect("second"), second);
+        let stats = t.stats();
+        assert_eq!((stats.batches, stats.restarts, stats.reconnects), (2, 1, 0));
+        assert_eq!(stats.connects, 3, "only the restarted role reconnects");
+    }
+
+    /// Batches larger than a write round still complete: the rounds are
+    /// written and read in turn, and a frame larger than a round goes
+    /// alone.
+    #[test]
+    fn a_batch_larger_than_a_write_round_completes() {
+        let mut t = TcpTransport::loopback();
+        let li = WireRole::Li { index: 1 };
+        let mut batch: Vec<WireFrame> = (1..=40)
+            .map(|seq| WireFrame {
+                payload: vec![7; 4_000],
+                ..frame(li, seq)
+            })
+            .collect();
+        batch.push(WireFrame {
+            payload: vec![8; 3 * WRITE_ROUND],
+            ..frame(li, 41)
+        });
+        assert_eq!(t.roundtrip_batch(batch.clone()).expect("batch"), batch);
+        assert_eq!((t.stats().frames, t.stats().batches), (41, 1));
+    }
+
+    #[test]
+    fn an_oversized_frame_fails_the_batch_before_any_byte_is_written() {
+        let mut t = TcpTransport::loopback();
+        let role = WireRole::Chain;
+        t.roundtrip(frame(role, 1)).expect("warm-up");
+        let oversized = WireFrame {
+            payload: vec![0; drams_faas::transport::MAX_FRAME_BODY + 1],
+            ..frame(role, 3)
+        };
+        let batch = vec![frame(role, 2), oversized];
+        assert!(matches!(
+            t.roundtrip_batch(batch),
+            Err(TransportError::Oversized { .. })
+        ));
+        assert_eq!((t.stats().frames, t.stats().batches), (1, 1));
+        let link = t.links.remove(&role).expect("the warmed-up role");
+        drop(link.conn);
+        assert_eq!(
+            link.endpoint.shutdown().frames,
+            1,
+            "the endpoint saw no byte"
+        );
     }
 }
