@@ -271,6 +271,19 @@ impl<'a> Reader<'a> {
             .map_err(|e| CryptoError::Malformed(format!("invalid utf-8: {e}")))
     }
 
+    /// Reads a `seq`'s element count, refusing a count larger than the
+    /// bytes that remain (each element needs at least one).
+    pub fn get_seq_len(&mut self) -> Result<usize, CryptoError> {
+        let n = self.get_varint()? as usize;
+        if n > self.remaining() {
+            return Err(CryptoError::Malformed(format!(
+                "sequence claims {n} elements but only {} bytes remain",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
     /// Remaining unread byte count.
     #[must_use]
     pub fn remaining(&self) -> usize {
@@ -401,14 +414,7 @@ impl<T: Encode> Encode for Vec<T> {
 ///
 /// Propagates element decode errors and rejects absurd lengths.
 pub fn decode_seq<T: Decode>(r: &mut Reader<'_>) -> Result<Vec<T>, CryptoError> {
-    let n = r.get_varint()? as usize;
-    // A sane upper bound: each element needs at least one byte.
-    if n > r.remaining() {
-        return Err(CryptoError::Malformed(format!(
-            "sequence claims {n} elements but only {} bytes remain",
-            r.remaining()
-        )));
-    }
+    let n = r.get_seq_len()?;
     let mut out = Vec::with_capacity(n.min(4096));
     for _ in 0..n {
         out.push(T::decode(r)?);

@@ -25,6 +25,9 @@
 //!   of a fixed 256-bit safe prime, used to sign blockchain transactions;
 //!   includes [`schnorr::batch_verify`], which validates a block with one
 //!   fixed-base table per frequent signer.
+//! * [`crc32`] — IEEE CRC-32, the checksum under every WAL record, journal
+//!   fold, snapshot and wire frame (re-exported as
+//!   `drams_store::segment::crc32`).
 //! * [`codec`] — a canonical, deterministic binary encoding. Hashing and
 //!   signing require byte-for-byte reproducible encodings, which generic
 //!   serialisation frameworks do not guarantee; every on-chain datum in
@@ -46,13 +49,15 @@
 //! # }
 //! ```
 
-// The one exception is `sha256::x86`, the SHA-extensions kernel.
+// The two exceptions are the intrinsic kernels `sha256::x86` (SHA
+// extensions) and `crc32::x86` (carry-less multiplication).
 #![deny(unsafe_code)]
 
 pub mod aead;
 pub mod bignum;
 pub mod chacha20;
 pub mod codec;
+pub mod crc32;
 pub mod hmac;
 pub mod merkle;
 pub mod montgomery;

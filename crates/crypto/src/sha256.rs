@@ -17,9 +17,10 @@
 //! selects a kernel. `Sha256::update`, `finalize` and `digest` hand it
 //! each contiguous run of whole blocks once.
 //!
-//! The `x86` module is the only `unsafe` code in the workspace: the
-//! crate is `#![deny(unsafe_code)]` with one `#[allow]` on that module,
-//! and every other crate is `#![forbid(unsafe_code)]`.
+//! The `x86` module is one of the workspace's two islands of `unsafe`
+//! code, the other being `crc32::x86`: the crate is
+//! `#![deny(unsafe_code)]` with one `#[allow]` on each, and every other
+//! crate is `#![forbid(unsafe_code)]`.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -240,8 +241,8 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
-/// The SHA-extensions kernel. This module holds the workspace's only
-/// `unsafe` code and nothing else.
+/// The SHA-extensions kernel. This module holds `unsafe` code and
+/// nothing else.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {

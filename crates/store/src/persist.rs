@@ -26,6 +26,12 @@
 //! are the one part of the folded state that shrinks — a block journaled
 //! later makes them redundant — and an append-only file cannot drop them.
 //!
+//! A compaction reads each live byte once and derives nothing it already
+//! has: a block record reaches the fold file in the very frame the WAL
+//! walk verified (no second CRC), and a transaction record is struck by
+//! byte equality with a transaction that block carries (no SHA-256 on
+//! either side).
+//!
 //! The journal is shared via `Rc<RefCell<…>>` so a crash-recovery harness
 //! can keep the log alive across the simulated death of the node that
 //! writes to it (the scenario runtime's `CrashRestart` does exactly
@@ -67,19 +73,19 @@
 //! ```
 
 use crate::error::StoreError;
-use crate::segment::frame_record;
+use crate::segment::FRAME_LEN;
 use crate::wal::{Wal, FOLD_FILE, SNAPSHOT_FILE};
 use drams_chain::block::Block;
 use drams_chain::chain::ChainConfig;
 use drams_chain::contract::SmartContract;
 use drams_chain::error::ChainError;
 use drams_chain::node::{Node, NodeJournal};
-use drams_chain::tx::{Transaction, TxId};
+use drams_chain::tx::{Transaction, SENDER_NONCE_LEN};
 use drams_crypto::codec::{Decode, Encode, Writer};
-use drams_crypto::sha256::Digest;
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::fmt::Display;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -235,6 +241,24 @@ fn pack_record(record: &[u8], packed: &mut Vec<u8>) -> Range<usize> {
     start..packed.len()
 }
 
+/// The transaction bytes of the TX record packed at `span`: what follows
+/// its length and its tag.
+fn packed_tx<'a>(packed: &'a [u8], span: &Range<usize>) -> &'a [u8] {
+    packed[span.clone()].get(4 + 1..).unwrap_or_default()
+}
+
+/// A transaction's canonical encoding, hashed by its opening sender ‖
+/// nonce bytes and compared whole. The codec is canonical, so equal bytes
+/// are equal transaction ids, and nothing is hashed to find that out.
+#[derive(PartialEq, Eq)]
+struct TxBytes<'a>(&'a [u8]);
+
+impl Hash for TxBytes<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0[..self.0.len().min(SENDER_NONCE_LEN)].hash(state);
+    }
+}
+
 /// Lends each record of a [`pack_record`] run to `visit`, with the span
 /// it and its length occupy.
 fn visit_packed<'a>(
@@ -298,11 +322,15 @@ fn add_work(records: u64, blocks: u64, bytes: u64) {
 ///
 /// 1. reads the manifest and seals the tail segment ([`Wal::seal_tail`]),
 ///    so that everything journaled so far can leave the live log;
-/// 2. visits the live records once, in order: a transaction record joins
-///    the pending list under the digest of its payload (which is its
-///    transaction id — no decoding), a block record is decoded for the
-///    ids it includes, strikes those from the pending list, and is framed
-///    for the fold file;
+/// 2. visits the live records once, in order, each as the frame the WAL
+///    walk has just verified ([`Wal::visit_from`]): a transaction record
+///    joins the pending list as it stands; a block record is decoded for
+///    where its transactions' bytes sit ([`Block::transaction_spans`])
+///    and strikes every pending record whose transaction bytes equal one
+///    of them — looked up by their opening sender ‖ nonce bytes, compared
+///    whole, which (the codec being canonical) compares transaction ids
+///    without computing one — and keeps its verified frame for the fold
+///    file, checksummed again by nothing;
 /// 3. appends the framed blocks to the fold file and syncs it
 ///    ([`Wal::append_fold`], which first cuts off what a compaction that
 ///    never committed left behind);
@@ -343,36 +371,40 @@ pub fn compact_node_journal(wal: &mut Wal) -> Result<(u64, u64), StoreError> {
     } = Manifest::read(wal)?;
     wal.seal_tail()?;
 
-    // Pending transaction records in journal order: id, span in `packed`.
-    let mut pending: Vec<(TxId, Range<usize>)> = Vec::new();
-    visit_packed(&packed, |span, record| {
-        pending.push((Digest::of(record.get(1..).unwrap_or_default()), span));
+    // Pending transaction records in journal order, by span in `packed`.
+    let mut pending: Vec<Range<usize>> = Vec::new();
+    visit_packed(&packed, |span, _| {
+        pending.push(span);
         Ok(())
     })?;
     let carried = pending.len() as u64;
 
     let mut frames = Vec::new();
     let (mut live, mut folded) = (0u64, 0u64);
-    wal.visit_from(base_seq, |seq, record| {
+    wal.visit_from(base_seq, |seq, frame| {
         live += 1;
-        if let Some((&TAG_TX, payload)) = record.split_first() {
-            pending.push((Digest::of(payload), pack_record(record, &mut packed)));
+        let record = &frame[FRAME_LEN..];
+        if let Some((&TAG_TX, _)) = record.split_first() {
+            pending.push(pack_record(record, &mut packed));
             return Ok(());
         }
-        if let Some((&TAG_BLOCK, payload)) = record.split_first() {
-            let block = Block::from_canonical_bytes(payload)
+        if let Some((&TAG_BLOCK, block)) = record.split_first() {
+            let spans = Block::transaction_spans(block)
                 .map_err(|e| StoreError::Codec(format!("journal record {seq}: {e}")))?;
             #[cfg(test)]
             add_work(0, 1, 0);
-            if !pending.is_empty() && !block.transactions.is_empty() {
-                let included: HashSet<TxId> =
-                    block.transactions.iter().map(Transaction::id).collect();
-                pending.retain(|(id, _)| !included.contains(id));
+            if !pending.is_empty() && !spans.is_empty() {
+                let included: HashSet<TxBytes> = spans
+                    .into_iter()
+                    .map(|span| TxBytes(&block[span]))
+                    .collect();
+                pending.retain(|span| !included.contains(&TxBytes(packed_tx(&packed, span))));
             }
         }
-        // Whatever else it is, it is folded as it stands; recovery is the
-        // one to name a record it cannot replay.
-        frame_record(record, &mut frames);
+        // Whatever else it is, it is folded as it stands, in the frame
+        // the walk has just verified; recovery is the one to name a
+        // record it cannot replay.
+        frames.extend_from_slice(frame);
         folded += 1;
         Ok(())
     })?;
@@ -386,7 +418,7 @@ pub fn compact_node_journal(wal: &mut Wal) -> Result<(u64, u64), StoreError> {
         upto,
         fold_len,
         fold_records + folded,
-        pending.iter().map(|(_, span)| &packed[span.clone()]),
+        pending.iter().map(|span| &packed[span.clone()]),
     )?;
     wal.prune_through(upto)?;
     Ok((
@@ -451,8 +483,8 @@ pub fn recover_node(
         let origin = format_args!("pending@{}", MANIFEST_HEADER_LEN + span.start);
         replay_record(&mut node, origin, record)
     })?;
-    wal.visit_from(manifest.base_seq, |seq, record| {
-        replay_record(&mut node, seq, record)
+    wal.visit_from(manifest.base_seq, |seq, frame| {
+        replay_record(&mut node, seq, &frame[FRAME_LEN..])
     })?;
     Ok(node)
 }
@@ -460,10 +492,13 @@ pub fn recover_node(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{Durability, MemBackend};
+    use crate::backend::{Backend, Durability, MemBackend};
+    use crate::segment::frame_record;
     use crate::wal::WalConfig;
     use drams_chain::contract::KvStoreContract;
+    use drams_chain::tx::TxId;
     use drams_crypto::schnorr::Keypair;
+    use drams_crypto::sha256::Digest;
 
     fn config() -> ChainConfig {
         ChainConfig {
@@ -1041,6 +1076,98 @@ mod tests {
         let (small, appended) = work_after(1_024);
         assert_eq!(small, [64 + 3, 16, appended], "records, blocks, fold bytes");
         assert_eq!(work_after(16_384).0, small, "whatever was folded before");
+    }
+
+    #[test]
+    fn the_fold_file_and_manifest_hold_the_records_as_the_wal_framed_them() {
+        let medium = FaultyBackend::default();
+        let (compacted, whole) = (Rc::new(RefCell::new(open(&medium))), mem_wal(8));
+        let mut node = Node::new(mid_life_config());
+        node.register_contract(Box::new(KvStoreContract));
+        node.set_journal(Box::new(Tee(
+            WalJournal::new(compacted.clone()),
+            WalJournal::new(whole.clone()),
+        )));
+        let kp = Keypair::from_seed(b"persist-tests");
+        // Three transactions a round, two a block: a backlog is carried
+        // from compaction to compaction.
+        for round in 0..6 {
+            for i in 0..3 {
+                node.submit_call(&kp, "kvstore", "put", format!("{round}.{i}").into_bytes())
+                    .unwrap();
+            }
+            node.mine_block(round).unwrap();
+            if round % 2 == 1 {
+                compact_node_journal(&mut compacted.borrow_mut()).unwrap();
+            }
+        }
+        let mut fold = Vec::new();
+        for record in journal_of(&whole.borrow()) {
+            if record.first() == Some(&TAG_BLOCK) {
+                frame_record(&record, &mut fold);
+            }
+        }
+        assert_eq!(medium.read(FOLD_FILE).unwrap(), fold);
+        let mut pending = Vec::new();
+        for tx in node.pending_transactions() {
+            pack_record(
+                &[&[TAG_TX], tx.to_canonical_bytes().as_slice()].concat(),
+                &mut pending,
+            );
+        }
+        assert_eq!(node.mempool_len(), 6);
+        assert_eq!(
+            Manifest::read(&compacted.borrow()).unwrap().pending,
+            pending
+        );
+    }
+
+    #[test]
+    fn a_block_strikes_a_pending_record_by_its_bytes_not_its_sender_and_nonce() {
+        let kp = Keypair::from_seed(b"persist-tests");
+        let pending = Transaction::new_signed(&kp, 0, "kvstore", "put", b"pending".to_vec());
+        // The same sender and nonce, other bytes: another transaction.
+        let rival = Transaction::new_signed(&kp, 0, "kvstore", "put", b"rival".to_vec());
+        assert_eq!(
+            pending.to_canonical_bytes()[..SENDER_NONCE_LEN],
+            rival.to_canonical_bytes()[..SENDER_NONCE_LEN]
+        );
+        let wal = mem_wal(8);
+        let mut journal = WalJournal::new(wal.clone());
+        journal.record_transaction(&pending).unwrap();
+        journal
+            .record_block(&Block::mine(Digest::ZERO, 0, vec![rival], 0, 0))
+            .unwrap();
+        assert_eq!(compact_node_journal(&mut wal.borrow_mut()).unwrap(), (2, 2));
+        journal
+            .record_block(&Block::mine(Digest::ZERO, 1, vec![pending], 1, 0))
+            .unwrap();
+        assert_eq!(compact_node_journal(&mut wal.borrow_mut()).unwrap(), (3, 2));
+    }
+
+    #[test]
+    fn a_block_record_that_does_not_decode_fails_the_compaction_naming_its_seq() {
+        let kp = Keypair::from_seed(b"persist-tests");
+        let tx = Transaction::new_signed(&kp, 0, "kvstore", "put", b"a".to_vec());
+        let block = Block::mine(Digest::ZERO, 0, vec![tx.clone()], 0, 0).to_canonical_bytes();
+        for garbage in [&[1, 2, 3][..], &block[..block.len() - 1]] {
+            let wal = mem_wal(8);
+            WalJournal::new(wal.clone())
+                .record_transaction(&tx)
+                .unwrap();
+            let seq = wal
+                .borrow_mut()
+                .append(&[&[TAG_BLOCK], garbage].concat())
+                .unwrap();
+            let reason = Block::from_canonical_bytes(garbage).unwrap_err();
+            assert_eq!(
+                compact_node_journal(&mut wal.borrow_mut()),
+                Err(StoreError::Codec(format!("journal record {seq}: {reason}")))
+            );
+            // Nothing was committed: the journal is what it was.
+            assert_eq!(wal.borrow().read_snapshot().unwrap(), None);
+            assert_eq!(journal_of(&wal.borrow()).len(), 2);
+        }
     }
 
     #[test]

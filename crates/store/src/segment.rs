@@ -15,9 +15,11 @@
 //! All integers are big-endian. The CRC is IEEE CRC-32 over the payload
 //! bytes only (the length is implicitly covered: a corrupted length either
 //! lands mid-payload, failing the CRC, or runs past EOF, failing framing).
-//! [`crc32`] is the one checksum routine under every WAL record, journal
-//! compaction, Analyser snapshot and `drams-net` frame; it computes the
-//! IEEE value eight bytes per step (slice-by-8).
+//! [`crc32`] — a re-export of [`drams_crypto::crc32::crc32`], which
+//! dispatches to a carry-less-multiplication kernel where the CPU has one
+//! and to slice-by-8 where it does not — is the one checksum routine
+//! under every WAL record, journal fold, Analyser snapshot and
+//! `drams-net` frame.
 //!
 //! Recovery semantics ([`scan`]) distinguish two kinds of damage:
 //!
@@ -30,6 +32,7 @@
 //!   as [`StoreError::Corrupt`], never as a silent skip.
 
 use crate::error::StoreError;
+pub use drams_crypto::crc32::crc32;
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"DRSG";
@@ -39,70 +42,6 @@ pub const SEGMENT_VERSION: u32 = 1;
 pub const HEADER_LEN: usize = 24;
 /// Size of a record frame (length + checksum) in bytes.
 pub const FRAME_LEN: usize = 8;
-
-/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][b]`
-/// is the CRC state after byte `b` followed by `k` zero bytes, which is
-/// what lets [`crc32`] fold eight input bytes per step (slice-by-8).
-const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
-
-const fn build_crc_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        tables[0][i] = crc;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-}
-
-/// IEEE CRC-32 of `bytes`.
-///
-/// Slice-by-8: each step XORs the running CRC into the first four of
-/// eight input bytes and looks every byte up in the table for its
-/// distance from the end of the group (8 KiB of tables, no `unsafe`);
-/// the < 8-byte tail goes a byte at a time. Polynomial, initial value
-/// and final XOR are the IEEE ones, so the result is bit-for-bit that of
-/// the byte-at-a-time loop.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut groups = bytes.chunks_exact(8);
-    for g in &mut groups {
-        let [a, b, c, d] = (crc ^ u32::from_le_bytes([g[0], g[1], g[2], g[3]])).to_le_bytes();
-        crc = CRC_TABLES[7][a as usize]
-            ^ CRC_TABLES[6][b as usize]
-            ^ CRC_TABLES[5][c as usize]
-            ^ CRC_TABLES[4][d as usize]
-            ^ CRC_TABLES[3][g[4] as usize]
-            ^ CRC_TABLES[2][g[5] as usize]
-            ^ CRC_TABLES[1][g[6] as usize]
-            ^ CRC_TABLES[0][g[7] as usize];
-    }
-    for &b in groups.remainder() {
-        crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xff) as usize];
-    }
-    !crc
-}
 
 /// The decoded fixed header of a segment file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -274,7 +213,6 @@ pub fn scan<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     /// What a scan found, with the records copied out.
     #[derive(Debug)]
@@ -321,47 +259,6 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
-    }
-
-    /// The CRC-32 definition itself, a bit at a time: reflected IEEE
-    /// polynomial, all-ones initial value, inverted result. No table.
-    fn crc32_bitwise(bytes: &[u8]) -> u32 {
-        let mut crc = 0xFFFF_FFFFu32;
-        for &b in bytes {
-            crc ^= u32::from(b);
-            for _ in 0..8 {
-                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
-            }
-        }
-        !crc
-    }
-
-    #[test]
-    fn crc32_matches_bitwise_reference_at_every_length_and_alignment() {
-        let buffer: Vec<u8> = (0..72 + 8u32).map(|i| (i * 197 + 11) as u8).collect();
-        for start in 0..8 {
-            for len in 0..=72 {
-                let bytes = &buffer[start..start + len];
-                assert_eq!(
-                    crc32(bytes),
-                    crc32_bitwise(bytes),
-                    "len {len} at offset {start}"
-                );
-            }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        #[test]
-        fn crc32_matches_bitwise_reference_on_random_buffers(
-            bytes in prop::collection::vec(any::<u8>(), 0..4097),
-            start in 0usize..8,
-        ) {
-            let bytes = &bytes[start.min(bytes.len())..];
-            prop_assert_eq!(crc32(bytes), crc32_bitwise(bytes));
-        }
     }
 
     #[test]

@@ -58,7 +58,7 @@
 
 use crate::backend::{Backend, Durability};
 use crate::error::StoreError;
-use crate::segment::{frame_record, scan, walk_frames, SegmentHeader, HEADER_LEN};
+use crate::segment::{frame_record, scan, walk_frames, SegmentHeader, FRAME_LEN, HEADER_LEN};
 
 /// Prefix of segment file names (`seg-00000000.wal`, …).
 pub const SEGMENT_PREFIX: &str = "seg-";
@@ -357,17 +357,21 @@ impl Wal {
     /// As [`Wal::replay`].
     pub fn replay_from(&self, from_seq: u64) -> Result<Vec<(u64, Vec<u8>)>, StoreError> {
         let mut out = Vec::new();
-        self.visit_from(from_seq, |seq, payload| {
-            out.push((seq, payload.to_vec()));
+        self.visit_from(from_seq, |seq, frame| {
+            out.push((seq, frame[FRAME_LEN..].to_vec()));
             Ok(())
         })?;
         Ok(out)
     }
 
     /// [`Wal::replay_from`] without the copies: lends each retained
-    /// record with `seq >= from_seq` to `visit`, in order, as a slice of
-    /// the segment it was read from. An error from `visit` ends the walk
-    /// and is returned.
+    /// record with `seq >= from_seq` to `visit`, in order, as its whole
+    /// frame — `len u32 | crc32 u32 | payload`, the payload at
+    /// `frame[FRAME_LEN..]` — sliced from the segment it was read from
+    /// once its checksum has been verified. A caller that keeps a record
+    /// framed (journal compaction) keeps these bytes and checksums
+    /// nothing again. An error from `visit` ends the walk and is
+    /// returned.
     ///
     /// # Errors
     ///
@@ -385,11 +389,11 @@ impl Wal {
             }
             let bytes = self.backend.read(&info.name)?;
             let mut seq = info.first_seq;
-            let (_, walk) = scan(&info.name, &bytes, |_, payload| {
+            let (_, walk) = scan(&info.name, &bytes, |offset, payload| {
                 let this = seq;
                 seq += 1;
                 if this >= from_seq {
-                    visit(this, payload)?;
+                    visit(this, &bytes[offset..offset + FRAME_LEN + payload.len()])?;
                 }
                 Ok(())
             })?;
@@ -712,7 +716,6 @@ impl SnapshotStore {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
-    use crate::segment::FRAME_LEN;
 
     fn mem_wal(segment_records: usize, durability: Durability) -> Wal {
         Wal::open(
@@ -934,12 +937,23 @@ mod tests {
         }
         for from in [0, 2, 3, 7, 8, 9] {
             let mut visited = Vec::new();
-            wal.visit_from(from, |seq, bytes| {
-                visited.push((seq, bytes.to_vec()));
+            wal.visit_from(from, |seq, frame| {
+                visited.push((seq, frame.to_vec()));
                 Ok(())
             })
             .unwrap();
-            assert_eq!(visited, wal.replay_from(from).unwrap(), "from {from}");
+            // Each is the frame `append` wrote around the payload.
+            let expected: Vec<(u64, Vec<u8>)> = wal
+                .replay_from(from)
+                .unwrap()
+                .into_iter()
+                .map(|(seq, payload)| {
+                    let mut frame = Vec::new();
+                    frame_record(&payload, &mut frame);
+                    (seq, frame)
+                })
+                .collect();
+            assert_eq!(visited, expected, "from {from}");
             assert_eq!(visited.len() as u64, 8u64.saturating_sub(from));
         }
         // The visitor's error ends the walk and comes back unchanged.
