@@ -120,7 +120,13 @@ impl Blockchain {
     /// The current tip header.
     #[must_use]
     pub fn tip_header(&self) -> &crate::block::BlockHeader {
-        &self.blocks[&self.tip].block.header
+        &self.tip_block().header
+    }
+
+    /// The current tip block.
+    #[must_use]
+    pub fn tip_block(&self) -> &Block {
+        &self.blocks[&self.tip].block
     }
 
     /// Looks a block up by hash.

@@ -8,6 +8,14 @@
 //! which security alerts reach the Logging Interfaces), and a host that
 //! executes main-chain blocks in order and re-executes deterministically
 //! after a reorg.
+//!
+//! Storage keys are byte strings ordered byte-lexicographically. Every
+//! key the workspace's contracts write is short (the monitor contract's
+//! longest is 14 bytes), so a key up to [`INLINE_KEY_LEN`] bytes is held
+//! inline, in the map and in the rollback journal alike: writing and
+//! journaling such a key allocates nothing, and a caller builds the key
+//! it looks up on the stack. A longer key is still accepted and lives on
+//! the heap.
 
 use crate::block::{Block, BlockHash};
 use crate::chain::Blockchain;
@@ -15,7 +23,10 @@ use crate::tx::TxId;
 use drams_crypto::schnorr::PublicKey;
 use drams_crypto::sha256::Digest;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// An event emitted by a contract during execution — DRAMS security
 /// alerts travel this way.
@@ -35,12 +46,80 @@ pub struct Event {
     pub tx_id: TxId,
 }
 
+/// Longest storage key held inline (see the module docs).
+pub const INLINE_KEY_LEN: usize = 22;
+
+/// A storage key: inline up to [`INLINE_KEY_LEN`] bytes, else boxed.
+/// Compares, orders and borrows as its bytes, so the map can be searched
+/// with a plain `&[u8]`.
+#[derive(Clone)]
+enum Key {
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_KEY_LEN],
+    },
+    Boxed(Box<[u8]>),
+}
+
+impl Key {
+    fn new(key: &[u8]) -> Self {
+        if key.len() > INLINE_KEY_LEN {
+            return Key::Boxed(key.into());
+        }
+        let mut bytes = [0u8; INLINE_KEY_LEN];
+        bytes[..key.len()].copy_from_slice(key);
+        Key::Inline {
+            len: key.len() as u8,
+            bytes,
+        }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Key::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Key::Boxed(bytes) => bytes,
+        }
+    }
+}
+
+impl Borrow<[u8]> for Key {
+    fn borrow(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Key {}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl std::fmt::Debug for Key {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:?}", self.as_slice())
+    }
+}
+
 /// Per-contract storage with an undo journal, so a failed transaction
 /// rolls back exactly its own writes.
 #[derive(Debug, Default)]
 pub struct Storage {
-    map: BTreeMap<Vec<u8>, Vec<u8>>,
-    journal: Vec<(Vec<u8>, Option<Vec<u8>>)>,
+    map: BTreeMap<Key, Vec<u8>>,
+    journal: Vec<(Key, Option<Vec<u8>>)>,
 }
 
 impl Storage {
@@ -51,25 +130,28 @@ impl Storage {
     }
 
     /// Writes a value, journaling the previous one.
-    pub fn insert(&mut self, key: Vec<u8>, value: Vec<u8>) {
+    pub fn insert(&mut self, key: &[u8], value: Vec<u8>) {
+        let key = Key::new(key);
         let old = self.map.insert(key.clone(), value);
         self.journal.push((key, old));
     }
 
-    /// Removes a value, journaling the previous one.
-    pub fn remove(&mut self, key: &[u8]) -> Option<Vec<u8>> {
+    /// Removes a value, journaling it; true when there was one.
+    pub fn remove(&mut self, key: &[u8]) -> bool {
         let old = self.map.remove(key);
-        self.journal.push((key.to_vec(), old.clone()));
-        old
+        let removed = old.is_some();
+        self.journal.push((Key::new(key), old));
+        removed
     }
 
-    /// Iterates over entries with a given key prefix.
+    /// Iterates over entries with a given key prefix, in byte order.
     pub fn scan_prefix<'a>(
         &'a self,
         prefix: &'a [u8],
-    ) -> impl Iterator<Item = (&'a Vec<u8>, &'a Vec<u8>)> + 'a {
+    ) -> impl Iterator<Item = (&'a [u8], &'a Vec<u8>)> + 'a {
         self.map
-            .range(prefix.to_vec()..)
+            .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
+            .map(|(k, v)| (k.as_slice(), v))
             .take_while(move |(k, _)| k.starts_with(prefix))
     }
 
@@ -96,7 +178,7 @@ impl Storage {
                     self.map.insert(key, v);
                 }
                 None => {
-                    self.map.remove(&key);
+                    self.map.remove(key.as_slice());
                 }
             }
         }
@@ -261,21 +343,41 @@ impl ContractHost {
 
     /// Brings contract state in sync with `chain`'s main chain.
     ///
-    /// If the executed prefix still matches, only the new suffix is
-    /// executed; after a reorg the whole state is deterministically rebuilt
-    /// from genesis.
+    /// Walks parent links from the tip down to the height of the last
+    /// executed block. If the main chain still runs through that block —
+    /// and so, its hash committing to its ancestors, through the whole
+    /// executed prefix — only the blocks above it are executed: a sync
+    /// costs what the new blocks cost, not the chain's height. After a
+    /// reorg past the executed tip the whole state is deterministically
+    /// rebuilt from genesis.
     pub fn sync_with(&mut self, chain: &Blockchain) {
-        let main = chain.main_chain_hashes();
-        let prefix_ok = self.executed.len() <= main.len()
-            && self.executed.iter().zip(main.iter()).all(|(a, b)| a == b);
-        if !prefix_ok {
-            self.reset();
+        let executed = self.executed.len() as u64;
+        // Main-chain hashes above the executed tip, newest first.
+        let mut new = Vec::new();
+        let mut hash = chain.tip_hash();
+        let mut height = chain.tip_header().height;
+        while height >= executed {
+            new.push(hash);
+            if height == 0 {
+                break;
+            }
+            hash = chain
+                .block(&hash)
+                .expect("main chain block exists")
+                .header
+                .parent;
+            height -= 1;
         }
-        let start = self.executed.len();
-        for hash in &main[start..] {
-            let block = chain.block(hash).expect("main chain block exists");
+        new.reverse();
+        if executed > 0 && self.executed.last() != Some(&hash) {
+            // The main chain no longer runs through the executed tip.
+            self.reset();
+            new = chain.main_chain_hashes();
+        }
+        for hash in new {
+            let block = chain.block(&hash).expect("main chain block exists");
             self.execute_block(block);
-            self.executed.push(*hash);
+            self.executed.push(hash);
         }
     }
 
@@ -366,8 +468,7 @@ impl SmartContract for KvStoreContract {
         match method {
             "put" => {
                 let seq = ctx.storage.len() as u64;
-                ctx.storage
-                    .insert(seq.to_be_bytes().to_vec(), payload.to_vec());
+                ctx.storage.insert(&seq.to_be_bytes(), payload.to_vec());
                 ctx.emit("stored", seq.to_be_bytes().to_vec());
                 Ok(())
             }
@@ -383,6 +484,7 @@ mod tests {
     use crate::chain::{Blockchain, ChainConfig};
     use crate::tx::Transaction;
     use drams_crypto::schnorr::Keypair;
+    use proptest::prelude::*;
 
     fn config() -> ChainConfig {
         ChainConfig {
@@ -467,27 +569,179 @@ mod tests {
         assert_eq!(host.executed_height(), Some(2));
     }
 
+    /// Stores each call's payload under its block height and counts its
+    /// executions, so a test sees exactly which blocks a sync ran.
+    struct Counting(std::sync::Arc<std::sync::atomic::AtomicU64>);
+
+    impl SmartContract for Counting {
+        fn name(&self) -> &str {
+            "counting"
+        }
+
+        fn execute(
+            &self,
+            ctx: &mut ExecutionContext<'_>,
+            _method: &str,
+            payload: &[u8],
+        ) -> Result<(), String> {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            ctx.storage
+                .insert(&ctx.block_height.to_be_bytes(), payload.to_vec());
+            Ok(())
+        }
+    }
+
+    fn counting_host() -> (ContractHost, std::sync::Arc<std::sync::atomic::AtomicU64>) {
+        let calls = std::sync::Arc::default();
+        let mut host = ContractHost::new();
+        host.register(Box::new(Counting(std::sync::Arc::clone(&calls))));
+        (host, calls)
+    }
+
+    fn call(kp: &Keypair, nonce: u64, payload: &[u8]) -> Vec<Transaction> {
+        vec![Transaction::new_signed(
+            kp,
+            nonce,
+            "counting",
+            "put",
+            payload.to_vec(),
+        )]
+    }
+
+    fn contents(host: &ContractHost) -> Vec<(Vec<u8>, Vec<u8>)> {
+        host.storage_of("counting")
+            .unwrap()
+            .scan_prefix(&[])
+            .map(|(k, v)| (k.to_vec(), v.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn linear_extension_executes_only_the_new_blocks() {
+        let mut chain = Blockchain::new(config());
+        let (mut host, calls) = counting_host();
+        let kp = Keypair::from_seed(b"host-tests");
+        let executed = || calls.load(std::sync::atomic::Ordering::Relaxed);
+        for nonce in 0..4 {
+            mine_with(&mut chain, call(&kp, nonce, b"x"), 1_000 + nonce);
+            host.sync_with(&chain);
+            assert_eq!(executed(), nonce + 1);
+        }
+        host.sync_with(&chain);
+        assert_eq!(executed(), 4, "nothing new, nothing executed");
+        mine_with(&mut chain, call(&kp, 4, b"y"), 2_000);
+        mine_with(&mut chain, call(&kp, 5, b"z"), 2_001);
+        host.sync_with(&chain);
+        assert_eq!(executed(), 6);
+        assert_eq!(host.executed_height(), Some(6));
+        assert_eq!(host.events().len(), 0);
+        assert_eq!(contents(&host).len(), 6);
+    }
+
+    #[test]
+    fn reorg_past_the_executed_tip_resets_and_replays_the_main_chain() {
+        let mut chain = Blockchain::new(config());
+        let (mut host, calls) = counting_host();
+        let kp = Keypair::from_seed(b"host-tests");
+        mine_with(&mut chain, call(&kp, 0, b"a1"), 1_000);
+        let abandoned = chain.tip_hash();
+        mine_with(&mut chain, call(&kp, 1, b"a2"), 1_001);
+        host.sync_with(&chain);
+        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 2);
+
+        // A heavier branch from the first block replaces the second.
+        let mut parent = abandoned;
+        for (height, payload) in [(2, b"b2"), (3, b"b3")] {
+            let block = Block::mine(parent, height, call(&kp, height - 1, payload), 5_000, 0);
+            parent = block.hash();
+            chain.import(block).unwrap();
+        }
+        assert_eq!(chain.tip_hash(), parent);
+        host.sync_with(&chain);
+        assert_eq!(
+            calls.load(std::sync::atomic::Ordering::Relaxed),
+            2 + 3,
+            "reset, then the whole main chain replayed"
+        );
+        let (mut fresh, _) = counting_host();
+        fresh.sync_with(&chain);
+        assert_eq!(contents(&host), contents(&fresh));
+        assert_eq!(host.executed_height(), Some(3));
+        assert_eq!(host.account_nonce(&kp.public()), 3);
+    }
+
     #[test]
     fn storage_journal_rolls_back_overwrites() {
         let mut s = Storage::default();
-        s.insert(b"k".to_vec(), b"v1".to_vec());
+        s.insert(b"k", b"v1".to_vec());
+        let long = [b'k'; INLINE_KEY_LEN + 9];
         s.begin_tx();
-        s.insert(b"k".to_vec(), b"v2".to_vec());
-        s.insert(b"k2".to_vec(), b"x".to_vec());
+        s.insert(b"k", b"v2".to_vec());
+        s.insert(b"k2", b"x".to_vec());
+        s.insert(&long, b"boxed".to_vec());
         s.remove(b"k");
         s.rollback();
         assert_eq!(s.get(b"k"), Some(&b"v1".to_vec()));
         assert_eq!(s.get(b"k2"), None);
+        assert_eq!(s.get(&long), None);
+        assert_eq!(s.len(), 1);
     }
 
     #[test]
     fn scan_prefix_is_ordered_and_bounded() {
         let mut s = Storage::default();
-        s.insert(b"a.1".to_vec(), b"1".to_vec());
-        s.insert(b"a.2".to_vec(), b"2".to_vec());
-        s.insert(b"b.1".to_vec(), b"3".to_vec());
+        s.insert(b"a.1", b"1".to_vec());
+        s.insert(b"a.2", b"2".to_vec());
+        s.insert(b"b.1", b"3".to_vec());
         let hits: Vec<_> = s.scan_prefix(b"a.").collect();
         assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0].1, &b"1".to_vec());
+        assert_eq!(hits[0], (&b"a.1"[..], &b"1".to_vec()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Inline and boxed keys together order, look up and scan exactly
+        /// as plain `Vec<u8>` keys do. Keys are drawn from a three-letter
+        /// alphabet, around the inline length, so they share prefixes,
+        /// prefix one another and straddle the inline/boxed boundary.
+        #[test]
+        fn keys_behave_as_byte_strings(
+            writes in prop::collection::vec(
+                (prop::collection::vec(0u8..3, 0..INLINE_KEY_LEN + 6), any::<bool>()),
+                0..48,
+            ),
+            prefix in prop::collection::vec(0u8..3, 0..5),
+        ) {
+            let byte = |k: Vec<u8>| -> Vec<u8> {
+                k.into_iter().map(|b| [b'a', 0x00, 0xff][usize::from(b)]).collect()
+            };
+            let mut s = Storage::default();
+            let mut reference: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+            for (i, (key, remove)) in writes.into_iter().enumerate() {
+                let key = byte(key);
+                if remove {
+                    prop_assert_eq!(s.remove(&key), reference.remove(&key).is_some());
+                } else {
+                    let value = i.to_be_bytes().to_vec();
+                    s.insert(&key, value.clone());
+                    reference.insert(key, value);
+                }
+            }
+            let prefix = byte(prefix);
+            let scanned: Vec<(Vec<u8>, Vec<u8>)> =
+                s.scan_prefix(&prefix).map(|(k, v)| (k.to_vec(), v.clone())).collect();
+            let expected: Vec<(Vec<u8>, Vec<u8>)> = reference
+                .iter()
+                .filter(|(k, _)| k.starts_with(&prefix))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            prop_assert_eq!(scanned, expected);
+            let all: Vec<Vec<u8>> = s.scan_prefix(&[]).map(|(k, _)| k.to_vec()).collect();
+            prop_assert_eq!(all, reference.keys().cloned().collect::<Vec<_>>());
+            for (key, value) in &reference {
+                prop_assert_eq!(s.get(key), Some(value));
+            }
+        }
     }
 }

@@ -191,13 +191,14 @@ impl Node {
 
     /// Mines one block from the mempool at the required difficulty,
     /// imports it and executes its transactions. Returns the block (also
-    /// when empty — DRAMS epochs advance on empty blocks too).
+    /// when empty — DRAMS epochs advance on empty blocks too) as the
+    /// chain now holds it: the new tip, since it extends the old one.
     ///
     /// # Errors
     ///
     /// Propagates import errors (which indicate a bug, since the node
     /// mines exactly what the chain requires).
-    pub fn mine_block(&mut self, timestamp_ms: u64) -> Result<Block, ChainError> {
+    pub fn mine_block(&mut self, timestamp_ms: u64) -> Result<&Block, ChainError> {
         let txs = self.mempool.take(self.chain.config().max_block_txs);
         let parent = self.chain.tip_hash();
         let height = self.chain.tip_header().height + 1;
@@ -212,9 +213,9 @@ impl Node {
             // block imports deterministically.
             journal.record_block(&block).map_err(ChainError::Journal)?;
         }
-        self.chain.import(block.clone())?;
+        self.chain.import(block)?;
         self.host.sync_with(&self.chain);
-        Ok(block)
+        Ok(self.chain.tip_block())
     }
 
     /// Imports a block received from a peer, pruning its transactions from
@@ -331,7 +332,7 @@ mod tests {
         miner
             .submit_call(&kp, "kvstore", "put", b"x".to_vec())
             .unwrap();
-        let block = miner.mine_block(1_000).unwrap();
+        let block = miner.mine_block(1_000).unwrap().clone();
         follower.receive_block(block).unwrap();
         assert_eq!(follower.chain().tip_hash(), miner.chain().tip_hash());
         assert_eq!(follower.events().len(), miner.events().len());

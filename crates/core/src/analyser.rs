@@ -15,9 +15,8 @@
 //! on-chain via `report_violation`.
 
 use crate::alert::{Alert, AlertKind};
-use crate::contract::{GROUP_COMPLETE_EVENT, MONITOR_CONTRACT};
-use crate::li::decrypt_entry_payload;
-use crate::logent::{LogEntry, ObservationPoint, ProbeId};
+use crate::contract::{entry_key, GROUP_COMPLETE_EVENT, MONITOR_CONTRACT};
+use crate::logent::{LogEntryRef, ObservationPoint, ProbeId};
 use drams_analysis::verify::{DecisionVerifier, Verdict, Violation};
 use drams_chain::node::Node;
 use drams_crypto::aead::SymmetricKey;
@@ -88,6 +87,21 @@ impl From<[u8; 32]> for ProbeMacKey {
     }
 }
 
+/// What a PEP-response probe seals: the envelope the PEP enforced, then
+/// one byte saying whether it granted access (1) or not.
+struct Enforcement {
+    envelope: ResponseEnvelope,
+    granted: bool,
+}
+
+impl Decode for Enforcement {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, drams_crypto::CryptoError> {
+        let envelope = ResponseEnvelope::decode(r)?;
+        let granted = r.get_u8()? == 1;
+        Ok(Enforcement { envelope, granted })
+    }
+}
+
 /// The DRAMS Analyser.
 pub struct Analyser {
     verifier: DecisionVerifier,
@@ -136,6 +150,9 @@ pub struct Analyser {
     history_retention: SimTime,
     /// Superseded policy versions dropped by the retention horizon.
     policy_history_retired: u64,
+    /// Decrypted payloads land here, one at a time: a poll reuses one
+    /// buffer for every payload it opens.
+    plaintext: Vec<u8>,
 }
 
 impl std::fmt::Debug for Analyser {
@@ -204,6 +221,7 @@ impl Analyser {
             groups_retired: 0,
             history_retention: 0,
             policy_history_retired: 0,
+            plaintext: Vec::new(),
         }
     }
 
@@ -737,84 +755,61 @@ impl Analyser {
         alerts
     }
 
-    fn load_entry(node: &Node, corr: CorrelationId, point: ObservationPoint) -> Option<LogEntry> {
+    /// Reads the four observations of a completed group from contract
+    /// storage, in [`ObservationPoint::ALL`] order, as views borrowing
+    /// their ciphertexts from it; `None` when any is missing or does not
+    /// decode (the group vanished — cannot happen on an honest chain).
+    fn load_group_entries(node: &Node, corr: CorrelationId) -> Option<[LogEntryRef<'_>; 4]> {
         let storage = node.host().storage_of(MONITOR_CONTRACT)?;
-        let mut key = Vec::with_capacity(16);
-        key.extend_from_slice(b"ent/");
-        key.extend_from_slice(&corr.0.to_be_bytes());
-        key.push(point.code());
-        let bytes = storage.get(&key)?;
-        LogEntry::from_canonical_bytes(bytes).ok()
-    }
-
-    /// Loads the four observation-point entries of a completed group from
-    /// contract storage; `None` when any is missing (group vanished —
-    /// cannot happen on an honest chain).
-    fn load_group_entries(
-        node: &Node,
-        corr: CorrelationId,
-    ) -> Option<BTreeMap<ObservationPoint, LogEntry>> {
-        let mut entries = BTreeMap::new();
-        for point in ObservationPoint::ALL {
-            entries.insert(point, Self::load_entry(node, corr, point)?);
-        }
-        Some(entries)
+        let load = |point| LogEntryRef::from_bytes(storage.get(&entry_key(corr, point))?).ok();
+        Some([
+            load(ObservationPoint::PepRequest)?,
+            load(ObservationPoint::PdpRequest)?,
+            load(ObservationPoint::PdpResponse)?,
+            load(ObservationPoint::PepResponse)?,
+        ])
     }
 
     /// Judges one loaded group: MAC verification, payload decryption, the
     /// formally-grounded re-evaluation and the enforcement cross-check.
+    /// A payload that does not decrypt or decode is itself a finding: the
+    /// probes seal well-formed envelopes, so anything else was forged or
+    /// damaged after them.
     fn judge_group(
-        &self,
+        &mut self,
         corr: CorrelationId,
-        entries: &BTreeMap<ObservationPoint, LogEntry>,
+        entries: &[LogEntryRef<'_>; 4],
         now: SimTime,
     ) -> Vec<Alert> {
         let mut alerts = Vec::new();
+        let compromise =
+            |detail: String| Alert::new(AlertKind::MonitorCompromise, corr, now, detail);
 
         // MAC verification: a compromised LI cannot alter entries without
         // breaking the probe MAC.
-        for entry in entries.values() {
+        for entry in entries {
             let valid = self
                 .probe_mac_keys
                 .get(&entry.probe)
                 .is_some_and(|k| entry.verify_mac_with(&k.keyed));
             if !valid {
-                alerts.push(Alert::new(
-                    AlertKind::MonitorCompromise,
-                    corr,
-                    now,
-                    format!("probe mac invalid on {} from {}", entry.point, entry.probe),
-                ));
+                alerts.push(compromise(format!(
+                    "probe mac invalid on {} from {}",
+                    entry.point, entry.probe
+                )));
             }
         }
 
         // Decrypt the PDP-side view: what the PDP decided about what it saw.
-        let request_entry = &entries[&ObservationPoint::PdpRequest];
-        let response_entry = &entries[&ObservationPoint::PdpResponse];
-        let pep_response_entry = &entries[&ObservationPoint::PepResponse];
-
-        let Ok(request_plain) = decrypt_entry_payload(&self.key, request_entry) else {
-            alerts.push(Alert::new(
-                AlertKind::MonitorCompromise,
-                corr,
-                now,
-                "pdp-request payload does not decrypt".to_string(),
-            ));
+        let [_, request_entry, response_entry, pep_response_entry] = entries;
+        let Some(request_env) =
+            self.open_payload::<RequestEnvelope>(request_entry, &mut alerts, compromise)
+        else {
             return alerts;
         };
-        let Ok(response_plain) = decrypt_entry_payload(&self.key, response_entry) else {
-            alerts.push(Alert::new(
-                AlertKind::MonitorCompromise,
-                corr,
-                now,
-                "pdp-response payload does not decrypt".to_string(),
-            ));
-            return alerts;
-        };
-        let Ok(request_env) = RequestEnvelope::from_canonical_bytes(&request_plain) else {
-            return alerts;
-        };
-        let Ok(response_env) = ResponseEnvelope::from_canonical_bytes(&response_plain) else {
+        let Some(response_env) =
+            self.open_payload::<ResponseEnvelope>(response_entry, &mut alerts, compromise)
+        else {
             return alerts;
         };
 
@@ -847,29 +842,50 @@ impl Analyser {
 
         // Enforcement cross-check: the PEP-side payload carries what the
         // PEP actually did.
-        if let Ok(pep_plain) = decrypt_entry_payload(&self.key, pep_response_entry) {
-            if let Some((&granted_byte, env_bytes)) = pep_plain.split_last() {
-                if let Ok(enforced_env) = ResponseEnvelope::from_canonical_bytes(env_bytes) {
-                    let granted = granted_byte == 1;
-                    // Deny-biased reference: only an explicit Permit grants.
-                    let should_grant = enforced_env.response.decision == Decision::Permit;
-                    if granted != should_grant {
-                        alerts.push(Alert::new(
-                            AlertKind::EnforcementMismatch,
-                            corr,
-                            now,
-                            format!(
-                                "decision {} but access {}",
-                                enforced_env.response.decision,
-                                if granted { "granted" } else { "refused" }
-                            ),
-                        ));
-                    }
-                }
-            }
+        let Some(Enforcement { envelope, granted }) =
+            self.open_payload(pep_response_entry, &mut alerts, compromise)
+        else {
+            return alerts;
+        };
+        // Deny-biased reference: only an explicit Permit grants.
+        let should_grant = envelope.response.decision == Decision::Permit;
+        if granted != should_grant {
+            alerts.push(Alert::new(
+                AlertKind::EnforcementMismatch,
+                corr,
+                now,
+                format!(
+                    "decision {} but access {}",
+                    envelope.response.decision,
+                    if granted { "granted" } else { "refused" }
+                ),
+            ));
         }
-
         alerts
+    }
+
+    /// Decrypts and decodes the envelope an entry's probe sealed; raises
+    /// a [`AlertKind::MonitorCompromise`] naming the point and returns
+    /// `None` when either step fails.
+    fn open_payload<T: Decode>(
+        &mut self,
+        entry: &LogEntryRef<'_>,
+        alerts: &mut Vec<Alert>,
+        compromise: impl Fn(String) -> Alert,
+    ) -> Option<T> {
+        let point = entry.point;
+        if entry
+            .open_payload_into(&self.key, &mut self.plaintext)
+            .is_err()
+        {
+            alerts.push(compromise(format!("{point} payload does not decrypt")));
+            return None;
+        }
+        let decoded = T::from_canonical_bytes(&self.plaintext).ok();
+        if decoded.is_none() {
+            alerts.push(compromise(format!("{point} payload does not decode")));
+        }
+        decoded
     }
 }
 
@@ -2232,8 +2248,123 @@ mod tests {
         assert!(matches!(err, StoreError::NotFound(_)));
     }
 
+    /// Runs an honest, permitted doctor group in which the entry at
+    /// `point` carries `plaintext` sealed under `key` instead of its
+    /// envelope, MAC'd by its own probe: only the payload is wrong.
+    /// Returns what the Analyser raises.
+    fn poll_group_with_payload(
+        point: ObservationPoint,
+        key: &SymmetricKey,
+        plaintext: &[u8],
+    ) -> Vec<Alert> {
+        let mut r = rig();
+        let corr = CorrelationId(30);
+        let req_env = RequestEnvelope {
+            correlation: corr,
+            tenant: TenantId(1),
+            pep: PepId(1),
+            service: "svc".into(),
+            request: Request::builder().subject("role", "doctor").build(),
+            issued_at: 100,
+        };
+        let resp_env = ResponseEnvelope {
+            correlation: corr,
+            pep: PepId(1),
+            response: honest_response("doctor"),
+            policy_version: policy().version_digest(),
+            decided_at: 200,
+        };
+        let mut entries = [
+            r.pep_probe
+                .observe_request(ObservationPoint::PepRequest, &req_env, 100),
+            r.pdp_probe
+                .observe_request(ObservationPoint::PdpRequest, &req_env, 150),
+            r.pdp_probe.observe_pdp_response(&resp_env, 200),
+            r.pep_probe.observe_pep_response(&resp_env, true, 250),
+        ];
+        let entry = &mut entries[usize::from(point.code())];
+        let aad = crate::logent::payload_aad(entry.correlation, entry.point, &entry.digest);
+        entry.sealed_payload = drams_crypto::aead::seal(key, [7; 12], &aad, plaintext);
+        let mac_key = if entry.probe == ProbeId(1) {
+            [11; 32]
+        } else {
+            [22; 32]
+        };
+        entry.probe_mac = entry.compute_mac(&mac_key);
+        let li = Keypair::from_seed(b"li");
+        for e in &entries {
+            r.node
+                .submit_call(&li, MONITOR_CONTRACT, "store_log", e.to_canonical_bytes())
+                .unwrap();
+        }
+        r.node.mine_block(1_000).unwrap();
+        r.analyser.poll(&mut r.node, 2_000)
+    }
+
+    /// A payload that authenticates but is not what its probe seals is a
+    /// finding at every point, never a silent skip: each case raises one
+    /// `MonitorCompromise` naming the point.
+    #[test]
+    fn well_macd_garbage_payloads_are_monitor_compromise() {
+        use ObservationPoint::{PdpRequest, PdpResponse, PepResponse};
+        let federation = SymmetricKey::from_bytes([3; 32]);
+        let foreign = SymmetricKey::from_bytes([4; 32]);
+        let cases: [(ObservationPoint, &SymmetricKey, &[u8], &str); 6] = [
+            (
+                PdpRequest,
+                &federation,
+                b"garbage",
+                "pdp-request payload does not decode",
+            ),
+            (
+                PdpResponse,
+                &federation,
+                b"garbage",
+                "pdp-response payload does not decode",
+            ),
+            (
+                PepResponse,
+                &federation,
+                b"garbage",
+                "pep-response payload does not decode",
+            ),
+            (
+                PepResponse,
+                &federation,
+                b"",
+                "pep-response payload does not decode",
+            ),
+            (
+                PepResponse,
+                &foreign,
+                b"\x01",
+                "pep-response payload does not decrypt",
+            ),
+            (
+                PdpRequest,
+                &foreign,
+                b"\x01",
+                "pdp-request payload does not decrypt",
+            ),
+        ];
+        for (point, key, plaintext, detail) in cases {
+            let alerts = poll_group_with_payload(point, key, plaintext);
+            assert_eq!(
+                alerts,
+                [Alert::new(
+                    AlertKind::MonitorCompromise,
+                    CorrelationId(30),
+                    2_000,
+                    detail
+                )],
+                "{point} carrying {plaintext:?}"
+            );
+        }
+    }
+
     #[test]
     fn key_isolation_from_payload() {
+        use crate::li::decrypt_entry_payload;
         // sanity: rig key decrypts, foreign key does not
         let mut r = rig();
         let env = RequestEnvelope {

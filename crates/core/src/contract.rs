@@ -16,9 +16,20 @@
 //! 4. **Violation registry** — the (authorised) Analyser records its
 //!    `PolicyViolation` / `EnforcementMismatch` / `MonitorCompromise`
 //!    findings on-chain, making them non-repudiable.
+//!
+//! Every node runs this contract on every entry, so the per-entry path
+//! copies nothing it does not keep. Entries are decoded as
+//! [`LogEntryRef`]s, borrowing their ciphertext from the payload; the
+//! value stored for an entry is its exact span of the payload, which the
+//! canonical codec makes equal to its re-encoding; the duplicate and
+//! sibling checks read a stored entry's digest in place
+//! ([`LogEntry::stored_digest`]); and storage keys are fixed-size arrays
+//! built on the stack (`ent/` + correlation + point, `grp/` +
+//! correlation, `open/` + correlation), which contract storage holds
+//! inline.
 
 use crate::alert::{Alert, AlertKind};
-use crate::logent::{LogEntry, ObservationPoint};
+use crate::logent::{LogEntry, LogEntryRef, ObservationPoint};
 use drams_chain::contract::{ExecutionContext, SmartContract};
 use drams_crypto::codec::{Decode, Encode, Reader, Writer};
 use drams_crypto::sha256::Digest;
@@ -77,26 +88,28 @@ impl GroupState {
     }
 }
 
-fn entry_key(correlation: CorrelationId, point: ObservationPoint) -> Vec<u8> {
-    let mut k = Vec::with_capacity(16);
-    k.extend_from_slice(b"ent/");
-    k.extend_from_slice(&correlation.0.to_be_bytes());
-    k.push(point.code());
+/// `tag` followed by `id` big-endian, in a stack buffer of `N` bytes.
+fn tagged_key<const N: usize>(tag: &[u8], id: u64) -> [u8; N] {
+    let mut k = [0u8; N];
+    k[..tag.len()].copy_from_slice(tag);
+    k[tag.len()..tag.len() + 8].copy_from_slice(&id.to_be_bytes());
     k
 }
 
-fn group_key(correlation: CorrelationId) -> Vec<u8> {
-    let mut k = Vec::with_capacity(12);
-    k.extend_from_slice(b"grp/");
-    k.extend_from_slice(&correlation.0.to_be_bytes());
+/// Where one observation of a group is stored: `ent/`, the correlation
+/// id and the point's code.
+pub(crate) fn entry_key(correlation: CorrelationId, point: ObservationPoint) -> [u8; 13] {
+    let mut k = tagged_key(b"ent/", correlation.0);
+    k[12] = point.code();
     k
 }
 
-fn open_key(correlation: CorrelationId) -> Vec<u8> {
-    let mut k = Vec::with_capacity(13);
-    k.extend_from_slice(b"open/");
-    k.extend_from_slice(&correlation.0.to_be_bytes());
-    k
+fn group_key(correlation: CorrelationId) -> [u8; 12] {
+    tagged_key(b"grp/", correlation.0)
+}
+
+fn open_key(correlation: CorrelationId) -> [u8; 13] {
+    tagged_key(b"open/", correlation.0)
 }
 
 impl MonitorContract {
@@ -118,16 +131,14 @@ impl MonitorContract {
         let analyser = Digest::decode(&mut r).map_err(|e| e.to_string())?;
         r.finish().map_err(|e| e.to_string())?;
         ctx.storage
-            .insert(b"cfg/timeout".to_vec(), timeout.to_be_bytes().to_vec());
+            .insert(b"cfg/timeout", timeout.to_be_bytes().to_vec());
         ctx.storage
-            .insert(b"cfg/analyser".to_vec(), analyser.as_bytes().to_vec());
+            .insert(b"cfg/analyser", analyser.as_bytes().to_vec());
         // The initialising sender becomes the contract admin — the only
         // party allowed to retune the epoch timeout later (degraded-mode
         // widening during declared fault windows).
-        ctx.storage.insert(
-            b"cfg/admin".to_vec(),
-            ctx.sender_address().as_bytes().to_vec(),
-        );
+        let admin = ctx.sender_address();
+        ctx.storage.insert(b"cfg/admin", admin.as_bytes().to_vec());
         Ok(())
     }
 
@@ -155,7 +166,7 @@ impl MonitorContract {
             return Err("timeout must be positive".into());
         }
         ctx.storage
-            .insert(b"cfg/timeout".to_vec(), timeout.to_be_bytes().to_vec());
+            .insert(b"cfg/timeout", timeout.to_be_bytes().to_vec());
         Ok(())
     }
 
@@ -163,20 +174,29 @@ impl MonitorContract {
         ctx.emit(alert.kind.event_name(), alert.to_canonical_bytes());
     }
 
-    fn store_entry(ctx: &mut ExecutionContext<'_>, entry: &LogEntry) -> Result<(), String> {
+    /// Stores one observation and runs the checks it completes. `bytes`
+    /// is the entry's canonical encoding as it lies in the payload.
+    fn store_entry(
+        ctx: &mut ExecutionContext<'_>,
+        entry: &LogEntryRef<'_>,
+        bytes: &[u8],
+    ) -> Result<(), String> {
         let now = ctx.timestamp_ms;
         // A retired group already went through every check and had its
         // evidence pruned; late duplicates are idempotent no-ops.
-        if let Some(bytes) = ctx.storage.get(&group_key(entry.correlation)) {
-            if GroupState::decode(bytes)?.flags & FLAG_RETIRED != 0 {
-                return Ok(());
-            }
+        let gkey = group_key(entry.correlation);
+        let stored_group = ctx
+            .storage
+            .get(&gkey)
+            .map(|b| GroupState::decode(b))
+            .transpose()?;
+        if stored_group.is_some_and(|g| g.flags & FLAG_RETIRED != 0) {
+            return Ok(());
         }
         let ekey = entry_key(entry.correlation, entry.point);
-        if let Some(existing_bytes) = ctx.storage.get(&ekey).cloned() {
-            let existing =
-                LogEntry::from_canonical_bytes(&existing_bytes).map_err(|e| e.to_string())?;
-            if existing.digest != entry.digest {
+        if let Some(existing) = ctx.storage.get(&ekey) {
+            let stored = LogEntry::stored_digest(existing).map_err(|e| e.to_string())?;
+            if stored != entry.digest {
                 Self::emit_alert(
                     ctx,
                     &Alert::new(
@@ -185,7 +205,7 @@ impl MonitorContract {
                         now,
                         format!(
                             "point {} resubmitted with digest {} (stored {})",
-                            entry.point, entry.digest, existing.digest
+                            entry.point, entry.digest, stored
                         ),
                     ),
                 );
@@ -194,20 +214,16 @@ impl MonitorContract {
             // append-only evidence.
             return Ok(());
         }
-        ctx.storage.insert(ekey, entry.to_canonical_bytes());
+        ctx.storage.insert(&ekey, bytes.to_vec());
 
-        let gkey = group_key(entry.correlation);
-        let mut group = match ctx.storage.get(&gkey) {
-            Some(bytes) => GroupState::decode(bytes)?,
-            None => {
-                ctx.storage.insert(open_key(entry.correlation), Vec::new());
-                GroupState {
-                    first_seen: now,
-                    mask: 0,
-                    flags: 0,
-                }
+        let mut group = stored_group.unwrap_or_else(|| {
+            ctx.storage.insert(&open_key(entry.correlation), Vec::new());
+            GroupState {
+                first_seen: now,
+                mask: 0,
+                flags: 0,
             }
-        };
+        });
         group.mask |= entry.point.bit();
 
         // Checks 1 and 2: the request digests (PEP sent, PDP received) and
@@ -238,7 +254,7 @@ impl MonitorContract {
             sender
         };
         if group.mask & sibling.bit() != 0 {
-            let stored = Self::load_entry(ctx, entry.correlation, sibling)?.digest;
+            let stored = Self::stored_digest(ctx, entry.correlation, sibling)?;
             let (sent, received) = if entry.point == sender {
                 (entry.digest, stored)
             } else {
@@ -262,24 +278,26 @@ impl MonitorContract {
         if group.is_complete() && group.flags & FLAG_CLOSED == 0 {
             group.flags |= FLAG_CLOSED;
             ctx.storage.remove(&open_key(entry.correlation));
-            let mut w = Writer::new();
-            w.put_u64(entry.correlation.0);
-            ctx.emit(GROUP_COMPLETE_EVENT, w.into_bytes());
+            ctx.emit(
+                GROUP_COMPLETE_EVENT,
+                entry.correlation.0.to_be_bytes().to_vec(),
+            );
         }
-        ctx.storage.insert(gkey, group.encode());
+        ctx.storage.insert(&gkey, group.encode());
         Ok(())
     }
 
-    fn load_entry(
+    /// The digest of a stored observation, read in place.
+    fn stored_digest(
         ctx: &ExecutionContext<'_>,
         correlation: CorrelationId,
         point: ObservationPoint,
-    ) -> Result<LogEntry, String> {
+    ) -> Result<Digest, String> {
         let bytes = ctx
             .storage
             .get(&entry_key(correlation, point))
             .ok_or_else(|| format!("entry {correlation}/{point} missing"))?;
-        LogEntry::from_canonical_bytes(bytes).map_err(|e| e.to_string())
+        LogEntry::stored_digest(bytes).map_err(|e| e.to_string())
     }
 
     fn handle_advance_epoch(ctx: &mut ExecutionContext<'_>) -> Result<(), String> {
@@ -325,7 +343,7 @@ impl MonitorContract {
             }
             group.flags |= FLAG_CLOSED;
             ctx.storage.remove(&open_key(corr));
-            ctx.storage.insert(gkey, group.encode());
+            ctx.storage.insert(&gkey, group.encode());
         }
         Ok(())
     }
@@ -372,7 +390,7 @@ impl MonitorContract {
                 ctx.storage.remove(&entry_key(corr, point));
             }
             group.flags |= FLAG_RETIRED;
-            ctx.storage.insert(gkey, group.encode());
+            ctx.storage.insert(&gkey, group.encode());
         }
         r.finish().map_err(|e| e.to_string())?;
         Ok(())
@@ -393,9 +411,8 @@ impl MonitorContract {
         let alert = Alert::from_canonical_bytes(payload).map_err(|e| e.to_string())?;
         // Persist under a sequence number for auditability.
         let seq = ctx.storage.scan_prefix(b"alert/").count() as u64;
-        let mut key = b"alert/".to_vec();
-        key.extend_from_slice(&seq.to_be_bytes());
-        ctx.storage.insert(key, payload.to_vec());
+        let key: [u8; 14] = tagged_key(b"alert/", seq);
+        ctx.storage.insert(&key, payload.to_vec());
         Self::emit_alert(ctx, &alert);
         Ok(())
     }
@@ -415,15 +432,16 @@ impl SmartContract for MonitorContract {
         match method {
             "init" => Self::handle_init(ctx, payload),
             "store_log" => {
-                let entry = LogEntry::from_canonical_bytes(payload).map_err(|e| e.to_string())?;
-                Self::store_entry(ctx, &entry)
+                let entry = LogEntryRef::from_bytes(payload).map_err(|e| e.to_string())?;
+                Self::store_entry(ctx, &entry, payload)
             }
             "store_log_batch" => {
                 let mut r = Reader::new(payload);
                 let n = r.get_varint().map_err(|e| e.to_string())? as usize;
                 for _ in 0..n {
-                    let entry = LogEntry::decode(&mut r).map_err(|e| e.to_string())?;
-                    Self::store_entry(ctx, &entry)?;
+                    let (entry, bytes) =
+                        LogEntryRef::decode_spanned(&mut r).map_err(|e| e.to_string())?;
+                    Self::store_entry(ctx, &entry, bytes)?;
                 }
                 r.finish().map_err(|e| e.to_string())?;
                 Ok(())

@@ -6,13 +6,18 @@
 //! per tenant (Figure 1); it batches probe observations, signs them as
 //! blockchain transactions, and decrypts stored payloads for authorised
 //! consumers (the Analyser).
+//!
+//! With a backlog WAL attached, every entry is encoded into one scratch
+//! [`Writer`] the LI keeps, and journaled from there: write-ahead costs
+//! no allocation per entry once the scratch buffer has grown to the
+//! largest entry.
 
 use crate::contract::{encode_batch_into, MONITOR_CONTRACT};
 use crate::logent::LogEntry;
 use drams_chain::error::ChainError;
 use drams_chain::node::Node;
 use drams_chain::tx::TxId;
-use drams_crypto::aead::{open, SymmetricKey};
+use drams_crypto::aead::SymmetricKey;
 use drams_crypto::codec::{Decode, Encode, Writer};
 use drams_crypto::schnorr::Keypair;
 use drams_crypto::CryptoError;
@@ -52,6 +57,8 @@ pub struct LoggingInterface {
     spilled: usize,
     /// Most entries ever resident at once (capacity diagnostics).
     peak_resident: usize,
+    /// Where each entry is encoded for the backlog WAL.
+    record: Writer,
 }
 
 impl LoggingInterface {
@@ -85,6 +92,7 @@ impl LoggingInterface {
             resident_cap: usize::MAX,
             spilled: 0,
             peak_resident: 0,
+            record: Writer::new(),
         }
     }
 
@@ -218,7 +226,9 @@ impl LoggingInterface {
         if let Some(wal) = &mut self.backlog {
             // Write-ahead: the entry is durable (per the WAL's
             // durability policy) before the buffer accepts it.
-            wal.append(&entry.to_canonical_bytes())
+            self.record.clear();
+            entry.encode(&mut self.record);
+            wal.append(self.record.as_bytes())
                 .map_err(|e| ChainError::Journal(e.to_string()))?;
         }
         if self.backlog.is_some() && self.buffer.len() >= self.resident_cap {
@@ -338,11 +348,9 @@ fn unconsumed(wal: &Wal) -> Result<Vec<LogEntry>, StoreError> {
 ///
 /// [`CryptoError::InvalidTag`] on tamper or wrong key.
 pub fn decrypt_entry_payload(key: &SymmetricKey, entry: &LogEntry) -> Result<Vec<u8>, CryptoError> {
-    let mut aad = Vec::with_capacity(41);
-    aad.extend_from_slice(&entry.correlation.0.to_be_bytes());
-    aad.push(entry.point.code());
-    aad.extend_from_slice(entry.digest.as_bytes());
-    open(key, &aad, &entry.sealed_payload)
+    let mut plaintext = Vec::new();
+    entry.view().open_payload_into(key, &mut plaintext)?;
+    Ok(plaintext)
 }
 
 #[cfg(test)]

@@ -7,13 +7,13 @@
 //! for the Analyser, and a MAC under a key the probe obtained from its
 //! tenant's TPM (so the Logging Interface never holds it).
 
-use crate::logent::{LogEntry, ObservationPoint, ProbeId};
+use crate::logent::{payload_aad, LogEntry, ObservationPoint, ProbeId};
 use drams_crypto::aead::{seal, SymmetricKey};
-use drams_crypto::codec::Encode;
+use drams_crypto::codec::{Encode, Writer};
 use drams_crypto::hmac::HmacKey;
 use drams_crypto::sha256::Digest;
 use drams_faas::des::SimTime;
-use drams_faas::msg::{RequestEnvelope, ResponseEnvelope};
+use drams_faas::msg::{CorrelationId, RequestEnvelope, ResponseEnvelope};
 
 /// A probing agent attached to one monitored component.
 #[derive(Debug)]
@@ -25,6 +25,9 @@ pub struct Probe {
     /// every observation the probe will make.
     mac_key: HmacKey,
     sequence: u64,
+    /// Where each observed envelope is encoded, to be hashed and sealed:
+    /// kept, so an observation allocates only the entry it returns.
+    plaintext: Writer,
 }
 
 impl Probe {
@@ -36,6 +39,7 @@ impl Probe {
             payload_key,
             mac_key: HmacKey::new(&mac_key),
             sequence: 0,
+            plaintext: Writer::new(),
         }
     }
 
@@ -60,22 +64,28 @@ impl Probe {
         nonce
     }
 
-    fn build_entry(
+    /// Builds the entry for one observed envelope: its digest, the
+    /// envelope sealed — followed by the enforcement flag, when there is
+    /// one — and the probe MAC.
+    fn observe(
         &mut self,
-        correlation: drams_faas::msg::CorrelationId,
+        correlation: CorrelationId,
         point: ObservationPoint,
-        digest: Digest,
+        envelope: &impl Encode,
         policy_version: Option<Digest>,
-        plaintext: &[u8],
+        granted: Option<bool>,
         observed_at: SimTime,
     ) -> LogEntry {
+        self.plaintext.clear();
+        envelope.encode(&mut self.plaintext);
+        let digest = Digest::of(self.plaintext.as_bytes());
+        if let Some(granted) = granted {
+            self.plaintext.put_u8(u8::from(granted));
+        }
         let nonce = self.next_nonce();
         // AAD binds the ciphertext to its header fields.
-        let mut aad = Vec::with_capacity(64);
-        aad.extend_from_slice(&correlation.0.to_be_bytes());
-        aad.push(point.code());
-        aad.extend_from_slice(digest.as_bytes());
-        let sealed_payload = seal(&self.payload_key, nonce, &aad, plaintext);
+        let aad = payload_aad(correlation, point, &digest);
+        let sealed_payload = seal(&self.payload_key, nonce, &aad, self.plaintext.as_bytes());
         let mut entry = LogEntry {
             correlation,
             point,
@@ -103,14 +113,12 @@ impl Probe {
             point,
             ObservationPoint::PepRequest | ObservationPoint::PdpRequest
         ));
-        let bytes = envelope.to_canonical_bytes();
-        let digest = Digest::of(&bytes);
-        self.build_entry(
+        self.observe(
             envelope.correlation,
             point,
-            digest,
+            envelope,
             None,
-            &bytes,
+            None,
             observed_at,
         )
     }
@@ -121,14 +129,12 @@ impl Probe {
         envelope: &ResponseEnvelope,
         observed_at: SimTime,
     ) -> LogEntry {
-        let bytes = envelope.to_canonical_bytes();
-        let digest = Digest::of(&bytes);
-        self.build_entry(
+        self.observe(
             envelope.correlation,
             ObservationPoint::PdpResponse,
-            digest,
+            envelope,
             Some(envelope.policy_version),
-            &bytes,
+            None,
             observed_at,
         )
     }
@@ -144,16 +150,12 @@ impl Probe {
         granted: bool,
         observed_at: SimTime,
     ) -> LogEntry {
-        let bytes = envelope.to_canonical_bytes();
-        let digest = Digest::of(&bytes);
-        let mut plaintext = bytes;
-        plaintext.push(u8::from(granted));
-        self.build_entry(
+        self.observe(
             envelope.correlation,
             ObservationPoint::PepResponse,
-            digest,
+            envelope,
             Some(envelope.policy_version),
-            &plaintext,
+            Some(granted),
             observed_at,
         )
     }
@@ -163,7 +165,6 @@ impl Probe {
 mod tests {
     use super::*;
     use drams_faas::model::{PepId, TenantId};
-    use drams_faas::msg::CorrelationId;
     use drams_policy::attr::Request;
     use drams_policy::decision::{ExtDecision, Response};
 

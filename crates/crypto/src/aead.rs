@@ -142,11 +142,41 @@ pub fn seal(key: &SymmetricKey, nonce: [u8; 12], aad: &[u8], plaintext: &[u8]) -
 /// Returns [`CryptoError::InvalidTag`] if the tag does not verify — i.e. the
 /// ciphertext, nonce or AAD was tampered with, or the wrong key was used.
 pub fn open(key: &SymmetricKey, aad: &[u8], sealed: &SealedBox) -> Result<Vec<u8>, CryptoError> {
-    let expected = key.tag(&sealed.nonce, aad, &sealed.ciphertext);
-    if !ct_eq(expected.as_bytes(), sealed.tag.as_bytes()) {
+    let mut plaintext = Vec::new();
+    open_into(
+        key,
+        aad,
+        &sealed.nonce,
+        &sealed.ciphertext,
+        &sealed.tag,
+        &mut plaintext,
+    )?;
+    Ok(plaintext)
+}
+
+/// [`open`] over a sealed box's parts where they lie, decrypting into
+/// `plaintext` — cleared first, its capacity kept — so a caller opening
+/// many boxes reuses one buffer.
+///
+/// # Errors
+///
+/// As [`open`]; `plaintext` is then left empty.
+pub fn open_into(
+    key: &SymmetricKey,
+    aad: &[u8],
+    nonce: &[u8; 12],
+    ciphertext: &[u8],
+    tag: &Digest,
+    plaintext: &mut Vec<u8>,
+) -> Result<(), CryptoError> {
+    plaintext.clear();
+    let expected = key.tag(nonce, aad, ciphertext);
+    if !ct_eq(expected.as_bytes(), tag.as_bytes()) {
         return Err(CryptoError::InvalidTag);
     }
-    Ok(ChaCha20::new(&key.enc_key, &sealed.nonce, 1).process(&sealed.ciphertext))
+    plaintext.extend_from_slice(ciphertext);
+    ChaCha20::new(&key.enc_key, nonce, 1).apply_keystream(plaintext);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -247,6 +277,24 @@ mod tests {
         let (opening, opened) = count_compressions(|| open(&key, &aad, &sealed));
         assert_eq!([first, second, opening], [tag_cost; 3]);
         assert_eq!(opened.unwrap(), plaintext);
+    }
+
+    #[test]
+    fn open_into_reuses_the_buffer_and_clears_it_on_failure() {
+        let sealed = seal(&key(), [1; 12], b"hdr", b"a longer payload");
+        let mut buf = Vec::new();
+        let (n, c, t) = (&sealed.nonce, &sealed.ciphertext, &sealed.tag);
+        open_into(&key(), b"hdr", n, c, t, &mut buf).unwrap();
+        assert_eq!(buf, b"a longer payload");
+        let short = seal(&key(), [2; 12], b"hdr", b"short");
+        let (n, c, t) = (&short.nonce, &short.ciphertext, &short.tag);
+        open_into(&key(), b"hdr", n, c, t, &mut buf).unwrap();
+        assert_eq!(buf, b"short");
+        assert_eq!(
+            open_into(&key(), b"other", n, c, t, &mut buf),
+            Err(CryptoError::InvalidTag)
+        );
+        assert!(buf.is_empty());
     }
 
     #[test]

@@ -95,16 +95,9 @@ impl Writer {
     }
 
     /// Appends an unsigned LEB128 varint.
-    pub fn put_varint(&mut self, mut v: u64) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf.push(byte);
-                break;
-            }
-            self.buf.push(byte | 0x80);
-        }
+    pub fn put_varint(&mut self, v: u64) {
+        let (bytes, len) = varint(v);
+        self.buf.extend_from_slice(&bytes[..len]);
     }
 
     /// Appends length-prefixed raw bytes.
@@ -123,6 +116,18 @@ impl Writer {
         self.put_bytes(v.as_bytes());
     }
 
+    /// The bytes written so far.
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forgets the bytes written so far and keeps the buffer, so a writer
+    /// held across calls encodes each value without allocating again.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Number of bytes written so far.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -139,6 +144,28 @@ impl Writer {
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+}
+
+/// Longest unsigned LEB128 varint: ten bytes for a `u64`.
+pub const MAX_VARINT_LEN: usize = 10;
+
+/// `v` as an unsigned LEB128 varint, the bytes [`Writer::put_varint`]
+/// appends, in a stack buffer: the buffer and how many of its bytes the
+/// encoding uses.
+#[must_use]
+pub fn varint(mut v: u64) -> ([u8; MAX_VARINT_LEN], usize) {
+    let mut bytes = [0u8; MAX_VARINT_LEN];
+    let mut len = 0;
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            bytes[len] = byte;
+            return (bytes, len + 1);
+        }
+        bytes[len] = byte | 0x80;
+        len += 1;
     }
 }
 
@@ -244,15 +271,26 @@ impl<'a> Reader<'a> {
 
     /// Reads length-prefixed bytes.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, CryptoError> {
+        self.get_bytes_ref().map(<[u8]>::to_vec)
+    }
+
+    /// Reads length-prefixed bytes where they lie in the input, copying
+    /// nothing.
+    pub fn get_bytes_ref(&mut self) -> Result<&'a [u8], CryptoError> {
         let len = self.get_varint()? as usize;
-        self.get_raw(len)
+        self.get_slice(len)
     }
 
     /// Reads `n` raw bytes (no length prefix).
     pub fn get_raw(&mut self, n: usize) -> Result<Vec<u8>, CryptoError> {
+        self.get_slice(n).map(<[u8]>::to_vec)
+    }
+
+    /// Reads `n` raw bytes where they lie in the input, copying nothing.
+    pub fn get_slice(&mut self, n: usize) -> Result<&'a [u8], CryptoError> {
         self.need(n)?;
-        let out = self.buf[..n].to_vec();
-        self.advance(n);
+        let (out, rest) = self.buf.split_at(n);
+        self.buf = rest;
         Ok(out)
     }
 
@@ -288,6 +326,12 @@ impl<'a> Reader<'a> {
     #[must_use]
     pub fn remaining(&self) -> usize {
         self.buf.len()
+    }
+
+    /// The unread input.
+    #[must_use]
+    pub fn rest(&self) -> &'a [u8] {
+        self.buf
     }
 
     /// Asserts that the input was fully consumed (canonicality: no
@@ -471,6 +515,41 @@ mod tests {
             assert_eq!(r.get_varint().unwrap(), v);
             r.finish().unwrap();
         }
+    }
+
+    #[test]
+    fn stack_varint_is_the_appended_varint() {
+        for v in [
+            0u64,
+            1,
+            127,
+            128,
+            16_383,
+            16_384,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ] {
+            let mut w = Writer::new();
+            w.put_varint(v);
+            let (bytes, len) = varint(v);
+            assert_eq!(&bytes[..len], w.as_bytes(), "{v}");
+        }
+        assert_eq!(varint(u64::MAX).1, MAX_VARINT_LEN);
+    }
+
+    #[test]
+    fn borrowed_reads_point_into_the_input() {
+        let mut w = Writer::new();
+        w.put_bytes(b"ciphertext");
+        w.put_raw(b"tag");
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let ct = r.get_bytes_ref().unwrap();
+        assert_eq!(ct, b"ciphertext");
+        assert_eq!(ct.as_ptr(), bytes[1..].as_ptr());
+        assert_eq!(r.get_slice(3).unwrap(), b"tag");
+        assert!(r.get_slice(1).is_err());
+        r.finish().unwrap();
     }
 
     #[test]

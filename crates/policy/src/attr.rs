@@ -10,6 +10,7 @@ use drams_crypto::CryptoError;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// XACML attribute category.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -225,6 +226,12 @@ impl From<bool> for AttributeValue {
 /// is deterministic — the monitor contract compares request digests across
 /// probes, which requires byte-identical encodings.
 ///
+/// The map is shared copy-on-write: cloning a request — as the PEP does
+/// to keep an in-flight copy for retransmission, and as every envelope
+/// clone does — costs a reference count, and [`Request::add`] copies the
+/// map only when another clone still shares it. A request is a value all
+/// the same: a change to one clone is never seen by another.
+///
 /// # Example
 ///
 /// ```
@@ -240,7 +247,7 @@ impl From<bool> for AttributeValue {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Request {
-    attributes: BTreeMap<AttributeId, Vec<AttributeValue>>,
+    attributes: Arc<BTreeMap<AttributeId, Vec<AttributeValue>>>,
 }
 
 impl Request {
@@ -265,7 +272,7 @@ impl Request {
         name: impl Into<String>,
         value: impl Into<AttributeValue>,
     ) {
-        self.attributes
+        Arc::make_mut(&mut self.attributes)
             .entry(AttributeId::new(category, name))
             .or_default()
             .push(value.into());
@@ -413,7 +420,7 @@ impl Decode for AttributeId {
 impl Encode for Request {
     fn encode(&self, w: &mut Writer) {
         w.put_varint(self.attributes.len() as u64);
-        for (id, bag) in &self.attributes {
+        for (id, bag) in self.attributes.iter() {
             id.encode(w);
             w.put_varint(bag.len() as u64);
             for v in bag {
@@ -435,7 +442,9 @@ impl Decode for Request {
             let bag: Vec<AttributeValue> = decode_seq(r)?;
             attributes.insert(id, bag);
         }
-        Ok(Request { attributes })
+        Ok(Request {
+            attributes: Arc::new(attributes),
+        })
     }
 }
 
@@ -517,6 +526,18 @@ mod tests {
         let req = Request::builder().subject("role", "doctor").build();
         let tampered = Request::builder().subject("role", "admin").build();
         assert_ne!(req.canonical_digest(), tampered.canonical_digest());
+    }
+
+    #[test]
+    fn clones_share_the_map_until_one_changes() {
+        let original = Request::builder().subject("role", "doctor").build();
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&original.attributes, &copy.attributes));
+        copy.add(Category::Subject, "role", "admin");
+        assert!(!Arc::ptr_eq(&original.attributes, &copy.attributes));
+        assert_eq!(original.bag(Category::Subject, "role").len(), 1);
+        assert_eq!(copy.bag(Category::Subject, "role").len(), 2);
+        assert_ne!(original.canonical_digest(), copy.canonical_digest());
     }
 
     #[test]

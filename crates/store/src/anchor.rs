@@ -24,9 +24,9 @@ pub const ANCHOR_CONTRACT: &str = "drams-anchor";
 pub struct AnchorContract;
 
 impl AnchorContract {
-    fn key(segment: u64) -> Vec<u8> {
-        let mut k = b"root/".to_vec();
-        k.extend_from_slice(&segment.to_be_bytes());
+    fn key(segment: u64) -> [u8; 13] {
+        let mut k = *b"root/\0\0\0\0\0\0\0\0";
+        k[5..].copy_from_slice(&segment.to_be_bytes());
         k
     }
 
@@ -61,7 +61,7 @@ impl SmartContract for AnchorContract {
                 if ctx.storage.get(&key).is_some() {
                     return Err(format!("segment {segment} already anchored"));
                 }
-                ctx.storage.insert(key, root.to_vec());
+                ctx.storage.insert(&key, root.to_vec());
                 ctx.emit("anchored", payload.to_vec());
                 Ok(())
             }

@@ -145,11 +145,19 @@ impl Backend for MemBackend {
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        self.files
-            .entry(name.to_string())
-            .or_default()
-            .bytes
-            .extend_from_slice(bytes);
+        // Look the file up by `&str` first: naming a new entry allocates.
+        match self.files.get_mut(name) {
+            Some(file) => file.bytes.extend_from_slice(bytes),
+            None => {
+                self.files.insert(
+                    name.to_string(),
+                    MemFile {
+                        bytes: bytes.to_vec(),
+                        synced_len: 0,
+                    },
+                );
+            }
+        }
         Ok(())
     }
 

@@ -689,7 +689,7 @@ mod tests {
             .storage_of("kvstore")
             .map_or_else(Vec::new, |s| {
                 s.scan_prefix(&[])
-                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .map(|(k, v)| (k.to_vec(), v.clone()))
                     .collect()
             });
         (
@@ -800,7 +800,7 @@ mod tests {
                     }
                     6 => {
                         peer.submit_call(&peer_kp, "kvstore", "put", payload).unwrap();
-                        let block = peer.mine_block(now).unwrap();
+                        let block = peer.mine_block(now).unwrap().clone();
                         node.receive_block(block).unwrap();
                     }
                     7 | 8 => {

@@ -11,6 +11,10 @@
 //! the same checksummed frames, and the snapshot shrinks to a manifest
 //! naming how much of that file is committed.
 //!
+//! [`Wal::append`] frames each record in a buffer the log keeps, so an
+//! append allocates nothing once that buffer has grown to the largest
+//! frame.
+//!
 //! [`SnapshotStore`] holds one atomically-replaced,
 //! checksummed snapshot — a consumer's compacted state plus the log
 //! sequence number it covers — and, beside it, side records named by
@@ -144,6 +148,9 @@ pub struct Wal {
     config: WalConfig,
     segments: Vec<SegInfo>,
     next_seq: u64,
+    /// Where [`Wal::append`] frames each record: kept, so an append
+    /// allocates nothing once it has grown to the largest frame.
+    frame: Vec<u8>,
 }
 
 impl Wal {
@@ -165,6 +172,7 @@ impl Wal {
             config,
             segments: Vec::new(),
             next_seq: 0,
+            frame: Vec::new(),
         };
         wal.recover()?;
         Ok(wal)
@@ -278,9 +286,9 @@ impl Wal {
             self.open_segment()?;
         }
         let tail = self.segments.last_mut().expect("tail ensured above");
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame_record(payload, &mut frame);
-        self.backend.append(&tail.name, &frame)?;
+        self.frame.clear();
+        frame_record(payload, &mut self.frame);
+        self.backend.append(&tail.name, &self.frame)?;
         tail.records += 1;
         let seq = self.next_seq;
         self.next_seq += 1;

@@ -61,7 +61,7 @@ fn follower_reproduces_identical_contract_state() {
             .submit_call(&li, MONITOR_CONTRACT, "store_log", e.to_canonical_bytes())
             .unwrap();
     }
-    let b1 = miner.mine_block(1_000).unwrap();
+    let b1 = miner.mine_block(1_000).unwrap().clone();
     // follower has its own height-1 block (the init block) identical by
     // construction, so import proceeds from the shared prefix.
     follower.receive_block(b1).unwrap();
@@ -135,7 +135,7 @@ proptest! {
         let (mut node, li) = monitor_node();
         let e = entry(1, ObservationPoint::PepRequest, b"x");
         node.submit_call(&li, MONITOR_CONTRACT, "store_log", e.to_canonical_bytes()).unwrap();
-        let block = node.mine_block(1_000).unwrap();
+        let block = node.mine_block(1_000).unwrap().clone();
 
         let mut bytes = block.to_canonical_bytes();
         let idx = flip_byte % bytes.len();
