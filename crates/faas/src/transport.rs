@@ -11,12 +11,11 @@
 //!   conformance oracle.
 //! * `drams_net::TcpTransport` (in the `drams-net` crate) — every wire
 //!   message is serialised into a CRC-checked [`WireFrame`], sent over a
-//!   loopback socket to the destination role's endpoint (a thread that
-//!   validates and echoes; it runs no role logic) and scheduled from
-//!   the bytes that came back off the wire. One dispatch's frames travel
-//!   as one batch ([`Transport::roundtrip_batch`]): all of them are
-//!   written before any echo is read, so the endpoints work side by
-//!   side instead of taking turns.
+//!   loopback socket to the destination role's endpoint (served inline
+//!   on the caller's thread; it validates and echoes and runs no role
+//!   logic) and scheduled from the bytes that came back off the wire.
+//!   One dispatch's frames travel as one batch
+//!   ([`Transport::roundtrip_batch`]).
 //!
 //! The scenario runtime stays the single logical clock for both
 //! backends; that is what makes the differential conformance suite

@@ -1,163 +1,127 @@
 //! The socket endpoint a [`TcpTransport`](crate::TcpTransport) sends a
 //! role's frames to.
 //!
-//! An endpoint accepts one client connection at a time (the scenario
-//! driver), validates every arriving frame — outer CRC, canonical
-//! decode, role pinning, strictly increasing sequence numbers — and
-//! acknowledges it by echoing the frame back. Every complete frame
-//! already in its buffer is echoed with one write, so a driver that sent
-//! a batch gets the batch's echoes back together. The driver schedules
-//! the message it decodes from that echo, so everything the simulation
-//! consumes has actually crossed the wire twice. Invalid traffic never
-//! gets an acknowledgement: the endpoint acks the frames before it, then
-//! drops the connection, which the driver observes as a typed error.
+//! An endpoint owns a loopback listener and serves one accepted
+//! connection at a time (the scenario driver's). It validates every
+//! arriving frame — outer CRC, canonical decode, role pinning, strictly
+//! increasing sequence numbers — and acknowledges it by echoing the
+//! frame back. The driver schedules the message it decodes from that
+//! echo, so everything the simulation consumes has actually crossed the
+//! wire twice. Invalid traffic never gets an acknowledgement: the
+//! endpoint acks the frames before it, then drops the connection, which
+//! the driver observes as a typed error.
 //!
 //! That is all an endpoint does: it validates and echoes, holds no
-//! state beyond its counters and runs no Figure-1 role logic. It is
-//! hosted one way — a thread in the driver's process behind a real
-//! loopback socket ([`NodeEndpoint::spawn`]), blocked in `accept`
-//! between connections.
+//! state beyond its counters and runs no Figure-1 role logic. It has no
+//! thread of its own. Its sockets are non-blocking, and its holder — the
+//! transport, on the driver's thread — calls [`NodeEndpoint::serve`]
+//! whenever it wants the endpoint to move bytes.
 
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::Instant;
 
-use drams_faas::transport::{TransportError, WireFrame, WireRole};
+use drams_faas::transport::WireRole;
 
-use crate::frame::{frame_bytes, read_frame, FrameReader};
+use crate::frame::{frame_bytes, would_block, FrameReader};
 
 /// Counters an endpoint accumulates over its lifetime.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EndpointStats {
     /// Frames validated and echoed.
     pub frames: u64,
-    /// Wire bytes received (outer framing included).
-    pub bytes: u64,
     /// Connections accepted.
     pub connections: u64,
     /// Frames refused (bad role, sequence regression, corrupt bytes).
     pub rejected: u64,
 }
 
-/// Whether `frame` may be acked on a connection pinned to `pinned` whose
-/// last acked sequence number is `last_seq`; records its seq if so. A
-/// replayed or reordered frame refuses the whole stream.
-fn admit(frame: &WireFrame, pinned: WireRole, last_seq: &mut Option<u64>) -> bool {
-    if frame.role != pinned || last_seq.is_some_and(|last| frame.seq <= last) {
-        return false;
-    }
-    *last_seq = Some(frame.seq);
-    true
+/// The accepted connection an endpoint serves.
+#[derive(Debug)]
+struct Served {
+    stream: TcpStream,
+    parser: FrameReader,
+    last_seq: Option<u64>,
+    /// Echoes not yet written.
+    acks: Vec<u8>,
+    /// A frame was refused: send the acks before it, then close.
+    refused: bool,
 }
 
-/// Serves one accepted connection until EOF, error, or `stop`.
-fn serve_connection(
-    mut stream: TcpStream,
-    pinned: WireRole,
-    stop: &AtomicBool,
-    stats: &mut EndpointStats,
-) {
-    let _ = stream.set_nodelay(true);
-    // A short read timeout keeps the loop responsive to `stop` without
-    // busy-waiting on an idle connection.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut parser = FrameReader::new();
-    let mut last_seq: Option<u64> = None;
-    let mut acks = Vec::new();
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return;
+impl Served {
+    /// Writes what the socket takes of the pending echoes.
+    fn flush(&mut self) -> io::Result<bool> {
+        let written = would_block(self.stream.write(&self.acks))?.unwrap_or(0);
+        self.acks.drain(..written);
+        Ok(written > 0)
+    }
+
+    /// One serving step: flush pending echoes or, once they are all out,
+    /// read one slice and echo its complete frames. Corrupt, oversized or
+    /// malformed bytes, a foreign role or a seq regression (a replayed or
+    /// reordered frame) end the stream: the frames before it are acked,
+    /// it never is. Returns whether a byte moved; `Err` ends the
+    /// connection.
+    fn step(&mut self, pinned: WireRole, stats: &mut EndpointStats) -> io::Result<bool> {
+        if !self.acks.is_empty() {
+            return self.flush();
         }
-        let mut next = match read_frame(&mut stream, &mut parser) {
-            Ok(frame) => Ok(Some(frame)),
-            Err(TransportError::TimedOut) => continue,
-            Err(TransportError::Closed) => return,
-            Err(e) => Err(e),
-        };
-        // Ack this frame and every complete one behind it in the buffer
-        // with one write. Corrupt, oversized or malformed bytes, a
-        // foreign role or a seq regression end the stream: the frames
-        // before it are acked, it never is.
-        acks.clear();
-        let mut acked = 0;
-        let refused = loop {
-            match next {
-                Ok(None) => break false,
-                Ok(Some(frame)) if admit(&frame, pinned, &mut last_seq) => {
-                    match frame_bytes(&frame) {
-                        Ok(bytes) => acks.extend_from_slice(&bytes),
-                        Err(_) => break true,
-                    }
-                    acked += 1;
-                    next = parser.next_frame();
+        if self.refused {
+            return Err(io::ErrorKind::InvalidData.into());
+        }
+        match would_block(self.parser.read_from(&mut self.stream))? {
+            None => return Ok(false),
+            Some(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Some(_) => {}
+        }
+        loop {
+            let echo = match self.parser.next_frame() {
+                Ok(None) => break,
+                Ok(Some(frame))
+                    if frame.role == pinned && self.last_seq.is_none_or(|s| frame.seq > s) =>
+                {
+                    self.last_seq = Some(frame.seq);
+                    frame_bytes(&frame).ok()
                 }
-                Ok(Some(_)) | Err(_) => break true,
-            }
-        };
-        if !acks.is_empty() {
-            if stream.write_all(&acks).is_err() {
-                return;
-            }
-            stats.frames += acked;
-            stats.bytes += acks.len() as u64;
+                Ok(Some(_)) | Err(_) => None,
+            };
+            let Some(echo) = echo else {
+                self.refused = true;
+                stats.rejected += 1;
+                break;
+            };
+            self.acks.extend_from_slice(&echo);
+            stats.frames += 1;
         }
-        if refused {
-            stats.rejected += 1;
-            return;
+        if !self.acks.is_empty() {
+            self.flush()?;
         }
+        Ok(true)
     }
 }
 
-/// Runs the accept loop on `listener` until `stop` is set. `accept`
-/// blocks; whoever sets `stop` then connects once to wake it, and that
-/// connection is never served.
-fn serve(listener: &TcpListener, pinned: WireRole, stop: &AtomicBool) -> EndpointStats {
-    let mut stats = EndpointStats::default();
-    for stream in listener.incoming() {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        let Ok(stream) = stream else { break };
-        stats.connections += 1;
-        serve_connection(stream, pinned, stop, &mut stats);
-    }
-    stats
-}
-
-/// A validating echo endpoint for one role, served by its own thread.
+/// A validating echo endpoint for one role, served inline by its holder.
 #[derive(Debug)]
 pub struct NodeEndpoint {
+    role: WireRole,
+    listener: TcpListener,
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    stats: Arc<Mutex<EndpointStats>>,
-    handle: Option<JoinHandle<()>>,
+    served: Option<Served>,
+    stats: EndpointStats,
 }
 
 impl NodeEndpoint {
-    /// Binds `127.0.0.1:0` and serves `role` in a fresh thread. The
-    /// listener is live before this returns, so a connect attempt never
-    /// races the spawn.
-    pub fn spawn(role: WireRole) -> io::Result<Self> {
+    /// Binds a non-blocking listener on `127.0.0.1:0` for `role`. It is
+    /// listening before this returns, so a connect never races it.
+    pub fn bind(role: WireRole) -> io::Result<Self> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(Mutex::new(EndpointStats::default()));
-        let thread_stop = stop.clone();
-        let thread_stats = stats.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("drams-endpoint-{role}"))
-            .spawn(move || {
-                let out = serve(&listener, role, &thread_stop);
-                *thread_stats.lock().expect("stats lock") = out;
-            })?;
+        listener.set_nonblocking(true)?;
         Ok(NodeEndpoint {
-            addr,
-            stop,
-            stats,
-            handle: Some(handle),
+            role,
+            addr: listener.local_addr()?,
+            listener,
+            served: None,
+            stats: EndpointStats::default(),
         })
     }
 
@@ -167,143 +131,161 @@ impl NodeEndpoint {
         self.addr
     }
 
-    /// Stops the serve loop and returns the endpoint's final counters.
-    pub fn shutdown(mut self) -> EndpointStats {
-        self.stop_and_join();
-        *self.stats.lock().expect("stats lock")
+    /// Counters accumulated so far.
+    #[must_use]
+    pub fn stats(&self) -> EndpointStats {
+        self.stats
     }
 
-    /// Sets `stop`, wakes the thread's blocking `accept` with one
-    /// connect, and joins it.
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            // Refused when the accept loop has already ended: nothing to
-            // wake then.
-            let _ = TcpStream::connect(self.addr);
-            let _ = handle.join();
+    /// Serves, instead of any current connection, the queued one whose
+    /// peer address is `peer` (the connecting side's local address).
+    /// Connections ahead of it, left by an attempt that failed, are
+    /// closed unserved. Polls until `deadline`, then fails with
+    /// `WouldBlock`; a loopback connect is queued when it returns.
+    pub fn accept(&mut self, peer: SocketAddr, deadline: Instant) -> io::Result<()> {
+        self.served = None;
+        loop {
+            match self.listener.accept() {
+                Ok((stream, from)) if from == peer => {
+                    stream.set_nonblocking(true)?;
+                    let _ = stream.set_nodelay(true);
+                    self.stats.connections += 1;
+                    self.served = Some(Served {
+                        stream,
+                        parser: FrameReader::new(),
+                        last_seq: None,
+                        acks: Vec::new(),
+                        refused: false,
+                    });
+                    return Ok(());
+                }
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock && Instant::now() < deadline => {
+                    std::hint::spin_loop();
+                }
+                Err(e) => return Err(e),
+            }
         }
     }
-}
 
-impl Drop for NodeEndpoint {
-    fn drop(&mut self) {
-        self.stop_and_join();
+    /// Moves what bytes it can without waiting: writes pending echoes,
+    /// or reads at most one slice and echoes the complete frames in it.
+    /// Returns whether a byte moved; a refused frame, EOF or a socket
+    /// error closes the connection, and that counts as a move.
+    pub fn serve(&mut self) -> bool {
+        let Some(served) = self.served.as_mut() else {
+            return false;
+        };
+        match served.step(self.role, &mut self.stats) {
+            Ok(moved) => moved,
+            Err(_) => {
+                self.served = None;
+                true
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::io_error;
-    use std::time::Instant;
+    use crate::transport::Link;
+    use drams_faas::transport::{TransportError, WireFrame};
+    use std::io::Read;
+    use std::time::Duration;
 
-    fn send(stream: &mut TcpStream, frame: &WireFrame) -> io::Result<()> {
-        stream.write_all(&frame_bytes(frame).expect("frame"))
+    fn wire(frames: &[WireFrame]) -> Vec<u8> {
+        frames
+            .iter()
+            .flat_map(|f| frame_bytes(f).expect("frame"))
+            .collect()
     }
 
-    fn roundtrip_one(
-        stream: &mut TcpStream,
-        parser: &mut FrameReader,
-        frame: &WireFrame,
-    ) -> Result<WireFrame, TransportError> {
-        send(stream, frame).map_err(io_error)?;
-        read_frame(stream, parser)
+    /// Sends `frames` in one stream and collects the echoes, connecting
+    /// first if need be; all on this thread.
+    fn exchange(
+        link: &mut Link,
+        frames: &[WireFrame],
+    ) -> (Vec<WireFrame>, Result<(), TransportError>) {
+        link.connect().expect("connect");
+        let mut echoes = Vec::new();
+        let done = link.transfer(&wire(frames), frames.len(), &mut echoes);
+        (echoes, done)
     }
 
     #[test]
     fn endpoint_echoes_valid_frames() {
-        let ep = NodeEndpoint::spawn(WireRole::Chain).expect("spawn");
-        let mut stream = TcpStream::connect(ep.addr())
-            .map_err(io_error)
-            .expect("connect");
-        let mut parser = FrameReader::new();
+        let mut link = Link::bind(WireRole::Chain).expect("bind");
         for seq in 1..=10 {
-            let frame = WireFrame::ping(WireRole::Chain, seq);
-            let echo = roundtrip_one(&mut stream, &mut parser, &frame).expect("echo");
-            assert_eq!(echo, frame);
+            let frame = [WireFrame::ping(WireRole::Chain, seq)];
+            assert_eq!(exchange(&mut link, &frame), (frame.to_vec(), Ok(())));
         }
-        drop(stream);
-        let stats = ep.shutdown();
-        assert_eq!(stats.frames, 10);
-        assert_eq!(stats.connections, 1);
-        assert_eq!(stats.rejected, 0);
+        let stats = link.endpoint.stats();
+        assert_eq!(
+            (stats.frames, stats.connections, stats.rejected),
+            (10, 1, 0)
+        );
     }
 
     #[test]
     fn endpoint_refuses_wrong_role_and_sequence_regressions() {
         // Wrong role: the pinned endpoint drops the connection unacked.
-        let ep = NodeEndpoint::spawn(WireRole::Analyser).expect("spawn");
-        let mut stream = TcpStream::connect(ep.addr()).expect("connect");
-        let mut parser = FrameReader::new();
-        send(&mut stream, &WireFrame::ping(WireRole::Chain, 1)).expect("write");
-        assert!(roundtrip_one(
-            &mut stream,
-            &mut parser,
-            &WireFrame::ping(WireRole::Chain, 2)
-        )
-        .is_err());
-        drop(stream);
+        let mut link = Link::bind(WireRole::Analyser).expect("bind");
+        let (echoes, done) = exchange(&mut link, &[WireFrame::ping(WireRole::Chain, 1)]);
+        assert!(echoes.is_empty() && done.is_err());
 
         // Sequence regression on a fresh connection.
-        let mut stream = TcpStream::connect(ep.addr()).expect("connect");
-        let mut parser = FrameReader::new();
-        let ok = roundtrip_one(
-            &mut stream,
-            &mut parser,
-            &WireFrame::ping(WireRole::Analyser, 5),
-        )
-        .expect("first frame");
-        assert_eq!(ok.seq, 5);
-        send(&mut stream, &WireFrame::ping(WireRole::Analyser, 5)).expect("write");
-        assert!(read_frame(&mut stream, &mut parser).is_err());
-        drop(stream);
-        let stats = ep.shutdown();
-        assert_eq!(stats.rejected, 2);
+        link.conn = None;
+        let first = [WireFrame::ping(WireRole::Analyser, 5)];
+        assert_eq!(exchange(&mut link, &first), (first.to_vec(), Ok(())));
+        let (echoes, done) = exchange(&mut link, &first);
+        assert!(echoes.is_empty() && done.is_err());
+        let stats = link.endpoint.stats();
+        assert_eq!((stats.rejected, stats.connections), (2, 2));
     }
 
     #[test]
     fn frames_in_one_write_are_all_echoed_and_a_refusal_acks_only_those_before_it() {
-        let ep = NodeEndpoint::spawn(WireRole::Pep).expect("spawn");
-        let mut stream = TcpStream::connect(ep.addr()).expect("connect");
-        let mut parser = FrameReader::new();
-        let good = [
+        let mut link = Link::bind(WireRole::Pep).expect("bind");
+        let good = vec![
             WireFrame::ping(WireRole::Pep, 1),
             WireFrame::ping(WireRole::Pep, 2),
         ];
-        let foreign = WireFrame::ping(WireRole::Chain, 3);
-        let mut bytes = Vec::new();
-        for frame in good.iter().chain([&foreign]) {
-            bytes.extend(frame_bytes(frame).expect("frame"));
-        }
-        stream.write_all(&bytes).expect("one write");
-        for frame in &good {
-            assert_eq!(&read_frame(&mut stream, &mut parser).expect("ack"), frame);
-        }
-        assert!(
-            read_frame(&mut stream, &mut parser).is_err(),
-            "no third ack"
-        );
-        drop(stream);
-        let stats = ep.shutdown();
+        let mut all = good.clone();
+        all.push(WireFrame::ping(WireRole::Chain, 3));
+        let no_third_ack = Err(TransportError::Closed);
+        assert_eq!(exchange(&mut link, &all), (good, no_third_ack));
+        let stats = link.endpoint.stats();
         assert_eq!((stats.frames, stats.rejected), (2, 1));
     }
 
-    /// `accept` blocks, so stopping an endpoint must wake it: an idle
-    /// endpoint's drop and shutdown both return at once.
+    /// Nothing waits on an endpoint: one that never served drops at once.
     #[test]
     fn an_endpoint_that_never_accepted_stops_at_once() {
         let started = Instant::now();
-        drop(NodeEndpoint::spawn(WireRole::Chain).expect("spawn"));
+        let ep = NodeEndpoint::bind(WireRole::Chain).expect("bind");
+        assert_eq!(ep.stats(), EndpointStats::default());
+        drop(ep);
         let took = started.elapsed();
         assert!(took < Duration::from_millis(100), "drop took {took:?}");
+    }
 
-        let started = Instant::now();
-        let stats = NodeEndpoint::spawn(WireRole::Chain)
-            .expect("spawn")
-            .shutdown();
-        let took = started.elapsed();
-        assert!(took < Duration::from_millis(100), "shutdown took {took:?}");
-        assert_eq!(stats, EndpointStats::default(), "the wake-up is not served");
+    /// A connection a failed attempt left in the accept queue is closed
+    /// unserved; the one whose peer is the connecting side is served.
+    #[test]
+    fn a_stale_queued_connection_is_skipped_not_served() {
+        let role = WireRole::Li { index: 0 };
+        let mut link = Link::bind(role).expect("bind");
+        let mut stale = TcpStream::connect(link.endpoint.addr()).expect("stale connect");
+        let frame = [WireFrame::ping(role, 1)];
+        assert_eq!(exchange(&mut link, &frame), (frame.to_vec(), Ok(())));
+        stale
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let _ = stale.write_all(&wire(&frame));
+        let echoed = matches!(stale.read(&mut [0u8; 1]), Ok(n) if n > 0);
+        assert!(!echoed, "the stale connection is closed, never echoed");
+        let stats = link.endpoint.stats();
+        assert_eq!((stats.connections, stats.frames), (1, 1));
     }
 }

@@ -15,7 +15,7 @@
 //! rejection is a typed [`TransportError`] — oversized length prefixes
 //! are refused before any allocation, CRC mismatches before any decode.
 
-use std::io::Read;
+use std::io::{self, Read};
 
 use drams_crypto::codec::Decode;
 use drams_faas::transport::{TransportError, WireFrame, MAX_FRAME_BODY};
@@ -23,6 +23,11 @@ use drams_store::segment::{crc32, frame_record};
 
 /// Bytes of outer framing in front of every body (`len` + `crc`).
 pub const FRAME_PREFIX: usize = 8;
+
+/// The most bytes one end of a connection moves per read or write: a
+/// transfer is bounded slices between two non-blocking ends, never a
+/// bet on how much the kernel's socket buffers hold.
+pub const SLICE: usize = 4 * 1024;
 
 /// Encodes a frame into its full wire representation
 /// (`len | crc | body`). Fails if the body would exceed
@@ -70,6 +75,15 @@ impl FrameReader {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Reads at most one [`SLICE`] from `r` into the parse buffer and
+    /// returns how many bytes came (0 at EOF).
+    pub fn read_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        let mut chunk = [0u8; SLICE];
+        let n = r.read(&mut chunk)?;
+        self.feed(&chunk[..n]);
+        Ok(n)
+    }
+
     /// Unconsumed bytes currently buffered.
     #[must_use]
     pub fn pending(&self) -> usize {
@@ -111,34 +125,23 @@ impl FrameReader {
     }
 }
 
-/// Reads one complete frame from `r`, resuming across however many
-/// partial reads the kernel decides to deliver. A clean EOF between
-/// frames (or inside one) is [`TransportError::Closed`].
-pub fn read_frame(
-    r: &mut impl Read,
-    parser: &mut FrameReader,
-) -> Result<WireFrame, TransportError> {
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(frame) = parser.next_frame()? {
-            return Ok(frame);
-        }
-        let n = r.read(&mut chunk).map_err(io_error)?;
-        if n == 0 {
-            return Err(TransportError::Closed);
-        }
-        parser.feed(&chunk[..n]);
-    }
-}
-
 /// Maps an `std::io::Error` into the transport's I/O-free error type.
-/// Read-deadline expiries (`TimedOut`/`WouldBlock`) become the
-/// retryable [`TransportError::TimedOut`].
+/// Deadline expiries (`TimedOut`/`WouldBlock`) become the retryable
+/// [`TransportError::TimedOut`].
 #[must_use]
 pub fn io_error(e: std::io::Error) -> TransportError {
     match e.kind() {
         std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => TransportError::TimedOut,
         _ => TransportError::Io(e.to_string()),
+    }
+}
+
+/// A non-blocking socket call's result, with "nothing yet"
+/// (`WouldBlock`) as `Ok(None)`.
+pub(crate) fn would_block<T>(result: io::Result<T>) -> io::Result<Option<T>> {
+    match result {
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
+        other => other.map(Some),
     }
 }
 

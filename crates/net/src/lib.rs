@@ -12,15 +12,14 @@
 //! * [`frame`] — length-prefixed, CRC-checked byte framing (the WAL
 //!   record format around canonical-codec frame bodies) with an
 //!   incremental parser that survives arbitrarily torn reads.
-//! * [`endpoint`] — [`NodeEndpoint`], one thread per role behind a
-//!   loopback listener: validates every frame (CRC, role pinning,
-//!   strictly increasing sequence numbers) and acknowledges it by
-//!   echoing it back, every frame already buffered in one write.
+//! * [`endpoint`] — [`NodeEndpoint`], one per role behind a loopback
+//!   listener: validates every frame (CRC, role pinning, strictly
+//!   increasing sequence numbers) and acknowledges it by echoing it back.
 //! * [`transport`] — [`TcpTransport`], the `Transport` backend that
 //!   routes every federation-crossing message through the destination
-//!   role's endpoint, one synchronous batch per dispatch (every frame
-//!   written before any echo is read), and on `Transport::restart`
-//!   tears the endpoint down and reconnects to a fresh one.
+//!   role's endpoint, one synchronous batch per dispatch, serving the
+//!   endpoint inline on the driver's thread (the crate spawns no
+//!   thread); on `Transport::restart` it reconnects to a fresh endpoint.
 //!
 //! What the suites establish (DESIGN.md invariant 9): every
 //! federation-crossing message survives canonical encode → CRC frame →
@@ -41,5 +40,5 @@ pub mod frame;
 pub mod transport;
 
 pub use endpoint::{EndpointStats, NodeEndpoint};
-pub use frame::{frame_bytes, read_frame, FrameReader, FRAME_PREFIX};
+pub use frame::{frame_bytes, FrameReader, FRAME_PREFIX};
 pub use transport::{NetStats, TcpTransport};

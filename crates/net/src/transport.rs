@@ -2,18 +2,19 @@
 //!
 //! [`TcpTransport`] keeps one table, role → (connection, endpoint), and
 //! carries one dispatch's wire messages as one synchronous batch: frame
-//! every message, write each role's frames to its connection, then read
-//! every echo back in input order and hand the echoed frames to the
-//! scheduler. Writing everything before reading anything lets the
-//! endpoint threads validate side by side, and the driver sleeps once
-//! per batch instead of once per frame. A role's [`NodeEndpoint`] — an
-//! in-process thread behind a real loopback socket — is spawned on
-//! first contact. The endpoint validates and echoes; no Figure-1 role
-//! logic runs behind the socket.
+//! every message, move each run of consecutive frames to one role to
+//! its endpoint and their echoes back, and hand the echoed frames to the
+//! scheduler in input order. A role's [`NodeEndpoint`] is bound, and connected to over
+//! loopback, on first contact. It is served inline, on the driver's
+//! thread: both ends of a role's connection are non-blocking, and a
+//! transfer alternates between them in bounded slices — write a slice,
+//! let the endpoint read, validate and echo what arrived, read the
+//! echoes — so no thread sleeps and none has to be woken. The endpoint
+//! validates and echoes; no Figure-1 role logic runs behind the socket.
 //!
 //! A scripted service crash reaches the transport as
-//! [`Transport::restart`]: the connection is closed, the endpoint thread
-//! joined, and the next frame for that role spawns a fresh endpoint at a
+//! [`Transport::restart`]: the connection and the endpoint's listener are
+//! closed, and the next frame for that role binds a fresh endpoint at a
 //! fresh port and connects to it — a real reconnect across a real
 //! socket.
 
@@ -21,31 +22,21 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use drams_faas::transport::{Transport, TransportError, WireFrame, WireRole};
 
 use crate::endpoint::NodeEndpoint;
-use crate::frame::{frame_bytes, io_error, read_frame, FrameReader};
+use crate::frame::{frame_bytes, io_error, would_block, FrameReader, SLICE};
 
-/// How long a single blocked read may wait for the endpoint's echo
+/// How long a transfer may go on after it first finds no byte to move
 /// before the batch is abandoned and resent on fresh connections.
-const READ_DEADLINE: Duration = Duration::from_secs(5);
+const STALL_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Attempts per batch; each failure (a refused connect included) drops
 /// the batch's connections and reconnects, so this bounds the reconnect
 /// storm a flapping endpoint can cause.
 const ROUNDTRIP_ATTEMPTS: u32 = 5;
-
-/// Bytes a batch writes before it reads their echoes. An endpoint echoes
-/// as it reads, and the driver reads nothing while it writes, so the
-/// echoes of one write round wait in loopback socket buffers; a round
-/// this small always fits, and neither side can block the other.
-/// Without rounds, a batch larger than both directions' buffers (24 MiB
-/// to one role on a stock Linux loopback) leaves both sides blocked in
-/// `write` for good. A frame larger than this is a round of its own,
-/// which the endpoint reads whole before it echoes.
-const WRITE_ROUND: usize = 32 * 1024;
 
 /// Wire-level counters the bench runner reports (E16).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -65,35 +56,95 @@ pub struct NetStats {
     pub restarts: u64,
 }
 
-struct Conn {
-    stream: TcpStream,
-    parser: FrameReader,
+/// One role's row of the table: its endpoint and, once connected, the
+/// driver's end of the connection to it.
+pub(crate) struct Link {
+    pub(crate) endpoint: NodeEndpoint,
+    pub(crate) conn: Option<(TcpStream, FrameReader)>,
 }
 
-/// One role's row of the table. `conn` is declared before `endpoint` so
-/// that dropping a `Link` closes the socket first: the endpoint thread
-/// is blocked in a read on it, sees EOF at once, and its join returns
-/// immediately instead of waiting out the read timeout.
-struct Link {
-    conn: Option<Conn>,
-    endpoint: NodeEndpoint,
+impl Link {
+    pub(crate) fn bind(role: WireRole) -> Result<Self, TransportError> {
+        let endpoint = NodeEndpoint::bind(role).map_err(io_error)?;
+        Ok(Link {
+            endpoint,
+            conn: None,
+        })
+    }
+
+    /// Connects to the endpoint, unless connected already, and has it
+    /// accept the connection. Returns whether it connected.
+    pub(crate) fn connect(&mut self) -> Result<bool, TransportError> {
+        if self.conn.is_some() {
+            return Ok(false);
+        }
+        let stream = TcpStream::connect(self.endpoint.addr()).map_err(io_error)?;
+        let _ = stream.set_nodelay(true);
+        stream.set_nonblocking(true).map_err(io_error)?;
+        let local = stream.local_addr().map_err(io_error)?;
+        let deadline = Instant::now() + STALL_DEADLINE;
+        self.endpoint.accept(local, deadline).map_err(io_error)?;
+        self.conn = Some((stream, FrameReader::new()));
+        Ok(true)
+    }
+
+    /// Sends `bytes`, which hold `want` whole frames, to the endpoint and
+    /// pushes their echoes onto `echoes`. Each turn writes at most one
+    /// [`SLICE`], serves the endpoint once and reads at most one slice of
+    /// echoes, so neither end ever waits on the other, whatever the
+    /// socket buffers hold.
+    pub(crate) fn transfer(
+        &mut self,
+        bytes: &[u8],
+        want: usize,
+        echoes: &mut Vec<WireFrame>,
+    ) -> Result<(), TransportError> {
+        let (stream, parser) = self.conn.as_mut().ok_or(TransportError::Closed)?;
+        let target = echoes.len() + want;
+        let mut sent = 0;
+        let mut stalled = None;
+        while echoes.len() < target {
+            let slice = &bytes[sent..bytes.len().min(sent + SLICE)];
+            let written = would_block(stream.write(slice)).map_err(io_error)?;
+            let written = written.unwrap_or(0);
+            sent += written;
+            let served = self.endpoint.serve();
+            let read = would_block(parser.read_from(stream)).map_err(io_error)?;
+            while echoes.len() < target {
+                let Some(echo) = parser.next_frame()? else {
+                    break;
+                };
+                echoes.push(echo);
+            }
+            if read == Some(0) && echoes.len() < target {
+                return Err(TransportError::Closed);
+            }
+            if written == 0 && !served && read.is_none() {
+                // Loopback bytes are usually delivered before `write`
+                // returns; this waits out the rare deferred delivery.
+                if stalled.get_or_insert_with(Instant::now).elapsed() >= STALL_DEADLINE {
+                    return Err(TransportError::TimedOut);
+                }
+                std::hint::spin_loop();
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The TCP implementation of the scenario runtime's [`Transport`].
+#[derive(Default)]
 pub struct TcpTransport {
     links: HashMap<WireRole, Link>,
     stats: NetStats,
 }
 
 impl TcpTransport {
-    /// A transport with no endpoints yet: each role's endpoint thread is
-    /// spawned, and connected to over loopback, on first contact.
+    /// A transport with no endpoints yet: each role's endpoint is bound,
+    /// and connected to over loopback, on first contact.
     #[must_use]
     pub fn loopback() -> Self {
-        TcpTransport {
-            links: HashMap::new(),
-            stats: NetStats::default(),
-        }
+        Self::default()
     }
 
     /// Wire counters accumulated so far.
@@ -102,69 +153,23 @@ impl TcpTransport {
         self.stats
     }
 
-    /// `role`'s connection, spawning its endpoint and connecting to it
-    /// on first contact.
-    fn conn(&mut self, role: WireRole) -> Result<&mut Conn, TransportError> {
-        let link = match self.links.entry(role) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => e.insert(Link {
-                conn: None,
-                endpoint: NodeEndpoint::spawn(role).map_err(io_error)?,
-            }),
-        };
-        let conn = match link.conn.take() {
-            Some(conn) => conn,
-            None => {
-                let stream = TcpStream::connect(link.endpoint.addr()).map_err(io_error)?;
-                let _ = stream.set_nodelay(true);
-                stream
-                    .set_read_timeout(Some(READ_DEADLINE))
-                    .map_err(io_error)?;
-                self.stats.connects += 1;
-                Conn {
-                    stream,
-                    parser: FrameReader::new(),
-                }
-            }
-        };
-        Ok(link.conn.insert(conn))
-    }
-
-    /// One attempt at a batch whose frames are already encoded in
-    /// `wires`: per write round, one `write_all` per distinct role, then
-    /// every echo of the round read from its role's connection in input
-    /// order.
+    /// One attempt at a batch already encoded as runs of consecutive
+    /// frames to one role: each run transferred in turn, so the echoes
+    /// arrive in input order.
     fn try_batch(
         &mut self,
-        frames: &[WireFrame],
-        wires: &[Vec<u8>],
+        runs: &[(WireRole, Vec<u8>, usize)],
     ) -> Result<Vec<WireFrame>, TransportError> {
-        let mut echoes = Vec::with_capacity(frames.len());
-        let mut start = 0;
-        while start < frames.len() {
-            let mut end = start + 1;
-            let mut round_bytes = wires[start].len();
-            while end < frames.len() && round_bytes + wires[end].len() <= WRITE_ROUND {
-                round_bytes += wires[end].len();
-                end += 1;
+        let mut echoes = Vec::with_capacity(runs.iter().map(|run| run.2).sum());
+        for (role, bytes, count) in runs {
+            let link = match self.links.entry(*role) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => e.insert(Link::bind(*role)?),
+            };
+            if link.connect()? {
+                self.stats.connects += 1;
             }
-            let round = start..end;
-            let mut writes: Vec<(WireRole, Vec<u8>)> = Vec::new();
-            for (frame, wire) in frames[round.clone()].iter().zip(&wires[round.clone()]) {
-                match writes.iter_mut().find(|(role, _)| *role == frame.role) {
-                    Some((_, bytes)) => bytes.extend_from_slice(wire),
-                    None => writes.push((frame.role, wire.clone())),
-                }
-            }
-            for (role, bytes) in writes {
-                let conn = self.conn(role)?;
-                conn.stream.write_all(&bytes).map_err(io_error)?;
-            }
-            for frame in &frames[round] {
-                let conn = self.conn(frame.role)?;
-                echoes.push(read_frame(&mut conn.stream, &mut conn.parser)?);
-            }
-            start = end;
+            link.transfer(bytes, *count, &mut echoes)?;
         }
         Ok(echoes)
     }
@@ -181,17 +186,25 @@ impl Transport for TcpTransport {
     ) -> Result<Vec<WireFrame>, TransportError> {
         // Frame everything before writing anything: an oversized frame
         // fails the batch with no byte on the wire.
-        let wires = frames
-            .iter()
-            .map(frame_bytes)
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut runs: Vec<(WireRole, Vec<u8>, usize)> = Vec::new();
+        for frame in &frames {
+            let wire = frame_bytes(frame)?;
+            match runs.last_mut() {
+                Some((role, bytes, count)) if *role == frame.role => {
+                    bytes.extend_from_slice(&wire);
+                    *count += 1;
+                }
+                _ => runs.push((frame.role, wire, 1)),
+            }
+        }
         let mut last = TransportError::Closed;
         for attempt in 0..ROUNDTRIP_ATTEMPTS {
-            let failure = match self.try_batch(&frames, &wires) {
+            let failure = match self.try_batch(&runs) {
                 Ok(echoes) if echoes == frames => {
                     self.stats.frames += frames.len() as u64;
                     self.stats.batches += 1;
-                    self.stats.bytes_sent += wires.iter().map(|w| w.len() as u64).sum::<u64>();
+                    self.stats.bytes_sent +=
+                        runs.iter().map(|(_, b, _)| b.len() as u64).sum::<u64>();
                     return Ok(echoes);
                 }
                 // The endpoint acked something else: the wire (or the
@@ -206,10 +219,10 @@ impl Transport for TcpTransport {
                 }
                 Err(e) => e,
             };
-            // A failed batch may leave echoes unread on any of its
+            // A failed batch may leave bytes unread on any of its
             // connections: drop them all, so the next batch starts clean.
-            for frame in &frames {
-                if let Some(link) = self.links.get_mut(&frame.role) {
+            for (role, ..) in &runs {
+                if let Some(link) = self.links.get_mut(role) {
                     link.conn = None;
                 }
             }
@@ -235,8 +248,8 @@ impl Transport for TcpTransport {
     }
 
     fn restart(&mut self, role: WireRole) -> Result<(), TransportError> {
-        // Dropping the `Link` closes the connection, then joins the
-        // endpoint thread (field order, see `Link`).
+        // Dropping the `Link` closes both ends of the connection and the
+        // endpoint's listener.
         self.links.remove(&role);
         self.stats.restarts += 1;
         Ok(())
@@ -250,6 +263,8 @@ impl Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drams_crypto::codec::Encode;
+    use drams_faas::transport::MAX_FRAME_BODY;
 
     #[test]
     fn loopback_roundtrip_reconnects_after_restart() {
@@ -291,13 +306,11 @@ mod tests {
         assert_eq!(t.stats().connects, 5);
     }
 
-    /// An endpoint thread sits in a 50 ms read between frames. Restart
-    /// and drop close the connection before joining it, so neither
-    /// waits that read out: joining first costs 20 × 50 ms here before
-    /// the drop is even counted.
+    /// Restart and teardown only close sockets: nothing is joined and
+    /// nothing is waited out.
     #[test]
     fn restart_and_teardown_do_not_wait_out_the_read_timeout() {
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let mut t = TcpTransport::loopback();
         let role = WireRole::Li { index: 0 };
         for seq in 1..=20 {
@@ -363,25 +376,31 @@ mod tests {
         assert_eq!(stats.connects, 3, "only the restarted role reconnects");
     }
 
-    /// Batches larger than a write round still complete: the rounds are
-    /// written and read in turn, and a frame larger than a round goes
-    /// alone.
+    /// Nothing rests on socket buffer sizes: a batch many slices long, a
+    /// frame of exactly `MAX_FRAME_BODY` and a batch to one role larger
+    /// than both directions of a stock loopback connection hold all
+    /// complete on this one thread.
     #[test]
-    fn a_batch_larger_than_a_write_round_completes() {
+    fn a_max_size_frame_and_a_batch_over_24_mib_complete_on_one_thread() {
         let mut t = TcpTransport::loopback();
-        let li = WireRole::Li { index: 1 };
-        let mut batch: Vec<WireFrame> = (1..=40)
-            .map(|seq| WireFrame {
-                payload: vec![7; 4_000],
-                ..frame(li, seq)
-            })
+        let li = WireRole::Li { index: 0 };
+        let sized = |seq: u64, len: usize| WireFrame {
+            payload: vec![seq as u8; len],
+            ..frame(li, seq)
+        };
+        let small: Vec<WireFrame> = (1..=40).map(|seq| sized(seq, 4_000)).collect();
+        assert_eq!(t.roundtrip_batch(small.clone()).expect("small"), small);
+        let largest = sized(41, MAX_FRAME_BODY - 30);
+        assert_eq!(largest.to_canonical_bytes().len(), MAX_FRAME_BODY);
+        assert_eq!(t.roundtrip(largest.clone()).expect("largest"), largest);
+        let batch: Vec<WireFrame> = (42..=66)
+            .map(|seq| sized(seq, MAX_FRAME_BODY - 30))
             .collect();
-        batch.push(WireFrame {
-            payload: vec![8; 3 * WRITE_ROUND],
-            ..frame(li, 41)
-        });
+        let bytes_before = t.stats().bytes_sent;
         assert_eq!(t.roundtrip_batch(batch.clone()).expect("batch"), batch);
-        assert_eq!((t.stats().frames, t.stats().batches), (41, 1));
+        let stats = t.stats();
+        assert!(stats.bytes_sent - bytes_before > 24 << 20);
+        assert_eq!((stats.frames, stats.batches, stats.reconnects), (66, 3, 0));
     }
 
     #[test]
@@ -390,7 +409,7 @@ mod tests {
         let role = WireRole::Chain;
         t.roundtrip(frame(role, 1)).expect("warm-up");
         let oversized = WireFrame {
-            payload: vec![0; drams_faas::transport::MAX_FRAME_BODY + 1],
+            payload: vec![0; MAX_FRAME_BODY + 1],
             ..frame(role, 3)
         };
         let batch = vec![frame(role, 2), oversized];
@@ -400,11 +419,6 @@ mod tests {
         ));
         assert_eq!((t.stats().frames, t.stats().batches), (1, 1));
         let link = t.links.remove(&role).expect("the warmed-up role");
-        drop(link.conn);
-        assert_eq!(
-            link.endpoint.shutdown().frames,
-            1,
-            "the endpoint saw no byte"
-        );
+        assert_eq!(link.endpoint.stats().frames, 1, "the endpoint saw no byte");
     }
 }
