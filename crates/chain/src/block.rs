@@ -7,7 +7,6 @@ use drams_crypto::merkle::MerkleTree;
 use drams_crypto::sha256::Digest;
 use drams_crypto::CryptoError;
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
 
 /// A block hash.
 pub type BlockHash = Digest;
@@ -170,32 +169,6 @@ impl Block {
     pub fn wire_len(&self) -> usize {
         self.to_canonical_bytes().len()
     }
-
-    /// Where each transaction's canonical encoding sits in `bytes`, a
-    /// block's canonical encoding: one range per transaction, in block
-    /// order. The codec is canonical, so two transactions are the same
-    /// exactly when these bytes are, and a caller can match a block's
-    /// transactions against others by their bytes, hashing neither side.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`Block::from_canonical_bytes`] on the same bytes:
-    /// the header and every transaction go through their decoders, the
-    /// transaction count through the same guard, and trailing bytes are
-    /// refused.
-    pub fn transaction_spans(bytes: &[u8]) -> Result<Vec<Range<usize>>, CryptoError> {
-        let mut r = Reader::new(bytes);
-        BlockHeader::decode(&mut r)?;
-        let count = r.get_seq_len()?;
-        let mut spans = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            let start = bytes.len() - r.remaining();
-            Transaction::decode(&mut r)?;
-            spans.push(start..bytes.len() - r.remaining());
-        }
-        r.finish()?;
-        Ok(spans)
-    }
 }
 
 impl Encode for Block {
@@ -280,41 +253,6 @@ mod tests {
         let back = Block::from_canonical_bytes(&bytes).unwrap();
         assert_eq!(back, block);
         assert_eq!(back.hash(), block.hash());
-    }
-
-    #[test]
-    fn transaction_spans_are_each_transactions_bytes_and_fail_as_decoding_does() {
-        let block = Block::mine(Digest::of(b"parent"), 7, sample_txs(3), 42, 0);
-        let bytes = block.to_canonical_bytes();
-        let spans = Block::transaction_spans(&bytes).unwrap();
-        let encoded: Vec<&[u8]> = spans.iter().map(|span| &bytes[span.clone()]).collect();
-        let expected: Vec<Vec<u8>> = block
-            .transactions
-            .iter()
-            .map(Encode::to_canonical_bytes)
-            .collect();
-        assert_eq!(encoded, expected);
-        assert_eq!(
-            Block::transaction_spans(
-                &Block::mine(Digest::ZERO, 0, vec![], 0, 0).to_canonical_bytes()
-            ),
-            Ok(vec![])
-        );
-        // Cut short anywhere, one byte too long, or claiming more
-        // transactions than it has bytes: the error decoding gives.
-        let mut malformed: Vec<Vec<u8>> =
-            (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
-        malformed.push([bytes.as_slice(), &[0]].concat());
-        let header_len = block.header.to_canonical_bytes().len();
-        malformed.push([&bytes[..header_len], &[0x7f]].concat());
-        for bad in malformed {
-            assert_eq!(
-                Block::transaction_spans(&bad).unwrap_err(),
-                Block::from_canonical_bytes(&bad).unwrap_err(),
-                "{} bytes",
-                bad.len()
-            );
-        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Error types for the blockchain substrate.
 
+use crate::tx::TxId;
 use std::fmt;
 
 /// Errors from chain validation, import and transaction handling.
@@ -46,6 +47,8 @@ pub enum ChainError {
         /// Configured maximum.
         max: usize,
     },
+    /// A replayed mined block names a transaction the pool does not hold.
+    NotPending(TxId),
     /// The node's write-ahead journal rejected a record — the accepted
     /// transaction or block could not be made durable.
     Journal(String),
@@ -73,6 +76,7 @@ impl fmt::Display for ChainError {
             ChainError::BlockTooLarge { txs, max } => {
                 write!(f, "block has {txs} transactions, maximum is {max}")
             }
+            ChainError::NotPending(id) => write!(f, "transaction {id} is not pending"),
             ChainError::Journal(msg) => write!(f, "node journal write failed: {msg}"),
         }
     }

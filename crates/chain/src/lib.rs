@@ -36,10 +36,11 @@
 //! ```
 //!
 //! Durability: the node is storage-agnostic, but accepts a write-ahead
-//! journal ([`node::NodeJournal`]) recording every accepted transaction
-//! and imported block; `drams_store::persist` implements it over a
-//! segmented WAL and rebuilds a crashed node — chain, contract state
-//! *and* mempool — by replay.
+//! journal ([`node::NodeJournal`]) recording each input once — every
+//! accepted transaction, every block mined (as the ids it took from the
+//! pool) and every block received; `drams_store::persist` implements it
+//! over a segmented WAL and rebuilds a crashed node — chain, contract
+//! state *and* mempool — by replay.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
 //! A full blockchain node: chain + mempool + contract host + miner.
 
-use crate::block::Block;
+use crate::block::{Block, BlockHeader};
 use crate::chain::{Blockchain, ChainConfig, ImportOutcome};
 use crate::contract::{ContractHost, Event, SmartContract, TxStatus};
 use crate::error::ChainError;
@@ -10,13 +10,15 @@ use drams_crypto::schnorr::{Keypair, PublicKey};
 
 /// A write-ahead journal for a [`Node`]'s durable state.
 ///
-/// The node stays storage-agnostic: it calls these hooks for every
-/// accepted transaction and every imported block, and an implementation
-/// (e.g. `drams_store::persist::WalJournal`) decides how the records hit
-/// disk. Replaying the journal — transactions re-submitted, blocks
-/// re-imported, in recorded order — reconstructs the node's chain,
-/// contract state *and* mempool exactly, which is what the E11
-/// crash-restart scenarios rely on.
+/// The node stays storage-agnostic: it calls one of these hooks for each
+/// of its inputs — an accepted transaction, a block it mined, a block a
+/// peer sent — and an implementation (e.g.
+/// `drams_store::persist::WalJournal`) decides how the records hit disk.
+/// Each input is recorded once. Replaying the records in order —
+/// transactions re-submitted, mined blocks taken from the pool again
+/// ([`Node::replay_mined`]), peer blocks re-received — reconstructs the
+/// node's chain, contract state *and* mempool exactly, which is what the
+/// E11 crash-restart scenarios rely on.
 pub trait NodeJournal {
     /// Records a transaction about to be accepted into the mempool.
     ///
@@ -30,9 +32,20 @@ pub trait NodeJournal {
     /// [`ChainError::Journal`] and does not accept the transaction.
     fn record_transaction(&mut self, tx: &Transaction) -> Result<(), String>;
 
-    /// Records a block the chain imported (mined locally or received
-    /// from a peer). Side-chain blocks are recorded too — a later reorg
-    /// may promote them.
+    /// Records a block this node mined, before the chain imports it
+    /// (write-ahead, like transactions). Every transaction in it was
+    /// taken from the pool, so each was recorded when it was accepted:
+    /// the header and the transaction ids are the whole input, and
+    /// [`Node::replay_mined`] replays them.
+    ///
+    /// # Errors
+    ///
+    /// As [`NodeJournal::record_transaction`].
+    fn record_mined(&mut self, block: &Block) -> Result<(), String>;
+
+    /// Records a block received from a peer, whole: its transactions need
+    /// never have passed through this node's pool. Side-chain blocks are
+    /// recorded too — a later reorg may promote them.
     ///
     /// # Errors
     ///
@@ -106,13 +119,6 @@ impl Node {
         self.journal = Some(journal);
     }
 
-    /// Detaches and returns the journal, if one was attached — used by
-    /// crash-recovery harnesses to reuse the journal's backing log for
-    /// the restarted node.
-    pub fn take_journal(&mut self) -> Option<Box<dyn NodeJournal>> {
-        self.journal.take()
-    }
-
     /// The underlying chain (read-only).
     #[must_use]
     pub fn chain(&self) -> &Blockchain {
@@ -139,8 +145,8 @@ impl Node {
     /// Byzantine-node fault injection: silently discards one pending
     /// transaction (a withheld commit), returning it. The write-ahead
     /// journal is deliberately **not** touched — a node replaying its
-    /// journal after a crash would resurrect the transaction, exactly as
-    /// a real silent drop behaves.
+    /// journal after a crash resurrects the transaction in its original
+    /// place in the pool, exactly as a real silent drop behaves.
     pub fn withhold_transaction(&mut self, id: &TxId) -> Option<Transaction> {
         self.mempool.remove(id)
     }
@@ -196,8 +202,9 @@ impl Node {
     ///
     /// # Errors
     ///
-    /// Propagates import errors (which indicate a bug, since the node
-    /// mines exactly what the chain requires).
+    /// [`ChainError::Journal`] when the block could not be journaled;
+    /// otherwise import errors (which indicate a bug, since the node mines
+    /// exactly what the chain requires).
     pub fn mine_block(&mut self, timestamp_ms: u64) -> Result<&Block, ChainError> {
         let txs = self.mempool.take(self.chain.config().max_block_txs);
         let parent = self.chain.tip_hash();
@@ -211,11 +218,38 @@ impl Node {
             // tip ahead of the durable log. Replaying a journaled block
             // whose import below then failed is safe — a self-mined
             // block imports deterministically.
-            journal.record_block(&block).map_err(ChainError::Journal)?;
+            journal.record_mined(&block).map_err(ChainError::Journal)?;
         }
+        self.import_mined(block)?;
+        Ok(self.chain.tip_block())
+    }
+
+    /// Replays a block this node mined, as [`NodeJournal::record_mined`]
+    /// recorded it: takes exactly the transactions `ids` names out of the
+    /// pool, in that order, and imports them under `header`. Journals
+    /// nothing — the record is already in the journal being replayed.
+    ///
+    /// # Errors
+    ///
+    /// [`ChainError::NotPending`] when an id is not in the pool, and any
+    /// import error — [`ChainError::BadTxRoot`] when the transactions are
+    /// not the ones `header` commits to.
+    pub fn replay_mined(&mut self, header: BlockHeader, ids: &[TxId]) -> Result<(), ChainError> {
+        let mut transactions = Vec::with_capacity(ids.len());
+        for id in ids {
+            let tx = self.mempool.remove(id).ok_or(ChainError::NotPending(*id))?;
+            transactions.push(tx);
+        }
+        self.import_mined(Block {
+            header,
+            transactions,
+        })
+    }
+
+    fn import_mined(&mut self, block: Block) -> Result<(), ChainError> {
         self.chain.import(block)?;
         self.host.sync_with(&self.chain);
-        Ok(self.chain.tip_block())
+        Ok(())
     }
 
     /// Imports a block received from a peer, pruning its transactions from

@@ -26,11 +26,6 @@ use std::sync::OnceLock;
 /// A transaction identifier (SHA-256 of the canonical encoding).
 pub type TxId = Digest;
 
-/// Length of the opening of every transaction's canonical encoding that
-/// holds its sender (a fixed-width key) and nonce (a `u64`): a cheap
-/// key under which to look for a transaction's bytes among others'.
-pub const SENDER_NONCE_LEN: usize = 32 + 8;
-
 /// The content of a [`Transaction`]: what is encoded, hashed and signed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TxBody {
@@ -331,14 +326,6 @@ mod tests {
         let a = tx();
         let b = Transaction::new_signed(&keypair(), 1, "monitor", "store_log", b"payload".to_vec());
         assert_ne!(a.id(), b.id());
-    }
-
-    #[test]
-    fn the_encoding_opens_with_sender_and_nonce() {
-        let t = Transaction::new_signed(&keypair(), 0x0102, "m", "s", vec![9; 3]);
-        let bytes = t.to_canonical_bytes();
-        let expected = [t.sender.to_bytes().as_slice(), &0x0102u64.to_be_bytes()].concat();
-        assert_eq!(&bytes[..SENDER_NONCE_LEN], expected.as_slice());
     }
 
     #[test]

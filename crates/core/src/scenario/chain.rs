@@ -126,9 +126,9 @@ impl<'a> SimService<Msg, Ctx<'a>> for ChainService {
                 ctx.report.peak.contract_storage.max(storage.len() as u64);
         }
         if self.compact_interval > 0 && next_height.is_multiple_of(self.compact_interval) {
-            // Bounded-journal mode: fold everything mined so far into a
-            // snapshot and drop the sealed segments. Recovery replays
-            // snapshot-then-tail and reconstructs the same node.
+            // Bounded-journal mode: move the live journal into the fold
+            // file and drop the sealed segments. Recovery replays
+            // fold-then-tail and reconstructs the same node.
             compact_node_journal(&mut ctx.node_wal.borrow_mut()).expect("chain journal compaction");
             self.journal_base = ctx.node_wal.borrow().next_seq();
             ctx.report.journal_compactions += 1;

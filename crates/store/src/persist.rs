@@ -1,11 +1,20 @@
 //! Chain-node persistence: the node's write-ahead journal and recovery.
 //!
 //! [`WalJournal`] implements [`drams_chain::node::NodeJournal`] over a
-//! shared [`Wal`]: every transaction the node accepts and every block it
-//! imports becomes one tagged, checksummed WAL record. [`recover_node`]
-//! replays that log into a fresh node — transactions re-submitted, blocks
-//! re-imported, in recorded order — reconstructing chain, contract state
-//! *and* mempool exactly as they were when the journal was last synced.
+//! shared [`Wal`]: each input the node takes becomes one tagged,
+//! checksummed WAL record, and no input is written twice —
+//!
+//! - [`TAG_TX`]: a transaction the node accepted;
+//! - [`TAG_MINED`]: a block the node mined, as its header and the ids of
+//!   the transactions it took from the pool (each one already journaled
+//!   as a [`TAG_TX`] record);
+//! - [`TAG_BLOCK`]: a block a peer sent, whole, since its transactions
+//!   need never have passed through this node's pool.
+//!
+//! [`recover_node`] replays the records into a fresh node strictly in
+//! journal order, which is the order in which the live node took its
+//! inputs — so chain, contract state *and* mempool come back exactly as
+//! they were when the journal was last synced, side chains and all.
 //!
 //! The journal only grows, so [`compact_node_journal`] keeps it in three
 //! files and pays, per call, for what was journaled since the last call:
@@ -13,24 +22,18 @@
 //! ```text
 //!  fold file (append-only)      manifest (replaced atomically)   live segments
 //! ┌──────────────────────────┐ ┌──────────────────────────────┐ ┌─────────────┐
-//! │ every block journaled    │ │ base_seq · fold_len · count  │ │ records     │
-//! │ before base_seq, framed  │ │ pending TX records, packed   │ │ >= base_seq │
+//! │ every record journaled   │ │ base_seq · fold_len · count  │ │ records     │
+//! │ before base_seq, framed  │ │                              │ │ >= base_seq │
 //! └──────────────────────────┘ └──────────────────────────────┘ └─────────────┘
-//!        replayed first                 replayed second          replayed last
+//!        replayed first                                          replayed last
 //! ```
 //!
 //! The manifest is the WAL's snapshot file and the commit point: the fold
 //! file counts only as far as the manifest's `fold_len`, so a compaction
 //! that died after appending to it and before replacing the manifest
-//! changed nothing. Transaction records ride in the manifest because they
-//! are the one part of the folded state that shrinks — a block journaled
-//! later makes them redundant — and an append-only file cannot drop them.
-//!
-//! A compaction reads each live byte once and derives nothing it already
-//! has: a block record reaches the fold file in the very frame the WAL
-//! walk verified (no second CRC), and a transaction record is struck by
-//! byte equality with a transaction that block carries (no SHA-256 on
-//! either side).
+//! changed nothing. A compaction moves frames and nothing else: each live
+//! record reaches the fold file in the very frame the WAL walk verified,
+//! decoded, hashed and checksummed again by nothing.
 //!
 //! The journal is shared via `Rc<RefCell<…>>` so a crash-recovery harness
 //! can keep the log alive across the simulated death of the node that
@@ -75,24 +78,27 @@
 use crate::error::StoreError;
 use crate::segment::FRAME_LEN;
 use crate::wal::{Wal, FOLD_FILE, SNAPSHOT_FILE};
-use drams_chain::block::Block;
+use drams_chain::block::{Block, BlockHeader};
 use drams_chain::chain::ChainConfig;
 use drams_chain::contract::SmartContract;
 use drams_chain::error::ChainError;
 use drams_chain::node::{Node, NodeJournal};
-use drams_chain::tx::{Transaction, SENDER_NONCE_LEN};
-use drams_crypto::codec::{Decode, Encode, Writer};
+use drams_chain::tx::{Transaction, TxId};
+use drams_crypto::codec::{decode_seq, Decode, Encode, Reader, Writer};
+use drams_crypto::CryptoError;
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::fmt::Display;
-use std::hash::{Hash, Hasher};
-use std::ops::Range;
 use std::rc::Rc;
 
-/// Record tag: the payload is a canonical [`Transaction`].
+/// Record tag: the payload is a canonical [`Transaction`] the node
+/// accepted.
 pub const TAG_TX: u8 = 1;
-/// Record tag: the payload is a canonical [`Block`].
+/// Record tag: the payload is a canonical [`Block`] received from a peer.
 pub const TAG_BLOCK: u8 = 2;
+/// Record tag: a block the node mined. The payload is its canonical
+/// [`BlockHeader`], then the ids of its transactions in block order, as a
+/// sequence (a varint count, then 32 bytes each).
+pub const TAG_MINED: u8 = 3;
 
 /// A [`NodeJournal`] writing tagged records into a shared [`Wal`].
 #[derive(Debug)]
@@ -107,10 +113,10 @@ impl WalJournal {
         WalJournal { wal }
     }
 
-    fn record(&mut self, tag: u8, payload: &dyn Encode) -> Result<(), String> {
+    fn record(&mut self, tag: u8, payload: impl FnOnce(&mut Writer)) -> Result<(), String> {
         let mut record = Writer::with_capacity(256);
         record.put_u8(tag);
-        payload.encode(&mut record);
+        payload(&mut record);
         self.wal
             .borrow_mut()
             .append(&record.into_bytes())
@@ -121,12 +127,31 @@ impl WalJournal {
 
 impl NodeJournal for WalJournal {
     fn record_transaction(&mut self, tx: &Transaction) -> Result<(), String> {
-        self.record(TAG_TX, tx)
+        self.record(TAG_TX, |w| tx.encode(w))
+    }
+
+    fn record_mined(&mut self, block: &Block) -> Result<(), String> {
+        self.record(TAG_MINED, |w| {
+            block.header.encode(w);
+            w.put_varint(block.transactions.len() as u64);
+            for tx in &block.transactions {
+                tx.id().encode(w);
+            }
+        })
     }
 
     fn record_block(&mut self, block: &Block) -> Result<(), String> {
-        self.record(TAG_BLOCK, block)
+        self.record(TAG_BLOCK, |w| block.encode(w))
     }
+}
+
+/// The header and transaction ids of a [`TAG_MINED`] payload.
+fn decode_mined(payload: &[u8]) -> Result<(BlockHeader, Vec<TxId>), CryptoError> {
+    let mut r = Reader::new(payload);
+    let header = BlockHeader::decode(&mut r)?;
+    let ids = decode_seq(&mut r)?;
+    r.finish()?;
+    Ok((header, ids))
 }
 
 /// Replays one tagged journal record into `node`. `origin` names the
@@ -135,36 +160,40 @@ fn replay_record(node: &mut Node, origin: impl Display, record: &[u8]) -> Result
     let Some((&tag, payload)) = record.split_first() else {
         return Err(StoreError::Codec(format!("empty journal record {origin}")));
     };
-    match tag {
+    let malformed = |e: CryptoError| StoreError::Codec(format!("journal record {origin}: {e}"));
+    let replayed = match tag {
         TAG_TX => {
-            let tx = Transaction::from_canonical_bytes(payload)
-                .map_err(|e| StoreError::Codec(format!("journal record {origin}: {e}")))?;
+            let tx = Transaction::from_canonical_bytes(payload).map_err(malformed)?;
             match node.submit_transaction(tx) {
                 Ok(_) | Err(ChainError::DuplicateTransaction) => Ok(()),
-                Err(e) => Err(StoreError::Codec(format!(
-                    "journal record {origin} does not replay: {e}"
-                ))),
+                Err(e) => Err(e),
             }
         }
-        TAG_BLOCK => {
-            let block = Block::from_canonical_bytes(payload)
-                .map_err(|e| StoreError::Codec(format!("journal record {origin}: {e}")))?;
-            node.receive_block(block).map(|_| ()).map_err(|e| {
-                StoreError::Codec(format!("journal record {origin} does not replay: {e}"))
-            })
+        TAG_MINED => {
+            let (header, ids) = decode_mined(payload).map_err(malformed)?;
+            node.replay_mined(header, &ids)
         }
-        other => Err(StoreError::Codec(format!(
-            "journal record {origin} has unknown tag {other}"
-        ))),
-    }
+        TAG_BLOCK => {
+            let block = Block::from_canonical_bytes(payload).map_err(malformed)?;
+            node.receive_block(block).map(|_| ())
+        }
+        other => {
+            return Err(StoreError::Codec(format!(
+                "journal record {origin} has unknown tag {other}"
+            )))
+        }
+    };
+    replayed.map_err(|e| StoreError::Codec(format!("journal record {origin} does not replay: {e}")))
 }
 
-/// Layout byte opening the manifest payload. The layout before it was the
-/// whole folded journal packed into the snapshot, which opened with the
-/// high byte of a record length; such a payload is refused, not migrated.
-const MANIFEST_LAYOUT: u8 = 2;
-/// Layout byte, committed fold length, folded record count.
-const MANIFEST_HEADER_LEN: usize = 1 + 8 + 8;
+/// Layout byte opening the manifest payload. Layout 2 carried pending
+/// transaction records behind its header, and the layout before it was
+/// the whole folded journal packed into the snapshot, which opened with
+/// the high byte of a record length (0); both are refused, not migrated.
+const MANIFEST_LAYOUT: u8 = 3;
+/// The whole manifest payload: layout byte, committed fold length,
+/// folded record count.
+const MANIFEST_LEN: usize = 1 + 8 + 8;
 
 /// The journal's commit point, read from the WAL's snapshot file: what
 /// of the journal is folded, and where the folded part is.
@@ -176,9 +205,6 @@ struct Manifest {
     fold_len: u64,
     /// Records in the committed part of the fold file.
     fold_records: u64,
-    /// The folded transaction records no folded block includes, in
-    /// journal order, each behind a `u32` length.
-    pending: Vec<u8>,
 }
 
 impl Manifest {
@@ -190,114 +216,54 @@ impl Manifest {
         let malformed = |reason: String| {
             StoreError::Codec(format!("journal manifest `{SNAPSHOT_FILE}`: {reason}"))
         };
-        let header = payload.split_first_chunk::<1>().and_then(|(layout, rest)| {
-            let (fold_len, rest) = rest.split_first_chunk::<8>()?;
-            let (fold_records, pending) = rest.split_first_chunk::<8>()?;
-            Some((layout[0], *fold_len, *fold_records, pending))
-        });
-        let Some((layout, fold_len, fold_records, pending)) = header else {
+        let Some((header, rest)) = payload.split_first_chunk::<MANIFEST_LEN>() else {
             return Err(malformed(format!(
-                "payload of {} bytes is shorter than its {MANIFEST_HEADER_LEN}-byte header",
+                "payload of {} bytes is shorter than its {MANIFEST_LEN}-byte header",
                 payload.len()
             )));
         };
+        let layout = header[0];
         if layout != MANIFEST_LAYOUT {
             return Err(malformed(format!(
                 "payload byte 0: layout {layout} is not the supported {MANIFEST_LAYOUT}"
             )));
         }
+        if !rest.is_empty() {
+            return Err(malformed(format!(
+                "{} bytes trail its {MANIFEST_LEN}-byte payload",
+                rest.len()
+            )));
+        }
+        let word = |at: usize| u64::from_be_bytes(header[at..at + 8].try_into().expect("8 bytes"));
         Ok(Manifest {
             base_seq,
-            fold_len: u64::from_be_bytes(fold_len),
-            fold_records: u64::from_be_bytes(fold_records),
-            pending: pending.to_vec(),
+            fold_len: word(1),
+            fold_records: word(9),
         })
     }
 
     /// Writes the manifest: from here on the journal is what it names.
-    fn commit<'a>(
-        wal: &mut Wal,
-        base_seq: u64,
-        fold_len: u64,
-        fold_records: u64,
-        pending: impl Iterator<Item = &'a [u8]>,
-    ) -> Result<(), StoreError> {
-        let mut payload = vec![MANIFEST_LAYOUT];
-        payload.extend_from_slice(&fold_len.to_be_bytes());
-        payload.extend_from_slice(&fold_records.to_be_bytes());
-        for packed in pending {
-            payload.extend_from_slice(packed);
-        }
-        wal.write_snapshot(base_seq, &payload)
+    fn commit(&self, wal: &mut Wal) -> Result<(), StoreError> {
+        let mut payload = [0; MANIFEST_LEN];
+        payload[0] = MANIFEST_LAYOUT;
+        payload[1..9].copy_from_slice(&self.fold_len.to_be_bytes());
+        payload[9..].copy_from_slice(&self.fold_records.to_be_bytes());
+        wal.write_snapshot(self.base_seq, &payload)
     }
-}
-
-/// Appends `record` to `packed` behind its `u32` length; returns the span
-/// the pair occupies.
-fn pack_record(record: &[u8], packed: &mut Vec<u8>) -> Range<usize> {
-    let start = packed.len();
-    packed.extend_from_slice(&(record.len() as u32).to_be_bytes());
-    packed.extend_from_slice(record);
-    start..packed.len()
-}
-
-/// The transaction bytes of the TX record packed at `span`: what follows
-/// its length and its tag.
-fn packed_tx<'a>(packed: &'a [u8], span: &Range<usize>) -> &'a [u8] {
-    packed[span.clone()].get(4 + 1..).unwrap_or_default()
-}
-
-/// A transaction's canonical encoding, hashed by its opening sender ‖
-/// nonce bytes and compared whole. The codec is canonical, so equal bytes
-/// are equal transaction ids, and nothing is hashed to find that out.
-#[derive(PartialEq, Eq)]
-struct TxBytes<'a>(&'a [u8]);
-
-impl Hash for TxBytes<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0[..self.0.len().min(SENDER_NONCE_LEN)].hash(state);
-    }
-}
-
-/// Lends each record of a [`pack_record`] run to `visit`, with the span
-/// it and its length occupy.
-fn visit_packed<'a>(
-    packed: &'a [u8],
-    mut visit: impl FnMut(Range<usize>, &'a [u8]) -> Result<(), StoreError>,
-) -> Result<(), StoreError> {
-    let mut at = 0;
-    let mut rest = packed;
-    while !rest.is_empty() {
-        let split = rest
-            .split_first_chunk::<4>()
-            .and_then(|(len, rest)| rest.split_at_checked(u32::from_be_bytes(*len) as usize));
-        let Some((record, after)) = split else {
-            return Err(StoreError::Codec(format!(
-                "journal manifest `{SNAPSHOT_FILE}`: pending record at payload byte {} \
-                 is truncated",
-                MANIFEST_HEADER_LEN + at
-            )));
-        };
-        let end = at + 4 + record.len();
-        visit(at..end, record)?;
-        at = end;
-        rest = after;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 thread_local! {
     /// What the compactions on the current test thread touched:
-    /// `[records visited, blocks decoded, bytes appended to the fold file]`.
-    static WORK: std::cell::Cell<[u64; 3]> = const { std::cell::Cell::new([0; 3]) };
+    /// `[records visited, bytes appended to the fold file]`.
+    static WORK: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0; 2]) };
 }
 
 /// The work [`compact_node_journal`] does while `f` runs, for tests that
 /// pin its cost to what was journaled since the previous compaction. Per
 /// thread, so parallel tests do not disturb each other's count.
 #[cfg(test)]
-fn count_work<T>(f: impl FnOnce() -> T) -> ([u64; 3], T) {
+fn count_work<T>(f: impl FnOnce() -> T) -> ([u64; 2], T) {
     let before = WORK.get();
     let out = f();
     let after = WORK.get();
@@ -305,157 +271,100 @@ fn count_work<T>(f: impl FnOnce() -> T) -> ([u64; 3], T) {
 }
 
 #[cfg(test)]
-fn add_work(records: u64, blocks: u64, bytes: u64) {
-    let [r, b, y] = WORK.get();
-    WORK.set([r + records, b + blocks, y + bytes]);
+fn add_work(records: u64, bytes: u64) {
+    let [r, y] = WORK.get();
+    WORK.set([r + records, y + bytes]);
 }
 
 /// Compacts a node journal in place, at a cost set by what was journaled
 /// since the previous compaction and not by the length of the chain.
 ///
-/// A transaction record is redundant once a block journaled after it
-/// includes the transaction (the block replays it); every other record
-/// is kept. The kept records live in two places (see the module docs):
-/// blocks are appended to the fold file, transaction records still
-/// pending are packed into the manifest, which replaces the WAL's
-/// snapshot file. One call
+/// No record is ever redundant — each is an input the node took once —
+/// so a compaction moves the live records into the fold file (see the
+/// module docs) and drops none. One call
 ///
 /// 1. reads the manifest and seals the tail segment ([`Wal::seal_tail`]),
 ///    so that everything journaled so far can leave the live log;
 /// 2. visits the live records once, in order, each as the frame the WAL
-///    walk has just verified ([`Wal::visit_from`]): a transaction record
-///    joins the pending list as it stands; a block record is decoded for
-///    where its transactions' bytes sit ([`Block::transaction_spans`])
-///    and strikes every pending record whose transaction bytes equal one
-///    of them — looked up by their opening sender ‖ nonce bytes, compared
-///    whole, which (the codec being canonical) compares transaction ids
-///    without computing one — and keeps its verified frame for the fold
-///    file, checksummed again by nothing;
-/// 3. appends the framed blocks to the fold file and syncs it
+///    walk has just verified ([`Wal::visit_from`]), and copies the frame
+///    as it stands — nothing is decoded, hashed or checksummed again, and
+///    recovery is the one to name a record it cannot replay;
+/// 3. appends the frames to the fold file and syncs it
 ///    ([`Wal::append_fold`], which first cuts off what a compaction that
 ///    never committed left behind);
 /// 4. writes the manifest — **the commit point** — naming the new fold
-///    length and carrying the pending records;
+///    length and record count;
 /// 5. prunes the live segments the manifest now covers.
 ///
 /// A crash before step 4 leaves the old manifest, the old committed part
 /// of the fold file and every live record: nothing happened. A crash
 /// after it leaves segments that the manifest's sequence number already
 /// excludes from replay, and the next call prunes them. Recovery through
-/// [`recover_node`] is unchanged by compaction.
+/// [`recover_node`] reads the same records in the same order either way.
 ///
-/// One limit, inherited from the full rewrite this replaced: compaction
-/// sees the journal, not the fork choice, so a block the node imported as
-/// a side chain strikes the records of the transactions it includes like
-/// any other, although the node left them in its pool. A transaction
-/// pending here and included only by a side-chain block is therefore
-/// missing from the recovered pool. Telling the cases apart needs the
-/// import outcome in the block record, which [`NodeJournal`] does not
-/// carry.
-///
-/// Returns `(records_before, records_after)`, the journal's effective
-/// record count (folded + pending + live) on either side of the call.
+/// Returns `(records_before, records_after)`, the journal's record count
+/// (folded + live) on either side of the call — equal, since nothing is
+/// dropped.
 ///
 /// # Errors
 ///
-/// As [`recover_node`] for a damaged WAL, manifest or block record, and
-/// for a manifest in an older layout; [`StoreError::Corrupt`] when the
-/// fold file is shorter than the manifest commits; [`StoreError::Io`] on
-/// backend failure while writing.
+/// As [`recover_node`] for a damaged WAL or manifest, and for a manifest
+/// in an older layout; [`StoreError::Corrupt`] when the fold file is
+/// shorter than the manifest commits; [`StoreError::Io`] on backend
+/// failure while writing.
 pub fn compact_node_journal(wal: &mut Wal) -> Result<(u64, u64), StoreError> {
-    let Manifest {
-        base_seq,
-        fold_len,
-        fold_records,
-        pending: mut packed,
-    } = Manifest::read(wal)?;
+    let manifest = Manifest::read(wal)?;
     wal.seal_tail()?;
-
-    // Pending transaction records in journal order, by span in `packed`.
-    let mut pending: Vec<Range<usize>> = Vec::new();
-    visit_packed(&packed, |span, _| {
-        pending.push(span);
-        Ok(())
-    })?;
-    let carried = pending.len() as u64;
-
     let mut frames = Vec::new();
-    let (mut live, mut folded) = (0u64, 0u64);
-    wal.visit_from(base_seq, |seq, frame| {
+    let mut live = 0u64;
+    wal.visit_from(manifest.base_seq, |_, frame| {
         live += 1;
-        let record = &frame[FRAME_LEN..];
-        if let Some((&TAG_TX, _)) = record.split_first() {
-            pending.push(pack_record(record, &mut packed));
-            return Ok(());
-        }
-        if let Some((&TAG_BLOCK, block)) = record.split_first() {
-            let spans = Block::transaction_spans(block)
-                .map_err(|e| StoreError::Codec(format!("journal record {seq}: {e}")))?;
-            #[cfg(test)]
-            add_work(0, 1, 0);
-            if !pending.is_empty() && !spans.is_empty() {
-                let included: HashSet<TxBytes> = spans
-                    .into_iter()
-                    .map(|span| TxBytes(&block[span]))
-                    .collect();
-                pending.retain(|span| !included.contains(&TxBytes(packed_tx(&packed, span))));
-            }
-        }
-        // Whatever else it is, it is folded as it stands, in the frame
-        // the walk has just verified; recovery is the one to name a
-        // record it cannot replay.
         frames.extend_from_slice(frame);
-        folded += 1;
         Ok(())
     })?;
     #[cfg(test)]
-    add_work(carried + live, 0, frames.len() as u64);
+    add_work(live, frames.len() as u64);
 
-    let fold_len = wal.append_fold(fold_len, &frames)?;
+    let records = manifest.fold_records + live;
     let upto = wal.next_seq();
-    Manifest::commit(
-        wal,
-        upto,
-        fold_len,
-        fold_records + folded,
-        pending.iter().map(|span| &packed[span.clone()]),
-    )?;
+    Manifest {
+        base_seq: upto,
+        fold_len: wal.append_fold(manifest.fold_len, &frames)?,
+        fold_records: records,
+    }
+    .commit(wal)?;
     wal.prune_through(upto)?;
-    Ok((
-        fold_records + carried + live,
-        fold_records + folded + pending.len() as u64,
-    ))
+    Ok((records, records))
 }
 
 /// Rebuilds a node from its journal: a fresh node with `config` and
-/// `contracts` registered, then every journaled record replayed — the
-/// committed part of the fold file, then the manifest's pending
-/// transaction records, then the live WAL records (see
-/// [`compact_node_journal`]; a journal never compacted has only the
-/// last). The returned node carries **no** journal — attach one (over the
-/// same WAL) with [`Node::set_journal`] to keep journaling.
+/// `contracts` registered, then every journaled record replayed in
+/// journal order — the committed part of the fold file, then the live
+/// WAL records (see [`compact_node_journal`]; a journal never compacted
+/// has only the latter). The returned node carries **no** journal —
+/// attach one (over the same WAL) with [`Node::set_journal`] to keep
+/// journaling.
 ///
-/// Compaction moves a pending transaction record behind every block
-/// folded with or before it. That reaches the same node: replaying a
-/// block never reads the mempool (it imports, then strikes its own
-/// transactions from it), a pending record is by definition in no block
-/// folded after it, and the mempool is first-in-first-out with
-/// nothing but the duplicate check depending on its contents — so the
-/// pool ends up holding the same transactions in the same order, and the
-/// chain and contract state never saw the difference.
+/// Transactions are re-submitted, mined blocks take exactly the
+/// transactions they name out of the pool again ([`Node::replay_mined`]),
+/// peer blocks are re-received. The live node took the same inputs in the
+/// same order, so the recovered one ends up the same: chain, contract
+/// state and the pool in order, side-chain imports included.
 ///
-/// Replay tolerates exactly the benign duplicates write-ahead journaling
-/// produces (a transaction journaled but then rejected by the mempool,
-/// or pruned into a block earlier in the log); everything else — an
-/// undecodable record, a block the chain refuses — is an error, because
-/// it means the journal does not describe a state this node ever held.
+/// Replay tolerates exactly the benign duplicate write-ahead journaling
+/// produces (a transaction journaled, then rejected by the mempool as
+/// already pending); everything else — an undecodable record, a mined
+/// block naming a transaction the pool does not hold, a block the chain
+/// refuses — is an error, because it means the journal does not describe
+/// a state this node ever held.
 ///
 /// # Errors
 ///
 /// [`StoreError::Corrupt`] when the WAL or the fold file is damaged
 /// (naming the file and the offset), [`StoreError::Codec`] when the
 /// manifest is malformed or in an older layout, or when a record does
-/// not decode or does not replay.
+/// not decode or does not replay (naming its WAL sequence number or its
+/// fold-file offset).
 pub fn recover_node(
     wal: &Wal,
     config: ChainConfig,
@@ -479,10 +388,6 @@ pub fn recover_node(
             ),
         });
     }
-    visit_packed(&manifest.pending, |span, record| {
-        let origin = format_args!("pending@{}", MANIFEST_HEADER_LEN + span.start);
-        replay_record(&mut node, origin, record)
-    })?;
     wal.visit_from(manifest.base_seq, |seq, frame| {
         replay_record(&mut node, seq, &frame[FRAME_LEN..])
     })?;
@@ -612,36 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_drops_included_tx_records_and_recovery_is_unchanged() {
-        let (mut node, wal) = journaled_node();
-        let kp = Keypair::from_seed(b"persist-tests");
-        for i in 0..6 {
-            node.submit_call(&kp, "kvstore", "put", format!("e{i}").into_bytes())
-                .unwrap();
-            node.mine_block(1_000 + i).unwrap();
-        }
-        // One pending tx must survive compaction verbatim.
-        node.submit_call(&kp, "kvstore", "put", b"pending".to_vec())
-            .unwrap();
-        let tip = node.chain().tip_hash();
-        let events = node.events().len();
-        drop(node);
-
-        let (before, after) = compact_node_journal(&mut wal.borrow_mut()).unwrap();
-        // 7 tx records + 6 block records journaled; the 6 included tx
-        // records fold away, the pending one and every block stay.
-        assert_eq!(before, 13);
-        assert_eq!(after, 7);
-        assert_eq!(wal.borrow().segment_count(), 1, "sealed segments pruned");
-
-        let recovered =
-            recover_node(&wal.borrow(), config(), vec![Box::new(KvStoreContract)]).unwrap();
-        assert_eq!(recovered.chain().tip_hash(), tip);
-        assert_eq!(recovered.events().len(), events);
-        assert_eq!(recovered.mempool_len(), 1, "pending tx survives compaction");
-    }
-
-    #[test]
     fn compaction_is_idempotent_and_composes_with_later_appends() {
         let (mut node, wal) = journaled_node();
         let kp = Keypair::from_seed(b"persist-tests");
@@ -671,11 +546,12 @@ mod tests {
         assert_eq!(again.chain().tip_header().height, 2);
     }
 
-    // -- the fold file: equivalence, crash points, cost ---------------------
+    // -- journal order: side chains, withheld and mined records ----------
 
     use crate::backend::testing::FaultyBackend;
     use crate::wal::segment_file_name;
     use drams_chain::block::BlockHash;
+    use drams_chain::chain::ImportOutcome;
     use drams_chain::contract::Event;
     use proptest::prelude::*;
 
@@ -704,28 +580,6 @@ mod tests {
         recover_node(wal, config.clone(), vec![Box::new(KvStoreContract)]).unwrap()
     }
 
-    /// The compaction this module had before the fold file, kept as the
-    /// oracle: over the *whole* journal, drop every transaction record
-    /// whose transaction some journaled block includes.
-    fn full_rewrite(records: &[Vec<u8>]) -> Vec<&Vec<u8>> {
-        let mut included: HashSet<TxId> = HashSet::new();
-        for record in records {
-            if let Some((&TAG_BLOCK, payload)) = record.split_first() {
-                let block = Block::from_canonical_bytes(payload).unwrap();
-                included.extend(block.transactions.iter().map(Transaction::id));
-            }
-        }
-        records
-            .iter()
-            .filter(|record| match record.split_first() {
-                Some((&TAG_TX, payload)) => Transaction::from_canonical_bytes(payload)
-                    .map(|tx| !included.contains(&tx.id()))
-                    .unwrap_or(true),
-                _ => true,
-            })
-            .collect()
-    }
-
     fn journal_of(wal: &Wal) -> Vec<Vec<u8>> {
         wal.replay().unwrap().into_iter().map(|(_, r)| r).collect()
     }
@@ -738,6 +592,10 @@ mod tests {
         fn record_transaction(&mut self, tx: &Transaction) -> Result<(), String> {
             self.0.record_transaction(tx)?;
             self.1.record_transaction(tx)
+        }
+        fn record_mined(&mut self, block: &Block) -> Result<(), String> {
+            self.0.record_mined(block)?;
+            self.1.record_mined(block)
         }
         fn record_block(&mut self, block: &Block) -> Result<(), String> {
             self.0.record_block(block)?;
@@ -759,8 +617,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Whatever the interleaving, the compacted journal recovers the
-        /// node the whole journal recovers, which is the node the oracle's
-        /// rewrite of the whole journal recovers, which is the live node.
+        /// node the whole journal recovers, which is the live node.
         #[test]
         fn incremental_compaction_recovers_what_the_whole_journal_recovers(
             ops in prop::collection::vec(0u8..10, 1..48),
@@ -799,15 +656,20 @@ mod tests {
                         node.mine_block(now).unwrap();
                     }
                     6 => {
+                        // The peer's block carries a transaction of its
+                        // own and the oldest one pending here, if any.
+                        if let Some(tx) = node.pending_transactions().next() {
+                            let _ = peer.submit_transaction(tx.clone());
+                        }
                         peer.submit_call(&peer_kp, "kvstore", "put", payload).unwrap();
                         let block = peer.mine_block(now).unwrap().clone();
                         node.receive_block(block).unwrap();
                     }
                     7 | 8 => {
-                        let (_, after) =
+                        let (before, after) =
                             compact_node_journal(&mut compacted.borrow_mut()).unwrap();
-                        let kept = full_rewrite(&journal_of(&whole.borrow())).len() as u64;
-                        prop_assert_eq!(after, kept, "effective records after step {}", step);
+                        let journaled = journal_of(&whole.borrow()).len() as u64;
+                        prop_assert_eq!((before, after), (journaled, journaled), "step {}", step);
                     }
                     _ => {
                         let live = state(&node);
@@ -822,89 +684,199 @@ mod tests {
             let live = state(&node);
             drop(node);
             prop_assert_eq!(state(&recovered(&compacted.borrow(), &config)), live.clone());
-            prop_assert_eq!(state(&recovered(&whole.borrow(), &config)), live.clone());
-            let mut oracle = Node::new(config.clone());
-            oracle.register_contract(Box::new(KvStoreContract));
-            let whole_journal = journal_of(&whole.borrow());
-            for (i, record) in full_rewrite(&whole_journal).into_iter().enumerate() {
-                replay_record(&mut oracle, i, record).unwrap();
-            }
-            prop_assert_eq!(state(&oracle), live);
+            prop_assert_eq!(state(&recovered(&whole.borrow(), &config)), live);
         }
     }
 
-    #[test]
-    fn pending_tx_keeps_its_place_until_the_compaction_after_its_block() {
+    /// A transaction pending here that only a peer's side-chain block
+    /// includes stays in the live node's pool, so it must be in the pool
+    /// of the node recovered from a compacted journal. With `promote`, a
+    /// later peer block makes that side chain the main chain first.
+    fn side_chain_block_includes_a_pending_tx(promote: bool) {
         let (mut node, wal) = journaled_node();
-        let kp = Keypair::from_seed(b"persist-tests");
-        let put = |node: &mut Node, tag: &str| {
-            node.submit_call(&kp, "kvstore", "put", tag.as_bytes().to_vec())
-                .unwrap()
-        };
-        // `held` is withheld from every block (the Byzantine-drop hook
-        // takes it out of the pool; the journal keeps it), so it stays a
-        // pending record while blocks are folded around it.
-        let first = put(&mut node, "first");
-        let held = put(&mut node, "held");
-        let held_tx = node.withhold_transaction(&held).unwrap();
+        let mut peer = Node::new(config());
+        peer.register_contract(Box::new(KvStoreContract));
         node.mine_block(1).unwrap();
-        let mut effective = Vec::new();
-        for round in 0..4 {
-            let (_, after) = compact_node_journal(&mut wal.borrow_mut()).unwrap();
-            effective.push(after);
-            let pool = state(&recovered(&wal.borrow(), &config())).3;
-            assert_eq!(pool.first(), Some(&held), "round {round}: {pool:?}");
-            assert!(!pool.contains(&first), "its block was folded");
-            put(&mut node, &format!("later-{round}"));
-            if round % 2 == 1 {
-                node.mine_block(10 + round).unwrap();
-            }
+        let kp = Keypair::from_seed(b"persist-tests");
+        let tx = Transaction::new_signed(&kp, 0, "kvstore", "put", b"side".to_vec());
+        node.submit_transaction(tx.clone()).unwrap();
+        peer.submit_transaction(tx.clone()).unwrap();
+        let side = peer.mine_block(2).unwrap().clone();
+        assert_eq!(node.receive_block(side), Ok(ImportOutcome::SideChain));
+        if promote {
+            let next = peer.mine_block(3).unwrap().clone();
+            assert_eq!(
+                node.receive_block(next),
+                Ok(ImportOutcome::Reorg { depth: 1 })
+            );
         }
-        // Blocks 1, 2 and 3 and the withheld record; plus one unmined
-        // `later` record after rounds 0 and 2.
-        assert_eq!(effective, [2, 3, 3, 4]);
-        // Its block arrives: the next compaction drops the record, and
-        // only that one.
-        node.submit_transaction(held_tx).unwrap();
-        node.mine_block(99).unwrap();
         let live = state(&node);
-        let (before, after) = compact_node_journal(&mut wal.borrow_mut()).unwrap();
-        // Two blocks folded, two records carried, four live; everything
-        // but the four blocks goes.
-        assert_eq!((before, after), (2 + 2 + 4, 4));
+        assert_eq!(live.3, [tx.id()], "the live pool still holds it");
+        compact_node_journal(&mut wal.borrow_mut()).unwrap();
+        assert_eq!(state(&recovered(&wal.borrow(), &config())), live);
+        wal.borrow_mut().simulate_crash().unwrap();
         assert_eq!(state(&recovered(&wal.borrow(), &config())), live);
     }
 
     #[test]
-    fn a_tx_journaled_again_after_its_block_stays_pending_as_in_the_whole_journal() {
-        // The one history where this compaction and the oracle part ways,
-        // and the oracle is the one that is wrong: a transaction submitted
-        // again after the block that included it is back in the live
-        // node's pool (the pool does not know the chain), so its second
-        // record is not redundant. Only a block journaled *after* a
-        // record makes it so.
-        let (whole, compacted) = (mem_wal(8), mem_wal(8));
-        let mut node = Node::new(config());
-        node.register_contract(Box::new(KvStoreContract));
-        node.set_journal(Box::new(Tee(
-            WalJournal::new(compacted.clone()),
-            WalJournal::new(whole.clone()),
-        )));
-        let kp = Keypair::from_seed(b"persist-tests");
-        let tx = Transaction::new_signed(&kp, 0, "kvstore", "put", b"again".to_vec());
-        node.submit_transaction(tx.clone()).unwrap();
-        node.mine_block(1).unwrap();
-        compact_node_journal(&mut compacted.borrow_mut()).unwrap();
-        node.submit_transaction(tx).unwrap();
-        let live = state(&node);
-        assert_eq!(live.3.len(), 1);
-
-        let (_, after) = compact_node_journal(&mut compacted.borrow_mut()).unwrap();
-        assert_eq!(after, 2, "the block and the second record");
-        assert_eq!(state(&recovered(&compacted.borrow(), &config())), live);
-        assert_eq!(state(&recovered(&whole.borrow(), &config())), live);
-        assert_eq!(full_rewrite(&journal_of(&whole.borrow())).len(), 1);
+    fn a_pending_tx_only_a_side_chain_block_includes_survives_compaction() {
+        side_chain_block_includes_a_pending_tx(false);
     }
+
+    #[test]
+    fn a_side_chain_block_a_reorg_promotes_recovers_the_live_pool() {
+        side_chain_block_includes_a_pending_tx(true);
+    }
+
+    #[test]
+    fn a_withheld_transaction_is_resurrected_in_its_original_place() {
+        let wal = mem_wal(8);
+        let mut node = Node::new(mid_life_config());
+        node.register_contract(Box::new(KvStoreContract));
+        node.set_journal(Box::new(WalJournal::new(wal.clone())));
+        let kp = Keypair::from_seed(b"persist-tests");
+        let ids: Vec<TxId> = ["a", "b", "c", "d"]
+            .iter()
+            .map(|tag| {
+                node.submit_call(&kp, "kvstore", "put", tag.as_bytes().to_vec())
+                    .unwrap()
+            })
+            .collect();
+        // The block takes b and c from behind the withheld a; replay
+        // takes exactly those, so a is back, in front of d.
+        node.withhold_transaction(&ids[0]).unwrap();
+        node.mine_block(1).unwrap();
+        assert_eq!(state(&node).3, [ids[3]]);
+        let expected = [ids[0], ids[3]];
+        assert_eq!(
+            state(&recovered(&wal.borrow(), &mid_life_config())).3,
+            expected
+        );
+        compact_node_journal(&mut wal.borrow_mut()).unwrap();
+        assert_eq!(
+            state(&recovered(&wal.borrow(), &mid_life_config())).3,
+            expected
+        );
+    }
+
+    /// A journal holding one accepted transaction and, behind it, the
+    /// record under test.
+    fn journal_with(tx: &Transaction, record: &[u8]) -> Rc<RefCell<Wal>> {
+        let wal = mem_wal(8);
+        WalJournal::new(wal.clone()).record_transaction(tx).unwrap();
+        wal.borrow_mut().append(record).unwrap();
+        wal
+    }
+
+    fn recover_unit(wal: &Wal, config: ChainConfig) -> Result<(), StoreError> {
+        recover_node(wal, config, vec![Box::new(KvStoreContract)]).map(|_| ())
+    }
+
+    #[test]
+    fn a_mined_record_naming_a_tx_not_pending_or_another_root_fails_replay() {
+        let kp = Keypair::from_seed(b"persist-tests");
+        let (held, other) = (
+            Transaction::new_signed(&kp, 0, "kvstore", "put", b"held".to_vec()),
+            Transaction::new_signed(&kp, 0, "kvstore", "put", b"other".to_vec()),
+        );
+        let genesis = Node::new(config()).chain().tip_hash();
+        let mined = |block: &Block| {
+            let wal = mem_wal(8);
+            WalJournal::new(wal.clone()).record_mined(block).unwrap();
+            let record = journal_of(&wal.borrow()).remove(0);
+            record
+        };
+        // Names a transaction never accepted here.
+        let block = Block::mine(genesis, 1, vec![other.clone()], 1, 0);
+        let wal = journal_with(&held, &mined(&block));
+        assert_eq!(
+            recover_unit(&wal.borrow(), config()),
+            Err(StoreError::Codec(format!(
+                "journal record 1 does not replay: {}",
+                ChainError::NotPending(other.id())
+            )))
+        );
+        // Names the pending transaction under a header that commits to
+        // another one.
+        let forged = Block {
+            header: block.header,
+            transactions: vec![held.clone()],
+        };
+        let wal = journal_with(&held, &mined(&forged));
+        assert_eq!(
+            recover_unit(&wal.borrow(), config()),
+            Err(StoreError::Codec(format!(
+                "journal record 1 does not replay: {}",
+                ChainError::BadTxRoot
+            )))
+        );
+    }
+
+    /// The records of one accepted transaction and the block that mined
+    /// it, built once.
+    fn mined_journal() -> &'static [Vec<u8>] {
+        static RECORDS: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
+        RECORDS.get_or_init(|| {
+            let (mut node, wal) = journaled_node();
+            let kp = Keypair::from_seed(b"persist-tests");
+            node.submit_call(&kp, "kvstore", "put", b"a".to_vec())
+                .unwrap();
+            node.mine_block(1).unwrap();
+            let records = journal_of(&wal.borrow());
+            records
+        })
+    }
+
+    #[test]
+    fn a_mined_record_cut_short_is_a_codec_error_naming_it() {
+        let [tx_record, mined] = mined_journal() else {
+            unreachable!()
+        };
+        assert_eq!(mined[0], TAG_MINED);
+        let tx = Transaction::from_canonical_bytes(&tx_record[1..]).unwrap();
+        for cut in 1..mined.len() {
+            let reason = decode_mined(&mined[1..cut]).unwrap_err();
+            let wal = journal_with(&tx, &mined[..cut]);
+            assert_eq!(
+                recover_unit(&wal.borrow(), config()),
+                Err(StoreError::Codec(format!("journal record 1: {reason}"))),
+                "cut at {cut}"
+            );
+        }
+        let wal = journal_with(&tx, mined);
+        assert_eq!(recover_unit(&wal.borrow(), config()), Ok(()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any bytes behind tag 3 — a real mined record's opening, cut
+        /// anywhere, then noise — recover a node or fail as a typed
+        /// error; recovery never panics.
+        #[test]
+        fn arbitrary_bytes_behind_the_mined_tag_never_panic_recovery(
+            keep in 0usize..200,
+            noise in prop::collection::vec(any::<u8>(), 0..96),
+        ) {
+            let [tx_record, mined] = mined_journal() else { unreachable!() };
+            let payload = &mined[1..];
+            let record = [&[TAG_MINED], &payload[..keep.min(payload.len())], noise.as_slice()].concat();
+            let wal = mem_wal(8);
+            wal.borrow_mut().append(tx_record).unwrap();
+            wal.borrow_mut().append(&record).unwrap();
+            let config = ChainConfig {
+                verify_signatures: false,
+                ..config()
+            };
+            let outcome = recover_unit(&wal.borrow(), config);
+            match outcome {
+                Ok(()) | Err(StoreError::Codec(_)) => {}
+                Err(other) => prop_assert!(false, "{other:?}"),
+            }
+        }
+    }
+
+    // -- the fold file: crash points, cost, bytes ----------------------------
 
     fn open(medium: &FaultyBackend) -> Wal {
         let config = WalConfig {
@@ -915,16 +887,13 @@ mod tests {
     }
 
     /// A journal with something in every place a compaction reads and
-    /// writes — a committed fold, a carried pending record, a sealed and
-    /// a tail segment of live records, one of them still pending — and
-    /// the live node it describes.
+    /// writes — a committed fold, a sealed and a tail segment of live
+    /// records, a transaction still pending — and the live node it
+    /// describes.
     fn journal_mid_life() -> (FaultyBackend, NodeState) {
         let medium = FaultyBackend::default();
         let wal = Rc::new(RefCell::new(open(&medium)));
-        let mut node = Node::new(ChainConfig {
-            max_block_txs: 2,
-            ..config()
-        });
+        let mut node = Node::new(mid_life_config());
         node.register_contract(Box::new(KvStoreContract));
         node.set_journal(Box::new(WalJournal::new(wal.clone())));
         let kp = Keypair::from_seed(b"persist-tests");
@@ -936,7 +905,7 @@ mod tests {
             put(&mut node, tag);
         }
         node.mine_block(1).unwrap();
-        compact_node_journal(&mut wal.borrow_mut()).unwrap(); // folds block 1, carries `c`
+        compact_node_journal(&mut wal.borrow_mut()).unwrap(); // folds a, b, c and block 1
         put(&mut node, "d");
         node.mine_block(2).unwrap(); // c, d
         put(&mut node, "e");
@@ -960,7 +929,7 @@ mod tests {
         let (medium, _) = journal_mid_life();
         let mut wal = open(&medium);
         medium.0.borrow_mut().changes.clear();
-        assert_eq!(compact_node_journal(&mut wal).unwrap(), (1 + 1 + 5, 3 + 1));
+        assert_eq!(compact_node_journal(&mut wal).unwrap(), (4 + 5, 4 + 5));
         let [sealed, tail, fresh] = [1, 2, 3].map(segment_file_name);
         assert_eq!(
             medium.0.borrow().changes,
@@ -1039,42 +1008,34 @@ mod tests {
         let work_after = |history: u64| {
             let wal = mem_wal(256);
             let mut journal = WalJournal::new(wal.clone());
-            // `history` folded blocks and three records still pending...
+            // `history` folded records...
             for height in 0..history {
-                journal.record_block(&block(height, Vec::new())).unwrap();
-            }
-            for nonce in 0..3 {
-                journal.record_transaction(&tx(nonce)).unwrap();
+                journal.record_mined(&block(height, Vec::new())).unwrap();
             }
             assert_eq!(
                 compact_node_journal(&mut wal.borrow_mut()).unwrap(),
-                (history + 3, history + 3)
+                (history, history)
             );
-            // ...then 64 records: 48 transactions, 16 blocks that include
-            // two of them each, the first one also a carried record.
-            let mut appended = 0;
+            // ...then 64 records: 48 transactions and 16 mined blocks
+            // that take two of them each.
             for round in 0..16 {
-                let txs: Vec<Transaction> = (0..3).map(|i| tx(100 + round * 3 + i)).collect();
+                let txs: Vec<Transaction> = (0..3).map(|i| tx(round * 3 + i)).collect();
                 for tx in &txs {
                     journal.record_transaction(tx).unwrap();
                 }
-                let mut included = txs[..2].to_vec();
-                if round == 0 {
-                    included.push(tx(1));
-                }
-                let block = block(history + round, included);
-                // Frame, tag, block.
-                appended += (crate::segment::FRAME_LEN + 1 + block.wire_len()) as u64;
-                journal.record_block(&block).unwrap();
+                journal
+                    .record_mined(&block(history + round, txs[..2].to_vec()))
+                    .unwrap();
             }
+            let tail = wal.borrow().replay_from(history).unwrap();
+            let appended: usize = tail.iter().map(|(_, r)| FRAME_LEN + r.len()).sum();
             let (work, counts) =
                 count_work(|| compact_node_journal(&mut wal.borrow_mut()).unwrap());
-            // 3 carried + 48 new records, 2 × 16 + 1 of them included.
-            assert_eq!(counts, (history + 3 + 64, history + 16 + 3 + 48 - 33));
-            (work, appended)
+            assert_eq!(counts, (history + 64, history + 64));
+            (work, appended as u64)
         };
         let (small, appended) = work_after(1_024);
-        assert_eq!(small, [64 + 3, 16, appended], "records, blocks, fold bytes");
+        assert_eq!(small, [64, appended], "records, fold bytes");
         assert_eq!(work_after(16_384).0, small, "whatever was folded before");
     }
 
@@ -1089,8 +1050,8 @@ mod tests {
             WalJournal::new(whole.clone()),
         )));
         let kp = Keypair::from_seed(b"persist-tests");
-        // Three transactions a round, two a block: a backlog is carried
-        // from compaction to compaction.
+        // Three transactions a round, two a block, a compaction every
+        // other round: the last one folds the whole journal.
         for round in 0..6 {
             for i in 0..3 {
                 node.submit_call(&kp, "kvstore", "put", format!("{round}.{i}").into_bytes())
@@ -1101,72 +1062,44 @@ mod tests {
                 compact_node_journal(&mut compacted.borrow_mut()).unwrap();
             }
         }
+        assert_eq!(node.mempool_len(), 6);
+        let records = journal_of(&whole.borrow());
         let mut fold = Vec::new();
-        for record in journal_of(&whole.borrow()) {
-            if record.first() == Some(&TAG_BLOCK) {
-                frame_record(&record, &mut fold);
-            }
+        for record in &records {
+            frame_record(record, &mut fold);
         }
         assert_eq!(medium.read(FOLD_FILE).unwrap(), fold);
-        let mut pending = Vec::new();
-        for tx in node.pending_transactions() {
-            pack_record(
-                &[&[TAG_TX], tx.to_canonical_bytes().as_slice()].concat(),
-                &mut pending,
-            );
-        }
-        assert_eq!(node.mempool_len(), 6);
+        let manifest = [
+            &[MANIFEST_LAYOUT][..],
+            &(fold.len() as u64).to_be_bytes(),
+            &(records.len() as u64).to_be_bytes(),
+        ]
+        .concat();
         assert_eq!(
-            Manifest::read(&compacted.borrow()).unwrap().pending,
-            pending
+            compacted.borrow().read_snapshot().unwrap(),
+            Some((records.len() as u64, manifest))
         );
     }
 
     #[test]
-    fn a_block_strikes_a_pending_record_by_its_bytes_not_its_sender_and_nonce() {
-        let kp = Keypair::from_seed(b"persist-tests");
-        let pending = Transaction::new_signed(&kp, 0, "kvstore", "put", b"pending".to_vec());
-        // The same sender and nonce, other bytes: another transaction.
-        let rival = Transaction::new_signed(&kp, 0, "kvstore", "put", b"rival".to_vec());
-        assert_eq!(
-            pending.to_canonical_bytes()[..SENDER_NONCE_LEN],
-            rival.to_canonical_bytes()[..SENDER_NONCE_LEN]
-        );
-        let wal = mem_wal(8);
-        let mut journal = WalJournal::new(wal.clone());
-        journal.record_transaction(&pending).unwrap();
-        journal
-            .record_block(&Block::mine(Digest::ZERO, 0, vec![rival], 0, 0))
-            .unwrap();
-        assert_eq!(compact_node_journal(&mut wal.borrow_mut()).unwrap(), (2, 2));
-        journal
-            .record_block(&Block::mine(Digest::ZERO, 1, vec![pending], 1, 0))
-            .unwrap();
-        assert_eq!(compact_node_journal(&mut wal.borrow_mut()).unwrap(), (3, 2));
-    }
-
-    #[test]
-    fn a_block_record_that_does_not_decode_fails_the_compaction_naming_its_seq() {
+    fn a_block_record_that_does_not_decode_fails_recovery_at_its_fold_offset() {
         let kp = Keypair::from_seed(b"persist-tests");
         let tx = Transaction::new_signed(&kp, 0, "kvstore", "put", b"a".to_vec());
         let block = Block::mine(Digest::ZERO, 0, vec![tx.clone()], 0, 0).to_canonical_bytes();
         for garbage in [&[1, 2, 3][..], &block[..block.len() - 1]] {
-            let wal = mem_wal(8);
-            WalJournal::new(wal.clone())
-                .record_transaction(&tx)
-                .unwrap();
-            let seq = wal
-                .borrow_mut()
-                .append(&[&[TAG_BLOCK], garbage].concat())
-                .unwrap();
+            let wal = journal_with(&tx, &[&[TAG_BLOCK], garbage].concat());
+            // Compaction copies the record as it stands...
+            assert_eq!(compact_node_journal(&mut wal.borrow_mut()), Ok((2, 2)));
+            // ...and recovery names it where it now lies: in the fold
+            // file, behind the transaction's frame.
+            let offset = FRAME_LEN + 1 + tx.wire_len();
             let reason = Block::from_canonical_bytes(garbage).unwrap_err();
             assert_eq!(
-                compact_node_journal(&mut wal.borrow_mut()),
-                Err(StoreError::Codec(format!("journal record {seq}: {reason}")))
+                recover_unit(&wal.borrow(), config()),
+                Err(StoreError::Codec(format!(
+                    "journal record `{FOLD_FILE}`@{offset}: {reason}"
+                )))
             );
-            // Nothing was committed: the journal is what it was.
-            assert_eq!(wal.borrow().read_snapshot().unwrap(), None);
-            assert_eq!(journal_of(&wal.borrow()).len(), 2);
         }
     }
 
@@ -1177,25 +1110,32 @@ mod tests {
         node.submit_call(&kp, "kvstore", "put", b"a".to_vec())
             .unwrap();
         drop(node);
-        // What the previous compaction wrote: the journal's records, each
-        // behind its length, and nothing else.
-        let mut old = Vec::new();
+        // Layout 0, the whole folded journal with each record behind its
+        // length; layout 2, a header with the pending records behind it,
+        // and with none.
+        let mut packed = Vec::new();
         for record in journal_of(&wal.borrow()) {
-            pack_record(&record, &mut old);
+            packed.extend_from_slice(&(record.len() as u32).to_be_bytes());
+            packed.extend_from_slice(&record);
         }
+        let header = [&[2][..], &0u64.to_be_bytes(), &0u64.to_be_bytes()].concat();
+        let layout_2 = [header.as_slice(), &packed].concat();
         let upto = wal.borrow().next_seq();
-        wal.borrow_mut().write_snapshot(upto, &old).unwrap();
-        let recovery = recover_node(&wal.borrow(), config(), vec![]).map(|_| ());
-        let compaction = compact_node_journal(&mut wal.borrow_mut()).map(|_| ());
-        for outcome in [recovery, compaction] {
-            match outcome {
-                Err(StoreError::Codec(reason)) => {
-                    assert!(
-                        reason.contains(SNAPSHOT_FILE) && reason.contains("layout 0"),
-                        "{reason}"
-                    );
+        for (layout, old) in [(0, packed), (2, layout_2), (2, header)] {
+            wal.borrow_mut().write_snapshot(upto, &old).unwrap();
+            let recovery = recover_node(&wal.borrow(), config(), vec![]).map(|_| ());
+            let compaction = compact_node_journal(&mut wal.borrow_mut()).map(|_| ());
+            for outcome in [recovery, compaction] {
+                match outcome {
+                    Err(StoreError::Codec(reason)) => {
+                        assert!(
+                            reason.contains(SNAPSHOT_FILE)
+                                && reason.contains(&format!("layout {layout} ")),
+                            "{reason}"
+                        );
+                    }
+                    other => panic!("expected a typed refusal, got {other:?}"),
                 }
-                other => panic!("expected a typed refusal, got {other:?}"),
             }
         }
     }

@@ -7,9 +7,10 @@
 //! the offset — never a panic, never a node rebuilt from half a journal.
 //!
 //! The geometry is read from the documented formats, not from the engine:
-//! a fold file is a run of `len u32 | crc32 u32 | payload` frames, and a
-//! manifest payload is `layout u8 | fold_len u64 | fold_records u64`
-//! followed by `len u32 | record` for each pending transaction record.
+//! a fold file is a run of `len u32 | crc32 u32 | payload` frames, one
+//! for every record journaled before the last compaction, and a manifest
+//! payload is `layout u8 | fold_len u64 | fold_records u64` and nothing
+//! more.
 
 use drams_chain::chain::ChainConfig;
 use drams_chain::contract::KvStoreContract;
@@ -31,7 +32,7 @@ const CONFIG: WalConfig = WalConfig {
 };
 /// Snapshot file header: magic, version, sequence, length, checksum.
 const SNAPSHOT_HEADER_LEN: usize = 24;
-const MANIFEST_HEADER_LEN: usize = 17;
+const MANIFEST_LEN: usize = 17;
 
 fn chain_config() -> ChainConfig {
     ChainConfig {
@@ -58,9 +59,9 @@ fn recover(dir: &Path) -> Result<Node, StoreError> {
     )
 }
 
-/// A journal compacted twice — five blocks in the fold file, three
-/// pending transaction records in the manifest, one live record — as the files
-/// it left, with the tip hash the journal describes.
+/// A journal compacted twice — eighteen records in the fold file, three
+/// of them transactions still pending, and one live record — as the
+/// files it left, with the tip hash the journal describes.
 struct Pristine {
     files: Vec<(String, Vec<u8>)>,
     tip: drams_crypto::sha256::Digest,
@@ -104,7 +105,7 @@ impl Pristine {
         }
         assert_eq!(
             compact_node_journal(&mut wal.borrow_mut()).expect("second compaction"),
-            (2 + 3 + 9, 5 + 3),
+            (9 + 9, 9 + 9),
         );
         put(&mut node);
         let tip = node.chain().tip_hash();
@@ -121,7 +122,7 @@ impl Pristine {
         }
         fs::remove_dir_all(&dir).ok();
         let pristine = Pristine { files, tip };
-        assert_eq!(pristine.fold_frames().len(), 5, "five blocks folded");
+        assert_eq!(pristine.fold_frames().len(), 18, "every record folded");
         pristine
     }
 
@@ -208,7 +209,7 @@ fn pristine_journal_recovers() {
     assert_eq!(
         node.mempool_len(),
         4,
-        "three carried records and the live one"
+        "three pending since the folds, and the live one"
     );
     fs::remove_dir_all(&dir).ok();
 }
@@ -314,33 +315,29 @@ fn every_prefix_of_the_manifest_file_is_refused() {
 }
 
 /// A manifest *payload* cut at every length, behind a header that is
-/// right for it: short of its own header, or inside a pending record, it
-/// is refused by name and offset; cut between two pending records it is
-/// a well-formed manifest of an earlier journal.
+/// right for it, is refused by name as shorter than its header; the whole
+/// payload is well formed; a byte past it is refused by name too.
 #[test]
 fn every_prefix_of_the_manifest_payload_is_refused_or_well_formed() {
     let pristine = Pristine::get();
     let dir = test_dir("payload-prefix-case");
     let payload = pristine.manifest();
-    // Pending record boundaries, read off the length words.
-    let mut boundaries = vec![MANIFEST_HEADER_LEN];
-    while let Some(&at) = boundaries.last().filter(|&&at| at < payload.len()) {
-        let len = u32::from_be_bytes(payload[at..at + 4].try_into().unwrap()) as usize;
-        boundaries.push(at + 4 + len);
-    }
-    assert_eq!(boundaries.len(), 4, "three pending records");
+    assert_eq!(payload.len(), MANIFEST_LEN, "the header is the payload");
     for cut in 0..payload.len() {
-        let context = format!("payload cut at {cut}");
         pristine.restore_with_manifest(&dir, &payload[..cut]);
-        if cut < MANIFEST_HEADER_LEN {
-            expect_codec(recover(&dir), &[SNAPSHOT_FILE, "header"], &context);
-        } else if boundaries.contains(&cut) {
-            recover(&dir).unwrap_or_else(|e| panic!("{context}: {e:?}"));
-        } else {
-            let record = boundaries.iter().rev().find(|&&b| b < cut).unwrap();
-            let names = [SNAPSHOT_FILE, &format!("payload byte {record} ")];
-            expect_codec(recover(&dir), &names, &context);
-        }
+        let context = format!("payload cut at {cut}");
+        expect_codec(recover(&dir), &[SNAPSHOT_FILE, "header"], &context);
+    }
+    pristine.restore_with_manifest(&dir, payload);
+    assert_eq!(
+        recover(&dir).expect("recovers").chain().tip_hash(),
+        pristine.tip
+    );
+    for trailing in [&[0][..], &[0xFF], &[7; 9]] {
+        pristine.restore_with_manifest(&dir, &[payload, trailing].concat());
+        let context = format!("{} trailing bytes", trailing.len());
+        let names = [SNAPSHOT_FILE, &format!("{} bytes trail", trailing.len())];
+        expect_codec(recover(&dir), &names, &context);
     }
     fs::remove_dir_all(&dir).ok();
 }
@@ -361,12 +358,13 @@ fn a_manifest_that_disagrees_with_the_fold_file_is_refused() {
         edited
     };
     let frames = pristine.fold_frames();
-    let (last, _) = frames[4];
+    let (last, _) = *frames.last().expect("records");
+    let records = frames.len() as u64;
 
-    pristine.restore_with_manifest(&dir, &with(fold_len as u64 + 1, 5));
+    pristine.restore_with_manifest(&dir, &with(fold_len as u64 + 1, records));
     expect_corrupt(recover(&dir), FOLD_FILE, fold_len, "one byte too many");
 
-    pristine.restore_with_manifest(&dir, &with(fold_len as u64 - 1, 5));
+    pristine.restore_with_manifest(&dir, &with(fold_len as u64 - 1, records));
     expect_corrupt(
         recover(&dir),
         FOLD_FILE,
@@ -374,15 +372,15 @@ fn a_manifest_that_disagrees_with_the_fold_file_is_refused() {
         "length inside the last record",
     );
 
-    pristine.restore_with_manifest(&dir, &with(fold_len as u64, 6));
+    pristine.restore_with_manifest(&dir, &with(fold_len as u64, records + 1));
     expect_corrupt(recover(&dir), FOLD_FILE, fold_len, "a record too few");
 
     let mut unknown = payload.to_vec();
-    unknown[0] = 3;
+    unknown[0] = 4;
     pristine.restore_with_manifest(&dir, &unknown);
     expect_codec(
         recover(&dir),
-        &[SNAPSHOT_FILE, "layout 3"],
+        &[SNAPSHOT_FILE, "layout 4"],
         "unknown layout",
     );
     fs::remove_dir_all(&dir).ok();
