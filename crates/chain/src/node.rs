@@ -113,8 +113,17 @@ impl Node {
         self.host.register(contract);
     }
 
-    /// Attaches a write-ahead journal: from now on every accepted
-    /// transaction and imported block is recorded through it.
+    /// Attaches a write-ahead journal. From now on each input is recorded
+    /// through it, once: an accepted transaction
+    /// ([`NodeJournal::record_transaction`]), a block this node mined, as
+    /// the ids it took from the pool ([`NodeJournal::record_mined`]), and
+    /// a block a peer sent, whole ([`NodeJournal::record_block`]).
+    ///
+    /// A mined record names transactions it assumes the journal already
+    /// holds, so the pool must be empty here, or rebuilt from this same
+    /// journal (`drams_store::persist::recover_node`). A pooled
+    /// transaction the journal never saw makes the next mined block's
+    /// record unreplayable ([`ChainError::NotPending`]).
     pub fn set_journal(&mut self, journal: Box<dyn NodeJournal>) {
         self.journal = Some(journal);
     }

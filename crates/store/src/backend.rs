@@ -107,11 +107,65 @@ pub trait Backend: std::fmt::Debug {
     fn simulate_crash(&mut self) {}
 }
 
-/// One in-memory file: written bytes plus the synced watermark.
+/// Most bytes one chunk of an in-memory file holds. A file is a run of
+/// chunks, each full but the last, so an append copies its own bytes and
+/// never regrows the file: appending to a 5 MB fold file costs what
+/// appending to a 50 KB one does.
+const MEM_CHUNK: usize = 64 * 1024;
+
+/// One in-memory file: written bytes, in chunks of at most
+/// [`MEM_CHUNK`], plus the synced watermark.
 #[derive(Debug, Default, Clone)]
 struct MemFile {
-    bytes: Vec<u8>,
+    chunks: Vec<Vec<u8>>,
     synced_len: usize,
+}
+
+impl MemFile {
+    fn len(&self) -> usize {
+        self.chunks
+            .last()
+            .map_or(0, |last| (self.chunks.len() - 1) * MEM_CHUNK + last.len())
+    }
+
+    fn bytes(&self) -> Vec<u8> {
+        self.chunks.concat()
+    }
+
+    fn extend(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            if self
+                .chunks
+                .last()
+                .is_none_or(|last| last.len() == MEM_CHUNK)
+            {
+                // A file that fills a chunk is a big one: its later
+                // chunks are allocated whole.
+                let capacity = if self.chunks.is_empty() { 0 } else { MEM_CHUNK };
+                self.chunks.push(Vec::with_capacity(capacity));
+            }
+            let chunk = self.chunks.last_mut().expect("ensured above");
+            let (now, rest) = bytes.split_at(bytes.len().min(MEM_CHUNK - chunk.len()));
+            let need = chunk.len() + now.len();
+            if need > chunk.capacity() {
+                // The first chunk grows as a `Vec` does, but never past
+                // a chunk.
+                chunk.reserve_exact(need.max(2 * chunk.capacity()).min(MEM_CHUNK) - chunk.len());
+            }
+            chunk.extend_from_slice(now);
+            bytes = rest;
+        }
+    }
+
+    fn truncate(&mut self, len: usize) {
+        if len < self.len() {
+            self.chunks.truncate(len.div_ceil(MEM_CHUNK));
+            if let Some(last) = self.chunks.last_mut() {
+                last.truncate(len - (len - 1) / MEM_CHUNK * MEM_CHUNK);
+            }
+        }
+        self.synced_len = self.synced_len.min(len);
+    }
 }
 
 /// An in-memory [`Backend`] with crash simulation.
@@ -136,26 +190,22 @@ impl Backend for MemBackend {
     fn read(&self, name: &str) -> Result<Vec<u8>, StoreError> {
         self.files
             .get(name)
-            .map(|f| f.bytes.clone())
+            .map(MemFile::bytes)
             .ok_or_else(|| StoreError::NotFound(name.to_string()))
     }
 
     fn len(&self, name: &str) -> Result<Option<u64>, StoreError> {
-        Ok(self.files.get(name).map(|f| f.bytes.len() as u64))
+        Ok(self.files.get(name).map(|f| f.len() as u64))
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
         // Look the file up by `&str` first: naming a new entry allocates.
         match self.files.get_mut(name) {
-            Some(file) => file.bytes.extend_from_slice(bytes),
+            Some(file) => file.extend(bytes),
             None => {
-                self.files.insert(
-                    name.to_string(),
-                    MemFile {
-                        bytes: bytes.to_vec(),
-                        synced_len: 0,
-                    },
-                );
+                let mut file = MemFile::default();
+                file.extend(bytes);
+                self.files.insert(name.to_string(), file);
             }
         }
         Ok(())
@@ -163,13 +213,10 @@ impl Backend for MemBackend {
 
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
         // Atomic replace is modelled as durable (rename + fsync).
-        self.files.insert(
-            name.to_string(),
-            MemFile {
-                bytes: bytes.to_vec(),
-                synced_len: bytes.len(),
-            },
-        );
+        let mut file = MemFile::default();
+        file.extend(bytes);
+        file.synced_len = bytes.len();
+        self.files.insert(name.to_string(), file);
         Ok(())
     }
 
@@ -178,8 +225,7 @@ impl Backend for MemBackend {
             .files
             .get_mut(name)
             .ok_or_else(|| StoreError::NotFound(name.to_string()))?;
-        file.bytes.truncate(len as usize);
-        file.synced_len = file.synced_len.min(file.bytes.len());
+        file.truncate(len as usize);
         Ok(())
     }
 
@@ -190,7 +236,7 @@ impl Backend for MemBackend {
 
     fn sync(&mut self, name: &str) -> Result<(), StoreError> {
         if let Some(file) = self.files.get_mut(name) {
-            file.synced_len = file.bytes.len();
+            file.synced_len = file.len();
         }
         Ok(())
     }
@@ -200,7 +246,7 @@ impl Backend for MemBackend {
         // synced since creation) may survive as an empty file — the
         // "empty segment file" recovery case — so the entry is kept.
         for file in self.files.values_mut() {
-            file.bytes.truncate(file.synced_len);
+            file.truncate(file.synced_len);
         }
     }
 }
@@ -449,6 +495,34 @@ mod tests {
         b.append("b.wal", b"gone").unwrap();
         b.simulate_crash();
         assert_eq!(b.read("b.wal").unwrap(), b"");
+    }
+
+    #[test]
+    fn a_mem_file_across_chunks_appends_truncates_and_crashes_as_one() {
+        let bytes: Vec<u8> = (0..3 * MEM_CHUNK + 7).map(|i| (i % 251) as u8).collect();
+        let mut b = MemBackend::new();
+        b.append("f", &bytes[..10]).unwrap();
+        b.append("f", &bytes[10..MEM_CHUNK + 3]).unwrap();
+        b.sync("f").unwrap();
+        b.append("f", &bytes[MEM_CHUNK + 3..]).unwrap();
+        assert_eq!(b.read("f").unwrap(), bytes);
+        assert_eq!(b.len("f").unwrap(), Some(bytes.len() as u64));
+        for len in [
+            2 * MEM_CHUNK + 1,
+            2 * MEM_CHUNK,
+            MEM_CHUNK + 1,
+            MEM_CHUNK,
+            1,
+            0,
+        ] {
+            let mut cut = b.clone();
+            cut.truncate("f", len as u64).unwrap();
+            assert_eq!(cut.read("f").unwrap(), &bytes[..len], "cut at {len}");
+            cut.append("f", &bytes[len..]).unwrap();
+            assert_eq!(cut.read("f").unwrap(), bytes, "regrown from {len}");
+        }
+        b.simulate_crash();
+        assert_eq!(b.read("f").unwrap(), &bytes[..MEM_CHUNK + 3]);
     }
 
     #[test]
