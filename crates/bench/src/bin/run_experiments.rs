@@ -934,8 +934,10 @@ fn e11_storage_and_recovery(run: &mut Run) -> Vec<Section> {
     // -- part 2: the recovery matrix ---------------------------------------
     let mut recovery_rows = Vec::new();
     for spec in scenarios::recovery_matrix(run.quick) {
-        let clean = run_scenario(&scenarios::strip_crashes(&spec), &mut NoAdversary);
-        let (crashed, wall_ms) = timed_ms(|| run_scenario(&spec, &mut NoAdversary));
+        let mut clean_entries = scenarios::EntryRecorder::default();
+        let mut crashed_entries = scenarios::EntryRecorder::default();
+        let clean = run_scenario(&scenarios::strip_crashes(&spec), &mut clean_entries);
+        let (crashed, wall_ms) = timed_ms(|| run_scenario(&spec, &mut crashed_entries));
         recovery_rows.push(row! {
             scenario: spec.name.as_str(),
             completed: crashed.0.requests_completed,
@@ -943,6 +945,8 @@ fn e11_storage_and_recovery(run: &mut Run) -> Vec<Section> {
             alerts: crashed.0.alerts.len(),
             crash_restarts: crashed.0.crash_restarts,
             matched: twin_matched(&spec.name, &clean, &crashed),
+            entries_matched: crashed_entries.entries == clean_entries.entries
+                && crashed_entries.reused_nonce().is_none(),
             wall_ms: wall_ms,
         });
     }
@@ -950,8 +954,9 @@ fn e11_storage_and_recovery(run: &mut Run) -> Vec<Section> {
     println!("\nshape: appends are µs-scale on every backend (fsync dominates the");
     println!("fs-flushed row); replay is sequential-scan fast; a journal compaction");
     println!("costs its 64-record tail, not the history behind it; every crashed");
-    println!("service restarts from disk and the run is byte-identical to the");
-    println!("uninterrupted twin — recovery loses nothing and repeats nothing.");
+    println!("service restarts from disk and the run, its probes' ciphertexts");
+    println!("included, is byte-identical to the uninterrupted twin — recovery");
+    println!("loses nothing and repeats nothing.");
     vec![engine, compaction, recovery]
 }
 

@@ -606,13 +606,14 @@ macro_rules! gates {
 /// Every gate `run_experiments` enforces on a run, one row each:
 /// section, row selector, column, rule.
 #[rustfmt::skip]
-pub const GATES: [Gate; 24] = gates! {
+pub const GATES: [Gate; 25] = gates! {
     // Wall clock is noisy across hosts, so the bar is loose: it catches
     // order-of-magnitude slowdowns of the simulation, not jitter.
     "e10_scenarios" "rows"                     "sim_speedup"                  Rule::AtLeastCommitted(0.5);
     // 16 k folded records behind the compaction cost at most twice 1 k.
     "e11_compaction" ""                        "flat_ok"                      Rule::True;
     "e11_recovery"  "rows"                     "matched"                      Rule::True;
+    "e11_recovery"  "rows"                     "entries_matched"              Rule::True;
     "e12_fuzz"      ""                         "violations"                   Rule::Zero;
     "e13_faults"    "rows"                     "alerts"                       Rule::Zero;
     "e13_faults"    "rows"                     "dropped"                      Rule::Zero;

@@ -13,7 +13,6 @@
 //! * [`analyser`] — the Analyser service re-evaluating logged decisions
 //!   against the formal policy semantics (ref \[8\]).
 //! * [`alert`] — the security-alert vocabulary.
-//! * [`tpm`] — the simulated Trusted Platform Module of §III.
 //! * [`adversary`] — attack hooks (implemented by `drams-attack`).
 //! * [`monitor`] — configuration, report and ground truth of the
 //!   end-to-end virtual-time simulation of Figure 1.
@@ -70,7 +69,6 @@ pub mod logent;
 pub mod monitor;
 pub mod probe;
 pub mod scenario;
-pub mod tpm;
 
 pub use adversary::{Adversary, NoAdversary};
 pub use alert::{Alert, AlertKind};
@@ -81,4 +79,3 @@ pub use logent::{LogEntry, ObservationPoint, ProbeId};
 pub use monitor::{run_monitor, GroundTruth, MonitorConfig, MonitorReport};
 pub use probe::Probe;
 pub use scenario::{run_scenario, PdpPlacement, Phase, ScenarioSpec, ScriptedAction};
-pub use tpm::{Quote, Tpm, TpmError};

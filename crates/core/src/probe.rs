@@ -34,11 +34,24 @@ impl Probe {
     /// Creates a probe with its two keys.
     #[must_use]
     pub fn new(id: ProbeId, payload_key: SymmetricKey, mac_key: [u8; 32]) -> Self {
+        Probe::resume(id, payload_key, mac_key, 0)
+    }
+
+    /// Rebuilds a probe that has already made `observations`
+    /// observations, so its next nonce is the one it would have used had
+    /// it never stopped: a nonce is never sealed under twice.
+    #[must_use]
+    pub fn resume(
+        id: ProbeId,
+        payload_key: SymmetricKey,
+        mac_key: [u8; 32],
+        observations: u64,
+    ) -> Self {
         Probe {
             id,
             payload_key,
             mac_key: HmacKey::new(&mac_key),
-            sequence: 0,
+            sequence: observations,
             plaintext: Writer::new(),
         }
     }
@@ -279,6 +292,14 @@ mod tests {
             assert!(seen.insert(e.sealed_payload.nonce), "nonce reuse at {i}");
         }
         assert_eq!(p.observations(), 100);
+        // A probe resumed at the count seals where the first stopped.
+        let mut resumed =
+            Probe::resume(ProbeId(1), SymmetricKey::from_bytes([1; 32]), [2; 32], 100);
+        let e = resumed.observe_request(ObservationPoint::PepRequest, &env, 100);
+        assert_eq!(
+            e,
+            p.observe_request(ObservationPoint::PepRequest, &env, 100)
+        );
     }
 
     #[test]

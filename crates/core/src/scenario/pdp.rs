@@ -17,19 +17,13 @@ use drams_policy::pdp::Pdp;
 use drams_store::{StoreError, Wal};
 use std::collections::{HashMap, VecDeque};
 
-/// Fewest evictions of the PDP idempotency cache between two compactions
-/// of its journal (snapshot of the live window + prune of sealed
-/// segments). A compaction re-encodes the whole live window, so the
-/// trigger is this or the window's size, whichever is larger: at most one
-/// envelope re-encoded per eviction, amortised, and a journal at most
-/// about twice the window.
-const PDP_COMPACT_EVICTIONS: u64 = 256;
+/// Records per PDP journal segment: compaction drops whole segments.
+const JOURNAL_SEGMENT_RECORDS: u64 = 64;
 
 /// One PDP instance (central, or one per member cloud) with its probe.
 pub(super) struct PdpSlot {
     pdp: Pdp,
     probe: Probe,
-    probe_id: ProbeId,
     silenced_until: SimTime,
     /// As-sent responses by correlation: a retransmitted or duplicated
     /// request is answered byte-identically (re-deciding would stamp a
@@ -37,19 +31,20 @@ pub(super) struct PdpSlot {
     /// Analyser's conflicting-observation check), without re-observing
     /// or re-running adversary hooks.
     decided: HashMap<CorrelationId, ResponseEnvelope>,
-    /// Decisions in `decided_at` order, for retention-window eviction
-    /// (kept in lockstep with `decided`).
-    decided_order: VecDeque<(SimTime, CorrelationId)>,
+    /// Decisions in `decided_at` order with the journal sequence number
+    /// of each, for retention-window eviction (kept in lockstep with
+    /// `decided`).
+    decided_order: VecDeque<(SimTime, CorrelationId, u64)>,
     /// Retention window of the idempotency cache: entries older than
     /// this are evicted — provably safe past [`MIN_RETENTION`], since no
     /// retransmission can arrive after the retry budget. 0 = keep all.
     retention: SimTime,
-    /// Evictions since the journal was last compacted.
-    evictions_since_compact: u64,
-    /// Write-ahead journal of the decision cache and any standing
-    /// silence window, so a crashed PDP restarts idempotent. Under a
-    /// retention window it is periodically compacted: a snapshot of the
-    /// live entries replaces the evicted prefix.
+    /// Write-ahead journal, the slot's whole durable state: every
+    /// decision with the probe's observation count after it, and every
+    /// silence window, as they happened. Decisions are evicted in
+    /// journal order, so the live window is a suffix of the journal and
+    /// compaction only snapshots the silence and count and prunes the
+    /// segments below the oldest live decision.
     journal: Wal,
 }
 
@@ -58,27 +53,23 @@ const PDP_JOURNAL_DECIDED: u8 = 1;
 /// PDP journal record tag: a standing silence window.
 const PDP_JOURNAL_SILENCE: u8 = 2;
 
-fn put_decided(w: &mut Writer, env: &ResponseEnvelope) {
-    w.put_u8(PDP_JOURNAL_DECIDED);
-    env.encode(w);
-}
-
-fn put_silence(w: &mut Writer, until: SimTime) {
-    w.put_u8(PDP_JOURNAL_SILENCE);
-    w.put_u64(until);
-}
-
-/// A PDP journal record read back: one per journal entry, and a counted
-/// run of them in a compaction snapshot.
+/// A PDP journal record read back.
 enum JournalRecord {
-    Decided(ResponseEnvelope),
+    /// The as-sent response and the probe's observation count after it.
+    Decided(ResponseEnvelope, u64),
     Silence(SimTime),
 }
 
 impl Decode for JournalRecord {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CryptoError> {
         match r.get_u8()? {
-            PDP_JOURNAL_DECIDED => Ok(JournalRecord::Decided(ResponseEnvelope::decode(r)?)),
+            PDP_JOURNAL_DECIDED => {
+                let observations = r.get_u64()?;
+                Ok(JournalRecord::Decided(
+                    ResponseEnvelope::decode(r)?,
+                    observations,
+                ))
+            }
             PDP_JOURNAL_SILENCE => Ok(JournalRecord::Silence(r.get_u64()?)),
             tag => Err(CryptoError::Malformed(format!(
                 "unknown pdp journal record tag {tag}"
@@ -92,51 +83,53 @@ impl PdpSlot {
         PdpSlot {
             pdp,
             probe: Probe::new(probe_id, key.clone(), probe_mac_key(probe_id)),
-            probe_id,
             silenced_until: 0,
             decided: HashMap::new(),
             decided_order: VecDeque::new(),
             retention,
-            evictions_since_compact: 0,
-            journal: mem_wal(64),
+            journal: mem_wal(JOURNAL_SEGMENT_RECORDS as usize),
         }
     }
 
-    /// Caches and journals the as-sent response to `correlation`, then
-    /// ages out what the retention window has closed on. Returns how many
-    /// entries were evicted.
+    /// Caches and journals the as-sent response to `correlation`, ages
+    /// out what the retention window has closed on, and compacts the
+    /// journal once a sealed segment lies wholly below the oldest live
+    /// decision. Returns how many entries were evicted.
     fn remember(
         &mut self,
         correlation: CorrelationId,
         env: &ResponseEnvelope,
         now: SimTime,
     ) -> u64 {
-        self.decided_order.push_back((now, correlation));
+        let mut w = Writer::with_capacity(128);
+        w.put_u8(PDP_JOURNAL_DECIDED);
+        w.put_u64(self.probe.observations());
+        env.encode(&mut w);
+        let seq = self
+            .journal
+            .append(&w.into_bytes())
+            .expect("pdp journal append");
+        self.decided_order.push_back((now, correlation, seq));
         self.decided.insert(correlation, env.clone());
-        self.journal_decision(env);
-        self.evict_expired(now)
-    }
-
-    /// Ages out idempotency entries whose retention window has closed
-    /// and compacts the journal once enough have gone. Returns how many
-    /// were evicted.
-    fn evict_expired(&mut self, now: SimTime) -> u64 {
         let evicted = self.age_out(now);
-        let live = self.decided_order.len() as u64;
-        if self.evictions_since_compact >= PDP_COMPACT_EVICTIONS.max(live) {
-            self.compact_journal();
+        let base = self
+            .decided_order
+            .front()
+            .map_or(self.journal.next_seq(), |&(_, _, seq)| seq);
+        if self.journal.first_retained_seq() + JOURNAL_SEGMENT_RECORDS <= base {
+            self.compact_journal(base);
         }
         evicted
     }
 
-    /// Drops the entries whose retention window has closed by `now` and
-    /// adds them to `evictions_since_compact`. Returns how many went.
+    /// Drops the entries whose retention window has closed by `now`.
+    /// Returns how many went.
     fn age_out(&mut self, now: SimTime) -> u64 {
         if self.retention == 0 {
             return 0;
         }
         let mut evicted = 0;
-        while let Some(&(decided_at, corr)) = self.decided_order.front() {
+        while let Some(&(decided_at, corr, _)) = self.decided_order.front() {
             if decided_at.saturating_add(self.retention) > now {
                 break;
             }
@@ -144,83 +137,46 @@ impl PdpSlot {
             self.decided.remove(&corr);
             evicted += 1;
         }
-        self.evictions_since_compact += evicted;
         evicted
     }
 
-    /// Rewrites the journal as one snapshot of the live window plus an
-    /// empty tail: recovery replays exactly the un-evicted entries, so a
-    /// crashed PDP is byte-equivalent to an uncrashed one. The snapshot
-    /// is the journal records that rebuild the window and the standing
-    /// silence, behind their count.
-    fn compact_journal(&mut self) {
-        let mut w = Writer::new();
-        w.put_varint(1 + self.decided_order.len() as u64);
-        put_silence(&mut w, self.silenced_until);
-        for &(_, corr) in &self.decided_order {
-            put_decided(&mut w, &self.decided[&corr]);
-        }
-        let upto = self.journal.next_seq();
+    /// Snapshots the standing silence and the probe's observation count
+    /// under `base`, the sequence number of the oldest live decision, and
+    /// drops the sealed segments below it. Nothing is re-encoded: the
+    /// snapshot has a fixed size, and recovery replays the journal from
+    /// `base` as written. The records it replays carry values no newer
+    /// than the snapshot's, and end on the ones that stand.
+    fn compact_journal(&mut self, base: u64) {
+        let mut w = Writer::with_capacity(16);
+        w.put_u64(self.silenced_until);
+        w.put_u64(self.probe.observations());
         self.journal
-            .write_snapshot(upto, &w.into_bytes())
+            .write_snapshot(base, &w.into_bytes())
             .expect("pdp journal snapshot");
-        self.journal.prune_through(upto).expect("pdp journal prune");
-        self.evictions_since_compact = 0;
-    }
-
-    /// Applies one journal record to the decision cache or the silence
-    /// window; returns a decision's `decided_at`.
-    fn apply(&mut self, record: JournalRecord) -> Option<SimTime> {
-        match record {
-            JournalRecord::Decided(env) => {
-                let decided_at = env.decided_at;
-                self.decided_order.push_back((decided_at, env.correlation));
-                self.decided.insert(env.correlation, env);
-                Some(decided_at)
-            }
-            JournalRecord::Silence(until) => {
-                self.silenced_until = until;
-                None
-            }
-        }
-    }
-
-    /// Restores the decision cache and silence window from a compaction
-    /// snapshot payload.
-    fn restore_snapshot(&mut self, payload: &[u8]) -> Result<(), CryptoError> {
-        let mut r = Reader::new(payload);
-        for _ in 0..r.get_varint()? {
-            self.apply(JournalRecord::decode(&mut r)?);
-        }
-        r.finish()
-    }
-
-    fn journal_decision(&mut self, env: &ResponseEnvelope) {
-        let mut w = Writer::with_capacity(128);
-        put_decided(&mut w, env);
-        self.journal
-            .append(&w.into_bytes())
-            .expect("pdp journal append");
+        self.journal.prune_through(base).expect("pdp journal prune");
     }
 
     fn journal_silence(&mut self, until: SimTime) {
         let mut w = Writer::with_capacity(9);
-        put_silence(&mut w, until);
+        w.put_u8(PDP_JOURNAL_SILENCE);
+        w.put_u64(until);
         self.journal
             .append(&w.into_bytes())
             .expect("pdp journal append");
     }
 
     /// Kills the slot's process state and rebuilds it: the engine from
-    /// the PRP's durable active policy, the decision cache and silence
-    /// window from the journal, the probe from its TPM-provisioned key.
+    /// the PRP's durable active policy; the decision cache, the silence
+    /// window and the probe's observation count from the journal; the
+    /// probe from its key and that count, so it seals under the nonce
+    /// its uncrashed twin would use next.
     ///
     /// Every replayed decision re-runs the eviction pass it ran when it
     /// was taken, with its own `decided_at` as the clock, so the restarted
-    /// slot holds exactly the window (and the eviction count towards the
-    /// next compaction) its uncrashed twin holds. Those evictions were
-    /// reported when they first happened and are not reported again; the
-    /// journal is not compacted while it is being read.
+    /// slot holds exactly the window its uncrashed twin holds. Those
+    /// evictions were reported when they first happened and are not
+    /// reported again; the journal is not compacted while it is being
+    /// read.
     ///
     /// A snapshot or record that does not decode — cut short, or with an
     /// unknown tag — is a [`StoreError::Codec`].
@@ -228,24 +184,36 @@ impl PdpSlot {
         let codec = |e: CryptoError| StoreError::Codec(format!("pdp journal: {e}"));
         self.journal.simulate_crash()?;
         self.pdp = active;
-        self.probe = Probe::new(self.probe_id, key.clone(), probe_mac_key(self.probe_id));
-        self.silenced_until = 0;
         self.decided.clear();
         self.decided_order.clear();
-        self.evictions_since_compact = 0;
-        let base = match self.journal.read_snapshot()? {
-            Some((seq, payload)) => {
-                self.restore_snapshot(&payload).map_err(codec)?;
-                seq
+        let (base, mut observations) = match self.journal.read_snapshot()? {
+            Some((base, payload)) => {
+                let mut r = Reader::new(&payload);
+                self.silenced_until = r.get_u64().map_err(codec)?;
+                let observations = r.get_u64().map_err(codec)?;
+                r.finish().map_err(codec)?;
+                (base, observations)
             }
-            None => 0,
+            None => {
+                self.silenced_until = 0;
+                (0, 0)
+            }
         };
-        for (_, rec) in self.journal.replay_from(base)? {
-            let record = JournalRecord::from_canonical_bytes(&rec).map_err(codec)?;
-            if let Some(decided_at) = self.apply(record) {
-                self.age_out(decided_at);
+        for (seq, rec) in self.journal.replay_from(base)? {
+            match JournalRecord::from_canonical_bytes(&rec).map_err(codec)? {
+                JournalRecord::Decided(env, count) => {
+                    let decided_at = env.decided_at;
+                    observations = count;
+                    self.decided_order
+                        .push_back((decided_at, env.correlation, seq));
+                    self.decided.insert(env.correlation, env);
+                    self.age_out(decided_at);
+                }
+                JournalRecord::Silence(until) => self.silenced_until = until,
             }
         }
+        let id = self.probe.id();
+        self.probe = Probe::resume(id, key.clone(), probe_mac_key(id), observations);
         Ok(())
     }
 }
@@ -395,6 +363,8 @@ mod tests {
         PdpSlot::new(ProbeId(0), key, prp.active().pdp(), MIN_RETENTION)
     }
 
+    /// One decision as the service takes it: observed by the slot's
+    /// probe, then remembered. Returns how many entries were evicted.
     fn decide(slot: &mut PdpSlot, i: u64, now: SimTime) -> u64 {
         let env = ResponseEnvelope {
             correlation: CorrelationId(i),
@@ -403,7 +373,12 @@ mod tests {
             policy_version: slot.pdp.policy_version(),
             decided_at: now,
         };
+        slot.probe.observe_pdp_response(&env, now);
         slot.remember(env.correlation, &env, now)
+    }
+
+    fn active() -> Pdp {
+        Prp::new(crate::monitor::default_policy()).active().pdp()
     }
 
     #[test]
@@ -412,9 +387,9 @@ mod tests {
         let (mut twin, mut crashed) = (slot(&key), slot(&key));
         // One decision per step; a hundred steps span the retention
         // window, so every later decision evicts one — enough of them to
-        // force a journal compaction and leave a tail behind it.
+        // compact the journal and leave a tail behind the snapshot.
         let step = MIN_RETENTION / 100;
-        let decisions = 100 + PDP_COMPACT_EVICTIONS + 40;
+        let decisions = 100 + 3 * JOURNAL_SEGMENT_RECORDS + 40;
         let mut evicted = 0;
         for s in [&mut twin, &mut crashed] {
             // Folded into the compaction snapshot...
@@ -425,37 +400,43 @@ mod tests {
             s.silenced_until = 9;
             s.journal_silence(9);
         }
-        assert_eq!(evicted, PDP_COMPACT_EVICTIONS + 40);
+        assert_eq!(evicted, decisions - 100);
         assert!(
             crashed.journal.read_snapshot().unwrap().is_some(),
             "the journal must have compacted"
         );
-        assert_eq!(crashed.evictions_since_compact, 40, "with a tail after it");
+        assert!(crashed.journal.first_retained_seq() > 0, "and pruned");
 
-        let active = Prp::new(crate::monitor::default_policy()).active().pdp();
-        crashed.crash_restart(&key, active);
+        crashed.crash_restart(&key, active());
 
         // The restarted slot holds exactly the twin's window — replay
-        // re-ran the 40 evictions made since the compaction — so every
+        // re-ran the evictions made since the compaction — so every
         // decision the twin can still be asked for is answered with the
-        // as-sent bytes, and the silence window stands.
+        // as-sent bytes, the silence window stands, and the probe seals
+        // its next observation under the twin's nonce.
         assert_eq!(crashed.silenced_until, twin.silenced_until);
         assert_eq!(crashed.decided, twin.decided);
         assert_eq!(crashed.decided_order, twin.decided_order);
-        assert_eq!(crashed.evictions_since_compact, 40);
-        // From here on the two evict (and would report) in lockstep: the
-        // run's `idempotency_evictions` is the sum of these returns.
-        let next = decisions..decisions + PDP_COMPACT_EVICTIONS;
+        assert_eq!(crashed.probe.observations(), decisions);
+        // From here on the two evict (and would report) and compact in
+        // lockstep: the run's `idempotency_evictions` is the sum of these
+        // returns.
+        let next = decisions..decisions + 2 * JOURNAL_SEGMENT_RECORDS;
         let twin_evicted: u64 = next.clone().map(|i| decide(&mut twin, i, i * step)).sum();
         let crashed_evicted: u64 = next.map(|i| decide(&mut crashed, i, i * step)).sum();
         assert_eq!(crashed_evicted, twin_evicted);
         assert_eq!(crashed.decided, twin.decided);
         assert_eq!(crashed.decided_order, twin.decided_order);
         assert_eq!(
-            crashed.evictions_since_compact,
-            twin.evictions_since_compact
+            crashed.journal.read_snapshot().unwrap(),
+            twin.journal.read_snapshot().unwrap()
         );
         assert!(!crashed.decided.contains_key(&CorrelationId(0)), "evicted");
+        let env = &twin.decided[&CorrelationId(decisions + 2 * JOURNAL_SEGMENT_RECORDS - 1)];
+        assert_eq!(
+            crashed.probe.observe_pdp_response(env, 0),
+            twin.probe.observe_pdp_response(env, 0)
+        );
     }
 
     #[test]
@@ -510,9 +491,8 @@ mod tests {
     #[test]
     fn damaged_journals_are_typed_errors_not_panics() {
         let key = SymmetricKey::from_bytes([42; 32]);
-        let active = || Prp::new(crate::monitor::default_policy()).active().pdp();
-        // A slot whose journal compacted, with a silence window and a
-        // few live decisions in the snapshot and one in the tail.
+        // A slot whose journal compacted, with a silence window in the
+        // snapshot and a few live decisions in the tail.
         let compacted = || {
             let mut s = slot(&key);
             s.silenced_until = 5;
@@ -528,7 +508,10 @@ mod tests {
         };
         let mut s = compacted();
         let (seq, snapshot) = s.journal.read_snapshot().unwrap().unwrap();
-        let (decided, silenced_until) = (s.decided.clone(), s.silenced_until);
+        let (_, decided) = s.journal.replay_from(seq).unwrap().pop().unwrap();
+        assert_eq!(decided[0], PDP_JOURNAL_DECIDED);
+        let (cache, silenced_until) = (s.decided.clone(), s.silenced_until);
+        let observations = s.probe.observations();
 
         // The snapshot cut short at every length.
         for cut in 0..snapshot.len() {
@@ -541,10 +524,13 @@ mod tests {
         }
         s.journal.write_snapshot(seq, &snapshot).unwrap();
         assert!(s.crash_restart(&key, active()).is_ok());
-        assert_eq!((&s.decided, s.silenced_until), (&decided, silenced_until));
+        assert_eq!((&s.decided, s.silenced_until), (&cache, silenced_until));
+        assert_eq!(s.probe.observations(), observations);
 
-        // A record cut short, and one with an unknown tag, in the tail.
-        for record in [&[PDP_JOURNAL_DECIDED, 0, 0][..], &[PDP_JOURNAL_SILENCE + 1]] {
+        // A decision record with its count cut short at every length, and
+        // a record with an unknown tag, in the tail.
+        let cuts = (0..decided.len()).map(|cut| &decided[..cut]);
+        for record in cuts.chain([&[PDP_JOURNAL_SILENCE + 1][..]]) {
             let mut damaged = compacted();
             damaged.journal.append(record).unwrap();
             let err = damaged.crash_restart(&key, active()).unwrap_err();
@@ -553,22 +539,37 @@ mod tests {
     }
 
     #[test]
-    fn journal_compaction_waits_for_a_window_of_evictions() {
+    fn compaction_prunes_behind_a_fixed_size_snapshot() {
         let key = SymmetricKey::from_bytes([42; 32]);
-        let mut s = slot(&key);
-        // 400 steps span the retention window: from decision 400 on, each
-        // decision evicts one and the window holds 400 entries — more
-        // than the floor, so the window's size is the trigger.
-        let window = 400;
-        let step = MIN_RETENTION / window;
-        let mut evicted = 0;
-        let mut i = 0;
-        while s.journal.read_snapshot().unwrap().is_none() {
-            evicted += decide(&mut s, i, i * step);
-            i += 1;
+        let mut snapshots = Vec::new();
+        for window in [100, 4_000] {
+            let mut s = slot(&key);
+            // `window` steps span the retention window: from decision
+            // `window` on, each decision evicts one and the window holds
+            // `window` entries.
+            let step = MIN_RETENTION / window;
+            let mut silences = 0;
+            for i in 0..window + 4 * JOURNAL_SEGMENT_RECORDS {
+                if i % 50 == 0 {
+                    s.silenced_until = i;
+                    s.journal_silence(i);
+                    silences += 1;
+                }
+                decide(&mut s, i, i * step);
+                let retained = s.journal.next_seq() - s.journal.first_retained_seq();
+                assert!(
+                    retained <= window + JOURNAL_SEGMENT_RECORDS + silences,
+                    "window {window}, decision {i}: {retained} records retained"
+                );
+            }
+            let (_, snapshot) = s.journal.read_snapshot().unwrap().expect("compacted");
+            snapshots.push(snapshot);
         }
-        assert_eq!(evicted, window, "not one re-encode of 400 per 256 gone");
-        assert_eq!(s.evictions_since_compact, 0);
-        assert_eq!(s.decided.len() as u64, window);
+        assert_eq!(snapshots[0].len(), 16);
+        assert_eq!(
+            snapshots[0].len(),
+            snapshots[1].len(),
+            "whatever the window"
+        );
     }
 }

@@ -437,10 +437,12 @@ pub enum CrashTarget {
     Analyser,
     /// A cloud's PDP (any value selects the central PDP under
     /// [`PdpPlacement::Central`]): the engine is rebuilt from the PRP's
-    /// durable active policy and the as-sent decision cache plus any
-    /// standing silence window replay from the slot's write-ahead
-    /// journal, so a retransmission answered after the restart is
-    /// byte-identical to one answered before it.
+    /// durable active policy; the as-sent decision cache, any standing
+    /// silence window and the probe's observation count replay from the
+    /// slot's write-ahead journal. A retransmission answered after the
+    /// restart is byte-identical to one answered before it, and the
+    /// probe seals its next observation under the nonce it would have
+    /// used had it never stopped.
     Pdp(CloudId),
 }
 

@@ -7,7 +7,7 @@
 //!
 //! The encryption key and the MAC key are derived from the
 //! [`SymmetricKey`] with domain separation. Keys are long-lived (one
-//! federation key, one storage root per TPM), so a `SymmetricKey` derives
+//! federation key for the whole run), so a `SymmetricKey` derives
 //! both when it is built and carries them: [`seal`] and [`open`] derive
 //! nothing and hash only the message they authenticate.
 
@@ -17,9 +17,9 @@ use crate::sha256::Digest;
 use crate::{ct_eq, CryptoError};
 use serde::{Deserialize, Serialize};
 
-/// A 256-bit symmetric key — the federation-wide key *K* of the paper, or a
-/// per-probe key held in the simulated TPM — together with the AEAD
-/// context derived from it: the ChaCha20 key and the keyed tag HMAC.
+/// A 256-bit symmetric key — the federation-wide key *K* of the paper —
+/// together with the AEAD context derived from it: the ChaCha20 key and
+/// the keyed tag HMAC.
 ///
 /// Equality compares the raw key bytes in constant time; the context is a
 /// function of them and takes no part. `Debug` prints neither.
@@ -103,7 +103,7 @@ impl From<SymmetricKey> for [u8; 32] {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SealedBox {
     /// Per-message nonce. Uniqueness per key is the caller's duty; the
-    /// Logging Interface derives it from (probe id, sequence number).
+    /// probe derives it from its id and its observation count.
     pub nonce: [u8; 12],
     /// ChaCha20 ciphertext.
     pub ciphertext: Vec<u8>,

@@ -1,8 +1,8 @@
 //! HMAC-SHA-256 (RFC 2104 / FIPS 198-1).
 //!
-//! Used for log authentication tags (per-probe keys held in the simulated
-//! TPM), as the MAC half of [`crate::aead`], and as the deterministic-nonce
-//! derivation function for [`crate::schnorr`] signing.
+//! Used for log authentication tags (one key per probe), as the MAC half
+//! of [`crate::aead`], and as the deterministic-nonce derivation function
+//! for [`crate::schnorr`] signing.
 //!
 //! There is one implementation: [`HmacKey`], a keyed context. Building it
 //! absorbs the key's ipad and opad blocks (two compressions, plus hashing

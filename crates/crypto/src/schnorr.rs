@@ -234,7 +234,8 @@ impl SecretKey {
         }
     }
 
-    /// Exposes the raw scalar (used by the TPM simulation for sealing).
+    /// Exposes the raw scalar, as [`SecretKey::from_scalar_bytes`] takes it
+    /// back.
     #[must_use]
     pub fn to_scalar_bytes(&self) -> [u8; 32] {
         self.0.to_be_bytes()

@@ -13,7 +13,7 @@
 //! * [`faas`] — the FaaS cloud-federation substrate and discrete-event
 //!   simulator (PEPs, PRP, tenants, workloads).
 //! * [`core`] — DRAMS itself: probes, Logging Interface, monitor contract,
-//!   Analyser service, alerts, TPM simulation.
+//!   Analyser service, alerts, the scenario runtime.
 //! * [`store`] — the hybrid database+blockchain log store of ref \[9\].
 //! * [`attack`] — the attack-injection framework used in the evaluation.
 //! * [`net`] — the wire-format conformance harness: CRC-framed messages

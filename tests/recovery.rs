@@ -10,6 +10,7 @@ use drams::core::monitor::{first_divergence, MonitorConfig};
 use drams::core::scenario::{run_scenario, CrashTarget, ScenarioSpec, ScriptedAction};
 use drams_bench::scenarios;
 use drams_faas::des::MILLIS;
+use drams_faas::model::CloudId;
 
 /// The committed recovery matrix: each crashed run must be
 /// byte-identical to its uninterrupted twin.
@@ -31,6 +32,36 @@ fn recovery_matrix_is_byte_identical_to_uninterrupted_runs() {
             clean.e2e_latency.mean(),
             crashed.e2e_latency.mean(),
             "{}",
+            spec.name
+        );
+    }
+}
+
+/// A probe seals each observation under the federation key with the
+/// nonce (probe id, observation count), and a restarted PDP resumes its
+/// probe's count from the slot's journal. Across the recovery matrix and
+/// a PDP crash under tenant churn, no (probe, nonce) pair seals two
+/// different observations, and each crashed run hands its Logging
+/// Interfaces the very entries, byte for byte, its uninterrupted twin
+/// does.
+#[test]
+fn crash_restarts_never_reuse_a_probe_nonce() {
+    let mut churn = scenarios::burst_churn(true);
+    churn.name = "churn_crash_pdp".to_string();
+    churn.script.push(ScriptedAction::CrashRestart {
+        at: 1_500 * MILLIS, // after the join, in the burst, before the leave
+        target: CrashTarget::Pdp(CloudId(0)),
+    });
+    for spec in scenarios::recovery_matrix(true).into_iter().chain([churn]) {
+        let mut clean = scenarios::EntryRecorder::default();
+        let mut crashed = scenarios::EntryRecorder::default();
+        run_scenario(&scenarios::strip_crashes(&spec), &mut clean);
+        let (report, _) = run_scenario(&spec, &mut crashed);
+        assert_eq!(report.crash_restarts, 1, "{}", spec.name);
+        assert_eq!(crashed.reused_nonce(), None, "{}", spec.name);
+        assert!(
+            crashed.entries == clean.entries,
+            "{}: the entry stream differs from the twin's",
             spec.name
         );
     }
