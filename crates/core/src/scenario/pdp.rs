@@ -149,6 +149,8 @@ impl PdpSlot {
     fn compact_journal(&mut self, base: u64) {
         let mut w = Writer::with_capacity(16);
         w.put_u64(self.silenced_until);
+        // `base` is a live decision, whose replayed count overrides this
+        // one; it stands only if a compaction ever leaves no decision.
         w.put_u64(self.probe.observations());
         self.journal
             .write_snapshot(base, &w.into_bytes())
