@@ -23,7 +23,8 @@
 //!   * `scenario/spec` — `ScenarioSpec`, `LoadProfile`, `ScriptedAction`,
 //!     probe ids/keys, named RNG streams (the whole public surface
 //!     besides the two `run_*` functions);
-//!   * `scenario/msg` — the private `Msg` event enum and its router;
+//!   * `scenario/msg` — the private `Msg` event enum and the one event
+//!     loop that dispatches it;
 //!   * `scenario/wire` — which messages are federation links: frame
 //!     kinds, wire codec, the fault-plane/transport shim;
 //!   * `scenario/ctx` — the shared context (chain substrate, sinks,

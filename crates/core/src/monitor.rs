@@ -10,8 +10,8 @@
 //! interception point, and the run returns both the monitor's alerts and
 //! the exact ground truth, so experiments can score detection precisely.
 //!
-//! The simulation itself lives in [`crate::scenario`]: an event-driven
-//! runtime of [`drams_faas::des::SimService`]s. [`run_monitor`] is
+//! The simulation itself lives in [`crate::scenario`]: Figure 1's
+//! services on one deterministic event loop. [`run_monitor`] is
 //! exactly `run_scenario(&ScenarioSpec::canonical(config), adversary)` —
 //! the *canonical scenario*: fixed topology, one central PDP, no script.
 //! Richer deployments (multi-PDP federations, phased load, policy churn,

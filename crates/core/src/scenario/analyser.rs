@@ -2,12 +2,12 @@
 //! provisioning and policy-administration notifications.
 
 use super::ctx::Ctx;
-use super::msg::Msg;
+use super::msg::{Msg, Outbox};
 use super::spec::probe_mac_key;
 use crate::analyser::Analyser;
 use drams_crypto::aead::SymmetricKey;
 use drams_crypto::schnorr::Keypair;
-use drams_faas::des::{Outbox, SimService, SimTime};
+use drams_faas::des::SimTime;
 use drams_faas::transport::WireRole;
 
 /// The Analyser as a service: periodic chain polls, plus provisioning
@@ -20,8 +20,8 @@ pub(super) struct AnalyserService {
     pub(super) key: SymmetricKey,
 }
 
-impl<'a> SimService<Msg, Ctx<'a>> for AnalyserService {
-    fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'a>, out: &mut Outbox<Msg>) {
+impl AnalyserService {
+    pub(super) fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'_>, out: &mut Outbox) {
         match msg {
             Msg::AnalyserTick => {
                 let _ = self.analyser.poll(&mut ctx.node, now);

@@ -2,13 +2,13 @@
 //! harvest, journal compaction and crash recovery.
 
 use super::ctx::Ctx;
-use super::msg::Msg;
+use super::msg::{Msg, Outbox};
 use crate::alert::Alert;
 use crate::contract::{MonitorContract, GROUP_COMPLETE_EVENT, MONITOR_CONTRACT};
 use drams_chain::chain::ChainConfig;
 use drams_crypto::codec::Decode;
 use drams_crypto::schnorr::Keypair;
-use drams_faas::des::{Outbox, SimService, SimTime};
+use drams_faas::des::SimTime;
 use drams_faas::transport::WireRole;
 use drams_store::persist::{compact_node_journal, recover_node, WalJournal};
 
@@ -29,8 +29,8 @@ pub(super) struct ChainService {
     pub(super) journal_base: u64,
 }
 
-impl<'a> SimService<Msg, Ctx<'a>> for ChainService {
-    fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'a>, out: &mut Outbox<Msg>) {
+impl ChainService {
+    pub(super) fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'_>, out: &mut Outbox) {
         if let Msg::SetTimeout { timeout } = msg {
             // Degraded mode: retune the epoch sweep's group timeout
             // on-chain (widened across a disruption window so transient

@@ -3,7 +3,7 @@
 //! decomposing each action into provisioning events for the services.
 
 use super::ctx::{Ctx, TenantRuntime};
-use super::msg::{Msg, PolicyAdmin};
+use super::msg::{Msg, Outbox, PolicyAdmin};
 use super::spec::{CrashTarget, PdpPlacement, ScriptedAction};
 use crate::contract::MONITOR_CONTRACT;
 use crate::logent::{LogEntry, ObservationPoint, ProbeId};
@@ -11,7 +11,7 @@ use drams_chain::block::{Block, BlockHash};
 use drams_chain::tx::Transaction;
 use drams_crypto::codec::{Decode, Reader};
 use drams_crypto::schnorr::Keypair;
-use drams_faas::des::{Outbox, SimService, SimTime, MILLIS};
+use drams_faas::des::{SimTime, MILLIS};
 use drams_faas::fault::Site;
 use drams_faas::model::{CloudId, PepId, TenantId, TenantSpec};
 use drams_faas::msg::CorrelationId;
@@ -88,8 +88,8 @@ fn mine_on(ctx: &Ctx<'_>, parent: BlockHash, txs: Vec<Transaction>, timestamp: S
     Block::mine(parent, height, txs, timestamp, bits)
 }
 
-impl<'a> SimService<Msg, Ctx<'a>> for Controller {
-    fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'a>, out: &mut Outbox<Msg>) {
+impl Controller {
+    pub(super) fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'_>, out: &mut Outbox) {
         match msg {
             Msg::Script(i) => match self.script[i].clone() {
                 ScriptedAction::PublishPolicy { policy, .. } => {

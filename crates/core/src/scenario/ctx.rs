@@ -1,14 +1,14 @@
 //! The shared simulation context: the one thing every service may touch
 //! besides its own state and its outbox.
 
-use super::msg::Msg;
+use super::msg::{Msg, Outbox};
 use super::spec::RngStreams;
 use crate::adversary::Adversary;
 use crate::logent::LogEntry;
 use crate::monitor::{GroundTruth, MonitorReport};
 use drams_chain::node::Node;
 use drams_chain::tx::TxId;
-use drams_faas::des::{Outbox, SimTime};
+use drams_faas::des::SimTime;
 use drams_faas::fault::{FaultPlane, Site};
 use drams_faas::model::{LatencyModel, TenantSpec};
 use drams_faas::msg::CorrelationId;
@@ -87,7 +87,7 @@ impl Ctx<'_> {
     /// survives, schedules its delivery to `li`.
     pub(super) fn deliver_to_li(
         &mut self,
-        out: &mut Outbox<Msg>,
+        out: &mut Outbox,
         li: usize,
         mut entry: LogEntry,
         now: SimTime,

@@ -2,13 +2,13 @@
 //! replay, crash recovery from the backlog WAL.
 
 use super::ctx::{mem_wal, Ctx};
-use super::msg::Msg;
+use super::msg::{Msg, Outbox};
 use crate::li::LoggingInterface;
 use crate::logent::LogEntry;
 use drams_chain::tx::TxId;
 use drams_crypto::aead::SymmetricKey;
 use drams_crypto::schnorr::Keypair;
-use drams_faas::des::{Outbox, SimService, SimTime};
+use drams_faas::des::SimTime;
 use drams_faas::fault::Site;
 use drams_faas::transport::WireRole;
 use std::collections::HashMap;
@@ -145,10 +145,8 @@ impl LiService {
             self.store(li, entry, ctx);
         }
     }
-}
 
-impl<'a> SimService<Msg, Ctx<'a>> for LiService {
-    fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'a>, out: &mut Outbox<Msg>) {
+    pub(super) fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'_>, out: &mut Outbox) {
         match msg {
             Msg::LiDeliver { li, entry } => {
                 if now < self.slots[li].stalled_until {

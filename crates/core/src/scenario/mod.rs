@@ -1,15 +1,15 @@
 //! The event-driven scenario runtime: Figure 1 as a graph of services.
 //!
-//! The monolithic monitor loop is decomposed into actor-style
-//! [`SimService`](drams_faas::des::SimService)s on the deterministic DES
-//! ([`drams_faas::des::ServiceRuntime`]): a workload source, the PEPs
-//! with their probes, one-or-more PDPs (central in the infrastructure
-//! tenant, or one per member cloud), the per-tenant Logging Interfaces,
-//! the chain node with its contract sweep, the Analyser, and a scenario
-//! controller. Services share nothing but the simulation context
+//! Seven services run on one deterministic event queue
+//! ([`drams_faas::des::EventQueue`]): a workload source, the PEPs with
+//! their probes, one-or-more PDPs (central in the infrastructure tenant,
+//! or one per member cloud), the per-tenant Logging Interfaces, the chain
+//! node with its contract sweep, the Analyser, and a scenario controller.
+//! Services share nothing but the simulation context
 //! ([`measurement sinks`](crate::monitor::MonitorReport) and the chain
 //! substrate); everything between them travels as a typed scheduled
-//! event (the private `Msg` enum).
+//! event (the private `Msg` enum), and one loop (`msg::Services`) hands
+//! each popped event to the service that owns it.
 //!
 //! On top of the services sits the declarative [`ScenarioSpec`] layer:
 //! phased arrival rates, mid-run policy publication/rollback through the

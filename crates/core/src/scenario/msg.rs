@@ -1,7 +1,17 @@
-//! The typed events between services, and the service address table.
+//! The typed events between services, and the one loop that delivers
+//! each to the service that owns it.
 
+use super::analyser::AnalyserService;
+use super::chain::ChainService;
+use super::controller::Controller;
+use super::ctx::Ctx;
+use super::li::LiService;
+use super::pdp::PdpService;
+use super::pep::PepService;
+use super::wire::net_shim;
+use super::workload::WorkloadSource;
 use crate::logent::{LogEntry, ProbeId};
-use drams_faas::des::SimTime;
+use drams_faas::des::{EventQueue, SimTime};
 use drams_faas::msg::{CorrelationId, RequestEnvelope, ResponseEnvelope};
 use drams_faas::prp::PolicyVersion;
 use drams_policy::attr::Request;
@@ -97,37 +107,166 @@ pub(super) enum Msg {
     },
 }
 
-// Service registration indices; the router below is the service graph's
-// address table.
-pub(super) const SVC_WORKLOAD: usize = 0;
-const SVC_PEP: usize = 1;
-const SVC_PDP: usize = 2;
-const SVC_LI: usize = 3;
-const SVC_CHAIN: usize = 4;
-const SVC_ANALYSER: usize = 5;
-const SVC_CONTROLLER: usize = 6;
+/// Follow-up events emitted while handling one event, plus the run's
+/// soft deadline.
+///
+/// The deadline models drain phases: once the workload decides the run
+/// should wind down, it sets the deadline and periodic services stop
+/// rescheduling their ticks past it.
+#[derive(Default)]
+pub(super) struct Outbox {
+    emitted: Vec<(SimTime, Msg)>,
+    deadline: Option<SimTime>,
+}
 
-pub(super) fn route(msg: &Msg) -> usize {
-    match msg {
-        Msg::Arrival => SVC_WORKLOAD,
-        Msg::Intercept { .. }
-        | Msg::PepReceive { .. }
-        | Msg::PepRetry { .. }
-        | Msg::ProvisionPep { .. } => SVC_PEP,
-        Msg::PdpReceive { .. }
-        | Msg::PolicyAdmin(_)
-        | Msg::SilencePdp { .. }
-        | Msg::CrashPdp { .. } => SVC_PDP,
-        Msg::LiDeliver { .. }
-        | Msg::LiFlushTick { .. }
-        | Msg::StallLi { .. }
-        | Msg::ProvisionLi { .. }
-        | Msg::CrashLi { .. } => SVC_LI,
-        Msg::MineTick | Msg::CrashChain | Msg::SetTimeout { .. } => SVC_CHAIN,
-        Msg::AnalyserTick
-        | Msg::AnalyserPolicy(_)
-        | Msg::ProvisionProbeKey { .. }
-        | Msg::CrashAnalyser => SVC_ANALYSER,
-        Msg::Script(_) | Msg::ActivateTenant { .. } => SVC_CONTROLLER,
+impl Outbox {
+    /// Emits `msg` to fire `delay` after the event being handled. Two
+    /// emissions with equal target times pop in emission order (the
+    /// queue's FIFO tie-break).
+    pub(super) fn emit(&mut self, delay: SimTime, msg: Msg) {
+        self.emitted.push((delay, msg));
+    }
+
+    /// Sets the run's soft deadline. An earlier existing deadline wins.
+    pub(super) fn set_deadline(&mut self, at: SimTime) {
+        self.deadline = Some(self.deadline.map_or(at, |d| d.min(at)));
+    }
+
+    /// True until the deadline (if any) has passed: whether a periodic
+    /// service reschedules its tick, and whether the run goes on.
+    pub(super) fn within_deadline(&self, now: SimTime) -> bool {
+        self.deadline.is_none_or(|d| now <= d)
+    }
+
+    /// Moves the emissions into `queue`, in emission order.
+    fn flush(&mut self, queue: &mut EventQueue<Msg>) {
+        for (delay, msg) in self.emitted.drain(..) {
+            queue.schedule(delay, msg);
+        }
+    }
+}
+
+/// Figure 1's services and the event queue between them. The `match` in
+/// [`dispatch`](Self::dispatch) is the service graph: an edge exists
+/// where one service emits a message another one owns.
+pub(super) struct Services {
+    pub(super) workload: WorkloadSource,
+    pub(super) pep: PepService,
+    pub(super) pdp: PdpService,
+    pub(super) li: LiService,
+    pub(super) chain: ChainService,
+    pub(super) analyser: AnalyserService,
+    pub(super) controller: Controller,
+    pub(super) queue: EventQueue<Msg>,
+}
+
+impl Services {
+    /// Runs until the queue drains, `horizon` passes, or the drain
+    /// deadline passes. Returns the virtual time of the last handled
+    /// event. With `shimmed`, every emission crosses
+    /// [`net_shim`] on its way into the queue; events scheduled on
+    /// `queue` before the run are bootstrap, not link traffic, and do
+    /// not.
+    pub(super) fn run(&mut self, ctx: &mut Ctx<'_>, horizon: SimTime, shimmed: bool) -> SimTime {
+        let mut out = Outbox::default();
+        let mut shim_buf = Vec::new();
+        let mut finished_at = 0;
+        while let Some((now, msg)) = self.queue.pop() {
+            if now > horizon || !out.within_deadline(now) {
+                break;
+            }
+            self.dispatch(now, msg, ctx, &mut out);
+            if shimmed {
+                net_shim(ctx, now, &mut out.emitted, &mut shim_buf);
+                std::mem::swap(&mut out.emitted, &mut shim_buf);
+            }
+            out.flush(&mut self.queue);
+            finished_at = now;
+        }
+        finished_at
+    }
+
+    /// Hands one popped event to the service that owns it.
+    fn dispatch(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'_>, out: &mut Outbox) {
+        match msg {
+            Msg::Arrival => self.workload.handle(now, ctx, out),
+            Msg::Intercept { .. }
+            | Msg::PepReceive { .. }
+            | Msg::PepRetry { .. }
+            | Msg::ProvisionPep { .. } => self.pep.handle(now, msg, ctx, out),
+            Msg::PdpReceive { .. }
+            | Msg::PolicyAdmin(_)
+            | Msg::SilencePdp { .. }
+            | Msg::CrashPdp { .. } => self.pdp.handle(now, msg, ctx, out),
+            Msg::LiDeliver { .. }
+            | Msg::LiFlushTick { .. }
+            | Msg::StallLi { .. }
+            | Msg::ProvisionLi { .. }
+            | Msg::CrashLi { .. } => self.li.handle(now, msg, ctx, out),
+            Msg::MineTick | Msg::CrashChain | Msg::SetTimeout { .. } => {
+                self.chain.handle(now, msg, ctx, out);
+            }
+            Msg::AnalyserTick
+            | Msg::AnalyserPolicy(_)
+            | Msg::ProvisionProbeKey { .. }
+            | Msg::CrashAnalyser => self.analyser.handle(now, msg, ctx, out),
+            Msg::Script(_) | Msg::ActivateTenant { .. } => {
+                self.controller.handle(now, msg, ctx, out);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn deadline_stops_the_run_and_earlier_deadline_wins() {
+        // A tick every 15, handled the way a periodic service does and
+        // popped the way `Services::run` does. The first tick sets the
+        // deadline to 20, then tries 50: the earlier one wins, so the
+        // tick at 15 is handled and the one at 30 pops past the deadline.
+        let mut queue = EventQueue::new();
+        queue.schedule(0, Msg::MineTick);
+        let mut out = Outbox::default();
+        let mut handled = Vec::new();
+        while let Some((now, _)) = queue.pop() {
+            if !out.within_deadline(now) {
+                break;
+            }
+            if handled.is_empty() {
+                out.set_deadline(now + 20);
+                out.set_deadline(now + 50);
+                assert_eq!(out.deadline, Some(20));
+            }
+            handled.push(now);
+            if out.within_deadline(now) {
+                out.emit(15, Msg::MineTick);
+            }
+            out.flush(&mut queue);
+        }
+        assert_eq!(handled, [0, 15]);
+        // Past the deadline a tick no longer reschedules.
+        assert!(!out.within_deadline(30));
+    }
+
+    #[test]
+    fn equal_timestamp_events_dispatch_in_emission_order() {
+        let mut queue = EventQueue::new();
+        queue.schedule(7, Msg::MineTick);
+        let (now, _) = queue.pop().expect("the tick");
+        let mut out = Outbox::default();
+        for li in 1..=3 {
+            out.emit(0, Msg::LiFlushTick { li });
+        }
+        out.flush(&mut queue);
+        let order: Vec<(SimTime, usize)> = std::iter::from_fn(|| queue.pop())
+            .map(|(at, msg)| match msg {
+                Msg::LiFlushTick { li } => (at, li),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(order, [(now, 1), (now, 2), (now, 3)]);
     }
 }

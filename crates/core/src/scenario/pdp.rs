@@ -2,14 +2,14 @@
 //! its journaled idempotency cache.
 
 use super::ctx::{mem_wal, Ctx};
-use super::msg::{Msg, PolicyAdmin};
+use super::msg::{Msg, Outbox, PolicyAdmin};
 use super::spec::probe_mac_key;
 use crate::logent::{ObservationPoint, ProbeId};
 use crate::probe::Probe;
 use drams_crypto::aead::SymmetricKey;
 use drams_crypto::codec::{Decode, Encode, Reader, Writer};
 use drams_crypto::CryptoError;
-use drams_faas::des::{Outbox, SimService, SimTime};
+use drams_faas::des::SimTime;
 use drams_faas::msg::{CorrelationId, ResponseEnvelope};
 use drams_faas::prp::{PolicyVersion, Prp};
 use drams_faas::transport::WireRole;
@@ -251,10 +251,8 @@ impl PdpService {
         }
         active.clone()
     }
-}
 
-impl<'a> SimService<Msg, Ctx<'a>> for PdpService {
-    fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'a>, out: &mut Outbox<Msg>) {
+    pub(super) fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'_>, out: &mut Outbox) {
         match msg {
             Msg::PdpReceive { slot, env } => {
                 let s = &mut self.slots[slot];

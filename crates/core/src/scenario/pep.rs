@@ -2,12 +2,12 @@
 //! retry/backoff schedule and the per-slot circuit breaker.
 
 use super::ctx::Ctx;
-use super::msg::Msg;
+use super::msg::{Msg, Outbox};
 use super::spec::probe_mac_key;
 use crate::logent::{ObservationPoint, ProbeId};
 use crate::probe::Probe;
 use drams_crypto::aead::SymmetricKey;
-use drams_faas::des::{Outbox, SimService, SimTime, MILLIS, SECONDS};
+use drams_faas::des::{SimTime, MILLIS, SECONDS};
 use drams_faas::msg::{CorrelationId, RequestEnvelope};
 use drams_faas::pep::{EnforcementBias, Pep};
 use rand::Rng;
@@ -141,10 +141,8 @@ impl PepService {
                 .unwrap_or(home),
         }
     }
-}
 
-impl<'a> SimService<Msg, Ctx<'a>> for PepService {
-    fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'a>, out: &mut Outbox<Msg>) {
+    pub(super) fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'_>, out: &mut Outbox) {
         match msg {
             Msg::Intercept {
                 tenant,

@@ -1,19 +1,18 @@
 //! Assembly: builds the Figure-1 deployment a [`ScenarioSpec`] declares,
-//! registers the services, schedules the bootstrap events and runs.
+//! schedules the bootstrap events and runs.
 
 use super::analyser::AnalyserService;
 use super::chain::ChainService;
 use super::controller::Controller;
 use super::ctx::{mem_wal, Ctx, TenantRuntime};
 use super::li::LiService;
-use super::msg::{route, Msg, SVC_WORKLOAD};
+use super::msg::{Msg, Services};
 use super::pdp::{PdpService, PdpSlot};
 use super::pep::{Breaker, PepService};
 use super::spec::{
     probe_mac_key, stream_rng, PdpPlacement, RngStreams, ScenarioSpec, ScriptedAction,
     FAULT_SETTLE, PDP_PROBE_BASE,
 };
-use super::wire::net_shim;
 use super::workload::WorkloadSource;
 use crate::adversary::Adversary;
 use crate::analyser::Analyser;
@@ -25,7 +24,7 @@ use drams_chain::chain::ChainConfig;
 use drams_chain::node::Node;
 use drams_crypto::aead::SymmetricKey;
 use drams_crypto::schnorr::Keypair;
-use drams_faas::des::{ServiceRuntime, SimTime};
+use drams_faas::des::{EventQueue, SimTime};
 use drams_faas::fault::{FaultPlan, FaultPlane, Site};
 use drams_faas::model::CloudId;
 use drams_faas::pep::Pep;
@@ -315,72 +314,73 @@ pub fn run_scenario_with_transport<A: Adversary>(
     } else {
         Vec::new()
     };
-    let mut rt: ServiceRuntime<Msg, Ctx<'_>> = ServiceRuntime::new(route);
-    let registered = rt.register(Box::new(WorkloadSource {
-        total_requests: config.total_requests,
-        base_rate: config.request_rate_per_sec,
-        phases: spec.phases.clone(),
-        zipf: (load.population > 0)
-            .then(|| Zipf::new(load.population as usize, load.zipf_exponent)),
-        load: load.clone(),
-        generator: RequestGenerator::new(Vocabulary::default(), 1.1, config.seed ^ 0x9e37),
-        last_join_at: spec
-            .script
-            .iter()
-            .filter_map(|a| match a {
-                ScriptedAction::TenantJoin { at, .. } => Some(*at),
-                _ => None,
-            })
-            .max(),
-        group_timeout: config.group_timeout,
-        block_interval: config.block_interval,
-        analyser_poll_interval: config.analyser_poll_interval,
-        fault_floor: degraded
-            .iter()
-            .map(|&(_, restore_at, _)| restore_at)
-            .max()
-            .unwrap_or(0),
-    }));
-    debug_assert_eq!(registered, SVC_WORKLOAD);
-    rt.register(Box::new(PepService {
-        peps,
-        probes: pep_probes,
-        bias: config.bias,
-        key: key.clone(),
-        inflight: HashMap::new(),
-        breakers: vec![Breaker::Closed { failures: 0 }; slot_count],
-        inflight_cap: if load.pep_inflight_cap > 0 {
-            load.pep_inflight_cap as usize
-        } else {
-            usize::MAX
+    let mut services = Services {
+        workload: WorkloadSource {
+            total_requests: config.total_requests,
+            base_rate: config.request_rate_per_sec,
+            phases: spec.phases.clone(),
+            zipf: (load.population > 0)
+                .then(|| Zipf::new(load.population as usize, load.zipf_exponent)),
+            load: load.clone(),
+            generator: RequestGenerator::new(Vocabulary::default(), 1.1, config.seed ^ 0x9e37),
+            last_join_at: spec
+                .script
+                .iter()
+                .filter_map(|a| match a {
+                    ScriptedAction::TenantJoin { at, .. } => Some(*at),
+                    _ => None,
+                })
+                .max(),
+            group_timeout: config.group_timeout,
+            block_interval: config.block_interval,
+            analyser_poll_interval: config.analyser_poll_interval,
+            fault_floor: degraded
+                .iter()
+                .map(|&(_, restore_at, _)| restore_at)
+                .max()
+                .unwrap_or(0),
         },
-    }));
-    rt.register(Box::new(PdpService {
-        prp,
-        slots,
-        infra_li,
-        key: key.clone(),
-    }));
-    rt.register(Box::new(li_service));
-    rt.register(Box::new(ChainService {
-        admin,
-        epoch_blocks: config.epoch_blocks,
-        block_interval: config.block_interval,
-        event_cursor,
-        chain_config,
-        compact_interval: load.chain_compact_interval,
-        journal_base: 0,
-    }));
-    rt.register(Box::new(AnalyserService {
-        analyser,
-        poll_interval: config.analyser_poll_interval,
-        key: key.clone(),
-    }));
-    rt.register(Box::new(Controller {
-        script: spec.script.clone(),
-        placement: spec.placement,
-        infra_li,
-    }));
+        pep: PepService {
+            peps,
+            probes: pep_probes,
+            bias: config.bias,
+            key: key.clone(),
+            inflight: HashMap::new(),
+            breakers: vec![Breaker::Closed { failures: 0 }; slot_count],
+            inflight_cap: if load.pep_inflight_cap > 0 {
+                load.pep_inflight_cap as usize
+            } else {
+                usize::MAX
+            },
+        },
+        pdp: PdpService {
+            prp,
+            slots,
+            infra_li,
+            key: key.clone(),
+        },
+        li: li_service,
+        chain: ChainService {
+            admin,
+            epoch_blocks: config.epoch_blocks,
+            block_interval: config.block_interval,
+            event_cursor,
+            chain_config,
+            compact_interval: load.chain_compact_interval,
+            journal_base: 0,
+        },
+        analyser: AnalyserService {
+            analyser,
+            poll_interval: config.analyser_poll_interval,
+            key: key.clone(),
+        },
+        controller: Controller {
+            script: spec.script.clone(),
+            placement: spec.placement,
+            infra_li,
+        },
+        queue: EventQueue::new(),
+    };
 
     // --- fault plane and wire transport ------------------------------------
     // With a declared plan, every wire message (request, response, log
@@ -389,13 +389,12 @@ pub fn run_scenario_with_transport<A: Adversary>(
     // then cross the real sockets to their endpoints as one batch. Initial
     // schedules below bypass both by design — they are bootstrap
     // bookkeeping, not link traffic. An empty plan under the DES backend
-    // installs no shim, so canonical runs take the exact
-    // pre-fault-plane path.
-    if !spec.faults.is_empty() || ctx.transport.is_wire() {
-        rt.set_net_shim(Box::new(net_shim));
-    }
+    // is not shimmed, so canonical runs take the exact pre-fault-plane
+    // path.
+    let shimmed = !spec.faults.is_empty() || ctx.transport.is_wire();
 
     // --- initial events ----------------------------------------------------
+    let queue = &mut services.queue;
     let arrivals = PoissonArrivals::with_rate_per_sec(
         load.effective_rate(
             spec.phases
@@ -405,22 +404,22 @@ pub fn run_scenario_with_transport<A: Adversary>(
             0,
         ),
     );
-    rt.schedule(arrivals.next_gap(&mut ctx.rngs.workload), Msg::Arrival);
+    queue.schedule(arrivals.next_gap(&mut ctx.rngs.workload), Msg::Arrival);
     if config.monitoring_enabled {
-        rt.schedule(config.block_interval, Msg::MineTick);
+        queue.schedule(config.block_interval, Msg::MineTick);
         for li in 0..=tenant_count {
-            rt.schedule(config.li_flush_interval, Msg::LiFlushTick { li });
+            queue.schedule(config.li_flush_interval, Msg::LiFlushTick { li });
         }
         if config.analyser_enabled {
-            rt.schedule(config.analyser_poll_interval, Msg::AnalyserTick);
+            queue.schedule(config.analyser_poll_interval, Msg::AnalyserTick);
         }
     }
     for (i, action) in spec.script.iter().enumerate() {
-        rt.schedule_at(action.at(), Msg::Script(i));
+        queue.schedule_at(action.at(), Msg::Script(i));
     }
     for &(widen_at, restore_at, widened) in &degraded {
-        rt.schedule_at(widen_at, Msg::SetTimeout { timeout: widened });
-        rt.schedule_at(
+        queue.schedule_at(widen_at, Msg::SetTimeout { timeout: widened });
+        queue.schedule_at(
             restore_at,
             Msg::SetTimeout {
                 timeout: config.group_timeout,
@@ -429,7 +428,7 @@ pub fn run_scenario_with_transport<A: Adversary>(
     }
 
     // --- run ---------------------------------------------------------------
-    let finished_at = rt.run(&mut ctx, config.horizon);
+    let finished_at = services.run(&mut ctx, config.horizon, shimmed);
     ctx.report.finished_at = finished_at;
     ctx.report.faults = ctx.fault_plane.stats();
     (ctx.report, ctx.truth)

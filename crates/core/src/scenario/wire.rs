@@ -158,23 +158,23 @@ fn carry_batch(ctx: &mut Ctx<'_>, deliveries: &mut [(SimTime, Msg)]) {
     }
 }
 
-/// The [`NetShim`](drams_faas::des::NetShim) of a run with a fault plan
-/// or a wire transport. It takes one dispatch's outbox: every link
-/// message first crosses the fault plane, in emission order (so the
-/// plane's RNG draws do not depend on the transport), and non-link
-/// messages pass straight through. Then, with a wire transport
-/// attached, every wire-encodable delivery — probe-key provisioning
-/// included — crosses the transport in one batch. Under
+/// What every emission of a run with a fault plan or a wire transport
+/// crosses on its way into the event queue. It takes one dispatch's
+/// outbox: every link message first crosses the fault plane, in
+/// emission order (so the plane's RNG draws do not depend on the
+/// transport), and non-link messages pass straight through. Then, with
+/// a wire transport attached, every wire-encodable delivery — probe-key
+/// provisioning included — crosses the transport in one batch. Under
 /// [`DesTransport`](drams_faas::transport::DesTransport) that step is
-/// skipped: the conformance oracle's path.
+/// skipped: the conformance oracle's path. The deliveries land in the
+/// empty `buf`, in the order the queue schedules them.
 pub(super) fn net_shim(
     ctx: &mut Ctx<'_>,
     now: SimTime,
-    outbox: Vec<(SimTime, Msg)>,
+    outbox: &mut Vec<(SimTime, Msg)>,
     buf: &mut Vec<(SimTime, Msg)>,
 ) {
-    let start = buf.len();
-    for (delay, msg) in outbox {
+    for (delay, msg) in outbox.drain(..) {
         let Some((from, to, allow_drop)) = fault_link(ctx, &msg) else {
             buf.push((delay, msg));
             continue;
@@ -189,7 +189,7 @@ pub(super) fn net_shim(
         buf.push((delay + last, msg));
     }
     if ctx.transport.is_wire() {
-        carry_batch(ctx, &mut buf[start..]);
+        carry_batch(ctx, buf);
     }
 }
 

@@ -2,10 +2,10 @@
 //! deadline that winds a run down.
 
 use super::ctx::Ctx;
-use super::msg::Msg;
+use super::msg::{Msg, Outbox};
 use super::pep::RETRY_BUDGET;
 use super::spec::{LoadProfile, Phase};
-use drams_faas::des::{Outbox, SimService, SimTime, SECONDS};
+use drams_faas::des::{SimTime, SECONDS};
 use drams_faas::workload::{PoissonArrivals, RequestGenerator, Zipf};
 use rand::Rng;
 
@@ -58,11 +58,8 @@ impl WorkloadSource {
             + 4 * self.analyser_poll_interval
             + SECONDS
     }
-}
 
-impl<'a> SimService<Msg, Ctx<'a>> for WorkloadSource {
-    fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'a>, out: &mut Outbox<Msg>) {
-        debug_assert!(matches!(msg, Msg::Arrival));
+    pub(super) fn handle(&mut self, now: SimTime, ctx: &mut Ctx<'_>, out: &mut Outbox) {
         if ctx.report.requests_issued >= self.total_requests {
             return; // workload exhausted; nothing to reschedule
         }

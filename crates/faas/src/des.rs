@@ -4,13 +4,6 @@
 //! `(time, insertion sequence)`, so runs are reproducible given a seed —
 //! every latency/throughput number in the DRAMS experiments comes out of
 //! this engine and is exactly repeatable.
-//!
-//! Besides the raw [`EventQueue`], the module offers an actor-style layer:
-//! a [`SimService`] handles one typed event at a time and emits follow-up
-//! events through an [`Outbox`]; a [`ServiceRuntime`] owns the services
-//! and routes every popped event to exactly one of them. Services share no
-//! state except an application-defined context, so a simulation is the sum
-//! of its services plus the typed events on the wire between them.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -127,189 +120,6 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-}
-
-/// Follow-up events emitted by a [`SimService`] while handling one event,
-/// plus the service's view of the run's soft deadline.
-///
-/// The deadline models drain phases: once a source of load decides the run
-/// should wind down, it sets the deadline and periodic services stop
-/// rescheduling their ticks past it.
-#[derive(Debug)]
-pub struct Outbox<M> {
-    emitted: Vec<(SimTime, M)>,
-    deadline: Option<SimTime>,
-}
-
-impl<M> Outbox<M> {
-    fn new(deadline: Option<SimTime>) -> Self {
-        Outbox {
-            emitted: Vec::new(),
-            deadline,
-        }
-    }
-
-    /// Emits `msg` to fire `delay` after the event being handled.
-    ///
-    /// Emissions keep their order: two messages emitted with equal target
-    /// times are delivered in emission order (the queue's FIFO tie-break).
-    pub fn emit(&mut self, delay: SimTime, msg: M) {
-        self.emitted.push((delay, msg));
-    }
-
-    /// The run's current soft deadline, if one was set.
-    #[must_use]
-    pub fn deadline(&self) -> Option<SimTime> {
-        self.deadline
-    }
-
-    /// Sets the run's soft deadline (e.g. when the workload is exhausted
-    /// and the run should drain). An earlier existing deadline wins.
-    pub fn set_deadline(&mut self, at: SimTime) {
-        self.deadline = Some(self.deadline.map_or(at, |d| d.min(at)));
-    }
-
-    /// Whether a periodic service should reschedule its tick: true until
-    /// the deadline (if any) has passed.
-    #[must_use]
-    pub fn within_deadline(&self, now: SimTime) -> bool {
-        self.deadline.is_none_or(|d| now <= d)
-    }
-}
-
-/// An actor in a [`ServiceRuntime`]: handles one typed event at a time
-/// and communicates with other services only by emitting further events.
-///
-/// `C` is the shared simulation context (measurement sinks, substrate
-/// resources); everything *between* services travels as an `M`.
-pub trait SimService<M, C> {
-    /// Handles one event addressed to this service.
-    fn handle(&mut self, now: SimTime, msg: M, ctx: &mut C, out: &mut Outbox<M>);
-}
-
-/// A network shim interposed between a dispatch's emissions and the
-/// event queue. It is called once per handled event with the shared
-/// context, the current virtual time, the dispatch's whole outbox —
-/// `(delay, msg)` pairs in emission order — and a sink. For each
-/// emission it pushes zero or more `(delay, msg)` deliveries into the
-/// sink (zero = dropped, two = duplicated, altered delays = network
-/// delay/reorder), and the runtime schedules the sink in order. Seeing
-/// the whole outbox at once is what lets a wire transport carry a
-/// dispatch's frames as one batch. The fault plane plugs in here — see
-/// [`crate::fault`].
-pub type NetShim<M, C> = Box<dyn FnMut(&mut C, SimTime, Vec<(SimTime, M)>, &mut Vec<(SimTime, M)>)>;
-
-/// Owns a set of [`SimService`]s and a routing function, and drives them
-/// from one deterministic [`EventQueue`].
-///
-/// Every message type maps to exactly one service (the router returns the
-/// service's registration index), so the event taxonomy *is* the service
-/// graph: an edge exists where one service emits a message routed to
-/// another.
-pub struct ServiceRuntime<M, C> {
-    queue: EventQueue<M>,
-    services: Vec<Box<dyn SimService<M, C>>>,
-    router: fn(&M) -> usize,
-    deadline: Option<SimTime>,
-    net_shim: Option<NetShim<M, C>>,
-    shim_buf: Vec<(SimTime, M)>,
-}
-
-impl<M, C> std::fmt::Debug for ServiceRuntime<M, C> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServiceRuntime")
-            .field("services", &self.services.len())
-            .field("pending", &self.queue.len())
-            .field("deadline", &self.deadline)
-            .field("net_shim", &self.net_shim.is_some())
-            .finish()
-    }
-}
-
-impl<M, C> ServiceRuntime<M, C> {
-    /// Creates an empty runtime with the given message router.
-    #[must_use]
-    pub fn new(router: fn(&M) -> usize) -> Self {
-        ServiceRuntime {
-            queue: EventQueue::new(),
-            services: Vec::new(),
-            router,
-            deadline: None,
-            net_shim: None,
-            shim_buf: Vec::new(),
-        }
-    }
-
-    /// Installs a [`NetShim`] through which every *service-emitted*
-    /// message passes before being scheduled. Initial events injected via
-    /// [`schedule`](Self::schedule)/[`schedule_at`](Self::schedule_at)
-    /// bypass the shim (they model local bootstrap, not network traffic).
-    pub fn set_net_shim(&mut self, shim: NetShim<M, C>) {
-        self.net_shim = Some(shim);
-    }
-
-    /// Registers a service, returning the index the router must use to
-    /// address it.
-    pub fn register(&mut self, service: Box<dyn SimService<M, C>>) -> usize {
-        self.services.push(service);
-        self.services.len() - 1
-    }
-
-    /// Schedules an initial event `delay` after the current virtual time.
-    pub fn schedule(&mut self, delay: SimTime, msg: M) {
-        self.queue.schedule(delay, msg);
-    }
-
-    /// Schedules an initial event at an absolute virtual time.
-    pub fn schedule_at(&mut self, at: SimTime, msg: M) {
-        self.queue.schedule_at(at, msg);
-    }
-
-    /// Runs until the queue drains, `horizon` passes, or a service-set
-    /// deadline passes. Returns the virtual time of the last handled
-    /// event.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the router returns an index with no registered service
-    /// — a routing-table bug, not a recoverable condition.
-    pub fn run(&mut self, ctx: &mut C, horizon: SimTime) -> SimTime {
-        let mut finished_at = 0;
-        while let Some((now, msg)) = self.queue.pop() {
-            if now > horizon || self.deadline.is_some_and(|d| now > d) {
-                break;
-            }
-            let target = (self.router)(&msg);
-            assert!(
-                target < self.services.len(),
-                "router addressed service {target} but only {} are registered",
-                self.services.len()
-            );
-            self.dispatch(target, now, msg, ctx);
-            finished_at = now;
-        }
-        finished_at
-    }
-
-    /// Handles one routed event: outbox, handler, net shim, scheduling.
-    fn dispatch(&mut self, target: usize, now: SimTime, msg: M, ctx: &mut C) {
-        let mut out = Outbox::new(self.deadline);
-        self.services[target].handle(now, msg, ctx, &mut out);
-        self.deadline = out.deadline;
-        match self.net_shim.as_mut() {
-            Some(shim) => {
-                shim(ctx, now, out.emitted, &mut self.shim_buf);
-                for (delay, msg) in self.shim_buf.drain(..) {
-                    self.queue.schedule(delay, msg);
-                }
-            }
-            None => {
-                for (delay, msg) in out.emitted {
-                    self.queue.schedule(delay, msg);
-                }
-            }
-        }
     }
 }
 
@@ -582,155 +392,6 @@ mod tests {
         assert!((r.mean - s.mean()).abs() < 1e-9);
     }
 
-    // --- service runtime -------------------------------------------------
-
-    /// Two-service ping/pong over the runtime: each message carries the
-    /// sender's log so the test can assert exact interleaving.
-    #[derive(Debug)]
-    enum Msg {
-        Ping(u32),
-        Pong(u32),
-    }
-
-    struct Pinger {
-        log: Vec<(SimTime, u32)>,
-    }
-
-    impl SimService<Msg, Vec<String>> for Pinger {
-        fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Vec<String>, out: &mut Outbox<Msg>) {
-            if let Msg::Pong(n) = msg {
-                self.log.push((now, n));
-                ctx.push(format!("pong {n} at {now}"));
-                if n < 3 {
-                    out.emit(10, Msg::Ping(n + 1));
-                }
-            }
-        }
-    }
-
-    struct Ponger;
-
-    impl SimService<Msg, Vec<String>> for Ponger {
-        fn handle(
-            &mut self,
-            _now: SimTime,
-            msg: Msg,
-            ctx: &mut Vec<String>,
-            out: &mut Outbox<Msg>,
-        ) {
-            if let Msg::Ping(n) = msg {
-                ctx.push(format!("ping {n}"));
-                out.emit(5, Msg::Pong(n));
-            }
-        }
-    }
-
-    fn route(msg: &Msg) -> usize {
-        match msg {
-            Msg::Pong(_) => 0,
-            Msg::Ping(_) => 1,
-        }
-    }
-
-    #[test]
-    fn services_exchange_typed_events() {
-        let mut rt: ServiceRuntime<Msg, Vec<String>> = ServiceRuntime::new(route);
-        let pinger = rt.register(Box::new(Pinger { log: Vec::new() }));
-        assert_eq!(pinger, 0);
-        rt.register(Box::new(Ponger));
-        rt.schedule(0, Msg::Ping(1));
-        let mut ctx = Vec::new();
-        let finished = rt.run(&mut ctx, 1_000);
-        assert_eq!(
-            ctx,
-            [
-                "ping 1",
-                "pong 1 at 5",
-                "ping 2",
-                "pong 2 at 20",
-                "ping 3",
-                "pong 3 at 35"
-            ]
-        );
-        assert_eq!(finished, 35);
-    }
-
-    #[test]
-    fn equal_timestamp_events_dispatch_in_emission_order() {
-        // One service fans out three zero-delay events to another; the
-        // receiver must see them in emission order — the FIFO tie-break
-        // holds across services, not just within one queue user.
-        struct Fan;
-        struct Sink;
-        impl SimService<Msg, Vec<String>> for Fan {
-            fn handle(
-                &mut self,
-                _n: SimTime,
-                _m: Msg,
-                _c: &mut Vec<String>,
-                out: &mut Outbox<Msg>,
-            ) {
-                out.emit(0, Msg::Ping(1));
-                out.emit(0, Msg::Ping(2));
-                out.emit(0, Msg::Ping(3));
-            }
-        }
-        impl SimService<Msg, Vec<String>> for Sink {
-            fn handle(
-                &mut self,
-                now: SimTime,
-                m: Msg,
-                ctx: &mut Vec<String>,
-                _o: &mut Outbox<Msg>,
-            ) {
-                if let Msg::Ping(n) = m {
-                    ctx.push(format!("{n}@{now}"));
-                }
-            }
-        }
-        let mut rt: ServiceRuntime<Msg, Vec<String>> = ServiceRuntime::new(route);
-        rt.register(Box::new(Fan)); // index 0: receives Pong
-        rt.register(Box::new(Sink)); // index 1: receives Ping
-        rt.schedule(7, Msg::Pong(0));
-        let mut ctx = Vec::new();
-        rt.run(&mut ctx, 1_000);
-        assert_eq!(ctx, ["1@7", "2@7", "3@7"]);
-    }
-
-    #[test]
-    fn deadline_stops_the_run_and_earlier_deadline_wins() {
-        struct Stopper;
-        impl SimService<Msg, Vec<String>> for Stopper {
-            fn handle(
-                &mut self,
-                now: SimTime,
-                m: Msg,
-                ctx: &mut Vec<String>,
-                out: &mut Outbox<Msg>,
-            ) {
-                if let Msg::Ping(n) = m {
-                    ctx.push(format!("{n}"));
-                    if n == 1 {
-                        out.set_deadline(now + 20);
-                        out.set_deadline(now + 50); // later: must not extend
-                        assert_eq!(out.deadline(), Some(now + 20));
-                    }
-                    if out.within_deadline(now) {
-                        out.emit(15, Msg::Ping(n + 1));
-                    }
-                }
-            }
-        }
-        let mut rt: ServiceRuntime<Msg, Vec<String>> = ServiceRuntime::new(|_| 0);
-        rt.register(Box::new(Stopper));
-        rt.schedule(0, Msg::Ping(1));
-        let mut ctx = Vec::new();
-        // Pings at 0, 15, 30… — deadline 20 admits the ping at 15, then
-        // the one at 30 pops past the deadline and the run stops.
-        rt.run(&mut ctx, 1_000);
-        assert_eq!(ctx, ["1", "2"]);
-    }
-
     #[test]
     fn record_attempts_builds_retry_totals_and_histogram() {
         let mut s = LatencyStats::new();
@@ -748,116 +409,5 @@ mod tests {
         assert_eq!(r.attempts, hist);
         // Attempt counts are independent of latency samples.
         assert_eq!(r.count, 0);
-    }
-
-    #[test]
-    fn net_shim_can_drop_duplicate_and_delay_emissions() {
-        // Pinger emits Ping(n); the shim drops Ping(2), duplicates
-        // Ping(1) and delays Ping(3) by 100. Initial schedule() calls
-        // bypass the shim entirely.
-        struct Echo;
-        impl SimService<Msg, Vec<String>> for Echo {
-            fn handle(
-                &mut self,
-                now: SimTime,
-                m: Msg,
-                ctx: &mut Vec<String>,
-                out: &mut Outbox<Msg>,
-            ) {
-                match m {
-                    Msg::Pong(n) => out.emit(10, Msg::Ping(n)),
-                    Msg::Ping(n) => ctx.push(format!("{n}@{now}")),
-                }
-            }
-        }
-        let mut rt: ServiceRuntime<Msg, Vec<String>> = ServiceRuntime::new(|_| 0);
-        rt.register(Box::new(Echo));
-        rt.set_net_shim(Box::new(|_ctx, _now, outbox, sink| {
-            for (delay, msg) in outbox {
-                match msg {
-                    Msg::Ping(1) => {
-                        sink.push((delay, Msg::Ping(1)));
-                        sink.push((delay, Msg::Ping(1)));
-                    }
-                    Msg::Ping(2) => {}
-                    Msg::Ping(3) => sink.push((delay + 100, Msg::Ping(3))),
-                    other => sink.push((delay, other)),
-                }
-            }
-        }));
-        // A Ping injected directly must NOT pass through the shim.
-        rt.schedule(0, Msg::Ping(2));
-        rt.schedule(0, Msg::Pong(1));
-        rt.schedule(0, Msg::Pong(2));
-        rt.schedule(0, Msg::Pong(3));
-        let mut ctx = Vec::new();
-        rt.run(&mut ctx, 1_000);
-        assert_eq!(ctx, ["2@0", "1@10", "1@10", "3@110"]);
-    }
-
-    #[test]
-    fn net_shim_sees_each_dispatch_outbox_once_in_emission_order() {
-        // Fan answers Pong(n) with three Pings at falling delays. The
-        // shim is called once per handled event — with an empty outbox
-        // when the handler emitted nothing — and sees the emissions in
-        // emission order, not delivery order.
-        struct Fan;
-        impl SimService<Msg, Vec<String>> for Fan {
-            fn handle(
-                &mut self,
-                now: SimTime,
-                m: Msg,
-                ctx: &mut Vec<String>,
-                out: &mut Outbox<Msg>,
-            ) {
-                match m {
-                    Msg::Pong(n) => {
-                        for k in 1..=3 {
-                            out.emit(40 - 10 * SimTime::from(k), Msg::Ping(10 * n + k));
-                        }
-                    }
-                    Msg::Ping(n) => ctx.push(format!("{n}@{now}")),
-                }
-            }
-        }
-        let mut rt: ServiceRuntime<Msg, Vec<String>> = ServiceRuntime::new(|_| 0);
-        rt.register(Box::new(Fan));
-        rt.set_net_shim(Box::new(|ctx, now, outbox, sink| {
-            let seen: Vec<String> = outbox.iter().map(|(d, m)| format!("{m:?}+{d}")).collect();
-            ctx.push(format!("shim@{now}: [{}]", seen.join(", ")));
-            sink.extend(outbox);
-        }));
-        rt.schedule(0, Msg::Pong(1));
-        rt.schedule(5, Msg::Pong(2));
-        let mut ctx = Vec::new();
-        rt.run(&mut ctx, 1_000);
-        assert_eq!(
-            ctx,
-            [
-                "shim@0: [Ping(11)+30, Ping(12)+20, Ping(13)+10]",
-                "shim@5: [Ping(21)+30, Ping(22)+20, Ping(23)+10]",
-                "13@10",
-                "shim@10: []",
-                "23@15",
-                "shim@15: []",
-                "12@20",
-                "shim@20: []",
-                "22@25",
-                "shim@25: []",
-                "11@30",
-                "shim@30: []",
-                "21@35",
-                "shim@35: []",
-            ]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "router addressed service")]
-    fn routing_to_unregistered_service_panics() {
-        let mut rt: ServiceRuntime<Msg, Vec<String>> = ServiceRuntime::new(|_| 5);
-        rt.register(Box::new(Ponger));
-        rt.schedule(0, Msg::Ping(1));
-        rt.run(&mut Vec::new(), 100);
     }
 }

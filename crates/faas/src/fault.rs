@@ -2,9 +2,9 @@
 //!
 //! The DES delivers every message perfectly and instantly-in-order; this
 //! module makes the network lossy *on purpose* while keeping runs
-//! byte-replayable. A [`FaultPlane`] sits between a service's `Outbox`
-//! and the [`ServiceRuntime`](crate::des::ServiceRuntime) router (via the
-//! runtime's net shim): for every message on a configured link it decides
+//! byte-replayable. A [`FaultPlane`] sits between what a service emits
+//! and the [`EventQueue`](crate::des::EventQueue) (the scenario loop's
+//! net shim calls it): for every message on a configured link it decides
 //! a fate — drop, duplicate, reorder (a bounded extra delay), or a fixed
 //! plus jittered delay — and timed [`PartitionWindow`]s cut a pair of
 //! sites off from each other entirely.

@@ -15,7 +15,7 @@
 //! * [`des`] — a deterministic virtual-time discrete-event engine; all
 //!   latency experiments run on it.
 //! * [`fault`] — a deterministic per-link network fault plane (drop,
-//!   duplicate, reorder, delay, timed partitions) the runtime's net shim
+//!   duplicate, reorder, delay, timed partitions) the scenario's net shim
 //!   applies between services.
 //! * [`par`] — an order-preserving scoped-thread `map` with no caller in
 //!   the workspace; it stays only until the frozen `benchmark/` package
@@ -39,10 +39,7 @@ pub mod prp;
 pub mod transport;
 pub mod workload;
 
-pub use des::{
-    EventQueue, LatencyStats, Outbox, ServiceRuntime, SimService, SimTime, StatsReport, MICRO,
-    MILLIS, SECONDS,
-};
+pub use des::{EventQueue, LatencyStats, SimTime, StatsReport, MICRO, MILLIS, SECONDS};
 pub use fault::{FaultPlan, FaultPlane, FaultStats, LinkFault, PartitionWindow, Site};
 pub use model::{CloudId, FederationSpec, LatencyModel, PepId, TenantId, TenantSpec};
 pub use msg::{CorrelationId, RequestEnvelope, ResponseEnvelope};

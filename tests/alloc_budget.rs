@@ -18,8 +18,9 @@ use drams::core::scenario::{run_scenario, ScenarioSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Allocations plus reallocations one `steady` request may cost.
-const BUDGET_PER_REQUEST: f64 = 90.0;
+/// Allocations plus reallocations one `steady` request may cost (64.2
+/// measured, the event loop reusing its emission buffers).
+const BUDGET_PER_REQUEST: f64 = 80.0;
 
 struct Counting;
 
