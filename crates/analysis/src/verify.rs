@@ -17,6 +17,7 @@ use drams_policy::compiled::PreparedPolicySet;
 use drams_policy::decision::{Decision, Response};
 use drams_policy::policy::PolicySet;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -91,21 +92,21 @@ impl Verdict {
 
 /// The decision-verification oracle.
 ///
-/// Holds the authorised policy in both forms: the source tree (for
-/// inspection and the interpreted reference path) and the compiled
-/// [`PreparedPolicySet`] the re-evaluation hot path runs on — the
-/// Analyser replays *every* completed observation group through
+/// Holds each authorised version as its compiled [`PreparedPolicySet`],
+/// which the re-evaluation hot path runs on and which keeps the canonical
+/// bytes the version digest was computed over — the Analyser replays
+/// *every* completed observation group through
 /// [`DecisionVerifier::expected_response`], so this is the second
-/// heaviest policy-evaluation path after the PDP itself.
+/// heaviest policy-evaluation path after the PDP itself. The reference
+/// interpreter is [`PolicySet::evaluate`] on the source set.
 ///
-/// Both forms sit behind an [`Arc`], like the PDP's: a verifier built
-/// with [`DecisionVerifier::from_prepared`] or fed with
+/// The compiled form sits behind an [`Arc`], like the PDP's: a verifier
+/// built with [`DecisionVerifier::from_prepared`] or fed with
 /// [`DecisionVerifier::publish_prepared`] shares the version the PRP
-/// already compiled instead of compiling its own. The owned-`PolicySet`
-/// entry points compile once and delegate to those two.
+/// already compiled instead of compiling its own. The `PolicySet` entry
+/// points compile once from a borrow and delegate to those two.
 #[derive(Debug, Clone)]
 pub struct DecisionVerifier {
-    policy: Arc<PolicySet>,
     prepared: Arc<PreparedPolicySet>,
     version: Digest,
     /// Every version legitimately authorised over the run, including the
@@ -121,7 +122,6 @@ pub struct DecisionVerifier {
 /// caught, not grandfathered forever.
 #[derive(Debug, Clone)]
 struct AuthorisedVersion {
-    policy: Arc<PolicySet>,
     prepared: Arc<PreparedPolicySet>,
     retired_at: Option<u64>,
 }
@@ -130,30 +130,22 @@ impl DecisionVerifier {
     /// Creates a verifier pinned to the given authorised policy,
     /// compiling it once.
     #[must_use]
-    pub fn new(policy: PolicySet) -> Self {
-        let prepared = Arc::new(PreparedPolicySet::compile(&policy));
-        DecisionVerifier::from_prepared(Arc::new(policy), prepared)
+    pub fn new(policy: impl Borrow<PolicySet>) -> Self {
+        DecisionVerifier::from_prepared(Arc::new(PreparedPolicySet::compile(policy.borrow())))
     }
 
     /// Creates a verifier pinned to an already-compiled authorised policy
-    /// (e.g. the PRP's active version), sharing both halves: the cost is
-    /// two reference counts however large the policy base is.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics when `prepared` was not compiled from
-    /// `policy` (version digest mismatch), as
-    /// [`Pdp::from_prepared`](drams_policy::pdp::Pdp::from_prepared) does.
+    /// (e.g. the PRP's active version), shared: the cost is one reference
+    /// count however large the policy base is.
     #[must_use]
-    pub fn from_prepared(policy: Arc<PolicySet>, prepared: Arc<PreparedPolicySet>) -> Self {
+    pub fn from_prepared(prepared: Arc<PreparedPolicySet>) -> Self {
         let mut verifier = DecisionVerifier {
             version: prepared.version_digest(),
-            policy: policy.clone(),
             prepared: prepared.clone(),
             history: HashMap::new(),
         };
         // Publishing the version already active retires nothing.
-        verifier.publish_prepared(policy, prepared, 0);
+        verifier.publish_prepared(prepared, 0);
         verifier
     }
 
@@ -170,25 +162,20 @@ impl DecisionVerifier {
     }
 
     /// The authorised-policy history: each version still authorised, once,
-    /// as its digest, its (shared, not copied) source tree and when it was
+    /// as its digest, its (shared, not copied) compiled form — which holds
+    /// the canonical bytes that digest is defined over — and when it was
     /// superseded (`None` for the active one), ordered by `(retired_at,
-    /// digest)` — the active version last. The first entry plus a publish
+    /// digest)`: the active version last. The first entry plus a publish
     /// of each later one at its predecessor's `retired_at` rebuilds it.
     #[must_use]
-    pub fn authorised_versions(&self) -> Vec<(Digest, &Arc<PolicySet>, Option<u64>)> {
+    pub fn authorised_versions(&self) -> Vec<(Digest, &Arc<PreparedPolicySet>, Option<u64>)> {
         let mut versions: Vec<_> = self
             .history
             .iter()
-            .map(|(digest, v)| (*digest, &v.policy, v.retired_at))
+            .map(|(digest, v)| (*digest, &v.prepared, v.retired_at))
             .collect();
         versions.sort_by_key(|&(digest, _, retired_at)| (retired_at.is_none(), retired_at, digest));
         versions
-    }
-
-    /// The authorised policy (source form).
-    #[must_use]
-    pub fn policy(&self) -> &PolicySet {
-        &self.policy
     }
 
     /// The compiled form of the active authorised version.
@@ -204,30 +191,17 @@ impl DecisionVerifier {
     /// PRP). `now` is the activation instant in whatever clock the
     /// deployment logs decision times in (the DES uses virtual
     /// microseconds).
-    pub fn publish_policy(&mut self, policy: PolicySet, now: u64) {
-        let prepared = Arc::new(PreparedPolicySet::compile(&policy));
-        self.publish_prepared(Arc::new(policy), prepared, now);
+    pub fn publish_policy(&mut self, policy: impl Borrow<PolicySet>, now: u64) {
+        let prepared = Arc::new(PreparedPolicySet::compile(policy.borrow()));
+        self.publish_prepared(prepared, now);
     }
 
     /// [`DecisionVerifier::publish_policy`] for an already-compiled
-    /// version, shared rather than recompiled (see
-    /// [`DecisionVerifier::from_prepared`], whose debug check it runs
-    /// too).
-    pub fn publish_prepared(
-        &mut self,
-        policy: Arc<PolicySet>,
-        prepared: Arc<PreparedPolicySet>,
-        now: u64,
-    ) {
-        debug_assert_eq!(
-            policy.version_digest(),
-            prepared.version_digest(),
-            "prepared policy does not match the source policy set"
-        );
+    /// version, shared rather than recompiled.
+    pub fn publish_prepared(&mut self, prepared: Arc<PreparedPolicySet>, now: u64) {
         let old = self.version;
         self.version = prepared.version_digest();
         self.prepared = prepared.clone();
-        self.policy = policy.clone();
         if old != self.version {
             if let Some(retired) = self.history.get_mut(&old) {
                 retired.retired_at.get_or_insert(now);
@@ -238,7 +212,6 @@ impl DecisionVerifier {
         self.history.insert(
             self.version,
             AuthorisedVersion {
-                policy,
                 prepared,
                 retired_at: None,
             },
@@ -250,15 +223,6 @@ impl DecisionVerifier {
     #[must_use]
     pub fn expected_response(&self, request: &Request) -> Response {
         let (extended, obligations) = self.prepared.evaluate(request);
-        Response::new(extended, obligations)
-    }
-
-    /// The response via the tree-walking reference interpreter — the
-    /// oracle the compiled path is cross-checked against in tests and
-    /// benches.
-    #[must_use]
-    pub fn expected_response_interpreted(&self, request: &Request) -> Response {
-        let (extended, obligations) = self.policy.evaluate(request);
         Response::new(extended, obligations)
     }
 
@@ -315,7 +279,6 @@ impl DecisionVerifier {
             Some(AuthorisedVersion {
                 prepared,
                 retired_at: Some(retired_at),
-                ..
             }) if decided_at <= *retired_at => {
                 let (extended, obligations) = prepared.evaluate(request);
                 Self::compare(claimed, &Response::new(extended, obligations))
@@ -568,19 +531,20 @@ mod tests {
 
     #[test]
     fn authorised_versions_hold_each_digest_once_shared_not_copied() {
-        let v0 = Arc::new(policy());
-        let mut verifier = DecisionVerifier::new(policy());
-        let v1 = Arc::new(PolicySet::builder("root2", CombiningAlg::PermitUnlessDeny).build());
+        use drams_crypto::codec::Encode;
+        let v0 = policy();
+        let mut verifier = DecisionVerifier::new(&v0);
+        let v1 = PolicySet::builder("root2", CombiningAlg::PermitUnlessDeny).build();
         let v1_prepared = Arc::new(PreparedPolicySet::compile(&v1));
         let v2 = PolicySet::builder("root3", CombiningAlg::DenyUnlessPermit).build();
         // Churn between three versions, with v0 and v1 republished.
-        verifier.publish_prepared(v1.clone(), v1_prepared.clone(), 1_000);
+        verifier.publish_prepared(v1_prepared.clone(), 1_000);
         verifier.publish_policy(policy(), 2_000);
-        verifier.publish_prepared(v1.clone(), v1_prepared, 3_000);
-        verifier.publish_policy(v2.clone(), 3_000);
+        verifier.publish_prepared(v1_prepared.clone(), 3_000);
+        verifier.publish_policy(&v2, 3_000);
         verifier.publish_policy(policy(), 4_000);
         let versions = verifier.authorised_versions();
-        let digests = |v: &[(Digest, &Arc<PolicySet>, Option<u64>)]| {
+        let digests = |v: &[(Digest, &Arc<PreparedPolicySet>, Option<u64>)]| {
             v.iter().map(|&(d, _, t)| (d, t)).collect::<Vec<_>>()
         };
         // Ordered by retirement, the active version last.
@@ -592,26 +556,28 @@ mod tests {
                 (v0.version_digest(), None),
             ]
         );
-        assert!(Arc::ptr_eq(versions[0].1, &v1), "the published tree itself");
-        assert_eq!(**versions[2].1, *v0);
+        assert!(
+            Arc::ptr_eq(versions[0].1, &v1_prepared),
+            "the published version itself"
+        );
+        assert_eq!(versions[2].1.canonical_bytes(), v0.to_canonical_bytes());
     }
 
     #[test]
     fn compiled_and_interpreted_oracles_agree() {
-        let verifier = DecisionVerifier::new(policy());
+        let policy = policy();
+        let verifier = DecisionVerifier::new(&policy);
+        let interpreted = |req: &Request| {
+            let (extended, obligations) = policy.evaluate(req);
+            Response::new(extended, obligations)
+        };
         for role in ["doctor", "nurse", "admin"] {
             let req = Request::builder().subject("role", role).build();
-            assert_eq!(
-                verifier.expected_response(&req),
-                verifier.expected_response_interpreted(&req)
-            );
+            assert_eq!(verifier.expected_response(&req), interpreted(&req));
         }
         // missing attribute → deny-unless-permit collapses Indeterminate
         let empty = Request::new();
-        assert_eq!(
-            verifier.expected_response(&empty),
-            verifier.expected_response_interpreted(&empty)
-        );
+        assert_eq!(verifier.expected_response(&empty), interpreted(&empty));
     }
 
     #[test]

@@ -515,8 +515,8 @@ fn e5_policy_engine_scaling(run: &mut Run) -> Vec<Section> {
         let mut pgen = PolicyGenerator::new(Vocabulary::default(), 5);
         let set = pgen.next_policy_set(&shape);
         // Cache off for the engine comparison; cache on measured after.
-        let pdp = Pdp::with_cache_capacity(set.clone(), 0);
-        let pdp_cached = Pdp::new(set.clone());
+        let pdp = Pdp::with_cache_capacity(&set, 0);
+        let pdp_cached = Pdp::new(&set);
         let mut rgen = RequestGenerator::new(Vocabulary::default(), 1.0, 6);
         let requests: Vec<_> = (0..request_count).map(|_| rgen.next_request()).collect();
 
@@ -541,7 +541,7 @@ fn e5_policy_engine_scaling(run: &mut Run) -> Vec<Section> {
         }
         for _ in 0..rounds {
             interpreter_us = interpreter_us.min(time_per_decision(&|r| {
-                std::hint::black_box(pdp.evaluate_interpreted(r));
+                std::hint::black_box(set.evaluate(r));
             }));
             compiled_us = compiled_us.min(time_per_decision(&|r| {
                 std::hint::black_box(pdp.evaluate(r));

@@ -40,16 +40,16 @@ const RETIRE_BATCH_MAX: usize = 512;
 
 /// Writes an authorised policy version in the checkpoint's durable form:
 /// its version digest, then its canonical encoding — the bytes that
-/// digest is defined over.
-fn write_policy(w: &mut Writer, version: Digest, policy: &PolicySet) {
-    version.encode(w);
-    w.put_bytes(&policy.to_canonical_bytes());
+/// digest was computed over, as the compiled version keeps them.
+fn write_policy(w: &mut Writer, prepared: &PreparedPolicySet) {
+    prepared.version_digest().encode(w);
+    w.put_bytes(prepared.canonical_bytes());
 }
 
 /// Reads one back and compiles it. The policy is refused unless it
 /// compiles to exactly the version that was checkpointed, so a recovered
 /// Analyser pins the digests its predecessor pinned or does not start.
-fn read_policy(r: &mut Reader<'_>) -> Result<(Arc<PolicySet>, Arc<PreparedPolicySet>), StoreError> {
+fn read_policy(r: &mut Reader<'_>) -> Result<Arc<PreparedPolicySet>, StoreError> {
     let codec =
         |e: drams_crypto::CryptoError| StoreError::Codec(format!("checkpointed policy: {e}"));
     let version = Digest::decode(r).map_err(codec)?;
@@ -60,7 +60,7 @@ fn read_policy(r: &mut Reader<'_>) -> Result<(Arc<PolicySet>, Arc<PreparedPolicy
             "checkpointed policy is not version {version}"
         )));
     }
-    Ok((Arc::new(policy), Arc::new(prepared)))
+    Ok(Arc::new(prepared))
 }
 
 /// Version byte of the checkpoint encoding, leading both of its records
@@ -172,19 +172,13 @@ impl Analyser {
     /// contract's `init`.
     #[must_use]
     pub fn new(
-        authorised_policy: PolicySet,
+        authorised_policy: impl std::borrow::Borrow<PolicySet>,
         key: SymmetricKey,
         keypair: Keypair,
         probe_mac_keys: BTreeMap<ProbeId, [u8; 32]>,
     ) -> Self {
-        let prepared = Arc::new(PreparedPolicySet::compile(&authorised_policy));
-        Analyser::from_prepared(
-            Arc::new(authorised_policy),
-            prepared,
-            key,
-            keypair,
-            probe_mac_keys,
-        )
+        let prepared = Arc::new(PreparedPolicySet::compile(authorised_policy.borrow()));
+        Analyser::from_prepared(prepared, key, keypair, probe_mac_keys)
     }
 
     /// [`Analyser::new`] for an already-compiled authorised policy —
@@ -193,14 +187,13 @@ impl Analyser {
     /// [`DecisionVerifier::from_prepared`]).
     #[must_use]
     pub fn from_prepared(
-        policy: Arc<PolicySet>,
         prepared: Arc<PreparedPolicySet>,
         key: SymmetricKey,
         keypair: Keypair,
         probe_mac_keys: BTreeMap<ProbeId, [u8; 32]>,
     ) -> Self {
         Analyser {
-            verifier: DecisionVerifier::from_prepared(policy, prepared),
+            verifier: DecisionVerifier::from_prepared(prepared),
             key,
             keypair,
             probe_mac_keys: probe_mac_keys
@@ -314,20 +307,19 @@ impl Analyser {
     /// decisions taken before they were superseded — in-flight decisions
     /// during legitimate policy churn do not raise false alerts, but a
     /// PDP stuck on a retired version after `now` does.
-    pub fn publish_authorised_policy(&mut self, policy: PolicySet, now: SimTime) {
-        let prepared = Arc::new(PreparedPolicySet::compile(&policy));
-        self.publish_prepared(Arc::new(policy), prepared, now);
+    pub fn publish_authorised_policy(
+        &mut self,
+        policy: impl std::borrow::Borrow<PolicySet>,
+        now: SimTime,
+    ) {
+        let prepared = Arc::new(PreparedPolicySet::compile(policy.borrow()));
+        self.publish_prepared(prepared, now);
     }
 
     /// [`Analyser::publish_authorised_policy`] for a version the PRP
     /// already compiled, shared rather than recompiled.
-    pub(crate) fn publish_prepared(
-        &mut self,
-        policy: Arc<PolicySet>,
-        prepared: Arc<PreparedPolicySet>,
-        now: SimTime,
-    ) {
-        self.verifier.publish_prepared(policy, prepared, now);
+    pub(crate) fn publish_prepared(&mut self, prepared: Arc<PreparedPolicySet>, now: SimTime) {
+        self.verifier.publish_prepared(prepared, now);
         self.history_dirty = true;
     }
 
@@ -378,15 +370,17 @@ impl Analyser {
     ///   verifier's authorised-policy history
     ///   ([`DecisionVerifier::authorised_versions`]), one entry per
     ///   distinct version, each as its version digest and its canonical
-    ///   encoding, the exact bytes that digest is defined over. The
-    ///   first entry is a baseline and every later one a publish at the
-    ///   instant its predecessor retired, so replaying it rebuilds the
-    ///   history exactly. Its size is that of the distinct versions
-    ///   (≈ 300 KB for a thousand policies of five rules), however often
-    ///   they were published or rolled back to, and it changes only
-    ///   through [`Analyser::publish_authorised_policy`] and a retention
-    ///   prune that dropped a version — so it is written only by the
-    ///   first call after one of those, under the next generation number.
+    ///   encoding — the exact bytes that digest was computed over, as
+    ///   [`PreparedPolicySet::canonical_bytes`] keeps them, never a fresh
+    ///   encoding. The first entry is a baseline and every later one a
+    ///   publish at the instant its predecessor retired, so replaying it
+    ///   rebuilds the history exactly. Its size is that of the distinct
+    ///   versions (≈ 300 KB for a thousand policies of five rules),
+    ///   however often they were published or rolled back to, and it
+    ///   changes only through [`Analyser::publish_authorised_policy`] and
+    ///   a retention prune that dropped a version — so it is written only
+    ///   by the first call after one of those, under the next generation
+    ///   number.
     ///
     /// Commit order when the history changed: history record (new
     /// generation) → cursor record naming it → removal of the superseded
@@ -407,20 +401,28 @@ impl Analyser {
         let generation = self.history_generation + u64::from(self.history_dirty);
         if self.history_dirty {
             let versions = self.verifier.authorised_versions();
-            let mut w = Writer::new();
+            // A version byte, then per entry at most a kind byte, its
+            // digest, a length prefix, its canonical bytes and a varint
+            // count or an activation instant.
+            let mut w = Writer::with_capacity(
+                1 + versions
+                    .iter()
+                    .map(|(_, prepared, _)| 51 + prepared.canonical_bytes().len())
+                    .sum::<usize>(),
+            );
             w.put_u8(CHECKPOINT_VERSION);
             // The oldest version is the baseline; each later one is a
             // publish at the instant its predecessor retired.
             let mut activated_at = None;
-            for &(version, policy, retired_at) in &versions {
+            for &(_, prepared, retired_at) in &versions {
                 match activated_at {
                     None => {
-                        write_policy(&mut w, version, policy);
+                        write_policy(&mut w, prepared);
                         w.put_varint(versions.len() as u64 - 1);
                     }
                     Some(at) => {
                         w.put_u8(1);
-                        write_policy(&mut w, version, policy);
+                        write_policy(&mut w, prepared);
                         w.put_u64(at);
                     }
                 }
@@ -545,8 +547,8 @@ impl Analyser {
         let history = store.load_generation(history_generation)?;
         let mut r = Reader::new(&history);
         expect_version(r.get_u8().map_err(codec)?)?;
-        let (policy, prepared) = read_policy(&mut r)?;
-        let mut analyser = Analyser::from_prepared(policy, prepared, key, keypair, probe_mac_keys);
+        let prepared = read_policy(&mut r)?;
+        let mut analyser = Analyser::from_prepared(prepared, key, keypair, probe_mac_keys);
         let entries = r.get_varint().map_err(codec)?;
         for _ in 0..entries {
             let kind = r.get_u8().map_err(codec)?;
@@ -555,9 +557,9 @@ impl Analyser {
                     "unknown policy-history entry kind {kind}"
                 )));
             }
-            let (policy, prepared) = read_policy(&mut r)?;
+            let prepared = read_policy(&mut r)?;
             let at = r.get_u64().map_err(codec)?;
-            analyser.publish_prepared(policy, prepared, at);
+            analyser.publish_prepared(prepared, at);
         }
         r.finish().map_err(codec)?;
         store.prune_generations(history_generation)?;
@@ -1668,6 +1670,24 @@ mod tests {
         let (mut recovered, backend) = build();
         recovered.analyser = recover_from(&backend).unwrap();
         assert_eq!(backend.list(), twin_backend.list());
+        // Each entry of the history record holds the published version's
+        // kept bytes, which hash to the digest recorded beside them...
+        let published = [crate::monitor::default_policy(), policy()]
+            .map(|p| PreparedPolicySet::compile(&p).canonical_bytes().to_vec());
+        let entries = record_entries(&history_record(&backend, &recovered.analyser));
+        assert_eq!(entries.len(), 2);
+        for ((digest, bytes), (version, kept)) in
+            entries.iter().zip([v1, v0].iter().zip(&published))
+        {
+            assert_eq!(digest, version);
+            assert_eq!(bytes, kept);
+            assert_eq!(Digest::of(bytes), *digest);
+        }
+        // ...and the recovered Analyser pins the digests its twin pins.
+        assert_eq!(
+            versions_of(&recovered.analyser),
+            versions_of(&twin.analyser)
+        );
 
         let v1_response = DecisionVerifier::new(crate::monitor::default_policy())
             .expected_response(&Request::builder().subject("role", "doctor").build());
@@ -2000,13 +2020,16 @@ mod tests {
 
     // ---- the history record is the verifier's history --------------------
 
-    /// The verifier's authorised-policy history, owned.
-    fn versions_of(analyser: &Analyser) -> Vec<(Digest, PolicySet, Option<u64>)> {
+    /// The verifier's authorised-policy history, owned: each version's
+    /// digest, canonical bytes and retirement.
+    fn versions_of(analyser: &Analyser) -> Vec<(Digest, Vec<u8>, Option<u64>)> {
         analyser
             .verifier
             .authorised_versions()
             .into_iter()
-            .map(|(version, policy, retired_at)| (version, (**policy).clone(), retired_at))
+            .map(|(version, prepared, retired_at)| {
+                (version, prepared.canonical_bytes().to_vec(), retired_at)
+            })
             .collect()
     }
 
@@ -2019,20 +2042,25 @@ mod tests {
             .unwrap()
     }
 
-    /// The version digests a history record lists, in order.
-    fn record_versions(record: &[u8]) -> Vec<Digest> {
+    /// The `(version digest, policy bytes)` entries a history record
+    /// lists, in order.
+    fn record_entries(record: &[u8]) -> Vec<(Digest, Vec<u8>)> {
         let mut r = Reader::new(record);
         assert_eq!(r.get_u8().unwrap(), CHECKPOINT_VERSION);
-        let mut versions = vec![Digest::decode(&mut r).unwrap()];
-        r.get_bytes().unwrap();
+        let entry = |r: &mut Reader<'_>| (Digest::decode(r).unwrap(), r.get_bytes().unwrap());
+        let mut entries = vec![entry(&mut r)];
         for _ in 0..r.get_varint().unwrap() {
             assert_eq!(r.get_u8().unwrap(), 1);
-            versions.push(Digest::decode(&mut r).unwrap());
-            r.get_bytes().unwrap();
+            entries.push(entry(&mut r));
             r.get_u64().unwrap();
         }
         r.finish().unwrap();
-        versions
+        entries
+    }
+
+    /// The version digests a history record lists, in order.
+    fn record_versions(record: &[u8]) -> Vec<Digest> {
+        record_entries(record).into_iter().map(|(d, _)| d).collect()
     }
 
     /// A policy whose target is two clauses in one AllOf.
@@ -2153,18 +2181,13 @@ mod tests {
             rules_per_policy: 5,
             ..PolicyShape::default()
         });
-        let compiled = |p: PolicySet| {
-            let prepared = Arc::new(PreparedPolicySet::compile(&p));
-            (Arc::new(p), prepared)
-        };
-        let heavy = compiled(heavy);
-        let small = compiled(crate::monitor::default_policy());
+        let heavy = Arc::new(PreparedPolicySet::compile(&heavy));
+        let small = Arc::new(PreparedPolicySet::compile(&crate::monitor::default_policy()));
         // Attaches to a fresh medium, publishes `(small, heavy)` at each
         // time pair and checkpoints; returns the history record's file.
         let history_file = |pairs: &[SimTime]| {
             let mut analyser = Analyser::from_prepared(
-                heavy.0.clone(),
-                heavy.1.clone(),
+                heavy.clone(),
                 SymmetricKey::from_bytes([3; 32]),
                 Keypair::from_seed(b"analyser"),
                 BTreeMap::new(),
@@ -2172,8 +2195,8 @@ mod tests {
             let backend = FaultyBackend::default();
             analyser.attach_checkpoint(backend.store()).unwrap();
             for &at in pairs {
-                analyser.publish_prepared(small.0.clone(), small.1.clone(), at);
-                analyser.publish_prepared(heavy.0.clone(), heavy.1.clone(), at + 500);
+                analyser.publish_prepared(small.clone(), at);
+                analyser.publish_prepared(heavy.clone(), at + 500);
             }
             analyser.checkpoint().unwrap();
             assert_eq!(analyser.policy_history_len(), 2);
@@ -2211,11 +2234,12 @@ mod tests {
         // then each publish in turn, digests repeating.
         let mut log = Writer::new();
         log.put_u8(CHECKPOINT_VERSION);
-        write_policy(&mut log, policy().version_digest(), &policy());
+        let compiled = PreparedPolicySet::compile;
+        write_policy(&mut log, &compiled(&policy()));
         log.put_varint(publishes.len() as u64);
         for (published, at) in &publishes {
             log.put_u8(1);
-            write_policy(&mut log, published.version_digest(), published);
+            write_policy(&mut log, &compiled(published));
             log.put_u64(*at);
         }
         let mut r = rig();

@@ -46,8 +46,7 @@ impl AnalyserService {
                 }
             }
             Msg::AnalyserPolicy(version) => {
-                self.analyser
-                    .publish_prepared(version.policy, version.prepared, now);
+                self.analyser.publish_prepared(version.prepared, now);
                 // Authorisation state must be durable before the crash
                 // window, not just at the next poll.
                 self.analyser.checkpoint().expect("analyser checkpoint");

@@ -46,7 +46,9 @@ fn logged_entry_keys(tx: &Transaction) -> Vec<(CorrelationId, ObservationPoint)>
 /// Executes the scenario script: policy administration, tenant churn and
 /// fault windows, decomposed into the provisioning events above.
 pub(super) struct Controller {
-    pub(super) script: Vec<ScriptedAction>,
+    /// The script, each action taken out when it fires: a publish hands
+    /// its policy on by value instead of copying the policy base.
+    pub(super) script: Vec<Option<ScriptedAction>>,
     pub(super) placement: PdpPlacement,
     pub(super) infra_li: usize,
 }
@@ -91,7 +93,10 @@ fn mine_on(ctx: &Ctx<'_>, parent: BlockHash, txs: Vec<Transaction>, timestamp: S
 impl Controller {
     pub(super) fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'_>, out: &mut Outbox) {
         match msg {
-            Msg::Script(i) => match self.script[i].clone() {
+            Msg::Script(i) => match self.script[i]
+                .take()
+                .expect("a scripted action fires once: scheduled at bootstrap, never on the wire")
+            {
                 ScriptedAction::PublishPolicy { policy, .. } => {
                     out.emit(0, Msg::PolicyAdmin(PolicyAdmin::Publish(policy)));
                 }

@@ -459,7 +459,6 @@ mod tests {
             key: key.clone(),
         };
         let mut analyser = Analyser::from_prepared(
-            v0.policy.clone(),
             v0.prepared.clone(),
             key,
             Keypair::from_seed(b"drams-analyser"),
@@ -474,7 +473,7 @@ mod tests {
             // What `Msg::AnalyserPolicy` carries and the Analyser service
             // does with it.
             let active = service.administer(action);
-            analyser.publish_prepared(active.policy, active.prepared, now);
+            analyser.publish_prepared(active.prepared, now);
             let prepared = &service.prp.active().prepared;
             for slot in &service.slots {
                 assert!(Arc::ptr_eq(slot.pdp.prepared(), prepared));

@@ -114,8 +114,12 @@ pub fn run_scenario_with_transport<A: Adversary>(
     // serve — deliberately the *active* policy, not the authorised one:
     // the paper's swap-policy threat is an unauthorised substitution at
     // the PRP, and the Analyser detects it from its own independent
-    // authorised copy.
-    let prp = Prp::new(swapped.unwrap_or_else(|| config.policy.clone()));
+    // authorised copy. It compiles the spec's policy from a borrow, so the
+    // policy base is never copied.
+    let prp = match swapped {
+        Some(policy) => Prp::new(policy),
+        None => Prp::new(&config.policy),
+    };
 
     // PDP slots: one central instance, or one per member cloud.
     let key = SymmetricKey::from_bytes([42; 32]);
@@ -211,17 +215,10 @@ pub fn run_scenario_with_transport<A: Adversary>(
     // Unswapped, the PRP's version 0 *is* the authorised policy, compiled
     // once and shared; swapped, the Analyser compiles its own copy.
     let mut analyser = if truth.policy_swapped {
-        Analyser::new(
-            config.policy.clone(),
-            key.clone(),
-            analyser_kp,
-            probe_mac_keys,
-        )
+        Analyser::new(&config.policy, key.clone(), analyser_kp, probe_mac_keys)
     } else {
-        let authorised = prp.active();
         Analyser::from_prepared(
-            authorised.policy.clone(),
-            authorised.prepared.clone(),
+            prp.active().prepared.clone(),
             key.clone(),
             analyser_kp,
             probe_mac_keys,
@@ -375,7 +372,7 @@ pub fn run_scenario_with_transport<A: Adversary>(
             key: key.clone(),
         },
         controller: Controller {
-            script: spec.script.clone(),
+            script: spec.script.iter().cloned().map(Some).collect(),
             placement: spec.placement,
             infra_li,
         },

@@ -9,39 +9,40 @@
 //! (`drams_policy::compiled`), so activating a version — including
 //! rolling back to an old one — hands the PDP a ready-to-run
 //! [`PreparedPolicySet`] instead of stalling the decision path on
-//! recompilation.
+//! recompilation. The compiled form is the whole stored version: it
+//! keeps the canonical bytes its digest was computed over
+//! ([`PreparedPolicySet::canonical_bytes`]), and the source tree it was
+//! compiled from is only borrowed.
 
 use drams_crypto::sha256::Digest;
 use drams_policy::compiled::PreparedPolicySet;
 use drams_policy::pdp::Pdp;
 use drams_policy::policy::PolicySet;
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// One stored policy version.
 ///
-/// A version is immutable once published, so both of its forms sit
-/// behind an [`Arc`]: the PRP owns one source tree and one compiled tree
-/// per version, and every PDP built from it — one per slot, plus one per
-/// crash-restart and per activation — shares them. [`PolicyVersion::pdp`]
-/// and `clone` cost two reference counts, not a copy of the policy base.
+/// A version is immutable once published, so its compiled form sits
+/// behind an [`Arc`]: the PRP owns one per version, and every PDP built
+/// from it — one per slot, plus one per crash-restart and per activation
+/// — shares it. [`PolicyVersion::pdp`] and `clone` cost one reference
+/// count, not a copy of the policy base.
 #[derive(Debug, Clone)]
 pub struct PolicyVersion {
     /// Monotonic version number (0-based).
     pub number: u64,
     /// Digest of the canonical encoding.
     pub digest: Digest,
-    /// The policy itself (source tree).
-    pub policy: Arc<PolicySet>,
     /// The compiled form, built once at publication.
     pub prepared: Arc<PreparedPolicySet>,
 }
 
 impl PolicyVersion {
-    /// Builds a PDP serving this version, sharing both the source tree
-    /// and the compiled form.
+    /// Builds a PDP serving this version, sharing its compiled form.
     #[must_use]
     pub fn pdp(&self) -> Pdp {
-        Pdp::from_prepared(self.policy.clone(), self.prepared.clone())
+        Pdp::from_prepared(self.prepared.clone())
     }
 }
 
@@ -52,26 +53,26 @@ pub struct Prp {
 }
 
 impl Prp {
-    /// Creates a PRP with an initial policy (version 0).
+    /// Creates a PRP with an initial policy (version 0), compiled from a
+    /// borrow: an owned set is dropped once compiled.
     #[must_use]
-    pub fn new(initial: PolicySet) -> Self {
+    pub fn new(initial: impl Borrow<PolicySet>) -> Self {
         Prp {
             versions: vec![Self::version_entry(0, initial)],
         }
     }
 
     /// Publishes a new policy version; returns its version number.
-    pub fn publish(&mut self, policy: PolicySet) -> u64 {
+    pub fn publish(&mut self, policy: impl Borrow<PolicySet>) -> u64 {
         let number = self.versions.len() as u64;
         self.versions.push(Self::version_entry(number, policy));
         number
     }
 
     /// Rolls back to version `number` by republishing its content as a
-    /// new version, which shares the stored version's source tree and
-    /// compiled form (nothing is copied or recompiled) and keeps its
-    /// digest. Returns the new version number, or `None` when `number`
-    /// was never published.
+    /// new version, which shares the stored version's compiled form
+    /// (nothing is copied or recompiled) and keeps its digest. Returns the
+    /// new version number, or `None` when `number` was never published.
     pub fn rollback(&mut self, number: u64) -> Option<u64> {
         let old = self.version(number)?.clone();
         let new = self.versions.len() as u64;
@@ -79,12 +80,11 @@ impl Prp {
         Some(new)
     }
 
-    fn version_entry(number: u64, policy: PolicySet) -> PolicyVersion {
-        let prepared = Arc::new(PreparedPolicySet::compile(&policy));
+    fn version_entry(number: u64, policy: impl Borrow<PolicySet>) -> PolicyVersion {
+        let prepared = Arc::new(PreparedPolicySet::compile(policy.borrow()));
         PolicyVersion {
             number,
             digest: prepared.version_digest(),
-            policy: Arc::new(policy),
             prepared,
         }
     }
@@ -145,9 +145,12 @@ mod tests {
         let n = prp.publish(policy("v1"));
         assert_eq!(n, 1);
         assert_eq!(prp.active().number, 1);
-        assert_eq!(prp.active().policy.id, "v1");
+        assert_eq!(prp.active().digest, policy("v1").version_digest());
         // the old version stays retrievable
-        assert_eq!(prp.version(0).unwrap().policy.id, "v0");
+        assert_eq!(
+            prp.version(0).unwrap().digest,
+            policy("v0").version_digest()
+        );
     }
 
     #[test]
@@ -183,7 +186,6 @@ mod tests {
         let (old, active) = (prp.version(0).unwrap(), prp.active());
         assert_eq!(active.number, 2);
         assert_eq!(active.digest, old.digest);
-        assert!(Arc::ptr_eq(&active.policy, &old.policy));
         assert!(Arc::ptr_eq(&active.prepared, &old.prepared));
         assert_eq!(prp.rollback(7), None);
         assert_eq!(prp.version_count(), 3);
@@ -191,12 +193,23 @@ mod tests {
 
     #[test]
     fn versions_are_precompiled_and_serve_pdps() {
+        use drams_crypto::codec::Encode;
         use drams_policy::attr::Request;
-        let mut prp = Prp::new(policy("v0"));
+        let v0 = policy("v0");
+        // Compiled from a borrow or from an owned copy: the same version.
+        let mut prp = Prp::new(&v0);
+        assert_eq!(prp.active().digest, Prp::new(v0.clone()).active().digest);
         prp.publish(policy("v1"));
         for v in 0..2 {
             let version = prp.version(v).unwrap();
-            assert_eq!(version.prepared.version_digest(), version.digest);
+            let prepared = &version.prepared;
+            assert_eq!(prepared.version_digest(), version.digest);
+            // The kept bytes are the digested bytes.
+            assert_eq!(Digest::of(prepared.canonical_bytes()), version.digest);
+            assert_eq!(
+                prepared.canonical_bytes(),
+                policy(&format!("v{v}")).to_canonical_bytes()
+            );
             let pdp = version.pdp();
             assert_eq!(pdp.policy_version(), version.digest);
             assert!(pdp.evaluate(&Request::new()).is_permit());

@@ -52,6 +52,7 @@ use crate::expr::{apply_func, bool_result, compare, EvalError, Expr, Func, Value
 use crate::policy::{Policy, PolicyChild, PolicySet};
 use crate::rule::Rule;
 use crate::target::{MatchResult, Target};
+use drams_crypto::codec::Encode;
 use drams_crypto::sha256::Digest;
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -1110,31 +1111,51 @@ where
 /// A [`PolicySet`] compiled for the hot path: interned attributes, arena
 /// expressions, target indexes. Immutable once built; shared freely
 /// across threads (e.g. behind an `Arc` by the PDP and the PRP).
+///
+/// This is the whole of a policy version once it is published: the
+/// compiled tree plus the source set's canonical encoding, the exact
+/// bytes [`PreparedPolicySet::version_digest`] was computed over. The
+/// source tree itself is not kept: decoding
+/// [`PreparedPolicySet::canonical_bytes`] rebuilds it.
 #[derive(Debug, Clone)]
 pub struct PreparedPolicySet {
     interner: AttrInterner,
     root: CompiledSet,
+    canonical: Box<[u8]>,
     version: Digest,
 }
 
 impl PreparedPolicySet {
     /// Compiles a policy set. Compilation walks the tree once; literals
-    /// are cloned here, never again at evaluation time.
+    /// are cloned here, never again at evaluation time. The set is
+    /// encoded once, and the digest is taken over the bytes kept.
     #[must_use]
     pub fn compile(set: &PolicySet) -> PreparedPolicySet {
+        let canonical = set.to_canonical_bytes().into_boxed_slice();
+        let version = Digest::of(&canonical);
         let mut interner = AttrInterner::default();
         let root = CompiledSet::compile(set, &mut interner);
         PreparedPolicySet {
             interner,
             root,
-            version: set.version_digest(),
+            canonical,
+            version,
         }
     }
 
-    /// The version digest of the source policy set.
+    /// The version digest of the source policy set: the SHA-256 of
+    /// [`PreparedPolicySet::canonical_bytes`], equal to
+    /// [`PolicySet::version_digest`] of the set it was compiled from.
     #[must_use]
     pub fn version_digest(&self) -> Digest {
         self.version
+    }
+
+    /// The source set's canonical encoding, the bytes the version digest
+    /// is defined over (what a checkpoint persists).
+    #[must_use]
+    pub fn canonical_bytes(&self) -> &[u8] {
+        &self.canonical
     }
 
     /// The attribute interner (symbols are dense `0..attribute_count`).
@@ -1247,6 +1268,21 @@ mod tests {
             .interner()
             .lookup(&AttributeId::new(Category::Subject, "ghost"))
             .is_none());
+    }
+
+    #[test]
+    fn keeps_the_digested_bytes_and_they_decode_to_the_source() {
+        use drams_crypto::codec::Decode;
+        let set = indexed_set(CombiningAlg::DenyOverrides);
+        let prepared = PreparedPolicySet::compile(&set);
+        assert_eq!(prepared.canonical_bytes(), set.to_canonical_bytes());
+        assert_eq!(
+            Digest::of(prepared.canonical_bytes()),
+            prepared.version_digest()
+        );
+        assert_eq!(prepared.version_digest(), set.version_digest());
+        let decoded = PolicySet::from_canonical_bytes(prepared.canonical_bytes()).unwrap();
+        assert_eq!(decoded, set);
     }
 
     #[test]

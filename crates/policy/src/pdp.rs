@@ -9,10 +9,12 @@
 //! [`PreparedPolicySet`] (interned attributes, arena expressions, target
 //! index) and memoises responses in a **decision cache** keyed by the
 //! request's canonical digest — sound because evaluation is a pure
-//! function of `(policy version, request)`, and the cache is dropped
-//! whenever the policy in force changes. The original tree-walking
-//! interpreter stays available as [`Pdp::evaluate_interpreted`], the
-//! reference oracle the benches and property tests compare against.
+//! function of `(policy version, request)`. A PDP serves one version for
+//! its whole life: a policy change builds a new PDP (the PRP's
+//! `PolicyVersion::pdp`), so a cache never outlives its version. The PDP
+//! holds only the compiled form; the tree-walking reference interpreter
+//! is [`PolicySet::evaluate`], which the benches and property tests
+//! compare against directly.
 
 use crate::attr::Request;
 use crate::compiled::PreparedPolicySet;
@@ -20,6 +22,7 @@ use crate::decision::Response;
 use crate::policy::PolicySet;
 use drams_crypto::codec::Encode;
 use drams_crypto::sha256::Digest;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -65,9 +68,9 @@ impl LruState {
     }
 }
 
-/// Memoised responses keyed by request digest, valid for exactly one
-/// policy version. True LRU: every hit refreshes the entry's recency,
-/// and a full cache evicts exactly the least-recently-used entry.
+/// Memoised responses keyed by request digest, valid for the one policy
+/// version its PDP serves. True LRU: every hit refreshes the entry's
+/// recency, and a full cache evicts exactly the least-recently-used entry.
 #[derive(Debug, Default)]
 struct DecisionCache {
     lru: Mutex<LruState>,
@@ -76,7 +79,7 @@ struct DecisionCache {
     evictions: AtomicU64,
 }
 
-/// A Policy Decision Point bound to one root policy set.
+/// A Policy Decision Point bound to one compiled policy version.
 ///
 /// # Example
 ///
@@ -97,11 +100,8 @@ struct DecisionCache {
 /// ```
 #[derive(Debug)]
 pub struct Pdp {
-    /// The source tree, shared with whoever published it (the PRP keeps
-    /// every version and serves one PDP per slot, restart and activation
-    /// from it): read-only here, used by [`Pdp::root`] and the
-    /// interpreted oracle.
-    root: Arc<PolicySet>,
+    /// Shared with whoever published it (the PRP keeps every version and
+    /// serves one PDP per slot, restart and activation from it).
     prepared: Arc<PreparedPolicySet>,
     version: Digest,
     evaluations: AtomicU64,
@@ -113,58 +113,37 @@ impl Pdp {
     /// Creates a PDP for a root policy set, compiling it and enabling
     /// the decision cache at [`DEFAULT_CACHE_CAPACITY`].
     #[must_use]
-    pub fn new(root: PolicySet) -> Self {
+    pub fn new(root: impl Borrow<PolicySet>) -> Self {
         Pdp::with_cache_capacity(root, DEFAULT_CACHE_CAPACITY)
     }
 
     /// Creates a PDP with an explicit decision-cache capacity.
     /// `capacity == 0` disables caching (every request re-evaluates).
     #[must_use]
-    pub fn with_cache_capacity(root: PolicySet, capacity: usize) -> Self {
-        let prepared = Arc::new(PreparedPolicySet::compile(&root));
-        Pdp::assemble(Arc::new(root), prepared, capacity)
+    pub fn with_cache_capacity(root: impl Borrow<PolicySet>, capacity: usize) -> Self {
+        let prepared = Arc::new(PreparedPolicySet::compile(root.borrow()));
+        Pdp::assemble(prepared, capacity)
     }
 
     /// Creates a PDP from an already-compiled policy (e.g. the PRP
     /// pre-compiles every published version, so activating one does not
-    /// stall the decision path on recompilation). Both halves are shared,
-    /// not copied: building a PDP this way costs two reference counts
-    /// however large the policy base is.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics when `prepared` was not compiled from
-    /// `root` (version digest mismatch) — mixing the two would make the
-    /// interpreted oracle diverge from the compiled engine. The check
-    /// re-encodes and hashes the whole policy set, so release builds
-    /// skip it and trust the caller (the PRP compiles at publication,
-    /// so the pair is constructed in one place).
+    /// stall the decision path on recompilation). The compiled form is
+    /// shared, not copied: building a PDP this way costs one reference
+    /// count however large the policy base is.
     #[must_use]
-    pub fn from_prepared(root: Arc<PolicySet>, prepared: Arc<PreparedPolicySet>) -> Self {
-        debug_assert_eq!(
-            root.version_digest(),
-            prepared.version_digest(),
-            "prepared policy does not match the source policy set"
-        );
-        Pdp::assemble(root, prepared, DEFAULT_CACHE_CAPACITY)
+    pub fn from_prepared(prepared: Arc<PreparedPolicySet>) -> Self {
+        Pdp::assemble(prepared, DEFAULT_CACHE_CAPACITY)
     }
 
-    fn assemble(root: Arc<PolicySet>, prepared: Arc<PreparedPolicySet>, capacity: usize) -> Self {
+    fn assemble(prepared: Arc<PreparedPolicySet>, capacity: usize) -> Self {
         let version = prepared.version_digest();
         Pdp {
-            root,
             prepared,
             version,
             evaluations: AtomicU64::new(0),
             cache_capacity: capacity,
             cache: DecisionCache::default(),
         }
-    }
-
-    /// The root policy set currently in force.
-    #[must_use]
-    pub fn root(&self) -> &PolicySet {
-        &self.root
     }
 
     /// The compiled form of the policy in force.
@@ -177,16 +156,6 @@ impl Pdp {
     #[must_use]
     pub fn policy_version(&self) -> Digest {
         self.version
-    }
-
-    /// Replaces the policy in force (policy administration). Recompiles
-    /// and drops the decision cache — cached responses belong to the old
-    /// version.
-    pub fn set_root(&mut self, root: PolicySet) {
-        self.prepared = Arc::new(PreparedPolicySet::compile(&root));
-        self.version = self.prepared.version_digest();
-        self.root = Arc::new(root);
-        self.cache = DecisionCache::default();
     }
 
     /// Evaluates a request and returns the full response (compiled
@@ -217,24 +186,13 @@ impl Pdp {
         response
     }
 
-    /// Evaluates through the tree-walking reference interpreter —
-    /// uncached, unindexed. This is the oracle the compiled engine is
-    /// benchmarked and property-tested against.
-    #[must_use]
-    pub fn evaluate_interpreted(&self, request: &Request) -> Response {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        let (extended, obligations) = self.root.evaluate(request);
-        Response::new(extended, obligations)
-    }
-
     /// Number of evaluations performed (diagnostics).
     #[must_use]
     pub fn evaluation_count(&self) -> u64 {
         self.evaluations.load(Ordering::Relaxed)
     }
 
-    /// `(hits, misses)` of the decision cache since the last policy
-    /// change.
+    /// `(hits, misses)` of the decision cache.
     #[must_use]
     pub fn cache_stats(&self) -> (u64, u64) {
         (
@@ -249,7 +207,7 @@ impl Pdp {
         self.cache.lru.lock().expect("cache lock").map.len()
     }
 
-    /// Responses evicted (LRU) since the last policy change.
+    /// Responses evicted (LRU).
     #[must_use]
     pub fn cache_evictions(&self) -> u64 {
         self.cache.evictions.load(Ordering::Relaxed)
@@ -267,19 +225,22 @@ mod tests {
     use crate::rule::Rule;
     use crate::target::Target;
 
-    fn pdp() -> Pdp {
-        let root = PolicySet::builder("root", CombiningAlg::DenyUnlessPermit)
+    fn allow_all() -> PolicySet {
+        PolicySet::builder("root", CombiningAlg::DenyUnlessPermit)
             .policy(
                 Policy::builder("p", CombiningAlg::PermitOverrides)
                     .rule(Rule::always("allow", Effect::Permit))
                     .build(),
             )
-            .build();
-        Pdp::new(root)
+            .build()
     }
 
-    fn role_pdp(capacity: usize) -> Pdp {
-        let root = PolicySet::builder("root", CombiningAlg::DenyUnlessPermit)
+    fn pdp() -> Pdp {
+        Pdp::new(allow_all())
+    }
+
+    fn role_policy() -> PolicySet {
+        PolicySet::builder("root", CombiningAlg::DenyUnlessPermit)
             .policy(
                 Policy::builder("p", CombiningAlg::PermitOverrides)
                     .rule(
@@ -292,8 +253,11 @@ mod tests {
                     )
                     .build(),
             )
-            .build();
-        Pdp::with_cache_capacity(root, capacity)
+            .build()
+    }
+
+    fn role_pdp(capacity: usize) -> Pdp {
+        Pdp::with_cache_capacity(role_policy(), capacity)
     }
 
     #[test]
@@ -307,10 +271,11 @@ mod tests {
 
     #[test]
     fn version_tracks_policy_changes() {
-        let mut pdp = pdp();
-        let v1 = pdp.policy_version();
+        let v1 = pdp().policy_version();
+        assert_eq!(v1, allow_all().version_digest());
         let new_root = PolicySet::builder("root2", CombiningAlg::DenyOverrides).build();
-        pdp.set_root(new_root);
+        let pdp = Pdp::new(&new_root);
+        assert_eq!(pdp.policy_version(), new_root.version_digest());
         assert_ne!(pdp.policy_version(), v1);
         // empty deny-overrides root → NotApplicable
         assert_eq!(
@@ -321,13 +286,15 @@ mod tests {
 
     #[test]
     fn compiled_agrees_with_interpreter() {
-        let pdp = role_pdp(0);
+        let root = role_policy();
+        let pdp = Pdp::with_cache_capacity(&root, 0);
         for request in [
             Request::builder().subject("role", "doctor").build(),
             Request::builder().subject("role", "nurse").build(),
             Request::new(),
         ] {
-            assert_eq!(pdp.evaluate(&request), pdp.evaluate_interpreted(&request));
+            let (extended, obligations) = root.evaluate(&request);
+            assert_eq!(pdp.evaluate(&request), Response::new(extended, obligations));
         }
     }
 
@@ -346,12 +313,14 @@ mod tests {
 
     #[test]
     fn cache_is_dropped_on_policy_change() {
-        let mut pdp = role_pdp(DEFAULT_CACHE_CAPACITY);
+        let pdp = role_pdp(DEFAULT_CACHE_CAPACITY);
         let request = Request::builder().subject("role", "doctor").build();
         assert_eq!(pdp.evaluate(&request).decision, Decision::Permit);
-        // Swap in a policy that denies everyone; the cached Permit must
-        // not survive.
-        pdp.set_root(PolicySet::builder("root2", CombiningAlg::DenyUnlessPermit).build());
+        // A policy change is a new PDP for the new version (what the
+        // PRP's `PolicyVersion::pdp` builds): the cached Permit of the
+        // old one is not carried over.
+        let deny_all = PolicySet::builder("root2", CombiningAlg::DenyUnlessPermit).build();
+        let pdp = Pdp::from_prepared(Arc::new(PreparedPolicySet::compile(&deny_all)));
         assert_eq!(pdp.evaluate(&request).decision, Decision::Deny);
         assert_eq!(pdp.cache_stats(), (0, 1));
     }
@@ -414,22 +383,11 @@ mod tests {
 
     #[test]
     fn from_prepared_reuses_compilation() {
-        let root = Arc::new(pdp().root().clone());
-        let prepared = Arc::new(PreparedPolicySet::compile(&root));
-        let pdp = Pdp::from_prepared(root, prepared.clone());
+        let prepared = Arc::new(PreparedPolicySet::compile(&allow_all()));
+        let pdp = Pdp::from_prepared(prepared.clone());
+        assert!(Arc::ptr_eq(pdp.prepared(), &prepared));
         assert_eq!(pdp.policy_version(), prepared.version_digest());
         assert!(pdp.evaluate(&Request::new()).is_permit());
-    }
-
-    // The check is a `debug_assert_eq!` on purpose (see `from_prepared`),
-    // so there is no panic to expect under `cargo test --release`.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "prepared policy does not match")]
-    fn from_prepared_rejects_mismatch() {
-        let root = Arc::new(pdp().root().clone());
-        let other = PolicySet::builder("other", CombiningAlg::DenyOverrides).build();
-        let _ = Pdp::from_prepared(root, Arc::new(PreparedPolicySet::compile(&other)));
     }
 
     #[test]
