@@ -1,6 +1,7 @@
 //! Detection scoring: joins a run's alerts with the adversary's ground
-//! truth into the detection-rate / false-positive / latency numbers of
-//! experiment E4.
+//! truth into detection and false-positive counts. Detection latency is
+//! not a score: a run measures it as
+//! [`MonitorReport::detection_latency`] (request issue → alert on chain).
 
 use crate::threat::ThreatKind;
 use drams_core::alert::{Alert, AlertKind};
@@ -91,10 +92,6 @@ pub struct DetectionScore {
     pub detected: usize,
     /// Alerts of the matching kinds on *non-attacked* transactions.
     pub false_positives: usize,
-    /// Mean request-issue → alert-committed latency (µs) over detections.
-    pub mean_detection_latency_us: f64,
-    /// 95th-percentile detection latency (µs).
-    pub p95_detection_latency_us: u64,
 }
 
 impl DetectionScore {
@@ -113,14 +110,12 @@ impl fmt::Display for DetectionScore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{:<18} attacks {:>5}  detected {:>5}  rate {:>6.1}%  fp {:>3}  latency {:>9.1}ms (p95 {:>7.1}ms)",
+            "{:<18} attacks {:>5}  detected {:>5}  rate {:>6.1}%  fp {:>3}",
             self.threat.to_string(),
             self.attacks,
             self.detected,
             self.rate() * 100.0,
             self.false_positives,
-            self.mean_detection_latency_us / 1_000.0,
-            self.p95_detection_latency_us as f64 / 1_000.0,
         )
     }
 }
@@ -150,20 +145,12 @@ pub fn score(threat: ThreatKind, report: &MonitorReport, truth: &GroundTruth) ->
     if threat == ThreatKind::SwapPolicy {
         // Policy swap is a single global attack; detection = any matching
         // alert at all.
-        let detections: Vec<_> = report.alerts.iter().filter(|a| matches(&a.kind)).collect();
-        let attacks = usize::from(truth.policy_swapped);
-        let detected = usize::from(truth.policy_swapped && !detections.is_empty());
-        let false_positives = usize::from(!truth.policy_swapped && !detections.is_empty());
-        let mut latencies: Vec<u64> = detections.iter().map(|a| a.detected_at).collect();
-        latencies.sort_unstable();
-        let first = latencies.first().copied().unwrap_or(0);
+        let alerted = report.alerts.iter().any(|a| matches(&a.kind));
         return DetectionScore {
             threat,
-            attacks,
-            detected,
-            false_positives,
-            mean_detection_latency_us: first as f64,
-            p95_detection_latency_us: first,
+            attacks: usize::from(truth.policy_swapped),
+            detected: usize::from(truth.policy_swapped && alerted),
+            false_positives: usize::from(!truth.policy_swapped && alerted),
         };
     }
 
@@ -171,37 +158,21 @@ pub fn score(threat: ThreatKind, report: &MonitorReport, truth: &GroundTruth) ->
         attacked_correlations(threat, truth).into_iter().collect();
     let mut detected_set: HashSet<CorrelationId> = HashSet::new();
     let mut false_positives = 0usize;
-    let mut latencies: Vec<u64> = Vec::new();
     for alert in &report.alerts {
         if !matches(&alert.kind) {
             continue;
         }
         if attacked.contains(&alert.correlation) {
-            if detected_set.insert(alert.correlation) {
-                latencies.push(alert.detected_at);
-            }
+            detected_set.insert(alert.correlation);
         } else {
             false_positives += 1;
         }
     }
-    latencies.sort_unstable();
-    let mean = if latencies.is_empty() {
-        0.0
-    } else {
-        latencies.iter().sum::<u64>() as f64 / latencies.len() as f64
-    };
-    let p95 = if latencies.is_empty() {
-        0
-    } else {
-        latencies[((latencies.len() as f64 * 0.95).ceil() as usize).saturating_sub(1)]
-    };
     DetectionScore {
         threat,
         attacks: attacked.len(),
         detected: detected_set.len(),
         false_positives,
-        mean_detection_latency_us: mean,
-        p95_detection_latency_us: p95,
     }
 }
 
@@ -299,7 +270,6 @@ mod tests {
         assert_eq!(s.detected, 2);
         assert_eq!(s.false_positives, 0);
         assert_eq!(s.rate(), 1.0);
-        assert_eq!(s.mean_detection_latency_us, 150.0);
     }
 
     #[test]

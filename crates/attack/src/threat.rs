@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// The attacks in the evaluation matrix (experiment E4).
+/// The attacks of the threat matrix (`tests/attack_matrix.rs`, E12).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ThreatKind {
     /// Modify the access request on the PEP→PDP wire.

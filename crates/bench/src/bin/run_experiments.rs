@@ -1,11 +1,11 @@
 //! Regenerates every experiment table of the DRAMS reproduction
 //! (EXPERIMENTS.md / DESIGN.md §3).
 //!
-//! Usage: `cargo run --release -p drams-bench --bin run_experiments [e1..e14|e16|all] [--quick] [--scenario <name>]`
+//! Usage: `cargo run --release -p drams-bench --bin run_experiments [e1..e3|e5..e14|e16|all] [--quick] [--scenario <name>]`
 //!
-//! Run with `--release`: E1/E2 perform real proof-of-work hashing.
+//! Run with `--release`: E2 performs real proof-of-work hashing.
 //!
-//! E5, E6, E9–E14 and E16 build their results as [`drams_bench::report`]
+//! Every experiment builds its results as [`drams_bench::report`]
 //! sections — ordered `(column, value)` pairs that are printed, checked
 //! against the gate table and written into the tracked `BENCH_*.json`
 //! files at the repo root (EXPERIMENTS.md lists file, sections and gates
@@ -14,8 +14,10 @@
 //! experiment did not run is carried over from the committed file. Any
 //! violated gate, unreadable committed file or failed write exits 1
 //! after everything has run; a mistyped experiment or flag exits 2
-//! before anything runs. `--quick` shrinks the sweeps to CI-smoke size —
-//! each section records which mode produced it.
+//! before anything runs. `--quick` shrinks the sweeps of E5, E6 and
+//! E9–E16 to CI-smoke size; E1–E3, E7 and E8 take about two seconds
+//! together at full size and have no smaller one. Each section records
+//! which mode produced it.
 
 #![forbid(unsafe_code)]
 
@@ -26,7 +28,7 @@ use drams_bench::scenarios;
 use drams_bench::{members, row};
 use drams_chain::block::Block;
 use drams_chain::chain::ChainConfig;
-use drams_chain::fork::{integrity_sweep, nakamoto_success_probability};
+use drams_chain::fork::integrity_sweep;
 use drams_chain::net::{simulate, NetConfig};
 use drams_chain::node::Node;
 use drams_core::adversary::NoAdversary;
@@ -46,9 +48,9 @@ use std::rc::Rc;
 use std::time::Instant;
 
 const USAGE: &str = "\
-usage: run_experiments [e1 .. e14 | e16 | all] [--quick] [--scenario <name>]
+usage: run_experiments [e1 .. e3 | e5 .. e14 | e16 | all] [--quick] [--scenario <name>]
   --quick            CI-smoke sizes; every written section records its mode
-  --scenario <name>  run one E10 scenario only (BENCH_E2E.json is left untouched)";
+  --scenario <name>  run one E10 scenario only (its committed section is left untouched)";
 
 /// A parsed command line: what an experiment is told — and where it
 /// leaves a failure the gate table cannot express.
@@ -63,20 +65,20 @@ struct Run {
 
 type Experiment = fn(&mut Run) -> Vec<Section>;
 
-/// Every experiment, in run order: id, banner, body. E1–E4, E7 and E8
-/// only print; the rest also return the sections of their tracked file.
-/// There is no `e15`: it measured the worker pool and went with it, and
-/// the ids after it keep their numbers.
+/// Every experiment, in run order: id, banner, body. Each returns the
+/// sections of its tracked file. There is no `e4`: its threat matrix is
+/// asserted by `tests/attack_matrix.rs` and generalised by E12. There is
+/// no `e15`: it measured the worker pool and went with it. The other ids
+/// keep their numbers.
 #[rustfmt::skip]
-const EXPERIMENTS: [(&str, &str, Experiment); 15] = [
-    ("e1", "log size vs on-chain storage latency (real PoW, wall clock)", |_| print_only(e1_log_size_vs_latency)),
-    ("e2", "PoW difficulty vs block time; attacker rewrite probability", |_| print_only(e2_pow_tuning_and_integrity)),
-    ("e3", "hybrid DB+chain: write cost vs tamper-exposure window", |_| print_only(e3_hybrid_store)),
-    ("e4", "attack detection matrix (virtual-time federation)", |_| print_only(e4_detection_matrix)),
+const EXPERIMENTS: [(&str, &str, Experiment); 14] = [
+    ("e1", "log size vs on-chain storage cost per entry", e1_log_size_vs_latency),
+    ("e2", "PoW difficulty vs work; attacker rewrite probability; gossip", e2_pow_tuning_and_integrity),
+    ("e3", "hybrid DB+chain: write cost vs tamper-exposure window", e3_hybrid_store),
     ("e5", "PDP evaluation & formal analysis vs policy size", e5_policy_engine_scaling),
     ("e6", "end-to-end request latency: monitoring off vs on", e6_monitoring_overhead),
-    ("e7", "scalability: tenants vs monitoring pipeline", |_| print_only(e7_federation_scalability)),
-    ("e8", "ablations: LI batching and epoch length", |_| print_only(e8_ablations)),
+    ("e7", "scalability: tenants vs monitoring pipeline", e7_federation_scalability),
+    ("e8", "ablations: LI batching and epoch length", e8_ablations),
     ("e9", "crypto substrate: Algorithm D reference vs Montgomery fast path", e9_crypto_substrate),
     ("e10", "end-to-end scenario matrix (event-driven runtime, virtual time)", e10_scenario_matrix),
     ("e11", "durable storage engine + crash-restart recovery scenarios", e11_storage_and_recovery),
@@ -85,11 +87,6 @@ const EXPERIMENTS: [(&str, &str, Experiment); 15] = [
     ("e14", "overload robustness: flash crowds, shedding, bounded peak state", e14_overload),
     ("e16", "wire format: loopback TCP round-trips and conformance", e16_net),
 ];
-
-fn print_only(experiment: fn()) -> Vec<Section> {
-    experiment();
-    Vec::new()
-}
 
 /// Why a command line was refused.
 #[derive(Debug, PartialEq, Eq)]
@@ -191,11 +188,17 @@ fn main() {
     println!("\ndone.");
 }
 
-/// Stamps, prints and returns one section of a tracked file.
-fn section(run: &Run, key: &str, members: Members) -> Section {
-    let section = Section::produced(key, run.quick, members);
+/// Stamps, prints and returns one section of a tracked file, measured
+/// at `--quick` size or at full size.
+fn section(quick: bool, key: &str, members: Members) -> Section {
+    let section = Section::produced(key, quick, members);
     print!("{section}");
     section
+}
+
+/// Whether each value is above the one before it.
+fn rising(values: &[f64]) -> bool {
+    values.windows(2).all(|pair| pair[0] < pair[1])
 }
 
 /// Runs `f`, returning its result and its wall-clock time in ms.
@@ -238,14 +241,15 @@ fn twin_matched(
 /// E1 — paper §III: "the bigger the \[log\] size is, the higher is the
 /// latency to store the log on the blockchain."
 ///
-/// Storage latency decomposes additively: PoW mines over the fixed-size
-/// header (difficulty-dependent, size-independent), while encoding,
-/// signature verification, Merkle rooting and contract execution are
-/// size-dependent. The table reports both components and their sum.
-fn e1_log_size_vs_latency() {
-    // Component 1: size-dependent processing cost at difficulty 0.
-    let mut processing_us = Vec::new();
-    for &payload in &[64usize, 512, 4096, 16384] {
+/// Mining hashes the fixed-size header, so its cost does not depend on
+/// the entry (E2 tabulates it per difficulty). What grows with the entry
+/// is encoding, signature verification, Merkle rooting and contract
+/// execution, measured here at difficulty 0. Emits `BENCH_CHAIN.json`.
+fn e1_log_size_vs_latency(_: &mut Run) -> Vec<Section> {
+    const ENTRIES: usize = 256;
+    let mut rows = Vec::new();
+    let mut per_entry_us = Vec::new();
+    for &payload_bytes in &[64usize, 512, 4096, 16384] {
         let mut node = Node::new(ChainConfig {
             initial_difficulty_bits: 0,
             retarget_interval: 0,
@@ -262,9 +266,8 @@ fn e1_log_size_vs_latency() {
         )
         .expect("init");
         node.mine_block(0).expect("mine init");
-        let total_entries = 256usize;
-        let payloads: Vec<Vec<u8>> = (0..total_entries)
-            .map(|i| log_entry_of_size(i as u64, payload).to_canonical_bytes())
+        let payloads: Vec<Vec<u8>> = (0..ENTRIES)
+            .map(|i| log_entry_of_size(i as u64, payload_bytes).to_canonical_bytes())
             .collect();
         let start = Instant::now();
         for bytes in payloads {
@@ -276,158 +279,151 @@ fn e1_log_size_vs_latency() {
             node.mine_block(ts).expect("mine");
             ts += 1;
         }
-        let us = start.elapsed().as_secs_f64() * 1e6 / total_entries as f64;
-        processing_us.push((payload, us));
+        let us = start.elapsed().as_secs_f64() * 1e6 / ENTRIES as f64;
+        per_entry_us.push(us);
+        rows.push(row! {
+            payload_bytes: payload_bytes,
+            entries: ENTRIES,
+            us_per_entry: us,
+        });
     }
-
-    // Component 2: difficulty-dependent mining cost (16 blocks per bits).
-    let mut mining_ms = Vec::new();
-    for &bits in &[8u32, 12, 16] {
-        let blocks = 16u64;
-        let mut parent = drams_crypto::sha256::Digest::of(&bits.to_be_bytes());
-        let start = Instant::now();
-        for h in 0..blocks {
-            let block = Block::mine(parent, h, vec![], h, bits);
-            parent = block.hash();
-        }
-        mining_ms.push((
-            bits,
-            start.elapsed().as_secs_f64() * 1_000.0 / blocks as f64,
-        ));
-    }
-
-    println!(
-        "{:>10} {:>16} | per-entry total at 8 entries/block:",
-        "entry B", "processing µs"
-    );
-    print!("{:>27} |", "");
-    for (bits, _) in &mining_ms {
-        print!(" {:>9}", format!("{bits} bits"));
-    }
-    println!(" (ms/entry)");
-    for (payload, us) in &processing_us {
-        print!("{:>10} {:>16.1} |", payload, us);
-        for (_, mine_ms) in &mining_ms {
-            let total_ms = us / 1_000.0 + mine_ms / 8.0;
-            print!(" {:>9.3}", total_ms);
-        }
-        println!();
-    }
-    println!("\nshape: per-entry cost grows with entry size (encode+verify+execute)");
-    println!("and with PoW difficulty (mining amortised over the block) — §III.");
+    let grows = per_entry_us.last() > per_entry_us.first();
+    vec![section(
+        false,
+        "e1_log_size",
+        members! { rows: rows, grows: grows },
+    )]
 }
 
 /// E2 — paper §III: PoW parameters tune latency, but "a possibly
 /// lightweight PoW … does not ensure strong integrity guarantees."
-fn e2_pow_tuning_and_integrity() {
-    println!("-- block time vs difficulty (real hashing, 6 blocks each) --");
-    println!(
-        "{:>8} {:>16} {:>18}",
-        "bits", "mean ms/block", "expected hashes"
-    );
+/// Emits `BENCH_CHAIN.json`.
+fn e2_pow_tuning_and_integrity(_: &mut Run) -> Vec<Section> {
+    // Real hashing. `Block::mine` counts the nonce up from 0, so the work
+    // per block is deterministic and only `ms_per_block` is wall clock.
+    const BLOCKS: u64 = 6;
+    let mut difficulty = Vec::new();
+    let mut work = Vec::new();
     for &bits in &[4u32, 8, 12, 16, 18] {
-        let start = Instant::now();
-        let blocks = 6u64;
         let mut parent = drams_crypto::sha256::Digest::ZERO;
-        for h in 0..blocks {
+        let mut hashes = 0u64;
+        let start = Instant::now();
+        for h in 0..BLOCKS {
             let block = Block::mine(parent, h, vec![], h, bits);
+            hashes += block.header.nonce + 1;
             parent = block.hash();
         }
-        let mean = start.elapsed().as_secs_f64() * 1_000.0 / blocks as f64;
-        println!("{:>8} {:>16.3} {:>18}", bits, mean, 1u64 << bits);
+        let ms_per_block = start.elapsed().as_secs_f64() * 1_000.0 / BLOCKS as f64;
+        let hashes_per_block = hashes as f64 / BLOCKS as f64;
+        work.push(hashes_per_block);
+        difficulty.push(row! {
+            bits: u64::from(bits),
+            blocks: BLOCKS,
+            ms_per_block: ms_per_block,
+            hashes_per_block: hashes_per_block,
+            expected_hashes: 1u64 << bits,
+        });
     }
 
-    println!("\n-- integrity: P[rewrite log entry] (Nakamoto analytic / Monte Carlo) --");
-    println!(
-        "{:>8} {:>6} {:>14} {:>14}",
-        "q", "conf", "analytic", "simulated"
-    );
-    for point in integrity_sweep(&[0.1, 0.25, 0.4], &[1, 3, 6, 12], 20_000, 42) {
-        println!(
-            "{:>8.2} {:>6} {:>14.6} {:>14.6}",
-            point.attacker_share,
-            point.confirmations,
-            point.rewrite_probability,
-            point.simulated_probability
-        );
-    }
+    // The simulated race starts z + 1 blocks behind, so it estimates the
+    // catch-up closed form, a lower bound on Nakamoto's value; it must
+    // lie within four binomial standard errors of that closed form.
+    const TRIALS: u32 = 20_000;
+    let integrity: Vec<Value> = integrity_sweep(&[0.1, 0.25, 0.4], &[1, 3, 6, 12], TRIALS, 42)
+        .iter()
+        .map(|point| {
+            let catch_up = point.catch_up_probability;
+            let band = 4.0 * (catch_up * (1.0 - catch_up) / f64::from(TRIALS)).sqrt();
+            row! {
+                q: point.attacker_share,
+                confirmations: u64::from(point.confirmations),
+                nakamoto: point.rewrite_probability,
+                catch_up: catch_up,
+                simulated: point.simulated_probability,
+                within_ci: (point.simulated_probability - catch_up).abs() <= band,
+            }
+        })
+        .collect();
 
-    println!("\n-- small-network gossip: latency vs stale rate (virtual time) --");
-    println!(
-        "{:>12} {:>12} {:>10} {:>8}",
-        "latency ms", "blocks", "stale %", "reorgs"
-    );
-    for &latency in &[10u64, 100, 400] {
+    // Small-network gossip in virtual time.
+    let mut gossip = Vec::new();
+    let mut stale = Vec::new();
+    for &link_latency_ms in &[10u64, 100, 400] {
         let stats = simulate(&NetConfig {
             hashrates: vec![1.0; 4],
             mean_block_interval_ms: 500.0,
-            link_latency_ms: latency as f64,
+            link_latency_ms: link_latency_ms as f64,
             horizon_ms: 150_000,
             seed: 7,
         });
-        println!(
-            "{:>12} {:>12} {:>10.2} {:>8}",
-            latency,
-            stats.blocks_mined,
-            stats.stale_rate() * 100.0,
-            stats.reorgs
-        );
+        stale.push(stats.stale_rate());
+        gossip.push(row! {
+            link_latency_ms: link_latency_ms,
+            blocks: stats.blocks_mined,
+            stale_pct: stats.stale_rate() * 100.0,
+            reorgs: stats.reorgs,
+        });
     }
-    println!("\nshape: block time doubles per difficulty bit; rewrite probability");
-    println!("falls with confirmations and rises sharply with attacker share;");
-    println!(
-        "majority attacker (q ≥ 0.5) always wins: {}",
-        nakamoto_success_probability(0.5, 100)
-    );
+    let members = members! {
+        difficulty: difficulty,
+        work_rises_with_bits: rising(&work),
+        integrity: integrity,
+        gossip: gossip,
+        stale_rises_with_latency: rising(&stale),
+    };
+    vec![section(false, "e2_pow", members)]
 }
 
 /// E3 — paper §III: the hybrid DB+blockchain trade-off (ref \[9\]).
-fn e3_hybrid_store() {
+/// Emits `BENCH_STORE.json`.
+fn e3_hybrid_store(_: &mut Run) -> Vec<Section> {
     use drams_store::{AnchorContract, AnchoredStore};
-    let entries = 4096u64;
-    println!(
-        "{:>14} {:>10} {:>12} {:>16} {:>16}",
-        "mode", "period", "chain txs", "µs/write", "max window"
-    );
+    const ENTRIES: u64 = 4096;
 
     // Pure on-chain baseline: every entry is its own transaction.
-    {
-        let mut node = Node::new(ChainConfig {
-            initial_difficulty_bits: 0,
-            retarget_interval: 0,
-            max_block_txs: 4096,
-            ..ChainConfig::default()
-        });
-        node.register_contract(Box::new(MonitorContract));
-        let li = Keypair::from_seed(b"e3-li");
+    let mut node = Node::new(ChainConfig {
+        initial_difficulty_bits: 0,
+        retarget_interval: 0,
+        max_block_txs: 4096,
+        ..ChainConfig::default()
+    });
+    node.register_contract(Box::new(MonitorContract));
+    let li = Keypair::from_seed(b"e3-li");
+    node.submit_call(
+        &li,
+        MONITOR_CONTRACT,
+        "init",
+        MonitorContract::init_payload(10_000, li.public().fingerprint()),
+    )
+    .expect("init");
+    let start = Instant::now();
+    for i in 0..ENTRIES {
+        let entry = log_entry_of_size(i, 128);
         node.submit_call(
             &li,
             MONITOR_CONTRACT,
-            "init",
-            MonitorContract::init_payload(10_000, li.public().fingerprint()),
+            "store_log",
+            entry.to_canonical_bytes(),
         )
-        .expect("init");
-        let start = Instant::now();
-        for i in 0..entries {
-            let entry = log_entry_of_size(i, 128);
-            node.submit_call(
-                &li,
-                MONITOR_CONTRACT,
-                "store_log",
-                entry.to_canonical_bytes(),
-            )
-            .expect("submit");
-        }
-        while node.mempool_len() > 0 {
-            node.mine_block(0).expect("mine");
-        }
-        let us = start.elapsed().as_secs_f64() * 1e6 / entries as f64;
-        println!(
-            "{:>14} {:>10} {:>12} {:>16.1} {:>16}",
-            "pure-chain", "-", entries, us, 0
-        );
+        .expect("submit");
     }
+    while node.mempool_len() > 0 {
+        node.mine_block(0).expect("mine");
+    }
+    let us_per_write = start.elapsed().as_secs_f64() * 1e6 / ENTRIES as f64;
+    let chain = node.chain();
+    let committed: usize = (0..=chain.tip_header().height)
+        .filter_map(|height| chain.block_at_height(height))
+        .map(|block| block.transactions.len())
+        .sum();
+    let pure_chain = row! {
+        entries: ENTRIES,
+        chain_txs: committed - 1, // all but `init`
+        us_per_write: us_per_write,
+        max_window: 0u64,
+    };
 
+    let mut hybrid = Vec::new();
     for &period in &[8usize, 64, 256] {
         let mut node = Node::new(ChainConfig {
             initial_difficulty_bits: 0,
@@ -438,59 +434,23 @@ fn e3_hybrid_store() {
         let mut store = AnchoredStore::new(period, Keypair::from_seed(b"e3-store"));
         let start = Instant::now();
         let mut max_window = 0usize;
-        for i in 0..entries {
+        for i in 0..ENTRIES {
             store
                 .append(format!("log-{i}").into_bytes(), &mut node)
                 .expect("append");
             max_window = max_window.max(store.log().unsealed_len() + 1);
         }
         node.mine_block(0).expect("mine");
-        let us = start.elapsed().as_secs_f64() * 1e6 / entries as f64;
-        println!(
-            "{:>14} {:>10} {:>12} {:>16.1} {:>16}",
-            "hybrid",
-            period,
-            store.anchors_submitted(),
-            us,
-            max_window
-        );
+        let us_per_write = start.elapsed().as_secs_f64() * 1e6 / ENTRIES as f64;
+        hybrid.push(row! {
+            period: period,
+            chain_txs: store.anchors_submitted(),
+            us_per_write: us_per_write,
+            max_window: max_window,
+        });
     }
-    println!("\nshape: hybrid writes are orders of magnitude cheaper and chain");
-    println!("traffic drops by the anchor period — at the cost of a tamper");
-    println!("window of up to `period` unanchored entries (paper's trade-off).");
-}
-
-/// E4 — paper §I: DRAMS detects attacks on components *and* on the
-/// monitoring plane itself.
-fn e4_detection_matrix() {
-    println!(
-        "{:<18} {:>8} {:>9} {:>7} {:>5} {:>13} {:>12}",
-        "threat", "attacks", "detected", "rate", "fp", "mean lat ms", "p95 lat ms"
-    );
-    for threat in ThreatKind::ALL {
-        let config = MonitorConfig {
-            total_requests: 400,
-            request_rate_per_sec: 100.0,
-            group_timeout: 2 * SECONDS,
-            seed: 11,
-            ..MonitorConfig::default()
-        };
-        let mut adversary = ScriptedAdversary::new(threat, 0.1, 99);
-        let (report, truth) = run_monitor(&config, &mut adversary);
-        let s = score(threat, &report, &truth);
-        println!(
-            "{:<18} {:>8} {:>9} {:>6.1}% {:>5} {:>13.1} {:>12.1}",
-            threat.to_string(),
-            s.attacks,
-            s.detected,
-            s.rate() * 100.0,
-            s.false_positives,
-            s.mean_detection_latency_us / 1_000.0,
-            s.p95_detection_latency_us as f64 / 1_000.0
-        );
-    }
-    println!("\nshape: 100% detection, zero false positives; timeout-based");
-    println!("detections (drop-log) are slower than digest comparisons.");
+    let members = members! { pure_chain: pure_chain, hybrid: hybrid };
+    vec![section(false, "e3_hybrid", members)]
 }
 
 /// E5 — paper §II: the Analyser re-evaluates decisions against the formal
@@ -565,22 +525,8 @@ fn e5_policy_engine_scaling(run: &mut Run) -> Vec<Section> {
             speedup_compiled_vs_interpreter: interpreter_us / compiled_us,
         });
     }
-    let scaling = section(run, "e5_pdp_scaling", members! { rows: rows });
+    let scaling = section(run.quick, "e5_pdp_scaling", members! { rows: rows });
     println!("completeness analysis: {}", completeness.join(", "));
-    println!("\nshape: interpreter latency grows linearly in the rule base (it");
-    println!("visits every child, as the reference must). The compiled engine's");
-    println!("target index narrows a request to its candidate policies (a quarter");
-    println!("of the base here), and under the deny-overrides root it stops at the");
-    println!("first candidate that denies: these bases carry no obligations, so");
-    println!("nothing after the overriding decision can change the result. What");
-    println!("bounds compiled latency is therefore the number of candidates ahead");
-    println!("of the first Deny (about eight at every size, a property of the");
-    println!("generator's rule mix), not the fan-out, and the column is flat from");
-    println!("50 policies up. A request whose combined decision is the losing one");
-    println!("still walks every candidate (fan-out bound, the old 1000-policy");
-    println!("figure). The decision cache answers a repeat with a digest and an LRU");
-    println!("probe, now within a few x of evaluating. Symbolic analysis is");
-    println!("superlinear (SAT), run offline.");
     vec![scaling]
 }
 
@@ -618,7 +564,7 @@ fn e6_monitoring_overhead(run: &mut Run) -> Vec<Section> {
     };
     let pipeline_mean_ms = r_on.log_commit_latency.mean() / 1_000.0;
     let overhead = section(
-        run,
+        run.quick,
         "e6_monitoring_overhead",
         members! {
             requests: base.total_requests,
@@ -630,18 +576,14 @@ fn e6_monitoring_overhead(run: &mut Run) -> Vec<Section> {
             sim_wall_ms_on: on_wall_ms,
         },
     );
-    println!("\nshape: probes are asynchronous, so the critical path is unchanged;");
-    println!("the pipeline latency is observation → commit, and the wall-clock gap");
-    println!("between the two runs is the crypto cost of the monitoring plane.");
     vec![overhead]
 }
 
-/// E7 — federation scale: tenants × request rate.
-fn e7_federation_scalability() {
-    println!(
-        "{:>8} {:>10} {:>12} {:>14} {:>14} {:>12}",
-        "tenants", "requests", "entries", "commit ms", "backlog max", "groups"
-    );
+/// E7 — federation scale: tenants × request rate. Per-tenant LIs fan
+/// in to the chain, whose block capacity is the shared bottleneck; every
+/// request must still complete its group. Emits `BENCH_E2E.json`.
+fn e7_federation_scalability(_: &mut Run) -> Vec<Section> {
+    let mut rows = Vec::new();
     for &tenants in &[2u32, 8, 16, 32] {
         let config = MonitorConfig {
             federation: FederationSpec::symmetric(tenants, 1, 2),
@@ -651,18 +593,17 @@ fn e7_federation_scalability() {
             ..MonitorConfig::default()
         };
         let (report, _) = run_monitor(&config, &mut NoAdversary);
-        println!(
-            "{:>8} {:>10} {:>12} {:>14.1} {:>14} {:>12}",
-            tenants,
-            report.requests_completed,
-            report.entries_logged,
-            report.log_commit_latency.mean() / 1_000.0,
-            report.max_mempool,
-            report.groups_completed
-        );
+        rows.push(row! {
+            tenants: u64::from(tenants),
+            requests: report.requests_issued,
+            completed: report.requests_completed,
+            groups: report.groups_completed,
+            entries: report.entries_logged,
+            commit_mean_ms: report.log_commit_latency.mean() / 1_000.0,
+            max_mempool: report.max_mempool,
+        });
     }
-    println!("\nshape: the pipeline keeps up as tenants grow — per-tenant LIs");
-    println!("fan in to the chain, whose block capacity is the shared bottleneck.");
+    vec![section(false, "e7_scale", members! { rows: rows })]
 }
 
 /// E9 — the crypto substrate: Montgomery fast path vs the retained
@@ -738,7 +679,7 @@ fn e9_crypto_substrate(run: &mut Run) -> Vec<Section> {
     };
 
     let crypto = section(
-        run,
+        run.quick,
         "e9_crypto",
         members! {
             mod_pow: mod_pow,
@@ -747,9 +688,6 @@ fn e9_crypto_substrate(run: &mut Run) -> Vec<Section> {
             batch_verify: batch_verify,
         },
     );
-    println!("\nshape: REDC replaces a Knuth division per multiply; the fixed-base");
-    println!("g-table removes all squarings from g-exponentiations; a batch builds");
-    println!("the same table for every signer with four or more of its signatures.");
     vec![crypto]
 }
 
@@ -758,7 +696,7 @@ fn e9_crypto_substrate(run: &mut Run) -> Vec<Section> {
 /// degraded Logging Interface, and a per-cloud PDP federation.
 ///
 /// Emits `BENCH_E2E.json`, unless `--scenario` filtered the matrix: a
-/// filtered run prints its row but never replaces the committed file
+/// filtered run prints its row but never replaces the committed section
 /// with a partial matrix.
 fn e10_scenario_matrix(run: &mut Run) -> Vec<Section> {
     let mut matrix = scenarios::matrix(run.quick);
@@ -794,13 +732,9 @@ fn e10_scenario_matrix(run: &mut Run) -> Vec<Section> {
             sim_speedup: sim_speedup,
         });
     }
-    let matrix = section(run, "e10_scenarios", members! { rows: rows });
-    println!("\nshape: clean scenarios (steady, churn, policy-flip, per-cloud)");
-    println!("complete every group with zero alerts — legitimate churn is not");
-    println!("an attack; the degraded-LI fault surfaces as missing-observation");
-    println!("alerts; per-cloud PDPs cut the decision hop to the local link.");
+    let matrix = section(run.quick, "e10_scenarios", members! { rows: rows });
     if run.scenario.is_some() {
-        println!("\n(--scenario filter active: BENCH_E2E.json left untouched)");
+        println!("\n(--scenario filter active: e10_scenarios left untouched)");
         return Vec::new();
     }
     vec![matrix]
@@ -853,8 +787,7 @@ fn e11_storage_and_recovery(run: &mut Run) -> Vec<Section> {
         wal.sync().expect("sync");
         let append_us = start.elapsed().as_secs_f64() * 1e6 / records as f64;
         let start = Instant::now();
-        let replayed = wal.replay().expect("replay");
-        assert_eq!(replayed.len() as u64, records);
+        let replayed = wal.replay().expect("replay").len();
         let replay_us = start.elapsed().as_secs_f64() * 1e6 / records as f64;
         // One snapshot write + segment prune.
         let start = Instant::now();
@@ -865,13 +798,18 @@ fn e11_storage_and_recovery(run: &mut Run) -> Vec<Section> {
         engine_rows.push(row! {
             backend: name,
             records: records,
+            replayed: replayed,
             payload_bytes: payload.len(),
             append_us_per_record: append_us,
             replay_us_per_record: replay_us,
             snapshot_prune_us: snapshot_us,
         });
     }
-    let engine = section(run, "e11_store_engine", members! { rows: engine_rows });
+    let engine = section(
+        run.quick,
+        "e11_store_engine",
+        members! { rows: engine_rows },
+    );
 
     // -- part 1b: journal compaction vs. history ---------------------------
     // A compaction folds what was journaled since the last one, so a
@@ -926,7 +864,7 @@ fn e11_storage_and_recovery(run: &mut Run) -> Vec<Section> {
     }
     let _ = std::fs::remove_dir_all(&tmp_root);
     let compaction = section(
-        run,
+        run.quick,
         "e11_compaction",
         members! { rows: compaction_rows, flat_ok: flat_ok },
     );
@@ -953,13 +891,7 @@ fn e11_storage_and_recovery(run: &mut Run) -> Vec<Section> {
             wall_ms: wall_ms,
         });
     }
-    let recovery = section(run, "e11_recovery", members! { rows: recovery_rows });
-    println!("\nshape: appends are µs-scale on every backend (fsync dominates the");
-    println!("fs-flushed row); replay is sequential-scan fast; a journal compaction");
-    println!("costs its 64-record tail, not the history behind it; every crashed");
-    println!("service restarts from disk and the run, its probes' ciphertexts");
-    println!("included, is byte-identical to the uninterrupted twin — recovery");
-    println!("loses nothing and repeats nothing.");
+    let recovery = section(run.quick, "e11_recovery", members! { rows: recovery_rows });
     vec![engine, compaction, recovery]
 }
 
@@ -1022,13 +954,12 @@ impl JournalFiller {
     }
 }
 
-/// E8 — ablations of DRAMS design choices.
-fn e8_ablations() {
-    println!("-- LI batch size (600 requests) --");
-    println!(
-        "{:>8} {:>10} {:>14} {:>16}",
-        "batch", "chain txs", "commit ms", "entries/tx"
-    );
+/// E8 — ablations of DRAMS design choices: (a) LI batch size against
+/// chain traffic, (b) epoch length against drop-log detection. Emits
+/// `BENCH_E2E.json`.
+fn e8_ablations(_: &mut Run) -> Vec<Section> {
+    let mut batching = Vec::new();
+    let mut txs = Vec::new();
     for &batch in &[1usize, 4, 16, 64] {
         let config = MonitorConfig {
             total_requests: 600,
@@ -1037,25 +968,21 @@ fn e8_ablations() {
             ..MonitorConfig::default()
         };
         let (report, _) = run_monitor(&config, &mut NoAdversary);
-        println!(
-            "{:>8} {:>10} {:>14.1} {:>16.2}",
-            batch,
-            report.txs_committed,
-            report.log_commit_latency.mean() / 1_000.0,
-            report.entries_logged as f64 / report.txs_committed.max(1) as f64
-        );
+        txs.push(report.txs_committed);
+        batching.push(row! {
+            batch: batch,
+            chain_txs: report.txs_committed,
+            commit_mean_ms: report.log_commit_latency.mean() / 1_000.0,
+            entries_per_tx: report.entries_logged as f64 / report.txs_committed.max(1) as f64,
+        });
     }
 
-    println!("\n-- epoch length vs drop-log detection latency --");
-    println!(
-        "{:>14} {:>10} {:>14} {:>10}",
-        "epoch blocks", "attacks", "detect ms", "rate"
-    );
-    for &epoch in &[1u64, 2, 5, 10] {
+    let mut epochs = Vec::new();
+    for &epoch_blocks in &[1u64, 2, 5, 10] {
         let config = MonitorConfig {
             total_requests: 300,
             request_rate_per_sec: 150.0,
-            epoch_blocks: epoch,
+            epoch_blocks,
             group_timeout: 2 * SECONDS,
             seed: 5,
             ..MonitorConfig::default()
@@ -1063,16 +990,20 @@ fn e8_ablations() {
         let mut adversary = ScriptedAdversary::new(ThreatKind::DropLog, 0.08, 17);
         let (report, truth) = run_monitor(&config, &mut adversary);
         let s = score(ThreatKind::DropLog, &report, &truth);
-        println!(
-            "{:>14} {:>10} {:>14.1} {:>9.1}%",
-            epoch,
-            s.attacks,
-            s.mean_detection_latency_us / 1_000.0,
-            s.rate() * 100.0
-        );
+        epochs.push(row! {
+            epoch_blocks: epoch_blocks,
+            attacks: s.attacks,
+            detected: s.detected,
+            false_positives: s.false_positives,
+            detect_mean_ms: report.detection_latency.mean() / 1_000.0,
+        });
     }
-    println!("\nshape: batching cuts chain traffic ~linearly at equal commit");
-    println!("latency; longer epochs delay timeout-based detection.");
+    let members = members! {
+        batching: batching,
+        txs_fall_with_batch: txs.windows(2).all(|pair| pair[0] > pair[1]),
+        epochs: epochs,
+    };
+    vec![section(false, "e8_ablations", members)]
 }
 
 /// E12 — adversarial scenario fuzzing: `--quick` runs 60 seed-generated
@@ -1139,7 +1070,7 @@ fn e12_adversarial_fuzz(run: &mut Run) -> Vec<Section> {
         .map(|(family, count)| (family.to_string(), count.into()))
         .collect();
     let fuzz = section(
-        run,
+        run.quick,
         "e12_fuzz",
         members! {
             scenarios: budget,
@@ -1229,7 +1160,7 @@ fn e13_fault_plane(run: &mut Run) -> Vec<Section> {
             attacks: s.attacks,
             detected: s.detected,
             false_positives: s.false_positives,
-            mean_detection_ms: s.mean_detection_latency_us / 1_000.0,
+            detect_mean_ms: report.detection_latency.mean() / 1_000.0,
         });
     }
 
@@ -1253,7 +1184,7 @@ fn e13_fault_plane(run: &mut Run) -> Vec<Section> {
     };
 
     let faults = section(
-        run,
+        run.quick,
         "e13_faults",
         members! {
             rows: rows,
@@ -1261,11 +1192,6 @@ fn e13_fault_plane(run: &mut Run) -> Vec<Section> {
             crash_fault_twin: twin,
         },
     );
-    println!("\nshape: capped-backoff retries mask loss, the journaled decision");
-    println!("cache absorbs duplicates and crashes, the breaker fails new work");
-    println!("over to healthy PDPs, partitions spill to the LI WAL and replay on");
-    println!("heal, and degraded mode widens epoch timeouts over declared fault");
-    println!("windows — transient faults never alert, real attacks always do.");
     vec![faults]
 }
 
@@ -1363,7 +1289,7 @@ fn e14_overload(run: &mut Run) -> Vec<Section> {
     };
 
     let load = section(
-        run,
+        run.quick,
         "e14_load",
         members! {
             honest: honest,
@@ -1371,11 +1297,6 @@ fn e14_overload(run: &mut Run) -> Vec<Section> {
             crash_overload_twin: twin,
         },
     );
-    println!("\nshape: admission control sheds overflow before interception (no");
-    println!("group opens, no evidence is fabricated or lost), LRU and retention");
-    println!("caps bound every cache, closed groups retire from contract storage,");
-    println!("and the chain journal compacts — peak state stays flat while the");
-    println!("flash crowd runs, honest overload never alerts, attacks always do.");
     vec![load]
 }
 
@@ -1508,7 +1429,7 @@ fn e16_net(run: &mut Run) -> Vec<Section> {
         reconnect: reconnect,
         conformance: conformance,
     };
-    vec![section(run, "e16_net", members)]
+    vec![section(run.quick, "e16_net", members)]
 }
 
 #[cfg(test)]
@@ -1540,6 +1461,7 @@ mod tests {
         for (line, error) in [
             ("e17", UnknownExperiment("e17".to_string())),
             ("e15", UnknownExperiment("e15".to_string())),
+            ("e4", UnknownExperiment("e4".to_string())),
             ("e5 E6", UnknownExperiment("E6".to_string())),
             ("e5 --quik", UnknownFlag("--quik".to_string())),
             ("-q", UnknownFlag("-q".to_string())),

@@ -658,6 +658,7 @@ mod tests {
         )*};
     }
     instances! {
+        chain_report_round_trips: round_trips("BENCH_CHAIN.json");
         trajectory_json_is_balanced_and_complete: round_trips("BENCH_PDP.json");
         crypto_trajectory_json_is_balanced_and_complete: round_trips("BENCH_CRYPTO.json");
         e2e_trajectory_json_is_balanced_and_complete: round_trips("BENCH_E2E.json");
@@ -666,6 +667,7 @@ mod tests {
         fault_trajectory_json_is_balanced_and_complete: round_trips("BENCH_FAULT.json");
         load_trajectory_json_is_balanced_and_parses_back: round_trips("BENCH_LOAD.json");
         net_report_round_trips: round_trips("BENCH_NET.json");
+        chain_report_carries_forward: carries_forward("BENCH_CHAIN.json");
         partial_runs_carry_the_other_section_forward: carries_forward("BENCH_PDP.json");
         crypto_trajectory_carries_forward_when_not_rerun: carries_forward("BENCH_CRYPTO.json");
         e2e_trajectory_carries_forward_when_not_rerun: carries_forward("BENCH_E2E.json");
@@ -674,6 +676,7 @@ mod tests {
         fault_trajectory_carries_forward_when_not_rerun: carries_forward("BENCH_FAULT.json");
         load_report_carries_forward: carries_forward("BENCH_LOAD.json");
         net_report_carries_forward: carries_forward("BENCH_NET.json");
+        chain_report_path_points_at_repo_root: resolves_at_repo_root("BENCH_CHAIN.json");
         trajectory_path_points_at_repo_root: resolves_at_repo_root("BENCH_PDP.json");
         crypto_trajectory_path_points_at_repo_root: resolves_at_repo_root("BENCH_CRYPTO.json");
         e2e_trajectory_path_points_at_repo_root: resolves_at_repo_root("BENCH_E2E.json");
@@ -682,7 +685,16 @@ mod tests {
         fault_trajectory_path_points_at_repo_root: resolves_at_repo_root("BENCH_FAULT.json");
         load_report_path_points_at_repo_root: resolves_at_repo_root("BENCH_LOAD.json");
         net_report_path_points_at_repo_root: resolves_at_repo_root("BENCH_NET.json");
+        log_size_gate_flags_a_cost_that_does_not_grow: gates_flip("e1_log_size");
+        pow_gates_flag_every_violation_kind: gates_flip("e2_pow");
+        hybrid_store_gates_flag_every_violation_kind: gates_flip("e3_hybrid");
+        pdp_scaling_gate_flags_a_slower_compiled_engine: gates_flip("e5_pdp_scaling");
+        monitoring_overhead_gates_flag_every_violation_kind: gates_flip("e6_monitoring_overhead");
+        scale_gates_flag_every_violation_kind: gates_flip("e7_scale");
+        ablation_gates_flag_every_violation_kind: gates_flip("e8_ablations");
+        crypto_gates_flag_every_slower_fast_path: gates_flip("e9_crypto");
         e2e_gates_flag_every_violation_kind: gates_flip("e10_scenarios");
+        store_engine_gate_flags_a_lost_record: gates_flip("e11_store_engine");
         compaction_gate_flags_a_cost_that_grows_with_history: gates_flip("e11_compaction");
         recovery_gates_flag_every_violation_kind: gates_flip("e11_recovery");
         fuzz_gates_flag_every_violation_kind: gates_flip("e12_fuzz");
@@ -697,6 +709,17 @@ mod tests {
         for gate in &GATES {
             let registered = REGISTRY.iter().any(|s| s.sections.contains(&gate.section));
             assert!(registered, "{gate:?}");
+        }
+    }
+
+    #[test]
+    fn every_registered_section_is_gated() {
+        // A section without a gate can move any way without failing a run.
+        for spec in &REGISTRY {
+            for key in spec.sections {
+                let gated = GATES.iter().any(|g| g.section == *key);
+                assert!(gated, "{key} in {} has no gate", spec.file);
+            }
         }
     }
 
@@ -777,6 +800,36 @@ mod tests {
         assert_eq!(
             evaluate(&[gate], &fresh, None).failures,
             ["s.summary: no such rows"]
+        );
+    }
+
+    #[test]
+    fn rows_without_a_name_compare_by_position() {
+        let section = |quick: bool, rows: &str| {
+            let text =
+                format!("{{\"schema\": \"t\", \"s\": {{\"quick\": {quick}, \"rows\": [{rows}]}}}}");
+            parse(&text).expect("a fixture").sections.remove(0)
+        };
+        let gate = Gate {
+            section: "s",
+            member: "rows",
+            column: "x",
+            rule: Rule::AtLeastCommitted(0.5),
+        };
+        let committed = report_of(vec![section(
+            true,
+            "{\"n\": 1, \"x\": 100}, {\"n\": 2, \"x\": 10}",
+        )]);
+        // Each row against its own committed twin, not the first row.
+        let held = [section(true, "{\"n\": 1, \"x\": 60}, {\"n\": 2, \"x\": 9}")];
+        assert_eq!(
+            evaluate(&[gate], &held, Some(&committed)),
+            Verdict::default()
+        );
+        let slow = [section(true, "{\"n\": 1, \"x\": 60}, {\"n\": 2, \"x\": 4}")];
+        assert_eq!(
+            evaluate(&[gate], &slow, Some(&committed)).failures,
+            ["s.rows[]: x = 4, fails AtLeastCommitted(0.5) (committed: 10)"]
         );
     }
 

@@ -505,11 +505,12 @@ macro_rules! files {
 
 /// Every tracked file, one row each: name, schema, sections.
 #[rustfmt::skip]
-pub const REGISTRY: [FileSpec; 8] = files! {
+pub const REGISTRY: [FileSpec; 9] = files! {
+    "BENCH_CHAIN.json"  "drams-bench-chain/v1"  ["e1_log_size", "e2_pow"];
     "BENCH_PDP.json"    "drams-bench-pdp/v2"    ["e5_pdp_scaling", "e6_monitoring_overhead"];
     "BENCH_CRYPTO.json" "drams-bench-crypto/v1" ["e9_crypto"];
-    "BENCH_E2E.json"    "drams-bench-e2e/v1"    ["e10_scenarios"];
-    "BENCH_STORE.json"  "drams-bench-store/v1"  ["e11_store_engine", "e11_compaction", "e11_recovery"];
+    "BENCH_E2E.json"    "drams-bench-e2e/v1"    ["e7_scale", "e8_ablations", "e10_scenarios"];
+    "BENCH_STORE.json"  "drams-bench-store/v1"  ["e3_hybrid", "e11_store_engine", "e11_compaction", "e11_recovery"];
     "BENCH_FUZZ.json"   "drams-bench-fuzz/v1"   ["e12_fuzz"];
     "BENCH_FAULT.json"  "drams-bench-fault/v1"  ["e13_faults"];
     "BENCH_LOAD.json"   "drams-bench-load/v1"   ["e14_load"];
@@ -606,37 +607,65 @@ macro_rules! gates {
 /// Every gate `run_experiments` enforces on a run, one row each:
 /// section, row selector, column, rule.
 #[rustfmt::skip]
-pub const GATES: [Gate; 25] = gates! {
-    // Wall clock is noisy across hosts, so the bar is loose: it catches
-    // order-of-magnitude slowdowns of the simulation, not jitter.
-    "e10_scenarios" "rows"                     "sim_speedup"                  Rule::AtLeastCommitted(0.5);
+pub const GATES: [Gate; 45] = gates! {
+    // Per-entry storage cost at 16 KiB entries above that at 64 B.
+    "e1_log_size"             ""                         "grows"                            Rule::True;
+    // Hashes per block strictly rising with the difficulty bits; each
+    // simulated race within four standard errors of its closed form;
+    // the gossip stale rate strictly rising with link latency.
+    "e2_pow"                  ""                         "work_rises_with_bits"             Rule::True;
+    "e2_pow"                  "integrity"                "within_ci"                        Rule::True;
+    "e2_pow"                  ""                         "stale_rises_with_latency"         Rule::True;
+    // A pure chain commits every entry; a hybrid store leaves at most
+    // one anchor period unanchored.
+    "e3_hybrid"               "pure_chain"               "chain_txs"                        Rule::Equals("entries");
+    "e3_hybrid"               "hybrid"                   "max_window"                       Rule::Equals("period");
+    // The speed bars of E5, E9 and E10: wall clock is noisy across
+    // hosts, so each is loose and catches an order-of-magnitude slowdown
+    // against the committed run, not jitter.
+    "e5_pdp_scaling"          "rows"                     "speedup_compiled_vs_interpreter"  Rule::AtLeastCommitted(0.5);
+    "e6_monitoring_overhead"  "off"                      "chain_txs"                        Rule::Zero;
+    "e6_monitoring_overhead"  "on"                       "chain_txs"                        Rule::Positive;
+    "e7_scale"                "rows"                     "completed"                        Rule::Equals("requests");
+    "e7_scale"                "rows"                     "groups"                           Rule::Equals("requests");
+    "e8_ablations"            ""                         "txs_fall_with_batch"              Rule::True;
+    "e8_ablations"            "epochs"                   "attacks"                          Rule::Positive;
+    "e8_ablations"            "epochs"                   "detected"                         Rule::Equals("attacks");
+    "e8_ablations"            "epochs"                   "false_positives"                  Rule::Zero;
+    "e9_crypto"               "mod_pow"                  "speedup"                          Rule::AtLeastCommitted(0.5);
+    "e9_crypto"               "sign"                     "speedup"                          Rule::AtLeastCommitted(0.5);
+    "e9_crypto"               "verify"                   "speedup"                          Rule::AtLeastCommitted(0.5);
+    "e9_crypto"               "batch_verify"             "speedup_vs_individual_fast"       Rule::AtLeastCommitted(0.5);
+    "e10_scenarios"           "rows"                     "sim_speedup"                      Rule::AtLeastCommitted(0.5);
+    // The engine replays every record it appended.
+    "e11_store_engine"        "rows"                     "replayed"                         Rule::Equals("records");
     // 16 k folded records behind the compaction cost at most twice 1 k.
-    "e11_compaction" ""                        "flat_ok"                      Rule::True;
-    "e11_recovery"  "rows"                     "matched"                      Rule::True;
-    "e11_recovery"  "rows"                     "entries_matched"              Rule::True;
-    "e12_fuzz"      ""                         "violations"                   Rule::Zero;
-    "e13_faults"    "rows"                     "alerts"                       Rule::Zero;
-    "e13_faults"    "rows"                     "dropped"                      Rule::Zero;
-    "e13_faults"    "detection_under_faults"   "detected"                     Rule::Equals("attacks");
-    "e13_faults"    "detection_under_faults"   "false_positives"              Rule::Zero;
-    "e13_faults"    "crash_fault_twin"         "matched"                      Rule::True;
-    "e14_load"      "honest"                   "alerts"                       Rule::Zero;
+    "e11_compaction"          ""                         "flat_ok"                          Rule::True;
+    "e11_recovery"            "rows"                     "matched"                          Rule::True;
+    "e11_recovery"            "rows"                     "entries_matched"                  Rule::True;
+    "e12_fuzz"                ""                         "violations"                       Rule::Zero;
+    "e13_faults"              "rows"                     "alerts"                           Rule::Zero;
+    "e13_faults"              "rows"                     "dropped"                          Rule::Zero;
+    "e13_faults"              "detection_under_faults"   "detected"                         Rule::Equals("attacks");
+    "e13_faults"              "detection_under_faults"   "false_positives"                  Rule::Zero;
+    "e13_faults"              "crash_fault_twin"         "matched"                          Rule::True;
+    "e14_load"                "honest"                   "alerts"                           Rule::Zero;
     // A flash crowd that never overran the cap, or a campaign that
     // never fired, proves nothing.
-    "e14_load"      "honest"                   "shed"                         Rule::Positive;
-    "e14_load"      "detection_under_overload" "attacks"                      Rule::Positive;
-    "e14_load"      "detection_under_overload" "detected"                     Rule::Equals("attacks");
-    "e14_load"      "detection_under_overload" "false_positives"              Rule::Zero;
-    "e14_load"      "crash_overload_twin"      "matched"                      Rule::True;
-    "e14_load"      "honest"                   "peak_pep_inflight"            Rule::AtMostCommitted(2.0);
-    "e14_load"      "honest"                   "peak_pdp_idempotency"         Rule::AtMostCommitted(2.0);
-    "e14_load"      "honest"                   "peak_pdp_decision_cache"      Rule::AtMostCommitted(2.0);
-    "e14_load"      "honest"                   "peak_li_resident"             Rule::AtMostCommitted(2.0);
-    "e14_load"      "honest"                   "peak_analyser_pending_retire" Rule::AtMostCommitted(2.0);
-    "e14_load"      "honest"                   "peak_contract_storage"        Rule::AtMostCommitted(2.0);
-    "e14_load"      "honest"                   "peak_chain_journal_records"   Rule::AtMostCommitted(2.0);
-    "e14_load"      "honest"                   "peak_policy_history"          Rule::AtMostCommitted(2.0);
-    "e16_net"       "conformance"              "matched"                      Rule::True;
+    "e14_load"                "honest"                   "shed"                             Rule::Positive;
+    "e14_load"                "detection_under_overload" "attacks"                          Rule::Positive;
+    "e14_load"                "detection_under_overload" "detected"                         Rule::Equals("attacks");
+    "e14_load"                "detection_under_overload" "false_positives"                  Rule::Zero;
+    "e14_load"                "crash_overload_twin"      "matched"                          Rule::True;
+    "e14_load"                "honest"                   "peak_pep_inflight"                Rule::AtMostCommitted(2.0);
+    "e14_load"                "honest"                   "peak_pdp_idempotency"             Rule::AtMostCommitted(2.0);
+    "e14_load"                "honest"                   "peak_pdp_decision_cache"          Rule::AtMostCommitted(2.0);
+    "e14_load"                "honest"                   "peak_li_resident"                 Rule::AtMostCommitted(2.0);
+    "e14_load"                "honest"                   "peak_analyser_pending_retire"     Rule::AtMostCommitted(2.0);
+    "e14_load"                "honest"                   "peak_contract_storage"            Rule::AtMostCommitted(2.0);
+    "e14_load"                "honest"                   "peak_chain_journal_records"       Rule::AtMostCommitted(2.0);
+    "e14_load"                "honest"                   "peak_policy_history"              Rule::AtMostCommitted(2.0);
+    "e16_net"                 "conformance"              "matched"                          Rule::True;
 };
 
 /// The outcome of checking a run: failures fail it, notes are printed.
@@ -662,6 +691,7 @@ fn select<'a>(body: &'a Members, member: &str) -> Option<Vec<&'a Members>> {
 }
 
 /// A row's name — its leading string column (`scenario`, `threat`, …).
+/// A row without one is matched to the committed row at its position.
 fn identity(row: &[(String, Value)]) -> Option<&str> {
     match row.first() {
         Some((_, Value::Str(name))) => Some(name),
@@ -679,9 +709,12 @@ fn check(gate: &Gate, section: &Section, baseline: Option<&Section>) -> Vec<Stri
     let base_rows = baseline.and_then(|b| select(&b.members, member));
     let base_rows = base_rows.unwrap_or_default();
     let mut failures = Vec::new();
-    for row in rows {
+    for (position, row) in rows.into_iter().enumerate() {
         let name = identity(row);
-        let base_row = base_rows.iter().find(|b| identity(b) == name);
+        let base_row = match name {
+            Some(_) => base_rows.iter().find(|b| identity(b) == name),
+            None => base_rows.get(position),
+        };
         let base = base_row.and_then(|b| get(b, column));
         let problem = match get(row, column) {
             Some(value) if gate.rule.holds(value, row, base) => continue,

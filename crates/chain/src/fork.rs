@@ -5,9 +5,13 @@
 //! lightweight PoW, this solution does not ensure strong integrity
 //! guarantees." This module quantifies that trade-off: the probability
 //! that an attacker controlling a fraction `q` of the hashrate rewrites a
-//! log entry buried under `z` confirmations — computed both with
-//! Nakamoto's analytic formula and with a Monte Carlo random walk the
-//! tests cross-validate against the gambler's-ruin closed form.
+//! log entry buried under `z` confirmations — computed with Nakamoto's
+//! analytic formula, and with a Monte Carlo random walk that estimates
+//! the gambler's-ruin catch-up race from `z + 1` blocks behind. The race
+//! ignores the blocks the attacker mines while the entry gathers its `z`
+//! confirmations, so it is a lower bound on Nakamoto's value, and it is
+//! checked against its own closed form ([`catch_up_probability`]), not
+//! against Nakamoto's.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -117,7 +121,12 @@ pub struct IntegrityPoint {
     pub confirmations: u32,
     /// Analytic rewrite probability (Nakamoto).
     pub rewrite_probability: f64,
-    /// Monte Carlo estimate of the same.
+    /// Closed-form catch-up probability from `confirmations + 1` blocks
+    /// behind ([`catch_up_probability`]); a lower bound on
+    /// `rewrite_probability`.
+    pub catch_up_probability: f64,
+    /// Monte Carlo estimate of `catch_up_probability`: the simulated race
+    /// from `confirmations + 1` blocks behind, not Nakamoto's value.
     pub simulated_probability: f64,
 }
 
@@ -136,6 +145,7 @@ pub fn integrity_sweep(
                 attacker_share: q,
                 confirmations: z,
                 rewrite_probability: nakamoto_success_probability(q, z),
+                catch_up_probability: catch_up_probability(q, z + 1),
                 simulated_probability: simulate_catch_up(
                     q,
                     z + 1,
@@ -218,6 +228,11 @@ mod tests {
         assert!(points[0].rewrite_probability > points[1].rewrite_probability);
         // Higher share → higher rewrite probability at equal confirmations.
         assert!(points[2].rewrite_probability > points[0].rewrite_probability);
+        // The race from z + 1 behind ignores the attacker's progress
+        // during the z confirmations: a lower bound on Nakamoto's value.
+        for point in &points {
+            assert!(point.catch_up_probability < point.rewrite_probability);
+        }
     }
 
     #[test]

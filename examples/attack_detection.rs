@@ -39,7 +39,7 @@ fn main() {
             s.detected,
             s.rate() * 100.0,
             s.false_positives,
-            s.mean_detection_latency_us / 1_000.0
+            report.detection_latency.mean() / 1_000.0
         );
         assert!(
             s.attacks == 0 || s.rate() > 0.99,

@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("false positives    : {}", s.false_positives);
     println!(
         "detection latency  : mean {:.1} ms (issue → alert on-chain)",
-        s.mean_detection_latency_us / 1_000.0
+        report.detection_latency.mean() / 1_000.0
     );
     println!(
         "monitoring latency : log commit mean {:.1} ms",
