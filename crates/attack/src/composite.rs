@@ -3,8 +3,9 @@
 //! Real compromises rarely come one at a time — a compromised
 //! infrastructure section may tamper responses *and* drop the logs that
 //! would expose it. [`CompositeAdversary`] runs any number of scripted
-//! single-threat adversaries side by side, preserving per-threat ground
-//! truth so detection can still be scored exactly.
+//! campaigns side by side, preserving per-threat ground truth so
+//! detection can still be scored exactly. An empty composite is the
+//! honest adversary.
 
 use crate::threat::{ScriptedAdversary, ThreatKind};
 use drams_core::adversary::Adversary;
@@ -27,11 +28,18 @@ impl CompositeAdversary {
         Self::default()
     }
 
-    /// Adds a threat with its firing probability (builder style).
+    /// Adds a threat with its firing probability, active at every
+    /// instant (builder style).
     #[must_use]
-    pub fn with(mut self, kind: ThreatKind, probability: f64, seed: u64) -> Self {
-        self.parts
-            .push(ScriptedAdversary::new(kind, probability, seed));
+    pub fn with(self, kind: ThreatKind, probability: f64, seed: u64) -> Self {
+        self.with_part(ScriptedAdversary::new(kind, probability, seed))
+    }
+
+    /// Adds a prebuilt campaign, e.g. one narrowed by
+    /// [`ScriptedAdversary::within`] (builder style).
+    #[must_use]
+    pub fn with_part(mut self, part: ScriptedAdversary) -> Self {
+        self.parts.push(part);
         self
     }
 

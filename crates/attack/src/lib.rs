@@ -8,10 +8,10 @@
 //! scores detection against exact ground truth.
 //!
 //! * [`threat`] — the nine-threat catalogue and [`ScriptedAdversary`],
-//!   including the colluding PDP+LI and cross-tenant log-replay families.
-//! * [`score`](mod@score) — detection rate / false positives / latency scoring.
-//! * [`window`] — fault windows: any adversary becomes a schedulable
-//!   scenario component active only inside declared virtual-time windows.
+//!   one campaign: a threat kind fired with a fixed probability from one
+//!   seed, inside its [`FaultWindow`]s (all of virtual time by default).
+//! * [`composite`] — [`CompositeAdversary`]: several campaigns at once.
+//! * [`score`](mod@score) — detection rate and false-positive scoring.
 //!
 //! # Example
 //!
@@ -31,12 +31,10 @@
 pub mod composite;
 pub mod score;
 pub mod threat;
-pub mod window;
 
 pub use composite::CompositeAdversary;
 pub use score::{
     chain_attack_score, detected_by_any_alert, expected_alert_kinds, score, ChainAttackScore,
     DetectionScore,
 };
-pub use threat::{ScriptedAdversary, ThreatKind};
-pub use window::{FaultWindow, WindowedAdversary};
+pub use threat::{FaultWindow, ScriptedAdversary, ThreatKind};

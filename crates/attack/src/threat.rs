@@ -4,6 +4,11 @@
 //! modified requests, modified responses, altered policies, altered
 //! evaluation process — plus the monitoring-plane attacks DRAMS claims
 //! resilience against: dropped logs, tampered logs, compromised LIs.
+//!
+//! A campaign is schedulable over virtual time: [`ScriptedAdversary::within`]
+//! restricts its hooks to declared [`FaultWindow`]s, so a scenario can
+//! model "the LI is compromised between t₁ and t₂" and score detection
+//! against a ground truth that is empty outside the windows.
 
 use drams_core::adversary::Adversary;
 use drams_core::logent::{LogEntry, ObservationPoint};
@@ -86,13 +91,57 @@ impl fmt::Display for ThreatKind {
     }
 }
 
-/// A scripted adversary: fires one [`ThreatKind`] with a fixed per-event
-/// probability.
+/// A half-open virtual-time window `[from, until)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultWindow {
+    /// Window start (inclusive).
+    pub from: SimTime,
+    /// Window end (exclusive).
+    pub until: SimTime,
+}
+
+impl FaultWindow {
+    /// Creates a window.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty window (`until <= from`).
+    #[must_use]
+    pub fn new(from: SimTime, until: SimTime) -> Self {
+        assert!(from < until, "fault window must be non-empty");
+        FaultWindow { from, until }
+    }
+
+    /// Whether `now` falls inside the window.
+    #[must_use]
+    pub fn contains(&self, now: SimTime) -> bool {
+        self.from <= now && now < self.until
+    }
+
+    /// Whether the half-open interval `[from, until)` intersects this
+    /// window. Used to cross attack windows with fault-plan disruption
+    /// windows (e.g. "did this campaign overlap the partition?").
+    #[must_use]
+    pub fn overlaps(&self, from: SimTime, until: SimTime) -> bool {
+        self.from < until && from < self.until
+    }
+}
+
+/// A scripted campaign: fires one [`ThreatKind`] with a fixed per-event
+/// probability, only inside its activity windows.
+///
+/// Outside every window a hook returns before it draws from the RNG or
+/// touches the colluding set or the replay stash, so what the campaign
+/// does inside its windows does not depend on how long the honest
+/// phases last.
 #[derive(Debug)]
 pub struct ScriptedAdversary {
     kind: ThreatKind,
     probability: f64,
     rng: StdRng,
+    /// Where the hooks may fire; one window over all time unless
+    /// [`ScriptedAdversary::within`] narrows it.
+    windows: Vec<FaultWindow>,
     /// Correlations whose decision this adversary corrupted — the
     /// colluding LI suppresses the PDP-side entries for exactly these
     /// ([`ThreatKind::ColludePdpLi`]).
@@ -108,7 +157,7 @@ const REPLAY_STASH_CAP: usize = 64;
 
 impl ScriptedAdversary {
     /// Creates an adversary mounting `kind` with the given per-event
-    /// probability.
+    /// probability, active at every instant.
     ///
     /// # Panics
     ///
@@ -123,15 +172,28 @@ impl ScriptedAdversary {
             kind,
             probability,
             rng: StdRng::seed_from_u64(seed),
+            windows: vec![FaultWindow::new(0, SimTime::MAX)],
             colluding: BTreeSet::new(),
             stash: Vec::new(),
         }
+    }
+
+    /// Restricts the campaign to the union of `windows` (builder style).
+    #[must_use]
+    pub fn within(mut self, windows: Vec<FaultWindow>) -> Self {
+        self.windows = windows;
+        self
     }
 
     /// The threat being mounted.
     #[must_use]
     pub fn kind(&self) -> ThreatKind {
         self.kind
+    }
+
+    /// Whether any activity window covers `now`.
+    fn active_at(&self, now: SimTime) -> bool {
+        self.windows.iter().any(|w| w.contains(now))
     }
 
     fn fires(&mut self) -> bool {
@@ -148,8 +210,8 @@ fn flip_response(response: &mut Response) {
 }
 
 impl Adversary for ScriptedAdversary {
-    fn tamper_request_in_transit(&mut self, envelope: &mut RequestEnvelope, _now: SimTime) -> bool {
-        if self.kind != ThreatKind::TamperRequest || !self.fires() {
+    fn tamper_request_in_transit(&mut self, envelope: &mut RequestEnvelope, now: SimTime) -> bool {
+        if !self.active_at(now) || self.kind != ThreatKind::TamperRequest || !self.fires() {
             return false;
         }
         // Privilege escalation: rewrite the subject role.
@@ -162,18 +224,21 @@ impl Adversary for ScriptedAdversary {
     fn tamper_response_in_transit(
         &mut self,
         envelope: &mut ResponseEnvelope,
-        _now: SimTime,
+        now: SimTime,
     ) -> bool {
-        if self.kind != ThreatKind::TamperResponse || !self.fires() {
+        if !self.active_at(now) || self.kind != ThreatKind::TamperResponse || !self.fires() {
             return false;
         }
         flip_response(&mut envelope.response);
         true
     }
 
-    fn corrupt_pdp_decision(&mut self, envelope: &mut ResponseEnvelope, _now: SimTime) -> bool {
+    fn corrupt_pdp_decision(&mut self, envelope: &mut ResponseEnvelope, now: SimTime) -> bool {
         let colluding = self.kind == ThreatKind::ColludePdpLi;
-        if (self.kind != ThreatKind::CorruptDecision && !colluding) || !self.fires() {
+        if !self.active_at(now)
+            || (self.kind != ThreatKind::CorruptDecision && !colluding)
+            || !self.fires()
+        {
             return false;
         }
         flip_response(&mut envelope.response);
@@ -185,15 +250,18 @@ impl Adversary for ScriptedAdversary {
         true
     }
 
-    fn flip_enforcement(&mut self, granted: &mut bool, _now: SimTime) -> bool {
-        if self.kind != ThreatKind::FlipEnforcement || !self.fires() {
+    fn flip_enforcement(&mut self, granted: &mut bool, now: SimTime) -> bool {
+        if !self.active_at(now) || self.kind != ThreatKind::FlipEnforcement || !self.fires() {
             return false;
         }
         *granted = !*granted;
         true
     }
 
-    fn drop_log(&mut self, entry: &LogEntry, _now: SimTime) -> bool {
+    fn drop_log(&mut self, entry: &LogEntry, now: SimTime) -> bool {
+        if !self.active_at(now) {
+            return false;
+        }
         match self.kind {
             ThreatKind::DropLog => self.fires(),
             // The colluding LI deterministically suppresses the PDP-side
@@ -210,8 +278,8 @@ impl Adversary for ScriptedAdversary {
         }
     }
 
-    fn tamper_log(&mut self, entry: &mut LogEntry, _now: SimTime) -> bool {
-        if self.kind != ThreatKind::TamperLog || !self.fires() {
+    fn tamper_log(&mut self, entry: &mut LogEntry, now: SimTime) -> bool {
+        if !self.active_at(now) || self.kind != ThreatKind::TamperLog || !self.fires() {
             return false;
         }
         // A compromised LI rewriting the comparable digest; it cannot fix
@@ -220,8 +288,8 @@ impl Adversary for ScriptedAdversary {
         true
     }
 
-    fn replay_log(&mut self, entry: &mut LogEntry, _now: SimTime) -> bool {
-        if self.kind != ThreatKind::ReplayLog {
+    fn replay_log(&mut self, entry: &mut LogEntry, now: SimTime) -> bool {
+        if !self.active_at(now) || self.kind != ThreatKind::ReplayLog {
             return false;
         }
         if self.fires() {
@@ -248,7 +316,9 @@ impl Adversary for ScriptedAdversary {
     }
 
     fn swap_policy(&mut self, authorised: &PolicySet) -> Option<PolicySet> {
-        if self.kind != ThreatKind::SwapPolicy {
+        // Policy swap happens at deployment time (virtual time 0): it
+        // fires only when a window covers the start of the run.
+        if !self.active_at(0) || self.kind != ThreatKind::SwapPolicy {
             return None;
         }
         // Replace with an open-door policy: everything is permitted.
@@ -272,6 +342,11 @@ impl Adversary for ScriptedAdversary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::score;
+    use drams_core::logent::ProbeId;
+    use drams_core::monitor::{run_monitor, MonitorConfig};
+    use drams_crypto::aead::{seal, SymmetricKey};
+    use drams_faas::des::{MILLIS, SECONDS};
     use drams_faas::model::{PepId, TenantId};
     use drams_faas::msg::CorrelationId;
     use drams_policy::attr::Request;
@@ -368,5 +443,122 @@ mod tests {
     #[should_panic(expected = "probability must be in [0, 1]")]
     fn invalid_probability_panics() {
         let _ = ScriptedAdversary::new(ThreatKind::DropLog, 1.5, 1);
+    }
+
+    #[test]
+    fn hooks_fire_only_inside_windows() {
+        let mut adv = ScriptedAdversary::new(ThreatKind::TamperRequest, 1.0, 1)
+            .within(vec![FaultWindow::new(100, 200)]);
+        let mut env = request_env();
+        assert!(!adv.tamper_request_in_transit(&mut env, 99));
+        assert!(adv.tamper_request_in_transit(&mut env, 100));
+        assert!(adv.tamper_request_in_transit(&mut env, 199));
+        assert!(!adv.tamper_request_in_transit(&mut env, 200));
+    }
+
+    #[test]
+    fn multiple_windows_are_unioned() {
+        let mut adv = ScriptedAdversary::new(ThreatKind::FlipEnforcement, 1.0, 2)
+            .within(vec![FaultWindow::new(0, 10), FaultWindow::new(50, 60)]);
+        let mut granted = true;
+        assert!(adv.flip_enforcement(&mut granted, 5));
+        assert!(!adv.flip_enforcement(&mut granted, 30));
+        assert!(adv.flip_enforcement(&mut granted, 55));
+    }
+
+    #[test]
+    fn swap_policy_needs_a_window_over_deployment_time() {
+        let authorised = drams_core::monitor::default_policy();
+        let mut late = ScriptedAdversary::new(ThreatKind::SwapPolicy, 1.0, 3)
+            .within(vec![FaultWindow::new(100, 200)]);
+        assert!(late.swap_policy(&authorised).is_none());
+        let mut early = ScriptedAdversary::new(ThreatKind::SwapPolicy, 1.0, 3)
+            .within(vec![FaultWindow::new(0, 200)]);
+        assert!(early.swap_policy(&authorised).is_some());
+    }
+
+    fn log_entry(correlation: u64) -> LogEntry {
+        let key = SymmetricKey::from_bytes([1; 32]);
+        let mut e = LogEntry {
+            correlation: CorrelationId(correlation),
+            point: ObservationPoint::PepRequest,
+            probe: ProbeId(1),
+            digest: Digest::of(&correlation.to_be_bytes()),
+            policy_version: None,
+            observed_at: correlation,
+            sealed_payload: seal(&key, [0; 12], b"", &correlation.to_be_bytes()),
+            probe_mac: Digest::ZERO,
+        };
+        e.probe_mac = e.compute_mac(&[7; 32]);
+        e
+    }
+
+    /// Calls outside the window draw nothing from the RNG and stash
+    /// nothing: the windowed campaign fires on exactly the calls an
+    /// unwindowed twin fires on when it only sees the window's instants,
+    /// and splices the same donors.
+    #[test]
+    fn a_window_does_not_touch_the_campaigns_rng() {
+        let window = FaultWindow::new(100, 200);
+        let mut windowed =
+            ScriptedAdversary::new(ThreatKind::ReplayLog, 0.5, 11).within(vec![window]);
+        let mut twin = ScriptedAdversary::new(ThreatKind::ReplayLog, 0.5, 11);
+        let mut fired = 0;
+        for now in 0..300 {
+            let mut entry = log_entry(now);
+            let hit = windowed.replay_log(&mut entry, now);
+            if window.contains(now) {
+                let mut twin_entry = log_entry(now);
+                assert_eq!(hit, twin.replay_log(&mut twin_entry, now), "call at {now}");
+                assert_eq!(entry, twin_entry, "entry at {now}");
+                fired += u32::from(hit);
+            } else {
+                assert!(!hit, "fired outside the window at {now}");
+                assert_eq!(entry, log_entry(now));
+            }
+        }
+        assert!(fired > 0 && fired < 100, "fired {fired} times in 100 calls");
+    }
+
+    #[test]
+    #[should_panic(expected = "fault window must be non-empty")]
+    fn empty_window_panics() {
+        let _ = FaultWindow::new(10, 10);
+    }
+
+    #[test]
+    fn overlaps_uses_half_open_intervals() {
+        let w = FaultWindow::new(100, 200);
+        assert!(w.overlaps(150, 160)); // fully inside
+        assert!(w.overlaps(50, 101)); // clips the start
+        assert!(w.overlaps(199, 300)); // clips the end
+        assert!(w.overlaps(0, 1_000)); // covers the window
+        assert!(!w.overlaps(0, 100)); // ends exactly at the start
+        assert!(!w.overlaps(200, 300)); // starts exactly at the end
+    }
+
+    /// End-to-end: a windowed campaign only attacks inside the window,
+    /// and everything it does is still detected.
+    #[test]
+    fn windowed_campaign_is_bounded_and_fully_detected() {
+        let config = MonitorConfig {
+            total_requests: 80,
+            request_rate_per_sec: 100.0,
+            group_timeout: 2 * SECONDS,
+            seed: 21,
+            ..MonitorConfig::default()
+        };
+        let mut adv = ScriptedAdversary::new(ThreatKind::TamperResponse, 0.5, 9)
+            .within(vec![FaultWindow::new(200 * MILLIS, 500 * MILLIS)]);
+        let (report, truth) = run_monitor(&config, &mut adv);
+        let s = score(ThreatKind::TamperResponse, &report, &truth);
+        assert!(s.attacks > 0, "the window must see some traffic");
+        assert!(
+            (s.attacks as u64) < config.total_requests / 2,
+            "attacks must be bounded by the window, got {}",
+            s.attacks
+        );
+        assert_eq!(s.detected, s.attacks);
+        assert_eq!(s.false_positives, 0);
     }
 }

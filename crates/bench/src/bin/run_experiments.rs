@@ -21,7 +21,7 @@
 
 #![forbid(unsafe_code)]
 
-use drams_attack::{score, FaultWindow, ScriptedAdversary, ThreatKind, WindowedAdversary};
+use drams_attack::{score, FaultWindow, ScriptedAdversary, ThreatKind};
 use drams_bench::log_entry_of_size;
 use drams_bench::report::{self, Members, Section, Value, REGISTRY};
 use drams_bench::scenarios;
@@ -32,12 +32,11 @@ use drams_chain::fork::integrity_sweep;
 use drams_chain::net::{simulate, NetConfig};
 use drams_chain::node::Node;
 use drams_core::adversary::NoAdversary;
-use drams_core::contract::{MonitorContract, MONITOR_CONTRACT};
+use drams_core::contract::{encode_batch, MonitorContract, MONITOR_CONTRACT};
 use drams_core::monitor::{
     first_divergence, run_monitor, GroundTruth, MonitorConfig, MonitorReport,
 };
 use drams_core::scenario::run_scenario;
-use drams_crypto::codec::Encode;
 use drams_crypto::schnorr::Keypair;
 use drams_faas::des::{MILLIS, SECONDS};
 use drams_faas::model::FederationSpec;
@@ -267,11 +266,11 @@ fn e1_log_size_vs_latency(_: &mut Run) -> Vec<Section> {
         .expect("init");
         node.mine_block(0).expect("mine init");
         let payloads: Vec<Vec<u8>> = (0..ENTRIES)
-            .map(|i| log_entry_of_size(i as u64, payload_bytes).to_canonical_bytes())
+            .map(|i| encode_batch(&[log_entry_of_size(i as u64, payload_bytes)]))
             .collect();
         let start = Instant::now();
         for bytes in payloads {
-            node.submit_call(&li, MONITOR_CONTRACT, "store_log", bytes)
+            node.submit_call(&li, MONITOR_CONTRACT, "store_log_batch", bytes)
                 .expect("submit");
         }
         let mut ts = 1u64;
@@ -398,14 +397,9 @@ fn e3_hybrid_store(_: &mut Run) -> Vec<Section> {
     .expect("init");
     let start = Instant::now();
     for i in 0..ENTRIES {
-        let entry = log_entry_of_size(i, 128);
-        node.submit_call(
-            &li,
-            MONITOR_CONTRACT,
-            "store_log",
-            entry.to_canonical_bytes(),
-        )
-        .expect("submit");
+        let batch = encode_batch(&[log_entry_of_size(i, 128)]);
+        node.submit_call(&li, MONITOR_CONTRACT, "store_log_batch", batch)
+            .expect("submit");
     }
     while node.mempool_len() > 0 {
         node.mine_block(0).expect("mine");
@@ -514,7 +508,7 @@ fn e5_policy_engine_scaling(run: &mut Run) -> Vec<Section> {
             let start = Instant::now();
             let _ = drams_analysis::completeness(&set).expect("analysable");
             let ms = start.elapsed().as_secs_f64() * 1_000.0;
-            completeness.push(format!("{policies} policies {ms:.1} ms"));
+            completeness.push(row! { policies: policies, ms: ms });
         }
         rows.push(row! {
             policies: policies,
@@ -525,9 +519,11 @@ fn e5_policy_engine_scaling(run: &mut Run) -> Vec<Section> {
             speedup_compiled_vs_interpreter: interpreter_us / compiled_us,
         });
     }
-    let scaling = section(run.quick, "e5_pdp_scaling", members! { rows: rows });
-    println!("completeness analysis: {}", completeness.join(", "));
-    vec![scaling]
+    vec![section(
+        run.quick,
+        "e5_pdp_scaling",
+        members! { rows: rows, completeness: completeness },
+    )]
 }
 
 /// E6 — monitoring overhead: probes must sit off the decision path.
@@ -1151,8 +1147,8 @@ fn e13_fault_plane(run: &mut Run) -> Vec<Section> {
     ] {
         let mut spec = scenarios::by_name("lossy_links", run.quick).expect("E13 matrix scenario");
         spec.name = format!("{threat}_under_faults");
-        let inner = ScriptedAdversary::new(threat, 0.1, seed);
-        let mut adversary = WindowedAdversary::new(inner, vec![FaultWindow::new(0, 1500 * MILLIS)]);
+        let mut adversary = ScriptedAdversary::new(threat, 0.1, seed)
+            .within(vec![FaultWindow::new(0, 1500 * MILLIS)]);
         let (report, truth) = run_scenario(&spec, &mut adversary);
         let s = score(threat, &report, &truth);
         detection.push(row! {
@@ -1258,11 +1254,8 @@ fn e14_overload(run: &mut Run) -> Vec<Section> {
     ] {
         let mut spec = scenarios::overload_attack_base(run.quick);
         spec.name = format!("{threat}_under_overload");
-        let inner = ScriptedAdversary::new(threat, 0.05, seed);
-        let mut adversary = WindowedAdversary::new(
-            inner,
-            vec![FaultWindow::new(2 * SECONDS, 6 * SECONDS)], // the spike
-        );
+        let mut adversary = ScriptedAdversary::new(threat, 0.05, seed)
+            .within(vec![FaultWindow::new(2 * SECONDS, 6 * SECONDS)]); // the spike
         let (report, truth) = run_scenario(&spec, &mut adversary);
         // Attacks land on admitted requests only: a shed request carries
         // no evidence and no attack. `shed` proves the overload was real

@@ -1015,8 +1015,8 @@ mod tests {
                 .submit_call(
                     &li,
                     MONITOR_CONTRACT,
-                    "store_log",
-                    drams_crypto::codec::Encode::to_canonical_bytes(&e),
+                    "store_log_batch",
+                    crate::contract::encode_batch(&[e]),
                 )
                 .unwrap();
         }
@@ -1092,8 +1092,8 @@ mod tests {
                 .submit_call(
                     &li,
                     MONITOR_CONTRACT,
-                    "store_log",
-                    drams_crypto::codec::Encode::to_canonical_bytes(&e),
+                    "store_log_batch",
+                    crate::contract::encode_batch(&[e]),
                 )
                 .unwrap();
         }
@@ -1152,8 +1152,8 @@ mod tests {
                 .submit_call(
                     &li,
                     MONITOR_CONTRACT,
-                    "store_log",
-                    drams_crypto::codec::Encode::to_canonical_bytes(&e),
+                    "store_log_batch",
+                    crate::contract::encode_batch(&[e]),
                 )
                 .unwrap();
         }
@@ -1174,7 +1174,7 @@ mod tests {
             alerts.is_empty(),
             "honest chain must audit clean: {alerts:?}"
         );
-        // init tx + 4 store_log txs were independently re-verified.
+        // init tx + 4 one-entry store_log_batch txs were independently re-verified.
         assert!(
             r.analyser.audited_txs() >= 5,
             "{}",
@@ -2318,7 +2318,12 @@ mod tests {
         let li = Keypair::from_seed(b"li");
         for e in &entries {
             r.node
-                .submit_call(&li, MONITOR_CONTRACT, "store_log", e.to_canonical_bytes())
+                .submit_call(
+                    &li,
+                    MONITOR_CONTRACT,
+                    "store_log_batch",
+                    crate::contract::encode_batch(std::slice::from_ref(e)),
+                )
                 .unwrap();
         }
         r.node.mine_block(1_000).unwrap();

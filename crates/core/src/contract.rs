@@ -431,10 +431,6 @@ impl SmartContract for MonitorContract {
     ) -> Result<(), String> {
         match method {
             "init" => Self::handle_init(ctx, payload),
-            "store_log" => {
-                let entry = LogEntryRef::from_bytes(payload).map_err(|e| e.to_string())?;
-                Self::store_entry(ctx, &entry, payload)
-            }
             "store_log_batch" => {
                 let mut r = Reader::new(payload);
                 let n = r.get_varint().map_err(|e| e.to_string())? as usize;
@@ -516,8 +512,13 @@ mod tests {
     }
 
     fn submit_entry(node: &mut Node, li: &Keypair, e: &LogEntry) {
-        node.submit_call(li, MONITOR_CONTRACT, "store_log", e.to_canonical_bytes())
-            .unwrap();
+        node.submit_call(
+            li,
+            MONITOR_CONTRACT,
+            "store_log_batch",
+            encode_batch(std::slice::from_ref(e)),
+        )
+        .unwrap();
     }
 
     fn alert_events(node: &Node) -> Vec<Alert> {

@@ -64,8 +64,9 @@ pub struct LoggingInterface {
 impl LoggingInterface {
     /// Creates an LI.
     ///
-    /// `batch_size` controls how many entries ride in one transaction
-    /// (the E8 ablation sweeps it); 1 disables batching.
+    /// `batch_size` controls how many entries ride in one
+    /// `store_log_batch` transaction (the E8 ablation sweeps it); at 1
+    /// every entry is a one-entry batch.
     ///
     /// # Panics
     ///
@@ -247,7 +248,9 @@ impl LoggingInterface {
         }
     }
 
-    /// Submits all buffered entries now (e.g. on a flush-interval tick).
+    /// Submits all buffered entries now (e.g. on a flush-interval tick)
+    /// as one `store_log_batch` transaction, and returns its id (none
+    /// when nothing is buffered or the LI is offline).
     ///
     /// # Errors
     ///
@@ -274,32 +277,16 @@ impl LoggingInterface {
             self.buffer = unconsumed(wal).map_err(|e| ChainError::Journal(e.to_string()))?;
             self.spilled = 0;
         }
-        let mut ids = Vec::new();
-        if self.batch_size == 1 {
-            // One tx per entry.
-            for entry in &self.buffer {
-                let id = node.submit_call(
-                    &self.keypair,
-                    MONITOR_CONTRACT,
-                    "store_log",
-                    drams_crypto::codec::Encode::to_canonical_bytes(entry),
-                )?;
-                ids.push(id);
-            }
-        } else {
-            // Encode the batch exactly once, into a payload pre-sized
-            // from the previous flush, and sign it with the keypair's
-            // cached public key (no per-batch key re-derivation).
-            let mut w = Writer::with_capacity(self.batch_bytes_hint);
-            encode_batch_into(&self.buffer, &mut w);
-            let payload = w.into_bytes();
-            self.batch_bytes_hint = self.batch_bytes_hint.max(payload.len());
-            let id =
-                node.submit_call(&self.keypair, MONITOR_CONTRACT, "store_log_batch", payload)?;
-            ids.push(id);
-        }
+        // Encode the batch exactly once, into a payload pre-sized from
+        // the previous flush, and sign it with the keypair's cached
+        // public key (no per-batch key re-derivation).
+        let mut w = Writer::with_capacity(self.batch_bytes_hint);
+        encode_batch_into(&self.buffer, &mut w);
+        let payload = w.into_bytes();
+        self.batch_bytes_hint = self.batch_bytes_hint.max(payload.len());
+        let id = node.submit_call(&self.keypair, MONITOR_CONTRACT, "store_log_batch", payload)?;
         self.submitted_entries += self.buffer.len() as u64;
-        self.submitted_txs += ids.len() as u64;
+        self.submitted_txs += 1;
         self.buffer.clear();
         if let Some(wal) = &mut self.backlog {
             // Everything journaled so far is now owed by the chain, not
@@ -313,7 +300,7 @@ impl LoggingInterface {
                 .and_then(|()| wal.prune_through(consumed).map(|_| ()))
                 .map_err(|e| ChainError::Journal(e.to_string()))?;
         }
-        Ok(ids)
+        Ok(vec![id])
     }
 
     /// Decrypts a stored entry's payload (the LI's "decryption function",

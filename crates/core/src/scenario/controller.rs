@@ -21,24 +21,17 @@ use rand::Rng;
 /// committed — the ground-truth labelling for a withheld commit.
 fn logged_entry_keys(tx: &Transaction) -> Vec<(CorrelationId, ObservationPoint)> {
     let mut out = Vec::new();
-    match tx.method.as_str() {
-        "store_log" => {
-            if let Ok(entry) = LogEntry::from_canonical_bytes(&tx.payload) {
-                out.push((entry.correlation, entry.point));
+    if tx.method != "store_log_batch" {
+        return out;
+    }
+    let mut r = Reader::new(&tx.payload);
+    if let Ok(n) = r.get_varint() {
+        for _ in 0..n {
+            match LogEntry::decode(&mut r) {
+                Ok(e) => out.push((e.correlation, e.point)),
+                Err(_) => break,
             }
         }
-        "store_log_batch" => {
-            let mut r = Reader::new(&tx.payload);
-            if let Ok(n) = r.get_varint() {
-                for _ in 0..n {
-                    match LogEntry::decode(&mut r) {
-                        Ok(e) => out.push((e.correlation, e.point)),
-                        Err(_) => break,
-                    }
-                }
-            }
-        }
-        _ => {}
     }
     out
 }
@@ -245,8 +238,7 @@ impl Controller {
                     // consequential cascade the ground truth could not
                     // label entry-by-entry.
                     let is_log_tx = |tx: &&Transaction| {
-                        tx.contract == MONITOR_CONTRACT
-                            && (tx.method == "store_log" || tx.method == "store_log_batch")
+                        tx.contract == MONITOR_CONTRACT && tx.method == "store_log_batch"
                     };
                     let sender = ctx
                         .node

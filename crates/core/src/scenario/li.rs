@@ -13,22 +13,18 @@ use drams_faas::fault::Site;
 use drams_faas::transport::WireRole;
 use std::collections::HashMap;
 
+/// Files the pending entries' observation times under the flush's
+/// transaction (a flush submits at most one).
 fn assign_tx_times(
     pending: &mut Vec<SimTime>,
     ids: &[TxId],
     tx_entry_times: &mut HashMap<TxId, Vec<SimTime>>,
 ) {
-    if ids.is_empty() || pending.is_empty() {
+    if pending.is_empty() {
         return;
     }
-    if ids.len() == 1 {
-        tx_entry_times.entry(ids[0]).or_default().append(pending);
-    } else {
-        // one tx per entry, in order
-        for (id, t) in ids.iter().zip(pending.drain(..)) {
-            tx_entry_times.entry(*id).or_default().push(t);
-        }
-        pending.clear();
+    if let Some(id) = ids.first() {
+        tx_entry_times.entry(*id).or_default().append(pending);
     }
 }
 

@@ -8,9 +8,7 @@
 //! family once, so any budget that includes the prelude exercises the
 //! whole threat matrix; seeds beyond it draw the class at random.
 
-use drams_attack::{FaultWindow, ScriptedAdversary, ThreatKind, WindowedAdversary};
-use drams_core::adversary::{Adversary, NoAdversary};
-use drams_core::logent::LogEntry;
+use drams_attack::{CompositeAdversary, FaultWindow, ScriptedAdversary, ThreatKind};
 use drams_core::monitor::MonitorConfig;
 use drams_core::scenario::{
     CrashTarget, DiurnalBand, FlashCrowd, LoadProfile, PdpPlacement, Phase, ScenarioSpec,
@@ -19,7 +17,6 @@ use drams_core::scenario::{
 use drams_faas::des::{SimTime, MILLIS};
 use drams_faas::fault::{FaultPlan, LinkFault, PartitionWindow, Site};
 use drams_faas::model::{CloudId, FederationSpec, TenantId};
-use drams_faas::msg::{RequestEnvelope, ResponseEnvelope};
 use drams_policy::attr::{AttributeId, Category};
 use drams_policy::combining::CombiningAlg;
 use drams_policy::decision::Effect;
@@ -99,23 +96,24 @@ pub enum AttackPlan {
 }
 
 impl AttackPlan {
-    /// Builds the adversary this plan describes. Called once per run —
-    /// the crash-twin oracle builds it twice from the same plan so both
-    /// runs see an identical hook sequence.
+    /// Builds the adversary this plan describes: an empty composite for
+    /// the honest plan, else one windowed campaign. Called once per run
+    /// — the crash-twin oracle builds it twice from the same plan so
+    /// both runs see an identical hook sequence.
     #[must_use]
-    pub fn build(&self) -> PlannedAdversary {
+    pub fn build(&self) -> CompositeAdversary {
         match self {
-            AttackPlan::Honest => PlannedAdversary::Honest(NoAdversary),
+            AttackPlan::Honest => CompositeAdversary::new(),
             AttackPlan::Campaign {
                 kind,
                 permille,
                 from,
                 until,
                 adversary_seed,
-            } => PlannedAdversary::Campaign(WindowedAdversary::new(
-                ScriptedAdversary::new(*kind, f64::from(*permille) / 1000.0, *adversary_seed),
-                vec![FaultWindow::new(*from, *until)],
-            )),
+            } => CompositeAdversary::new().with_part(
+                ScriptedAdversary::new(*kind, f64::from(*permille) / 1000.0, *adversary_seed)
+                    .within(vec![FaultWindow::new(*from, *until)]),
+            ),
         }
     }
 
@@ -125,79 +123,6 @@ impl AttackPlan {
         match self {
             AttackPlan::Honest => None,
             AttackPlan::Campaign { kind, .. } => Some(*kind),
-        }
-    }
-}
-
-/// The adversary built from an [`AttackPlan`] — a closed enum rather
-/// than a trait object so the same plan can be rebuilt bit-identically
-/// for twin runs.
-#[derive(Debug)]
-pub enum PlannedAdversary {
-    /// No hooks fire.
-    Honest(NoAdversary),
-    /// A windowed scripted campaign.
-    Campaign(WindowedAdversary<ScriptedAdversary>),
-}
-
-impl Adversary for PlannedAdversary {
-    fn tamper_request_in_transit(&mut self, envelope: &mut RequestEnvelope, now: SimTime) -> bool {
-        match self {
-            PlannedAdversary::Honest(a) => a.tamper_request_in_transit(envelope, now),
-            PlannedAdversary::Campaign(a) => a.tamper_request_in_transit(envelope, now),
-        }
-    }
-
-    fn tamper_response_in_transit(
-        &mut self,
-        envelope: &mut ResponseEnvelope,
-        now: SimTime,
-    ) -> bool {
-        match self {
-            PlannedAdversary::Honest(a) => a.tamper_response_in_transit(envelope, now),
-            PlannedAdversary::Campaign(a) => a.tamper_response_in_transit(envelope, now),
-        }
-    }
-
-    fn swap_policy(&mut self, authorised: &PolicySet) -> Option<PolicySet> {
-        match self {
-            PlannedAdversary::Honest(a) => a.swap_policy(authorised),
-            PlannedAdversary::Campaign(a) => a.swap_policy(authorised),
-        }
-    }
-
-    fn corrupt_pdp_decision(&mut self, envelope: &mut ResponseEnvelope, now: SimTime) -> bool {
-        match self {
-            PlannedAdversary::Honest(a) => a.corrupt_pdp_decision(envelope, now),
-            PlannedAdversary::Campaign(a) => a.corrupt_pdp_decision(envelope, now),
-        }
-    }
-
-    fn flip_enforcement(&mut self, granted: &mut bool, now: SimTime) -> bool {
-        match self {
-            PlannedAdversary::Honest(a) => a.flip_enforcement(granted, now),
-            PlannedAdversary::Campaign(a) => a.flip_enforcement(granted, now),
-        }
-    }
-
-    fn drop_log(&mut self, entry: &LogEntry, now: SimTime) -> bool {
-        match self {
-            PlannedAdversary::Honest(a) => a.drop_log(entry, now),
-            PlannedAdversary::Campaign(a) => a.drop_log(entry, now),
-        }
-    }
-
-    fn tamper_log(&mut self, entry: &mut LogEntry, now: SimTime) -> bool {
-        match self {
-            PlannedAdversary::Honest(a) => a.tamper_log(entry, now),
-            PlannedAdversary::Campaign(a) => a.tamper_log(entry, now),
-        }
-    }
-
-    fn replay_log(&mut self, entry: &mut LogEntry, now: SimTime) -> bool {
-        match self {
-            PlannedAdversary::Honest(a) => a.replay_log(entry, now),
-            PlannedAdversary::Campaign(a) => a.replay_log(entry, now),
         }
     }
 }

@@ -5,9 +5,7 @@
 //! [`AnchoredStore`] couples a [`KvLog`] with a chain
 //! node, anchoring every sealed segment and answering audits.
 
-use crate::error::StoreError;
 use crate::kvlog::KvLog;
-use crate::wal::Wal;
 use drams_chain::contract::{ExecutionContext, SmartContract};
 use drams_chain::error::ChainError;
 use drams_chain::node::Node;
@@ -91,13 +89,6 @@ pub struct AnchoredStore {
     log: KvLog,
     keypair: Keypair,
     anchors_submitted: u64,
-    /// Optional durable journal of appended entries. When attached,
-    /// every entry is written ahead to the WAL (whose [`crate::backend::Durability`]
-    /// decides whether that write is synced immediately or only on an
-    /// explicit [`AnchoredStore::sync`]) and [`AnchoredStore::recover`]
-    /// rebuilds the in-memory log — including segment Merkle roots —
-    /// after a crash.
-    wal: Option<Wal>,
 }
 
 impl std::fmt::Debug for AnchoredStore {
@@ -121,76 +112,7 @@ impl AnchoredStore {
             log: KvLog::new(anchor_period),
             keypair,
             anchors_submitted: 0,
-            wal: None,
         }
-    }
-
-    /// Creates a store whose appended entries are journaled ahead into
-    /// `wal`. The WAL's configured durability decides when journal
-    /// writes are synced — explicit instead of implicit: in-memory for
-    /// unit tests, buffered for benches, flushed for crash-recovery.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `anchor_period` is 0.
-    #[must_use]
-    pub fn new_durable(anchor_period: usize, keypair: Keypair, wal: Wal) -> Self {
-        let mut store = AnchoredStore::new(anchor_period, keypair);
-        store.wal = Some(wal);
-        store
-    }
-
-    /// Rebuilds a durable store from its WAL after a crash: every
-    /// journaled entry is re-appended, deterministically re-sealing the
-    /// same segments with the same Merkle roots (anchor *submission* is
-    /// the chain's business — the on-chain anchors are already durable
-    /// there).
-    ///
-    /// Unlike the Logging Interface's backlog WAL, this journal is never
-    /// snapshotted or pruned: the [`KvLog`] serves reads over its entire
-    /// history, so the WAL is the store's full durable mirror — it grows
-    /// exactly with the data, not beyond it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates WAL replay failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `anchor_period` is 0.
-    pub fn recover(anchor_period: usize, keypair: Keypair, wal: Wal) -> Result<Self, StoreError> {
-        let mut log = KvLog::new(anchor_period);
-        let mut sealed = 0;
-        for (_, entry) in wal.replay()? {
-            if log.append(entry).1.is_some() {
-                sealed += 1;
-            }
-        }
-        Ok(AnchoredStore {
-            log,
-            keypair,
-            anchors_submitted: sealed,
-            wal: Some(wal),
-        })
-    }
-
-    /// Forces buffered journal writes to durable storage (meaningful
-    /// under [`crate::backend::Durability::Buffered`]; a no-op without a
-    /// WAL or under `Flushed`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend sync failures.
-    pub fn sync(&mut self) -> Result<(), StoreError> {
-        if let Some(wal) = &mut self.wal {
-            wal.sync()?;
-        }
-        Ok(())
-    }
-
-    /// The attached journal, if any (crash-recovery harness hook).
-    pub fn take_wal(&mut self) -> Option<Wal> {
-        self.wal.take()
     }
 
     /// The underlying log (read-only).
@@ -224,12 +146,6 @@ impl AnchoredStore {
         entry: Vec<u8>,
         node: &mut Node,
     ) -> Result<(u64, Option<TxId>), ChainError> {
-        if let Some(wal) = &mut self.wal {
-            // Write-ahead: the journal record lands (per the WAL's
-            // durability policy) before the in-memory log accepts.
-            wal.append(&entry)
-                .map_err(|e| ChainError::Journal(e.to_string()))?;
-        }
         let (seq, sealed) = self.log.append(entry);
         if let Some(segment) = sealed {
             let payload = AnchorContract::anchor_payload(segment.index, segment.root());
@@ -359,52 +275,6 @@ mod tests {
         store.append(entry(3), &mut node).unwrap();
         node.mine_block(1_000).unwrap();
         assert_eq!(store.audit(1, &node), AuditOutcome::Verified);
-    }
-
-    #[test]
-    fn durable_store_recovers_with_identical_roots() {
-        use crate::backend::{Durability, MemBackend};
-        use crate::wal::{Wal, WalConfig};
-
-        let (_, mut node) = setup(4);
-        let wal = Wal::open(
-            Box::new(MemBackend::new()),
-            WalConfig {
-                segment_records: 16,
-                durability: Durability::Flushed,
-            },
-        )
-        .unwrap();
-        let mut store = AnchoredStore::new_durable(4, Keypair::from_seed(b"store"), wal);
-        for i in 0..10 {
-            store.append(entry(i), &mut node).unwrap();
-        }
-        node.mine_block(1_000).unwrap();
-        let roots: Vec<_> = store
-            .log()
-            .segments()
-            .iter()
-            .map(crate::kvlog::Segment::root)
-            .collect();
-        let mut wal = store.take_wal().unwrap();
-        drop(store); // the process dies
-        wal.simulate_crash().unwrap();
-
-        let recovered = AnchoredStore::recover(4, Keypair::from_seed(b"store"), wal).unwrap();
-        assert_eq!(recovered.log().len(), 10);
-        assert_eq!(recovered.log().unsealed_len(), 2);
-        assert_eq!(recovered.anchors_submitted(), 2);
-        let recovered_roots: Vec<_> = recovered
-            .log()
-            .segments()
-            .iter()
-            .map(crate::kvlog::Segment::root)
-            .collect();
-        assert_eq!(roots, recovered_roots, "re-sealed Merkle roots match");
-        // Audits against the pre-crash on-chain anchors still verify.
-        assert_eq!(recovered.audit(0, &node), AuditOutcome::Verified);
-        assert_eq!(recovered.audit(7, &node), AuditOutcome::Verified);
-        assert_eq!(recovered.audit(9, &node), AuditOutcome::InExposureWindow);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use drams::chain::block::Block;
 use drams::chain::chain::{ChainConfig, ImportOutcome};
 use drams::chain::contract::TxStatus;
 use drams::chain::node::Node;
-use drams::core::contract::{MonitorContract, MONITOR_CONTRACT};
+use drams::core::contract::{encode_batch, MonitorContract, MONITOR_CONTRACT};
 use drams::core::logent::{LogEntry, ObservationPoint, ProbeId};
 use drams_crypto::aead::{seal, SymmetricKey};
 use drams_crypto::codec::{Decode, Encode};
@@ -58,7 +58,7 @@ fn follower_reproduces_identical_contract_state() {
     for point in ObservationPoint::ALL {
         let e = entry(1, point, b"same");
         miner
-            .submit_call(&li, MONITOR_CONTRACT, "store_log", e.to_canonical_bytes())
+            .submit_call(&li, MONITOR_CONTRACT, "store_log_batch", encode_batch(&[e]))
             .unwrap();
     }
     let b1 = miner.mine_block(1_000).unwrap().clone();
@@ -80,7 +80,7 @@ fn reorg_replays_monitoring_evidence_deterministically() {
 
     // Main branch: one block with a log entry.
     let e = entry(7, ObservationPoint::PepRequest, b"x");
-    node.submit_call(&li, MONITOR_CONTRACT, "store_log", e.to_canonical_bytes())
+    node.submit_call(&li, MONITOR_CONTRACT, "store_log_batch", encode_batch(&[e]))
         .unwrap();
     node.mine_block(1_000).unwrap();
     let events_before = node.events().len();
@@ -110,7 +110,7 @@ fn receipts_track_all_submissions() {
     for i in 0..20u64 {
         let e = entry(i, ObservationPoint::PepRequest, b"d");
         let id = node
-            .submit_call(&li, MONITOR_CONTRACT, "store_log", e.to_canonical_bytes())
+            .submit_call(&li, MONITOR_CONTRACT, "store_log_batch", encode_batch(&[e]))
             .unwrap();
         ids.push(id);
     }
@@ -134,7 +134,7 @@ proptest! {
     fn corrupted_blocks_never_silently_replace(flip_byte in 0usize..200, flip_bit in 0usize..8) {
         let (mut node, li) = monitor_node();
         let e = entry(1, ObservationPoint::PepRequest, b"x");
-        node.submit_call(&li, MONITOR_CONTRACT, "store_log", e.to_canonical_bytes()).unwrap();
+        node.submit_call(&li, MONITOR_CONTRACT, "store_log_batch", encode_batch(&[e])).unwrap();
         let block = node.mine_block(1_000).unwrap().clone();
 
         let mut bytes = block.to_canonical_bytes();

@@ -3,7 +3,7 @@
 //! byte-for-byte, and the E10 named scenarios must behave as their
 //! specs claim.
 
-use drams::attack::{score, FaultWindow, ScriptedAdversary, ThreatKind, WindowedAdversary};
+use drams::attack::{score, FaultWindow, ScriptedAdversary, ThreatKind};
 use drams::core::adversary::NoAdversary;
 use drams::core::alert::AlertKind;
 use drams::core::monitor::{first_divergence, run_monitor, MonitorConfig};
@@ -152,9 +152,8 @@ fn federated_pdp_scenario_beats_central_on_decision_latency() {
 fn windowed_adversary_inside_scenario_is_detected() {
     let mut spec = scenarios::by_name("steady_state", true).expect("named scenario");
     spec.config.group_timeout = 2 * SECONDS;
-    let inner = ScriptedAdversary::new(ThreatKind::CorruptDecision, 0.5, 5);
-    let mut adversary =
-        WindowedAdversary::new(inner, vec![FaultWindow::new(100 * MILLIS, 400 * MILLIS)]);
+    let mut adversary = ScriptedAdversary::new(ThreatKind::CorruptDecision, 0.5, 5)
+        .within(vec![FaultWindow::new(100 * MILLIS, 400 * MILLIS)]);
     let (report, truth) = run_scenario(&spec, &mut adversary);
     let s = score(ThreatKind::CorruptDecision, &report, &truth);
     assert!(s.attacks > 0);
