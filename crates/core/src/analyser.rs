@@ -26,10 +26,10 @@ use drams_crypto::schnorr::Keypair;
 use drams_crypto::sha256::Digest;
 use drams_faas::des::SimTime;
 use drams_faas::msg::{CorrelationId, RequestEnvelope, ResponseEnvelope};
+use drams_faas::pep::EnforcementBias;
 use drams_policy::compiled::PreparedPolicySet;
-use drams_policy::decision::Decision;
 use drams_policy::policy::PolicySet;
-use drams_store::{SnapshotStore, StoreError};
+use drams_store::{MemBackend, SnapshotStore, StoreError};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -107,6 +107,11 @@ pub struct Analyser {
     verifier: DecisionVerifier,
     key: SymmetricKey,
     keypair: Keypair,
+    /// The bias the deployment's PEPs enforce with: the enforcement
+    /// cross-check expects exactly the grants it makes. Provisioned
+    /// configuration, like the key: not checkpointed, kept across a
+    /// [`Analyser::crash_restart`].
+    bias: EnforcementBias,
     probe_mac_keys: BTreeMap<ProbeId, ProbeMacKey>,
     event_cursor: usize,
     checked_groups: u64,
@@ -132,11 +137,11 @@ pub struct Analyser {
     /// persisting fork is alerted exactly once across polls (and across
     /// Analyser restarts — the set is checkpointed).
     alerted_fork_parents: BTreeSet<[u8; 32]>,
-    /// Optional durable checkpoint. When attached, [`Analyser::checkpoint`]
-    /// persists cursors and probe keys every time and the policy history
-    /// when it changed, and [`Analyser::recover`] resumes a restarted
-    /// Analyser without re-scanning the chain or re-raising alerts.
-    checkpoint_store: Option<SnapshotStore>,
+    /// The durable checkpoint: [`Analyser::checkpoint`] persists cursors
+    /// and probe keys every time and the policy history when it changed,
+    /// and [`Analyser::crash_restart`] resumes from it without re-scanning
+    /// the chain or re-raising alerts.
+    checkpoint_store: SnapshotStore,
     /// Windowed decision-group retirement (see
     /// [`Analyser::enable_group_retirement`]). `0` = off.
     retire_lag: SimTime,
@@ -169,7 +174,10 @@ impl Analyser {
     ///
     /// `probe_mac_keys` are obtained from the tenant TPMs at provisioning
     /// time; `keypair` must match the address registered with the monitor
-    /// contract's `init`.
+    /// contract's `init`. The Analyser checkpoints to an in-memory store
+    /// ([`Analyser::attach_checkpoint`] picks another) and judges
+    /// enforcement as deny-biased ([`Analyser::set_enforcement_bias`]
+    /// sets the deployment's bias).
     #[must_use]
     pub fn new(
         authorised_policy: impl std::borrow::Borrow<PolicySet>,
@@ -196,6 +204,7 @@ impl Analyser {
             verifier: DecisionVerifier::from_prepared(prepared),
             key,
             keypair,
+            bias: EnforcementBias::DenyBiased,
             probe_mac_keys: probe_mac_keys
                 .into_iter()
                 .map(|(probe, key)| (probe, key.into()))
@@ -208,7 +217,7 @@ impl Analyser {
             history_dirty: true,
             fork_detection: false,
             alerted_fork_parents: BTreeSet::new(),
-            checkpoint_store: None,
+            checkpoint_store: SnapshotStore::new(Box::new(MemBackend::new())),
             retire_lag: 0,
             pending_retire: VecDeque::new(),
             groups_retired: 0,
@@ -278,10 +287,10 @@ impl Analyser {
         self.fork_detection = true;
     }
 
-    /// The signing identity (register its fingerprint with the contract).
-    #[must_use]
-    pub fn keypair(&self) -> &Keypair {
-        &self.keypair
+    /// Sets the bias the deployment's PEPs enforce with, which the
+    /// enforcement cross-check applies.
+    pub fn set_enforcement_bias(&mut self, bias: EnforcementBias) {
+        self.bias = bias;
     }
 
     /// Groups fully checked so far.
@@ -329,32 +338,27 @@ impl Analyser {
         self.probe_mac_keys.insert(probe, key.into());
     }
 
-    /// Attaches a durable checkpoint store and immediately writes a
-    /// first checkpoint — both records — so a crash at any later point
-    /// finds a valid baseline to resume from.
+    /// Replaces the checkpoint store with `store`, on another medium, and
+    /// immediately writes a first checkpoint — both records — so a crash
+    /// at any later point finds a valid baseline to resume from.
     ///
     /// # Errors
     ///
     /// Propagates snapshot write failures.
     pub fn attach_checkpoint(&mut self, store: SnapshotStore) -> Result<(), StoreError> {
-        self.checkpoint_store = Some(store);
+        self.checkpoint_store = store;
         // Whatever this store holds, it does not hold this history.
         self.history_dirty = true;
         self.checkpoint()
     }
 
-    /// Detaches and returns the checkpoint store (crash-recovery hook).
-    pub fn detach_checkpoint(&mut self) -> Option<SnapshotStore> {
-        self.checkpoint_store.take()
-    }
-
-    /// Persists the verification checkpoint if a store is attached (no-op
-    /// otherwise). Deployments decide the cadence and the failure
-    /// policy: the scenario runtime checkpoints after every poll,
-    /// provisioning event and policy publication, and treats a write
-    /// failure as fatal there; a library caller may instead retry or
-    /// degrade (the only cost of a stale checkpoint is re-checking —
-    /// and thus re-reporting — groups completed since it was written).
+    /// Persists the verification checkpoint. Deployments decide the
+    /// cadence and the failure policy: the scenario runtime checkpoints
+    /// after every poll, provisioning event and policy publication, and
+    /// treats a write failure as fatal there; a library caller may
+    /// instead retry or degrade (the only cost of a stale checkpoint is
+    /// re-checking — and thus re-reporting — groups completed since it
+    /// was written).
     ///
     /// # Layout (version 6)
     ///
@@ -395,9 +399,7 @@ impl Analyser {
     /// starts over (a half-done history change is written again), so a
     /// failed checkpoint never needs repair, only a retry.
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
-        let Some(store) = &mut self.checkpoint_store else {
-            return Ok(());
-        };
+        let store = &mut self.checkpoint_store;
         let generation = self.history_generation + u64::from(self.history_dirty);
         if self.history_dirty {
             let versions = self.verifier.authorised_versions();
@@ -499,6 +501,39 @@ impl Analyser {
         keypair: Keypair,
         mut store: SnapshotStore,
     ) -> Result<Self, StoreError> {
+        let mut analyser = Analyser::restore(key, keypair, &mut store)?;
+        analyser.checkpoint_store = store;
+        Ok(analyser)
+    }
+
+    /// Restarts the Analyser process in place: everything it holds in
+    /// memory is lost, and it resumes from its own checkpoint store as
+    /// [`Analyser::recover`] does, with the key, keypair and enforcement
+    /// bias it was provisioned with. On an error the Analyser is left as
+    /// it was.
+    ///
+    /// # Errors
+    ///
+    /// As [`Analyser::recover`].
+    pub fn crash_restart(&mut self) -> Result<(), StoreError> {
+        let mut restarted = Analyser::restore(
+            self.key.clone(),
+            self.keypair.clone(),
+            &mut self.checkpoint_store,
+        )?;
+        restarted.bias = self.bias;
+        std::mem::swap(&mut restarted.checkpoint_store, &mut self.checkpoint_store);
+        *self = restarted;
+        Ok(())
+    }
+
+    /// [`Analyser::recover`]'s reading of `store`, into an Analyser that
+    /// holds a fresh in-memory store of its own.
+    fn restore(
+        key: SymmetricKey,
+        keypair: Keypair,
+        store: &mut SnapshotStore,
+    ) -> Result<Self, StoreError> {
         let Some((_, bytes)) = store.load()? else {
             return Err(StoreError::NotFound("analyser checkpoint".into()));
         };
@@ -578,7 +613,6 @@ impl Analyser {
         analyser.pending_retire = pending_retire;
         analyser.history_retention = history_retention;
         analyser.policy_history_retired = policy_history_retired;
-        analyser.checkpoint_store = Some(store);
         Ok(analyser)
     }
 
@@ -849,9 +883,7 @@ impl Analyser {
         else {
             return alerts;
         };
-        // Deny-biased reference: only an explicit Permit grants.
-        let should_grant = envelope.response.decision == Decision::Permit;
-        if granted != should_grant {
+        if granted != self.bias.grants(envelope.response.decision) {
             alerts.push(Alert::new(
                 AlertKind::EnforcementMismatch,
                 corr,
@@ -1290,12 +1322,8 @@ mod tests {
 
     #[test]
     fn recovered_analyser_resumes_without_rescanning_or_realerts() {
-        use drams_store::{MemBackend, SnapshotStore};
-
         let mut r = rig();
-        r.analyser
-            .attach_checkpoint(SnapshotStore::new(Box::new(MemBackend::new())))
-            .unwrap();
+        r.analyser.checkpoint().unwrap();
         // One dirty group (would alert) and one clean one, both polled
         // and therefore checkpointed as already-checked.
         let lie = Response::new(drams_policy::decision::ExtDecision::Permit, vec![]);
@@ -1310,24 +1338,58 @@ mod tests {
         r.analyser
             .publish_authorised_policy(crate::monitor::default_policy(), 3_500);
         r.analyser.checkpoint().unwrap();
-        let store = r.analyser.detach_checkpoint().unwrap();
-
-        let mut recovered =
-            Analyser::recover(r.key.clone(), Keypair::from_seed(b"analyser"), store).unwrap();
-        assert_eq!(recovered.checked_groups(), checked);
-        assert_eq!(recovered.audited_txs(), audited);
+        r.analyser.crash_restart().unwrap();
+        assert_eq!(r.analyser.checked_groups(), checked);
+        assert_eq!(r.analyser.audited_txs(), audited);
         // Polling the same chain re-raises nothing: the dirty group was
         // already checked before the crash.
         assert!(
-            recovered.poll(&mut r.node, 4_000).is_empty(),
+            r.analyser.poll(&mut r.node, 4_000).is_empty(),
             "a recovered analyser must not re-alert"
         );
-        assert_eq!(recovered.checked_groups(), checked);
+        assert_eq!(r.analyser.checked_groups(), checked);
         // New groups after recovery are still checked (with the policy
         // history intact: the new authorised version applies).
         run_group(&mut r, 3, "doctor", honest_response("doctor"), true);
-        assert!(recovered.poll(&mut r.node, 5_000).is_empty());
-        assert_eq!(recovered.checked_groups(), checked + 1);
+        assert!(r.analyser.poll(&mut r.node, 5_000).is_empty());
+        assert_eq!(r.analyser.checked_groups(), checked + 1);
+    }
+
+    /// Six polls, each after one dirty group (a lying PDP) has completed,
+    /// checkpointing after each; `crash_after(i)` says whether the
+    /// Analyser crash-restarts after poll `i` (0 = before the first).
+    fn six_poll_run(crash_after: impl Fn(u64) -> bool) -> Vec<Alert> {
+        let mut r = rig();
+        r.analyser.checkpoint().unwrap();
+        let lie = Response::new(drams_policy::decision::ExtDecision::Permit, vec![]);
+        let mut alerts = Vec::new();
+        for poll in 0..=6 {
+            if poll > 0 {
+                run_group(&mut r, poll, "nurse", lie.clone(), true);
+                alerts.extend(r.analyser.poll(&mut r.node, 1_000 * poll + 500));
+                r.analyser.checkpoint().unwrap();
+            }
+            if crash_after(poll) {
+                r.analyser.crash_restart().unwrap();
+            }
+        }
+        r.node.mine_block(10_000).unwrap();
+        assert!(r.analyser.poll(&mut r.node, 10_500).is_empty());
+        assert_eq!(r.analyser.checked_groups(), 6);
+        alerts
+    }
+
+    #[test]
+    fn a_crash_at_any_poll_boundary_raises_the_same_alerts_in_order() {
+        let uncrashed = six_poll_run(|_| false);
+        assert_eq!(uncrashed.len(), 6);
+        for k in 0..=6 {
+            assert_eq!(
+                six_poll_run(|poll| poll == k),
+                uncrashed,
+                "crash after poll {k}"
+            );
+        }
     }
 
     #[test]
@@ -1356,24 +1418,17 @@ mod tests {
 
     #[test]
     fn retirement_state_survives_checkpoint_recovery() {
-        use drams_store::{MemBackend, SnapshotStore};
         let mut r = rig();
         r.analyser.enable_group_retirement(5_000);
-        r.analyser
-            .attach_checkpoint(SnapshotStore::new(Box::new(MemBackend::new())))
-            .unwrap();
         run_group(&mut r, 1, "doctor", honest_response("doctor"), true);
         assert!(r.analyser.poll(&mut r.node, 2_000).is_empty());
         r.analyser.checkpoint().unwrap();
-        let store = r.analyser.detach_checkpoint().unwrap();
-
-        let mut recovered =
-            Analyser::recover(r.key.clone(), Keypair::from_seed(b"analyser"), store).unwrap();
-        assert_eq!(recovered.pending_retirements(), 1);
-        assert_eq!(recovered.groups_retired(), 0);
+        r.analyser.crash_restart().unwrap();
+        assert_eq!(r.analyser.pending_retirements(), 1);
+        assert_eq!(r.analyser.groups_retired(), 0);
         // The recovered analyser retires the pending group once due.
-        recovered.poll(&mut r.node, 8_000);
-        assert_eq!(recovered.groups_retired(), 1);
+        r.analyser.poll(&mut r.node, 8_000);
+        assert_eq!(r.analyser.groups_retired(), 1);
         r.node.mine_block(9_000).unwrap();
         let storage = r.node.host().storage_of(MONITOR_CONTRACT).unwrap();
         assert_eq!(storage.scan_prefix(b"ent/").count(), 0);
@@ -1429,12 +1484,8 @@ mod tests {
 
     #[test]
     fn pruned_history_survives_checkpoint_recovery() {
-        use drams_store::{MemBackend, SnapshotStore};
         let mut r = rig();
         r.analyser.enable_history_retention(10_000);
-        r.analyser
-            .attach_checkpoint(SnapshotStore::new(Box::new(MemBackend::new())))
-            .unwrap();
         r.analyser
             .publish_authorised_policy(crate::monitor::default_policy(), 1_000);
         r.analyser.publish_authorised_policy(
@@ -1446,18 +1497,13 @@ mod tests {
         let retired = r.analyser.policy_history_retired();
         assert_eq!(retired, 1);
         r.analyser.checkpoint().unwrap();
-        let store = r.analyser.detach_checkpoint().unwrap();
-
-        let recovered =
-            Analyser::recover(r.key.clone(), Keypair::from_seed(b"analyser"), store).unwrap();
+        let version = r.analyser.verifier.authorised_version();
+        r.analyser.crash_restart().unwrap();
         // The pruned baseline replays to the same live history: the
         // dropped version is NOT resurrected, counters match.
-        assert_eq!(recovered.policy_history_len(), 2);
-        assert_eq!(recovered.policy_history_retired(), retired);
-        assert_eq!(
-            recovered.verifier.authorised_version(),
-            r.analyser.verifier.authorised_version()
-        );
+        assert_eq!(r.analyser.policy_history_len(), 2);
+        assert_eq!(r.analyser.policy_history_retired(), retired);
+        assert_eq!(r.analyser.verifier.authorised_version(), version);
     }
 
     #[test]
@@ -2134,14 +2180,13 @@ mod tests {
                     // Crash: recover from the last checkpoint.
                     _ => {
                         (recoveries, pruned) = (recoveries + 1, false);
-                        drop(r.analyser.detach_checkpoint());
                         let files: Vec<_> = backend
                             .list()
                             .into_iter()
                             .map(|f| (backend.read(&f).unwrap(), f))
                             .collect();
                         let record = history_record(&backend, &r.analyser);
-                        r.analyser = recover_from(&backend).unwrap();
+                        r.analyser.crash_restart().unwrap();
                         assert_eq!(versions_of(&r.analyser), checkpointed, "{what}");
                         active = policies
                             .iter()

@@ -7,10 +7,10 @@
 //! blockchain transactions, and decrypts stored payloads for authorised
 //! consumers (the Analyser).
 //!
-//! With a backlog WAL attached, every entry is encoded into one scratch
-//! [`Writer`] the LI keeps, and journaled from there: write-ahead costs
-//! no allocation per entry once the scratch buffer has grown to the
-//! largest entry.
+//! Every entry is written ahead to the LI's backlog WAL before the
+//! buffer accepts it. It is encoded into one scratch [`Writer`] the LI
+//! keeps and journaled from there, so write-ahead costs no allocation
+//! per entry once the scratch buffer has grown to the largest entry.
 
 use crate::contract::{encode_batch_into, MONITOR_CONTRACT};
 use crate::logent::LogEntry;
@@ -21,7 +21,7 @@ use drams_crypto::aead::SymmetricKey;
 use drams_crypto::codec::{Decode, Encode, Writer};
 use drams_crypto::schnorr::Keypair;
 use drams_crypto::CryptoError;
-use drams_store::{StoreError, Wal};
+use drams_store::{Durability, MemBackend, StoreError, Wal, WalConfig};
 
 /// A per-tenant Logging Interface.
 #[derive(Debug)]
@@ -37,11 +37,11 @@ pub struct LoggingInterface {
     batch_bytes_hint: usize,
     submitted_entries: u64,
     submitted_txs: u64,
-    /// Optional durable backlog: every buffered entry is written ahead
-    /// to this WAL, and a successful flush snapshots the consumed
-    /// sequence and prunes sealed segments. A crashed LI recovers its
-    /// unsubmitted batch from here ([`LoggingInterface::recover`]).
-    backlog: Option<Wal>,
+    /// The durable backlog: every buffered entry is written ahead to
+    /// this WAL, and a successful flush snapshots the consumed sequence
+    /// and prunes sealed segments. A crashed LI reloads its unsubmitted
+    /// entries from here ([`LoggingInterface::crash_restart`]).
+    backlog: Wal,
     /// While true the chain is unreachable (network partition): entries
     /// keep journaling and buffering past the batch size, but nothing is
     /// submitted until the link heals and a flush drains the spill.
@@ -66,7 +66,9 @@ impl LoggingInterface {
     ///
     /// `batch_size` controls how many entries ride in one
     /// `store_log_batch` transaction (the E8 ablation sweeps it); at 1
-    /// every entry is a one-entry batch.
+    /// every entry is a one-entry batch. The backlog is an in-memory WAL
+    /// of 64-record segments that flushes every record;
+    /// [`attach_backlog`](Self::attach_backlog) picks another medium.
     ///
     /// # Panics
     ///
@@ -88,7 +90,7 @@ impl LoggingInterface {
             batch_bytes_hint: 0,
             submitted_entries: 0,
             submitted_txs: 0,
-            backlog: None,
+            backlog: mem_wal(64),
             offline: false,
             resident_cap: usize::MAX,
             spilled: 0,
@@ -99,11 +101,8 @@ impl LoggingInterface {
 
     /// Caps the in-memory buffer at `cap` entries. Past the cap,
     /// [`store`](Self::store) journals entries to the backlog WAL only
-    /// and the next flush reloads them — so the cap is only honoured
-    /// (and only meaningful) once a backlog is attached; without one the
-    /// buffer keeps everything, as losing entries is worse than growing.
-    /// Entries already resident past the cap — the backlog
-    /// [`recover`](Self::recover) reloaded — leave memory the same way.
+    /// and the next flush reloads them. Entries already resident past the
+    /// cap leave memory the same way.
     ///
     /// # Panics
     ///
@@ -111,9 +110,15 @@ impl LoggingInterface {
     pub fn set_resident_cap(&mut self, cap: usize) {
         assert!(cap > 0, "resident cap must be at least 1");
         self.resident_cap = cap;
-        if self.backlog.is_some() && self.buffer.len() > cap {
-            self.spilled += self.buffer.len() - cap;
-            self.buffer.truncate(cap);
+        self.spill_past_cap();
+    }
+
+    /// Moves the resident entries past the cap out of memory; the backlog
+    /// WAL already holds them.
+    fn spill_past_cap(&mut self) {
+        if self.buffer.len() > self.resident_cap {
+            self.spilled += self.buffer.len() - self.resident_cap;
+            self.buffer.truncate(self.resident_cap);
         }
     }
 
@@ -144,48 +149,42 @@ impl LoggingInterface {
         self.offline
     }
 
-    /// Attaches a durable backlog WAL: from now on every buffered entry
-    /// is journaled before it is accepted, and flushes compact the log.
+    /// Replaces the backlog WAL with `wal`, on another medium or under
+    /// another durability policy. Call it before the first
+    /// [`store`](Self::store): entries journaled so far stay in the WAL
+    /// being replaced.
     pub fn attach_backlog(&mut self, wal: Wal) {
-        self.backlog = Some(wal);
+        self.backlog = wal;
     }
 
-    /// Detaches and returns the backlog WAL (crash-recovery hook).
-    pub fn detach_backlog(&mut self) -> Option<Wal> {
-        self.backlog.take()
-    }
-
-    /// Rebuilds an LI from its backlog WAL after a crash: entries
-    /// journaled but not covered by the last flush snapshot are decoded
-    /// back into the buffer, so the next flush submits exactly what the
-    /// crashed instance still owed the chain. Submission counters
-    /// restart at zero (they are in-memory diagnostics).
+    /// Restarts the LI process in place. Its memory is lost; its backlog
+    /// WAL survives with whatever a power cut preserves under the WAL's
+    /// durability policy. The entries journaled after the last flush
+    /// snapshot are reloaded, and those past the resident cap spill
+    /// again, so the next flush submits exactly what the crashed instance
+    /// still owed the chain. The submission counters and the peak restart
+    /// at zero (they are in-memory diagnostics), and the LI starts online.
     ///
     /// # Errors
     ///
-    /// Propagates WAL replay failures; [`StoreError::Codec`] when a
+    /// Propagates WAL recovery failures; [`StoreError::Codec`] when a
     /// journaled entry does not decode.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `batch_size` is 0.
-    pub fn recover(
-        name: impl Into<String>,
-        key: SymmetricKey,
-        keypair: Keypair,
-        batch_size: usize,
-        wal: Wal,
-    ) -> Result<Self, StoreError> {
-        let mut li = LoggingInterface::new(name, key, keypair, batch_size);
-        li.buffer = unconsumed(&wal)?;
-        li.backlog = Some(wal);
-        Ok(li)
+    pub fn crash_restart(&mut self) -> Result<(), StoreError> {
+        self.backlog.simulate_crash()?;
+        self.buffer = unconsumed(&self.backlog)?;
+        self.spilled = 0;
+        self.spill_past_cap();
+        self.batch_bytes_hint = 0;
+        self.submitted_entries = 0;
+        self.submitted_txs = 0;
+        self.peak_resident = 0;
+        self.offline = false;
+        Ok(())
     }
 
-    /// The entries currently *resident* in the buffer (and, with a
-    /// backlog attached, journaled) but not yet submitted. Entries
-    /// spilled past the resident cap are not included —
-    /// [`Self::buffered`] counts them.
+    /// The entries currently *resident* in the buffer (and journaled)
+    /// but not yet submitted. Entries spilled past the resident cap are
+    /// not included — [`Self::buffered`] counts them.
     #[must_use]
     pub fn buffered_entries(&self) -> &[LogEntry] {
         &self.buffer
@@ -195,12 +194,6 @@ impl LoggingInterface {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The signing identity used for submissions.
-    #[must_use]
-    pub fn keypair(&self) -> &Keypair {
-        &self.keypair
     }
 
     /// `(entries, transactions)` submitted so far.
@@ -224,15 +217,14 @@ impl LoggingInterface {
     ///
     /// Propagates submission failures; the buffer is preserved on error.
     pub fn store(&mut self, entry: LogEntry, node: &mut Node) -> Result<Vec<TxId>, ChainError> {
-        if let Some(wal) = &mut self.backlog {
-            // Write-ahead: the entry is durable (per the WAL's
-            // durability policy) before the buffer accepts it.
-            self.record.clear();
-            entry.encode(&mut self.record);
-            wal.append(self.record.as_bytes())
-                .map_err(|e| ChainError::Journal(e.to_string()))?;
-        }
-        if self.backlog.is_some() && self.buffer.len() >= self.resident_cap {
+        // Write-ahead: the entry is durable (per the WAL's durability
+        // policy) before the buffer accepts it.
+        self.record.clear();
+        entry.encode(&mut self.record);
+        self.backlog
+            .append(self.record.as_bytes())
+            .map_err(|e| ChainError::Journal(e.to_string()))?;
+        if self.buffer.len() >= self.resident_cap {
             // Past the high-water mark: the entry is already durable in
             // the WAL, so keep only its count in memory. The next flush
             // reloads the full backlog before submitting.
@@ -255,8 +247,8 @@ impl LoggingInterface {
     /// # Errors
     ///
     /// Propagates submission failures, with the buffer preserved — a
-    /// retry re-submits the same batch. With a backlog WAL attached, a
-    /// [`ChainError::Journal`] can also surface *after* a successful
+    /// retry re-submits the same batch. A [`ChainError::Journal`] can
+    /// also surface *after* a successful
     /// submission (the compaction bookkeeping failed): the buffer is
     /// then already cleared and the entries are on-chain; the WAL still
     /// covers them, so a later recovery may re-submit the batch, which
@@ -270,11 +262,8 @@ impl LoggingInterface {
             // WAL. Reload the whole unconsumed tail (resident entries
             // were journaled in the same order, so a full rebuild keeps
             // submission order identical to an uncapped LI).
-            let wal = self
-                .backlog
-                .as_ref()
-                .expect("spill requires an attached backlog");
-            self.buffer = unconsumed(wal).map_err(|e| ChainError::Journal(e.to_string()))?;
+            self.buffer =
+                unconsumed(&self.backlog).map_err(|e| ChainError::Journal(e.to_string()))?;
             self.spilled = 0;
         }
         // Encode the batch exactly once, into a payload pre-sized from
@@ -288,18 +277,16 @@ impl LoggingInterface {
         self.submitted_entries += self.buffer.len() as u64;
         self.submitted_txs += 1;
         self.buffer.clear();
-        if let Some(wal) = &mut self.backlog {
-            // Everything journaled so far is now owed by the chain, not
-            // by us: snapshot the consumed sequence and drop sealed
-            // segments. (A crash between the submit above and this
-            // marker cannot happen mid-call in the simulation; on real
-            // hardware it would re-submit, which the mempool's
-            // duplicate detection absorbs.)
-            let consumed = wal.next_seq();
-            wal.write_snapshot(consumed, &[])
-                .and_then(|()| wal.prune_through(consumed).map(|_| ()))
-                .map_err(|e| ChainError::Journal(e.to_string()))?;
-        }
+        // Everything journaled so far is now owed by the chain, not by
+        // us: snapshot the consumed sequence and drop sealed segments. (A
+        // crash between the submit above and this marker cannot happen
+        // mid-call in the simulation; on real hardware it would
+        // re-submit, which the mempool's duplicate detection absorbs.)
+        let wal = &mut self.backlog;
+        let consumed = wal.next_seq();
+        wal.write_snapshot(consumed, &[])
+            .and_then(|()| wal.prune_through(consumed).map(|_| ()))
+            .map_err(|e| ChainError::Journal(e.to_string()))?;
         Ok(vec![id])
     }
 
@@ -313,6 +300,19 @@ impl LoggingInterface {
     pub fn decrypt_payload(&self, entry: &LogEntry) -> Result<Vec<u8>, CryptoError> {
         decrypt_entry_payload(&self.key, entry)
     }
+}
+
+/// A fresh write-ahead log on the in-memory medium, flushed record by
+/// record so a crash loses nothing it acknowledged.
+pub(crate) fn mem_wal(segment_records: usize) -> Wal {
+    Wal::open(
+        Box::new(MemBackend::new()),
+        WalConfig {
+            segment_records,
+            durability: Durability::Flushed,
+        },
+    )
+    .expect("fresh in-memory wal")
 }
 
 /// Every entry journaled to a backlog WAL since its last flush snapshot,
@@ -464,39 +464,17 @@ mod tests {
         assert!(li.decrypt_payload(&entry).is_err());
     }
 
-    fn mem_wal() -> Wal {
-        use drams_store::{Durability, MemBackend, WalConfig};
-        Wal::open(
-            Box::new(MemBackend::new()),
-            WalConfig {
-                segment_records: 4,
-                durability: Durability::Flushed,
-            },
-        )
-        .unwrap()
-    }
-
     #[test]
     fn crashed_li_recovers_its_unflushed_backlog() {
         let mut n = node();
         let (mut li, mut probe) = li(10);
-        li.attach_backlog(mem_wal());
+        li.attach_backlog(mem_wal(4));
         for corr in 1..=3 {
             li.store(sample_entry(&mut probe, corr), &mut n).unwrap();
         }
         assert_eq!(li.buffered(), 3);
-        let mut wal = li.detach_backlog().unwrap();
-        drop(li); // the LI process dies with 3 entries unsubmitted
-        wal.simulate_crash().unwrap();
-
-        let mut li = LoggingInterface::recover(
-            "li-tenant-1",
-            SymmetricKey::from_bytes([5; 32]),
-            Keypair::from_seed(b"li-1"),
-            10,
-            wal,
-        )
-        .unwrap();
+        // The LI process dies with 3 entries unsubmitted.
+        li.crash_restart().unwrap();
         assert_eq!(li.buffered(), 3, "backlog survives the crash");
         assert_eq!(
             li.buffered_entries()
@@ -516,22 +494,13 @@ mod tests {
     fn flush_compacts_the_backlog_so_recovery_does_not_resubmit() {
         let mut n = node();
         let (mut li, mut probe) = li(2);
-        li.attach_backlog(mem_wal());
+        li.attach_backlog(mem_wal(4));
         // Two entries flush (batch full), a third stays buffered.
         for corr in 1..=3 {
             li.store(sample_entry(&mut probe, corr), &mut n).unwrap();
         }
         assert_eq!(li.buffered(), 1);
-        let mut wal = li.detach_backlog().unwrap();
-        wal.simulate_crash().unwrap();
-        let li = LoggingInterface::recover(
-            "li-tenant-1",
-            SymmetricKey::from_bytes([5; 32]),
-            Keypair::from_seed(b"li-1"),
-            2,
-            wal,
-        )
-        .unwrap();
+        li.crash_restart().unwrap();
         assert_eq!(li.buffered(), 1, "flushed entries are not recovered");
         assert_eq!(li.buffered_entries()[0].correlation.0, 3);
     }
@@ -540,7 +509,7 @@ mod tests {
     fn offline_li_spills_past_the_batch_size_and_replays_on_heal() {
         let mut n = node();
         let (mut li, mut probe) = li(2);
-        li.attach_backlog(mem_wal());
+        li.attach_backlog(mem_wal(4));
         li.set_offline(true);
         // 5 entries with batch size 2: every one spills, none submit.
         for corr in 1..=5 {
@@ -567,30 +536,21 @@ mod tests {
     fn crash_while_offline_recovers_the_whole_spill() {
         let mut n = node();
         let (mut li, mut probe) = li(2);
-        li.attach_backlog(mem_wal());
+        li.attach_backlog(mem_wal(4));
         li.set_offline(true);
         for corr in 1..=4 {
             li.store(sample_entry(&mut probe, corr), &mut n).unwrap();
         }
-        let mut wal = li.detach_backlog().unwrap();
-        wal.simulate_crash().unwrap();
-        let recovered = LoggingInterface::recover(
-            "li-tenant-1",
-            SymmetricKey::from_bytes([5; 32]),
-            Keypair::from_seed(b"li-1"),
-            2,
-            wal,
-        )
-        .unwrap();
-        assert_eq!(recovered.buffered(), 4, "spill survives the crash");
-        assert!(!recovered.is_offline(), "recovery starts optimistic");
+        li.crash_restart().unwrap();
+        assert_eq!(li.buffered(), 4, "spill survives the crash");
+        assert!(!li.is_offline(), "recovery starts optimistic");
     }
 
     #[test]
     fn resident_cap_spills_to_wal_and_flush_submits_everything_in_order() {
         let mut n = node();
         let (mut li, mut probe) = li(100);
-        li.attach_backlog(mem_wal());
+        li.attach_backlog(mem_wal(4));
         li.set_resident_cap(3);
         li.set_offline(true);
         for corr in 1..=10 {
@@ -611,53 +571,30 @@ mod tests {
     }
 
     #[test]
-    fn resident_cap_without_backlog_keeps_every_entry_resident() {
-        let mut n = node();
-        let (mut li, mut probe) = li(100);
-        li.set_resident_cap(2);
-        li.set_offline(true);
-        for corr in 1..=5 {
-            li.store(sample_entry(&mut probe, corr), &mut n).unwrap();
-        }
-        // Without a WAL to spill to, dropping entries would lose evidence;
-        // the cap is ignored instead.
-        assert_eq!(li.buffered_entries().len(), 5);
-        assert_eq!(li.spilled(), 0);
-    }
-
-    #[test]
     fn crash_with_spilled_entries_recovers_the_full_backlog() {
         let mut n = node();
         let (mut li, mut probe) = li(100);
-        li.attach_backlog(mem_wal());
+        li.attach_backlog(mem_wal(4));
         li.set_resident_cap(2);
         li.set_offline(true);
         for corr in 1..=6 {
             li.store(sample_entry(&mut probe, corr), &mut n).unwrap();
         }
         assert_eq!(li.spilled(), 4);
-        let mut wal = li.detach_backlog().unwrap();
-        wal.simulate_crash().unwrap();
-        let mut recovered = LoggingInterface::recover(
-            "li-tenant-1",
-            SymmetricKey::from_bytes([5; 32]),
-            Keypair::from_seed(b"li-1"),
-            100,
-            wal,
-        )
-        .unwrap();
-        assert_eq!(recovered.buffered(), 6, "spilled entries survive too");
+        li.crash_restart().unwrap();
+        assert_eq!(li.buffered(), 6, "spilled entries survive too");
+        assert_eq!(li.spilled(), 4, "the restarted LI keeps its cap");
         assert_eq!(
-            recovered
-                .buffered_entries()
+            li.buffered_entries()
                 .iter()
                 .map(|e| e.correlation.0)
                 .collect::<Vec<_>>(),
-            vec![1, 2, 3, 4, 5, 6],
-            "journal order is submission order"
+            vec![1, 2],
+            "the oldest stay resident"
         );
-        let ids = recovered.flush(&mut n).unwrap();
+        let ids = li.flush(&mut n).unwrap();
         assert_eq!(ids.len(), 1);
+        assert_eq!(li.submission_counters(), (6, 1));
         n.mine_block(100).unwrap();
         let storage = n.host().storage_of(MONITOR_CONTRACT).unwrap();
         assert_eq!(storage.scan_prefix(b"ent/").count(), 6);
@@ -667,40 +604,87 @@ mod tests {
     fn capping_a_recovered_li_spills_its_reloaded_backlog() {
         let mut n = node();
         let (mut li, mut probe) = li(100);
-        li.attach_backlog(mem_wal());
-        li.set_resident_cap(2);
+        li.attach_backlog(mem_wal(4));
         li.set_offline(true);
         for corr in 1..=6 {
             li.store(sample_entry(&mut probe, corr), &mut n).unwrap();
         }
-        let mut wal = li.detach_backlog().unwrap();
-        wal.simulate_crash().unwrap();
-        let mut recovered = LoggingInterface::recover(
-            "li-tenant-1",
-            SymmetricKey::from_bytes([5; 32]),
-            Keypair::from_seed(b"li-1"),
-            100,
-            wal,
-        )
-        .unwrap();
-        recovered.set_resident_cap(2);
-        assert_eq!(recovered.buffered(), 6);
-        assert_eq!(recovered.spilled(), 4);
+        li.crash_restart().unwrap();
         assert_eq!(
-            recovered
-                .buffered_entries()
+            li.buffered_entries()
                 .iter()
                 .map(|e| e.correlation.0)
                 .collect::<Vec<_>>(),
-            vec![1, 2],
-            "the oldest stay resident"
+            vec![1, 2, 3, 4, 5, 6],
+            "journal order is submission order"
         );
-        let ids = recovered.flush(&mut n).unwrap();
+        li.set_resident_cap(2);
+        assert_eq!(li.buffered(), 6);
+        assert_eq!(li.spilled(), 4);
+        assert_eq!(li.buffered_entries().len(), 2);
+        let ids = li.flush(&mut n).unwrap();
         assert_eq!(ids.len(), 1);
-        assert_eq!(recovered.submission_counters(), (6, 1));
+        assert_eq!(li.submission_counters(), (6, 1));
         n.mine_block(100).unwrap();
         let storage = n.host().storage_of(MONITOR_CONTRACT).unwrap();
         assert_eq!(storage.scan_prefix(b"ent/").count(), 6);
+    }
+
+    /// Every batch the main chain holds, as its entries, in block order.
+    fn chain_batches(n: &Node) -> Vec<Vec<Vec<u8>>> {
+        let mut out = Vec::new();
+        for height in 1..=n.chain().tip_header().height {
+            let block = n.chain().block_at_height(height).unwrap();
+            for tx in block
+                .transactions
+                .iter()
+                .filter(|tx| tx.method == "store_log_batch")
+            {
+                let mut r = drams_crypto::codec::Reader::new(&tx.payload);
+                let entries = (0..r.get_varint().unwrap())
+                    .map(|_| LogEntry::decode(&mut r).unwrap().to_canonical_bytes())
+                    .collect();
+                out.push(entries);
+            }
+        }
+        out
+    }
+
+    /// Twenty `store`s with a `flush` after every seventh, through an LI
+    /// of batch size 4 and resident cap 2. `crashes_after(step)` is how
+    /// often the LI crash-restarts after that step (0 = before the first
+    /// store); a final flush then drains it.
+    fn scripted_run(crashes_after: impl Fn(u64) -> usize) -> Vec<Vec<Vec<u8>>> {
+        let mut n = node();
+        let (mut li, mut probe) = li(4);
+        li.set_resident_cap(2);
+        for step in 0..=20 {
+            if step > 0 {
+                li.store(sample_entry(&mut probe, step), &mut n).unwrap();
+                if step % 7 == 0 {
+                    li.flush(&mut n).unwrap();
+                }
+            }
+            for _ in 0..crashes_after(step) {
+                li.crash_restart().unwrap();
+            }
+        }
+        li.flush(&mut n).unwrap();
+        assert_eq!(li.buffered(), 0);
+        n.mine_block(100).unwrap();
+        chain_batches(&n)
+    }
+
+    #[test]
+    fn a_crash_after_any_step_leaves_the_chain_holding_the_same_batches() {
+        let uncrashed = scripted_run(|_| 0);
+        assert_eq!(uncrashed.iter().map(Vec::len).sum::<usize>(), 20);
+        for k in 0..=20 {
+            let crashed = scripted_run(|step| usize::from(step == k));
+            assert_eq!(crashed, uncrashed, "crash after step {k}");
+        }
+        let twice = scripted_run(|step| if step == 9 { 2 } else { 0 });
+        assert_eq!(twice, uncrashed, "two crashes in a row after step 9");
     }
 
     #[test]

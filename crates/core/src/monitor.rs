@@ -308,12 +308,6 @@ pub struct PeakState {
 }
 
 impl MonitorReport {
-    /// Alerts of a given kind.
-    #[must_use]
-    pub fn alerts_of(&self, pred: impl Fn(&Alert) -> bool) -> Vec<&Alert> {
-        self.alerts.iter().filter(|a| pred(a)).collect()
-    }
-
     /// The alerts in their canonical encoding, in commit order: what
     /// "the same alerts, byte for byte" compares.
     #[must_use]

@@ -5,19 +5,13 @@ use super::ctx::Ctx;
 use super::msg::{Msg, Outbox};
 use super::spec::probe_mac_key;
 use crate::analyser::Analyser;
-use drams_crypto::aead::SymmetricKey;
-use drams_crypto::schnorr::Keypair;
 use drams_faas::des::SimTime;
-use drams_faas::transport::WireRole;
 
 /// The Analyser as a service: periodic chain polls, plus provisioning
 /// and policy-administration notifications.
 pub(super) struct AnalyserService {
     pub(super) analyser: Analyser,
     pub(super) poll_interval: SimTime,
-    /// The federation key, re-provisioned to a restarted Analyser (in a
-    /// real deployment it would come back from the tenant TPMs).
-    pub(super) key: SymmetricKey,
 }
 
 impl AnalyserService {
@@ -55,25 +49,6 @@ impl AnalyserService {
                 self.analyser
                     .register_probe_key(probe, probe_mac_key(probe));
                 self.analyser.checkpoint().expect("analyser checkpoint");
-            }
-            Msg::CrashAnalyser => {
-                ctx.transport
-                    .restart(WireRole::Analyser)
-                    .expect("transport restart");
-                // The Analyser process dies; its checkpoint store
-                // survives. Recovery resumes the cursors and the
-                // authorised-policy history — no re-scan, no re-alert.
-                let store = self
-                    .analyser
-                    .detach_checkpoint()
-                    .expect("analyser checkpoint attached");
-                self.analyser = Analyser::recover(
-                    self.key.clone(),
-                    Keypair::from_seed(b"drams-analyser"),
-                    store,
-                )
-                .expect("analyser recovery");
-                ctx.report.crash_restarts += 1;
             }
             _ => unreachable!("misrouted event"),
         }

@@ -9,8 +9,8 @@ use drams_chain::chain::ChainConfig;
 use drams_crypto::codec::Decode;
 use drams_crypto::schnorr::Keypair;
 use drams_faas::des::SimTime;
-use drams_faas::transport::WireRole;
 use drams_store::persist::{compact_node_journal, recover_node, WalJournal};
+use drams_store::StoreError;
 
 /// The chain node: mines on a cadence, submits the epoch sweep, and
 /// harvests committed contract events into the report.
@@ -30,6 +30,23 @@ pub(super) struct ChainService {
 }
 
 impl ChainService {
+    /// The node process dies: chain, contract state and mempool are gone;
+    /// the write-ahead journal survives. Replaying it reconstructs all
+    /// three exactly, and the recovered node resumes journaling on the
+    /// same log. (The node is rebuilt, not restarted in place:
+    /// `drams-chain` does not know the store its journal lives in.)
+    pub(super) fn crash_restart(&self, ctx: &mut Ctx<'_>) -> Result<(), StoreError> {
+        ctx.node_wal.borrow_mut().simulate_crash()?;
+        let mut node = recover_node(
+            &ctx.node_wal.borrow(),
+            self.chain_config.clone(),
+            vec![Box::new(MonitorContract)],
+        )?;
+        node.set_journal(Box::new(WalJournal::new(ctx.node_wal.clone())));
+        ctx.node = node;
+        Ok(())
+    }
+
     pub(super) fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'_>, out: &mut Outbox) {
         if let Msg::SetTimeout { timeout } = msg {
             // Degraded mode: retune the epoch sweep's group timeout
@@ -45,29 +62,6 @@ impl ChainService {
                 )
                 .expect("set_timeout submission");
             ctx.report.timeout_retunes += 1;
-            return;
-        }
-        if matches!(msg, Msg::CrashChain) {
-            ctx.transport
-                .restart(WireRole::Chain)
-                .expect("transport restart");
-            // The node process dies: chain, contract state and mempool
-            // are gone; the write-ahead journal survives. Replaying it
-            // reconstructs all three exactly, and the recovered node
-            // resumes journaling on the same log.
-            ctx.node_wal
-                .borrow_mut()
-                .simulate_crash()
-                .expect("node wal recovery");
-            let mut node = recover_node(
-                &ctx.node_wal.borrow(),
-                self.chain_config.clone(),
-                vec![Box::new(MonitorContract)],
-            )
-            .expect("chain node recovery");
-            node.set_journal(Box::new(WalJournal::new(ctx.node_wal.clone())));
-            ctx.node = node;
-            ctx.report.crash_restarts += 1;
             return;
         }
         debug_assert!(matches!(msg, Msg::MineTick));

@@ -15,6 +15,7 @@ use drams_faas::des::{SimTime, MILLIS};
 use drams_faas::fault::Site;
 use drams_faas::model::{CloudId, PepId, TenantId, TenantSpec};
 use drams_faas::msg::CorrelationId;
+use drams_faas::transport::WireRole;
 use rand::Rng;
 
 /// The `(correlation, point)` pairs a log-carrying transaction would have
@@ -148,18 +149,19 @@ impl Controller {
                     let slot = self.pdp_slot_for(ctx, cloud);
                     out.emit(0, Msg::SilencePdp { slot, until });
                 }
-                ScriptedAction::CrashRestart { target, .. } => match target {
-                    CrashTarget::ChainNode => out.emit(0, Msg::CrashChain),
-                    CrashTarget::Analyser => out.emit(0, Msg::CrashAnalyser),
-                    CrashTarget::Li(tenant) => {
-                        let li = self.li_for(ctx, tenant);
-                        out.emit(0, Msg::CrashLi { li });
-                    }
-                    CrashTarget::Pdp(cloud) => {
-                        let slot = self.pdp_slot_for(ctx, cloud);
-                        out.emit(0, Msg::CrashPdp { slot });
-                    }
-                },
+                ScriptedAction::CrashRestart { target, .. } => {
+                    let role = match target {
+                        CrashTarget::ChainNode => WireRole::Chain,
+                        CrashTarget::Analyser => WireRole::Analyser,
+                        CrashTarget::Li(tenant) => WireRole::Li {
+                            index: self.li_for(ctx, tenant) as u32,
+                        },
+                        CrashTarget::Pdp(cloud) => WireRole::Pdp {
+                            slot: self.pdp_slot_for(ctx, cloud) as u32,
+                        },
+                    };
+                    out.emit(0, Msg::Crash(role));
+                }
                 ScriptedAction::ForkChain { depth, .. } => {
                     let tip_height = ctx.node.chain().tip_header().height;
                     let depth = depth.min(tip_height);

@@ -13,23 +13,10 @@ use drams_faas::fault::{FaultPlane, Site};
 use drams_faas::model::{LatencyModel, TenantSpec};
 use drams_faas::msg::CorrelationId;
 use drams_faas::transport::Transport;
-use drams_store::{Durability, MemBackend, Wal, WalConfig};
+use drams_store::Wal;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
-
-/// A fresh write-ahead log on the simulation's in-memory medium, flushed
-/// record by record so a scripted crash loses nothing it acknowledged.
-pub(super) fn mem_wal(segment_records: usize) -> Wal {
-    Wal::open(
-        Box::new(MemBackend::new()),
-        WalConfig {
-            segment_records,
-            durability: Durability::Flushed,
-        },
-    )
-    .expect("fresh in-memory wal")
-}
 
 /// One tenant's runtime state.
 #[derive(Debug)]

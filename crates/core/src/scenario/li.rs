@@ -1,7 +1,7 @@
 //! The per-tenant Logging Interfaces: stall windows, chain-link spill and
 //! replay, crash recovery from the backlog WAL.
 
-use super::ctx::{mem_wal, Ctx};
+use super::ctx::Ctx;
 use super::msg::{Msg, Outbox};
 use crate::li::LoggingInterface;
 use crate::logent::LogEntry;
@@ -10,7 +10,7 @@ use drams_crypto::aead::SymmetricKey;
 use drams_crypto::schnorr::Keypair;
 use drams_faas::des::SimTime;
 use drams_faas::fault::Site;
-use drams_faas::transport::WireRole;
+use drams_store::StoreError;
 use std::collections::HashMap;
 
 /// Files the pending entries' observation times under the flush's
@@ -52,8 +52,8 @@ pub(super) struct LiService {
 }
 
 impl LiService {
-    /// `count` LIs named `li-0..`, each writing ahead to its own
-    /// durable-backlog WAL.
+    /// `count` LIs named `li-0..`, each writing ahead to the backlog WAL
+    /// it owns.
     pub(super) fn new(
         count: usize,
         flush_interval: SimTime,
@@ -82,8 +82,9 @@ impl LiService {
             Keypair::from_seed(name.as_bytes()),
             self.batch_size,
         );
-        li.attach_backlog(mem_wal(64));
-        self.cap(&mut li);
+        if self.resident_cap > 0 {
+            li.set_resident_cap(self.resident_cap);
+        }
         self.slots.push(LiSlot {
             li,
             pending: Vec::new(),
@@ -93,11 +94,21 @@ impl LiService {
         });
     }
 
-    /// Applies the configured resident cap, if any.
-    fn cap(&self, li: &mut LoggingInterface) {
-        if self.resident_cap > 0 {
-            li.set_resident_cap(self.resident_cap);
-        }
+    /// LI `li`'s process dies and restarts from its backlog WAL (see
+    /// [`LoggingInterface::crash_restart`]). Entries queued at a
+    /// *stalled* LI live only in the process and were never acknowledged
+    /// into the WAL, so a crash during a stall window honestly loses
+    /// them — the monitor then surfaces the loss as `MissingLog` alerts.
+    pub(super) fn crash_restart(&mut self, li: usize) -> Result<(), StoreError> {
+        let slot = &mut self.slots[li];
+        slot.li.crash_restart()?;
+        slot.backlog.clear();
+        // Measurement bookkeeping: one observation time per entry still
+        // owed, in journal order. The restarted LI owes the journal's
+        // unconsumed tail — the oldest entries of the crashed one's (all
+        // of them under a flushed WAL).
+        slot.pending.truncate(slot.li.buffered());
+        Ok(())
     }
 
     /// Reconciles the LI's offline flag with the fault plane's current
@@ -173,42 +184,6 @@ impl LiService {
                 debug_assert_eq!(li, self.slots.len(), "lis provision in index order");
                 self.push_li();
                 out.emit(self.flush_interval, Msg::LiFlushTick { li });
-            }
-            Msg::CrashLi { li } => {
-                ctx.transport
-                    .restart(WireRole::Li { index: li as u32 })
-                    .expect("transport restart");
-                // The LI process dies: its buffer is gone, its WAL — on
-                // durable storage — survives (with whatever a power cut
-                // preserves under the configured durability). Entries
-                // queued at a *stalled* LI live only in the process and
-                // were never acknowledged into the WAL, so a crash
-                // during a stall window honestly loses them — the
-                // monitor then surfaces the loss as MissingLog alerts.
-                let mut wal = self.slots[li]
-                    .li
-                    .detach_backlog()
-                    .expect("li backlog attached");
-                wal.simulate_crash().expect("li wal recovery");
-                let name = format!("li-{li}");
-                let mut recovered = LoggingInterface::recover(
-                    name.clone(),
-                    self.key.clone(),
-                    Keypair::from_seed(name.as_bytes()),
-                    self.batch_size,
-                    wal,
-                )
-                .expect("li recovery");
-                self.cap(&mut recovered);
-                let slot = &mut self.slots[li];
-                slot.backlog.clear();
-                slot.li = recovered;
-                // Measurement bookkeeping: one observation time per entry
-                // still owed, in journal order. The recovered LI owes the
-                // journal's unconsumed tail — the oldest entries of the
-                // crashed one's (all of them under a flushed WAL).
-                slot.pending.truncate(slot.li.buffered());
-                ctx.report.crash_restarts += 1;
             }
             _ => unreachable!("misrouted event"),
         }

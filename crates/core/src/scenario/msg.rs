@@ -14,6 +14,7 @@ use crate::logent::{LogEntry, ProbeId};
 use drams_faas::des::{EventQueue, SimTime};
 use drams_faas::msg::{CorrelationId, RequestEnvelope, ResponseEnvelope};
 use drams_faas::prp::PolicyVersion;
+use drams_faas::transport::WireRole;
 use drams_policy::attr::Request;
 use drams_policy::policy::PolicySet;
 
@@ -62,9 +63,6 @@ pub(super) enum Msg {
         slot: usize,
         until: SimTime,
     },
-    CrashPdp {
-        slot: usize,
-    },
     // → LI service
     LiDeliver {
         li: usize,
@@ -80,12 +78,8 @@ pub(super) enum Msg {
     ProvisionLi {
         li: usize,
     },
-    CrashLi {
-        li: usize,
-    },
     // → chain service
     MineTick,
-    CrashChain,
     /// Degraded-mode retune: point the epoch sweep at a new group
     /// timeout (widened across a disruption window, restored after it).
     SetTimeout {
@@ -99,7 +93,9 @@ pub(super) enum Msg {
     ProvisionProbeKey {
         probe: ProbeId,
     },
-    CrashAnalyser,
+    /// → the service that owns `role`: its process dies and restarts
+    /// from the durable state it owns.
+    Crash(WireRole),
     // → scenario controller
     Script(usize),
     ActivateTenant {
@@ -194,22 +190,31 @@ impl Services {
             | Msg::PepReceive { .. }
             | Msg::PepRetry { .. }
             | Msg::ProvisionPep { .. } => self.pep.handle(now, msg, ctx, out),
-            Msg::PdpReceive { .. }
-            | Msg::PolicyAdmin(_)
-            | Msg::SilencePdp { .. }
-            | Msg::CrashPdp { .. } => self.pdp.handle(now, msg, ctx, out),
+            Msg::PdpReceive { .. } | Msg::PolicyAdmin(_) | Msg::SilencePdp { .. } => {
+                self.pdp.handle(now, msg, ctx, out);
+            }
             Msg::LiDeliver { .. }
             | Msg::LiFlushTick { .. }
             | Msg::StallLi { .. }
-            | Msg::ProvisionLi { .. }
-            | Msg::CrashLi { .. } => self.li.handle(now, msg, ctx, out),
-            Msg::MineTick | Msg::CrashChain | Msg::SetTimeout { .. } => {
-                self.chain.handle(now, msg, ctx, out);
+            | Msg::ProvisionLi { .. } => self.li.handle(now, msg, ctx, out),
+            Msg::MineTick | Msg::SetTimeout { .. } => self.chain.handle(now, msg, ctx, out),
+            Msg::AnalyserTick | Msg::AnalyserPolicy(_) | Msg::ProvisionProbeKey { .. } => {
+                self.analyser.handle(now, msg, ctx, out);
             }
-            Msg::AnalyserTick
-            | Msg::AnalyserPolicy(_)
-            | Msg::ProvisionProbeKey { .. }
-            | Msg::CrashAnalyser => self.analyser.handle(now, msg, ctx, out),
+            Msg::Crash(role) => {
+                // A wire backend tears down the role's endpoint; the next
+                // frame to it reconnects to the restarted one.
+                ctx.transport.restart(role).expect("transport restart");
+                match role {
+                    WireRole::Pdp { slot } => self.pdp.crash_restart(slot as usize),
+                    WireRole::Li { index } => self.li.crash_restart(index as usize),
+                    WireRole::Chain => self.chain.crash_restart(ctx),
+                    WireRole::Analyser => self.analyser.analyser.crash_restart(),
+                    WireRole::Pep => unreachable!("no scripted crash targets the PEPs"),
+                }
+                .expect("crash restart from durable state");
+                ctx.report.crash_restarts += 1;
+            }
             Msg::Script(_) | Msg::ActivateTenant { .. } => {
                 self.controller.handle(now, msg, ctx, out);
             }

@@ -1,9 +1,10 @@
 //! The decision plane: the PRP and the PDP slots, each with its probe and
 //! its journaled idempotency cache.
 
-use super::ctx::{mem_wal, Ctx};
+use super::ctx::Ctx;
 use super::msg::{Msg, Outbox, PolicyAdmin};
 use super::spec::probe_mac_key;
+use crate::li::mem_wal;
 use crate::logent::{ObservationPoint, ProbeId};
 use crate::probe::Probe;
 use drams_crypto::aead::SymmetricKey;
@@ -12,7 +13,6 @@ use drams_crypto::CryptoError;
 use drams_faas::des::SimTime;
 use drams_faas::msg::{CorrelationId, ResponseEnvelope};
 use drams_faas::prp::{PolicyVersion, Prp};
-use drams_faas::transport::WireRole;
 use drams_policy::pdp::Pdp;
 use drams_store::{StoreError, Wal};
 use std::collections::{HashMap, VecDeque};
@@ -252,6 +252,13 @@ impl PdpService {
         active.clone()
     }
 
+    /// Restarts slot `slot` from its journal, serving the PRP's durable
+    /// active policy (see [`PdpSlot::crash_restart`]).
+    pub(super) fn crash_restart(&mut self, slot: usize) -> Result<(), StoreError> {
+        let active = self.prp.active().pdp();
+        self.slots[slot].crash_restart(&self.key, active)
+    }
+
     pub(super) fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'_>, out: &mut Outbox) {
         match msg {
             Msg::PdpReceive { slot, env } => {
@@ -329,18 +336,6 @@ impl PdpService {
             Msg::SilencePdp { slot, until } => {
                 self.slots[slot].silenced_until = until;
                 self.slots[slot].journal_silence(until);
-            }
-            Msg::CrashPdp { slot } => {
-                let active = self.prp.active().pdp();
-                self.slots[slot]
-                    .crash_restart(&self.key, active)
-                    .expect("pdp journal recovery");
-                // A wire backend tears down this slot's endpoint; the
-                // next framed request reconnects to the restarted one.
-                ctx.transport
-                    .restart(WireRole::Pdp { slot: slot as u32 })
-                    .expect("transport restart");
-                ctx.report.crash_restarts += 1;
             }
             _ => unreachable!("misrouted event"),
         }

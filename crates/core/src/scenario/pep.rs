@@ -102,7 +102,8 @@ pub(super) struct PepService {
     pub(super) probes: Vec<Probe>,
     pub(super) bias: EnforcementBias,
     pub(super) key: SymmetricKey,
-    /// Requests awaiting a decision, with their retry state.
+    /// Requests awaiting a decision, with their retry state: the one
+    /// record of which requests are unanswered and unabandoned.
     pub(super) inflight: HashMap<CorrelationId, Inflight>,
     /// One circuit breaker per PDP slot, shared by all PEPs (the
     /// per-cloud reachability view of the tenant edge).
@@ -200,14 +201,14 @@ impl PepService {
                 );
             }
             Msg::PepReceive { slot, env } => {
-                let Some(tenant) = self.peps.iter().position(|p| p.id() == env.pep) else {
-                    return;
-                };
-                let Some(enforcement) = self.peps[tenant].enforce(&env) else {
+                let Some(inflight) = self.inflight.remove(&env.correlation) else {
                     return; // duplicate, late-after-abandon, or forged
                 };
+                let tenant = inflight.tenant;
+                let Some(enforcement) = self.peps[tenant].enforce(&env) else {
+                    return; // not this PEP's correlation: forged
+                };
                 self.breakers[slot].on_success();
-                let inflight = self.inflight.remove(&env.correlation);
                 let mut granted = enforcement.granted;
                 if ctx.adversary.flip_enforcement(&mut granted, now) {
                     ctx.truth.flipped_enforcements.push(env.correlation);
@@ -220,15 +221,13 @@ impl PepService {
                 }
                 if let Some(issued) = ctx.issued_at_by_corr.get(&env.correlation) {
                     ctx.report.e2e_latency.record(now - issued);
-                    if inflight.is_some() && slot != ctx.pdp_slot_of_tenant[tenant] {
+                    if slot != ctx.pdp_slot_of_tenant[tenant] {
                         // Answered by a slot the breaker diverted to.
                         ctx.report.failovers += 1;
                         ctx.report.failover_e2e.record(now - issued);
                     }
                 }
-                if let Some(inf) = &inflight {
-                    ctx.report.e2e_latency.record_attempts(inf.attempts);
-                }
+                ctx.report.e2e_latency.record_attempts(inflight.attempts);
                 if ctx.monitoring {
                     let entry = self.probes[tenant].observe_pep_response(&env, granted, now);
                     let li = ctx.li_of_tenant[tenant];
@@ -246,15 +245,15 @@ impl PepService {
                     return; // stale timer of an earlier attempt
                 }
                 // This attempt timed out: charge the slot it went to.
-                let (tenant, failed_slot, attempts) = (inf.tenant, inf.sent_slot, inf.attempts);
+                let (failed_slot, attempts) = (inf.sent_slot, inf.attempts);
                 if self.breakers[failed_slot].on_failure(now) {
                     ctx.report.breaker_trips += 1;
                 }
                 if attempts >= MAX_ATTEMPTS {
                     // Deadline budget exhausted: give up for good. A
-                    // response limping in later is treated as stale.
+                    // response limping in later finds no in-flight
+                    // request and completes nothing.
                     self.inflight.remove(&correlation);
-                    self.peps[tenant].abandon(correlation);
                     ctx.report.requests_dropped += 1;
                     return;
                 }
@@ -305,6 +304,11 @@ impl PepService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::NoAdversary;
+    use crate::monitor::{MonitorConfig, MonitorReport};
+    use crate::scenario::{run_scenario, ScenarioSpec};
+    use drams_faas::fault::{FaultPlan, LinkFault, Site};
+    use drams_faas::model::CloudId;
 
     const CLOSED: Breaker = Breaker::Closed { failures: 0 };
     const FAR: Breaker = Breaker::Open {
@@ -399,5 +403,65 @@ mod tests {
         );
         assert_eq!(backoff(2), 2 * RETRY_BASE, "the schedule doubles...");
         assert_eq!(backoff(MAX_ATTEMPTS), RETRY_CAP, "...up to the cap");
+    }
+
+    /// Forty requests of the default federation, with `fault` on every
+    /// response the central PDP sends toward a tenant edge.
+    fn run_with_responses(fault: &LinkFault) -> MonitorReport {
+        let config = MonitorConfig {
+            total_requests: 40,
+            request_rate_per_sec: 100.0,
+            ..MonitorConfig::default()
+        };
+        let links = (0..2)
+            .map(|cloud| LinkFault {
+                from: Some(Site::Infra),
+                to: Some(Site::Cloud(CloudId(cloud))),
+                active_until: SimTime::MAX,
+                ..fault.clone()
+            })
+            .collect();
+        let spec = ScenarioSpec {
+            faults: FaultPlan {
+                links,
+                partitions: Vec::new(),
+            },
+            ..ScenarioSpec::canonical(&config)
+        };
+        run_scenario(&spec, &mut NoAdversary).0
+    }
+
+    #[test]
+    fn a_duplicated_response_completes_its_request_once() {
+        let report = run_with_responses(&LinkFault {
+            duplicate_permille: 1000,
+            ..LinkFault::default()
+        });
+        assert!(report.faults.duplicated >= 40, "every response is doubled");
+        assert_eq!(report.requests_completed, 40);
+        assert_eq!(report.granted + report.refused, 40);
+        assert_eq!(report.groups_completed, 40);
+        assert!(report.alerts.is_empty(), "{:?}", report.alerts);
+    }
+
+    #[test]
+    fn a_response_after_abandonment_completes_nothing() {
+        // Every response spends longer on the wire than the whole retry
+        // budget, so each request is abandoned before its first response
+        // lands. The drain margin (the budget plus the group timeout,
+        // past the last arrival) lets the first responses land.
+        let delay = RETRY_BUDGET + SECONDS;
+        let report = run_with_responses(&LinkFault {
+            delay,
+            ..LinkFault::default()
+        });
+        assert!(
+            report.finished_at > delay,
+            "late responses arrive in the run"
+        );
+        assert!(report.faults.delayed > 0);
+        assert_eq!(report.requests_dropped, 40);
+        assert_eq!(report.requests_completed, 0);
+        assert_eq!(report.granted + report.refused, 0);
     }
 }

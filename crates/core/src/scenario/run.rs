@@ -4,7 +4,7 @@
 use super::analyser::AnalyserService;
 use super::chain::ChainService;
 use super::controller::Controller;
-use super::ctx::{mem_wal, Ctx, TenantRuntime};
+use super::ctx::{Ctx, TenantRuntime};
 use super::li::LiService;
 use super::msg::{Msg, Services};
 use super::pdp::{PdpService, PdpSlot};
@@ -17,6 +17,7 @@ use super::workload::WorkloadSource;
 use crate::adversary::Adversary;
 use crate::analyser::Analyser;
 use crate::contract::{MonitorContract, MONITOR_CONTRACT};
+use crate::li::mem_wal;
 use crate::logent::ProbeId;
 use crate::monitor::{GroundTruth, MonitorReport};
 use crate::probe::Probe;
@@ -32,7 +33,6 @@ use drams_faas::prp::Prp;
 use drams_faas::transport::{DesTransport, Transport};
 use drams_faas::workload::{PoissonArrivals, RequestGenerator, Vocabulary, Zipf};
 use drams_store::persist::WalJournal;
-use drams_store::{MemBackend, SnapshotStore};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
@@ -230,6 +230,7 @@ pub fn run_scenario_with_transport<A: Adversary>(
     // in the checkpoint, so a recovered Analyser keeps it without
     // re-alerting known forks). Enabled before the first checkpoint.
     analyser.enable_fork_detection();
+    analyser.set_enforcement_bias(config.bias);
     if load.analyser_retire_lag > 0 {
         // Windowed group retirement: evidence of verified groups is
         // pruned from contract storage once the replay window closes.
@@ -244,9 +245,8 @@ pub fn run_scenario_with_transport<A: Adversary>(
         // horizon rides in every recovery.
         analyser.enable_history_retention(load.policy_history_retention);
     }
-    analyser
-        .attach_checkpoint(SnapshotStore::new(Box::new(MemBackend::new())))
-        .expect("analyser checkpoint");
+    // The baseline a crash at any later point resumes from.
+    analyser.checkpoint().expect("analyser checkpoint");
 
     // --- context -----------------------------------------------------------
     let pep_pdp = match spec.placement {
@@ -369,7 +369,6 @@ pub fn run_scenario_with_transport<A: Adversary>(
         analyser: AnalyserService {
             analyser,
             poll_interval: config.analyser_poll_interval,
-            key: key.clone(),
         },
         controller: Controller {
             script: spec.script.iter().cloned().map(Some).collect(),

@@ -305,13 +305,13 @@ mod tests {
             Msg::ProvisionPep { tenant: 0 },
             Msg::PolicyAdmin(PolicyAdmin::Rollback(0)),
             Msg::SilencePdp { slot: 0, until: 1 },
-            Msg::CrashPdp { slot: 0 },
+            Msg::Crash(WireRole::Pdp { slot: 0 }),
             Msg::LiFlushTick { li: 0 },
             Msg::StallLi { li: 0, until: 1 },
             Msg::ProvisionLi { li: 0 },
-            Msg::CrashLi { li: 0 },
+            Msg::Crash(WireRole::Li { index: 0 }),
             Msg::MineTick,
-            Msg::CrashChain,
+            Msg::Crash(WireRole::Chain),
             Msg::SetTimeout { timeout: 1 },
             Msg::AnalyserTick,
             Msg::AnalyserPolicy(
@@ -319,7 +319,7 @@ mod tests {
                     .active()
                     .clone(),
             ),
-            Msg::CrashAnalyser,
+            Msg::Crash(WireRole::Analyser),
             Msg::Script(0),
             Msg::ActivateTenant { tenant: 0 },
         ];

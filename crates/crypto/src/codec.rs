@@ -281,11 +281,6 @@ impl<'a> Reader<'a> {
         self.get_slice(len)
     }
 
-    /// Reads `n` raw bytes (no length prefix).
-    pub fn get_raw(&mut self, n: usize) -> Result<Vec<u8>, CryptoError> {
-        self.get_slice(n).map(<[u8]>::to_vec)
-    }
-
     /// Reads `n` raw bytes where they lie in the input, copying nothing.
     pub fn get_slice(&mut self, n: usize) -> Result<&'a [u8], CryptoError> {
         self.need(n)?;

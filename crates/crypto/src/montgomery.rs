@@ -90,12 +90,6 @@ impl MontCtx {
         &self.m
     }
 
-    /// The Montgomery representation of 1 (`R mod m`).
-    #[must_use]
-    pub fn one_mont(&self) -> U256 {
-        self.one
-    }
-
     /// Montgomery product `a·b·R⁻¹ mod m` (CIOS: coarsely integrated
     /// operand scanning, Koç et al.). Correct for `a < 2^256`, `b < m`;
     /// the result is fully reduced (`< m`).

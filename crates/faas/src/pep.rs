@@ -11,7 +11,6 @@ use crate::model::{PepId, TenantId};
 use crate::msg::{CorrelationId, RequestEnvelope, ResponseEnvelope};
 use drams_policy::decision::Decision;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// What a PEP does with non-definitive decisions (XACML §7.2.1 PEP
 /// biases).
@@ -21,6 +20,18 @@ pub enum EnforcementBias {
     DenyBiased,
     /// Permit-biased: anything but `Deny` is granted.
     PermitBiased,
+}
+
+impl EnforcementBias {
+    /// Whether a PEP with this bias grants access on `decision`. The
+    /// Analyser judges the enforced outcome by this same rule.
+    #[must_use]
+    pub fn grants(self, decision: Decision) -> bool {
+        match self {
+            EnforcementBias::DenyBiased => decision == Decision::Permit,
+            EnforcementBias::PermitBiased => decision != Decision::Deny,
+        }
+    }
 }
 
 /// Result of enforcing one decision.
@@ -39,46 +50,24 @@ pub struct Pep {
     tenant: TenantId,
     bias: EnforcementBias,
     next_correlation: u64,
-    /// Correlations forwarded and not yet answered or abandoned.
-    pending: HashSet<CorrelationId>,
-    granted: u64,
-    refused: u64,
 }
 
 impl Pep {
     /// Creates a PEP for a tenant edge.
     #[must_use]
     pub fn new(id: PepId, tenant: TenantId, bias: EnforcementBias) -> Self {
-        // Correlation ids are globally unique by namespacing with the PEP
-        // id in the high bits.
-        let next_correlation = (u64::from(id.0)) << 40;
         Pep {
             id,
             tenant,
             bias,
-            next_correlation,
-            pending: HashSet::new(),
-            granted: 0,
-            refused: 0,
+            next_correlation: Self::first_correlation(id),
         }
     }
 
-    /// This PEP's id.
-    #[must_use]
-    pub fn id(&self) -> PepId {
-        self.id
-    }
-
-    /// The tenant this PEP guards.
-    #[must_use]
-    pub fn tenant(&self) -> TenantId {
-        self.tenant
-    }
-
-    /// The enforcement bias in force.
-    #[must_use]
-    pub fn bias(&self) -> EnforcementBias {
-        self.bias
+    /// Correlation ids are globally unique by namespacing with the PEP id
+    /// in the high bits: a PEP numbers its requests densely from here.
+    fn first_correlation(id: PepId) -> u64 {
+        u64::from(id.0) << 40
     }
 
     /// Intercepts an access attempt, producing the envelope to forward to
@@ -91,7 +80,6 @@ impl Pep {
     ) -> RequestEnvelope {
         let correlation = CorrelationId(self.next_correlation);
         self.next_correlation += 1;
-        self.pending.insert(correlation);
         RequestEnvelope {
             correlation,
             tenant: self.tenant,
@@ -102,44 +90,21 @@ impl Pep {
         }
     }
 
-    /// Enforces a decision received from the PDP. Returns `None` for
-    /// responses that do not correlate with a pending request (stale or
-    /// forged).
+    /// Enforces a decision received from the PDP under this PEP's bias.
+    /// Returns `None` for a correlation this PEP never handed out (forged or
+    /// misrouted). Whether the request is still awaiting its answer —
+    /// not answered, not abandoned — is the caller's bookkeeping, which
+    /// also holds its retry state.
     pub fn enforce(&mut self, response: &ResponseEnvelope) -> Option<Enforcement> {
-        if !self.pending.remove(&response.correlation) {
+        let handed_out = Self::first_correlation(self.id)..self.next_correlation;
+        if !handed_out.contains(&response.correlation.0) {
             return None;
         }
         let decision = response.response.decision;
-        let granted = match self.bias {
-            EnforcementBias::DenyBiased => decision == Decision::Permit,
-            EnforcementBias::PermitBiased => decision != Decision::Deny,
-        };
-        if granted {
-            self.granted += 1;
-        } else {
-            self.refused += 1;
-        }
-        Some(Enforcement { decision, granted })
-    }
-
-    /// Abandons a pending request whose deadline budget is exhausted
-    /// (the PDP stayed unreachable through every retry). Returns `true`
-    /// when the correlation was actually pending; a response arriving
-    /// after abandonment is treated as stale by [`enforce`](Self::enforce).
-    pub fn abandon(&mut self, correlation: CorrelationId) -> bool {
-        self.pending.remove(&correlation)
-    }
-
-    /// Requests forwarded but not yet answered.
-    #[must_use]
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// `(granted, refused)` counters.
-    #[must_use]
-    pub fn counters(&self) -> (u64, u64) {
-        (self.granted, self.refused)
+        Some(Enforcement {
+            decision,
+            granted: self.bias.grants(decision),
+        })
     }
 }
 
@@ -186,8 +151,6 @@ mod tests {
             let e = p.enforce(&respond(&env, ext)).unwrap();
             assert_eq!(e.granted, expect_granted, "{ext:?}");
         }
-        let (granted, refused) = p.counters();
-        assert_eq!((granted, refused), (1, 3));
     }
 
     #[test]
@@ -209,25 +172,13 @@ mod tests {
     fn uncorrelated_response_rejected() {
         let mut p = pep(EnforcementBias::DenyBiased);
         let env = p.intercept("svc", Request::new(), 0);
-        let mut resp = respond(&env, ExtDecision::Permit);
-        resp.correlation = CorrelationId(999);
-        assert!(p.enforce(&resp).is_none());
-        assert_eq!(p.pending_count(), 1);
-        // replaying after the real one also fails
         let real = respond(&env, ExtDecision::Permit);
+        // Another PEP's namespace, and this PEP's next, still unused number.
+        for forged in [CorrelationId(999), CorrelationId(env.correlation.0 + 1)] {
+            let mut resp = real.clone();
+            resp.correlation = forged;
+            assert!(p.enforce(&resp).is_none(), "{forged:?}");
+        }
         assert!(p.enforce(&real).is_some());
-        assert!(p.enforce(&real).is_none());
-    }
-
-    #[test]
-    fn abandoned_requests_reject_late_responses() {
-        let mut p = pep(EnforcementBias::DenyBiased);
-        let env = p.intercept("svc", Request::new(), 0);
-        assert!(p.abandon(env.correlation));
-        assert!(!p.abandon(env.correlation), "second abandon is a no-op");
-        assert_eq!(p.pending_count(), 0);
-        // The response finally limps in after the give-up: stale.
-        assert!(p.enforce(&respond(&env, ExtDecision::Permit)).is_none());
-        assert_eq!(p.counters(), (0, 0));
     }
 }

@@ -1,8 +1,16 @@
 //! Cross-crate integration: the full DRAMS pipeline under varied
 //! configurations.
 
+use drams::attack::{score, ScriptedAdversary, ThreatKind};
 use drams::core::adversary::NoAdversary;
 use drams::core::monitor::{run_monitor, MonitorConfig};
+use drams::policy::attr::{AttributeId, Category};
+use drams::policy::combining::CombiningAlg;
+use drams::policy::decision::Effect;
+use drams::policy::expr::Expr;
+use drams::policy::policy::{Policy, PolicySet};
+use drams::policy::rule::Rule;
+use drams::policy::target::Target;
 use drams_faas::des::{MILLIS, SECONDS};
 use drams_faas::model::FederationSpec;
 use drams_faas::pep::EnforcementBias;
@@ -52,6 +60,50 @@ fn permit_biased_pep_grants_more() {
     // With deny-unless-permit root there are no NA/Indeterminate outcomes,
     // so both biases agree here; permit-biased can never grant less.
     assert!(p.granted >= d.granted);
+}
+
+/// A `PermitOverrides` root whose only rule permits doctors: every other
+/// role's request is `NotApplicable`, which the two biases enforce
+/// differently.
+fn doctors_only() -> PolicySet {
+    let doctor = Expr::equal(
+        Expr::attr(AttributeId::new(Category::Subject, "role")),
+        Expr::lit("doctor"),
+    );
+    PolicySet::builder("root", CombiningAlg::PermitOverrides)
+        .policy(
+            Policy::builder("p", CombiningAlg::PermitOverrides)
+                .rule(
+                    Rule::builder("allow-doctors", Effect::Permit)
+                        .target(Target::expr(doctor))
+                        .build(),
+                )
+                .build(),
+        )
+        .build()
+}
+
+#[test]
+fn enforcement_is_judged_under_the_deployment_bias() {
+    for bias in [EnforcementBias::DenyBiased, EnforcementBias::PermitBiased] {
+        let config = MonitorConfig {
+            policy: doctors_only(),
+            bias,
+            ..base()
+        };
+        let (report, _) = run_monitor(&config, &mut NoAdversary);
+        assert!(
+            report.alerts.is_empty(),
+            "{bias:?}: an honest run raised {:?}",
+            report.alerts
+        );
+        let mut rogue_pep = ScriptedAdversary::new(ThreatKind::FlipEnforcement, 0.3, 11);
+        let (report, truth) = run_monitor(&config, &mut rogue_pep);
+        let s = score(ThreatKind::FlipEnforcement, &report, &truth);
+        assert!(s.attacks > 0, "{bias:?}: the campaign flipped nothing");
+        assert_eq!(s.detected, s.attacks, "{bias:?}");
+        assert_eq!(s.false_positives, 0, "{bias:?}");
+    }
 }
 
 #[test]
