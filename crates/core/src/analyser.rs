@@ -64,10 +64,10 @@ fn read_policy(r: &mut Reader<'_>) -> Result<Arc<PreparedPolicySet>, StoreError>
 }
 
 /// Version byte of the checkpoint encoding, leading both of its records
-/// (layout: [`Analyser::checkpoint`]). [`Analyser::recover`] refuses any
-/// other: version 5 held policies as parser source text, which did not
-/// round-trip every target to the same digest, and earlier versions were
-/// one record.
+/// (layout: [`Analyser::checkpoint`]). [`Analyser::crash_restart`]
+/// refuses any other: version 5 held policies as parser source text,
+/// which did not round-trip every target to the same digest, and earlier
+/// versions were one record.
 const CHECKPOINT_VERSION: u8 = 6;
 
 /// One probe's MAC key as the Analyser holds it: the raw bytes, which the
@@ -390,7 +390,7 @@ impl Analyser {
     /// generation) → cursor record naming it → removal of the superseded
     /// history record. The cursor write is the commit point: before it,
     /// the old cursor still names the old, still present history; after
-    /// it, the new pair is complete. [`Analyser::recover`] reads the
+    /// it, the new pair is complete. [`Analyser::crash_restart`] reads the
     /// cursor, then exactly the history generation it names.
     ///
     /// # Errors
@@ -473,18 +473,21 @@ impl Analyser {
         Ok(())
     }
 
-    /// Rebuilds an Analyser from its checkpoint: the cursor record, then
-    /// the policy-history generation it names (see
-    /// [`Analyser::checkpoint`] for the layout). The policy history is
-    /// replayed through the verifier (reconstructing every authorised
-    /// version with its supersession time; a record that names a version
-    /// more than once, one entry per publish, replays to the same history)
-    /// and the chain cursors resume where the last checkpoint left them —
-    /// no re-scan, no re-alerting.
+    /// Restarts the Analyser process in place: everything it holds in
+    /// memory is lost, and it resumes from its own checkpoint store with
+    /// the key, keypair and enforcement bias it was provisioned with. It
+    /// reads the cursor record, then the policy-history generation that
+    /// record names (see [`Analyser::checkpoint`] for the layout). The
+    /// policy history is replayed through the verifier (reconstructing
+    /// every authorised version with its supersession time; a record
+    /// that names a version more than once, one entry per publish,
+    /// replays to the same history) and the chain cursors resume where
+    /// the last checkpoint left them — no re-scan, no re-alerting.
     /// History records other than the named one — what a crash between
     /// the steps of a history-changing checkpoint leaves behind — are
-    /// removed, so the recovered Analyser is in one of the two states
-    /// that checkpoint was moving between, with a store to match.
+    /// removed, so the restarted Analyser is in one of the two states
+    /// that checkpoint was moving between, with a store to match. On an
+    /// error the Analyser is left as it was.
     ///
     /// # Errors
     ///
@@ -496,44 +499,8 @@ impl Analyser {
     /// including any checkpoint version other than 6 — or a
     /// checkpointed policy does not compile to the version digest
     /// recorded beside it.
-    pub fn recover(
-        key: SymmetricKey,
-        keypair: Keypair,
-        mut store: SnapshotStore,
-    ) -> Result<Self, StoreError> {
-        let mut analyser = Analyser::restore(key, keypair, &mut store)?;
-        analyser.checkpoint_store = store;
-        Ok(analyser)
-    }
-
-    /// Restarts the Analyser process in place: everything it holds in
-    /// memory is lost, and it resumes from its own checkpoint store as
-    /// [`Analyser::recover`] does, with the key, keypair and enforcement
-    /// bias it was provisioned with. On an error the Analyser is left as
-    /// it was.
-    ///
-    /// # Errors
-    ///
-    /// As [`Analyser::recover`].
     pub fn crash_restart(&mut self) -> Result<(), StoreError> {
-        let mut restarted = Analyser::restore(
-            self.key.clone(),
-            self.keypair.clone(),
-            &mut self.checkpoint_store,
-        )?;
-        restarted.bias = self.bias;
-        std::mem::swap(&mut restarted.checkpoint_store, &mut self.checkpoint_store);
-        *self = restarted;
-        Ok(())
-    }
-
-    /// [`Analyser::recover`]'s reading of `store`, into an Analyser that
-    /// holds a fresh in-memory store of its own.
-    fn restore(
-        key: SymmetricKey,
-        keypair: Keypair,
-        store: &mut SnapshotStore,
-    ) -> Result<Self, StoreError> {
+        let store = &mut self.checkpoint_store;
         let Some((_, bytes)) = store.load()? else {
             return Err(StoreError::NotFound("analyser checkpoint".into()));
         };
@@ -583,7 +550,12 @@ impl Analyser {
         let mut r = Reader::new(&history);
         expect_version(r.get_u8().map_err(codec)?)?;
         let prepared = read_policy(&mut r)?;
-        let mut analyser = Analyser::from_prepared(prepared, key, keypair, probe_mac_keys);
+        let mut analyser = Analyser::from_prepared(
+            prepared,
+            self.key.clone(),
+            self.keypair.clone(),
+            probe_mac_keys,
+        );
         let entries = r.get_varint().map_err(codec)?;
         for _ in 0..entries {
             let kind = r.get_u8().map_err(codec)?;
@@ -613,7 +585,10 @@ impl Analyser {
         analyser.pending_retire = pending_retire;
         analyser.history_retention = history_retention;
         analyser.policy_history_retired = policy_history_retired;
-        Ok(analyser)
+        analyser.bias = self.bias;
+        std::mem::swap(&mut analyser.checkpoint_store, &mut self.checkpoint_store);
+        *self = analyser;
+        Ok(())
     }
 
     /// Consumes new `group.complete` events from `node`, verifies each
@@ -1623,12 +1598,18 @@ mod tests {
         }
     }
 
+    /// A fresh Analyser with the rig's key and keypair whose checkpoint
+    /// store is `backend`, crash-restarted from what that store holds.
     fn recover_from(backend: &FaultyBackend) -> Result<Analyser, StoreError> {
-        Analyser::recover(
+        let mut analyser = Analyser::new(
+            policy(),
             SymmetricKey::from_bytes([3; 32]),
             Keypair::from_seed(b"analyser"),
-            backend.store(),
-        )
+            BTreeMap::new(),
+        );
+        analyser.checkpoint_store = backend.store();
+        analyser.crash_restart()?;
+        Ok(analyser)
     }
 
     /// `(file, bytes)` per write, in order.
@@ -2307,14 +2288,9 @@ mod tests {
 
     #[test]
     fn recover_without_checkpoint_is_not_found() {
-        use drams_store::{MemBackend, SnapshotStore, StoreError};
-        let err = Analyser::recover(
-            SymmetricKey::from_bytes([3; 32]),
-            Keypair::from_seed(b"analyser"),
-            SnapshotStore::new(Box::new(MemBackend::new())),
-        )
-        .unwrap_err();
-        assert!(matches!(err, StoreError::NotFound(_)));
+        // A new Analyser owns an empty store until its first checkpoint.
+        let err = rig().analyser.crash_restart().unwrap_err();
+        assert!(matches!(err, drams_store::StoreError::NotFound(_)));
     }
 
     /// Runs an honest, permitted doctor group in which the entry at

@@ -54,8 +54,6 @@ struct GroupState {
 }
 
 const FLAG_CLOSED: u8 = 1;
-const FLAG_REQ_ALERTED: u8 = 2;
-const FLAG_RESP_ALERTED: u8 = 4;
 /// The group's four log entries were pruned by `retire_groups` after the
 /// Analyser finished with them. The group record itself stays behind as
 /// a tombstone so late duplicates of retired evidence are ignored
@@ -230,11 +228,10 @@ impl MonitorContract {
         // the response digests (PDP sent, PEP received) must match. An
         // observation is stored once, so each pair is compared once: when
         // its second half arrives.
-        let (sender, receiver, flag, kind, from, to) = match entry.point {
+        let (sender, receiver, kind, from, to) = match entry.point {
             ObservationPoint::PepRequest | ObservationPoint::PdpRequest => (
                 ObservationPoint::PepRequest,
                 ObservationPoint::PdpRequest,
-                FLAG_REQ_ALERTED,
                 AlertKind::RequestTampering,
                 "pep",
                 "pdp",
@@ -242,7 +239,6 @@ impl MonitorContract {
             ObservationPoint::PdpResponse | ObservationPoint::PepResponse => (
                 ObservationPoint::PdpResponse,
                 ObservationPoint::PepResponse,
-                FLAG_RESP_ALERTED,
                 AlertKind::ResponseTampering,
                 "pdp",
                 "pep",
@@ -261,7 +257,6 @@ impl MonitorContract {
                 (stored, entry.digest)
             };
             if sent != received {
-                group.flags |= flag;
                 Self::emit_alert(
                     ctx,
                     &Alert::new(
@@ -431,17 +426,9 @@ impl SmartContract for MonitorContract {
     ) -> Result<(), String> {
         match method {
             "init" => Self::handle_init(ctx, payload),
-            "store_log_batch" => {
-                let mut r = Reader::new(payload);
-                let n = r.get_varint().map_err(|e| e.to_string())? as usize;
-                for _ in 0..n {
-                    let (entry, bytes) =
-                        LogEntryRef::decode_spanned(&mut r).map_err(|e| e.to_string())?;
-                    Self::store_entry(ctx, &entry, bytes)?;
-                }
-                r.finish().map_err(|e| e.to_string())?;
-                Ok(())
-            }
+            "store_log_batch" => read_batch(payload, |entry, bytes| {
+                Self::store_entry(ctx, &entry, bytes)
+            }),
             "advance_epoch" => Self::handle_advance_epoch(ctx),
             "set_timeout" => Self::handle_set_timeout(ctx, payload),
             "report_violation" => Self::handle_report_violation(ctx, payload),
@@ -451,22 +438,40 @@ impl SmartContract for MonitorContract {
     }
 }
 
-/// Encodes a batch of entries for `store_log_batch` into `w`, so callers
-/// with a size estimate can pre-allocate (see
-/// [`crate::li::LoggingInterface::flush`]).
-pub fn encode_batch_into(entries: &[LogEntry], w: &mut Writer) {
-    w.put_varint(entries.len() as u64);
-    for e in entries {
-        e.encode(w);
-    }
-}
-
-/// Encodes a batch of entries for `store_log_batch`.
+/// Encodes a batch of entries for `store_log_batch`: their count, then
+/// each entry's canonical encoding.
 #[must_use]
 pub fn encode_batch(entries: &[LogEntry]) -> Vec<u8> {
     let mut w = Writer::new();
-    encode_batch_into(entries, &mut w);
+    w.put_varint(entries.len() as u64);
+    for e in entries {
+        e.encode(&mut w);
+    }
     w.into_bytes()
+}
+
+/// Reads a `store_log_batch` payload: a count, then that many entries,
+/// then nothing. Each entry goes to `visit` in order, as a
+/// [`LogEntryRef`] with its span of the payload (its canonical
+/// encoding). The first malformed entry, trailing bytes or error from
+/// `visit` ends the walk and is returned; the entries before it were
+/// visited.
+///
+/// # Errors
+///
+/// The codec error, as text, when the payload is malformed; whatever
+/// `visit` returns.
+pub fn read_batch<'a>(
+    payload: &'a [u8],
+    mut visit: impl FnMut(LogEntryRef<'a>, &'a [u8]) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut r = Reader::new(payload);
+    let n = r.get_varint().map_err(|e| e.to_string())?;
+    for _ in 0..n {
+        let (entry, bytes) = LogEntryRef::decode_spanned(&mut r).map_err(|e| e.to_string())?;
+        visit(entry, bytes)?;
+    }
+    r.finish().map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -731,7 +736,7 @@ mod tests {
         }
         assert_eq!(
             transcript.finalize().to_hex(),
-            "40cb1f73ebf598581e9817ffd553e14c3412937bcd27d3822ea9d4cbb5d98266"
+            "e38d99eeea429d4c7cd3af401832af6e93c5c11a24b78b48d9eded2837344f13"
         );
     }
 

@@ -7,20 +7,26 @@
 //! blockchain transactions, and decrypts stored payloads for authorised
 //! consumers (the Analyser).
 //!
-//! Every entry is written ahead to the LI's backlog WAL before the
-//! buffer accepts it. It is encoded into one scratch [`Writer`] the LI
-//! keeps and journaled from there, so write-ahead costs no allocation
-//! per entry once the scratch buffer has grown to the largest entry.
+//! An unflushed entry has one form in the LI: the canonical encoding
+//! [`LoggingInterface::store`] writes once, at the end of the resident
+//! buffer, and journals to the backlog WAL from there before the buffer
+//! accepts it. The first `resident_cap` encodings stay in the buffer,
+//! later ones only in the WAL. A flush submits the buffer behind a count
+//! as the `store_log_batch` payload, as it is; when entries spilled, it
+//! first reloads the WAL's unconsumed tail, record bytes as they lie.
+//! Write-ahead costs no allocation per entry once the buffer has grown
+//! to its working size.
 
-use crate::contract::{encode_batch_into, MONITOR_CONTRACT};
-use crate::logent::LogEntry;
+use crate::contract::MONITOR_CONTRACT;
+use crate::logent::{LogEntry, LogEntryRef};
 use drams_chain::error::ChainError;
 use drams_chain::node::Node;
 use drams_chain::tx::TxId;
 use drams_crypto::aead::SymmetricKey;
-use drams_crypto::codec::{Decode, Encode, Writer};
+use drams_crypto::codec::{Encode, Reader, Writer, MAX_VARINT_LEN};
 use drams_crypto::schnorr::Keypair;
 use drams_crypto::CryptoError;
+use drams_store::segment::FRAME_LEN;
 use drams_store::{Durability, MemBackend, StoreError, Wal, WalConfig};
 
 /// A per-tenant Logging Interface.
@@ -30,11 +36,11 @@ pub struct LoggingInterface {
     key: SymmetricKey,
     keypair: Keypair,
     batch_size: usize,
-    buffer: Vec<LogEntry>,
-    /// Bytes of the largest batch encoded so far — the next flush
-    /// pre-allocates its payload in one right-sized allocation instead
-    /// of growing through repeated reallocation.
-    batch_bytes_hint: usize,
+    /// The canonical encodings of the resident entries, back to back in
+    /// store order: the next `store_log_batch` payload without its count.
+    resident: Writer,
+    /// How many entries `resident` holds.
+    resident_count: usize,
     submitted_entries: u64,
     submitted_txs: u64,
     /// The durable backlog: every buffered entry is written ahead to
@@ -57,8 +63,6 @@ pub struct LoggingInterface {
     spilled: usize,
     /// Most entries ever resident at once (capacity diagnostics).
     peak_resident: usize,
-    /// Where each entry is encoded for the backlog WAL.
-    record: Writer,
 }
 
 impl LoggingInterface {
@@ -86,8 +90,8 @@ impl LoggingInterface {
             key,
             keypair,
             batch_size,
-            buffer: Vec::with_capacity(batch_size),
-            batch_bytes_hint: 0,
+            resident: Writer::new(),
+            resident_count: 0,
             submitted_entries: 0,
             submitted_txs: 0,
             backlog: mem_wal(64),
@@ -95,7 +99,6 @@ impl LoggingInterface {
             resident_cap: usize::MAX,
             spilled: 0,
             peak_resident: 0,
-            record: Writer::new(),
         }
     }
 
@@ -110,15 +113,15 @@ impl LoggingInterface {
     pub fn set_resident_cap(&mut self, cap: usize) {
         assert!(cap > 0, "resident cap must be at least 1");
         self.resident_cap = cap;
-        self.spill_past_cap();
-    }
-
-    /// Moves the resident entries past the cap out of memory; the backlog
-    /// WAL already holds them.
-    fn spill_past_cap(&mut self) {
-        if self.buffer.len() > self.resident_cap {
-            self.spilled += self.buffer.len() - self.resident_cap;
-            self.buffer.truncate(self.resident_cap);
+        if self.resident_count > cap {
+            let mut r = Reader::new(self.resident.as_bytes());
+            for _ in 0..cap {
+                LogEntryRef::decode(&mut r).expect("the buffer holds whole entries");
+            }
+            let kept = self.resident.len() - r.remaining();
+            self.resident.truncate(kept);
+            self.spilled += self.resident_count - cap;
+            self.resident_count = cap;
         }
     }
 
@@ -126,6 +129,14 @@ impl LoggingInterface {
     #[must_use]
     pub fn spilled(&self) -> usize {
         self.spilled
+    }
+
+    /// Entries journaled and held in memory, not yet submitted. Entries
+    /// spilled past the resident cap are not included —
+    /// [`Self::buffered`] counts them.
+    #[must_use]
+    pub fn resident(&self) -> usize {
+        self.resident_count
     }
 
     /// The most entries ever resident in the buffer at once.
@@ -171,10 +182,7 @@ impl LoggingInterface {
     /// journaled entry does not decode.
     pub fn crash_restart(&mut self) -> Result<(), StoreError> {
         self.backlog.simulate_crash()?;
-        self.buffer = unconsumed(&self.backlog)?;
-        self.spilled = 0;
-        self.spill_past_cap();
-        self.batch_bytes_hint = 0;
+        self.reload(self.resident_cap)?;
         self.submitted_entries = 0;
         self.submitted_txs = 0;
         self.peak_resident = 0;
@@ -182,12 +190,31 @@ impl LoggingInterface {
         Ok(())
     }
 
-    /// The entries currently *resident* in the buffer (and journaled)
-    /// but not yet submitted. Entries spilled past the resident cap are
-    /// not included — [`Self::buffered`] counts them.
-    #[must_use]
-    pub fn buffered_entries(&self) -> &[LogEntry] {
-        &self.buffer
+    /// Rebuilds the buffer from every entry journaled to the backlog WAL
+    /// since its last flush snapshot, in journal order: the first `cap`
+    /// resident, the rest counted as spilled. A record is copied as it
+    /// lies in the WAL once it decodes as an entry. On an error the LI is
+    /// left as it was.
+    fn reload(&mut self, cap: usize) -> Result<(), StoreError> {
+        let consumed = self.backlog.read_snapshot()?.map_or(0, |(seq, _)| seq);
+        let mut resident = Writer::new();
+        let (mut count, mut spilled) = (0, 0);
+        self.backlog.visit_from(consumed, |seq, frame| {
+            let record = &frame[FRAME_LEN..];
+            LogEntryRef::from_bytes(record)
+                .map_err(|e| StoreError::Codec(format!("backlog record {seq}: {e}")))?;
+            if count < cap {
+                resident.put_raw(record);
+                count += 1;
+            } else {
+                spilled += 1;
+            }
+            Ok(())
+        })?;
+        self.resident = resident;
+        self.resident_count = count;
+        self.spilled = spilled;
+        Ok(())
     }
 
     /// The LI's name (diagnostics).
@@ -206,7 +233,7 @@ impl LoggingInterface {
     /// yet submitted.
     #[must_use]
     pub fn buffered(&self) -> usize {
-        self.buffer.len() + self.spilled
+        self.resident_count + self.spilled
     }
 
     /// Buffers an entry; when the batch is full, submits it to `node`.
@@ -219,21 +246,23 @@ impl LoggingInterface {
     pub fn store(&mut self, entry: LogEntry, node: &mut Node) -> Result<Vec<TxId>, ChainError> {
         // Write-ahead: the entry is durable (per the WAL's durability
         // policy) before the buffer accepts it.
-        self.record.clear();
-        entry.encode(&mut self.record);
-        self.backlog
-            .append(self.record.as_bytes())
-            .map_err(|e| ChainError::Journal(e.to_string()))?;
-        if self.buffer.len() >= self.resident_cap {
+        let start = self.resident.len();
+        entry.encode(&mut self.resident);
+        if let Err(e) = self.backlog.append(&self.resident.as_bytes()[start..]) {
+            self.resident.truncate(start);
+            return Err(ChainError::Journal(e.to_string()));
+        }
+        if self.resident_count < self.resident_cap {
+            self.resident_count += 1;
+            self.peak_resident = self.peak_resident.max(self.resident_count);
+        } else {
             // Past the high-water mark: the entry is already durable in
             // the WAL, so keep only its count in memory. The next flush
             // reloads the full backlog before submitting.
+            self.resident.truncate(start);
             self.spilled += 1;
-        } else {
-            self.buffer.push(entry);
-            self.peak_resident = self.peak_resident.max(self.buffer.len());
         }
-        if !self.offline && self.buffer.len() + self.spilled >= self.batch_size {
+        if !self.offline && self.buffered() >= self.batch_size {
             self.flush(node)
         } else {
             Ok(Vec::new())
@@ -254,7 +283,7 @@ impl LoggingInterface {
     /// covers them, so a later recovery may re-submit the batch, which
     /// the contract's per-(correlation, point) storage keys absorb.
     pub fn flush(&mut self, node: &mut Node) -> Result<Vec<TxId>, ChainError> {
-        if (self.buffer.is_empty() && self.spilled == 0) || self.offline {
+        if self.buffered() == 0 || self.offline {
             return Ok(Vec::new());
         }
         if self.spilled > 0 {
@@ -262,21 +291,26 @@ impl LoggingInterface {
             // WAL. Reload the whole unconsumed tail (resident entries
             // were journaled in the same order, so a full rebuild keeps
             // submission order identical to an uncapped LI).
-            self.buffer =
-                unconsumed(&self.backlog).map_err(|e| ChainError::Journal(e.to_string()))?;
-            self.spilled = 0;
+            self.reload(usize::MAX)
+                .map_err(|e| ChainError::Journal(e.to_string()))?;
         }
-        // Encode the batch exactly once, into a payload pre-sized from
-        // the previous flush, and sign it with the keypair's cached
-        // public key (no per-batch key re-derivation).
-        let mut w = Writer::with_capacity(self.batch_bytes_hint);
-        encode_batch_into(&self.buffer, &mut w);
-        let payload = w.into_bytes();
-        self.batch_bytes_hint = self.batch_bytes_hint.max(payload.len());
-        let id = node.submit_call(&self.keypair, MONITOR_CONTRACT, "store_log_batch", payload)?;
-        self.submitted_entries += self.buffer.len() as u64;
+        // The payload is the count, then the resident encodings as they
+        // are, signed with the keypair's cached public key (no per-batch
+        // key re-derivation).
+        let entries = self.resident.as_bytes();
+        let mut payload = Writer::with_capacity(MAX_VARINT_LEN + entries.len());
+        payload.put_varint(self.resident_count as u64);
+        payload.put_raw(entries);
+        let id = node.submit_call(
+            &self.keypair,
+            MONITOR_CONTRACT,
+            "store_log_batch",
+            payload.into_bytes(),
+        )?;
+        self.submitted_entries += self.resident_count as u64;
         self.submitted_txs += 1;
-        self.buffer.clear();
+        self.resident.clear();
+        self.resident_count = 0;
         // Everything journaled so far is now owed by the chain, not by
         // us: snapshot the consumed sequence and drop sealed segments. (A
         // crash between the submit above and this marker cannot happen
@@ -315,19 +349,6 @@ pub(crate) fn mem_wal(segment_records: usize) -> Wal {
     .expect("fresh in-memory wal")
 }
 
-/// Every entry journaled to a backlog WAL since its last flush snapshot,
-/// in journal order.
-fn unconsumed(wal: &Wal) -> Result<Vec<LogEntry>, StoreError> {
-    let consumed = wal.read_snapshot()?.map_or(0, |(seq, _)| seq);
-    wal.replay_from(consumed)?
-        .into_iter()
-        .map(|(seq, bytes)| {
-            LogEntry::from_canonical_bytes(&bytes)
-                .map_err(|e| StoreError::Codec(format!("backlog record {seq}: {e}")))
-        })
-        .collect()
-}
-
 /// Decrypts a log entry's sealed payload with the federation key,
 /// reconstructing the AAD binding used by the probes.
 ///
@@ -343,7 +364,7 @@ pub fn decrypt_entry_payload(key: &SymmetricKey, entry: &LogEntry) -> Result<Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contract::MonitorContract;
+    use crate::contract::{encode_batch, read_batch, MonitorContract};
     use crate::logent::{ObservationPoint, ProbeId};
     use crate::probe::Probe;
     use drams_chain::chain::ChainConfig;
@@ -392,6 +413,24 @@ mod tests {
         );
         let probe = Probe::new(ProbeId(1), key, [6; 32]);
         (li, probe)
+    }
+
+    /// The resident entries, read in place from the buffer, which must
+    /// hold exactly that many whole entries.
+    fn resident_entries(li: &LoggingInterface) -> Vec<LogEntryRef<'_>> {
+        let mut r = Reader::new(li.resident.as_bytes());
+        let entries = (0..li.resident())
+            .map(|_| LogEntryRef::decode(&mut r).unwrap())
+            .collect();
+        r.finish().unwrap();
+        entries
+    }
+
+    fn resident_correlations(li: &LoggingInterface) -> Vec<u64> {
+        resident_entries(li)
+            .iter()
+            .map(|e| e.correlation.0)
+            .collect()
     }
 
     #[test]
@@ -476,13 +515,7 @@ mod tests {
         // The LI process dies with 3 entries unsubmitted.
         li.crash_restart().unwrap();
         assert_eq!(li.buffered(), 3, "backlog survives the crash");
-        assert_eq!(
-            li.buffered_entries()
-                .iter()
-                .map(|e| e.correlation.0)
-                .collect::<Vec<_>>(),
-            vec![1, 2, 3]
-        );
+        assert_eq!(resident_correlations(&li), [1, 2, 3]);
         let ids = li.flush(&mut n).unwrap();
         assert_eq!(ids.len(), 1);
         n.mine_block(100).unwrap();
@@ -502,7 +535,7 @@ mod tests {
         assert_eq!(li.buffered(), 1);
         li.crash_restart().unwrap();
         assert_eq!(li.buffered(), 1, "flushed entries are not recovered");
-        assert_eq!(li.buffered_entries()[0].correlation.0, 3);
+        assert_eq!(resident_correlations(&li), [3]);
     }
 
     #[test]
@@ -557,7 +590,11 @@ mod tests {
             li.store(sample_entry(&mut probe, corr), &mut n).unwrap();
         }
         assert_eq!(li.buffered(), 10, "logical depth counts the spill");
-        assert_eq!(li.buffered_entries().len(), 3, "resident stays capped");
+        assert_eq!(
+            resident_correlations(&li),
+            [1, 2, 3],
+            "resident stays capped"
+        );
         assert_eq!(li.spilled(), 7);
         assert_eq!(li.peak_resident(), 3);
         li.set_offline(false);
@@ -585,11 +622,8 @@ mod tests {
         assert_eq!(li.buffered(), 6, "spilled entries survive too");
         assert_eq!(li.spilled(), 4, "the restarted LI keeps its cap");
         assert_eq!(
-            li.buffered_entries()
-                .iter()
-                .map(|e| e.correlation.0)
-                .collect::<Vec<_>>(),
-            vec![1, 2],
+            resident_correlations(&li),
+            [1, 2],
             "the oldest stay resident"
         );
         let ids = li.flush(&mut n).unwrap();
@@ -611,17 +645,14 @@ mod tests {
         }
         li.crash_restart().unwrap();
         assert_eq!(
-            li.buffered_entries()
-                .iter()
-                .map(|e| e.correlation.0)
-                .collect::<Vec<_>>(),
-            vec![1, 2, 3, 4, 5, 6],
+            resident_correlations(&li),
+            [1, 2, 3, 4, 5, 6],
             "journal order is submission order"
         );
         li.set_resident_cap(2);
         assert_eq!(li.buffered(), 6);
         assert_eq!(li.spilled(), 4);
-        assert_eq!(li.buffered_entries().len(), 2);
+        assert_eq!(resident_correlations(&li), [1, 2]);
         let ids = li.flush(&mut n).unwrap();
         assert_eq!(ids.len(), 1);
         assert_eq!(li.submission_counters(), (6, 1));
@@ -640,10 +671,12 @@ mod tests {
                 .iter()
                 .filter(|tx| tx.method == "store_log_batch")
             {
-                let mut r = drams_crypto::codec::Reader::new(&tx.payload);
-                let entries = (0..r.get_varint().unwrap())
-                    .map(|_| LogEntry::decode(&mut r).unwrap().to_canonical_bytes())
-                    .collect();
+                let mut entries = Vec::new();
+                read_batch(&tx.payload, |_, bytes| {
+                    entries.push(bytes.to_vec());
+                    Ok(())
+                })
+                .unwrap();
                 out.push(entries);
             }
         }
@@ -685,6 +718,100 @@ mod tests {
         }
         let twice = scripted_run(|step| if step == 9 { 2 } else { 0 });
         assert_eq!(twice, uncrashed, "two crashes in a row after step 9");
+    }
+
+    /// One thing a test does to an LI.
+    #[derive(Clone, Copy)]
+    enum Step {
+        Store(u64),
+        Flush,
+        Offline(bool),
+        Crash,
+        Cap(usize),
+    }
+
+    /// Runs `steps` through an LI of batch size `batch`, checking that
+    /// every payload it submits is `encode_batch` of the entries stored
+    /// since the previous submission, in store order. Returns how many
+    /// it submitted.
+    fn submitted_payloads_are_the_stored_entries(batch: usize, steps: &[Step]) -> usize {
+        let mut n = node();
+        let (mut li, mut probe) = li(batch);
+        li.attach_backlog(mem_wal(4));
+        let mut owed: Vec<LogEntry> = Vec::new();
+        let mut submitted = 0;
+        for &step in steps {
+            let ids = match step {
+                Step::Store(corr) => {
+                    let entry = sample_entry(&mut probe, corr);
+                    owed.push(entry.clone());
+                    li.store(entry, &mut n).unwrap()
+                }
+                Step::Flush => li.flush(&mut n).unwrap(),
+                Step::Offline(offline) => {
+                    li.set_offline(offline);
+                    Vec::new()
+                }
+                Step::Crash => {
+                    li.crash_restart().unwrap();
+                    Vec::new()
+                }
+                Step::Cap(cap) => {
+                    li.set_resident_cap(cap);
+                    Vec::new()
+                }
+            };
+            for id in ids {
+                let tx = n.pending_transactions().find(|tx| tx.id() == id).unwrap();
+                assert_eq!(tx.payload, encode_batch(&owed));
+                owed.clear();
+                submitted += 1;
+            }
+        }
+        assert!(owed.is_empty(), "the steps end with nothing owed");
+        assert_eq!(li.buffered(), 0);
+        submitted
+    }
+
+    #[test]
+    fn every_payload_is_the_encoding_of_the_entries_stored_since_the_last() {
+        use Step::{Cap, Crash, Flush, Offline, Store};
+        let stores = |range: std::ops::RangeInclusive<u64>| range.map(Store);
+        let plain: Vec<Step> = stores(1..=7).chain([Flush]).collect();
+        let capped: Vec<Step> = [Cap(2)]
+            .into_iter()
+            .chain(stores(1..=6))
+            .chain([Flush])
+            .collect();
+        let healed: Vec<Step> = [Offline(true)]
+            .into_iter()
+            .chain(stores(1..=5))
+            .chain([Flush, Offline(false), Flush])
+            .chain(stores(6..=7))
+            .collect();
+        let crashed_spill: Vec<Step> = [Cap(2), Offline(true)]
+            .into_iter()
+            .chain(stores(1..=6))
+            .chain([Crash, Flush])
+            .collect();
+        let capped_after_crash: Vec<Step> = [Offline(true)]
+            .into_iter()
+            .chain(stores(1..=6))
+            .chain([Crash, Cap(2), Flush])
+            .collect();
+        for (what, batch, steps, submissions) in [
+            ("plain batches", 3, plain, 3),
+            ("resident cap with spill", 100, capped, 1),
+            ("offline then heal", 2, healed, 2),
+            ("crash with spilled entries", 100, crashed_spill, 1),
+            ("cap set on a recovered LI", 100, capped_after_crash, 1),
+        ] {
+            assert_eq!(
+                submitted_payloads_are_the_stored_entries(batch, &steps),
+                submissions,
+                "{what}"
+            );
+        }
     }
 
     #[test]

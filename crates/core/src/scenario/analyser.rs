@@ -23,8 +23,6 @@ impl AnalyserService {
                 // else observes it: a crash after this point resumes
                 // here, never re-checks, never re-alerts.
                 self.analyser.checkpoint().expect("analyser checkpoint");
-                ctx.report.groups_retired = self.analyser.groups_retired();
-                ctx.report.policy_history_retired = self.analyser.policy_history_retired();
                 ctx.report.peak.analyser_pending_retire = ctx
                     .report
                     .peak

@@ -4,7 +4,7 @@
 use super::ctx::Ctx;
 use super::msg::{Msg, Outbox};
 use crate::alert::Alert;
-use crate::contract::{MonitorContract, GROUP_COMPLETE_EVENT, MONITOR_CONTRACT};
+use crate::contract::{read_batch, MonitorContract, GROUP_COMPLETE_EVENT, MONITOR_CONTRACT};
 use drams_chain::chain::ChainConfig;
 use drams_crypto::codec::Decode;
 use drams_crypto::schnorr::Keypair;
@@ -75,13 +75,20 @@ impl ChainService {
         let block = ctx.node.mine_block(now).expect("mining");
         ctx.report.blocks_mined += 1;
         ctx.report.txs_committed += block.transactions.len() as u64;
+        // Each entry an LI batch in this block carries is logged now,
+        // `now - observed_at` after its probe saw it.
         for tx in &block.transactions {
-            if let Some(times) = ctx.tx_entry_times.remove(&tx.id()) {
-                for t in times {
-                    ctx.report.log_commit_latency.record(now.saturating_sub(t));
-                    ctx.report.entries_logged += 1;
-                }
+            if tx.contract != MONITOR_CONTRACT || tx.method != "store_log_batch" {
+                continue;
             }
+            // Only the LIs submit batches, and theirs always read.
+            let _ = read_batch(&tx.payload, |entry, _| {
+                ctx.report
+                    .log_commit_latency
+                    .record(now.saturating_sub(entry.observed_at));
+                ctx.report.entries_logged += 1;
+                Ok(())
+            });
         }
         // Harvest newly committed contract events.
         let (events, cursor) = ctx.node.events_since(self.event_cursor);

@@ -5,37 +5,16 @@
 use super::ctx::{Ctx, TenantRuntime};
 use super::msg::{Msg, Outbox, PolicyAdmin};
 use super::spec::{CrashTarget, PdpPlacement, ScriptedAction};
-use crate::contract::MONITOR_CONTRACT;
-use crate::logent::{LogEntry, ObservationPoint, ProbeId};
+use crate::contract::{read_batch, MONITOR_CONTRACT};
+use crate::logent::ProbeId;
 use drams_chain::block::{Block, BlockHash};
 use drams_chain::tx::Transaction;
-use drams_crypto::codec::{Decode, Reader};
 use drams_crypto::schnorr::Keypair;
 use drams_faas::des::{SimTime, MILLIS};
 use drams_faas::fault::Site;
 use drams_faas::model::{CloudId, PepId, TenantId, TenantSpec};
-use drams_faas::msg::CorrelationId;
 use drams_faas::transport::WireRole;
 use rand::Rng;
-
-/// The `(correlation, point)` pairs a log-carrying transaction would have
-/// committed — the ground-truth labelling for a withheld commit.
-fn logged_entry_keys(tx: &Transaction) -> Vec<(CorrelationId, ObservationPoint)> {
-    let mut out = Vec::new();
-    if tx.method != "store_log_batch" {
-        return out;
-    }
-    let mut r = Reader::new(&tx.payload);
-    if let Ok(n) = r.get_varint() {
-        for _ in 0..n {
-            match LogEntry::decode(&mut r) {
-                Ok(e) => out.push((e.correlation, e.point)),
-                Err(_) => break,
-            }
-        }
-    }
-    out
-}
 
 /// Executes the scenario script: policy administration, tenant churn and
 /// fault windows, decomposed into the provisioning events above.
@@ -69,7 +48,7 @@ impl Controller {
             .iter()
             .position(|t| t.spec.id == tenant)
             .expect("script addresses an existing tenant's LI");
-        ctx.li_of_tenant[idx]
+        ctx.tenants[idx].li
     }
 }
 
@@ -102,6 +81,13 @@ impl Controller {
                 } => {
                     let id = ctx.tenants.iter().map(|t| t.spec.id.0).max().unwrap_or(0) + 1;
                     let tenant = ctx.tenants.len();
+                    // LIs sit at [members 0..n, infra at n, joined at
+                    // n+1…], so a joined tenant's LI index is tenant+1.
+                    let li = tenant + 1;
+                    debug_assert!(li > self.infra_li);
+                    debug_assert_eq!(ctx.li_site.len(), li);
+                    ctx.li_site.push(Site::Cloud(cloud));
+                    let pdp_slot = self.pdp_slot_for(ctx, cloud);
                     ctx.tenants.push(TenantRuntime {
                         spec: TenantSpec {
                             id: TenantId(id),
@@ -111,17 +97,10 @@ impl Controller {
                                 .map(|s| format!("svc-{id}-{s}"))
                                 .collect(),
                         },
+                        li,
+                        pdp_slot,
                         departed: false,
                     });
-                    // LIs sit at [members 0..n, infra at n, joined at
-                    // n+1…], so a joined tenant's LI index is tenant+1.
-                    let li = tenant + 1;
-                    debug_assert!(li > self.infra_li);
-                    ctx.li_of_tenant.push(li);
-                    debug_assert_eq!(ctx.li_site.len(), li);
-                    ctx.li_site.push(Site::Cloud(cloud));
-                    let slot = self.pdp_slot_for(ctx, cloud);
-                    ctx.pdp_slot_of_tenant.push(slot);
                     out.emit(0, Msg::ProvisionPep { tenant });
                     out.emit(0, Msg::ProvisionLi { li });
                     out.emit(
@@ -255,10 +234,15 @@ impl Controller {
                             .max_by_key(|tx| tx.nonce)
                             .map(Transaction::id)
                     });
-                    if let Some(id) = target {
-                        if let Some(tx) = ctx.node.withhold_transaction(&id) {
-                            ctx.truth.withheld_logs.extend(logged_entry_keys(&tx));
-                        }
+                    if let Some(tx) = target.and_then(|id| ctx.node.withhold_transaction(&id)) {
+                        // Ground truth: the entries the withheld batch
+                        // would have committed (it is the LI's, so it reads).
+                        let _ = read_batch(&tx.payload, |entry, _| {
+                            ctx.truth
+                                .withheld_logs
+                                .push((entry.correlation, entry.point));
+                            Ok(())
+                        });
                     }
                 }
             },

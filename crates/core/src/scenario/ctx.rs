@@ -7,7 +7,6 @@ use crate::adversary::Adversary;
 use crate::logent::LogEntry;
 use crate::monitor::{GroundTruth, MonitorReport};
 use drams_chain::node::Node;
-use drams_chain::tx::TxId;
 use drams_faas::des::SimTime;
 use drams_faas::fault::{FaultPlane, Site};
 use drams_faas::model::{LatencyModel, TenantSpec};
@@ -22,6 +21,10 @@ use std::rc::Rc;
 #[derive(Debug)]
 pub(super) struct TenantRuntime {
     pub(super) spec: TenantSpec,
+    /// The LI its probe observations go to.
+    pub(super) li: usize,
+    /// The PDP slot its PEP asks first.
+    pub(super) pdp_slot: usize,
     /// Set on `TenantLeave`; a pending activation (join settle time)
     /// must not resurrect a tenant that departed in the meantime.
     pub(super) departed: bool,
@@ -46,15 +49,10 @@ pub(super) struct Ctx<'a> {
     pub(super) tenants: Vec<TenantRuntime>,
     /// Indices into `tenants` the workload currently targets.
     pub(super) active_tenants: Vec<usize>,
-    /// Tenant index → LI index.
-    pub(super) li_of_tenant: Vec<usize>,
-    /// Tenant index → PDP slot.
-    pub(super) pdp_slot_of_tenant: Vec<usize>,
     /// Cloud id → PDP slot (all clouds map to slot 0 under central
     /// placement).
     pub(super) pdp_slot_of_cloud: BTreeMap<u32, usize>,
     pub(super) issued_at_by_corr: HashMap<CorrelationId, SimTime>,
-    pub(super) tx_entry_times: HashMap<TxId, Vec<SimTime>>,
     /// The deterministic per-link fault model every wire message crosses
     /// (a no-op with an empty plan).
     pub(super) fault_plane: FaultPlane,

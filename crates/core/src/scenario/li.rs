@@ -5,34 +5,15 @@ use super::ctx::Ctx;
 use super::msg::{Msg, Outbox};
 use crate::li::LoggingInterface;
 use crate::logent::LogEntry;
-use drams_chain::tx::TxId;
 use drams_crypto::aead::SymmetricKey;
 use drams_crypto::schnorr::Keypair;
 use drams_faas::des::SimTime;
 use drams_faas::fault::Site;
 use drams_store::StoreError;
-use std::collections::HashMap;
-
-/// Files the pending entries' observation times under the flush's
-/// transaction (a flush submits at most one).
-fn assign_tx_times(
-    pending: &mut Vec<SimTime>,
-    ids: &[TxId],
-    tx_entry_times: &mut HashMap<TxId, Vec<SimTime>>,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    if let Some(id) = ids.first() {
-        tx_entry_times.entry(*id).or_default().append(pending);
-    }
-}
 
 /// One Logging Interface with its simulation-side bookkeeping.
 struct LiSlot {
     li: LoggingInterface,
-    /// Observation times of the entries buffered for the next batch.
-    pending: Vec<SimTime>,
     /// Entries queued in process memory while the LI is stalled.
     backlog: Vec<LogEntry>,
     stalled_until: SimTime,
@@ -87,7 +68,6 @@ impl LiService {
         }
         self.slots.push(LiSlot {
             li,
-            pending: Vec::new(),
             backlog: Vec::new(),
             stalled_until: 0,
             offline_since: 0,
@@ -103,11 +83,6 @@ impl LiService {
         let slot = &mut self.slots[li];
         slot.li.crash_restart()?;
         slot.backlog.clear();
-        // Measurement bookkeeping: one observation time per entry still
-        // owed, in journal order. The restarted LI owes the journal's
-        // unconsumed tail — the oldest entries of the crashed one's (all
-        // of them under a flushed WAL).
-        slot.pending.truncate(slot.li.buffered());
         Ok(())
     }
 
@@ -132,18 +107,12 @@ impl LiService {
 
     fn store(&mut self, li: usize, entry: LogEntry, ctx: &mut Ctx<'_>) {
         let slot = &mut self.slots[li];
-        slot.pending.push(entry.observed_at);
-        let ids = slot.li.store(entry, &mut ctx.node).expect("li submission");
+        slot.li.store(entry, &mut ctx.node).expect("li submission");
         if slot.li.is_offline() {
             ctx.report.li_spilled += 1;
         }
-        assign_tx_times(&mut slot.pending, &ids, &mut ctx.tx_entry_times);
         ctx.report.max_mempool = ctx.report.max_mempool.max(ctx.node.mempool_len());
-        ctx.report.peak.li_resident = ctx
-            .report
-            .peak
-            .li_resident
-            .max(slot.li.buffered_entries().len() as u64);
+        ctx.report.peak.li_resident = ctx.report.peak.li_resident.max(slot.li.resident() as u64);
     }
 
     fn drain_backlog(&mut self, li: usize, ctx: &mut Ctx<'_>) {
@@ -168,9 +137,7 @@ impl LiService {
                 self.sync_chain_link(li, now, ctx);
                 if now >= self.slots[li].stalled_until {
                     self.drain_backlog(li, ctx);
-                    let slot = &mut self.slots[li];
-                    let ids = slot.li.flush(&mut ctx.node).expect("li flush");
-                    assign_tx_times(&mut slot.pending, &ids, &mut ctx.tx_entry_times);
+                    self.slots[li].li.flush(&mut ctx.node).expect("li flush");
                 }
                 ctx.report.max_mempool = ctx.report.max_mempool.max(ctx.node.mempool_len());
                 if out.within_deadline(now) {

@@ -170,13 +170,13 @@ impl PepService {
                         &env,
                         now,
                     );
-                    let li = ctx.li_of_tenant[tenant];
+                    let li = ctx.tenants[tenant].li;
                     ctx.deliver_to_li(out, li, entry, now);
                 }
                 if ctx.adversary.tamper_request_in_transit(&mut env, now) {
                     ctx.truth.tampered_requests.push(env.correlation);
                 }
-                let home = ctx.pdp_slot_of_tenant[tenant];
+                let home = ctx.tenants[tenant].pdp_slot;
                 let slot = Self::pick_slot(&mut self.breakers, home, now);
                 self.inflight.insert(
                     env.correlation,
@@ -221,7 +221,7 @@ impl PepService {
                 }
                 if let Some(issued) = ctx.issued_at_by_corr.get(&env.correlation) {
                     ctx.report.e2e_latency.record(now - issued);
-                    if slot != ctx.pdp_slot_of_tenant[tenant] {
+                    if slot != ctx.tenants[tenant].pdp_slot {
                         // Answered by a slot the breaker diverted to.
                         ctx.report.failovers += 1;
                         ctx.report.failover_e2e.record(now - issued);
@@ -230,7 +230,7 @@ impl PepService {
                 ctx.report.e2e_latency.record_attempts(inflight.attempts);
                 if ctx.monitoring {
                     let entry = self.probes[tenant].observe_pep_response(&env, granted, now);
-                    let li = ctx.li_of_tenant[tenant];
+                    let li = ctx.tenants[tenant].li;
                     ctx.deliver_to_li(out, li, entry, now);
                 }
             }

@@ -268,22 +268,17 @@ pub fn run_scenario_with_transport<A: Adversary>(
             .federation
             .tenants
             .iter()
-            .map(|t| TenantRuntime {
+            .enumerate()
+            .map(|(li, t)| TenantRuntime {
                 spec: t.clone(),
+                li,
+                pdp_slot: pdp_slot_of_cloud[&t.cloud.0],
                 departed: false,
             })
             .collect(),
         active_tenants: (0..tenant_count).collect(),
-        li_of_tenant: (0..tenant_count).collect(),
-        pdp_slot_of_tenant: config
-            .federation
-            .tenants
-            .iter()
-            .map(|t| pdp_slot_of_cloud[&t.cloud.0])
-            .collect(),
         pdp_slot_of_cloud,
         issued_at_by_corr: HashMap::new(),
-        tx_entry_times: HashMap::new(),
         fault_plane: FaultPlane::new(spec.faults.clone(), stream_rng(config.seed, "faults")),
         slot_site,
         // LIs sit at [tenants 0..n, infra at n]; a tenant-less config
@@ -426,6 +421,9 @@ pub fn run_scenario_with_transport<A: Adversary>(
     // --- run ---------------------------------------------------------------
     let finished_at = services.run(&mut ctx, config.horizon, shimmed);
     ctx.report.finished_at = finished_at;
+    let analyser = &services.analyser.analyser;
+    ctx.report.groups_retired = analyser.groups_retired();
+    ctx.report.policy_history_retired = analyser.policy_history_retired();
     ctx.report.faults = ctx.fault_plane.stats();
     (ctx.report, ctx.truth)
 }

@@ -172,6 +172,46 @@ fn tenant_churn_keeps_the_run_clean() {
 }
 
 #[test]
+fn every_entry_an_honest_run_commits_is_timed_once() {
+    // Tenant 1's LI spills past a resident cap of 2, queues entries
+    // through a short stall and, after it, crash-restarts just before a
+    // flush tick, with spilled entries in its WAL: each of the four
+    // observations of every completed request is committed, and timed
+    // from its probe to its block, exactly once.
+    let mut config = base_config();
+    config.total_requests = 120;
+    let spec = ScenarioSpec {
+        load: LoadProfile {
+            li_resident_cap: 2,
+            ..LoadProfile::default()
+        },
+        script: vec![
+            ScriptedAction::StallLi {
+                at: 100 * MILLIS,
+                until: 300 * MILLIS,
+                tenant: TenantId(1),
+            },
+            ScriptedAction::CrashRestart {
+                at: 690 * MILLIS,
+                target: CrashTarget::Li(TenantId(1)),
+            },
+        ],
+        ..ScenarioSpec::canonical(&config)
+    };
+    let (report, truth) = run_scenario(&spec, &mut NoAdversary);
+    assert_eq!(truth.total_attacks(), 0);
+    assert_eq!(report.crash_restarts, 1);
+    assert_eq!(report.requests_completed, 120);
+    assert_eq!(report.peak.li_resident, 2, "the cap bites");
+    assert_eq!(
+        report.log_commit_latency.len() as u64,
+        report.entries_logged
+    );
+    assert_eq!(report.entries_logged, 4 * report.requests_completed);
+    assert!(report.alerts.is_empty(), "alerts: {:?}", report.alerts);
+}
+
+#[test]
 fn stalled_li_raises_missing_log_alerts() {
     let mut config = base_config();
     config.total_requests = 60;

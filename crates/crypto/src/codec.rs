@@ -128,6 +128,12 @@ impl Writer {
         self.buf.clear();
     }
 
+    /// Forgets the bytes written past the first `len`, keeping the
+    /// buffer (no-op when fewer were written).
+    pub fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
+    }
+
     /// Number of bytes written so far.
     #[must_use]
     pub fn len(&self) -> usize {
