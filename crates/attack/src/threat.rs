@@ -117,14 +117,6 @@ impl FaultWindow {
     pub fn contains(&self, now: SimTime) -> bool {
         self.from <= now && now < self.until
     }
-
-    /// Whether the half-open interval `[from, until)` intersects this
-    /// window. Used to cross attack windows with fault-plan disruption
-    /// windows (e.g. "did this campaign overlap the partition?").
-    #[must_use]
-    pub fn overlaps(&self, from: SimTime, until: SimTime) -> bool {
-        self.from < until && from < self.until
-    }
 }
 
 /// A scripted campaign: fires one [`ThreatKind`] with a fixed per-event
@@ -524,17 +516,6 @@ mod tests {
     #[should_panic(expected = "fault window must be non-empty")]
     fn empty_window_panics() {
         let _ = FaultWindow::new(10, 10);
-    }
-
-    #[test]
-    fn overlaps_uses_half_open_intervals() {
-        let w = FaultWindow::new(100, 200);
-        assert!(w.overlaps(150, 160)); // fully inside
-        assert!(w.overlaps(50, 101)); // clips the start
-        assert!(w.overlaps(199, 300)); // clips the end
-        assert!(w.overlaps(0, 1_000)); // covers the window
-        assert!(!w.overlaps(0, 100)); // ends exactly at the start
-        assert!(!w.overlaps(200, 300)); // starts exactly at the end
     }
 
     /// End-to-end: a windowed campaign only attacks inside the window,

@@ -868,13 +868,8 @@ fn e11_storage_and_recovery(run: &mut Run) -> Vec<Section> {
     // -- part 2: the recovery matrix ---------------------------------------
     let mut recovery_rows = Vec::new();
     for spec in scenarios::recovery_matrix(run.quick) {
-        // The timed run records nothing, so `wall_ms` is the recovery's
-        // cost alone; a second crashed run records the entries.
-        let mut clean_entries = scenarios::EntryRecorder::default();
-        let mut crashed_entries = scenarios::EntryRecorder::default();
-        let clean = run_scenario(&scenarios::strip_crashes(&spec), &mut clean_entries);
+        let clean = run_scenario(&scenarios::strip_crashes(&spec), &mut NoAdversary);
         let (crashed, wall_ms) = timed_ms(|| run_scenario(&spec, &mut NoAdversary));
-        run_scenario(&spec, &mut crashed_entries);
         recovery_rows.push(row! {
             scenario: spec.name.as_str(),
             completed: crashed.0.requests_completed,
@@ -882,8 +877,6 @@ fn e11_storage_and_recovery(run: &mut Run) -> Vec<Section> {
             alerts: crashed.0.alerts.len(),
             crash_restarts: crashed.0.crash_restarts,
             matched: twin_matched(&spec.name, &clean, &crashed),
-            entries_matched: crashed_entries.entries == clean_entries.entries
-                && crashed_entries.reused_nonce().is_none(),
             wall_ms: wall_ms,
         });
     }

@@ -90,8 +90,6 @@ pub mod scenarios {
     /// removed); E11, E13 and E14 compare a crashed run against it.
     pub use drams_fuzz::strip_crashes;
 
-    use drams_core::adversary::Adversary;
-    use drams_core::logent::{LogEntry, ProbeId};
     use drams_core::monitor::MonitorConfig;
     use drams_core::scenario::{
         CrashTarget, DiurnalBand, FlashCrowd, LoadProfile, PdpPlacement, Phase, ScenarioSpec,
@@ -107,40 +105,6 @@ pub mod scenarios {
     use drams_policy::policy::{Policy, PolicySet};
     use drams_policy::rule::Rule;
     use drams_policy::target::Target;
-
-    /// An adversary that attacks nothing: it records every entry a probe
-    /// hands to its Logging Interface, in the order they were made, and
-    /// drops none, so the run is the one [`NoAdversary`] would give. The
-    /// record is a run's ciphertexts, which no report member sees.
-    ///
-    /// [`NoAdversary`]: drams_core::adversary::NoAdversary
-    #[derive(Default)]
-    pub struct EntryRecorder {
-        /// Every entry, as made.
-        pub entries: Vec<LogEntry>,
-    }
-
-    impl EntryRecorder {
-        /// The first `(probe, nonce)` pair that seals two different
-        /// observations, if one does — a reuse of an AEAD nonce under the
-        /// federation key.
-        #[must_use]
-        pub fn reused_nonce(&self) -> Option<(ProbeId, [u8; 12])> {
-            let mut sealed = std::collections::HashMap::new();
-            self.entries.iter().find_map(|e| {
-                let pair = (e.probe, e.sealed_payload.nonce);
-                let first = sealed.entry(pair).or_insert(e);
-                (*first != e).then_some(pair)
-            })
-        }
-    }
-
-    impl Adversary for EntryRecorder {
-        fn drop_log(&mut self, entry: &LogEntry, _now: drams_faas::des::SimTime) -> bool {
-            self.entries.push(entry.clone());
-            false
-        }
-    }
 
     fn base_config(quick: bool) -> MonitorConfig {
         MonitorConfig {

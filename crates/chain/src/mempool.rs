@@ -93,16 +93,6 @@ impl Mempool {
         }
     }
 
-    /// Re-queues transactions (e.g. returned by an abandoned fork) at the
-    /// front, preserving their relative order; duplicates are dropped.
-    pub fn requeue_front(&mut self, txs: Vec<Transaction>) {
-        for tx in txs.into_iter().rev() {
-            if self.index_insert(tx.id(), tx.sender) {
-                self.queue.push_front(tx);
-            }
-        }
-    }
-
     /// Number of pending transactions.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -197,16 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn requeue_front_restores_order_without_duplicates() {
-        let mut pool = Mempool::new();
-        pool.add(tx(2)).unwrap();
-        let orphaned = vec![tx(0), tx(1), tx(2)];
-        pool.requeue_front(orphaned);
-        let taken = pool.take(3);
-        assert_eq!(taken.iter().map(|t| t.nonce).collect::<Vec<_>>(), [0, 1, 2]);
-    }
-
-    #[test]
     fn remove_extracts_one_tx_and_keeps_order() {
         let mut pool = Mempool::new();
         let ids: Vec<TxId> = (0..4).map(|n| pool.add(tx(n)).unwrap()).collect();
@@ -232,9 +212,9 @@ mod tests {
     }
 
     /// The id index and sender counts must stay consistent with the queue
-    /// across interleaved prune/requeue/take cycles.
+    /// across prune and take.
     #[test]
-    fn index_stays_consistent_across_prune_and_requeue() {
+    fn index_stays_consistent_across_prune_and_take() {
         let mut pool = Mempool::new();
         let a_txs: Vec<Transaction> = (0..4).map(|n| tx_from(b"sender-a", n)).collect();
         let b_txs: Vec<Transaction> = (0..3).map(|n| tx_from(b"sender-b", n)).collect();
@@ -261,24 +241,9 @@ mod tests {
         check(&pool, 3, 2);
         assert!(!pool.contains(&a_txs[1].id()));
 
-        // Requeue an abandoned-fork mix: one pruned, one still pending
-        // (dropped as duplicate), one never seen.
-        pool.requeue_front(vec![
-            a_txs[1].clone(),
-            a_txs[2].clone(),
-            tx_from(b"sender-b", 9),
-        ]);
-        check(&pool, 4, 3);
-        let order: Vec<u64> = pool.queue.iter().map(|t| t.nonce).collect();
-        assert_eq!(
-            &order[..2],
-            &[1, 9],
-            "requeued txs sit at the front in order"
-        );
-
         // Draining through take leaves an empty, consistent index.
         let drained = pool.take(7);
-        assert_eq!(drained.len(), 7);
+        assert_eq!(drained.len(), 5);
         check(&pool, 0, 0);
         assert!(pool.by_sender.is_empty());
         assert!(pool.index.is_empty());

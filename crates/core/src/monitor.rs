@@ -29,6 +29,7 @@ use crate::adversary::Adversary;
 use crate::alert::Alert;
 use crate::logent::ObservationPoint;
 use crate::scenario::{run_scenario, ScenarioSpec};
+use drams_chain::block::BlockHash;
 use drams_crypto::codec::Encode;
 use drams_faas::des::{LatencyStats, SimTime, MILLIS, SECONDS};
 use drams_faas::model::FederationSpec;
@@ -217,6 +218,10 @@ pub struct MonitorReport {
     pub detection_latency: LatencyStats,
     /// All alerts committed on-chain, in commit order.
     pub alerts: Vec<Alert>,
+    /// The main-chain tip hash when the run ended: it commits to every
+    /// block header and transaction, so to every entry's nonce,
+    /// ciphertext and MAC and every Analyser transaction.
+    pub ledger: BlockHash,
     /// Blocks mined.
     pub blocks_mined: u64,
     /// Transactions committed.
@@ -319,8 +324,8 @@ impl MonitorReport {
 /// One member of the byte-identical-twin bar on which two runs differ.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
-    /// The differing member: `ground_truth`, `alerts` or a
-    /// [`MonitorReport`] field name.
+    /// The differing member: `ground_truth`, `alerts`, `ledger` or a
+    /// [`MonitorReport`] counter's name.
     pub member: &'static str,
     /// The member as the first run has it.
     pub left: String,
@@ -336,10 +341,11 @@ impl std::fmt::Display for Divergence {
 
 /// The byte-identical-twin bar behind DESIGN.md invariants 5, 7 and 9:
 /// two runs are twins when they have the same ground truth, the same
-/// canonical alert bytes in the same order, and the same
-/// `requests_completed`, `entries_logged`, `groups_completed`,
-/// `txs_committed` and `finished_at`. Returns the first member, in that
-/// order, on which they differ; `None` means identical.
+/// canonical alert bytes in the same order, the same chain tip
+/// (`ledger`), and the same `requests_completed`, `entries_logged`,
+/// `groups_completed`, `txs_committed` and `finished_at`. Returns the
+/// first member, in that order, on which they differ; `None` means
+/// identical.
 #[must_use]
 pub fn first_divergence(
     a: &MonitorReport,
@@ -383,6 +389,7 @@ pub fn first_divergence(
     ];
     differ("ground_truth", a_truth, b_truth)
         .or_else(alerts)
+        .or_else(|| differ("ledger", &a.ledger, &b.ledger))
         .or_else(|| counters.iter().find_map(|(m, l, r)| differ(m, l, r)))
 }
 
@@ -434,13 +441,14 @@ mod tests {
     fn first_divergence_names_exactly_the_perturbed_member() {
         use crate::alert::AlertKind;
         type Perturb = fn(&mut MonitorReport, &mut GroundTruth);
-        let table: [(&str, Perturb); 7] = [
+        let table: [(&str, Perturb); 8] = [
             ("ground_truth", |_, t| t.chain_forks += 1),
             ("alerts", |r, _| {
                 let kind = AlertKind::RequestTampering;
                 r.alerts
                     .push(Alert::new(kind, CorrelationId(3), 7, "planted"));
             }),
+            ("ledger", |r, _| r.ledger.0[0] ^= 1),
             ("requests_completed", |r, _| r.requests_completed += 1),
             ("entries_logged", |r, _| r.entries_logged += 1),
             ("groups_completed", |r, _| r.groups_completed += 1),

@@ -159,11 +159,10 @@ pub(super) struct Services {
 impl Services {
     /// Runs until the queue drains, `horizon` passes, or the drain
     /// deadline passes. Returns the virtual time of the last handled
-    /// event. With `shimmed`, every emission crosses
-    /// [`net_shim`] on its way into the queue; events scheduled on
-    /// `queue` before the run are bootstrap, not link traffic, and do
-    /// not.
-    pub(super) fn run(&mut self, ctx: &mut Ctx<'_>, horizon: SimTime, shimmed: bool) -> SimTime {
+    /// event. Every emission crosses [`net_shim`] on its way into the
+    /// queue; events scheduled on `queue` before the run are bootstrap,
+    /// not link traffic, and do not.
+    pub(super) fn run(&mut self, ctx: &mut Ctx<'_>, horizon: SimTime) -> SimTime {
         let mut out = Outbox::default();
         let mut shim_buf = Vec::new();
         let mut finished_at = 0;
@@ -172,10 +171,7 @@ impl Services {
                 break;
             }
             self.dispatch(now, msg, ctx, &mut out);
-            if shimmed {
-                net_shim(ctx, now, &mut out.emitted, &mut shim_buf);
-                std::mem::swap(&mut out.emitted, &mut shim_buf);
-            }
+            net_shim(ctx, now, &mut out.emitted, &mut shim_buf);
             out.flush(&mut self.queue);
             finished_at = now;
         }

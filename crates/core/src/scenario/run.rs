@@ -373,17 +373,6 @@ pub fn run_scenario_with_transport<A: Adversary>(
         queue: EventQueue::new(),
     };
 
-    // --- fault plane and wire transport ------------------------------------
-    // With a declared plan, every wire message (request, response, log
-    // delivery) crosses the fault plane on its way into the event queue;
-    // with a wire transport attached, a dispatch's surviving deliveries
-    // then cross the real sockets to their endpoints as one batch. Initial
-    // schedules below bypass both by design — they are bootstrap
-    // bookkeeping, not link traffic. An empty plan under the DES backend
-    // is not shimmed, so canonical runs take the exact pre-fault-plane
-    // path.
-    let shimmed = !spec.faults.is_empty() || ctx.transport.is_wire();
-
     // --- initial events ----------------------------------------------------
     let queue = &mut services.queue;
     let arrivals = PoissonArrivals::with_rate_per_sec(
@@ -419,8 +408,9 @@ pub fn run_scenario_with_transport<A: Adversary>(
     }
 
     // --- run ---------------------------------------------------------------
-    let finished_at = services.run(&mut ctx, config.horizon, shimmed);
+    let finished_at = services.run(&mut ctx, config.horizon);
     ctx.report.finished_at = finished_at;
+    ctx.report.ledger = ctx.node.chain().tip_hash();
     let analyser = &services.analyser.analyser;
     ctx.report.groups_retired = analyser.groups_retired();
     ctx.report.policy_history_retired = analyser.policy_history_retired();

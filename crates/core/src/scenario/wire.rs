@@ -96,13 +96,8 @@ fn edge_site(ctx: &Ctx<'_>, is_edge: impl Fn(&TenantSpec) -> bool) -> Site {
 }
 
 /// The `(from, to, allow_drop)` link a message travels, for the three
-/// messages the fault plane classifies — `None` for everything when no
-/// plan is declared, so a fault-free run never consults the plane (nor
-/// draws from its RNG stream) whatever transport is attached.
+/// messages the fault plane classifies, and `None` for every other one.
 fn fault_link(ctx: &Ctx<'_>, msg: &Msg) -> Option<(Site, Site, bool)> {
-    if ctx.fault_plane.plan().is_empty() {
-        return None;
-    }
     match msg {
         Msg::PdpReceive { slot, env } => {
             let edge = edge_site(ctx, |t| t.id == env.tenant);
@@ -158,38 +153,43 @@ fn carry_batch(ctx: &mut Ctx<'_>, deliveries: &mut [(SimTime, Msg)]) {
     }
 }
 
-/// What every emission of a run with a fault plan or a wire transport
-/// crosses on its way into the event queue. It takes one dispatch's
-/// outbox: every link message first crosses the fault plane, in
-/// emission order (so the plane's RNG draws do not depend on the
-/// transport), and non-link messages pass straight through. Then, with
-/// a wire transport attached, every wire-encodable delivery — probe-key
-/// provisioning included — crosses the transport in one batch. Under
+/// What every emission of a run crosses on its way into the event
+/// queue. It takes one dispatch's outbox: under a declared plan every
+/// link message first crosses the fault plane, in emission order (so
+/// the plane's RNG draws do not depend on the transport), and non-link
+/// messages pass straight through; an empty plan is never consulted and
+/// never draws from its RNG stream. Then, with a wire transport
+/// attached, every wire-encodable delivery — probe-key provisioning
+/// included — crosses the transport in one batch. Under
 /// [`DesTransport`](drams_faas::transport::DesTransport) that step is
-/// skipped: the conformance oracle's path. The deliveries land in the
-/// empty `buf`, in the order the queue schedules them.
+/// skipped: the conformance oracle's path. The deliveries are left in
+/// `outbox`, in the order the queue schedules them; `buf` is scratch
+/// and is left empty.
 pub(super) fn net_shim(
     ctx: &mut Ctx<'_>,
     now: SimTime,
     outbox: &mut Vec<(SimTime, Msg)>,
     buf: &mut Vec<(SimTime, Msg)>,
 ) {
-    for (delay, msg) in outbox.drain(..) {
-        let Some((from, to, allow_drop)) = fault_link(ctx, &msg) else {
-            buf.push((delay, msg));
-            continue;
-        };
-        let fates = ctx.fault_plane.deliveries(now, from, to, allow_drop);
-        let Some((last, rest)) = fates.split_last() else {
-            continue; // dropped (or partitioned away)
-        };
-        for extra in rest {
-            buf.push((delay + extra, msg.clone()));
+    if !ctx.fault_plane.plan().is_empty() {
+        for (delay, msg) in outbox.drain(..) {
+            let Some((from, to, allow_drop)) = fault_link(ctx, &msg) else {
+                buf.push((delay, msg));
+                continue;
+            };
+            let fates = ctx.fault_plane.deliveries(now, from, to, allow_drop);
+            let Some((last, rest)) = fates.split_last() else {
+                continue; // dropped (or partitioned away)
+            };
+            for extra in rest {
+                buf.push((delay + extra, msg.clone()));
+            }
+            buf.push((delay + last, msg));
         }
-        buf.push((delay + last, msg));
+        std::mem::swap(outbox, buf);
     }
     if ctx.transport.is_wire() {
-        carry_batch(ctx, buf);
+        carry_batch(ctx, outbox);
     }
 }
 

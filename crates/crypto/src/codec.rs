@@ -61,11 +61,6 @@ impl Writer {
         self.buf.push(v);
     }
 
-    /// Appends a big-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
     /// Appends a big-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_be_bytes());
@@ -214,11 +209,6 @@ impl<'a> Reader<'a> {
         let v = self.buf[0];
         self.advance(1);
         Ok(v)
-    }
-
-    /// Reads a big-endian `u16`.
-    pub fn get_u16(&mut self) -> Result<u16, CryptoError> {
-        Ok(u16::from_be_bytes(self.get_array::<2>()?))
     }
 
     /// Reads a big-endian `u32`.
@@ -476,7 +466,6 @@ mod tests {
     fn primitive_round_trips() {
         let mut w = Writer::new();
         w.put_u8(0xab);
-        w.put_u16(0xcdef);
         w.put_u32(0xdead_beef);
         w.put_u64(0x0123_4567_89ab_cdef);
         w.put_i64(-42);
@@ -486,7 +475,6 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 0xab);
-        assert_eq!(r.get_u16().unwrap(), 0xcdef);
         assert_eq!(r.get_u32().unwrap(), 0xdead_beef);
         assert_eq!(r.get_u64().unwrap(), 0x0123_4567_89ab_cdef);
         assert_eq!(r.get_i64().unwrap(), -42);

@@ -193,12 +193,6 @@ impl LatencyStats {
         self.retries
     }
 
-    /// The delivery-attempt histogram; see [`ATTEMPT_BUCKETS`].
-    #[must_use]
-    pub fn attempts_histogram(&self) -> [u64; ATTEMPT_BUCKETS] {
-        self.attempts
-    }
-
     /// Number of samples.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -400,13 +394,11 @@ mod tests {
         s.record_attempts(3); // two retries
         s.record_attempts(20); // clamps into the last bucket
         assert_eq!(s.retries(), 2 + 19);
-        let hist = s.attempts_histogram();
-        assert_eq!(hist[0], 2);
-        assert_eq!(hist[2], 1);
-        assert_eq!(hist[ATTEMPT_BUCKETS - 1], 1);
         let r = s.report();
         assert_eq!(r.retries, 21);
-        assert_eq!(r.attempts, hist);
+        assert_eq!(r.attempts[0], 2);
+        assert_eq!(r.attempts[2], 1);
+        assert_eq!(r.attempts[ATTEMPT_BUCKETS - 1], 1);
         // Attempt counts are independent of latency samples.
         assert_eq!(r.count, 0);
     }

@@ -153,21 +153,6 @@ impl FederationSpec {
     pub fn tenant(&self, id: TenantId) -> Option<&TenantSpec> {
         self.tenants.iter().find(|t| t.id == id)
     }
-
-    /// All PEP ids in the federation.
-    #[must_use]
-    pub fn pep_ids(&self) -> Vec<PepId> {
-        self.tenants.iter().map(|t| t.pep).collect()
-    }
-
-    /// All service names across all tenants.
-    #[must_use]
-    pub fn all_services(&self) -> Vec<&str> {
-        self.tenants
-            .iter()
-            .flat_map(|t| t.services.iter().map(String::as_str))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -180,8 +165,8 @@ mod tests {
     fn symmetric_topology_counts() {
         let spec = FederationSpec::symmetric(3, 2, 4);
         assert_eq!(spec.tenant_count(), 6);
-        assert_eq!(spec.pep_ids().len(), 6);
-        assert_eq!(spec.all_services().len(), 24);
+        let services: usize = spec.tenants.iter().map(|t| t.services.len()).sum();
+        assert_eq!(services, 24);
         // Tenant ids start at 1 (0 = infrastructure).
         assert!(spec.tenants.iter().all(|t| !t.id.is_infrastructure()));
     }

@@ -100,18 +100,6 @@ impl Prp {
     pub fn version(&self, number: u64) -> Option<&PolicyVersion> {
         self.versions.get(number as usize)
     }
-
-    /// Looks a version up by digest.
-    #[must_use]
-    pub fn by_digest(&self, digest: &Digest) -> Option<&PolicyVersion> {
-        self.versions.iter().find(|v| v.digest == *digest)
-    }
-
-    /// Number of stored versions.
-    #[must_use]
-    pub fn version_count(&self) -> usize {
-        self.versions.len()
-    }
 }
 
 #[cfg(test)]
@@ -136,7 +124,7 @@ mod tests {
     fn initial_version_is_zero() {
         let prp = Prp::new(policy("v0"));
         assert_eq!(prp.active().number, 0);
-        assert_eq!(prp.version_count(), 1);
+        assert_eq!(prp.versions.len(), 1);
     }
 
     #[test]
@@ -151,15 +139,6 @@ mod tests {
             prp.version(0).unwrap().digest,
             policy("v0").version_digest()
         );
-    }
-
-    #[test]
-    fn lookup_by_digest() {
-        let mut prp = Prp::new(policy("v0"));
-        prp.publish(policy("v1"));
-        let digest = prp.version(0).unwrap().digest;
-        assert_eq!(prp.by_digest(&digest).unwrap().number, 0);
-        assert!(prp.by_digest(&Digest::of(b"nope")).is_none());
     }
 
     #[test]
@@ -188,7 +167,7 @@ mod tests {
         assert_eq!(active.digest, old.digest);
         assert!(Arc::ptr_eq(&active.prepared, &old.prepared));
         assert_eq!(prp.rollback(7), None);
-        assert_eq!(prp.version_count(), 3);
+        assert_eq!(prp.versions.len(), 3);
     }
 
     #[test]

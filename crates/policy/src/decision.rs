@@ -74,17 +74,6 @@ impl ExtDecision {
             Effect::Deny => ExtDecision::IndeterminateD,
         }
     }
-
-    /// True for any of the three indeterminate flavours.
-    #[must_use]
-    pub fn is_indeterminate(self) -> bool {
-        matches!(
-            self,
-            ExtDecision::IndeterminateP
-                | ExtDecision::IndeterminateD
-                | ExtDecision::IndeterminateDP
-        )
-    }
 }
 
 impl fmt::Display for ExtDecision {
@@ -358,7 +347,6 @@ mod tests {
             ExtDecision::IndeterminateDP,
         ] {
             assert_eq!(d.to_decision(), Decision::Indeterminate);
-            assert!(d.is_indeterminate());
         }
     }
 

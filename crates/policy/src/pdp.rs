@@ -104,7 +104,6 @@ pub struct Pdp {
     /// serves one PDP per slot, restart and activation from it).
     prepared: Arc<PreparedPolicySet>,
     version: Digest,
-    evaluations: AtomicU64,
     cache_capacity: usize,
     cache: DecisionCache,
 }
@@ -140,7 +139,6 @@ impl Pdp {
         Pdp {
             prepared,
             version,
-            evaluations: AtomicU64::new(0),
             cache_capacity: capacity,
             cache: DecisionCache::default(),
         }
@@ -162,7 +160,6 @@ impl Pdp {
     /// engine, decision cache).
     #[must_use]
     pub fn evaluate(&self, request: &Request) -> Response {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
         if self.cache_capacity == 0 {
             let (extended, obligations) = self.prepared.evaluate(request);
             return Response::new(extended, obligations);
@@ -184,12 +181,6 @@ impl Pdp {
             self.cache.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
         response
-    }
-
-    /// Number of evaluations performed (diagnostics).
-    #[must_use]
-    pub fn evaluation_count(&self) -> u64 {
-        self.evaluations.load(Ordering::Relaxed)
     }
 
     /// `(hits, misses)` of the decision cache.
@@ -263,10 +254,10 @@ mod tests {
     #[test]
     fn evaluates_and_counts() {
         let pdp = pdp();
-        assert_eq!(pdp.evaluation_count(), 0);
+        assert_eq!(pdp.cache_stats(), (0, 0));
         let r = pdp.evaluate(&Request::new());
         assert_eq!(r.decision, Decision::Permit);
-        assert_eq!(pdp.evaluation_count(), 1);
+        assert_eq!(pdp.cache_stats(), (0, 1));
     }
 
     #[test]
