@@ -607,7 +607,7 @@ macro_rules! gates {
 /// Every gate `run_experiments` enforces on a run, one row each:
 /// section, row selector, column, rule.
 #[rustfmt::skip]
-pub const GATES: [Gate; 44] = gates! {
+pub const GATES: [Gate; 45] = gates! {
     // Per-entry storage cost at 16 KiB entries above that at 64 B.
     "e1_log_size"             ""                         "grows"                            Rule::True;
     // Hashes per block strictly rising with the difficulty bits; each
@@ -624,6 +624,7 @@ pub const GATES: [Gate; 44] = gates! {
     // hosts, so each is loose and catches an order-of-magnitude slowdown
     // against the committed run, not jitter.
     "e5_pdp_scaling"          "rows"                     "speedup_compiled_vs_interpreter"  Rule::AtLeastCommitted(0.5);
+    "e5_pdp_scaling"          "rows"                     "compile_ms"                       Rule::AtMostCommitted(2.0);
     "e6_monitoring_overhead"  "off"                      "chain_txs"                        Rule::Zero;
     "e6_monitoring_overhead"  "on"                       "chain_txs"                        Rule::Positive;
     "e7_scale"                "rows"                     "completed"                        Rule::Equals("requests");

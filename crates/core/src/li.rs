@@ -3,9 +3,10 @@
 //! Paper §II: the LI "exposes to agents endpoints for storing data and
 //! managing security alert events generated by smart-contracts" and
 //! "provides symmetric encryption and decryption functions". One LI runs
-//! per tenant (Figure 1); it batches probe observations, signs them as
-//! blockchain transactions, and decrypts stored payloads for authorised
-//! consumers (the Analyser).
+//! per tenant (Figure 1); it batches probe observations and signs them
+//! as blockchain transactions. It holds no payload key: the probes seal
+//! each payload, and the Analyser opens it with its own copy of the key
+//! through [`decrypt_entry_payload`].
 //!
 //! An unflushed entry has one form in the LI: the canonical encoding
 //! [`LoggingInterface::store`] writes once, at the end of the resident
@@ -33,7 +34,6 @@ use drams_store::{Durability, MemBackend, StoreError, Wal, WalConfig};
 #[derive(Debug)]
 pub struct LoggingInterface {
     name: String,
-    key: SymmetricKey,
     keypair: Keypair,
     batch_size: usize,
     /// The canonical encodings of the resident entries, back to back in
@@ -74,20 +74,22 @@ impl LoggingInterface {
     /// of 64-record segments that flushes every record;
     /// [`attach_backlog`](Self::attach_backlog) picks another medium.
     ///
+    /// `_key` is ignored: the LI seals and opens no payload. The
+    /// parameter stays so that existing callers keep compiling.
+    ///
     /// # Panics
     ///
     /// Panics when `batch_size` is 0.
     #[must_use]
     pub fn new(
         name: impl Into<String>,
-        key: SymmetricKey,
+        _key: SymmetricKey,
         keypair: Keypair,
         batch_size: usize,
     ) -> Self {
         assert!(batch_size > 0, "batch size must be at least 1");
         LoggingInterface {
             name: name.into(),
-            key,
             keypair,
             batch_size,
             resident: Writer::new(),
@@ -323,17 +325,6 @@ impl LoggingInterface {
             .map_err(|e| ChainError::Journal(e.to_string()))?;
         Ok(vec![id])
     }
-
-    /// Decrypts a stored entry's payload (the LI's "decryption function",
-    /// used by the Analyser).
-    ///
-    /// # Errors
-    ///
-    /// [`CryptoError::InvalidTag`] when the payload was tampered with or
-    /// sealed under a different key.
-    pub fn decrypt_payload(&self, entry: &LogEntry) -> Result<Vec<u8>, CryptoError> {
-        decrypt_entry_payload(&self.key, entry)
-    }
 }
 
 /// A fresh write-ahead log on the in-memory medium, flushed record by
@@ -403,15 +394,19 @@ mod tests {
         probe.observe_request(ObservationPoint::PepRequest, &env, 20)
     }
 
+    /// The federation key the tests' probe seals under.
+    fn payload_key() -> SymmetricKey {
+        SymmetricKey::from_bytes([5; 32])
+    }
+
     fn li(batch: usize) -> (LoggingInterface, Probe) {
-        let key = SymmetricKey::from_bytes([5; 32]);
         let li = LoggingInterface::new(
             "li-tenant-1",
-            key.clone(),
+            payload_key(),
             Keypair::from_seed(b"li-1"),
             batch,
         );
-        let probe = Probe::new(ProbeId(1), key, [6; 32]);
+        let probe = Probe::new(ProbeId(1), payload_key(), [6; 32]);
         (li, probe)
     }
 
@@ -478,9 +473,9 @@ mod tests {
 
     #[test]
     fn decrypt_round_trips_payload() {
-        let (li, mut probe) = li(1);
+        let (_, mut probe) = li(1);
         let entry = sample_entry(&mut probe, 9);
-        let plain = li.decrypt_payload(&entry).unwrap();
+        let plain = decrypt_entry_payload(&payload_key(), &entry).unwrap();
         let env = RequestEnvelope::from_canonical_bytes(&plain).unwrap();
         assert_eq!(env.correlation, CorrelationId(9));
     }
@@ -497,10 +492,10 @@ mod tests {
     fn decrypt_fails_when_header_swapped() {
         // A compromised LI cannot splice a sealed payload under another
         // correlation id: the AAD binding breaks.
-        let (li, mut probe) = li(1);
+        let (_, mut probe) = li(1);
         let mut entry = sample_entry(&mut probe, 9);
         entry.correlation = CorrelationId(10);
-        assert!(li.decrypt_payload(&entry).is_err());
+        assert!(decrypt_entry_payload(&payload_key(), &entry).is_err());
     }
 
     #[test]

@@ -8,28 +8,41 @@
 //! PDP decision latency as the policy base grows — and it leaves a lot
 //! of performance on the table.
 //!
-//! This module compiles a [`PolicySet`] once into a form built for the
-//! hot path:
+//! This module compiles a [`PolicySet`] once, in one walk, into a
+//! [`PreparedPolicySet`] built for the hot path:
 //!
 //! * [`AttrInterner`] — every [`AttributeId`] referenced anywhere in the
 //!   policy is mapped to a dense `u32` symbol.
-//! * [`CompiledExpr`] — expressions flattened into an arena (one `Vec`
-//!   of nodes + one `Vec` of argument indices, no per-node boxing),
-//!   evaluated borrow-first through the crate-internal `ValueView`: literals and request
-//!   bags are borrowed, owned values exist only for computed results.
+//! * **One arena per version.** Every expression node of every target
+//!   and condition lives in one `Vec` of nodes, every argument list and
+//!   every target conjunction is a run of one `Vec` of node indices, and
+//!   target clauses are runs of index ranges. Rules, policies and
+//!   policy sets, their obligation flags and their obligations sit in
+//!   version-wide tables too: a node names its children, a rule its
+//!   obligations, by a range. Compiling the 1,000-policy `policy_heavy`
+//!   base is about 150 allocations, and freeing it a few dozen.
+//!   Expressions are evaluated borrow-first through the crate-internal
+//!   `ValueView`: literals and request bags are borrowed, owned values
+//!   exist only for computed results.
+//! * **A literal table** with one entry per distinct literal, told
+//!   apart by variant and exact bits or bytes — never by
+//!   [`AttributeValue`]'s coercing equality, under which `Int(1)` equals
+//!   `Double(1.0)` and `0.0` equals `-0.0`.
 //! * [`PreparedRequest`] — the request's bags re-indexed by symbol, so
 //!   every attribute lookup during evaluation is one array access.
-//! * [`PreparedPolicySet`] — the compiled tree plus a **target index**
-//!   per combining node: children whose target is a single-attribute
-//!   equality disjunction (the overwhelmingly common shape, e.g.
-//!   `resource.type == "record"`) are bucketed by `(symbol, value)`, and
-//!   a request only evaluates the children its attribute values select.
-//!   Skipping is *exact*: a child is skipped only when its target is
-//!   definitively `NoMatch` (singleton bag, value not in the bucket), so
-//!   `Indeterminate` flavours — missing attributes, multi-valued bags —
-//!   and combining-algorithm document order are preserved bit-for-bit.
-//!   The equivalence property suite (`tests/prop_compiled.rs`) checks
-//!   this against the interpreter on randomized policies.
+//! * A **target index** on every policy or policy set with at least
+//!   `MIN_INDEXED_CHILDREN` children, at least one of them guarded:
+//!   children whose target is a single-attribute equality disjunction
+//!   (the overwhelmingly common shape, e.g. `resource.type == "record"`)
+//!   are bucketed by `(symbol, value)`, and a request only evaluates the
+//!   children its attribute values select. Narrower nodes have no index
+//!   and evaluate every child. Skipping is *exact*: a child is skipped
+//!   only when its target is definitively `NoMatch` (singleton bag,
+//!   value not in the bucket), so `Indeterminate` flavours — missing
+//!   attributes, multi-valued bags — and combining-algorithm document
+//!   order are preserved bit-for-bit. The equivalence property suite
+//!   (`tests/prop_compiled.rs`) checks this against the interpreter on
+//!   randomized policies.
 //! * An **early exit** in deny-/permit-overrides nodes: every child
 //!   carries two compile-time flags — can its subtree return obligations
 //!   together with Permit, with Deny — and once a child has returned the
@@ -57,11 +70,14 @@ use drams_crypto::sha256::Digest;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
-/// FxHash-style multiply-xor hasher for the index maps: their keys are
-/// small fixed-width integers ((Sym, u64) buckets), where SipHash's
-/// DoS resistance buys nothing and costs a large slice of the per-request
-/// index probe.
+/// FxHash-style multiply-xor hasher for the compiled form's maps. Their
+/// keys are the policy's own: small fixed-width integers ((Sym, u64)
+/// buckets), attribute ids and literals. A request only looks keys up
+/// and never inserts, so a request crafted to collide cannot grow a
+/// chain, and SipHash's DoS resistance would buy nothing for a large
+/// slice of the per-request index probe.
 #[derive(Debug, Clone, Default)]
 struct FxHasher(u64);
 
@@ -79,6 +95,10 @@ impl Hasher for FxHasher {
     fn write_u64(&mut self, i: u64) {
         const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
         self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(SEED);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
     }
 
     fn finish(&self) -> u64 {
@@ -99,7 +119,7 @@ pub type Sym = u32;
 #[derive(Debug, Clone, Default)]
 pub struct AttrInterner {
     ids: Vec<AttributeId>,
-    map: HashMap<AttributeId, Sym>,
+    map: FxMap<AttributeId, Sym>,
 }
 
 impl AttrInterner {
@@ -157,12 +177,37 @@ impl<'r> PreparedRequest<'r> {
     }
 }
 
-// ---- compiled expressions ---------------------------------------------------
+// ---- the arena --------------------------------------------------------------
 
-/// One arena node of a [`CompiledExpr`].
-#[derive(Debug, Clone)]
+/// A run of consecutive entries in one of the arena's tables.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn new(start: usize, len: usize) -> Span {
+        Span {
+            start: start as u32,
+            len: len as u32,
+        }
+    }
+
+    fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+
+    fn is_empty(self) -> bool {
+        self.len == 0
+    }
+}
+
+/// One expression node; the operands it names are other nodes.
+#[derive(Debug, Clone, Copy)]
 enum Node {
-    Lit(AttributeValue),
+    /// An index into the literal table.
+    Lit(u32),
     Attr(Sym),
     /// Specialised `cmp(attr, lit)` / `cmp(lit, attr)` — the dominant
     /// leaf shape in targets and conditions, evaluated without the
@@ -172,293 +217,140 @@ enum Node {
     CmpAttrLit {
         func: Func,
         sym: Sym,
-        value: AttributeValue,
+        lit: u32,
         attr_first: bool,
     },
+    /// `args` is a run of the argument-index table.
     Apply {
         func: Func,
-        args_start: u32,
-        args_len: u32,
+        args: Span,
     },
 }
 
-/// An [`Expr`] flattened into an arena: `nodes` in post-order, argument
-/// lists as contiguous index runs in `args`.
-#[derive(Debug, Clone)]
-pub struct CompiledExpr {
-    nodes: Vec<Node>,
-    args: Vec<u32>,
-    root: u32,
-}
-
-impl CompiledExpr {
-    /// Compiles an expression, interning every attribute id it mentions.
-    #[must_use]
-    pub fn compile(expr: &Expr, interner: &mut AttrInterner) -> CompiledExpr {
-        let mut c = CompiledExpr {
-            nodes: Vec::with_capacity(expr.size()),
-            args: Vec::new(),
-            root: 0,
-        };
-        c.root = c.push(expr, interner);
-        c
-    }
-
-    fn push(&mut self, expr: &Expr, interner: &mut AttrInterner) -> u32 {
-        let node = match expr {
-            Expr::Lit(v) => Node::Lit(v.clone()),
-            Expr::Attr(id) => Node::Attr(interner.intern(id)),
-            Expr::Apply(func, argv) if is_comparison(*func) && argv.len() == 2 => {
-                match argv.as_slice() {
-                    [Expr::Attr(id), Expr::Lit(v)] => Node::CmpAttrLit {
-                        func: *func,
-                        sym: interner.intern(id),
-                        value: v.clone(),
-                        attr_first: true,
-                    },
-                    [Expr::Lit(v), Expr::Attr(id)] => Node::CmpAttrLit {
-                        func: *func,
-                        sym: interner.intern(id),
-                        value: v.clone(),
-                        attr_first: false,
-                    },
-                    _ => self.push_apply(*func, argv, interner),
-                }
-            }
-            Expr::Apply(func, argv) => self.push_apply(*func, argv, interner),
-        };
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(node);
-        idx
-    }
-
-    fn push_apply(&mut self, func: Func, argv: &[Expr], interner: &mut AttrInterner) -> Node {
-        let idxs: Vec<u32> = argv.iter().map(|a| self.push(a, interner)).collect();
-        let args_start = self.args.len() as u32;
-        self.args.extend(idxs);
-        Node::Apply {
-            func,
-            args_start,
-            args_len: argv.len() as u32,
-        }
-    }
-
-    /// Evaluates against a prepared request.
-    ///
-    /// # Errors
-    ///
-    /// The same [`EvalError`]s as [`Expr::eval`].
-    pub(crate) fn eval<'a>(
-        &'a self,
-        request: &PreparedRequest<'a>,
-        interner: &'a AttrInterner,
-    ) -> Result<ValueView<'a>, EvalError> {
-        self.eval_node(self.root, request, interner)
-    }
-
-    fn eval_node<'a>(
-        &'a self,
-        idx: u32,
-        request: &PreparedRequest<'a>,
-        interner: &'a AttrInterner,
-    ) -> Result<ValueView<'a>, EvalError> {
-        match &self.nodes[idx as usize] {
-            Node::Lit(v) => Ok(ValueView::One(Cow::Borrowed(v))),
-            Node::Attr(sym) => {
-                let bag = request.bag(*sym);
-                if bag.is_empty() {
-                    Err(EvalError::MissingAttribute(interner.resolve(*sym).clone()))
-                } else {
-                    Ok(ValueView::Bag(bag))
-                }
-            }
-            Node::CmpAttrLit {
-                func,
-                sym,
-                value,
-                attr_first,
-            } => cmp_attr_lit(*func, *sym, value, *attr_first, request, interner)
-                .map(|b| ValueView::One(Cow::Owned(AttributeValue::Bool(b)))),
-            Node::Apply {
-                func,
-                args_start,
-                args_len,
-            } => {
-                let argix = &self.args[*args_start as usize..(*args_start + *args_len) as usize];
-                apply_func(
-                    *func,
-                    argix.len(),
-                    &mut |i| self.eval_node(argix[i], request, interner),
-                    &mut |i| match self.nodes[argix[i] as usize] {
-                        Node::Attr(sym) => Some(request.bag(sym).len()),
-                        _ => None,
-                    },
-                )
-            }
-        }
-    }
-
-    fn eval_bool(
-        &self,
-        request: &PreparedRequest<'_>,
-        interner: &AttrInterner,
-    ) -> Result<bool, EvalError> {
-        // Targets and conditions are overwhelmingly a single comparison;
-        // evaluate it without the ValueView round-trip.
-        if let Node::CmpAttrLit {
-            func,
-            sym,
-            value,
-            attr_first,
-        } = &self.nodes[self.root as usize]
-        {
-            return cmp_attr_lit(*func, *sym, value, *attr_first, request, interner);
-        }
-        bool_result(self.eval(request, interner)?)
-    }
-}
-
-/// The specialised comparison: mirrors the generic path exactly — a
-/// missing attribute errors, a non-singleton bag fails singleton
-/// coercion, and the literal operand can never error.
-fn cmp_attr_lit(
-    func: Func,
-    sym: Sym,
-    value: &AttributeValue,
-    attr_first: bool,
-    request: &PreparedRequest<'_>,
-    interner: &AttrInterner,
-) -> Result<bool, EvalError> {
-    let attr_value = match request.bag(sym) {
-        [] => return Err(EvalError::MissingAttribute(interner.resolve(sym).clone())),
-        [single] => single,
-        bag => {
-            return Err(EvalError::TypeMismatch {
-                function: func.name().to_string(),
-                detail: format!("expected a single value, got a bag of {}", bag.len()),
-            })
-        }
-    };
-    let (a, b) = if attr_first {
-        (attr_value, value)
-    } else {
-        (value, attr_value)
-    };
-    match func {
-        Func::Equal => Ok(a == b),
-        Func::NotEqual => Ok(a != b),
-        _ => compare(func, a, b),
-    }
-}
-
-// ---- compiled targets -------------------------------------------------------
+/// A compiled [`Expr`]: the index of its root node. Operands come
+/// before the node that applies them.
+#[derive(Debug, Clone, Copy)]
+struct CompiledExpr(u32);
 
 /// A pre-compiled [`Target`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum CompiledTarget {
     Any,
     /// The `Target::expr` shape — one AnyOf, one AllOf, one match — hot
     /// enough to deserve a traversal-free representation.
     Single(CompiledExpr),
-    Clauses(Vec<Vec<Vec<CompiledExpr>>>),
+    /// A run of AnyOf clauses, each a run of AllOf conjunctions, each a
+    /// run of the argument-index table holding its matches' roots.
+    Clauses(Span),
 }
 
-impl CompiledTarget {
-    fn compile(target: &Target, interner: &mut AttrInterner) -> CompiledTarget {
-        match target {
-            Target::Any => CompiledTarget::Any,
-            Target::Clauses(clauses) => {
-                if let [any_of] = clauses.as_slice() {
-                    if let [all_of] = any_of.as_slice() {
-                        if let [m] = all_of.as_slice() {
-                            return CompiledTarget::Single(CompiledExpr::compile(m, interner));
-                        }
-                    }
-                }
-                CompiledTarget::Clauses(
-                    clauses
-                        .iter()
-                        .map(|any_of| {
-                            any_of
-                                .iter()
-                                .map(|all_of| {
-                                    all_of
-                                        .iter()
-                                        .map(|m| CompiledExpr::compile(m, interner))
-                                        .collect()
-                                })
-                                .collect()
-                        })
-                        .collect(),
-                )
-            }
-        }
-    }
+/// Obligations pre-split by the effect they fire on, so evaluation never
+/// filters: two runs of the obligation table.
+#[derive(Debug, Clone, Copy, Default)]
+struct SplitObligations {
+    permit: Span,
+    deny: Span,
+}
 
-    /// Mirrors [`Target::matches`] exactly.
-    fn matches(&self, request: &PreparedRequest<'_>, interner: &AttrInterner) -> MatchResult {
-        let clauses = match self {
-            CompiledTarget::Any => return MatchResult::Match,
-            CompiledTarget::Single(m) => {
-                // one clause, one conjunct: the three-valued tables
-                // collapse to the expression's own outcome.
-                return match m.eval_bool(request, interner) {
-                    Ok(true) => MatchResult::Match,
-                    Ok(false) => MatchResult::NoMatch,
-                    Err(_) => MatchResult::Indeterminate,
-                };
-            }
-            CompiledTarget::Clauses(c) => c,
-        };
-        let mut target_indeterminate = false;
-        for any_of in clauses {
-            let mut any_matched = false;
-            let mut any_indeterminate = false;
-            for all_of in any_of {
-                match eval_all_of(all_of, request, interner) {
-                    MatchResult::Match => {
-                        any_matched = true;
-                        break;
-                    }
-                    MatchResult::NoMatch => {}
-                    MatchResult::Indeterminate => any_indeterminate = true,
-                }
-            }
-            if any_matched {
-                continue;
-            }
-            if any_indeterminate {
-                target_indeterminate = true;
-                continue;
-            }
-            return MatchResult::NoMatch;
-        }
-        if target_indeterminate {
-            MatchResult::Indeterminate
-        } else {
-            MatchResult::Match
+impl SplitObligations {
+    fn for_effect(self, effect: Effect) -> Span {
+        match effect {
+            Effect::Permit => self.permit,
+            Effect::Deny => self.deny,
         }
     }
 }
 
-fn eval_all_of(
-    all_of: &[CompiledExpr],
-    request: &PreparedRequest<'_>,
-    interner: &AttrInterner,
-) -> MatchResult {
-    let mut indeterminate = false;
-    for m in all_of {
-        match m.eval_bool(request, interner) {
-            Ok(true) => {}
-            Ok(false) => return MatchResult::NoMatch,
-            Err(_) => indeterminate = true,
+/// Which decisions a subtree can return obligations with: `permit` is
+/// true when something in it can fire an obligation on Permit, likewise
+/// `deny`. Worked out once at compile time from the same pre-split runs
+/// evaluation reads — a flag wrongly true would only cost an evaluation,
+/// one wrongly false would lose an obligation. It is what lets
+/// deny-/permit-overrides stop evaluating children after the overriding
+/// decision (see [`combine_with`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct Obliges {
+    permit: bool,
+    deny: bool,
+}
+
+impl Obliges {
+    /// A node's own obligations plus everything its children can add.
+    fn of_node(own: SplitObligations, children: &[Obliges]) -> Obliges {
+        Obliges {
+            permit: !own.permit.is_empty() || children.iter().any(|c| c.permit),
+            deny: !own.deny.is_empty() || children.iter().any(|c| c.deny),
         }
     }
-    if indeterminate {
-        MatchResult::Indeterminate
-    } else {
-        MatchResult::Match
+
+    fn on(self, effect: Effect) -> bool {
+        match effect {
+            Effect::Permit => self.permit,
+            Effect::Deny => self.deny,
+        }
     }
+}
+
+#[derive(Debug, Clone)]
+struct FlatRule {
+    effect: Effect,
+    target: CompiledTarget,
+    condition: Option<CompiledExpr>,
+    /// Pre-filtered to `fulfill_on == effect`, in document order.
+    obligations: Span,
+}
+
+/// What a policy or a policy set combines: a run of the rule table, or
+/// a run of the policy table.
+#[derive(Debug, Clone, Copy)]
+enum Children {
+    Rules(Span),
+    Policies(Span),
+}
+
+/// A policy or a policy set. Both gate on a target, combine their
+/// children and attach their own obligations (XACML §7.12/§7.13); they
+/// differ only in what their children are.
+#[derive(Debug, Clone)]
+struct FlatPolicy {
+    target: CompiledTarget,
+    algorithm: CombiningAlg,
+    children: Children,
+    /// Into the index table, for the nodes that have one.
+    index: Option<u32>,
+    obligations: SplitObligations,
+}
+
+impl FlatPolicy {
+    /// The slot a policy set reserves for each child before compiling
+    /// it, so that its children are one contiguous run of the table.
+    const RESERVED: FlatPolicy = FlatPolicy {
+        target: CompiledTarget::Any,
+        algorithm: CombiningAlg::DenyOverrides,
+        children: Children::Rules(Span { start: 0, len: 0 }),
+        index: None,
+        obligations: SplitObligations {
+            permit: Span { start: 0, len: 0 },
+            deny: Span { start: 0, len: 0 },
+        },
+    };
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Children (rules, policies, nested sets) the compiled engine
+    /// evaluated on the current test thread.
+    static VISITED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Number of children the compiled engine evaluates while `f` runs, for
+/// tests that pin the early exit to the exact set of children it may
+/// skip. Per thread, so parallel tests do not disturb each other's count.
+#[cfg(test)]
+fn count_visited<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = VISITED.get();
+    let out = f();
+    (VISITED.get() - before, out)
 }
 
 // ---- target index -----------------------------------------------------------
@@ -507,61 +399,11 @@ fn value_key(v: &AttributeValue) -> u64 {
     }
 }
 
-/// An indexable guard extracted from a child's target: one AnyOf clause
-/// that is a pure single-attribute equality disjunction. If the
-/// request's bag for `sym` is a singleton whose value is in `keys`, the
-/// clause may match; if it is a singleton *not* in `keys`, the clause —
-/// and therefore the whole target — is definitively `NoMatch`. Any
-/// non-singleton bag (missing or multi-valued) can make the clause
-/// `Indeterminate`, so the child stays a candidate.
-#[derive(Debug, Clone)]
-struct Guard {
-    sym: Sym,
-    keys: Vec<u64>,
-}
-
 /// True when the target contains an empty AnyOf clause, which can never
 /// match: the child is `NotApplicable` for every request and contributes
 /// nothing under any combining algorithm.
 fn target_is_dead(target: &Target) -> bool {
     matches!(target, Target::Clauses(clauses) if clauses.iter().any(Vec::is_empty))
-}
-
-fn extract_guard(target: &Target, interner: &mut AttrInterner) -> Option<Guard> {
-    let Target::Clauses(clauses) = target else {
-        return None;
-    };
-    'clause: for any_of in clauses {
-        if any_of.is_empty() {
-            continue;
-        }
-        let mut sym: Option<Sym> = None;
-        let mut keys: Vec<u64> = Vec::with_capacity(any_of.len());
-        for all_of in any_of {
-            let [m] = all_of.as_slice() else {
-                continue 'clause;
-            };
-            let Expr::Apply(Func::Equal, args) = m else {
-                continue 'clause;
-            };
-            let (id, value) = match args.as_slice() {
-                [Expr::Attr(id), Expr::Lit(v)] | [Expr::Lit(v), Expr::Attr(id)] => (id, v),
-                _ => continue 'clause,
-            };
-            let s = interner.intern(id);
-            match sym {
-                None => sym = Some(s),
-                Some(prev) if prev == s => {}
-                Some(_) => continue 'clause,
-            }
-            let key = value_key(value);
-            if !keys.contains(&key) {
-                keys.push(key);
-            }
-        }
-        return sym.map(|sym| Guard { sym, keys });
-    }
-    None
 }
 
 /// A target index over the children of one combining node.
@@ -576,21 +418,17 @@ struct ChildIndex {
     by_value: FxMap<(Sym, u64), Vec<u32>>,
     /// Distinct guarded symbols, in first-seen order.
     syms: Vec<Sym>,
-    /// Whether any child was guarded or dead (else `candidates` is the
-    /// identity and allocation is skipped).
-    trivial: bool,
 }
 
 /// The candidate children for one request, in document order.
 enum Candidates<'i> {
-    /// Every child is a candidate (no index entries).
+    /// Every child is a candidate (the node has no index).
     All(usize),
     /// A single bucket, borrowed straight from the index (already in
     /// document order) — the common case when all children are guarded
     /// on one symbol, e.g. policies partitioned by `resource.type`.
     Borrowed(&'i [u32]),
-    /// A small merged subset held inline — no heap allocation (the
-    /// per-policy rule index hits this on every request).
+    /// A small merged subset held inline — no heap allocation.
     Inline {
         buf: [u32; INLINE_CANDIDATES],
         len: usize,
@@ -601,50 +439,16 @@ enum Candidates<'i> {
 
 const INLINE_CANDIDATES: usize = 16;
 
-/// Nodes with fewer children than this skip index construction — see
-/// the comment in [`ChildIndex::build`].
+/// Nodes with fewer children than this have no index. Below ~8 children
+/// the index probes (bag check + two hash lookups per guarded symbol,
+/// then a merge) cost more than just evaluating every child's target,
+/// which is one specialised comparison each — measured on the E5
+/// workload's 5-rule policies. Wide nodes (policy sets with hundreds of
+/// children) are where the index earns its keep.
 const MIN_INDEXED_CHILDREN: usize = 8;
 
 impl ChildIndex {
-    fn build(entries: Vec<(Option<Guard>, bool)>) -> ChildIndex {
-        let n = entries.len();
-        let mut index = ChildIndex::default();
-        let mut any_indexed = false;
-        for (i, (guard, dead)) in entries.into_iter().enumerate() {
-            let i = i as u32;
-            if dead {
-                any_indexed = true;
-                continue;
-            }
-            match guard {
-                Some(Guard { sym, keys }) => {
-                    any_indexed = true;
-                    if !index.by_sym.contains_key(&sym) {
-                        index.syms.push(sym);
-                    }
-                    index.by_sym.entry(sym).or_default().push(i);
-                    for key in keys {
-                        index.by_value.entry((sym, key)).or_default().push(i);
-                    }
-                }
-                None => index.residual.push(i),
-            }
-        }
-        // Below ~8 children the index probes (bag check + two hash
-        // lookups per guarded symbol, then a merge) cost more than just
-        // evaluating every child's target, which is one specialised
-        // comparison each — measured on the E5 workload's 5-rule
-        // policies. Wide nodes (policy sets with hundreds of children)
-        // are where the index earns its keep.
-        index.trivial = !any_indexed || n < MIN_INDEXED_CHILDREN;
-        debug_assert!(index.trivial || index.residual.len() < n);
-        index
-    }
-
-    fn candidates<'i>(&'i self, request: &PreparedRequest<'_>, n: usize) -> Candidates<'i> {
-        if self.trivial {
-            return Candidates::All(n);
-        }
+    fn candidates<'i>(&'i self, request: &PreparedRequest<'_>) -> Candidates<'i> {
         let bucket_for = |sym: Sym| -> Option<&'i [u32]> {
             let bag = request.bag(sym);
             if let [single] = bag {
@@ -665,8 +469,8 @@ impl ChildIndex {
                 return Candidates::Borrowed(bucket_for(*sym).unwrap_or(&[]));
             }
         }
-        // Inline merge when the subset is small (per-policy rule indexes
-        // are), falling back to a heap Vec for wide nodes.
+        // Inline merge when the subset is small, falling back to a heap
+        // Vec for wide ones.
         let mut buf = [0u32; INLINE_CANDIDATES];
         let mut len = 0usize;
         let mut spill: Option<Vec<u32>> = None;
@@ -727,420 +531,78 @@ impl Candidates<'_> {
     }
 }
 
-// ---- compiled rules / policies / sets --------------------------------------
-
-/// Obligations pre-split by the effect they fire on, so evaluation never
-/// filters.
-#[derive(Debug, Clone, Default)]
-struct SplitObligations {
-    permit: Vec<Obligation>,
-    deny: Vec<Obligation>,
-}
-
-impl SplitObligations {
-    fn of(obligations: &[Obligation]) -> SplitObligations {
-        let mut split = SplitObligations::default();
-        for o in obligations {
-            match o.fulfill_on {
-                Effect::Permit => split.permit.push(o.clone()),
-                Effect::Deny => split.deny.push(o.clone()),
-            }
-        }
-        split
-    }
-
-    fn for_effect(&self, effect: Effect) -> &[Obligation] {
-        match effect {
-            Effect::Permit => &self.permit,
-            Effect::Deny => &self.deny,
-        }
-    }
-}
-
-/// Which decisions a subtree can return obligations with: `permit` is
-/// true when something in it can fire an obligation on Permit, likewise
-/// `deny`. Worked out once at compile time from the same pre-split lists
-/// evaluation reads — a flag wrongly true would only cost an evaluation,
-/// one wrongly false would lose an obligation. It is what lets
-/// deny-/permit-overrides stop evaluating children after the overriding
-/// decision (see [`combine_with`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct Obliges {
-    permit: bool,
-    deny: bool,
-}
-
-impl Obliges {
-    /// A node's own obligations plus everything its children can add.
-    fn of_node(own: &SplitObligations, children: &[Obliges]) -> Obliges {
-        Obliges {
-            permit: !own.permit.is_empty() || children.iter().any(|c| c.permit),
-            deny: !own.deny.is_empty() || children.iter().any(|c| c.deny),
-        }
-    }
-
-    fn on(self, effect: Effect) -> bool {
-        match effect {
-            Effect::Permit => self.permit,
-            Effect::Deny => self.deny,
-        }
-    }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Children (rules, policies, nested sets) the compiled engine
-    /// evaluated on the current test thread.
-    static VISITED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Number of children the compiled engine evaluates while `f` runs, for
-/// tests that pin the early exit to the exact set of children it may
-/// skip. Per thread, so parallel tests do not disturb each other's count.
-#[cfg(test)]
-fn count_visited<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = VISITED.get();
-    let out = f();
-    (VISITED.get() - before, out)
-}
-
-#[derive(Debug, Clone)]
-struct CompiledRule {
-    effect: Effect,
-    target: CompiledTarget,
-    condition: Option<CompiledExpr>,
-    /// Pre-filtered to `fulfill_on == effect`, in document order.
-    obligations: Vec<Obligation>,
-}
-
-impl CompiledRule {
-    fn compile(rule: &Rule, interner: &mut AttrInterner) -> CompiledRule {
-        CompiledRule {
-            effect: rule.effect,
-            target: CompiledTarget::compile(&rule.target, interner),
-            condition: rule
-                .condition
-                .as_ref()
-                .map(|c| CompiledExpr::compile(c, interner)),
-            obligations: rule
-                .obligations
-                .iter()
-                .filter(|o| o.fulfill_on == rule.effect)
-                .cloned()
-                .collect(),
-        }
-    }
-
-    fn applicability(&self, request: &PreparedRequest<'_>, interner: &AttrInterner) -> MatchResult {
-        self.target.matches(request, interner)
-    }
-
-    /// A rule only ever returns its own effect, with `obligations`.
-    fn obliges(&self) -> Obliges {
-        let any = !self.obligations.is_empty();
-        Obliges {
-            permit: any && self.effect == Effect::Permit,
-            deny: any && self.effect == Effect::Deny,
-        }
-    }
-
-    /// Mirrors [`Rule::evaluate`] with borrowed obligations.
-    fn evaluate<'a>(
-        &'a self,
-        request: &PreparedRequest<'a>,
-        interner: &'a AttrInterner,
-    ) -> (ExtDecision, Vec<&'a Obligation>) {
-        #[cfg(test)]
-        VISITED.set(VISITED.get() + 1);
-        match self.target.matches(request, interner) {
-            MatchResult::NoMatch => (ExtDecision::NotApplicable, Vec::new()),
-            MatchResult::Indeterminate => (ExtDecision::indeterminate_for(self.effect), Vec::new()),
-            MatchResult::Match => match &self.condition {
-                None => self.fire(),
-                Some(cond) => match cond.eval_bool(request, interner) {
-                    Ok(true) => self.fire(),
-                    Ok(false) => (ExtDecision::NotApplicable, Vec::new()),
-                    Err(_) => (ExtDecision::indeterminate_for(self.effect), Vec::new()),
-                },
-            },
-        }
-    }
-
-    fn fire(&self) -> (ExtDecision, Vec<&Obligation>) {
-        let decision = match self.effect {
-            Effect::Permit => ExtDecision::Permit,
-            Effect::Deny => ExtDecision::Deny,
-        };
-        (decision, self.obligations.iter().collect())
-    }
-}
-
-#[derive(Debug, Clone)]
-struct CompiledPolicy {
-    target: CompiledTarget,
-    algorithm: CombiningAlg,
-    rules: Vec<CompiledRule>,
-    /// `rules[i].obliges()`, dense so the early-exit probe of a skipped
-    /// rule reads two bytes instead of touching the rule.
-    rule_obliges: Vec<Obliges>,
-    index: ChildIndex,
-    obligations: SplitObligations,
-}
-
-impl CompiledPolicy {
-    fn compile(policy: &Policy, interner: &mut AttrInterner) -> CompiledPolicy {
-        let entries = policy
-            .rules
-            .iter()
-            .map(|r| {
-                (
-                    extract_guard(&r.target, interner),
-                    target_is_dead(&r.target),
-                )
-            })
-            .collect();
-        let target = CompiledTarget::compile(&policy.target, interner);
-        let rules: Vec<CompiledRule> = policy
-            .rules
-            .iter()
-            .map(|r| CompiledRule::compile(r, interner))
-            .collect();
-        CompiledPolicy {
-            target,
-            algorithm: policy.algorithm,
-            rule_obliges: rules.iter().map(CompiledRule::obliges).collect(),
-            rules,
-            index: ChildIndex::build(entries),
-            obligations: SplitObligations::of(&policy.obligations),
-        }
-    }
-
-    fn obliges(&self) -> Obliges {
-        Obliges::of_node(&self.obligations, &self.rule_obliges)
-    }
-
-    fn applicability(&self, request: &PreparedRequest<'_>, interner: &AttrInterner) -> MatchResult {
-        self.target.matches(request, interner)
-    }
-
-    fn evaluate<'a>(
-        &'a self,
-        request: &PreparedRequest<'a>,
-        interner: &'a AttrInterner,
-    ) -> (ExtDecision, Vec<&'a Obligation>) {
-        eval_gated(
-            &self.target,
-            &self.obligations,
-            request,
-            interner,
-            &mut |request| {
-                let cands = self.index.candidates(request, self.rules.len());
-                combine_with(
-                    self.algorithm,
-                    cands.len(),
-                    &mut |i| self.rules[cands.child(i)].applicability(request, interner),
-                    &mut |i| self.rules[cands.child(i)].evaluate(request, interner),
-                    &mut |i, effect| self.rule_obliges[cands.child(i)].on(effect),
-                )
-            },
-        )
-    }
-}
-
-#[derive(Debug, Clone)]
-enum CompiledChild {
-    Policy(CompiledPolicy),
-    Set(CompiledSet),
-}
-
-impl CompiledChild {
-    fn applicability(&self, request: &PreparedRequest<'_>, interner: &AttrInterner) -> MatchResult {
-        match self {
-            CompiledChild::Policy(p) => p.applicability(request, interner),
-            CompiledChild::Set(s) => s.applicability(request, interner),
-        }
-    }
-
-    fn obliges(&self) -> Obliges {
-        match self {
-            CompiledChild::Policy(p) => p.obliges(),
-            CompiledChild::Set(s) => s.obliges(),
-        }
-    }
-
-    fn evaluate<'a>(
-        &'a self,
-        request: &PreparedRequest<'a>,
-        interner: &'a AttrInterner,
-    ) -> (ExtDecision, Vec<&'a Obligation>) {
-        #[cfg(test)]
-        VISITED.set(VISITED.get() + 1);
-        match self {
-            CompiledChild::Policy(p) => p.evaluate(request, interner),
-            CompiledChild::Set(s) => s.evaluate(request, interner),
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct CompiledSet {
-    target: CompiledTarget,
-    algorithm: CombiningAlg,
-    children: Vec<CompiledChild>,
-    /// `children[i].obliges()`, dense for the same reason as
-    /// [`CompiledPolicy::rule_obliges`] — a wide set skips hundreds of
-    /// candidates per request.
-    child_obliges: Vec<Obliges>,
-    index: ChildIndex,
-    obligations: SplitObligations,
-}
-
-impl CompiledSet {
-    fn compile(set: &PolicySet, interner: &mut AttrInterner) -> CompiledSet {
-        let entries = set
-            .children
-            .iter()
-            .map(|c| {
-                let target = match c {
-                    PolicyChild::Policy(p) => &p.target,
-                    PolicyChild::Set(s) => &s.target,
-                };
-                (extract_guard(target, interner), target_is_dead(target))
-            })
-            .collect();
-        let target = CompiledTarget::compile(&set.target, interner);
-        let children: Vec<CompiledChild> = set
-            .children
-            .iter()
-            .map(|c| match c {
-                PolicyChild::Policy(p) => {
-                    CompiledChild::Policy(CompiledPolicy::compile(p, interner))
-                }
-                PolicyChild::Set(s) => CompiledChild::Set(CompiledSet::compile(s, interner)),
-            })
-            .collect();
-        CompiledSet {
-            target,
-            algorithm: set.algorithm,
-            child_obliges: children.iter().map(CompiledChild::obliges).collect(),
-            children,
-            index: ChildIndex::build(entries),
-            obligations: SplitObligations::of(&set.obligations),
-        }
-    }
-
-    fn obliges(&self) -> Obliges {
-        Obliges::of_node(&self.obligations, &self.child_obliges)
-    }
-
-    fn applicability(&self, request: &PreparedRequest<'_>, interner: &AttrInterner) -> MatchResult {
-        self.target.matches(request, interner)
-    }
-
-    fn evaluate<'a>(
-        &'a self,
-        request: &PreparedRequest<'a>,
-        interner: &'a AttrInterner,
-    ) -> (ExtDecision, Vec<&'a Obligation>) {
-        eval_gated(
-            &self.target,
-            &self.obligations,
-            request,
-            interner,
-            &mut |request| {
-                let cands = self.index.candidates(request, self.children.len());
-                combine_with(
-                    self.algorithm,
-                    cands.len(),
-                    &mut |i| self.children[cands.child(i)].applicability(request, interner),
-                    &mut |i| self.children[cands.child(i)].evaluate(request, interner),
-                    &mut |i, effect| self.child_obliges[cands.child(i)].on(effect),
-                )
-            },
-        )
-    }
-}
-
-/// The shared Policy/PolicySet evaluation skeleton, mirroring
-/// `policy::evaluate_node` (XACML §7.12/§7.13): target gating, child
-/// combining, own-obligation attachment and the Indeterminate-target
-/// adjustment.
-fn eval_gated<'a, C>(
-    target: &'a CompiledTarget,
-    own: &'a SplitObligations,
-    request: &PreparedRequest<'a>,
-    interner: &'a AttrInterner,
-    combine_children: &mut C,
-) -> (ExtDecision, Vec<&'a Obligation>)
-where
-    C: FnMut(&PreparedRequest<'a>) -> (ExtDecision, Vec<&'a Obligation>),
-{
-    match target.matches(request, interner) {
-        MatchResult::NoMatch => (ExtDecision::NotApplicable, Vec::new()),
-        MatchResult::Match => {
-            let (d, mut obs) = combine_children(request);
-            let own_effect = match d {
-                ExtDecision::Permit => Some(Effect::Permit),
-                ExtDecision::Deny => Some(Effect::Deny),
-                _ => None,
-            };
-            if let Some(effect) = own_effect {
-                obs.extend(own.for_effect(effect).iter());
-            } else {
-                obs.clear();
-            }
-            (d, obs)
-        }
-        MatchResult::Indeterminate => {
-            // Evaluate children anyway to determine the indeterminate
-            // flavour (XACML 3.0 §7.12, table "Indeterminate" row).
-            let (d, _) = combine_children(request);
-            let adjusted = match d {
-                ExtDecision::NotApplicable => ExtDecision::NotApplicable,
-                ExtDecision::Permit => ExtDecision::IndeterminateP,
-                ExtDecision::Deny => ExtDecision::IndeterminateD,
-                ind => ind,
-            };
-            (adjusted, Vec::new())
-        }
-    }
-}
-
 // ---- the public prepared policy set ----------------------------------------
 
-/// A [`PolicySet`] compiled for the hot path: interned attributes, arena
-/// expressions, target indexes. Immutable once built; shared freely
-/// across threads (e.g. behind an `Arc` by the PDP and the PRP).
+/// A [`PolicySet`] compiled for the hot path: interned attributes, one
+/// arena of expressions, rules and policies, target indexes on the wide
+/// nodes. Immutable once built; shared freely across threads (e.g.
+/// behind an `Arc` by the PDP and the PRP).
 ///
 /// This is the whole of a policy version once it is published: the
-/// compiled tree plus the source set's canonical encoding, the exact
+/// compiled form plus the source set's canonical encoding, the exact
 /// bytes [`PreparedPolicySet::version_digest`] was computed over. The
 /// source tree itself is not kept: decoding
 /// [`PreparedPolicySet::canonical_bytes`] rebuilds it.
 #[derive(Debug, Clone)]
 pub struct PreparedPolicySet {
     interner: AttrInterner,
-    root: CompiledSet,
+    /// One entry per distinct literal.
+    literals: Vec<AttributeValue>,
+    /// Every expression node of every target and condition.
+    nodes: Vec<Node>,
+    /// Node indices: each `Apply`'s arguments, each AllOf's matches.
+    args: Vec<u32>,
+    /// AllOf conjunctions, as runs of `args`.
+    all_ofs: Vec<Span>,
+    /// AnyOf clauses, as runs of `all_ofs`.
+    any_ofs: Vec<Span>,
+    rules: Vec<FlatRule>,
+    /// `rules[i]`'s flags, dense so the early-exit probe of a skipped
+    /// rule reads two bytes instead of touching the rule.
+    rule_obliges: Vec<Obliges>,
+    /// Policies and policy sets, the root at 0; a set's children are
+    /// one run.
+    policies: Vec<FlatPolicy>,
+    /// `policies[i]`'s flags, dense for the same reason — a wide set
+    /// skips hundreds of candidates per request.
+    policy_obliges: Vec<Obliges>,
+    obligations: Vec<Obligation>,
+    indexes: Vec<ChildIndex>,
     canonical: Box<[u8]>,
     version: Digest,
 }
 
 impl PreparedPolicySet {
-    /// Compiles a policy set. Compilation walks the tree once; literals
-    /// are cloned here, never again at evaluation time. The set is
-    /// encoded once, and the digest is taken over the bytes kept.
+    /// Compiles a policy set in one walk of its tree. Each distinct
+    /// literal is cloned once, here, never at evaluation time. The set
+    /// is encoded once, and the digest is taken over the bytes kept.
     #[must_use]
     pub fn compile(set: &PolicySet) -> PreparedPolicySet {
         let canonical = set.to_canonical_bytes().into_boxed_slice();
         let version = Digest::of(&canonical);
-        let mut interner = AttrInterner::default();
-        let root = CompiledSet::compile(set, &mut interner);
-        PreparedPolicySet {
-            interner,
-            root,
-            canonical,
-            version,
-        }
+        let mut compiler = Compiler {
+            out: PreparedPolicySet {
+                interner: AttrInterner::default(),
+                literals: Vec::new(),
+                nodes: Vec::new(),
+                args: Vec::new(),
+                all_ofs: Vec::new(),
+                any_ofs: Vec::new(),
+                rules: Vec::new(),
+                rule_obliges: Vec::new(),
+                policies: Vec::new(),
+                policy_obliges: Vec::new(),
+                obligations: Vec::new(),
+                indexes: Vec::new(),
+                canonical,
+                version,
+            },
+            literal_ids: FxMap::default(),
+            keys: Vec::new(),
+        };
+        let root = compiler.reserve(1);
+        compiler.set(set, root);
+        compiler.out
     }
 
     /// The version digest of the source policy set: the SHA-256 of
@@ -1200,8 +662,568 @@ impl PreparedPolicySet {
         &self,
         request: &PreparedRequest<'_>,
     ) -> (ExtDecision, Vec<Obligation>) {
-        let (d, obs) = self.root.evaluate(request, &self.interner);
+        let (d, obs) = self.eval_policy(0, request);
         (d, obs.into_iter().cloned().collect())
+    }
+}
+
+// ---- compilation ------------------------------------------------------------
+
+/// A literal told apart by variant and exact bits or bytes, borrowed
+/// from the source set while it compiles.
+#[derive(Debug, PartialEq, Eq, Hash)]
+enum LiteralKey<'s> {
+    Str(&'s str),
+    Int(i64),
+    Double(u64),
+    Bool(bool),
+}
+
+/// The one walk that fills a [`PreparedPolicySet`]'s tables.
+struct Compiler<'s> {
+    out: PreparedPolicySet,
+    /// Each distinct literal's place in the literal table.
+    literal_ids: FxMap<LiteralKey<'s>, u32>,
+    /// The guard keys of the child being indexed, reused across children.
+    keys: Vec<u64>,
+}
+
+impl<'s> Compiler<'s> {
+    fn literal(&mut self, value: &'s AttributeValue) -> u32 {
+        let key = match value {
+            AttributeValue::Str(s) => LiteralKey::Str(s),
+            AttributeValue::Int(i) => LiteralKey::Int(*i),
+            AttributeValue::Double(d) => LiteralKey::Double(d.to_bits()),
+            AttributeValue::Bool(b) => LiteralKey::Bool(*b),
+        };
+        let literals = &mut self.out.literals;
+        *self.literal_ids.entry(key).or_insert_with(|| {
+            literals.push(value.clone());
+            (literals.len() - 1) as u32
+        })
+    }
+
+    fn expr(&mut self, expr: &'s Expr) -> CompiledExpr {
+        CompiledExpr(self.node(expr))
+    }
+
+    /// Compiles `expr`'s operands, then `expr`; returns its node index.
+    fn node(&mut self, expr: &'s Expr) -> u32 {
+        let node = match expr {
+            Expr::Lit(v) => Node::Lit(self.literal(v)),
+            Expr::Attr(id) => Node::Attr(self.out.interner.intern(id)),
+            Expr::Apply(func, argv) => match argv.as_slice() {
+                [Expr::Attr(id), Expr::Lit(v)] if is_comparison(*func) => Node::CmpAttrLit {
+                    func: *func,
+                    sym: self.out.interner.intern(id),
+                    lit: self.literal(v),
+                    attr_first: true,
+                },
+                [Expr::Lit(v), Expr::Attr(id)] if is_comparison(*func) => Node::CmpAttrLit {
+                    func: *func,
+                    sym: self.out.interner.intern(id),
+                    lit: self.literal(v),
+                    attr_first: false,
+                },
+                _ => Node::Apply {
+                    func: *func,
+                    args: self.run(argv),
+                },
+            },
+        };
+        self.out.nodes.push(node);
+        (self.out.nodes.len() - 1) as u32
+    }
+
+    /// Compiles `exprs` into one run of the argument-index table. The
+    /// run is reserved first: the operands' own arguments land after it.
+    fn run(&mut self, exprs: &'s [Expr]) -> Span {
+        let start = self.out.args.len();
+        self.out.args.resize(start + exprs.len(), 0);
+        for (slot, expr) in (start..).zip(exprs) {
+            self.out.args[slot] = self.node(expr);
+        }
+        Span::new(start, exprs.len())
+    }
+
+    fn target(&mut self, target: &'s Target) -> CompiledTarget {
+        let Target::Clauses(clauses) = target else {
+            return CompiledTarget::Any;
+        };
+        if let [any_of] = clauses.as_slice() {
+            if let [all_of] = any_of.as_slice() {
+                if let [m] = all_of.as_slice() {
+                    return CompiledTarget::Single(self.expr(m));
+                }
+            }
+        }
+        // Nothing below pushes a clause, so each level's entries come
+        // out contiguous.
+        let start = self.out.any_ofs.len();
+        for any_of in clauses {
+            let all_start = self.out.all_ofs.len();
+            for all_of in any_of {
+                let matches = self.run(all_of);
+                self.out.all_ofs.push(matches);
+            }
+            self.out.any_ofs.push(Span::new(all_start, any_of.len()));
+        }
+        CompiledTarget::Clauses(Span::new(start, clauses.len()))
+    }
+
+    /// Copies the obligations that fire on `effect`, in document order.
+    fn obligations_on(&mut self, obligations: &[Obligation], effect: Effect) -> Span {
+        let start = self.out.obligations.len();
+        let firing = obligations.iter().filter(|o| o.fulfill_on == effect);
+        self.out.obligations.extend(firing.cloned());
+        Span::new(start, self.out.obligations.len() - start)
+    }
+
+    fn split(&mut self, obligations: &[Obligation]) -> SplitObligations {
+        SplitObligations {
+            permit: self.obligations_on(obligations, Effect::Permit),
+            deny: self.obligations_on(obligations, Effect::Deny),
+        }
+    }
+
+    /// Reserves `n` consecutive slots of the policy table.
+    fn reserve(&mut self, n: usize) -> usize {
+        let start = self.out.policies.len();
+        self.out.policies.resize(start + n, FlatPolicy::RESERVED);
+        self.out
+            .policy_obliges
+            .resize(start + n, Obliges::default());
+        start
+    }
+
+    /// Fills a reserved slot once the node's children are compiled.
+    fn place(&mut self, at: usize, policy: FlatPolicy) {
+        let children = match policy.children {
+            Children::Rules(run) => &self.out.rule_obliges[run.range()],
+            Children::Policies(run) => &self.out.policy_obliges[run.range()],
+        };
+        self.out.policy_obliges[at] = Obliges::of_node(policy.obligations, children);
+        self.out.policies[at] = policy;
+    }
+
+    fn set(&mut self, set: &'s PolicySet, at: usize) {
+        let index = self.index(set.children.iter().map(|c| match c {
+            PolicyChild::Policy(p) => &p.target,
+            PolicyChild::Set(s) => &s.target,
+        }));
+        let target = self.target(&set.target);
+        let start = self.reserve(set.children.len());
+        for (slot, child) in (start..).zip(&set.children) {
+            match child {
+                PolicyChild::Policy(p) => self.policy(p, slot),
+                PolicyChild::Set(s) => self.set(s, slot),
+            }
+        }
+        let policy = FlatPolicy {
+            target,
+            algorithm: set.algorithm,
+            children: Children::Policies(Span::new(start, set.children.len())),
+            index,
+            obligations: self.split(&set.obligations),
+        };
+        self.place(at, policy);
+    }
+
+    fn policy(&mut self, policy: &'s Policy, at: usize) {
+        let index = self.index(policy.rules.iter().map(|r| &r.target));
+        let target = self.target(&policy.target);
+        let start = self.out.rules.len();
+        for rule in &policy.rules {
+            self.rule(rule);
+        }
+        let policy = FlatPolicy {
+            target,
+            algorithm: policy.algorithm,
+            children: Children::Rules(Span::new(start, policy.rules.len())),
+            index,
+            obligations: self.split(&policy.obligations),
+        };
+        self.place(at, policy);
+    }
+
+    fn rule(&mut self, rule: &'s Rule) {
+        let target = self.target(&rule.target);
+        let condition = rule.condition.as_ref().map(|c| self.expr(c));
+        let obligations = self.obligations_on(&rule.obligations, rule.effect);
+        // A rule only ever returns its own effect, with `obligations`.
+        let any = !obligations.is_empty();
+        self.out.rule_obliges.push(Obliges {
+            permit: any && rule.effect == Effect::Permit,
+            deny: any && rule.effect == Effect::Deny,
+        });
+        self.out.rules.push(FlatRule {
+            effect: rule.effect,
+            target,
+            condition,
+            obligations,
+        });
+    }
+
+    /// Builds the target index over a node's children, given their
+    /// targets, and returns its place in the index table. A node below
+    /// [`MIN_INDEXED_CHILDREN`], or one with no guarded or dead child,
+    /// gets none and evaluates every child.
+    fn index(&mut self, targets: impl ExactSizeIterator<Item = &'s Target>) -> Option<u32> {
+        let n = targets.len();
+        if n < MIN_INDEXED_CHILDREN {
+            return None;
+        }
+        let mut index = ChildIndex::default();
+        let mut any_indexed = false;
+        for (i, target) in targets.enumerate() {
+            let i = i as u32;
+            if target_is_dead(target) {
+                any_indexed = true;
+                continue;
+            }
+            let Some(sym) = self.guard(target) else {
+                index.residual.push(i);
+                continue;
+            };
+            any_indexed = true;
+            if !index.by_sym.contains_key(&sym) {
+                index.syms.push(sym);
+            }
+            index.by_sym.entry(sym).or_default().push(i);
+            for &key in &self.keys {
+                index.by_value.entry((sym, key)).or_default().push(i);
+            }
+        }
+        if !any_indexed {
+            return None;
+        }
+        debug_assert!(index.residual.len() < n);
+        self.out.indexes.push(index);
+        Some((self.out.indexes.len() - 1) as u32)
+    }
+
+    /// Finds an indexable guard in a child's target: one AnyOf clause
+    /// that is a pure single-attribute equality disjunction. Returns the
+    /// attribute's symbol and leaves the distinct value keys in
+    /// `self.keys`. If the request's bag for the symbol is a singleton
+    /// whose value's key is among them, the clause may match; if it is a
+    /// singleton *not* among them, the clause — and therefore the whole
+    /// target — is definitively `NoMatch`. Any non-singleton bag
+    /// (missing or multi-valued) can make the clause `Indeterminate`, so
+    /// the child stays a candidate.
+    fn guard(&mut self, target: &Target) -> Option<Sym> {
+        let Target::Clauses(clauses) = target else {
+            return None;
+        };
+        'clause: for any_of in clauses {
+            if any_of.is_empty() {
+                continue;
+            }
+            let mut sym: Option<Sym> = None;
+            self.keys.clear();
+            for all_of in any_of {
+                let [m] = all_of.as_slice() else {
+                    continue 'clause;
+                };
+                let Expr::Apply(Func::Equal, args) = m else {
+                    continue 'clause;
+                };
+                let (id, value) = match args.as_slice() {
+                    [Expr::Attr(id), Expr::Lit(v)] | [Expr::Lit(v), Expr::Attr(id)] => (id, v),
+                    _ => continue 'clause,
+                };
+                let s = self.out.interner.intern(id);
+                match sym {
+                    None => sym = Some(s),
+                    Some(prev) if prev == s => {}
+                    Some(_) => continue 'clause,
+                }
+                let key = value_key(value);
+                if !self.keys.contains(&key) {
+                    self.keys.push(key);
+                }
+            }
+            return sym;
+        }
+        None
+    }
+}
+
+// ---- evaluation -------------------------------------------------------------
+
+impl PreparedPolicySet {
+    /// The same [`EvalError`]s as [`Expr::eval`].
+    fn eval_node<'a>(
+        &'a self,
+        idx: u32,
+        request: &PreparedRequest<'a>,
+    ) -> Result<ValueView<'a>, EvalError> {
+        match self.nodes[idx as usize] {
+            Node::Lit(lit) => Ok(ValueView::One(Cow::Borrowed(&self.literals[lit as usize]))),
+            Node::Attr(sym) => {
+                let bag = request.bag(sym);
+                if bag.is_empty() {
+                    Err(EvalError::MissingAttribute(
+                        self.interner.resolve(sym).clone(),
+                    ))
+                } else {
+                    Ok(ValueView::Bag(bag))
+                }
+            }
+            Node::CmpAttrLit {
+                func,
+                sym,
+                lit,
+                attr_first,
+            } => self
+                .cmp_attr_lit(func, sym, lit, attr_first, request)
+                .map(|b| ValueView::One(Cow::Owned(AttributeValue::Bool(b)))),
+            Node::Apply { func, args } => {
+                let argix = &self.args[args.range()];
+                apply_func(
+                    func,
+                    argix.len(),
+                    &mut |i| self.eval_node(argix[i], request),
+                    &mut |i| match self.nodes[argix[i] as usize] {
+                        Node::Attr(sym) => Some(request.bag(sym).len()),
+                        _ => None,
+                    },
+                )
+            }
+        }
+    }
+
+    fn eval_bool(
+        &self,
+        expr: CompiledExpr,
+        request: &PreparedRequest<'_>,
+    ) -> Result<bool, EvalError> {
+        // Targets and conditions are overwhelmingly a single comparison;
+        // evaluate it without the ValueView round-trip.
+        if let Node::CmpAttrLit {
+            func,
+            sym,
+            lit,
+            attr_first,
+        } = self.nodes[expr.0 as usize]
+        {
+            return self.cmp_attr_lit(func, sym, lit, attr_first, request);
+        }
+        bool_result(self.eval_node(expr.0, request)?)
+    }
+
+    /// The specialised comparison: mirrors the generic path exactly — a
+    /// missing attribute errors, a non-singleton bag fails singleton
+    /// coercion, and the literal operand can never error.
+    fn cmp_attr_lit(
+        &self,
+        func: Func,
+        sym: Sym,
+        lit: u32,
+        attr_first: bool,
+        request: &PreparedRequest<'_>,
+    ) -> Result<bool, EvalError> {
+        let attr_value = match request.bag(sym) {
+            [] => {
+                return Err(EvalError::MissingAttribute(
+                    self.interner.resolve(sym).clone(),
+                ))
+            }
+            [single] => single,
+            bag => {
+                return Err(EvalError::TypeMismatch {
+                    function: func.name().to_string(),
+                    detail: format!("expected a single value, got a bag of {}", bag.len()),
+                })
+            }
+        };
+        let value = &self.literals[lit as usize];
+        let (a, b) = if attr_first {
+            (attr_value, value)
+        } else {
+            (value, attr_value)
+        };
+        match func {
+            Func::Equal => Ok(a == b),
+            Func::NotEqual => Ok(a != b),
+            _ => compare(func, a, b),
+        }
+    }
+
+    /// Mirrors [`Target::matches`] exactly.
+    fn matches(&self, target: CompiledTarget, request: &PreparedRequest<'_>) -> MatchResult {
+        let clauses = match target {
+            CompiledTarget::Any => return MatchResult::Match,
+            CompiledTarget::Single(m) => {
+                // one clause, one conjunct: the three-valued tables
+                // collapse to the expression's own outcome.
+                return match self.eval_bool(m, request) {
+                    Ok(true) => MatchResult::Match,
+                    Ok(false) => MatchResult::NoMatch,
+                    Err(_) => MatchResult::Indeterminate,
+                };
+            }
+            CompiledTarget::Clauses(c) => c,
+        };
+        let mut target_indeterminate = false;
+        for any_of in &self.any_ofs[clauses.range()] {
+            let mut any_matched = false;
+            let mut any_indeterminate = false;
+            for &all_of in &self.all_ofs[any_of.range()] {
+                match self.all_of(all_of, request) {
+                    MatchResult::Match => {
+                        any_matched = true;
+                        break;
+                    }
+                    MatchResult::NoMatch => {}
+                    MatchResult::Indeterminate => any_indeterminate = true,
+                }
+            }
+            if any_matched {
+                continue;
+            }
+            if any_indeterminate {
+                target_indeterminate = true;
+                continue;
+            }
+            return MatchResult::NoMatch;
+        }
+        if target_indeterminate {
+            MatchResult::Indeterminate
+        } else {
+            MatchResult::Match
+        }
+    }
+
+    fn all_of(&self, matches: Span, request: &PreparedRequest<'_>) -> MatchResult {
+        let mut indeterminate = false;
+        for &m in &self.args[matches.range()] {
+            match self.eval_bool(CompiledExpr(m), request) {
+                Ok(true) => {}
+                Ok(false) => return MatchResult::NoMatch,
+                Err(_) => indeterminate = true,
+            }
+        }
+        if indeterminate {
+            MatchResult::Indeterminate
+        } else {
+            MatchResult::Match
+        }
+    }
+
+    /// Mirrors [`Rule::evaluate`] with borrowed obligations.
+    fn eval_rule<'a>(
+        &'a self,
+        at: usize,
+        request: &PreparedRequest<'a>,
+    ) -> (ExtDecision, Vec<&'a Obligation>) {
+        #[cfg(test)]
+        VISITED.set(VISITED.get() + 1);
+        let rule = &self.rules[at];
+        match self.matches(rule.target, request) {
+            MatchResult::NoMatch => (ExtDecision::NotApplicable, Vec::new()),
+            MatchResult::Indeterminate => (ExtDecision::indeterminate_for(rule.effect), Vec::new()),
+            MatchResult::Match => match rule.condition {
+                None => self.fire(rule),
+                Some(cond) => match self.eval_bool(cond, request) {
+                    Ok(true) => self.fire(rule),
+                    Ok(false) => (ExtDecision::NotApplicable, Vec::new()),
+                    Err(_) => (ExtDecision::indeterminate_for(rule.effect), Vec::new()),
+                },
+            },
+        }
+    }
+
+    fn fire(&self, rule: &FlatRule) -> (ExtDecision, Vec<&Obligation>) {
+        let decision = match rule.effect {
+            Effect::Permit => ExtDecision::Permit,
+            Effect::Deny => ExtDecision::Deny,
+        };
+        (
+            decision,
+            self.obligations[rule.obligations.range()].iter().collect(),
+        )
+    }
+
+    /// Evaluates a policy or a policy set, mirroring
+    /// `policy::evaluate_node` (XACML §7.12/§7.13): target gating, child
+    /// combining, own-obligation attachment and the Indeterminate-target
+    /// adjustment.
+    fn eval_policy<'a>(
+        &'a self,
+        at: usize,
+        request: &PreparedRequest<'a>,
+    ) -> (ExtDecision, Vec<&'a Obligation>) {
+        let policy = &self.policies[at];
+        match self.matches(policy.target, request) {
+            MatchResult::NoMatch => (ExtDecision::NotApplicable, Vec::new()),
+            MatchResult::Match => {
+                let (d, mut obs) = self.combine_children(policy, request);
+                let own_effect = match d {
+                    ExtDecision::Permit => Some(Effect::Permit),
+                    ExtDecision::Deny => Some(Effect::Deny),
+                    _ => None,
+                };
+                if let Some(effect) = own_effect {
+                    let own = policy.obligations.for_effect(effect);
+                    obs.extend(self.obligations[own.range()].iter());
+                } else {
+                    obs.clear();
+                }
+                (d, obs)
+            }
+            MatchResult::Indeterminate => {
+                // Evaluate children anyway to determine the indeterminate
+                // flavour (XACML 3.0 §7.12, table "Indeterminate" row).
+                let (d, _) = self.combine_children(policy, request);
+                let adjusted = match d {
+                    ExtDecision::NotApplicable => ExtDecision::NotApplicable,
+                    ExtDecision::Permit => ExtDecision::IndeterminateP,
+                    ExtDecision::Deny => ExtDecision::IndeterminateD,
+                    ind => ind,
+                };
+                (adjusted, Vec::new())
+            }
+        }
+    }
+
+    /// Combines the candidate children of a policy or a policy set, in
+    /// document order.
+    fn combine_children<'a>(
+        &'a self,
+        policy: &FlatPolicy,
+        request: &PreparedRequest<'a>,
+    ) -> (ExtDecision, Vec<&'a Obligation>) {
+        let (run, obliges) = match policy.children {
+            Children::Rules(run) => (run, &self.rule_obliges),
+            Children::Policies(run) => (run, &self.policy_obliges),
+        };
+        let cands = match policy.index {
+            Some(index) => self.indexes[index as usize].candidates(request),
+            None => Candidates::All(run.len as usize),
+        };
+        let at = |i: usize| run.start as usize + cands.child(i);
+        let may_oblige = &mut |i, effect| obliges[at(i)].on(effect);
+        match policy.children {
+            Children::Rules(_) => combine_with(
+                policy.algorithm,
+                cands.len(),
+                &mut |i| self.matches(self.rules[at(i)].target, request),
+                &mut |i| self.eval_rule(at(i), request),
+                may_oblige,
+            ),
+            Children::Policies(_) => combine_with(
+                policy.algorithm,
+                cands.len(),
+                &mut |i| self.matches(self.policies[at(i)].target, request),
+                &mut |i| {
+                    #[cfg(test)]
+                    VISITED.set(VISITED.get() + 1);
+                    self.eval_policy(at(i), request)
+                },
+                may_oblige,
+            ),
+        }
     }
 }
 
@@ -1271,6 +1293,13 @@ mod tests {
     }
 
     #[test]
+    fn each_distinct_literal_is_kept_once() {
+        // Nine "doctor"s and three each of "record", "image", "report".
+        let prepared = PreparedPolicySet::compile(&indexed_set(CombiningAlg::DenyOverrides));
+        assert_eq!(prepared.literals.len(), 4);
+    }
+
+    #[test]
     fn keeps_the_digested_bytes_and_they_decode_to_the_source() {
         use drams_crypto::codec::Decode;
         let set = indexed_set(CombiningAlg::DenyOverrides);
@@ -1327,7 +1356,10 @@ mod tests {
             .resource("type", "record")
             .build();
         let pr = prepared.prepare(&request);
-        let cands = prepared.root.index.candidates(&pr, 10);
+        let root = prepared.policies[0]
+            .index
+            .expect("ten children, nine guarded");
+        let cands = prepared.indexes[root as usize].candidates(&pr);
         let picked: Vec<usize> = (0..cands.len()).map(|i| cands.child(i)).collect();
         // the three "record" policies + the unguarded fallback
         assert_eq!(picked, vec![0, 3, 6, 9]);

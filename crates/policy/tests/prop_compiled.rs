@@ -318,6 +318,143 @@ fn cross_type_comparison_errors_agree() {
     check(&set, &request);
 }
 
+/// The compiled engine keeps one literal per distinct value, told apart
+/// by variant and exact bits or bytes. `AttributeValue`'s `==` coerces:
+/// `Int(1) == Double(1.0)` and `0.0 == -0.0`. Yet `Int(1)` and
+/// `Double(1.0)` add differently (integer addition wraps), so a literal
+/// table deduped through `==` would hand one policy the other's
+/// literal. Ten policies clear the compiled engine's
+/// `MIN_INDEXED_CHILDREN` (8), so the root carries a target index over
+/// the equality guards. The mix covers `Less` and `Equal` with either
+/// operand first, two type-mismatched comparisons, and the string
+/// `"record"` in targets and conditions alike.
+#[test]
+fn literals_equal_under_coercion_stay_distinct() {
+    let attr = |cat, name: &str| Expr::attr(AttributeId::new(cat, name));
+    let hour = || attr(Category::Environment, "hour");
+    let level = || attr(Category::Environment, "level");
+    let less = |a: Expr, b: Expr| Expr::Apply(Func::Less, vec![a, b]);
+    let wraps = |one: AttributeValue| {
+        less(
+            Expr::Apply(Func::Add, vec![hour(), Expr::Lit(one)]),
+            Expr::lit(0i64),
+        )
+    };
+    let record = || Target::expr(eq(Category::Resource, "type", "record"));
+    let cases: Vec<(Target, Effect, Expr)> = vec![
+        (record(), Effect::Permit, wraps(AttributeValue::Int(1))),
+        (record(), Effect::Deny, wraps(AttributeValue::Double(1.0))),
+        (
+            Target::expr(eq(Category::Environment, "hour", 1i64)),
+            Effect::Permit,
+            less(hour(), Expr::lit(1.0)),
+        ),
+        (
+            Target::expr(eq(Category::Environment, "hour", 1.0)),
+            Effect::Deny,
+            less(Expr::lit(1i64), hour()),
+        ),
+        (
+            Target::expr(eq(Category::Environment, "level", 0.0)),
+            Effect::Permit,
+            less(Expr::lit(-0.0), level()),
+        ),
+        (
+            Target::expr(eq(Category::Environment, "level", -0.0)),
+            Effect::Deny,
+            eq(Category::Environment, "level", 0.0),
+        ),
+        (
+            Target::expr(eq(Category::Subject, "role", "record")),
+            Effect::Permit,
+            eq(Category::Resource, "type", "record"),
+        ),
+        (
+            Target::expr(eq(Category::Resource, "type", "image")),
+            Effect::Deny,
+            less(attr(Category::Resource, "type"), Expr::lit(1i64)),
+        ),
+        (
+            Target::Any,
+            Effect::Permit,
+            less(hour(), Expr::lit("record")),
+        ),
+        (
+            record(),
+            Effect::Deny,
+            less(attr(Category::Subject, "role"), Expr::lit("record")),
+        ),
+    ];
+    let set_under = |alg| {
+        let mut root = PolicySet::builder("root", alg);
+        for (i, (target, effect, condition)) in cases.iter().enumerate() {
+            let rule = Rule::builder(format!("r{i}"), *effect)
+                .condition(condition.clone())
+                .obligation(Obligation::new(format!("ob{i}"), *effect))
+                .build();
+            let policy = Policy::builder(format!("p{i}"), CombiningAlg::PermitOverrides)
+                .target(target.clone())
+                .rule(rule);
+            root = root.policy(policy.build());
+        }
+        root.build()
+    };
+    let hours = [
+        AttributeValue::Int(i64::MAX),
+        AttributeValue::Int(1),
+        AttributeValue::Double(1.0),
+        AttributeValue::Int(0),
+        AttributeValue::Double(0.5),
+    ];
+    let levels = [
+        Some(AttributeValue::Double(0.0)),
+        Some(AttributeValue::Double(-0.0)),
+        Some(AttributeValue::Int(0)),
+        None,
+    ];
+    let mut requests = Vec::new();
+    for hour in &hours {
+        for level in &levels {
+            for rtype in ["record", "image"] {
+                for role in ["record", "doctor"] {
+                    let mut request = Request::builder()
+                        .environment("hour", hour.clone())
+                        .resource("type", rtype)
+                        .subject("role", role)
+                        .build();
+                    if let Some(level) = level {
+                        request.add(Category::Environment, "level", level.clone());
+                    }
+                    requests.push(request);
+                }
+            }
+        }
+    }
+    // Sanity: on the overflowing hour the two additions disagree — the
+    // Int one wraps below 0, the Double one does not (with no level, no
+    // other policy can return Deny).
+    let overflow = Request::builder()
+        .environment("hour", i64::MAX)
+        .resource("type", "record")
+        .subject("role", "record")
+        .build();
+    let (_, obligations) = set_under(CombiningAlg::PermitOverrides).evaluate(&overflow);
+    assert!(ids(&obligations).contains(&"ob0"), "sanity: Int(1) wraps");
+    let (d, _) = set_under(CombiningAlg::DenyOverrides).evaluate(&overflow);
+    assert_ne!(d, ExtDecision::Deny, "sanity: Double(1.0) does not");
+    for alg in CombiningAlg::ALL {
+        let set = set_under(alg);
+        let prepared = PreparedPolicySet::compile(&set);
+        for request in &requests {
+            assert_eq!(
+                set.evaluate(request),
+                prepared.evaluate(request),
+                "engines diverged under {alg:?} on {request:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn first_applicable_order_is_preserved_across_index_skips() {
     // Three policies guarded on resource.type plus an unguarded one in

@@ -1,26 +1,36 @@
-//! The allocation budget of a monitored request.
+//! The allocation budgets of a monitored request and of a policy compile.
 //!
 //! A counting global allocator tallies every allocation and reallocation
-//! made on the test's own thread while the `steady` shape runs — the
+//! made on the test's own thread. One test runs the `steady` shape — the
 //! canonical scenario, 1,000 requests at 1,000 requests per second, seed
-//! 7 — and the test asserts the per-request figure stays within budget.
-//! A first run warms up whatever the process builds once (thread-locals,
-//! kernel dispatch); the second run is the one counted, set-up included.
+//! 7 — and asserts the per-request figure stays within budget: a first
+//! run warms up whatever the process builds once (thread-locals, kernel
+//! dispatch); the second run is the one counted, set-up included. The
+//! other compiles the `policy_heavy` policy base once.
 //!
-//! This binary holds one test, and the counters are per thread, so the
-//! harness's own threads never reach the tally.
+//! The counters are per thread, so neither test's tally sees the other's
+//! allocations, nor the harness's own threads.
 //!
-//! Run with `--nocapture` to print the measured figure.
+//! Run with `--nocapture` to print the measured figures.
 
 use drams::core::adversary::NoAdversary;
 use drams::core::monitor::MonitorConfig;
 use drams::core::scenario::{run_scenario, ScenarioSpec};
+use drams::faas::workload::{PolicyGenerator, PolicyShape, Vocabulary};
+use drams::policy::compiled::PreparedPolicySet;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Allocations plus reallocations one `steady` request may cost (64.2
 /// measured, the event loop reusing its emission buffers).
 const BUDGET_PER_REQUEST: f64 = 80.0;
+
+/// Allocations plus reallocations one compile of the 1,000-policy base
+/// may cost. Before each version was compiled into one arena it took
+/// 37,504: every expression, target clause, rule list and string literal
+/// had its own allocation, and every 5-rule policy built a target index
+/// it never used.
+const COMPILE_BUDGET: u64 = 1_000;
 
 struct Counting;
 
@@ -93,5 +103,27 @@ fn steady_request_stays_within_its_allocation_budget() {
     assert!(
         per_request <= BUDGET_PER_REQUEST,
         "{per_request:.1} allocations + reallocations per steady request, budget {BUDGET_PER_REQUEST}"
+    );
+}
+
+#[test]
+fn compiling_the_1000_policy_base_stays_within_its_allocation_budget() {
+    // The `policy_heavy` base: seed 5, 1,000 policies of 5 rules.
+    let base = PolicyGenerator::new(Vocabulary::default(), 5).next_policy_set(&PolicyShape {
+        policies: 1_000,
+        rules_per_policy: 5,
+        ..PolicyShape::default()
+    });
+    let before = CALLS.with(Cell::get);
+    let prepared = PreparedPolicySet::compile(&base);
+    let calls = CALLS.with(Cell::get) - before;
+    assert_eq!(prepared.version_digest(), base.version_digest());
+    println!(
+        "policy_heavy base: {calls} allocations + reallocations to compile 1,000 policies \
+         (budget {COMPILE_BUDGET})"
+    );
+    assert!(
+        calls <= COMPILE_BUDGET,
+        "{calls} allocations + reallocations to compile the 1,000-policy base, budget {COMPILE_BUDGET}"
     );
 }
