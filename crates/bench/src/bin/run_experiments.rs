@@ -1,7 +1,7 @@
 //! Regenerates every experiment table of the DRAMS reproduction
 //! (EXPERIMENTS.md / DESIGN.md §3).
 //!
-//! Usage: `cargo run --release -p drams-bench --bin run_experiments [e1..e3|e5..e14|e16|all] [--quick] [--scenario <name>]`
+//! Usage: `cargo run --release -p drams-bench --bin run_experiments [e1..e3|e5..e14|e16|all] [--scenario <name>]`
 //!
 //! Run with `--release`: E2 performs real proof-of-work hashing.
 //!
@@ -14,10 +14,9 @@
 //! experiment did not run is carried over from the committed file. Any
 //! violated gate, unreadable committed file or failed write exits 1
 //! after everything has run; a mistyped experiment or flag exits 2
-//! before anything runs. `--quick` shrinks the sweeps of E5, E6 and
-//! E9–E16 to CI-smoke size; E1–E3, E7 and E8 take about two seconds
-//! together at full size and have no smaller one. Each section records
-//! which mode produced it.
+//! before anything runs. Each experiment has one size, the one its
+//! committed section was measured at, so every gate that compares with
+//! the committed file always compares.
 
 #![forbid(unsafe_code)]
 
@@ -48,15 +47,13 @@ use std::rc::Rc;
 use std::time::Instant;
 
 const USAGE: &str = "\
-usage: run_experiments [e1 .. e3 | e5 .. e14 | e16 | all] [--quick] [--scenario <name>]
-  --quick            CI-smoke sizes; every written section records its mode
+usage: run_experiments [e1 .. e3 | e5 .. e14 | e16 | all] [--scenario <name>]
   --scenario <name>  run one E10 scenario only (its committed section is left untouched)";
 
 /// A parsed command line: what an experiment is told — and where it
 /// leaves a failure the gate table cannot express.
 #[derive(Debug, PartialEq, Eq)]
 struct Run {
-    quick: bool,
     scenario: Option<String>,
     /// Ids of the experiments to run (all of them when none was named).
     selected: Vec<&'static str>,
@@ -99,13 +96,12 @@ enum ArgError {
 }
 
 /// Parses the command line; pure, so a typo is refused before anything
-/// runs (at full size, over the committed files).
+/// runs (and before anything writes over the committed files).
 fn parse_args(args: &[String]) -> Result<Run, ArgError> {
-    let (mut quick, mut all, mut scenario, mut selected) = (false, false, None, Vec::new());
+    let (mut all, mut scenario, mut selected) = (false, None, Vec::new());
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => quick = true,
             "--scenario" => {
                 let name = args.next().filter(|name| !name.starts_with('-'));
                 scenario = Some(name.ok_or(ArgError::ScenarioNeedsName)?.clone());
@@ -125,13 +121,12 @@ fn parse_args(args: &[String]) -> Result<Run, ArgError> {
         if !selected.contains(&"e10") {
             return Err(ArgError::ScenarioNeedsE10);
         }
-        if scenarios::matrix(quick).iter().all(|s| s.name != *name) {
+        if scenarios::matrix().iter().all(|s| s.name != *name) {
             return Err(ArgError::UnknownScenario(name.clone()));
         }
     }
     let failures = Vec::new();
     Ok(Run {
-        quick,
         scenario,
         selected,
         failures,
@@ -173,9 +168,6 @@ fn main() {
         let path = report::repo_file_path(spec.file);
         let verdict = report::commit(&path, spec, &fresh);
         println!("wrote {}", path.display());
-        for note in &verdict.notes {
-            println!("  {note}");
-        }
         failures.extend(verdict.failures);
     }
     if !failures.is_empty() {
@@ -188,10 +180,9 @@ fn main() {
     println!("\ndone.");
 }
 
-/// Stamps, prints and returns one section of a tracked file, measured
-/// at `--quick` size or at full size.
-fn section(quick: bool, key: &str, members: Members) -> Section {
-    let section = Section::produced(key, quick, members);
+/// Stamps, prints and returns one section of a tracked file.
+fn section(key: &str, members: Members) -> Section {
+    let section = Section::produced(key, members);
     print!("{section}");
     section
 }
@@ -289,7 +280,6 @@ fn e1_log_size_vs_latency(_: &mut Run) -> Vec<Section> {
     }
     let grows = per_entry_us.last() > per_entry_us.first();
     vec![section(
-        false,
         "e1_log_size",
         members! { rows: rows, grows: grows },
     )]
@@ -371,7 +361,7 @@ fn e2_pow_tuning_and_integrity(_: &mut Run) -> Vec<Section> {
         gossip: gossip,
         stale_rises_with_latency: rising(&stale),
     };
-    vec![section(false, "e2_pow", members)]
+    vec![section("e2_pow", members)]
 }
 
 /// E3 — paper §III: the hybrid DB+blockchain trade-off (ref \[9\]).
@@ -445,20 +435,15 @@ fn e3_hybrid_store(_: &mut Run) -> Vec<Section> {
         });
     }
     let members = members! { pure_chain: pure_chain, hybrid: hybrid };
-    vec![section(false, "e3_hybrid", members)]
+    vec![section("e3_hybrid", members)]
 }
 
 /// E5 — paper §II: the Analyser re-evaluates decisions against the formal
 /// policy semantics; here we scale the policy base — tree-walking
 /// interpreter vs the compiled engine (and its decision cache).
-fn e5_policy_engine_scaling(run: &mut Run) -> Vec<Section> {
-    let quick = run.quick;
-    let sizes: &[usize] = if quick {
-        &[10, 100]
-    } else {
-        &[10, 50, 100, 500, 1000]
-    };
-    let request_count = if quick { 100 } else { 500 };
+fn e5_policy_engine_scaling(_: &mut Run) -> Vec<Section> {
+    let sizes: &[usize] = &[10, 50, 100, 500, 1000];
+    let request_count = 500;
     let mut rows = Vec::new();
     let mut completeness = Vec::new();
     for &policies in sizes {
@@ -486,7 +471,7 @@ fn e5_policy_engine_scaling(run: &mut Run) -> Vec<Section> {
         // engine's best round: min-of-rounds is robust against CPU
         // contention and frequency drift, which single-pass timing on a
         // shared machine is not.
-        let rounds = if quick { 1 } else { 3 };
+        let rounds = 3;
         let mut interpreter_us = f64::INFINITY;
         let mut compiled_us = f64::INFINITY;
         let mut compiled_cached_us = f64::INFINITY;
@@ -534,7 +519,6 @@ fn e5_policy_engine_scaling(run: &mut Run) -> Vec<Section> {
         });
     }
     vec![section(
-        run.quick,
         "e5_pdp_scaling",
         members! { rows: rows, completeness: completeness },
     )]
@@ -545,9 +529,9 @@ fn e5_policy_engine_scaling(run: &mut Run) -> Vec<Section> {
 /// The latency summaries are *virtual-time* and thus invariant under
 /// crypto changes; wall time is where the signing/hashing cost of the
 /// pipeline actually shows, so both are tracked.
-fn e6_monitoring_overhead(run: &mut Run) -> Vec<Section> {
+fn e6_monitoring_overhead(_: &mut Run) -> Vec<Section> {
     let base = MonitorConfig {
-        total_requests: if run.quick { 200 } else { 1_000 },
+        total_requests: 1_000,
         request_rate_per_sec: 200.0,
         ..MonitorConfig::default()
     };
@@ -574,7 +558,6 @@ fn e6_monitoring_overhead(run: &mut Run) -> Vec<Section> {
     };
     let pipeline_mean_ms = r_on.log_commit_latency.mean() / 1_000.0;
     let overhead = section(
-        run.quick,
         "e6_monitoring_overhead",
         members! {
             requests: base.total_requests,
@@ -613,7 +596,7 @@ fn e7_federation_scalability(_: &mut Run) -> Vec<Section> {
             max_mempool: report.max_mempool,
         });
     }
-    vec![section(false, "e7_scale", members! { rows: rows })]
+    vec![section("e7_scale", members! { rows: rows })]
 }
 
 /// E9 — the crypto substrate: Montgomery fast path vs the retained
@@ -622,12 +605,12 @@ fn e7_federation_scalability(_: &mut Run) -> Vec<Section> {
 /// The monitoring pipeline's cost is bounded by log hashing/signing
 /// (paper §III); this table tracks the primitive layer the pipeline
 /// stands on. Emits `BENCH_CRYPTO.json`.
-fn e9_crypto_substrate(run: &mut Run) -> Vec<Section> {
+fn e9_crypto_substrate(_: &mut Run) -> Vec<Section> {
     use drams_crypto::bignum::U256;
     use drams_crypto::montgomery;
     use drams_crypto::schnorr::{batch_verify, group_p};
 
-    let (rounds, iters) = if run.quick { (2, 8) } else { (5, 64) };
+    let (rounds, iters) = (5, 64);
     // One old-vs-new comparison (µs per operation).
     let old_new = |reference_us: f64, fast_us: f64| {
         row! { reference_us: reference_us, fast_us: fast_us, speedup: reference_us / fast_us }
@@ -665,7 +648,7 @@ fn e9_crypto_substrate(run: &mut Run) -> Vec<Section> {
     let batch_size = 64usize;
     let owned = drams_bench::schnorr_batch(4, batch_size);
     let batch = drams_bench::batch_items(&owned);
-    let batch_rounds = if run.quick { 2 } else { 8 };
+    let batch_rounds = 8;
     let individual_reference_us = best_us(batch_rounds, 1, || {
         for (pk, m, s) in &batch {
             pk.verify_reference(m, s).expect("valid");
@@ -689,7 +672,6 @@ fn e9_crypto_substrate(run: &mut Run) -> Vec<Section> {
     };
 
     let crypto = section(
-        run.quick,
         "e9_crypto",
         members! {
             mod_pow: mod_pow,
@@ -709,7 +691,7 @@ fn e9_crypto_substrate(run: &mut Run) -> Vec<Section> {
 /// filtered run prints its row but never replaces the committed section
 /// with a partial matrix.
 fn e10_scenario_matrix(run: &mut Run) -> Vec<Section> {
-    let mut matrix = scenarios::matrix(run.quick);
+    let mut matrix = scenarios::matrix();
     if let Some(name) = &run.scenario {
         matrix.retain(|s| s.name == *name);
     }
@@ -742,7 +724,7 @@ fn e10_scenario_matrix(run: &mut Run) -> Vec<Section> {
             sim_speedup: sim_speedup,
         });
     }
-    let matrix = section(run.quick, "e10_scenarios", members! { rows: rows });
+    let matrix = section("e10_scenarios", members! { rows: rows });
     if run.scenario.is_some() {
         println!("\n(--scenario filter active: e10_scenarios left untouched)");
         return Vec::new();
@@ -759,11 +741,11 @@ fn e10_scenario_matrix(run: &mut Run) -> Vec<Section> {
 /// monitoring-plane service is killed mid-run, restarted from its
 /// durable store, and the run's alerts + ground truth are required to be
 /// byte-identical to the uninterrupted twin. Emits `BENCH_STORE.json`.
-fn e11_storage_and_recovery(run: &mut Run) -> Vec<Section> {
+fn e11_storage_and_recovery(_: &mut Run) -> Vec<Section> {
     use drams_store::{Durability, FsBackend, MemBackend, Wal, WalConfig};
 
     // -- part 1: the engine ------------------------------------------------
-    let records: u64 = if run.quick { 2_000 } else { 32_000 };
+    let records: u64 = 32_000;
     let payload = vec![0xA5u8; 256];
     let tmp_root = std::env::temp_dir().join(format!("drams-e11-{}", std::process::id()));
     let mut engine_rows = Vec::new();
@@ -815,11 +797,7 @@ fn e11_storage_and_recovery(run: &mut Run) -> Vec<Section> {
             snapshot_prune_us: snapshot_us,
         });
     }
-    let engine = section(
-        run.quick,
-        "e11_store_engine",
-        members! { rows: engine_rows },
-    );
+    let engine = section("e11_store_engine", members! { rows: engine_rows });
 
     // -- part 1b: journal compaction vs. history ---------------------------
     // A compaction folds what was journaled since the last one, so a
@@ -874,14 +852,13 @@ fn e11_storage_and_recovery(run: &mut Run) -> Vec<Section> {
     }
     let _ = std::fs::remove_dir_all(&tmp_root);
     let compaction = section(
-        run.quick,
         "e11_compaction",
         members! { rows: compaction_rows, flat_ok: flat_ok },
     );
 
     // -- part 2: the recovery matrix ---------------------------------------
     let mut recovery_rows = Vec::new();
-    for spec in scenarios::recovery_matrix(run.quick) {
+    for spec in scenarios::recovery_matrix() {
         let clean = run_scenario(&scenarios::strip_crashes(&spec), &mut NoAdversary);
         let (crashed, wall_ms) = timed_ms(|| run_scenario(&spec, &mut NoAdversary));
         recovery_rows.push(row! {
@@ -894,7 +871,7 @@ fn e11_storage_and_recovery(run: &mut Run) -> Vec<Section> {
             wall_ms: wall_ms,
         });
     }
-    let recovery = section(run.quick, "e11_recovery", members! { rows: recovery_rows });
+    let recovery = section("e11_recovery", members! { rows: recovery_rows });
     vec![engine, compaction, recovery]
 }
 
@@ -1006,22 +983,22 @@ fn e8_ablations(_: &mut Run) -> Vec<Section> {
         txs_fall_with_batch: txs.windows(2).all(|pair| pair[0] > pair[1]),
         epochs: epochs,
     };
-    vec![section(false, "e8_ablations", members)]
+    vec![section("e8_ablations", members)]
 }
 
-/// E12 — adversarial scenario fuzzing: `--quick` runs 60 seed-generated
-/// scenarios (full mode 300) spanning honest churn, windowed attack
-/// campaigns over the full nine-threat catalogue, Byzantine chain-node
-/// behaviour and crash-restart points, each judged by the three-part
+/// E12 — adversarial scenario fuzzing: 1,000 seed-generated scenarios
+/// spanning honest churn, windowed attack campaigns over the full
+/// nine-threat catalogue, Byzantine chain-node behaviour and
+/// crash-restart points, each judged by the three-part
 /// ground-truth oracle (attacks detected, honest runs alert-free,
 /// crashed runs byte-identical to their uninterrupted twin). Oracle
 /// violations are shrunk to a minimal scenario and printed as
 /// compilable Rust. Emits `BENCH_FUZZ.json`.
-fn e12_adversarial_fuzz(run: &mut Run) -> Vec<Section> {
+fn e12_adversarial_fuzz(_: &mut Run) -> Vec<Section> {
     use drams_fuzz::{generate, render_rust, run_case, shrink, COVERAGE_PRELUDE};
     use std::collections::BTreeMap;
 
-    let budget: u64 = if run.quick { 60 } else { 300 };
+    let budget: u64 = 1_000;
     assert!(
         budget >= COVERAGE_PRELUDE,
         "budget must include the prelude"
@@ -1073,7 +1050,6 @@ fn e12_adversarial_fuzz(run: &mut Run) -> Vec<Section> {
         .map(|(family, count)| (family.to_string(), count.into()))
         .collect();
     let fuzz = section(
-        run.quick,
         "e12_fuzz",
         members! {
             scenarios: budget,
@@ -1101,12 +1077,12 @@ fn e12_adversarial_fuzz(run: &mut Run) -> Vec<Section> {
 /// still be detected, with zero false positives. Part 3 crashes a PDP
 /// under duplicating faults and requires byte-identity with the
 /// uninterrupted twin. Emits `BENCH_FAULT.json`.
-fn e13_fault_plane(run: &mut Run) -> Vec<Section> {
+fn e13_fault_plane(_: &mut Run) -> Vec<Section> {
     use drams_faas::fault::LinkFault;
 
     // -- part 1: the honest fault matrix -----------------------------------
     let mut rows = Vec::new();
-    for spec in scenarios::fault_matrix(run.quick) {
+    for spec in scenarios::fault_matrix() {
         let ((report, truth), wall_ms) = timed_ms(|| run_scenario(&spec, &mut NoAdversary));
         assert_eq!(truth.total_attacks(), 0, "faults are not attacks");
         let e2e = report.e2e_latency.report();
@@ -1152,7 +1128,7 @@ fn e13_fault_plane(run: &mut Run) -> Vec<Section> {
         (ThreatKind::TamperRequest, 32),
         (ThreatKind::FlipEnforcement, 33),
     ] {
-        let mut spec = scenarios::by_name("lossy_links", run.quick).expect("E13 matrix scenario");
+        let mut spec = scenarios::by_name("lossy_links").expect("E13 matrix scenario");
         spec.name = format!("{threat}_under_faults");
         let mut adversary = ScriptedAdversary::new(threat, 0.1, seed)
             .within(vec![FaultWindow::new(0, 1500 * MILLIS)]);
@@ -1168,7 +1144,7 @@ fn e13_fault_plane(run: &mut Run) -> Vec<Section> {
     }
 
     // -- part 3: a PDP crash under duplicating faults vs its twin ----------
-    let mut spec = scenarios::by_name("crash_pdp", run.quick).expect("E11 matrix scenario");
+    let mut spec = scenarios::by_name("crash_pdp").expect("E11 matrix scenario");
     spec.name = "crash_pdp_faults".to_string();
     spec.faults.links.push(LinkFault {
         duplicate_permille: 300,
@@ -1187,7 +1163,6 @@ fn e13_fault_plane(run: &mut Run) -> Vec<Section> {
     };
 
     let faults = section(
-        run.quick,
         "e13_faults",
         members! {
             rows: rows,
@@ -1220,7 +1195,7 @@ fn lost_admitted(requests: u64, shed: u64, completed: u64) -> Option<String> {
 /// byte-identity with the uninterrupted twin. Emits `BENCH_LOAD.json`.
 fn e14_overload(run: &mut Run) -> Vec<Section> {
     // -- part 1: the honest flash crowd ------------------------------------
-    let spec = scenarios::flash_crowd(run.quick);
+    let spec = scenarios::flash_crowd();
     let ((report, truth), wall_ms) = timed_ms(|| run_scenario(&spec, &mut NoAdversary));
     assert_eq!(truth.total_attacks(), 0, "overload is not an attack");
     let (requests, shed) = (report.requests_issued, report.requests_shed);
@@ -1259,7 +1234,7 @@ fn e14_overload(run: &mut Run) -> Vec<Section> {
         (ThreatKind::TamperRequest, 42),
         (ThreatKind::FlipEnforcement, 43),
     ] {
-        let mut spec = scenarios::overload_attack_base(run.quick);
+        let mut spec = scenarios::overload_attack_base();
         spec.name = format!("{threat}_under_overload");
         let mut adversary = ScriptedAdversary::new(threat, 0.05, seed)
             .within(vec![FaultWindow::new(2 * SECONDS, 6 * SECONDS)]); // the spike
@@ -1278,7 +1253,7 @@ fn e14_overload(run: &mut Run) -> Vec<Section> {
     }
 
     // -- part 3: a PDP crash mid-spike vs its twin -------------------------
-    let crash_spec = scenarios::overload_crash(run.quick);
+    let crash_spec = scenarios::overload_crash();
     let clean = run_scenario(&scenarios::strip_crashes(&crash_spec), &mut NoAdversary);
     let crashed = run_scenario(&crash_spec, &mut NoAdversary);
     let twin = row! {
@@ -1289,7 +1264,6 @@ fn e14_overload(run: &mut Run) -> Vec<Section> {
     };
 
     let load = section(
-        run.quick,
         "e14_load",
         members! {
             honest: honest,
@@ -1306,7 +1280,7 @@ fn e14_overload(run: &mut Run) -> Vec<Section> {
 /// an echo endpoint down and reconnecting to a fresh one, and a
 /// DES-vs-TCP conformance replay of the steady-state scenario.
 /// Emits `BENCH_NET.json`.
-fn e16_net(run: &mut Run) -> Vec<Section> {
+fn e16_net(_: &mut Run) -> Vec<Section> {
     use drams_core::scenario::run_scenario_with_transport;
     use drams_faas::transport::{Transport, WireFrame, WireRole};
     use drams_net::TcpTransport;
@@ -1328,7 +1302,7 @@ fn e16_net(run: &mut Run) -> Vec<Section> {
     // -- round-trip latency and throughput per payload size -----------------
     // 192 bytes ≈ a canonical RequestEnvelope; 4 KiB ≈ a batched log
     // delivery. Warm-up covers endpoint provisioning + connect.
-    let frames_per_size: u64 = if run.quick { 2_000 } else { 20_000 };
+    let frames_per_size: u64 = 20_000;
     let mut rows = Vec::new();
     for &payload_bytes in &[192usize, 4_096] {
         transport
@@ -1393,7 +1367,7 @@ fn e16_net(run: &mut Run) -> Vec<Section> {
     };
 
     // -- reconnect cost: tear the endpoint down, respawn, first echo --------
-    let cycles: u64 = if run.quick { 20 } else { 100 };
+    let cycles: u64 = 100;
     let mut costs_us = Vec::with_capacity(cycles as usize);
     for _ in 0..cycles {
         let t = Instant::now();
@@ -1410,7 +1384,7 @@ fn e16_net(run: &mut Run) -> Vec<Section> {
     };
 
     // -- conformance: the steady-state scenario over both backends ----------
-    let spec = scenarios::steady_state(true);
+    let spec = scenarios::steady_state();
     let des = run_scenario(&spec, &mut NoAdversary);
     let mut tcp_transport = TcpTransport::loopback();
     let tcp = run_scenario_with_transport(&spec, &mut NoAdversary, &mut tcp_transport);
@@ -1429,7 +1403,7 @@ fn e16_net(run: &mut Run) -> Vec<Section> {
         reconnect: reconnect,
         conformance: conformance,
     };
-    vec![section(run.quick, "e16_net", members)]
+    vec![section("e16_net", members)]
 }
 
 #[cfg(test)]
@@ -1444,15 +1418,14 @@ mod tests {
     #[test]
     fn no_selection_or_all_selects_every_experiment() {
         let everything: Vec<&str> = EXPERIMENTS.iter().map(|(id, ..)| *id).collect();
-        for line in ["", "all", "--quick", "e3 all"] {
+        for line in ["", "all", "e3 all"] {
             assert_eq!(parse(line).expect(line).selected, everything, "{line:?}");
         }
-        let args = parse("e5 --quick e14").expect("valid");
+        let args = parse("e5 e14").expect("valid");
         assert_eq!(args.selected, ["e5", "e14"]);
-        assert!(args.quick && args.scenario.is_none());
+        assert!(args.scenario.is_none());
         let args = parse("e10 --scenario policy_flip").expect("valid");
         assert_eq!(args.scenario.as_deref(), Some("policy_flip"));
-        assert!(!args.quick);
     }
 
     #[test]
@@ -1466,7 +1439,7 @@ mod tests {
             ("e5 --quik", UnknownFlag("--quik".to_string())),
             ("-q", UnknownFlag("-q".to_string())),
             ("e10 --scenario", ScenarioNeedsName),
-            ("e10 --scenario --quick", ScenarioNeedsName),
+            ("e10 --scenario --steady_state", ScenarioNeedsName),
             ("e9 --scenario steady_state", ScenarioNeedsE10),
             ("e10 --scenario nope", UnknownScenario("nope".to_string())),
         ] {

@@ -106,9 +106,9 @@ pub mod scenarios {
     use drams_policy::rule::Rule;
     use drams_policy::target::Target;
 
-    fn base_config(quick: bool) -> MonitorConfig {
+    fn base_config() -> MonitorConfig {
         MonitorConfig {
-            total_requests: if quick { 120 } else { 400 },
+            total_requests: 400,
             request_rate_per_sec: 150.0,
             ..MonitorConfig::default()
         }
@@ -135,19 +135,19 @@ pub mod scenarios {
 
     /// Constant load on the classic central-PDP topology.
     #[must_use]
-    pub fn steady_state(quick: bool) -> ScenarioSpec {
+    pub fn steady_state() -> ScenarioSpec {
         ScenarioSpec {
             name: "steady_state".to_string(),
-            ..ScenarioSpec::canonical(&base_config(quick))
+            ..ScenarioSpec::canonical(&base_config())
         }
     }
 
     /// A 5x arrival burst mid-run, with a tenant joining before the burst
     /// and another leaving during it.
     #[must_use]
-    pub fn burst_churn(quick: bool) -> ScenarioSpec {
-        let mut config = base_config(quick);
-        config.total_requests = if quick { 150 } else { 600 };
+    pub fn burst_churn() -> ScenarioSpec {
+        let mut config = base_config();
+        config.total_requests = 600;
         config.request_rate_per_sec = 100.0;
         ScenarioSpec {
             name: "burst_churn".to_string(),
@@ -186,7 +186,7 @@ pub mod scenarios {
     /// Legitimate policy churn: a stricter version is published
     /// mid-flight and rolled back shortly after. Must raise zero alerts.
     #[must_use]
-    pub fn policy_flip(quick: bool) -> ScenarioSpec {
+    pub fn policy_flip() -> ScenarioSpec {
         ScenarioSpec {
             name: "policy_flip".to_string(),
             script: vec![
@@ -199,7 +199,7 @@ pub mod scenarios {
                     version: 0,
                 },
             ],
-            ..ScenarioSpec::canonical(&base_config(quick))
+            ..ScenarioSpec::canonical(&base_config())
         }
     }
 
@@ -207,7 +207,7 @@ pub mod scenarios {
     /// the group timeout — the monitor must surface the degradation as
     /// missing-observation alerts.
     #[must_use]
-    pub fn degraded_li(quick: bool) -> ScenarioSpec {
+    pub fn degraded_li() -> ScenarioSpec {
         ScenarioSpec {
             name: "degraded_li".to_string(),
             script: vec![ScriptedAction::StallLi {
@@ -215,15 +215,15 @@ pub mod scenarios {
                 until: 2800 * MILLIS,
                 tenant: TenantId(1),
             }],
-            ..ScenarioSpec::canonical(&base_config(quick))
+            ..ScenarioSpec::canonical(&base_config())
         }
     }
 
     /// The paper's Figure-1 federation: three clouds, each deciding
     /// locally with its own PDP.
     #[must_use]
-    pub fn federated_pdp(quick: bool) -> ScenarioSpec {
-        let mut config = base_config(quick);
+    pub fn federated_pdp() -> ScenarioSpec {
+        let mut config = base_config();
         config.federation = FederationSpec::symmetric(3, 2, 2);
         ScenarioSpec {
             name: "federated_pdp".to_string(),
@@ -234,28 +234,28 @@ pub mod scenarios {
 
     /// The whole E10 matrix, in table order.
     #[must_use]
-    pub fn matrix(quick: bool) -> Vec<ScenarioSpec> {
+    pub fn matrix() -> Vec<ScenarioSpec> {
         vec![
-            steady_state(quick),
-            burst_churn(quick),
-            policy_flip(quick),
-            degraded_li(quick),
-            federated_pdp(quick),
+            steady_state(),
+            burst_churn(),
+            policy_flip(),
+            degraded_li(),
+            federated_pdp(),
         ]
     }
 
     /// Looks a scenario up by name (E10, E11 and E13 matrices).
     #[must_use]
-    pub fn by_name(name: &str, quick: bool) -> Option<ScenarioSpec> {
-        matrix(quick)
+    pub fn by_name(name: &str) -> Option<ScenarioSpec> {
+        matrix()
             .into_iter()
-            .chain(recovery_matrix(quick))
-            .chain(fault_matrix(quick))
+            .chain(recovery_matrix())
+            .chain(fault_matrix())
             .find(|s| s.name == name)
     }
 
-    fn crash_scenario(name: &str, quick: bool, target: CrashTarget) -> ScenarioSpec {
-        let mut config = base_config(quick);
+    fn crash_scenario(name: &str, target: CrashTarget) -> ScenarioSpec {
+        let mut config = base_config();
         // Dense enough that the crash lands with work in flight: a
         // partially filled LI batch, a non-empty mempool, checked and
         // unchecked groups.
@@ -277,17 +277,13 @@ pub mod scenarios {
     /// against the uninterrupted twin of each scenario
     /// ([`strip_crashes`]).
     #[must_use]
-    pub fn recovery_matrix(quick: bool) -> Vec<ScenarioSpec> {
+    pub fn recovery_matrix() -> Vec<ScenarioSpec> {
         vec![
-            crash_scenario("crash_chain", quick, CrashTarget::ChainNode),
-            crash_scenario("crash_li", quick, CrashTarget::Li(TenantId(1))),
-            crash_scenario(
-                "crash_infra_li",
-                quick,
-                CrashTarget::Li(TenantId::INFRASTRUCTURE),
-            ),
-            crash_scenario("crash_analyser", quick, CrashTarget::Analyser),
-            crash_scenario("crash_pdp", quick, CrashTarget::Pdp(CloudId(0))),
+            crash_scenario("crash_chain", CrashTarget::ChainNode),
+            crash_scenario("crash_li", CrashTarget::Li(TenantId(1))),
+            crash_scenario("crash_infra_li", CrashTarget::Li(TenantId::INFRASTRUCTURE)),
+            crash_scenario("crash_analyser", CrashTarget::Analyser),
+            crash_scenario("crash_pdp", CrashTarget::Pdp(CloudId(0))),
         ]
     }
 
@@ -313,8 +309,8 @@ pub mod scenarios {
     /// every scenario, with the fault plane's counters proving the
     /// faults actually fired.
     #[must_use]
-    pub fn fault_matrix(quick: bool) -> Vec<ScenarioSpec> {
-        let config = base_config(quick);
+    pub fn fault_matrix() -> Vec<ScenarioSpec> {
+        let config = base_config();
         let lossy = ScenarioSpec {
             name: "lossy_links".to_string(),
             faults: lossy_plan(),
@@ -401,15 +397,14 @@ pub mod scenarios {
         }
     }
 
-    /// E14 part 1: an honest flash crowd — ≥100k requests even in quick
-    /// mode, Poisson arrivals riding the diurnal schedule into a ×4
+    /// E14 part 1: an honest flash crowd — 250k requests, Poisson arrivals riding the diurnal schedule into a ×4
     /// spike that overruns the PEP admission cap. The acceptance bar is
     /// zero alerts, shed overflow, and every peak-state column bounded.
     #[must_use]
-    pub fn flash_crowd(quick: bool) -> ScenarioSpec {
-        let mut config = base_config(quick);
-        config.total_requests = if quick { 100_000 } else { 250_000 };
-        config.request_rate_per_sec = if quick { 3_000.0 } else { 6_000.0 };
+    pub fn flash_crowd() -> ScenarioSpec {
+        let mut config = base_config();
+        config.total_requests = 250_000;
+        config.request_rate_per_sec = 6_000.0;
         ScenarioSpec {
             name: "flash_crowd".to_string(),
             load: overload_profile(),
@@ -422,10 +417,10 @@ pub mod scenarios {
     /// at the smaller volume. Attack campaigns and the crash twin ride
     /// on this spec.
     #[must_use]
-    pub fn overload_attack_base(quick: bool) -> ScenarioSpec {
-        let mut config = base_config(quick);
-        config.total_requests = if quick { 20_000 } else { 50_000 };
-        config.request_rate_per_sec = if quick { 2_000.0 } else { 5_000.0 };
+    pub fn overload_attack_base() -> ScenarioSpec {
+        let mut config = base_config();
+        config.total_requests = 50_000;
+        config.request_rate_per_sec = 5_000.0;
         let mut load = overload_profile();
         load.pep_inflight_cap = 32;
         load.spikes = vec![FlashCrowd {
@@ -444,8 +439,8 @@ pub mod scenarios {
     /// the middle of the flash crowd and must recover byte-identical to
     /// its uninterrupted twin while shedding is active.
     #[must_use]
-    pub fn overload_crash(quick: bool) -> ScenarioSpec {
-        let mut spec = overload_attack_base(quick);
+    pub fn overload_crash() -> ScenarioSpec {
+        let mut spec = overload_attack_base();
         spec.name = "overload_crash_pdp".to_string();
         spec.script = vec![ScriptedAction::CrashRestart {
             at: 4 * SECONDS, // mid-spike, with shedding active
@@ -490,13 +485,9 @@ mod tests {
         Report { schema, sections }
     }
 
-    fn section_of(quick: bool, members: Members) -> Section {
+    fn section_of(members: Members) -> Section {
         let key = "s".to_string();
-        Section {
-            key,
-            quick,
-            members,
-        }
+        Section { key, members }
     }
 
     /// A section exactly as it appears inside any rendered file.
@@ -524,18 +515,14 @@ mod tests {
     }
 
     /// A run that produced none, or only one, of a file's sections
-    /// leaves every other section byte-identical — mode flag included —
-    /// and a produced section replaces the committed one.
+    /// leaves every other section byte-identical, and a produced section
+    /// replaces the committed one.
     fn carries_forward(file: &str) {
         let spec = spec_of(file);
         let (text, report) = committed(file);
         assert_eq!(render_json(&merge(spec, &[], Some(&report))), text);
         for old in &report.sections {
-            let fresh = [Section::produced(
-                &old.key,
-                !old.quick,
-                members! { rows: vec![] },
-            )];
+            let fresh = [Section::produced(&old.key, members! { rows: vec![] })];
             let merged = merge(spec, &fresh, Some(&report));
             let merged_text = render_json(&merged);
             assert!(merged_text.contains(&block(&fresh[0])) && !merged_text.contains(&block(old)));
@@ -699,11 +686,10 @@ mod tests {
 
     /// Checks one gate on column `x` of a one-row section whose row
     /// holds `fresh` (JSON members), against a committed twin if any.
-    fn check(rule: Rule, fresh: &str, committed: Option<(bool, &str)>) -> Verdict {
-        let section = |quick: bool, columns: &str| {
+    fn check(rule: Rule, fresh: &str, committed: Option<&str>) -> Verdict {
+        let section = |columns: &str| {
             let row = format!("{{\"name\": \"r\", {columns}}}");
-            let text =
-                format!("{{\"schema\": \"t\", \"s\": {{\"quick\": {quick}, \"rows\": [{row}]}}}}");
+            let text = format!("{{\"schema\": \"t\", \"s\": {{\"rows\": [{row}]}}}}");
             parse(&text).expect("a fixture").sections.remove(0)
         };
         let (section_key, member, column) = ("s", "rows", "x");
@@ -713,40 +699,27 @@ mod tests {
             column,
             rule,
         };
-        let committed = committed.map(|(quick, columns)| report_of(vec![section(quick, columns)]));
-        evaluate(&[gate], &[section(true, fresh)], committed.as_ref())
+        let committed = committed.map(|columns| report_of(vec![section(columns)]));
+        evaluate(&[gate], &[section(fresh)], committed.as_ref())
     }
 
     #[test]
     fn comparison_gates_hold_at_the_boundary_and_skip_without_a_baseline() {
         let clean = Verdict::default();
         let (peak, speed) = (Rule::AtMostCommitted(2.0), Rule::AtLeastCommitted(0.5));
-        assert_eq!(check(peak, "\"x\": 200", Some((true, "\"x\": 100"))), clean);
+        assert_eq!(check(peak, "\"x\": 200", Some("\"x\": 100")), clean);
         assert_eq!(
-            check(peak, "\"x\": 201", Some((true, "\"x\": 100"))).failures,
+            check(peak, "\"x\": 201", Some("\"x\": 100")).failures,
             ["s.rows[r]: x = 201, fails AtMostCommitted(2.0) (committed: 100)"]
         );
-        assert_eq!(
-            check(speed, "\"x\": 50.000", Some((true, "\"x\": 100.000"))),
-            clean
-        );
-        let slow = check(speed, "\"x\": 49.000", Some((true, "\"x\": 100.000")));
+        assert_eq!(check(speed, "\"x\": 50.000", Some("\"x\": 100.000")), clean);
+        let slow = check(speed, "\"x\": 49.000", Some("\"x\": 100.000"));
         assert_eq!(slow.failures.len(), 1, "{slow:?}");
         // Nothing to compare against: no file, no such column, a zero, a null.
-        for committed in [None, Some((true, "\"y\": 1")), Some((true, "\"x\": 0"))] {
+        for committed in [None, Some("\"y\": 1"), Some("\"x\": 0")] {
             assert_eq!(check(peak, "\"x\": 999", committed), clean, "{committed:?}");
         }
-        assert_eq!(
-            check(speed, "\"x\": 0.100", Some((true, "\"x\": null"))),
-            clean
-        );
-        // The other mode is no baseline either — and says so, once.
-        let skipped = check(peak, "\"x\": 999", Some((false, "\"x\": 100")));
-        assert!(skipped.failures.is_empty(), "{skipped:?}");
-        assert_eq!(
-            skipped.notes,
-            ["s: not compared (committed: full, run: quick)"]
-        );
+        assert_eq!(check(speed, "\"x\": 0.100", Some("\"x\": null")), clean);
         // A gate with nothing to check fails; it is never vacuously green.
         assert_eq!(check(peak, "\"x\": \"fast\"", None).failures.len(), 1);
         assert_eq!(
@@ -760,7 +733,7 @@ mod tests {
             column,
             rule,
         };
-        let fresh = [section_of(true, Members::new())];
+        let fresh = [section_of(Members::new())];
         assert_eq!(
             evaluate(&[gate], &fresh, None).failures,
             ["s.summary: no such rows"]
@@ -769,9 +742,8 @@ mod tests {
 
     #[test]
     fn rows_without_a_name_compare_by_position() {
-        let section = |quick: bool, rows: &str| {
-            let text =
-                format!("{{\"schema\": \"t\", \"s\": {{\"quick\": {quick}, \"rows\": [{rows}]}}}}");
+        let section = |rows: &str| {
+            let text = format!("{{\"schema\": \"t\", \"s\": {{\"rows\": [{rows}]}}}}");
             parse(&text).expect("a fixture").sections.remove(0)
         };
         let gate = Gate {
@@ -781,16 +753,15 @@ mod tests {
             rule: Rule::AtLeastCommitted(0.5),
         };
         let committed = report_of(vec![section(
-            true,
             "{\"n\": 1, \"x\": 100}, {\"n\": 2, \"x\": 10}",
         )]);
         // Each row against its own committed twin, not the first row.
-        let held = [section(true, "{\"n\": 1, \"x\": 60}, {\"n\": 2, \"x\": 9}")];
+        let held = [section("{\"n\": 1, \"x\": 60}, {\"n\": 2, \"x\": 9}")];
         assert_eq!(
             evaluate(&[gate], &held, Some(&committed)),
             Verdict::default()
         );
-        let slow = [section(true, "{\"n\": 1, \"x\": 60}, {\"n\": 2, \"x\": 4}")];
+        let slow = [section("{\"n\": 1, \"x\": 60}, {\"n\": 2, \"x\": 4}")];
         assert_eq!(
             evaluate(&[gate], &slow, Some(&committed)).failures,
             ["s.rows[]: x = 4, fails AtLeastCommitted(0.5) (committed: 10)"]
@@ -801,7 +772,7 @@ mod tests {
     fn non_finite_floats_render_as_null() {
         for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let row = row! { us: x, nested: row! { ratio: x } };
-            let section = section_of(false, members! { mean: x, rows: vec![row, x.into()] });
+            let section = section_of(members! { mean: x, rows: vec![row, x.into()] });
             let text = render_json(&report_of(vec![section]));
             assert_eq!(text.matches("null").count(), 4, "{text}");
             assert!(!text.contains("inf") && !text.contains("NaN"), "{text}");
@@ -830,7 +801,7 @@ mod tests {
              \"negative\": -0.159, \"verdict\": true, \"name\": \"steady_state\", \
              \"histogram\": [1, 0], \"empty\": [], \"nested\": {\"inner\": {}}}"
         );
-        let text = render_json(&report_of(vec![section_of(true, members)]));
+        let text = render_json(&report_of(vec![section_of(members)]));
         assert_eq!(render_json(&parse(&text).expect("parseable")), text);
     }
 
@@ -849,7 +820,7 @@ mod tests {
             .iter()
             .map(|s| Value::Obj(vec![(s.to_string(), (*s).into())]))
             .collect();
-        let mut report = report_of(vec![section_of(false, members! { rows: rows })]);
+        let mut report = report_of(vec![section_of(members! { rows: rows })]);
         report.schema = "sch\"ema".to_string();
         report.sections[0].key = "s]".to_string();
         let text = render_json(&report);
@@ -866,7 +837,7 @@ mod tests {
         let cases = [
             ("", end),
             ("  \n", end),
-            (r#"{"schema": "s", "a": {"quick": tr"#, end),
+            (r#"{"schema": "s", "a": {"ok": tr"#, end),
             (r#"{"schema": "s", "a": {"matched": true"#, end),
             (r#"{"schema": "s","#, end),
             (r#"{"schema": "s"#, end),
@@ -881,7 +852,7 @@ mod tests {
             (r#"{"schema": [1,]}"#, "parse error at byte 14: unexpected character"),
             (r#"{schema: 1}"#, "parse error at byte 1: unexpected character"),
             (r#"{"schema": 1e5}"#, "parse error at byte 12: unexpected character"),
-            (r#"{"schema": "s", "a": {"quick": true, "x": 1, "x": 2}}"#, "parse error at byte 48: duplicate key"),
+            (r#"{"schema": "s", "a": {"ok": true, "x": 1, "x": 2}}"#, "parse error at byte 45: duplicate key"),
             (deep.as_str(), "parse error at byte 18: nested too deep"),
             (r#"{"schema": 01}"#, "parse error at byte 11: malformed number"),
             (r#"{"schema": 1.}"#, "parse error at byte 11: malformed number"),
@@ -892,11 +863,9 @@ mod tests {
             (r#"{"schema": "a\ud800"}"#, "parse error at byte 15: unknown escape"),
             ("[]", "not a report: the top level is not an object"),
             ("{}", "not a report: the first member is not a schema string"),
-            (r#"{"quick": true}"#, "not a report: the first member is not a schema string"),
+            (r#"{"ok": true}"#, "not a report: the first member is not a schema string"),
             (r#"{"schema": 7}"#, "not a report: the first member is not a schema string"),
             (r#"{"schema": "s", "a": 1}"#, "not a report: a section is not an object"),
-            (r#"{"schema": "s", "a": {}}"#, "not a report: a section does not open with a quick flag"),
-            (r#"{"schema": "s", "a": {"x": 1, "quick": true}}"#, "not a report: a section does not open with a quick flag"),
         ];
         for (text, message) in cases {
             let error = parse(text).expect_err(text);
@@ -942,15 +911,15 @@ mod tests {
 
     #[test]
     fn produced_sections_are_stamped_and_carried_ones_keep_what_they_had() {
-        let fresh = Section::produced("e5_pdp_scaling", true, members! { x: 1u64 });
+        let fresh = Section::produced("e5_pdp_scaling", members! { x: 1u64 });
         let Some((stamp, Value::Obj(host))) = fresh.members.first() else {
             panic!("no stamp on {fresh:?}");
         };
         assert_eq!(stamp, "host");
         assert!(matches!(get(host, "cores"), Some(Value::U64(n)) if *n >= 1));
         assert!(matches!(get(host, "rustc"), Some(Value::Str(v)) if v.starts_with("rustc ")));
-        // The committed PDP sections predate the stamp: a run of E5
-        // alone must not put this host's name on the E6 numbers.
+        // A run of E5 alone must not put this host's name on the
+        // committed E6 numbers.
         let (_, report) = committed("BENCH_PDP.json");
         let merged = merge(
             spec_of("BENCH_PDP.json"),
@@ -976,7 +945,7 @@ mod tests {
     #[test]
     fn recovery_matrix_covers_all_three_services() {
         use drams_core::scenario::{CrashTarget, ScriptedAction};
-        let matrix = scenarios::recovery_matrix(true);
+        let matrix = scenarios::recovery_matrix();
         assert!(matrix.len() >= 3);
         let mut targets = Vec::new();
         for spec in &matrix {
@@ -997,14 +966,14 @@ mod tests {
         assert!(targets.iter().any(|t| matches!(t, CrashTarget::Li(_))));
         assert!(targets.iter().any(|t| matches!(t, CrashTarget::Analyser)));
         assert!(targets.iter().any(|t| matches!(t, CrashTarget::Pdp(_))));
-        assert!(scenarios::by_name("crash_chain", true).is_some());
-        assert!(scenarios::by_name("crash_pdp", true).is_some());
+        assert!(scenarios::by_name("crash_chain").is_some());
+        assert!(scenarios::by_name("crash_pdp").is_some());
     }
 
     #[test]
     fn fault_matrix_covers_the_taxonomy() {
         use drams_core::scenario::ScriptedAction;
-        let matrix = scenarios::fault_matrix(true);
+        let matrix = scenarios::fault_matrix();
         let names: std::collections::HashSet<&str> =
             matrix.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names.len(), matrix.len(), "duplicate scenario names");
@@ -1023,13 +992,13 @@ mod tests {
             .script
             .iter()
             .any(|a| matches!(a, ScriptedAction::SilencePdp { .. }))));
-        assert!(scenarios::by_name("lossy_links", true).is_some());
+        assert!(scenarios::by_name("lossy_links").is_some());
         assert!(!scenarios::lossy_plan().is_empty());
     }
 
     #[test]
     fn scenario_matrix_names_are_unique_and_lookup_works() {
-        let matrix = scenarios::matrix(true);
+        let matrix = scenarios::matrix();
         assert!(matrix.len() >= 4, "the E10 matrix needs >= 4 scenarios");
         let names: std::collections::HashSet<&str> =
             matrix.iter().map(|s| s.name.as_str()).collect();
@@ -1043,14 +1012,14 @@ mod tests {
         assert!(matrix
             .iter()
             .any(|s| s.placement == drams_core::scenario::PdpPlacement::PerCloud));
-        assert!(scenarios::by_name("degraded_li", true).is_some());
-        assert!(scenarios::by_name("nope", true).is_none());
+        assert!(scenarios::by_name("degraded_li").is_some());
+        assert!(scenarios::by_name("nope").is_none());
     }
 
     #[test]
     fn load_matrix_specs_arm_every_bounded_state_mechanism() {
         use drams_core::scenario::ScriptedAction;
-        let honest = scenarios::flash_crowd(true);
+        let honest = scenarios::flash_crowd();
         assert!(honest.config.total_requests >= 100_000, "E14 floor");
         assert!(!honest.load.is_empty());
         assert!(honest.load.population > 0);
@@ -1064,7 +1033,7 @@ mod tests {
         // The clamp is the identity on the committed specs: what E14
         // declares is what runs.
         assert_eq!(honest.load.clamped(), honest.load);
-        let crash = scenarios::overload_crash(true);
+        let crash = scenarios::overload_crash();
         assert!(crash
             .script
             .iter()

@@ -1,8 +1,8 @@
 //! The report model behind every tracked `BENCH_*.json` file.
 //!
-//! A file is a schema string plus [`Section`]s; a section is a `quick`
-//! flag plus ordered `(column, value)` members; a table row is an object
-//! of the same pairs. Experiments build those pairs once and they drive
+//! A file is a schema string plus [`Section`]s; a section is ordered
+//! `(column, value)` members; a table row is an object of the same
+//! pairs. Experiments build those pairs once and they drive
 //! the printed table, the JSON and the acceptance gates alike. There is
 //! one writer ([`render_json`]) with one layout rule, one strict reader
 //! ([`parse`]), one carry-forward rule ([`merge`]), one registry of files
@@ -127,10 +127,7 @@ impl fmt::Display for Value {
 pub struct Section {
     /// The section's key in its file (see [`REGISTRY`]).
     pub key: String,
-    /// Whether `--quick` produced it. Recorded per section, so a quick
-    /// rerun of one experiment cannot mislabel a sibling's full run.
-    pub quick: bool,
-    /// Everything after `quick`, in file order.
+    /// Its members, in file order.
     pub members: Members,
 }
 
@@ -140,16 +137,12 @@ impl Section {
     /// whatever stamp they had, so a file never claims a host that did
     /// not produce its numbers.
     #[must_use]
-    pub fn produced(key: &str, quick: bool, mut members: Members) -> Section {
+    pub fn produced(key: &str, mut members: Members) -> Section {
         let cores = std::thread::available_parallelism().map_or(1, usize::from);
         let host = crate::row! { cores: cores, rustc: env!("DRAMS_BENCH_RUSTC") };
         members.insert(0, ("host".to_string(), host));
         let key = key.to_string();
-        Section {
-            key,
-            quick,
-            members,
-        }
+        Section { key, members }
     }
 }
 
@@ -240,9 +233,10 @@ pub fn render_json(report: &Report) -> String {
     let mut out = format!("{{\n  \"schema\": {}", Quoted(&report.schema));
     for section in &report.sections {
         let key = Quoted(&section.key);
-        out += &format!(",\n  {key}: {{\n    \"quick\": {}", section.quick);
-        for (column, value) in &section.members {
-            out += &format!(",\n    {}: ", Quoted(column));
+        out += &format!(",\n  {key}: {{");
+        for (i, (column, value)) in section.members.iter().enumerate() {
+            let comma = if i == 0 { "" } else { "," };
+            out += &format!("{comma}\n    {}: ", Quoted(column));
             match value {
                 Value::List(rows) => {
                     let rows: Vec<String> =
@@ -447,7 +441,7 @@ impl Parser<'_> {
 
 /// The reader. Strict: the whole text must be one report — an object
 /// that opens with a `schema` string and continues with sections, each
-/// an object that opens with a `quick` flag. Never panics on any input.
+/// an object. Never panics on any input.
 ///
 /// # Errors
 /// A [`ReadError`] naming what is wrong and where.
@@ -467,20 +461,10 @@ pub fn parse(text: &str) -> Result<Report, ReadError> {
     };
     let mut sections = Vec::new();
     for (key, body) in top {
-        let Value::Obj(body) = body else {
+        let Value::Obj(members) = body else {
             return shape("a section is not an object");
         };
-        let mut members = body.into_iter();
-        let Some((_, Value::Bool(quick))) = members.next().filter(|(flag, _)| flag == "quick")
-        else {
-            return shape("a section does not open with a quick flag");
-        };
-        let members = members.collect();
-        sections.push(Section {
-            key,
-            quick,
-            members,
-        });
+        sections.push(Section { key, members });
     }
     Ok(Report { schema, sections })
 }
@@ -520,7 +504,7 @@ pub const REGISTRY: [FileSpec; 9] = files! {
 /// The carry-forward rule: the file holds, in registry order, each
 /// section this run produced, else the committed one unchanged, else
 /// nothing — so `run_experiments e5` alone cannot drop the committed E6
-/// numbers, and a carried section keeps its own `quick` flag and host.
+/// numbers, and a carried section keeps its own host.
 #[must_use]
 pub fn merge(spec: &FileSpec, fresh: &[Section], committed: Option<&Report>) -> Report {
     let committed = committed.map_or(&[][..], |report| &report.sections);
@@ -547,7 +531,6 @@ pub enum Rule {
     Equals(&'static str),
     /// At least this factor of the same column of the same row in the
     /// committed section. Like [`Rule::AtMostCommitted`], compared only
-    /// against a committed section of the same `quick` mode, and only
     /// when the committed value is present and above 0.
     AtLeastCommitted(f64),
     /// At most this factor of the committed value.
@@ -555,10 +538,6 @@ pub enum Rule {
 }
 
 impl Rule {
-    fn compares(self) -> bool {
-        matches!(self, Rule::AtLeastCommitted(_) | Rule::AtMostCommitted(_))
-    }
-
     fn holds(self, value: &Value, row: &[(String, Value)], committed: Option<&Value>) -> bool {
         let number = |v: &Value| match *v {
             Value::U64(n) => Some(n as f64),
@@ -668,14 +647,11 @@ pub const GATES: [Gate; 45] = gates! {
     "e16_net"                 "conformance"              "matched"                          Rule::True;
 };
 
-/// The outcome of checking a run: failures fail it, notes are printed.
+/// The outcome of checking a run: any failure fails it.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Verdict {
     /// One line per violated gate (or unreadable/unwritable file).
     pub failures: Vec<String>,
-    /// One line per section whose comparison gates were skipped because
-    /// the committed section was produced in the other mode.
-    pub notes: Vec<String>,
 }
 
 /// The rows a gate's `member` selects, or `None` when the section has
@@ -700,7 +676,7 @@ fn identity(row: &[(String, Value)]) -> Option<&str> {
 }
 
 /// What one gate finds wrong with one section; `baseline` is the
-/// committed section when it was produced in the same mode.
+/// committed section, if any.
 fn check(gate: &Gate, section: &Section, baseline: Option<&Section>) -> Vec<String> {
     let (key, member, column) = (&section.key, gate.member, gate.column);
     let Some(rows) = select(&section.members, member) else {
@@ -732,21 +708,12 @@ fn check(gate: &Gate, section: &Section, baseline: Option<&Section>) -> Vec<Stri
 /// sections of the `committed` file where a rule compares.
 #[must_use]
 pub fn evaluate(gates: &[Gate], fresh: &[Section], committed: Option<&Report>) -> Verdict {
-    let mode = |quick| if quick { "quick" } else { "full" };
     let mut verdict = Verdict::default();
     for section in fresh {
         let key = &section.key;
-        let gates = gates.iter().filter(|g| g.section == key);
         let baseline = committed.and_then(|r| r.sections.iter().find(|s| s.key == *key));
-        let comparable = baseline.filter(|b| b.quick == section.quick);
-        for gate in gates.clone() {
-            verdict.failures.extend(check(gate, section, comparable));
-        }
-        let compares = gates.clone().any(|g| g.rule.compares());
-        if let (Some(b), None, true) = (baseline, comparable, compares) {
-            let (was, is) = (mode(b.quick), mode(section.quick));
-            let note = format!("{key}: not compared (committed: {was}, run: {is})");
-            verdict.notes.push(note);
+        for gate in gates.iter().filter(|g| g.section == key) {
+            verdict.failures.extend(check(gate, section, baseline));
         }
     }
     verdict

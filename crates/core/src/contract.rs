@@ -10,7 +10,11 @@
 //!    mismatch raises `RequestTampering` / `ResponseTampering` on-chain.
 //! 2. **Completeness with epoch timeout** — all four observations must
 //!    arrive before the group's deadline; `advance_epoch` sweeps expired
-//!    groups and raises `MissingLog` for suppressed observations.
+//!    groups and raises `MissingLog` for suppressed observations. Each
+//!    PEP numbers its requests densely, so an entry numbered past its
+//!    PEP's mark opens an empty group for every number it skipped (the
+//!    gap rule): a request whose every observation was suppressed times
+//!    out like any other.
 //! 3. **Conflict detection** — re-submission of an observation with
 //!    different content raises `ConflictingObservation`.
 //! 4. **Violation registry** — the (authorised) Analyser records its
@@ -25,14 +29,15 @@
 //! sibling checks read a stored entry's digest in place
 //! ([`LogEntry::stored_digest`]); and storage keys are fixed-size arrays
 //! built on the stack (`ent/` + correlation + point, `grp/` +
-//! correlation, `open/` + correlation), which contract storage holds
-//! inline.
+//! correlation, `open/` + correlation, `seq/` + PEP id), which contract
+//! storage holds inline.
 
 use crate::alert::{Alert, AlertKind};
 use crate::logent::{LogEntry, LogEntryRef, ObservationPoint};
 use drams_chain::contract::{ExecutionContext, SmartContract};
 use drams_crypto::codec::{Decode, Encode, Reader, Writer};
 use drams_crypto::sha256::Digest;
+use drams_faas::model::PepId;
 use drams_faas::msg::CorrelationId;
 
 /// The contract's registry name.
@@ -45,6 +50,12 @@ pub const GROUP_COMPLETE_EVENT: &str = "group.complete";
 /// storage so reorg re-execution is deterministic).
 #[derive(Debug, Default)]
 pub struct MonitorContract;
+
+/// The most numbers one entry may skip past its PEP's mark. A longer
+/// jump opens no placeholder groups and raises one `MonitorCompromise`:
+/// the contract cannot check probe MACs, so a forged number must not
+/// make it open millions of groups.
+const MAX_GAP: u64 = 1_024;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct GroupState {
@@ -108,6 +119,12 @@ fn group_key(correlation: CorrelationId) -> [u8; 12] {
 
 fn open_key(correlation: CorrelationId) -> [u8; 13] {
     tagged_key(b"open/", correlation.0)
+}
+
+/// Where a PEP's mark is stored: the number its next request should
+/// carry, one past the highest the contract has seen.
+fn mark_key(pep: PepId) -> [u8; 12] {
+    tagged_key(b"seq/", u64::from(pep.0))
 }
 
 impl MonitorContract {
@@ -213,15 +230,9 @@ impl MonitorContract {
             return Ok(());
         }
         ctx.storage.insert(&ekey, bytes.to_vec());
+        Self::advance_mark(ctx, entry.correlation)?;
 
-        let mut group = stored_group.unwrap_or_else(|| {
-            ctx.storage.insert(&open_key(entry.correlation), Vec::new());
-            GroupState {
-                first_seen: now,
-                mask: 0,
-                flags: 0,
-            }
-        });
+        let mut group = stored_group.unwrap_or_else(|| Self::open_group(ctx, entry.correlation));
         group.mask |= entry.point.bit();
 
         // Checks 1 and 2: the request digests (PEP sent, PDP received) and
@@ -279,6 +290,61 @@ impl MonitorContract {
             );
         }
         ctx.storage.insert(&gkey, group.encode());
+        Ok(())
+    }
+
+    /// An empty group for `correlation`, first seen now, registered
+    /// with the epoch sweep. The caller stores it.
+    fn open_group(ctx: &mut ExecutionContext<'_>, correlation: CorrelationId) -> GroupState {
+        ctx.storage.insert(&open_key(correlation), Vec::new());
+        GroupState {
+            first_seen: ctx.timestamp_ms,
+            mask: 0,
+            flags: 0,
+        }
+    }
+
+    /// The gap rule. A PEP numbers its requests densely from 0
+    /// ([`CorrelationId::numbered`]), so when `correlation` lies past
+    /// its PEP's mark, no entry of any number it skipped has arrived:
+    /// each of those without a group gets an empty one, which the epoch
+    /// sweep turns into `MissingLog` for all four points unless its
+    /// entries arrive late and fill it. A jump of more than [`MAX_GAP`]
+    /// numbers raises one `MonitorCompromise` instead and leaves the
+    /// mark where it was.
+    fn advance_mark(
+        ctx: &mut ExecutionContext<'_>,
+        correlation: CorrelationId,
+    ) -> Result<(), String> {
+        let (pep, n) = correlation.pep_number();
+        let key = mark_key(pep);
+        let mark = match ctx.storage.get(&key) {
+            Some(bytes) => u64::from_be_bytes(
+                bytes
+                    .as_slice()
+                    .try_into()
+                    .map_err(|_| format!("mark of pep {} is not 8 bytes", pep.0))?,
+            ),
+            None => 0,
+        };
+        if n < mark {
+            return Ok(());
+        }
+        if n - mark > MAX_GAP {
+            let detail = format!("number {n} skips {} past the mark {mark}", n - mark);
+            let now = ctx.timestamp_ms;
+            let alert = Alert::new(AlertKind::MonitorCompromise, correlation, now, detail);
+            Self::emit_alert(ctx, &alert);
+            return Ok(());
+        }
+        for skipped in (mark..n).map(|k| CorrelationId::numbered(pep, k)) {
+            let gkey = group_key(skipped);
+            if ctx.storage.get(&gkey).is_none() {
+                let group = Self::open_group(ctx, skipped);
+                ctx.storage.insert(&gkey, group.encode());
+            }
+        }
+        ctx.storage.insert(&key, (n + 1).to_be_bytes().to_vec());
         Ok(())
     }
 
@@ -588,13 +654,14 @@ mod tests {
     #[test]
     fn missing_log_detected_after_timeout() {
         let (mut node, li, _) = test_node();
-        // Only 3 of 4 observations arrive.
+        // Only 3 of 4 observations arrive, of PEP 0's first request (a
+        // later number alone would also time out the numbers before it).
         for point in [
             ObservationPoint::PepRequest,
             ObservationPoint::PdpRequest,
             ObservationPoint::PdpResponse,
         ] {
-            submit_entry(&mut node, &li, &entry(4, point, b"x", 100));
+            submit_entry(&mut node, &li, &entry(0, point, b"x", 100));
         }
         node.mine_block(1_000).unwrap();
         // Epoch before the timeout: no alert yet.
@@ -856,7 +923,7 @@ mod tests {
         let (mut node, li, analyser) = test_node();
         for point in ObservationPoint::ALL {
             let d: &[u8] = if point.code() < 2 { b"req" } else { b"resp" };
-            submit_entry(&mut node, &li, &entry(20, point, d, 100));
+            submit_entry(&mut node, &li, &entry(0, point, d, 100));
         }
         node.mine_block(1_000).unwrap();
         let entries_before = node
@@ -873,7 +940,7 @@ mod tests {
                 &li,
                 MONITOR_CONTRACT,
                 "retire_groups",
-                MonitorContract::retire_groups_payload(&[CorrelationId(20)]),
+                MonitorContract::retire_groups_payload(&[CorrelationId(0)]),
             )
             .unwrap();
         node.mine_block(2_000).unwrap();
@@ -886,7 +953,7 @@ mod tests {
             &analyser,
             MONITOR_CONTRACT,
             "retire_groups",
-            MonitorContract::retire_groups_payload(&[CorrelationId(20)]),
+            MonitorContract::retire_groups_payload(&[CorrelationId(0)]),
         )
         .unwrap();
         node.mine_block(3_000).unwrap();
@@ -899,7 +966,7 @@ mod tests {
         submit_entry(
             &mut node,
             &li,
-            &entry(20, ObservationPoint::PepRequest, b"req", 100),
+            &entry(0, ObservationPoint::PepRequest, b"req", 100),
         );
         node.submit_call(&li, MONITOR_CONTRACT, "advance_epoch", vec![])
             .unwrap();
@@ -939,6 +1006,118 @@ mod tests {
             .unwrap();
         node.mine_block(60_000).unwrap();
         assert!(!alert_events(&node).is_empty());
+    }
+
+    /// Correlation `n` of PEP 1.
+    fn numbered(n: u64) -> u64 {
+        CorrelationId::numbered(PepId(1), n).0
+    }
+
+    /// All four observations of correlation `corr`, honest, in one block
+    /// mined at `at`.
+    fn submit_group(node: &mut Node, li: &Keypair, corr: u64, at: u64) {
+        for point in ObservationPoint::ALL {
+            let d: &[u8] = if point.code() < 2 { b"req" } else { b"resp" };
+            submit_entry(node, li, &entry(corr, point, d, at));
+        }
+        node.mine_block(at).unwrap();
+    }
+
+    fn advance_epoch(node: &mut Node, li: &Keypair, at: u64) {
+        node.submit_call(li, MONITOR_CONTRACT, "advance_epoch", vec![])
+            .unwrap();
+        node.mine_block(at).unwrap();
+    }
+
+    #[test]
+    fn gap_rule_times_out_a_request_with_no_entries() {
+        let (mut node, li, _) = test_node();
+        submit_group(&mut node, &li, numbered(0), 1_000);
+        submit_group(&mut node, &li, numbered(2), 2_000);
+        advance_epoch(&mut node, &li, 5_000);
+        assert!(alert_events(&node).is_empty(), "not before the timeout");
+        advance_epoch(&mut node, &li, 20_000);
+        let alerts = alert_events(&node);
+        let points: Vec<AlertKind> = ObservationPoint::ALL
+            .map(|point| AlertKind::MissingLog { point })
+            .to_vec();
+        let kinds: Vec<AlertKind> = alerts.iter().map(|a| a.kind.clone()).collect();
+        assert_eq!(kinds, points);
+        assert!(alerts
+            .iter()
+            .all(|a| a.correlation == CorrelationId(numbered(1))));
+    }
+
+    #[test]
+    fn gap_rule_is_silent_when_entries_arrive_out_of_order() {
+        let (mut node, li, _) = test_node();
+        for (n, at) in [(2, 1_000), (1, 2_000), (0, 3_000)] {
+            submit_group(&mut node, &li, numbered(n), at);
+        }
+        advance_epoch(&mut node, &li, 60_000);
+        assert!(alert_events(&node).is_empty());
+        let storage = node.host().storage_of(MONITOR_CONTRACT).unwrap();
+        assert_eq!(storage.scan_prefix(b"open/").count(), 0);
+        assert_eq!(storage.scan_prefix(b"grp/").count(), 3);
+    }
+
+    #[test]
+    fn gap_rule_caps_a_forged_jump_at_one_alert() {
+        let (mut node, li, _) = test_node();
+        submit_group(&mut node, &li, numbered(0), 1_000);
+        let keys = |node: &Node| node.host().storage_of(MONITOR_CONTRACT).unwrap().len();
+        let before = keys(&node);
+        let forged = entry(
+            numbered(1 << 39),
+            ObservationPoint::PepRequest,
+            b"req",
+            2_000,
+        );
+        submit_entry(&mut node, &li, &forged);
+        node.mine_block(2_000).unwrap();
+        let alerts = alert_events(&node);
+        assert_eq!(alerts.len(), 1);
+        assert_eq!(alerts[0].kind, AlertKind::MonitorCompromise);
+        assert_eq!(alerts[0].correlation, forged.correlation);
+        // The entry, its group and its sweep registration; no placeholder.
+        assert!(
+            keys(&node) - before <= 3,
+            "{} keys added",
+            keys(&node) - before
+        );
+        // The mark did not move: the next honest number is still judged
+        // against it, and the forged entry alone times out.
+        submit_group(&mut node, &li, numbered(1), 3_000);
+        advance_epoch(&mut node, &li, 60_000);
+        let alerts = alert_events(&node);
+        let compromises = alerts
+            .iter()
+            .filter(|a| a.kind == AlertKind::MonitorCompromise)
+            .count();
+        assert_eq!(compromises, 1);
+        assert!(alerts.iter().all(|a| a.correlation == forged.correlation));
+    }
+
+    /// The residual case DESIGN §3 states: the last request a PEP issued
+    /// before it went silent has no later number to expose it, so losing
+    /// all four of its observations raises nothing until that PEP's next
+    /// request is logged; then the sweep after it times the gap out.
+    #[test]
+    fn gap_rule_cannot_see_a_silent_peps_last_request() {
+        let (mut node, li, _) = test_node();
+        submit_group(&mut node, &li, numbered(0), 1_000);
+        submit_group(&mut node, &li, numbered(1), 2_000);
+        // Number 2 is issued and every observation of it is dropped.
+        advance_epoch(&mut node, &li, 60_000);
+        assert!(alert_events(&node).is_empty(), "the tail is not seen");
+        submit_group(&mut node, &li, numbered(3), 61_000);
+        advance_epoch(&mut node, &li, 80_000);
+        let alerts = alert_events(&node);
+        assert_eq!(alerts.len(), 4);
+        assert!(alerts
+            .iter()
+            .all(|a| a.correlation == CorrelationId(numbered(2))
+                && matches!(a.kind, AlertKind::MissingLog { .. })));
     }
 
     #[test]

@@ -18,6 +18,23 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct CorrelationId(pub u64);
 
+impl CorrelationId {
+    /// Request number `n` of `pep`: the PEP id in the high bits, so ids
+    /// are unique across PEPs, and each PEP numbers its requests densely
+    /// from `n = 0`.
+    #[must_use]
+    pub fn numbered(pep: PepId, n: u64) -> Self {
+        CorrelationId(u64::from(pep.0) << 40 | n)
+    }
+
+    /// The PEP that numbered this id and its number there: the inverse
+    /// of [`CorrelationId::numbered`].
+    #[must_use]
+    pub fn pep_number(self) -> (PepId, u64) {
+        (PepId((self.0 >> 40) as u32), self.0 & ((1 << 40) - 1))
+    }
+}
+
 impl std::fmt::Display for CorrelationId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "corr-{}", self.0)

@@ -49,7 +49,8 @@ pub struct Pep {
     id: PepId,
     tenant: TenantId,
     bias: EnforcementBias,
-    next_correlation: u64,
+    /// The number [`Pep::intercept`] gives the next request.
+    next_number: u64,
 }
 
 impl Pep {
@@ -60,14 +61,8 @@ impl Pep {
             id,
             tenant,
             bias,
-            next_correlation: Self::first_correlation(id),
+            next_number: 0,
         }
-    }
-
-    /// Correlation ids are globally unique by namespacing with the PEP id
-    /// in the high bits: a PEP numbers its requests densely from here.
-    fn first_correlation(id: PepId) -> u64 {
-        u64::from(id.0) << 40
     }
 
     /// Intercepts an access attempt, producing the envelope to forward to
@@ -78,8 +73,8 @@ impl Pep {
         request: drams_policy::attr::Request,
         issued_at: crate::des::SimTime,
     ) -> RequestEnvelope {
-        let correlation = CorrelationId(self.next_correlation);
-        self.next_correlation += 1;
+        let correlation = CorrelationId::numbered(self.id, self.next_number);
+        self.next_number += 1;
         RequestEnvelope {
             correlation,
             tenant: self.tenant,
@@ -96,8 +91,8 @@ impl Pep {
     /// not answered, not abandoned — is the caller's bookkeeping, which
     /// also holds its retry state.
     pub fn enforce(&mut self, response: &ResponseEnvelope) -> Option<Enforcement> {
-        let handed_out = Self::first_correlation(self.id)..self.next_correlation;
-        if !handed_out.contains(&response.correlation.0) {
+        let (pep, n) = response.correlation.pep_number();
+        if pep != self.id || n >= self.next_number {
             return None;
         }
         let decision = response.response.decision;

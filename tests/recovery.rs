@@ -16,7 +16,7 @@ use drams_faas::model::CloudId;
 /// byte-identical to its uninterrupted twin.
 #[test]
 fn recovery_matrix_is_byte_identical_to_uninterrupted_runs() {
-    for spec in scenarios::recovery_matrix(true) {
+    for spec in scenarios::recovery_matrix() {
         let twin = scenarios::strip_crashes(&spec);
         let (clean, clean_truth) = run_scenario(&twin, &mut NoAdversary);
         let (crashed, crashed_truth) = run_scenario(&spec, &mut NoAdversary);
@@ -48,7 +48,7 @@ fn recovery_matrix_is_byte_identical_to_uninterrupted_runs() {
 /// crash under tenant churn.
 #[test]
 fn crash_restarts_never_reuse_a_probe_nonce() {
-    let mut spec = scenarios::burst_churn(true);
+    let mut spec = scenarios::burst_churn();
     spec.name = "churn_crash_pdp".to_string();
     spec.script.push(ScriptedAction::CrashRestart {
         at: 1_500 * MILLIS, // after the join, in the burst, before the leave

@@ -76,7 +76,7 @@ fn golden_default_seed_counts() {
 
 #[test]
 fn e10_matrix_shapes_hold() {
-    for spec in scenarios::matrix(true) {
+    for spec in scenarios::matrix() {
         let (report, truth) = run_scenario(&spec, &mut NoAdversary);
         assert_eq!(
             truth.total_attacks(),
@@ -122,7 +122,7 @@ fn e10_matrix_shapes_hold() {
 
 #[test]
 fn policy_flip_scenario_has_real_churn() {
-    let spec = scenarios::by_name("policy_flip", true).expect("named scenario");
+    let spec = scenarios::by_name("policy_flip").expect("named scenario");
     let (report, _) = run_scenario(&spec, &mut NoAdversary);
     assert_eq!(
         report.policy_activations, 3,
@@ -133,7 +133,7 @@ fn policy_flip_scenario_has_real_churn() {
 
 #[test]
 fn federated_pdp_scenario_beats_central_on_decision_latency() {
-    let federated = scenarios::by_name("federated_pdp", true).expect("named scenario");
+    let federated = scenarios::by_name("federated_pdp").expect("named scenario");
     let mut central = federated.clone();
     central.placement = drams::core::scenario::PdpPlacement::Central;
     let (f, _) = run_scenario(&federated, &mut NoAdversary);
@@ -150,7 +150,7 @@ fn federated_pdp_scenario_beats_central_on_decision_latency() {
 /// adversary only fires inside its window and is still fully detected.
 #[test]
 fn windowed_adversary_inside_scenario_is_detected() {
-    let mut spec = scenarios::by_name("steady_state", true).expect("named scenario");
+    let mut spec = scenarios::by_name("steady_state").expect("named scenario");
     spec.config.group_timeout = 2 * SECONDS;
     let mut adversary = ScriptedAdversary::new(ThreatKind::CorruptDecision, 0.5, 5)
         .within(vec![FaultWindow::new(100 * MILLIS, 400 * MILLIS)]);

@@ -66,7 +66,7 @@ fn assert_conformant<A: Adversary, B: Adversary>(
 /// over DES and loopback TCP.
 #[test]
 fn e10_matrix_is_identical_over_des_and_tcp() {
-    for spec in scenarios::matrix(true) {
+    for spec in scenarios::matrix() {
         assert_conformant(&spec, &mut NoAdversary, &mut NoAdversary);
     }
 }
@@ -130,7 +130,7 @@ fn crash_restart_run_is_identical_over_des_and_tcp() {
 /// that carry traffic.
 #[test]
 fn recovery_matrix_is_identical_over_des_and_tcp() {
-    for spec in scenarios::recovery_matrix(true) {
+    for spec in scenarios::recovery_matrix() {
         let stats = assert_conformant(&spec, &mut NoAdversary, &mut NoAdversary);
         assert_eq!(stats.restarts, 1, "{}", spec.name);
     }
