@@ -1,5 +1,5 @@
 //! Regenerates every experiment table of the DRAMS reproduction
-//! (EXPERIMENTS.md / DESIGN.md §3).
+//! (EXPERIMENTS.md).
 //!
 //! Usage: `cargo run --release -p drams-bench --bin run_experiments [e1..e3|e5..e14|e16|all] [--scenario <name>]`
 //!

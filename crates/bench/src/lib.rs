@@ -1,6 +1,6 @@
 //! Shared helpers for the DRAMS experiment harness.
 //!
-//! The experiment catalogue (DESIGN.md §3, EXPERIMENTS.md) is generated by
+//! The experiment catalogue (EXPERIMENTS.md) is generated by
 //! the `run_experiments` binary from the fixtures and scenario matrices
 //! here. [`report`] is the one model behind every tracked `BENCH_*.json`
 //! file: values, writer, reader, carry-forward, file registry and

@@ -43,6 +43,18 @@
 //!   * `scenario/run` — assembly (`run_scenario`,
 //!     `run_scenario_with_transport`).
 //!
+//! # Who holds which key
+//!
+//! One federation key *K* seals every payload; each probe also has a MAC
+//! key of its own (`scenario::probe_mac_key`).
+//!
+//! | role | holds | uses it to |
+//! |---|---|---|
+//! | probe (each PEP, each PDP slot) | *K*; its own MAC key | seal each payload under *K*; MAC each entry |
+//! | LI | its Schnorr keypair | sign its `store_log_batch` transactions; it seals and opens nothing |
+//! | Analyser | *K*; every probe MAC key; its Schnorr keypair | open payloads ([`li::decrypt_entry_payload`]); check each entry's MAC; sign its on-chain reports |
+//! | chain admin | its Schnorr keypair | sign the monitor contract's `init` and `set_timeout` calls |
+//!
 //! # Example: a full monitored federation run
 //!
 //! ```

@@ -1,7 +1,7 @@
 //! The access-log entry schema.
 //!
 //! Every access transaction is observed at four points (the "4-quadrant"
-//! protocol, DESIGN.md §2): the request as the PEP sends it, the request
+//! protocol): the request as the PEP sends it, the request
 //! as the PDP receives it, the response as the PDP sends it, and the
 //! response as the PEP receives it. Probes turn each observation into a
 //! [`LogEntry`]: a plaintext digest for on-chain comparison, a sealed

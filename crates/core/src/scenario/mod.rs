@@ -22,13 +22,17 @@
 //! interposes a deterministic
 //! [`FaultPlane`](drams_faas::fault::FaultPlane) between every service
 //! outbox and the event queue: per-link drop / duplicate / reorder /
-//! delay faults and timed partitions between named sites. The protocol is robust against it —
-//! PEPs retry with capped exponential backoff and fail over through a
-//! per-cloud circuit breaker, PDPs answer retransmissions from a
-//! journaled decision cache, LIs spill their backlog to the WAL while
-//! the chain is unreachable and replay on heal, and the epoch sweep is
-//! retuned to a widened group timeout across each disruption window so
-//! transient faults never surface as `MissingLog` false positives.
+//! delay faults and timed partitions between named sites. The protocol
+//! is robust against it — PEPs retry with capped exponential backoff
+//! and fail over through a per-cloud circuit breaker, PDPs answer
+//! retransmissions from a journaled decision cache, receivers dedupe
+//! duplicates on correlation id, the contract keys groups on correlation
+//! so reordering is harmless, probe→LI deliveries are delayed but never
+//! dropped (losing evidence stays an adversary's act), LIs spill their
+//! backlog to the WAL while the chain is unreachable and replay on heal,
+//! and the epoch sweep is retuned to a widened group timeout across
+//! each disruption window so transient faults never surface as
+//! `MissingLog` false positives.
 //!
 //! # Event taxonomy (service graph)
 //!

@@ -179,7 +179,7 @@ pub struct LoadProfile {
     /// history. 0 = keep forever. Clamped up to [`MIN_RETENTION`].
     pub policy_history_retention: SimTime,
     /// Compact the chain node's write-ahead journal every this many
-    /// blocks (snapshot + prune). 0 = never.
+    /// blocks (its live records move to the fold file). 0 = never.
     pub chain_compact_interval: u64,
 }
 
@@ -508,6 +508,7 @@ impl ScenarioSpec {
 mod tests {
     use super::*;
     use drams_faas::des::MILLIS;
+    use rand::RngCore;
 
     #[test]
     fn diurnal_bands_and_flash_crowds_multiply_the_rate() {
@@ -540,5 +541,88 @@ mod tests {
         let unit = LoadProfile::default();
         assert_eq!(unit.multiplier_at(7 * SECONDS), (1000, 1000));
         assert_eq!(unit.effective_rate(250.0, 7 * SECONDS), 250.0);
+    }
+
+    #[test]
+    fn named_streams_are_deterministic_and_distinct() {
+        let mut a = stream_rng(7, "workload");
+        let mut b = stream_rng(7, "workload");
+        let mut c = stream_rng(7, "churn");
+        let mut d = stream_rng(8, "workload");
+        let a_seq: Vec<u64> = (0..4).map(|_| a.next_u64()).collect();
+        let b_seq: Vec<u64> = (0..4).map(|_| b.next_u64()).collect();
+        assert_eq!(a_seq, b_seq, "same seed + name = same stream");
+        assert_ne!(a_seq[0], c.next_u64(), "names separate streams");
+        assert_ne!(a_seq[0], d.next_u64(), "seeds separate streams");
+    }
+
+    #[test]
+    fn cross_stream_draws_do_not_perturb_each_other() {
+        // Interleaving draws from one stream must not change another's
+        // sequence — the property the per-component split buys.
+        let mut workload = stream_rng(7, "workload");
+        let mut churn = stream_rng(7, "churn");
+        let mut interleaved = Vec::new();
+        for _ in 0..8 {
+            interleaved.push(workload.next_u64());
+            let _ = churn.next_u64(); // extra churn draws
+            let _ = churn.next_u64();
+        }
+        let mut isolated_stream = stream_rng(7, "workload");
+        let isolated: Vec<u64> = (0..8).map(|_| isolated_stream.next_u64()).collect();
+        assert_eq!(interleaved, isolated);
+    }
+
+    #[test]
+    fn clamp_rate_bounds_pathological_rates() {
+        assert_eq!(clamp_rate(f64::INFINITY), MIN_REQUEST_RATE);
+        assert_eq!(clamp_rate(f64::NAN), MIN_REQUEST_RATE);
+        assert_eq!(clamp_rate(f64::NEG_INFINITY), MIN_REQUEST_RATE);
+        assert_eq!(clamp_rate(-3.0), MIN_REQUEST_RATE);
+        assert_eq!(clamp_rate(0.0), MIN_REQUEST_RATE);
+        assert_eq!(clamp_rate(1e18), MAX_REQUEST_RATE);
+        assert_eq!(clamp_rate(0.001), MIN_REQUEST_RATE);
+        assert_eq!(clamp_rate(100.0), 100.0, "sane rates pass untouched");
+    }
+
+    #[test]
+    fn load_profile_clamping_floors_retention_and_caps_population() {
+        let wild = LoadProfile {
+            population: 50_000_000,
+            zipf_exponent: f64::NAN,
+            diurnal: vec![DiurnalBand {
+                start: 0,
+                multiplier_permille: 0,
+            }],
+            spikes: vec![FlashCrowd {
+                from: 5 * SECONDS,
+                until: SECONDS, // inverted window
+                multiplier_permille: 9_999_999,
+            }],
+            pep_inflight_cap: 4,
+            li_resident_cap: 4,
+            idempotency_retention: 1,    // below the safety floor
+            analyser_retire_lag: 1,      // below the safety floor
+            policy_history_retention: 1, // below the safety floor
+            chain_compact_interval: 8,
+        };
+        let sane = wild.clamped();
+        assert_eq!(sane.population, MAX_POPULATION);
+        assert!(sane.zipf_exponent.is_finite());
+        assert!(sane.diurnal[0].multiplier_permille >= 1);
+        assert!(sane.spikes[0].until >= sane.spikes[0].from);
+        assert!(sane.spikes[0].multiplier_permille <= MAX_LOAD_MULTIPLIER_PERMILLE);
+        assert_eq!(
+            sane.idempotency_retention, MIN_RETENTION,
+            "retention below the retry budget would break idempotency"
+        );
+        assert_eq!(sane.analyser_retire_lag, MIN_RETENTION);
+        assert_eq!(sane.policy_history_retention, MIN_RETENTION);
+        // Zero stays zero: the feature stays off rather than being
+        // silently enabled at the floor.
+        let off = LoadProfile::default().clamped();
+        assert_eq!(off.idempotency_retention, 0);
+        assert_eq!(off.analyser_retire_lag, 0);
+        assert_eq!(off.policy_history_retention, 0);
     }
 }

@@ -247,7 +247,7 @@ pub fn generate(seed: u64) -> FuzzCase {
 
     // --- base deployment ---------------------------------------------------
     let clouds = if rng.gen_bool(0.25) { 3 } else { 2 };
-    let mut config = MonitorConfig {
+    let config = MonitorConfig {
         federation: FederationSpec::symmetric(clouds, 2, 2),
         total_requests: rng.gen_range(40..=100),
         request_rate_per_sec: rng.gen_range(80..=300) as f64,
@@ -415,7 +415,6 @@ pub fn generate(seed: u64) -> FuzzCase {
         ),
         Class::Chain(kind) => kind.name().to_string(),
     };
-    config.horizon = 600 * drams_faas::des::SECONDS;
     FuzzCase {
         seed,
         spec: ScenarioSpec {

@@ -2,12 +2,12 @@
 //! reproduction and print it as compilable Rust.
 //!
 //! [`shrink`] is a greedy fixpoint loop: it repeatedly tries removing
-//! one scenario ingredient at a time (a script action, a workload
-//! phase, the fault plan or one of its links/partitions, the attack
-//! campaign, half the request volume) and keeps any
-//! removal under which the supplied predicate still fails. The result
-//! is a case where every remaining ingredient is load-bearing — drop
-//! any one and the violation disappears.
+//! one scenario ingredient at a time (the overload profile, a script
+//! action, a workload phase, the fault plan or one of its
+//! links/partitions, the attack campaign, half the request volume) and
+//! keeps any removal under which the supplied predicate still fails. The
+//! result is a case where every remaining ingredient is load-bearing —
+//! drop any one and the violation disappears.
 //!
 //! [`render_rust`] turns a case into a self-contained Rust snippet that
 //! rebuilds the exact `ScenarioSpec` and adversary, so a fuzz failure
@@ -15,6 +15,7 @@
 
 use crate::gen::{AttackPlan, FuzzCase};
 use drams_core::scenario::{CrashTarget, LoadProfile, ScenarioSpec, ScriptedAction};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// Shrinks `case` to a locally-minimal failing case: the returned case
@@ -214,9 +215,40 @@ fn render_plan(plan: &AttackPlan) -> String {
     }
 }
 
+/// Every name a rendered case can use, by the path it is imported from,
+/// in the order the `use` lines are printed.
+const IMPORTS: &[(&str, &[&str])] = &[
+    ("drams_attack", &["ThreatKind"]),
+    (
+        "drams_core::scenario",
+        &[
+            "run_scenario",
+            "CrashTarget",
+            "DiurnalBand",
+            "FlashCrowd",
+            "LoadProfile",
+            "Phase",
+            "PdpPlacement",
+            "ScenarioSpec",
+            "ScriptedAction",
+        ],
+    ),
+    ("drams_core::monitor", &["MonitorConfig"]),
+    (
+        "drams_faas::model",
+        &["CloudId", "FederationSpec", "TenantId"],
+    ),
+    ("drams_fuzz", &["AttackPlan"]),
+    (
+        "drams_faas::fault",
+        &["FaultPlan", "LinkFault", "PartitionWindow", "Site"],
+    ),
+];
+
 /// Renders `case` as a compilable Rust snippet reproducing the exact
 /// scenario and adversary. Paste it into a test, run it, and the same
-/// oracle violation replays deterministically.
+/// oracle violation replays deterministically. It imports exactly the
+/// names its body uses, so it compiles without an unused import.
 #[must_use]
 pub fn render_rust(case: &FuzzCase) -> String {
     let spec: &ScenarioSpec = &case.spec;
@@ -225,34 +257,6 @@ pub fn render_rust(case: &FuzzCase) -> String {
     // the cloud count from the tenant count.
     let clouds = (config.federation.tenant_count() / 2).max(1);
     let mut out = String::new();
-    let _ = writeln!(out, "// Minimal reproduction of fuzz seed {}.", case.seed);
-    let _ = writeln!(out, "use drams_attack::ThreatKind;");
-    if spec.load.is_empty() {
-        let _ = writeln!(
-            out,
-            "use drams_core::scenario::{{run_scenario, CrashTarget, LoadProfile, Phase, \
-             PdpPlacement, ScenarioSpec, ScriptedAction}};"
-        );
-    } else {
-        let _ = writeln!(
-            out,
-            "use drams_core::scenario::{{run_scenario, CrashTarget, DiurnalBand, FlashCrowd, \
-             LoadProfile, Phase, PdpPlacement, ScenarioSpec, ScriptedAction}};"
-        );
-    }
-    let _ = writeln!(out, "use drams_core::monitor::MonitorConfig;");
-    let _ = writeln!(
-        out,
-        "use drams_faas::model::{{CloudId, FederationSpec, TenantId}};"
-    );
-    let _ = writeln!(out, "use drams_fuzz::AttackPlan;");
-    if !spec.faults.is_empty() {
-        let _ = writeln!(
-            out,
-            "use drams_faas::fault::{{FaultPlan, LinkFault, PartitionWindow, Site}};"
-        );
-    }
-    let _ = writeln!(out);
     let _ = writeln!(out, "let config = MonitorConfig {{");
     let _ = writeln!(
         out,
@@ -387,7 +391,24 @@ pub fn render_rust(case: &FuzzCase) -> String {
         out,
         "let (report, truth) = run_scenario(&spec, &mut adversary);"
     );
-    out
+    let used: BTreeSet<&str> = out
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .collect();
+    let mut rust = format!("// Minimal reproduction of fuzz seed {}.\n", case.seed);
+    for (path, names) in IMPORTS {
+        let names: Vec<&str> = names.iter().copied().filter(|n| used.contains(n)).collect();
+        match names.as_slice() {
+            [] => {}
+            [name] => {
+                let _ = writeln!(rust, "use {path}::{name};");
+            }
+            _ => {
+                let _ = writeln!(rust, "use {path}::{{{}}};", names.join(", "));
+            }
+        }
+    }
+    rust.push('\n');
+    rust + &out
 }
 
 #[cfg(test)]
@@ -444,6 +465,23 @@ mod tests {
         assert!(rust.contains("faults: FaultPlan {"));
         assert!(rust.contains("LinkFault {"));
         assert!(rust.contains("CrashTarget::"));
+    }
+
+    #[test]
+    fn rendered_reproduction_imports_only_what_its_body_uses() {
+        for seed in (0..crate::COVERAGE_PRELUDE).chain([92, 128, 674, 815]) {
+            let rust = render_rust(&generate(seed));
+            let (head, body) = rust.split_once("\n\n").expect("imports, then the body");
+            let body: BTreeSet<&str> = body
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .collect();
+            for line in head.lines().filter(|l| l.starts_with("use ")) {
+                let names = line.trim_end_matches(';').rsplit("::").next().unwrap();
+                for name in names.trim_matches(['{', '}']).split(", ") {
+                    assert!(body.contains(name), "seed {seed} imports unused {name}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,13 +10,10 @@
 
 use drams_fuzz::FuzzCase;
 
-#[allow(unused_imports)]
 pub fn case() -> FuzzCase {
     use drams_attack::ThreatKind;
     use drams_core::monitor::MonitorConfig;
-    use drams_core::scenario::{
-        run_scenario, CrashTarget, LoadProfile, PdpPlacement, Phase, ScenarioSpec, ScriptedAction,
-    };
+    use drams_core::scenario::{LoadProfile, PdpPlacement, ScenarioSpec, ScriptedAction};
     use drams_faas::model::{CloudId, FederationSpec, TenantId};
     use drams_fuzz::AttackPlan;
 

@@ -10,14 +10,13 @@
 
 use drams_fuzz::FuzzCase;
 
-#[allow(unused_imports)]
 pub fn case() -> FuzzCase {
     use drams_attack::ThreatKind;
     use drams_core::monitor::MonitorConfig;
     use drams_core::scenario::{
-        run_scenario, CrashTarget, LoadProfile, PdpPlacement, Phase, ScenarioSpec, ScriptedAction,
+        CrashTarget, LoadProfile, PdpPlacement, ScenarioSpec, ScriptedAction,
     };
-    use drams_faas::model::{CloudId, FederationSpec, TenantId};
+    use drams_faas::model::FederationSpec;
     use drams_fuzz::AttackPlan;
 
     let config = MonitorConfig {

@@ -10,15 +10,13 @@
 
 use drams_fuzz::FuzzCase;
 
-#[allow(unused_imports)]
 pub fn case() -> FuzzCase {
     use drams_attack::ThreatKind;
     use drams_core::monitor::MonitorConfig;
     use drams_core::scenario::{
-        run_scenario, CrashTarget, DiurnalBand, FlashCrowd, LoadProfile, PdpPlacement, Phase,
-        ScenarioSpec, ScriptedAction,
+        DiurnalBand, FlashCrowd, LoadProfile, PdpPlacement, Phase, ScenarioSpec, ScriptedAction,
     };
-    use drams_faas::model::{CloudId, FederationSpec, TenantId};
+    use drams_faas::model::{CloudId, FederationSpec};
     use drams_fuzz::AttackPlan;
 
     let config = MonitorConfig {
