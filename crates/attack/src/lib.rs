@@ -9,7 +9,7 @@
 //!
 //! * [`threat`] — the nine-threat catalogue and [`ScriptedAdversary`],
 //!   one campaign: a threat kind fired with a fixed probability from one
-//!   seed, inside its [`FaultWindow`]s (all of virtual time by default).
+//!   seed, inside its one [`FaultWindow`] (all of virtual time by default).
 //! * [`composite`] — [`CompositeAdversary`]: several campaigns at once.
 //! * [`score`](mod@score) — detection rate and false-positive scoring.
 //!

@@ -6,9 +6,9 @@
 //! resilience against: dropped logs, tampered logs, compromised LIs.
 //!
 //! A campaign is schedulable over virtual time: [`ScriptedAdversary::within`]
-//! restricts its hooks to declared [`FaultWindow`]s, so a scenario can
-//! model "the LI is compromised between t₁ and t₂" and score detection
-//! against a ground truth that is empty outside the windows.
+//! restricts its hooks to one [`FaultWindow`], so a scenario can model
+//! "the LI is compromised between t₁ and t₂" and score detection against
+//! a ground truth that is empty outside the window.
 
 use drams_core::adversary::Adversary;
 use drams_core::logent::{LogEntry, ObservationPoint};
@@ -120,20 +120,20 @@ impl FaultWindow {
 }
 
 /// A scripted campaign: fires one [`ThreatKind`] with a fixed per-event
-/// probability, only inside its activity windows.
+/// probability, only inside its activity window.
 ///
-/// Outside every window a hook returns before it draws from the RNG or
+/// Outside the window a hook returns before it draws from the RNG or
 /// touches the colluding set or the replay stash, so what the campaign
-/// does inside its windows does not depend on how long the honest
+/// does inside its window does not depend on how long the honest
 /// phases last.
 #[derive(Debug)]
 pub struct ScriptedAdversary {
     kind: ThreatKind,
     probability: f64,
     rng: StdRng,
-    /// Where the hooks may fire; one window over all time unless
+    /// Where the hooks may fire; all time unless
     /// [`ScriptedAdversary::within`] narrows it.
-    windows: Vec<FaultWindow>,
+    window: FaultWindow,
     /// Correlations whose decision this adversary corrupted — the
     /// colluding LI suppresses the PDP-side entries for exactly these
     /// ([`ThreatKind::ColludePdpLi`]).
@@ -164,16 +164,16 @@ impl ScriptedAdversary {
             kind,
             probability,
             rng: StdRng::seed_from_u64(seed),
-            windows: vec![FaultWindow::new(0, SimTime::MAX)],
+            window: FaultWindow::new(0, SimTime::MAX),
             colluding: BTreeSet::new(),
             stash: Vec::new(),
         }
     }
 
-    /// Restricts the campaign to the union of `windows` (builder style).
+    /// Restricts the campaign to `window` (builder style).
     #[must_use]
-    pub fn within(mut self, windows: Vec<FaultWindow>) -> Self {
-        self.windows = windows;
+    pub fn within(mut self, window: FaultWindow) -> Self {
+        self.window = window;
         self
     }
 
@@ -183,9 +183,9 @@ impl ScriptedAdversary {
         self.kind
     }
 
-    /// Whether any activity window covers `now`.
+    /// Whether the activity window covers `now`.
     fn active_at(&self, now: SimTime) -> bool {
-        self.windows.iter().any(|w| w.contains(now))
+        self.window.contains(now)
     }
 
     fn fires(&mut self) -> bool {
@@ -309,7 +309,7 @@ impl Adversary for ScriptedAdversary {
 
     fn swap_policy(&mut self, authorised: &PolicySet) -> Option<PolicySet> {
         // Policy swap happens at deployment time (virtual time 0): it
-        // fires only when a window covers the start of the run.
+        // fires only when the window covers the start of the run.
         if !self.active_at(0) || self.kind != ThreatKind::SwapPolicy {
             return None;
         }
@@ -440,7 +440,7 @@ mod tests {
     #[test]
     fn hooks_fire_only_inside_windows() {
         let mut adv = ScriptedAdversary::new(ThreatKind::TamperRequest, 1.0, 1)
-            .within(vec![FaultWindow::new(100, 200)]);
+            .within(FaultWindow::new(100, 200));
         let mut env = request_env();
         assert!(!adv.tamper_request_in_transit(&mut env, 99));
         assert!(adv.tamper_request_in_transit(&mut env, 100));
@@ -449,23 +449,13 @@ mod tests {
     }
 
     #[test]
-    fn multiple_windows_are_unioned() {
-        let mut adv = ScriptedAdversary::new(ThreatKind::FlipEnforcement, 1.0, 2)
-            .within(vec![FaultWindow::new(0, 10), FaultWindow::new(50, 60)]);
-        let mut granted = true;
-        assert!(adv.flip_enforcement(&mut granted, 5));
-        assert!(!adv.flip_enforcement(&mut granted, 30));
-        assert!(adv.flip_enforcement(&mut granted, 55));
-    }
-
-    #[test]
     fn swap_policy_needs_a_window_over_deployment_time() {
         let authorised = drams_core::monitor::default_policy();
         let mut late = ScriptedAdversary::new(ThreatKind::SwapPolicy, 1.0, 3)
-            .within(vec![FaultWindow::new(100, 200)]);
+            .within(FaultWindow::new(100, 200));
         assert!(late.swap_policy(&authorised).is_none());
-        let mut early = ScriptedAdversary::new(ThreatKind::SwapPolicy, 1.0, 3)
-            .within(vec![FaultWindow::new(0, 200)]);
+        let mut early =
+            ScriptedAdversary::new(ThreatKind::SwapPolicy, 1.0, 3).within(FaultWindow::new(0, 200));
         assert!(early.swap_policy(&authorised).is_some());
     }
 
@@ -492,8 +482,7 @@ mod tests {
     #[test]
     fn a_window_does_not_touch_the_campaigns_rng() {
         let window = FaultWindow::new(100, 200);
-        let mut windowed =
-            ScriptedAdversary::new(ThreatKind::ReplayLog, 0.5, 11).within(vec![window]);
+        let mut windowed = ScriptedAdversary::new(ThreatKind::ReplayLog, 0.5, 11).within(window);
         let mut twin = ScriptedAdversary::new(ThreatKind::ReplayLog, 0.5, 11);
         let mut fired = 0;
         for now in 0..300 {
@@ -530,7 +519,7 @@ mod tests {
             ..MonitorConfig::default()
         };
         let mut adv = ScriptedAdversary::new(ThreatKind::TamperResponse, 0.5, 9)
-            .within(vec![FaultWindow::new(200 * MILLIS, 500 * MILLIS)]);
+            .within(FaultWindow::new(200 * MILLIS, 500 * MILLIS));
         let (report, truth) = run_monitor(&config, &mut adv);
         let s = score(ThreatKind::TamperResponse, &report, &truth);
         assert!(s.attacks > 0, "the window must see some traffic");

@@ -1130,8 +1130,8 @@ fn e13_fault_plane(_: &mut Run) -> Vec<Section> {
     ] {
         let mut spec = scenarios::by_name("lossy_links").expect("E13 matrix scenario");
         spec.name = format!("{threat}_under_faults");
-        let mut adversary = ScriptedAdversary::new(threat, 0.1, seed)
-            .within(vec![FaultWindow::new(0, 1500 * MILLIS)]);
+        let mut adversary =
+            ScriptedAdversary::new(threat, 0.1, seed).within(FaultWindow::new(0, 1500 * MILLIS));
         let (report, truth) = run_scenario(&spec, &mut adversary);
         let s = score(threat, &report, &truth);
         detection.push(row! {
@@ -1237,7 +1237,7 @@ fn e14_overload(run: &mut Run) -> Vec<Section> {
         let mut spec = scenarios::overload_attack_base();
         spec.name = format!("{threat}_under_overload");
         let mut adversary = ScriptedAdversary::new(threat, 0.05, seed)
-            .within(vec![FaultWindow::new(2 * SECONDS, 6 * SECONDS)]); // the spike
+            .within(FaultWindow::new(2 * SECONDS, 6 * SECONDS)); // the spike
         let (report, truth) = run_scenario(&spec, &mut adversary);
         // Attacks land on admitted requests only: a shed request carries
         // no evidence and no attack. `shed` proves the overload was real

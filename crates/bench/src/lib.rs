@@ -98,13 +98,7 @@ pub mod scenarios {
     use drams_faas::des::{MILLIS, SECONDS};
     use drams_faas::fault::{FaultPlan, LinkFault, PartitionWindow, Site};
     use drams_faas::model::{CloudId, FederationSpec, TenantId};
-    use drams_policy::attr::{AttributeId, Category};
-    use drams_policy::combining::CombiningAlg;
-    use drams_policy::decision::Effect;
-    use drams_policy::expr::Expr;
-    use drams_policy::policy::{Policy, PolicySet};
-    use drams_policy::rule::Rule;
-    use drams_policy::target::Target;
+    use drams_fuzz::strict_policy;
 
     fn base_config() -> MonitorConfig {
         MonitorConfig {
@@ -112,25 +106,6 @@ pub mod scenarios {
             request_rate_per_sec: 150.0,
             ..MonitorConfig::default()
         }
-    }
-
-    /// A stricter mid-run policy: only doctors, nothing else.
-    #[must_use]
-    pub fn doctors_only_policy() -> PolicySet {
-        PolicySet::builder("strict-root", CombiningAlg::DenyUnlessPermit)
-            .policy(
-                Policy::builder("doctors-only", CombiningAlg::PermitOverrides)
-                    .rule(
-                        Rule::builder("doctors", Effect::Permit)
-                            .target(Target::expr(Expr::equal(
-                                Expr::attr(AttributeId::new(Category::Subject, "role")),
-                                Expr::lit("doctor"),
-                            )))
-                            .build(),
-                    )
-                    .build(),
-            )
-            .build()
     }
 
     /// Constant load on the classic central-PDP topology.
@@ -183,8 +158,10 @@ pub mod scenarios {
         }
     }
 
-    /// Legitimate policy churn: a stricter version is published
-    /// mid-flight and rolled back shortly after. Must raise zero alerts.
+    /// Legitimate policy churn: a stricter version
+    /// ([`drams_fuzz::strict_policy`]: only doctors, nothing else) is
+    /// published mid-flight and rolled back shortly after. Must raise
+    /// zero alerts.
     #[must_use]
     pub fn policy_flip() -> ScenarioSpec {
         ScenarioSpec {
@@ -192,7 +169,7 @@ pub mod scenarios {
             script: vec![
                 ScriptedAction::PublishPolicy {
                     at: 400 * MILLIS,
-                    policy: doctors_only_policy(),
+                    policy: strict_policy(),
                 },
                 ScriptedAction::RollbackPolicy {
                     at: 900 * MILLIS,

@@ -586,7 +586,7 @@ macro_rules! gates {
 /// Every gate `run_experiments` enforces on a run, one row each:
 /// section, row selector, column, rule.
 #[rustfmt::skip]
-pub const GATES: [Gate; 45] = gates! {
+pub const GATES: [Gate; 46] = gates! {
     // Per-entry storage cost at 16 KiB entries above that at 64 B.
     "e1_log_size"             ""                         "grows"                            Rule::True;
     // Hashes per block strictly rising with the difficulty bits; each
@@ -623,6 +623,7 @@ pub const GATES: [Gate; 45] = gates! {
     "e11_compaction"          ""                         "flat_ok"                          Rule::True;
     "e11_recovery"            "rows"                     "matched"                          Rule::True;
     "e12_fuzz"                ""                         "violations"                       Rule::Zero;
+    "e12_fuzz"                ""                         "false_positives"                  Rule::Zero;
     "e13_faults"              "rows"                     "alerts"                           Rule::Zero;
     "e13_faults"              "rows"                     "dropped"                          Rule::Zero;
     "e13_faults"              "detection_under_faults"   "detected"                         Rule::Equals("attacks");

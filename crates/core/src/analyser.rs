@@ -65,10 +65,11 @@ fn read_policy(r: &mut Reader<'_>) -> Result<Arc<PreparedPolicySet>, StoreError>
 
 /// Version byte of the checkpoint encoding, leading both of its records
 /// (layout: [`Analyser::checkpoint`]). [`Analyser::crash_restart`]
-/// refuses any other: version 5 held policies as parser source text,
-/// which did not round-trip every target to the same digest, and earlier
-/// versions were one record.
-const CHECKPOINT_VERSION: u8 = 6;
+/// refuses any other: version 6 also persisted the provisioned fork,
+/// retirement and retention settings, version 5 held policies as parser
+/// source text, which did not round-trip every target to the same
+/// digest, and earlier versions were one record.
+const CHECKPOINT_VERSION: u8 = 7;
 
 /// One probe's MAC key as the Analyser holds it: the raw bytes, which the
 /// checkpoint persists, and the context keyed from them once, which
@@ -131,7 +132,8 @@ pub struct Analyser {
     history_dirty: bool,
     /// Opt-in sibling-block sweep (see [`Analyser::enable_fork_detection`]).
     /// Off by default: a library caller importing historical forks for
-    /// analysis must not be flooded with alerts.
+    /// analysis must not be flooded with alerts. Provisioned, like
+    /// `bias`, and so are `retire_lag` and `history_retention`.
     fork_detection: bool,
     /// Parent hashes whose sibling groups were already reported, so a
     /// persisting fork is alerted exactly once across polls (and across
@@ -360,16 +362,17 @@ impl Analyser {
     /// re-checking — and thus re-reporting — groups completed since it
     /// was written).
     ///
-    /// # Layout (version 6)
+    /// # Layout (version 7)
     ///
     /// The checkpoint is two records in the one [`SnapshotStore`]:
     ///
     /// * the **cursor record** — the store's snapshot — holds everything
     ///   a poll moves: event cursor, checked-group and audit counters,
-    ///   the audited tip hash, probe MAC keys, the fork-sweep, retirement
-    ///   and retention state, and the *generation number* of the history
-    ///   record it belongs with. It is a few hundred bytes and is written
-    ///   by every call.
+    ///   the audited tip hash, probe MAC keys, the alerted fork parents,
+    ///   the retirement queue and counters, and the *generation number*
+    ///   of the history record it belongs with. The settings the
+    ///   Analyser was provisioned with are not in it. It is a few
+    ///   hundred bytes and is written by every call.
     /// * the **policy-history record** — a generation record — holds the
     ///   verifier's authorised-policy history
     ///   ([`DecisionVerifier::authorised_versions`]), one entry per
@@ -450,19 +453,16 @@ impl Analyser {
             w.put_raw(&key.raw);
         }
         w.put_u64(generation);
-        w.put_u8(u8::from(self.fork_detection));
         w.put_varint(self.alerted_fork_parents.len() as u64);
         for parent in &self.alerted_fork_parents {
             w.put_raw(parent);
         }
-        w.put_u64(self.retire_lag);
         w.put_u64(self.groups_retired);
         w.put_varint(self.pending_retire.len() as u64);
         for (checked_at, corr) in &self.pending_retire {
             w.put_u64(*checked_at);
             w.put_u64(corr.0);
         }
-        w.put_u64(self.history_retention);
         w.put_u64(self.policy_history_retired);
         store.save(self.checked_groups, &w.into_bytes())?;
         if self.history_dirty {
@@ -475,7 +475,8 @@ impl Analyser {
 
     /// Restarts the Analyser process in place: everything it holds in
     /// memory is lost, and it resumes from its own checkpoint store with
-    /// the key, keypair and enforcement bias it was provisioned with. It
+    /// the key, keypair, enforcement bias, fork sweep, retirement lag and
+    /// history retention it was provisioned with. It
     /// reads the cursor record, then the policy-history generation that
     /// record names (see [`Analyser::checkpoint`] for the layout). The
     /// policy history is replayed through the verifier (reconstructing
@@ -496,7 +497,7 @@ impl Analyser {
     /// [`StoreError::Corrupt`] when either record fails its length or
     /// checksum check or the history record belongs to another
     /// generation; [`StoreError::Codec`] when a record does not decode —
-    /// including any checkpoint version other than 6 — or a
+    /// including any checkpoint version other than 7 — or a
     /// checkpointed policy does not compile to the version digest
     /// recorded beside it.
     pub fn crash_restart(&mut self) -> Result<(), StoreError> {
@@ -527,13 +528,11 @@ impl Analyser {
             probe_mac_keys.insert(id, r.get_array::<32>().map_err(codec)?);
         }
         let history_generation = r.get_u64().map_err(codec)?;
-        let fork_detection = r.get_u8().map_err(codec)? != 0;
         let fork_parents = r.get_varint().map_err(codec)?;
         let mut alerted_fork_parents = BTreeSet::new();
         for _ in 0..fork_parents {
             alerted_fork_parents.insert(r.get_array::<32>().map_err(codec)?);
         }
-        let retire_lag = r.get_u64().map_err(codec)?;
         let groups_retired = r.get_u64().map_err(codec)?;
         let pending = r.get_varint().map_err(codec)?;
         let mut pending_retire = VecDeque::new();
@@ -542,7 +541,6 @@ impl Analyser {
             let corr = CorrelationId(r.get_u64().map_err(codec)?);
             pending_retire.push_back((checked_at, corr));
         }
-        let history_retention = r.get_u64().map_err(codec)?;
         let policy_history_retired = r.get_u64().map_err(codec)?;
         r.finish().map_err(codec)?;
 
@@ -578,14 +576,14 @@ impl Analyser {
         analyser.history_generation = history_generation;
         // The replay above rebuilt exactly what the record holds.
         analyser.history_dirty = false;
-        analyser.fork_detection = fork_detection;
         analyser.alerted_fork_parents = alerted_fork_parents;
-        analyser.retire_lag = retire_lag;
         analyser.groups_retired = groups_retired;
         analyser.pending_retire = pending_retire;
-        analyser.history_retention = history_retention;
         analyser.policy_history_retired = policy_history_retired;
         analyser.bias = self.bias;
+        analyser.fork_detection = self.fork_detection;
+        analyser.retire_lag = self.retire_lag;
+        analyser.history_retention = self.history_retention;
         std::mem::swap(&mut analyser.checkpoint_store, &mut self.checkpoint_store);
         *self = analyser;
         Ok(())
@@ -1669,6 +1667,40 @@ mod tests {
         assert!(small_attach[0].1 < 4096);
     }
 
+    /// The fork sweep, the retirement lag and the history retention are
+    /// provisioned, as the bias is: the checkpoint holds none of them, and
+    /// a crash restart keeps what the Analyser was provisioned with.
+    #[test]
+    fn provisioned_settings_are_not_checkpointed() {
+        let checkpointed = |provisioned: bool| {
+            let mut r = rig();
+            if provisioned {
+                r.analyser.enable_fork_detection();
+                r.analyser.enable_group_retirement(5_000);
+                r.analyser.enable_history_retention(10_000);
+            }
+            let backend = FaultyBackend::default();
+            r.analyser.attach_checkpoint(backend.store()).unwrap();
+            r.analyser.crash_restart().unwrap();
+            let settings = (
+                r.analyser.fork_detection,
+                r.analyser.retire_lag,
+                r.analyser.history_retention,
+            );
+            let files: Vec<_> = backend
+                .list()
+                .into_iter()
+                .map(|f| (backend.read(&f).unwrap(), f))
+                .collect();
+            (files, settings)
+        };
+        let (provisioned, settings) = checkpointed(true);
+        let (bare, bare_settings) = checkpointed(false);
+        assert_eq!(provisioned, bare, "both records, byte for byte");
+        assert_eq!(settings, (true, 5_000, 10_000));
+        assert_eq!(bare_settings, (false, 0, 0));
+    }
+
     #[test]
     fn publish_rollback_prune_recover_polls_like_its_unrecovered_twin() {
         let v0 = policy().version_digest();
@@ -1696,6 +1728,9 @@ mod tests {
         let (mut twin, twin_backend) = build();
         let (mut recovered, backend) = build();
         recovered.analyser = recover_from(&backend).unwrap();
+        // Retention is provisioned, not checkpointed: the recovering
+        // deployment provisions it again.
+        recovered.analyser.enable_history_retention(10_000);
         assert_eq!(backend.list(), twin_backend.list());
         // Each entry of the history record holds the published version's
         // kept bytes, which hash to the digest recorded beside them...

@@ -50,8 +50,6 @@ pub struct MonitorConfig {
     pub request_rate_per_sec: f64,
     /// Stop issuing after this many requests.
     pub total_requests: u64,
-    /// Hard virtual-time stop.
-    pub horizon: SimTime,
     /// Virtual time between blocks on the private chain.
     pub block_interval: SimTime,
     /// Submit an `advance_epoch` every this many blocks.
@@ -83,7 +81,6 @@ impl Default for MonitorConfig {
             bias: EnforcementBias::DenyBiased,
             request_rate_per_sec: 50.0,
             total_requests: 200,
-            horizon: 600 * SECONDS,
             block_interval: 500 * MILLIS,
             epoch_blocks: 2,
             group_timeout: 2 * SECONDS,
@@ -273,9 +270,6 @@ pub struct MonitorReport {
     /// Completed decision groups the Analyser retired (evidence pruned
     /// from contract storage after the replay window).
     pub groups_retired: u64,
-    /// Superseded authorised-policy versions the Analyser dropped past
-    /// the history-retention horizon.
-    pub policy_history_retired: u64,
     /// Chain write-ahead-journal compactions (snapshot + prune) run.
     pub journal_compactions: u64,
     /// High-water marks of every bounded state pool (capacity planning

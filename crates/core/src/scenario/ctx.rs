@@ -7,7 +7,7 @@ use crate::adversary::Adversary;
 use crate::logent::LogEntry;
 use crate::monitor::{GroundTruth, MonitorReport};
 use drams_chain::node::Node;
-use drams_faas::des::SimTime;
+use drams_faas::des::{SimTime, MILLIS};
 use drams_faas::fault::{FaultPlane, Site};
 use drams_faas::model::{LatencyModel, TenantSpec};
 use drams_faas::msg::CorrelationId;
@@ -16,6 +16,12 @@ use drams_store::Wal;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
+
+/// Any component to its local Logging Interface.
+const TO_LI: LatencyModel = LatencyModel {
+    base: MILLIS / 4,
+    jitter: MILLIS / 10,
+};
 
 /// One tenant's runtime state.
 #[derive(Debug)]
@@ -43,8 +49,7 @@ pub(super) struct Ctx<'a> {
     pub(super) adversary: &'a mut dyn Adversary,
     pub(super) rngs: RngStreams,
     pub(super) monitoring: bool,
-    /// Link latency models (from the federation spec).
-    pub(super) to_li: LatencyModel,
+    /// PEP → PDP link latency (it depends on the PDP placement).
     pub(super) pep_pdp: LatencyModel,
     pub(super) tenants: Vec<TenantRuntime>,
     /// Indices into `tenants` the workload currently targets.
@@ -93,7 +98,7 @@ impl Ctx<'_> {
                 .tampered_logs
                 .push((entry.correlation, entry.point));
         }
-        let latency = self.to_li.sample(&mut self.rngs.net);
+        let latency = TO_LI.sample(&mut self.rngs.net);
         out.emit(latency, Msg::LiDeliver { li, entry });
     }
 }

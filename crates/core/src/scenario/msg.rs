@@ -199,7 +199,7 @@ impl Services {
             }
             Msg::Crash(role) => {
                 // A wire backend tears down the role's endpoint; the next
-                // frame to it reconnects to the restarted one.
+                // frame to it connects to the restarted one.
                 ctx.transport.restart(role).expect("transport restart");
                 match role {
                     WireRole::Pdp { slot } => self.pdp.crash_restart(slot as usize),

@@ -25,9 +25,9 @@ use drams_chain::chain::ChainConfig;
 use drams_chain::node::Node;
 use drams_crypto::aead::SymmetricKey;
 use drams_crypto::schnorr::Keypair;
-use drams_faas::des::{EventQueue, SimTime};
+use drams_faas::des::{EventQueue, SimTime, MILLIS, SECONDS};
 use drams_faas::fault::{FaultPlan, FaultPlane, Site};
-use drams_faas::model::CloudId;
+use drams_faas::model::{CloudId, LatencyModel};
 use drams_faas::pep::Pep;
 use drams_faas::prp::Prp;
 use drams_faas::transport::{DesTransport, Transport};
@@ -36,6 +36,20 @@ use drams_store::persist::WalJournal;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
+
+/// Hard virtual-time stop of every run.
+pub(super) const HORIZON: SimTime = 600 * SECONDS;
+
+/// A hop inside one tenant: a PEP to its per-cloud PDP.
+const INTRA_TENANT: LatencyModel = LatencyModel {
+    base: MILLIS / 2,
+    jitter: MILLIS / 4,
+};
+/// A member tenant to the infrastructure tenant: a PEP to the central PDP.
+const TENANT_TO_INFRA: LatencyModel = LatencyModel {
+    base: 5 * MILLIS,
+    jitter: 2 * MILLIS,
+};
 
 /// The degraded-mode schedule for a fault plan: one
 /// `(widen_at, restore_at, widened_timeout)` triple per merged
@@ -226,23 +240,21 @@ pub fn run_scenario_with_transport<A: Adversary>(
     };
     // The scenario runtime's chain is mined by a single honest node, so
     // any sibling block means a rewritten history or an equivocating
-    // miner — turn the sweep on (the flag and the alerted-fork set ride
-    // in the checkpoint, so a recovered Analyser keeps it without
-    // re-alerting known forks). Enabled before the first checkpoint.
+    // miner — turn the sweep on (the alerted-fork set rides in the
+    // checkpoint, so a recovered Analyser does not re-alert known forks).
+    // These settings are provisioned, not checkpointed: a crash restart
+    // keeps them.
     analyser.enable_fork_detection();
     analyser.set_enforcement_bias(config.bias);
     if load.analyser_retire_lag > 0 {
         // Windowed group retirement: evidence of verified groups is
         // pruned from contract storage once the replay window closes.
-        // Enabled before the first checkpoint so the lag (and the
-        // pending window) ride in every recovery.
         analyser.enable_group_retirement(load.analyser_retire_lag);
     }
     if load.policy_history_retention > 0 {
         // Bounded authorised-policy history: superseded versions older
         // than the horizon (referenced to the oldest unretired group)
-        // are dropped. Enabled before the first checkpoint so the
-        // horizon rides in every recovery.
+        // are dropped.
         analyser.enable_history_retention(load.policy_history_retention);
     }
     // The baseline a crash at any later point resumes from.
@@ -250,9 +262,9 @@ pub fn run_scenario_with_transport<A: Adversary>(
 
     // --- context -----------------------------------------------------------
     let pep_pdp = match spec.placement {
-        PdpPlacement::Central => config.federation.tenant_to_infra,
+        PdpPlacement::Central => TENANT_TO_INFRA,
         // Per-cloud PDPs sit one local hop away from their PEPs.
-        PdpPlacement::PerCloud => config.federation.intra_tenant,
+        PdpPlacement::PerCloud => INTRA_TENANT,
     };
     let mut ctx = Ctx {
         node,
@@ -262,7 +274,6 @@ pub fn run_scenario_with_transport<A: Adversary>(
         adversary,
         rngs: RngStreams::new(config.seed),
         monitoring: config.monitoring_enabled,
-        to_li: config.federation.to_logging_interface,
         pep_pdp,
         tenants: config
             .federation
@@ -408,12 +419,11 @@ pub fn run_scenario_with_transport<A: Adversary>(
     }
 
     // --- run ---------------------------------------------------------------
-    let finished_at = services.run(&mut ctx, config.horizon);
+    let finished_at = services.run(&mut ctx, HORIZON);
     ctx.report.finished_at = finished_at;
     ctx.report.ledger = ctx.node.chain().tip_hash();
     let analyser = &services.analyser.analyser;
     ctx.report.groups_retired = analyser.groups_retired();
-    ctx.report.policy_history_retired = analyser.policy_history_retired();
     ctx.report.faults = ctx.fault_plane.stats();
     (ctx.report, ctx.truth)
 }

@@ -1,6 +1,7 @@
 //! Cross-service runs: every test here drives only the public surface of
 //! [`super`].
 
+use super::run::HORIZON;
 use super::*;
 use crate::adversary::NoAdversary;
 use crate::monitor::{first_divergence, MonitorConfig};
@@ -300,12 +301,10 @@ fn scheduling_an_out_of_window_action_does_not_perturb_the_run() {
     // Cross-component determinism at scenario level: a scripted
     // action that never fires (far beyond the horizon) must leave
     // every draw of every other component untouched.
-    let mut config = base_config();
-    config.horizon = 30 * SECONDS;
-    let canonical = ScenarioSpec::canonical(&config);
+    let canonical = ScenarioSpec::canonical(&base_config());
     let spec = ScenarioSpec {
         script: vec![ScriptedAction::TenantJoin {
-            at: config.horizon + SECONDS,
+            at: HORIZON + SECONDS,
             cloud: CloudId(0),
             services: 1,
         }],
@@ -372,7 +371,7 @@ fn run_winds_down_when_every_tenant_departs_for_good() {
     assert!(
         report.finished_at < 30 * SECONDS,
         "an emptied federation must drain, not grind to the {}s horizon              (finished at {})",
-        config.horizon / SECONDS,
+        HORIZON / SECONDS,
         report.finished_at
     );
 }
@@ -749,7 +748,7 @@ fn pathological_rates_still_terminate() {
     assert_eq!(report.requests_completed, 8);
     assert_eq!(truth.total_attacks(), 0);
     assert!(report.alerts.is_empty(), "alerts: {:?}", report.alerts);
-    assert!(report.finished_at < config.horizon);
+    assert!(report.finished_at < HORIZON);
 }
 
 #[test]

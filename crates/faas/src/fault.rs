@@ -117,14 +117,6 @@ impl FaultPlan {
         self.links.is_empty() && self.partitions.is_empty()
     }
 
-    /// End of the last fault window of any kind (0 for an empty plan).
-    #[must_use]
-    pub fn horizon(&self) -> SimTime {
-        let links = self.links.iter().map(|l| l.active_until);
-        let parts = self.partitions.iter().map(|p| p.until);
-        links.chain(parts).max().unwrap_or(0)
-    }
-
     /// Merged *disruption* windows: the time ranges during which messages
     /// can be lost (lossy links or partitions). Windows overlapping or
     /// within `settle` of each other merge, so a consumer scheduling a
@@ -529,7 +521,6 @@ mod tests {
         );
         // settle large enough to bridge the gap → one window.
         assert_eq!(plan.disruption_windows(700), vec![(100, 1_100)]);
-        assert_eq!(plan.horizon(), 9_000);
         assert!(!plan.is_empty());
         assert!(FaultPlan::default().is_empty());
     }

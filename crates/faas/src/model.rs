@@ -5,7 +5,7 @@
 //! jointly-owned *infrastructure tenant* hosts the PDP, the PRP and the
 //! Analyser; PEPs sit at each tenant's edge.
 
-use crate::des::{SimTime, MILLIS};
+use crate::des::SimTime;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -60,12 +60,6 @@ pub struct LatencyModel {
 }
 
 impl LatencyModel {
-    /// A constant-latency link.
-    #[must_use]
-    pub fn fixed(base: SimTime) -> Self {
-        LatencyModel { base, jitter: 0 }
-    }
-
     /// Samples one traversal time.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> SimTime {
         if self.jitter == 0 {
@@ -94,13 +88,6 @@ pub struct TenantSpec {
 pub struct FederationSpec {
     /// Member tenants (infrastructure tenant excluded).
     pub tenants: Vec<TenantSpec>,
-    /// Latency of intra-tenant hops (service → PEP).
-    pub intra_tenant: LatencyModel,
-    /// Latency between a member tenant and the infrastructure tenant
-    /// (PEP → PDP).
-    pub tenant_to_infra: LatencyModel,
-    /// Latency from any component to its local Logging Interface.
-    pub to_logging_interface: LatencyModel,
 }
 
 impl FederationSpec {
@@ -125,33 +112,13 @@ impl FederationSpec {
                 next_tenant += 1;
             }
         }
-        FederationSpec {
-            tenants,
-            intra_tenant: LatencyModel {
-                base: MILLIS / 2,
-                jitter: MILLIS / 4,
-            },
-            tenant_to_infra: LatencyModel {
-                base: 5 * MILLIS,
-                jitter: 2 * MILLIS,
-            },
-            to_logging_interface: LatencyModel {
-                base: MILLIS / 4,
-                jitter: MILLIS / 10,
-            },
-        }
+        FederationSpec { tenants }
     }
 
     /// Number of member tenants.
     #[must_use]
     pub fn tenant_count(&self) -> usize {
         self.tenants.len()
-    }
-
-    /// Looks a tenant up by id.
-    #[must_use]
-    pub fn tenant(&self, id: TenantId) -> Option<&TenantSpec> {
-        self.tenants.iter().find(|t| t.id == id)
     }
 }
 
@@ -172,13 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn tenant_lookup() {
-        let spec = FederationSpec::symmetric(2, 1, 1);
-        assert!(spec.tenant(TenantId(1)).is_some());
-        assert!(spec.tenant(TenantId(99)).is_none());
-    }
-
-    #[test]
     fn latency_sampling_is_bounded() {
         let model = LatencyModel {
             base: 100,
@@ -189,7 +149,6 @@ mod tests {
             let l = model.sample(&mut rng);
             assert!((100..=150).contains(&l));
         }
-        assert_eq!(LatencyModel::fixed(42).sample(&mut rng), 42);
     }
 
     #[test]

@@ -287,7 +287,7 @@ pub trait Transport {
 
     /// Notifies the transport that the service behind `role` crashed
     /// and restarted: wire backends drop the connection and tear down
-    /// the endpoint so the next frame reconnects to a fresh one.
+    /// the endpoint so the next frame connects to a fresh one.
     fn restart(&mut self, role: WireRole) -> Result<(), TransportError>;
 
     /// Human-readable backend name (for reports and logs).

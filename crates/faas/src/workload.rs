@@ -146,12 +146,6 @@ impl RequestGenerator {
         }
     }
 
-    /// The vocabulary in use.
-    #[must_use]
-    pub fn vocabulary(&self) -> &Vocabulary {
-        &self.vocab
-    }
-
     /// Draws one complete request (every vocabulary attribute present —
     /// the shape the analyser's complete-request assumption describes).
     pub fn next_request(&mut self) -> Request {

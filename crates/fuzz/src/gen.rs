@@ -112,7 +112,7 @@ impl AttackPlan {
                 adversary_seed,
             } => CompositeAdversary::new().with_part(
                 ScriptedAdversary::new(*kind, f64::from(*permille) / 1000.0, *adversary_seed)
-                    .within(vec![FaultWindow::new(*from, *until)]),
+                    .within(FaultWindow::new(*from, *until)),
             ),
         }
     }
@@ -180,7 +180,7 @@ impl FuzzCase {
 }
 
 /// The stricter policy the generator publishes mid-run (only doctors,
-/// nothing else) — the fuzz analogue of the E10 `policy_flip` scenario.
+/// nothing else), and the one the E10 `policy_flip` scenario publishes.
 #[must_use]
 pub fn strict_policy() -> PolicySet {
     PolicySet::builder("fuzz-strict-root", CombiningAlg::DenyUnlessPermit)

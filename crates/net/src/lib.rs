@@ -19,7 +19,9 @@
 //!   routes every federation-crossing message through the destination
 //!   role's endpoint, one synchronous batch per dispatch, serving the
 //!   endpoint inline on the driver's thread (the crate spawns no
-//!   thread); on `Transport::restart` it reconnects to a fresh endpoint.
+//!   thread); on `Transport::restart` it connects to a fresh endpoint.
+//!   A batch is sent once: a failure drops the batch's connections and
+//!   returns its typed error, with no resend.
 //!
 //! What the suites establish (DESIGN.md invariant 9): every
 //! federation-crossing message survives canonical encode → CRC frame →

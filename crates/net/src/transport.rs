@@ -17,6 +17,11 @@
 //! closed, and the next frame for that role binds a fresh endpoint at a
 //! fresh port and connects to it — a real reconnect across a real
 //! socket.
+//!
+//! A batch is sent once. If it fails — an I/O error, a closed or stalled
+//! connection, an echo that differs from its frame — every connection it
+//! used is dropped, so the next batch starts clean, and the typed error
+//! is returned: a wire fault surfaces, it is not masked by a resend.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -30,13 +35,8 @@ use crate::endpoint::NodeEndpoint;
 use crate::frame::{frame_bytes, io_error, would_block, FrameReader, SLICE};
 
 /// How long a transfer may go on after it first finds no byte to move
-/// before the batch is abandoned and resent on fresh connections.
+/// before the batch fails with [`TransportError::TimedOut`].
 const STALL_DEADLINE: Duration = Duration::from_secs(5);
-
-/// Attempts per batch; each failure (a refused connect included) drops
-/// the batch's connections and reconnects, so this bounds the reconnect
-/// storm a flapping endpoint can cause.
-const ROUNDTRIP_ATTEMPTS: u32 = 5;
 
 /// Wire-level counters the bench runner reports (E16).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -48,10 +48,9 @@ pub struct NetStats {
     pub batches: u64,
     /// Wire bytes written (outer framing included).
     pub bytes_sent: u64,
-    /// Connections established (first contacts and re-establishments).
+    /// Connections established: a role's first contact, and its next
+    /// after a restart or a failed batch.
     pub connects: u64,
-    /// Batch attempts that failed and were resent on fresh connections.
-    pub reconnects: u64,
     /// Service restarts signalled via [`Transport::restart`].
     pub restarts: u64,
 }
@@ -153,10 +152,10 @@ impl TcpTransport {
         self.stats
     }
 
-    /// One attempt at a batch already encoded as runs of consecutive
-    /// frames to one role: each run transferred in turn, so the echoes
-    /// arrive in input order.
-    fn try_batch(
+    /// Sends a batch already encoded as runs of consecutive frames to one
+    /// role: each run transferred in turn, so the echoes arrive in input
+    /// order.
+    fn send_runs(
         &mut self,
         runs: &[(WireRole, Vec<u8>, usize)],
     ) -> Result<Vec<WireFrame>, TransportError> {
@@ -197,54 +196,33 @@ impl Transport for TcpTransport {
                 _ => runs.push((frame.role, wire, 1)),
             }
         }
-        let mut last = TransportError::Closed;
-        for attempt in 0..ROUNDTRIP_ATTEMPTS {
-            let failure = match self.try_batch(&runs) {
-                Ok(echoes) if echoes == frames => {
-                    self.stats.frames += frames.len() as u64;
-                    self.stats.batches += 1;
-                    self.stats.bytes_sent +=
-                        runs.iter().map(|(_, b, _)| b.len() as u64).sum::<u64>();
-                    return Ok(echoes);
-                }
-                // The endpoint acked something else: the wire (or the
-                // endpoint) corrupted a frame.
-                Ok(echoes) => {
-                    let bad = echoes
-                        .iter()
-                        .zip(&frames)
-                        .find(|(echo, frame)| echo != frame);
-                    let seq = bad.map_or(0, |(_, frame)| frame.seq);
-                    TransportError::Corrupt(format!("echo mismatch for seq {seq}"))
-                }
-                Err(e) => e,
-            };
-            // A failed batch may leave bytes unread on any of its
-            // connections: drop them all, so the next batch starts clean.
-            for (role, ..) in &runs {
-                if let Some(link) = self.links.get_mut(role) {
-                    link.conn = None;
-                }
+        let failure = match self.send_runs(&runs) {
+            Ok(echoes) if echoes == frames => {
+                self.stats.frames += frames.len() as u64;
+                self.stats.batches += 1;
+                self.stats.bytes_sent += runs.iter().map(|(_, b, _)| b.len() as u64).sum::<u64>();
+                return Ok(echoes);
             }
-            match failure {
-                // Structural rejections are not cured by reconnecting.
-                e @ (TransportError::Corrupt(_)
-                | TransportError::Oversized { .. }
-                | TransportError::Malformed(_)
-                | TransportError::RoleMismatch { .. }) => return Err(e),
-                // I/O failure or endpoint death: reconnect and resend the
-                // whole batch. The endpoint checks seq per connection and
-                // only the echoes the driver reads are ever scheduled, so
-                // a duplicate send is harmless.
-                e => {
-                    if attempt + 1 < ROUNDTRIP_ATTEMPTS {
-                        self.stats.reconnects += 1;
-                    }
-                    last = e;
-                }
+            // The endpoint acked something else: the wire (or the
+            // endpoint) corrupted a frame.
+            Ok(echoes) => {
+                let bad = echoes
+                    .iter()
+                    .zip(&frames)
+                    .find(|(echo, frame)| echo != frame);
+                let seq = bad.map_or(0, |(_, frame)| frame.seq);
+                TransportError::Corrupt(format!("echo mismatch for seq {seq}"))
+            }
+            Err(e) => e,
+        };
+        // A failed batch may leave bytes unread on any of its
+        // connections: drop them all, so the next batch starts clean.
+        for (role, ..) in &runs {
+            if let Some(link) = self.links.get_mut(role) {
+                link.conn = None;
             }
         }
-        Err(last)
+        Err(failure)
     }
 
     fn restart(&mut self, role: WireRole) -> Result<(), TransportError> {
@@ -372,8 +350,8 @@ mod tests {
         let second = vec![frame(WireRole::Pep, 3), frame(pdp, 4)];
         assert_eq!(t.roundtrip_batch(second.clone()).expect("second"), second);
         let stats = t.stats();
-        assert_eq!((stats.batches, stats.restarts, stats.reconnects), (2, 1, 0));
-        assert_eq!(stats.connects, 3, "only the restarted role reconnects");
+        assert_eq!((stats.batches, stats.restarts), (2, 1));
+        assert_eq!(stats.connects, 3, "only the restarted role connects again");
     }
 
     /// Nothing rests on socket buffer sizes: a batch many slices long, a
@@ -400,7 +378,28 @@ mod tests {
         assert_eq!(t.roundtrip_batch(batch.clone()).expect("batch"), batch);
         let stats = t.stats();
         assert!(stats.bytes_sent - bytes_before > 24 << 20);
-        assert_eq!((stats.frames, stats.batches, stats.reconnects), (66, 3, 0));
+        assert_eq!((stats.frames, stats.batches, stats.connects), (66, 3, 1));
+    }
+
+    /// A batch is sent once. A frame the endpoint refuses fails it with a
+    /// typed error; a resend on a fresh connection, where the repeated
+    /// sequence number would pass, would have masked it. The failed
+    /// batch's connection is dropped, so the next batch starts clean.
+    #[test]
+    fn a_refused_batch_fails_once_and_the_next_starts_clean() {
+        let mut t = TcpTransport::loopback();
+        let role = WireRole::Chain;
+        assert_eq!(t.roundtrip(frame(role, 5)).expect("first"), frame(role, 5));
+        assert_eq!(t.roundtrip(frame(role, 5)), Err(TransportError::Closed));
+        assert!(
+            t.links[&role].conn.is_none(),
+            "the failed batch's connection"
+        );
+        assert_eq!(t.roundtrip(frame(role, 6)).expect("next"), frame(role, 6));
+        let stats = t.stats();
+        assert_eq!((stats.frames, stats.batches, stats.connects), (2, 2, 2));
+        let endpoint = t.links[&role].endpoint.stats();
+        assert_eq!((endpoint.rejected, endpoint.connections), (1, 2));
     }
 
     #[test]

@@ -620,16 +620,10 @@ impl PreparedPolicySet {
         &self.canonical
     }
 
-    /// The attribute interner (symbols are dense `0..attribute_count`).
+    /// The attribute interner (symbols are dense `0..interner().len()`).
     #[must_use]
     pub fn interner(&self) -> &AttrInterner {
         &self.interner
-    }
-
-    /// Number of distinct attribute ids the policy references.
-    #[must_use]
-    pub fn attribute_count(&self) -> usize {
-        self.interner.len()
     }
 
     /// Re-indexes a request's bags by symbol. O(request attributes).
@@ -1277,7 +1271,7 @@ mod tests {
     fn interner_is_dense_and_stable() {
         let set = indexed_set(CombiningAlg::DenyOverrides);
         let prepared = PreparedPolicySet::compile(&set);
-        assert_eq!(prepared.attribute_count(), 2); // resource.type, subject.role
+        assert_eq!(prepared.interner().len(), 2); // resource.type, subject.role
         let sym = prepared
             .interner()
             .lookup(&AttributeId::new(Category::Resource, "type"))

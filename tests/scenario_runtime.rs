@@ -153,7 +153,7 @@ fn windowed_adversary_inside_scenario_is_detected() {
     let mut spec = scenarios::by_name("steady_state").expect("named scenario");
     spec.config.group_timeout = 2 * SECONDS;
     let mut adversary = ScriptedAdversary::new(ThreatKind::CorruptDecision, 0.5, 5)
-        .within(vec![FaultWindow::new(100 * MILLIS, 400 * MILLIS)]);
+        .within(FaultWindow::new(100 * MILLIS, 400 * MILLIS));
     let (report, truth) = run_scenario(&spec, &mut adversary);
     let s = score(ThreatKind::CorruptDecision, &report, &truth);
     assert!(s.attacks > 0);

@@ -100,7 +100,7 @@ fn attacked_run_is_identical_over_des_and_tcp() {
 }
 
 /// A crash-restart run: a PDP dies mid-scenario. Over TCP this kills
-/// the slot's real endpoint — the transport reconnects to a fresh one —
+/// the slot's real endpoint — the transport connects to a fresh one —
 /// and the run still converges to the DES twin byte for byte.
 #[test]
 fn crash_restart_run_is_identical_over_des_and_tcp() {
