@@ -35,7 +35,7 @@ use drams_core::contract::{encode_batch, MonitorContract, MONITOR_CONTRACT};
 use drams_core::monitor::{
     first_divergence, run_monitor, GroundTruth, MonitorConfig, MonitorReport,
 };
-use drams_core::scenario::run_scenario;
+use drams_core::scenario::{run_scenario, ScenarioSpec};
 use drams_crypto::schnorr::Keypair;
 use drams_faas::des::{MILLIS, SECONDS};
 use drams_faas::model::FederationSpec;
@@ -1175,36 +1175,29 @@ fn e13_fault_plane(_: &mut Run) -> Vec<Section> {
 
 /// The one E14 clause that spans three columns, so no gate row fits it:
 /// every request the PEP admitted must have completed.
-fn lost_admitted(requests: u64, shed: u64, completed: u64) -> Option<String> {
+fn lost_admitted(member: &str, requests: u64, shed: u64, completed: u64) -> Option<String> {
     (completed != requests - shed).then(|| {
-        format!("e14_load.honest: admitted requests went missing: {requests} issued, {shed} shed, {completed} completed")
+        format!("e14_load.{member}: admitted requests went missing: {requests} issued, {shed} shed, {completed} completed")
     })
 }
 
-/// E14 — overload robustness: a Zipf-skewed flash crowd over a
-/// 2000-tenant population, with every bounded-state mechanism armed.
-///
-/// Part 1 runs the ≥100k-request honest flash crowd: the admission cap
-/// must shed the overflow (never silently queue it), every admitted
-/// request must complete, not a single alert may fire, and every peak
-/// tracked-state gauge is recorded. Part 2 mounts attack campaigns
-/// *during* the flash crowd: every mounted attack must still be
-/// detected with zero false positives while shedding is active (shed
-/// requests carry no evidence, so overflow can never masquerade as an
-/// attack or hide one). Part 3 crashes a PDP mid-spike and requires
-/// byte-identity with the uninterrupted twin. Emits `BENCH_LOAD.json`.
-fn e14_overload(run: &mut Run) -> Vec<Section> {
-    // -- part 1: the honest flash crowd ------------------------------------
-    let spec = scenarios::flash_crowd();
-    let ((report, truth), wall_ms) = timed_ms(|| run_scenario(&spec, &mut NoAdversary));
+/// One honest flash crowd: its counters, every peak tracked-state gauge
+/// and its wall time, as the E14 row `member`. Reports admitted
+/// requests that went missing as a failure of `run`.
+fn honest_crowd(run: &mut Run, member: &str, spec: &ScenarioSpec) -> Members {
+    let ((report, truth), wall_ms) = timed_ms(|| run_scenario(spec, &mut NoAdversary));
     assert_eq!(truth.total_attacks(), 0, "overload is not an attack");
     let (requests, shed) = (report.requests_issued, report.requests_shed);
-    run.failures
-        .extend(lost_admitted(requests, shed, report.requests_completed));
+    run.failures.extend(lost_admitted(
+        member,
+        requests,
+        shed,
+        report.requests_completed,
+    ));
     // completed / (issued - shed): admitted requests must all complete.
     let admitted_completion_pct =
         100.0 * report.requests_completed as f64 / (requests - shed).max(1) as f64;
-    let honest = row! {
+    members! {
         scenario: spec.name.as_str(),
         requests: requests,
         completed: report.requests_completed,
@@ -1225,7 +1218,57 @@ fn e14_overload(run: &mut Run) -> Vec<Section> {
         peak_chain_journal_records: report.peak.chain_journal_records,
         peak_policy_history: report.peak.policy_history,
         wall_ms: wall_ms,
+        wall_us_per_completed: 1_000.0 * wall_ms / report.requests_completed.max(1) as f64,
+    }
+}
+
+/// Whether a crowd twice as long as `base` held its state to the
+/// rate, not the length: every `peak_*` within 5 % of the base run's
+/// and wall time per completed request within 20 %. Contract storage
+/// is left out: every retired group keeps its tombstone.
+fn flat_under_doubling(base: &Members, doubled: &Members) -> bool {
+    let number = |row: &Members, column: &str| match report::get(row, column) {
+        Some(Value::U64(n)) => *n as f64,
+        Some(Value::F64(x)) => *x,
+        _ => f64::NAN,
     };
+    let within = |column: &str, factor: f64| {
+        let bounded = number(doubled, column) <= factor * number(base, column);
+        if !bounded {
+            eprintln!("e14_load.honest_doubled: {column} grew past {factor}x the base run's");
+        }
+        bounded
+    };
+    base.iter()
+        .map(|(column, _)| column.as_str())
+        .filter(|column| column.starts_with("peak_") && *column != "peak_contract_storage")
+        .all(|peak| within(peak, 1.05))
+        && within("wall_us_per_completed", 1.2)
+}
+
+/// E14 — overload robustness: a Zipf-skewed flash crowd over a
+/// 2000-tenant population, with every bounded-state mechanism armed.
+///
+/// Part 1 runs the 250k-request honest flash crowd: the admission cap
+/// must shed the overflow (never silently queue it), every admitted
+/// request must complete, not a single alert may fire, and every peak
+/// tracked-state gauge is recorded. The same crowd at twice the
+/// requests must hold those peaks and its wall time per completed
+/// request ([`flat_under_doubling`]): state is bounded by the rate,
+/// not the length of the run. Part 2 mounts attack campaigns *during*
+/// the flash crowd: every mounted attack must still be detected with
+/// zero false positives while shedding is active (shed requests carry
+/// no evidence, so overflow can never masquerade as an attack or hide
+/// one). Part 3 crashes a PDP mid-spike and requires byte-identity
+/// with the uninterrupted twin. Emits `BENCH_LOAD.json`.
+fn e14_overload(run: &mut Run) -> Vec<Section> {
+    // -- part 1: the honest flash crowd, then twice as many requests ------
+    let mut spec = scenarios::flash_crowd();
+    let honest = honest_crowd(run, "honest", &spec);
+    spec.config.total_requests *= 2;
+    let mut doubled = honest_crowd(run, "honest_doubled", &spec);
+    let flat_ok = flat_under_doubling(&honest, &doubled);
+    doubled.extend(members! { flat_ok: flat_ok });
 
     // -- part 2: attack campaigns inside the flash crowd -------------------
     let mut detection = Vec::new();
@@ -1266,7 +1309,8 @@ fn e14_overload(run: &mut Run) -> Vec<Section> {
     let load = section(
         "e14_load",
         members! {
-            honest: honest,
+            honest: Value::Obj(honest),
+            honest_doubled: Value::Obj(doubled),
             detection_under_overload: detection,
             crash_overload_twin: twin,
         },
@@ -1449,9 +1493,11 @@ mod tests {
 
     #[test]
     fn a_lost_admitted_request_is_a_failure() {
-        assert_eq!(lost_admitted(100_000, 25_000, 75_000), None);
-        let failure = lost_admitted(100_000, 25_000, 74_999).expect("one request went missing");
-        assert!(failure.contains("e14_load.honest") && failure.contains("74999"));
-        assert!(lost_admitted(100_000, 0, 99_999).is_some());
+        assert_eq!(lost_admitted("honest", 100_000, 25_000, 75_000), None);
+        let failure =
+            lost_admitted("honest", 100_000, 25_000, 74_999).expect("one request went missing");
+        assert!(failure.contains("e14_load.honest:") && failure.contains("74999"));
+        assert!(lost_admitted("honest_doubled", 100_000, 0, 99_999)
+            .is_some_and(|failure| failure.starts_with("e14_load.honest_doubled:")));
     }
 }

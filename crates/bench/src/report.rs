@@ -586,7 +586,7 @@ macro_rules! gates {
 /// Every gate `run_experiments` enforces on a run, one row each:
 /// section, row selector, column, rule.
 #[rustfmt::skip]
-pub const GATES: [Gate; 46] = gates! {
+pub const GATES: [Gate; 48] = gates! {
     // Per-entry storage cost at 16 KiB entries above that at 64 B.
     "e1_log_size"             ""                         "grows"                            Rule::True;
     // Hashes per block strictly rising with the difficulty bits; each
@@ -645,6 +645,10 @@ pub const GATES: [Gate; 46] = gates! {
     "e14_load"                "honest"                   "peak_contract_storage"            Rule::AtMostCommitted(2.0);
     "e14_load"                "honest"                   "peak_chain_journal_records"       Rule::AtMostCommitted(2.0);
     "e14_load"                "honest"                   "peak_policy_history"              Rule::AtMostCommitted(2.0);
+    // Twice the requests at the same rate: no more alerts, and state
+    // bounded by the rate, not by the length of the run.
+    "e14_load"                "honest_doubled"           "alerts"                           Rule::Zero;
+    "e14_load"                "honest_doubled"           "flat_ok"                          Rule::True;
     "e16_net"                 "conformance"              "matched"                          Rule::True;
 };
 

@@ -18,6 +18,7 @@ use crate::alert::{Alert, AlertKind};
 use crate::contract::{entry_key, GROUP_COMPLETE_EVENT, MONITOR_CONTRACT};
 use crate::logent::{LogEntryRef, ObservationPoint, ProbeId};
 use drams_analysis::verify::{DecisionVerifier, Verdict, Violation};
+use drams_chain::contract::Event;
 use drams_chain::node::Node;
 use drams_crypto::aead::SymmetricKey;
 use drams_crypto::codec::{Decode, Encode, Reader, Writer};
@@ -30,13 +31,22 @@ use drams_faas::pep::EnforcementBias;
 use drams_policy::compiled::PreparedPolicySet;
 use drams_policy::policy::PolicySet;
 use drams_store::{MemBackend, SnapshotStore, StoreError};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Most correlations retired per poll — bounds the `retire_groups`
-/// transaction payload regardless of how deep the retirement backlog
-/// gets during a flash crowd.
+/// Most correlations in one `retire_groups` transaction: bounds its
+/// payload, not the retirement rate — a poll retires every due group in
+/// as many transactions as that takes.
 const RETIRE_BATCH_MAX: usize = 512;
+
+/// The correlation a `group.complete` event announces; `None` for any
+/// other event, or one whose payload does not decode.
+fn completed_group(event: &Event) -> Option<CorrelationId> {
+    if event.name != GROUP_COMPLETE_EVENT {
+        return None;
+    }
+    Reader::new(&event.data).get_u64().ok().map(CorrelationId)
+}
 
 /// Writes an authorised policy version in the checkpoint's durable form:
 /// its version digest, then its canonical encoding — the bytes that
@@ -65,11 +75,13 @@ fn read_policy(r: &mut Reader<'_>) -> Result<Arc<PreparedPolicySet>, StoreError>
 
 /// Version byte of the checkpoint encoding, leading both of its records
 /// (layout: [`Analyser::checkpoint`]). [`Analyser::crash_restart`]
-/// refuses any other: version 6 also persisted the provisioned fork,
-/// retirement and retention settings, version 5 held policies as parser
-/// source text, which did not round-trip every target to the same
-/// digest, and earlier versions were one record.
-const CHECKPOINT_VERSION: u8 = 7;
+/// refuses any other: version 7 also persisted the retirement queue, one
+/// entry per unretired group, and a count of pruned policy versions;
+/// version 6 the provisioned fork, retirement and retention settings;
+/// version 5 held policies as parser source text, which did not
+/// round-trip every target to the same digest; earlier versions were
+/// one record.
+const CHECKPOINT_VERSION: u8 = 8;
 
 /// One probe's MAC key as the Analyser holds it: the raw bytes, which the
 /// checkpoint persists, and the context keyed from them once, which
@@ -147,16 +159,16 @@ pub struct Analyser {
     /// Windowed decision-group retirement (see
     /// [`Analyser::enable_group_retirement`]). `0` = off.
     retire_lag: SimTime,
-    /// Groups checked but not yet old enough to retire, oldest first
-    /// (check times are monotone, so this stays sorted by construction).
-    pending_retire: VecDeque<(SimTime, CorrelationId)>,
+    /// Position in the node's event log of the first judged
+    /// `group.complete` not yet retired; never past `event_cursor`. The
+    /// groups between the two cursors, with their block times, are the
+    /// retirement queue: it is read from the chain, not held here.
+    retire_cursor: usize,
     /// Correlations whose evidence retirement has been submitted on-chain.
     groups_retired: u64,
     /// Authorised-policy history retention (see
     /// [`Analyser::enable_history_retention`]). `0` = keep forever.
     history_retention: SimTime,
-    /// Superseded policy versions dropped by the retention horizon.
-    policy_history_retired: u64,
     /// Decrypted payloads land here, one at a time: a poll reuses one
     /// buffer for every payload it opens.
     plaintext: Vec<u8>,
@@ -221,17 +233,16 @@ impl Analyser {
             alerted_fork_parents: BTreeSet::new(),
             checkpoint_store: SnapshotStore::new(Box::new(MemBackend::new())),
             retire_lag: 0,
-            pending_retire: VecDeque::new(),
+            retire_cursor: 0,
             groups_retired: 0,
             history_retention: 0,
-            policy_history_retired: 0,
             plaintext: Vec::new(),
         }
     }
 
     /// Turns on authorised-policy history retention: after each poll,
-    /// versions retired more than `retention` before the oldest unretired
-    /// observation epoch (or `now` when nothing is pending) are dropped
+    /// versions retired more than `retention` before the block time of
+    /// the oldest unretired completion (or `now` when none is) are dropped
     /// from the verifier's history — the last unbounded structure under
     /// sustained policy churn.
     /// `retention` must cover the longest a legitimately in-flight
@@ -250,27 +261,24 @@ impl Analyser {
         self.verifier.authorised_version_count()
     }
 
-    /// Superseded policy versions dropped by the retention horizon.
-    #[must_use]
-    pub fn policy_history_retired(&self) -> u64 {
-        self.policy_history_retired
-    }
-
     /// Turns on windowed decision-group tracking: a group stays in
-    /// contract storage for `lag` after the Analyser finished checking
-    /// it (covering late duplicates and retransmissions still inside the
-    /// PEP retry budget), then its evidence is pruned on-chain via the
-    /// contract's `retire_groups`. Off by default — retirement submits
-    /// extra transactions, so deployments opt in when running under
-    /// sustained load.
+    /// contract storage for `lag` after the block that completed it
+    /// (covering late duplicates and retransmissions still inside the
+    /// PEP retry budget), then, once the Analyser has checked it, its
+    /// evidence is pruned on-chain via the contract's `retire_groups`.
+    /// Off by default — retirement submits extra transactions, so
+    /// deployments opt in when running under sustained load.
     pub fn enable_group_retirement(&mut self, lag: SimTime) {
         self.retire_lag = lag;
     }
 
-    /// Groups checked but still inside the retirement window.
+    /// Groups checked but not yet retired (0 while retirement is off).
     #[must_use]
     pub fn pending_retirements(&self) -> usize {
-        self.pending_retire.len()
+        if self.retire_lag == 0 {
+            return 0;
+        }
+        self.checked_groups.saturating_sub(self.groups_retired) as usize
     }
 
     /// Groups whose evidence retirement has been submitted on-chain.
@@ -362,17 +370,19 @@ impl Analyser {
     /// re-checking — and thus re-reporting — groups completed since it
     /// was written).
     ///
-    /// # Layout (version 7)
+    /// # Layout (version 8)
     ///
     /// The checkpoint is two records in the one [`SnapshotStore`]:
     ///
     /// * the **cursor record** — the store's snapshot — holds everything
     ///   a poll moves: event cursor, checked-group and audit counters,
     ///   the audited tip hash, probe MAC keys, the alerted fork parents,
-    ///   the retirement queue and counters, and the *generation number*
-    ///   of the history record it belongs with. The settings the
-    ///   Analyser was provisioned with are not in it. It is a few
-    ///   hundred bytes and is written by every call.
+    ///   the retire cursor and retired-group count, and the *generation
+    ///   number* of the history record it belongs with. Nothing in it is
+    ///   per group: the unretired groups are the chain's events between
+    ///   the two cursors. The settings the Analyser was provisioned with
+    ///   are not in it either. It is a few hundred bytes, whatever the
+    ///   retirement backlog, and is written by every call.
     /// * the **policy-history record** — a generation record — holds the
     ///   verifier's authorised-policy history
     ///   ([`DecisionVerifier::authorised_versions`]), one entry per
@@ -435,12 +445,10 @@ impl Analyser {
             }
             store.save_generation(generation, &w.into_bytes())?;
         }
-        // Fixed fields and three length prefixes, then 36 bytes per probe
-        // key, 32 per alerted fork parent, 16 per pending retirement.
+        // Fixed fields and two length prefixes, then 36 bytes per probe
+        // key and 32 per alerted fork parent.
         let mut w = Writer::with_capacity(
-            128 + 36 * self.probe_mac_keys.len()
-                + 32 * self.alerted_fork_parents.len()
-                + 16 * self.pending_retire.len(),
+            128 + 36 * self.probe_mac_keys.len() + 32 * self.alerted_fork_parents.len(),
         );
         w.put_u8(CHECKPOINT_VERSION);
         w.put_u64(self.event_cursor as u64);
@@ -458,12 +466,7 @@ impl Analyser {
             w.put_raw(parent);
         }
         w.put_u64(self.groups_retired);
-        w.put_varint(self.pending_retire.len() as u64);
-        for (checked_at, corr) in &self.pending_retire {
-            w.put_u64(*checked_at);
-            w.put_u64(corr.0);
-        }
-        w.put_u64(self.policy_history_retired);
+        w.put_u64(self.retire_cursor as u64);
         store.save(self.checked_groups, &w.into_bytes())?;
         if self.history_dirty {
             self.history_generation = generation;
@@ -497,9 +500,9 @@ impl Analyser {
     /// [`StoreError::Corrupt`] when either record fails its length or
     /// checksum check or the history record belongs to another
     /// generation; [`StoreError::Codec`] when a record does not decode —
-    /// including any checkpoint version other than 7 — or a
-    /// checkpointed policy does not compile to the version digest
-    /// recorded beside it.
+    /// including any checkpoint version other than 8 and a retire cursor
+    /// past the event cursor — or a checkpointed policy does not compile
+    /// to the version digest recorded beside it.
     pub fn crash_restart(&mut self) -> Result<(), StoreError> {
         let store = &mut self.checkpoint_store;
         let Some((_, bytes)) = store.load()? else {
@@ -534,15 +537,13 @@ impl Analyser {
             alerted_fork_parents.insert(r.get_array::<32>().map_err(codec)?);
         }
         let groups_retired = r.get_u64().map_err(codec)?;
-        let pending = r.get_varint().map_err(codec)?;
-        let mut pending_retire = VecDeque::new();
-        for _ in 0..pending {
-            let checked_at = r.get_u64().map_err(codec)?;
-            let corr = CorrelationId(r.get_u64().map_err(codec)?);
-            pending_retire.push_back((checked_at, corr));
-        }
-        let policy_history_retired = r.get_u64().map_err(codec)?;
+        let retire_cursor = r.get_u64().map_err(codec)? as usize;
         r.finish().map_err(codec)?;
+        if retire_cursor > event_cursor {
+            return Err(StoreError::Codec(format!(
+                "retire cursor {retire_cursor} is past event cursor {event_cursor}"
+            )));
+        }
 
         let history = store.load_generation(history_generation)?;
         let mut r = Reader::new(&history);
@@ -578,8 +579,7 @@ impl Analyser {
         analyser.history_dirty = false;
         analyser.alerted_fork_parents = alerted_fork_parents;
         analyser.groups_retired = groups_retired;
-        analyser.pending_retire = pending_retire;
-        analyser.policy_history_retired = policy_history_retired;
+        analyser.retire_cursor = retire_cursor;
         analyser.bias = self.bias;
         analyser.fork_detection = self.fork_detection;
         analyser.retire_lag = self.retire_lag;
@@ -606,26 +606,16 @@ impl Analyser {
         let completed: Vec<CorrelationId> = {
             let (events, cursor) = node.events_since(self.event_cursor);
             self.event_cursor = cursor;
-            events
-                .iter()
-                .filter(|e| e.name == GROUP_COMPLETE_EVENT)
-                .filter_map(|e| {
-                    let mut r = Reader::new(&e.data);
-                    r.get_u64().ok().map(CorrelationId)
-                })
-                .collect()
+            events.iter().filter_map(completed_group).collect()
         };
         let mut alerts = audit_alerts;
         // Judge in completion-event order: that is the order alerts are
-        // reported and groups queue for retirement.
+        // reported and groups retire.
         for corr in completed {
             if let Some(entries) = Self::load_group_entries(node, corr) {
                 alerts.extend(self.judge_group(corr, &entries, now));
             }
             self.checked_groups += 1;
-            if self.retire_lag > 0 {
-                self.pending_retire.push_back((now, corr));
-            }
         }
         for alert in &alerts {
             // Failures here would mean our own signing identity broke; the
@@ -637,56 +627,62 @@ impl Analyser {
                 alert.to_canonical_bytes(),
             );
         }
-        self.retire_due_groups(node, now);
-        self.prune_policy_history(now);
+        let unretired = self.retire_due_groups(node, now);
+        self.prune_policy_history(unretired.unwrap_or(now));
         alerts
     }
 
-    /// Drops policy versions retired before the retention horizon; see
-    /// [`Analyser::enable_history_retention`].
-    fn prune_policy_history(&mut self, now: SimTime) {
+    /// Drops policy versions retired more than the retention before
+    /// `reference`, the block time of the oldest unretired completion or
+    /// the poll instant; see [`Analyser::enable_history_retention`].
+    fn prune_policy_history(&mut self, reference: SimTime) {
         if self.history_retention == 0 {
             return;
         }
         // Any decision still able to reach a completed group was taken at
-        // or after the oldest unretired epoch minus the retention floor;
-        // versions retired before that can no longer be legitimately
-        // cited.
-        let reference = self.pending_retire.front().map_or(now, |&(t, _)| t);
+        // or after the oldest unretired completion minus the retention
+        // floor; versions retired before that can no longer be
+        // legitimately cited.
         let horizon = reference.saturating_sub(self.history_retention);
-        let removed = self.verifier.prune_history(horizon);
-        self.policy_history_retired += removed as u64;
-        self.history_dirty |= removed > 0;
+        self.history_dirty |= self.verifier.prune_history(horizon) > 0;
     }
 
-    /// Submits one `retire_groups` transaction for every checked group
-    /// whose retirement window elapsed (no-op when retirement is off or
-    /// nothing is due). The batch is size-capped; the remainder retires
-    /// on later polls.
-    fn retire_due_groups(&mut self, node: &mut Node, now: SimTime) {
+    /// Walks the judged events from the retire cursor, oldest first, and
+    /// retires every `group.complete` whose block is at least the lag
+    /// old, in as many `retire_groups` transactions of at most
+    /// [`RETIRE_BATCH_MAX`] correlations as that takes. It stops at the
+    /// first completion not yet due, so a poll leaves no due group for
+    /// later polls. Returns that completion's block time: `None` when
+    /// retirement is off or every judged group is retired.
+    fn retire_due_groups(&mut self, node: &mut Node, now: SimTime) -> Option<SimTime> {
         if self.retire_lag == 0 {
-            return;
+            return None;
         }
+        let (events, _) = node.events_since(self.retire_cursor);
         let mut due = Vec::new();
-        while due.len() < RETIRE_BATCH_MAX {
-            match self.pending_retire.front() {
-                Some((checked_at, _)) if checked_at.saturating_add(self.retire_lag) <= now => {
-                    let (_, corr) = self.pending_retire.pop_front().expect("front exists");
-                    due.push(corr);
+        let mut unretired = None;
+        for event in events.iter().take(self.event_cursor - self.retire_cursor) {
+            if let Some(corr) = completed_group(event) {
+                // `timestamp_ms` is the block's time: the scenario mines
+                // each block at its virtual instant.
+                if event.timestamp_ms.saturating_add(self.retire_lag) > now {
+                    unretired = Some(event.timestamp_ms);
+                    break;
                 }
-                _ => break,
+                due.push(corr);
             }
-        }
-        if due.is_empty() {
-            return;
+            self.retire_cursor += 1;
         }
         self.groups_retired += due.len() as u64;
-        let _ = node.submit_call(
-            &self.keypair,
-            MONITOR_CONTRACT,
-            "retire_groups",
-            crate::contract::MonitorContract::retire_groups_payload(&due),
-        );
+        for batch in due.chunks(RETIRE_BATCH_MAX) {
+            let _ = node.submit_call(
+                &self.keypair,
+                MONITOR_CONTRACT,
+                "retire_groups",
+                crate::contract::MonitorContract::retire_groups_payload(batch),
+            );
+        }
+        unretired
     }
 
     /// Batch-audits transaction signatures of main-chain blocks not yet
@@ -991,6 +987,39 @@ mod tests {
         policy_version: drams_crypto::sha256::Digest,
         decided_at: SimTime,
     ) {
+        let li = Keypair::from_seed(b"li");
+        let entries = observe_group(
+            rig,
+            corr,
+            role,
+            claimed,
+            granted,
+            policy_version,
+            decided_at,
+        );
+        for e in entries {
+            rig.node
+                .submit_call(
+                    &li,
+                    MONITOR_CONTRACT,
+                    "store_log_batch",
+                    crate::contract::encode_batch(&[e]),
+                )
+                .unwrap();
+        }
+        rig.node.mine_block(1_000).unwrap();
+    }
+
+    /// The four observations the probes make of one transaction.
+    fn observe_group(
+        rig: &mut Rig,
+        corr: u64,
+        role: &str,
+        claimed: Response,
+        granted: bool,
+        policy_version: drams_crypto::sha256::Digest,
+        decided_at: SimTime,
+    ) -> [crate::logent::LogEntry; 4] {
         let req_env = RequestEnvelope {
             correlation: CorrelationId(corr),
             tenant: TenantId(1),
@@ -1006,26 +1035,14 @@ mod tests {
             policy_version,
             decided_at,
         };
-        let li = Keypair::from_seed(b"li");
-        let entries = vec![
+        [
             rig.pep_probe
                 .observe_request(ObservationPoint::PepRequest, &req_env, 100),
             rig.pdp_probe
                 .observe_request(ObservationPoint::PdpRequest, &req_env, 150),
             rig.pdp_probe.observe_pdp_response(&resp_env, 200),
             rig.pep_probe.observe_pep_response(&resp_env, granted, 250),
-        ];
-        for e in entries {
-            rig.node
-                .submit_call(
-                    &li,
-                    MONITOR_CONTRACT,
-                    "store_log_batch",
-                    crate::contract::encode_batch(&[e]),
-                )
-                .unwrap();
-        }
-        rig.node.mine_block(1_000).unwrap();
+        ]
     }
 
     fn honest_response(role: &str) -> Response {
@@ -1407,6 +1424,51 @@ mod tests {
         assert_eq!(storage.scan_prefix(b"ent/").count(), 0);
     }
 
+    /// More completions per poll than one `retire_groups` transaction
+    /// holds, for four times the lag: once the lag has passed, every poll
+    /// retires what completed a lag earlier, so the unretired backlog and
+    /// the cursor record stop growing.
+    #[test]
+    fn retirement_keeps_up_with_more_than_one_batch_per_poll() {
+        const PER_POLL: u64 = RETIRE_BATCH_MAX as u64 + 88;
+        let mut r = rig();
+        let backend = FaultyBackend::default();
+        r.analyser.enable_group_retirement(2_000);
+        r.analyser.attach_checkpoint(backend.store()).unwrap();
+        let (resp, version) = (honest_response("doctor"), policy().version_digest());
+        let li = Keypair::from_seed(b"li");
+        let (mut pending, mut cursor_record) = (Vec::new(), Vec::new());
+        for poll in 1..=8 {
+            let mut entries = Vec::new();
+            for corr in (poll - 1) * PER_POLL + 1..=poll * PER_POLL {
+                let group = observe_group(&mut r, corr, "doctor", resp.clone(), true, version, 200);
+                entries.extend(group);
+            }
+            let batch = crate::contract::encode_batch(&entries);
+            r.node
+                .submit_call(&li, MONITOR_CONTRACT, "store_log_batch", batch)
+                .unwrap();
+            // Blocks are 1_000 apart and each poll comes 500 after its
+            // block: the groups two blocks back are due, the last two not.
+            r.node.mine_block(1_000 * poll).unwrap();
+            assert!(r.analyser.poll(&mut r.node, 1_000 * poll + 500).is_empty());
+            r.analyser.checkpoint().unwrap();
+            pending.push(r.analyser.pending_retirements());
+            cursor_record.push(backend.read(SNAPSHOT_FILE).unwrap().len());
+        }
+        // Polls 4 and 8.
+        assert_eq!(pending[7], pending[3], "unretired groups: {pending:?}");
+        assert_eq!(cursor_record[7], cursor_record[3], "{cursor_record:?}");
+        assert_eq!(pending[3], 2 * PER_POLL as usize);
+        assert_eq!(r.analyser.checked_groups(), 8 * PER_POLL);
+        assert_eq!(r.analyser.groups_retired(), 6 * PER_POLL);
+        // The last poll's retirements commit with the next block.
+        r.node.mine_block(9_000).unwrap();
+        let storage = r.node.host().storage_of(MONITOR_CONTRACT).unwrap();
+        let evidence = storage.scan_prefix(b"ent/").count();
+        assert_eq!(evidence, 4 * pending[7]);
+    }
+
     #[test]
     fn history_retention_prunes_churned_policy_versions() {
         let mut r = rig();
@@ -1422,15 +1484,12 @@ mod tests {
         // Horizon (now - 10s) still before both retirements: all kept.
         r.analyser.poll(&mut r.node, 5_000);
         assert_eq!(r.analyser.policy_history_len(), 3);
-        assert_eq!(r.analyser.policy_history_retired(), 0);
         // Past the first retirement (1_000) only.
         r.analyser.poll(&mut r.node, 11_500);
         assert_eq!(r.analyser.policy_history_len(), 2);
-        assert_eq!(r.analyser.policy_history_retired(), 1);
         // Far past everything: only the active version survives.
         r.analyser.poll(&mut r.node, 1_000_000);
         assert_eq!(r.analyser.policy_history_len(), 1);
-        assert_eq!(r.analyser.policy_history_retired(), 2);
         // Churn keeps working after pruning.
         r.analyser
             .publish_authorised_policy(crate::monitor::default_policy(), 2_000_000);
@@ -1444,15 +1503,14 @@ mod tests {
         r.analyser.enable_group_retirement(1_000_000);
         r.analyser
             .publish_authorised_policy(crate::monitor::default_policy(), 1_000);
-        // A group checked at t=2_000 stays pending (huge retire lag); it
-        // anchors the horizon, so the version retired at t=1_000 must
+        // A group completed at t=1_000 stays pending (huge retire lag);
+        // it anchors the horizon, so the version retired at t=1_000 must
         // survive far past its own retirement + retention.
         run_group(&mut r, 1, "doctor", honest_response("doctor"), true);
         r.analyser.poll(&mut r.node, 2_000);
         assert_eq!(r.analyser.pending_retirements(), 1);
         r.analyser.poll(&mut r.node, 500_000);
         assert_eq!(r.analyser.policy_history_len(), 2);
-        assert_eq!(r.analyser.policy_history_retired(), 0);
     }
 
     #[test]
@@ -1467,15 +1525,12 @@ mod tests {
         );
         r.analyser.poll(&mut r.node, 11_500); // prunes the initial version
         assert_eq!(r.analyser.policy_history_len(), 2);
-        let retired = r.analyser.policy_history_retired();
-        assert_eq!(retired, 1);
         r.analyser.checkpoint().unwrap();
         let version = r.analyser.verifier.authorised_version();
         r.analyser.crash_restart().unwrap();
         // The pruned baseline replays to the same live history: the
-        // dropped version is NOT resurrected, counters match.
+        // dropped version is NOT resurrected.
         assert_eq!(r.analyser.policy_history_len(), 2);
-        assert_eq!(r.analyser.policy_history_retired(), retired);
         assert_eq!(r.analyser.verifier.authorised_version(), version);
     }
 
@@ -1770,7 +1825,6 @@ mod tests {
                     .collect::<Vec<_>>(),
                 r.analyser.checked_groups(),
                 r.analyser.policy_history_len(),
-                r.analyser.policy_history_retired(),
                 r.analyser.verifier.authorised_version(),
             ));
             let kinds: Vec<&AlertKind> = alerts.iter().map(|a| &a.kind).collect();
@@ -1916,6 +1970,18 @@ mod tests {
                 "history[..{cut}]: {err:?}"
             );
         }
+
+        // A retire cursor past the event cursor: the last field.
+        let damaged = pristine.copy();
+        let mut ahead = cursor.clone();
+        let end = ahead.len();
+        ahead[end - 8..].fill(0xFF);
+        damaged.store().save(seq, &ahead).unwrap();
+        let err = recover_from(&damaged).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Codec(m) if m.contains("retire cursor")),
+            "{err:?}"
+        );
 
         // A checkpoint of the single-record format this one replaced.
         let damaged = pristine.copy();
@@ -2180,9 +2246,9 @@ mod tests {
                     }
                     // A poll prunes when retention is on.
                     4 | 5 => {
-                        let retired = r.analyser.policy_history_retired();
+                        let held = r.analyser.policy_history_len();
                         assert!(r.analyser.poll(&mut r.node, now).is_empty());
-                        pruned |= r.analyser.policy_history_retired() > retired;
+                        pruned |= r.analyser.policy_history_len() < held;
                     }
                     6 | 7 => {
                         r.analyser.checkpoint().unwrap();
