@@ -1224,8 +1224,7 @@ fn honest_crowd(run: &mut Run, member: &str, spec: &ScenarioSpec) -> Members {
 
 /// Whether a crowd twice as long as `base` held its state to the
 /// rate, not the length: every `peak_*` within 5 % of the base run's
-/// and wall time per completed request within 20 %. Contract storage
-/// is left out: every retired group keeps its tombstone.
+/// and wall time per completed request within 20 %.
 fn flat_under_doubling(base: &Members, doubled: &Members) -> bool {
     let number = |row: &Members, column: &str| match report::get(row, column) {
         Some(Value::U64(n)) => *n as f64,
@@ -1241,7 +1240,7 @@ fn flat_under_doubling(base: &Members, doubled: &Members) -> bool {
     };
     base.iter()
         .map(|(column, _)| column.as_str())
-        .filter(|column| column.starts_with("peak_") && *column != "peak_contract_storage")
+        .filter(|column| column.starts_with("peak_"))
         .all(|peak| within(peak, 1.05))
         && within("wall_us_per_completed", 1.2)
 }

@@ -244,25 +244,11 @@ pub trait SmartContract: Send + Sync {
     ) -> Result<(), String>;
 }
 
-/// Receipt describing how a transaction executed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum TxStatus {
-    /// Executed successfully.
-    Ok,
-    /// Contract rejected it (storage rolled back).
-    Failed(String),
-    /// Skipped: sender nonce did not match the account state.
-    BadNonce,
-    /// Skipped: no such contract.
-    NoContract,
-}
-
 /// Executes main-chain blocks against registered contracts.
 pub struct ContractHost {
     contracts: BTreeMap<String, Box<dyn SmartContract>>,
     storage: BTreeMap<String, Storage>,
     events: Vec<Event>,
-    receipts: BTreeMap<TxId, (u64, TxStatus)>,
     account_nonces: BTreeMap<Digest, u64>,
     executed: Vec<BlockHash>,
 }
@@ -291,7 +277,6 @@ impl ContractHost {
             contracts: BTreeMap::new(),
             storage: BTreeMap::new(),
             events: Vec::new(),
-            receipts: BTreeMap::new(),
             account_nonces: BTreeMap::new(),
             executed: Vec::new(),
         }
@@ -327,12 +312,6 @@ impl ContractHost {
     pub fn events_since(&self, cursor: usize) -> (&[Event], usize) {
         let slice = &self.events[cursor.min(self.events.len())..];
         (slice, self.events.len())
-    }
-
-    /// The receipt for a transaction, with the block height it executed in.
-    #[must_use]
-    pub fn receipt(&self, tx: &TxId) -> Option<&(u64, TxStatus)> {
-        self.receipts.get(tx)
     }
 
     /// Number of main-chain blocks executed.
@@ -386,27 +365,27 @@ impl ContractHost {
             *storage = Storage::default();
         }
         self.events.clear();
-        self.receipts.clear();
         self.account_nonces.clear();
         self.executed.clear();
     }
 
     fn execute_block(&mut self, block: &Block) {
         for tx in &block.transactions {
-            let tx_id = tx.id();
-            let status = self.execute_tx(block, tx);
-            self.receipts.insert(tx_id, (block.header.height, status));
+            self.execute_tx(block, tx);
         }
     }
 
-    fn execute_tx(&mut self, block: &Block, tx: &crate::tx::Transaction) -> TxStatus {
+    /// Runs one transaction. One whose nonce is not its sender's next, or
+    /// that names no registered contract, is skipped: no state changes
+    /// and no event. A failed call leaves a `tx.failed` event.
+    fn execute_tx(&mut self, block: &Block, tx: &crate::tx::Transaction) {
         let sender_addr = tx.sender.fingerprint();
         let expected_nonce = *self.account_nonces.get(&sender_addr).unwrap_or(&0);
         if tx.nonce != expected_nonce {
-            return TxStatus::BadNonce;
+            return;
         }
         let Some(contract) = self.contracts.get(&tx.contract) else {
-            return TxStatus::NoContract;
+            return;
         };
         let storage = self
             .storage
@@ -428,7 +407,6 @@ impl ContractHost {
             Ok(()) => {
                 self.account_nonces.insert(sender_addr, expected_nonce + 1);
                 self.events.extend(scratch_events);
-                TxStatus::Ok
             }
             Err(msg) => {
                 storage.rollback();
@@ -438,12 +416,11 @@ impl ContractHost {
                 self.events.push(Event {
                     contract: tx.contract.clone(),
                     name: "tx.failed".into(),
-                    data: msg.clone().into_bytes(),
+                    data: msg.into_bytes(),
                     block_height: block.header.height,
                     timestamp_ms: block.header.timestamp_ms,
                     tx_id: tx.id(),
                 });
-                TxStatus::Failed(msg)
             }
         }
     }
@@ -517,7 +494,7 @@ mod tests {
         host.sync_with(&chain);
         assert_eq!(host.events().len(), 1);
         assert_eq!(host.events()[0].name, "stored");
-        assert_eq!(host.receipt(&id).unwrap().1, TxStatus::Ok);
+        assert_eq!(host.events()[0].tx_id, id);
         assert_eq!(host.storage_of("kvstore").unwrap().len(), 1);
         assert_eq!(host.account_nonce(&kp.public()), 1);
     }
@@ -529,31 +506,34 @@ mod tests {
         let id = tx.id();
         mine_with(&mut chain, vec![tx], 1000);
         host.sync_with(&chain);
-        assert!(matches!(host.receipt(&id).unwrap().1, TxStatus::Failed(_)));
         assert!(host.storage_of("kvstore").unwrap().is_empty());
         assert_eq!(host.account_nonce(&kp.public()), 1);
+        assert_eq!(host.events().len(), 1);
         assert_eq!(host.events()[0].name, "tx.failed");
+        assert_eq!(host.events()[0].tx_id, id);
+        assert_eq!(host.events()[0].data, b"requested failure");
     }
 
     #[test]
     fn bad_nonce_is_skipped() {
         let (mut chain, mut host, kp) = setup();
         let tx = Transaction::new_signed(&kp, 5, "kvstore", "put", vec![]);
-        let id = tx.id();
         mine_with(&mut chain, vec![tx], 1000);
         host.sync_with(&chain);
-        assert_eq!(host.receipt(&id).unwrap().1, TxStatus::BadNonce);
         assert_eq!(host.account_nonce(&kp.public()), 0);
+        assert!(host.events().is_empty());
+        assert!(host.storage_of("kvstore").unwrap().is_empty());
     }
 
     #[test]
     fn unknown_contract_is_skipped() {
         let (mut chain, mut host, kp) = setup();
         let tx = Transaction::new_signed(&kp, 0, "ghost", "put", vec![]);
-        let id = tx.id();
         mine_with(&mut chain, vec![tx], 1000);
         host.sync_with(&chain);
-        assert_eq!(host.receipt(&id).unwrap().1, TxStatus::NoContract);
+        assert_eq!(host.account_nonce(&kp.public()), 0);
+        assert!(host.events().is_empty());
+        assert!(host.storage_of("ghost").is_none());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::block::{Block, BlockHeader};
 use crate::chain::{Blockchain, ChainConfig, ImportOutcome};
-use crate::contract::{ContractHost, Event, SmartContract, TxStatus};
+use crate::contract::{ContractHost, Event, SmartContract};
 use crate::error::ChainError;
 use crate::mempool::Mempool;
 use crate::tx::{Transaction, TxId};
@@ -306,12 +306,6 @@ impl Node {
     pub fn events_since(&self, cursor: usize) -> (&[Event], usize) {
         self.host.events_since(cursor)
     }
-
-    /// Execution receipt for a transaction.
-    #[must_use]
-    pub fn receipt(&self, tx: &TxId) -> Option<&(u64, TxStatus)> {
-        self.host.receipt(tx)
-    }
 }
 
 #[cfg(test)]
@@ -340,8 +334,8 @@ mod tests {
         let block = n.mine_block(1_000).unwrap();
         assert_eq!(block.transactions.len(), 1);
         assert_eq!(n.mempool_len(), 0);
-        assert_eq!(n.receipt(&id).unwrap().1, TxStatus::Ok);
         assert_eq!(n.events().len(), 1);
+        assert_eq!(n.events()[0].tx_id, id);
     }
 
     #[test]

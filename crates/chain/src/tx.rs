@@ -8,12 +8,12 @@
 //! canonical encoding (~1.7 KB for a log batch) and is asked for at every
 //! stage of a transaction's life — mempool admission and removal, the
 //! block's Merkle root when mining and again when validating an import,
-//! contract execution, receipts — so the transaction computes it on first
-//! use and keeps it. Immutability is what makes the kept id safe: the
-//! fields are read through `Deref` to a [`TxBody`], there is no `DerefMut`,
-//! and changing one means taking the body out with
-//! [`Transaction::into_body`] and building a new transaction, with an
-//! empty id cache, through [`Transaction::from_body`].
+//! contract execution and every event it emits — so the transaction
+//! computes it on first use and keeps it. Immutability is what makes the
+//! kept id safe: the fields are read through `Deref` to a [`TxBody`],
+//! there is no `DerefMut`, and changing one means taking the body out
+//! with [`Transaction::into_body`] and building a new transaction, with
+//! an empty id cache, through [`Transaction::from_body`].
 
 use crate::error::ChainError;
 use drams_crypto::codec::{Decode, Encode, Reader, Writer};

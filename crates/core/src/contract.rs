@@ -14,7 +14,9 @@
 //!    PEP numbers its requests densely, so an entry numbered past its
 //!    PEP's mark opens an empty group for every number it skipped (the
 //!    gap rule): a request whose every observation was suppressed times
-//!    out like any other.
+//!    out like any other. Every number below its PEP's mark therefore
+//!    has a `grp/` record until `retire_groups` deletes it, so a number
+//!    below the mark with no record is retired.
 //! 3. **Conflict detection** — re-submission of an observation with
 //!    different content raises `ConflictingObservation`.
 //! 4. **Violation registry** — the (authorised) Analyser records its
@@ -61,23 +63,15 @@ const MAX_GAP: u64 = 1_024;
 struct GroupState {
     first_seen: u64,
     mask: u8,
-    flags: u8,
+    closed: bool,
 }
-
-const FLAG_CLOSED: u8 = 1;
-/// The group's four log entries were pruned by `retire_groups` after the
-/// Analyser finished with them. The group record itself stays behind as
-/// a tombstone so late duplicates of retired evidence are ignored
-/// instead of reopening the group (which would raise false MissingLog
-/// alerts at the next epoch sweep).
-const FLAG_RETIRED: u8 = 8;
 
 impl GroupState {
     fn encode(self) -> Vec<u8> {
         let mut w = Writer::with_capacity(10);
         w.put_u64(self.first_seen);
         w.put_u8(self.mask);
-        w.put_u8(self.flags);
+        w.put_bool(self.closed);
         w.into_bytes()
     }
 
@@ -86,7 +80,7 @@ impl GroupState {
         let state = GroupState {
             first_seen: r.get_u64().map_err(|e| e.to_string())?,
             mask: r.get_u8().map_err(|e| e.to_string())?,
-            flags: r.get_u8().map_err(|e| e.to_string())?,
+            closed: r.get_bool().map_err(|e| e.to_string())?,
         };
         r.finish().map_err(|e| e.to_string())?;
         Ok(state)
@@ -197,15 +191,25 @@ impl MonitorContract {
         bytes: &[u8],
     ) -> Result<(), String> {
         let now = ctx.timestamp_ms;
-        // A retired group already went through every check and had its
-        // evidence pruned; late duplicates are idempotent no-ops.
+        let (pep, n) = entry.correlation.pep_number();
+        let mark = match ctx.storage.get(&mark_key(pep)) {
+            Some(bytes) => u64::from_be_bytes(
+                bytes
+                    .as_slice()
+                    .try_into()
+                    .map_err(|_| format!("mark of pep {} is not 8 bytes", pep.0))?,
+            ),
+            None => 0,
+        };
         let gkey = group_key(entry.correlation);
         let stored_group = ctx
             .storage
             .get(&gkey)
             .map(|b| GroupState::decode(b))
             .transpose()?;
-        if stored_group.is_some_and(|g| g.flags & FLAG_RETIRED != 0) {
+        // Below the mark, no record means retired: the group went through
+        // every check and was pruned, so a late duplicate is a no-op.
+        if stored_group.is_none() && n < mark {
             return Ok(());
         }
         let ekey = entry_key(entry.correlation, entry.point);
@@ -230,7 +234,7 @@ impl MonitorContract {
             return Ok(());
         }
         ctx.storage.insert(&ekey, bytes.to_vec());
-        Self::advance_mark(ctx, entry.correlation)?;
+        Self::advance_mark(ctx, entry.correlation, mark)?;
 
         let mut group = stored_group.unwrap_or_else(|| Self::open_group(ctx, entry.correlation));
         group.mask |= entry.point.bit();
@@ -281,8 +285,8 @@ impl MonitorContract {
         }
 
         // Check 3: completeness.
-        if group.is_complete() && group.flags & FLAG_CLOSED == 0 {
-            group.flags |= FLAG_CLOSED;
+        if group.is_complete() && !group.closed {
+            group.closed = true;
             ctx.storage.remove(&open_key(entry.correlation));
             ctx.emit(
                 GROUP_COMPLETE_EVENT,
@@ -300,7 +304,7 @@ impl MonitorContract {
         GroupState {
             first_seen: ctx.timestamp_ms,
             mask: 0,
-            flags: 0,
+            closed: false,
         }
     }
 
@@ -311,22 +315,14 @@ impl MonitorContract {
     /// sweep turns into `MissingLog` for all four points unless its
     /// entries arrive late and fill it. A jump of more than [`MAX_GAP`]
     /// numbers raises one `MonitorCompromise` instead and leaves the
-    /// mark where it was.
+    /// mark where it was. `mark` is the stored mark, which the caller
+    /// has read.
     fn advance_mark(
         ctx: &mut ExecutionContext<'_>,
         correlation: CorrelationId,
+        mark: u64,
     ) -> Result<(), String> {
         let (pep, n) = correlation.pep_number();
-        let key = mark_key(pep);
-        let mark = match ctx.storage.get(&key) {
-            Some(bytes) => u64::from_be_bytes(
-                bytes
-                    .as_slice()
-                    .try_into()
-                    .map_err(|_| format!("mark of pep {} is not 8 bytes", pep.0))?,
-            ),
-            None => 0,
-        };
         if n < mark {
             return Ok(());
         }
@@ -344,7 +340,8 @@ impl MonitorContract {
                 ctx.storage.insert(&gkey, group.encode());
             }
         }
-        ctx.storage.insert(&key, (n + 1).to_be_bytes().to_vec());
+        ctx.storage
+            .insert(&mark_key(pep), (n + 1).to_be_bytes().to_vec());
         Ok(())
     }
 
@@ -402,7 +399,7 @@ impl MonitorContract {
                     );
                 }
             }
-            group.flags |= FLAG_CLOSED;
+            group.closed = true;
             ctx.storage.remove(&open_key(corr));
             ctx.storage.insert(&gkey, group.encode());
         }
@@ -420,12 +417,12 @@ impl MonitorContract {
         w.into_bytes()
     }
 
-    /// Prunes the bulk evidence (`ent/` entries) of closed groups the
-    /// Analyser has finished verifying, leaving a tombstoned group record
-    /// behind. Analyser-gated: only the party that consumes the evidence
-    /// may declare it consumed. Groups that are missing, still open or
-    /// already retired are skipped — retirement must be idempotent under
-    /// reorg re-execution.
+    /// Deletes the closed groups the Analyser has finished verifying:
+    /// their `grp/` record and their `ent/` entries. Analyser-gated: only
+    /// the party that consumes the evidence may declare it consumed.
+    /// Groups that are missing (already retired among them) or still
+    /// open are skipped — retirement must be idempotent under reorg
+    /// re-execution.
     fn handle_retire_groups(ctx: &mut ExecutionContext<'_>, payload: &[u8]) -> Result<(), String> {
         let authorised = ctx
             .storage
@@ -443,15 +440,13 @@ impl MonitorContract {
             let Some(bytes) = ctx.storage.get(&gkey) else {
                 continue;
             };
-            let mut group = GroupState::decode(bytes)?;
-            if group.flags & FLAG_CLOSED == 0 || group.flags & FLAG_RETIRED != 0 {
+            if !GroupState::decode(bytes)?.closed {
                 continue;
             }
             for point in ObservationPoint::ALL {
                 ctx.storage.remove(&entry_key(corr, point));
             }
-            group.flags |= FLAG_RETIRED;
-            ctx.storage.insert(&gkey, group.encode());
+            ctx.storage.remove(&gkey);
         }
         r.finish().map_err(|e| e.to_string())?;
         Ok(())
@@ -546,6 +541,7 @@ mod tests {
     use crate::logent::ProbeId;
     use drams_chain::chain::ChainConfig;
     use drams_chain::node::Node;
+    use drams_chain::tx::TxId;
     use drams_crypto::aead::{seal, SymmetricKey};
     use drams_crypto::schnorr::Keypair;
 
@@ -590,6 +586,13 @@ mod tests {
             encode_batch(std::slice::from_ref(e)),
         )
         .unwrap();
+    }
+
+    /// Whether transaction `id` executed and failed: its `tx.failed` event.
+    fn failed(node: &Node, id: &TxId) -> bool {
+        node.events()
+            .iter()
+            .any(|ev| ev.name == "tx.failed" && ev.tx_id == *id)
     }
 
     fn alert_events(node: &Node) -> Vec<Alert> {
@@ -826,10 +829,7 @@ mod tests {
             )
             .unwrap();
         node.mine_block(1_000).unwrap();
-        assert!(matches!(
-            node.receipt(&id).unwrap().1,
-            drams_chain::contract::TxStatus::Failed(_)
-        ));
+        assert!(failed(&node, &id));
         assert!(alert_events(&node).is_empty());
         // The analyser succeeds.
         node.submit_call(
@@ -865,10 +865,7 @@ mod tests {
             )
             .unwrap();
         node.mine_block(2_000).unwrap();
-        assert!(matches!(
-            node.receipt(&id).unwrap().1,
-            drams_chain::contract::TxStatus::Failed(_)
-        ));
+        assert!(failed(&node, &id));
         // The admin widens the timeout; the sweep at 50_000 (far past the
         // base deadline 100 + 10_000) must now stay silent.
         node.submit_call(
@@ -911,15 +908,12 @@ mod tests {
                 .submit_call(&li, MONITOR_CONTRACT, "set_timeout", payload)
                 .unwrap();
             node.mine_block(1_000).unwrap();
-            assert!(matches!(
-                node.receipt(&id).unwrap().1,
-                drams_chain::contract::TxStatus::Failed(_)
-            ));
+            assert!(failed(&node, &id));
         }
     }
 
     #[test]
-    fn retire_groups_prunes_closed_evidence_and_tombstones_the_group() {
+    fn retire_groups_deletes_closed_groups_and_ignores_late_duplicates() {
         let (mut node, li, analyser) = test_node();
         for point in ObservationPoint::ALL {
             let d: &[u8] = if point.code() < 2 { b"req" } else { b"resp" };
@@ -944,10 +938,7 @@ mod tests {
             )
             .unwrap();
         node.mine_block(2_000).unwrap();
-        assert!(matches!(
-            node.receipt(&id).unwrap().1,
-            drams_chain::contract::TxStatus::Failed(_)
-        ));
+        assert!(failed(&node, &id));
 
         node.submit_call(
             &analyser,
@@ -959,10 +950,11 @@ mod tests {
         node.mine_block(3_000).unwrap();
         let storage = node.host().storage_of(MONITOR_CONTRACT).unwrap();
         assert_eq!(storage.scan_prefix(b"ent/").count(), 0, "evidence pruned");
-        assert_eq!(storage.scan_prefix(b"grp/").count(), 1, "tombstone stays");
+        assert_eq!(storage.scan_prefix(b"grp/").count(), 0, "record deleted");
 
-        // A late duplicate of retired evidence is ignored: no reopened
-        // group, no MissingLog at the next sweep.
+        // A late duplicate of retired evidence (below the mark, no
+        // record) is ignored: no reopened group, no MissingLog at the
+        // next sweep.
         submit_entry(
             &mut node,
             &li,
@@ -974,6 +966,7 @@ mod tests {
         assert!(alert_events(&node).is_empty());
         let storage = node.host().storage_of(MONITOR_CONTRACT).unwrap();
         assert_eq!(storage.scan_prefix(b"ent/").count(), 0);
+        assert_eq!(storage.scan_prefix(b"grp/").count(), 0);
         assert_eq!(storage.scan_prefix(b"open/").count(), 0);
     }
 
@@ -1027,6 +1020,92 @@ mod tests {
         node.submit_call(li, MONITOR_CONTRACT, "advance_epoch", vec![])
             .unwrap();
         node.mine_block(at).unwrap();
+    }
+
+    fn retire(node: &mut Node, analyser: &Keypair, numbers: &[u64], at: u64) {
+        let correlations: Vec<CorrelationId> = numbers
+            .iter()
+            .map(|n| CorrelationId(numbered(*n)))
+            .collect();
+        let payload = MonitorContract::retire_groups_payload(&correlations);
+        node.submit_call(analyser, MONITOR_CONTRACT, "retire_groups", payload)
+            .unwrap();
+        node.mine_block(at).unwrap();
+    }
+
+    /// Retired groups leave no key behind: the contract's storage after
+    /// retiring every group of a run does not depend on how many there
+    /// were.
+    #[test]
+    fn retired_storage_does_not_grow_with_the_run() {
+        let keys_after = |groups: u64| {
+            let (mut node, li, analyser) = test_node();
+            for n in 0..groups {
+                submit_group(&mut node, &li, numbered(n), 1_000 + n);
+            }
+            let numbers: Vec<u64> = (0..groups).collect();
+            retire(&mut node, &analyser, &numbers, 2_000);
+            advance_epoch(&mut node, &li, 60_000);
+            assert!(alert_events(&node).is_empty());
+            node.host().storage_of(MONITOR_CONTRACT).unwrap().len()
+        };
+        assert_eq!(keys_after(8), keys_after(16));
+    }
+
+    /// A complete group forged more than `MAX_GAP` past the mark, then
+    /// retired, leaves nothing that hides its number: when the honest
+    /// PEP reaches that number, its group is stored, judged and closed.
+    #[test]
+    fn a_retired_forged_jump_does_not_swallow_the_honest_group() {
+        use ObservationPoint::PepResponse;
+        let (mut node, li, analyser) = test_node();
+        submit_group(&mut node, &li, numbered(0), 1_000);
+        let forged = 1 + MAX_GAP + 1;
+        submit_group(&mut node, &li, numbered(forged), 2_000);
+        retire(&mut node, &analyser, &[forged], 3_000);
+        let compromise = |node: &Node| {
+            alert_events(node)
+                .into_iter()
+                .partition::<Vec<Alert>, _>(|a| a.kind == AlertKind::MonitorCompromise)
+        };
+        assert_eq!(compromise(&node).0.len(), 4, "one per forged entry");
+
+        // The honest PEP reaches the forged number; the response of that
+        // last request is rewritten on its way to the PEP.
+        let honest: Vec<LogEntry> = (1..=forged)
+            .flat_map(|n| {
+                ObservationPoint::ALL.map(|point| {
+                    let d: &[u8] = match point {
+                        PepResponse if n == forged => b"resp, rewritten",
+                        _ if point.code() < 2 => b"req",
+                        _ => b"resp",
+                    };
+                    entry(numbered(n), point, d, 4_000)
+                })
+            })
+            .collect();
+        for batch in honest.chunks(256) {
+            let payload = encode_batch(batch);
+            node.submit_call(&li, MONITOR_CONTRACT, "store_log_batch", payload)
+                .unwrap();
+        }
+        node.mine_block(4_000).unwrap();
+        advance_epoch(&mut node, &li, 60_000);
+
+        let (compromises, judged) = compromise(&node);
+        assert_eq!(compromises.len(), 4, "the honest numbers raise none");
+        let judged: Vec<(AlertKind, CorrelationId)> = judged
+            .into_iter()
+            .map(|a| (a.kind, a.correlation))
+            .collect();
+        let forged_corr = CorrelationId(numbered(forged));
+        assert_eq!(judged, [(AlertKind::ResponseTampering, forged_corr)]);
+        let completions = node
+            .events()
+            .iter()
+            .filter(|ev| ev.name == GROUP_COMPLETE_EVENT && ev.data == forged_corr.0.to_be_bytes())
+            .count();
+        assert_eq!(completions, 2, "the forged group, then the honest one");
     }
 
     #[test]
@@ -1132,9 +1211,6 @@ mod tests {
             )
             .unwrap();
         node.mine_block(1_000).unwrap();
-        assert!(matches!(
-            node.receipt(&id).unwrap().1,
-            drams_chain::contract::TxStatus::Failed(_)
-        ));
+        assert!(failed(&node, &id));
     }
 }

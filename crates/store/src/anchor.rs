@@ -289,9 +289,9 @@ mod tests {
             .submit_call(&kp, ANCHOR_CONTRACT, "anchor", payload)
             .unwrap();
         node.mine_block(2).unwrap();
-        assert!(matches!(
-            node.receipt(&id).unwrap().1,
-            drams_chain::contract::TxStatus::Failed(_)
-        ));
+        assert!(node
+            .events()
+            .iter()
+            .any(|ev| ev.name == "tx.failed" && ev.tx_id == id));
     }
 }
