@@ -10,7 +10,7 @@
 //! encoding exact.
 //!
 //! The analysable fragment excludes arithmetic over attributes, string
-//! ordering and substring predicates; [`compile_bool`] reports these as
+//! ordering and substring predicates; `compile_bool` reports these as
 //! [`AnalysisError::Unsupported`] rather than approximating.
 
 use drams_policy::attr::{AttributeId, AttributeValue};
@@ -76,7 +76,7 @@ pub enum CmpOp {
 impl CmpOp {
     /// The constraint obtained by negating this one.
     #[must_use]
-    pub fn negate(self) -> NegatedOp {
+    pub(crate) fn negate(self) -> NegatedOp {
         match self {
             CmpOp::Eq => NegatedOp::Ne,
             CmpOp::Lt => NegatedOp::Cmp(CmpOp::Ge),
@@ -88,7 +88,7 @@ impl CmpOp {
 
     /// Mirror for swapped operands: `lit op attr` ⇒ `attr mirror(op) lit`.
     #[must_use]
-    pub fn mirror(self) -> CmpOp {
+    fn mirror(self) -> CmpOp {
         match self {
             CmpOp::Eq => CmpOp::Eq,
             CmpOp::Lt => CmpOp::Gt,
@@ -101,7 +101,7 @@ impl CmpOp {
 
 /// Negation of a [`CmpOp`]: either another comparison or a disequality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NegatedOp {
+pub(crate) enum NegatedOp {
     /// `attr != value`
     Ne,
     /// An ordinary comparison.
@@ -218,7 +218,7 @@ impl Formula {
 
     /// Collects all distinct atoms (by key) in deterministic order.
     #[must_use]
-    pub fn atoms(&self) -> Vec<Atom> {
+    pub(crate) fn atoms(&self) -> Vec<Atom> {
         let mut map: BTreeMap<(AttributeId, CmpOp, String), Atom> = BTreeMap::new();
         self.collect_atoms(&mut map);
         map.into_values().collect()
@@ -290,7 +290,7 @@ impl fmt::Display for Formula {
 /// type-inference time, see [`crate::types::TypeEnv`]), `starts-with`,
 /// `contains`, `size`, and comparisons between two attributes or two
 /// literals.
-pub fn compile_bool(expr: &Expr) -> Result<Formula, AnalysisError> {
+fn compile_bool(expr: &Expr) -> Result<Formula, AnalysisError> {
     match expr {
         Expr::Lit(AttributeValue::Bool(b)) => Ok(if *b { Formula::True } else { Formula::False }),
         Expr::Lit(other) => Err(AnalysisError::Unsupported(format!(
@@ -395,7 +395,7 @@ fn compile_apply(func: Func, args: &[Expr]) -> Result<Formula, AnalysisError> {
 /// # Errors
 ///
 /// Propagates [`AnalysisError::Unsupported`] from the match expressions.
-pub fn compile_target(target: &Target) -> Result<Formula, AnalysisError> {
+pub(crate) fn compile_target(target: &Target) -> Result<Formula, AnalysisError> {
     match target {
         Target::Any => Ok(Formula::True),
         Target::Clauses(clauses) => {
@@ -433,7 +433,7 @@ impl SymbolicDecision {
     /// Requests yielding NotApplicable (or the `only-one-applicable`
     /// error outcome): neither Permit nor Deny.
     #[must_use]
-    pub fn gap(&self) -> Formula {
+    pub(crate) fn gap(&self) -> Formula {
         Formula::and(vec![
             Formula::not(self.permit.clone()),
             Formula::not(self.deny.clone()),
@@ -446,7 +446,7 @@ impl SymbolicDecision {
 /// # Errors
 ///
 /// Propagates [`AnalysisError`] from target/condition compilation.
-pub fn compile_rule(rule: &Rule) -> Result<SymbolicDecision, AnalysisError> {
+pub(crate) fn compile_rule(rule: &Rule) -> Result<SymbolicDecision, AnalysisError> {
     let target = compile_target(&rule.target)?;
     let condition = match &rule.condition {
         None => Formula::True,
@@ -467,7 +467,7 @@ pub fn compile_rule(rule: &Rule) -> Result<SymbolicDecision, AnalysisError> {
 /// Combines child symbolic decisions under `alg` (complete-request
 /// semantics — see module docs).
 #[must_use]
-pub fn combine_symbolic(alg: CombiningAlg, children: &[SymbolicDecision]) -> SymbolicDecision {
+fn combine_symbolic(alg: CombiningAlg, children: &[SymbolicDecision]) -> SymbolicDecision {
     let any_permit = Formula::or(children.iter().map(|c| c.permit.clone()).collect());
     let any_deny = Formula::or(children.iter().map(|c| c.deny.clone()).collect());
     let applicable = Formula::or(
@@ -542,7 +542,7 @@ pub fn combine_symbolic(alg: CombiningAlg, children: &[SymbolicDecision]) -> Sym
 /// # Errors
 ///
 /// Propagates [`AnalysisError`].
-pub fn compile_policy(policy: &Policy) -> Result<SymbolicDecision, AnalysisError> {
+fn compile_policy(policy: &Policy) -> Result<SymbolicDecision, AnalysisError> {
     let target = compile_target(&policy.target)?;
     let children = policy
         .rules

@@ -46,10 +46,10 @@ pub mod solver;
 pub mod types;
 pub mod verify;
 
-pub use constraint::{AnalysisError, Atom, CmpOp, Formula, SymbolicDecision};
+pub use constraint::Formula;
 pub use properties::{
     can_deny, can_permit, change_impact, completeness, conflicts, dead_rules, equivalent,
-    ChangeImpact, Completeness, Conflict, Equivalence,
+    Completeness, Conflict, Equivalence,
 };
-pub use solver::{satisfiable, solve, Model};
+pub use solver::satisfiable;
 pub use verify::{DecisionVerifier, Verdict, Violation};

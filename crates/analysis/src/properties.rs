@@ -146,14 +146,6 @@ pub enum Equivalence {
     },
 }
 
-impl Equivalence {
-    /// True when equivalent.
-    #[must_use]
-    pub fn is_equivalent(&self) -> bool {
-        matches!(self, Equivalence::Equivalent)
-    }
-}
-
 /// Decides whether two policy sets produce identical decisions on every
 /// complete request.
 ///
@@ -405,9 +397,10 @@ mod tests {
 
     #[test]
     fn equivalence_of_identical_policies() {
-        assert!(equivalent(&complete_set(), &complete_set())
-            .unwrap()
-            .is_equivalent());
+        assert_eq!(
+            equivalent(&complete_set(), &complete_set()).unwrap(),
+            Equivalence::Equivalent
+        );
     }
 
     #[test]

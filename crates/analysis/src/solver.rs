@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 
 /// A satisfying assignment, as concrete attribute values.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Model {
+pub(crate) struct Model {
     /// One value per attribute occurring in the formula.
     pub values: BTreeMap<AttributeId, AttributeValue>,
 }
@@ -28,7 +28,7 @@ pub struct Model {
 impl Model {
     /// Converts the model into a complete, single-valued [`Request`].
     #[must_use]
-    pub fn to_request(&self) -> Request {
+    pub(crate) fn to_request(&self) -> Request {
         let mut req = Request::new();
         for (id, v) in &self.values {
             req.add(id.category, id.name.clone(), v.clone());
@@ -52,7 +52,7 @@ enum PartialEval {
 ///
 /// Returns [`AnalysisError`] when the formula's atoms cannot be typed (see
 /// [`TypeEnv::infer`]).
-pub fn solve(formula: &Formula) -> Result<Option<Model>, AnalysisError> {
+pub(crate) fn solve(formula: &Formula) -> Result<Option<Model>, AnalysisError> {
     let atoms = formula.atoms();
     let env = TypeEnv::infer(&atoms)?;
     let index: BTreeMap<_, usize> = atoms
@@ -73,11 +73,11 @@ pub fn solve(formula: &Formula) -> Result<Option<Model>, AnalysisError> {
     }
 }
 
-/// Convenience: satisfiability without a witness.
+/// Decides satisfiability of `formula`, without a witness.
 ///
 /// # Errors
 ///
-/// As [`solve`].
+/// Returns [`AnalysisError`] when the formula's atoms cannot be typed.
 pub fn satisfiable(formula: &Formula) -> Result<bool, AnalysisError> {
     Ok(solve(formula)?.is_some())
 }

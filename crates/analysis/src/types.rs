@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 /// The value type of an attribute, from the analyser's perspective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ValueType {
+pub(crate) enum ValueType {
     /// UTF-8 string (equality/disequality only).
     Str,
     /// Boolean.
@@ -39,7 +39,7 @@ impl ValueType {
 
 /// A typing of every attribute occurring in a formula.
 #[derive(Debug, Clone, Default)]
-pub struct TypeEnv {
+pub(crate) struct TypeEnv {
     types: BTreeMap<AttributeId, ValueType>,
 }
 
@@ -51,7 +51,7 @@ impl TypeEnv {
     /// [`AnalysisError::TypeConflict`] when an attribute is compared with
     /// constants of different classes; [`AnalysisError::Unsupported`] for
     /// order comparisons on strings or booleans.
-    pub fn infer(atoms: &[Atom]) -> Result<TypeEnv, AnalysisError> {
+    pub(crate) fn infer(atoms: &[Atom]) -> Result<TypeEnv, AnalysisError> {
         let mut env = TypeEnv::default();
         for atom in atoms {
             let this = match &atom.value {
@@ -98,18 +98,6 @@ impl TypeEnv {
     pub fn iter(&self) -> impl Iterator<Item = (&AttributeId, ValueType)> {
         self.types.iter().map(|(k, v)| (k, *v))
     }
-
-    /// Number of typed attributes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.types.len()
-    }
-
-    /// True when no attribute occurs.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.types.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -135,7 +123,7 @@ mod tests {
             Some(ValueType::Numeric { int_only: true })
         );
         assert_eq!(env.get(&attr("flag")), Some(ValueType::Bool));
-        assert_eq!(env.len(), 3);
+        assert_eq!(env.types.len(), 3);
     }
 
     #[test]

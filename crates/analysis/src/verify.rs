@@ -184,20 +184,13 @@ impl DecisionVerifier {
         &self.prepared
     }
 
-    /// Makes `policy` the active authorised version as of time `now`
+    /// Makes `prepared` the active authorised version as of time `now`
     /// while keeping earlier versions authorised for decisions taken
     /// before they were superseded — the legitimate
     /// policy-administration path (publication or rollback through the
     /// PRP). `now` is the activation instant in whatever clock the
     /// deployment logs decision times in (the DES uses virtual
-    /// microseconds).
-    pub fn publish_policy(&mut self, policy: impl Borrow<PolicySet>, now: u64) {
-        let prepared = Arc::new(PreparedPolicySet::compile(policy.borrow()));
-        self.publish_prepared(prepared, now);
-    }
-
-    /// [`DecisionVerifier::publish_policy`] for an already-compiled
-    /// version, shared rather than recompiled.
+    /// microseconds). The compiled version is shared, not recompiled.
     pub fn publish_prepared(&mut self, prepared: Arc<PreparedPolicySet>, now: u64) {
         let old = self.version;
         self.version = prepared.version_digest();
@@ -339,6 +332,10 @@ mod tests {
             .build()
     }
 
+    fn publish(verifier: &mut DecisionVerifier, policy: impl Borrow<PolicySet>, now: u64) {
+        verifier.publish_prepared(Arc::new(PreparedPolicySet::compile(policy.borrow())), now);
+    }
+
     fn doctor() -> Request {
         Request::builder().subject("role", "doctor").build()
     }
@@ -412,7 +409,7 @@ mod tests {
         let mut verifier = DecisionVerifier::new(policy());
         let v1 = verifier.authorised_version();
         let new = PolicySet::builder("root2", CombiningAlg::PermitUnlessDeny).build();
-        verifier.publish_policy(new, 1_000);
+        publish(&mut verifier, new, 1_000);
         assert_ne!(verifier.authorised_version(), v1);
         // Everything now permits (permit-unless-deny with no children).
         assert_eq!(
@@ -428,7 +425,7 @@ mod tests {
         let v0_response = verifier.expected_response(&doctor());
         // Legitimate churn: a permit-unless-deny policy becomes active.
         let new = PolicySet::builder("root2", CombiningAlg::PermitUnlessDeny).build();
-        verifier.publish_policy(new, 1_000);
+        publish(&mut verifier, new, 1_000);
         let v1 = verifier.authorised_version();
         assert_ne!(v0, v1);
         assert_eq!(verifier.authorised_version_count(), 2);
@@ -457,7 +454,7 @@ mod tests {
         let v0 = verifier.authorised_version();
         let v0_response = verifier.expected_response(&doctor());
         let new = PolicySet::builder("root2", CombiningAlg::PermitUnlessDeny).build();
-        verifier.publish_policy(new, 1_000);
+        publish(&mut verifier, new, 1_000);
         // In-flight: decided at (or before) the activation instant — ok.
         assert!(verifier
             .verify_versioned_at(&doctor(), &v0_response, v0, 900)
@@ -474,7 +471,7 @@ mod tests {
         // again, and v1 is now the retired one.
         let v1 = verifier.authorised_version();
         let v1_response = verifier.expected_response(&doctor());
-        verifier.publish_policy(policy(), 2_000);
+        publish(&mut verifier, policy(), 2_000);
         assert_eq!(verifier.authorised_version(), v0);
         assert!(verifier
             .verify_versioned_at(&doctor(), &v0_response, v0, 5_000)
@@ -491,10 +488,10 @@ mod tests {
         let v0 = verifier.authorised_version();
         let v0_response = verifier.expected_response(&doctor());
         let mid = PolicySet::builder("root2", CombiningAlg::PermitUnlessDeny).build();
-        verifier.publish_policy(mid, 1_000);
+        publish(&mut verifier, mid, 1_000);
         let v1 = verifier.authorised_version();
         let newest = PolicySet::builder("root3", CombiningAlg::DenyUnlessPermit).build();
-        verifier.publish_policy(newest, 2_000);
+        publish(&mut verifier, newest, 2_000);
         assert_eq!(verifier.authorised_version_count(), 3);
 
         // Horizon below every retirement: nothing to drop.
@@ -520,10 +517,10 @@ mod tests {
         let mut verifier = DecisionVerifier::new(policy());
         let v0 = verifier.authorised_version();
         let mid = PolicySet::builder("root2", CombiningAlg::PermitUnlessDeny).build();
-        verifier.publish_policy(mid, 1_000);
+        publish(&mut verifier, mid, 1_000);
         // Roll back: v0 is active again, so its old retirement must not
         // count against it.
-        verifier.publish_policy(policy(), 2_000);
+        publish(&mut verifier, policy(), 2_000);
         assert_eq!(verifier.authorised_version(), v0);
         assert_eq!(verifier.prune_history(u64::MAX), 1); // drops only the mid version
         assert!(is_authorised(&verifier, v0));
@@ -539,10 +536,10 @@ mod tests {
         let v2 = PolicySet::builder("root3", CombiningAlg::DenyUnlessPermit).build();
         // Churn between three versions, with v0 and v1 republished.
         verifier.publish_prepared(v1_prepared.clone(), 1_000);
-        verifier.publish_policy(policy(), 2_000);
+        publish(&mut verifier, policy(), 2_000);
         verifier.publish_prepared(v1_prepared.clone(), 3_000);
-        verifier.publish_policy(&v2, 3_000);
-        verifier.publish_policy(policy(), 4_000);
+        publish(&mut verifier, &v2, 3_000);
+        publish(&mut verifier, policy(), 4_000);
         let versions = verifier.authorised_versions();
         let digests = |v: &[(Digest, &Arc<PreparedPolicySet>, Option<u64>)]| {
             v.iter().map(|&(d, _, t)| (d, t)).collect::<Vec<_>>()

@@ -34,7 +34,6 @@ pub mod threat;
 
 pub use composite::CompositeAdversary;
 pub use score::{
-    chain_attack_score, detected_by_any_alert, expected_alert_kinds, score, ChainAttackScore,
-    DetectionScore,
+    chain_attack_score, detected_by_any_alert, expected_alert_kinds, score, DetectionScore,
 };
 pub use threat::{FaultWindow, ScriptedAdversary, ThreatKind};

@@ -346,7 +346,7 @@ pub mod scenarios {
     /// journal compaction). Shared by every E14 scenario so honest,
     /// attacked and crashed runs stress identical machinery.
     #[must_use]
-    pub fn overload_profile() -> LoadProfile {
+    fn overload_profile() -> LoadProfile {
         LoadProfile {
             population: 2000,
             zipf_exponent: 1.1,

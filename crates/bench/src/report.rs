@@ -4,9 +4,9 @@
 //! `(column, value)` members; a table row is an object of the same
 //! pairs. Experiments build those pairs once and they drive
 //! the printed table, the JSON and the acceptance gates alike. There is
-//! one writer ([`render_json`]) with one layout rule, one strict reader
+//! one writer (`render_json`) with one layout rule, one strict reader
 //! ([`parse`]), one carry-forward rule ([`merge`]), one registry of files
-//! ([`REGISTRY`]) and one table of gates ([`GATES`]). The vendored serde
+//! ([`REGISTRY`]) and one table of gates (`GATES`). The vendored serde
 //! is a no-op stand-in (see `vendor/README.md`), hence the hand-rolled
 //! JSON subset.
 
@@ -229,7 +229,7 @@ pub struct Report {
 /// one member per line, a list directly under a section one element per
 /// line, and everything deeper on a single line.
 #[must_use]
-pub fn render_json(report: &Report) -> String {
+pub(crate) fn render_json(report: &Report) -> String {
     let mut out = format!("{{\n  \"schema\": {}", Quoted(&report.schema));
     for section in &report.sections {
         let key = Quoted(&section.key);
@@ -586,7 +586,7 @@ macro_rules! gates {
 /// Every gate `run_experiments` enforces on a run, one row each:
 /// section, row selector, column, rule.
 #[rustfmt::skip]
-pub const GATES: [Gate; 48] = gates! {
+pub(crate) const GATES: [Gate; 48] = gates! {
     // Per-entry storage cost at 16 KiB entries above that at 64 B.
     "e1_log_size"             ""                         "grows"                            Rule::True;
     // Hashes per block strictly rising with the difficulty bits; each

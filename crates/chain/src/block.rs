@@ -127,7 +127,7 @@ impl Block {
     /// # Errors
     ///
     /// [`ChainError::InsufficientWork`] or [`ChainError::BadTxRoot`].
-    pub fn validate_standalone(&self) -> Result<(), ChainError> {
+    pub(crate) fn validate_standalone(&self) -> Result<(), ChainError> {
         if !self.header.meets_difficulty() {
             return Err(ChainError::InsufficientWork);
         }

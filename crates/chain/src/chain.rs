@@ -125,7 +125,7 @@ impl Blockchain {
 
     /// The current tip block.
     #[must_use]
-    pub fn tip_block(&self) -> &Block {
+    pub(crate) fn tip_block(&self) -> &Block {
         &self.blocks[&self.tip].block
     }
 
@@ -144,8 +144,8 @@ impl Blockchain {
     /// Every fork in the block tree — main chain and side chains — as
     /// `(parent, child height, sibling count)` in parent-hash order. This
     /// is the auditor's view of the stale siblings that
-    /// [`Blockchain::main_chain_hashes`] deliberately omits, read from an
-    /// index [`Blockchain::import`] maintains: O(forks), and free on a
+    /// `Blockchain::main_chain_hashes` deliberately omits, read from an
+    /// index `Blockchain::import` maintains: O(forks), and free on a
     /// chain that is a pure line.
     pub fn fork_points(&self) -> impl Iterator<Item = (BlockHash, u64, usize)> + '_ {
         self.fork_parents.iter().map(|parent| {
@@ -229,7 +229,7 @@ impl Blockchain {
     /// # Errors
     ///
     /// Any [`ChainError`] from structural or contextual validation.
-    pub fn import(&mut self, block: Block) -> Result<ImportOutcome, ChainError> {
+    pub(crate) fn import(&mut self, block: Block) -> Result<ImportOutcome, ChainError> {
         let hash = block.hash();
         if self.blocks.contains_key(&hash) {
             return Ok(ImportOutcome::AlreadyKnown);
@@ -321,7 +321,7 @@ impl Blockchain {
 
     /// Hashes of the main chain, genesis first.
     #[must_use]
-    pub fn main_chain_hashes(&self) -> Vec<BlockHash> {
+    pub(crate) fn main_chain_hashes(&self) -> Vec<BlockHash> {
         let mut out = Vec::new();
         let mut cursor = self.tip;
         loop {
@@ -352,7 +352,7 @@ impl Blockchain {
     /// Finds a transaction on the main chain, returning `(block hash,
     /// height)`.
     #[must_use]
-    pub fn find_tx(&self, tx_id: &TxId) -> Option<(BlockHash, u64)> {
+    fn find_tx(&self, tx_id: &TxId) -> Option<(BlockHash, u64)> {
         let mut cursor = self.tip;
         loop {
             let stored = &self.blocks[&cursor];

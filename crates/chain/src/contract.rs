@@ -11,7 +11,7 @@
 //!
 //! Storage keys are byte strings ordered byte-lexicographically. Every
 //! key the workspace's contracts write is short (the monitor contract's
-//! longest is 14 bytes), so a key up to [`INLINE_KEY_LEN`] bytes is held
+//! longest is 14 bytes), so a key up to `INLINE_KEY_LEN` bytes is held
 //! inline, in the map and in the rollback journal alike: writing and
 //! journaling such a key allocates nothing, and a caller builds the key
 //! it looks up on the stack. A longer key is still accepted and lives on
@@ -47,7 +47,7 @@ pub struct Event {
 }
 
 /// Longest storage key held inline (see the module docs).
-pub const INLINE_KEY_LEN: usize = 22;
+const INLINE_KEY_LEN: usize = 22;
 
 /// A storage key: inline up to [`INLINE_KEY_LEN`] bytes, else boxed.
 /// Compares, orders and borrows as its bytes, so the map can be searched
@@ -283,7 +283,7 @@ impl ContractHost {
     }
 
     /// Registers a contract under its own name.
-    pub fn register(&mut self, contract: Box<dyn SmartContract>) {
+    pub(crate) fn register(&mut self, contract: Box<dyn SmartContract>) {
         let name = contract.name().to_string();
         self.storage.entry(name.clone()).or_default();
         self.contracts.insert(name, contract);
@@ -291,7 +291,7 @@ impl ContractHost {
 
     /// The account nonce expected from `sender`'s next transaction.
     #[must_use]
-    pub fn account_nonce(&self, sender: &PublicKey) -> u64 {
+    pub(crate) fn account_nonce(&self, sender: &PublicKey) -> u64 {
         *self.account_nonces.get(&sender.fingerprint()).unwrap_or(&0)
     }
 
@@ -314,12 +314,6 @@ impl ContractHost {
         (slice, self.events.len())
     }
 
-    /// Number of main-chain blocks executed.
-    #[must_use]
-    pub fn executed_height(&self) -> Option<u64> {
-        (!self.executed.is_empty()).then(|| self.executed.len() as u64 - 1)
-    }
-
     /// Brings contract state in sync with `chain`'s main chain.
     ///
     /// Walks parent links from the tip down to the height of the last
@@ -329,7 +323,7 @@ impl ContractHost {
     /// costs what the new blocks cost, not the chain's height. After a
     /// reorg past the executed tip the whole state is deterministically
     /// rebuilt from genesis.
-    pub fn sync_with(&mut self, chain: &Blockchain) {
+    pub(crate) fn sync_with(&mut self, chain: &Blockchain) {
         let executed = self.executed.len() as u64;
         // Main-chain hashes above the executed tip, newest first.
         let mut new = Vec::new();
@@ -546,7 +540,7 @@ mod tests {
         mine_with(&mut chain, vec![tx1], 2000);
         host.sync_with(&chain);
         assert_eq!(host.storage_of("kvstore").unwrap().len(), 2);
-        assert_eq!(host.executed_height(), Some(2));
+        assert_eq!(host.executed.len(), 3);
     }
 
     /// Stores each call's payload under its block height and counts its
@@ -613,7 +607,7 @@ mod tests {
         mine_with(&mut chain, call(&kp, 5, b"z"), 2_001);
         host.sync_with(&chain);
         assert_eq!(executed(), 6);
-        assert_eq!(host.executed_height(), Some(6));
+        assert_eq!(host.executed.len(), 7);
         assert_eq!(host.events().len(), 0);
         assert_eq!(contents(&host).len(), 6);
     }
@@ -646,7 +640,7 @@ mod tests {
         let (mut fresh, _) = counting_host();
         fresh.sync_with(&chain);
         assert_eq!(contents(&host), contents(&fresh));
-        assert_eq!(host.executed_height(), Some(3));
+        assert_eq!(host.executed.len(), 4);
         assert_eq!(host.account_nonce(&kp.public()), 3);
     }
 

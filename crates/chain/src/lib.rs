@@ -57,8 +57,7 @@ pub mod tx;
 
 pub use block::{Block, BlockHash, BlockHeader};
 pub use chain::{Blockchain, ChainConfig, ImportOutcome};
-pub use contract::{ContractHost, Event, ExecutionContext, SmartContract, Storage};
+pub use contract::{Event, ExecutionContext, SmartContract, Storage};
 pub use error::ChainError;
-pub use mempool::Mempool;
 pub use node::Node;
 pub use tx::{Transaction, TxId};

@@ -16,7 +16,7 @@ use std::collections::{HashMap, VecDeque};
 /// Logging Interfaces hit on every submission and the miner on every
 /// block.
 #[derive(Debug, Default)]
-pub struct Mempool {
+pub(crate) struct Mempool {
     queue: VecDeque<Transaction>,
     /// Pending tx id → sender. The map is the source of truth for
     /// membership; the sender lets `prune` maintain the per-sender counts
@@ -79,7 +79,7 @@ impl Mempool {
 
     /// Removes any pending transactions whose ids are in `included`
     /// (called after importing a block mined elsewhere).
-    pub fn prune<'a>(&mut self, included: impl IntoIterator<Item = &'a TxId>) {
+    pub(crate) fn prune<'a>(&mut self, included: impl IntoIterator<Item = &'a TxId>) {
         let mut removed = false;
         for id in included {
             if self.index.contains_key(id) {
@@ -97,18 +97,6 @@ impl Mempool {
     #[must_use]
     pub fn len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// True when nothing is pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Whether a transaction is pending.
-    #[must_use]
-    pub fn contains(&self, id: &TxId) -> bool {
-        self.index.contains_key(id)
     }
 
     /// Iterates the pending transactions in arrival order.
@@ -129,7 +117,7 @@ impl Mempool {
 
     /// Pending transactions from `sender` (used for nonce assignment).
     #[must_use]
-    pub fn pending_from(&self, sender: &PublicKey) -> usize {
+    pub(crate) fn pending_from(&self, sender: &PublicKey) -> usize {
         self.by_sender.get(sender).copied().unwrap_or(0)
     }
 }
@@ -158,7 +146,7 @@ mod tests {
         let taken = pool.take(3);
         assert_eq!(taken.iter().map(|t| t.nonce).collect::<Vec<_>>(), [0, 1, 2]);
         assert_eq!(pool.len(), 2);
-        assert!(!pool.contains(&taken[0].id()));
+        assert!(!pool.index.contains_key(&taken[0].id()));
     }
 
     #[test]
@@ -173,7 +161,7 @@ mod tests {
         let mut pool = Mempool::new();
         pool.add(tx(0)).unwrap();
         assert_eq!(pool.take(10).len(), 1);
-        assert!(pool.is_empty());
+        assert!(pool.queue.is_empty());
     }
 
     #[test]
@@ -183,7 +171,7 @@ mod tests {
         pool.add(tx(1)).unwrap();
         pool.prune([&a]);
         assert_eq!(pool.len(), 1);
-        assert!(!pool.contains(&a));
+        assert!(!pool.index.contains_key(&a));
     }
 
     #[test]
@@ -192,7 +180,7 @@ mod tests {
         let ids: Vec<TxId> = (0..4).map(|n| pool.add(tx(n)).unwrap()).collect();
         let removed = pool.remove(&ids[1]).unwrap();
         assert_eq!(removed.nonce, 1);
-        assert!(!pool.contains(&ids[1]));
+        assert!(!pool.index.contains_key(&ids[1]));
         assert!(pool.remove(&ids[1]).is_none(), "double remove is a no-op");
         let kp = Keypair::from_seed(b"mempool-tests");
         assert_eq!(pool.pending_from(&kp.public()), 3);
@@ -231,7 +219,7 @@ mod tests {
             // every queued tx is indexed, and nothing else is
             assert_eq!(pool.index.len(), pool.queue.len());
             for tx in &pool.queue {
-                assert!(pool.contains(&tx.id()));
+                assert!(pool.index.contains_key(&tx.id()));
             }
         };
         check(&pool, 4, 3);
@@ -239,7 +227,7 @@ mod tests {
         // Prune one of each sender's transactions (as if mined elsewhere).
         pool.prune([&a_txs[1].id(), &b_txs[0].id()]);
         check(&pool, 3, 2);
-        assert!(!pool.contains(&a_txs[1].id()));
+        assert!(!pool.index.contains_key(&a_txs[1].id()));
 
         // Draining through take leaves an empty, consistent index.
         let drained = pool.take(7);

@@ -59,7 +59,7 @@ impl AlertKind {
 
     /// The contract/analyser event name for this alert.
     #[must_use]
-    pub fn event_name(&self) -> &'static str {
+    pub(crate) fn event_name(&self) -> &'static str {
         match self {
             AlertKind::RequestTampering => "alert.request_tampering",
             AlertKind::ResponseTampering => "alert.response_tampering",

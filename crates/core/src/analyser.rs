@@ -132,6 +132,9 @@ pub struct Analyser {
     /// A hash (not a height) so a reorg that swaps in blocks below the
     /// old tip forces a re-audit from the fork point.
     audited_tip: drams_chain::block::BlockHash,
+    /// Transaction signatures the audit re-verified. Checkpointed; the
+    /// tests read it to see that re-polling and restarting do not
+    /// re-audit.
     audited_txs: u64,
     /// Generation of the policy-history record — the verifier's
     /// authorised-policy history as of the last checkpoint that wrote
@@ -139,7 +142,7 @@ pub struct Analyser {
     history_generation: u64,
     /// Whether that history changed since the record was written, i.e.
     /// whether the next checkpoint must write a new one. Set by
-    /// construction, [`Analyser::publish_authorised_policy`] and a
+    /// construction, [`Analyser::publish_prepared`] and a
     /// retention prune that dropped a version.
     history_dirty: bool,
     /// Opt-in sibling-block sweep (see [`Analyser::enable_fork_detection`]).
@@ -190,7 +193,7 @@ impl Analyser {
     /// time; `keypair` must match the address registered with the monitor
     /// contract's `init`. The Analyser checkpoints to an in-memory store
     /// ([`Analyser::attach_checkpoint`] picks another) and judges
-    /// enforcement as deny-biased ([`Analyser::set_enforcement_bias`]
+    /// enforcement as deny-biased (`Analyser::set_enforcement_bias`
     /// sets the deployment's bias).
     #[must_use]
     pub fn new(
@@ -257,7 +260,7 @@ impl Analyser {
     /// Distinct authorised policy versions currently held (the bounded
     /// gauge BENCH_LOAD tracks as `peak_policy_history`).
     #[must_use]
-    pub fn policy_history_len(&self) -> usize {
+    pub(crate) fn policy_history_len(&self) -> usize {
         self.verifier.authorised_version_count()
     }
 
@@ -274,7 +277,7 @@ impl Analyser {
 
     /// Groups checked but not yet retired (0 while retirement is off).
     #[must_use]
-    pub fn pending_retirements(&self) -> usize {
+    pub(crate) fn pending_retirements(&self) -> usize {
         if self.retire_lag == 0 {
             return 0;
         }
@@ -299,7 +302,7 @@ impl Analyser {
 
     /// Sets the bias the deployment's PEPs enforce with, which the
     /// enforcement cross-check applies.
-    pub fn set_enforcement_bias(&mut self, bias: EnforcementBias) {
+    pub(crate) fn set_enforcement_bias(&mut self, bias: EnforcementBias) {
         self.bias = bias;
     }
 
@@ -307,13 +310,6 @@ impl Analyser {
     #[must_use]
     pub fn checked_groups(&self) -> u64 {
         self.checked_groups
-    }
-
-    /// Transaction signatures independently re-verified by the chain
-    /// audit (see [`Analyser::poll`]).
-    #[must_use]
-    pub fn audited_txs(&self) -> u64 {
-        self.audited_txs
     }
 
     #[cfg(test)]
@@ -325,18 +321,8 @@ impl Analyser {
     /// activated at `now`, while keeping earlier versions authorised for
     /// decisions taken before they were superseded — in-flight decisions
     /// during legitimate policy churn do not raise false alerts, but a
-    /// PDP stuck on a retired version after `now` does.
-    pub fn publish_authorised_policy(
-        &mut self,
-        policy: impl std::borrow::Borrow<PolicySet>,
-        now: SimTime,
-    ) {
-        let prepared = Arc::new(PreparedPolicySet::compile(policy.borrow()));
-        self.publish_prepared(prepared, now);
-    }
-
-    /// [`Analyser::publish_authorised_policy`] for a version the PRP
-    /// already compiled, shared rather than recompiled.
+    /// PDP stuck on a retired version after `now` does. The version is
+    /// the one the PRP already compiled, shared rather than recompiled.
     pub(crate) fn publish_prepared(&mut self, prepared: Arc<PreparedPolicySet>, now: SimTime) {
         self.verifier.publish_prepared(prepared, now);
         self.history_dirty = true;
@@ -344,7 +330,7 @@ impl Analyser {
 
     /// Registers the MAC key of a newly provisioned probe (tenant-join
     /// churn: the key is obtained from the joining tenant's TPM).
-    pub fn register_probe_key(&mut self, probe: ProbeId, key: [u8; 32]) {
+    pub(crate) fn register_probe_key(&mut self, probe: ProbeId, key: [u8; 32]) {
         self.probe_mac_keys.insert(probe, key.into());
     }
 
@@ -394,7 +380,7 @@ impl Analyser {
     ///   rebuilds the history exactly. Its size is that of the distinct
     ///   versions (≈ 300 KB for a thousand policies of five rules),
     ///   however often they were published or rolled back to, and it
-    ///   changes only through [`Analyser::publish_authorised_policy`] and
+    ///   changes only when a policy version is published and through
     ///   a retention prune that dropped a version — so it is written only
     ///   by the first call after one of those, under the next generation
     ///   number.
@@ -403,7 +389,7 @@ impl Analyser {
     /// generation) → cursor record naming it → removal of the superseded
     /// history record. The cursor write is the commit point: before it,
     /// the old cursor still names the old, still present history; after
-    /// it, the new pair is complete. [`Analyser::crash_restart`] reads the
+    /// it, the new pair is complete. `Analyser::crash_restart` reads the
     /// cursor, then exactly the history generation it names.
     ///
     /// # Errors
@@ -503,7 +489,7 @@ impl Analyser {
     /// including any checkpoint version other than 8 and a retire cursor
     /// past the event cursor — or a checkpointed policy does not compile
     /// to the version digest recorded beside it.
-    pub fn crash_restart(&mut self) -> Result<(), StoreError> {
+    pub(crate) fn crash_restart(&mut self) -> Result<(), StoreError> {
         let store = &mut self.checkpoint_store;
         let Some((_, bytes)) = store.load()? else {
             return Err(StoreError::NotFound("analyser checkpoint".into()));
@@ -933,6 +919,10 @@ mod tests {
         key: SymmetricKey,
     }
 
+    fn publish(analyser: &mut Analyser, policy: impl std::borrow::Borrow<PolicySet>, now: SimTime) {
+        analyser.publish_prepared(Arc::new(PreparedPolicySet::compile(policy.borrow())), now);
+    }
+
     fn rig() -> Rig {
         rig_with(policy())
     }
@@ -1197,15 +1187,11 @@ mod tests {
             "honest chain must audit clean: {alerts:?}"
         );
         // init tx + 4 one-entry store_log_batch txs were independently re-verified.
-        assert!(
-            r.analyser.audited_txs() >= 5,
-            "{}",
-            r.analyser.audited_txs()
-        );
+        assert!(r.analyser.audited_txs >= 5, "{}", r.analyser.audited_txs);
         // Re-polling does not re-audit the same blocks.
-        let audited = r.analyser.audited_txs();
+        let audited = r.analyser.audited_txs;
         r.analyser.poll(&mut r.node, 2_100);
-        assert_eq!(r.analyser.audited_txs(), audited);
+        assert_eq!(r.analyser.audited_txs, audited);
     }
 
     #[test]
@@ -1217,7 +1203,7 @@ mod tests {
         let resp = honest_response("doctor");
         run_group(&mut r, 11, "doctor", resp, true);
         assert!(r.analyser.poll(&mut r.node, 2_000).is_empty());
-        let audited_before = r.analyser.audited_txs();
+        let audited_before = r.analyser.audited_txs;
 
         // Build a heavier fork from genesis (empty blocks at difficulty
         // 0) that replaces the audited chain entirely.
@@ -1236,7 +1222,7 @@ mod tests {
         let alerts = r.analyser.poll(&mut r.node, 3_000);
         assert!(alerts.is_empty(), "reorg audit alerts: {alerts:?}");
         // Empty fork blocks add no transactions to the audit counter.
-        assert_eq!(r.analyser.audited_txs(), audited_before);
+        assert_eq!(r.analyser.audited_txs, audited_before);
         // Subsequent polls resume incrementally from the new tip.
         let tip = r.node.chain().tip_hash();
         r.analyser.poll(&mut r.node, 3_100);
@@ -1323,14 +1309,13 @@ mod tests {
         run_group(&mut r, 2, "doctor", honest_response("doctor"), true);
         assert!(r.analyser.poll(&mut r.node, 3_000).is_empty());
         let checked = r.analyser.checked_groups();
-        let audited = r.analyser.audited_txs();
+        let audited = r.analyser.audited_txs;
         // Publish a stricter authorised policy, then crash.
-        r.analyser
-            .publish_authorised_policy(crate::monitor::default_policy(), 3_500);
+        publish(&mut r.analyser, crate::monitor::default_policy(), 3_500);
         r.analyser.checkpoint().unwrap();
         r.analyser.crash_restart().unwrap();
         assert_eq!(r.analyser.checked_groups(), checked);
-        assert_eq!(r.analyser.audited_txs(), audited);
+        assert_eq!(r.analyser.audited_txs, audited);
         // Polling the same chain re-raises nothing: the dirty group was
         // already checked before the crash.
         assert!(
@@ -1474,9 +1459,9 @@ mod tests {
         let mut r = rig();
         r.analyser.enable_history_retention(10_000);
         // Churn: three successive, genuinely distinct authorised versions.
-        r.analyser
-            .publish_authorised_policy(crate::monitor::default_policy(), 1_000);
-        r.analyser.publish_authorised_policy(
+        publish(&mut r.analyser, crate::monitor::default_policy(), 1_000);
+        publish(
+            &mut r.analyser,
             PolicySet::builder("root3", CombiningAlg::PermitUnlessDeny).build(),
             2_000,
         );
@@ -1491,8 +1476,7 @@ mod tests {
         r.analyser.poll(&mut r.node, 1_000_000);
         assert_eq!(r.analyser.policy_history_len(), 1);
         // Churn keeps working after pruning.
-        r.analyser
-            .publish_authorised_policy(crate::monitor::default_policy(), 2_000_000);
+        publish(&mut r.analyser, crate::monitor::default_policy(), 2_000_000);
         assert_eq!(r.analyser.policy_history_len(), 2);
     }
 
@@ -1501,8 +1485,7 @@ mod tests {
         let mut r = rig();
         r.analyser.enable_history_retention(1_000);
         r.analyser.enable_group_retirement(1_000_000);
-        r.analyser
-            .publish_authorised_policy(crate::monitor::default_policy(), 1_000);
+        publish(&mut r.analyser, crate::monitor::default_policy(), 1_000);
         // A group completed at t=1_000 stays pending (huge retire lag);
         // it anchors the horizon, so the version retired at t=1_000 must
         // survive far past its own retirement + retention.
@@ -1517,9 +1500,9 @@ mod tests {
     fn pruned_history_survives_checkpoint_recovery() {
         let mut r = rig();
         r.analyser.enable_history_retention(10_000);
-        r.analyser
-            .publish_authorised_policy(crate::monitor::default_policy(), 1_000);
-        r.analyser.publish_authorised_policy(
+        publish(&mut r.analyser, crate::monitor::default_policy(), 1_000);
+        publish(
+            &mut r.analyser,
             PolicySet::builder("root3", CombiningAlg::PermitUnlessDeny).build(),
             2_000,
         );
@@ -1767,9 +1750,8 @@ mod tests {
             let backend = FaultyBackend::default();
             r.analyser.enable_history_retention(10_000);
             r.analyser.attach_checkpoint(backend.store()).unwrap();
-            r.analyser
-                .publish_authorised_policy(crate::monitor::default_policy(), 1_000);
-            r.analyser.publish_authorised_policy(policy(), 2_000); // rollback
+            publish(&mut r.analyser, crate::monitor::default_policy(), 1_000);
+            publish(&mut r.analyser, policy(), 2_000); // rollback
             r.analyser.checkpoint().unwrap();
             // Horizon 1 500: v1 retired at 2 000 and the active v0 stay.
             assert!(r.analyser.poll(&mut r.node, 11_500).is_empty());
@@ -1858,8 +1840,7 @@ mod tests {
             run_group(&mut r, 1, "doctor", honest_response("doctor"), true);
             assert!(r.analyser.poll(&mut r.node, 2_000).is_empty());
             r.analyser.checkpoint().unwrap();
-            r.analyser
-                .publish_authorised_policy(crate::monitor::default_policy(), 3_500);
+            publish(&mut r.analyser, crate::monitor::default_policy(), 3_500);
             {
                 let mut medium = backend.0.borrow_mut();
                 medium.fail_at = crash_at.map(|step| medium.changes + step);
@@ -1891,7 +1872,7 @@ mod tests {
                 "{what}"
             );
             // And the recovered Analyser carries on from there.
-            recovered.publish_authorised_policy(crate::monitor::default_policy(), 4_000);
+            publish(&mut recovered, crate::monitor::default_policy(), 4_000);
             recovered.checkpoint().unwrap();
             assert_eq!(
                 backend.list(),
@@ -1914,8 +1895,7 @@ mod tests {
         r.analyser.attach_checkpoint(pristine.store()).unwrap();
         run_group(&mut r, 1, "doctor", honest_response("doctor"), true);
         assert!(r.analyser.poll(&mut r.node, 2_000).is_empty());
-        r.analyser
-            .publish_authorised_policy(crate::monitor::default_policy(), 2_500);
+        publish(&mut r.analyser, crate::monitor::default_policy(), 2_500);
         r.analyser.checkpoint().unwrap();
         let history_file = generation_file_name(2);
         assert_eq!(
@@ -2029,8 +2009,7 @@ mod tests {
                 let mut r = rig();
                 let backend = FaultyBackend::default();
                 r.analyser.attach_checkpoint(backend.store()).unwrap();
-                r.analyser
-                    .publish_authorised_policy(published.clone(), 1_000);
+                publish(&mut r.analyser, published.clone(), 1_000);
                 r.analyser.checkpoint().unwrap();
                 (r, backend)
             };
@@ -2082,8 +2061,7 @@ mod tests {
         let mut r = rig();
         let pristine = FaultyBackend::default();
         r.analyser.attach_checkpoint(pristine.store()).unwrap();
-        r.analyser
-            .publish_authorised_policy(crate::monitor::default_policy(), 1_000);
+        publish(&mut r.analyser, crate::monitor::default_policy(), 1_000);
         r.analyser.checkpoint().unwrap();
         // The history record rebuilt around a damaged policy payload and
         // framed validly, so decoding and the digest check are all that
@@ -2240,8 +2218,7 @@ mod tests {
                         } else {
                             previous
                         };
-                        r.analyser
-                            .publish_authorised_policy(policies[next].clone(), now);
+                        publish(&mut r.analyser, policies[next].clone(), now);
                         (previous, active) = (active, next);
                     }
                     // A poll prunes when retention is on.
@@ -2354,8 +2331,7 @@ mod tests {
         ];
         let mut live = rig();
         for (published, at) in &publishes {
-            live.analyser
-                .publish_authorised_policy(published.clone(), *at);
+            publish(&mut live.analyser, published.clone(), *at);
         }
         // The record as a log of every publish writes it: the baseline,
         // then each publish in turn, digests repeating.
@@ -2515,7 +2491,6 @@ mod tests {
 
     #[test]
     fn key_isolation_from_payload() {
-        use crate::li::decrypt_entry_payload;
         // sanity: rig key decrypts, foreign key does not
         let mut r = rig();
         let env = RequestEnvelope {
@@ -2529,7 +2504,14 @@ mod tests {
         let entry = r
             .pep_probe
             .observe_request(ObservationPoint::PepRequest, &env, 0);
-        assert!(decrypt_entry_payload(&r.key, &entry).is_ok());
-        assert!(decrypt_entry_payload(&SymmetricKey::from_bytes([99; 32]), &entry).is_err());
+        let foreign = SymmetricKey::from_bytes([99; 32]);
+        assert!(entry
+            .view()
+            .open_payload_into(&r.key, &mut Vec::new())
+            .is_ok());
+        assert!(entry
+            .view()
+            .open_payload_into(&foreign, &mut Vec::new())
+            .is_err());
     }
 }

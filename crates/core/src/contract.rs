@@ -25,11 +25,11 @@
 //!
 //! Every node runs this contract on every entry, so the per-entry path
 //! copies nothing it does not keep. Entries are decoded as
-//! [`LogEntryRef`]s, borrowing their ciphertext from the payload; the
+//! `LogEntryRef`s, borrowing their ciphertext from the payload; the
 //! value stored for an entry is its exact span of the payload, which the
 //! canonical codec makes equal to its re-encoding; the duplicate and
 //! sibling checks read a stored entry's digest in place
-//! ([`LogEntry::stored_digest`]); and storage keys are fixed-size arrays
+//! (`LogEntry::stored_digest`); and storage keys are fixed-size arrays
 //! built on the stack (`ent/` + correlation + point, `grp/` +
 //! correlation, `open/` + correlation, `seq/` + PEP id), which contract
 //! storage holds inline.
@@ -46,17 +46,18 @@ use drams_faas::msg::CorrelationId;
 pub const MONITOR_CONTRACT: &str = "drams-monitor";
 
 /// Event emitted when a group has all four observations.
-pub const GROUP_COMPLETE_EVENT: &str = "group.complete";
+pub(crate) const GROUP_COMPLETE_EVENT: &str = "group.complete";
 
 /// The monitor contract (stateless logic; state lives in contract
 /// storage so reorg re-execution is deterministic).
 #[derive(Debug, Default)]
 pub struct MonitorContract;
 
-/// The most numbers one entry may skip past its PEP's mark. A longer
-/// jump opens no placeholder groups and raises one `MonitorCompromise`:
-/// the contract cannot check probe MACs, so a forged number must not
-/// make it open millions of groups.
+/// The most numbers one entry may skip past its PEP's mark. An entry
+/// that jumps further opens no placeholder groups and raises one
+/// `MonitorCompromise`, one per entry (a forged complete group raises
+/// four): the contract cannot check probe MACs, so a forged number must
+/// not make it open millions of groups.
 const MAX_GAP: u64 = 1_024;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -153,7 +154,7 @@ impl MonitorContract {
 
     /// Builds the payload for the `set_timeout` method.
     #[must_use]
-    pub fn set_timeout_payload(timeout_us: u64) -> Vec<u8> {
+    pub(crate) fn set_timeout_payload(timeout_us: u64) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_u64(timeout_us);
         w.into_bytes()
@@ -313,10 +314,10 @@ impl MonitorContract {
     /// its PEP's mark, no entry of any number it skipped has arrived:
     /// each of those without a group gets an empty one, which the epoch
     /// sweep turns into `MissingLog` for all four points unless its
-    /// entries arrive late and fill it. A jump of more than [`MAX_GAP`]
-    /// numbers raises one `MonitorCompromise` instead and leaves the
-    /// mark where it was. `mark` is the stored mark, which the caller
-    /// has read.
+    /// entries arrive late and fill it. An entry that jumps more than
+    /// [`MAX_GAP`] numbers raises one `MonitorCompromise` instead, one
+    /// per entry, and leaves the mark where it was. `mark` is the stored
+    /// mark, which the caller has read.
     fn advance_mark(
         ctx: &mut ExecutionContext<'_>,
         correlation: CorrelationId,
@@ -408,7 +409,7 @@ impl MonitorContract {
 
     /// Builds the payload for the `retire_groups` method.
     #[must_use]
-    pub fn retire_groups_payload(correlations: &[CorrelationId]) -> Vec<u8> {
+    pub(crate) fn retire_groups_payload(correlations: &[CorrelationId]) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_varint(correlations.len() as u64);
         for corr in correlations {
@@ -522,7 +523,7 @@ pub fn encode_batch(entries: &[LogEntry]) -> Vec<u8> {
 ///
 /// The codec error, as text, when the payload is malformed; whatever
 /// `visit` returns.
-pub fn read_batch<'a>(
+pub(crate) fn read_batch<'a>(
     payload: &'a [u8],
     mut visit: impl FnMut(LogEntryRef<'a>, &'a [u8]) -> Result<(), String>,
 ) -> Result<(), String> {
@@ -1141,7 +1142,7 @@ mod tests {
     }
 
     #[test]
-    fn gap_rule_caps_a_forged_jump_at_one_alert() {
+    fn gap_rule_raises_one_alert_per_entry_past_the_cap() {
         let (mut node, li, _) = test_node();
         submit_group(&mut node, &li, numbered(0), 1_000);
         let keys = |node: &Node| node.host().storage_of(MONITOR_CONTRACT).unwrap().len();

@@ -6,7 +6,7 @@
 //! per tenant (Figure 1); it batches probe observations and signs them
 //! as blockchain transactions. It holds no payload key: the probes seal
 //! each payload, and the Analyser opens it with its own copy of the key
-//! through [`decrypt_entry_payload`].
+//! through `LogEntryRef::open_payload_into`.
 //!
 //! An unflushed entry has one form in the LI: the canonical encoding
 //! [`LoggingInterface::store`] writes once, at the end of the resident
@@ -26,7 +26,6 @@ use drams_chain::tx::TxId;
 use drams_crypto::aead::SymmetricKey;
 use drams_crypto::codec::{Encode, Reader, Writer, MAX_VARINT_LEN};
 use drams_crypto::schnorr::Keypair;
-use drams_crypto::CryptoError;
 use drams_store::segment::FRAME_LEN;
 use drams_store::{Durability, MemBackend, StoreError, Wal, WalConfig};
 
@@ -41,8 +40,6 @@ pub struct LoggingInterface {
     resident: Writer,
     /// How many entries `resident` holds.
     resident_count: usize,
-    submitted_entries: u64,
-    submitted_txs: u64,
     /// The durable backlog: every buffered entry is written ahead to
     /// this WAL, and a successful flush snapshots the consumed sequence
     /// and prunes sealed segments. A crashed LI reloads its unsubmitted
@@ -61,8 +58,6 @@ pub struct LoggingInterface {
     /// Entries journaled to the backlog WAL but evicted from (or never
     /// admitted to) the in-memory buffer.
     spilled: usize,
-    /// Most entries ever resident at once (capacity diagnostics).
-    peak_resident: usize,
 }
 
 impl LoggingInterface {
@@ -94,13 +89,10 @@ impl LoggingInterface {
             batch_size,
             resident: Writer::new(),
             resident_count: 0,
-            submitted_entries: 0,
-            submitted_txs: 0,
             backlog: mem_wal(64),
             offline: false,
             resident_cap: usize::MAX,
             spilled: 0,
-            peak_resident: 0,
         }
     }
 
@@ -127,24 +119,12 @@ impl LoggingInterface {
         }
     }
 
-    /// Entries journaled to the backlog WAL but not currently resident.
-    #[must_use]
-    pub fn spilled(&self) -> usize {
-        self.spilled
-    }
-
     /// Entries journaled and held in memory, not yet submitted. Entries
     /// spilled past the resident cap are not included —
     /// [`Self::buffered`] counts them.
     #[must_use]
-    pub fn resident(&self) -> usize {
+    pub(crate) fn resident(&self) -> usize {
         self.resident_count
-    }
-
-    /// The most entries ever resident in the buffer at once.
-    #[must_use]
-    pub fn peak_resident(&self) -> usize {
-        self.peak_resident
     }
 
     /// Marks the chain link down (`true`) or healed (`false`). Going
@@ -152,13 +132,13 @@ impl LoggingInterface {
     /// journal to the backlog WAL and accumulate in the buffer; coming
     /// back online does **not** flush by itself, the owner's next flush
     /// tick replays the spill in one batch.
-    pub fn set_offline(&mut self, offline: bool) {
+    pub(crate) fn set_offline(&mut self, offline: bool) {
         self.offline = offline;
     }
 
     /// Whether the LI currently considers the chain unreachable.
     #[must_use]
-    pub fn is_offline(&self) -> bool {
+    pub(crate) fn is_offline(&self) -> bool {
         self.offline
     }
 
@@ -182,12 +162,9 @@ impl LoggingInterface {
     ///
     /// Propagates WAL recovery failures; [`StoreError::Codec`] when a
     /// journaled entry does not decode.
-    pub fn crash_restart(&mut self) -> Result<(), StoreError> {
+    pub(crate) fn crash_restart(&mut self) -> Result<(), StoreError> {
         self.backlog.simulate_crash()?;
         self.reload(self.resident_cap)?;
-        self.submitted_entries = 0;
-        self.submitted_txs = 0;
-        self.peak_resident = 0;
         self.offline = false;
         Ok(())
     }
@@ -225,12 +202,6 @@ impl LoggingInterface {
         &self.name
     }
 
-    /// `(entries, transactions)` submitted so far.
-    #[must_use]
-    pub fn submission_counters(&self) -> (u64, u64) {
-        (self.submitted_entries, self.submitted_txs)
-    }
-
     /// Entries buffered (resident or spilled to the backlog WAL) but not
     /// yet submitted.
     #[must_use]
@@ -256,7 +227,6 @@ impl LoggingInterface {
         }
         if self.resident_count < self.resident_cap {
             self.resident_count += 1;
-            self.peak_resident = self.peak_resident.max(self.resident_count);
         } else {
             // Past the high-water mark: the entry is already durable in
             // the WAL, so keep only its count in memory. The next flush
@@ -309,8 +279,6 @@ impl LoggingInterface {
             "store_log_batch",
             payload.into_bytes(),
         )?;
-        self.submitted_entries += self.resident_count as u64;
-        self.submitted_txs += 1;
         self.resident.clear();
         self.resident_count = 0;
         // Everything journaled so far is now owed by the chain, not by
@@ -338,18 +306,6 @@ pub(crate) fn mem_wal(segment_records: usize) -> Wal {
         },
     )
     .expect("fresh in-memory wal")
-}
-
-/// Decrypts a log entry's sealed payload with the federation key,
-/// reconstructing the AAD binding used by the probes.
-///
-/// # Errors
-///
-/// [`CryptoError::InvalidTag`] on tamper or wrong key.
-pub fn decrypt_entry_payload(key: &SymmetricKey, entry: &LogEntry) -> Result<Vec<u8>, CryptoError> {
-    let mut plaintext = Vec::new();
-    entry.view().open_payload_into(key, &mut plaintext)?;
-    Ok(plaintext)
 }
 
 #[cfg(test)]
@@ -452,7 +408,6 @@ mod tests {
         assert_eq!(li.buffered(), 3);
         let ids = li.store(sample_entry(&mut probe, 4), &mut n).unwrap();
         assert_eq!(ids.len(), 1, "4 entries in one tx");
-        assert_eq!(li.submission_counters(), (4, 1));
         n.mine_block(100).unwrap();
         // all four entries landed in contract storage
         let storage = n.host().storage_of(MONITOR_CONTRACT).unwrap();
@@ -475,7 +430,11 @@ mod tests {
     fn decrypt_round_trips_payload() {
         let (_, mut probe) = li(1);
         let entry = sample_entry(&mut probe, 9);
-        let plain = decrypt_entry_payload(&payload_key(), &entry).unwrap();
+        let mut plain = Vec::new();
+        entry
+            .view()
+            .open_payload_into(&payload_key(), &mut plain)
+            .unwrap();
         let env = RequestEnvelope::from_canonical_bytes(&plain).unwrap();
         assert_eq!(env.correlation, CorrelationId(9));
     }
@@ -485,7 +444,10 @@ mod tests {
         let (_, mut probe) = li(1);
         let entry = sample_entry(&mut probe, 9);
         let wrong = SymmetricKey::from_bytes([9; 32]);
-        assert!(decrypt_entry_payload(&wrong, &entry).is_err());
+        assert!(entry
+            .view()
+            .open_payload_into(&wrong, &mut Vec::new())
+            .is_err());
     }
 
     #[test]
@@ -495,7 +457,10 @@ mod tests {
         let (_, mut probe) = li(1);
         let mut entry = sample_entry(&mut probe, 9);
         entry.correlation = CorrelationId(10);
-        assert!(decrypt_entry_payload(&payload_key(), &entry).is_err());
+        assert!(entry
+            .view()
+            .open_payload_into(&payload_key(), &mut Vec::new())
+            .is_err());
     }
 
     #[test]
@@ -549,12 +514,10 @@ mod tests {
         assert_eq!(li.buffered(), 5);
         assert!(li.is_offline());
         assert!(li.flush(&mut n).unwrap().is_empty(), "offline flush no-ops");
-        assert_eq!(li.submission_counters(), (0, 0));
         // Heal: one flush replays the whole spill in a single batch tx.
         li.set_offline(false);
         let ids = li.flush(&mut n).unwrap();
         assert_eq!(ids.len(), 1);
-        assert_eq!(li.submission_counters(), (5, 1));
         n.mine_block(100).unwrap();
         let storage = n.host().storage_of(MONITOR_CONTRACT).unwrap();
         assert_eq!(storage.scan_prefix(b"ent/").count(), 5);
@@ -590,13 +553,11 @@ mod tests {
             [1, 2, 3],
             "resident stays capped"
         );
-        assert_eq!(li.spilled(), 7);
-        assert_eq!(li.peak_resident(), 3);
+        assert_eq!(li.spilled, 7);
         li.set_offline(false);
         let ids = li.flush(&mut n).unwrap();
         assert_eq!(ids.len(), 1);
-        assert_eq!(li.submission_counters(), (10, 1));
-        assert_eq!(li.spilled(), 0);
+        assert_eq!(li.spilled, 0);
         n.mine_block(100).unwrap();
         let storage = n.host().storage_of(MONITOR_CONTRACT).unwrap();
         assert_eq!(storage.scan_prefix(b"ent/").count(), 10);
@@ -612,10 +573,10 @@ mod tests {
         for corr in 1..=6 {
             li.store(sample_entry(&mut probe, corr), &mut n).unwrap();
         }
-        assert_eq!(li.spilled(), 4);
+        assert_eq!(li.spilled, 4);
         li.crash_restart().unwrap();
         assert_eq!(li.buffered(), 6, "spilled entries survive too");
-        assert_eq!(li.spilled(), 4, "the restarted LI keeps its cap");
+        assert_eq!(li.spilled, 4, "the restarted LI keeps its cap");
         assert_eq!(
             resident_correlations(&li),
             [1, 2],
@@ -623,7 +584,6 @@ mod tests {
         );
         let ids = li.flush(&mut n).unwrap();
         assert_eq!(ids.len(), 1);
-        assert_eq!(li.submission_counters(), (6, 1));
         n.mine_block(100).unwrap();
         let storage = n.host().storage_of(MONITOR_CONTRACT).unwrap();
         assert_eq!(storage.scan_prefix(b"ent/").count(), 6);
@@ -646,11 +606,10 @@ mod tests {
         );
         li.set_resident_cap(2);
         assert_eq!(li.buffered(), 6);
-        assert_eq!(li.spilled(), 4);
+        assert_eq!(li.spilled, 4);
         assert_eq!(resident_correlations(&li), [1, 2]);
         let ids = li.flush(&mut n).unwrap();
         assert_eq!(ids.len(), 1);
-        assert_eq!(li.submission_counters(), (6, 1));
         n.mine_block(100).unwrap();
         let storage = n.host().storage_of(MONITOR_CONTRACT).unwrap();
         assert_eq!(storage.scan_prefix(b"ent/").count(), 6);

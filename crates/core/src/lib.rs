@@ -52,7 +52,7 @@
 //! |---|---|---|
 //! | probe (each PEP, each PDP slot) | *K*; its own MAC key | seal each payload under *K*; MAC each entry |
 //! | LI | its Schnorr keypair | sign its `store_log_batch` transactions; it seals and opens nothing |
-//! | Analyser | *K*; every probe MAC key; its Schnorr keypair | open payloads ([`li::decrypt_entry_payload`]); check each entry's MAC; sign its on-chain reports |
+//! | Analyser | *K*; every probe MAC key; its Schnorr keypair | open payloads (`LogEntryRef::open_payload_into`); check each entry's MAC; sign its on-chain reports |
 //! | chain admin | its Schnorr keypair | sign the monitor contract's `init` and `set_timeout` calls |
 //!
 //! # Example: a full monitored federation run
@@ -86,7 +86,7 @@ pub mod scenario;
 pub use adversary::{Adversary, NoAdversary};
 pub use alert::{Alert, AlertKind};
 pub use analyser::Analyser;
-pub use contract::{MonitorContract, GROUP_COMPLETE_EVENT, MONITOR_CONTRACT};
+pub use contract::{MonitorContract, MONITOR_CONTRACT};
 pub use li::LoggingInterface;
 pub use logent::{LogEntry, ObservationPoint, ProbeId};
 pub use monitor::{run_monitor, GroundTruth, MonitorConfig, MonitorReport};

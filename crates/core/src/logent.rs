@@ -10,10 +10,10 @@
 //!
 //! An entry is built once, by its probe, and read many times: by the
 //! monitor contract on every node and by the Analyser. The readers work
-//! on the canonical bytes where they lie. [`LogEntryRef`] decodes an
+//! on the canonical bytes where they lie. `LogEntryRef` decodes an
 //! entry as a view that borrows its ciphertext instead of copying it,
-//! [`LogEntry::stored_digest`] reads the digest straight from its fixed
-//! offset ([`DIGEST_OFFSET`]), and the probe MAC's fixed-size head is
+//! `LogEntry::stored_digest` reads the digest straight from its fixed
+//! offset (`DIGEST_OFFSET`), and the probe MAC's fixed-size head is
 //! built in a stack buffer and streamed into the HMAC beside the
 //! ciphertext, so checking or computing a MAC allocates nothing.
 
@@ -132,7 +132,7 @@ pub struct LogEntry {
 
 /// Where an entry's digest sits in its canonical encoding: after the
 /// correlation (8 bytes), the point (1) and the probe (4).
-pub const DIGEST_OFFSET: usize = 13;
+const DIGEST_OFFSET: usize = 13;
 
 /// Length of the associated data binding a sealed payload to its entry:
 /// correlation, point and digest.
@@ -158,9 +158,10 @@ pub(crate) fn payload_aad(
 }
 
 impl LogEntry {
-    /// The fields bound by [`LogEntry::probe_mac`].
-    #[must_use]
-    pub fn mac_input(
+    /// The fields bound by [`LogEntry::probe_mac`], as one buffer: the
+    /// reference form the streamed MAC is tested against.
+    #[cfg(test)]
+    fn mac_input(
         correlation: CorrelationId,
         point: ObservationPoint,
         probe: ProbeId,
@@ -187,7 +188,7 @@ impl LogEntry {
 
     /// This entry as a [`LogEntryRef`] borrowing its ciphertext.
     #[must_use]
-    pub fn view(&self) -> LogEntryRef<'_> {
+    pub(crate) fn view(&self) -> LogEntryRef<'_> {
         LogEntryRef {
             correlation: self.correlation,
             point: self.point,
@@ -243,7 +244,7 @@ impl LogEntry {
     /// # Errors
     ///
     /// [`CryptoError::Malformed`] when `bytes` end before the digest does.
-    pub fn stored_digest(bytes: &[u8]) -> Result<Digest, CryptoError> {
+    pub(crate) fn stored_digest(bytes: &[u8]) -> Result<Digest, CryptoError> {
         let mut r = Reader::new(bytes.get(DIGEST_OFFSET..).unwrap_or_default());
         Digest::decode(&mut r)
     }
@@ -253,7 +254,7 @@ impl LogEntry {
 /// the ciphertext is copied out (they are fixed-size), the ciphertext is
 /// borrowed. What the monitor contract and the Analyser read entries as.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogEntryRef<'a> {
+pub(crate) struct LogEntryRef<'a> {
     /// See [`LogEntry::correlation`].
     pub correlation: CorrelationId,
     /// See [`LogEntry::point`].
@@ -318,7 +319,7 @@ impl<'a> LogEntryRef<'a> {
     /// # Errors
     ///
     /// As [`LogEntryRef::decode`].
-    pub fn decode_spanned(r: &mut Reader<'a>) -> Result<(Self, &'a [u8]), CryptoError> {
+    pub(crate) fn decode_spanned(r: &mut Reader<'a>) -> Result<(Self, &'a [u8]), CryptoError> {
         let input = r.rest();
         let entry = Self::decode(r)?;
         Ok((entry, &input[..input.len() - r.remaining()]))
@@ -338,7 +339,7 @@ impl<'a> LogEntryRef<'a> {
 
     /// The owned entry, its ciphertext copied.
     #[must_use]
-    pub fn to_entry(&self) -> LogEntry {
+    fn to_entry(self) -> LogEntry {
         LogEntry {
             correlation: self.correlation,
             point: self.point,
@@ -355,9 +356,10 @@ impl<'a> LogEntryRef<'a> {
         }
     }
 
-    /// [`LogEntry::mac_input`] up to and including the ciphertext's
-    /// length prefix — the part that does not already lie in the entry
-    /// as bytes — written into `head`; returns the bytes written.
+    /// The MAC input (`LogEntry::mac_input`) up to and including the
+    /// ciphertext's length prefix — the part that does not already lie
+    /// in the entry as bytes — written into `head`; returns the bytes
+    /// written.
     fn mac_head<'h>(&self, head: &'h mut [u8; MAC_HEAD_MAX]) -> &'h [u8] {
         let (len_prefix, prefix_len) = varint(self.ciphertext.len() as u64);
         let mut at = 0;
@@ -404,7 +406,7 @@ impl<'a> LogEntryRef<'a> {
     /// # Errors
     ///
     /// [`CryptoError::InvalidTag`] on tamper or wrong key.
-    pub fn open_payload_into(
+    pub(crate) fn open_payload_into(
         &self,
         key: &SymmetricKey,
         plaintext: &mut Vec<u8>,

@@ -69,7 +69,7 @@ pub struct MonitorConfig {
     pub analyser_enabled: bool,
     /// Master RNG seed; runs are deterministic per seed. Each simulation
     /// component draws from its own named stream derived from this seed
-    /// (see [`crate::scenario::stream_rng`]).
+    /// (see `crate::scenario::stream_rng`).
     pub seed: u64,
 }
 
@@ -310,7 +310,7 @@ impl MonitorReport {
     /// The alerts in their canonical encoding, in commit order: what
     /// "the same alerts, byte for byte" compares.
     #[must_use]
-    pub fn alert_bytes(&self) -> Vec<Vec<u8>> {
+    pub(crate) fn alert_bytes(&self) -> Vec<Vec<u8>> {
         self.alerts.iter().map(Encode::to_canonical_bytes).collect()
     }
 }

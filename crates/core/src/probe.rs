@@ -41,7 +41,7 @@ impl Probe {
     /// observations, so its next nonce is the one it would have used had
     /// it never stopped: a nonce is never sealed under twice.
     #[must_use]
-    pub fn resume(
+    pub(crate) fn resume(
         id: ProbeId,
         payload_key: SymmetricKey,
         mac_key: [u8; 32],
@@ -64,7 +64,7 @@ impl Probe {
 
     /// Number of observations produced so far.
     #[must_use]
-    pub fn observations(&self) -> u64 {
+    pub(crate) fn observations(&self) -> u64 {
         self.sequence
     }
 

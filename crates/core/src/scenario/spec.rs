@@ -29,7 +29,7 @@ pub const PDP_PROBE_BASE: u32 = 0x8000_0000;
 /// every other component's sequence — scenarios stay comparable across
 /// variations.
 #[must_use]
-pub fn stream_rng(master_seed: u64, name: &str) -> StdRng {
+pub(crate) fn stream_rng(master_seed: u64, name: &str) -> StdRng {
     let digest = Digest::of_parts(&[
         b"drams-rng-stream",
         &master_seed.to_be_bytes(),
@@ -42,7 +42,7 @@ pub fn stream_rng(master_seed: u64, name: &str) -> StdRng {
 
 /// The per-component streams of one run.
 #[derive(Debug)]
-pub struct RngStreams {
+pub(crate) struct RngStreams {
     /// Arrival gaps, tenant/service selection (the request generator has
     /// its own seed, as before).
     pub workload: StdRng,
@@ -93,15 +93,15 @@ pub fn probe_mac_key(id: ProbeId) -> [u8; 32] {
 
 /// Hard ceiling on any effective arrival rate: beyond this the DES would
 /// grind through sub-microsecond gaps without modelling anything new.
-pub const MAX_REQUEST_RATE: f64 = 50_000.0;
+const MAX_REQUEST_RATE: f64 = 50_000.0;
 /// Floor for a declared arrival rate: a pathological rate (zero,
 /// negative, NaN, infinite) clamps here instead of panicking the Poisson
 /// sampler or freezing virtual time.
-pub const MIN_REQUEST_RATE: f64 = 0.05;
+const MIN_REQUEST_RATE: f64 = 0.05;
 /// Largest modelled tenant population.
-pub const MAX_POPULATION: u32 = 1_000_000;
+const MAX_POPULATION: u32 = 1_000_000;
 /// Largest diurnal/spike multiplier, in permille (×100).
-pub const MAX_LOAD_MULTIPLIER_PERMILLE: u32 = 100_000;
+const MAX_LOAD_MULTIPLIER_PERMILLE: u32 = 100_000;
 /// Floor for any retention/retirement window a [`LoadProfile`] declares:
 /// the full retry budget plus the fault settle margin. No retransmission,
 /// fault-plane duplicate or post-heal replay can arrive later than this,
@@ -113,7 +113,7 @@ pub const MIN_RETENTION: SimTime = RETRY_BUDGET + FAULT_SETTLE;
 /// rates pass through untouched, so profile-less runs are byte-identical
 /// to pre-clamp baselines.
 #[must_use]
-pub fn clamp_rate(rate_per_sec: f64) -> f64 {
+fn clamp_rate(rate_per_sec: f64) -> f64 {
     if rate_per_sec.is_finite() && rate_per_sec > 0.0 {
         rate_per_sec.clamp(MIN_REQUEST_RATE, MAX_REQUEST_RATE)
     } else {
@@ -277,7 +277,7 @@ impl LoadProfile {
     /// The effective arrival rate at `now` for a phased base rate:
     /// base × diurnal × spike, clamped into the sane band.
     #[must_use]
-    pub fn effective_rate(&self, base_rate: f64, now: SimTime) -> f64 {
+    pub(crate) fn effective_rate(&self, base_rate: f64, now: SimTime) -> f64 {
         let (diurnal, spike) = self.multiplier_at(now);
         #[allow(clippy::cast_precision_loss)]
         clamp_rate(base_rate * (diurnal as f64 / 1000.0) * (spike as f64 / 1000.0))

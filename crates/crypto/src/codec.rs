@@ -278,7 +278,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads `n` raw bytes where they lie in the input, copying nothing.
-    pub fn get_slice(&mut self, n: usize) -> Result<&'a [u8], CryptoError> {
+    fn get_slice(&mut self, n: usize) -> Result<&'a [u8], CryptoError> {
         self.need(n)?;
         let (out, rest) = self.buf.split_at(n);
         self.buf = rest;
@@ -302,7 +302,7 @@ impl<'a> Reader<'a> {
 
     /// Reads a `seq`'s element count, refusing a count larger than the
     /// bytes that remain (each element needs at least one).
-    pub fn get_seq_len(&mut self) -> Result<usize, CryptoError> {
+    fn get_seq_len(&mut self) -> Result<usize, CryptoError> {
         let n = self.get_varint()? as usize;
         if n > self.remaining() {
             return Err(CryptoError::Malformed(format!(

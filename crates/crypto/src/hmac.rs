@@ -10,7 +10,7 @@
 //! state, streams the message parts into it and closes with one outer
 //! compression. Holders of a long-lived key ([`crate::aead::SymmetricKey`],
 //! the probes, the Analyser) keep the context, so the pads are hashed once
-//! per key and not once per tag. [`hmac_sha256`], [`hmac_sha256_parts`]
+//! per key and not once per tag. [`hmac_sha256`], `hmac_sha256_parts`
 //! and [`derive_key`] build a context for one use.
 
 use crate::sha256::{Digest, Sha256};
@@ -65,7 +65,7 @@ impl HmacKey {
 
     /// Computes `HMAC-SHA256(key, message)`.
     #[must_use]
-    pub fn mac(&self, message: &[u8]) -> Digest {
+    pub(crate) fn mac(&self, message: &[u8]) -> Digest {
         self.mac_parts(&[message])
     }
 
@@ -111,7 +111,7 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
 
 /// Computes HMAC over the concatenation of several message parts.
 #[must_use]
-pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> Digest {
+pub(crate) fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> Digest {
     HmacKey::new(key).mac_parts(parts)
 }
 

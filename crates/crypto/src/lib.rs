@@ -68,7 +68,7 @@ pub use aead::{open, seal, SealedBox, SymmetricKey};
 pub use codec::{Decode, Encode, Reader, Writer};
 pub use merkle::{MerkleProof, MerkleTree};
 pub use montgomery::{FixedBaseTable, MontCtx};
-pub use schnorr::{batch_verify, BatchVerifyError, Keypair, PublicKey, SecretKey, Signature};
+pub use schnorr::{batch_verify, Keypair, PublicKey, Signature};
 pub use sha256::Digest;
 
 use std::fmt;

@@ -35,7 +35,7 @@ pub struct MerkleProof {
 impl MerkleProof {
     /// Recomputes the root implied by `leaf_data` and this proof.
     #[must_use]
-    pub fn implied_root(&self, leaf_data: &[u8]) -> Digest {
+    fn implied_root(&self, leaf_data: &[u8]) -> Digest {
         let mut acc = hash_leaf(leaf_data);
         for (sibling, side) in &self.siblings {
             acc = match side {

@@ -3,7 +3,7 @@
 //! [`crate::bignum`]'s `mul_mod` runs a full Knuth Algorithm D division
 //! per product, which makes a 256-bit `mod_pow` cost ~384 divisions.
 //! This module replaces that in hot paths with Montgomery REDC
-//! ([`MontCtx::mont_mul`]: a 4×4 schoolbook product interleaved with the
+//! (`MontCtx::mont_mul`: a 4×4 schoolbook product interleaved with the
 //! reduction — no division at all), fixed-window (w = 4) exponentiation
 //! for arbitrary bases, and a precomputed fixed-base table
 //! ([`FixedBaseTable`]) that turns exponentiations of a *fixed* generator
@@ -96,7 +96,7 @@ impl MontCtx {
     // Measured kernel: indexed limb loops, kept as written.
     #[allow(clippy::needless_range_loop)]
     #[must_use]
-    pub fn mont_mul(&self, a: &U256, b: &U256) -> U256 {
+    pub(crate) fn mont_mul(&self, a: &U256, b: &U256) -> U256 {
         #[cfg(test)]
         PRODUCTS.set(PRODUCTS.get() + 1);
         let m = &self.m.0;
@@ -143,13 +143,15 @@ impl MontCtx {
     /// Converts into Montgomery form: `a·R mod m`. Accepts any `a`
     /// (including `a ≥ m`); the REDC doubles as the reduction.
     #[must_use]
-    pub fn to_mont(&self, a: &U256) -> U256 {
+    pub(crate) fn to_mont(&self, a: &U256) -> U256 {
         self.mont_mul(a, &self.r2)
     }
 
     /// Converts out of Montgomery form: `ā·R⁻¹ mod m`.
+    // `to_mont`'s inverse through this context, not a constructor.
+    #[allow(clippy::wrong_self_convention)]
     #[must_use]
-    pub fn from_mont(&self, a: &U256) -> U256 {
+    pub(crate) fn from_mont(&self, a: &U256) -> U256 {
         self.mont_mul(a, &U256::ONE)
     }
 
@@ -186,7 +188,7 @@ impl MontCtx {
     /// representations, so the result is simply `mont(x^exp)` when
     /// `base_mont = mont(x)`.
     #[must_use]
-    pub fn pow_mont(&self, base_mont: &U256, exp: &U256) -> U256 {
+    pub(crate) fn pow_mont(&self, base_mont: &U256, exp: &U256) -> U256 {
         let nbits = exp.bits();
         if nbits == 0 {
             return self.one;
@@ -268,7 +270,7 @@ impl FixedBaseTable {
 
     /// `base^exp` in Montgomery form.
     #[must_use]
-    pub fn pow_mont(&self, ctx: &MontCtx, exp: &U256) -> U256 {
+    pub(crate) fn pow_mont(&self, ctx: &MontCtx, exp: &U256) -> U256 {
         let mut acc = ctx.one;
         for (i, row) in self.table.iter().enumerate() {
             let digit = window_of(exp, i);

@@ -47,7 +47,7 @@ pub fn group_q() -> U256 {
 }
 
 /// The generator `g = 4` of the quadratic-residue subgroup.
-pub fn group_g() -> U256 {
+fn group_g() -> U256 {
     U256::from_u64(4)
 }
 
@@ -148,7 +148,7 @@ impl SecretKey {
 
     /// Computes the corresponding public key (a fixed-base table walk).
     #[must_use]
-    pub fn public_key(&self) -> PublicKey {
+    fn public_key(&self) -> PublicKey {
         let g = group();
         PublicKey(g.g_table.pow(&g.p, &self.0))
     }
@@ -157,7 +157,7 @@ impl SecretKey {
     /// and message (simplified RFC 6979).
     ///
     /// Recomputes the public key (one exponentiation); use
-    /// [`Keypair::sign`] or [`SecretKey::sign_with_public_key`] in hot
+    /// [`Keypair::sign`] or `SecretKey::sign_with_public_key` in hot
     /// loops to reuse a cached key.
     #[must_use]
     pub fn sign(&self, message: &[u8]) -> Signature {
@@ -171,7 +171,7 @@ impl SecretKey {
     /// provided `pk` matches this secret; a mismatched `pk` yields a
     /// signature that will not verify.
     #[must_use]
-    pub fn sign_with_public_key(&self, pk: &PublicKey, message: &[u8]) -> Signature {
+    fn sign_with_public_key(&self, pk: &PublicKey, message: &[u8]) -> Signature {
         let g = group();
         let q = group_q();
         let x_bytes = self.0.to_be_bytes();
@@ -232,26 +232,6 @@ impl SecretKey {
             }
             return Signature { e, s };
         }
-    }
-
-    /// Exposes the raw scalar, as [`SecretKey::from_scalar_bytes`] takes it
-    /// back.
-    #[must_use]
-    pub fn to_scalar_bytes(&self) -> [u8; 32] {
-        self.0.to_be_bytes()
-    }
-
-    /// Reconstructs from raw scalar bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::OutOfRange`] if the scalar is 0 or ≥ q.
-    pub fn from_scalar_bytes(bytes: [u8; 32]) -> Result<Self, CryptoError> {
-        let x = U256::from_be_bytes(bytes);
-        if x.is_zero() || x >= group_q() {
-            return Err(CryptoError::OutOfRange("secret scalar"));
-        }
-        Ok(SecretKey(x))
     }
 }
 
@@ -328,8 +308,9 @@ impl PublicKey {
 
     /// Checks group membership: `1 < y < p` and `y^q ≡ 1 (mod p)`.
     ///
-    /// This is an expensive check (one modular exponentiation); callers
-    /// validate once at registration, not per verification.
+    /// This is an expensive check (one modular exponentiation), meant for
+    /// once per key at registration, not per verification; nothing in the
+    /// workspace calls it yet.
     #[must_use]
     pub fn is_valid_group_element(&self) -> bool {
         let g = group();
@@ -739,16 +720,12 @@ mod tests {
         let kp = keypair();
         let pk = PublicKey::from_bytes(kp.public().to_bytes()).unwrap();
         assert_eq!(pk, kp.public());
-        let sk = SecretKey::from_scalar_bytes(kp.secret().to_scalar_bytes()).unwrap();
-        assert_eq!(sk.public_key(), kp.public());
     }
 
     #[test]
     fn out_of_range_keys_rejected() {
         assert!(PublicKey::from_bytes([0u8; 32]).is_err());
         assert!(PublicKey::from_bytes(group_p().to_be_bytes()).is_err());
-        assert!(SecretKey::from_scalar_bytes([0u8; 32]).is_err());
-        assert!(SecretKey::from_scalar_bytes(group_q().to_be_bytes()).is_err());
     }
 
     #[test]
@@ -779,7 +756,8 @@ mod tests {
         let dbg = format!("{:?}", kp.secret());
         assert!(!dbg.contains(
             &kp.secret()
-                .to_scalar_bytes()
+                .0
+                .to_be_bytes()
                 .iter()
                 .map(|b| format!("{b:02x}"))
                 .collect::<String>()

@@ -12,8 +12,6 @@ use std::collections::BinaryHeap;
 /// Virtual time in microseconds.
 pub type SimTime = u64;
 
-/// One microsecond.
-pub const MICRO: SimTime = 1;
 /// One millisecond in [`SimTime`] units.
 pub const MILLIS: SimTime = 1_000;
 /// One second in [`SimTime`] units.
@@ -126,7 +124,7 @@ impl<E> EventQueue<E> {
 /// Number of buckets in the delivery-attempt histogram: bucket `i`
 /// counts messages that needed `i + 1` delivery attempts; the last
 /// bucket aggregates everything at or beyond `ATTEMPT_BUCKETS`.
-pub const ATTEMPT_BUCKETS: usize = 8;
+const ATTEMPT_BUCKETS: usize = 8;
 
 /// Immutable summary of a latency series, for services and reports that
 /// log several percentiles without needing `&mut` access.
@@ -147,7 +145,7 @@ pub struct StatsReport {
     /// Total retries (delivery attempts beyond the first) across all
     /// messages whose attempt counts were recorded.
     pub retries: u64,
-    /// Delivery-attempt histogram; see [`ATTEMPT_BUCKETS`].
+    /// Delivery-attempt histogram; see `ATTEMPT_BUCKETS`.
     pub attempts: [u64; ATTEMPT_BUCKETS],
 }
 

@@ -73,7 +73,7 @@ impl LinkFault {
     /// Whether this spec can make messages vanish (drives degraded-mode
     /// timeout widening: only message loss threatens epoch deadlines).
     #[must_use]
-    pub fn is_lossy(&self) -> bool {
+    fn is_lossy(&self) -> bool {
         self.drop_permille > 0
     }
 }

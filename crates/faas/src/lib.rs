@@ -39,7 +39,7 @@ pub mod prp;
 pub mod transport;
 pub mod workload;
 
-pub use des::{EventQueue, LatencyStats, SimTime, StatsReport, MICRO, MILLIS, SECONDS};
+pub use des::{EventQueue, LatencyStats, SimTime, MILLIS, SECONDS};
 pub use fault::{FaultPlan, FaultPlane, FaultStats, LinkFault, PartitionWindow, Site};
 pub use model::{CloudId, FederationSpec, LatencyModel, PepId, TenantId, TenantSpec};
 pub use msg::{CorrelationId, RequestEnvelope, ResponseEnvelope};

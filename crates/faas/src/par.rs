@@ -20,7 +20,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Upper bound on the worker count.
-pub const MAX_WORKERS: usize = 64;
+const MAX_WORKERS: usize = 64;
 
 static WORKERS: AtomicUsize = AtomicUsize::new(1);
 

@@ -31,10 +31,10 @@ use drams_crypto::CryptoError;
 use crate::des::SimTime;
 
 /// Magic bytes opening every frame body: `DRNF` (DRams Net Frame).
-pub const FRAME_MAGIC: u32 = 0x4452_4e46;
+const FRAME_MAGIC: u32 = 0x4452_4e46;
 
 /// Wire-format version carried in every frame body.
-pub const FRAME_VERSION: u8 = 1;
+const FRAME_VERSION: u8 = 1;
 
 /// Hard ceiling on a frame body (header + payload). A length prefix
 /// above this is rejected before any allocation — a corrupt or hostile
@@ -83,7 +83,7 @@ impl WireRole {
 
     /// Instance parameter (PDP slot / LI index; 0 for singleton roles).
     #[must_use]
-    pub fn param(self) -> u32 {
+    fn param(self) -> u32 {
         match self {
             WireRole::Pdp { slot } => slot,
             WireRole::Li { index } => index,
@@ -92,7 +92,7 @@ impl WireRole {
     }
 
     /// Rebuilds a role from its wire `(tag, param)` pair.
-    pub fn from_wire(tag: u8, param: u32) -> Result<Self, TransportError> {
+    fn from_wire(tag: u8, param: u32) -> Result<Self, TransportError> {
         match tag {
             1 => Ok(WireRole::Pep),
             2 => Ok(WireRole::Pdp { slot: param }),

@@ -119,7 +119,7 @@ impl AttackPlan {
 
     /// The campaign's threat kind, if this plan is a campaign.
     #[must_use]
-    pub fn campaign_kind(&self) -> Option<ThreatKind> {
+    pub(crate) fn campaign_kind(&self) -> Option<ThreatKind> {
         match self {
             AttackPlan::Honest => None,
             AttackPlan::Campaign { kind, .. } => Some(*kind),
@@ -165,17 +165,11 @@ impl FuzzCase {
 
     /// Whether the script carries a crash-restart point.
     #[must_use]
-    pub fn has_crash(&self) -> bool {
+    pub(crate) fn has_crash(&self) -> bool {
         self.spec
             .script
             .iter()
             .any(|a| matches!(a, ScriptedAction::CrashRestart { .. }))
-    }
-
-    /// Whether a network fault plan runs underneath the scenario.
-    #[must_use]
-    pub fn has_faults(&self) -> bool {
-        !self.spec.faults.is_empty()
     }
 }
 
@@ -664,7 +658,7 @@ mod tests {
     #[test]
     fn prelude_includes_fault_plan_cases() {
         let faulted: Vec<u64> = (0..COVERAGE_PRELUDE)
-            .filter(|&s| generate(s).has_faults())
+            .filter(|&s| !generate(s).spec.faults.is_empty())
             .collect();
         assert!(
             faulted.len() >= 2,
@@ -673,7 +667,7 @@ mod tests {
         // Seed 17 is the hardest cross: campaign + crash inside the
         // attack window + a fault plan underneath.
         let hard = generate(17);
-        assert!(hard.has_faults() && hard.has_crash());
+        assert!(!hard.spec.faults.is_empty() && hard.has_crash());
         assert!(hard.plan.campaign_kind().is_some());
     }
 

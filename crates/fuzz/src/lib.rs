@@ -29,5 +29,5 @@ pub mod oracle;
 pub mod shrink;
 
 pub use gen::{generate, strict_policy, AttackPlan, ChainAttackKind, FuzzCase, COVERAGE_PRELUDE};
-pub use oracle::{run_case, strip_crashes, CaseOutcome};
+pub use oracle::{run_case, strip_crashes};
 pub use shrink::{render_rust, shrink};

@@ -451,7 +451,10 @@ mod tests {
     #[test]
     fn shrinking_strips_a_non_load_bearing_fault_plan() {
         let case = generate(16); // honest over a fault plan
-        assert!(case.has_faults(), "seed 16 must carry a fault plan");
+        assert!(
+            !case.spec.faults.is_empty(),
+            "seed 16 must carry a fault plan"
+        );
         let never = |_: &FuzzCase| true;
         let minimal = shrink(&case, never);
         assert!(minimal.spec.faults.is_empty());
@@ -460,7 +463,7 @@ mod tests {
     #[test]
     fn rendered_reproduction_includes_the_fault_plan() {
         let case = generate(17); // campaign + crash-in-window + faults
-        assert!(case.has_faults() && case.has_crash());
+        assert!(!case.spec.faults.is_empty() && case.has_crash());
         let rust = render_rust(&case);
         assert!(rust.contains("faults: FaultPlan {"));
         assert!(rust.contains("LinkFault {"));

@@ -14,7 +14,7 @@
 //! That is all an endpoint does: it validates and echoes, holds no
 //! state beyond its counters and runs no Figure-1 role logic. It has no
 //! thread of its own. Its sockets are non-blocking, and its holder — the
-//! transport, on the driver's thread — calls [`NodeEndpoint::serve`]
+//! transport, on the driver's thread — calls `NodeEndpoint::serve`
 //! whenever it wants the endpoint to move bytes.
 
 use std::io::{self, Write};
@@ -27,7 +27,7 @@ use crate::frame::{frame_bytes, would_block, FrameReader};
 
 /// Counters an endpoint accumulates over its lifetime.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct EndpointStats {
+pub(crate) struct EndpointStats {
     /// Frames validated and echoed.
     pub frames: u64,
     /// Connections accepted.
@@ -102,7 +102,7 @@ impl Served {
 
 /// A validating echo endpoint for one role, served inline by its holder.
 #[derive(Debug)]
-pub struct NodeEndpoint {
+pub(crate) struct NodeEndpoint {
     role: WireRole,
     listener: TcpListener,
     addr: SocketAddr,
@@ -113,7 +113,7 @@ pub struct NodeEndpoint {
 impl NodeEndpoint {
     /// Binds a non-blocking listener on `127.0.0.1:0` for `role`. It is
     /// listening before this returns, so a connect never races it.
-    pub fn bind(role: WireRole) -> io::Result<Self> {
+    pub(crate) fn bind(role: WireRole) -> io::Result<Self> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         listener.set_nonblocking(true)?;
         Ok(NodeEndpoint {
@@ -127,13 +127,14 @@ impl NodeEndpoint {
 
     /// The endpoint's listen address.
     #[must_use]
-    pub fn addr(&self) -> SocketAddr {
+    pub(crate) fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// Counters accumulated so far.
-    #[must_use]
-    pub fn stats(&self) -> EndpointStats {
+    /// Counters accumulated so far: what the tests of this module and
+    /// of the transport read to see frames validated and refused.
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> EndpointStats {
         self.stats
     }
 
@@ -142,7 +143,7 @@ impl NodeEndpoint {
     /// Connections ahead of it, left by an attempt that failed, are
     /// closed unserved. Polls until `deadline`, then fails with
     /// `WouldBlock`; a loopback connect is queued when it returns.
-    pub fn accept(&mut self, peer: SocketAddr, deadline: Instant) -> io::Result<()> {
+    pub(crate) fn accept(&mut self, peer: SocketAddr, deadline: Instant) -> io::Result<()> {
         self.served = None;
         loop {
             match self.listener.accept() {
@@ -172,7 +173,7 @@ impl NodeEndpoint {
     /// or reads at most one slice and echoes the complete frames in it.
     /// Returns whether a byte moved; a refused frame, EOF or a socket
     /// error closes the connection, and that counts as a move.
-    pub fn serve(&mut self) -> bool {
+    pub(crate) fn serve(&mut self) -> bool {
         let Some(served) = self.served.as_mut() else {
             return false;
         };

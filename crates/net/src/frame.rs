@@ -27,7 +27,7 @@ pub const FRAME_PREFIX: usize = 8;
 /// The most bytes one end of a connection moves per read or write: a
 /// transfer is bounded slices between two non-blocking ends, never a
 /// bet on how much the kernel's socket buffers hold.
-pub const SLICE: usize = 4 * 1024;
+pub(crate) const SLICE: usize = 4 * 1024;
 
 /// Encodes a frame into its full wire representation
 /// (`len | crc | body`). Fails if the body would exceed
@@ -77,7 +77,7 @@ impl FrameReader {
 
     /// Reads at most one [`SLICE`] from `r` into the parse buffer and
     /// returns how many bytes came (0 at EOF).
-    pub fn read_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
+    pub(crate) fn read_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
         let mut chunk = [0u8; SLICE];
         let n = r.read(&mut chunk)?;
         self.feed(&chunk[..n]);
@@ -129,7 +129,7 @@ impl FrameReader {
 /// Deadline expiries (`TimedOut`/`WouldBlock`) become the retryable
 /// [`TransportError::TimedOut`].
 #[must_use]
-pub fn io_error(e: std::io::Error) -> TransportError {
+pub(crate) fn io_error(e: std::io::Error) -> TransportError {
     match e.kind() {
         std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock => TransportError::TimedOut,
         _ => TransportError::Io(e.to_string()),

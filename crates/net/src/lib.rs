@@ -12,7 +12,7 @@
 //! * [`frame`] — length-prefixed, CRC-checked byte framing (the WAL
 //!   record format around canonical-codec frame bodies) with an
 //!   incremental parser that survives arbitrarily torn reads.
-//! * [`endpoint`] — [`NodeEndpoint`], one per role behind a loopback
+//! * [`endpoint`] — `NodeEndpoint`, one per role behind a loopback
 //!   listener: validates every frame (CRC, role pinning, strictly
 //!   increasing sequence numbers) and acknowledges it by echoing it back.
 //! * [`transport`] — [`TcpTransport`], the `Transport` backend that
@@ -32,7 +32,7 @@
 //! and reconnect. What they do not: the roles themselves still run in
 //! the scenario driver — no Figure-1 role logic runs behind a socket.
 //! Hosting one remotely (the PDP slot, say) would start from
-//! [`NodeEndpoint`].
+//! `NodeEndpoint`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,6 +41,5 @@ pub mod endpoint;
 pub mod frame;
 pub mod transport;
 
-pub use endpoint::{EndpointStats, NodeEndpoint};
 pub use frame::{frame_bytes, FrameReader, FRAME_PREFIX};
 pub use transport::{NetStats, TcpTransport};

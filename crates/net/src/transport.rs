@@ -4,7 +4,7 @@
 //! carries one dispatch's wire messages as one synchronous batch: frame
 //! every message, move each run of consecutive frames to one role to
 //! its endpoint and their echoes back, and hand the echoed frames to the
-//! scheduler in input order. A role's [`NodeEndpoint`] is bound, and connected to over
+//! scheduler in input order. A role's `NodeEndpoint` is bound, and connected to over
 //! loopback, on first contact. It is served inline, on the driver's
 //! thread: both ends of a role's connection are non-blocking, and a
 //! transfer alternates between them in bounded slices — write a slice,

@@ -145,7 +145,7 @@ pub enum AttributeValue {
 impl AttributeValue {
     /// A human-readable name for the value's type.
     #[must_use]
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             AttributeValue::Str(_) => "string",
             AttributeValue::Int(_) => "int",
@@ -289,7 +289,7 @@ impl Request {
 
     /// The value bag for an [`AttributeId`]; empty slice when absent.
     #[must_use]
-    pub fn bag_by_id(&self, id: &AttributeId) -> &[AttributeValue] {
+    pub(crate) fn bag_by_id(&self, id: &AttributeId) -> &[AttributeValue] {
         self.attributes.get(id).map(Vec::as_slice).unwrap_or(&[])
     }
 
@@ -343,18 +343,6 @@ impl RequestBuilder {
     #[must_use]
     pub fn environment(mut self, name: &str, value: impl Into<AttributeValue>) -> Self {
         self.request.add(Category::Environment, name, value);
-        self
-    }
-
-    /// Adds an attribute under an explicit category.
-    #[must_use]
-    pub fn attribute(
-        mut self,
-        category: Category,
-        name: &str,
-        value: impl Into<AttributeValue>,
-    ) -> Self {
-        self.request.add(category, name, value);
         self
     }
 

@@ -90,7 +90,7 @@ impl Decode for CombiningAlg {
 /// Anything a combining algorithm can combine: rules, policies, policy
 /// sets. Applicability (target only) and full evaluation are separated
 /// because `only-one-applicable` needs the former without the latter.
-pub trait Combinable {
+pub(crate) trait Combinable {
     /// Target-only applicability check.
     fn applicability(&self, request: &Request) -> MatchResult;
     /// Full evaluation: extended decision plus contributed obligations.
@@ -101,7 +101,7 @@ pub trait Combinable {
 ///
 /// Obligations are accumulated from every child whose decision equals the
 /// combined decision (XACML §7.18); indeterminate outcomes carry none.
-pub fn combine<C: Combinable>(
+pub(crate) fn combine<C: Combinable>(
     alg: CombiningAlg,
     children: &[C],
     request: &Request,

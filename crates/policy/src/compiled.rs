@@ -11,7 +11,7 @@
 //! This module compiles a [`PolicySet`] once, in one walk, into a
 //! [`PreparedPolicySet`] built for the hot path:
 //!
-//! * [`AttrInterner`] — every [`AttributeId`] referenced anywhere in the
+//! * `AttrInterner` — every [`AttributeId`] referenced anywhere in the
 //!   policy is mapped to a dense `u32` symbol.
 //! * **One arena per version.** Every expression node of every target
 //!   and condition lives in one `Vec` of nodes, every argument list and
@@ -28,7 +28,7 @@
 //!   apart by variant and exact bits or bytes — never by
 //!   [`AttributeValue`]'s coercing equality, under which `Int(1)` equals
 //!   `Double(1.0)` and `0.0` equals `-0.0`.
-//! * [`PreparedRequest`] — the request's bags re-indexed by symbol, so
+//! * `PreparedRequest` — the request's bags re-indexed by symbol, so
 //!   every attribute lookup during evaluation is one array access.
 //! * A **target index** on every policy or policy set with at least
 //!   `MIN_INDEXED_CHILDREN` children, at least one of them guarded:
@@ -109,7 +109,7 @@ impl Hasher for FxHasher {
 type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Dense symbol assigned to an interned [`AttributeId`].
-pub type Sym = u32;
+type Sym = u32;
 
 /// Interns attribute ids to dense `u32` symbols.
 ///
@@ -117,7 +117,7 @@ pub type Sym = u32;
 /// request attributes outside this set cannot influence evaluation and
 /// are simply not indexed.
 #[derive(Debug, Clone, Default)]
-pub struct AttrInterner {
+pub(crate) struct AttrInterner {
     ids: Vec<AttributeId>,
     map: FxMap<AttributeId, Sym>,
 }
@@ -135,7 +135,7 @@ impl AttrInterner {
 
     /// The symbol for `id`, if the policy references it.
     #[must_use]
-    pub fn lookup(&self, id: &AttributeId) -> Option<Sym> {
+    fn lookup(&self, id: &AttributeId) -> Option<Sym> {
         self.map.get(id).copied()
     }
 
@@ -145,7 +145,7 @@ impl AttrInterner {
     ///
     /// Panics when the symbol was not produced by this interner.
     #[must_use]
-    pub fn resolve(&self, sym: Sym) -> &AttributeId {
+    fn resolve(&self, sym: Sym) -> &AttributeId {
         &self.ids[sym as usize]
     }
 
@@ -154,18 +154,12 @@ impl AttrInterner {
     pub fn len(&self) -> usize {
         self.ids.len()
     }
-
-    /// True when nothing is interned.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
 }
 
 /// A request re-indexed for O(1) symbol lookup: `bags[sym]` borrows the
 /// request's value bag (empty slice when absent).
 #[derive(Debug)]
-pub struct PreparedRequest<'r> {
+pub(crate) struct PreparedRequest<'r> {
     bags: Vec<&'r [AttributeValue]>,
 }
 
@@ -620,15 +614,9 @@ impl PreparedPolicySet {
         &self.canonical
     }
 
-    /// The attribute interner (symbols are dense `0..interner().len()`).
-    #[must_use]
-    pub fn interner(&self) -> &AttrInterner {
-        &self.interner
-    }
-
     /// Re-indexes a request's bags by symbol. O(request attributes).
     #[must_use]
-    pub fn prepare<'r>(&self, request: &'r Request) -> PreparedRequest<'r> {
+    pub(crate) fn prepare<'r>(&self, request: &'r Request) -> PreparedRequest<'r> {
         const EMPTY: &[AttributeValue] = &[];
         let mut bags = vec![EMPTY; self.interner.len()];
         for (id, bag) in request.iter() {
@@ -652,7 +640,7 @@ impl PreparedPolicySet {
     /// Evaluates an already-prepared request (the PDP's decision-cache
     /// miss path).
     #[must_use]
-    pub fn evaluate_prepared(
+    pub(crate) fn evaluate_prepared(
         &self,
         request: &PreparedRequest<'_>,
     ) -> (ExtDecision, Vec<Obligation>) {
@@ -1271,17 +1259,17 @@ mod tests {
     fn interner_is_dense_and_stable() {
         let set = indexed_set(CombiningAlg::DenyOverrides);
         let prepared = PreparedPolicySet::compile(&set);
-        assert_eq!(prepared.interner().len(), 2); // resource.type, subject.role
+        assert_eq!(prepared.interner.len(), 2); // resource.type, subject.role
         let sym = prepared
-            .interner()
+            .interner
             .lookup(&AttributeId::new(Category::Resource, "type"))
             .unwrap();
         assert_eq!(
-            prepared.interner().resolve(sym),
+            prepared.interner.resolve(sym),
             &AttributeId::new(Category::Resource, "type")
         );
         assert!(prepared
-            .interner()
+            .interner
             .lookup(&AttributeId::new(Category::Subject, "ghost"))
             .is_none());
     }

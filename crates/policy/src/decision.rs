@@ -157,13 +157,6 @@ impl Obligation {
             args: Vec::new(),
         }
     }
-
-    /// Adds an argument (builder style).
-    #[must_use]
-    pub fn with_arg(mut self, arg: impl Into<AttributeValue>) -> Self {
-        self.args.push(arg.into());
-        self
-    }
 }
 
 /// The full response a PDP returns for one request.
@@ -373,8 +366,14 @@ mod tests {
         let resp = Response::new(
             ExtDecision::Permit,
             vec![
-                Obligation::new("log-access", Effect::Permit).with_arg("audit"),
-                Obligation::new("notify", Effect::Permit).with_arg(3i64),
+                Obligation {
+                    args: vec!["audit".into()],
+                    ..Obligation::new("log-access", Effect::Permit)
+                },
+                Obligation {
+                    args: vec![3i64.into()],
+                    ..Obligation::new("notify", Effect::Permit)
+                },
             ],
         );
         let bytes = resp.to_canonical_bytes();

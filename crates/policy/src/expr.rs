@@ -319,30 +319,8 @@ impl Expr {
     ///
     /// As [`Expr::eval`], plus a type mismatch when the result is not
     /// boolean.
-    pub fn eval_bool(&self, request: &Request) -> Result<bool, EvalError> {
+    pub(crate) fn eval_bool(&self, request: &Request) -> Result<bool, EvalError> {
         bool_result(self.eval_view(request)?)
-    }
-
-    /// All attribute ids referenced by this expression.
-    #[must_use]
-    pub fn referenced_attributes(&self) -> Vec<AttributeId> {
-        let mut out = Vec::new();
-        self.collect_attrs(&mut out);
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    fn collect_attrs(&self, out: &mut Vec<AttributeId>) {
-        match self {
-            Expr::Lit(_) => {}
-            Expr::Attr(id) => out.push(id.clone()),
-            Expr::Apply(_, args) => {
-                for a in args {
-                    a.collect_attrs(out);
-                }
-            }
-        }
     }
 
     /// Structural size (node count) — used by workload generators to
@@ -808,18 +786,6 @@ mod tests {
             e.eval(&req()).unwrap(),
             Evaluated::One(AttributeValue::Int(1))
         );
-    }
-
-    #[test]
-    fn referenced_attributes_collects_and_dedups() {
-        let role = attr(Category::Subject, "role");
-        let e = Expr::and(vec![
-            Expr::equal(role.clone(), Expr::lit("a")),
-            Expr::equal(role, Expr::lit("b")),
-            Expr::equal(attr(Category::Action, "id"), Expr::lit("read")),
-        ]);
-        let attrs = e.referenced_attributes();
-        assert_eq!(attrs.len(), 2);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub mod target;
 /// Convenient glob-import of the types needed to build and evaluate
 /// policies.
 pub mod prelude {
-    pub use crate::attr::{AttributeId, AttributeValue, Category, Request, RequestBuilder};
+    pub use crate::attr::{AttributeId, AttributeValue, Category, Request};
     pub use crate::combining::CombiningAlg;
     pub use crate::compiled::PreparedPolicySet;
     pub use crate::decision::{Decision, Effect, ExtDecision, Obligation, Response};
@@ -73,5 +73,5 @@ pub mod prelude {
     pub use crate::pdp::Pdp;
     pub use crate::policy::{Policy, PolicyChild, PolicySet};
     pub use crate::rule::Rule;
-    pub use crate::target::{MatchResult, Target};
+    pub use crate::target::Target;
 }

@@ -571,21 +571,6 @@ pub fn parse_policy_set(src: &str) -> Result<PolicySet, ParseError> {
     Ok(set)
 }
 
-/// Parses a single expression from source text (used by tests and tools).
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] on any syntax error.
-pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
-    let toks = tokenize(src)?;
-    let mut parser = Parser { toks, pos: 0 };
-    let e = parser.parse_expr()?;
-    if parser.pos != parser.toks.len() {
-        return parser.err("trailing input after expression");
-    }
-    Ok(e)
-}
-
 // ---- pretty printer ---------------------------------------------------------
 
 /// Renders a policy set back to parseable source text.
@@ -717,6 +702,18 @@ mod tests {
     use crate::attr::Request;
     use crate::decision::ExtDecision;
 
+    /// One expression through the grammar `parse_policy_set` uses for
+    /// targets and conditions.
+    fn parse_expr(src: &str) -> Result<Expr, ParseError> {
+        let toks = tokenize(src)?;
+        let mut parser = Parser { toks, pos: 0 };
+        let e = parser.parse_expr()?;
+        if parser.pos != parser.toks.len() {
+            return parser.err("trailing input after expression");
+        }
+        Ok(e)
+    }
+
     const SAMPLE: &str = r#"
 # A healthcare data-sharing policy.
 policyset root { deny-overrides
@@ -793,7 +790,17 @@ policyset root { deny-overrides
     fn parse_expr_attr_and_nested_calls() {
         let e =
             parse_expr("and(equal(subject.role, \"dr\"), not(in(\"x\", resource.tags)))").unwrap();
-        assert_eq!(e.referenced_attributes().len(), 2);
+        let attr = |c, name| Expr::attr(AttributeId::new(c, name));
+        assert_eq!(
+            e,
+            Expr::and(vec![
+                Expr::equal(attr(Category::Subject, "role"), Expr::lit("dr")),
+                Expr::not(Expr::Apply(
+                    Func::In,
+                    vec![Expr::lit("x"), attr(Category::Resource, "tags")]
+                )),
+            ])
+        );
     }
 
     #[test]

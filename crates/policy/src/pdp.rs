@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex};
 
 /// Default decision-cache capacity (responses). See
 /// [`Pdp::with_cache_capacity`] to tune or disable.
-pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
+const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
 /// LRU state: responses keyed by digest, each stamped with a recency
 /// tick, plus the tick→digest index that makes the oldest entry O(log n)
@@ -110,7 +110,7 @@ pub struct Pdp {
 
 impl Pdp {
     /// Creates a PDP for a root policy set, compiling it and enabling
-    /// the decision cache at [`DEFAULT_CACHE_CAPACITY`].
+    /// the decision cache at `DEFAULT_CACHE_CAPACITY`.
     #[must_use]
     pub fn new(root: impl Borrow<PolicySet>) -> Self {
         Pdp::with_cache_capacity(root, DEFAULT_CACHE_CAPACITY)

@@ -51,18 +51,6 @@ impl Policy {
         )
     }
 
-    /// All attribute ids referenced anywhere inside.
-    #[must_use]
-    pub fn referenced_attributes(&self) -> Vec<crate::attr::AttributeId> {
-        let mut out = self.target.referenced_attributes();
-        for r in &self.rules {
-            out.extend(r.referenced_attributes());
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
-
     /// Structural size.
     #[must_use]
     pub fn size(&self) -> usize {
@@ -164,21 +152,6 @@ impl PolicySet {
             &self.obligations,
             request,
         )
-    }
-
-    /// All attribute ids referenced anywhere inside.
-    #[must_use]
-    pub fn referenced_attributes(&self) -> Vec<crate::attr::AttributeId> {
-        let mut out = self.target.referenced_attributes();
-        for c in &self.children {
-            match c {
-                PolicyChild::Policy(p) => out.extend(p.referenced_attributes()),
-                PolicyChild::Set(s) => out.extend(s.referenced_attributes()),
-            }
-        }
-        out.sort();
-        out.dedup();
-        out
     }
 
     /// Structural size (expression nodes + elements).
@@ -566,7 +539,10 @@ mod tests {
                     )
                     .build(),
             )
-            .obligation(Obligation::new("top", Effect::Deny).with_arg(true))
+            .obligation(Obligation {
+                args: vec![true.into()],
+                ..Obligation::new("top", Effect::Deny)
+            })
             .build();
         let bytes = set.to_canonical_bytes();
         assert_eq!(PolicySet::from_canonical_bytes(&bytes).unwrap(), set);

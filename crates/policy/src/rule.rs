@@ -69,7 +69,7 @@ impl Rule {
 
     /// Target applicability only (used by `only-one-applicable`).
     #[must_use]
-    pub fn applicability(&self, request: &Request) -> MatchResult {
+    pub(crate) fn applicability(&self, request: &Request) -> MatchResult {
         self.target.matches(request)
     }
 
@@ -102,18 +102,6 @@ impl Rule {
             .cloned()
             .collect();
         (decision, obligations)
-    }
-
-    /// All attribute ids referenced by target and condition.
-    #[must_use]
-    pub fn referenced_attributes(&self) -> Vec<crate::attr::AttributeId> {
-        let mut out = self.target.referenced_attributes();
-        if let Some(c) = &self.condition {
-            out.extend(c.referenced_attributes());
-        }
-        out.sort();
-        out.dedup();
-        out
     }
 
     /// Structural size (expression nodes in target + condition).
@@ -291,19 +279,21 @@ mod tests {
         let rule = Rule::builder("r42", Effect::Deny)
             .target(Target::expr(role_eq("doctor")))
             .condition(Expr::lit(true))
-            .obligation(Obligation::new("audit", Effect::Deny).with_arg(7i64))
+            .obligation(Obligation {
+                args: vec![7i64.into()],
+                ..Obligation::new("audit", Effect::Deny)
+            })
             .build();
         let bytes = rule.to_canonical_bytes();
         assert_eq!(Rule::from_canonical_bytes(&bytes).unwrap(), rule);
     }
 
     #[test]
-    fn size_and_referenced_attributes() {
+    fn size_counts_target_and_condition() {
         let rule = Rule::builder("r", Effect::Permit)
             .target(Target::expr(role_eq("doctor")))
             .condition(role_eq("doctor"))
             .build();
-        assert_eq!(rule.referenced_attributes().len(), 1);
-        assert!(rule.size() > 1);
+        assert_eq!(rule.size(), 2 * role_eq("doctor").size() + 1);
     }
 }

@@ -98,24 +98,6 @@ impl Target {
         }
     }
 
-    /// All attribute ids mentioned anywhere in the target.
-    #[must_use]
-    pub fn referenced_attributes(&self) -> Vec<crate::attr::AttributeId> {
-        let mut out = Vec::new();
-        if let Target::Clauses(clauses) = self {
-            for any_of in clauses {
-                for all_of in any_of {
-                    for m in all_of {
-                        out.extend(m.referenced_attributes());
-                    }
-                }
-            }
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
-
     /// Structural size (total expression nodes).
     #[must_use]
     pub fn size(&self) -> usize {
@@ -359,13 +341,12 @@ mod tests {
     }
 
     #[test]
-    fn referenced_attributes_and_size() {
-        let t = Target::all(vec![
-            eq(Category::Subject, "role", "doctor"),
-            eq(Category::Action, "id", "read"),
-        ]);
-        assert_eq!(t.referenced_attributes().len(), 2);
-        assert!(t.size() > 0);
+    fn size_counts_every_match() {
+        let role = eq(Category::Subject, "role", "doctor");
+        let action = eq(Category::Action, "id", "read");
+        let size = role.size() + action.size();
+        let t = Target::all(vec![role, action]);
+        assert_eq!(t.size(), size);
         assert_eq!(Target::Any.size(), 0);
     }
 }

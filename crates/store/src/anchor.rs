@@ -15,7 +15,7 @@ use drams_crypto::schnorr::Keypair;
 use drams_crypto::sha256::Digest;
 
 /// The anchor contract's registry name.
-pub const ANCHOR_CONTRACT: &str = "drams-anchor";
+const ANCHOR_CONTRACT: &str = "drams-anchor";
 
 /// On-chain registry of segment roots.
 #[derive(Debug, Default)]
@@ -30,7 +30,7 @@ impl AnchorContract {
 
     /// Encodes an `anchor` call payload.
     #[must_use]
-    pub fn anchor_payload(segment: u64, root: Digest) -> Vec<u8> {
+    fn anchor_payload(segment: u64, root: Digest) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_u64(segment);
         w.put_raw(root.as_bytes());

@@ -114,12 +114,6 @@ impl KvLog {
         self.tail.len()
     }
 
-    /// Sealed segments.
-    #[must_use]
-    pub fn segments(&self) -> &[Segment] {
-        &self.sealed
-    }
-
     /// Reads an entry by global sequence number (sealed or tail).
     #[must_use]
     pub fn get(&self, seq: u64) -> Option<&[u8]> {
@@ -138,7 +132,7 @@ impl KvLog {
 
     /// Locates `(segment, offset)` for a sealed sequence number.
     #[must_use]
-    pub fn locate(&self, seq: u64) -> Option<(&Segment, usize)> {
+    pub(crate) fn locate(&self, seq: u64) -> Option<(&Segment, usize)> {
         let segment_idx = (seq / self.segment_size as u64) as usize;
         let segment = self.sealed.get(segment_idx)?;
         Some((segment, (seq % self.segment_size as u64) as usize))
@@ -222,7 +216,7 @@ mod tests {
         for i in 0..4 {
             log.append(entry(i));
         }
-        let original_root = log.segments()[0].root();
+        let original_root = log.sealed[0].root();
         assert!(log.tamper(2, b"forged".to_vec()));
         let (segment, offset) = log.locate(2).unwrap();
         // Root recomputation is not automatic — the stored tree still has

@@ -57,9 +57,8 @@ pub mod persist;
 pub mod segment;
 pub mod wal;
 
-pub use anchor::{AnchorContract, AnchoredStore, AuditOutcome, ANCHOR_CONTRACT};
+pub use anchor::{AnchorContract, AnchoredStore, AuditOutcome};
 pub use backend::{Backend, Durability, FsBackend, MemBackend};
 pub use error::StoreError;
-pub use kvlog::{KvLog, Segment};
 pub use persist::{compact_node_journal, recover_node, WalJournal};
 pub use wal::{SnapshotStore, Wal, WalConfig};

@@ -4,11 +4,11 @@
 //! shared [`Wal`]: each input the node takes becomes one tagged,
 //! checksummed WAL record, and no input is written twice —
 //!
-//! - [`TAG_TX`]: a transaction the node accepted;
-//! - [`TAG_MINED`]: a block the node mined, as its header and the ids of
+//! - `TAG_TX`: a transaction the node accepted;
+//! - `TAG_MINED`: a block the node mined, as its header and the ids of
 //!   the transactions it took from the pool (each one already journaled
-//!   as a [`TAG_TX`] record);
-//! - [`TAG_BLOCK`]: a block a peer sent, whole, since its transactions
+//!   as a `TAG_TX` record);
+//! - `TAG_BLOCK`: a block a peer sent, whole, since its transactions
 //!   need never have passed through this node's pool.
 //!
 //! [`recover_node`] replays the records into a fresh node strictly in
@@ -92,13 +92,13 @@ use std::rc::Rc;
 
 /// Record tag: the payload is a canonical [`Transaction`] the node
 /// accepted.
-pub const TAG_TX: u8 = 1;
+const TAG_TX: u8 = 1;
 /// Record tag: the payload is a canonical [`Block`] received from a peer.
-pub const TAG_BLOCK: u8 = 2;
+const TAG_BLOCK: u8 = 2;
 /// Record tag: a block the node mined. The payload is its canonical
 /// [`BlockHeader`], then the ids of its transactions in block order, as a
 /// sequence (a varint count, then 32 bytes each).
-pub const TAG_MINED: u8 = 3;
+const TAG_MINED: u8 = 3;
 
 /// A [`NodeJournal`] writing tagged records into a shared [`Wal`].
 #[derive(Debug)]
@@ -283,14 +283,14 @@ fn add_work(records: u64, bytes: u64) {
 /// so a compaction moves the live records into the fold file (see the
 /// module docs) and drops none. One call
 ///
-/// 1. reads the manifest and seals the tail segment ([`Wal::seal_tail`]),
+/// 1. reads the manifest and seals the tail segment (`Wal::seal_tail`),
 ///    so that everything journaled so far can leave the live log;
 /// 2. visits the live records once, in order, each as the frame the WAL
 ///    walk has just verified ([`Wal::visit_from`]), and copies the frame
 ///    as it stands — nothing is decoded, hashed or checksummed again, and
 ///    recovery is the one to name a record it cannot replay;
 /// 3. appends the frames to the fold file and syncs it
-///    ([`Wal::append_fold`], which first cuts off what a compaction that
+///    (`Wal::append_fold`, which first cuts off what a compaction that
 ///    never committed left behind);
 /// 4. writes the manifest — **the commit point** — naming the new fold
 ///    length and record count;

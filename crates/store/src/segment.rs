@@ -35,9 +35,9 @@ use crate::error::StoreError;
 pub use drams_crypto::crc32::crc32;
 
 /// Magic bytes opening every segment file.
-pub const SEGMENT_MAGIC: [u8; 4] = *b"DRSG";
+const SEGMENT_MAGIC: [u8; 4] = *b"DRSG";
 /// Current segment format version.
-pub const SEGMENT_VERSION: u32 = 1;
+const SEGMENT_VERSION: u32 = 1;
 /// Size of the fixed segment header in bytes.
 pub const HEADER_LEN: usize = 24;
 /// Size of a record frame (length + checksum) in bytes.
@@ -72,7 +72,7 @@ pub fn frame_record(payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(payload);
 }
 
-/// How a [`walk_frames`] pass ended short of the end of its bytes.
+/// How a `walk_frames` pass ended short of the end of its bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameDamage {
     /// The bytes end inside a frame or inside its payload.
@@ -85,7 +85,7 @@ pub enum FrameDamage {
     },
 }
 
-/// Where a [`walk_frames`] pass stopped.
+/// Where a `walk_frames` pass stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameWalk {
     /// Offset one past the last intact record (the walk's start when
@@ -106,7 +106,7 @@ pub struct FrameWalk {
 /// # Errors
 ///
 /// Only what `visit` returns.
-pub fn walk_frames<'a>(
+pub(crate) fn walk_frames<'a>(
     bytes: &'a [u8],
     start: usize,
     mut visit: impl FnMut(usize, &'a [u8]) -> Result<(), StoreError>,

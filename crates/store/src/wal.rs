@@ -7,7 +7,7 @@
 //! error; [`Wal::prune_through`] deletes sealed segments made redundant
 //! by a snapshot. A consumer whose compacted state only ever grows (the
 //! chain node's journal, [`crate::persist`]) keeps it out of the
-//! snapshot: [`Wal::append_fold`] extends an append-only **fold file** of
+//! snapshot: `Wal::append_fold` extends an append-only **fold file** of
 //! the same checksummed frames, and the snapshot shrinks to a manifest
 //! naming how much of that file is committed.
 //!
@@ -65,23 +65,23 @@ use crate::error::StoreError;
 use crate::segment::{frame_record, scan, walk_frames, SegmentHeader, FRAME_LEN, HEADER_LEN};
 
 /// Prefix of segment file names (`seg-00000000.wal`, …).
-pub const SEGMENT_PREFIX: &str = "seg-";
+const SEGMENT_PREFIX: &str = "seg-";
 /// Suffix of segment file names.
-pub const SEGMENT_SUFFIX: &str = ".wal";
+const SEGMENT_SUFFIX: &str = ".wal";
 /// Name of the snapshot file a [`Wal`] (or [`SnapshotStore`]) manages.
 pub const SNAPSHOT_FILE: &str = "snapshot.snap";
-/// Name of the fold file a [`Wal`] manages (see [`Wal::append_fold`]).
+/// Name of the fold file a [`Wal`] manages (see `Wal::append_fold`).
 pub const FOLD_FILE: &str = "journal.fold";
 /// Prefix of the file names of a [`SnapshotStore`]'s generation records
 /// (`snapshot-gen-00000001.snap`, …).
-pub const GENERATION_PREFIX: &str = "snapshot-gen-";
+const GENERATION_PREFIX: &str = "snapshot-gen-";
 /// Suffix of generation record file names.
-pub const GENERATION_SUFFIX: &str = ".snap";
+const GENERATION_SUFFIX: &str = ".snap";
 
 /// Magic bytes opening a snapshot file.
-pub const SNAPSHOT_MAGIC: [u8; 4] = *b"DRSN";
+const SNAPSHOT_MAGIC: [u8; 4] = *b"DRSN";
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+const SNAPSHOT_VERSION: u32 = 1;
 
 /// Tuning knobs of a [`Wal`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -327,7 +327,7 @@ impl Wal {
     /// # Errors
     ///
     /// [`StoreError::Io`] on backend failure.
-    pub fn seal_tail(&mut self) -> Result<(), StoreError> {
+    pub(crate) fn seal_tail(&mut self) -> Result<(), StoreError> {
         if self.segments.last().is_some_and(|tail| tail.records > 0) {
             self.sync()?;
             self.open_segment()?;
@@ -481,7 +481,11 @@ impl Wal {
     ///
     /// [`StoreError::Corrupt`] when the fold file is shorter than
     /// `committed_len`; [`StoreError::Io`] on backend failure.
-    pub fn append_fold(&mut self, committed_len: u64, frames: &[u8]) -> Result<u64, StoreError> {
+    pub(crate) fn append_fold(
+        &mut self,
+        committed_len: u64,
+        frames: &[u8],
+    ) -> Result<u64, StoreError> {
         let len = self.backend.len(FOLD_FILE)?.unwrap_or(0);
         if len < committed_len {
             return Err(short_fold(len, committed_len));
@@ -507,7 +511,7 @@ impl Wal {
     /// [`StoreError::Corrupt`] when the file is shorter than
     /// `committed_len`, a record fails its checksum, or `committed_len`
     /// falls inside a record.
-    pub fn visit_fold(
+    pub(crate) fn visit_fold(
         &self,
         committed_len: u64,
         visit: impl FnMut(usize, &[u8]) -> Result<(), StoreError>,
