@@ -687,17 +687,33 @@ fn e9_crypto_substrate(_: &mut Run) -> Vec<Section> {
 /// steady state, burst with tenant churn, mid-flight policy flip, a
 /// degraded Logging Interface, and a per-cloud PDP federation.
 ///
+/// Each scenario runs three times (`E10_REPETITIONS`): the row's
+/// `wall_ms` is the fastest run, so one host stall cannot halve its
+/// `sim_speedup`, and every repetition must be a byte-identical twin of
+/// the first.
+///
 /// Emits `BENCH_E2E.json`, unless `--scenario` filtered the matrix: a
 /// filtered run prints its row but never replaces the committed section
 /// with a partial matrix.
 fn e10_scenario_matrix(run: &mut Run) -> Vec<Section> {
+    const E10_REPETITIONS: usize = 3;
     let mut matrix = scenarios::matrix();
     if let Some(name) = &run.scenario {
         matrix.retain(|s| s.name == *name);
     }
     let mut rows = Vec::new();
     for spec in &matrix {
-        let ((report, truth), wall_ms) = timed_ms(|| run_scenario(spec, &mut NoAdversary));
+        let (first, mut wall_ms) = timed_ms(|| run_scenario(spec, &mut NoAdversary));
+        for _ in 1..E10_REPETITIONS {
+            let (again, ms) = timed_ms(|| run_scenario(spec, &mut NoAdversary));
+            assert!(
+                twin_matched(&spec.name, &first, &again),
+                "{}: a repetition of the run diverged from the first",
+                spec.name
+            );
+            wall_ms = wall_ms.min(ms);
+        }
+        let (report, truth) = first;
         assert_eq!(truth.total_attacks(), 0, "scenario faults are not attacks");
         let e2e = report.e2e_latency.report();
         let attempts: Vec<Value> = e2e.attempts.iter().map(|&n| n.into()).collect();

@@ -1,5 +1,11 @@
 //! The decision plane: the PRP and the PDP slots, each with its probe and
 //! its journaled idempotency cache.
+//!
+//! A slot's journal is the one copy of each as-sent response. The cache
+//! in memory maps each live correlation to the sequence number of its
+//! journal record, and a retransmitted or duplicated request is answered
+//! by reading that record back, so a decision costs the heap one
+//! `(CorrelationId, u64)` entry rather than a second, decoded envelope.
 
 use super::ctx::Ctx;
 use super::msg::{Msg, Outbox, PolicyAdmin};
@@ -25,12 +31,14 @@ pub(super) struct PdpSlot {
     pdp: Pdp,
     probe: Probe,
     silenced_until: SimTime,
-    /// As-sent responses by correlation: a retransmitted or duplicated
-    /// request is answered byte-identically (re-deciding would stamp a
-    /// new `decided_at`, change the response digest and trip the
-    /// Analyser's conflicting-observation check), without re-observing
-    /// or re-running adversary hooks.
-    decided: HashMap<CorrelationId, ResponseEnvelope>,
+    /// The journal sequence number of each live as-sent response, by
+    /// correlation: a retransmitted or duplicated request is answered
+    /// byte-identically from that record (re-deciding would stamp a new
+    /// `decided_at`, change the response digest and trip the Analyser's
+    /// conflicting-observation check), without re-observing or re-running
+    /// adversary hooks. Compaction never prunes below the oldest live
+    /// decision, so every position here is retained.
+    decided: HashMap<CorrelationId, u64>,
     /// Decisions in `decided_at` order with the journal sequence number
     /// of each, for retention-window eviction (kept in lockstep with
     /// `decided`).
@@ -46,6 +54,10 @@ pub(super) struct PdpSlot {
     /// compaction only snapshots the silence and count and prunes the
     /// segments below the oldest live decision.
     journal: Wal,
+    /// Where [`PdpSlot::remember`] encodes each decision record: kept, so
+    /// a decision allocates no buffer once it has grown to the largest
+    /// record.
+    record: Writer,
 }
 
 /// PDP journal record tag: a cached as-sent decision.
@@ -88,6 +100,7 @@ impl PdpSlot {
             decided_order: VecDeque::new(),
             retention,
             journal: mem_wal(JOURNAL_SEGMENT_RECORDS as usize),
+            record: Writer::new(),
         }
     }
 
@@ -101,16 +114,16 @@ impl PdpSlot {
         env: &ResponseEnvelope,
         now: SimTime,
     ) -> u64 {
-        let mut w = Writer::with_capacity(128);
-        w.put_u8(PDP_JOURNAL_DECIDED);
-        w.put_u64(self.probe.observations());
-        env.encode(&mut w);
+        self.record.clear();
+        self.record.put_u8(PDP_JOURNAL_DECIDED);
+        self.record.put_u64(self.probe.observations());
+        env.encode(&mut self.record);
         let seq = self
             .journal
-            .append(&w.into_bytes())
+            .append(self.record.as_bytes())
             .expect("pdp journal append");
         self.decided_order.push_back((now, correlation, seq));
-        self.decided.insert(correlation, env.clone());
+        self.decided.insert(correlation, seq);
         let evicted = self.age_out(now);
         let base = self
             .decided_order
@@ -120,6 +133,22 @@ impl PdpSlot {
             self.compact_journal(base);
         }
         evicted
+    }
+
+    /// The as-sent response to `correlation`, read back from its journal
+    /// record, or `None` once the retention window has closed on it (or
+    /// it was never decided).
+    fn as_sent(&self, correlation: CorrelationId) -> Option<ResponseEnvelope> {
+        let &seq = self.decided.get(&correlation)?;
+        let record = self
+            .journal
+            .read_record(seq)
+            .expect("pdp journal retains every live decision");
+        let Ok(JournalRecord::Decided(env, _)) = JournalRecord::from_canonical_bytes(&record)
+        else {
+            panic!("pdp journal record {seq} is not the decision the cache indexes");
+        };
+        Some(env)
     }
 
     /// Drops the entries whose retention window has closed by `now`.
@@ -168,10 +197,11 @@ impl PdpSlot {
     }
 
     /// Kills the slot's process state and rebuilds it: the engine from
-    /// the PRP's durable active policy; the decision cache, the silence
-    /// window and the probe's observation count from the journal; the
-    /// probe from its key and that count, so it seals under the nonce
-    /// its uncrashed twin would use next.
+    /// the PRP's durable active policy; the decision cache (the journal
+    /// position of each live decision), the silence window and the
+    /// probe's observation count from the journal; the probe from its key
+    /// and that count, so it seals under the nonce its uncrashed twin
+    /// would use next.
     ///
     /// Every replayed decision re-runs the eviction pass it ran when it
     /// was taken, with its own `decided_at` as the clock, so the restarted
@@ -208,7 +238,7 @@ impl PdpSlot {
                     observations = count;
                     self.decided_order
                         .push_back((decided_at, env.correlation, seq));
-                    self.decided.insert(env.correlation, env);
+                    self.decided.insert(env.correlation, seq);
                     self.age_out(decided_at);
                 }
                 JournalRecord::Silence(until) => self.silenced_until = until,
@@ -269,12 +299,11 @@ impl PdpService {
                     // the request survives the outage.
                     return;
                 }
-                if let Some(cached) = s.decided.get(&env.correlation) {
+                if let Some(resp_env) = s.as_sent(env.correlation) {
                     // Retransmission (or fault-plane duplicate) of an
                     // answered request: resend the as-sent response
                     // byte-identically. No re-observation, no adversary
                     // hooks — the originals already ran.
-                    let resp_env = cached.clone();
                     let latency = ctx.pep_pdp.sample(&mut ctx.rngs.net);
                     out.emit(
                         latency,
@@ -358,16 +387,27 @@ mod tests {
         PdpSlot::new(ProbeId(0), key, prp.active().pdp(), MIN_RETENTION)
     }
 
+    /// The response to request `i`, decided at `now`: decisions and PEPs
+    /// vary with `i`, so no two read-backs could be mistaken for each other.
+    fn envelope(slot: &PdpSlot, i: u64, now: SimTime) -> ResponseEnvelope {
+        let decision = [
+            ExtDecision::Permit,
+            ExtDecision::Deny,
+            ExtDecision::NotApplicable,
+        ];
+        ResponseEnvelope {
+            correlation: CorrelationId(i),
+            pep: PepId((i % 5) as u32),
+            response: Response::new(decision[(i % 3) as usize], Vec::new()),
+            policy_version: slot.pdp.policy_version(),
+            decided_at: now,
+        }
+    }
+
     /// One decision as the service takes it: observed by the slot's
     /// probe, then remembered. Returns how many entries were evicted.
     fn decide(slot: &mut PdpSlot, i: u64, now: SimTime) -> u64 {
-        let env = ResponseEnvelope {
-            correlation: CorrelationId(i),
-            pep: PepId(1),
-            response: Response::new(ExtDecision::Permit, Vec::new()),
-            policy_version: slot.pdp.policy_version(),
-            decided_at: now,
-        };
+        let env = envelope(slot, i, now);
         slot.probe.observe_pdp_response(&env, now);
         slot.remember(env.correlation, &env, now)
     }
@@ -427,11 +467,69 @@ mod tests {
             twin.journal.read_snapshot().unwrap()
         );
         assert!(!crashed.decided.contains_key(&CorrelationId(0)), "evicted");
-        let env = &twin.decided[&CorrelationId(decisions + 2 * JOURNAL_SEGMENT_RECORDS - 1)];
+        let env = twin
+            .as_sent(CorrelationId(decisions + 2 * JOURNAL_SEGMENT_RECORDS - 1))
+            .expect("the last decision is live");
         assert_eq!(
-            crashed.probe.observe_pdp_response(env, 0),
-            twin.probe.observe_pdp_response(env, 0)
+            crashed.probe.observe_pdp_response(&env, 0),
+            twin.probe.observe_pdp_response(&env, 0)
         );
+    }
+
+    #[test]
+    fn every_live_decision_reads_back_from_the_journal_as_sent() {
+        let key = SymmetricKey::from_bytes([42; 32]);
+        let mut s = slot(&key);
+        let mut sent = HashMap::new();
+        // Every live correlation answers with the envelope first sent, and
+        // the evicted ones with nothing.
+        let reads_back = |s: &PdpSlot, sent: &HashMap<CorrelationId, ResponseEnvelope>| {
+            for (corr, env) in sent {
+                if s.decided.contains_key(corr) {
+                    assert_eq!(s.as_sent(*corr).as_ref(), Some(env), "{corr:?}");
+                } else {
+                    assert_eq!(s.as_sent(*corr), None, "{corr:?} was evicted");
+                }
+            }
+            s.decided.len()
+        };
+        // A hundred steps span the retention window, as in the twin test.
+        let step = MIN_RETENTION / 100;
+        let mut i = 0;
+        let mut decide_until =
+            |s: &mut PdpSlot, sent: &mut HashMap<_, _>, done: fn(&PdpSlot) -> bool| {
+                while !done(s) {
+                    sent.insert(CorrelationId(i), envelope(s, i, i * step));
+                    decide(s, i, i * step);
+                    i += 1;
+                }
+            };
+
+        // All in the tail segment.
+        decide_until(&mut s, &mut sent, |s| s.journal.next_seq() == 10);
+        assert_eq!(s.journal.segment_count(), 1);
+        assert_eq!(reads_back(&s, &sent), 10);
+        // The first 64 in a sealed segment, nothing pruned yet.
+        decide_until(&mut s, &mut sent, |s| s.journal.next_seq() == 80);
+        assert_eq!(s.journal.segment_count(), 2);
+        assert_eq!(s.journal.first_retained_seq(), 0);
+        assert_eq!(reads_back(&s, &sent), 80);
+        // Evictions moved the oldest live decision past a whole segment,
+        // and compaction pruned it; the window now spans a sealed segment
+        // and the tail.
+        decide_until(&mut s, &mut sent, |s| s.journal.first_retained_seq() > 0);
+        decide_until(&mut s, &mut sent, |s| {
+            s.journal.next_seq() % JOURNAL_SEGMENT_RECORDS == 7
+        });
+        assert!(s.journal.segment_count() >= 2);
+        assert!(s.journal.read_snapshot().unwrap().is_some());
+        let live = reads_back(&s, &sent);
+        assert!(live < sent.len(), "some decisions were evicted");
+        // A restart indexes the same positions from the journal.
+        let before = s.decided.clone();
+        s.crash_restart(&key, active()).unwrap();
+        assert_eq!(s.decided, before);
+        assert_eq!(reads_back(&s, &sent), live);
     }
 
     #[test]

@@ -23,7 +23,9 @@ pub enum StoreError {
     /// A record or snapshot payload failed to decode after its checksum
     /// verified — the writer stored something the reader cannot parse.
     Codec(String),
-    /// The requested file does not exist in the backend.
+    /// The requested file does not exist in the backend, or the
+    /// requested log record is not retained (pruned, or not yet
+    /// appended).
     NotFound(String),
 }
 
@@ -39,7 +41,7 @@ impl fmt::Display for StoreError {
                 write!(f, "corrupt store file `{file}` at byte {offset}: {reason}")
             }
             StoreError::Codec(msg) => write!(f, "stored payload does not decode: {msg}"),
-            StoreError::NotFound(name) => write!(f, "no such store file `{name}`"),
+            StoreError::NotFound(name) => write!(f, "not in the store: {name}"),
         }
     }
 }

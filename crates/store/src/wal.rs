@@ -395,26 +395,69 @@ impl Wal {
             if info.end_seq() <= from_seq {
                 continue;
             }
-            let bytes = self.backend.read(&info.name)?;
-            let mut seq = info.first_seq;
-            let (_, walk) = scan(&info.name, &bytes, |offset, payload| {
-                let this = seq;
-                seq += 1;
-                if this >= from_seq {
-                    visit(this, &bytes[offset..offset + FRAME_LEN + payload.len()])?;
+            self.visit_segment(info, |seq, frame| {
+                if seq >= from_seq {
+                    visit(seq, frame)?;
                 }
                 Ok(())
             })?;
-            if walk.damage.is_some() || walk.records != info.records {
-                return Err(StoreError::Corrupt {
-                    file: info.name.clone(),
-                    offset: walk.valid_len as u64,
-                    reason: format!(
-                        "segment holds {} intact records, {} were indexed",
-                        walk.records, info.records
-                    ),
-                });
+        }
+        Ok(())
+    }
+
+    /// Reads back the one retained record `seq` — the payload
+    /// [`Wal::append`] returned `seq` for — from the segment that holds
+    /// it. Only that segment is read, and its checksums are verified as
+    /// [`Wal::visit_from`] verifies them.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::NotFound`] if `seq` was pruned or is not yet
+    /// appended; [`StoreError::Corrupt`] if its segment was damaged since
+    /// open.
+    pub fn read_record(&self, seq: u64) -> Result<Vec<u8>, StoreError> {
+        let at = self.segments.partition_point(|s| s.end_seq() <= seq);
+        let Some(info) = self.segments.get(at).filter(|s| s.first_seq <= seq) else {
+            return Err(StoreError::NotFound(format!(
+                "record {seq} (retained: {}..{})",
+                self.first_retained_seq(),
+                self.next_seq
+            )));
+        };
+        let mut record = Vec::new();
+        self.visit_segment(info, |this, frame| {
+            if this == seq {
+                record.extend_from_slice(&frame[FRAME_LEN..]);
             }
+            Ok(())
+        })?;
+        Ok(record)
+    }
+
+    /// Lends every record of segment `info` to `visit` as `(seq, frame)`,
+    /// in order, and checks that the segment still holds every record it
+    /// was indexed with.
+    fn visit_segment(
+        &self,
+        info: &SegInfo,
+        mut visit: impl FnMut(u64, &[u8]) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let bytes = self.backend.read(&info.name)?;
+        let mut seq = info.first_seq;
+        let (_, walk) = scan(&info.name, &bytes, |offset, payload| {
+            let this = seq;
+            seq += 1;
+            visit(this, &bytes[offset..offset + FRAME_LEN + payload.len()])
+        })?;
+        if walk.damage.is_some() || walk.records != info.records {
+            return Err(StoreError::Corrupt {
+                file: info.name.clone(),
+                offset: walk.valid_len as u64,
+                reason: format!(
+                    "segment holds {} intact records, {} were indexed",
+                    walk.records, info.records
+                ),
+            });
         }
         Ok(())
     }
@@ -979,6 +1022,55 @@ mod tests {
         });
         assert_eq!(stop, Err(StoreError::Codec("stop".into())));
         assert_eq!(seen, 5);
+    }
+
+    #[test]
+    fn read_record_reads_one_retained_record_from_its_segment() {
+        let mut wal = mem_wal(4, Durability::Flushed);
+        for i in 0..10 {
+            wal.append(&payload(i)).unwrap();
+        }
+        // Segments [0, 4), [4, 8) sealed; [8, 10) the tail.
+        assert_eq!(wal.segment_count(), 3);
+        for seq in 0..10 {
+            assert_eq!(wal.read_record(seq).unwrap(), payload(seq), "seq {seq}");
+        }
+        let not_yet = wal.read_record(10).unwrap_err();
+        assert!(matches!(not_yet, StoreError::NotFound(_)), "{not_yet:?}");
+
+        // Pruned below 4: those records are gone, the rest still read.
+        wal.write_snapshot(4, b"state@4").unwrap();
+        assert_eq!(wal.prune_through(4).unwrap(), 1);
+        for seq in 0..4 {
+            let pruned = wal.read_record(seq).unwrap_err();
+            assert!(matches!(pruned, StoreError::NotFound(_)), "{pruned:?}");
+        }
+        assert_eq!(wal.read_record(4).unwrap(), payload(4));
+        assert_eq!(wal.read_record(9).unwrap(), payload(9));
+    }
+
+    #[test]
+    fn read_record_refuses_a_damaged_frame() {
+        let mut wal = mem_wal(4, Durability::Flushed);
+        for i in 0..6 {
+            wal.append(&payload(i)).unwrap();
+        }
+        // Behind the open log's back, a bit of record 1's payload flips in
+        // the sealed segment [0, 4).
+        let name = segment_file_name(0);
+        let mut bytes = wal.backend.read(&name).unwrap();
+        let record_1 = HEADER_LEN + FRAME_LEN + payload(0).len();
+        bytes[record_1 + FRAME_LEN] ^= 0x40;
+        wal.backend.write_atomic(&name, &bytes).unwrap();
+        for seq in 0..4 {
+            let err = wal.read_record(seq).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Corrupt { .. }),
+                "seq {seq}: {err:?}"
+            );
+        }
+        // The tail segment is intact and still reads.
+        assert_eq!(wal.read_record(5).unwrap(), payload(5));
     }
 
     #[test]

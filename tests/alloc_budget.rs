@@ -1,14 +1,19 @@
-//! The allocation budgets of a monitored request and of a policy compile.
+//! The allocation budgets of a monitored request and of a policy compile,
+//! and the heap budget of an unmonitored request.
 //!
 //! A counting global allocator tallies every allocation and reallocation
-//! made on the test's own thread. One test runs the `steady` shape — the
-//! canonical scenario, 1,000 requests at 1,000 requests per second, seed
-//! 7 — and asserts the per-request figure stays within budget: a first
-//! run warms up whatever the process builds once (thread-locals, kernel
-//! dispatch); the second run is the one counted, set-up included. The
-//! other compiles the `policy_heavy` policy base once.
+//! made on the test's own thread, and the bytes live on it and their
+//! high-water mark. One test runs the `steady` shape — the canonical
+//! scenario, 1,000 requests at 1,000 requests per second, seed 7 — and
+//! asserts the per-request figure stays within budget: a first run warms
+//! up whatever the process builds once (thread-locals, kernel dispatch);
+//! the second run is the one counted, set-up included. Another compiles
+//! the `policy_heavy` policy base once. The third runs the
+//! `monitoring_off` shape — the canonical scenario with monitoring off,
+//! 25,000 requests at 5,000 requests per second, seed 7 — the same way,
+//! and bounds the peak live heap of the counted run per request.
 //!
-//! The counters are per thread, so neither test's tally sees the other's
+//! The counters are per thread, so no test's tally sees another's
 //! allocations, nor the harness's own threads.
 //!
 //! Run with `--nocapture` to print the measured figures.
@@ -21,9 +26,17 @@ use drams::policy::compiled::PreparedPolicySet;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Allocations plus reallocations one `steady` request may cost (64.2
-/// measured, the event loop reusing its emission buffers).
+/// Allocations plus reallocations one `steady` request may cost (63.5
+/// measured, the event loop reusing its emission buffers and each PDP
+/// slot its journal record).
 const BUDGET_PER_REQUEST: f64 = 80.0;
+
+/// Peak live heap, in bytes, one `monitoring_off` request may hold. The
+/// PDP slot's idempotency cache keeps every decision at the default
+/// retention, so this is mostly that cache: 322.6 while it held a decoded
+/// copy of each as-sent response beside the journal's encoded one, 217.8
+/// since it holds the journal position instead.
+const HEAP_BUDGET_PER_REQUEST: f64 = 240.0;
 
 /// Allocations plus reallocations one compile of the 1,000-policy base
 /// may cost. Before each version was compiled into one arena it took
@@ -36,36 +49,58 @@ struct Counting;
 
 thread_local! {
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated on this thread less the bytes freed on it: signed,
+    /// since a thread may free what another allocated.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` has been since it was last reset.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count() {
+/// Counts one allocation or reallocation that changes this thread's live
+/// bytes by `delta`.
+fn count(delta: i64) {
     // `try_with`: the allocator still runs while thread-locals are torn down.
     let _ = CALLS.try_with(|calls| calls.set(calls.get() + 1));
+    track(delta);
+}
+
+/// Changes this thread's live bytes by `delta` and raises their peak.
+fn track(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+#[allow(clippy::cast_possible_wrap)]
+fn bytes(n: usize) -> i64 {
+    n as i64
 }
 
 // SAFETY: every method forwards to `System` unchanged; counting touches
-// only a const-initialised thread-local `Cell`, which never allocates.
+// only const-initialised thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(bytes(layout.size()));
         // SAFETY: forwarded with the caller's own layout.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(bytes(layout.size()));
         // SAFETY: as `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(bytes(new_size) - bytes(layout.size()));
         // SAFETY: `ptr` and `layout` come from this allocator, as the
         // caller guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-bytes(layout.size()));
         // SAFETY: as `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -103,6 +138,37 @@ fn steady_request_stays_within_its_allocation_budget() {
     assert!(
         per_request <= BUDGET_PER_REQUEST,
         "{per_request:.1} allocations + reallocations per steady request, budget {BUDGET_PER_REQUEST}"
+    );
+}
+
+#[test]
+fn monitoring_off_request_stays_within_its_heap_budget() {
+    let spec = ScenarioSpec::canonical(&MonitorConfig {
+        total_requests: 25_000,
+        request_rate_per_sec: 5_000.0,
+        seed: 7,
+        monitoring_enabled: false,
+        ..MonitorConfig::default()
+    });
+    let (warm_up, _) = run_scenario(&spec, &mut NoAdversary);
+    let requests = warm_up.requests_completed;
+    drop(warm_up);
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    let (report, _) = run_scenario(&spec, &mut NoAdversary);
+    let peak = PEAK.with(Cell::get) - before;
+    assert_eq!(report.requests_completed, 25_000);
+    assert_eq!(report.requests_completed, requests);
+    #[allow(clippy::cast_precision_loss)]
+    let per_request = peak as f64 / report.requests_completed as f64;
+    println!(
+        "monitoring_off: {per_request:.1} B of peak live heap per request \
+         ({peak} B over {} requests; budget {HEAP_BUDGET_PER_REQUEST})",
+        report.requests_completed
+    );
+    assert!(
+        per_request <= HEAP_BUDGET_PER_REQUEST,
+        "{per_request:.1} B of peak live heap per monitoring_off request, budget {HEAP_BUDGET_PER_REQUEST}"
     );
 }
 
