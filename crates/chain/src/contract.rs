@@ -9,6 +9,12 @@
 //! executes main-chain blocks in order and re-executes deterministically
 //! after a reorg.
 //!
+//! The event log is a window, not the run's history: readers keep
+//! absolute positions into it, and the host retains only the events from
+//! the slowest reader's position on (`ContractHost::release_events`). A
+//! position stays the same however much of the log below it has been
+//! released.
+//!
 //! Storage keys are byte strings ordered byte-lexicographically. Every
 //! key the workspace's contracts write is short (the monitor contract's
 //! longest is 14 bytes), so a key up to `INLINE_KEY_LEN` bytes is held
@@ -22,7 +28,6 @@ use crate::chain::Blockchain;
 use crate::tx::TxId;
 use drams_crypto::schnorr::PublicKey;
 use drams_crypto::sha256::Digest;
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -30,17 +35,13 @@ use std::ops::Bound;
 
 /// An event emitted by a contract during execution — DRAMS security
 /// alerts travel this way.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
-    /// Emitting contract.
-    pub contract: String,
     /// Event name, e.g. `alert.request_tampering`.
-    pub name: String,
+    pub name: &'static str,
     /// Canonical-encoded event payload.
     pub data: Vec<u8>,
-    /// Height of the block whose execution emitted this.
-    pub block_height: u64,
-    /// Timestamp of that block.
+    /// Timestamp of the block whose execution emitted this.
     pub timestamp_ms: u64,
     /// The transaction that triggered it.
     pub tx_id: TxId,
@@ -200,17 +201,14 @@ pub struct ExecutionContext<'a> {
     pub sender: PublicKey,
     /// The transaction id.
     pub tx_id: TxId,
-    contract_name: String,
 }
 
 impl ExecutionContext<'_> {
     /// Emits an event.
-    pub fn emit(&mut self, name: impl Into<String>, data: Vec<u8>) {
+    pub fn emit(&mut self, name: &'static str, data: Vec<u8>) {
         self.events.push(Event {
-            contract: self.contract_name.clone(),
-            name: name.into(),
+            name,
             data,
-            block_height: self.block_height,
             timestamp_ms: self.timestamp_ms,
             tx_id: self.tx_id,
         });
@@ -228,7 +226,7 @@ impl ExecutionContext<'_> {
 /// so that re-execution after a reorg reproduces identical state.
 pub trait SmartContract: Send + Sync {
     /// The contract's registry name.
-    fn name(&self) -> &str;
+    fn name(&self) -> &'static str;
 
     /// Executes one method call.
     ///
@@ -248,7 +246,10 @@ pub trait SmartContract: Send + Sync {
 pub struct ContractHost {
     contracts: BTreeMap<String, Box<dyn SmartContract>>,
     storage: BTreeMap<String, Storage>,
+    /// The retained events: `events[0]` is at log position `released`.
     events: Vec<Event>,
+    /// Events released so far: the log position of `events[0]`.
+    released: usize,
     account_nonces: BTreeMap<Digest, u64>,
     executed: Vec<BlockHash>,
 }
@@ -259,6 +260,7 @@ impl std::fmt::Debug for ContractHost {
             .field("contracts", &self.contracts.keys().collect::<Vec<_>>())
             .field("executed_blocks", &self.executed.len())
             .field("events", &self.events.len())
+            .field("released", &self.released)
             .finish()
     }
 }
@@ -277,6 +279,7 @@ impl ContractHost {
             contracts: BTreeMap::new(),
             storage: BTreeMap::new(),
             events: Vec::new(),
+            released: 0,
             account_nonces: BTreeMap::new(),
             executed: Vec::new(),
         }
@@ -301,17 +304,44 @@ impl ContractHost {
         self.storage.get(contract)
     }
 
-    /// All events emitted so far, in execution order.
+    /// The retained events, in execution order: those not yet released
+    /// (see `ContractHost::release_events`).
     #[must_use]
     pub fn events(&self) -> &[Event] {
         &self.events
     }
 
-    /// Events from `cursor` on; returns the new cursor.
+    /// Events from log position `cursor` on; returns them and the
+    /// position past the last.
+    ///
+    /// # Panics
+    ///
+    /// If `cursor` is below the released prefix: every reader's position
+    /// must stay at or past what has been released.
     #[must_use]
     pub fn events_since(&self, cursor: usize) -> (&[Event], usize) {
-        let slice = &self.events[cursor.min(self.events.len())..];
-        (slice, self.events.len())
+        assert!(
+            cursor >= self.released,
+            "event log position {cursor} is below the released prefix {}: \
+             the log is released only below every reader's position",
+            self.released
+        );
+        let start = (cursor - self.released).min(self.events.len());
+        (&self.events[start..], self.released + self.events.len())
+    }
+
+    /// Releases the events below log position `upto`, which every reader
+    /// has passed, once they are at least half of the events held: each
+    /// event is then moved O(1) times on average, and the log holds at
+    /// most twice the window from the slowest reader on. A position past
+    /// the end releases what there is; one below the released prefix
+    /// releases nothing.
+    pub(crate) fn release_events(&mut self, upto: usize) {
+        let passed = upto.saturating_sub(self.released).min(self.events.len());
+        if passed > 0 && 2 * passed >= self.events.len() {
+            self.events.drain(..passed);
+            self.released += passed;
+        }
     }
 
     /// Brings contract state in sync with `chain`'s main chain.
@@ -342,7 +372,8 @@ impl ContractHost {
             height -= 1;
         }
         new.reverse();
-        if executed > 0 && self.executed.last() != Some(&hash) {
+        let reset = executed > 0 && self.executed.last() != Some(&hash);
+        if reset {
             // The main chain no longer runs through the executed tip.
             self.reset();
             new = chain.main_chain_hashes();
@@ -351,6 +382,14 @@ impl ContractHost {
             let block = chain.block(&hash).expect("main chain block exists");
             self.execute_block(block);
             self.executed.push(hash);
+        }
+        if reset {
+            // The rebuilt log starts at position 0 again: drop what was
+            // released, so every retained event keeps the position it has
+            // in a log that never released.
+            let released = self.released.min(self.events.len());
+            self.events.drain(..released);
+            self.released = released;
         }
     }
 
@@ -394,7 +433,6 @@ impl ContractHost {
             timestamp_ms: block.header.timestamp_ms,
             sender: tx.sender,
             tx_id: tx.id(),
-            contract_name: tx.contract.clone(),
         };
         let result = contract.execute(&mut ctx, &tx.method, &tx.payload);
         match result {
@@ -408,10 +446,8 @@ impl ContractHost {
                 // chains), so a stuck transaction cannot wedge an account.
                 self.account_nonces.insert(sender_addr, expected_nonce + 1);
                 self.events.push(Event {
-                    contract: tx.contract.clone(),
-                    name: "tx.failed".into(),
+                    name: "tx.failed",
                     data: msg.into_bytes(),
-                    block_height: block.header.height,
                     timestamp_ms: block.header.timestamp_ms,
                     tx_id: tx.id(),
                 });
@@ -426,7 +462,7 @@ impl ContractHost {
 pub struct KvStoreContract;
 
 impl SmartContract for KvStoreContract {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "kvstore"
     }
 
@@ -548,7 +584,7 @@ mod tests {
     struct Counting(std::sync::Arc<std::sync::atomic::AtomicU64>);
 
     impl SmartContract for Counting {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             "counting"
         }
 
@@ -642,6 +678,125 @@ mod tests {
         assert_eq!(contents(&host), contents(&fresh));
         assert_eq!(host.executed.len(), 4);
         assert_eq!(host.account_nonce(&kp.public()), 3);
+    }
+
+    /// A host that has executed `n` blocks of one `put` each, and so holds
+    /// `n` events, with the chain it executed.
+    fn host_with_events(n: u64) -> (Blockchain, ContractHost, Keypair) {
+        let (mut chain, mut host, kp) = setup();
+        for nonce in 0..n {
+            put(&mut chain, &kp, nonce, 1_000 + nonce);
+        }
+        host.sync_with(&chain);
+        (chain, host, kp)
+    }
+
+    /// Mines one block holding `kp`'s `put` at `nonce`.
+    fn put(chain: &mut Blockchain, kp: &Keypair, nonce: u64, ts: u64) {
+        let payload = nonce.to_be_bytes().to_vec();
+        let tx = Transaction::new_signed(kp, nonce, "kvstore", "put", payload);
+        mine_with(chain, vec![tx], ts);
+    }
+
+    /// `events_since(c)` for every `c` in `from..=to`, owned.
+    fn reads(host: &ContractHost, from: usize, to: usize) -> Vec<(Vec<Event>, usize)> {
+        (from..=to)
+            .map(|c| {
+                let (events, next) = host.events_since(c);
+                (events.to_vec(), next)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn positions_are_stable_across_a_release() {
+        let (mut twin_chain, mut twin, _) = host_with_events(10);
+        let (mut chain, mut host, kp) = host_with_events(10);
+        host.release_events(6);
+        assert_eq!(host.events().len(), 4);
+        assert_eq!(host.events(), &twin.events()[6..]);
+        assert_eq!(reads(&host, 6, 12), reads(&twin, 6, 12));
+        // Events emitted after the release land where the twin's do.
+        for c in [&mut twin_chain, &mut chain] {
+            put(c, &kp, 10, 5_000);
+            put(c, &kp, 11, 5_001);
+        }
+        twin.sync_with(&twin_chain);
+        host.sync_with(&chain);
+        assert_eq!(host.events_since(10).1, 12);
+        assert_eq!(reads(&host, 6, 14), reads(&twin, 6, 14));
+    }
+
+    #[test]
+    fn a_prefix_is_released_once_it_is_half_of_what_is_held() {
+        let (_, mut host, _) = host_with_events(10);
+        let held = |host: &ContractHost| (host.released, host.events().len());
+        host.release_events(4);
+        assert_eq!(held(&host), (0, 10), "4 of 10 passed: all kept");
+        host.release_events(5);
+        assert_eq!(held(&host), (5, 5), "5 of 10 passed: released");
+        host.release_events(7);
+        assert_eq!(held(&host), (5, 5), "2 of 5 passed: kept");
+        host.release_events(3);
+        assert_eq!(held(&host), (5, 5), "below the prefix: nothing");
+        host.release_events(8);
+        assert_eq!(held(&host), (8, 2));
+    }
+
+    #[test]
+    fn releasing_past_the_end_releases_what_there_is() {
+        let (mut chain, mut host, kp) = host_with_events(4);
+        host.release_events(usize::MAX);
+        assert_eq!(host.released, 4);
+        assert!(host.events().is_empty());
+        assert_eq!(host.events_since(4), (&[][..], 4));
+        assert_eq!(host.events_since(9), (&[][..], 4));
+        put(&mut chain, &kp, 4, 2_000);
+        host.sync_with(&chain);
+        let (events, next) = host.events_since(4);
+        assert_eq!((events.len(), next), (1, 5));
+        assert_eq!(events[0].data, 4u64.to_be_bytes());
+    }
+
+    #[test]
+    fn a_reorg_reset_drops_the_released_prefix_again() {
+        let (mut twin_chain, mut twin, kp) = host_with_events(6);
+        let (mut chain, mut host, _) = host_with_events(6);
+        host.release_events(4);
+        assert_eq!(host.released, 4);
+        // A heavier branch from the block at height 4 replaces heights 5
+        // and 6: both hosts reset and replay the whole main chain.
+        for c in [&mut twin_chain, &mut chain] {
+            let mut parent = c.main_chain_hashes()[4];
+            for height in 5..8 {
+                let payload = vec![0xb0; height as usize];
+                let txs = vec![Transaction::new_signed(
+                    &kp,
+                    height - 1,
+                    "kvstore",
+                    "put",
+                    payload,
+                )];
+                let block = Block::mine(parent, height, txs, 9_000 + height, 0);
+                parent = block.hash();
+                c.import(block).unwrap();
+            }
+            assert_eq!(c.tip_header().height, 7);
+        }
+        twin.sync_with(&twin_chain);
+        host.sync_with(&chain);
+        assert_eq!(twin.events().len(), 7);
+        assert_eq!(host.released, 4);
+        assert_eq!(host.events(), &twin.events()[4..]);
+        assert_eq!(reads(&host, 4, 9), reads(&twin, 4, 9));
+    }
+
+    #[test]
+    #[should_panic(expected = "event log position 1 is below the released prefix 2")]
+    fn reading_a_released_position_panics() {
+        let (_, mut host, _) = host_with_events(4);
+        host.release_events(2);
+        let _ = host.events_since(1);
     }
 
     #[test]

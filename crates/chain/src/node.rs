@@ -295,16 +295,29 @@ impl Node {
         Ok(outcome)
     }
 
-    /// All contract events so far.
+    /// The retained contract events: those not yet released (see
+    /// [`Node::release_events`]).
     #[must_use]
     pub fn events(&self) -> &[Event] {
         self.host.events()
     }
 
-    /// Events emitted since `cursor`; returns the slice and the new cursor.
+    /// Events emitted since log position `cursor`; returns the slice and
+    /// the new cursor. Positions stay the same across a release.
+    ///
+    /// # Panics
+    ///
+    /// If `cursor` is below the released prefix.
     #[must_use]
     pub fn events_since(&self, cursor: usize) -> (&[Event], usize) {
         self.host.events_since(cursor)
+    }
+
+    /// Releases the events below log position `upto`, which every reader
+    /// of the log has passed, once they are at least half of the events
+    /// held; see `ContractHost::release_events`.
+    pub fn release_events(&mut self, upto: usize) {
+        self.host.release_events(upto);
     }
 }
 

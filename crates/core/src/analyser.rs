@@ -284,6 +284,19 @@ impl Analyser {
         self.checked_groups.saturating_sub(self.groups_retired) as usize
     }
 
+    /// The node's event-log position below which this Analyser reads no
+    /// event again: the retire cursor while retirement is on (the judged
+    /// groups above it are read again when they retire), else the event
+    /// cursor. The log may release what lies below it.
+    #[must_use]
+    pub(crate) fn unread_events(&self) -> usize {
+        if self.retire_lag == 0 {
+            self.event_cursor
+        } else {
+            self.retire_cursor
+        }
+    }
+
     /// Groups whose evidence retirement has been submitted on-chain.
     #[must_use]
     pub fn groups_retired(&self) -> u64 {
@@ -1363,6 +1376,79 @@ mod tests {
                 six_poll_run(|poll| poll == k),
                 uncrashed,
                 "crash after poll {k}"
+            );
+        }
+    }
+
+    /// Eight polls, each after a block of three groups (one of them a
+    /// lying PDP's) and each followed by a checkpoint, with a crash-restart
+    /// after the fourth; groups retire two polls after they complete when
+    /// `retire` is set. With `release`, the node releases the events the
+    /// Analyser has passed after each checkpoint, as the scenario does.
+    /// Returns the alerts raised, the `retire_groups` payloads the chain
+    /// carries and the number of events the node holds at the end.
+    fn release_run(retire: bool, release: bool) -> (Vec<Alert>, Vec<Vec<u8>>, usize) {
+        let mut r = rig();
+        if retire {
+            r.analyser.enable_group_retirement(2_000);
+        }
+        let li = Keypair::from_seed(b"li");
+        let version = policy().version_digest();
+        let lie = Response::new(drams_policy::decision::ExtDecision::Permit, vec![]);
+        let mut alerts = Vec::new();
+        for poll in 1..=8 {
+            let mut entries = Vec::new();
+            for corr in 3 * poll..3 * poll + 3 {
+                let group = if corr % 3 == 1 {
+                    observe_group(&mut r, corr, "nurse", lie.clone(), true, version, 200)
+                } else {
+                    let honest = honest_response("doctor");
+                    observe_group(&mut r, corr, "doctor", honest, true, version, 200)
+                };
+                entries.extend(group);
+            }
+            let batch = crate::contract::encode_batch(&entries);
+            r.node
+                .submit_call(&li, MONITOR_CONTRACT, "store_log_batch", batch)
+                .unwrap();
+            r.node.mine_block(1_000 * poll).unwrap();
+            alerts.extend(r.analyser.poll(&mut r.node, 1_000 * poll + 500));
+            r.analyser.checkpoint().unwrap();
+            if release {
+                r.node.release_events(r.analyser.unread_events());
+            }
+            if poll == 4 {
+                r.analyser.crash_restart().unwrap();
+            }
+        }
+        r.node.mine_block(10_000).unwrap();
+        let chain = r.node.chain();
+        let mut retired = Vec::new();
+        let mut hash = chain.tip_hash();
+        while let Some(block) = chain.block(&hash) {
+            for tx in block.transactions.iter().rev() {
+                if tx.method == "retire_groups" {
+                    retired.push(tx.payload.clone());
+                }
+            }
+            hash = block.header.parent;
+        }
+        retired.reverse();
+        (alerts, retired, r.node.events().len())
+    }
+
+    #[test]
+    fn releasing_the_events_the_analyser_has_passed_changes_no_finding() {
+        for retire in [false, true] {
+            let (alerts, retired, held) = release_run(retire, false);
+            let (released_alerts, released_retired, released_held) = release_run(retire, true);
+            assert_eq!(alerts.len(), 8, "one policy violation per poll");
+            assert_eq!(retired.is_empty(), !retire);
+            assert_eq!(released_alerts, alerts, "retirement {retire}");
+            assert_eq!(released_retired, retired, "retirement {retire}");
+            assert!(
+                released_held < held,
+                "retirement {retire}: {released_held} of {held} events held"
             );
         }
     }

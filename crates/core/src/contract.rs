@@ -476,7 +476,7 @@ impl MonitorContract {
 }
 
 impl SmartContract for MonitorContract {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         MONITOR_CONTRACT
     }
 
@@ -792,7 +792,7 @@ mod tests {
                 expected.push(GROUP_COMPLETE_EVENT);
                 node.mine_block(corr).unwrap();
                 let events = &node.events()[first_event..];
-                let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+                let names: Vec<&str> = events.iter().map(|e| e.name).collect();
                 assert_eq!(names, expected, "order {order:?}");
                 for event in events {
                     transcript.update(event.name.as_bytes());

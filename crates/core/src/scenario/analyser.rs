@@ -1,5 +1,6 @@
 //! The Analyser as a service: periodic chain polls, durable checkpoints,
-//! provisioning and policy-administration notifications.
+//! the release of the node's event log, provisioning and
+//! policy-administration notifications.
 
 use super::ctx::Ctx;
 use super::msg::{Msg, Outbox};
@@ -23,6 +24,12 @@ impl AnalyserService {
                 // else observes it: a crash after this point resumes
                 // here, never re-checks, never re-alerts.
                 self.analyser.checkpoint().expect("analyser checkpoint");
+                // The event log's two readers are this Analyser and the
+                // chain service's harvest: release what both have passed.
+                // After the checkpoint, so a restarted Analyser never
+                // resumes below the released prefix.
+                ctx.node
+                    .release_events(self.analyser.unread_events().min(ctx.event_cursor));
                 ctx.report.peak.analyser_pending_retire = ctx
                     .report
                     .peak

@@ -18,7 +18,6 @@ pub(super) struct ChainService {
     pub(super) admin: Keypair,
     pub(super) epoch_blocks: u64,
     pub(super) block_interval: SimTime,
-    pub(super) event_cursor: usize,
     /// The chain configuration of the deployment — a crashed node is
     /// rebuilt with the same parameters before the journal replays.
     pub(super) chain_config: ChainConfig,
@@ -91,7 +90,7 @@ impl ChainService {
             });
         }
         // Harvest newly committed contract events.
-        let (events, cursor) = ctx.node.events_since(self.event_cursor);
+        let (events, cursor) = ctx.node.events_since(ctx.event_cursor);
         let new_alerts: Vec<Alert> = events
             .iter()
             .filter(|e| e.name.starts_with("alert."))
@@ -101,7 +100,7 @@ impl ChainService {
             .iter()
             .filter(|e| e.name == GROUP_COMPLETE_EVENT)
             .count() as u64;
-        self.event_cursor = cursor;
+        ctx.event_cursor = cursor;
         for mut alert in new_alerts {
             if let Some(issued) = ctx.issued_at_by_corr.get(&alert.correlation) {
                 ctx.report

@@ -44,6 +44,10 @@ pub(super) struct Ctx<'a> {
     /// attached to `node` — kept here so a `CrashRestart` of the chain
     /// service can replay it into the restarted node.
     pub(super) node_wal: Rc<RefCell<Wal>>,
+    /// The chain service's harvest position in the node's event log. The
+    /// Analyser service reads it too: the log is released only below
+    /// both readers' positions.
+    pub(super) event_cursor: usize,
     pub(super) report: MonitorReport,
     pub(super) truth: GroundTruth,
     pub(super) adversary: &'a mut dyn Adversary,

@@ -41,7 +41,7 @@ pub(super) struct PdpSlot {
     decided: HashMap<CorrelationId, u64>,
     /// Decisions in `decided_at` order with the journal sequence number
     /// of each, for retention-window eviction (kept in lockstep with
-    /// `decided`).
+    /// `decided`). Empty at retention 0, where nothing is evicted.
     decided_order: VecDeque<(SimTime, CorrelationId, u64)>,
     /// Retention window of the idempotency cache: entries older than
     /// this are evicted — provably safe past [`MIN_RETENTION`], since no
@@ -107,7 +107,8 @@ impl PdpSlot {
     /// Caches and journals the as-sent response to `correlation`, ages
     /// out what the retention window has closed on, and compacts the
     /// journal once a sealed segment lies wholly below the oldest live
-    /// decision. Returns how many entries were evicted.
+    /// decision (at retention 0 every decision stays live, so it never
+    /// does). Returns how many entries were evicted.
     fn remember(
         &mut self,
         correlation: CorrelationId,
@@ -122,9 +123,10 @@ impl PdpSlot {
             .journal
             .append(self.record.as_bytes())
             .expect("pdp journal append");
-        self.decided_order.push_back((now, correlation, seq));
-        self.decided.insert(correlation, seq);
-        let evicted = self.age_out(now);
+        let evicted = self.admit(now, correlation, seq);
+        if self.retention == 0 {
+            return evicted;
+        }
         let base = self
             .decided_order
             .front()
@@ -151,12 +153,16 @@ impl PdpSlot {
         Some(env)
     }
 
-    /// Drops the entries whose retention window has closed by `now`.
-    /// Returns how many went.
-    fn age_out(&mut self, now: SimTime) -> u64 {
+    /// Indexes the decision on `correlation` at journal position `seq`,
+    /// decided at `now`, and drops the entries whose retention window has
+    /// closed by `now`. At retention 0 nothing is ever evicted, so nothing
+    /// is queued for eviction either. Returns how many entries went.
+    fn admit(&mut self, now: SimTime, correlation: CorrelationId, seq: u64) -> u64 {
+        self.decided.insert(correlation, seq);
         if self.retention == 0 {
             return 0;
         }
+        self.decided_order.push_back((now, correlation, seq));
         let mut evicted = 0;
         while let Some(&(decided_at, corr, _)) = self.decided_order.front() {
             if decided_at.saturating_add(self.retention) > now {
@@ -234,12 +240,8 @@ impl PdpSlot {
         for (seq, rec) in self.journal.replay_from(base)? {
             match JournalRecord::from_canonical_bytes(&rec).map_err(codec)? {
                 JournalRecord::Decided(env, count) => {
-                    let decided_at = env.decided_at;
                     observations = count;
-                    self.decided_order
-                        .push_back((decided_at, env.correlation, seq));
-                    self.decided.insert(env.correlation, seq);
-                    self.age_out(decided_at);
+                    self.admit(env.decided_at, env.correlation, seq);
                 }
                 JournalRecord::Silence(until) => self.silenced_until = until,
             }
@@ -530,6 +532,34 @@ mod tests {
         s.crash_restart(&key, active()).unwrap();
         assert_eq!(s.decided, before);
         assert_eq!(reads_back(&s, &sent), live);
+    }
+
+    #[test]
+    fn retention_zero_queues_nothing_and_every_decision_reads_back() {
+        let key = SymmetricKey::from_bytes([42; 32]);
+        let prp = Prp::new(crate::monitor::default_policy());
+        let mut s = PdpSlot::new(ProbeId(0), &key, prp.active().pdp(), 0);
+        // Decisions a whole retention window apart, over several journal
+        // segments: any positive retention would evict all but the last
+        // and compact.
+        let decisions = 3 * JOURNAL_SEGMENT_RECORDS + 5;
+        let mut sent = Vec::new();
+        for i in 0..decisions {
+            sent.push(envelope(&s, i, i * MIN_RETENTION));
+            assert_eq!(decide(&mut s, i, i * MIN_RETENTION), 0, "nothing evicted");
+        }
+        let reads_back = |s: &PdpSlot| {
+            assert!(s.decided_order.is_empty(), "no eviction queue");
+            assert_eq!(s.decided.len(), sent.len());
+            for env in &sent {
+                assert_eq!(s.as_sent(env.correlation).as_ref(), Some(env));
+            }
+        };
+        reads_back(&s);
+        assert_eq!(s.journal.first_retained_seq(), 0, "never compacted");
+        assert!(s.journal.read_snapshot().unwrap().is_none());
+        s.crash_restart(&key, active()).unwrap();
+        reads_back(&s);
     }
 
     #[test]

@@ -269,6 +269,7 @@ pub fn run_scenario_with_transport<A: Adversary>(
     let mut ctx = Ctx {
         node,
         node_wal,
+        event_cursor,
         report,
         truth,
         adversary,
@@ -367,7 +368,6 @@ pub fn run_scenario_with_transport<A: Adversary>(
             admin,
             epoch_blocks: config.epoch_blocks,
             block_interval: config.block_interval,
-            event_cursor,
             chain_config,
             compact_interval: load.chain_compact_interval,
             journal_base: 0,

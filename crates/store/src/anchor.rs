@@ -39,7 +39,7 @@ impl AnchorContract {
 }
 
 impl SmartContract for AnchorContract {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         ANCHOR_CONTRACT
     }
 

@@ -584,6 +584,36 @@ mod tests {
         wal.replay().unwrap().into_iter().map(|(_, r)| r).collect()
     }
 
+    /// A live node that released part of its event log and the node
+    /// recovered from its journal agree on every position from the
+    /// released prefix on: the recovered node replays the whole log, and
+    /// positions do not depend on what was released.
+    #[test]
+    fn recovered_node_serves_the_released_nodes_event_positions() {
+        let (mut node, wal) = journaled_node();
+        let kp = Keypair::from_seed(b"persist-tests");
+        for i in 0..6 {
+            node.submit_call(&kp, "kvstore", "put", format!("e{i}").into_bytes())
+                .unwrap();
+            node.mine_block(1_000 + i).unwrap();
+        }
+        node.release_events(4);
+        assert_eq!(node.events().len(), 2, "four of six released");
+        let reads = |node: &Node| -> Vec<(Vec<Event>, usize)> {
+            (4..=8)
+                .map(|c| {
+                    let (events, next) = node.events_since(c);
+                    (events.to_vec(), next)
+                })
+                .collect()
+        };
+        let live = reads(&node);
+        drop(node);
+        let recovered = recovered(&wal.borrow(), &config());
+        assert_eq!(recovered.events().len(), 6);
+        assert_eq!(reads(&recovered), live);
+    }
+
     /// A node journaling into two logs at once, so one can be compacted
     /// and the other kept whole.
     struct Tee(WalJournal, WalJournal);

@@ -26,17 +26,19 @@ use drams::policy::compiled::PreparedPolicySet;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Allocations plus reallocations one `steady` request may cost (63.5
+/// Allocations plus reallocations one `steady` request may cost (61.0
 /// measured, the event loop reusing its emission buffers and each PDP
-/// slot its journal record).
+/// slot its journal record; 63.5 while every contract event carried two
+/// heap strings).
 const BUDGET_PER_REQUEST: f64 = 80.0;
 
 /// Peak live heap, in bytes, one `monitoring_off` request may hold. The
 /// PDP slot's idempotency cache keeps every decision at the default
 /// retention, so this is mostly that cache: 322.6 while it held a decoded
 /// copy of each as-sent response beside the journal's encoded one, 217.8
-/// since it holds the journal position instead.
-const HEAP_BUDGET_PER_REQUEST: f64 = 240.0;
+/// while it also queued every decision for an eviction that retention 0
+/// never makes, 186.3 since it holds only the journal position.
+const HEAP_BUDGET_PER_REQUEST: f64 = 200.0;
 
 /// Allocations plus reallocations one compile of the 1,000-policy base
 /// may cost. Before each version was compiled into one arena it took
