@@ -440,7 +440,7 @@ fn e3_hybrid_store(_: &mut Run) -> Vec<Section> {
 
 /// E5 — paper §II: the Analyser re-evaluates decisions against the formal
 /// policy semantics; here we scale the policy base — tree-walking
-/// interpreter vs the compiled engine (and its decision cache).
+/// interpreter vs the compiled engine.
 fn e5_policy_engine_scaling(_: &mut Run) -> Vec<Section> {
     let sizes: &[usize] = &[10, 50, 100, 500, 1000];
     let request_count = 500;
@@ -454,9 +454,7 @@ fn e5_policy_engine_scaling(_: &mut Run) -> Vec<Section> {
         };
         let mut pgen = PolicyGenerator::new(Vocabulary::default(), 5);
         let set = pgen.next_policy_set(&shape);
-        // Cache off for the engine comparison; cache on measured after.
-        let pdp = Pdp::with_cache_capacity(&set, 0);
-        let pdp_cached = Pdp::new(&set);
+        let pdp = Pdp::new(&set);
         let mut rgen = RequestGenerator::new(Vocabulary::default(), 1.0, 6);
         let requests: Vec<_> = (0..request_count).map(|_| rgen.next_request()).collect();
 
@@ -474,26 +472,18 @@ fn e5_policy_engine_scaling(_: &mut Run) -> Vec<Section> {
         let rounds = 3;
         let mut interpreter_us = f64::INFINITY;
         let mut compiled_us = f64::INFINITY;
-        let mut compiled_cached_us = f64::INFINITY;
         // A version's whole life outside evaluation: compile, then free,
         // repeated within a round until the round covers ~1,000 policies
         // (a 10-policy compile alone is tens of µs, below the host's
         // noise).
         let mut compile_ms = f64::INFINITY;
         let compiles = (1_000 / policies).max(1);
-        // Warm the cache with one full pass, then measure the hit path.
-        for r in &requests {
-            std::hint::black_box(pdp_cached.evaluate(r));
-        }
         for _ in 0..rounds {
             interpreter_us = interpreter_us.min(time_per_decision(&|r| {
                 std::hint::black_box(set.evaluate(r));
             }));
             compiled_us = compiled_us.min(time_per_decision(&|r| {
                 std::hint::black_box(pdp.evaluate(r));
-            }));
-            compiled_cached_us = compiled_cached_us.min(time_per_decision(&|r| {
-                std::hint::black_box(pdp_cached.evaluate(r));
             }));
             let start = Instant::now();
             for _ in 0..compiles {
@@ -513,7 +503,6 @@ fn e5_policy_engine_scaling(_: &mut Run) -> Vec<Section> {
             rules: set.rule_count(),
             interpreter_us_per_decision: interpreter_us,
             compiled_us_per_decision: compiled_us,
-            compiled_cached_us_per_decision: compiled_cached_us,
             speedup_compiled_vs_interpreter: interpreter_us / compiled_us,
             compile_ms: compile_ms,
         });
@@ -1222,12 +1211,10 @@ fn honest_crowd(run: &mut Run, member: &str, spec: &ScenarioSpec) -> Members {
         admitted_completion_pct: admitted_completion_pct,
         alerts: report.alerts.len(),
         idempotency_evictions: report.idempotency_evictions,
-        decision_cache_evictions: report.decision_cache_evictions,
         groups_retired: report.groups_retired,
         journal_compactions: report.journal_compactions,
         peak_pep_inflight: report.peak.pep_inflight,
         peak_pdp_idempotency: report.peak.pdp_idempotency,
-        peak_pdp_decision_cache: report.peak.pdp_decision_cache,
         peak_li_resident: report.peak.li_resident,
         peak_analyser_pending_retire: report.peak.analyser_pending_retire,
         peak_contract_storage: report.peak.contract_storage,

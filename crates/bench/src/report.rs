@@ -586,7 +586,7 @@ macro_rules! gates {
 /// Every gate `run_experiments` enforces on a run, one row each:
 /// section, row selector, column, rule.
 #[rustfmt::skip]
-pub(crate) const GATES: [Gate; 48] = gates! {
+pub(crate) const GATES: [Gate; 47] = gates! {
     // Per-entry storage cost at 16 KiB entries above that at 64 B.
     "e1_log_size"             ""                         "grows"                            Rule::True;
     // Hashes per block strictly rising with the difficulty bits; each
@@ -639,7 +639,6 @@ pub(crate) const GATES: [Gate; 48] = gates! {
     "e14_load"                "crash_overload_twin"      "matched"                          Rule::True;
     "e14_load"                "honest"                   "peak_pep_inflight"                Rule::AtMostCommitted(2.0);
     "e14_load"                "honest"                   "peak_pdp_idempotency"             Rule::AtMostCommitted(2.0);
-    "e14_load"                "honest"                   "peak_pdp_decision_cache"          Rule::AtMostCommitted(2.0);
     "e14_load"                "honest"                   "peak_li_resident"                 Rule::AtMostCommitted(2.0);
     "e14_load"                "honest"                   "peak_analyser_pending_retire"     Rule::AtMostCommitted(2.0);
     "e14_load"                "honest"                   "peak_contract_storage"            Rule::AtMostCommitted(2.0);

@@ -193,8 +193,6 @@ pub struct ExecutionContext<'a> {
     pub storage: &'a mut Storage,
     /// Sink for emitted events.
     events: &'a mut Vec<Event>,
-    /// Current block height.
-    pub block_height: u64,
     /// Current block timestamp.
     pub timestamp_ms: u64,
     /// The transaction sender.
@@ -429,7 +427,6 @@ impl ContractHost {
         let mut ctx = ExecutionContext {
             storage,
             events: &mut scratch_events,
-            block_height: block.header.height,
             timestamp_ms: block.header.timestamp_ms,
             sender: tx.sender,
             tx_id: tx.id(),
@@ -579,8 +576,9 @@ mod tests {
         assert_eq!(host.executed.len(), 3);
     }
 
-    /// Stores each call's payload under its block height and counts its
-    /// executions, so a test sees exactly which blocks a sync ran.
+    /// Stores each call's payload under its block timestamp and counts its
+    /// executions, so a test sees exactly which blocks a sync ran (every
+    /// block these tests mine carries its own timestamp).
     struct Counting(std::sync::Arc<std::sync::atomic::AtomicU64>);
 
     impl SmartContract for Counting {
@@ -596,7 +594,7 @@ mod tests {
         ) -> Result<(), String> {
             self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             ctx.storage
-                .insert(&ctx.block_height.to_be_bytes(), payload.to_vec());
+                .insert(&ctx.timestamp_ms.to_be_bytes(), payload.to_vec());
             Ok(())
         }
     }
@@ -662,7 +660,13 @@ mod tests {
         // A heavier branch from the first block replaces the second.
         let mut parent = abandoned;
         for (height, payload) in [(2, b"b2"), (3, b"b3")] {
-            let block = Block::mine(parent, height, call(&kp, height - 1, payload), 5_000, 0);
+            let block = Block::mine(
+                parent,
+                height,
+                call(&kp, height - 1, payload),
+                5_000 + height,
+                0,
+            );
             parent = block.hash();
             chain.import(block).unwrap();
         }
@@ -676,6 +680,7 @@ mod tests {
         let (mut fresh, _) = counting_host();
         fresh.sync_with(&chain);
         assert_eq!(contents(&host), contents(&fresh));
+        assert_eq!(contents(&host).len(), 3, "one key per main-chain block");
         assert_eq!(host.executed.len(), 4);
         assert_eq!(host.account_nonce(&kp.public()), 3);
     }

@@ -265,8 +265,6 @@ pub struct MonitorReport {
     /// Decision-idempotency entries aged out of the PDP retransmission
     /// cache after their retention window closed.
     pub idempotency_evictions: u64,
-    /// Entries the PDP engine's bounded decision cache evicted (LRU).
-    pub decision_cache_evictions: u64,
     /// Completed decision groups the Analyser retired (evidence pruned
     /// from contract storage after the replay window).
     pub groups_retired: u64,
@@ -290,8 +288,6 @@ pub struct PeakState {
     /// As-sent responses held for idempotent retransmission answers
     /// across all PDP slots.
     pub pdp_idempotency: u64,
-    /// Entries in the PDP engines' decision caches (max over slots).
-    pub pdp_decision_cache: u64,
     /// Log entries resident in LI memory (max over LIs; WAL spill not
     /// counted — that is the bounded-memory escape hatch).
     pub li_resident: u64,

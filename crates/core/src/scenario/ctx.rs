@@ -61,6 +61,8 @@ pub(super) struct Ctx<'a> {
     /// Cloud id → PDP slot (all clouds map to slot 0 under central
     /// placement).
     pub(super) pdp_slot_of_cloud: BTreeMap<u32, usize>,
+    /// Correlation → virtual issue time of each request issued while
+    /// monitoring is on: an alert's detection latency is read from it.
     pub(super) issued_at_by_corr: HashMap<CorrelationId, SimTime>,
     /// The deterministic per-link fault model every wire message crosses
     /// (a no-op with an empty plan).

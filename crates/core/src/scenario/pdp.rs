@@ -343,11 +343,6 @@ impl PdpService {
                 ctx.report.idempotency_evictions += s.remember(env.correlation, &resp_env, now);
                 ctx.report.peak.pdp_idempotency =
                     ctx.report.peak.pdp_idempotency.max(s.decided.len() as u64);
-                ctx.report.peak.pdp_decision_cache = ctx
-                    .report
-                    .peak
-                    .pdp_decision_cache
-                    .max(s.pdp.cache_len() as u64);
                 let latency = ctx.pep_pdp.sample(&mut ctx.rngs.net);
                 out.emit(
                     latency,
@@ -356,8 +351,6 @@ impl PdpService {
                         env: resp_env,
                     },
                 );
-                ctx.report.decision_cache_evictions =
-                    self.slots.iter().map(|sl| sl.pdp.cache_evictions()).sum();
             }
             Msg::PolicyAdmin(action) => {
                 let active = self.administer(action);

@@ -163,8 +163,10 @@ impl PepService {
                     ctx.report.degraded_admissions += 1;
                 }
                 let mut env = self.peps[tenant].intercept(service, request, now);
-                ctx.issued_at_by_corr.insert(env.correlation, now);
                 if ctx.monitoring {
+                    // Only a monitored run raises alerts, and only an
+                    // alert's detection latency needs the issue time.
+                    ctx.issued_at_by_corr.insert(env.correlation, now);
                     let entry = self.probes[tenant].observe_request(
                         ObservationPoint::PepRequest,
                         &env,
@@ -219,13 +221,12 @@ impl PepService {
                 } else {
                     ctx.report.refused += 1;
                 }
-                if let Some(issued) = ctx.issued_at_by_corr.get(&env.correlation) {
-                    ctx.report.e2e_latency.record(now - issued);
-                    if slot != ctx.tenants[tenant].pdp_slot {
-                        // Answered by a slot the breaker diverted to.
-                        ctx.report.failovers += 1;
-                        ctx.report.failover_e2e.record(now - issued);
-                    }
+                let issued = inflight.env.issued_at;
+                ctx.report.e2e_latency.record(now - issued);
+                if slot != ctx.tenants[tenant].pdp_slot {
+                    // Answered by a slot the breaker diverted to.
+                    ctx.report.failovers += 1;
+                    ctx.report.failover_e2e.record(now - issued);
                 }
                 ctx.report.e2e_latency.record_attempts(inflight.attempts);
                 if ctx.monitoring {

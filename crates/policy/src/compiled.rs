@@ -634,17 +634,7 @@ impl PreparedPolicySet {
     /// set (property-tested in `tests/prop_compiled.rs`).
     #[must_use]
     pub fn evaluate(&self, request: &Request) -> (ExtDecision, Vec<Obligation>) {
-        self.evaluate_prepared(&self.prepare(request))
-    }
-
-    /// Evaluates an already-prepared request (the PDP's decision-cache
-    /// miss path).
-    #[must_use]
-    pub(crate) fn evaluate_prepared(
-        &self,
-        request: &PreparedRequest<'_>,
-    ) -> (ExtDecision, Vec<Obligation>) {
-        let (d, obs) = self.eval_policy(0, request);
+        let (d, obs) = self.eval_policy(0, &self.prepare(request));
         (d, obs.into_iter().cloned().collect())
     }
 }

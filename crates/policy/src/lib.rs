@@ -24,8 +24,7 @@
 //!   tree-walking evaluators above remain the reference semantics; the
 //!   compiled engine is property-tested equivalent and is what the PDP
 //!   and the Analyser actually run.
-//! * [`pdp`] — the Policy Decision Point (compiled engine + decision
-//!   cache).
+//! * [`pdp`] — the Policy Decision Point (compiled engine).
 //! * [`parser`] — a FACPL-like text syntax plus pretty-printer.
 //!
 //! # Example

@@ -26,10 +26,10 @@ use drams::policy::compiled::PreparedPolicySet;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Allocations plus reallocations one `steady` request may cost (61.0
+/// Allocations plus reallocations one `steady` request may cost (60.1
 /// measured, the event loop reusing its emission buffers and each PDP
-/// slot its journal record; 63.5 while every contract event carried two
-/// heap strings).
+/// slot its journal record; 61.0 while the PDP memoised its decisions,
+/// 63.5 while every contract event carried two heap strings).
 const BUDGET_PER_REQUEST: f64 = 80.0;
 
 /// Peak live heap, in bytes, one `monitoring_off` request may hold. The
@@ -37,8 +37,10 @@ const BUDGET_PER_REQUEST: f64 = 80.0;
 /// retention, so this is mostly that cache: 322.6 while it held a decoded
 /// copy of each as-sent response beside the journal's encoded one, 217.8
 /// while it also queued every decision for an eviction that retention 0
-/// never makes, 186.3 since it holds only the journal position.
-const HEAP_BUDGET_PER_REQUEST: f64 = 200.0;
+/// never makes, 186.3 once it held only the journal position, 169.1
+/// without the PDP's decision cache, 146.8 since a run records issue
+/// times only while monitoring is on.
+const HEAP_BUDGET_PER_REQUEST: f64 = 160.0;
 
 /// Allocations plus reallocations one compile of the 1,000-policy base
 /// may cost. Before each version was compiled into one arena it took
