@@ -223,7 +223,7 @@ mod tests {
         let mut block = Block::mine(Digest::ZERO, 0, sample_txs(2), 0, 4);
         // The ids are cached by now: the edit must not keep the stale one.
         let mut body = block.transactions[0].clone().into_body();
-        body.payload = b"tampered".to_vec();
+        body.payload = b"tampered".as_slice().into();
         block.transactions[0] = Transaction::from_body(body);
         assert_eq!(block.validate_standalone(), Err(ChainError::BadTxRoot));
     }
@@ -278,7 +278,7 @@ mod tests {
         assert_eq!(block.verify_signatures(), Ok(()));
         let mut bad = block;
         let mut body = bad.transactions[40].clone().into_body();
-        body.payload = b"forged".to_vec(); // signature no longer covers payload
+        body.payload = b"forged".as_slice().into(); // signature no longer covers payload
         bad.transactions[40] = Transaction::from_body(body);
         assert_eq!(bad.verify_signatures(), Err(ChainError::BadSignature));
     }

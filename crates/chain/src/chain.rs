@@ -449,7 +449,7 @@ mod tests {
         let mut chain = Blockchain::new(config(0));
         let kp = Keypair::from_seed(b"chain-tests");
         let mut body = Transaction::new_signed(&kp, 0, "c", "m", vec![]).into_body();
-        body.payload = b"tampered".to_vec();
+        body.payload = b"tampered".as_slice().into();
         let tx = Transaction::from_body(body);
         let block = Block::mine(chain.genesis_hash(), 1, vec![tx], 0, 0);
         assert_eq!(chain.import(block), Err(ChainError::BadSignature));

@@ -22,6 +22,15 @@
 //! journaling such a key allocates nothing, and a caller builds the key
 //! it looks up on the stack. A longer key is still accepted and lives on
 //! the heap.
+//!
+//! A stored value is either bytes the storage owns — a contract's own
+//! small records, built per call — or a span of the payload buffer of the
+//! transaction that carried it ([`ExecutionContext::store_payload_span`]),
+//! shared with that transaction and with the block that holds it: the
+//! bytes a log entry arrived in are the bytes storage keeps, and nothing
+//! is copied. Such a value pins the whole payload buffer until it is
+//! overwritten or removed, or until a reorg resets the storage; either
+//! kind reads back as a plain `&[u8]`.
 
 use crate::block::{Block, BlockHash};
 use crate::chain::Blockchain;
@@ -31,7 +40,8 @@ use drams_crypto::sha256::Digest;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::ops::{Bound, Range};
+use std::sync::Arc;
 
 /// An event emitted by a contract during execution — DRAMS security
 /// alerts travel this way.
@@ -115,23 +125,54 @@ impl std::fmt::Debug for Key {
     }
 }
 
+/// A stored value (see the module docs).
+enum Value {
+    /// Bytes the storage owns.
+    Owned(Vec<u8>),
+    /// `payload[span]`, sharing the buffer of the transaction that
+    /// carried it.
+    Shared {
+        payload: Arc<[u8]>,
+        span: Range<usize>,
+    },
+}
+
+impl Value {
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Value::Owned(bytes) => bytes,
+            Value::Shared { payload, span } => &payload[span.clone()],
+        }
+    }
+}
+
+impl std::fmt::Debug for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:?}", self.as_slice())
+    }
+}
+
 /// Per-contract storage with an undo journal, so a failed transaction
 /// rolls back exactly its own writes.
 #[derive(Debug, Default)]
 pub struct Storage {
-    map: BTreeMap<Key, Vec<u8>>,
-    journal: Vec<(Key, Option<Vec<u8>>)>,
+    map: BTreeMap<Key, Value>,
+    journal: Vec<(Key, Option<Value>)>,
 }
 
 impl Storage {
     /// Reads a value.
     #[must_use]
-    pub fn get(&self, key: &[u8]) -> Option<&Vec<u8>> {
-        self.map.get(key)
+    pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
+        self.map.get(key).map(Value::as_slice)
     }
 
     /// Writes a value, journaling the previous one.
     pub fn insert(&mut self, key: &[u8], value: Vec<u8>) {
+        self.put(key, Value::Owned(value));
+    }
+
+    fn put(&mut self, key: &[u8], value: Value) {
         let key = Key::new(key);
         let old = self.map.insert(key.clone(), value);
         self.journal.push((key, old));
@@ -149,10 +190,10 @@ impl Storage {
     pub fn scan_prefix<'a>(
         &'a self,
         prefix: &'a [u8],
-    ) -> impl Iterator<Item = (&'a [u8], &'a Vec<u8>)> + 'a {
+    ) -> impl Iterator<Item = (&'a [u8], &'a [u8])> + 'a {
         self.map
             .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
-            .map(|(k, v)| (k.as_slice(), v))
+            .map(|(k, v)| (k.as_slice(), v.as_slice()))
             .take_while(move |(k, _)| k.starts_with(prefix))
     }
 
@@ -199,9 +240,29 @@ pub struct ExecutionContext<'a> {
     pub sender: PublicKey,
     /// The transaction id.
     pub tx_id: TxId,
+    /// The call's payload buffer, which `store_payload_span` shares.
+    payload: &'a Arc<[u8]>,
 }
 
 impl ExecutionContext<'_> {
+    /// Stores `payload[span]` of this call's payload under `key` without
+    /// copying it: the value is a span of the transaction's own payload
+    /// buffer (see the module docs). Journaled and rolled back like
+    /// [`Storage::insert`].
+    ///
+    /// # Panics
+    ///
+    /// If `span` is not a range of the payload.
+    pub fn store_payload_span(&mut self, key: &[u8], span: Range<usize>) {
+        assert!(
+            self.payload.get(span.clone()).is_some(),
+            "span {span:?} is not a range of a {}-byte payload",
+            self.payload.len()
+        );
+        let payload = Arc::clone(self.payload);
+        self.storage.put(key, Value::Shared { payload, span });
+    }
+
     /// Emits an event.
     pub fn emit(&mut self, name: &'static str, data: Vec<u8>) {
         self.events.push(Event {
@@ -430,6 +491,7 @@ impl ContractHost {
             timestamp_ms: block.header.timestamp_ms,
             sender: tx.sender,
             tx_id: tx.id(),
+            payload: &tx.payload,
         };
         let result = contract.execute(&mut ctx, &tx.method, &tx.payload);
         match result {
@@ -454,7 +516,8 @@ impl ContractHost {
 }
 
 /// A trivial contract that stores `payload` under an incrementing key —
-/// the baseline "just put logs on chain" contract used in benchmarks.
+/// the baseline "just put logs on chain" contract used in benchmarks. The
+/// stored value shares the transaction's payload buffer.
 #[derive(Debug, Default)]
 pub struct KvStoreContract;
 
@@ -472,7 +535,7 @@ impl SmartContract for KvStoreContract {
         match method {
             "put" => {
                 let seq = ctx.storage.len() as u64;
-                ctx.storage.insert(&seq.to_be_bytes(), payload.to_vec());
+                ctx.store_payload_span(&seq.to_be_bytes(), 0..payload.len());
                 ctx.emit("stored", seq.to_be_bytes().to_vec());
                 Ok(())
             }
@@ -620,7 +683,7 @@ mod tests {
         host.storage_of("counting")
             .unwrap()
             .scan_prefix(&[])
-            .map(|(k, v)| (k.to_vec(), v.clone()))
+            .map(|(k, v)| (k.to_vec(), v.to_vec()))
             .collect()
     }
 
@@ -804,6 +867,134 @@ mod tests {
         let _ = host.events_since(1);
     }
 
+    /// The payload buffer the value under `key` shares, if it is a span.
+    fn shared_buffer<'a>(storage: &'a Storage, key: &[u8]) -> Option<&'a Arc<[u8]>> {
+        match storage.map.get(key)? {
+            Value::Shared { payload, .. } => Some(payload),
+            Value::Owned(_) => None,
+        }
+    }
+
+    /// The payload of the one transaction in the main-chain block at
+    /// `height`.
+    fn payload_at(chain: &Blockchain, height: u64) -> &Arc<[u8]> {
+        &chain.block_at_height(height).unwrap().transactions[0].payload
+    }
+
+    #[test]
+    fn a_stored_span_reads_back_the_payload_and_shares_its_buffer() {
+        let (mut chain, mut host, kp) = setup();
+        let payload = b"an entry as it arrived".to_vec();
+        let tx = Transaction::new_signed(&kp, 0, "kvstore", "put", payload.clone());
+        mine_with(&mut chain, vec![tx], 1_000);
+        host.sync_with(&chain);
+        let storage = host.storage_of("kvstore").unwrap();
+        let key = 0u64.to_be_bytes();
+        assert_eq!(storage.get(&key), Some(payload.as_slice()));
+        let shared = shared_buffer(storage, &key).expect("stored as a span");
+        assert!(Arc::ptr_eq(shared, payload_at(&chain, 1)));
+        assert_eq!(Arc::strong_count(shared), 2, "the block and storage");
+    }
+
+    /// Stores `payload[1..]` under the key `payload[..1]` as a span of
+    /// the payload; `keep_then_fail` then fails the call.
+    struct Spans;
+
+    impl SmartContract for Spans {
+        fn name(&self) -> &'static str {
+            "spans"
+        }
+
+        fn execute(
+            &self,
+            ctx: &mut ExecutionContext<'_>,
+            method: &str,
+            payload: &[u8],
+        ) -> Result<(), String> {
+            ctx.store_payload_span(&payload[..1], 1..payload.len());
+            match method {
+                "keep" => Ok(()),
+                _ => Err("requested failure".into()),
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_call_rolls_its_stored_span_back() {
+        let mut chain = Blockchain::new(config());
+        let mut host = ContractHost::new();
+        host.register(Box::new(Spans));
+        let kp = Keypair::from_seed(b"host-tests");
+        let call = |nonce, method, payload: &[u8]| {
+            vec![Transaction::new_signed(
+                &kp,
+                nonce,
+                "spans",
+                method,
+                payload.to_vec(),
+            )]
+        };
+        mine_with(&mut chain, call(0, "keep", b"kfirst"), 1_000);
+        mine_with(&mut chain, call(1, "keep_then_fail", b"ksecond"), 1_001);
+        mine_with(&mut chain, call(2, "keep_then_fail", b"xthird"), 1_002);
+        host.sync_with(&chain);
+        let storage = host.storage_of("spans").unwrap();
+        assert_eq!(storage.len(), 1);
+        assert_eq!(storage.get(b"k"), Some(&b"first"[..]));
+        assert!(Arc::ptr_eq(
+            shared_buffer(storage, b"k").unwrap(),
+            payload_at(&chain, 1)
+        ));
+        for height in [2, 3] {
+            assert_eq!(
+                Arc::strong_count(payload_at(&chain, height)),
+                1,
+                "a rolled-back span holds no reference to its payload"
+            );
+        }
+        assert_eq!(host.events().len(), 2, "two tx.failed events");
+    }
+
+    #[test]
+    fn a_reorg_reset_rebuilds_stored_spans_from_the_new_main_chain() {
+        let (mut chain, mut host, kp) = setup();
+        put(&mut chain, &kp, 0, 1_000);
+        let fork_point = chain.tip_hash();
+        put(&mut chain, &kp, 1, 1_001);
+        host.sync_with(&chain);
+        let abandoned = Arc::clone(payload_at(&chain, 2));
+        // A heavier branch from the first block replaces the second.
+        let mut parent = fork_point;
+        for height in [2, 3] {
+            let payload = vec![0xb0; height as usize];
+            let txs = vec![Transaction::new_signed(
+                &kp,
+                height - 1,
+                "kvstore",
+                "put",
+                payload,
+            )];
+            let block = Block::mine(parent, height, txs, 5_000 + height, 0);
+            parent = block.hash();
+            chain.import(block).unwrap();
+        }
+        assert_eq!(chain.tip_hash(), parent);
+        host.sync_with(&chain);
+        let storage = host.storage_of("kvstore").unwrap();
+        assert_eq!(storage.len(), 3);
+        for (seq, height) in [(0u64, 1), (1, 2), (2, 3)] {
+            let key = seq.to_be_bytes();
+            let main = payload_at(&chain, height);
+            assert_eq!(storage.get(&key), Some(&main[..]));
+            assert!(Arc::ptr_eq(shared_buffer(storage, &key).unwrap(), main));
+        }
+        assert_eq!(
+            Arc::strong_count(&abandoned),
+            2,
+            "only the side-chain block and this test hold the abandoned payload"
+        );
+    }
+
     #[test]
     fn storage_journal_rolls_back_overwrites() {
         let mut s = Storage::default();
@@ -815,7 +1006,7 @@ mod tests {
         s.insert(&long, b"boxed".to_vec());
         s.remove(b"k");
         s.rollback();
-        assert_eq!(s.get(b"k"), Some(&b"v1".to_vec()));
+        assert_eq!(s.get(b"k"), Some(&b"v1"[..]));
         assert_eq!(s.get(b"k2"), None);
         assert_eq!(s.get(&long), None);
         assert_eq!(s.len(), 1);
@@ -829,7 +1020,7 @@ mod tests {
         s.insert(b"b.1", b"3".to_vec());
         let hits: Vec<_> = s.scan_prefix(b"a.").collect();
         assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0], (&b"a.1"[..], &b"1".to_vec()));
+        assert_eq!(hits[0], (&b"a.1"[..], &b"1"[..]));
     }
 
     proptest! {
@@ -864,7 +1055,7 @@ mod tests {
             }
             let prefix = byte(prefix);
             let scanned: Vec<(Vec<u8>, Vec<u8>)> =
-                s.scan_prefix(&prefix).map(|(k, v)| (k.to_vec(), v.clone())).collect();
+                s.scan_prefix(&prefix).map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
             let expected: Vec<(Vec<u8>, Vec<u8>)> = reference
                 .iter()
                 .filter(|(k, _)| k.starts_with(&prefix))
@@ -874,7 +1065,7 @@ mod tests {
             let all: Vec<Vec<u8>> = s.scan_prefix(&[]).map(|(k, _)| k.to_vec()).collect();
             prop_assert_eq!(all, reference.keys().cloned().collect::<Vec<_>>());
             for (key, value) in &reference {
-                prop_assert_eq!(s.get(key), Some(value));
+                prop_assert_eq!(s.get(key), Some(value.as_slice()));
             }
         }
     }

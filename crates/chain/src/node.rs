@@ -369,7 +369,7 @@ mod tests {
         let mut n = node(0);
         let kp = Keypair::from_seed(b"node-tests");
         let mut body = Transaction::new_signed(&kp, 0, "kvstore", "put", vec![]).into_body();
-        body.payload = b"evil".to_vec();
+        body.payload = b"evil".as_slice().into();
         let tx = Transaction::from_body(body);
         assert_eq!(n.submit_transaction(tx), Err(ChainError::BadSignature));
     }

@@ -14,6 +14,12 @@
 //! there is no `DerefMut`, and changing one means taking the body out
 //! with [`Transaction::into_body`] and building a new transaction, with
 //! an empty id cache, through [`Transaction::from_body`].
+//!
+//! The payload is a shared immutable buffer (`Arc<[u8]>`): cloning a
+//! transaction — into the pool, a block, a peer's chain — copies no
+//! payload byte, and contract storage keeps a span of the very buffer the
+//! transaction carried instead of a copy of it (see
+//! [`crate::contract`]).
 
 use crate::error::ChainError;
 use drams_crypto::codec::{Decode, Encode, Reader, Writer};
@@ -21,7 +27,7 @@ use drams_crypto::schnorr::{Keypair, PublicKey, Signature};
 use drams_crypto::sha256::Digest;
 use serde::{Deserialize, Serialize};
 use std::ops::Deref;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A transaction identifier (SHA-256 of the canonical encoding).
 pub type TxId = Digest;
@@ -37,8 +43,9 @@ pub struct TxBody {
     pub contract: String,
     /// Method to invoke.
     pub method: String,
-    /// Canonical-encoded method arguments.
-    pub payload: Vec<u8>,
+    /// Canonical-encoded method arguments, shared by every clone of the
+    /// transaction and by the contract storage that keeps spans of it.
+    pub payload: Arc<[u8]>,
     /// Schnorr signature over the signing bytes.
     pub signature: Signature,
 }
@@ -54,12 +61,12 @@ pub struct TxBody {
 ///
 /// let kp = Keypair::from_seed(b"doc");
 /// let tx = Transaction::new_signed(&kp, 0, "monitor", "store_log", b"entry".to_vec());
-/// assert_eq!(tx.payload, b"entry");
+/// assert_eq!(&tx.payload[..], b"entry");
 ///
 /// // Editing goes through the body and yields a transaction with a new id
 /// // (and, here, a signature that no longer covers the payload).
 /// let mut body = tx.clone().into_body();
-/// body.payload = b"forged".to_vec();
+/// body.payload = b"forged".as_slice().into();
 /// let forged = Transaction::from_body(body);
 /// assert_ne!(forged.id(), tx.id());
 /// assert!(forged.verify_signature().is_err());
@@ -74,7 +81,7 @@ pub struct TxBody {
 ///
 /// let kp = Keypair::from_seed(b"doc");
 /// let mut tx = Transaction::new_signed(&kp, 0, "monitor", "store_log", b"entry".to_vec());
-/// tx.payload = b"forged".to_vec();
+/// tx.payload = b"forged".as_slice().into();
 /// ```
 #[derive(Clone, Serialize, Deserialize)]
 pub struct Transaction {
@@ -85,17 +92,19 @@ pub struct Transaction {
 }
 
 impl Transaction {
-    /// Builds and signs a transaction.
+    /// Builds and signs a transaction. A `Vec<u8>` payload is copied into
+    /// a shared buffer once; an `Arc<[u8]>` is shared as it is.
     #[must_use]
     pub fn new_signed(
         keypair: &Keypair,
         nonce: u64,
         contract: impl Into<String>,
         method: impl Into<String>,
-        payload: Vec<u8>,
+        payload: impl Into<Arc<[u8]>>,
     ) -> Transaction {
         let contract = contract.into();
         let method = method.into();
+        let payload = payload.into();
         let signing = signing_bytes(&keypair.public(), nonce, &contract, &method, &payload);
         let signature = keypair.sign(&signing);
         Transaction::from_body(TxBody {
@@ -228,7 +237,7 @@ impl Decode for Transaction {
             nonce: r.get_u64()?,
             contract: r.get_str()?,
             method: r.get_str()?,
-            payload: r.get_bytes()?,
+            payload: Arc::from(r.get_bytes_ref()?),
             signature: Signature::decode(r)?,
         }))
     }
@@ -260,7 +269,7 @@ mod tests {
 
     #[test]
     fn tampered_payload_rejected() {
-        let t = tampered(tx(), |b| b.payload = b"tampered".to_vec());
+        let t = tampered(tx(), |b| b.payload = b"tampered".as_slice().into());
         assert_eq!(t.verify_signature(), Err(ChainError::BadSignature));
     }
 
@@ -306,7 +315,7 @@ mod tests {
     fn edited_body_gets_a_new_id_and_a_broken_signature() {
         let original = tx();
         let stale = original.id();
-        let edited = tampered(original, |b| b.payload = b"edited".to_vec());
+        let edited = tampered(original, |b| b.payload = b"edited".as_slice().into());
         assert_ne!(edited.id(), stale);
         assert_eq!(edited.id(), Digest::of(&edited.to_canonical_bytes()));
         assert_eq!(edited.verify_signature(), Err(ChainError::BadSignature));

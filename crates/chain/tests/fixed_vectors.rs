@@ -53,7 +53,7 @@ fn batched_block_verification_matches_per_tx() {
 
     // Tamper one payload: both paths must reject.
     let mut body = txs[3].clone().into_body();
-    body.payload = b"tampered".to_vec();
+    body.payload = b"tampered".as_slice().into();
     txs[3] = Transaction::from_body(body);
     let bad = Block::mine(Digest::ZERO, 1, txs, 0, 0);
     assert!(bad.verify_signatures().is_err());

@@ -1428,7 +1428,7 @@ mod tests {
         while let Some(block) = chain.block(&hash) {
             for tx in block.transactions.iter().rev() {
                 if tx.method == "retire_groups" {
-                    retired.push(tx.payload.clone());
+                    retired.push(tx.payload.to_vec());
                 }
             }
             hash = block.header.parent;

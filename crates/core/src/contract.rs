@@ -24,10 +24,14 @@
 //!    findings on-chain, making them non-repudiable.
 //!
 //! Every node runs this contract on every entry, so the per-entry path
-//! copies nothing it does not keep. Entries are decoded as
+//! copies nothing, not even what it keeps. Entries are decoded as
 //! `LogEntryRef`s, borrowing their ciphertext from the payload; the
 //! value stored for an entry is its exact span of the payload, which the
-//! canonical codec makes equal to its re-encoding; the duplicate and
+//! canonical codec makes equal to its re-encoding, stored as a span of
+//! the transaction's own payload buffer
+//! (`ExecutionContext::store_payload_span`) rather than a copy: the
+//! entry's bytes are held once, by the block, and a stored entry pins its
+//! transaction's payload until `retire_groups` removes it; the duplicate and
 //! sibling checks read a stored entry's digest in place
 //! (`LogEntry::stored_digest`); and storage keys are fixed-size arrays
 //! built on the stack (`ent/` + correlation + point, `grp/` +
@@ -41,6 +45,7 @@ use drams_crypto::codec::{Decode, Encode, Reader, Writer};
 use drams_crypto::sha256::Digest;
 use drams_faas::model::PepId;
 use drams_faas::msg::CorrelationId;
+use std::ops::Range;
 
 /// The contract's registry name.
 pub const MONITOR_CONTRACT: &str = "drams-monitor";
@@ -152,6 +157,16 @@ impl MonitorContract {
         Ok(())
     }
 
+    /// Errs unless the call's sender is the `role` whose address the
+    /// contract stored under `cfg_key` when it was initialised.
+    fn check_sender(ctx: &ExecutionContext<'_>, cfg_key: &[u8], role: &str) -> Result<(), String> {
+        let party = ctx.storage.get(cfg_key).ok_or("not initialised")?;
+        if ctx.sender_address().as_bytes().as_slice() != party {
+            return Err(format!("sender is not the {role}"));
+        }
+        Ok(())
+    }
+
     /// Builds the payload for the `set_timeout` method.
     #[must_use]
     pub(crate) fn set_timeout_payload(timeout_us: u64) -> Vec<u8> {
@@ -161,14 +176,7 @@ impl MonitorContract {
     }
 
     fn handle_set_timeout(ctx: &mut ExecutionContext<'_>, payload: &[u8]) -> Result<(), String> {
-        let admin = ctx
-            .storage
-            .get(b"cfg/admin")
-            .cloned()
-            .ok_or("not initialised")?;
-        if ctx.sender_address().as_bytes().as_slice() != admin.as_slice() {
-            return Err("sender is not the contract admin".into());
-        }
+        Self::check_sender(ctx, b"cfg/admin", "contract admin")?;
         let mut r = Reader::new(payload);
         let timeout = r.get_u64().map_err(|e| e.to_string())?;
         r.finish().map_err(|e| e.to_string())?;
@@ -184,30 +192,25 @@ impl MonitorContract {
         ctx.emit(alert.kind.event_name(), alert.to_canonical_bytes());
     }
 
-    /// Stores one observation and runs the checks it completes. `bytes`
-    /// is the entry's canonical encoding as it lies in the payload.
+    /// Stores one observation and runs the checks it completes. `span` is
+    /// where the entry's canonical encoding lies in the call's payload.
     fn store_entry(
         ctx: &mut ExecutionContext<'_>,
         entry: &LogEntryRef<'_>,
-        bytes: &[u8],
+        span: Range<usize>,
     ) -> Result<(), String> {
         let now = ctx.timestamp_ms;
         let (pep, n) = entry.correlation.pep_number();
         let mark = match ctx.storage.get(&mark_key(pep)) {
             Some(bytes) => u64::from_be_bytes(
                 bytes
-                    .as_slice()
                     .try_into()
                     .map_err(|_| format!("mark of pep {} is not 8 bytes", pep.0))?,
             ),
             None => 0,
         };
         let gkey = group_key(entry.correlation);
-        let stored_group = ctx
-            .storage
-            .get(&gkey)
-            .map(|b| GroupState::decode(b))
-            .transpose()?;
+        let stored_group = ctx.storage.get(&gkey).map(GroupState::decode).transpose()?;
         // Below the mark, no record means retired: the group went through
         // every check and was pruned, so a late duplicate is a no-op.
         if stored_group.is_none() && n < mark {
@@ -234,7 +237,7 @@ impl MonitorContract {
             // append-only evidence.
             return Ok(());
         }
-        ctx.storage.insert(&ekey, bytes.to_vec());
+        ctx.store_payload_span(&ekey, span);
         Self::advance_mark(ctx, entry.correlation, mark)?;
 
         let mut group = stored_group.unwrap_or_else(|| Self::open_group(ctx, entry.correlation));
@@ -362,7 +365,7 @@ impl MonitorContract {
     fn handle_advance_epoch(ctx: &mut ExecutionContext<'_>) -> Result<(), String> {
         let timeout = match ctx.storage.get(b"cfg/timeout") {
             Some(bytes) if bytes.len() == 8 => {
-                u64::from_be_bytes(bytes.as_slice().try_into().expect("length checked"))
+                u64::from_be_bytes(bytes.try_into().expect("length checked"))
             }
             _ => return Err("not initialised".into()),
         };
@@ -425,46 +428,28 @@ impl MonitorContract {
     /// open are skipped — retirement must be idempotent under reorg
     /// re-execution.
     fn handle_retire_groups(ctx: &mut ExecutionContext<'_>, payload: &[u8]) -> Result<(), String> {
-        let authorised = ctx
-            .storage
-            .get(b"cfg/analyser")
-            .cloned()
-            .ok_or("not initialised")?;
-        if ctx.sender_address().as_bytes().as_slice() != authorised.as_slice() {
-            return Err("sender is not the authorised analyser".into());
-        }
-        let mut r = Reader::new(payload);
-        let n = r.get_varint().map_err(|e| e.to_string())?;
-        for _ in 0..n {
-            let corr = CorrelationId(r.get_u64().map_err(|e| e.to_string())?);
+        Self::check_sender(ctx, b"cfg/analyser", "authorised analyser")?;
+        read_retired(payload, |corr| {
             let gkey = group_key(corr);
             let Some(bytes) = ctx.storage.get(&gkey) else {
-                continue;
+                return Ok(());
             };
             if !GroupState::decode(bytes)?.closed {
-                continue;
+                return Ok(());
             }
             for point in ObservationPoint::ALL {
                 ctx.storage.remove(&entry_key(corr, point));
             }
             ctx.storage.remove(&gkey);
-        }
-        r.finish().map_err(|e| e.to_string())?;
-        Ok(())
+            Ok(())
+        })
     }
 
     fn handle_report_violation(
         ctx: &mut ExecutionContext<'_>,
         payload: &[u8],
     ) -> Result<(), String> {
-        let authorised = ctx
-            .storage
-            .get(b"cfg/analyser")
-            .cloned()
-            .ok_or("not initialised")?;
-        if ctx.sender_address().as_bytes().as_slice() != authorised.as_slice() {
-            return Err("sender is not the authorised analyser".into());
-        }
+        Self::check_sender(ctx, b"cfg/analyser", "authorised analyser")?;
         let alert = Alert::from_canonical_bytes(payload).map_err(|e| e.to_string())?;
         // Persist under a sequence number for auditability.
         let seq = ctx.storage.scan_prefix(b"alert/").count() as u64;
@@ -488,9 +473,9 @@ impl SmartContract for MonitorContract {
     ) -> Result<(), String> {
         match method {
             "init" => Self::handle_init(ctx, payload),
-            "store_log_batch" => read_batch(payload, |entry, bytes| {
-                Self::store_entry(ctx, &entry, bytes)
-            }),
+            "store_log_batch" => {
+                read_batch(payload, |entry, span| Self::store_entry(ctx, &entry, span))
+            }
             "advance_epoch" => Self::handle_advance_epoch(ctx),
             "set_timeout" => Self::handle_set_timeout(ctx, payload),
             "report_violation" => Self::handle_report_violation(ctx, payload),
@@ -514,10 +499,10 @@ pub fn encode_batch(entries: &[LogEntry]) -> Vec<u8> {
 
 /// Reads a `store_log_batch` payload: a count, then that many entries,
 /// then nothing. Each entry goes to `visit` in order, as a
-/// [`LogEntryRef`] with its span of the payload (its canonical
-/// encoding). The first malformed entry, trailing bytes or error from
-/// `visit` ends the walk and is returned; the entries before it were
-/// visited.
+/// [`LogEntryRef`] with its span of the payload: the range of `payload`
+/// its canonical encoding occupies. The first malformed entry, trailing
+/// bytes or error from `visit` ends the walk and is returned; the
+/// entries before it were visited.
 ///
 /// # Errors
 ///
@@ -525,13 +510,35 @@ pub fn encode_batch(entries: &[LogEntry]) -> Vec<u8> {
 /// `visit` returns.
 pub(crate) fn read_batch<'a>(
     payload: &'a [u8],
-    mut visit: impl FnMut(LogEntryRef<'a>, &'a [u8]) -> Result<(), String>,
+    mut visit: impl FnMut(LogEntryRef<'a>, Range<usize>) -> Result<(), String>,
 ) -> Result<(), String> {
     let mut r = Reader::new(payload);
     let n = r.get_varint().map_err(|e| e.to_string())?;
     for _ in 0..n {
         let (entry, bytes) = LogEntryRef::decode_spanned(&mut r).map_err(|e| e.to_string())?;
-        visit(entry, bytes)?;
+        let end = payload.len() - r.remaining();
+        visit(entry, end - bytes.len()..end)?;
+    }
+    r.finish().map_err(|e| e.to_string())
+}
+
+/// Reads a `retire_groups` payload: a count, then that many correlation
+/// ids, then nothing. Each id goes to `visit` in order; the first
+/// malformed id, trailing bytes or error from `visit` ends the walk and
+/// is returned.
+///
+/// # Errors
+///
+/// The codec error, as text, when the payload is malformed; whatever
+/// `visit` returns.
+pub(crate) fn read_retired(
+    payload: &[u8],
+    mut visit: impl FnMut(CorrelationId) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut r = Reader::new(payload);
+    let n = r.get_varint().map_err(|e| e.to_string())?;
+    for _ in 0..n {
+        visit(CorrelationId(r.get_u64().map_err(|e| e.to_string())?))?;
     }
     r.finish().map_err(|e| e.to_string())
 }

@@ -626,8 +626,8 @@ mod tests {
                 .filter(|tx| tx.method == "store_log_batch")
             {
                 let mut entries = Vec::new();
-                read_batch(&tx.payload, |_, bytes| {
-                    entries.push(bytes.to_vec());
+                read_batch(&tx.payload, |_, span| {
+                    entries.push(tx.payload[span].to_vec());
                     Ok(())
                 })
                 .unwrap();
@@ -717,7 +717,7 @@ mod tests {
             };
             for id in ids {
                 let tx = n.pending_transactions().find(|tx| tx.id() == id).unwrap();
-                assert_eq!(tx.payload, encode_batch(&owed));
+                assert_eq!(tx.payload[..], encode_batch(&owed));
                 owed.clear();
                 submitted += 1;
             }

@@ -4,13 +4,16 @@
 use super::ctx::Ctx;
 use super::msg::{Msg, Outbox};
 use crate::alert::Alert;
-use crate::contract::{read_batch, MonitorContract, GROUP_COMPLETE_EVENT, MONITOR_CONTRACT};
+use crate::contract::{
+    read_batch, read_retired, MonitorContract, GROUP_COMPLETE_EVENT, MONITOR_CONTRACT,
+};
 use drams_chain::chain::ChainConfig;
 use drams_crypto::codec::Decode;
 use drams_crypto::schnorr::Keypair;
 use drams_faas::des::SimTime;
 use drams_store::persist::{compact_node_journal, recover_node, WalJournal};
 use drams_store::StoreError;
+use std::sync::Arc;
 
 /// The chain node: mines on a cadence, submits the epoch sweep, and
 /// harvests committed contract events into the report.
@@ -75,19 +78,27 @@ impl ChainService {
         ctx.report.blocks_mined += 1;
         ctx.report.txs_committed += block.transactions.len() as u64;
         // Each entry an LI batch in this block carries is logged now,
-        // `now - observed_at` after its probe saw it.
+        // `now - observed_at` after its probe saw it. The block's
+        // retirements are read once its alerts are recorded.
+        let mut retirements = Vec::new();
         for tx in &block.transactions {
-            if tx.contract != MONITOR_CONTRACT || tx.method != "store_log_batch" {
+            if tx.contract != MONITOR_CONTRACT {
                 continue;
             }
-            // Only the LIs submit batches, and theirs always read.
-            let _ = read_batch(&tx.payload, |entry, _| {
-                ctx.report
-                    .log_commit_latency
-                    .record(now.saturating_sub(entry.observed_at));
-                ctx.report.entries_logged += 1;
-                Ok(())
-            });
+            match tx.method.as_str() {
+                // Only the LIs submit batches, and theirs always read.
+                "store_log_batch" => {
+                    let _ = read_batch(&tx.payload, |entry, _| {
+                        ctx.report
+                            .log_commit_latency
+                            .record(now.saturating_sub(entry.observed_at));
+                        ctx.report.entries_logged += 1;
+                        Ok(())
+                    });
+                }
+                "retire_groups" => retirements.push(Arc::clone(&tx.payload)),
+                _ => {}
+            }
         }
         // Harvest newly committed contract events.
         let (events, cursor) = ctx.node.events_since(ctx.event_cursor);
@@ -111,6 +122,16 @@ impl ChainService {
             // alert was committed.
             alert.detected_at = now;
             ctx.report.alerts.push(alert);
+        }
+        // A retired group raises no further alert: a late duplicate below
+        // its PEP's mark is a no-op, and the Analyser's reports precede
+        // its retirements by nonce. So its issue time, needed only for an
+        // alert's detection latency, goes with the block that retires it.
+        for payload in retirements {
+            let _ = read_retired(&payload, |corr| {
+                ctx.issued_at_by_corr.remove(&corr);
+                Ok(())
+            });
         }
         // Capacity gauges: live journal records and contract-storage
         // keys, sampled once per block (pure reads — no RNG, no state).

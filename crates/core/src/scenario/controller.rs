@@ -199,7 +199,7 @@ impl Controller {
                     let forger = Keypair::from_seed(b"drams-byzantine-miner");
                     let mut body = Transaction::new_signed(&forger, 0, "bogus", "noop", Vec::new())
                         .into_body();
-                    body.payload = b"forged".to_vec();
+                    body.payload = b"forged".as_slice().into();
                     let tx = Transaction::from_body(body);
                     let block = mine_on(ctx, ctx.node.chain().tip_hash(), vec![tx], now);
                     ctx.node

@@ -62,7 +62,9 @@ pub(super) struct Ctx<'a> {
     /// placement).
     pub(super) pdp_slot_of_cloud: BTreeMap<u32, usize>,
     /// Correlation → virtual issue time of each request issued while
-    /// monitoring is on: an alert's detection latency is read from it.
+    /// monitoring is on and not yet retired on-chain: an alert's
+    /// detection latency is read from it, and the chain service drops an
+    /// entry once a mined `retire_groups` call names its group.
     pub(super) issued_at_by_corr: HashMap<CorrelationId, SimTime>,
     /// The deterministic per-link fault model every wire message crosses
     /// (a no-op with an empty plan).

@@ -425,5 +425,31 @@ pub fn run_scenario_with_transport<A: Adversary>(
     let analyser = &services.analyser.analyser;
     ctx.report.groups_retired = analyser.groups_retired();
     ctx.report.faults = ctx.fault_plane.stats();
+    #[cfg(test)]
+    record_held_at_end(&ctx);
     (ctx.report, ctx.truth)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// What the last run on this thread held when it ended: the
+    /// correlations with an issue time, and those whose group has a
+    /// `grp/` record in contract storage, each sorted.
+    pub(super) static HELD_AT_END: RefCell<[Vec<u64>; 2]> = RefCell::default();
+}
+
+#[cfg(test)]
+fn record_held_at_end(ctx: &Ctx<'_>) {
+    let mut issued: Vec<u64> = ctx.issued_at_by_corr.keys().map(|c| c.0).collect();
+    issued.sort_unstable();
+    let groups = ctx
+        .node
+        .host()
+        .storage_of(MONITOR_CONTRACT)
+        .map_or_else(Vec::new, |s| {
+            s.scan_prefix(b"grp/")
+                .map(|(k, _)| u64::from_be_bytes(k[4..12].try_into().expect("grp/ + 8 bytes")))
+                .collect()
+        });
+    HELD_AT_END.set([issued, groups]);
 }

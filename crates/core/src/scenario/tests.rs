@@ -895,6 +895,34 @@ fn analyser_retirement_never_drops_or_repeats_an_alert() {
 }
 
 #[test]
+fn a_retiring_run_ends_holding_only_unretired_issue_times() {
+    // The issue time of a request goes with the block that retires its
+    // group, so a run holds one per group still in contract storage —
+    // not one per request it ever issued.
+    let mut config = base_config();
+    config.total_requests = 140;
+    config.request_rate_per_sec = 6.0; // ~23 s: traffic outlives the lag
+    let spec = ScenarioSpec {
+        load: LoadProfile {
+            analyser_retire_lag: MIN_RETENTION,
+            ..LoadProfile::default()
+        },
+        ..ScenarioSpec::canonical(&config)
+    };
+    let (report, _) = run_scenario(&spec, &mut NoAdversary);
+    let [issued, groups] = super::run::HELD_AT_END.take();
+    assert!(report.alerts.is_empty());
+    assert!(report.groups_retired > 0, "retirement must happen");
+    assert_eq!(issued, groups, "exactly the unretired correlations");
+    assert!(
+        (issued.len() as u64) < report.requests_issued,
+        "{} held of {} issued",
+        issued.len(),
+        report.requests_issued
+    );
+}
+
+#[test]
 fn chain_compaction_bounds_journal_growth_without_changing_the_run() {
     // Snapshot-and-prune of the chain node's journal every N blocks
     // must leave the run's observable behaviour untouched while

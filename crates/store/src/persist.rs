@@ -285,19 +285,22 @@ fn add_work(records: u64, bytes: u64) {
 ///
 /// 1. reads the manifest and seals the tail segment (`Wal::seal_tail`),
 ///    so that everything journaled so far can leave the live log;
-/// 2. visits the live records once, in order, each as the frame the WAL
-///    walk has just verified ([`Wal::visit_from`]), and copies the frame
-///    as it stands — nothing is decoded, hashed or checksummed again, and
-///    recovery is the one to name a record it cannot replay;
-/// 3. appends the frames to the fold file and syncs it
-///    (`Wal::append_fold`, which first cuts off what a compaction that
-///    never committed left behind);
+/// 2. moves the live records onto the fold file (`Wal::fold_from`, which
+///    first cuts off what a compaction that never committed left
+///    behind): one live segment at a time, it verifies the segment's
+///    frames as the WAL walk does ([`Wal::visit_from`]) and appends its
+///    run of live frames as it stands, in one append — nothing is
+///    decoded, hashed or checksummed again, recovery is the one to name
+///    a record it cannot replay, and no more than one segment's bytes
+///    are held at once;
+/// 3. syncs the fold file, once, after the last append;
 /// 4. writes the manifest — **the commit point** — naming the new fold
 ///    length and record count;
 /// 5. prunes the live segments the manifest now covers.
 ///
-/// A crash before step 4 leaves the old manifest, the old committed part
-/// of the fold file and every live record: nothing happened. A crash
+/// A crash before step 4 — between two of step 2's appends included —
+/// leaves the old manifest, the old committed part of the fold file and
+/// every live record: nothing happened. A crash
 /// after it leaves segments that the manifest's sequence number already
 /// excludes from replay, and the next call prunes them. Recovery through
 /// [`recover_node`] reads the same records in the same order either way.
@@ -315,21 +318,15 @@ fn add_work(records: u64, bytes: u64) {
 pub fn compact_node_journal(wal: &mut Wal) -> Result<(u64, u64), StoreError> {
     let manifest = Manifest::read(wal)?;
     wal.seal_tail()?;
-    let mut frames = Vec::new();
-    let mut live = 0u64;
-    wal.visit_from(manifest.base_seq, |_, frame| {
-        live += 1;
-        frames.extend_from_slice(frame);
-        Ok(())
-    })?;
+    let (live, fold_len) = wal.fold_from(manifest.fold_len, manifest.base_seq)?;
     #[cfg(test)]
-    add_work(live, frames.len() as u64);
+    add_work(live, fold_len - manifest.fold_len);
 
     let records = manifest.fold_records + live;
     let upto = wal.next_seq();
     Manifest {
         base_seq: upto,
-        fold_len: wal.append_fold(manifest.fold_len, &frames)?,
+        fold_len,
         fold_records: records,
     }
     .commit(wal)?;
@@ -565,7 +562,7 @@ mod tests {
             .storage_of("kvstore")
             .map_or_else(Vec::new, |s| {
                 s.scan_prefix(&[])
-                    .map(|(k, v)| (k.to_vec(), v.clone()))
+                    .map(|(k, v)| (k.to_vec(), v.to_vec()))
                     .collect()
             });
         (
@@ -968,7 +965,9 @@ mod tests {
                 format!("sync {tail}"),
                 format!("append {fresh}"),
                 format!("sync {fresh}"),
-                // The fold grows and is durable...
+                // The fold grows by one append per live segment and is
+                // durable...
+                format!("append {FOLD_FILE}"),
                 format!("append {FOLD_FILE}"),
                 format!("sync {FOLD_FILE}"),
                 // ...before the manifest commits it...
@@ -990,15 +989,16 @@ mod tests {
         let counts = compact_node_journal(&mut open(&clean)).unwrap();
         let steps = clean.0.borrow().changes.len();
         assert_eq!(
-            steps, 8,
+            steps, 9,
             "see compaction_changes_the_medium_in_commit_order"
         );
         let committed = pristine.len_of(FOLD_FILE);
 
         for crash_before in 0..=steps {
-            // Steps 3, 4, 5, 6 and 8 are the crashes with the tail
-            // sealed, the fold appended but not synced, the fold synced,
-            // the manifest written, and the segments pruned.
+            // Steps 3, 4, 5, 6, 7 and 9 are the crashes with the tail
+            // sealed, one of the two fold appends made, both made but not
+            // synced, the fold synced, the manifest written, and the
+            // segments pruned.
             let medium = pristine.copy();
             let mut wal = open(&medium);
             medium.fail_after(crash_before);
@@ -1011,10 +1011,10 @@ mod tests {
             assert_eq!(wal.next_seq(), next_seq, "{at}");
             let node = recovered(&wal, &mid_life_config());
             assert_eq!(state(&node), live, "{at}");
-            let torn = medium.len_of(FOLD_FILE) > committed && crash_before < 6;
+            let torn = medium.len_of(FOLD_FILE) > committed && crash_before < 7;
             assert_eq!(
                 torn,
-                crash_before == 5,
+                crash_before == 6,
                 "{at}: only a synced append outlives"
             );
 

@@ -7,7 +7,8 @@
 //! error; [`Wal::prune_through`] deletes sealed segments made redundant
 //! by a snapshot. A consumer whose compacted state only ever grows (the
 //! chain node's journal, [`crate::persist`]) keeps it out of the
-//! snapshot: `Wal::append_fold` extends an append-only **fold file** of
+//! snapshot: `Wal::fold_from` copies its live records, one segment's
+//! verified run of frames at a time, onto an append-only **fold file** of
 //! the same checksummed frames, and the snapshot shrinks to a manifest
 //! naming how much of that file is committed.
 //!
@@ -70,7 +71,7 @@ const SEGMENT_PREFIX: &str = "seg-";
 const SEGMENT_SUFFIX: &str = ".wal";
 /// Name of the snapshot file a [`Wal`] (or [`SnapshotStore`]) manages.
 pub const SNAPSHOT_FILE: &str = "snapshot.snap";
-/// Name of the fold file a [`Wal`] manages (see `Wal::append_fold`).
+/// Name of the fold file a [`Wal`] manages (see `Wal::fold_from`).
 pub const FOLD_FILE: &str = "journal.fold";
 /// Prefix of the file names of a [`SnapshotStore`]'s generation records
 /// (`snapshot-gen-00000001.snap`, …).
@@ -395,7 +396,7 @@ impl Wal {
             if info.end_seq() <= from_seq {
                 continue;
             }
-            self.visit_segment(info, |seq, frame| {
+            self.visit_segment(info, |seq, _, frame| {
                 if seq >= from_seq {
                     visit(seq, frame)?;
                 }
@@ -425,7 +426,7 @@ impl Wal {
             )));
         };
         let mut record = Vec::new();
-        self.visit_segment(info, |this, frame| {
+        self.visit_segment(info, |this, _, frame| {
             if this == seq {
                 record.extend_from_slice(&frame[FRAME_LEN..]);
             }
@@ -434,20 +435,25 @@ impl Wal {
         Ok(record)
     }
 
-    /// Lends every record of segment `info` to `visit` as `(seq, frame)`,
-    /// in order, and checks that the segment still holds every record it
-    /// was indexed with.
+    /// Lends every record of segment `info` to `visit` as `(seq, offset
+    /// of its frame, frame)`, in order, and checks that the segment still
+    /// holds every record it was indexed with. Returns the segment's
+    /// bytes, every frame in them verified.
     fn visit_segment(
         &self,
         info: &SegInfo,
-        mut visit: impl FnMut(u64, &[u8]) -> Result<(), StoreError>,
-    ) -> Result<(), StoreError> {
+        mut visit: impl FnMut(u64, usize, &[u8]) -> Result<(), StoreError>,
+    ) -> Result<Vec<u8>, StoreError> {
         let bytes = self.backend.read(&info.name)?;
         let mut seq = info.first_seq;
         let (_, walk) = scan(&info.name, &bytes, |offset, payload| {
             let this = seq;
             seq += 1;
-            visit(this, &bytes[offset..offset + FRAME_LEN + payload.len()])
+            visit(
+                this,
+                offset,
+                &bytes[offset..offset + FRAME_LEN + payload.len()],
+            )
         })?;
         if walk.damage.is_some() || walk.records != info.records {
             return Err(StoreError::Corrupt {
@@ -459,7 +465,7 @@ impl Wal {
                 ),
             });
         }
-        Ok(())
+        Ok(bytes)
     }
 
     /// Deletes sealed (non-tail) segments whose every record has
@@ -510,11 +516,17 @@ impl Wal {
         read_snapshot_file(self.backend.as_ref(), SNAPSHOT_FILE)
     }
 
-    /// Extends this log's fold file — the append-only home of compacted
-    /// state that only ever grows — with `frames`, a run of records
-    /// already framed by [`frame_record`], and syncs it. Returns the
-    /// file's new length, which the caller commits by naming it in its
-    /// next [`Wal::write_snapshot`].
+    /// Appends every retained record with `seq >= from_seq` to this log's
+    /// fold file — the append-only home of compacted state that only ever
+    /// grows — in the frames the segments hold, and syncs it. Returns the
+    /// number of records appended and the file's new length, which the
+    /// caller commits by naming it in its next [`Wal::write_snapshot`].
+    ///
+    /// The segments are visited one at a time: each is read, every frame
+    /// in it verified ([`Wal::visit_from`]'s checks), and its run of
+    /// records from `from_seq` on appended with one backend append. The
+    /// fold file is synced once, after the last; no more than one segment
+    /// is held in memory. The segments themselves are left as they are.
     ///
     /// `committed_len` is the length the current snapshot names (0 when
     /// there is none). Bytes past it were appended by a compaction whose
@@ -523,12 +535,13 @@ impl Wal {
     /// # Errors
     ///
     /// [`StoreError::Corrupt`] when the fold file is shorter than
-    /// `committed_len`; [`StoreError::Io`] on backend failure.
-    pub(crate) fn append_fold(
+    /// `committed_len` or a segment was damaged since open (the appends
+    /// before it stay uncommitted); [`StoreError::Io`] on backend failure.
+    pub(crate) fn fold_from(
         &mut self,
         committed_len: u64,
-        frames: &[u8],
-    ) -> Result<u64, StoreError> {
+        from_seq: u64,
+    ) -> Result<(u64, u64), StoreError> {
         let len = self.backend.len(FOLD_FILE)?.unwrap_or(0);
         if len < committed_len {
             return Err(short_fold(len, committed_len));
@@ -536,16 +549,35 @@ impl Wal {
         if len > committed_len {
             self.backend.truncate(FOLD_FILE, committed_len)?;
         }
-        if !frames.is_empty() {
-            self.backend.append(FOLD_FILE, frames)?;
+        let (mut records, mut fold_len) = (0, committed_len);
+        let live = self.segments.partition_point(|s| s.end_seq() <= from_seq);
+        for at in live..self.segments.len() {
+            let info = &self.segments[at];
+            let first = from_seq.max(info.first_seq);
+            let mut start = None;
+            let bytes = self.visit_segment(info, |seq, offset, _| {
+                if seq == first {
+                    start = Some(offset);
+                }
+                Ok(())
+            })?;
+            records += info.end_seq() - first;
+            // The fresh tail of a sealed log holds no record.
+            if let Some(start) = start {
+                let run = &bytes[start..];
+                self.backend.append(FOLD_FILE, run)?;
+                fold_len += run.len() as u64;
+            }
+        }
+        if records > 0 {
             self.backend.sync(FOLD_FILE)?;
         }
-        Ok(committed_len + frames.len() as u64)
+        Ok((records, fold_len))
     }
 
     /// Lends each record in the first `committed_len` bytes of the fold
     /// file to `visit`, in order, with the offset of its frame; bytes past
-    /// `committed_len` are ignored (see [`Wal::append_fold`]). Returns the
+    /// `committed_len` are ignored (see [`Wal::fold_from`]). Returns the
     /// number of records visited. An error from `visit` ends the walk and
     /// is returned.
     ///
@@ -1125,13 +1157,6 @@ mod tests {
 
     #[test]
     fn fold_file_counts_as_far_as_the_committed_length() {
-        let frames = |range: std::ops::Range<u64>| {
-            let mut out = Vec::new();
-            for i in range {
-                frame_record(&payload(i), &mut out);
-            }
-            out
-        };
         let visit = |wal: &Wal, committed: u64| {
             let mut seen = Vec::new();
             let count = wal.visit_fold(committed, |offset, bytes| {
@@ -1141,27 +1166,46 @@ mod tests {
             assert_eq!(count, seen.len() as u64);
             Ok::<_, StoreError>(seen)
         };
+        let framed = |payloads: &[u64]| {
+            let mut out = Vec::new();
+            for &i in payloads {
+                frame_record(&payload(i), &mut out);
+            }
+            out
+        };
         let mut wal = mem_wal(4, Durability::Flushed);
         assert_eq!(
             visit(&wal, 0).unwrap(),
             vec![],
             "no file, nothing committed"
         );
-        let first = wal.append_fold(0, &frames(0..2)).unwrap();
-        assert_eq!(first, frames(0..2).len() as u64);
-        // An append whose length was never committed...
-        let abandoned = wal.append_fold(first, &frames(2..5)).unwrap();
-        assert!(abandoned > first);
+        for i in 0..2 {
+            wal.append(&payload(i)).unwrap();
+        }
+        let (records, first) = wal.fold_from(0, 0).unwrap();
+        assert_eq!((records, first), (2, framed(&[0, 1]).len() as u64));
+        for i in 2..5 {
+            wal.append(&payload(i)).unwrap();
+        }
+        // A fold whose length was never committed — records 2 and 3 from
+        // the middle of segment 0, 4 from segment 1...
+        let (records, abandoned) = wal.fold_from(first, 2).unwrap();
+        assert_eq!(
+            (records, abandoned - first),
+            (3, framed(&[2, 3, 4]).len() as u64)
+        );
         assert_eq!(visit(&wal, first).unwrap().len(), 2, "...is not read...");
         // ...and is cut off by the next one.
-        let second = wal.append_fold(first, &frames(7..8)).unwrap();
+        let (records, second) = wal.fold_from(first, 4).unwrap();
+        assert_eq!(records, 1);
         let seen = visit(&wal, second).unwrap();
         let offsets: Vec<usize> = seen.iter().map(|(offset, _)| *offset).collect();
-        assert_eq!(offsets, [0, frames(0..1).len(), first as usize]);
-        assert_eq!(seen[2].1, payload(7));
-        // It survives a crash (it was synced) and an empty append.
+        assert_eq!(offsets, [0, framed(&[0]).len(), first as usize]);
+        assert_eq!(seen[2].1, payload(4));
+        // It survives a crash (it was synced) and a fold with nothing
+        // left to move.
         wal.simulate_crash().unwrap();
-        assert_eq!(wal.append_fold(second, &[]).unwrap(), second);
+        assert_eq!(wal.fold_from(second, wal.next_seq()).unwrap(), (0, second));
         assert_eq!(visit(&wal, second).unwrap(), seen);
 
         // A committed length the file does not reach, or that ends inside
@@ -1175,7 +1219,7 @@ mod tests {
             }
         }
         assert!(matches!(
-            wal.append_fold(second + 1, &[]),
+            wal.fold_from(second + 1, wal.next_seq()),
             Err(StoreError::Corrupt { offset, .. }) if offset == second
         ));
     }

@@ -1,5 +1,5 @@
 //! The allocation budgets of a monitored request and of a policy compile,
-//! and the heap budget of an unmonitored request.
+//! and the heap budgets of an unmonitored and a flash-crowd request.
 //!
 //! A counting global allocator tallies every allocation and reallocation
 //! made on the test's own thread, and the bytes live on it and their
@@ -11,7 +11,10 @@
 //! the `policy_heavy` policy base once. The third runs the
 //! `monitoring_off` shape — the canonical scenario with monitoring off,
 //! 25,000 requests at 5,000 requests per second, seed 7 — the same way,
-//! and bounds the peak live heap of the counted run per request.
+//! and bounds the peak live heap of the counted run per request. The
+//! fourth does the same for the benchmark's `flash_crowd` shape, where
+//! every bounded-state mechanism is armed and the journal compacts every
+//! 8 blocks.
 //!
 //! The counters are per thread, so no test's tally sees another's
 //! allocations, nor the harness's own threads.
@@ -20,16 +23,21 @@
 
 use drams::core::adversary::NoAdversary;
 use drams::core::monitor::MonitorConfig;
-use drams::core::scenario::{run_scenario, ScenarioSpec};
+use drams::core::scenario::{
+    run_scenario, DiurnalBand, FlashCrowd, LoadProfile, ScenarioSpec, MIN_RETENTION,
+};
+use drams::faas::des::MILLIS;
 use drams::faas::workload::{PolicyGenerator, PolicyShape, Vocabulary};
 use drams::policy::compiled::PreparedPolicySet;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Allocations plus reallocations one `steady` request may cost (60.1
-/// measured, the event loop reusing its emission buffers and each PDP
-/// slot its journal record; 61.0 while the PDP memoised its decisions,
-/// 63.5 while every contract event carried two heap strings).
+/// Allocations plus reallocations one `steady` request may cost (56.7
+/// measured, the event loop reusing its emission buffers, each PDP slot
+/// its journal record, and contract storage sharing each entry's bytes
+/// with its transaction; 60.1 while storage copied every entry, 61.0
+/// while the PDP memoised its decisions, 63.5 while every contract event
+/// carried two heap strings).
 const BUDGET_PER_REQUEST: f64 = 80.0;
 
 /// Peak live heap, in bytes, one `monitoring_off` request may hold. The
@@ -41,6 +49,13 @@ const BUDGET_PER_REQUEST: f64 = 80.0;
 /// without the PDP's decision cache, 146.8 since a run records issue
 /// times only while monitoring is on.
 const HEAP_BUDGET_PER_REQUEST: f64 = 160.0;
+
+/// Peak live heap, in bytes, one `flash_crowd` request may hold: its
+/// entries in the blocks, the node journal's medium and the stores the
+/// run keeps per request. 6,264 while contract storage held a copy of
+/// every stored entry beside its block's and each journal compaction
+/// gathered the whole live journal into one buffer.
+const FLASH_HEAP_BUDGET_PER_REQUEST: f64 = 5_000.0;
 
 /// Allocations plus reallocations one compile of the 1,000-policy base
 /// may cost. Before each version was compiled into one arena it took
@@ -154,25 +169,90 @@ fn monitoring_off_request_stays_within_its_heap_budget() {
         monitoring_enabled: false,
         ..MonitorConfig::default()
     });
-    let (warm_up, _) = run_scenario(&spec, &mut NoAdversary);
-    let requests = warm_up.requests_completed;
-    drop(warm_up);
-    let before = LIVE.with(Cell::get);
-    PEAK.with(|peak| peak.set(before));
-    let (report, _) = run_scenario(&spec, &mut NoAdversary);
-    let peak = PEAK.with(Cell::get) - before;
-    assert_eq!(report.requests_completed, 25_000);
-    assert_eq!(report.requests_completed, requests);
+    let (peak, requests) = peak_heap_of_second_run(&spec);
+    assert_eq!(requests, 25_000);
     #[allow(clippy::cast_precision_loss)]
-    let per_request = peak as f64 / report.requests_completed as f64;
+    let per_request = peak as f64 / requests as f64;
     println!(
         "monitoring_off: {per_request:.1} B of peak live heap per request \
-         ({peak} B over {} requests; budget {HEAP_BUDGET_PER_REQUEST})",
-        report.requests_completed
+         ({peak} B over {requests} requests; budget {HEAP_BUDGET_PER_REQUEST})"
     );
     assert!(
         per_request <= HEAP_BUDGET_PER_REQUEST,
         "{per_request:.1} B of peak live heap per monitoring_off request, budget {HEAP_BUDGET_PER_REQUEST}"
+    );
+}
+
+/// The benchmark's `flash_crowd` workload at its default size: 2,250
+/// requests at 3,000 per second, seed 7, on the E14 overload profile with
+/// its time axis scaled by 0.05 and the admission cap raised to 256.
+fn flash_crowd() -> ScenarioSpec {
+    let config = MonitorConfig {
+        total_requests: 2_250,
+        request_rate_per_sec: 3_000.0,
+        seed: 7,
+        ..MonitorConfig::default()
+    };
+    ScenarioSpec {
+        name: "flash_crowd".to_string(),
+        load: LoadProfile {
+            population: 2_000,
+            zipf_exponent: 1.1,
+            diurnal: vec![
+                DiurnalBand {
+                    start: 0,
+                    multiplier_permille: 700,
+                },
+                DiurnalBand {
+                    start: 200 * MILLIS,
+                    multiplier_permille: 1_200,
+                },
+            ],
+            spikes: vec![FlashCrowd {
+                from: 200 * MILLIS,
+                until: 300 * MILLIS,
+                multiplier_permille: 4_000,
+            }],
+            pep_inflight_cap: 256,
+            li_resident_cap: 512,
+            idempotency_retention: MIN_RETENTION,
+            analyser_retire_lag: MIN_RETENTION,
+            policy_history_retention: MIN_RETENTION,
+            chain_compact_interval: 8,
+        },
+        ..ScenarioSpec::canonical(&config)
+    }
+}
+
+/// Runs `spec` twice and returns the peak live heap of the second run,
+/// set-up included, and the requests it completed: the first run warms
+/// up whatever the process builds once.
+fn peak_heap_of_second_run(spec: &ScenarioSpec) -> (i64, u64) {
+    let (warm_up, _) = run_scenario(spec, &mut NoAdversary);
+    let requests = warm_up.requests_completed;
+    drop(warm_up);
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    let (report, _) = run_scenario(spec, &mut NoAdversary);
+    let peak = PEAK.with(Cell::get) - before;
+    assert_eq!(report.requests_completed, requests);
+    assert!(report.alerts.is_empty());
+    (peak, report.requests_completed)
+}
+
+#[test]
+fn flash_crowd_request_stays_within_its_heap_budget() {
+    let (peak, requests) = peak_heap_of_second_run(&flash_crowd());
+    assert_eq!(requests, 2_250);
+    #[allow(clippy::cast_precision_loss)]
+    let per_request = peak as f64 / requests as f64;
+    println!(
+        "flash_crowd: {per_request:.1} B of peak live heap per request \
+         ({peak} B over {requests} requests; budget {FLASH_HEAP_BUDGET_PER_REQUEST})"
+    );
+    assert!(
+        per_request <= FLASH_HEAP_BUDGET_PER_REQUEST,
+        "{per_request:.1} B of peak live heap per flash_crowd request, budget {FLASH_HEAP_BUDGET_PER_REQUEST}"
     );
 }
 
