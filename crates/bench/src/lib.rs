@@ -342,8 +342,7 @@ pub mod scenarios {
     /// The E14 overload profile: a 2000-tenant Zipf-skewed population,
     /// a diurnal trough-then-peak schedule, one ×4 flash crowd, and
     /// every bounded-state mechanism armed (PEP admission cap, LI
-    /// resident cap, idempotency retention, group retirement, chain
-    /// journal compaction). Shared by every E14 scenario so honest,
+    /// resident cap, idempotency retention, group retirement). Shared by every E14 scenario so honest,
     /// attacked and crashed runs stress identical machinery.
     #[must_use]
     fn overload_profile() -> LoadProfile {
@@ -370,7 +369,7 @@ pub mod scenarios {
             idempotency_retention: MIN_RETENTION,
             analyser_retire_lag: MIN_RETENTION,
             policy_history_retention: MIN_RETENTION,
-            chain_compact_interval: 8,
+            ..LoadProfile::default()
         }
     }
 
@@ -623,7 +622,6 @@ mod tests {
         crypto_gates_flag_every_slower_fast_path: gates_flip("e9_crypto");
         e2e_gates_flag_every_violation_kind: gates_flip("e10_scenarios");
         store_engine_gate_flags_a_lost_record: gates_flip("e11_store_engine");
-        compaction_gate_flags_a_cost_that_grows_with_history: gates_flip("e11_compaction");
         recovery_gates_flag_every_violation_kind: gates_flip("e11_recovery");
         fuzz_gates_flag_every_violation_kind: gates_flip("e12_fuzz");
         fault_summary_clean_flags_every_violation_kind: gates_flip("e13_faults");
@@ -1004,7 +1002,6 @@ mod tests {
         assert!(honest.load.li_resident_cap > 0);
         assert!(honest.load.idempotency_retention > 0);
         assert!(honest.load.analyser_retire_lag > 0);
-        assert!(honest.load.chain_compact_interval > 0);
         assert!(!honest.load.diurnal.is_empty());
         assert!(!honest.load.spikes.is_empty());
         // The clamp is the identity on the committed specs: what E14

@@ -494,7 +494,7 @@ pub const REGISTRY: [FileSpec; 9] = files! {
     "BENCH_PDP.json"    "drams-bench-pdp/v2"    ["e5_pdp_scaling", "e6_monitoring_overhead"];
     "BENCH_CRYPTO.json" "drams-bench-crypto/v1" ["e9_crypto"];
     "BENCH_E2E.json"    "drams-bench-e2e/v1"    ["e7_scale", "e8_ablations", "e10_scenarios"];
-    "BENCH_STORE.json"  "drams-bench-store/v1"  ["e3_hybrid", "e11_store_engine", "e11_compaction", "e11_recovery"];
+    "BENCH_STORE.json"  "drams-bench-store/v1"  ["e3_hybrid", "e11_store_engine", "e11_recovery"];
     "BENCH_FUZZ.json"   "drams-bench-fuzz/v1"   ["e12_fuzz"];
     "BENCH_FAULT.json"  "drams-bench-fault/v1"  ["e13_faults"];
     "BENCH_LOAD.json"   "drams-bench-load/v1"   ["e14_load"];
@@ -586,7 +586,7 @@ macro_rules! gates {
 /// Every gate `run_experiments` enforces on a run, one row each:
 /// section, row selector, column, rule.
 #[rustfmt::skip]
-pub(crate) const GATES: [Gate; 47] = gates! {
+pub(crate) const GATES: [Gate; 46] = gates! {
     // Per-entry storage cost at 16 KiB entries above that at 64 B.
     "e1_log_size"             ""                         "grows"                            Rule::True;
     // Hashes per block strictly rising with the difficulty bits; each
@@ -619,8 +619,6 @@ pub(crate) const GATES: [Gate; 47] = gates! {
     "e10_scenarios"           "rows"                     "sim_speedup"                      Rule::AtLeastCommitted(0.5);
     // The engine replays every record it appended.
     "e11_store_engine"        "rows"                     "replayed"                         Rule::Equals("records");
-    // 16 k folded records behind the compaction cost at most twice 1 k.
-    "e11_compaction"          ""                         "flat_ok"                          Rule::True;
     "e11_recovery"            "rows"                     "matched"                          Rule::True;
     "e12_fuzz"                ""                         "violations"                       Rule::Zero;
     "e12_fuzz"                ""                         "false_positives"                  Rule::Zero;
@@ -642,7 +640,9 @@ pub(crate) const GATES: [Gate; 47] = gates! {
     "e14_load"                "honest"                   "peak_li_resident"                 Rule::AtMostCommitted(2.0);
     "e14_load"                "honest"                   "peak_analyser_pending_retire"     Rule::AtMostCommitted(2.0);
     "e14_load"                "honest"                   "peak_contract_storage"            Rule::AtMostCommitted(2.0);
-    "e14_load"                "honest"                   "peak_chain_journal_records"       Rule::AtMostCommitted(2.0);
+    // The chain journal grows with the ledger: not flat, but no more
+    // than twice the committed run's.
+    "e14_load"                "honest"                   "chain_journal_records"            Rule::AtMostCommitted(2.0);
     "e14_load"                "honest"                   "peak_policy_history"              Rule::AtMostCommitted(2.0);
     // Twice the requests at the same rate: no more alerts, and state
     // bounded by the rate, not by the length of the run.

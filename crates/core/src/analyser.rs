@@ -1695,9 +1695,6 @@ mod tests {
         fn read(&self, name: &str) -> Result<Vec<u8>, StoreError> {
             self.0.borrow().files.read(name)
         }
-        fn len(&self, name: &str) -> Result<Option<u64>, StoreError> {
-            self.0.borrow().files.len(name)
-        }
         fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
             self.0.borrow_mut().files.append(name, bytes)
         }

@@ -19,9 +19,11 @@
 //!    below the mark with no record is retired.
 //! 3. **Conflict detection** — re-submission of an observation with
 //!    different content raises `ConflictingObservation`.
-//! 4. **Violation registry** — the (authorised) Analyser records its
+//! 4. **Violation reports** — the (authorised) Analyser reports its
 //!    `PolicyViolation` / `EnforcementMismatch` / `MonitorCompromise`
-//!    findings on-chain, making them non-repudiable.
+//!    findings on-chain, making them non-repudiable: each is a signed
+//!    `report_violation` transaction in a block and an `alert.*` event.
+//!    The contract stores nothing for it; nothing would read a copy.
 //!
 //! Every node runs this contract on every entry, so the per-entry path
 //! copies nothing, not even what it keeps. Entries are decoded as
@@ -451,10 +453,6 @@ impl MonitorContract {
     ) -> Result<(), String> {
         Self::check_sender(ctx, b"cfg/analyser", "authorised analyser")?;
         let alert = Alert::from_canonical_bytes(payload).map_err(|e| e.to_string())?;
-        // Persist under a sequence number for auditability.
-        let seq = ctx.storage.scan_prefix(b"alert/").count() as u64;
-        let key: [u8; 14] = tagged_key(b"alert/", seq);
-        ctx.storage.insert(&key, payload.to_vec());
         Self::emit_alert(ctx, &alert);
         Ok(())
     }
@@ -851,6 +849,27 @@ mod tests {
         let alerts = alert_events(&node);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].kind, AlertKind::PolicyViolation);
+    }
+
+    #[test]
+    fn a_reported_violation_stores_nothing() {
+        let (mut node, _, analyser) = test_node();
+        let keys = |node: &Node| node.host().storage_of(MONITOR_CONTRACT).unwrap().len();
+        let before = keys(&node);
+        for corr in 0..3 {
+            let alert = Alert::new(AlertKind::PolicyViolation, CorrelationId(corr), 500, "x");
+            node.submit_call(
+                &analyser,
+                MONITOR_CONTRACT,
+                "report_violation",
+                alert.to_canonical_bytes(),
+            )
+            .unwrap();
+        }
+        node.mine_block(1_000).unwrap();
+        // The alert is on chain as its transaction and its event.
+        assert_eq!(alert_events(&node).len(), 3);
+        assert_eq!(keys(&node), before);
     }
 
     #[test]

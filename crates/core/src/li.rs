@@ -26,7 +26,6 @@ use drams_chain::tx::TxId;
 use drams_crypto::aead::SymmetricKey;
 use drams_crypto::codec::{Encode, Reader, Writer, MAX_VARINT_LEN};
 use drams_crypto::schnorr::Keypair;
-use drams_store::segment::FRAME_LEN;
 use drams_store::{Durability, MemBackend, StoreError, Wal, WalConfig};
 
 /// A per-tenant Logging Interface.
@@ -178,8 +177,7 @@ impl LoggingInterface {
         let consumed = self.backlog.read_snapshot()?.map_or(0, |(seq, _)| seq);
         let mut resident = Writer::new();
         let (mut count, mut spilled) = (0, 0);
-        self.backlog.visit_from(consumed, |seq, frame| {
-            let record = &frame[FRAME_LEN..];
+        self.backlog.visit_from(consumed, |seq, record| {
             LogEntryRef::from_bytes(record)
                 .map_err(|e| StoreError::Codec(format!("backlog record {seq}: {e}")))?;
             if count < cap {

@@ -268,7 +268,9 @@ pub struct MonitorReport {
     /// Completed decision groups the Analyser retired (evidence pruned
     /// from contract storage after the replay window).
     pub groups_retired: u64,
-    /// Chain write-ahead-journal compactions (snapshot + prune) run.
+    /// Always 0: the chain node's journal is its segments, and nothing
+    /// compacts it. Kept because the frozen repo benchmark (`benchmark/`)
+    /// reads it.
     pub journal_compactions: u64,
     /// High-water marks of every bounded state pool (capacity planning
     /// and the E14 regression gate).
@@ -295,7 +297,9 @@ pub struct PeakState {
     pub analyser_pending_retire: u64,
     /// Keys in the monitor contract's storage.
     pub contract_storage: u64,
-    /// Unconsumed records in the chain node's write-ahead journal.
+    /// Records in the chain node's write-ahead journal. Each is an input
+    /// the node took once and none is ever dropped, so this grows with
+    /// the ledger: the one column here that is not bounded.
     pub chain_journal_records: u64,
     /// Authorised-policy versions in the Analyser's verification
     /// history (bounded by the retention horizon under policy churn).

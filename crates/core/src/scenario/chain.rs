@@ -1,5 +1,5 @@
 //! The chain node as a service: mining cadence, epoch sweep, alert
-//! harvest, journal compaction and crash recovery.
+//! harvest and crash recovery.
 
 use super::ctx::Ctx;
 use super::msg::{Msg, Outbox};
@@ -11,7 +11,7 @@ use drams_chain::chain::ChainConfig;
 use drams_crypto::codec::Decode;
 use drams_crypto::schnorr::Keypair;
 use drams_faas::des::SimTime;
-use drams_store::persist::{compact_node_journal, recover_node, WalJournal};
+use drams_store::persist::{recover_node, WalJournal};
 use drams_store::StoreError;
 use std::sync::Arc;
 
@@ -24,11 +24,6 @@ pub(super) struct ChainService {
     /// The chain configuration of the deployment — a crashed node is
     /// rebuilt with the same parameters before the journal replays.
     pub(super) chain_config: ChainConfig,
-    /// Compact the write-ahead journal every this many blocks (0 = off).
-    pub(super) compact_interval: u64,
-    /// Journal sequence the last compaction snapshot covers; the live
-    /// record count is `next_seq - journal_base`.
-    pub(super) journal_base: u64,
 }
 
 impl ChainService {
@@ -49,7 +44,7 @@ impl ChainService {
         Ok(())
     }
 
-    pub(super) fn handle(&mut self, now: SimTime, msg: Msg, ctx: &mut Ctx<'_>, out: &mut Outbox) {
+    pub(super) fn handle(&self, now: SimTime, msg: Msg, ctx: &mut Ctx<'_>, out: &mut Outbox) {
         if let Msg::SetTimeout { timeout } = msg {
             // Degraded mode: retune the epoch sweep's group timeout
             // on-chain (widened across a disruption window so transient
@@ -133,26 +128,14 @@ impl ChainService {
                 Ok(())
             });
         }
-        // Capacity gauges: live journal records and contract-storage
-        // keys, sampled once per block (pure reads — no RNG, no state).
-        let live_records = ctx
-            .node_wal
-            .borrow()
-            .next_seq()
-            .saturating_sub(self.journal_base);
+        // Capacity gauges: journal records and contract-storage keys,
+        // sampled once per block (pure reads — no RNG, no state).
+        let journal_records = ctx.node_wal.borrow().next_seq();
         ctx.report.peak.chain_journal_records =
-            ctx.report.peak.chain_journal_records.max(live_records);
+            ctx.report.peak.chain_journal_records.max(journal_records);
         if let Some(storage) = ctx.node.host().storage_of(MONITOR_CONTRACT) {
             ctx.report.peak.contract_storage =
                 ctx.report.peak.contract_storage.max(storage.len() as u64);
-        }
-        if self.compact_interval > 0 && next_height.is_multiple_of(self.compact_interval) {
-            // Bounded-journal mode: move the live journal into the fold
-            // file and drop the sealed segments. Recovery replays
-            // fold-then-tail and reconstructs the same node.
-            compact_node_journal(&mut ctx.node_wal.borrow_mut()).expect("chain journal compaction");
-            self.journal_base = ctx.node_wal.borrow().next_seq();
-            ctx.report.journal_compactions += 1;
         }
         if out.within_deadline(now) {
             out.emit(self.block_interval, Msg::MineTick);

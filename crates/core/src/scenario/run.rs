@@ -369,8 +369,6 @@ pub fn run_scenario_with_transport<A: Adversary>(
             epoch_blocks: config.epoch_blocks,
             block_interval: config.block_interval,
             chain_config,
-            compact_interval: load.chain_compact_interval,
-            journal_base: 0,
         },
         analyser: AnalyserService {
             analyser,

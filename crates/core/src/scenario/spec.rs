@@ -178,8 +178,10 @@ pub struct LoadProfile {
     /// retirement before the Analyser drops it from the verification
     /// history. 0 = keep forever. Clamped up to [`MIN_RETENTION`].
     pub policy_history_retention: SimTime,
-    /// Compact the chain node's write-ahead journal every this many
-    /// blocks (its live records move to the fold file). 0 = never.
+    /// Read by nothing: the chain node's journal is its segments, and
+    /// nothing compacts it. Kept because the frozen repo benchmark
+    /// (`benchmark/`) sets it and `drams-fuzz` still draws it, so the
+    /// fuzz cases stay what they were.
     pub chain_compact_interval: u64,
 }
 

@@ -923,14 +923,15 @@ fn a_retiring_run_ends_holding_only_unretired_issue_times() {
 }
 
 #[test]
-fn chain_compaction_bounds_journal_growth_without_changing_the_run() {
-    // Snapshot-and-prune of the chain node's journal every N blocks
-    // must leave the run's observable behaviour untouched while
-    // keeping the live journal window bounded.
+fn the_chain_journal_keeps_every_record_whatever_the_compact_interval() {
+    // The chain node's journal is its segments: no record is ever
+    // redundant, so nothing compacts it, and `chain_compact_interval`
+    // (still drawn by the fuzzer and set by the frozen benchmark) is
+    // read by nothing.
     let mut config = base_config();
     config.total_requests = 80;
     let plain_spec = ScenarioSpec::canonical(&config);
-    let compacted_spec = ScenarioSpec {
+    let interval_spec = ScenarioSpec {
         load: LoadProfile {
             chain_compact_interval: 4,
             ..LoadProfile::default()
@@ -938,16 +939,20 @@ fn chain_compaction_bounds_journal_growth_without_changing_the_run() {
         ..plain_spec.clone()
     };
     let (plain, plain_truth) = run_scenario(&plain_spec, &mut NoAdversary);
-    let (compacted, compacted_truth) = run_scenario(&compacted_spec, &mut NoAdversary);
-    assert!(compacted.journal_compactions > 0);
+    let (interval, interval_truth) = run_scenario(&interval_spec, &mut NoAdversary);
     assert_eq!(
-        first_divergence(&plain, &plain_truth, &compacted, &compacted_truth),
+        first_divergence(&plain, &plain_truth, &interval, &interval_truth),
         None
     );
+    assert_eq!(
+        (plain.journal_compactions, interval.journal_compactions),
+        (0, 0)
+    );
+    assert_eq!(plain.peak, interval.peak);
     assert!(
-        compacted.peak.chain_journal_records < plain.peak.chain_journal_records,
-        "compacted {} vs plain {}",
-        compacted.peak.chain_journal_records,
-        plain.peak.chain_journal_records
+        plain.peak.chain_journal_records >= plain.txs_committed,
+        "{} journal records, {} transactions committed",
+        plain.peak.chain_journal_records,
+        plain.txs_committed
     );
 }

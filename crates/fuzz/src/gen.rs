@@ -456,6 +456,9 @@ fn load_profile(rng: &mut StdRng) -> LoadProfile {
         idempotency_retention: if rng.gen_bool(0.5) { MIN_RETENTION } else { 0 },
         analyser_retire_lag: if rng.gen_bool(0.5) { MIN_RETENTION } else { 0 },
         policy_history_retention: if rng.gen_bool(0.5) { MIN_RETENTION } else { 0 },
+        // Read by nothing since the chain journal stopped being
+        // compacted; still drawn, so every later draw (and E12's cases)
+        // stays what it was.
         chain_compact_interval: if rng.gen_bool(0.5) {
             rng.gen_range(4..=16)
         } else {

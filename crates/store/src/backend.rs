@@ -1,7 +1,7 @@
 //! Storage backends and the durability policy.
 //!
 //! The log engine ([`crate::wal`]) talks to its storage through the
-//! [`Backend`] trait, so the same recovery logic runs against three very
+//! [`Backend`] trait, so the same recovery logic runs against two very
 //! different media:
 //!
 //! * [`MemBackend`] — an in-memory filesystem for tests and the
@@ -9,6 +9,9 @@
 //!   separately from the written length, so
 //!   [`MemBackend::simulate_crash`] can model exactly what a power cut
 //!   preserves: bytes that were synced survive, buffered bytes vanish.
+//!   Each file is one `Vec<u8>`: every file the engine writes is bounded
+//!   (a segment by its record count, a snapshot by being replaced
+//!   whole), so no append regrows a large one.
 //! * [`FsBackend`] — a directory of real files for recovery tests and
 //!   the E11 storage benchmarks.
 //!
@@ -55,14 +58,6 @@ pub trait Backend: std::fmt::Debug {
     /// failure.
     fn read(&self, name: &str) -> Result<Vec<u8>, StoreError>;
 
-    /// A file's length in bytes (written, synced or not) without reading
-    /// it; `None` when absent.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on failure.
-    fn len(&self, name: &str) -> Result<Option<u64>, StoreError>;
-
     /// Appends bytes to a file, creating it when absent.
     ///
     /// # Errors
@@ -107,63 +102,16 @@ pub trait Backend: std::fmt::Debug {
     fn simulate_crash(&mut self) {}
 }
 
-/// Most bytes one chunk of an in-memory file holds. A file is a run of
-/// chunks, each full but the last, so an append copies its own bytes and
-/// never regrows the file: appending to a 5 MB fold file costs what
-/// appending to a 50 KB one does.
-const MEM_CHUNK: usize = 64 * 1024;
-
-/// One in-memory file: written bytes, in chunks of at most
-/// [`MEM_CHUNK`], plus the synced watermark.
-#[derive(Debug, Default, Clone)]
+/// One in-memory file: its written bytes and the synced watermark.
+#[derive(Debug, Clone)]
 struct MemFile {
-    chunks: Vec<Vec<u8>>,
+    bytes: Vec<u8>,
     synced_len: usize,
 }
 
 impl MemFile {
-    fn len(&self) -> usize {
-        self.chunks
-            .last()
-            .map_or(0, |last| (self.chunks.len() - 1) * MEM_CHUNK + last.len())
-    }
-
-    fn bytes(&self) -> Vec<u8> {
-        self.chunks.concat()
-    }
-
-    fn extend(&mut self, mut bytes: &[u8]) {
-        while !bytes.is_empty() {
-            if self
-                .chunks
-                .last()
-                .is_none_or(|last| last.len() == MEM_CHUNK)
-            {
-                // A file that fills a chunk is a big one: its later
-                // chunks are allocated whole.
-                let capacity = if self.chunks.is_empty() { 0 } else { MEM_CHUNK };
-                self.chunks.push(Vec::with_capacity(capacity));
-            }
-            let chunk = self.chunks.last_mut().expect("ensured above");
-            let (now, rest) = bytes.split_at(bytes.len().min(MEM_CHUNK - chunk.len()));
-            let need = chunk.len() + now.len();
-            if need > chunk.capacity() {
-                // The first chunk grows as a `Vec` does, but never past
-                // a chunk.
-                chunk.reserve_exact(need.max(2 * chunk.capacity()).min(MEM_CHUNK) - chunk.len());
-            }
-            chunk.extend_from_slice(now);
-            bytes = rest;
-        }
-    }
-
     fn truncate(&mut self, len: usize) {
-        if len < self.len() {
-            self.chunks.truncate(len.div_ceil(MEM_CHUNK));
-            if let Some(last) = self.chunks.last_mut() {
-                last.truncate(len - (len - 1) / MEM_CHUNK * MEM_CHUNK);
-            }
-        }
+        self.bytes.truncate(len);
         self.synced_len = self.synced_len.min(len);
     }
 }
@@ -190,21 +138,19 @@ impl Backend for MemBackend {
     fn read(&self, name: &str) -> Result<Vec<u8>, StoreError> {
         self.files
             .get(name)
-            .map(MemFile::bytes)
+            .map(|f| f.bytes.clone())
             .ok_or_else(|| StoreError::NotFound(name.to_string()))
-    }
-
-    fn len(&self, name: &str) -> Result<Option<u64>, StoreError> {
-        Ok(self.files.get(name).map(|f| f.len() as u64))
     }
 
     fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
         // Look the file up by `&str` first: naming a new entry allocates.
         match self.files.get_mut(name) {
-            Some(file) => file.extend(bytes),
+            Some(file) => file.bytes.extend_from_slice(bytes),
             None => {
-                let mut file = MemFile::default();
-                file.extend(bytes);
+                let file = MemFile {
+                    bytes: bytes.to_vec(),
+                    synced_len: 0,
+                };
                 self.files.insert(name.to_string(), file);
             }
         }
@@ -213,9 +159,10 @@ impl Backend for MemBackend {
 
     fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
         // Atomic replace is modelled as durable (rename + fsync).
-        let mut file = MemFile::default();
-        file.extend(bytes);
-        file.synced_len = bytes.len();
+        let file = MemFile {
+            bytes: bytes.to_vec(),
+            synced_len: bytes.len(),
+        };
         self.files.insert(name.to_string(), file);
         Ok(())
     }
@@ -236,7 +183,7 @@ impl Backend for MemBackend {
 
     fn sync(&mut self, name: &str) -> Result<(), StoreError> {
         if let Some(file) = self.files.get_mut(name) {
-            file.synced_len = file.len();
+            file.synced_len = file.bytes.len();
         }
         Ok(())
     }
@@ -311,14 +258,6 @@ impl Backend for FsBackend {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 Err(StoreError::NotFound(name.to_string()))
             }
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn len(&self, name: &str) -> Result<Option<u64>, StoreError> {
-        match fs::metadata(self.path(name)) {
-            Ok(meta) => Ok(Some(meta.len())),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e.into()),
         }
     }
@@ -424,11 +363,6 @@ pub(crate) mod testing {
             copy.0.borrow_mut().files = self.0.borrow().files.clone();
             copy
         }
-
-        /// Bytes in `name`, 0 when absent.
-        pub(crate) fn len_of(&self, name: &str) -> u64 {
-            self.len(name).expect("in-memory").unwrap_or(0)
-        }
     }
 
     impl Backend for FaultyBackend {
@@ -437,9 +371,6 @@ pub(crate) mod testing {
         }
         fn read(&self, name: &str) -> Result<Vec<u8>, StoreError> {
             self.0.borrow().files.read(name)
-        }
-        fn len(&self, name: &str) -> Result<Option<u64>, StoreError> {
-            self.0.borrow().files.len(name)
         }
         fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
             self.change("append", name, |f| f.append(name, bytes))
@@ -472,8 +403,6 @@ mod tests {
         b.append("a.wal", b"hello ").unwrap();
         b.append("a.wal", b"world").unwrap();
         assert_eq!(b.read("a.wal").unwrap(), b"hello world");
-        assert_eq!(b.len("a.wal").unwrap(), Some(11));
-        assert_eq!(b.len("absent").unwrap(), None);
         assert_eq!(b.list(), vec!["a.wal".to_string()]);
         b.truncate("a.wal", 5).unwrap();
         assert_eq!(b.read("a.wal").unwrap(), b"hello");
@@ -498,34 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn a_mem_file_across_chunks_appends_truncates_and_crashes_as_one() {
-        let bytes: Vec<u8> = (0..3 * MEM_CHUNK + 7).map(|i| (i % 251) as u8).collect();
-        let mut b = MemBackend::new();
-        b.append("f", &bytes[..10]).unwrap();
-        b.append("f", &bytes[10..MEM_CHUNK + 3]).unwrap();
-        b.sync("f").unwrap();
-        b.append("f", &bytes[MEM_CHUNK + 3..]).unwrap();
-        assert_eq!(b.read("f").unwrap(), bytes);
-        assert_eq!(b.len("f").unwrap(), Some(bytes.len() as u64));
-        for len in [
-            2 * MEM_CHUNK + 1,
-            2 * MEM_CHUNK,
-            MEM_CHUNK + 1,
-            MEM_CHUNK,
-            1,
-            0,
-        ] {
-            let mut cut = b.clone();
-            cut.truncate("f", len as u64).unwrap();
-            assert_eq!(cut.read("f").unwrap(), &bytes[..len], "cut at {len}");
-            cut.append("f", &bytes[len..]).unwrap();
-            assert_eq!(cut.read("f").unwrap(), bytes, "regrown from {len}");
-        }
-        b.simulate_crash();
-        assert_eq!(b.read("f").unwrap(), &bytes[..MEM_CHUNK + 3]);
-    }
-
-    #[test]
     fn mem_write_atomic_is_durable() {
         let mut b = MemBackend::new();
         b.write_atomic("snap", b"state").unwrap();
@@ -541,8 +442,6 @@ mod tests {
             let mut b = FsBackend::open(&dir).unwrap();
             b.append("a.wal", b"hello ").unwrap();
             b.append("a.wal", b"world").unwrap();
-            assert_eq!(b.len("a.wal").unwrap(), Some(11), "before any sync");
-            assert_eq!(b.len("absent").unwrap(), None);
             b.sync("a.wal").unwrap();
             assert_eq!(b.read("a.wal").unwrap(), b"hello world");
             b.truncate("a.wal", 5).unwrap();

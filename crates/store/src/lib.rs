@@ -19,10 +19,12 @@
 //!    ([`segment`]), torn-tail truncation on open, segment rotation and
 //!    snapshot+prune compaction ([`wal`]), over pluggable storage
 //!    backends with an explicit fsync policy ([`backend`]). On top of it,
-//!    [`persist`] gives the chain node a write-ahead journal and full
-//!    replay recovery; `drams-core` uses the same engine for the Logging
-//!    Interface's unflushed-batch backlog and the Analyser's verification
-//!    checkpoint. Experiment E11 crash-restarts each of those services
+//!    [`persist`] gives the chain node a write-ahead journal that is its
+//!    segments alone — never snapshotted, never pruned — and recovery by
+//!    replaying it whole; `drams-core` uses the same engine, snapshots
+//!    and pruning included, for the Logging Interface's unflushed-batch
+//!    backlog, the PDP's decision journal and the Analyser's
+//!    verification checkpoint. Experiment E11 crash-restarts each of those services
 //!    mid-run and requires byte-identical results.
 //!
 //! # Example: a crash-safe log
@@ -60,5 +62,5 @@ pub mod wal;
 pub use anchor::{AnchorContract, AnchoredStore, AuditOutcome};
 pub use backend::{Backend, Durability, FsBackend, MemBackend};
 pub use error::StoreError;
-pub use persist::{compact_node_journal, recover_node, WalJournal};
+pub use persist::{recover_node, WalJournal};
 pub use wal::{SnapshotStore, Wal, WalConfig};

@@ -16,24 +16,12 @@
 //! inputs — so chain, contract state *and* mempool come back exactly as
 //! they were when the journal was last synced, side chains and all.
 //!
-//! The journal only grows, so [`compact_node_journal`] keeps it in three
-//! files and pays, per call, for what was journaled since the last call:
-//!
-//! ```text
-//!  fold file (append-only)      manifest (replaced atomically)   live segments
-//! ┌──────────────────────────┐ ┌──────────────────────────────┐ ┌─────────────┐
-//! │ every record journaled   │ │ base_seq · fold_len · count  │ │ records     │
-//! │ before base_seq, framed  │ │                              │ │ >= base_seq │
-//! └──────────────────────────┘ └──────────────────────────────┘ └─────────────┘
-//!        replayed first                                          replayed last
-//! ```
-//!
-//! The manifest is the WAL's snapshot file and the commit point: the fold
-//! file counts only as far as the manifest's `fold_len`, so a compaction
-//! that died after appending to it and before replacing the manifest
-//! changed nothing. A compaction moves frames and nothing else: each live
-//! record reaches the fold file in the very frame the WAL walk verified,
-//! decoded, hashed and checksummed again by nothing.
+//! The journal is its WAL segments, and nothing else: each record is an
+//! input the node took once, so none is ever redundant and the journal
+//! grows with the ledger. [`recover_node`] replays it from seq 0 and
+//! refuses a journal that segments alone do not describe — one with a
+//! file beside its segments or a pruned prefix, as an older layout that
+//! compacted the journal into a second file left it.
 //!
 //! The journal is shared via `Rc<RefCell<…>>` so a crash-recovery harness
 //! can keep the log alive across the simulated death of the node that
@@ -76,8 +64,7 @@
 //! ```
 
 use crate::error::StoreError;
-use crate::segment::FRAME_LEN;
-use crate::wal::{Wal, FOLD_FILE, SNAPSHOT_FILE};
+use crate::wal::Wal;
 use drams_chain::block::{Block, BlockHeader};
 use drams_chain::chain::ChainConfig;
 use drams_chain::contract::SmartContract;
@@ -87,7 +74,6 @@ use drams_chain::tx::{Transaction, TxId};
 use drams_crypto::codec::{decode_seq, Decode, Encode, Reader, Writer};
 use drams_crypto::CryptoError;
 use std::cell::RefCell;
-use std::fmt::Display;
 use std::rc::Rc;
 
 /// Record tag: the payload is a canonical [`Transaction`] the node
@@ -154,13 +140,12 @@ fn decode_mined(payload: &[u8]) -> Result<(BlockHeader, Vec<TxId>), CryptoError>
     Ok((header, ids))
 }
 
-/// Replays one tagged journal record into `node`. `origin` names the
-/// record in error messages (a WAL sequence number, a fold-file offset).
-fn replay_record(node: &mut Node, origin: impl Display, record: &[u8]) -> Result<(), StoreError> {
+/// Replays journal record `seq` into `node`.
+fn replay_record(node: &mut Node, seq: u64, record: &[u8]) -> Result<(), StoreError> {
     let Some((&tag, payload)) = record.split_first() else {
-        return Err(StoreError::Codec(format!("empty journal record {origin}")));
+        return Err(StoreError::Codec(format!("empty journal record {seq}")));
     };
-    let malformed = |e: CryptoError| StoreError::Codec(format!("journal record {origin}: {e}"));
+    let malformed = |e: CryptoError| StoreError::Codec(format!("journal record {seq}: {e}"));
     let replayed = match tag {
         TAG_TX => {
             let tx = Transaction::from_canonical_bytes(payload).map_err(malformed)?;
@@ -179,166 +164,30 @@ fn replay_record(node: &mut Node, origin: impl Display, record: &[u8]) -> Result
         }
         other => {
             return Err(StoreError::Codec(format!(
-                "journal record {origin} has unknown tag {other}"
+                "journal record {seq} has unknown tag {other}"
             )))
         }
     };
-    replayed.map_err(|e| StoreError::Codec(format!("journal record {origin} does not replay: {e}")))
+    replayed.map_err(|e| StoreError::Codec(format!("journal record {seq} does not replay: {e}")))
 }
 
-/// Layout byte opening the manifest payload. Layout 2 carried pending
-/// transaction records behind its header, and the layout before it was
-/// the whole folded journal packed into the snapshot, which opened with
-/// the high byte of a record length (0); both are refused, not migrated.
-const MANIFEST_LAYOUT: u8 = 3;
-/// The whole manifest payload: layout byte, committed fold length,
-/// folded record count.
-const MANIFEST_LEN: usize = 1 + 8 + 8;
-
-/// The journal's commit point, read from the WAL's snapshot file: what
-/// of the journal is folded, and where the folded part is.
-#[derive(Debug, Default)]
-struct Manifest {
-    /// Records with `seq < base_seq` are folded; the rest are live.
-    base_seq: u64,
-    /// Committed length of the fold file in bytes.
-    fold_len: u64,
-    /// Records in the committed part of the fold file.
-    fold_records: u64,
-}
-
-impl Manifest {
-    /// The manifest of `wal`; of a journal never compacted, the empty one.
-    fn read(wal: &Wal) -> Result<Manifest, StoreError> {
-        let Some((base_seq, payload)) = wal.read_snapshot()? else {
-            return Ok(Manifest::default());
-        };
-        let malformed = |reason: String| {
-            StoreError::Codec(format!("journal manifest `{SNAPSHOT_FILE}`: {reason}"))
-        };
-        let Some((header, rest)) = payload.split_first_chunk::<MANIFEST_LEN>() else {
-            return Err(malformed(format!(
-                "payload of {} bytes is shorter than its {MANIFEST_LEN}-byte header",
-                payload.len()
-            )));
-        };
-        let layout = header[0];
-        if layout != MANIFEST_LAYOUT {
-            return Err(malformed(format!(
-                "payload byte 0: layout {layout} is not the supported {MANIFEST_LAYOUT}"
-            )));
-        }
-        if !rest.is_empty() {
-            return Err(malformed(format!(
-                "{} bytes trail its {MANIFEST_LEN}-byte payload",
-                rest.len()
-            )));
-        }
-        let word = |at: usize| u64::from_be_bytes(header[at..at + 8].try_into().expect("8 bytes"));
-        Ok(Manifest {
-            base_seq,
-            fold_len: word(1),
-            fold_records: word(9),
-        })
-    }
-
-    /// Writes the manifest: from here on the journal is what it names.
-    fn commit(&self, wal: &mut Wal) -> Result<(), StoreError> {
-        let mut payload = [0; MANIFEST_LEN];
-        payload[0] = MANIFEST_LAYOUT;
-        payload[1..9].copy_from_slice(&self.fold_len.to_be_bytes());
-        payload[9..].copy_from_slice(&self.fold_records.to_be_bytes());
-        wal.write_snapshot(self.base_seq, &payload)
-    }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// What the compactions on the current test thread touched:
-    /// `[records visited, bytes appended to the fold file]`.
-    static WORK: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0; 2]) };
-}
-
-/// The work [`compact_node_journal`] does while `f` runs, for tests that
-/// pin its cost to what was journaled since the previous compaction. Per
-/// thread, so parallel tests do not disturb each other's count.
-#[cfg(test)]
-fn count_work<T>(f: impl FnOnce() -> T) -> ([u64; 2], T) {
-    let before = WORK.get();
-    let out = f();
-    let after = WORK.get();
-    (std::array::from_fn(|i| after[i] - before[i]), out)
-}
-
-#[cfg(test)]
-fn add_work(records: u64, bytes: u64) {
-    let [r, y] = WORK.get();
-    WORK.set([r + records, y + bytes]);
-}
-
-/// Compacts a node journal in place, at a cost set by what was journaled
-/// since the previous compaction and not by the length of the chain.
-///
-/// No record is ever redundant — each is an input the node took once —
-/// so a compaction moves the live records into the fold file (see the
-/// module docs) and drops none. One call
-///
-/// 1. reads the manifest and seals the tail segment (`Wal::seal_tail`),
-///    so that everything journaled so far can leave the live log;
-/// 2. moves the live records onto the fold file (`Wal::fold_from`, which
-///    first cuts off what a compaction that never committed left
-///    behind): one live segment at a time, it verifies the segment's
-///    frames as the WAL walk does ([`Wal::visit_from`]) and appends its
-///    run of live frames as it stands, in one append — nothing is
-///    decoded, hashed or checksummed again, recovery is the one to name
-///    a record it cannot replay, and no more than one segment's bytes
-///    are held at once;
-/// 3. syncs the fold file, once, after the last append;
-/// 4. writes the manifest — **the commit point** — naming the new fold
-///    length and record count;
-/// 5. prunes the live segments the manifest now covers.
-///
-/// A crash before step 4 — between two of step 2's appends included —
-/// leaves the old manifest, the old committed part of the fold file and
-/// every live record: nothing happened. A crash
-/// after it leaves segments that the manifest's sequence number already
-/// excludes from replay, and the next call prunes them. Recovery through
-/// [`recover_node`] reads the same records in the same order either way.
-///
-/// Returns `(records_before, records_after)`, the journal's record count
-/// (folded + live) on either side of the call — equal, since nothing is
-/// dropped.
+/// Leaves a node journal as it is and returns `(n, n)`, where `n` is its
+/// record count: the journal is its segments, and no record is ever
+/// redundant — each is an input the node took once — so there is nothing
+/// to compact. Kept only because the repo benchmark (`benchmark/`), which
+/// is frozen, still calls it.
 ///
 /// # Errors
 ///
-/// As [`recover_node`] for a damaged WAL or manifest, and for a manifest
-/// in an older layout; [`StoreError::Corrupt`] when the fold file is
-/// shorter than the manifest commits; [`StoreError::Io`] on backend
-/// failure while writing.
+/// Never; the `Result` is the signature the benchmark compiles against.
 pub fn compact_node_journal(wal: &mut Wal) -> Result<(u64, u64), StoreError> {
-    let manifest = Manifest::read(wal)?;
-    wal.seal_tail()?;
-    let (live, fold_len) = wal.fold_from(manifest.fold_len, manifest.base_seq)?;
-    #[cfg(test)]
-    add_work(live, fold_len - manifest.fold_len);
-
-    let records = manifest.fold_records + live;
-    let upto = wal.next_seq();
-    Manifest {
-        base_seq: upto,
-        fold_len,
-        fold_records: records,
-    }
-    .commit(wal)?;
-    wal.prune_through(upto)?;
+    let records = wal.next_seq();
     Ok((records, records))
 }
 
 /// Rebuilds a node from its journal: a fresh node with `config` and
 /// `contracts` registered, then every journaled record replayed in
-/// journal order — the committed part of the fold file, then the live
-/// WAL records (see [`compact_node_journal`]; a journal never compacted
-/// has only the latter). The returned node carries **no** journal —
+/// journal order, from seq 0. The returned node carries **no** journal —
 /// attach one (over the same WAL) with [`Node::set_journal`] to keep
 /// journaling.
 ///
@@ -357,37 +206,23 @@ pub fn compact_node_journal(wal: &mut Wal) -> Result<(u64, u64), StoreError> {
 ///
 /// # Errors
 ///
-/// [`StoreError::Corrupt`] when the WAL or the fold file is damaged
-/// (naming the file and the offset), [`StoreError::Codec`] when the
-/// manifest is malformed or in an older layout, or when a record does
-/// not decode or does not replay (naming its WAL sequence number or its
-/// fold-file offset).
+/// [`StoreError::Corrupt`] when the WAL is damaged (naming the file and
+/// the offset), or when it is not the whole journal: a file lies beside
+/// its segments, or records before its first retained one were pruned —
+/// the shape a journal compacted by an older layout has, which is refused
+/// and not migrated. [`StoreError::Codec`] when a record does not decode
+/// or does not replay (naming its WAL sequence number).
 pub fn recover_node(
     wal: &Wal,
     config: ChainConfig,
     contracts: Vec<Box<dyn SmartContract>>,
 ) -> Result<Node, StoreError> {
+    wal.check_whole()?;
     let mut node = Node::new(config);
     for contract in contracts {
         node.register_contract(contract);
     }
-    let manifest = Manifest::read(wal)?;
-    let folded = wal.visit_fold(manifest.fold_len, |offset, record| {
-        replay_record(&mut node, format_args!("`{FOLD_FILE}`@{offset}"), record)
-    })?;
-    if folded != manifest.fold_records {
-        return Err(StoreError::Corrupt {
-            file: FOLD_FILE.to_string(),
-            offset: manifest.fold_len,
-            reason: format!(
-                "{folded} records in the committed part, the manifest counts {}",
-                manifest.fold_records
-            ),
-        });
-    }
-    wal.visit_from(manifest.base_seq, |seq, frame| {
-        replay_record(&mut node, seq, &frame[FRAME_LEN..])
-    })?;
+    wal.visit_from(0, |seq, record| replay_record(&mut node, seq, record))?;
     Ok(node)
 }
 
@@ -395,8 +230,7 @@ pub fn recover_node(
 mod tests {
     use super::*;
     use crate::backend::{Backend, Durability, MemBackend};
-    use crate::segment::frame_record;
-    use crate::wal::WalConfig;
+    use crate::wal::{WalConfig, SNAPSHOT_FILE};
     use drams_chain::contract::KvStoreContract;
     use drams_chain::tx::TxId;
     use drams_crypto::schnorr::Keypair;
@@ -513,30 +347,34 @@ mod tests {
         assert_eq!(again.chain().tip_header().height, 2);
     }
 
+    /// The frozen benchmark still calls `compact_node_journal`: it touches
+    /// nothing on the medium, counts what was journaled however often it
+    /// runs, and the journal recovers as if it had never run.
     #[test]
     fn compaction_is_idempotent_and_composes_with_later_appends() {
-        let (mut node, wal) = journaled_node();
+        let medium = FaultyBackend::default();
+        let wal = Rc::new(RefCell::new(open(&medium)));
+        let compact = || {
+            let before = medium.0.borrow().changes.len();
+            let counts = compact_node_journal(&mut wal.borrow_mut()).unwrap();
+            assert_eq!(medium.0.borrow().changes.len(), before, "nothing changed");
+            counts
+        };
+        let mut node = Node::new(config());
+        node.register_contract(Box::new(KvStoreContract));
+        node.set_journal(Box::new(WalJournal::new(wal.clone())));
         let kp = Keypair::from_seed(b"persist-tests");
         node.submit_call(&kp, "kvstore", "put", b"a".to_vec())
             .unwrap();
         node.mine_block(1).unwrap();
-        drop(node);
-
-        compact_node_journal(&mut wal.borrow_mut()).unwrap();
-        let (before, after) = compact_node_journal(&mut wal.borrow_mut()).unwrap();
-        assert_eq!(before, after, "second pass finds nothing to fold");
-
-        // New activity after compaction lands in the live tail and a
-        // second compaction folds it too.
-        let mut node =
-            recover_node(&wal.borrow(), config(), vec![Box::new(KvStoreContract)]).unwrap();
-        node.set_journal(Box::new(WalJournal::new(wal.clone())));
+        assert_eq!(compact(), (2, 2));
+        assert_eq!(compact(), (2, 2));
         node.submit_call(&kp, "kvstore", "put", b"b".to_vec())
             .unwrap();
         node.mine_block(2).unwrap();
         let tip = node.chain().tip_hash();
         drop(node);
-        compact_node_journal(&mut wal.borrow_mut()).unwrap();
+        assert_eq!(compact(), (4, 4));
         wal.borrow_mut().simulate_crash().unwrap();
         let again = recover_node(&wal.borrow(), config(), vec![Box::new(KvStoreContract)]).unwrap();
         assert_eq!(again.chain().tip_hash(), tip);
@@ -611,25 +449,6 @@ mod tests {
         assert_eq!(reads(&recovered), live);
     }
 
-    /// A node journaling into two logs at once, so one can be compacted
-    /// and the other kept whole.
-    struct Tee(WalJournal, WalJournal);
-
-    impl NodeJournal for Tee {
-        fn record_transaction(&mut self, tx: &Transaction) -> Result<(), String> {
-            self.0.record_transaction(tx)?;
-            self.1.record_transaction(tx)
-        }
-        fn record_mined(&mut self, block: &Block) -> Result<(), String> {
-            self.0.record_mined(block)?;
-            self.1.record_mined(block)
-        }
-        fn record_block(&mut self, block: &Block) -> Result<(), String> {
-            self.0.record_block(block)?;
-            self.1.record_block(block)
-        }
-    }
-
     fn mem_wal(segment_records: usize) -> Rc<RefCell<Wal>> {
         let config = WalConfig {
             segment_records,
@@ -643,27 +462,23 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Whatever the interleaving, the compacted journal recovers the
-        /// node the whole journal recovers, which is the live node.
+        /// Whatever the interleaving — side-chain blocks, reorgs and
+        /// crashes included — the journal recovers the live node.
         #[test]
-        fn incremental_compaction_recovers_what_the_whole_journal_recovers(
-            ops in prop::collection::vec(0u8..10, 1..48),
+        fn whatever_the_interleaving_the_journal_recovers_the_live_node(
+            ops in prop::collection::vec(0u8..8, 1..48),
         ) {
             // Two transactions a block, so a backlog of pending records
-            // is carried from compaction to compaction.
+            // builds up.
             let config = ChainConfig {
                 max_block_txs: 2,
                 verify_signatures: false,
                 ..config()
             };
-            let (compacted, whole) = (mem_wal(4), mem_wal(4));
-            let tee = || {
-                let (a, b) = (compacted.clone(), whole.clone());
-                Box::new(Tee(WalJournal::new(a), WalJournal::new(b)))
-            };
+            let wal = mem_wal(4);
             let mut node = Node::new(config.clone());
             node.register_contract(Box::new(KvStoreContract));
-            node.set_journal(tee());
+            node.set_journal(Box::new(WalJournal::new(wal.clone())));
             // A peer mining its own fork from genesis: its blocks reach
             // this node as side-chain blocks, or as reorgs once its fork
             // is the heavier one.
@@ -692,32 +507,25 @@ mod tests {
                         let block = peer.mine_block(now).unwrap().clone();
                         node.receive_block(block).unwrap();
                     }
-                    7 | 8 => {
-                        let (before, after) =
-                            compact_node_journal(&mut compacted.borrow_mut()).unwrap();
-                        let journaled = journal_of(&whole.borrow()).len() as u64;
-                        prop_assert_eq!((before, after), (journaled, journaled), "step {}", step);
-                    }
                     _ => {
                         let live = state(&node);
                         drop(node);
-                        compacted.borrow_mut().simulate_crash().unwrap();
-                        node = recovered(&compacted.borrow(), &config);
+                        wal.borrow_mut().simulate_crash().unwrap();
+                        node = recovered(&wal.borrow(), &config);
                         prop_assert_eq!(state(&node), live, "crash at step {}", step);
-                        node.set_journal(tee());
+                        node.set_journal(Box::new(WalJournal::new(wal.clone())));
                     }
                 }
             }
             let live = state(&node);
             drop(node);
-            prop_assert_eq!(state(&recovered(&compacted.borrow(), &config)), live.clone());
-            prop_assert_eq!(state(&recovered(&whole.borrow(), &config)), live);
+            prop_assert_eq!(state(&recovered(&wal.borrow(), &config)), live);
         }
     }
 
     /// A transaction pending here that only a peer's side-chain block
     /// includes stays in the live node's pool, so it must be in the pool
-    /// of the node recovered from a compacted journal. With `promote`, a
+    /// of the node recovered from the journal. With `promote`, a
     /// later peer block makes that side chain the main chain first.
     fn side_chain_block_includes_a_pending_tx(promote: bool) {
         let (mut node, wal) = journaled_node();
@@ -739,14 +547,13 @@ mod tests {
         }
         let live = state(&node);
         assert_eq!(live.3, [tx.id()], "the live pool still holds it");
-        compact_node_journal(&mut wal.borrow_mut()).unwrap();
         assert_eq!(state(&recovered(&wal.borrow(), &config())), live);
         wal.borrow_mut().simulate_crash().unwrap();
         assert_eq!(state(&recovered(&wal.borrow(), &config())), live);
     }
 
     #[test]
-    fn a_pending_tx_only_a_side_chain_block_includes_survives_compaction() {
+    fn a_pending_tx_only_a_side_chain_block_includes_survives_recovery() {
         side_chain_block_includes_a_pending_tx(false);
     }
 
@@ -774,15 +581,9 @@ mod tests {
         node.withhold_transaction(&ids[0]).unwrap();
         node.mine_block(1).unwrap();
         assert_eq!(state(&node).3, [ids[3]]);
-        let expected = [ids[0], ids[3]];
         assert_eq!(
             state(&recovered(&wal.borrow(), &mid_life_config())).3,
-            expected
-        );
-        compact_node_journal(&mut wal.borrow_mut()).unwrap();
-        assert_eq!(
-            state(&recovered(&wal.borrow(), &mid_life_config())).3,
-            expected
+            [ids[0], ids[3]]
         );
     }
 
@@ -903,7 +704,7 @@ mod tests {
         }
     }
 
-    // -- the fold file: crash points, cost, bytes ----------------------------
+    // -- the journal is its segments ----------------------------------------
 
     fn open(medium: &FaultyBackend) -> Wal {
         let config = WalConfig {
@@ -911,37 +712,6 @@ mod tests {
             durability: Durability::Flushed,
         };
         Wal::open(Box::new(medium.clone()), config).unwrap()
-    }
-
-    /// A journal with something in every place a compaction reads and
-    /// writes — a committed fold, a sealed and a tail segment of live
-    /// records, a transaction still pending — and the live node it
-    /// describes.
-    fn journal_mid_life() -> (FaultyBackend, NodeState) {
-        let medium = FaultyBackend::default();
-        let wal = Rc::new(RefCell::new(open(&medium)));
-        let mut node = Node::new(mid_life_config());
-        node.register_contract(Box::new(KvStoreContract));
-        node.set_journal(Box::new(WalJournal::new(wal.clone())));
-        let kp = Keypair::from_seed(b"persist-tests");
-        let put = |node: &mut Node, tag: &str| {
-            node.submit_call(&kp, "kvstore", "put", tag.as_bytes().to_vec())
-                .unwrap();
-        };
-        for tag in ["a", "b", "c"] {
-            put(&mut node, tag);
-        }
-        node.mine_block(1).unwrap();
-        compact_node_journal(&mut wal.borrow_mut()).unwrap(); // folds a, b, c and block 1
-        put(&mut node, "d");
-        node.mine_block(2).unwrap(); // c, d
-        put(&mut node, "e");
-        node.mine_block(3).unwrap();
-        put(&mut node, "f");
-        assert_eq!(wal.borrow().segment_count(), 2);
-        let live = state(&node);
-        assert_eq!(live.3.len(), 1);
-        (medium, live)
     }
 
     fn mid_life_config() -> ChainConfig {
@@ -952,221 +722,65 @@ mod tests {
     }
 
     #[test]
-    fn compaction_changes_the_medium_in_commit_order() {
-        let (medium, _) = journal_mid_life();
-        let mut wal = open(&medium);
-        medium.0.borrow_mut().changes.clear();
-        assert_eq!(compact_node_journal(&mut wal).unwrap(), (4 + 5, 4 + 5));
-        let [sealed, tail, fresh] = [1, 2, 3].map(segment_file_name);
-        assert_eq!(
-            medium.0.borrow().changes,
-            [
-                // The tail is sealed: durable before its successor exists.
-                format!("sync {tail}"),
-                format!("append {fresh}"),
-                format!("sync {fresh}"),
-                // The fold grows by one append per live segment and is
-                // durable...
-                format!("append {FOLD_FILE}"),
-                format!("append {FOLD_FILE}"),
-                format!("sync {FOLD_FILE}"),
-                // ...before the manifest commits it...
-                format!("write_atomic {SNAPSHOT_FILE}"),
-                // ...and only then do the folded records leave the log.
-                format!("remove {sealed}"),
-                format!("remove {tail}"),
-            ]
-        );
-    }
-
-    #[test]
-    fn a_crash_at_every_step_of_a_compaction_recovers_the_uncompacted_node() {
-        let (pristine, live) = journal_mid_life();
-        let next_seq = open(&pristine).next_seq();
-        // The compaction that runs to the end: the yardstick for what a
-        // compaction retried after a crash must leave.
-        let clean = pristine.copy();
-        let counts = compact_node_journal(&mut open(&clean)).unwrap();
-        let steps = clean.0.borrow().changes.len();
-        assert_eq!(
-            steps, 9,
-            "see compaction_changes_the_medium_in_commit_order"
-        );
-        let committed = pristine.len_of(FOLD_FILE);
-
-        for crash_before in 0..=steps {
-            // Steps 3, 4, 5, 6, 7 and 9 are the crashes with the tail
-            // sealed, one of the two fold appends made, both made but not
-            // synced, the fold synced, the manifest written, and the
-            // segments pruned.
-            let medium = pristine.copy();
-            let mut wal = open(&medium);
-            medium.fail_after(crash_before);
-            let outcome = compact_node_journal(&mut wal);
-            assert_eq!(outcome.is_ok(), crash_before == steps, "{outcome:?}");
-            medium.0.borrow_mut().fail_at = None;
-            wal.simulate_crash().unwrap();
-
-            let at = format!("crash before step {crash_before}");
-            assert_eq!(wal.next_seq(), next_seq, "{at}");
-            let node = recovered(&wal, &mid_life_config());
-            assert_eq!(state(&node), live, "{at}");
-            let torn = medium.len_of(FOLD_FILE) > committed && crash_before < 7;
-            assert_eq!(
-                torn,
-                crash_before == 6,
-                "{at}: only a synced append outlives"
-            );
-
-            // The next compaction cuts the torn append off and proceeds.
-            let retried = compact_node_journal(&mut wal).unwrap();
-            assert_eq!(retried.1, counts.1, "{at}");
-            assert_eq!(medium.len_of(FOLD_FILE), clean.len_of(FOLD_FILE), "{at}");
-            assert_eq!(wal.segment_count(), 1, "{at}");
-            wal.simulate_crash().unwrap();
-            assert_eq!(wal.next_seq(), next_seq, "{at}");
-            assert_eq!(state(&recovered(&wal, &mid_life_config())), live, "{at}");
-        }
-    }
-
-    #[test]
-    fn a_compaction_touches_what_was_journaled_since_the_last_one() {
-        let kp = Keypair::from_seed(b"persist-tests");
-        let tx = |nonce: u64| Transaction::new_signed(&kp, nonce, "kvstore", "put", vec![7; 40]);
-        let block =
-            |height: u64, txs: Vec<Transaction>| Block::mine(Digest::ZERO, height, txs, height, 0);
-        let work_after = |history: u64| {
-            let wal = mem_wal(256);
-            let mut journal = WalJournal::new(wal.clone());
-            // `history` folded records...
-            for height in 0..history {
-                journal.record_mined(&block(height, Vec::new())).unwrap();
-            }
-            assert_eq!(
-                compact_node_journal(&mut wal.borrow_mut()).unwrap(),
-                (history, history)
-            );
-            // ...then 64 records: 48 transactions and 16 mined blocks
-            // that take two of them each.
-            for round in 0..16 {
-                let txs: Vec<Transaction> = (0..3).map(|i| tx(round * 3 + i)).collect();
-                for tx in &txs {
-                    journal.record_transaction(tx).unwrap();
-                }
-                journal
-                    .record_mined(&block(history + round, txs[..2].to_vec()))
-                    .unwrap();
-            }
-            let tail = wal.borrow().replay_from(history).unwrap();
-            let appended: usize = tail.iter().map(|(_, r)| FRAME_LEN + r.len()).sum();
-            let (work, counts) =
-                count_work(|| compact_node_journal(&mut wal.borrow_mut()).unwrap());
-            assert_eq!(counts, (history + 64, history + 64));
-            (work, appended as u64)
-        };
-        let (small, appended) = work_after(1_024);
-        assert_eq!(small, [64, appended], "records, fold bytes");
-        assert_eq!(work_after(16_384).0, small, "whatever was folded before");
-    }
-
-    #[test]
-    fn the_fold_file_and_manifest_hold_the_records_as_the_wal_framed_them() {
-        let medium = FaultyBackend::default();
-        let (compacted, whole) = (Rc::new(RefCell::new(open(&medium))), mem_wal(8));
-        let mut node = Node::new(mid_life_config());
-        node.register_contract(Box::new(KvStoreContract));
-        node.set_journal(Box::new(Tee(
-            WalJournal::new(compacted.clone()),
-            WalJournal::new(whole.clone()),
-        )));
-        let kp = Keypair::from_seed(b"persist-tests");
-        // Three transactions a round, two a block, a compaction every
-        // other round: the last one folds the whole journal.
-        for round in 0..6 {
-            for i in 0..3 {
-                node.submit_call(&kp, "kvstore", "put", format!("{round}.{i}").into_bytes())
-                    .unwrap();
-            }
-            node.mine_block(round).unwrap();
-            if round % 2 == 1 {
-                compact_node_journal(&mut compacted.borrow_mut()).unwrap();
-            }
-        }
-        assert_eq!(node.mempool_len(), 6);
-        let records = journal_of(&whole.borrow());
-        let mut fold = Vec::new();
-        for record in &records {
-            frame_record(record, &mut fold);
-        }
-        assert_eq!(medium.read(FOLD_FILE).unwrap(), fold);
-        let manifest = [
-            &[MANIFEST_LAYOUT][..],
-            &(fold.len() as u64).to_be_bytes(),
-            &(records.len() as u64).to_be_bytes(),
-        ]
-        .concat();
-        assert_eq!(
-            compacted.borrow().read_snapshot().unwrap(),
-            Some((records.len() as u64, manifest))
-        );
-    }
-
-    #[test]
-    fn a_block_record_that_does_not_decode_fails_recovery_at_its_fold_offset() {
+    fn a_block_record_that_does_not_decode_fails_recovery_at_its_seq() {
         let kp = Keypair::from_seed(b"persist-tests");
         let tx = Transaction::new_signed(&kp, 0, "kvstore", "put", b"a".to_vec());
         let block = Block::mine(Digest::ZERO, 0, vec![tx.clone()], 0, 0).to_canonical_bytes();
         for garbage in [&[1, 2, 3][..], &block[..block.len() - 1]] {
             let wal = journal_with(&tx, &[&[TAG_BLOCK], garbage].concat());
-            // Compaction copies the record as it stands...
-            assert_eq!(compact_node_journal(&mut wal.borrow_mut()), Ok((2, 2)));
-            // ...and recovery names it where it now lies: in the fold
-            // file, behind the transaction's frame.
-            let offset = FRAME_LEN + 1 + tx.wire_len();
             let reason = Block::from_canonical_bytes(garbage).unwrap_err();
             assert_eq!(
                 recover_unit(&wal.borrow(), config()),
-                Err(StoreError::Codec(format!(
-                    "journal record `{FOLD_FILE}`@{offset}: {reason}"
-                )))
+                Err(StoreError::Codec(format!("journal record 1: {reason}")))
             );
         }
     }
 
+    /// A journal an older layout compacted kept a manifest in the snapshot
+    /// file and the compacted records in a second file beside the
+    /// segments, and pruned the segments it covered. Segments alone do not
+    /// describe that node, so recovery refuses it — naming the file in its
+    /// way — rather than migrate it or recover a node missing its prefix.
     #[test]
-    fn an_older_snapshot_layout_is_refused_not_migrated() {
-        let (mut node, wal) = journaled_node();
+    fn a_compacted_journal_is_refused_not_migrated() {
+        let refused = |medium: &FaultyBackend, file: &str| match recover_node(
+            &open(medium),
+            config(),
+            vec![Box::new(KvStoreContract)],
+        ) {
+            Err(StoreError::Corrupt { file: named, .. }) => assert_eq!(named, file),
+            other => panic!(
+                "{file}: expected a typed refusal, got {:?}",
+                other.map(|_| ())
+            ),
+        };
+        let medium = FaultyBackend::default();
+        let wal = Rc::new(RefCell::new(open(&medium)));
+        let mut node = Node::new(config());
+        node.register_contract(Box::new(KvStoreContract));
+        node.set_journal(Box::new(WalJournal::new(wal.clone())));
         let kp = Keypair::from_seed(b"persist-tests");
-        node.submit_call(&kp, "kvstore", "put", b"a".to_vec())
-            .unwrap();
+        for i in 0..3 {
+            node.submit_call(&kp, "kvstore", "put", vec![i]).unwrap();
+            node.mine_block(u64::from(i)).unwrap();
+        }
         drop(node);
-        // Layout 0, the whole folded journal with each record behind its
-        // length; layout 2, a header with the pending records behind it,
-        // and with none.
-        let mut packed = Vec::new();
-        for record in journal_of(&wal.borrow()) {
-            packed.extend_from_slice(&(record.len() as u32).to_be_bytes());
-            packed.extend_from_slice(&record);
-        }
-        let header = [&[2][..], &0u64.to_be_bytes(), &0u64.to_be_bytes()].concat();
-        let layout_2 = [header.as_slice(), &packed].concat();
-        let upto = wal.borrow().next_seq();
-        for (layout, old) in [(0, packed), (2, layout_2), (2, header)] {
-            wal.borrow_mut().write_snapshot(upto, &old).unwrap();
-            let recovery = recover_node(&wal.borrow(), config(), vec![]).map(|_| ());
-            let compaction = compact_node_journal(&mut wal.borrow_mut()).map(|_| ());
-            for outcome in [recovery, compaction] {
-                match outcome {
-                    Err(StoreError::Codec(reason)) => {
-                        assert!(
-                            reason.contains(SNAPSHOT_FILE)
-                                && reason.contains(&format!("layout {layout} ")),
-                            "{reason}"
-                        );
-                    }
-                    other => panic!("expected a typed refusal, got {other:?}"),
-                }
-            }
-        }
+        assert_eq!(wal.borrow().segment_count(), 2);
+        let whole = medium.copy();
+
+        // A file beside the segments: the manifest, or any other.
+        wal.borrow_mut().write_snapshot(4, &[3; 17]).unwrap();
+        refused(&medium, SNAPSHOT_FILE);
+        let other = whole.copy();
+        other.0.borrow_mut().files.append("notes", b"x").unwrap();
+        refused(&other, "notes");
+
+        // The segments it covered pruned, the manifest gone with them.
+        wal.borrow_mut().prune_through(4).unwrap();
+        medium.0.borrow_mut().files.remove(SNAPSHOT_FILE).unwrap();
+        refused(&medium, &segment_file_name(1));
+
+        // The whole journal recovers.
+        assert!(recover_node(&open(&whole), config(), vec![Box::new(KvStoreContract)]).is_ok());
     }
 }

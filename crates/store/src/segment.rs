@@ -18,8 +18,7 @@
 //! [`crc32`] — a re-export of [`drams_crypto::crc32::crc32`], which
 //! dispatches to a carry-less-multiplication kernel where the CPU has one
 //! and to slice-by-8 where it does not — is the one checksum routine
-//! under every WAL record, journal fold, Analyser snapshot and
-//! `drams-net` frame.
+//! under every WAL record, Analyser snapshot and `drams-net` frame.
 //!
 //! Recovery semantics ([`scan`]) distinguish two kinds of damage:
 //!
@@ -72,12 +71,12 @@ pub fn frame_record(payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(payload);
 }
 
-/// How a `walk_frames` pass ended short of the end of its bytes.
+/// How a [`scan`] ended short of the end of the segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameDamage {
     /// The bytes end inside a frame or inside its payload.
     Truncated,
-    /// The record at the walk's `valid_len` fails its checksum; its
+    /// The record at the scan's `valid_len` fails its checksum; its
     /// payload ends at byte `end`.
     Checksum {
         /// Offset one past the failing record's payload.
@@ -85,65 +84,22 @@ pub enum FrameDamage {
     },
 }
 
-/// Where a `walk_frames` pass stopped.
+/// Where a [`scan`] stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameWalk {
-    /// Offset one past the last intact record (the walk's start when
-    /// there is none).
+    /// Offset one past the last intact record (the end of the header
+    /// when there is none).
     pub valid_len: usize,
     /// Intact records visited.
     pub records: u64,
-    /// Why the walk stopped before the end of the bytes, if it did.
+    /// Why the scan stopped before the end of the bytes, if it did.
     pub damage: Option<FrameDamage>,
 }
 
-/// Walks the framed records of `bytes` from byte `start`, verifying each
-/// checksum and lending each payload — a slice of `bytes`, not a copy —
-/// to `visit` together with the offset of its frame. The walk stops at
-/// the first damaged frame and reports it; what the damage means (a torn
-/// tail to truncate, or corruption to refuse) is the caller's call.
-///
-/// # Errors
-///
-/// Only what `visit` returns.
-pub(crate) fn walk_frames<'a>(
-    bytes: &'a [u8],
-    start: usize,
-    mut visit: impl FnMut(usize, &'a [u8]) -> Result<(), StoreError>,
-) -> Result<FrameWalk, StoreError> {
-    let mut walk = FrameWalk {
-        valid_len: start,
-        records: 0,
-        damage: None,
-    };
-    let mut rest = bytes.get(start..).unwrap_or_default();
-    while !rest.is_empty() {
-        let framed = rest.split_first_chunk::<4>().and_then(|(len, rest)| {
-            let (crc, rest) = rest.split_first_chunk::<4>()?;
-            let len = u32::from_be_bytes(*len) as usize;
-            let (payload, rest) = rest.split_at_checked(len)?;
-            Some((u32::from_be_bytes(*crc), payload, rest))
-        });
-        let Some((crc, payload, after)) = framed else {
-            walk.damage = Some(FrameDamage::Truncated);
-            break;
-        };
-        let end = walk.valid_len + FRAME_LEN + payload.len();
-        if crc32(payload) != crc {
-            walk.damage = Some(FrameDamage::Checksum { end });
-            break;
-        }
-        visit(walk.valid_len, payload)?;
-        walk.valid_len = end;
-        walk.records += 1;
-        rest = after;
-    }
-    Ok(walk)
-}
-
-/// Scans a segment file's bytes: checks the header, then lends every
-/// intact record to `visit` with the offset of its frame, separating
-/// torn tails (recoverable) from mid-segment corruption (a typed error).
+/// Scans a segment file's bytes: checks the header, then verifies each
+/// record's checksum and lends every intact payload — a slice of
+/// `bytes`, not a copy — to `visit`, separating torn tails (recoverable)
+/// from mid-segment corruption (a typed error).
 /// Damage at the physical end of the file — the torn-tail shapes — is
 /// reported in the returned walk, whose `valid_len` is what the caller
 /// truncates to. A file shorter than a header yields placeholder header
@@ -159,7 +115,7 @@ pub(crate) fn walk_frames<'a>(
 pub fn scan<'a>(
     file: &str,
     bytes: &'a [u8],
-    visit: impl FnMut(usize, &'a [u8]) -> Result<(), StoreError>,
+    mut visit: impl FnMut(&'a [u8]) -> Result<(), StoreError>,
 ) -> Result<(SegmentHeader, FrameWalk), StoreError> {
     let corrupt = |offset: usize, reason: String| StoreError::Corrupt {
         file: file.to_string(),
@@ -191,7 +147,33 @@ pub fn scan<'a>(
         index: u64::from_be_bytes(head[8..16].try_into().expect("8 bytes")),
         first_seq: u64::from_be_bytes(head[16..24].try_into().expect("8 bytes")),
     };
-    let walk = walk_frames(bytes, HEADER_LEN, visit)?;
+    let mut walk = FrameWalk {
+        valid_len: HEADER_LEN,
+        records: 0,
+        damage: None,
+    };
+    let mut rest = &bytes[HEADER_LEN..];
+    while !rest.is_empty() {
+        let framed = rest.split_first_chunk::<4>().and_then(|(len, rest)| {
+            let (crc, rest) = rest.split_first_chunk::<4>()?;
+            let len = u32::from_be_bytes(*len) as usize;
+            let (payload, rest) = rest.split_at_checked(len)?;
+            Some((u32::from_be_bytes(*crc), payload, rest))
+        });
+        let Some((crc, payload, after)) = framed else {
+            walk.damage = Some(FrameDamage::Truncated);
+            break;
+        };
+        let end = walk.valid_len + FRAME_LEN + payload.len();
+        if crc32(payload) != crc {
+            walk.damage = Some(FrameDamage::Checksum { end });
+            break;
+        }
+        visit(payload)?;
+        walk.valid_len = end;
+        walk.records += 1;
+        rest = after;
+    }
     if let Some(FrameDamage::Checksum { end }) = walk.damage {
         // A checksum failure on the final record is a torn write of the
         // payload after the frame reached the medium; with bytes after
@@ -225,7 +207,7 @@ mod tests {
 
     fn scan(file: &str, bytes: &[u8]) -> Result<ScanOutcome, StoreError> {
         let mut records = Vec::new();
-        let (header, walk) = super::scan(file, bytes, |_, payload| {
+        let (header, walk) = super::scan(file, bytes, |payload| {
             records.push(payload.to_vec());
             Ok(())
         })?;

@@ -5,12 +5,10 @@
 //! every [`WalConfig::segment_records`] records; recovery on open repairs
 //! torn tails by truncation and rejects mid-log corruption with a typed
 //! error; [`Wal::prune_through`] deletes sealed segments made redundant
-//! by a snapshot. A consumer whose compacted state only ever grows (the
-//! chain node's journal, [`crate::persist`]) keeps it out of the
-//! snapshot: `Wal::fold_from` copies its live records, one segment's
-//! verified run of frames at a time, onto an append-only **fold file** of
-//! the same checksummed frames, and the snapshot shrinks to a manifest
-//! naming how much of that file is committed.
+//! by a snapshot. A consumer whose state is the whole log (the chain
+//! node's journal, [`crate::persist`]) takes no snapshot and prunes
+//! nothing: every record stays in its segment, where [`Wal::read_record`]
+//! reads it back by sequence number.
 //!
 //! [`Wal::append`] frames each record in a buffer the log keeps, so an
 //! append allocates nothing once that buffer has grown to the largest
@@ -63,7 +61,7 @@
 
 use crate::backend::{Backend, Durability};
 use crate::error::StoreError;
-use crate::segment::{frame_record, scan, walk_frames, SegmentHeader, FRAME_LEN, HEADER_LEN};
+use crate::segment::{frame_record, scan, SegmentHeader, HEADER_LEN};
 
 /// Prefix of segment file names (`seg-00000000.wal`, …).
 const SEGMENT_PREFIX: &str = "seg-";
@@ -71,8 +69,6 @@ const SEGMENT_PREFIX: &str = "seg-";
 const SEGMENT_SUFFIX: &str = ".wal";
 /// Name of the snapshot file a [`Wal`] (or [`SnapshotStore`]) manages.
 pub const SNAPSHOT_FILE: &str = "snapshot.snap";
-/// Name of the fold file a [`Wal`] manages (see `Wal::fold_from`).
-pub const FOLD_FILE: &str = "journal.fold";
 /// Prefix of the file names of a [`SnapshotStore`]'s generation records
 /// (`snapshot-gen-00000001.snap`, …).
 const GENERATION_PREFIX: &str = "snapshot-gen-";
@@ -130,6 +126,11 @@ impl SegInfo {
     }
 }
 
+/// Whether `name` is a segment file's name.
+fn is_segment(name: &str) -> bool {
+    name.starts_with(SEGMENT_PREFIX) && name.ends_with(SEGMENT_SUFFIX)
+}
+
 /// The file name of segment `index`.
 #[must_use]
 pub fn segment_file_name(index: u64) -> String {
@@ -184,13 +185,13 @@ impl Wal {
             .backend
             .list()
             .into_iter()
-            .filter(|n| n.starts_with(SEGMENT_PREFIX) && n.ends_with(SEGMENT_SUFFIX))
+            .filter(|n| is_segment(n))
             .collect();
         let mut segments: Vec<SegInfo> = Vec::new();
         for (i, name) in names.iter().enumerate() {
             let bytes = self.backend.read(name)?;
             let last = i + 1 == names.len();
-            let (header, walk) = scan(name, &bytes, |_, _| Ok(()))?;
+            let (header, walk) = scan(name, &bytes, |_| Ok(()))?;
             if walk.damage.is_some() {
                 if !last {
                     return Err(StoreError::Corrupt {
@@ -312,31 +313,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Seals the tail segment: the records appended so far stay in sealed
-    /// segments, which [`Wal::prune_through`] may delete, and later
-    /// appends go to a fresh tail. Without this a snapshot covering the
-    /// whole log still leaves the tail's bytes in place, to be read and
-    /// checksummed again by every later replay. A tail with no records is
-    /// left as it is.
-    ///
-    /// Both the old tail and the new header are synced whatever the
-    /// [`Durability`]: once the sealed segments are pruned, the header of
-    /// the new tail is the only durable trace of [`Wal::next_seq`], and a
-    /// new tail that survived a crash its predecessor's last records did
-    /// not would break the sequence continuity checked on open.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on backend failure.
-    pub(crate) fn seal_tail(&mut self) -> Result<(), StoreError> {
-        if self.segments.last().is_some_and(|tail| tail.records > 0) {
-            self.sync()?;
-            self.open_segment()?;
-            self.sync()?;
-        }
-        Ok(())
-    }
-
     /// Forces buffered appends to durable storage (a no-op under
     /// [`Durability::Flushed`], where every append already synced).
     ///
@@ -366,21 +342,17 @@ impl Wal {
     /// As [`Wal::replay`].
     pub fn replay_from(&self, from_seq: u64) -> Result<Vec<(u64, Vec<u8>)>, StoreError> {
         let mut out = Vec::new();
-        self.visit_from(from_seq, |seq, frame| {
-            out.push((seq, frame[FRAME_LEN..].to_vec()));
+        self.visit_from(from_seq, |seq, payload| {
+            out.push((seq, payload.to_vec()));
             Ok(())
         })?;
         Ok(out)
     }
 
     /// [`Wal::replay_from`] without the copies: lends each retained
-    /// record with `seq >= from_seq` to `visit`, in order, as its whole
-    /// frame — `len u32 | crc32 u32 | payload`, the payload at
-    /// `frame[FRAME_LEN..]` — sliced from the segment it was read from
-    /// once its checksum has been verified. A caller that keeps a record
-    /// framed (journal compaction) keeps these bytes and checksums
-    /// nothing again. An error from `visit` ends the walk and is
-    /// returned.
+    /// record with `seq >= from_seq` to `visit`, in order, sliced from the
+    /// segment it was read from once its checksum has been verified. An
+    /// error from `visit` ends the walk and is returned.
     ///
     /// # Errors
     ///
@@ -396,9 +368,9 @@ impl Wal {
             if info.end_seq() <= from_seq {
                 continue;
             }
-            self.visit_segment(info, |seq, _, frame| {
+            self.visit_segment(info, |seq, payload| {
                 if seq >= from_seq {
-                    visit(seq, frame)?;
+                    visit(seq, payload)?;
                 }
                 Ok(())
             })?;
@@ -426,34 +398,28 @@ impl Wal {
             )));
         };
         let mut record = Vec::new();
-        self.visit_segment(info, |this, _, frame| {
+        self.visit_segment(info, |this, payload| {
             if this == seq {
-                record.extend_from_slice(&frame[FRAME_LEN..]);
+                record.extend_from_slice(payload);
             }
             Ok(())
         })?;
         Ok(record)
     }
 
-    /// Lends every record of segment `info` to `visit` as `(seq, offset
-    /// of its frame, frame)`, in order, and checks that the segment still
-    /// holds every record it was indexed with. Returns the segment's
-    /// bytes, every frame in them verified.
+    /// Lends every record of segment `info` to `visit` as `(seq,
+    /// payload)`, in order, and checks that the segment still holds every
+    /// record it was indexed with.
     fn visit_segment(
         &self,
         info: &SegInfo,
-        mut visit: impl FnMut(u64, usize, &[u8]) -> Result<(), StoreError>,
-    ) -> Result<Vec<u8>, StoreError> {
+        mut visit: impl FnMut(u64, &[u8]) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
         let bytes = self.backend.read(&info.name)?;
         let mut seq = info.first_seq;
-        let (_, walk) = scan(&info.name, &bytes, |offset, payload| {
-            let this = seq;
+        let (_, walk) = scan(&info.name, &bytes, |payload| {
             seq += 1;
-            visit(
-                this,
-                offset,
-                &bytes[offset..offset + FRAME_LEN + payload.len()],
-            )
+            visit(seq - 1, payload)
         })?;
         if walk.damage.is_some() || walk.records != info.records {
             return Err(StoreError::Corrupt {
@@ -465,7 +431,40 @@ impl Wal {
                 ),
             });
         }
-        Ok(bytes)
+        Ok(())
+    }
+
+    /// Checks that this log is all there is of its consumer's state: its
+    /// backend holds no file but its segments, and no record was pruned.
+    /// A consumer that takes no snapshot (the chain node's journal,
+    /// [`crate::persist`]) recovers from the segments alone, so a log
+    /// that something beside them was meant to complete is not one it can
+    /// replay.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] naming the first file beside the segments,
+    /// or the first segment when the records before it were pruned.
+    pub(crate) fn check_whole(&self) -> Result<(), StoreError> {
+        let beside = self.backend.list().into_iter().find(|n| !is_segment(n));
+        if let Some(file) = beside {
+            return Err(StoreError::Corrupt {
+                file,
+                offset: 0,
+                reason: "a file beside the log's segments: the log is not the whole state".into(),
+            });
+        }
+        match self.segments.first() {
+            Some(first) if first.first_seq > 0 => Err(StoreError::Corrupt {
+                file: first.name.clone(),
+                offset: 0,
+                reason: format!(
+                    "the log starts at seq {}: the records before it were pruned",
+                    first.first_seq
+                ),
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// Deletes sealed (non-tail) segments whose every record has
@@ -516,104 +515,6 @@ impl Wal {
         read_snapshot_file(self.backend.as_ref(), SNAPSHOT_FILE)
     }
 
-    /// Appends every retained record with `seq >= from_seq` to this log's
-    /// fold file — the append-only home of compacted state that only ever
-    /// grows — in the frames the segments hold, and syncs it. Returns the
-    /// number of records appended and the file's new length, which the
-    /// caller commits by naming it in its next [`Wal::write_snapshot`].
-    ///
-    /// The segments are visited one at a time: each is read, every frame
-    /// in it verified ([`Wal::visit_from`]'s checks), and its run of
-    /// records from `from_seq` on appended with one backend append. The
-    /// fold file is synced once, after the last; no more than one segment
-    /// is held in memory. The segments themselves are left as they are.
-    ///
-    /// `committed_len` is the length the current snapshot names (0 when
-    /// there is none). Bytes past it were appended by a compaction whose
-    /// snapshot write never happened; they are cut off first.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`] when the fold file is shorter than
-    /// `committed_len` or a segment was damaged since open (the appends
-    /// before it stay uncommitted); [`StoreError::Io`] on backend failure.
-    pub(crate) fn fold_from(
-        &mut self,
-        committed_len: u64,
-        from_seq: u64,
-    ) -> Result<(u64, u64), StoreError> {
-        let len = self.backend.len(FOLD_FILE)?.unwrap_or(0);
-        if len < committed_len {
-            return Err(short_fold(len, committed_len));
-        }
-        if len > committed_len {
-            self.backend.truncate(FOLD_FILE, committed_len)?;
-        }
-        let (mut records, mut fold_len) = (0, committed_len);
-        let live = self.segments.partition_point(|s| s.end_seq() <= from_seq);
-        for at in live..self.segments.len() {
-            let info = &self.segments[at];
-            let first = from_seq.max(info.first_seq);
-            let mut start = None;
-            let bytes = self.visit_segment(info, |seq, offset, _| {
-                if seq == first {
-                    start = Some(offset);
-                }
-                Ok(())
-            })?;
-            records += info.end_seq() - first;
-            // The fresh tail of a sealed log holds no record.
-            if let Some(start) = start {
-                let run = &bytes[start..];
-                self.backend.append(FOLD_FILE, run)?;
-                fold_len += run.len() as u64;
-            }
-        }
-        if records > 0 {
-            self.backend.sync(FOLD_FILE)?;
-        }
-        Ok((records, fold_len))
-    }
-
-    /// Lends each record in the first `committed_len` bytes of the fold
-    /// file to `visit`, in order, with the offset of its frame; bytes past
-    /// `committed_len` are ignored (see [`Wal::fold_from`]). Returns the
-    /// number of records visited. An error from `visit` ends the walk and
-    /// is returned.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`] when the file is shorter than
-    /// `committed_len`, a record fails its checksum, or `committed_len`
-    /// falls inside a record.
-    pub(crate) fn visit_fold(
-        &self,
-        committed_len: u64,
-        visit: impl FnMut(usize, &[u8]) -> Result<(), StoreError>,
-    ) -> Result<u64, StoreError> {
-        if committed_len == 0 {
-            return Ok(0);
-        }
-        let bytes = match self.backend.read(FOLD_FILE) {
-            Ok(bytes) => bytes,
-            Err(StoreError::NotFound(_)) => Vec::new(),
-            Err(e) => return Err(e),
-        };
-        let committed = usize::try_from(committed_len)
-            .ok()
-            .and_then(|len| bytes.get(..len))
-            .ok_or_else(|| short_fold(bytes.len() as u64, committed_len))?;
-        let walk = walk_frames(committed, 0, visit)?;
-        match walk.damage {
-            None => Ok(walk.records),
-            Some(damage) => Err(StoreError::Corrupt {
-                file: FOLD_FILE.to_string(),
-                offset: walk.valid_len as u64,
-                reason: format!("fold record {} is damaged: {damage:?}", walk.records),
-            }),
-        }
-    }
-
     /// Models a crash of the owning process: the backend drops whatever
     /// a power cut would lose, then the log re-runs open-time recovery
     /// (truncating any torn tail this produced).
@@ -624,14 +525,6 @@ impl Wal {
     pub fn simulate_crash(&mut self) -> Result<(), StoreError> {
         self.backend.simulate_crash();
         self.recover()
-    }
-}
-
-fn short_fold(len: u64, committed_len: u64) -> StoreError {
-    StoreError::Corrupt {
-        file: FOLD_FILE.to_string(),
-        offset: len,
-        reason: format!("fold file ends before its committed length {committed_len}"),
     }
 }
 
@@ -803,6 +696,7 @@ impl SnapshotStore {
 mod tests {
     use super::*;
     use crate::backend::MemBackend;
+    use crate::segment::FRAME_LEN;
 
     fn mem_wal(segment_records: usize, durability: Durability) -> Wal {
         Wal::open(
@@ -989,34 +883,6 @@ mod tests {
     }
 
     #[test]
-    fn sealed_tail_can_be_pruned_and_next_seq_survives_a_crash() {
-        // Buffered: nothing is synced unless sealing does it.
-        let mut wal = mem_wal(4, Durability::Buffered);
-        wal.seal_tail().unwrap();
-        assert_eq!(wal.segment_count(), 0, "nothing to seal in an empty log");
-        for i in 0..6 {
-            wal.append(&payload(i)).unwrap();
-        }
-        wal.seal_tail().unwrap();
-        assert_eq!(wal.segment_count(), 3);
-        wal.seal_tail().unwrap();
-        assert_eq!(wal.segment_count(), 3, "an empty tail is left as it is");
-        // Every record is now in a sealed segment and can go; the empty
-        // tail carries the sequence across the crash.
-        assert_eq!(wal.prune_through(6).unwrap(), 2);
-        assert_eq!(wal.segment_count(), 1);
-        assert!(wal.is_empty());
-        wal.simulate_crash().unwrap();
-        assert_eq!(wal.next_seq(), 6);
-        assert_eq!(wal.append(&payload(6)).unwrap(), 6);
-        assert_eq!(wal.segment_count(), 1, "appends reuse the fresh tail");
-        // Sealed but not pruned: the sealed records were synced with it.
-        wal.seal_tail().unwrap();
-        wal.simulate_crash().unwrap();
-        assert_eq!(wal.replay().unwrap(), vec![(6, payload(6))]);
-    }
-
-    #[test]
     fn visit_from_lends_what_replay_from_copies() {
         let mut wal = mem_wal(3, Durability::Flushed);
         for i in 0..8 {
@@ -1024,22 +890,13 @@ mod tests {
         }
         for from in [0, 2, 3, 7, 8, 9] {
             let mut visited = Vec::new();
-            wal.visit_from(from, |seq, frame| {
-                visited.push((seq, frame.to_vec()));
+            wal.visit_from(from, |seq, record| {
+                visited.push((seq, record.to_vec()));
                 Ok(())
             })
             .unwrap();
-            // Each is the frame `append` wrote around the payload.
-            let expected: Vec<(u64, Vec<u8>)> = wal
-                .replay_from(from)
-                .unwrap()
-                .into_iter()
-                .map(|(seq, payload)| {
-                    let mut frame = Vec::new();
-                    frame_record(&payload, &mut frame);
-                    (seq, frame)
-                })
-                .collect();
+            // Each is the payload `append` took for that seq.
+            let expected: Vec<(u64, Vec<u8>)> = (from..8).map(|seq| (seq, payload(seq))).collect();
             assert_eq!(visited, expected, "from {from}");
             assert_eq!(visited.len() as u64, 8u64.saturating_sub(from));
         }
@@ -1153,75 +1010,6 @@ mod tests {
         assert_eq!(wal.segment_count(), 3);
         assert_eq!(wal.first_retained_seq(), 2);
         assert_eq!(wal.replay().unwrap().len(), 5);
-    }
-
-    #[test]
-    fn fold_file_counts_as_far_as_the_committed_length() {
-        let visit = |wal: &Wal, committed: u64| {
-            let mut seen = Vec::new();
-            let count = wal.visit_fold(committed, |offset, bytes| {
-                seen.push((offset, bytes.to_vec()));
-                Ok(())
-            })?;
-            assert_eq!(count, seen.len() as u64);
-            Ok::<_, StoreError>(seen)
-        };
-        let framed = |payloads: &[u64]| {
-            let mut out = Vec::new();
-            for &i in payloads {
-                frame_record(&payload(i), &mut out);
-            }
-            out
-        };
-        let mut wal = mem_wal(4, Durability::Flushed);
-        assert_eq!(
-            visit(&wal, 0).unwrap(),
-            vec![],
-            "no file, nothing committed"
-        );
-        for i in 0..2 {
-            wal.append(&payload(i)).unwrap();
-        }
-        let (records, first) = wal.fold_from(0, 0).unwrap();
-        assert_eq!((records, first), (2, framed(&[0, 1]).len() as u64));
-        for i in 2..5 {
-            wal.append(&payload(i)).unwrap();
-        }
-        // A fold whose length was never committed — records 2 and 3 from
-        // the middle of segment 0, 4 from segment 1...
-        let (records, abandoned) = wal.fold_from(first, 2).unwrap();
-        assert_eq!(
-            (records, abandoned - first),
-            (3, framed(&[2, 3, 4]).len() as u64)
-        );
-        assert_eq!(visit(&wal, first).unwrap().len(), 2, "...is not read...");
-        // ...and is cut off by the next one.
-        let (records, second) = wal.fold_from(first, 4).unwrap();
-        assert_eq!(records, 1);
-        let seen = visit(&wal, second).unwrap();
-        let offsets: Vec<usize> = seen.iter().map(|(offset, _)| *offset).collect();
-        assert_eq!(offsets, [0, framed(&[0]).len(), first as usize]);
-        assert_eq!(seen[2].1, payload(4));
-        // It survives a crash (it was synced) and a fold with nothing
-        // left to move.
-        wal.simulate_crash().unwrap();
-        assert_eq!(wal.fold_from(second, wal.next_seq()).unwrap(), (0, second));
-        assert_eq!(visit(&wal, second).unwrap(), seen);
-
-        // A committed length the file does not reach, or that ends inside
-        // a record, is corruption at the byte where the file gives out.
-        for (committed, blamed) in [(second + 1, second), (second - 1, first)] {
-            match visit(&wal, committed) {
-                Err(StoreError::Corrupt { file, offset, .. }) => {
-                    assert_eq!((file.as_str(), offset), (FOLD_FILE, blamed));
-                }
-                other => panic!("committed {committed}: {other:?}"),
-            }
-        }
-        assert!(matches!(
-            wal.fold_from(second + 1, wal.next_seq()),
-            Err(StoreError::Corrupt { offset, .. }) if offset == second
-        ));
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! 25,000 requests at 5,000 requests per second, seed 7 — the same way,
 //! and bounds the peak live heap of the counted run per request. The
 //! fourth does the same for the benchmark's `flash_crowd` shape, where
-//! every bounded-state mechanism is armed and the journal compacts every
-//! 8 blocks.
+//! every bounded-state mechanism is armed.
 //!
 //! The counters are per thread, so no test's tally sees another's
 //! allocations, nor the harness's own threads.
@@ -32,10 +31,11 @@ use drams::policy::compiled::PreparedPolicySet;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Allocations plus reallocations one `steady` request may cost (56.7
+/// Allocations plus reallocations one `steady` request may cost (56.0
 /// measured, the event loop reusing its emission buffers, each PDP slot
 /// its journal record, and contract storage sharing each entry's bytes
-/// with its transaction; 60.1 while storage copied every entry, 61.0
+/// with its transaction; 56.7 while each in-memory file was a run of
+/// 64 KiB chunks, 60.1 while storage copied every entry, 61.0
 /// while the PDP memoised its decisions, 63.5 while every contract event
 /// carried two heap strings).
 const BUDGET_PER_REQUEST: f64 = 80.0;
@@ -46,13 +46,16 @@ const BUDGET_PER_REQUEST: f64 = 80.0;
 /// copy of each as-sent response beside the journal's encoded one, 217.8
 /// while it also queued every decision for an eviction that retention 0
 /// never makes, 186.3 once it held only the journal position, 169.1
-/// without the PDP's decision cache, 146.8 since a run records issue
-/// times only while monitoring is on.
+/// without the PDP's decision cache, 146.8 once a run recorded issue
+/// times only while monitoring is on, 145.3 since each in-memory file is
+/// one `Vec`.
 const HEAP_BUDGET_PER_REQUEST: f64 = 160.0;
 
 /// Peak live heap, in bytes, one `flash_crowd` request may hold: its
 /// entries in the blocks, the node journal's medium and the stores the
-/// run keeps per request. 6,264 while contract storage held a copy of
+/// run keeps per request (4,462.2 measured). 4,522.1 while the node
+/// journal was compacted every eight blocks and each in-memory file was
+/// a run of 64 KiB chunks; 6,264 while contract storage held a copy of
 /// every stored entry beside its block's and each journal compaction
 /// gathered the whole live journal into one buffer.
 const FLASH_HEAP_BUDGET_PER_REQUEST: f64 = 5_000.0;
