@@ -999,7 +999,6 @@ mod tests {
         assert!(!honest.load.is_empty());
         assert!(honest.load.population > 0);
         assert!(honest.load.pep_inflight_cap > 0);
-        assert!(honest.load.li_resident_cap > 0);
         assert!(honest.load.idempotency_retention > 0);
         assert!(honest.load.analyser_retire_lag > 0);
         assert!(!honest.load.diurnal.is_empty());

@@ -145,11 +145,6 @@ pub struct Analyser {
     /// construction, [`Analyser::publish_prepared`] and a
     /// retention prune that dropped a version.
     history_dirty: bool,
-    /// Opt-in sibling-block sweep (see [`Analyser::enable_fork_detection`]).
-    /// Off by default: a library caller importing historical forks for
-    /// analysis must not be flooded with alerts. Provisioned, like
-    /// `bias`, and so are `retire_lag` and `history_retention`.
-    fork_detection: bool,
     /// Parent hashes whose sibling groups were already reported, so a
     /// persisting fork is alerted exactly once across polls (and across
     /// Analyser restarts — the set is checkpointed).
@@ -160,7 +155,8 @@ pub struct Analyser {
     /// the chain or re-raising alerts.
     checkpoint_store: SnapshotStore,
     /// Windowed decision-group retirement (see
-    /// [`Analyser::enable_group_retirement`]). `0` = off.
+    /// [`Analyser::enable_group_retirement`]). `0` = off. Provisioned,
+    /// like `bias`.
     retire_lag: SimTime,
     /// Position in the node's event log of the first judged
     /// `group.complete` not yet retired; never past `event_cursor`. The
@@ -171,6 +167,7 @@ pub struct Analyser {
     groups_retired: u64,
     /// Authorised-policy history retention (see
     /// [`Analyser::enable_history_retention`]). `0` = keep forever.
+    /// Provisioned, like `bias`.
     history_retention: SimTime,
     /// Decrypted payloads land here, one at a time: a poll reuses one
     /// buffer for every payload it opens.
@@ -232,7 +229,6 @@ impl Analyser {
             audited_txs: 0,
             history_generation: 0,
             history_dirty: true,
-            fork_detection: false,
             alerted_fork_parents: BTreeSet::new(),
             checkpoint_store: SnapshotStore::new(Box::new(MemBackend::new())),
             retire_lag: 0,
@@ -303,15 +299,10 @@ impl Analyser {
         self.groups_retired
     }
 
-    /// Turns on the sibling-block sweep: every poll reads the chain's
-    /// fork index for parents with more than one child — the signature of
-    /// a hostile history rewrite or an equivocating (Byzantine) miner —
-    /// and raises one [`AlertKind::MonitorCompromise`] per fork point. Off by
-    /// default so importing historical side chains stays alert-free; the
-    /// scenario runtime enables it.
-    pub fn enable_fork_detection(&mut self) {
-        self.fork_detection = true;
-    }
+    /// Does nothing: the sibling-block sweep is always on (every poll
+    /// raises one [`AlertKind::MonitorCompromise`] per fork point). Kept
+    /// because the frozen repo benchmark (`benchmark/`) calls it.
+    pub fn enable_fork_detection(&mut self) {}
 
     /// Sets the bias the deployment's PEPs enforce with, which the
     /// enforcement cross-check applies.
@@ -477,8 +468,8 @@ impl Analyser {
 
     /// Restarts the Analyser process in place: everything it holds in
     /// memory is lost, and it resumes from its own checkpoint store with
-    /// the key, keypair, enforcement bias, fork sweep, retirement lag and
-    /// history retention it was provisioned with. It
+    /// the key, keypair, enforcement bias, retirement lag and history
+    /// retention it was provisioned with. It
     /// reads the cursor record, then the policy-history generation that
     /// record names (see [`Analyser::checkpoint`] for the layout). The
     /// policy history is replayed through the verifier (reconstructing
@@ -580,7 +571,6 @@ impl Analyser {
         analyser.groups_retired = groups_retired;
         analyser.retire_cursor = retire_cursor;
         analyser.bias = self.bias;
-        analyser.fork_detection = self.fork_detection;
         analyser.retire_lag = self.retire_lag;
         analyser.history_retention = self.history_retention;
         std::mem::swap(&mut analyser.checkpoint_store, &mut self.checkpoint_store);
@@ -730,7 +720,7 @@ impl Analyser {
         alerts
     }
 
-    /// The opt-in sibling-block sweep: a private monitoring chain mined by
+    /// The sibling-block sweep: a private monitoring chain mined by
     /// one honest node is a pure line, so any parent with two or more
     /// children means the history was rewritten under the monitor (a
     /// hostile reorg) or a Byzantine miner equivocated. Each fork point is
@@ -739,9 +729,6 @@ impl Analyser {
     /// block import maintains, so a poll costs O(forks) — nothing on an
     /// honest chain — however many blocks are stored.
     fn sweep_forks(&mut self, node: &Node, now: SimTime) -> Vec<Alert> {
-        if !self.fork_detection {
-            return Vec::new();
-        }
         let mut alerts = Vec::new();
         for (parent, height, siblings) in node.chain().fork_points() {
             if !self.alerted_fork_parents.insert(*parent.as_bytes()) {
@@ -1231,14 +1218,18 @@ mod tests {
         }
         // The audit cursor's old tip is no longer on the main chain; the
         // hash-based walk re-audits from genesis without panicking or
-        // raising alerts (the fork's blocks are empty but validly mined).
+        // raising audit alerts (the fork's blocks are empty but validly
+        // mined). The sweep reports the fork at genesis, once.
         let alerts = r.analyser.poll(&mut r.node, 3_000);
-        assert!(alerts.is_empty(), "reorg audit alerts: {alerts:?}");
+        assert_eq!(alerts.len(), 1, "reorg alerts: {alerts:?}");
+        assert_eq!(alerts[0].kind, AlertKind::MonitorCompromise);
+        assert!(alerts[0].detail.starts_with("chain fork"), "{alerts:?}");
         // Empty fork blocks add no transactions to the audit counter.
         assert_eq!(r.analyser.audited_txs, audited_before);
-        // Subsequent polls resume incrementally from the new tip.
+        // Subsequent polls resume incrementally from the new tip, and the
+        // reported fork is not news.
         let tip = r.node.chain().tip_hash();
-        r.analyser.poll(&mut r.node, 3_100);
+        assert!(r.analyser.poll(&mut r.node, 3_100).is_empty());
         assert_eq!(r.node.chain().tip_hash(), tip);
     }
 
@@ -1247,7 +1238,6 @@ mod tests {
         use drams_chain::block::Block;
 
         let mut r = rig();
-        r.analyser.enable_fork_detection();
         assert!(r.analyser.poll(&mut r.node, 1_000).is_empty());
         // Two siblings of the height-1 block, and one of the next block.
         let genesis = r.node.chain().genesis_hash();
@@ -1788,26 +1778,21 @@ mod tests {
         assert!(small_attach[0].1 < 4096);
     }
 
-    /// The fork sweep, the retirement lag and the history retention are
-    /// provisioned, as the bias is: the checkpoint holds none of them, and
-    /// a crash restart keeps what the Analyser was provisioned with.
+    /// The retirement lag and the history retention are provisioned, as
+    /// the bias is: the checkpoint holds neither, and a crash restart
+    /// keeps what the Analyser was provisioned with.
     #[test]
     fn provisioned_settings_are_not_checkpointed() {
         let checkpointed = |provisioned: bool| {
             let mut r = rig();
             if provisioned {
-                r.analyser.enable_fork_detection();
                 r.analyser.enable_group_retirement(5_000);
                 r.analyser.enable_history_retention(10_000);
             }
             let backend = FaultyBackend::default();
             r.analyser.attach_checkpoint(backend.store()).unwrap();
             r.analyser.crash_restart().unwrap();
-            let settings = (
-                r.analyser.fork_detection,
-                r.analyser.retire_lag,
-                r.analyser.history_retention,
-            );
+            let settings = (r.analyser.retire_lag, r.analyser.history_retention);
             let files: Vec<_> = backend
                 .list()
                 .into_iter()
@@ -1818,8 +1803,8 @@ mod tests {
         let (provisioned, settings) = checkpointed(true);
         let (bare, bare_settings) = checkpointed(false);
         assert_eq!(provisioned, bare, "both records, byte for byte");
-        assert_eq!(settings, (true, 5_000, 10_000));
-        assert_eq!(bare_settings, (false, 0, 0));
+        assert_eq!(settings, (5_000, 10_000));
+        assert_eq!(bare_settings, (0, 0));
     }
 
     #[test]

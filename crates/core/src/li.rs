@@ -9,14 +9,13 @@
 //! through `LogEntryRef::open_payload_into`.
 //!
 //! An unflushed entry has one form in the LI: the canonical encoding
-//! [`LoggingInterface::store`] writes once, at the end of the resident
-//! buffer, and journals to the backlog WAL from there before the buffer
-//! accepts it. The first `resident_cap` encodings stay in the buffer,
-//! later ones only in the WAL. A flush submits the buffer behind a count
-//! as the `store_log_batch` payload, as it is; when entries spilled, it
-//! first reloads the WAL's unconsumed tail, record bytes as they lie.
-//! Write-ahead costs no allocation per entry once the buffer has grown
-//! to its working size.
+//! [`LoggingInterface::store`] writes once and journals to the backlog
+//! WAL. The WAL is the LI's only buffer; memory holds just how many
+//! entries it owes and their encoded size. A flush reads the WAL's
+//! unconsumed tail into the `store_log_batch` payload behind its count,
+//! record bytes as they lie, so a crash-restarted LI submits exactly what
+//! an uncrashed one would. Write-ahead costs no allocation per entry once
+//! the WAL's files have grown to their working size.
 
 use crate::contract::MONITOR_CONTRACT;
 use crate::logent::{LogEntry, LogEntryRef};
@@ -24,7 +23,7 @@ use drams_chain::error::ChainError;
 use drams_chain::node::Node;
 use drams_chain::tx::TxId;
 use drams_crypto::aead::SymmetricKey;
-use drams_crypto::codec::{Encode, Reader, Writer, MAX_VARINT_LEN};
+use drams_crypto::codec::{varint, Encode, Writer};
 use drams_crypto::schnorr::Keypair;
 use drams_store::{Durability, MemBackend, StoreError, Wal, WalConfig};
 
@@ -34,29 +33,23 @@ pub struct LoggingInterface {
     name: String,
     keypair: Keypair,
     batch_size: usize,
-    /// The canonical encodings of the resident entries, back to back in
-    /// store order: the next `store_log_batch` payload without its count.
-    resident: Writer,
-    /// How many entries `resident` holds.
-    resident_count: usize,
-    /// The durable backlog: every buffered entry is written ahead to
-    /// this WAL, and a successful flush snapshots the consumed sequence
-    /// and prunes sealed segments. A crashed LI reloads its unsubmitted
-    /// entries from here ([`LoggingInterface::crash_restart`]).
+    /// The canonical encoding of the entry [`LoggingInterface::store`] is
+    /// journaling, kept so that encoding reuses its capacity.
+    encoded: Writer,
+    /// The durable backlog and the only copy of every unflushed entry:
+    /// its last `unflushed` records. A successful flush snapshots the
+    /// consumed sequence and prunes sealed segments, and a crashed LI
+    /// counts what it still owes from here
+    /// ([`LoggingInterface::crash_restart`]).
     backlog: Wal,
+    /// How many entries the backlog holds past the consumed sequence.
+    unflushed: usize,
+    /// Their encodings' total length, which sizes the next payload.
+    unflushed_bytes: usize,
     /// While true the chain is unreachable (network partition): entries
-    /// keep journaling and buffering past the batch size, but nothing is
-    /// submitted until the link heals and a flush drains the spill.
+    /// keep journaling past the batch size, but nothing is submitted
+    /// until the link heals and a flush drains the backlog.
     offline: bool,
-    /// High-water mark for the in-memory buffer. Entries past it stay in
-    /// the backlog WAL only (they are journaled before buffering anyway)
-    /// and are reloaded at the next flush — the resident footprint is
-    /// bounded no matter how long an outage lasts. `usize::MAX` (the
-    /// default) keeps every entry resident.
-    resident_cap: usize,
-    /// Entries journaled to the backlog WAL but evicted from (or never
-    /// admitted to) the in-memory buffer.
-    spilled: usize,
 }
 
 impl LoggingInterface {
@@ -86,51 +79,29 @@ impl LoggingInterface {
             name: name.into(),
             keypair,
             batch_size,
-            resident: Writer::new(),
-            resident_count: 0,
+            encoded: Writer::new(),
             backlog: mem_wal(64),
+            unflushed: 0,
+            unflushed_bytes: 0,
             offline: false,
-            resident_cap: usize::MAX,
-            spilled: 0,
         }
     }
 
-    /// Caps the in-memory buffer at `cap` entries. Past the cap,
-    /// [`store`](Self::store) journals entries to the backlog WAL only
-    /// and the next flush reloads them. Entries already resident past the
-    /// cap leave memory the same way.
+    /// Does nothing: unflushed entries live only in the backlog WAL, so
+    /// there is no resident buffer to cap. Kept because the frozen repo
+    /// benchmark (`benchmark/`) calls it.
     ///
     /// # Panics
     ///
     /// Panics when `cap` is 0.
     pub fn set_resident_cap(&mut self, cap: usize) {
         assert!(cap > 0, "resident cap must be at least 1");
-        self.resident_cap = cap;
-        if self.resident_count > cap {
-            let mut r = Reader::new(self.resident.as_bytes());
-            for _ in 0..cap {
-                LogEntryRef::decode(&mut r).expect("the buffer holds whole entries");
-            }
-            let kept = self.resident.len() - r.remaining();
-            self.resident.truncate(kept);
-            self.spilled += self.resident_count - cap;
-            self.resident_count = cap;
-        }
-    }
-
-    /// Entries journaled and held in memory, not yet submitted. Entries
-    /// spilled past the resident cap are not included —
-    /// [`Self::buffered`] counts them.
-    #[must_use]
-    pub(crate) fn resident(&self) -> usize {
-        self.resident_count
     }
 
     /// Marks the chain link down (`true`) or healed (`false`). Going
-    /// offline turns [`store`](Self::store) into pure spill — entries
-    /// journal to the backlog WAL and accumulate in the buffer; coming
-    /// back online does **not** flush by itself, the owner's next flush
-    /// tick replays the spill in one batch.
+    /// offline turns [`store`](Self::store) into pure journaling;
+    /// coming back online does **not** flush by itself, the owner's next
+    /// flush tick replays the backlog in one batch.
     pub(crate) fn set_offline(&mut self, offline: bool) {
         self.offline = offline;
     }
@@ -143,19 +114,19 @@ impl LoggingInterface {
 
     /// Replaces the backlog WAL with `wal`, on another medium or under
     /// another durability policy. Call it before the first
-    /// [`store`](Self::store): entries journaled so far stay in the WAL
-    /// being replaced.
+    /// [`store`](Self::store): nothing may be buffered yet. Public because
+    /// the frozen repo benchmark (`benchmark/`) calls it.
     pub fn attach_backlog(&mut self, wal: Wal) {
+        debug_assert_eq!(self.unflushed, 0, "a backlog attached with entries owed");
         self.backlog = wal;
     }
 
     /// Restarts the LI process in place. Its memory is lost; its backlog
     /// WAL survives with whatever a power cut preserves under the WAL's
     /// durability policy. The entries journaled after the last flush
-    /// snapshot are reloaded, and those past the resident cap spill
-    /// again, so the next flush submits exactly what the crashed instance
-    /// still owed the chain. The submission counters and the peak restart
-    /// at zero (they are in-memory diagnostics), and the LI starts online.
+    /// snapshot are counted and checked to decode, so the next flush
+    /// submits exactly what the crashed instance still owed the chain.
+    /// The LI starts online. On an error the LI is left as it was.
     ///
     /// # Errors
     ///
@@ -163,34 +134,18 @@ impl LoggingInterface {
     /// journaled entry does not decode.
     pub(crate) fn crash_restart(&mut self) -> Result<(), StoreError> {
         self.backlog.simulate_crash()?;
-        self.reload(self.resident_cap)?;
-        self.offline = false;
-        Ok(())
-    }
-
-    /// Rebuilds the buffer from every entry journaled to the backlog WAL
-    /// since its last flush snapshot, in journal order: the first `cap`
-    /// resident, the rest counted as spilled. A record is copied as it
-    /// lies in the WAL once it decodes as an entry. On an error the LI is
-    /// left as it was.
-    fn reload(&mut self, cap: usize) -> Result<(), StoreError> {
         let consumed = self.backlog.read_snapshot()?.map_or(0, |(seq, _)| seq);
-        let mut resident = Writer::new();
-        let (mut count, mut spilled) = (0, 0);
+        let (mut count, mut bytes) = (0, 0);
         self.backlog.visit_from(consumed, |seq, record| {
             LogEntryRef::from_bytes(record)
                 .map_err(|e| StoreError::Codec(format!("backlog record {seq}: {e}")))?;
-            if count < cap {
-                resident.put_raw(record);
-                count += 1;
-            } else {
-                spilled += 1;
-            }
+            count += 1;
+            bytes += record.len();
             Ok(())
         })?;
-        self.resident = resident;
-        self.resident_count = count;
-        self.spilled = spilled;
+        self.unflushed = count;
+        self.unflushed_bytes = bytes;
+        self.offline = false;
         Ok(())
     }
 
@@ -200,39 +155,32 @@ impl LoggingInterface {
         &self.name
     }
 
-    /// Entries buffered (resident or spilled to the backlog WAL) but not
-    /// yet submitted.
+    /// Entries journaled to the backlog WAL but not yet submitted.
     #[must_use]
     pub fn buffered(&self) -> usize {
-        self.resident_count + self.spilled
+        self.unflushed
     }
 
-    /// Buffers an entry; when the batch is full, submits it to `node`.
+    /// Journals an entry; when the batch is full, submits it to `node`.
     ///
     /// Returns the transaction ids produced (empty while buffering).
     ///
     /// # Errors
     ///
-    /// Propagates submission failures; the buffer is preserved on error.
+    /// Propagates journaling and submission failures; the backlog is
+    /// preserved on error.
     pub fn store(&mut self, entry: LogEntry, node: &mut Node) -> Result<Vec<TxId>, ChainError> {
-        // Write-ahead: the entry is durable (per the WAL's durability
-        // policy) before the buffer accepts it.
-        let start = self.resident.len();
-        entry.encode(&mut self.resident);
-        if let Err(e) = self.backlog.append(&self.resident.as_bytes()[start..]) {
-            self.resident.truncate(start);
-            return Err(ChainError::Journal(e.to_string()));
+        self.encoded.clear();
+        entry.encode(&mut self.encoded);
+        let seq = self.backlog.next_seq();
+        let journaled = self.backlog.append(self.encoded.as_bytes());
+        // A record the WAL took is owed, even if its sync then failed.
+        if self.backlog.next_seq() > seq {
+            self.unflushed += 1;
+            self.unflushed_bytes += self.encoded.len();
         }
-        if self.resident_count < self.resident_cap {
-            self.resident_count += 1;
-        } else {
-            // Past the high-water mark: the entry is already durable in
-            // the WAL, so keep only its count in memory. The next flush
-            // reloads the full backlog before submitting.
-            self.resident.truncate(start);
-            self.spilled += 1;
-        }
-        if !self.offline && self.buffered() >= self.batch_size {
+        journaled.map_err(|e| ChainError::Journal(e.to_string()))?;
+        if !self.offline && self.unflushed >= self.batch_size {
             self.flush(node)
         } else {
             Ok(Vec::new())
@@ -245,50 +193,44 @@ impl LoggingInterface {
     ///
     /// # Errors
     ///
-    /// Propagates submission failures, with the buffer preserved — a
-    /// retry re-submits the same batch. A [`ChainError::Journal`] can
-    /// also surface *after* a successful
-    /// submission (the compaction bookkeeping failed): the buffer is
-    /// then already cleared and the entries are on-chain; the WAL still
-    /// covers them, so a later recovery may re-submit the batch, which
-    /// the contract's per-(correlation, point) storage keys absorb.
+    /// [`ChainError::Journal`] when the backlog cannot be read, and
+    /// submission failures; the backlog is kept, so a retry re-submits
+    /// the same batch. A [`ChainError::Journal`] after a successful
+    /// submission (a failed snapshot or prune) leaves the entries on-chain
+    /// and no longer owed; a later recovery may re-submit them, which the
+    /// contract's per-(correlation, point) storage keys absorb.
     pub fn flush(&mut self, node: &mut Node) -> Result<Vec<TxId>, ChainError> {
-        if self.buffered() == 0 || self.offline {
+        if self.unflushed == 0 || self.offline {
             return Ok(Vec::new());
         }
-        if self.spilled > 0 {
-            // Entries past the resident cap live only in the backlog
-            // WAL. Reload the whole unconsumed tail (resident entries
-            // were journaled in the same order, so a full rebuild keeps
-            // submission order identical to an uncapped LI).
-            self.reload(usize::MAX)
-                .map_err(|e| ChainError::Journal(e.to_string()))?;
-        }
-        // The payload is the count, then the resident encodings as they
-        // are, signed with the keypair's cached public key (no per-batch
-        // key re-derivation).
-        let entries = self.resident.as_bytes();
-        let mut payload = Writer::with_capacity(MAX_VARINT_LEN + entries.len());
-        payload.put_varint(self.resident_count as u64);
-        payload.put_raw(entries);
+        let journal = |e: StoreError| ChainError::Journal(e.to_string());
+        // The payload is the count, then the backlog's unconsumed records
+        // as they lie, in an exactly sized buffer, signed with the
+        // keypair's cached public key (no per-batch key re-derivation).
+        let (count, count_len) = varint(self.unflushed as u64);
+        let mut payload = Writer::with_capacity(count_len + self.unflushed_bytes);
+        payload.put_raw(&count[..count_len]);
+        let wal = &mut self.backlog;
+        wal.visit_from(wal.next_seq() - self.unflushed as u64, |_, record| {
+            payload.put_raw(record);
+            Ok(())
+        })
+        .map_err(journal)?;
         let id = node.submit_call(
             &self.keypair,
             MONITOR_CONTRACT,
             "store_log_batch",
             payload.into_bytes(),
         )?;
-        self.resident.clear();
-        self.resident_count = 0;
-        // Everything journaled so far is now owed by the chain, not by
-        // us: snapshot the consumed sequence and drop sealed segments. (A
-        // crash between the submit above and this marker cannot happen
-        // mid-call in the simulation; on real hardware it would
-        // re-submit, which the mempool's duplicate detection absorbs.)
-        let wal = &mut self.backlog;
+        self.unflushed = 0;
+        self.unflushed_bytes = 0;
+        // The chain now owes everything journaled so far: snapshot the
+        // consumed sequence and drop sealed segments. (A crash before the
+        // snapshot would re-submit, which duplicate detection absorbs.)
         let consumed = wal.next_seq();
         wal.write_snapshot(consumed, &[])
             .and_then(|()| wal.prune_through(consumed).map(|_| ()))
-            .map_err(|e| ChainError::Journal(e.to_string()))?;
+            .map_err(journal)?;
         Ok(vec![id])
     }
 }
@@ -364,22 +306,17 @@ mod tests {
         (li, probe)
     }
 
-    /// The resident entries, read in place from the buffer, which must
-    /// hold exactly that many whole entries.
-    fn resident_entries(li: &LoggingInterface) -> Vec<LogEntryRef<'_>> {
-        let mut r = Reader::new(li.resident.as_bytes());
-        let entries = (0..li.resident())
-            .map(|_| LogEntryRef::decode(&mut r).unwrap())
-            .collect();
-        r.finish().unwrap();
-        entries
-    }
-
+    /// The correlations of the entries the LI owes, in journal order,
+    /// read from its backlog's unconsumed tail.
     fn resident_correlations(li: &LoggingInterface) -> Vec<u64> {
-        resident_entries(li)
-            .iter()
-            .map(|e| e.correlation.0)
-            .collect()
+        let wal = &li.backlog;
+        let mut correlations = Vec::new();
+        wal.visit_from(wal.next_seq() - li.unflushed as u64, |_, record| {
+            correlations.push(LogEntryRef::from_bytes(record).unwrap().correlation.0);
+            Ok(())
+        })
+        .unwrap();
+        correlations
     }
 
     #[test]
@@ -535,84 +472,6 @@ mod tests {
         assert!(!li.is_offline(), "recovery starts optimistic");
     }
 
-    #[test]
-    fn resident_cap_spills_to_wal_and_flush_submits_everything_in_order() {
-        let mut n = node();
-        let (mut li, mut probe) = li(100);
-        li.attach_backlog(mem_wal(4));
-        li.set_resident_cap(3);
-        li.set_offline(true);
-        for corr in 1..=10 {
-            li.store(sample_entry(&mut probe, corr), &mut n).unwrap();
-        }
-        assert_eq!(li.buffered(), 10, "logical depth counts the spill");
-        assert_eq!(
-            resident_correlations(&li),
-            [1, 2, 3],
-            "resident stays capped"
-        );
-        assert_eq!(li.spilled, 7);
-        li.set_offline(false);
-        let ids = li.flush(&mut n).unwrap();
-        assert_eq!(ids.len(), 1);
-        assert_eq!(li.spilled, 0);
-        n.mine_block(100).unwrap();
-        let storage = n.host().storage_of(MONITOR_CONTRACT).unwrap();
-        assert_eq!(storage.scan_prefix(b"ent/").count(), 10);
-    }
-
-    #[test]
-    fn crash_with_spilled_entries_recovers_the_full_backlog() {
-        let mut n = node();
-        let (mut li, mut probe) = li(100);
-        li.attach_backlog(mem_wal(4));
-        li.set_resident_cap(2);
-        li.set_offline(true);
-        for corr in 1..=6 {
-            li.store(sample_entry(&mut probe, corr), &mut n).unwrap();
-        }
-        assert_eq!(li.spilled, 4);
-        li.crash_restart().unwrap();
-        assert_eq!(li.buffered(), 6, "spilled entries survive too");
-        assert_eq!(li.spilled, 4, "the restarted LI keeps its cap");
-        assert_eq!(
-            resident_correlations(&li),
-            [1, 2],
-            "the oldest stay resident"
-        );
-        let ids = li.flush(&mut n).unwrap();
-        assert_eq!(ids.len(), 1);
-        n.mine_block(100).unwrap();
-        let storage = n.host().storage_of(MONITOR_CONTRACT).unwrap();
-        assert_eq!(storage.scan_prefix(b"ent/").count(), 6);
-    }
-
-    #[test]
-    fn capping_a_recovered_li_spills_its_reloaded_backlog() {
-        let mut n = node();
-        let (mut li, mut probe) = li(100);
-        li.attach_backlog(mem_wal(4));
-        li.set_offline(true);
-        for corr in 1..=6 {
-            li.store(sample_entry(&mut probe, corr), &mut n).unwrap();
-        }
-        li.crash_restart().unwrap();
-        assert_eq!(
-            resident_correlations(&li),
-            [1, 2, 3, 4, 5, 6],
-            "journal order is submission order"
-        );
-        li.set_resident_cap(2);
-        assert_eq!(li.buffered(), 6);
-        assert_eq!(li.spilled, 4);
-        assert_eq!(resident_correlations(&li), [1, 2]);
-        let ids = li.flush(&mut n).unwrap();
-        assert_eq!(ids.len(), 1);
-        n.mine_block(100).unwrap();
-        let storage = n.host().storage_of(MONITOR_CONTRACT).unwrap();
-        assert_eq!(storage.scan_prefix(b"ent/").count(), 6);
-    }
-
     /// Every batch the main chain holds, as its entries, in block order.
     fn chain_batches(n: &Node) -> Vec<Vec<Vec<u8>>> {
         let mut out = Vec::new();
@@ -636,13 +495,12 @@ mod tests {
     }
 
     /// Twenty `store`s with a `flush` after every seventh, through an LI
-    /// of batch size 4 and resident cap 2. `crashes_after(step)` is how
+    /// of batch size 4. `crashes_after(step)` is how
     /// often the LI crash-restarts after that step (0 = before the first
     /// store); a final flush then drains it.
     fn scripted_run(crashes_after: impl Fn(u64) -> usize) -> Vec<Vec<Vec<u8>>> {
         let mut n = node();
         let (mut li, mut probe) = li(4);
-        li.set_resident_cap(2);
         for step in 0..=20 {
             if step > 0 {
                 li.store(sample_entry(&mut probe, step), &mut n).unwrap();
@@ -679,7 +537,6 @@ mod tests {
         Flush,
         Offline(bool),
         Crash,
-        Cap(usize),
     }
 
     /// Runs `steps` through an LI of batch size `batch`, checking that
@@ -708,10 +565,6 @@ mod tests {
                     li.crash_restart().unwrap();
                     Vec::new()
                 }
-                Step::Cap(cap) => {
-                    li.set_resident_cap(cap);
-                    Vec::new()
-                }
             };
             for id in ids {
                 let tx = n.pending_transactions().find(|tx| tx.id() == id).unwrap();
@@ -727,36 +580,26 @@ mod tests {
 
     #[test]
     fn every_payload_is_the_encoding_of_the_entries_stored_since_the_last() {
-        use Step::{Cap, Crash, Flush, Offline, Store};
+        use Step::{Crash, Flush, Offline, Store};
         let stores = |range: std::ops::RangeInclusive<u64>| range.map(Store);
         let plain: Vec<Step> = stores(1..=7).chain([Flush]).collect();
-        let capped: Vec<Step> = [Cap(2)]
-            .into_iter()
-            .chain(stores(1..=6))
-            .chain([Flush])
-            .collect();
+        let unbatched: Vec<Step> = stores(1..=6).chain([Flush]).collect();
         let healed: Vec<Step> = [Offline(true)]
             .into_iter()
             .chain(stores(1..=5))
             .chain([Flush, Offline(false), Flush])
             .chain(stores(6..=7))
             .collect();
-        let crashed_spill: Vec<Step> = [Cap(2), Offline(true)]
+        let crashed_offline: Vec<Step> = [Offline(true)]
             .into_iter()
             .chain(stores(1..=6))
             .chain([Crash, Flush])
             .collect();
-        let capped_after_crash: Vec<Step> = [Offline(true)]
-            .into_iter()
-            .chain(stores(1..=6))
-            .chain([Crash, Cap(2), Flush])
-            .collect();
         for (what, batch, steps, submissions) in [
             ("plain batches", 3, plain, 3),
-            ("resident cap with spill", 100, capped, 1),
+            ("a batch larger than the stores", 100, unbatched, 1),
             ("offline then heal", 2, healed, 2),
-            ("crash with spilled entries", 100, crashed_spill, 1),
-            ("cap set on a recovered LI", 100, capped_after_crash, 1),
+            ("crash while offline", 100, crashed_offline, 1),
         ] {
             assert_eq!(
                 submitted_payloads_are_the_stored_entries(batch, &steps),

@@ -242,7 +242,8 @@ pub struct MonitorReport {
     pub failovers: u64,
     /// Circuit-breaker Closed→Open transitions across all PEP views.
     pub breaker_trips: u64,
-    /// Entries an LI spilled to its WAL while the chain was unreachable.
+    /// Entries an LI journaled while the chain was unreachable, owed to
+    /// the chain in its backlog WAL until the link healed.
     pub li_spilled: u64,
     /// Spilled entries replayed to the chain after the partition healed.
     pub li_replayed: u64,
@@ -290,8 +291,8 @@ pub struct PeakState {
     /// As-sent responses held for idempotent retransmission answers
     /// across all PDP slots.
     pub pdp_idempotency: u64,
-    /// Log entries resident in LI memory (max over LIs; WAL spill not
-    /// counted — that is the bounded-memory escape hatch).
+    /// Log entries an LI has journaled to its backlog WAL and not yet
+    /// submitted (max over LIs).
     pub li_resident: u64,
     /// Decision groups queued for retirement in the Analyser's window.
     pub analyser_pending_retire: u64,

@@ -26,9 +26,6 @@ pub(super) struct LiService {
     slots: Vec<LiSlot>,
     flush_interval: SimTime,
     batch_size: usize,
-    /// High-water mark for LI in-memory buffers (0 = unbounded); past it
-    /// entries live in the backlog WAL only until the next flush.
-    resident_cap: usize,
     key: SymmetricKey,
 }
 
@@ -39,14 +36,12 @@ impl LiService {
         count: usize,
         flush_interval: SimTime,
         batch_size: usize,
-        resident_cap: usize,
         key: SymmetricKey,
     ) -> Self {
         let mut service = LiService {
             slots: Vec::new(),
             flush_interval,
             batch_size,
-            resident_cap,
             key,
         };
         for _ in 0..count {
@@ -57,15 +52,12 @@ impl LiService {
 
     fn push_li(&mut self) {
         let name = format!("li-{}", self.slots.len());
-        let mut li = LoggingInterface::new(
+        let li = LoggingInterface::new(
             name.clone(),
             self.key.clone(),
             Keypair::from_seed(name.as_bytes()),
             self.batch_size,
         );
-        if self.resident_cap > 0 {
-            li.set_resident_cap(self.resident_cap);
-        }
         self.slots.push(LiSlot {
             li,
             backlog: Vec::new(),
@@ -112,7 +104,7 @@ impl LiService {
             ctx.report.li_spilled += 1;
         }
         ctx.report.max_mempool = ctx.report.max_mempool.max(ctx.node.mempool_len());
-        ctx.report.peak.li_resident = ctx.report.peak.li_resident.max(slot.li.resident() as u64);
+        ctx.report.peak.li_resident = ctx.report.peak.li_resident.max(slot.li.buffered() as u64);
     }
 
     fn drain_backlog(&mut self, li: usize, ctx: &mut Ctx<'_>) {

@@ -188,7 +188,6 @@ pub fn run_scenario_with_transport<A: Adversary>(
         tenant_count + 1,
         config.li_flush_interval,
         config.li_batch_size,
-        load.li_resident_cap as usize,
         key.clone(),
     );
 
@@ -238,13 +237,8 @@ pub fn run_scenario_with_transport<A: Adversary>(
             probe_mac_keys,
         )
     };
-    // The scenario runtime's chain is mined by a single honest node, so
-    // any sibling block means a rewritten history or an equivocating
-    // miner — turn the sweep on (the alerted-fork set rides in the
-    // checkpoint, so a recovered Analyser does not re-alert known forks).
     // These settings are provisioned, not checkpointed: a crash restart
     // keeps them.
-    analyser.enable_fork_detection();
     analyser.set_enforcement_bias(config.bias);
     if load.analyser_retire_lag > 0 {
         // Windowed group retirement: evidence of verified groups is

@@ -163,8 +163,10 @@ pub struct LoadProfile {
     /// Admission-control cap on in-flight PEP requests; past it new
     /// arrivals are shed with a typed outcome. 0 = unbounded.
     pub pep_inflight_cap: u32,
-    /// High-water mark for LI in-memory buffers; past it entries spill
-    /// to the backlog WAL. 0 = unbounded.
+    /// Read by nothing: an LI's unflushed entries live only in its
+    /// backlog WAL, so there is no in-memory buffer to cap. Kept because
+    /// the frozen repo benchmark (`benchmark/`) sets it and `drams-fuzz`
+    /// still draws it, so the fuzz cases stay what they were.
     pub li_resident_cap: u32,
     /// Retention window of the PDP's journaled idempotency cache;
     /// entries older than this are evicted and the journal compacted.

@@ -13,31 +13,41 @@
 //! 25,000 requests at 5,000 requests per second, seed 7 — the same way,
 //! and bounds the peak live heap of the counted run per request. The
 //! fourth does the same for the benchmark's `flash_crowd` shape, where
-//! every bounded-state mechanism is armed.
+//! every bounded-state mechanism is armed. The fifth bounds the live heap
+//! a Logging Interface holds for the entries it has not yet submitted.
 //!
 //! The counters are per thread, so no test's tally sees another's
 //! allocations, nor the harness's own threads.
 //!
 //! Run with `--nocapture` to print the measured figures.
 
+use drams::chain::chain::ChainConfig;
+use drams::chain::node::Node;
 use drams::core::adversary::NoAdversary;
+use drams::core::li::LoggingInterface;
+use drams::core::logent::LogEntry;
 use drams::core::monitor::MonitorConfig;
 use drams::core::scenario::{
     run_scenario, DiurnalBand, FlashCrowd, LoadProfile, ScenarioSpec, MIN_RETENTION,
 };
+use drams::crypto::aead::SymmetricKey;
+use drams::crypto::codec::Encode;
+use drams::crypto::schnorr::Keypair;
 use drams::faas::des::MILLIS;
 use drams::faas::workload::{PolicyGenerator, PolicyShape, Vocabulary};
 use drams::policy::compiled::PreparedPolicySet;
+use drams_bench::log_entry_of_size;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Allocations plus reallocations one `steady` request may cost (56.0
+/// Allocations plus reallocations one `steady` request may cost (56.5
 /// measured, the event loop reusing its emission buffers, each PDP slot
 /// its journal record, and contract storage sharing each entry's bytes
-/// with its transaction; 56.7 while each in-memory file was a run of
-/// 64 KiB chunks, 60.1 while storage copied every entry, 61.0
-/// while the PDP memoised its decisions, 63.5 while every contract event
-/// carried two heap strings).
+/// with its transaction; 56.0 while each LI kept its unflushed entries in
+/// a resident buffer, so that a flush read no backlog segment back; 56.7
+/// while each in-memory file was a run of 64 KiB chunks, 60.1 while
+/// storage copied every entry, 61.0 while the PDP memoised its decisions,
+/// 63.5 while every contract event carried two heap strings).
 const BUDGET_PER_REQUEST: f64 = 80.0;
 
 /// Peak live heap, in bytes, one `monitoring_off` request may hold. The
@@ -53,12 +63,20 @@ const HEAP_BUDGET_PER_REQUEST: f64 = 160.0;
 
 /// Peak live heap, in bytes, one `flash_crowd` request may hold: its
 /// entries in the blocks, the node journal's medium and the stores the
-/// run keeps per request (4,462.2 measured). 4,522.1 while the node
+/// run keeps per request (4,456.6 measured). 4,462.2 while each LI also
+/// kept its unflushed entries in a resident buffer; 4,522.1 while the node
 /// journal was compacted every eight blocks and each in-memory file was
 /// a run of 64 KiB chunks; 6,264 while contract storage held a copy of
 /// every stored entry beside its block's and each journal compaction
 /// gathered the whole live journal into one buffer.
 const FLASH_HEAP_BUDGET_PER_REQUEST: f64 = 5_000.0;
+
+/// Live heap an LI may hold per byte of canonical encoding of the
+/// entries it owes the chain (1.11 measured: its backlog WAL's
+/// in-memory segments, their record framing and their growth slack; 2.74
+/// while it also kept each unflushed entry's encoding in a resident
+/// buffer beside the WAL).
+const LI_HEAP_PER_ENTRY_BYTE: f64 = 1.25;
 
 /// Allocations plus reallocations one compile of the 1,000-policy base
 /// may cost. Before each version was compiled into one arena it took
@@ -256,6 +274,37 @@ fn flash_crowd_request_stays_within_its_heap_budget() {
     assert!(
         per_request <= FLASH_HEAP_BUDGET_PER_REQUEST,
         "{per_request:.1} B of peak live heap per flash_crowd request, budget {FLASH_HEAP_BUDGET_PER_REQUEST}"
+    );
+}
+
+#[test]
+fn an_li_holds_each_unflushed_entry_once() {
+    // A batch no run of 4,000 stores fills: the LI only journals.
+    let mut node = Node::new(ChainConfig::default());
+    let mut li = LoggingInterface::new(
+        "li-heap",
+        SymmetricKey::from_bytes([9; 32]),
+        Keypair::from_seed(b"li-heap"),
+        1_000_000,
+    );
+    let entries: Vec<LogEntry> = (0..4_000).map(|i| log_entry_of_size(i, 128)).collect();
+    let canonical: usize = entries.iter().map(|e| e.to_canonical_bytes().len()).sum();
+    let before = LIVE.with(Cell::get);
+    for entry in &entries {
+        assert!(li.store(entry.clone(), &mut node).unwrap().is_empty());
+    }
+    let held = LIVE.with(Cell::get) - before;
+    assert_eq!(li.buffered(), entries.len());
+    #[allow(clippy::cast_precision_loss)]
+    let per_byte = held as f64 / canonical as f64;
+    println!(
+        "li: {per_byte:.2} B of live heap per byte of unflushed entry \
+         ({held} B for {canonical} B over {} entries; budget {LI_HEAP_PER_ENTRY_BYTE})",
+        entries.len()
+    );
+    assert!(
+        per_byte <= LI_HEAP_PER_ENTRY_BYTE,
+        "{per_byte:.2} B of live heap per byte of unflushed entry, budget {LI_HEAP_PER_ENTRY_BYTE}"
     );
 }
 
