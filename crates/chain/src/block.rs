@@ -4,6 +4,7 @@ use crate::error::ChainError;
 use crate::tx::Transaction;
 use drams_crypto::codec::{decode_seq, Decode, Encode, Reader, Writer};
 use drams_crypto::merkle::MerkleTree;
+use drams_crypto::schnorr::BatchVerifier;
 use drams_crypto::sha256::Digest;
 use drams_crypto::CryptoError;
 use serde::{Deserialize, Serialize};
@@ -137,31 +138,32 @@ impl Block {
         Ok(())
     }
 
-    /// Verifies every transaction signature in one batched pass.
+    /// Verifies every transaction signature, in block order, stopping at
+    /// the first that fails.
     ///
-    /// One [`drams_crypto::schnorr::batch_verify`] over the whole block,
-    /// which builds a fixed-base table once for each signer with four or
-    /// more transactions in it — blocks are dominated by a handful of
-    /// Logging Interface identities, so on this, the hot import path,
-    /// almost every verification is two table walks. Exactly equivalent
-    /// to verifying each transaction individually.
+    /// One [`BatchVerifier`] over the block's senders builds a fixed-base
+    /// table once for each signer with four or more transactions in it —
+    /// blocks are dominated by a handful of Logging Interface identities,
+    /// so on this, the hot import and audit path, almost every
+    /// verification is two table walks. Each transaction is checked as
+    /// two parts, its signing head (rebuilt in one buffer reused across
+    /// the block) and its shared payload where it lies, so the check holds
+    /// no copy of the block's signed bytes. Exactly equivalent to
+    /// verifying each transaction individually.
     ///
     /// # Errors
     ///
     /// [`ChainError::BadSignature`] if any transaction fails.
     pub fn verify_signatures(&self) -> Result<(), ChainError> {
-        let messages: Vec<Vec<u8>> = self
-            .transactions
-            .iter()
-            .map(Transaction::signing_bytes)
-            .collect();
-        let batch: Vec<_> = self
-            .transactions
-            .iter()
-            .zip(&messages)
-            .map(|(tx, msg)| (tx.sender, msg.as_slice(), tx.signature))
-            .collect();
-        drams_crypto::schnorr::batch_verify(&batch).map_err(|_| ChainError::BadSignature)
+        let mut verifier = BatchVerifier::new(self.transactions.iter().map(|tx| tx.sender));
+        let mut head = Writer::new();
+        for tx in &self.transactions {
+            tx.write_signing_head(&mut head);
+            verifier
+                .verify_parts(&tx.sender, &[head.as_bytes(), &tx.payload], &tx.signature)
+                .map_err(ChainError::from)?;
+        }
+        Ok(())
     }
 
     /// Total serialized size in bytes.

@@ -15,6 +15,14 @@ use std::collections::{HashMap, VecDeque};
 /// O(1) membership checks and per-sender pending counts — the paths the
 /// Logging Interfaces hit on every submission and the miner on every
 /// block.
+///
+/// A burst can fill the pool far past what it holds between bursts, and
+/// neither a `VecDeque` nor a `HashMap` gives room back on its own. So
+/// [`Mempool::take`] applies one fixed rule to the queue and both maps:
+/// one with room for more than four times what it holds plus
+/// [`SPARE_CAPACITY`] shrinks to what it holds. A pool that refills to
+/// about the same size every block stays within that and never
+/// reallocates; a mined burst gives its capacity back.
 #[derive(Debug, Default)]
 pub(crate) struct Mempool {
     queue: VecDeque<Transaction>,
@@ -24,6 +32,16 @@ pub(crate) struct Mempool {
     index: HashMap<TxId, PublicKey>,
     /// Pending transactions per sender (for nonce assignment).
     by_sender: HashMap<PublicKey, usize>,
+}
+
+/// Room a pool's queue or map may keep beyond four times what it holds
+/// before [`Mempool::take`] shrinks it.
+const SPARE_CAPACITY: usize = 64;
+
+/// Whether a collection with room for `capacity` that holds `held`
+/// should give the room back.
+fn oversized(capacity: usize, held: usize) -> bool {
+    capacity > 4 * held + SPARE_CAPACITY
 }
 
 impl Mempool {
@@ -67,12 +85,22 @@ impl Mempool {
         Ok(id)
     }
 
-    /// Takes up to `n` transactions in arrival order.
+    /// Takes up to `n` transactions in arrival order, then gives back
+    /// the room a burst left in the queue and maps (see [`Mempool`]).
     pub fn take(&mut self, n: usize) -> Vec<Transaction> {
         let n = n.min(self.queue.len());
         let taken: Vec<Transaction> = self.queue.drain(..n).collect();
         for tx in &taken {
             self.index_remove(&tx.id());
+        }
+        if oversized(self.queue.capacity(), self.queue.len()) {
+            self.queue.shrink_to(self.queue.len());
+        }
+        if oversized(self.index.capacity(), self.index.len()) {
+            self.index.shrink_to(self.index.len());
+        }
+        if oversized(self.by_sender.capacity(), self.by_sender.len()) {
+            self.by_sender.shrink_to(self.by_sender.len());
         }
         taken
     }
@@ -125,6 +153,7 @@ impl Mempool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tx::TxBody;
     use drams_crypto::schnorr::Keypair;
 
     fn tx(nonce: u64) -> Transaction {
@@ -197,6 +226,50 @@ mod tests {
         assert_eq!(pool.pending_from(&kp.public()), 2);
         let other = Keypair::from_seed(b"someone-else");
         assert_eq!(pool.pending_from(&other.public()), 0);
+    }
+
+    /// A mined burst gives its room back: after every `take` of 4,096
+    /// submissions from four senders, mined in blocks of 300, the queue
+    /// and both maps have room for at most four times what the pool
+    /// still holds plus the rule's constant, and the queue and index none
+    /// once it is empty.
+    #[test]
+    fn a_mined_burst_gives_back_its_capacity() {
+        let mut pool = Mempool::new();
+        let bodies: Vec<TxBody> = (0..4)
+            .map(|s| tx_from(format!("burst-{s}").as_bytes(), 0).into_body())
+            .collect();
+        for n in 0..4_096u64 {
+            let mut body = bodies[(n % 4) as usize].clone();
+            body.nonce = n;
+            pool.add(Transaction::from_body(body)).unwrap();
+        }
+        assert!(pool.queue.capacity() >= 4_096);
+        let within = |capacity: usize, held: usize| capacity <= 4 * held + SPARE_CAPACITY;
+        while pool.len() > 0 {
+            let before = pool.len();
+            assert_eq!(pool.take(300).len(), before.min(300));
+            assert!(within(pool.queue.capacity(), pool.len()));
+            assert!(within(pool.index.capacity(), pool.len()));
+            assert!(within(pool.by_sender.capacity(), pool.by_sender.len()));
+        }
+        assert_eq!(pool.queue.capacity(), 0);
+        assert_eq!(pool.index.capacity(), 0);
+    }
+
+    /// A pool that refills to the same size every block keeps its room:
+    /// the rule never shrinks what the next block's submissions regrow.
+    #[test]
+    fn a_pool_refilled_each_block_keeps_its_room() {
+        let mut pool = Mempool::new();
+        for block in 0..8u64 {
+            for n in 0..12 {
+                pool.add(tx(block * 12 + n)).unwrap();
+            }
+            let room = (pool.queue.capacity(), pool.index.capacity());
+            assert_eq!(pool.take(12).len(), 12);
+            assert_eq!((pool.queue.capacity(), pool.index.capacity()), room);
+        }
     }
 
     /// The id index and sender counts must stay consistent with the queue

@@ -20,9 +20,15 @@
 //! payload byte, and contract storage keeps a span of the very buffer the
 //! transaction carried instead of a copy of it (see
 //! [`crate::contract`]).
+//!
+//! The signature covers two parts: a short signing head (a domain tag,
+//! the sender, nonce, contract and method, and the payload's length
+//! varint) and then the payload. Signing and every verification hash the
+//! head from a small buffer and the payload where it lies, so no path
+//! joins them into a copy of the payload.
 
 use crate::error::ChainError;
-use drams_crypto::codec::{Decode, Encode, Reader, Writer};
+use drams_crypto::codec::{Decode, Encode, Reader, Writer, MAX_VARINT_LEN};
 use drams_crypto::schnorr::{Keypair, PublicKey, Signature};
 use drams_crypto::sha256::Digest;
 use serde::{Deserialize, Serialize};
@@ -105,8 +111,16 @@ impl Transaction {
         let contract = contract.into();
         let method = method.into();
         let payload = payload.into();
-        let signing = signing_bytes(&keypair.public(), nonce, &contract, &method, &payload);
-        let signature = keypair.sign(&signing);
+        let mut head = Writer::with_capacity(head_capacity(&contract, &method));
+        signing_head(
+            &mut head,
+            &keypair.public(),
+            nonce,
+            &contract,
+            &method,
+            payload.len(),
+        );
+        let signature = keypair.sign_parts(&[head.as_bytes(), &payload]);
         Transaction::from_body(TxBody {
             sender: keypair.public(),
             nonce,
@@ -146,25 +160,42 @@ impl Transaction {
     ///
     /// Returns [`ChainError::BadSignature`] when verification fails.
     pub fn verify_signature(&self) -> Result<(), ChainError> {
+        let mut head = Writer::with_capacity(head_capacity(&self.contract, &self.method));
+        self.write_signing_head(&mut head);
         self.sender
-            .verify(&self.signing_bytes(), &self.signature)
+            .verify_parts(&[head.as_bytes(), &self.payload], &self.signature)
             .map_err(ChainError::from)
     }
 
-    /// The exact bytes this transaction's Schnorr signature covers.
+    /// The exact bytes this transaction's Schnorr signature covers, its
+    /// signing head and payload joined into one new buffer.
     ///
-    /// Exposed so block validation can hand many transactions to one
-    /// [`drams_crypto::schnorr::batch_verify`] call, which shares a
-    /// fixed-base table among the transactions of each frequent sender.
+    /// No signing or validation path calls it: they hash the head and
+    /// the shared payload where each lies (block validation through
+    /// [`drams_crypto::schnorr::BatchVerifier`]). It is kept for callers
+    /// that want the signed bytes as one slice, such as a benchmark
+    /// timing [`drams_crypto::schnorr::batch_verify`].
     #[must_use]
     pub fn signing_bytes(&self) -> Vec<u8> {
-        signing_bytes(
+        let capacity = head_capacity(&self.contract, &self.method) + self.payload.len();
+        let mut bytes = Writer::with_capacity(capacity);
+        self.write_signing_head(&mut bytes);
+        bytes.put_raw(&self.payload);
+        bytes.into_bytes()
+    }
+
+    /// Replaces what `head` holds with this transaction's signing head:
+    /// the bytes its signature covers ahead of the payload.
+    pub(crate) fn write_signing_head(&self, head: &mut Writer) {
+        head.clear();
+        signing_head(
+            head,
             &self.sender,
             self.nonce,
             &self.contract,
             &self.method,
-            &self.payload,
-        )
+            self.payload.len(),
+        );
     }
 
     /// Approximate wire size in bytes (used by the log-size experiments).
@@ -202,21 +233,33 @@ impl std::fmt::Debug for Transaction {
     }
 }
 
-fn signing_bytes(
+/// The signing-head domain tag.
+const DOMAIN: &[u8] = b"drams.tx.v1";
+
+/// The most bytes a signing head for `contract` and `method` can take:
+/// the domain tag, the sender, the nonce, the two names and three
+/// varints.
+fn head_capacity(contract: &str, method: &str) -> usize {
+    DOMAIN.len() + 32 + 8 + contract.len() + method.len() + 3 * MAX_VARINT_LEN
+}
+
+/// Appends the signing head: everything the signature covers before the
+/// payload, ending with the payload's length varint (what
+/// [`Writer::put_bytes`] writes ahead of the payload's bytes).
+fn signing_head(
+    w: &mut Writer,
     sender: &PublicKey,
     nonce: u64,
     contract: &str,
     method: &str,
-    payload: &[u8],
-) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_raw(b"drams.tx.v1");
-    sender.encode(&mut w);
+    payload_len: usize,
+) {
+    w.put_raw(DOMAIN);
+    sender.encode(w);
     w.put_u64(nonce);
     w.put_str(contract);
     w.put_str(method);
-    w.put_bytes(payload);
-    w.into_bytes()
+    w.put_varint(payload_len as u64);
 }
 
 impl Encode for Transaction {

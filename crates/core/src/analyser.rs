@@ -584,8 +584,9 @@ impl Analyser {
     ///
     /// Also audits every newly committed block: the Analyser re-verifies
     /// all transaction signatures itself, one
-    /// [`drams_crypto::schnorr::batch_verify`] pass per block, rather
-    /// than trusting the node's import path — the monitoring plane is
+    /// [`drams_chain::block::Block::verify_signatures`] pass per block
+    /// (one transaction at a time, sharing each frequent signer's
+    /// fixed-base table), rather than trusting the node's import path — the monitoring plane is
     /// part of the paper's threat model, so log non-repudiation is
     /// checked by an independent component. The chain part of a poll
     /// costs what the blocks added since the last poll cost.

@@ -73,9 +73,15 @@ impl HmacKey {
     /// into the hash without joining them first.
     #[must_use]
     pub fn mac_parts(&self, parts: &[&[u8]]) -> Digest {
+        self.mac_iter(parts)
+    }
+
+    /// [`HmacKey::mac_parts`] over parts that need not sit in one slice.
+    #[must_use]
+    pub(crate) fn mac_iter(&self, parts: impl IntoIterator<Item = impl AsRef<[u8]>>) -> Digest {
         let mut inner = self.inner.clone();
         for part in parts {
-            inner.update(part);
+            inner.update(part.as_ref());
         }
         let mut outer = self.outer.clone();
         outer.update(inner.finalize().as_bytes());

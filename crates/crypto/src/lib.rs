@@ -22,9 +22,10 @@
 //!   REDC multiplication, fixed-window exponentiation and precomputed
 //!   fixed-base tables, property-tested equivalent to [`bignum`].
 //! * [`schnorr`] — Schnorr signatures over the quadratic-residue subgroup
-//!   of a fixed 256-bit safe prime, used to sign blockchain transactions;
-//!   includes [`schnorr::batch_verify`], which validates a block with one
-//!   fixed-base table per frequent signer.
+//!   of a fixed 256-bit safe prime, used to sign blockchain transactions.
+//!   A message may be signed and verified as parts hashed where they lie,
+//!   and [`schnorr::BatchVerifier`] validates a block one transaction at a
+//!   time with one fixed-base table per frequent signer.
 //! * [`crc32`] — IEEE CRC-32, the checksum under every WAL record, journal
 //!   fold, snapshot and wire frame (re-exported as
 //!   `drams_store::segment::crc32`).

@@ -18,7 +18,7 @@
 
 use crate::bignum::U256;
 use crate::codec::{Decode, Encode, Reader, Writer};
-use crate::hmac::hmac_sha256_parts;
+use crate::hmac::{hmac_sha256_parts, HmacKey};
 use crate::montgomery::{FixedBaseTable, MontCtx};
 use crate::sha256::{Digest, Sha256};
 use crate::CryptoError;
@@ -53,8 +53,8 @@ fn group_g() -> U256 {
 
 const DOMAIN: &[u8] = b"drams.schnorr.v1";
 
-/// Signatures one key needs in a batch before [`batch_verify`] builds it
-/// a [`FixedBaseTable`]: the table costs 960 Montgomery products and
+/// Signatures one key needs in a batch before a [`BatchVerifier`] builds
+/// it a [`FixedBaseTable`]: the table costs 960 Montgomery products and
 /// saves ≈ 270 per signature (a ≈ 60-product walk against the ≈ 330 of
 /// the window ladder), so it pays from the fourth signature on.
 const TABLE_MIN_SIGS: usize = 4;
@@ -161,24 +161,26 @@ impl SecretKey {
     /// loops to reuse a cached key.
     #[must_use]
     pub fn sign(&self, message: &[u8]) -> Signature {
-        self.sign_with_public_key(&self.public_key(), message)
+        self.sign_with_public_key(&self.public_key(), &[message])
     }
 
-    /// As [`SecretKey::sign`] with the caller supplying the (cached)
-    /// public key, skipping its re-derivation.
+    /// As [`SecretKey::sign`] over the concatenation of `message`'s parts,
+    /// with the caller supplying the (cached) public key, skipping its
+    /// re-derivation. The parts are hashed where they lie, never joined.
     ///
     /// The signature is byte-for-byte identical to [`SecretKey::sign`]
-    /// provided `pk` matches this secret; a mismatched `pk` yields a
-    /// signature that will not verify.
+    /// over the joined parts provided `pk` matches this secret; a
+    /// mismatched `pk` yields a signature that will not verify.
     #[must_use]
-    fn sign_with_public_key(&self, pk: &PublicKey, message: &[u8]) -> Signature {
+    fn sign_with_public_key(&self, pk: &PublicKey, message: &[&[u8]]) -> Signature {
         let g = group();
         let q = group_q();
-        let x_bytes = self.0.to_be_bytes();
+        let nonce_key = HmacKey::new(&self.0.to_be_bytes());
         let mut counter = 0u64;
         loop {
-            let k_hash =
-                hmac_sha256_parts(&x_bytes, &[b"drams.nonce", &counter.to_be_bytes(), message]);
+            let counter_bytes = counter.to_be_bytes();
+            let prefix: [&[u8]; 2] = [b"drams.nonce", &counter_bytes];
+            let k_hash = nonce_key.mac_iter(prefix.iter().chain(message));
             let k = g.q.reduce(&U256::from_be_bytes(*k_hash.as_bytes()));
             if k.is_zero() {
                 counter += 1;
@@ -220,7 +222,7 @@ impl SecretKey {
                 continue;
             }
             let r = group_g().mod_pow(&k, &p);
-            let e = challenge(&r, &pk, message);
+            let e = challenge(&r, &pk, &[message]);
             if e.is_zero() {
                 counter += 1;
                 continue;
@@ -242,15 +244,30 @@ impl PublicKey {
     ///
     /// Returns [`CryptoError::InvalidSignature`] when verification fails.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), CryptoError> {
+        self.verify_parts(&[message], signature)
+    }
+
+    /// Verifies `signature` over the concatenation of `message`'s parts,
+    /// hashing each where it lies: accepts exactly what
+    /// [`PublicKey::verify`] accepts over the joined bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::InvalidSignature`] when verification fails.
+    pub fn verify_parts(
+        &self,
+        message: &[&[u8]],
+        signature: &Signature,
+    ) -> Result<(), CryptoError> {
         self.verify_with(None, message, signature)
     }
 
-    /// [`PublicKey::verify`], raising this key through `y_table` (a
+    /// [`PublicKey::verify_parts`], raising this key through `y_table` (a
     /// fixed-base table of this key's element) when the caller has one.
     fn verify_with(
         &self,
         y_table: Option<&FixedBaseTable>,
-        message: &[u8],
+        message: &[&[u8]],
         signature: &Signature,
     ) -> Result<(), CryptoError> {
         let g = group();
@@ -298,7 +315,7 @@ impl PublicKey {
         let neg_e = q.wrapping_sub(signature.e);
         let y_neg_e = self.0.mod_pow(&neg_e, &p);
         let r = gs.mul_mod(y_neg_e, &p);
-        let e = challenge(&r, self, message);
+        let e = challenge(&r, self, &[message]);
         if e == signature.e {
             Ok(())
         } else {
@@ -378,6 +395,14 @@ impl Keypair {
     /// one exponentiation per signature over [`SecretKey::sign`]).
     #[must_use]
     pub fn sign(&self, message: &[u8]) -> Signature {
+        self.sign_parts(&[message])
+    }
+
+    /// Signs the concatenation of `message`'s parts, hashing each where it
+    /// lies: the signature is byte-for-byte [`Keypair::sign`]'s over the
+    /// joined bytes, and no joined copy is made.
+    #[must_use]
+    pub fn sign_parts(&self, message: &[&[u8]]) -> Signature {
         self.secret.sign_with_public_key(&self.public, message)
     }
 }
@@ -398,39 +423,81 @@ impl std::fmt::Display for BatchVerifyError {
 
 impl std::error::Error for BatchVerifyError {}
 
-/// Verifies a batch of signatures, naming the first that fails.
+/// Verifies the signatures of one batch one at a time, each over
+/// message parts hashed where they lie, sharing a key's work across the
+/// batch.
 ///
-/// Succeeds exactly when every individual [`PublicKey::verify`] would
-/// succeed, and is the same check: each commitment
-/// `Rᵢ = g^{sᵢ}·yᵢ^{-eᵢ}` is rebuilt and its hash challenge compared,
-/// one linear pass in batch order. The hash binding of `(e, s)`-form
-/// Schnorr pins each `Rᵢ` individually, so nothing can be aggregated
-/// across signatures; what a batch amortises is the *key*. Logging
-/// Interfaces sign many transactions with one key, so every key with at
-/// least four signatures in the batch gets its own [`FixedBaseTable`]
+/// Each verification is exactly [`PublicKey::verify_parts`]: its
+/// commitment `R = g^s·y^{-e}` is rebuilt and its hash challenge
+/// compared. The hash binding of `(e, s)`-form Schnorr pins each `R`
+/// individually, so nothing can be aggregated across signatures; what a
+/// batch amortises is the *key*. Logging Interfaces sign many
+/// transactions with one key, so every key with at least four
+/// signatures in the batch gets its own [`FixedBaseTable`] (32 KiB,
+/// built at its first verification and kept until the verifier drops)
 /// and its `y^{-e}` becomes a table walk like `g^s`; rarer keys keep the
-/// window ladder.
-///
-/// # Errors
-///
-/// [`BatchVerifyError`] naming the first failing index.
-pub fn batch_verify(items: &[(PublicKey, &[u8], Signature)]) -> Result<(), BatchVerifyError> {
-    let mut keys: HashMap<PublicKey, (usize, Option<FixedBaseTable>)> = HashMap::new();
-    for (pk, _, _) in items {
-        keys.entry(*pk).or_default().0 += 1;
+/// window ladder. A block audit builds one verifier from the block's
+/// senders and hands it one transaction's signing head and payload at a
+/// time, so it never holds a copy of the block's signed bytes.
+#[derive(Debug)]
+pub struct BatchVerifier {
+    /// Each signer's signatures in the batch, and its table once built.
+    keys: HashMap<PublicKey, (usize, Option<FixedBaseTable>)>,
+}
+
+impl BatchVerifier {
+    /// A verifier for a batch signed by `signers`, one item per
+    /// signature: it counts each key's signatures before verifying any.
+    pub fn new(signers: impl IntoIterator<Item = PublicKey>) -> Self {
+        let mut keys: HashMap<PublicKey, (usize, Option<FixedBaseTable>)> = HashMap::new();
+        for pk in signers {
+            keys.entry(pk).or_default().0 += 1;
+        }
+        BatchVerifier { keys }
     }
-    for (culprit, (pk, message, sig)) in items.iter().enumerate() {
-        let table = match keys.get_mut(pk) {
+
+    /// Verifies one signature of the batch over the concatenation of
+    /// `message`'s parts. Accepts exactly what [`PublicKey::verify`]
+    /// accepts over the joined bytes, with or without a table behind it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::InvalidSignature`] when verification fails.
+    pub fn verify_parts(
+        &mut self,
+        pk: &PublicKey,
+        message: &[&[u8]],
+        signature: &Signature,
+    ) -> Result<(), CryptoError> {
+        let table = match self.keys.get_mut(pk) {
             Some((count, table)) if *count >= TABLE_MIN_SIGS => {
                 Some(&*table.get_or_insert_with(|| FixedBaseTable::new(&group().p, &pk.0)))
             }
             _ => None,
         };
-        if pk.verify_with(table, message, sig).is_err() {
-            return Err(BatchVerifyError { culprit });
-        }
+        pk.verify_with(table, message, signature)
     }
-    Ok(())
+}
+
+/// Verifies a batch of signatures over whole messages, naming the first
+/// that fails: a [`BatchVerifier`] over the batch's keys, one linear pass
+/// in batch order. Succeeds exactly when every individual
+/// [`PublicKey::verify`] would succeed. Block validation hands its
+/// transactions to a [`BatchVerifier`] as parts instead; this form takes
+/// each message as one slice.
+///
+/// # Errors
+///
+/// [`BatchVerifyError`] naming the first failing index.
+pub fn batch_verify(items: &[(PublicKey, &[u8], Signature)]) -> Result<(), BatchVerifyError> {
+    let mut verifier = BatchVerifier::new(items.iter().map(|(pk, _, _)| *pk));
+    match items
+        .iter()
+        .position(|(pk, m, sig)| verifier.verify_parts(pk, &[m], sig).is_err())
+    {
+        Some(culprit) => Err(BatchVerifyError { culprit }),
+        None => Ok(()),
+    }
 }
 
 impl Signature {
@@ -464,12 +531,16 @@ impl Signature {
     }
 }
 
-fn challenge(r: &U256, pk: &PublicKey, message: &[u8]) -> U256 {
+/// The challenge hash over `message`'s parts in order, each hashed where
+/// it lies: the same digest as over their concatenation.
+fn challenge(r: &U256, pk: &PublicKey, message: &[&[u8]]) -> U256 {
     let mut h = Sha256::new();
     h.update(DOMAIN);
     h.update(&r.to_be_bytes());
     h.update(&pk.to_bytes());
-    h.update(message);
+    for part in message {
+        h.update(part);
+    }
     let digest = h.finalize();
     group().q.reduce(&U256::from_be_bytes(*digest.as_bytes()))
 }
@@ -591,7 +662,7 @@ mod tests {
         for s in (1u64..).map(U256::from_u64) {
             let gs = g.g_table.pow(&g.p, &s);
             for (r, odd) in [(gs, true), (group_p().wrapping_sub(gs), false)] {
-                let e = challenge(&r, &pk, message);
+                let e = challenge(&r, &pk, &[message]);
                 if !e.is_zero() && e.is_even() != odd {
                     return Signature { e, s };
                 }
@@ -670,6 +741,65 @@ mod tests {
                 items.iter().map(|(pk, m, sig)| (*pk, m.as_slice(), *sig)).collect();
             let first_failure = batch.iter().position(|(pk, m, sig)| pk.verify(m, sig).is_err());
             prop_assert_eq!(batch_verify(&batch).err().map(|e| e.culprit), first_failure);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A message signed or verified as parts is the joined message: cut
+        /// anywhere into a head and up to three payload pieces,
+        /// [`Keypair::sign_parts`] gives exactly [`Keypair::sign`]'s and
+        /// [`SecretKey::sign_reference`]'s signature over the joined
+        /// bytes, and [`PublicKey::verify_parts`] (alone or through a
+        /// tabled [`BatchVerifier`]) accepts and rejects exactly what
+        /// [`PublicKey::verify`] does, with a bit flipped in the head, in
+        /// the payload or nowhere.
+        #[test]
+        fn signing_and_verifying_parts_is_signing_and_verifying_the_joined_bytes(
+            message in prop::collection::vec(any::<u8>(), 1..400),
+            head_cut in any::<usize>(),
+            payload_cuts in prop::collection::vec(any::<usize>(), 0..3),
+            flip in prop::option::of((any::<bool>(), any::<usize>(), 0u8..8)),
+        ) {
+            let kp = keypair();
+            let split = |bytes: &[u8]| -> Vec<Vec<u8>> {
+                let head = head_cut % (bytes.len() + 1);
+                let mut cuts: Vec<usize> = payload_cuts
+                    .iter()
+                    .map(|c| head + c % (bytes.len() - head + 1))
+                    .collect();
+                cuts.sort_unstable();
+                let mut parts = vec![bytes[..head].to_vec()];
+                let mut at = head;
+                for cut in cuts.into_iter().chain([bytes.len()]) {
+                    parts.push(bytes[at..cut].to_vec());
+                    at = cut;
+                }
+                parts
+            };
+            let owned = split(&message);
+            let parts: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
+            let sig = kp.sign(&message);
+            prop_assert_eq!(kp.sign_parts(&parts), sig);
+            prop_assert_eq!(kp.secret().sign_reference(&message), sig);
+
+            let mut tampered = message.clone();
+            if let Some((in_head, at, bit)) = flip {
+                let head = owned[0].len();
+                let at = match (in_head && head > 0, message.len() > head) {
+                    (true, _) | (false, false) => at % head.max(1),
+                    (false, true) => head + at % (message.len() - head),
+                };
+                tampered[at] ^= 1 << bit;
+            }
+            let owned = split(&tampered);
+            let parts: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
+            let joined = kp.public().verify(&tampered, &sig);
+            prop_assert_eq!(joined.is_ok(), flip.is_none());
+            prop_assert_eq!(kp.public().verify_parts(&parts, &sig), joined);
+            let mut tabled = BatchVerifier::new([kp.public(); TABLE_MIN_SIGS]);
+            prop_assert_eq!(tabled.verify_parts(&kp.public(), &parts, &sig), joined);
         }
     }
 

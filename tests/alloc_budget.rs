@@ -14,15 +14,18 @@
 //! and bounds the peak live heap of the counted run per request. The
 //! fourth does the same for the benchmark's `flash_crowd` shape, where
 //! every bounded-state mechanism is armed. The fifth bounds the live heap
-//! a Logging Interface holds for the entries it has not yet submitted.
+//! a Logging Interface holds for the entries it has not yet submitted,
+//! and the sixth the heap a block's signature audit grows by.
 //!
 //! The counters are per thread, so no test's tally sees another's
 //! allocations, nor the harness's own threads.
 //!
 //! Run with `--nocapture` to print the measured figures.
 
+use drams::chain::block::Block;
 use drams::chain::chain::ChainConfig;
 use drams::chain::node::Node;
+use drams::chain::tx::Transaction;
 use drams::core::adversary::NoAdversary;
 use drams::core::li::LoggingInterface;
 use drams::core::logent::LogEntry;
@@ -33,6 +36,7 @@ use drams::core::scenario::{
 use drams::crypto::aead::SymmetricKey;
 use drams::crypto::codec::Encode;
 use drams::crypto::schnorr::Keypair;
+use drams::crypto::sha256::Digest;
 use drams::faas::des::MILLIS;
 use drams::faas::workload::{PolicyGenerator, PolicyShape, Vocabulary};
 use drams::policy::compiled::PreparedPolicySet;
@@ -40,14 +44,16 @@ use drams_bench::log_entry_of_size;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Allocations plus reallocations one `steady` request may cost (56.5
+/// Allocations plus reallocations one `steady` request may cost (52.8
 /// measured, the event loop reusing its emission buffers, each PDP slot
-/// its journal record, and contract storage sharing each entry's bytes
-/// with its transaction; 56.0 while each LI kept its unflushed entries in
-/// a resident buffer, so that a flush read no backlog segment back; 56.7
-/// while each in-memory file was a run of 64 KiB chunks, 60.1 while
-/// storage copied every entry, 61.0 while the PDP memoised its decisions,
-/// 63.5 while every contract event carried two heap strings).
+/// its journal record, contract storage sharing each entry's bytes with
+/// its transaction, and signing hashing each payload where it lies; 56.5
+/// while signing joined it into a grown copy, 56.0 while each LI kept its
+/// unflushed entries in a resident buffer, so that a flush read no
+/// backlog segment back; 56.7 while each in-memory file was a run of
+/// 64 KiB chunks, 60.1 while storage copied every entry, 61.0 while the
+/// PDP memoised its decisions, 63.5 while every contract event carried
+/// two heap strings).
 const BUDGET_PER_REQUEST: f64 = 80.0;
 
 /// Peak live heap, in bytes, one `monitoring_off` request may hold. The
@@ -63,13 +69,15 @@ const HEAP_BUDGET_PER_REQUEST: f64 = 160.0;
 
 /// Peak live heap, in bytes, one `flash_crowd` request may hold: its
 /// entries in the blocks, the node journal's medium and the stores the
-/// run keeps per request (4,456.6 measured). 4,462.2 while each LI also
+/// run keeps per request (3,299.7 measured). 4,456.6 while the Analyser's
+/// block audit copied each block's signed bytes and the mempool kept the
+/// room the burst had grown it to; 4,462.2 while each LI also
 /// kept its unflushed entries in a resident buffer; 4,522.1 while the node
 /// journal was compacted every eight blocks and each in-memory file was
 /// a run of 64 KiB chunks; 6,264 while contract storage held a copy of
 /// every stored entry beside its block's and each journal compaction
 /// gathered the whole live journal into one buffer.
-const FLASH_HEAP_BUDGET_PER_REQUEST: f64 = 5_000.0;
+const FLASH_HEAP_BUDGET_PER_REQUEST: f64 = 3_630.0;
 
 /// Live heap an LI may hold per byte of canonical encoding of the
 /// entries it owes the chain (1.11 measured: its backlog WAL's
@@ -77,6 +85,17 @@ const FLASH_HEAP_BUDGET_PER_REQUEST: f64 = 5_000.0;
 /// while it also kept each unflushed entry's encoding in a resident
 /// buffer beside the WAL).
 const LI_HEAP_PER_ENTRY_BYTE: f64 = 1.25;
+
+/// Bytes of one signer's fixed-base table in a block audit: 64 rows of 16
+/// 256-bit group elements.
+const KEY_TABLE_BYTES: i64 = 64 * 16 * 32;
+
+/// Heap a block's signature audit may grow by per transaction, beyond
+/// the fixed-base tables of its frequent signers (2.4 measured: the
+/// per-key counts and the one reused signing-head buffer, over 256
+/// transactions; 2,263.1 while the audit joined every transaction's
+/// signing head and payload into a copy before checking the first).
+const AUDIT_HEAP_PER_TX: i64 = 16;
 
 /// Allocations plus reallocations one compile of the 1,000-policy base
 /// may cost. Before each version was compiled into one arena it took
@@ -305,6 +324,47 @@ fn an_li_holds_each_unflushed_entry_once() {
     assert!(
         per_byte <= LI_HEAP_PER_ENTRY_BYTE,
         "{per_byte:.2} B of live heap per byte of unflushed entry, budget {LI_HEAP_PER_ENTRY_BYTE}"
+    );
+}
+
+#[test]
+fn auditing_a_block_holds_no_copy_of_its_signed_bytes() {
+    // 256 transactions with 2 KiB payloads from four senders, each of
+    // which signs enough of them to earn a fixed-base table.
+    let senders: Vec<Keypair> = (0..4)
+        .map(|k| Keypair::from_seed(format!("audit-{k}").as_bytes()))
+        .collect();
+    let transactions: Vec<Transaction> = (0..256)
+        .map(|i| {
+            let nonce = (i / 4) as u64;
+            let payload = vec![i as u8; 2_048];
+            Transaction::new_signed(
+                &senders[i % 4],
+                nonce,
+                "monitor",
+                "store_log_batch",
+                payload,
+            )
+        })
+        .collect();
+    let block = Block::mine(Digest::ZERO, 1, transactions, 0, 0);
+    // Warm up the group's own tables, built once per process.
+    block.verify_signatures().unwrap();
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    block.verify_signatures().unwrap();
+    let grown = PEAK.with(Cell::get) - before;
+    let tables = 4 * KEY_TABLE_BYTES;
+    let budget = tables + AUDIT_HEAP_PER_TX * 256;
+    #[allow(clippy::cast_precision_loss)]
+    let per_tx = (grown - tables) as f64 / 256.0;
+    println!(
+        "block audit: peak live heap grew {grown} B over 256 transactions of 2,048 B \
+         ({per_tx:.1} B per transaction beyond {tables} B of key tables; budget {AUDIT_HEAP_PER_TX})"
+    );
+    assert!(
+        grown <= budget,
+        "a 256-transaction block audit grew peak live heap by {grown} B, budget {budget} B"
     );
 }
 
