@@ -601,9 +601,11 @@ pub(crate) const GATES: [Gate; 46] = gates! {
     "e3_hybrid"               "hybrid"                   "max_window"                       Rule::Equals("period");
     // The speed bars of E5, E9 and E10: wall clock is noisy across
     // hosts, so each is loose and catches an order-of-magnitude slowdown
-    // against the committed run, not jitter.
+    // against the committed run, not jitter. E5 times a compile in
+    // interpreted decisions of the same base, taken in the same run, so
+    // a slower host, which slows both, does not move it.
     "e5_pdp_scaling"          "rows"                     "speedup_compiled_vs_interpreter"  Rule::AtLeastCommitted(0.5);
-    "e5_pdp_scaling"          "rows"                     "compile_ms"                       Rule::AtMostCommitted(2.0);
+    "e5_pdp_scaling"          "rows"                     "compile_per_decision"             Rule::AtMostCommitted(2.0);
     "e6_monitoring_overhead"  "off"                      "chain_txs"                        Rule::Zero;
     "e6_monitoring_overhead"  "on"                       "chain_txs"                        Rule::Positive;
     "e7_scale"                "rows"                     "completed"                        Rule::Equals("requests");

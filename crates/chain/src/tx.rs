@@ -148,10 +148,19 @@ impl Transaction {
     }
 
     /// The transaction id: SHA-256 of the canonical encoding, computed on
-    /// the first call.
+    /// the first call. The encoding is hashed as three parts where they
+    /// lie, never joined: the signing head after its domain tag (the
+    /// sender, nonce, contract, method and the payload's length varint,
+    /// as the encoding writes them), the shared payload, and the 64
+    /// signature bytes. Only the head is built, in a buffer of its own.
     #[must_use]
     pub fn id(&self) -> TxId {
-        *self.id.get_or_init(|| self.canonical_digest())
+        *self.id.get_or_init(|| {
+            let mut head = Writer::with_capacity(head_capacity(&self.contract, &self.method));
+            self.write_signing_head(&mut head);
+            let encoded_head = &head.as_bytes()[DOMAIN.len()..];
+            Digest::of_parts(&[encoded_head, &self.payload, &self.signature.to_bytes()])
+        })
     }
 
     /// Verifies the sender's signature.
@@ -371,6 +380,28 @@ mod tests {
         assert_eq!(cold, warm);
         assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
         assert_ne!(cold, tampered(tx(), |b| b.nonce = 1));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The id hashed in parts is the digest of the joined canonical
+        /// encoding, whatever the names, nonce and payload length (which
+        /// moves the length varint across its one-, two- and three-byte
+        /// forms).
+        #[test]
+        fn id_in_parts_is_the_canonical_digest(
+            nonce in proptest::prelude::any::<u64>(),
+            names in (0usize..40, 0usize..300),
+            payload_len in 0usize..20_000,
+            seed in proptest::prelude::any::<u8>(),
+        ) {
+            let (contract, method) = ("c".repeat(names.0), "m".repeat(names.1));
+            let payload: Vec<u8> = (0..payload_len).map(|i| (i as u8) ^ seed).collect();
+            let t = Transaction::new_signed(&keypair(), nonce, contract, method, payload);
+            proptest::prop_assert_eq!(t.id(), t.canonical_digest());
+            proptest::prop_assert_eq!(t.id(), Digest::of(&t.to_canonical_bytes()));
+        }
     }
 
     #[test]

@@ -8,6 +8,10 @@ use drams_faas::msg::CorrelationId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// The event the monitor contract's epoch sweep emits for each point of
+/// a timed-out group that has not arrived.
+pub(crate) const MISSING_LOG_EVENT: &str = "alert.missing_log";
+
 /// What kind of attack signature was detected.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AlertKind {
@@ -63,7 +67,7 @@ impl AlertKind {
         match self {
             AlertKind::RequestTampering => "alert.request_tampering",
             AlertKind::ResponseTampering => "alert.response_tampering",
-            AlertKind::MissingLog { .. } => "alert.missing_log",
+            AlertKind::MissingLog { .. } => MISSING_LOG_EVENT,
             AlertKind::ConflictingObservation { .. } => "alert.conflicting_observation",
             AlertKind::PolicyViolation => "alert.policy_violation",
             AlertKind::WrongPolicyVersion => "alert.wrong_policy_version",
@@ -121,6 +125,19 @@ impl Alert {
             detected_at,
             detail: detail.into(),
         }
+    }
+
+    /// The correlation of a `MissingLog` alert, read in place from its
+    /// canonical encoding; `None` for the bytes of any other alert.
+    pub(crate) fn missing_log_correlation(bytes: &[u8]) -> Option<CorrelationId> {
+        let mut r = Reader::new(bytes);
+        let code = r.get_u8().ok()?;
+        let _point = r.get_u8().ok()?;
+        let missing = AlertKind::MissingLog {
+            point: ObservationPoint::PepRequest,
+        };
+        (code == missing.code()).then_some(())?;
+        r.get_u64().ok().map(CorrelationId)
     }
 }
 
@@ -205,6 +222,12 @@ mod tests {
             assert_eq!(
                 Alert::from_canonical_bytes(&bytes).unwrap(),
                 alert,
+                "{kind:?}"
+            );
+            let missing = matches!(kind, AlertKind::MissingLog { .. });
+            assert_eq!(
+                Alert::missing_log_correlation(&bytes),
+                missing.then_some(CorrelationId(5)),
                 "{kind:?}"
             );
         }

@@ -14,7 +14,7 @@
 //! ref \[8\]), cross-checks the enforced outcome, and records every finding
 //! on-chain via `report_violation`.
 
-use crate::alert::{Alert, AlertKind};
+use crate::alert::{Alert, AlertKind, MISSING_LOG_EVENT};
 use crate::contract::{entry_key, GROUP_COMPLETE_EVENT, MONITOR_CONTRACT};
 use crate::logent::{LogEntryRef, ObservationPoint, ProbeId};
 use drams_analysis::verify::{DecisionVerifier, Verdict, Violation};
@@ -48,6 +48,33 @@ fn completed_group(event: &Event) -> Option<CorrelationId> {
     Reader::new(&event.data).get_u64().ok().map(CorrelationId)
 }
 
+/// The group an `alert.missing_log` event names: one the epoch sweep
+/// timed out. `None` for any other event.
+fn timed_out_group(event: &Event) -> Option<CorrelationId> {
+    if event.name != MISSING_LOG_EVENT {
+        return None;
+    }
+    Alert::missing_log_correlation(&event.data)
+}
+
+/// Each event of `events` that closes a group, with its position and the
+/// group: a `group.complete`, or the first of the `alert.missing_log`
+/// events the epoch sweep raises back to back for a group it times out,
+/// one per absent point. The sweep raises them in one transaction, so a
+/// slice that starts at a block boundary or at a closure, as both of the
+/// Analyser's cursors do, never starts inside such a run.
+fn closures(events: &[Event]) -> impl Iterator<Item = (usize, &Event, CorrelationId)> {
+    let mut swept = None;
+    events.iter().enumerate().filter_map(move |(i, event)| {
+        let timed_out = timed_out_group(event);
+        let first = timed_out.filter(|corr| swept != Some(*corr));
+        swept = timed_out;
+        first
+            .or_else(|| completed_group(event))
+            .map(|corr| (i, event, corr))
+    })
+}
+
 /// Writes an authorised policy version in the checkpoint's durable form:
 /// its version digest, then its canonical encoding — the bytes that
 /// digest was computed over, as the compiled version keeps them.
@@ -75,13 +102,14 @@ fn read_policy(r: &mut Reader<'_>) -> Result<Arc<PreparedPolicySet>, StoreError>
 
 /// Version byte of the checkpoint encoding, leading both of its records
 /// (layout: [`Analyser::checkpoint`]). [`Analyser::crash_restart`]
-/// refuses any other: version 7 also persisted the retirement queue, one
+/// refuses any other: version 8 did not count the groups the epoch sweep
+/// timed out; version 7 also persisted the retirement queue, one
 /// entry per unretired group, and a count of pruned policy versions;
 /// version 6 the provisioned fork, retirement and retention settings;
 /// version 5 held policies as parser source text, which did not
 /// round-trip every target to the same digest; earlier versions were
 /// one record.
-const CHECKPOINT_VERSION: u8 = 8;
+const CHECKPOINT_VERSION: u8 = 9;
 
 /// One probe's MAC key as the Analyser holds it: the raw bytes, which the
 /// checkpoint persists, and the context keyed from them once, which
@@ -128,6 +156,9 @@ pub struct Analyser {
     probe_mac_keys: BTreeMap<ProbeId, ProbeMacKey>,
     event_cursor: usize,
     checked_groups: u64,
+    /// Groups the epoch sweep timed out that the event cursor has passed:
+    /// with `checked_groups`, every closure a retirement walk names.
+    timed_out_groups: u64,
     /// Hash of the last main-chain block whose signatures were audited.
     /// A hash (not a height) so a reorg that swaps in blocks below the
     /// old tip forces a re-audit from the fork point.
@@ -158,10 +189,11 @@ pub struct Analyser {
     /// [`Analyser::enable_group_retirement`]). `0` = off. Provisioned,
     /// like `bias`.
     retire_lag: SimTime,
-    /// Position in the node's event log of the first judged
-    /// `group.complete` not yet retired; never past `event_cursor`. The
-    /// groups between the two cursors, with their block times, are the
-    /// retirement queue: it is read from the chain, not held here.
+    /// Position in the node's event log of the first closure (a
+    /// `group.complete`, or a timed-out group's first `alert.missing_log`)
+    /// not yet retired; never past `event_cursor`. The closures between
+    /// the two cursors, with their block times, are the retirement
+    /// queue: it is read from the chain, not held here.
     retire_cursor: usize,
     /// Correlations whose evidence retirement has been submitted on-chain.
     groups_retired: u64,
@@ -225,6 +257,7 @@ impl Analyser {
                 .collect(),
             event_cursor: 0,
             checked_groups: 0,
+            timed_out_groups: 0,
             audited_tip: drams_chain::block::BlockHash::ZERO,
             audited_txs: 0,
             history_generation: 0,
@@ -241,7 +274,7 @@ impl Analyser {
 
     /// Turns on authorised-policy history retention: after each poll,
     /// versions retired more than `retention` before the block time of
-    /// the oldest unretired completion (or `now` when none is) are dropped
+    /// the oldest unretired closure (or `now` when none is) are dropped
     /// from the verifier's history — the last unbounded structure under
     /// sustained policy churn.
     /// `retention` must cover the longest a legitimately in-flight
@@ -261,28 +294,31 @@ impl Analyser {
     }
 
     /// Turns on windowed decision-group tracking: a group stays in
-    /// contract storage for `lag` after the block that completed it
-    /// (covering late duplicates and retransmissions still inside the
-    /// PEP retry budget), then, once the Analyser has checked it, its
-    /// evidence is pruned on-chain via the contract's `retire_groups`.
+    /// contract storage for `lag` after the block that closed it, by
+    /// completing it or by timing it out (covering late duplicates and
+    /// retransmissions still inside the PEP retry budget), then, once the
+    /// Analyser has passed it, its evidence is pruned on-chain via the
+    /// contract's `retire_groups`.
     /// Off by default — retirement submits extra transactions, so
     /// deployments opt in when running under sustained load.
     pub fn enable_group_retirement(&mut self, lag: SimTime) {
         self.retire_lag = lag;
     }
 
-    /// Groups checked but not yet retired (0 while retirement is off).
+    /// Closures the event cursor has passed, completed or timed out,
+    /// whose groups are not yet retired (0 while retirement is off).
     #[must_use]
     pub(crate) fn pending_retirements(&self) -> usize {
         if self.retire_lag == 0 {
             return 0;
         }
-        self.checked_groups.saturating_sub(self.groups_retired) as usize
+        let closed = self.checked_groups + self.timed_out_groups;
+        closed.saturating_sub(self.groups_retired) as usize
     }
 
     /// The node's event-log position below which this Analyser reads no
-    /// event again: the retire cursor while retirement is on (the judged
-    /// groups above it are read again when they retire), else the event
+    /// event again: the retire cursor while retirement is on (the
+    /// closures above it are read again when they retire), else the event
     /// cursor. The log may release what lies below it.
     #[must_use]
     pub(crate) fn unread_events(&self) -> usize {
@@ -360,18 +396,18 @@ impl Analyser {
     /// re-checking — and thus re-reporting — groups completed since it
     /// was written).
     ///
-    /// # Layout (version 8)
+    /// # Layout (version 9)
     ///
     /// The checkpoint is two records in the one [`SnapshotStore`]:
     ///
     /// * the **cursor record** — the store's snapshot — holds everything
     ///   a poll moves: event cursor, checked-group and audit counters,
     ///   the audited tip hash, probe MAC keys, the alerted fork parents,
-    ///   the retire cursor and retired-group count, and the *generation
-    ///   number* of the history record it belongs with. Nothing in it is
-    ///   per group: the unretired groups are the chain's events between
-    ///   the two cursors. The settings the Analyser was provisioned with
-    ///   are not in it either. It is a few hundred bytes, whatever the
+    ///   the timed-out and retired group counts, the retire cursor, and
+    ///   the *generation number* of the history record it belongs with.
+    ///   Nothing in it is per group: the unretired groups are the chain's
+    ///   events between the two cursors. The settings the Analyser was
+    ///   provisioned with are not in it either. It is a few hundred bytes, whatever the
     ///   retirement backlog, and is written by every call.
     /// * the **policy-history record** — a generation record — holds the
     ///   verifier's authorised-policy history
@@ -455,6 +491,7 @@ impl Analyser {
         for parent in &self.alerted_fork_parents {
             w.put_raw(parent);
         }
+        w.put_u64(self.timed_out_groups);
         w.put_u64(self.groups_retired);
         w.put_u64(self.retire_cursor as u64);
         store.save(self.checked_groups, &w.into_bytes())?;
@@ -490,7 +527,7 @@ impl Analyser {
     /// [`StoreError::Corrupt`] when either record fails its length or
     /// checksum check or the history record belongs to another
     /// generation; [`StoreError::Codec`] when a record does not decode —
-    /// including any checkpoint version other than 8 and a retire cursor
+    /// including any checkpoint version other than 9 and a retire cursor
     /// past the event cursor — or a checkpointed policy does not compile
     /// to the version digest recorded beside it.
     pub(crate) fn crash_restart(&mut self) -> Result<(), StoreError> {
@@ -526,6 +563,7 @@ impl Analyser {
         for _ in 0..fork_parents {
             alerted_fork_parents.insert(r.get_array::<32>().map_err(codec)?);
         }
+        let timed_out_groups = r.get_u64().map_err(codec)?;
         let groups_retired = r.get_u64().map_err(codec)?;
         let retire_cursor = r.get_u64().map_err(codec)? as usize;
         r.finish().map_err(codec)?;
@@ -562,6 +600,7 @@ impl Analyser {
 
         analyser.event_cursor = event_cursor;
         analyser.checked_groups = checked_groups;
+        analyser.timed_out_groups = timed_out_groups;
         analyser.audited_tip = audited_tip;
         analyser.audited_txs = audited_txs;
         analyser.history_generation = history_generation;
@@ -593,11 +632,16 @@ impl Analyser {
     pub fn poll(&mut self, node: &mut Node, now: SimTime) -> Vec<Alert> {
         let mut audit_alerts = self.audit_new_blocks(node, now);
         audit_alerts.extend(self.sweep_forks(node, now));
-        let completed: Vec<CorrelationId> = {
-            let (events, cursor) = node.events_since(self.event_cursor);
-            self.event_cursor = cursor;
-            events.iter().filter_map(completed_group).collect()
-        };
+        let mut completed = Vec::new();
+        let (events, cursor) = node.events_since(self.event_cursor);
+        self.event_cursor = cursor;
+        for (_, event, corr) in closures(events) {
+            if event.name == GROUP_COMPLETE_EVENT {
+                completed.push(corr);
+            } else {
+                self.timed_out_groups += 1;
+            }
+        }
         let mut alerts = audit_alerts;
         // Judge in completion-event order: that is the order alerts are
         // reported and groups retire.
@@ -623,46 +667,47 @@ impl Analyser {
     }
 
     /// Drops policy versions retired more than the retention before
-    /// `reference`, the block time of the oldest unretired completion or
+    /// `reference`, the block time of the oldest unretired closure or
     /// the poll instant; see [`Analyser::enable_history_retention`].
     fn prune_policy_history(&mut self, reference: SimTime) {
         if self.history_retention == 0 {
             return;
         }
         // Any decision still able to reach a completed group was taken at
-        // or after the oldest unretired completion minus the retention
-        // floor; versions retired before that can no longer be
-        // legitimately cited.
+        // or after the oldest unretired closure (no later than the oldest
+        // unretired completion) minus the retention floor; versions
+        // retired before that can no longer be legitimately cited.
         let horizon = reference.saturating_sub(self.history_retention);
         self.history_dirty |= self.verifier.prune_history(horizon) > 0;
     }
 
-    /// Walks the judged events from the retire cursor, oldest first, and
-    /// retires every `group.complete` whose block is at least the lag
-    /// old, in as many `retire_groups` transactions of at most
-    /// [`RETIRE_BATCH_MAX`] correlations as that takes. It stops at the
-    /// first completion not yet due, so a poll leaves no due group for
-    /// later polls. Returns that completion's block time: `None` when
-    /// retirement is off or every judged group is retired.
+    /// Walks the passed events from the retire cursor, oldest first, and
+    /// retires the group of every closure ([`closures`]) whose block is
+    /// at least the lag old, in as many `retire_groups` transactions of
+    /// at most [`RETIRE_BATCH_MAX`] correlations as that takes. It stops
+    /// at the first closure not yet due, so a poll leaves no due group
+    /// for later polls. Returns that closure's block time: `None` when
+    /// retirement is off or every passed closure is retired.
     fn retire_due_groups(&mut self, node: &mut Node, now: SimTime) -> Option<SimTime> {
         if self.retire_lag == 0 {
             return None;
         }
         let (events, _) = node.events_since(self.retire_cursor);
+        let passed = &events[..(self.event_cursor - self.retire_cursor).min(events.len())];
+        let mut walked = passed.len();
         let mut due = Vec::new();
         let mut unretired = None;
-        for event in events.iter().take(self.event_cursor - self.retire_cursor) {
-            if let Some(corr) = completed_group(event) {
-                // `timestamp_ms` is the block's time: the scenario mines
-                // each block at its virtual instant.
-                if event.timestamp_ms.saturating_add(self.retire_lag) > now {
-                    unretired = Some(event.timestamp_ms);
-                    break;
-                }
-                due.push(corr);
+        for (i, event, corr) in closures(passed) {
+            // `timestamp_ms` is the block's time: the scenario mines
+            // each block at its virtual instant.
+            if event.timestamp_ms.saturating_add(self.retire_lag) > now {
+                unretired = Some(event.timestamp_ms);
+                walked = i;
+                break;
             }
-            self.retire_cursor += 1;
+            due.push(corr);
         }
+        self.retire_cursor += walked;
         self.groups_retired += due.len() as u64;
         for batch in due.chunks(RETIRE_BATCH_MAX) {
             let _ = node.submit_call(

@@ -27,22 +27,26 @@
 //!
 //! Every node runs this contract on every entry, so the per-entry path
 //! copies nothing, not even what it keeps. Entries are decoded as
-//! `LogEntryRef`s, borrowing their ciphertext from the payload; the
-//! value stored for an entry is its exact span of the payload, which the
-//! canonical codec makes equal to its re-encoding, stored as a span of
-//! the transaction's own payload buffer
-//! (`ExecutionContext::store_payload_span`) rather than a copy: the
-//! entry's bytes are held once, by the block, and a stored entry pins its
-//! transaction's payload until `retire_groups` removes it; the duplicate and
-//! sibling checks read a stored entry's digest in place
-//! (`LogEntry::stored_digest`); and storage keys are fixed-size arrays
-//! built on the stack (`ent/` + correlation + point, `grp/` +
-//! correlation, `open/` + correlation, `seq/` + PEP id), which contract
-//! storage holds inline.
+//! `LogEntryRef`s, borrowing their ciphertext from the payload. A stored
+//! entry is its exact span of the transaction's own payload buffer
+//! (`ExecutionContext::store_payload_span`), which the canonical codec
+//! makes equal to its re-encoding: the block holds its bytes once, and it
+//! pins that payload until `retire_groups` removes it. The duplicate and
+//! sibling checks read its digest in place (`LogEntry::stored_digest`).
+//!
+//! Storage holds one fact per key. Keys are fixed-size arrays built on
+//! the stack, ids big-endian, which contract storage holds inline:
+//! - `cfg/timeout` (8 bytes), `cfg/analyser` and `cfg/admin` (addresses);
+//! - `seq/` ‖ PEP id: the PEP's mark (8 bytes);
+//! - `grp/` ‖ correlation: one byte, the mask of the points that have
+//!   arrived, from the group's opening until `retire_groups`;
+//! - `open/` ‖ correlation: the group's first-seen time (8 bytes), there
+//!   exactly while the group is open; the sweep scans these in order;
+//! - `ent/` ‖ correlation ‖ point code: one stored entry.
 
 use crate::alert::{Alert, AlertKind};
 use crate::logent::{LogEntry, LogEntryRef, ObservationPoint};
-use drams_chain::contract::{ExecutionContext, SmartContract};
+use drams_chain::contract::{ExecutionContext, SmartContract, Storage};
 use drams_crypto::codec::{Decode, Encode, Reader, Writer};
 use drams_crypto::sha256::Digest;
 use drams_faas::model::PepId;
@@ -66,38 +70,6 @@ pub struct MonitorContract;
 /// four): the contract cannot check probe MACs, so a forged number must
 /// not make it open millions of groups.
 const MAX_GAP: u64 = 1_024;
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct GroupState {
-    first_seen: u64,
-    mask: u8,
-    closed: bool,
-}
-
-impl GroupState {
-    fn encode(self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(10);
-        w.put_u64(self.first_seen);
-        w.put_u8(self.mask);
-        w.put_bool(self.closed);
-        w.into_bytes()
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self, String> {
-        let mut r = Reader::new(bytes);
-        let state = GroupState {
-            first_seen: r.get_u64().map_err(|e| e.to_string())?,
-            mask: r.get_u8().map_err(|e| e.to_string())?,
-            closed: r.get_bool().map_err(|e| e.to_string())?,
-        };
-        r.finish().map_err(|e| e.to_string())?;
-        Ok(state)
-    }
-
-    fn is_complete(self) -> bool {
-        self.mask == 0b1111
-    }
-}
 
 /// `tag` followed by `id` big-endian, in a stack buffer of `N` bytes.
 fn tagged_key<const N: usize>(tag: &[u8], id: u64) -> [u8; N] {
@@ -127,6 +99,24 @@ fn open_key(correlation: CorrelationId) -> [u8; 13] {
 /// carry, one past the highest the contract has seen.
 fn mark_key(pep: PepId) -> [u8; 12] {
     tagged_key(b"seq/", u64::from(pep.0))
+}
+
+/// A stored 8-byte value read back (a timeout, a mark, a first-seen
+/// time, or the id in an `open/` key); `what` names it in the error.
+fn read_u64(bytes: &[u8], what: impl std::fmt::Display) -> Result<u64, String> {
+    let bytes = bytes
+        .try_into()
+        .map_err(|_| format!("{what} is not 8 bytes"))?;
+    Ok(u64::from_be_bytes(bytes))
+}
+
+/// The mask of a group's arrived points; `None` when it has no record.
+fn group_mask(storage: &Storage, correlation: CorrelationId) -> Result<Option<u8>, String> {
+    match storage.get(&group_key(correlation)) {
+        None => Ok(None),
+        Some(&[mask]) => Ok(Some(mask)),
+        Some(_) => Err(format!("record of group {correlation} is not one byte")),
+    }
 }
 
 impl MonitorContract {
@@ -172,16 +162,12 @@ impl MonitorContract {
     /// Builds the payload for the `set_timeout` method.
     #[must_use]
     pub(crate) fn set_timeout_payload(timeout_us: u64) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u64(timeout_us);
-        w.into_bytes()
+        timeout_us.to_be_bytes().to_vec()
     }
 
     fn handle_set_timeout(ctx: &mut ExecutionContext<'_>, payload: &[u8]) -> Result<(), String> {
         Self::check_sender(ctx, b"cfg/admin", "contract admin")?;
-        let mut r = Reader::new(payload);
-        let timeout = r.get_u64().map_err(|e| e.to_string())?;
-        r.finish().map_err(|e| e.to_string())?;
+        let timeout = read_u64(payload, "the set_timeout payload")?;
         if timeout == 0 {
             return Err("timeout must be positive".into());
         }
@@ -204,18 +190,13 @@ impl MonitorContract {
         let now = ctx.timestamp_ms;
         let (pep, n) = entry.correlation.pep_number();
         let mark = match ctx.storage.get(&mark_key(pep)) {
-            Some(bytes) => u64::from_be_bytes(
-                bytes
-                    .try_into()
-                    .map_err(|_| format!("mark of pep {} is not 8 bytes", pep.0))?,
-            ),
+            Some(bytes) => read_u64(bytes, format_args!("mark of pep {}", pep.0))?,
             None => 0,
         };
-        let gkey = group_key(entry.correlation);
-        let stored_group = ctx.storage.get(&gkey).map(GroupState::decode).transpose()?;
+        let stored_mask = group_mask(ctx.storage, entry.correlation)?;
         // Below the mark, no record means retired: the group went through
         // every check and was pruned, so a late duplicate is a no-op.
-        if stored_group.is_none() && n < mark {
+        if stored_mask.is_none() && n < mark {
             return Ok(());
         }
         let ekey = entry_key(entry.correlation, entry.point);
@@ -242,8 +223,10 @@ impl MonitorContract {
         ctx.store_payload_span(&ekey, span);
         Self::advance_mark(ctx, entry.correlation, mark)?;
 
-        let mut group = stored_group.unwrap_or_else(|| Self::open_group(ctx, entry.correlation));
-        group.mask |= entry.point.bit();
+        if stored_mask.is_none() {
+            Self::open_group(ctx, entry.correlation);
+        }
+        let mask = stored_mask.unwrap_or(0) | entry.point.bit();
 
         // Checks 1 and 2: the request digests (PEP sent, PDP received) and
         // the response digests (PDP sent, PEP received) must match. An
@@ -270,7 +253,7 @@ impl MonitorContract {
         } else {
             sender
         };
-        if group.mask & sibling.bit() != 0 {
+        if mask & sibling.bit() != 0 {
             let stored = Self::stored_digest(ctx, entry.correlation, sibling)?;
             let (sent, received) = if entry.point == sender {
                 (entry.digest, stored)
@@ -290,28 +273,24 @@ impl MonitorContract {
             }
         }
 
-        // Check 3: completeness.
-        if group.is_complete() && !group.closed {
-            group.closed = true;
-            ctx.storage.remove(&open_key(entry.correlation));
+        // Check 3: completeness. Completion closes the group unless the
+        // sweep already has: only an open group has an `open/` key.
+        if mask == 0b1111 && ctx.storage.remove(&open_key(entry.correlation)) {
             ctx.emit(
                 GROUP_COMPLETE_EVENT,
                 entry.correlation.0.to_be_bytes().to_vec(),
             );
         }
-        ctx.storage.insert(&gkey, group.encode());
+        ctx.storage
+            .insert(&group_key(entry.correlation), vec![mask]);
         Ok(())
     }
 
-    /// An empty group for `correlation`, first seen now, registered
-    /// with the epoch sweep. The caller stores it.
-    fn open_group(ctx: &mut ExecutionContext<'_>, correlation: CorrelationId) -> GroupState {
-        ctx.storage.insert(&open_key(correlation), Vec::new());
-        GroupState {
-            first_seen: ctx.timestamp_ms,
-            mask: 0,
-            closed: false,
-        }
+    /// Registers a new group for `correlation` with the epoch sweep,
+    /// first seen now. The caller stores its mask.
+    fn open_group(ctx: &mut ExecutionContext<'_>, correlation: CorrelationId) {
+        let first_seen = ctx.timestamp_ms.to_be_bytes().to_vec();
+        ctx.storage.insert(&open_key(correlation), first_seen);
     }
 
     /// The gap rule. A PEP numbers its requests densely from 0
@@ -342,8 +321,8 @@ impl MonitorContract {
         for skipped in (mark..n).map(|k| CorrelationId::numbered(pep, k)) {
             let gkey = group_key(skipped);
             if ctx.storage.get(&gkey).is_none() {
-                let group = Self::open_group(ctx, skipped);
-                ctx.storage.insert(&gkey, group.encode());
+                Self::open_group(ctx, skipped);
+                ctx.storage.insert(&gkey, vec![0]);
             }
         }
         ctx.storage
@@ -364,36 +343,27 @@ impl MonitorContract {
         LogEntry::stored_digest(bytes).map_err(|e| e.to_string())
     }
 
+    /// The epoch sweep: closes every open group first seen at least the
+    /// timeout ago, in correlation order, raising `MissingLog` for each
+    /// of its points that has not arrived.
     fn handle_advance_epoch(ctx: &mut ExecutionContext<'_>) -> Result<(), String> {
-        let timeout = match ctx.storage.get(b"cfg/timeout") {
-            Some(bytes) if bytes.len() == 8 => {
-                u64::from_be_bytes(bytes.try_into().expect("length checked"))
-            }
-            _ => return Err("not initialised".into()),
-        };
+        let timeout = ctx.storage.get(b"cfg/timeout").ok_or("not initialised")?;
+        let timeout = read_u64(timeout, "cfg/timeout")?;
         let now = ctx.timestamp_ms;
         // Collect expired open groups first (cannot mutate while scanning).
-        let expired: Vec<CorrelationId> = ctx
-            .storage
-            .scan_prefix(b"open/")
-            .filter_map(|(key, _)| {
-                let raw: [u8; 8] = key[5..13].try_into().ok()?;
-                Some(CorrelationId(u64::from_be_bytes(raw)))
-            })
-            .filter(|corr| {
-                ctx.storage
-                    .get(&group_key(*corr))
-                    .and_then(|b| GroupState::decode(b).ok())
-                    .map(|g| g.first_seen.saturating_add(timeout) <= now)
-                    .unwrap_or(false)
-            })
-            .collect();
+        let mut expired = Vec::new();
+        for (key, first_seen) in ctx.storage.scan_prefix(b"open/") {
+            let corr = CorrelationId(read_u64(&key[5..], "an open/ key's id")?);
+            let first_seen = read_u64(first_seen, format_args!("first-seen time of {corr}"))?;
+            if first_seen.saturating_add(timeout) <= now {
+                expired.push(corr);
+            }
+        }
         for corr in expired {
-            let gkey = group_key(corr);
-            let mut group =
-                GroupState::decode(ctx.storage.get(&gkey).expect("scanned group exists"))?;
+            let mask = group_mask(ctx.storage, corr)?
+                .ok_or_else(|| format!("open group {corr} has no record"))?;
             for point in ObservationPoint::ALL {
-                if group.mask & point.bit() == 0 {
+                if mask & point.bit() == 0 {
                     Self::emit_alert(
                         ctx,
                         &Alert::new(
@@ -405,9 +375,7 @@ impl MonitorContract {
                     );
                 }
             }
-            group.closed = true;
             ctx.storage.remove(&open_key(corr));
-            ctx.storage.insert(&gkey, group.encode());
         }
         Ok(())
     }
@@ -433,10 +401,7 @@ impl MonitorContract {
         Self::check_sender(ctx, b"cfg/analyser", "authorised analyser")?;
         read_retired(payload, |corr| {
             let gkey = group_key(corr);
-            let Some(bytes) = ctx.storage.get(&gkey) else {
-                return Ok(());
-            };
-            if !GroupState::decode(bytes)?.closed {
+            if ctx.storage.get(&gkey).is_none() || ctx.storage.get(&open_key(corr)).is_some() {
                 return Ok(());
             }
             for point in ObservationPoint::ALL {
@@ -550,6 +515,7 @@ mod tests {
     use drams_chain::tx::TxId;
     use drams_crypto::aead::{seal, SymmetricKey};
     use drams_crypto::schnorr::Keypair;
+    use proptest::prelude::*;
 
     fn test_node() -> (Node, Keypair, Keypair) {
         let mut node = Node::new(ChainConfig {
@@ -749,9 +715,12 @@ mod tests {
     /// Every arrival order of a group's four observations, honest and with
     /// either or both digest pairs tampered: each pair is judged exactly
     /// once — by the arrival that completes it — and the group closes on
-    /// the fourth arrival. The transcript digest (every event's name and
-    /// bytes, then the stored group and entry records) was pinned on the
-    /// implementation that re-ran both checks on every arrival.
+    /// the fourth arrival. Two transcripts are pinned. The events digest
+    /// (every event's name and bytes) was pinned on the implementation
+    /// that re-ran both checks on every arrival, and again when each
+    /// group record became its one mask byte: neither moved an event
+    /// byte. The storage digest (each group's stored record and entries)
+    /// was pinned on the mask-byte record.
     #[test]
     fn digest_checks_fire_once_in_every_arrival_order() {
         use ObservationPoint::{PdpRequest, PdpResponse, PepRequest, PepResponse};
@@ -765,7 +734,8 @@ mod tests {
             }
         }
         assert_eq!(orders.len(), 24);
-        let mut transcript = drams_crypto::sha256::Sha256::new();
+        let mut events_transcript = drams_crypto::sha256::Sha256::new();
+        let mut storage_transcript = drams_crypto::sha256::Sha256::new();
         let mut corr = 100;
         for order in &orders {
             for (bad_request, bad_response) in
@@ -800,19 +770,25 @@ mod tests {
                 let names: Vec<&str> = events.iter().map(|e| e.name).collect();
                 assert_eq!(names, expected, "order {order:?}");
                 for event in events {
-                    transcript.update(event.name.as_bytes());
-                    transcript.update(&event.data);
+                    events_transcript.update(event.name.as_bytes());
+                    events_transcript.update(&event.data);
                 }
                 let storage = node.host().storage_of(MONITOR_CONTRACT).unwrap();
-                transcript.update(storage.get(&group_key(CorrelationId(corr))).unwrap());
+                let corr = CorrelationId(corr);
+                storage_transcript.update(storage.get(&group_key(corr)).unwrap());
                 for point in ObservationPoint::ALL {
-                    transcript.update(storage.get(&entry_key(CorrelationId(corr), point)).unwrap());
+                    storage_transcript.update(storage.get(&entry_key(corr, point)).unwrap());
                 }
+                assert!(storage.get(&open_key(corr)).is_none(), "closed");
             }
         }
         assert_eq!(
-            transcript.finalize().to_hex(),
-            "e38d99eeea429d4c7cd3af401832af6e93c5c11a24b78b48d9eded2837344f13"
+            events_transcript.finalize().to_hex(),
+            "cba878cb399584d4f9957e11450957ce53131e64e31b48759d3be2578968b612"
+        );
+        assert_eq!(
+            storage_transcript.finalize().to_hex(),
+            "97839bce324839ca3f6eb7d88197c6d852b896401611737d064156c0c75e3330"
         );
     }
 
@@ -1239,5 +1215,142 @@ mod tests {
             .unwrap();
         node.mine_block(1_000).unwrap();
         assert!(failed(&node, &id));
+    }
+
+    /// One block of the lifecycle property: a batch of entries of PEP 1
+    /// (number, point code), an epoch sweep, a retirement of some
+    /// numbers, or a new epoch timeout.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Entries(Vec<(u64, u8)>),
+        Sweep,
+        Retire(Vec<u64>),
+        SetTimeout(u64),
+    }
+
+    /// What the contract must hold for one group: when it was opened
+    /// (by an entry or the gap rule), the points it has stored, and
+    /// whether it completed, was swept or was retired.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Modelled {
+        first_seen: Option<u64>,
+        points: u8,
+        completed: bool,
+        swept: bool,
+        retired: bool,
+    }
+
+    fn lifecycle_step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            prop::collection::vec((0u64..3, 0u8..4), 1..4).prop_map(Step::Entries),
+            prop::collection::vec((0u64..3, 0u8..4), 1..4).prop_map(Step::Entries),
+            Just(Step::Sweep),
+            prop::collection::vec(0u64..3, 1..4).prop_map(Step::Retire),
+        ]
+    }
+
+    /// The lifecycle property's unit of time: block times and timeouts
+    /// are multiples of it, so sweeps land exactly on deadlines too.
+    const TICK: u64 = 500;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// Over up to three groups of one PEP, entries arriving in any
+        /// order (gap-rule jumps included), sweeps at any time around one
+        /// change of the timeout, and retirements: after every block an
+        /// `open/` key exists exactly while its group has neither
+        /// completed nor been swept, a `grp/` record, holding the mask of
+        /// the stored points, exactly while it was opened and not
+        /// retired, and `group.complete` has fired once for each
+        /// completed group and never for another.
+        #[test]
+        fn every_group_fact_is_stored_once_and_kept_in_step(
+            steps in prop::collection::vec((lifecycle_step(), 0u64..8), 1..18),
+            retune in (0usize..18, 2u64..40, 0u64..8),
+        ) {
+            let (mut node, li, analyser) = test_node();
+            let point = |p: u8| ObservationPoint::ALL[usize::from(p)];
+            let mut steps = steps;
+            let (at, to, delta) = retune;
+            steps.insert(at.min(steps.len()), (Step::SetTimeout(to * TICK), delta));
+            let mut model = [Modelled::default(); 3];
+            let (mut mark, mut timeout, mut now) = (0, 10_000, 1_000);
+            for (step, delta) in steps {
+                now += delta * TICK;
+                match &step {
+                    Step::Entries(entries) => {
+                        let batch: Vec<LogEntry> = entries
+                            .iter()
+                            .map(|&(n, p)| entry(numbered(n), point(p), b"x", now))
+                            .collect();
+                        let payload = encode_batch(&batch);
+                        node.submit_call(&li, MONITOR_CONTRACT, "store_log_batch", payload)
+                            .unwrap();
+                        for &(n, p) in entries {
+                            if n >= mark {
+                                for opened in &mut model[mark as usize..=n as usize] {
+                                    opened.first_seen = Some(now);
+                                }
+                                mark = n + 1;
+                            }
+                            let group = &mut model[n as usize];
+                            if !group.retired {
+                                group.points |= point(p).bit();
+                                group.completed |= group.points == 0b1111 && !group.swept;
+                            }
+                        }
+                    }
+                    Step::Sweep => {
+                        node.submit_call(&li, MONITOR_CONTRACT, "advance_epoch", vec![])
+                            .unwrap();
+                        for group in &mut model {
+                            let expired = group.first_seen.is_some_and(|t| t + timeout <= now);
+                            group.swept |= expired && !group.completed;
+                        }
+                    }
+                    Step::Retire(numbers) => {
+                        let correlations: Vec<CorrelationId> =
+                            numbers.iter().map(|&n| CorrelationId(numbered(n))).collect();
+                        let payload = MonitorContract::retire_groups_payload(&correlations);
+                        node.submit_call(&analyser, MONITOR_CONTRACT, "retire_groups", payload)
+                            .unwrap();
+                        for &n in numbers {
+                            let group = &mut model[n as usize];
+                            group.retired |=
+                                group.first_seen.is_some() && (group.completed || group.swept);
+                        }
+                    }
+                    Step::SetTimeout(to) => {
+                        let payload = MonitorContract::set_timeout_payload(*to);
+                        node.submit_call(&li, MONITOR_CONTRACT, "set_timeout", payload)
+                            .unwrap();
+                        timeout = *to;
+                    }
+                }
+                node.mine_block(now).unwrap();
+                let storage = node.host().storage_of(MONITOR_CONTRACT).unwrap();
+                for (n, group) in model.iter().enumerate() {
+                    let corr = CorrelationId(numbered(n as u64));
+                    let first_seen = group.first_seen.map(u64::to_be_bytes);
+                    let open = !group.completed && !group.swept;
+                    let open_value = first_seen.as_ref().filter(|_| open);
+                    let held = group.first_seen.is_some() && !group.retired;
+                    let record = [group.points];
+                    let completions = node
+                        .events()
+                        .iter()
+                        .filter(|ev| ev.name == GROUP_COMPLETE_EVENT)
+                        .filter(|ev| ev.data == corr.0.to_be_bytes())
+                        .count();
+                    let case = format!("number {n} after {step:?}");
+                    let stored_open = storage.get(&open_key(corr));
+                    prop_assert_eq!(stored_open, open_value.map(|t| &t[..]), "{}", case);
+                    let stored_record = storage.get(&group_key(corr));
+                    prop_assert_eq!(stored_record, held.then_some(&record[..]), "{}", case);
+                    prop_assert_eq!(completions, usize::from(group.completed), "{}", case);
+                }
+            }
+        }
     }
 }

@@ -830,6 +830,28 @@ fn idempotency_eviction_is_invisible_under_retransmission() {
     );
 }
 
+/// 140 requests at 6 per second (~23 s: traffic outlives the
+/// retirement lag) while tenant 1's LI stalls from 0.2 s to 6 s, which
+/// outlives the sweep of early groups: they time out into genuine
+/// `MissingLog` alerts. Retirement is on when `retire`.
+fn stalled_li_spec(retire: bool) -> ScenarioSpec {
+    let mut config = base_config();
+    config.total_requests = 140;
+    config.request_rate_per_sec = 6.0;
+    ScenarioSpec {
+        script: vec![ScriptedAction::StallLi {
+            at: 200 * MILLIS,
+            until: 6 * SECONDS,
+            tenant: TenantId(1),
+        }],
+        load: LoadProfile {
+            analyser_retire_lag: if retire { MIN_RETENTION } else { 0 },
+            ..LoadProfile::default()
+        },
+        ..ScenarioSpec::canonical(&config)
+    }
+}
+
 #[test]
 fn analyser_retirement_never_drops_or_repeats_an_alert() {
     // Satellite property: pruning closed decision groups from
@@ -837,24 +859,7 @@ fn analyser_retirement_never_drops_or_repeats_an_alert() {
     // duplicate any alert. A stalled LI plants genuine MissingLog
     // alerts; the retired run must report the same alert bytes as
     // its unpruned twin while measurably shrinking storage.
-    let mut config = base_config();
-    config.total_requests = 140;
-    config.request_rate_per_sec = 6.0; // ~23 s: traffic outlives the lag
-    let base_spec = ScenarioSpec {
-        script: vec![ScriptedAction::StallLi {
-            at: 200 * MILLIS,
-            until: 6 * SECONDS, // outlives the sweep of early groups
-            tenant: TenantId(1),
-        }],
-        ..ScenarioSpec::canonical(&config)
-    };
-    let retired_spec = ScenarioSpec {
-        load: LoadProfile {
-            analyser_retire_lag: MIN_RETENTION,
-            ..LoadProfile::default()
-        },
-        ..base_spec.clone()
-    };
+    let (base_spec, retired_spec) = (stalled_li_spec(false), stalled_li_spec(true));
     let (unpruned, unpruned_truth) = run_scenario(&base_spec, &mut NoAdversary);
     let (retired, retired_truth) = run_scenario(&retired_spec, &mut NoAdversary);
     assert!(
@@ -879,6 +884,41 @@ fn analyser_retirement_never_drops_or_repeats_an_alert() {
         retired.peak.contract_storage,
         unpruned.peak.contract_storage
     );
+}
+
+#[test]
+fn a_group_that_timed_out_retires_too() {
+    // The sweep closes a timed-out group as completion closes a complete
+    // one, and the Analyser names it for retirement a lag after the
+    // block of its first `MissingLog`. So a retiring run ends holding
+    // neither the record nor the issue time of a group that timed out a
+    // lag ago, plus the poll and the block that carry the retirement.
+    let spec = stalled_li_spec(true);
+    let (report, _) = run_scenario(&spec, &mut NoAdversary);
+    let [issued, groups] = super::run::HELD_AT_END.take();
+    let config = &spec.config;
+    let lag = MIN_RETENTION + config.analyser_poll_interval + config.block_interval;
+    let timed_out: std::collections::BTreeSet<u64> = report
+        .alerts
+        .iter()
+        .filter(|a| matches!(a.kind, crate::alert::AlertKind::MissingLog { .. }))
+        .filter(|a| a.detected_at + lag <= report.finished_at)
+        .map(|a| a.correlation.0)
+        .collect();
+    assert!(!timed_out.is_empty(), "the stall must time groups out");
+    let held: Vec<u64> = timed_out
+        .iter()
+        .copied()
+        .filter(|c| issued.contains(c) || groups.contains(c))
+        .collect();
+    assert!(
+        held.is_empty(),
+        "{} of {} timed-out groups held at {} µs: {held:?}",
+        held.len(),
+        timed_out.len(),
+        report.finished_at
+    );
+    assert_eq!(issued, groups, "exactly the unretired correlations");
 }
 
 #[test]

@@ -15,7 +15,8 @@
 //! fourth does the same for the benchmark's `flash_crowd` shape, where
 //! every bounded-state mechanism is armed. The fifth bounds the live heap
 //! a Logging Interface holds for the entries it has not yet submitted,
-//! and the sixth the heap a block's signature audit grows by.
+//! the sixth the heap a block's signature audit grows by, and the
+//! seventh what computing one transaction id allocates.
 //!
 //! The counters are per thread, so no test's tally sees another's
 //! allocations, nor the harness's own threads.
@@ -47,7 +48,10 @@ use std::cell::Cell;
 /// Allocations plus reallocations one `steady` request may cost (52.8
 /// measured, the event loop reusing its emission buffers, each PDP slot
 /// its journal record, contract storage sharing each entry's bytes with
-/// its transaction, and signing hashing each payload where it lies; 56.5
+/// its transaction, and signing and each transaction id hashing the
+/// payload where it lies; 53.8 while the id hashed a copy of the whole
+/// encoding, once each group's `open/` key held its 8-byte first-seen
+/// time instead of nothing beside a 10-byte group record; 56.5
 /// while signing joined it into a grown copy, 56.0 while each LI kept its
 /// unflushed entries in a resident buffer, so that a flush read no
 /// backlog segment back; 56.7 while each in-memory file was a run of
@@ -96,6 +100,12 @@ const KEY_TABLE_BYTES: i64 = 64 * 16 * 32;
 /// transactions; 2,263.1 while the audit joined every transaction's
 /// signing head and payload into a copy before checking the first).
 const AUDIT_HEAP_PER_TX: i64 = 16;
+
+/// Bytes one transaction id may allocate: its signing head, which holds
+/// the domain tag, the sender, the nonce, the two names and three
+/// varints (3,732 B of peak heap over 3 allocations while the id hashed
+/// a fresh copy of the whole encoding, for a 1,800 B payload).
+const TX_ID_HEAP_BYTES: i64 = 256;
 
 /// Allocations plus reallocations one compile of the 1,000-policy base
 /// may cost. Before each version was compiled into one arena it took
@@ -365,6 +375,24 @@ fn auditing_a_block_holds_no_copy_of_its_signed_bytes() {
     assert!(
         grown <= budget,
         "a 256-transaction block audit grew peak live heap by {grown} B, budget {budget} B"
+    );
+}
+
+#[test]
+fn a_transaction_id_allocates_at_most_its_signing_head() {
+    let sender = Keypair::from_seed(b"tx-id");
+    let tx = Transaction::new_signed(&sender, 7, "monitor", "store_log_batch", vec![5; 1_800]);
+    let calls_before = CALLS.with(Cell::get);
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    let id = tx.id();
+    let grown = PEAK.with(Cell::get) - before;
+    let calls = CALLS.with(Cell::get) - calls_before;
+    assert_eq!(id, Digest::of(&tx.to_canonical_bytes()));
+    println!("tx id: {calls} allocation(s), peak live heap grew {grown} B (1,800 B payload)");
+    assert!(
+        calls <= 1 && grown <= TX_ID_HEAP_BYTES,
+        "one id() cost {calls} allocations and {grown} B of peak heap, budget 1 and {TX_ID_HEAP_BYTES} B"
     );
 }
 
