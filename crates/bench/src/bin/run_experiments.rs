@@ -395,9 +395,9 @@ fn e3_hybrid_store(_: &mut Run) -> Vec<Section> {
     }
     let us_per_write = start.elapsed().as_secs_f64() * 1e6 / ENTRIES as f64;
     let chain = node.chain();
-    let committed: usize = (0..=chain.tip_header().height)
-        .filter_map(|height| chain.block_at_height(height))
-        .map(|block| block.transactions.len())
+    let committed: usize = chain
+        .ancestors(&chain.tip_hash())
+        .map(|(_, block)| block.transactions.len())
         .sum();
     let pure_chain = row! {
         entries: ENTRIES,

@@ -135,6 +135,36 @@ impl Blockchain {
         self.blocks.get(hash).map(|s| &s.block)
     }
 
+    /// The blocks from `hash` down to genesis, `hash` first, each with its
+    /// hash. Each next hash is read from the child's `parent` field, so no
+    /// header is hashed again. Yields nothing when `hash` is not stored.
+    /// This and [`Blockchain::block`] are the only ways to a block below
+    /// the tip.
+    pub fn ancestors(&self, hash: &BlockHash) -> impl Iterator<Item = (BlockHash, &Block)> + '_ {
+        std::iter::successors(self.blocks.get_key_value(hash), |(_, stored)| {
+            self.blocks.get_key_value(&stored.block.header.parent)
+        })
+        .map(|(hash, stored)| (*hash, &stored.block))
+    }
+
+    /// The highest common ancestor of blocks `a` and `b` (`a` itself when
+    /// `b` descends from it); `None` when either is not stored.
+    #[must_use]
+    pub fn fork_point(&self, a: &BlockHash, b: &BlockHash) -> Option<BlockHash> {
+        let height_a = self.block(a)?.header.height;
+        let height_b = self.block(b)?.header.height;
+        // Level both walks at the lower height, then step them together.
+        let a = self
+            .ancestors(a)
+            .skip(height_a.saturating_sub(height_b) as usize);
+        let b = self
+            .ancestors(b)
+            .skip(height_b.saturating_sub(height_a) as usize);
+        a.zip(b)
+            .find(|((a, _), (b, _))| a == b)
+            .map(|((hash, _), _)| hash)
+    }
+
     /// Total number of blocks stored (including side chains).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -143,8 +173,8 @@ impl Blockchain {
 
     /// Every fork in the block tree — main chain and side chains — as
     /// `(parent, child height, sibling count)` in parent-hash order. This
-    /// is the auditor's view of the stale siblings that
-    /// `Blockchain::main_chain_hashes` deliberately omits, read from an
+    /// is the auditor's view of the stale siblings that a walk down
+    /// [`Blockchain::ancestors`] from the tip never meets, read from an
     /// index `Blockchain::import` maintains: O(forks), and free on a
     /// chain that is a pure line.
     pub fn fork_points(&self) -> impl Iterator<Item = (BlockHash, u64, usize)> + '_ {
@@ -202,13 +232,13 @@ impl Blockchain {
         if interval == 0 || child_height % interval != 0 {
             return Ok(parent_header.difficulty_bits);
         }
-        // Walk back `interval - 1` blocks from the parent to find the
-        // window start.
-        let mut cursor = *parent;
-        for _ in 0..interval - 1 {
-            cursor = self.blocks[&cursor].block.header.parent;
-        }
-        let window_start = &self.blocks[&cursor].block.header;
+        // The window starts `interval - 1` blocks below the parent, which
+        // sits at height `interval - 1` or higher.
+        let (_, window_start) = self
+            .ancestors(parent)
+            .nth(interval as usize - 1)
+            .expect("a retarget height has a full window below it");
+        let window_start = &window_start.header;
         let actual = parent_header
             .timestamp_ms
             .saturating_sub(window_start.timestamp_ms);
@@ -289,7 +319,11 @@ impl Blockchain {
             if extends_tip {
                 Ok(ImportOutcome::ExtendedTip)
             } else {
-                let depth = self.reorg_depth(&old_tip, &hash);
+                // Abandoned blocks: those above the fork point on the old
+                // main chain.
+                let fork = self.fork_point(&old_tip, &hash).expect("both stored");
+                let height = |h| self.blocks[h].block.header.height;
+                let depth = height(&old_tip) - height(&fork);
                 Ok(ImportOutcome::Reorg { depth })
             }
         } else {
@@ -297,80 +331,13 @@ impl Blockchain {
         }
     }
 
-    /// How many blocks of the old main chain were abandoned when `new_tip`
-    /// took over from `old_tip`.
-    fn reorg_depth(&self, old_tip: &BlockHash, new_tip: &BlockHash) -> u64 {
-        // Find the common ancestor by walking both branches back to equal
-        // heights, then in lockstep.
-        let mut a = *old_tip;
-        let mut b = *new_tip;
-        let height = |h: &BlockHash| self.blocks[h].block.header.height;
-        while height(&a) > height(&b) {
-            a = self.blocks[&a].block.header.parent;
-        }
-        while height(&b) > height(&a) {
-            b = self.blocks[&b].block.header.parent;
-        }
-        while a != b {
-            a = self.blocks[&a].block.header.parent;
-            b = self.blocks[&b].block.header.parent;
-        }
-        // Abandoned blocks: from the ancestor to the old tip.
-        height(old_tip) - height(&a)
-    }
-
-    /// Hashes of the main chain, genesis first.
-    #[must_use]
-    pub(crate) fn main_chain_hashes(&self) -> Vec<BlockHash> {
-        let mut out = Vec::new();
-        let mut cursor = self.tip;
-        loop {
-            out.push(cursor);
-            if cursor == self.genesis {
-                break;
-            }
-            cursor = self.blocks[&cursor].block.header.parent;
-        }
-        out.reverse();
-        out
-    }
-
-    /// The main-chain block at `height`, if any.
-    #[must_use]
-    pub fn block_at_height(&self, height: u64) -> Option<&Block> {
-        let tip_height = self.tip_header().height;
-        if height > tip_height {
-            return None;
-        }
-        let mut cursor = self.tip;
-        for _ in 0..tip_height - height {
-            cursor = self.blocks[&cursor].block.header.parent;
-        }
-        Some(&self.blocks[&cursor].block)
-    }
-
-    /// Finds a transaction on the main chain, returning `(block hash,
-    /// height)`.
-    #[must_use]
-    fn find_tx(&self, tx_id: &TxId) -> Option<(BlockHash, u64)> {
-        let mut cursor = self.tip;
-        loop {
-            let stored = &self.blocks[&cursor];
-            if stored.block.transactions.iter().any(|tx| tx.id() == *tx_id) {
-                return Some((cursor, stored.block.header.height));
-            }
-            if cursor == self.genesis {
-                return None;
-            }
-            cursor = stored.block.header.parent;
-        }
-    }
-
     /// Confirmations of the block containing `tx_id` (tip block = 1).
     #[must_use]
     pub fn confirmations(&self, tx_id: &TxId) -> Option<u64> {
-        let (_, height) = self.find_tx(tx_id)?;
-        Some(self.tip_header().height - height + 1)
+        let depth = self
+            .ancestors(&self.tip)
+            .position(|(_, block)| block.transactions.iter().any(|tx| tx.id() == *tx_id))?;
+        Some(depth as u64 + 1)
     }
 }
 
@@ -414,7 +381,7 @@ mod tests {
             extend(&mut chain, vec![], i * 1_000);
             assert_eq!(chain.tip_header().height, i);
         }
-        assert_eq!(chain.main_chain_hashes().len(), 6);
+        assert_eq!(chain.ancestors(&chain.tip_hash()).count(), 6);
     }
 
     #[test]
@@ -496,7 +463,9 @@ mod tests {
             other => panic!("expected reorg, got {other:?}"),
         }
         assert_eq!(chain.tip_hash(), b2.hash());
-        assert_eq!(chain.main_chain_hashes().len(), 3);
+        let main: Vec<_> = chain.ancestors(&b2.hash()).map(|(hash, _)| hash).collect();
+        assert_eq!(main, [b2.hash(), b1.hash(), chain.genesis_hash()]);
+        assert_eq!(chain.fork_point(&a1.hash(), &b2.hash()), Some(main[2]));
     }
 
     #[test]
@@ -549,13 +518,31 @@ mod tests {
             let reference = Blockchain::new(config(0));
             let mut tree = vec![(reference.genesis_hash(), 0u64)];
             let mut blocks = Vec::new();
+            // The tree's own parent links and heights: the oracle for
+            // `ancestors` and `fork_point`.
+            let mut parent_of = HashMap::new();
+            let mut height_of = HashMap::from([(reference.genesis_hash(), 0u64)]);
             for i in 0..rng.gen_range(1..24usize) {
                 let back = rng.gen_range(0..tree.len().min(4));
                 let (parent, height) = tree[tree.len() - 1 - back];
                 let block = Block::mine(parent, height + 1, vec![], i as u64, 0);
                 tree.push((block.hash(), height + 1));
+                parent_of.insert(block.hash(), parent);
+                height_of.insert(block.hash(), height + 1);
                 blocks.push(block);
             }
+            let ancestor_set = |mut hash: BlockHash| {
+                let mut set = BTreeSet::from([hash]);
+                while let Some(parent) = parent_of.get(&hash) {
+                    hash = *parent;
+                    set.insert(hash);
+                }
+                set
+            };
+            let highest_common = |a, b| {
+                let (a, b) = (ancestor_set(a), ancestor_set(b));
+                a.intersection(&b).copied().max_by_key(|h| height_of[h])
+            };
             // Import in random order, duplicates included; a block whose
             // parent has not arrived yet is refused and retried later.
             let mut chain = Blockchain::new(ChainConfig {
@@ -565,9 +552,14 @@ mod tests {
             let mut pending = blocks.clone();
             while !pending.is_empty() {
                 let block = pending.swap_remove(rng.gen_range(0..pending.len()));
+                let old_tip = chain.tip_hash();
                 match chain.import(block.clone()) {
                     Ok(outcome) => {
-                        reorgs += usize::from(matches!(outcome, ImportOutcome::Reorg { .. }));
+                        if let ImportOutcome::Reorg { depth } = outcome {
+                            let fork = highest_common(old_tip, chain.tip_hash()).unwrap();
+                            assert_eq!(depth, height_of[&old_tip] - height_of[&fork]);
+                            reorgs += 1;
+                        }
                         if rng.gen_bool(0.2) {
                             pending.push(block); // arrives again: AlreadyKnown
                         }
@@ -583,6 +575,23 @@ mod tests {
             }
             assert_eq!(chain.len(), blocks.len() + 1);
             triple_forks += chain.fork_points().filter(|f| f.2 >= 3).count();
+            for &(a, height) in &tree {
+                let heights: Vec<u64> = chain
+                    .ancestors(&a)
+                    .map(|(hash, block)| {
+                        assert_eq!(hash, block.hash(), "seed {seed}");
+                        block.header.height
+                    })
+                    .collect();
+                assert_eq!(heights, (0..=height).rev().collect::<Vec<_>>());
+                for &(b, _) in &tree {
+                    assert_eq!(
+                        chain.fork_point(&a, &b),
+                        highest_common(a, b),
+                        "seed {seed}"
+                    );
+                }
+            }
         }
         assert!(triple_forks > 0 && reorgs > 0, "the trees must branch");
     }
@@ -623,7 +632,7 @@ mod tests {
     }
 
     #[test]
-    fn find_tx_and_confirmations() {
+    fn confirmations_count_from_the_tip() {
         let mut chain = Blockchain::new(config(0));
         let kp = Keypair::from_seed(b"chain-tests");
         let tx = Transaction::new_signed(&kp, 0, "c", "m", vec![]);
@@ -637,15 +646,22 @@ mod tests {
     }
 
     #[test]
-    fn block_at_height_walks_main_chain() {
+    fn ancestors_walk_down_to_genesis() {
         let mut chain = Blockchain::new(config(0));
         let b1 = extend(&mut chain, vec![], 1);
-        let _b2 = extend(&mut chain, vec![], 2);
-        assert_eq!(chain.block_at_height(1).unwrap().hash(), b1.hash());
+        let b2 = extend(&mut chain, vec![], 2);
+        let walk: Vec<_> = chain
+            .ancestors(&b2.hash())
+            .map(|(hash, block)| (hash, block.header.height))
+            .collect();
         assert_eq!(
-            chain.block_at_height(0).unwrap().hash(),
-            chain.genesis_hash()
+            walk,
+            [(b2.hash(), 2), (b1.hash(), 1), (chain.genesis_hash(), 0)]
         );
-        assert!(chain.block_at_height(9).is_none());
+        let ghost = Digest::of(b"ghost");
+        assert_eq!(chain.ancestors(&ghost).count(), 0);
+        assert_eq!(chain.fork_point(&ghost, &b1.hash()), None);
+        assert_eq!(chain.fork_point(&b1.hash(), &b2.hash()), Some(b1.hash()));
+        assert_eq!(chain.fork_point(&b2.hash(), &b1.hash()), Some(b1.hash()));
     }
 }

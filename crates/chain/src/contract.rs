@@ -310,14 +310,16 @@ pub struct ContractHost {
     /// Events released so far: the log position of `events[0]`.
     released: usize,
     account_nonces: BTreeMap<Digest, u64>,
-    executed: Vec<BlockHash>,
+    /// The main-chain tip the state reflects; `None` before the first
+    /// sync.
+    executed: Option<BlockHash>,
 }
 
 impl std::fmt::Debug for ContractHost {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ContractHost")
             .field("contracts", &self.contracts.keys().collect::<Vec<_>>())
-            .field("executed_blocks", &self.executed.len())
+            .field("executed_tip", &self.executed)
             .field("events", &self.events.len())
             .field("released", &self.released)
             .finish()
@@ -340,7 +342,7 @@ impl ContractHost {
             events: Vec::new(),
             released: 0,
             account_nonces: BTreeMap::new(),
-            executed: Vec::new(),
+            executed: None,
         }
     }
 
@@ -405,43 +407,32 @@ impl ContractHost {
 
     /// Brings contract state in sync with `chain`'s main chain.
     ///
-    /// Walks parent links from the tip down to the height of the last
-    /// executed block. If the main chain still runs through that block —
-    /// and so, its hash committing to its ancestors, through the whole
-    /// executed prefix — only the blocks above it are executed: a sync
-    /// costs what the new blocks cost, not the chain's height. After a
-    /// reorg past the executed tip the whole state is deterministically
-    /// rebuilt from genesis.
+    /// When the fork point of the main chain's tip and the executed tip
+    /// is the executed tip itself, the main chain still runs through it —
+    /// and so, its hash committing to its ancestors, through everything
+    /// executed — and only the blocks above it are executed: a sync costs
+    /// what the new blocks cost, not the chain's height. After a reorg
+    /// past the executed tip the whole state is deterministically rebuilt
+    /// from genesis.
     pub(crate) fn sync_with(&mut self, chain: &Blockchain) {
-        let executed = self.executed.len() as u64;
-        // Main-chain hashes above the executed tip, newest first.
-        let mut new = Vec::new();
-        let mut hash = chain.tip_hash();
-        let mut height = chain.tip_header().height;
-        while height >= executed {
-            new.push(hash);
-            if height == 0 {
-                break;
-            }
-            hash = chain
-                .block(&hash)
-                .expect("main chain block exists")
-                .header
-                .parent;
-            height -= 1;
-        }
-        new.reverse();
-        let reset = executed > 0 && self.executed.last() != Some(&hash);
+        let tip = chain.tip_hash();
+        let base = self
+            .executed
+            .filter(|executed| chain.fork_point(&tip, executed) == Some(*executed));
+        let reset = self.executed.is_some() && base.is_none();
         if reset {
             // The main chain no longer runs through the executed tip.
             self.reset();
-            new = chain.main_chain_hashes();
         }
-        for hash in new {
-            let block = chain.block(&hash).expect("main chain block exists");
+        let new: Vec<&Block> = chain
+            .ancestors(&tip)
+            .take_while(|(hash, _)| Some(*hash) != base)
+            .map(|(_, block)| block)
+            .collect();
+        for block in new.into_iter().rev() {
             self.execute_block(block);
-            self.executed.push(hash);
         }
+        self.executed = Some(tip);
         if reset {
             // The rebuilt log starts at position 0 again: drop what was
             // released, so every retained event keeps the position it has
@@ -458,7 +449,7 @@ impl ContractHost {
         }
         self.events.clear();
         self.account_nonces.clear();
-        self.executed.clear();
+        self.executed = None;
     }
 
     fn execute_block(&mut self, block: &Block) {
@@ -626,6 +617,12 @@ mod tests {
         assert!(host.storage_of("ghost").is_none());
     }
 
+    /// The height of the block `host` last executed, read from `chain`.
+    fn executed_height(host: &ContractHost, chain: &Blockchain) -> u64 {
+        let executed = host.executed.expect("synced");
+        chain.block(&executed).unwrap().header.height
+    }
+
     #[test]
     fn incremental_sync_only_executes_suffix() {
         let (mut chain, mut host, kp) = setup();
@@ -636,7 +633,7 @@ mod tests {
         mine_with(&mut chain, vec![tx1], 2000);
         host.sync_with(&chain);
         assert_eq!(host.storage_of("kvstore").unwrap().len(), 2);
-        assert_eq!(host.executed.len(), 3);
+        assert_eq!(executed_height(&host, &chain), 2);
     }
 
     /// Stores each call's payload under its block timestamp and counts its
@@ -704,7 +701,7 @@ mod tests {
         mine_with(&mut chain, call(&kp, 5, b"z"), 2_001);
         host.sync_with(&chain);
         assert_eq!(executed(), 6);
-        assert_eq!(host.executed.len(), 7);
+        assert_eq!(executed_height(&host, &chain), 6);
         assert_eq!(host.events().len(), 0);
         assert_eq!(contents(&host).len(), 6);
     }
@@ -744,7 +741,7 @@ mod tests {
         fresh.sync_with(&chain);
         assert_eq!(contents(&host), contents(&fresh));
         assert_eq!(contents(&host).len(), 3, "one key per main-chain block");
-        assert_eq!(host.executed.len(), 4);
+        assert_eq!(executed_height(&host, &chain), 3);
         assert_eq!(host.account_nonce(&kp.public()), 3);
     }
 
@@ -835,7 +832,7 @@ mod tests {
         // A heavier branch from the block at height 4 replaces heights 5
         // and 6: both hosts reset and replay the whole main chain.
         for c in [&mut twin_chain, &mut chain] {
-            let mut parent = c.main_chain_hashes()[4];
+            let (mut parent, _) = c.ancestors(&c.tip_hash()).nth(2).unwrap();
             for height in 5..8 {
                 let payload = vec![0xb0; height as usize];
                 let txs = vec![Transaction::new_signed(
@@ -878,7 +875,11 @@ mod tests {
     /// The payload of the one transaction in the main-chain block at
     /// `height`.
     fn payload_at(chain: &Blockchain, height: u64) -> &Arc<[u8]> {
-        &chain.block_at_height(height).unwrap().transactions[0].payload
+        let (_, block) = chain
+            .ancestors(&chain.tip_hash())
+            .find(|(_, block)| block.header.height == height)
+            .unwrap();
+        &block.transactions[0].payload
     }
 
     #[test]

@@ -165,10 +165,9 @@ pub fn simulate(config: &NetConfig) -> NetStats {
 
     stats.final_height = chains[0].tip_header().height;
     stats.converged = chains.iter().all(|c| c.tip_hash() == chains[0].tip_hash());
-    // Stale blocks: mined blocks minus those on the consensus main chain
-    // (genesis excluded).
-    let main_len = chains[0].main_chain_hashes().len() as u64 - 1;
-    stats.stale_blocks = stats.blocks_mined.saturating_sub(main_len);
+    // Stale blocks: mined blocks minus those on the consensus main chain,
+    // which holds one block per height above genesis.
+    stats.stale_blocks = stats.blocks_mined.saturating_sub(stats.final_height);
     stats
 }
 

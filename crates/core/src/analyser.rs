@@ -723,31 +723,23 @@ impl Analyser {
     /// Batch-audits transaction signatures of main-chain blocks not yet
     /// seen, advancing the audit cursor to the tip.
     ///
-    /// Walks parent links from the tip down to the last audited block
-    /// hash — one hop per new block (O(new blocks), not per-height tip
-    /// walks) — so a reorg that abandons the previously audited tip is
-    /// re-audited from the fork point rather than silently skipped.
+    /// Audits the main-chain blocks above the fork point of the tip and
+    /// the audited tip: the new blocks when the chain only grew (O(new
+    /// blocks)), and after a reorg that abandoned the audited tip the
+    /// blocks of the new branch, never those below the fork point, which
+    /// were audited already. An audited tip the chain does not hold (the
+    /// initial `ZERO`) has no fork point, so the whole chain is audited.
     fn audit_new_blocks(&mut self, node: &Node, now: SimTime) -> Vec<Alert> {
         let chain = node.chain();
         let tip = chain.tip_hash();
-        if tip == self.audited_tip {
-            return Vec::new();
-        }
-        let mut pending = Vec::new();
-        let mut cursor = tip;
-        while cursor != self.audited_tip {
-            let Some(block) = chain.block(&cursor) else {
-                break;
-            };
-            pending.push(block);
-            if block.header.height == 0 {
-                break; // reached genesis: the old audited tip was reorged away
-            }
-            cursor = block.header.parent;
-        }
+        let fork = chain.fork_point(&tip, &self.audited_tip);
+        let pending: Vec<_> = chain
+            .ancestors(&tip)
+            .take_while(|(hash, _)| Some(*hash) != fork)
+            .collect();
         // Oldest first, so alerts come out in chain order.
         let mut alerts = Vec::new();
-        for block in pending.into_iter().rev() {
+        for (hash, block) in pending.into_iter().rev() {
             self.audited_txs += block.transactions.len() as u64;
             if let Err(e) = block.verify_signatures() {
                 alerts.push(Alert::new(
@@ -755,8 +747,7 @@ impl Analyser {
                     CorrelationId(0),
                     now,
                     format!(
-                        "block {} at height {} carries an invalid transaction signature: {e}",
-                        block.hash(),
+                        "block {hash} at height {} carries an invalid transaction signature: {e}",
                         block.header.height
                     ),
                 ));
@@ -974,11 +965,18 @@ mod tests {
     }
 
     fn rig_with(authorised: PolicySet) -> Rig {
+        rig_on(authorised, true)
+    }
+
+    /// A rig whose node checks transaction signatures at import only
+    /// when `verify_signatures` is set.
+    fn rig_on(authorised: PolicySet, verify_signatures: bool) -> Rig {
         let key = SymmetricKey::from_bytes([3; 32]);
         let analyser_kp = Keypair::from_seed(b"analyser");
         let mut node = Node::new(ChainConfig {
             initial_difficulty_bits: 0,
             retarget_interval: 0,
+            verify_signatures,
             ..ChainConfig::default()
         });
         node.register_contract(Box::new(MonitorContract));
@@ -1263,9 +1261,10 @@ mod tests {
             assert!(!matches!(outcome, ImportOutcome::AlreadyKnown));
         }
         // The audit cursor's old tip is no longer on the main chain; the
-        // hash-based walk re-audits from genesis without panicking or
-        // raising audit alerts (the fork's blocks are empty but validly
-        // mined). The sweep reports the fork at genesis, once.
+        // fork point is genesis, so the audit covers the whole new branch
+        // without panicking or raising audit alerts (the fork's blocks are
+        // empty but validly mined). The sweep reports the fork at genesis,
+        // once.
         let alerts = r.analyser.poll(&mut r.node, 3_000);
         assert_eq!(alerts.len(), 1, "reorg alerts: {alerts:?}");
         assert_eq!(alerts[0].kind, AlertKind::MonitorCompromise);
@@ -1277,6 +1276,52 @@ mod tests {
         let tip = r.node.chain().tip_hash();
         assert!(r.analyser.poll(&mut r.node, 3_100).is_empty());
         assert_eq!(r.node.chain().tip_hash(), tip);
+    }
+
+    #[test]
+    fn a_reorg_audits_only_the_blocks_above_its_fork_point() {
+        use drams_chain::block::Block;
+        use drams_chain::tx::Transaction;
+
+        // The node skips import-time signature checks (the Byzantine
+        // premise), so a block carrying a forged signature lands at
+        // height 2, under three honest blocks.
+        let mut r = rig_on(policy(), false);
+        let forger = Keypair::from_seed(b"forger");
+        let mut body = Transaction::new_signed(&forger, 0, "bogus", "noop", vec![]).into_body();
+        body.payload = b"forged".as_slice().into();
+        let forged = Block::mine(
+            r.node.chain().tip_hash(),
+            2,
+            vec![Transaction::from_body(body)],
+            1_000,
+            0,
+        );
+        r.node.receive_block(forged).unwrap();
+        for ts in 1_001..=1_003 {
+            r.node.mine_block(ts).unwrap();
+        }
+        let is_forgery = |a: &Alert| a.detail.contains("invalid transaction signature");
+        let alerts = r.analyser.poll(&mut r.node, 2_000);
+        assert_eq!(alerts.iter().filter(|a| is_forgery(a)).count(), 1);
+        let audited = r.analyser.audited_txs;
+        assert_eq!(audited, 2, "the init call and the forgery");
+
+        // A heavier empty branch from height 3 replaces heights 4 and 5.
+        let chain = r.node.chain();
+        let (mut parent, _) = chain.ancestors(&chain.tip_hash()).nth(2).unwrap();
+        for height in 4..=6 {
+            let block = Block::mine(parent, height, vec![], 5_000 + height, 0);
+            parent = block.hash();
+            r.node.receive_block(block).unwrap();
+        }
+        assert_eq!(r.node.chain().tip_hash(), parent);
+        // Only the new branch is audited: the forgery below the fork point
+        // is not raised again, and the empty branch adds no transaction.
+        let alerts = r.analyser.poll(&mut r.node, 6_000);
+        assert!(!alerts.iter().any(is_forgery), "{alerts:?}");
+        assert_eq!(alerts.len(), 1, "the fork above height 3: {alerts:?}");
+        assert_eq!(r.analyser.audited_txs, audited);
     }
 
     #[test]
@@ -1460,14 +1505,12 @@ mod tests {
         r.node.mine_block(10_000).unwrap();
         let chain = r.node.chain();
         let mut retired = Vec::new();
-        let mut hash = chain.tip_hash();
-        while let Some(block) = chain.block(&hash) {
+        for (_, block) in chain.ancestors(&chain.tip_hash()) {
             for tx in block.transactions.iter().rev() {
                 if tx.method == "retire_groups" {
                     retired.push(tx.payload.to_vec());
                 }
             }
-            hash = block.header.parent;
         }
         retired.reverse();
         (alerts, retired, r.node.events().len())

@@ -475,8 +475,9 @@ mod tests {
     /// Every batch the main chain holds, as its entries, in block order.
     fn chain_batches(n: &Node) -> Vec<Vec<Vec<u8>>> {
         let mut out = Vec::new();
-        for height in 1..=n.chain().tip_header().height {
-            let block = n.chain().block_at_height(height).unwrap();
+        let chain = n.chain();
+        let main: Vec<_> = chain.ancestors(&chain.tip_hash()).collect();
+        for (_, block) in main.into_iter().rev() {
             for tx in block
                 .transactions
                 .iter()

@@ -142,21 +142,17 @@ impl Controller {
                     out.emit(0, Msg::Crash(role));
                 }
                 ScriptedAction::ForkChain { depth, .. } => {
-                    let tip_height = ctx.node.chain().tip_header().height;
-                    let depth = depth.min(tip_height);
+                    let chain = ctx.node.chain();
+                    let depth = depth.min(chain.tip_header().height);
                     if depth == 0 {
                         return; // nothing above genesis to rewrite — no attack mounted
                     }
-                    let start = tip_height - depth + 1;
-                    let originals: Vec<Block> = (start..=tip_height)
-                        .map(|h| {
-                            ctx.node
-                                .chain()
-                                .block_at_height(h)
-                                .expect("main-chain height")
-                                .clone()
-                        })
+                    let mut originals: Vec<Block> = chain
+                        .ancestors(&chain.tip_hash())
+                        .take(depth as usize)
+                        .map(|(_, block)| block.clone())
                         .collect();
+                    originals.reverse();
                     // Re-mine the suffix on a side branch: same transactions
                     // and timestamps (so the contract re-executes to
                     // byte-identical events after the reorg), different nonce
