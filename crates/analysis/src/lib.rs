@@ -4,14 +4,16 @@
 //! (ref \[8\], Margheri et al. — FACPL): policies are compiled to constraint
 //! formulas, a small DPLL+theory solver decides satisfiability and produces
 //! concrete witness requests, and a set of property checks (completeness,
-//! conflicts, dead rules, equivalence, change impact) plus a runtime
-//! decision-verification oracle sit on top.
+//! conflicts, dead rules, equivalence, change impact) sit on top. This is
+//! the offline half: the live Analyser never runs the solver, and its
+//! runtime decision-verification oracle lives beside the PDP in
+//! `drams_policy::verify`.
 //!
 //! * [`constraint`] — formula language + policy→formula compilation.
 //! * [`types`] — attribute type inference for the solver's theories.
 //! * [`solver`] — DPLL over comparison atoms with witness construction.
 //! * [`properties`] — offline policy properties with witnesses.
-//! * [`verify`] — the Analyser's runtime (request, response) oracle.
+//! * [`verify`] — `drams_policy::verify`, re-exported at its earlier path.
 //!
 //! # Example: completeness with a replayable witness
 //!
@@ -44,12 +46,11 @@ pub mod constraint;
 pub mod properties;
 pub mod solver;
 pub mod types;
-pub mod verify;
 
 pub use constraint::Formula;
+pub use drams_policy::verify;
 pub use properties::{
     can_deny, can_permit, change_impact, completeness, conflicts, dead_rules, equivalent,
     Completeness, Conflict, Equivalence,
 };
 pub use solver::satisfiable;
-pub use verify::{DecisionVerifier, Verdict, Violation};

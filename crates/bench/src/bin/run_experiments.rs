@@ -22,13 +22,13 @@
 
 use drams_attack::{score, FaultWindow, ScriptedAdversary, ThreatKind};
 use drams_bench::log_entry_of_size;
+use drams_bench::net::{simulate, NetConfig};
 use drams_bench::report::{self, Members, Section, Value, REGISTRY};
 use drams_bench::scenarios;
 use drams_bench::{members, row};
 use drams_chain::block::Block;
 use drams_chain::chain::ChainConfig;
 use drams_chain::fork::integrity_sweep;
-use drams_chain::net::{simulate, NetConfig};
 use drams_chain::node::Node;
 use drams_core::adversary::NoAdversary;
 use drams_core::contract::{encode_batch, MonitorContract, MONITOR_CONTRACT};

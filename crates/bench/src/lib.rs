@@ -2,7 +2,8 @@
 //!
 //! The experiment catalogue (EXPERIMENTS.md) is generated by
 //! the `run_experiments` binary from the fixtures and scenario matrices
-//! here. [`report`] is the one model behind every tracked `BENCH_*.json`
+//! here. [`net`] is E2's multi-node gossip simulation over the chain.
+//! [`report`] is the one model behind every tracked `BENCH_*.json`
 //! file: values, writer, reader, carry-forward, file registry and
 //! acceptance gates.
 
@@ -74,6 +75,7 @@ pub fn batch_items(
         .collect()
 }
 
+pub mod net;
 pub mod report;
 
 /// The named end-to-end scenario matrix of experiment E10.

@@ -1,4 +1,4 @@
-//! Multi-node gossip simulation in virtual time.
+//! Multi-node gossip simulation in virtual time (experiment E2).
 //!
 //! Models a private chain deployment across federation tenants: each node
 //! mines with a share of the total hashrate (block discovery is the usual
@@ -6,11 +6,13 @@
 //! configurable latency. The simulation measures stale-block rate, reorg
 //! frequency and convergence — the network-level behaviour behind the
 //! paper's §III observation that a small private network with lightweight
-//! PoW gives only weak integrity.
+//! PoW gives only weak integrity. It sits beside E2 because it drives
+//! the chain through the simulator's [`EventQueue`], and the chain
+//! itself depends on nothing but `drams-crypto`.
 
-use crate::block::Block;
-use crate::chain::{Blockchain, ChainConfig, ImportOutcome};
-use crate::error::ChainError;
+use drams_chain::block::{Block, BlockHash};
+use drams_chain::chain::{Blockchain, ChainConfig, ImportOutcome};
+use drams_chain::error::ChainError;
 use drams_faas::des::EventQueue;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -106,8 +108,7 @@ pub fn simulate(config: &NetConfig) -> NetStats {
         .map(|_| Blockchain::new(chain_config.clone()))
         .collect();
     // Orphan buffers per node: parent hash -> blocks waiting for it.
-    let mut orphans: Vec<HashMap<crate::block::BlockHash, Vec<Block>>> =
-        (0..n).map(|_| HashMap::new()).collect();
+    let mut orphans: Vec<HashMap<BlockHash, Vec<Block>>> = (0..n).map(|_| HashMap::new()).collect();
 
     let mut queue: EventQueue<SimEvent> = EventQueue::new();
 
@@ -173,7 +174,7 @@ pub fn simulate(config: &NetConfig) -> NetStats {
 
 fn deliver(
     chain: &mut Blockchain,
-    orphans: &mut HashMap<crate::block::BlockHash, Vec<Block>>,
+    orphans: &mut HashMap<BlockHash, Vec<Block>>,
     block: Block,
     stats: &mut NetStats,
 ) {

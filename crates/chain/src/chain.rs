@@ -259,7 +259,7 @@ impl Blockchain {
     /// # Errors
     ///
     /// Any [`ChainError`] from structural or contextual validation.
-    pub(crate) fn import(&mut self, block: Block) -> Result<ImportOutcome, ChainError> {
+    pub fn import(&mut self, block: Block) -> Result<ImportOutcome, ChainError> {
         let hash = block.hash();
         if self.blocks.contains_key(&hash) {
             return Ok(ImportOutcome::AlreadyKnown);

@@ -17,7 +17,8 @@
 //!
 //! Storage keys are byte strings ordered byte-lexicographically. Every
 //! key the workspace's contracts write is short (the monitor contract's
-//! longest is 14 bytes), so a key up to `INLINE_KEY_LEN` bytes is held
+//! longest are 13 bytes: `ent/`‖corr‖point and `open/`‖corr), so a key
+//! up to `INLINE_KEY_LEN` bytes is held
 //! inline, in the map and in the rollback journal alike: writing and
 //! journaling such a key allocates nothing, and a caller builds the key
 //! it looks up on the stack. A longer key is still accepted and lives on

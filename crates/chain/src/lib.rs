@@ -13,8 +13,6 @@
 //! * [`contract`] — the deterministic smart-contract runtime (journaled
 //!   storage, event log) hosting the DRAMS monitor contract.
 //! * [`node`] — a full node gluing all of the above.
-//! * [`net`] — a virtual-time gossip simulation for propagation and
-//!   stale-rate experiments.
 //! * [`fork`] — attacker fork analysis (Nakamoto analytic + Monte Carlo)
 //!   quantifying the paper's "lightweight PoW ⇒ weak integrity" claim.
 //!
@@ -51,7 +49,6 @@ pub mod contract;
 pub mod error;
 pub mod fork;
 pub mod mempool;
-pub mod net;
 pub mod node;
 pub mod tx;
 

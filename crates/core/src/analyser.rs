@@ -11,13 +11,14 @@
 //! storage, verifies the per-probe MACs (compromised-LI detection),
 //! decrypts the payloads with the federation key, re-evaluates the request
 //! against its own authorised policy copy (the formally-grounded check of
-//! ref \[8\]), cross-checks the enforced outcome, and records every finding
-//! on-chain via `report_violation`.
+//! ref \[8\]) under the version authorised when the PDP decided, cross-checks
+//! the enforced outcome, and records every finding on-chain via
+//! `report_violation`. The PDP stamps its own decision time, so the
+//! Analyser takes it only inside the round trip the PEP's probe observed.
 
 use crate::alert::{Alert, AlertKind, MISSING_LOG_EVENT};
 use crate::contract::{entry_key, GROUP_COMPLETE_EVENT, MONITOR_CONTRACT};
 use crate::logent::{LogEntryRef, ObservationPoint, ProbeId};
-use drams_analysis::verify::{DecisionVerifier, Verdict, Violation};
 use drams_chain::contract::Event;
 use drams_chain::node::Node;
 use drams_crypto::aead::SymmetricKey;
@@ -30,6 +31,7 @@ use drams_faas::msg::{CorrelationId, RequestEnvelope, ResponseEnvelope};
 use drams_faas::pep::EnforcementBias;
 use drams_policy::compiled::PreparedPolicySet;
 use drams_policy::policy::PolicySet;
+use drams_policy::verify::{DecisionVerifier, Verdict, Violation};
 use drams_store::{MemBackend, SnapshotStore, StoreError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -799,7 +801,8 @@ impl Analyser {
     }
 
     /// Judges one loaded group: MAC verification, payload decryption, the
-    /// formally-grounded re-evaluation and the enforcement cross-check.
+    /// decision time against the PEP's round trip, the formally-grounded
+    /// re-evaluation and the enforcement cross-check.
     /// A payload that does not decrypt or decode is itself a finding: the
     /// probes seal well-formed envelopes, so anything else was forged or
     /// damaged after them.
@@ -829,7 +832,7 @@ impl Analyser {
         }
 
         // Decrypt the PDP-side view: what the PDP decided about what it saw.
-        let [_, request_entry, response_entry, pep_response_entry] = entries;
+        let [pep_request_entry, request_entry, response_entry, pep_response_entry] = entries;
         let Some(request_env) =
             self.open_payload::<RequestEnvelope>(request_entry, &mut alerts, compromise)
         else {
@@ -843,29 +846,38 @@ impl Analyser {
 
         // The formally-grounded check: re-evaluate and compare, against
         // the version that was authorised *when the decision was taken*.
-        match self.verifier.verify_versioned_at(
-            &request_env.request,
-            &response_env.response,
-            response_env.policy_version,
-            response_env.decided_at,
-        ) {
-            Verdict::Consistent => {}
-            Verdict::Violation(Violation::WrongPolicyVersion { claimed, expected }) => {
-                alerts.push(Alert::new(
+        // The PDP stamps that instant itself, so it counts only inside
+        // the round trip the PEP's probe saw: a PDP that stamps a retired
+        // version's retirement instant could serve that version forever.
+        let (sent, received) = (
+            pep_request_entry.observed_at,
+            pep_response_entry.observed_at,
+        );
+        let decided_at = response_env.decided_at;
+        let finding = if !(sent..=received).contains(&decided_at) {
+            Some((
+                AlertKind::WrongPolicyVersion,
+                format!(
+                    "pdp stamped its decision at {decided_at}, outside the pep's round trip {sent}..={received}"
+                ),
+            ))
+        } else {
+            match self.verifier.verify_versioned_at(
+                &request_env.request,
+                &response_env.response,
+                response_env.policy_version,
+                decided_at,
+            ) {
+                Verdict::Consistent => None,
+                Verdict::Violation(Violation::WrongPolicyVersion { claimed, expected }) => Some((
                     AlertKind::WrongPolicyVersion,
-                    corr,
-                    now,
                     format!("pdp used policy {claimed}, authorised is {expected}"),
-                ));
+                )),
+                Verdict::Violation(v) => Some((AlertKind::PolicyViolation, v.to_string())),
             }
-            Verdict::Violation(v) => {
-                alerts.push(Alert::new(
-                    AlertKind::PolicyViolation,
-                    corr,
-                    now,
-                    v.to_string(),
-                ));
-            }
+        };
+        if let Some((kind, detail)) = finding {
+            alerts.push(Alert::new(kind, corr, now, detail));
         }
 
         // Enforcement cross-check: the PEP-side payload carries what the
@@ -1021,7 +1033,6 @@ mod tests {
         policy_version: drams_crypto::sha256::Digest,
         decided_at: SimTime,
     ) {
-        let li = Keypair::from_seed(b"li");
         let entries = observe_group(
             rig,
             corr,
@@ -1031,6 +1042,13 @@ mod tests {
             policy_version,
             decided_at,
         );
+        submit_group(rig, entries);
+    }
+
+    /// Logs a group's entries one transaction each and mines them at
+    /// 1 000.
+    fn submit_group(rig: &mut Rig, entries: [crate::logent::LogEntry; 4]) {
+        let li = Keypair::from_seed(b"li");
         for e in entries {
             rig.node
                 .submit_call(
@@ -1044,7 +1062,10 @@ mod tests {
         rig.node.mine_block(1_000).unwrap();
     }
 
-    /// The four observations the probes make of one transaction.
+    /// The four observations the probes make of one transaction, around
+    /// the instant the PDP decided at: the PEP's of its request 100
+    /// before it, the PDP's 50 before it and at it, the PEP's of the
+    /// response 50 after it.
     fn observe_group(
         rig: &mut Rig,
         corr: u64,
@@ -1054,13 +1075,14 @@ mod tests {
         policy_version: drams_crypto::sha256::Digest,
         decided_at: SimTime,
     ) -> [crate::logent::LogEntry; 4] {
+        let sent = decided_at - 100;
         let req_env = RequestEnvelope {
             correlation: CorrelationId(corr),
             tenant: TenantId(1),
             pep: PepId(1),
             service: "svc".into(),
             request: Request::builder().subject("role", role).build(),
-            issued_at: 100,
+            issued_at: sent,
         };
         let resp_env = ResponseEnvelope {
             correlation: CorrelationId(corr),
@@ -1071,11 +1093,12 @@ mod tests {
         };
         [
             rig.pep_probe
-                .observe_request(ObservationPoint::PepRequest, &req_env, 100),
+                .observe_request(ObservationPoint::PepRequest, &req_env, sent),
             rig.pdp_probe
-                .observe_request(ObservationPoint::PdpRequest, &req_env, 150),
-            rig.pdp_probe.observe_pdp_response(&resp_env, 200),
-            rig.pep_probe.observe_pep_response(&resp_env, granted, 250),
+                .observe_request(ObservationPoint::PdpRequest, &req_env, sent + 50),
+            rig.pdp_probe.observe_pdp_response(&resp_env, sent + 100),
+            rig.pep_probe
+                .observe_pep_response(&resp_env, granted, sent + 150),
         ]
     }
 
@@ -1116,48 +1139,63 @@ mod tests {
 
     #[test]
     fn wrong_policy_version_is_caught() {
-        let mut r = rig();
-        let resp = honest_response("doctor");
-        // Same decision, but evaluated under a swapped policy version.
-        let req_env = RequestEnvelope {
-            correlation: CorrelationId(3),
-            tenant: TenantId(1),
-            pep: PepId(1),
-            service: "svc".into(),
-            request: Request::builder().subject("role", "doctor").build(),
-            issued_at: 100,
-        };
-        let resp_env = ResponseEnvelope {
-            correlation: CorrelationId(3),
-            pep: PepId(1),
-            response: resp,
-            policy_version: drams_crypto::sha256::Digest::of(b"attacker-policy"),
-            decided_at: 200,
-        };
-        let li = Keypair::from_seed(b"li");
-        let entries = vec![
-            r.pep_probe
-                .observe_request(ObservationPoint::PepRequest, &req_env, 100),
-            r.pdp_probe
-                .observe_request(ObservationPoint::PdpRequest, &req_env, 150),
-            r.pdp_probe.observe_pdp_response(&resp_env, 200),
-            r.pep_probe.observe_pep_response(&resp_env, true, 250),
+        // v1 (the rig's policy) permits doctors; v2 denies everyone and
+        // retires v1 at 50. The probes see a doctor's round trip from 100
+        // to 250, and the PDP answers as v1 does, citing either a version
+        // nobody authorised, or v1 stamped at 50, its retirement instant:
+        // an in-flight decision, if the Analyser took the PDP's word for
+        // when it decided.
+        let v2 = PolicySet::builder("v2", CombiningAlg::DenyOverrides)
+            .policy(
+                Policy::builder("p", CombiningAlg::DenyOverrides)
+                    .rule(Rule::always("deny-all", Effect::Deny))
+                    .build(),
+            )
+            .build();
+        let cases = [
+            (
+                drams_crypto::sha256::Digest::of(b"attacker-policy"),
+                200,
+                "pdp used policy ",
+            ),
+            (
+                policy().version_digest(),
+                50,
+                "pdp stamped its decision at 50, outside the pep's round trip 100..=250",
+            ),
         ];
-        for e in entries {
-            r.node
-                .submit_call(
-                    &li,
-                    MONITOR_CONTRACT,
-                    "store_log_batch",
-                    crate::contract::encode_batch(&[e]),
-                )
-                .unwrap();
+        for (policy_version, decided_at, detail) in cases {
+            let mut r = rig();
+            publish(&mut r.analyser, &v2, 50);
+            let req_env = RequestEnvelope {
+                correlation: CorrelationId(3),
+                tenant: TenantId(1),
+                pep: PepId(1),
+                service: "svc".into(),
+                request: Request::builder().subject("role", "doctor").build(),
+                issued_at: 100,
+            };
+            let resp_env = ResponseEnvelope {
+                correlation: CorrelationId(3),
+                pep: PepId(1),
+                response: honest_response("doctor"),
+                policy_version,
+                decided_at,
+            };
+            let entries = [
+                r.pep_probe
+                    .observe_request(ObservationPoint::PepRequest, &req_env, 100),
+                r.pdp_probe
+                    .observe_request(ObservationPoint::PdpRequest, &req_env, 150),
+                r.pdp_probe.observe_pdp_response(&resp_env, 200),
+                r.pep_probe.observe_pep_response(&resp_env, true, 250),
+            ];
+            submit_group(&mut r, entries);
+            let alerts = r.analyser.poll(&mut r.node, 2_000);
+            assert_eq!(alerts.len(), 1, "{alerts:?}");
+            assert_eq!(alerts[0].kind, AlertKind::WrongPolicyVersion);
+            assert!(alerts[0].detail.starts_with(detail), "{alerts:?}");
         }
-        r.node.mine_block(1_000).unwrap();
-        let alerts = r.analyser.poll(&mut r.node, 2_000);
-        assert!(alerts
-            .iter()
-            .any(|a| a.kind == AlertKind::WrongPolicyVersion));
     }
 
     #[test]

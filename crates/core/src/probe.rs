@@ -19,7 +19,8 @@ use drams_faas::msg::{CorrelationId, RequestEnvelope, ResponseEnvelope};
 #[derive(Debug)]
 pub struct Probe {
     id: ProbeId,
-    /// Federation-wide encryption key *K* (shared with the LIs).
+    /// Federation-wide encryption key *K*, held by every probe and the
+    /// Analyser (no LI holds it; see the key table in the crate docs).
     payload_key: SymmetricKey,
     /// Per-probe MAC key, provisioned from the tenant TPM, keyed once for
     /// every observation the probe will make.

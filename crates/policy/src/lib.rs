@@ -25,6 +25,9 @@
 //!   compiled engine is property-tested equivalent and is what the PDP
 //!   and the Analyser actually run.
 //! * [`pdp`] — the Policy Decision Point (compiled engine).
+//! * [`verify`] — the Analyser's runtime oracle: re-evaluates a logged
+//!   (request, response) pair under the version authorised when it was
+//!   decided.
 //! * [`parser`] — a FACPL-like text syntax plus pretty-printer.
 //!
 //! # Example
@@ -60,6 +63,7 @@ pub mod pdp;
 pub mod policy;
 pub mod rule;
 pub mod target;
+pub mod verify;
 
 /// Convenient glob-import of the types needed to build and evaluate
 /// policies.

@@ -10,12 +10,17 @@
 //! authorised version rather than compile a copy; what it must not share
 //! is a version nobody authorised (see `drams_core`'s scenario assembly,
 //! which compiles a separate copy when the PRP serves a swapped policy).
+//!
+//! The oracle sits beside the [`pdp`](crate::pdp) it re-checks: it runs
+//! the same compiled engine and nothing of the offline FACPL solver, so
+//! the live Analyser depends on this crate alone. `drams_analysis::verify`
+//! re-exports this module at its earlier path.
 
+use crate::attr::Request;
+use crate::compiled::PreparedPolicySet;
+use crate::decision::{Decision, Response};
+use crate::policy::PolicySet;
 use drams_crypto::sha256::Digest;
-use drams_policy::attr::Request;
-use drams_policy::compiled::PreparedPolicySet;
-use drams_policy::decision::{Decision, Response};
-use drams_policy::policy::PolicySet;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -306,13 +311,13 @@ impl DecisionVerifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drams_policy::attr::{AttributeId, Category};
-    use drams_policy::combining::CombiningAlg;
-    use drams_policy::decision::{Effect, ExtDecision, Obligation};
-    use drams_policy::expr::Expr;
-    use drams_policy::policy::{Policy, PolicySet};
-    use drams_policy::rule::Rule;
-    use drams_policy::target::Target;
+    use crate::attr::{AttributeId, Category};
+    use crate::combining::CombiningAlg;
+    use crate::decision::{Effect, ExtDecision, Obligation};
+    use crate::expr::Expr;
+    use crate::policy::{Policy, PolicySet};
+    use crate::rule::Rule;
+    use crate::target::Target;
 
     fn policy() -> PolicySet {
         PolicySet::builder("root", CombiningAlg::DenyUnlessPermit)
